@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use waran_abi::sched::{SchedRequest, UeInfo};
 use waran_core::plugins;
 use waran_host::plugin::{Plugin, SandboxPolicy};
+use waran_host::{Linker as HostLinker, TemplateCache};
 use waran_wasm::instance::{ExecMode, Linker};
 
 fn request(n_ues: usize) -> SchedRequest {
@@ -64,7 +65,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
 fn bench_install(c: &mut Criterion) {
     // Fig. 5b companion: cold install (decode + validate + lazy compile on
-    // first call) vs a cached re-install of identical bytecode.
+    // first call) vs a template-cached re-install of identical bytecode.
     let mut group = c.benchmark_group("ablation_install");
     let wasm = plugins::pf_wasm();
     let req = request(10);
@@ -75,11 +76,14 @@ fn bench_install(c: &mut Criterion) {
             p.call_sched(std::hint::black_box(&req)).expect("schedules")
         })
     });
+    let cache = TemplateCache::new();
+    let linker = HostLinker::<()>::new();
     group.bench_function("cached", |b| {
         b.iter(|| {
-            let mut p =
-                Plugin::new_cached(wasm, &Linker::<()>::new(), (), SandboxPolicy::default())
-                    .expect("plugin instantiates");
+            let mut p = cache
+                .get_or_build(&linker, wasm, SandboxPolicy::default())
+                .and_then(|pre| pre.instantiate(()))
+                .expect("plugin instantiates");
             p.call_sched(std::hint::black_box(&req)).expect("schedules")
         })
     });

@@ -34,7 +34,7 @@
 use std::time::Instant;
 
 use waran_abi::sjson::Json;
-use waran_bench::{banner, f1, table};
+use waran_bench::{banner, f1, load, table};
 use waran_core::{
     plugins, CellSpec, ChannelSpec, MultiCellReport, MultiCellScenarioBuilder, PopulationModel,
     SchedKind, SliceSpec, TrafficSpec,
@@ -284,10 +284,7 @@ fn gate_instantiation_p99_us() -> f64 {
     let mut pool = ExactQuantiles::new();
     for wasm in [plugins::mt_wasm(), plugins::pf_wasm(), plugins::rr_wasm()] {
         let pre = HostLinker::<()>::new()
-            .instantiate_pre(
-                waran_host::ModuleCache::global().load(wasm).unwrap(),
-                SandboxPolicy::default(),
-            )
+            .instantiate_pre(load(wasm), SandboxPolicy::default())
             .unwrap();
         let mut acc = ExactQuantiles::new();
         for i in 0..5_500u64 {

@@ -7,8 +7,8 @@
 //!    slots/sec per worker count.
 //! 2. **Determinism** — per-cell report digests must be identical across
 //!    every worker count before any throughput number is trusted.
-//! 3. **Instance-pool throughput** — N threads, each owning a
-//!    [`PluginPool`] instance built from one shared `ModuleCache` module,
+//! 3. **Instance-pool throughput** — N threads, each owning one
+//!    [`Plugin`] stamped from one shared [`PluginPre`] template,
 //!    hammering `call_sched` with zero shared mutable state: the
 //!    contention-free ceiling the engine's workers run against.
 //!
@@ -23,14 +23,13 @@ use std::time::Instant;
 
 use waran_abi::sched::{SchedRequest, UeInfo};
 use waran_abi::sjson::Json;
-use waran_bench::{banner, f1, f2, table};
+use waran_bench::{banner, f1, f2, load, table};
 use waran_core::{
     plugins, CellSpec, ChannelSpec, MultiCellReport, MultiCellScenario, MultiCellScenarioBuilder,
     SchedKind, SliceSpec, TrafficSpec,
 };
-use waran_host::plugin::SandboxPolicy;
-use waran_host::{ModuleCache, PluginPool};
-use waran_wasm::instance::Linker;
+use waran_host::plugin::{Plugin, SandboxPolicy};
+use waran_host::{Linker, PluginPre};
 
 const CELLS: usize = 8;
 const SECONDS: f64 = 1.0;
@@ -92,23 +91,17 @@ fn make_request(slot: u64, n_ues: usize) -> SchedRequest {
     }
 }
 
-/// `threads` workers, each with its own pool instance from one shared
-/// cached module, each making `calls` scheduler calls. Returns aggregate
+/// `threads` workers, each with its own instance stamped from one shared
+/// template, each making `calls` scheduler calls. Returns aggregate
 /// calls/sec.
-fn pool_throughput(cache: &ModuleCache, threads: usize, calls: u64) -> f64 {
+fn pool_throughput(pre: &PluginPre<()>, threads: usize, calls: u64) -> f64 {
     let start = Instant::now();
+    let pool: Vec<Plugin<()>> = (0..threads)
+        .map(|_| pre.instantiate(()).expect("instance stamps"))
+        .collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for mut plugin in pool {
             scope.spawn(move || {
-                let mut pool = PluginPool::from_cache(
-                    cache,
-                    plugins::pf_wasm(),
-                    Linker::<()>::new(),
-                    SandboxPolicy::unmetered(),
-                )
-                .expect("pool builds");
-                pool.grow_to(1, |_| ()).expect("instance spawns");
-                let plugin = pool.get_mut(0).expect("instance exists");
                 for slot in 0..calls {
                     let req = make_request(slot, 10);
                     let resp = plugin.call_sched(&req).expect("plugin schedules");
@@ -189,20 +182,21 @@ fn main() {
     );
 
     // ---- instance-pool contention-free ceiling ----
-    println!("\ninstance-pool throughput (one pool per thread, shared compiled module)…");
-    let cache = ModuleCache::new();
+    println!("\ninstance-pool throughput (one instance per thread, shared template)…");
+    let pre = Linker::<()>::new()
+        .instantiate_pre(load(plugins::pf_wasm()), SandboxPolicy::unmetered())
+        .expect("template builds");
     let calls = 10_000u64;
     let mut pool_rows = Vec::new();
     let mut pool_points = Vec::new();
     for &threads in &WORKER_COUNTS {
-        let rate = pool_throughput(&cache, threads, calls);
+        let rate = pool_throughput(&pre, threads, calls);
         pool_rows.push(vec![format!("{threads}"), f1(rate)]);
         pool_points.push(Json::obj(vec![
             ("threads", Json::Num(threads as f64)),
             ("calls_per_sec", num3(rate)),
         ]));
     }
-    assert_eq!(cache.len(), 1, "all pools must share one compiled module");
     table(&["threads", "calls/s"], &pool_rows);
 
     // ---- emit BENCH_PR2.json ----

@@ -38,7 +38,7 @@
 use std::time::Instant;
 
 use waran_abi::sjson::Json;
-use waran_bench::{banner, f1, f2, table};
+use waran_bench::{banner, f1, f2, load, table};
 use waran_core::{
     plugins, CellSpec, ChannelSpec, MultiCellReport, MultiCellScenarioBuilder, SchedKind,
     SliceSpec, TrafficSpec,
@@ -111,21 +111,12 @@ fn run_path(wasm: &[u8], path: Path, iterations: u64, acc: &mut ExactQuantiles) 
     let policy = SandboxPolicy::default();
     let pre = match path {
         Path::Cold => None,
-        Path::Pre => Some(
-            PluginPre::with_snapshot(
-                waran_host::ModuleCache::global().load(wasm).unwrap(),
-                &Linker::<()>::new(),
-                policy,
-                false,
-            )
-            .unwrap(),
-        ),
+        Path::Pre => {
+            Some(PluginPre::with_snapshot(load(wasm), &Linker::<()>::new(), policy, false).unwrap())
+        }
         Path::Snap => Some(
             HostLinker::<()>::new()
-                .instantiate_pre(
-                    waran_host::ModuleCache::global().load(wasm).unwrap(),
-                    policy,
-                )
+                .instantiate_pre(load(wasm), policy)
                 .unwrap(),
         ),
     };
@@ -262,12 +253,7 @@ struct Churn {
 
 fn run_churn() -> Churn {
     let pre = HostLinker::<()>::new()
-        .instantiate_pre(
-            waran_host::ModuleCache::global()
-                .load(plugins::pf_wasm())
-                .unwrap(),
-            SandboxPolicy::default(),
-        )
+        .instantiate_pre(load(plugins::pf_wasm()), SandboxPolicy::default())
         .unwrap();
     // Prime the allocator before the baseline sample.
     for _ in 0..1_000 {

@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use waran_abi::sched::{SchedRequest, UeInfo};
 use waran_abi::sjson::Json;
-use waran_bench::{banner, f1, table};
+use waran_bench::{banner, f1, load, table};
 use waran_core::{
     install_plugin, plugins, CellSpec, ChannelSpec, MultiCellReport, MultiCellScenarioBuilder,
     SchedKind, SliceSpec, TrafficSpec,
@@ -287,10 +287,7 @@ fn gate_instantiation_p99_us() -> f64 {
     let mut pool = ExactQuantiles::new();
     for wasm in [plugins::mt_wasm(), plugins::pf_wasm(), plugins::rr_wasm()] {
         let pre = HostLinker::<()>::new()
-            .instantiate_pre(
-                waran_host::ModuleCache::global().load(wasm).unwrap(),
-                SandboxPolicy::default(),
-            )
+            .instantiate_pre(load(wasm), SandboxPolicy::default())
             .unwrap();
         let mut acc = ExactQuantiles::new();
         for i in 0..5_500u64 {

@@ -7,6 +7,15 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::Arc;
+
+/// Decode, validate and lower a stock plugin into a shareable module —
+/// what a template build starts from.
+pub fn load(wasm: &[u8]) -> Arc<waran_wasm::Module> {
+    let module = waran_wasm::load_module(wasm).expect("stock plugin loads");
+    module.precompile();
+    Arc::new(module)
+}
 
 /// Print a banner for one experiment.
 pub fn banner(id: &str, title: &str) {

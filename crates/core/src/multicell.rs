@@ -8,8 +8,8 @@
 //! * Each cell is a full [`Scenario`] — its own gNB, slice set, UE
 //!   population, traffic and RNG seed — so cells share **no** mutable
 //!   state. Identical plugin bytecode across cells still shares one
-//!   compiled module through the host's `ModuleCache` (compile once per
-//!   bytecode hash, instantiate per cell).
+//!   compiled module through the host's `TemplateCache` (compile once per
+//!   bytecode hash, stamp an instance per cell).
 //! * [`MultiCellScenario::run`] executes the cells on `workers` OS
 //!   threads via an atomic work-stealing cursor. Because a cell's
 //!   evolution depends only on its own seed, per-cell results are

@@ -14,8 +14,9 @@
 //!   namespace with shadowing control; [`linker::PluginPre`] — the
 //!   pre-validated instantiation template (resolved imports + sandbox
 //!   policy + post-segment-init snapshot) fleets stamp instances from in
-//!   O(µs); [`linker::TemplateCache`] — the content-addressed fleet-wide
-//!   template store.
+//!   O(µs); [`linker::TemplateCache`] — the content-addressed, LRU-bounded
+//!   fleet-wide template store, and the only cache of loaded plugin code
+//!   (it owns each module; [`plugin::Plugin::new`] caches nothing).
 //! * [`host::PluginHost`] — the named registry: atomic [`host::PluginHost::install`]
 //!   (hot swap), per-slot health and quarantine, per-slot execution-time
 //!   statistics.
@@ -40,13 +41,11 @@
 pub mod host;
 pub mod linker;
 pub mod plugin;
-pub mod pool;
 pub mod stats;
 
 pub use host::{
     FaultKind, PluginHost, RollbackEvent, SlotHandle, SlotHealth, SlotState, StrikeCounters,
 };
-pub use linker::{Linker, PluginPre, ShadowError, TemplateCache};
-pub use plugin::{fnv1a, GovernanceClass, ModuleCache, Plugin, PluginError, SandboxPolicy};
-pub use pool::PluginPool;
+pub use linker::{Linker, PluginPre, ShadowError, TemplateCache, TemplateCacheStats};
+pub use plugin::{fnv1a, GovernanceClass, Plugin, PluginError, SandboxPolicy};
 pub use stats::{ExactQuantiles, ExecTimeStats, P2Quantile, QueueDepthStats, ShardedExecStats};

@@ -14,17 +14,18 @@
 //!   [`waran_wasm::InstancePre`] (resolved import vector + post-segment-init
 //!   memory/table/globals snapshot) plus the [`SandboxPolicy`] applied at
 //!   stamp-out and the pre-resolved byte-buffer ABI table.
-//!   [`PluginPre::instantiate`] is a memcpy of the snapshot, a handful of
-//!   `Arc` bumps and the start function — O(µs), independent of module
-//!   size.
-//! * [`TemplateCache`] — the fleet-wide template store, content-addressed
-//!   by `(bytecode, policy, linker)`. Content addressing is what makes
-//!   epoch live swaps safe: swapping different bytes into a slot *cannot*
-//!   reuse the old module's snapshot, because the new bytes hash to a
-//!   different template.
+//!   [`PluginPre::instantiate`] is a copy of the snapshot's initialized
+//!   prefix into a pooled buffer, a handful of `Arc` bumps and the start
+//!   function — O(µs), independent of module size.
+//! * [`TemplateCache`] — the fleet-wide template store and the only cache
+//!   of loaded plugin code, content-addressed by `(bytecode, policy,
+//!   linker)` and bounded by LRU eviction. Content addressing is what
+//!   makes epoch live swaps safe: swapping different bytes into a slot
+//!   *cannot* reuse the old module's snapshot, because the new bytes hash
+//!   to a different template.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use waran_wasm::analysis::Bound;
 use waran_wasm::instance::{ExecLimits, InstancePre, Linker as WasmLinker};
@@ -32,7 +33,7 @@ use waran_wasm::interp::{Memory, Value};
 use waran_wasm::types::{FuncType, ValType};
 use waran_wasm::{Module, Trap};
 
-use crate::plugin::{fnv1a, AbiTable, ModuleCache, Plugin, PluginError, SandboxPolicy};
+use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy};
 
 /// A definition registered twice under the same `(module, name)` pair with
 /// shadowing disabled.
@@ -193,17 +194,6 @@ impl<T> Linker<T> {
         policy: SandboxPolicy,
     ) -> Result<PluginPre<T>, PluginError> {
         PluginPre::new(module, &self.inner, policy)
-    }
-
-    /// One-shot convenience: build a snapshot-less template and stamp a
-    /// single [`Plugin`] out of it.
-    pub fn instantiate(
-        &self,
-        module: Arc<Module>,
-        data: T,
-        policy: SandboxPolicy,
-    ) -> Result<Plugin<T>, PluginError> {
-        Plugin::from_module(module, &self.inner, data, policy)
     }
 }
 
@@ -392,154 +382,22 @@ impl<T> PluginPre<T> {
     }
 }
 
-/// All cached templates whose bytecode shares one FNV-1a hash.
-type TemplateBucket<T> = Vec<TemplateEntry<T>>;
+/// Templates the cache holds before a miss evicts the least recently
+/// used. A fleet preset keeps at most 3 distinct modules per process and
+/// the churn benchmark's working set is 28 (24 fresh + 3 stock + 1
+/// hostile), so every working set in the repo stays resident with 2x
+/// headroom, while a process that is pushed never-seen modules forever
+/// retains a bounded number of them.
+const TEMPLATE_CAPACITY: usize = 64;
 
 struct TemplateEntry<T> {
+    /// The bytecode, shared by every entry built from equal bytes.
     bytes: Arc<[u8]>,
     policy: SandboxPolicy,
     linker_fp: u64,
     pre: PluginPre<T>,
-}
-
-impl<T> Clone for TemplateEntry<T> {
-    fn clone(&self) -> Self {
-        TemplateEntry {
-            bytes: Arc::clone(&self.bytes),
-            policy: self.policy,
-            linker_fp: self.linker_fp,
-            pre: self.pre.clone(),
-        }
-    }
-}
-
-/// A fleet-wide cache of [`PluginPre`] templates, content-addressed by
-/// `(bytecode, policy, linker fingerprint)`.
-///
-/// Sits one level above [`ModuleCache`]: where the module cache dedupes
-/// decode + validate + IR lowering per distinct bytecode, the template
-/// cache additionally dedupes import resolution, ABI resolution and the
-/// segment-init snapshot per distinct *deployment* of that bytecode.
-/// Installing one xApp into 100 cells costs one template build and 100
-/// memcpy stamp-outs.
-///
-/// Content addressing doubles as live-swap correctness: an epoch swap that
-/// installs different bytes necessarily builds (or re-uses) a *different*
-/// template, so post-swap instances can never be stamped from the old
-/// module's snapshot. Swapping back to previous bytes deliberately re-uses
-/// the previous template — the snapshot is a pure function of its key.
-///
-/// Keys are FNV-1a hashes verified by byte equality (collisions can never
-/// alias two plugins), same discipline as [`ModuleCache`]; the mutex only
-/// guards the map, with byte verification running outside the lock.
-pub struct TemplateCache<T> {
-    entries: Mutex<HashMap<u64, TemplateBucket<T>>>,
-}
-
-impl<T> TemplateCache<T> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        TemplateCache {
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Return the cached template for `(bytes, policy, linker)`, building
-    /// it (module via the global [`ModuleCache`], then a [`PluginPre`])
-    /// on the first request.
-    pub fn get_or_build(
-        &self,
-        linker: &Linker<T>,
-        bytes: &[u8],
-        policy: SandboxPolicy,
-    ) -> Result<PluginPre<T>, PluginError> {
-        let key = fnv1a(bytes);
-        let fp = linker.fingerprint();
-        if let Some(pre) = self.lookup(key, bytes, policy, fp) {
-            return Ok(pre);
-        }
-        // Build outside the lock: decode/validate/snapshot are the
-        // expensive paths and concurrent installs must not serialize.
-        let module = ModuleCache::global()
-            .load(bytes)
-            .map_err(PluginError::Load)?;
-        let pre = PluginPre::new(module, linker.wasm(), policy)?.with_content_hash(key);
-        let mut entries = self.entries.lock().expect("template cache poisoned");
-        let bucket = entries.entry(key).or_default();
-        // A racing install may have added it between unlock and relock.
-        for entry in bucket.iter() {
-            if entry.matches(bytes, policy, fp) {
-                return Ok(entry.pre.clone());
-            }
-        }
-        bucket.push(TemplateEntry {
-            bytes: Arc::from(bytes),
-            policy,
-            linker_fp: fp,
-            pre: pre.clone(),
-        });
-        Ok(pre)
-    }
-
-    /// Hit path: snapshot the bucket under the lock, verify byte equality
-    /// after releasing it.
-    fn lookup(
-        &self,
-        key: u64,
-        bytes: &[u8],
-        policy: SandboxPolicy,
-        linker_fp: u64,
-    ) -> Option<PluginPre<T>> {
-        let bucket: TemplateBucket<T> = {
-            let entries = self.entries.lock().expect("template cache poisoned");
-            entries.get(&key)?.clone()
-        };
-        bucket
-            .iter()
-            .find(|entry| entry.matches(bytes, policy, linker_fp))
-            .map(|entry| entry.pre.clone())
-    }
-
-    /// Number of distinct templates cached.
-    pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("template cache poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every template whose bytecode is `bytes` (all policies and
-    /// linkers), e.g. after an operator retires a plugin version. Returns
-    /// the number of templates dropped; live clones stay valid.
-    pub fn invalidate(&self, bytes: &[u8]) -> usize {
-        let key = fnv1a(bytes);
-        let mut entries = self.entries.lock().expect("template cache poisoned");
-        let Some(bucket) = entries.get_mut(&key) else {
-            return 0;
-        };
-        let before = bucket.len();
-        bucket.retain(|entry| entry.bytes.as_ref() != bytes);
-        let dropped = before - bucket.len();
-        if bucket.is_empty() {
-            entries.remove(&key);
-        }
-        dropped
-    }
-
-    /// Drop every cached template (live clones stay valid).
-    pub fn clear(&self) {
-        self.entries
-            .lock()
-            .expect("template cache poisoned")
-            .clear();
-    }
+    /// Cache tick of the most recent hit (or the insert).
+    last_used: u64,
 }
 
 impl<T> TemplateEntry<T> {
@@ -548,9 +406,247 @@ impl<T> TemplateEntry<T> {
     }
 }
 
+struct CacheState<T> {
+    /// Entries bucketed by the FNV-1a hash of their bytecode.
+    buckets: HashMap<u64, Vec<TemplateEntry<T>>>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl<T> CacheState<T> {
+    fn len(&self) -> usize {
+        self.buckets.values().map(Vec::len).sum()
+    }
+
+    /// The template for `(bytes, policy, linker)`, stamped as just used.
+    fn hit(
+        &mut self,
+        key: u64,
+        bytes: &[u8],
+        policy: SandboxPolicy,
+        linker_fp: u64,
+    ) -> Option<PluginPre<T>> {
+        self.tick += 1;
+        let entry = self
+            .buckets
+            .get_mut(&key)?
+            .iter_mut()
+            .find(|entry| entry.matches(bytes, policy, linker_fp))?;
+        entry.last_used = self.tick;
+        Some(entry.pre.clone())
+    }
+
+    /// Drop the cache's reference to the least recently used template.
+    fn evict_lru(&mut self) {
+        let oldest = self
+            .buckets
+            .iter()
+            .flat_map(|(&key, bucket)| {
+                bucket
+                    .iter()
+                    .enumerate()
+                    .map(move |(idx, entry)| (entry.last_used, key, idx))
+            })
+            .min();
+        let Some((_, key, idx)) = oldest else {
+            return;
+        };
+        let bucket = self.buckets.get_mut(&key).expect("key came from the map");
+        bucket.swap_remove(idx);
+        if bucket.is_empty() {
+            self.buckets.remove(&key);
+        }
+        self.evictions += 1;
+    }
+}
+
+/// Counters and sizes of a [`TemplateCache`], from [`TemplateCache::stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TemplateCacheStats {
+    /// Lookups answered by a cached template.
+    pub hits: u64,
+    /// Lookups that had to build (or failed to build) a template.
+    pub misses: u64,
+    /// Templates dropped to stay within capacity.
+    pub evictions: u64,
+    /// Templates currently cached.
+    pub templates: usize,
+    /// Snapshot memory-image bytes the cached templates pin.
+    pub image_bytes: usize,
+    /// Buffers in the process-wide linear-memory pool (shared by every
+    /// cache in the process).
+    pub pooled_buffers: usize,
+}
+
+/// The fleet-wide cache of [`PluginPre`] templates, content-addressed by
+/// `(bytecode, policy, linker fingerprint)` — the one place loaded plugin
+/// code is retained.
+///
+/// A miss decodes, validates, lowers and analyses the module, resolves
+/// imports and the ABI and captures the segment-init snapshot; a hit is a
+/// few `Arc` bumps. Entries built from equal bytes under different
+/// policies or linkers share one `Arc<Module>` and one copy of the
+/// bytecode. Installing one xApp into 100 cells costs one template build
+/// and 100 stamp-outs.
+///
+/// Content addressing doubles as live-swap correctness: an epoch swap that
+/// installs different bytes necessarily builds (or re-uses) a *different*
+/// template, so post-swap instances can never be stamped from the old
+/// module's snapshot. Swapping back to previous bytes deliberately re-uses
+/// the previous template — the template is a pure function of its key.
+///
+/// The cache is bounded: a miss that takes it past its capacity drops the
+/// least recently used entry. Eviction only drops the *cache's* `Arc`s —
+/// live instances, retained last-good plugins and template clones keep
+/// their module alive — and re-requesting evicted bytes rebuilds an
+/// identical template, so eviction is invisible except in memory and in
+/// the cost of the next install.
+///
+/// Keys are FNV-1a hashes verified by byte equality on every hit, so a
+/// collision can never alias two plugins. Builds run outside the lock.
+pub struct TemplateCache<T> {
+    state: Mutex<CacheState<T>>,
+}
+
+impl<T> TemplateCache<T> {
+    /// An empty cache.
+    pub fn new() -> Self {
+        TemplateCache {
+            state: Mutex::new(CacheState {
+                buckets: HashMap::new(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }),
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, CacheState<T>> {
+        self.state.lock().expect("template cache poisoned")
+    }
+
+    /// Return the cached template for `(bytes, policy, linker)`, building
+    /// it on the first request.
+    pub fn get_or_build(
+        &self,
+        linker: &Linker<T>,
+        bytes: &[u8],
+        policy: SandboxPolicy,
+    ) -> Result<PluginPre<T>, PluginError> {
+        let key = fnv1a(bytes);
+        let fp = linker.fingerprint();
+        let shared = {
+            let mut state = self.state();
+            if let Some(pre) = state.hit(key, bytes, policy, fp) {
+                state.hits += 1;
+                return Ok(pre);
+            }
+            state.misses += 1;
+            // Same bytes under another policy or linker: share its module.
+            state.buckets.get(&key).and_then(|bucket| {
+                let same = bucket.iter().find(|e| e.bytes.as_ref() == bytes)?;
+                Some((Arc::clone(&same.bytes), Arc::clone(same.pre.module())))
+            })
+        };
+        // Build outside the lock: decode/validate/lowering/snapshot are
+        // the expensive paths and concurrent installs must not serialize.
+        let (bytes, module) = match shared {
+            Some(shared) => shared,
+            None => {
+                let module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
+                // Lower every body now, so workers instantiating from the
+                // shared module never contend on first-call lowering.
+                module.precompile();
+                (Arc::from(bytes), Arc::new(module))
+            }
+        };
+        let pre = PluginPre::new(module, linker.wasm(), policy)?.with_content_hash(key);
+        let mut state = self.state();
+        // A racing install may have added it between unlock and relock.
+        if let Some(raced) = state.hit(key, &bytes, policy, fp) {
+            return Ok(raced);
+        }
+        let last_used = state.tick;
+        state.buckets.entry(key).or_default().push(TemplateEntry {
+            bytes,
+            policy,
+            linker_fp: fp,
+            pre: pre.clone(),
+            last_used,
+        });
+        if state.len() > TEMPLATE_CAPACITY {
+            state.evict_lru();
+        }
+        Ok(pre)
+    }
+
+    /// Number of distinct templates cached.
+    pub fn len(&self) -> usize {
+        self.state().len()
+    }
+
+    /// True when nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Hit/miss/eviction counters and what the cache currently pins.
+    pub fn stats(&self) -> TemplateCacheStats {
+        let state = self.state();
+        TemplateCacheStats {
+            hits: state.hits,
+            misses: state.misses,
+            evictions: state.evictions,
+            templates: state.len(),
+            image_bytes: state
+                .buckets
+                .values()
+                .flatten()
+                .map(|entry| entry.pre.pre.image_bytes())
+                .sum(),
+            pooled_buffers: waran_wasm::instance::pooled_buffers(),
+        }
+    }
+
+    /// Drop every template whose bytecode is `bytes` (all policies and
+    /// linkers), e.g. after an operator retires a plugin version. Returns
+    /// the number of templates dropped; live clones and instances stay
+    /// valid, and the module is freed with the last of them.
+    pub fn invalidate(&self, bytes: &[u8]) -> usize {
+        let key = fnv1a(bytes);
+        let mut state = self.state();
+        let Some(bucket) = state.buckets.get_mut(&key) else {
+            return 0;
+        };
+        let before = bucket.len();
+        bucket.retain(|entry| entry.bytes.as_ref() != bytes);
+        let dropped = before - bucket.len();
+        if bucket.is_empty() {
+            state.buckets.remove(&key);
+        }
+        dropped
+    }
+
+    /// Drop every cached template (live clones and instances stay valid).
+    pub fn clear(&self) {
+        self.state().buckets.clear();
+    }
+}
+
 impl<T> Default for TemplateCache<T> {
     fn default() -> Self {
         TemplateCache::new()
+    }
+}
+
+impl<T> std::fmt::Debug for TemplateCache<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TemplateCache")
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
@@ -635,8 +731,7 @@ mod tests {
 
     #[test]
     fn template_stamps_are_isolated_and_seeded() {
-        let wasm = counter_wasm();
-        let module = ModuleCache::new().load(&wasm).unwrap();
+        let module = Arc::new(waran_wasm::load_module(&counter_wasm()).unwrap());
         let pre = Linker::<()>::new()
             .instantiate_pre(module, SandboxPolicy::default())
             .unwrap();
@@ -690,10 +785,144 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// `n`-th member of a family of modules that differ in one constant.
+    fn numbered_wasm(n: usize) -> Vec<u8> {
+        waran_wasm::wat::assemble(&format!(
+            r#"(module (memory 1) (func (export "n") (result i32) i32.const {n}))"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn invalidate_and_clear_free_the_module() {
+        let cache = TemplateCache::new();
+        let linker = Linker::<()>::new();
+        let wasm = counter_wasm();
+        let held = |cache: &TemplateCache<()>| {
+            // Two deployments of the same bytes share one module.
+            let pre = cache
+                .get_or_build(&linker, &wasm, SandboxPolicy::default())
+                .unwrap();
+            let other = cache
+                .get_or_build(&linker, &wasm, SandboxPolicy::slot_budget())
+                .unwrap();
+            assert!(Arc::ptr_eq(pre.module(), other.module()));
+            let plugin = pre.instantiate(()).unwrap();
+            (Arc::downgrade(pre.module()), plugin)
+        };
+
+        let (module, plugin) = held(&cache);
+        assert_eq!(cache.invalidate(&wasm), 2);
+        assert!(module.upgrade().is_some(), "live instance keeps its module");
+        drop(plugin);
+        assert!(
+            module.upgrade().is_none(),
+            "retired module survived its last instance"
+        );
+
+        let (module, plugin) = held(&cache);
+        drop(plugin);
+        assert!(
+            module.upgrade().is_some(),
+            "cached template owns the module"
+        );
+        cache.clear();
+        assert!(module.upgrade().is_none(), "cleared cache kept the module");
+    }
+
+    #[test]
+    fn invalid_modules_are_rejected_and_not_cached() {
+        let cache = TemplateCache::new();
+        let err = cache
+            .get_or_build(&Linker::<()>::new(), b"not wasm", SandboxPolicy::default())
+            .unwrap_err();
+        assert!(matches!(err, PluginError::Load(_)));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn lru_eviction_bounds_the_cache_and_spares_recent_entries() {
+        let cache = TemplateCache::new();
+        let linker = Linker::<()>::new();
+        let policy = SandboxPolicy::default();
+        let get = |n: usize| cache.get_or_build(&linker, &numbered_wasm(n), policy);
+        let call = |pre: &PluginPre<()>| {
+            let mut plugin = pre.instantiate(()).unwrap();
+            plugin.instance_mut().invoke("n", &[]).unwrap()
+        };
+
+        let first = get(0).unwrap();
+        for n in 1..TEMPLATE_CAPACITY {
+            get(n).unwrap();
+        }
+        // Touch 0 so that 1 is the least recently used, then overflow.
+        get(0).unwrap();
+        get(TEMPLATE_CAPACITY).unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.templates, TEMPLATE_CAPACITY);
+        assert_eq!((stats.hits, stats.evictions), (1, 1));
+        assert_eq!(stats.misses, TEMPLATE_CAPACITY as u64 + 1);
+
+        get(0).unwrap();
+        assert_eq!(cache.stats().hits, 2, "recently used entry was evicted");
+        let rebuilt = get(1).unwrap();
+        assert_eq!(cache.stats().evictions, 2, "LRU entry was still cached");
+        assert!(cache.len() <= TEMPLATE_CAPACITY);
+
+        // An evicted template's clones keep working, and the rebuild is
+        // the same template.
+        assert_eq!(call(&first), Some(Value::I32(0)));
+        assert_eq!(call(&rebuilt), Some(Value::I32(1)));
+        assert_eq!(rebuilt.content_hash(), Some(fnv1a(&numbered_wasm(1))));
+    }
+
+    #[test]
+    fn racing_installs_of_the_same_bytes_share_one_template() {
+        let cache = TemplateCache::new();
+        let linker = Linker::<()>::new();
+        let wasm = counter_wasm();
+        let start = std::sync::Barrier::new(4);
+        let modules: Vec<Arc<Module>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let pre = cache
+                            .get_or_build(&linker, &wasm, SandboxPolicy::default())
+                            .unwrap();
+                        Arc::clone(pre.module())
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        // Losers of the build race adopt the winner's entry.
+        assert!(modules.iter().all(|m| Arc::ptr_eq(m, &modules[0])));
+        assert_eq!(cache.len(), 1);
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 4);
+    }
+
+    #[test]
+    fn stats_track_pinned_image_bytes() {
+        let cache = TemplateCache::new();
+        cache
+            .get_or_build(
+                &Linker::<()>::new(),
+                &counter_wasm(),
+                SandboxPolicy::default(),
+            )
+            .unwrap();
+        // The snapshot keeps the data segment's extent ("seeded" at 16),
+        // not the 64 KiB memory.
+        assert_eq!(cache.stats().image_bytes, 22);
+        assert!(format!("{cache:?}").contains("image_bytes: 22"));
+    }
+
     #[test]
     fn snapshot_off_policy_is_honored() {
-        let wasm = counter_wasm();
-        let module = ModuleCache::new().load(&wasm).unwrap();
+        let module = Arc::new(waran_wasm::load_module(&counter_wasm()).unwrap());
         let policy = SandboxPolicy {
             snapshot_instantiation: false,
             ..SandboxPolicy::default()

@@ -1,7 +1,6 @@
 //! A single hosted plugin: compiled module + live instance + sandbox policy.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use waran_abi::sched::{SchedRequest, SchedResponse};
@@ -237,114 +236,8 @@ impl From<Trap> for PluginError {
     }
 }
 
-/// A process-wide cache of decoded, validated modules keyed by bytecode.
-///
-/// Installing the same `.wasm` bytes into many slots (one xApp pushed to
-/// every cell, a hot swap back to a previous version, a restart after
-/// quarantine) repeats decode + validate and — because compiled flat IR is
-/// cached per [`Module`] — re-lowers every function body. Routing loads
-/// through the cache makes all such installs share one `Arc<Module>`, so
-/// the second and later installs skip all three and reuse the already
-/// compiled IR.
-///
-/// Keys are FNV-1a hashes of the bytecode; every hit is verified by byte
-/// equality, so a hash collision can never alias two different plugins.
-///
-/// The mutex guards only the `HashMap` itself. Lookups clone the bucket's
-/// `Arc`s under the lock (a few pointer bumps) and run the byte-equality
-/// verification *after* unlocking, so concurrent workers taking cache
-/// hits on multi-KiB modules never serialize on the comparison.
-pub struct ModuleCache {
-    entries: Mutex<HashMap<u64, CacheBucket>>,
-}
-
-/// All cached modules whose bytecode shares one FNV-1a hash, kept with the
-/// original bytes so hits can be verified by equality.
-type CacheBucket = Vec<(Arc<[u8]>, Arc<Module>)>;
-
-impl ModuleCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ModuleCache {
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The process-wide cache used by [`Plugin::new_cached`].
-    pub fn global() -> &'static ModuleCache {
-        static GLOBAL: OnceLock<ModuleCache> = OnceLock::new();
-        GLOBAL.get_or_init(ModuleCache::new)
-    }
-
-    /// Decode + validate `bytes`, or return the cached module for them.
-    /// A first load also pre-compiles every function body to flat IR, so
-    /// worker threads instantiating from the shared module never contend
-    /// on first-call lowering.
-    pub fn load(&self, bytes: &[u8]) -> Result<Arc<Module>, LoadError> {
-        let key = fnv1a(bytes);
-        if let Some(module) = self.lookup(key, bytes) {
-            return Ok(module);
-        }
-        // Decode + validate + pre-compile outside the lock: these are the
-        // expensive paths and concurrent installs must not serialize.
-        let module = waran_wasm::load_module(bytes)?;
-        module.precompile();
-        let module = Arc::new(module);
-        let mut entries = self.entries.lock().expect("module cache poisoned");
-        let bucket = entries.entry(key).or_default();
-        // A racing install may have added it between unlock and relock.
-        // (Comparing under the lock is fine here: this is the cold path.)
-        for (stored, cached) in bucket.iter() {
-            if stored.as_ref() == bytes {
-                return Ok(Arc::clone(cached));
-            }
-        }
-        bucket.push((Arc::from(bytes), Arc::clone(&module)));
-        Ok(module)
-    }
-
-    /// Hit path: snapshot the bucket under the lock, verify byte equality
-    /// after releasing it.
-    fn lookup(&self, key: u64, bytes: &[u8]) -> Option<Arc<Module>> {
-        let bucket: CacheBucket = {
-            let entries = self.entries.lock().expect("module cache poisoned");
-            entries.get(&key)?.clone()
-        };
-        bucket
-            .iter()
-            .find(|(stored, _)| stored.as_ref() == bytes)
-            .map(|(_, module)| Arc::clone(module))
-    }
-
-    /// Number of distinct modules cached.
-    pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("module cache poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every cached module (live `Arc<Module>`s stay valid).
-    pub fn clear(&self) {
-        self.entries.lock().expect("module cache poisoned").clear();
-    }
-}
-
-impl Default for ModuleCache {
-    fn default() -> Self {
-        ModuleCache::new()
-    }
-}
-
 /// 64-bit FNV-1a over the module bytecode — the content hash used by
-/// [`ModuleCache`], [`crate::linker::TemplateCache`] and rollback logs.
+/// [`crate::linker::TemplateCache`] and rollback logs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -435,6 +328,13 @@ pub struct Plugin<T> {
 
 impl<T> Plugin<T> {
     /// Load a binary module, validate it, and instantiate it under `policy`.
+    ///
+    /// One-shot construction rides the same [`PluginPre`] template path the
+    /// fleet installs use — import resolution, sandbox-limit derivation and
+    /// ABI pre-resolution exist exactly once — just without a snapshot,
+    /// since state built for a single instance would be copied zero times.
+    /// Nothing is cached: installs that repeat go through
+    /// [`crate::linker::TemplateCache`].
     pub fn new(
         bytes: &[u8],
         linker: &Linker<T>,
@@ -442,37 +342,7 @@ impl<T> Plugin<T> {
         policy: SandboxPolicy,
     ) -> Result<Plugin<T>, PluginError> {
         let module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
-        Self::from_module(Arc::new(module), linker, data, policy)
-    }
-
-    /// Like [`Self::new`], but routed through the global [`ModuleCache`]:
-    /// repeated installs of identical bytecode share one validated module
-    /// and its compiled flat IR.
-    pub fn new_cached(
-        bytes: &[u8],
-        linker: &Linker<T>,
-        data: T,
-        policy: SandboxPolicy,
-    ) -> Result<Plugin<T>, PluginError> {
-        let module = ModuleCache::global()
-            .load(bytes)
-            .map_err(PluginError::Load)?;
-        Self::from_module(module, linker, data, policy)
-    }
-
-    /// Instantiate an already-validated module.
-    ///
-    /// One-shot construction rides the same [`PluginPre`] template path the
-    /// fleet pools use — import resolution, sandbox-limit derivation and ABI
-    /// pre-resolution exist exactly once — just without a snapshot, since
-    /// state built for a single instance would be copied zero times.
-    pub fn from_module(
-        module: Arc<Module>,
-        linker: &Linker<T>,
-        data: T,
-        policy: SandboxPolicy,
-    ) -> Result<Plugin<T>, PluginError> {
-        PluginPre::with_snapshot(module, linker, policy, false)?.instantiate(data)
+        PluginPre::with_snapshot(Arc::new(module), linker, policy, false)?.instantiate(data)
     }
 
     /// Wire an already-stamped instance to its policy and pre-resolved ABI
@@ -699,77 +569,5 @@ impl<T> std::fmt::Debug for Plugin<T> {
             .field("memory_bytes", &self.memory_bytes())
             .field("policy", &self.policy)
             .finish_non_exhaustive()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn module_bytes(body: &str) -> Vec<u8> {
-        waran_wasm::wat::assemble(body).unwrap()
-    }
-
-    #[test]
-    fn cache_shares_identical_bytecode() {
-        let cache = ModuleCache::new();
-        let a = module_bytes(r#"(module (func (export "f") (result i32) i32.const 1))"#);
-        let b = module_bytes(r#"(module (func (export "f") (result i32) i32.const 2))"#);
-
-        let m1 = cache.load(&a).unwrap();
-        let m2 = cache.load(&a).unwrap();
-        let m3 = cache.load(&b).unwrap();
-        assert!(
-            Arc::ptr_eq(&m1, &m2),
-            "identical bytes must share one module"
-        );
-        assert!(!Arc::ptr_eq(&m1, &m3), "different bytes must not alias");
-        assert_eq!(cache.len(), 2);
-
-        cache.clear();
-        assert!(cache.is_empty());
-        // Cached entries dropped, but live modules stay usable.
-        let inst = Instance::new(m1, &Linker::<()>::new(), ()).unwrap();
-        drop(inst);
-    }
-
-    #[test]
-    fn cache_rejects_and_does_not_cache_invalid_modules() {
-        let cache = ModuleCache::new();
-        assert!(cache.load(b"not wasm").is_err());
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cached_plugins_run_independently() {
-        // Two plugins from one cached module must not share mutable state.
-        let wasm = module_bytes(
-            r#"(module
-                 (global $g (mut i32) (i32.const 0))
-                 (func (export "bump") (result i32)
-                   global.get $g
-                   i32.const 1
-                   i32.add
-                   global.set $g
-                   global.get $g))"#,
-        );
-        let mk = || {
-            Plugin::new_cached(&wasm, &Linker::<()>::new(), (), SandboxPolicy::default()).unwrap()
-        };
-        let mut p1 = mk();
-        let mut p2 = mk();
-        assert_eq!(
-            p1.instance_mut().invoke("bump", &[]).unwrap(),
-            Some(Value::I32(1))
-        );
-        assert_eq!(
-            p1.instance_mut().invoke("bump", &[]).unwrap(),
-            Some(Value::I32(2))
-        );
-        // p2 has its own globals despite the shared module.
-        assert_eq!(
-            p2.instance_mut().invoke("bump", &[]).unwrap(),
-            Some(Value::I32(1))
-        );
     }
 }

@@ -15,9 +15,11 @@
 //! * isolation: mutating one stamped instance never leaks into siblings,
 //!   later stamp-outs, or the snapshot itself.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
-use waran_host::{Linker as HostLinker, ModuleCache, PluginPre};
+use waran_host::{Linker as HostLinker, PluginPre};
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::{InstantiateError, Linker};
 use waran_wasm::interp::Value;
@@ -237,6 +239,11 @@ fn assert_same_behavior(a: &mut Plugin<()>, b: &mut Plugin<()>, shape: &Shape, w
     }
 }
 
+/// Decode + validate `bytes` into a shareable module.
+fn load(bytes: &[u8]) -> Arc<waran_wasm::Module> {
+    Arc::new(waran_wasm::load_module(bytes).unwrap())
+}
+
 /// The core property, factored so the deterministic sweep and proptest
 /// share it.
 fn check_parity(seed: u64) {
@@ -246,8 +253,7 @@ fn check_parity(seed: u64) {
     let mut cold = Plugin::new(&bytes, &Linker::new(), (), policy()).unwrap();
 
     // Template: resolve + snapshot once, stamp thrice.
-    let cache = ModuleCache::new();
-    let module = cache.load(&bytes).unwrap();
+    let module = load(&bytes);
     let pre = HostLinker::<()>::new()
         .instantiate_pre(module, policy())
         .unwrap();
@@ -274,8 +280,7 @@ fn check_parity(seed: u64) {
     assert_same_behavior(&mut cold, &mut s2, &shape, "cold vs stamp");
 
     // Snapshot-off templates are the same machine, minus the memcpy.
-    let module = cache.load(&bytes).unwrap();
-    let off = PluginPre::with_snapshot(module, &Linker::new(), policy(), false).unwrap();
+    let off = PluginPre::with_snapshot(load(&bytes), &Linker::new(), policy(), false).unwrap();
     assert!(!off.has_snapshot());
     let mut o1 = off.instantiate(()).unwrap();
     assert_same_state(&s3, &o1, &shape, "snapshot-on vs snapshot-off");
@@ -313,10 +318,8 @@ proptest! {
         let bytes = mb.finish_bytes().unwrap();
 
         let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
-        let cache = ModuleCache::new();
-        let module = cache.load(&bytes).unwrap();
         let template = HostLinker::<()>::new()
-            .instantiate_pre(module, policy())
+            .instantiate_pre(load(&bytes), policy())
             .unwrap_err();
         prop_assert_eq!(&cold, &template);
         prop_assert_eq!(
@@ -338,10 +341,8 @@ proptest! {
         let bytes = mb.finish_bytes().unwrap();
 
         let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
-        let cache = ModuleCache::new();
-        let module = cache.load(&bytes).unwrap();
         let template = HostLinker::<()>::new()
-            .instantiate_pre(module, policy())
+            .instantiate_pre(load(&bytes), policy())
             .unwrap_err();
         prop_assert_eq!(&cold, &template);
         prop_assert_eq!(
@@ -361,10 +362,8 @@ proptest! {
         let bytes = mb.finish_bytes().unwrap();
 
         let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
-        let cache = ModuleCache::new();
-        let module = cache.load(&bytes).unwrap();
         let template = HostLinker::<()>::new()
-            .instantiate_pre(module, policy())
+            .instantiate_pre(load(&bytes), policy())
             .unwrap_err();
         prop_assert_eq!(&cold, &template);
         prop_assert_eq!(

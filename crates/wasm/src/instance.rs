@@ -7,7 +7,7 @@
 //! bounds, optional deterministic fuel, and an optional wall-clock deadline
 //! (the 5G slot budget).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -223,18 +223,16 @@ pub struct Instance<T> {
     /// (windows overlap at call boundaries) plus its frame stack.
     scratch_regs: Vec<Value>,
     scratch_rframes: Vec<RFrame>,
-    /// The template snapshot this instance was stamped from, if any: on
-    /// drop, the linear-memory buffer is re-zeroed up to its dirty
-    /// high-water mark and returned to the template's pool, so the next
-    /// stamp-out skips the full-buffer allocation + memset.
-    recycle_to: Option<Arc<StateSnapshot>>,
+    /// Byte size of the memory this instance was stamped with from a
+    /// template snapshot (0 otherwise): on drop, a buffer still that size
+    /// is re-zeroed up to its dirty high-water mark and donated to the
+    /// process-wide pool, so the next stamp-out skips the allocation.
+    recycle_len: usize,
 }
 
 impl<T> Drop for Instance<T> {
     fn drop(&mut self) {
-        if let Some(snap) = self.recycle_to.take() {
-            snap.reclaim(&mut self.memory);
-        }
+        reclaim(&mut self.memory, self.recycle_len);
     }
 }
 
@@ -372,66 +370,94 @@ impl InstanceState {
     }
 }
 
-/// Upper bound on pooled linear-memory buffers per template: enough to
+/// Upper bound on pooled linear-memory buffers per size class: enough to
 /// cover a worker fleet's stamp/drop churn, small enough that an idle
-/// template pins at most a few MiB.
+/// process pins at most a few MiB per memory size in use.
 const MEMORY_POOL_CAP: usize = 32;
 
-/// The captured post-segment-init state an [`InstancePre`] stamps
-/// instances from, plus the recycling pool that makes stamp-out O(dirty
-/// bytes) instead of O(memory size).
+/// The process-wide pool of pristine (all-zero) linear-memory buffers,
+/// keyed by buffer byte size, so a buffer freed by an instance of one
+/// module serves the next stamp-out of any module with the same memory
+/// size.
 ///
-/// `init_len` is the memory's dirty high-water mark at capture time:
-/// every byte past it is zero, so stamping from a pristine (all-zero)
-/// recycled buffer only needs to copy `init_len` bytes. Dropped
-/// instances re-zero their own dirty prefix and return the buffer here.
+/// Stamped instances that never grew re-zero their dirty prefix — O(bytes
+/// actually written) — and donate the buffer on drop; grown buffers are
+/// discarded. A poisoned lock is skipped: stamp-outs then allocate fresh
+/// and drops free, which is always correct.
+static MEMORY_POOL: Mutex<BTreeMap<usize, Vec<Vec<u8>>>> = Mutex::new(BTreeMap::new());
+
+/// Buffers currently pooled across all size classes.
+pub fn pooled_buffers() -> usize {
+    MEMORY_POOL
+        .lock()
+        .map_or(0, |pool| pool.values().map(Vec::len).sum())
+}
+
+/// Take back a dropped instance's memory if it still has the `len` bytes
+/// it was stamped with.
+fn reclaim(memory: &mut Memory, len: usize) {
+    if len == 0 || memory.size_bytes() != len {
+        return;
+    }
+    memory.zero_all();
+    let buf = memory.take_data();
+    debug_assert!(
+        buf.iter().all(|&b| b == 0),
+        "dirty high-water mark missed a write"
+    );
+    if let Ok(mut pool) = MEMORY_POOL.lock() {
+        let class = pool.entry(len).or_default();
+        if class.len() < MEMORY_POOL_CAP {
+            class.push(buf);
+        }
+    }
+}
+
+/// The captured post-segment-init state an [`InstancePre`] stamps
+/// instances from.
+///
+/// Only the initialized prefix of the memory image is kept — up to the
+/// dirty high-water mark at capture time, past which every byte is zero —
+/// so a template pins its data segments, not its memory size.
 struct StateSnapshot {
-    state: InstanceState,
-    /// Initialized extent of the captured memory image (bytes).
-    init_len: usize,
-    /// Pristine all-zero buffers of exactly `state.memory.size_bytes()`.
-    pool: Mutex<Vec<Vec<u8>>>,
+    /// Initialized prefix of the captured memory image.
+    image: Box<[u8]>,
+    /// Full size of the captured memory (bytes).
+    size_bytes: usize,
+    max_pages: u32,
+    table: Table,
+    globals: Vec<Value>,
 }
 
 impl StateSnapshot {
     fn new(state: InstanceState) -> StateSnapshot {
-        StateSnapshot {
-            init_len: state.memory.dirty_max(),
-            pool: Mutex::new(Vec::new()),
-            state,
-        }
-    }
-
-    /// Stamp a fresh [`InstanceState`]: pop a pristine buffer and copy the
-    /// initialized prefix, or fall back to a full clone of the image when
-    /// the pool is empty (the first few stamps, or under deep churn).
-    fn stamp(&self) -> InstanceState {
-        let recycled = self.pool.lock().ok().and_then(|mut pool| pool.pop());
-        let memory = match recycled {
-            Some(buf) => Memory::from_recycled(buf, &self.state.memory, self.init_len),
-            None => self.state.memory.clone(),
-        };
-        InstanceState {
+        let InstanceState {
             memory,
-            table: self.state.table.clone(),
-            globals: self.state.globals.clone(),
+            table,
+            globals,
+        } = state;
+        StateSnapshot {
+            image: memory.initialized().into(),
+            size_bytes: memory.size_bytes(),
+            max_pages: memory.max_pages(),
+            table,
+            globals,
         }
     }
 
-    /// Take back a dropped instance's memory buffer. Buffers that no
-    /// longer match the template's size (the instance grew its memory)
-    /// are discarded; the rest are re-zeroed up to their dirty high-water
-    /// mark — O(bytes the instance actually wrote) — and pooled.
-    fn reclaim(&self, memory: &mut Memory) {
-        let len = self.state.memory.size_bytes();
-        if len == 0 || memory.size_bytes() != len {
-            return;
-        }
-        memory.zero_all();
-        if let Ok(mut pool) = self.pool.lock() {
-            if pool.len() < MEMORY_POOL_CAP {
-                pool.push(memory.take_data());
-            }
+    /// Stamp a fresh [`InstanceState`]: a pooled pristine buffer (or a
+    /// lazily-zeroed allocation when the size class is empty) plus a copy
+    /// of the initialized prefix.
+    fn stamp(&self) -> InstanceState {
+        let pooled = MEMORY_POOL
+            .lock()
+            .ok()
+            .and_then(|mut pool| pool.get_mut(&self.size_bytes)?.pop());
+        let data = pooled.unwrap_or_else(|| vec![0; self.size_bytes]);
+        InstanceState {
+            memory: Memory::from_image(data, &self.image, self.max_pages),
+            table: self.table.clone(),
+            globals: self.globals.clone(),
         }
     }
 }
@@ -443,9 +469,10 @@ impl StateSnapshot {
 /// Building an `InstancePre` runs decode-adjacent work — import
 /// resolution, type checks, memory allocation, data/elem-segment
 /// initialization — exactly once. [`InstancePre::instantiate`] then stamps
-/// out a live [`Instance`] as a memcpy of the snapshot plus a handful of
-/// `Arc` bumps, which is what keeps per-worker plugin spin-up in the
-/// microsecond range for hundred-cell fleets.
+/// out a live [`Instance`] as a copy of the snapshot's initialized prefix
+/// into a pooled buffer plus a handful of `Arc` bumps, which is what
+/// keeps per-worker plugin spin-up in the microsecond range for
+/// hundred-cell fleets.
 ///
 /// The snapshot is captured *before* the start function: `start` may call
 /// host functions against the instance's own host state, so it must run
@@ -545,13 +572,19 @@ impl<T> InstancePre<T> {
         self.snapshot.is_some()
     }
 
+    /// Bytes of memory image the snapshot pins (its initialized prefix);
+    /// 0 without a snapshot.
+    pub fn image_bytes(&self) -> usize {
+        self.snapshot.as_ref().map_or(0, |snap| snap.image.len())
+    }
+
     /// Stamp out a live instance: copy the snapshot's initialized prefix
     /// into a pooled buffer (or re-init when snapshotting is off), bump
     /// the shared import vector, run `start`.
     pub fn instantiate(&self, data: T) -> Result<Instance<T>, InstantiateError> {
-        let (state, recycle_to) = match &self.snapshot {
-            Some(snap) => (snap.stamp(), Some(Arc::clone(snap))),
-            None => (InstanceState::init(&self.module, &self.limits)?, None),
+        let (state, recycle_len) = match &self.snapshot {
+            Some(snap) => (snap.stamp(), snap.size_bytes),
+            None => (InstanceState::init(&self.module, &self.limits)?, 0),
         };
         Instance::assemble(
             Arc::clone(&self.module),
@@ -559,7 +592,7 @@ impl<T> InstancePre<T> {
             state,
             data,
             self.limits,
-            recycle_to,
+            recycle_len,
         )
     }
 }
@@ -583,7 +616,7 @@ impl<T> Instance<T> {
     ) -> Result<Self, InstantiateError> {
         let host_funcs: Arc<[HostFuncDef<T>]> = resolve_imports(&module, linker)?.into();
         let state = InstanceState::init(&module, &limits)?;
-        Self::assemble(module, host_funcs, state, data, limits, None)
+        Self::assemble(module, host_funcs, state, data, limits, 0)
     }
 
     /// Final construction step shared by the cold path and
@@ -597,7 +630,7 @@ impl<T> Instance<T> {
         state: InstanceState,
         data: T,
         limits: ExecLimits,
-        recycle_to: Option<Arc<StateSnapshot>>,
+        recycle_len: usize,
     ) -> Result<Self, InstantiateError> {
         let InstanceState {
             memory,
@@ -622,7 +655,7 @@ impl<T> Instance<T> {
             scratch_frames: Vec::with_capacity(16),
             scratch_regs: Vec::with_capacity(128),
             scratch_rframes: Vec::with_capacity(16),
-            recycle_to,
+            recycle_len,
         };
 
         if let Some(start) = inst.module.start {

@@ -134,9 +134,9 @@ pub struct Memory {
     peak_pages: u32,
     /// High-water mark of *written* bytes: every byte at index
     /// `>= dirty_max` is still zero (conservative — writes of zero bytes
-    /// advance it too). Template pools use this to re-zero only the
-    /// touched prefix when recycling a buffer, which is what keeps
-    /// snapshot stamp-out from paying a full-memory memset per instance.
+    /// advance it too). The buffer pool uses this to re-zero only the
+    /// touched prefix when recycling a buffer, and template snapshots to
+    /// keep only the initialized prefix of their image.
     dirty_max: usize,
 }
 
@@ -176,6 +176,11 @@ impl Memory {
         self.dirty_max
     }
 
+    /// The written prefix `[0, dirty_max)`.
+    pub(crate) fn initialized(&self) -> &[u8] {
+        &self.data[..self.dirty_max.min(self.data.len())]
+    }
+
     #[inline]
     fn mark_dirty(&mut self, end: usize) {
         if end > self.dirty_max {
@@ -183,28 +188,24 @@ impl Memory {
         }
     }
 
-    /// Surrender the backing buffer (for template-pool recycling); the
+    /// Surrender the backing buffer (for buffer-pool recycling); the
     /// memory is left empty.
     pub(crate) fn take_data(&mut self) -> Vec<u8> {
         self.dirty_max = 0;
         std::mem::take(&mut self.data)
     }
 
-    /// Rebuild a memory around a pristine all-zero `data` buffer, copying
-    /// the first `init_len` bytes from `image` (the template's captured
-    /// post-segment-init state). Limits and accounting come from `image`;
-    /// the buffer must already match its size.
-    pub(crate) fn from_recycled(data: Vec<u8>, image: &Memory, init_len: usize) -> Memory {
-        debug_assert_eq!(data.len(), image.data.len());
-        let mut mem = Memory {
+    /// Build a memory around an all-zero `data` buffer by copying in
+    /// `image`, the initialized prefix of a template's captured
+    /// post-segment-init state (every image byte past it is zero).
+    pub(crate) fn from_image(mut data: Vec<u8>, image: &[u8], max_pages: u32) -> Memory {
+        data[..image.len()].copy_from_slice(image);
+        Memory {
+            peak_pages: (data.len() / PAGE_SIZE) as u32,
             data,
-            max_pages: image.max_pages,
-            peak_pages: image.peak_pages,
-            dirty_max: 0,
-        };
-        mem.data[..init_len].copy_from_slice(&image.data[..init_len]);
-        mem.mark_dirty(init_len);
-        mem
+            max_pages,
+            dirty_max: image.len(),
+        }
     }
 
     /// Current size in pages.

@@ -232,7 +232,7 @@ impl Module {
     /// `OnceLock`), which is right for a single executor but makes worker
     /// threads that share one `Arc<Module>` briefly serialize on the cells
     /// during warm-up. Pre-compiling once — e.g. when a module enters the
-    /// host's module cache — gives every instance pool a fully-lowered,
+    /// host's template cache — gives every instance a fully-lowered,
     /// read-only module to execute from.
     pub fn precompile(&self) {
         for local_idx in 0..self.funcs.len() as u32 {

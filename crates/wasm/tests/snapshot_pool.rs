@@ -1,12 +1,20 @@
-//! Regression tests for the template memory pool behind
+//! Regression tests for the process-wide memory-buffer pool behind
 //! [`InstancePre`]: dropped instances re-zero their dirty prefix and
-//! donate the buffer back, so a stamp-out after churn must be
-//! bit-identical to the very first stamp-out — no matter what the
-//! previous tenant wrote, filled, copied or grew.
+//! donate the buffer, so a stamp-out after churn must be bit-identical
+//! to the very first stamp-out — no matter what the previous tenant
+//! wrote, filled, copied or grew, and no matter which module it was an
+//! instance of.
 
-use waran_wasm::instance::{ExecLimits, InstancePre, Linker};
+use std::sync::Arc;
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+use waran_wasm::builder::ModuleBuilder;
+use waran_wasm::instance::{ExecLimits, Instance, InstancePre, Linker};
 use waran_wasm::interp::Value;
-use waran_wasm::{load_module, wat};
+use waran_wasm::module::ConstExpr;
+use waran_wasm::types::{Mutability, ValType};
+use waran_wasm::{load_module, wat, Module};
 
 const PAGE: u32 = 65536;
 
@@ -136,5 +144,180 @@ fn churn_reuses_buffers_without_unbounded_growth() {
             .unwrap();
         let (mem, _) = image(&pre);
         assert_eq!(mem, first_mem, "round {round} saw a dirty stamp-out");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Cross-template hygiene: the pool is shared by every module whose
+// memory has the same size, so a buffer dirtied under module A must
+// stamp module B exactly as a cold instantiation would.
+// ---------------------------------------------------------------------
+
+/// Memory size of the property's tenants. No other test in this binary
+/// uses it, so (tests share the process-wide pool) the buffer B is
+/// stamped into is the one A just dropped.
+const TENANT_PAGES: u32 = 3;
+const TENANT_BYTES: u32 = TENANT_PAGES * PAGE;
+const TABLE_SLOTS: u32 = 4;
+
+/// One randomly shaped module: a data segment, a mutable global and a
+/// partly initialized table, plus guest-side store/fill/copy probes.
+#[derive(Debug, Clone)]
+struct Tenant {
+    seg_at: u32,
+    seg: Vec<u8>,
+    global: i32,
+    elem_at: u32,
+    consts: (i32, i32),
+}
+
+fn tenant() -> impl Strategy<Value = Tenant> {
+    (
+        0..TENANT_BYTES - 256,
+        vec(any::<u8>(), 0..256),
+        any::<i32>(),
+        0..TABLE_SLOTS - 1,
+        (any::<i32>(), any::<i32>()),
+    )
+        .prop_map(|(seg_at, seg, global, elem_at, consts)| Tenant {
+            seg_at,
+            seg,
+            global,
+            elem_at,
+            consts,
+        })
+}
+
+impl Tenant {
+    fn module(&self) -> Arc<Module> {
+        use ValType::I32;
+        let mut mb = ModuleBuilder::new();
+        mb.memory(TENANT_PAGES, Some(TENANT_PAGES));
+        mb.data(self.seg_at as i32, &self.seg);
+        let g = mb.global(I32, Mutability::Var, ConstExpr::I32(self.global));
+        mb.export_global("g", g);
+        mb.table(TABLE_SLOTS, None);
+        let nil_i32 = mb.func_type(&[], &[I32]);
+        let entries = [self.consts.0, self.consts.1].map(|c| {
+            let f = mb.begin_func(nil_i32);
+            mb.code().i32_const(c);
+            mb.end_func().unwrap();
+            f
+        });
+        mb.elem(self.elem_at as i32, &entries);
+
+        let ty = mb.func_type(&[I32], &[I32]);
+        let dispatch = mb.begin_func(ty);
+        mb.code().local_get(0).call_indirect(nil_i32);
+        mb.end_func().unwrap();
+        mb.export_func("dispatch", dispatch);
+
+        let ty = mb.func_type(&[I32, I32], &[]);
+        let poke = mb.begin_func(ty);
+        mb.code().local_get(0).local_get(1).i32_store(0);
+        mb.end_func().unwrap();
+        mb.export_func("poke", poke);
+
+        let ty = mb.func_type(&[I32, I32, I32], &[]);
+        let fill = mb.begin_func(ty);
+        mb.code()
+            .local_get(0)
+            .local_get(1)
+            .local_get(2)
+            .memory_fill();
+        mb.end_func().unwrap();
+        mb.export_func("fill", fill);
+        let copy = mb.begin_func(ty);
+        mb.code()
+            .local_get(0)
+            .local_get(1)
+            .local_get(2)
+            .memory_copy();
+        mb.end_func().unwrap();
+        mb.export_func("copy", copy);
+
+        let ty = mb.func_type(&[], &[]);
+        let bump = mb.begin_func(ty);
+        mb.code().global_get(g).i32_const(1).i32_add().global_set(g);
+        mb.end_func().unwrap();
+        mb.export_func("bump", bump);
+
+        let module = load_module(&mb.finish_bytes().unwrap()).expect("tenant validates");
+        Arc::new(module)
+    }
+}
+
+/// One mutation of a live tenant, through the guest or behind its back.
+#[derive(Debug, Clone)]
+enum Dirt {
+    Store { at: u32, value: i32 },
+    Fill { at: u32, byte: u8, len: u32 },
+    Copy { dst: u32, src: u32, len: u32 },
+    HostWrite { at: u32, bytes: Vec<u8> },
+    Bump,
+}
+
+fn dirt() -> impl Strategy<Value = Dirt> {
+    let span = || (0..TENANT_BYTES - 4096, 0..4096u32);
+    prop_oneof![
+        (0..TENANT_BYTES - 4, any::<i32>()).prop_map(|(at, value)| Dirt::Store { at, value }),
+        (span(), any::<u8>()).prop_map(|((at, len), byte)| Dirt::Fill { at, byte, len }),
+        (span(), 0..TENANT_BYTES - 4096).prop_map(|((dst, len), src)| Dirt::Copy { dst, src, len }),
+        (0..TENANT_BYTES - 64, vec(any::<u8>(), 0..64))
+            .prop_map(|(at, bytes)| Dirt::HostWrite { at, bytes }),
+        Just(Dirt::Bump),
+    ]
+}
+
+fn apply(inst: &mut Instance<()>, dirt: &Dirt) {
+    let i = |v: u32| Value::I32(v as i32);
+    match dirt {
+        Dirt::Store { at, value } => inst.invoke("poke", &[i(*at), Value::I32(*value)]),
+        Dirt::Fill { at, byte, len } => inst.invoke("fill", &[i(*at), i(*byte as u32), i(*len)]),
+        Dirt::Copy { dst, src, len } => inst.invoke("copy", &[i(*dst), i(*src), i(*len)]),
+        Dirt::HostWrite { at, bytes } => {
+            inst.memory_mut().write_bytes(*at, bytes).unwrap();
+            Ok(None)
+        }
+        Dirt::Bump => inst.invoke("bump", &[]),
+    }
+    .expect("in-bounds mutation");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn buffer_dirtied_under_one_module_stamps_another_pristine(
+        a in tenant(),
+        b in tenant(),
+        dirt in vec(dirt(), 0..24),
+    ) {
+        let limits = ExecLimits::default();
+        {
+            let pre_a = InstancePre::new(a.module(), &Linker::new(), limits).unwrap();
+            let mut inst = pre_a.instantiate(()).unwrap();
+            for d in &dirt {
+                apply(&mut inst, d);
+            }
+            // The instance, then its template: only the pool remembers A.
+        }
+
+        let module_b = b.module();
+        let pre_b = InstancePre::new(Arc::clone(&module_b), &Linker::new(), limits).unwrap();
+        let mut stamped = pre_b.instantiate(()).unwrap();
+        let mut cold = Instance::with_limits(module_b, &Linker::new(), (), limits).unwrap();
+
+        prop_assert!(
+            stamped.memory().read_bytes(0, TENANT_BYTES) == cold.memory().read_bytes(0, TENANT_BYTES),
+            "memory differs from a cold instantiation"
+        );
+        prop_assert_eq!(stamped.memory().max_pages(), cold.memory().max_pages());
+        prop_assert_eq!(stamped.get_global("g"), cold.get_global("g"));
+        // The table, slot by slot — one past the end included.
+        for slot in 0..=TABLE_SLOTS {
+            let slot = [Value::I32(slot as i32)];
+            prop_assert_eq!(stamped.invoke("dispatch", &slot), cold.invoke("dispatch", &slot));
+        }
     }
 }

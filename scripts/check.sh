@@ -71,13 +71,15 @@ echo "Massive-plane digests identical across 2 and 8 workers"
 
 # Perf regression gate: compare the live register-tier deployment
 # throughput — and, when the baseline records it, snapshot instantiation
-# latency — against the newest committed benchmark snapshot.
-newest="$(ls -t BENCH_*.json 2>/dev/null | head -1 || true)"
-if [ -n "$newest" ]; then
-    cargo run -q --release -p waran-bench --bin bench_pr6 -- gate "$newest"
-    cargo run -q --release -p waran-bench --bin bench_pr7 -- gate "$newest"
-    cargo run -q --release -p waran-bench --bin bench_pr9 -- gate "$newest"
-    cargo run -q --release -p waran-bench --bin bench_pr10 -- gate "$newest"
-else
-    echo "no BENCH_*.json baseline found — skipping the perf regression gate"
+# latency — against the highest-numbered committed benchmark snapshot.
+# Picked by name, not mtime (all equal on a fresh clone), and fails
+# closed: no snapshot, or one without a `gate` object, is an error.
+newest="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
+if [ -z "$newest" ] || ! grep -q '"gate"' "$newest"; then
+    echo "perf gate: no BENCH_*.json baseline with a \"gate\" object (newest: ${newest:-none})" >&2
+    exit 1
 fi
+cargo run -q --release -p waran-bench --bin bench_pr6 -- gate "$newest"
+cargo run -q --release -p waran-bench --bin bench_pr7 -- gate "$newest"
+cargo run -q --release -p waran-bench --bin bench_pr9 -- gate "$newest"
+cargo run -q --release -p waran-bench --bin bench_pr10 -- gate "$newest"
