@@ -1,12 +1,13 @@
-//! Ablation: flat-IR compiled dispatch vs the reference instruction
-//! walker, on the fig. 5d scheduler workload (one full plugin call —
-//! serialize → sandbox → deserialize — per iteration).
+//! Ablation: the production register-form executor vs the reference
+//! instruction walker, on the fig. 5d scheduler workload (one full plugin
+//! call — serialize → sandbox → deserialize — per iteration).
 //!
 //! `ExecMode::Reference` is the pre-compilation interpreter (decoded
 //! `Instr` tree, runtime label stack, per-instruction metering);
-//! `ExecMode::Compiled` is the flat-IR executor (side-table branches,
-//! basic-block metering, superinstructions). Same module bytes, same
-//! sandbox policy, same requests — the measured delta is pure dispatch.
+//! `ExecMode::Reg` is what every plugin runs (flat IR with side-table
+//! branches, basic-block metering and superinstructions, lowered to
+//! register form). Same module bytes, same sandbox policy, same requests
+//! — the measured delta is pure dispatch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -43,7 +44,7 @@ fn bench_dispatch(c: &mut Criterion) {
         ("rr", plugins::rr_wasm()),
     ] {
         for n_ues in [1usize, 10, 20] {
-            for mode in [ExecMode::Reference, ExecMode::Compiled, ExecMode::Reg] {
+            for mode in [ExecMode::Reference, ExecMode::Reg] {
                 let mut plugin =
                     Plugin::new(wasm, &Linker::<()>::new(), (), SandboxPolicy::default())
                         .expect("plugin instantiates");

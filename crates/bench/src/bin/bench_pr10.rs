@@ -14,8 +14,8 @@
 //! 2. **Population-model ablation** — the same cells materialized
 //!    per-UE vs two-tier, the slots/s ratio is the speedup the
 //!    aggregate model buys at 2000 UEs/cell.
-//! 3. **Gate snapshot** — repeats the `bench_pr6`/`bench_pr7`/
-//!    `bench_pr9` measurements (clean deployment slots/s + exec p99,
+//! 3. **Gate snapshot** — repeats the `bench_pr7`/`bench_pr9`
+//!    measurements (clean deployment slots/s + exec p99,
 //!    snapshot instantiation p99, governance soak slots/s) so the older
 //!    gates keep working against this artifact, and adds
 //!    `massive_slots_per_sec` / `massive_bytes_scheduled_per_sec`: the
@@ -27,7 +27,8 @@
 //!   prints one `cell digest` line per cell, nothing else.
 //! * `bench_pr10 gate <baseline.json>` re-runs the massive-plane
 //!   throughput measurement and fails (exit 1) on regression beyond
-//!   tolerance against the stored `gate.massive_slots_per_sec`.
+//!   tolerance against the stored `gate.massive_slots_per_sec` — or
+//!   when the baseline has no such key.
 //!
 //! Run with: `cargo run -p waran-bench --release --bin bench_pr10`
 
@@ -41,7 +42,6 @@ use waran_core::{
 };
 use waran_host::plugin::SandboxPolicy;
 use waran_host::{ExactQuantiles, Linker as HostLinker};
-use waran_wasm::instance::ExecMode;
 
 // ---- million-UE soak shape ----
 const MASSIVE_CELLS: usize = 500;
@@ -63,7 +63,7 @@ const ABLATION_CELLS: usize = 4;
 /// comparison is meaningless.
 const ABLATION_SECONDS: f64 = 3.0;
 
-// ---- gate contract (same semantics as bench_pr6/7/9: a rerun must
+// ---- gate contract (same semantics as bench_pr7/9: a rerun must
 // stay above this fraction of the baseline, best of two) ----
 const GATE_WORKERS: usize = 4;
 const MASSIVE_GATE_WORKERS: usize = 8;
@@ -185,11 +185,11 @@ fn run_ablation(model: PopulationModel) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------
-// Section 3: gate measurements (bench_pr6/7/9 compatibility).
+// Section 3: gate measurements (bench_pr7/9 compatibility).
 // ---------------------------------------------------------------------
 
-/// The `bench_pr6`/`bench_pr7`/`bench_pr9` clean deployment, byte for
-/// byte, so gate numbers stay comparable across artifacts.
+/// The `bench_pr7`/`bench_pr9` clean deployment, byte for byte, so gate
+/// numbers stay comparable across artifacts.
 fn clean_deployment() -> MultiCellScenarioBuilder {
     let policies = [
         SchedKind::ProportionalFair,
@@ -222,7 +222,7 @@ fn clean_deployment() -> MultiCellScenarioBuilder {
     b
 }
 
-/// Clean-deployment half (register tier, 4 workers, two runs). Slots/s
+/// Clean-deployment half (4 workers, two runs). Slots/s
 /// keeps the best run; the stored p99 keeps the *worse* run — the gate
 /// ceiling is `baseline / tolerance`, so a lucky-fast baseline sample
 /// would make every honest rerun look like a regression.
@@ -231,10 +231,7 @@ fn gate_clean_numbers() -> (f64, f64) {
     let mut exec_p99_us = 0.0f64;
     for _ in 0..2 {
         let report = clean_deployment()
-            .sandbox_policy(SandboxPolicy {
-                exec_mode: ExecMode::Reg,
-                ..SandboxPolicy::slot_budget()
-            })
+            .sandbox_policy(SandboxPolicy::slot_budget())
             .build()
             .expect("deployment builds")
             .run(GATE_WORKERS);
@@ -252,7 +249,6 @@ fn gate_governance_slots_per_sec() -> f64 {
         fuel_per_call: Some(200_000),
         deadline: None,
         quarantine_after: 2,
-        exec_mode: ExecMode::Compiled,
         ..SandboxPolicy::default()
     };
     let mut best = 0.0f64;
@@ -326,11 +322,9 @@ fn run_gate(baseline_path: &str) -> i32 {
         .and_then(|g| g.get("massive_slots_per_sec"))
         .and_then(Json::as_num)
     else {
-        println!(
-            "gate: baseline {baseline_path} has no gate.massive_slots_per_sec — \
-             skipping comparison"
-        );
-        return 0;
+        // Fail closed: a missing baseline key is a failure, not a skip.
+        eprintln!("gate: FAIL — baseline {baseline_path} has no gate.massive_slots_per_sec");
+        return 1;
     };
     let (fresh, bytes) = gate_massive_numbers();
     let floor = base * GATE_TOLERANCE;

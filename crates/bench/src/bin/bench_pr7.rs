@@ -16,13 +16,14 @@
 //! 3. **Stamp/drop churn** — tens of thousands of stamp-out + drop cycles
 //!    from one snapshot template with VmRSS sampled before/after: the
 //!    template must not leak per-stamp state.
-//! 4. **Digest grid + gate snapshot** — the 32-cell deployment of
-//!    `bench_pr6` under snapshot-on/off × {1, 2, 4, 8} workers: per-cell
-//!    digests must be bit-identical across the whole grid, proving the
-//!    snapshot path is observationally invisible. The gate object repeats
-//!    `bench_pr6`'s `{slots_per_sec, exec_p99_us}` measurement (register
-//!    tier, 4 workers, same deployment) so older gates keep working, and
-//!    adds `instantiation_p99_us` for the new spin-up regression gate.
+//! 4. **Digest grid + gate snapshot** — the 32-cell deployment (first
+//!    recorded in `BENCH_PR6.json`) under snapshot-on/off × {1, 2, 4, 8}
+//!    workers: per-cell digests must be bit-identical across the whole
+//!    grid, proving the snapshot path is observationally invisible. The
+//!    gate object carries that artifact's `{slots_per_sec, exec_p99_us}`
+//!    measurement (4 workers, same deployment) so older baselines keep
+//!    gating, and adds `instantiation_p99_us` for the spin-up regression
+//!    gate.
 //!
 //! Two lightweight argv modes support CI:
 //!
@@ -31,7 +32,8 @@
 //!   `cell digest` line per cell, nothing else.
 //! * `bench_pr7 gate <baseline.json>` re-runs the gate measurements and
 //!   fails (exit 1) on slots/sec, exec-p99 or instantiation-p99
-//!   regression beyond tolerance against the stored `gate` object.
+//!   regression beyond tolerance against the stored `gate` object — or
+//!   when the baseline lacks that object or any of its three keys.
 //!
 //! Run with: `cargo run -p waran-bench --release --bin bench_pr7`
 
@@ -45,16 +47,16 @@ use waran_core::{
 };
 use waran_host::plugin::{Plugin, SandboxPolicy};
 use waran_host::{ExactQuantiles, Linker as HostLinker, PluginPre, TemplateCache};
-use waran_wasm::instance::{ExecMode, Linker};
+use waran_wasm::instance::Linker;
 
 const CELLS: usize = 32;
 const SECONDS: f64 = 0.5;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Worker count the gate snapshot is measured at (matches `bench_pr6` so
-/// the two artifacts gate against each other).
+/// Worker count the gate snapshot is measured at (the same in every
+/// `BENCH_PR6.json`-and-later artifact, so they gate against each other).
 const GATE_WORKERS: usize = 4;
 /// A rerun must stay within this fraction of the baseline for deployment
-/// throughput and exec p99 (same contract as `bench_pr6`).
+/// throughput and exec p99.
 const GATE_TOLERANCE: f64 = 0.7;
 /// Instantiation p99 lives at µs scale where shared-runner jitter is
 /// proportionally larger, so its ceiling is looser: a rerun may grow to
@@ -276,8 +278,9 @@ fn run_churn() -> Churn {
 // Section 4: 32-cell deployment digest grid + gate.
 // ---------------------------------------------------------------------
 
-/// The `bench_pr6` deployment, byte for byte: 32 cells, per-cell policy
-/// mix, same seed — so the gate numbers stay comparable across artifacts.
+/// The deployment every `BENCH_PR6.json`-and-later gate measured, byte
+/// for byte: 32 cells, per-cell policy mix, same seed — so the gate
+/// numbers stay comparable across artifacts.
 fn deployment() -> MultiCellScenarioBuilder {
     let policies = [
         SchedKind::ProportionalFair,
@@ -312,11 +315,10 @@ fn deployment() -> MultiCellScenarioBuilder {
     b
 }
 
-fn run_deployment(snapshot: bool, exec_mode: ExecMode, workers: usize) -> MultiCellReport {
+fn run_deployment(snapshot: bool, workers: usize) -> MultiCellReport {
     deployment()
         .sandbox_policy(SandboxPolicy {
             snapshot_instantiation: snapshot,
-            exec_mode,
             ..SandboxPolicy::slot_budget()
         })
         .build()
@@ -335,7 +337,7 @@ fn gate_deployment_numbers() -> (f64, f64) {
     let mut slots_per_sec = 0.0f64;
     let mut exec_p99_us = f64::INFINITY;
     for _ in 0..2 {
-        let report = run_deployment(true, ExecMode::Reg, GATE_WORKERS);
+        let report = run_deployment(true, GATE_WORKERS);
         slots_per_sec = slots_per_sec.max(report.total_slots as f64 / report.wall_seconds);
         exec_p99_us = exec_p99_us.min(report.exec.p99_us());
     }
@@ -359,59 +361,57 @@ fn run_gate(baseline_path: &str) -> i32 {
     let text = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
     let json = Json::decode(&text).expect("baseline is valid JSON");
-    let Some(gate) = json.get("gate") else {
-        println!("gate: baseline {baseline_path} has no `gate` object — skipping comparison");
-        return 0;
+    // Fail closed: a baseline the gate cannot read its keys from is a
+    // failure, not a skip.
+    let key = |k: &str| json.get("gate")?.get(k)?.as_num();
+    let (Some(base_slots), Some(base_p99), Some(base_inst)) = (
+        key("slots_per_sec"),
+        key("exec_p99_us"),
+        key("instantiation_p99_us"),
+    ) else {
+        eprintln!(
+            "gate: FAIL — baseline {baseline_path} lacks gate.slots_per_sec, \
+             gate.exec_p99_us or gate.instantiation_p99_us"
+        );
+        return 1;
     };
     let mut failed = false;
 
-    // Deployment half: same keys and semantics as `bench_pr6 gate`.
-    if let (Some(base_slots), Some(base_p99)) = (
-        gate.get("slots_per_sec").and_then(Json::as_num),
-        gate.get("exec_p99_us").and_then(Json::as_num),
-    ) {
-        let (slots_per_sec, exec_p99_us) = gate_deployment_numbers();
-        let slots_floor = base_slots * GATE_TOLERANCE;
-        let p99_ceiling = base_p99 / GATE_TOLERANCE;
-        println!(
-            "gate: slots/sec {slots_per_sec:.0} (baseline {base_slots:.0}, floor {slots_floor:.0}) \
-             | exec p99 {exec_p99_us:.1} us (baseline {base_p99:.1}, ceiling {p99_ceiling:.1})"
+    // Deployment half.
+    let (slots_per_sec, exec_p99_us) = gate_deployment_numbers();
+    let slots_floor = base_slots * GATE_TOLERANCE;
+    let p99_ceiling = base_p99 / GATE_TOLERANCE;
+    println!(
+        "gate: slots/sec {slots_per_sec:.0} (baseline {base_slots:.0}, floor {slots_floor:.0}) \
+         | exec p99 {exec_p99_us:.1} us (baseline {base_p99:.1}, ceiling {p99_ceiling:.1})"
+    );
+    if slots_per_sec < slots_floor {
+        eprintln!(
+            "gate: FAIL — deployment throughput regressed below {:.0}% of baseline",
+            GATE_TOLERANCE * 100.0
         );
-        if slots_per_sec < slots_floor {
-            eprintln!(
-                "gate: FAIL — deployment throughput regressed below {:.0}% of baseline",
-                GATE_TOLERANCE * 100.0
-            );
-            failed = true;
-        }
-        if exec_p99_us > p99_ceiling {
-            eprintln!(
-                "gate: FAIL — per-call exec p99 regressed beyond {:.2}x of baseline",
-                1.0 / GATE_TOLERANCE
-            );
-            failed = true;
-        }
-    } else {
-        println!("gate: baseline has no deployment keys — skipping that half");
+        failed = true;
+    }
+    if exec_p99_us > p99_ceiling {
+        eprintln!(
+            "gate: FAIL — per-call exec p99 regressed beyond {:.2}x of baseline",
+            1.0 / GATE_TOLERANCE
+        );
+        failed = true;
     }
 
-    // Instantiation half: only present in BENCH_PR7-and-later baselines.
-    if let Some(base_inst) = gate.get("instantiation_p99_us").and_then(Json::as_num) {
-        let inst_p99 = gate_instantiation_p99_us();
-        let ceiling = base_inst / INST_TOLERANCE;
-        println!(
-            "gate: instantiation p99 {inst_p99:.2} us (baseline {base_inst:.2}, \
-             ceiling {ceiling:.2})"
+    // Instantiation half.
+    let inst_p99 = gate_instantiation_p99_us();
+    let ceiling = base_inst / INST_TOLERANCE;
+    println!(
+        "gate: instantiation p99 {inst_p99:.2} us (baseline {base_inst:.2}, ceiling {ceiling:.2})"
+    );
+    if inst_p99 > ceiling {
+        eprintln!(
+            "gate: FAIL — snapshot instantiation p99 regressed beyond {:.1}x of baseline",
+            1.0 / INST_TOLERANCE
         );
-        if inst_p99 > ceiling {
-            eprintln!(
-                "gate: FAIL — snapshot instantiation p99 regressed beyond {:.1}x of baseline",
-                1.0 / INST_TOLERANCE
-            );
-            failed = true;
-        }
-    } else {
-        println!("gate: baseline has no instantiation_p99_us — skipping that half");
+        failed = true;
     }
 
     if failed {
@@ -436,7 +436,7 @@ fn main() {
     if (args.len() == 3 || args.len() == 4) && args[1] == "digests" {
         let workers: usize = args[2].parse().expect("digests <workers> [on|off]");
         let snapshot = args.get(3).is_none_or(|s| parse_snapshot(s));
-        let report = run_deployment(snapshot, ExecMode::Compiled, workers);
+        let report = run_deployment(snapshot, workers);
         for (cell, digest) in report.cells.iter().zip(report.cell_digests()) {
             println!("{} {digest:016x}", cell.name);
         }
@@ -548,7 +548,7 @@ fn main() {
     for snapshot in [true, false] {
         let mut runs = Vec::new();
         for &workers in &WORKER_COUNTS {
-            runs.push(run_deployment(snapshot, ExecMode::Compiled, workers));
+            runs.push(run_deployment(snapshot, workers));
         }
         let row: Vec<String> = std::iter::once(if snapshot { "on" } else { "off" }.to_string())
             .chain(
@@ -577,7 +577,7 @@ fn main() {
          {WORKER_COUNTS:?}: true"
     );
 
-    // ---- gate snapshot (register tier, 4 workers — bench_pr6's shape) ----
+    // ---- gate snapshot (4 workers) ----
     let (gate_slots, gate_p99) = gate_deployment_numbers();
 
     // ---- emit BENCH_PR7.json ----

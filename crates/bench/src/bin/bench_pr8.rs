@@ -10,8 +10,9 @@
 //! `BENCH_PR8.json`.
 //!
 //! The artifact intentionally carries **no** `gate` object: the numbers
-//! are microseconds-scale and jitter-prone in CI, and the regression
-//! gates (`bench_pr6/7/9/10 -- gate`) skip artifacts without one.
+//! are microseconds-scale and jitter-prone in CI. The regression gates
+//! (`bench_pr7/9/10 -- gate`) fail closed on an artifact without one, so
+//! `scripts/check.sh` never hands them this file.
 //!
 //! Run with: `cargo run -p waran-bench --release --bin bench_pr8`
 

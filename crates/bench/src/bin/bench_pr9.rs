@@ -17,9 +17,9 @@
 //!    rollback cycles against one host slot with VmRSS sampled
 //!    before/after: the ops plane (rollback log included) must not grow
 //!    node memory.
-//! 3. **Gate snapshot** — repeats the `bench_pr6`/`bench_pr7` clean
-//!    deployment measurement (register tier, 4 workers:
-//!    `{slots_per_sec, exec_p99_us}`) plus `instantiation_p99_us` so
+//! 3. **Gate snapshot** — repeats the `bench_pr7` clean deployment
+//!    measurement (4 workers: `{slots_per_sec, exec_p99_us}`) plus
+//!    `instantiation_p99_us` so
 //!    the older gates keep working against this artifact, and adds
 //!    `governance_slots_per_sec`: the hostile-churn deployment's
 //!    throughput, gating the cost of strike/rollback bookkeeping.
@@ -30,7 +30,8 @@
 //!   prints one `cell digest` line per cell, nothing else.
 //! * `bench_pr9 gate <baseline.json>` re-runs the governance-throughput
 //!   measurement and fails (exit 1) on regression beyond tolerance
-//!   against the stored `gate.governance_slots_per_sec`.
+//!   against the stored `gate.governance_slots_per_sec` — or when the
+//!   baseline has no such key.
 //!
 //! Run with: `cargo run -p waran-bench --release --bin bench_pr9`
 
@@ -45,7 +46,6 @@ use waran_core::{
 };
 use waran_host::plugin::SandboxPolicy;
 use waran_host::{ExactQuantiles, Linker as HostLinker, PluginHost};
-use waran_wasm::instance::ExecMode;
 
 const CELLS: usize = 32;
 const SECONDS: f64 = 0.5;
@@ -58,8 +58,8 @@ const PUSH_IOT_SLOT: u64 = 300;
 /// Strike budget the soak runs with: two consecutive faults cross it.
 const STRIKE_BUDGET: u32 = 2;
 /// Worker count and tolerance of the gate snapshot (same contract as
-/// `bench_pr6`/`bench_pr7`: a rerun must stay above this fraction of the
-/// baseline, best of two runs).
+/// `bench_pr7`: a rerun must stay above this fraction of the baseline,
+/// best of two runs).
 const GATE_WORKERS: usize = 4;
 const GATE_TOLERANCE: f64 = 0.7;
 
@@ -72,12 +72,11 @@ fn governance_policy() -> SandboxPolicy {
         fuel_per_call: Some(200_000),
         deadline: None,
         quarantine_after: STRIKE_BUDGET,
-        exec_mode: ExecMode::Compiled,
         ..SandboxPolicy::default()
     }
 }
 
-/// The `bench_pr6`/`bench_pr7` deployment, byte for byte: 32 cells,
+/// The `bench_pr7` deployment, byte for byte: 32 cells,
 /// per-cell scheduler-policy mix, same seed — so gate numbers stay
 /// comparable across artifacts.
 fn deployment() -> MultiCellScenarioBuilder {
@@ -250,17 +249,14 @@ fn run_churn() -> Churn {
 // Section 3: gate measurements.
 // ---------------------------------------------------------------------
 
-/// Clean-deployment half (same shape as `bench_pr6`/`bench_pr7` gates:
-/// register tier, 4 workers, best of two).
+/// Clean-deployment half (same shape as the `bench_pr7` gate: 4 workers,
+/// best of two).
 fn gate_clean_numbers() -> (f64, f64) {
     let mut slots_per_sec = 0.0f64;
     let mut exec_p99_us = f64::INFINITY;
     for _ in 0..2 {
         let report = deployment()
-            .sandbox_policy(SandboxPolicy {
-                exec_mode: ExecMode::Reg,
-                ..SandboxPolicy::slot_budget()
-            })
+            .sandbox_policy(SandboxPolicy::slot_budget())
             .build()
             .expect("deployment builds")
             .run(GATE_WORKERS);
@@ -313,11 +309,9 @@ fn run_gate(baseline_path: &str) -> i32 {
         .and_then(|g| g.get("governance_slots_per_sec"))
         .and_then(Json::as_num)
     else {
-        println!(
-            "gate: baseline {baseline_path} has no gate.governance_slots_per_sec — \
-             skipping comparison"
-        );
-        return 0;
+        // Fail closed: a missing baseline key is a failure, not a skip.
+        eprintln!("gate: FAIL — baseline {baseline_path} has no gate.governance_slots_per_sec");
+        return 1;
     };
     let fresh = gate_governance_slots_per_sec();
     let floor = base * GATE_TOLERANCE;

@@ -365,14 +365,13 @@ impl<T> PluginPre<T> {
     }
 
     /// Stamp out a live [`Plugin`] with host state `data`: memcpy the
-    /// snapshot, arm the policy's deadline and exec tier, run `start`.
+    /// snapshot, arm the policy's deadline, run `start`.
     pub fn instantiate(&self, data: T) -> Result<Plugin<T>, PluginError> {
         let mut instance = self
             .pre
             .instantiate(data)
             .map_err(PluginError::Instantiate)?;
         instance.set_deadline(self.policy.deadline);
-        instance.set_exec_mode(self.policy.exec_mode);
         Ok(Plugin::from_parts(
             instance,
             self.policy,

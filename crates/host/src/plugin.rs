@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use waran_abi::sched::{SchedRequest, SchedResponse};
 use waran_abi::CodecError;
-use waran_wasm::instance::{ExecMode, Instance, InstantiateError, Linker};
+use waran_wasm::instance::{Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::types::ValType;
 use waran_wasm::{LoadError, Module, Trap};
@@ -86,16 +86,11 @@ pub struct SandboxPolicy {
     /// The resource class these budgets came from (reporting only; the
     /// numeric fields are authoritative).
     pub class: GovernanceClass,
-    /// Which interpreter tier runs the plugin (reference tree walker,
-    /// flat IR, or register form). All tiers are semantically identical —
-    /// this only trades dispatch overhead, so it is a policy knob rather
-    /// than a correctness one.
-    pub exec_mode: ExecMode,
     /// Stamp instances out of a captured post-segment-init snapshot
     /// (memcpy) instead of re-running data/elem/global initialization per
-    /// instance. Like `exec_mode` this is observationally neutral — the
-    /// parity proptests pin snapshot-on and snapshot-off to bit-identical
-    /// state — so it is a perf knob, on by default.
+    /// instance. Observationally neutral — the parity proptests pin
+    /// snapshot-on and snapshot-off to bit-identical state — so it is a
+    /// perf knob, on by default.
     pub snapshot_instantiation: bool,
 }
 
@@ -112,7 +107,6 @@ impl Default for SandboxPolicy {
             no_unbounded_loops: false,
             quarantine_after: 3,
             class: GovernanceClass::Custom,
-            exec_mode: ExecMode::default(),
             snapshot_instantiation: true,
         }
     }

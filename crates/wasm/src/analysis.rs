@@ -1,6 +1,7 @@
 //! Load-time static analysis over the compiled IRs: translation
-//! validation between the flat and register execution tiers, plus
-//! worst-case resource bounds for admission control.
+//! validation of the register form (what executes) against the flat IR
+//! (the intermediate it was lowered from), plus worst-case resource
+//! bounds for admission control.
 //!
 //! The pass runs after validation and lowering (see [`crate::compile`]
 //! and [`crate::regalloc`]) and produces one [`FuncReport`] per
@@ -109,12 +110,12 @@ pub struct FuncReport {
     /// Worst-case fuel (source instructions) a call can retire.
     pub fuel: Bound,
     /// Worst-case value-stack height a call can reach, as enforced by
-    /// the `Meter` checks (identical across the flat and register
-    /// tiers; see the reg executor's `vbase + entry + peak` note).
+    /// the `Meter` checks (identical in the flat IR and the register
+    /// form; see the reg executor's `vbase + entry + peak` note).
     pub stack: Bound,
     /// Worst-case call-frame depth (the function's own frame included).
     pub frames: Bound,
-    /// Worst-case register-arena footprint of the register tier.
+    /// Worst-case register-arena footprint of the register executor.
     pub regs: Bound,
     /// One past the highest memory byte touched through a statically
     /// known address (0 when no such access exists).
@@ -151,8 +152,8 @@ impl ModuleAnalysis {
 }
 
 /// Load-time analysis failure. Translation mismatches mean the register
-/// lowering is *not* a faithful image of the flat IR — the module must
-/// not run under `ExecMode::Reg`, so instantiation refuses it outright.
+/// lowering is *not* a faithful image of the flat IR — and the register
+/// form is what runs, so instantiation refuses the module outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalysisError {
     /// The register form of `func` diverges from the flat IR at flat

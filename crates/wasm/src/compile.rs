@@ -1,8 +1,12 @@
-//! Lowering of validated function bodies into a flat, execution-ready IR.
+//! Lowering of validated function bodies into a flat IR.
 //!
 //! The decoded [`Instr`] tree stays the source of truth for `disasm`,
 //! `encode` and the reference interpreter; this pass consumes it and
-//! produces a [`CompiledFunc`] the hot interpreter loop runs instead:
+//! produces a [`CompiledFunc`]. Nothing executes that form directly: it
+//! is lowered once more into the register form the production executor
+//! runs ([`crate::regalloc`]), analysed for resource bounds, and used as
+//! the left-hand side of translation validation ([`crate::analysis`]).
+//! Every execution-shaping decision is made here:
 //!
 //! * **Side-table branches** — every `br`/`br_if`/`br_table`/`else` and
 //!   block `end` is resolved at compile time into an absolute op PC plus a
@@ -472,7 +476,8 @@ pub enum Op {
     I64TruncSatF64U,
 }
 
-/// A function body lowered to the flat IR, ready to execute.
+/// A function body lowered to the flat IR, ready for register lowering
+/// and analysis.
 #[derive(Debug, Clone)]
 pub struct CompiledFunc {
     /// Flat op sequence.

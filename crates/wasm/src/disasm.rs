@@ -257,8 +257,9 @@ pub fn render(instr: &Instr) -> String {
 
 /// Render every function's register-form lowering ([`crate::regalloc`])
 /// as a stable, line-oriented listing — the debugging companion to
-/// [`disassemble`] for the `ExecMode::Reg` tier. Registers print as
-/// `r{n}`; `r0..r{n_locals}` are the locals, the rest are stack slots.
+/// [`disassemble`] for the code instances actually execute. Registers
+/// print as `r{n}`; `r0..r{n_locals}` are the locals, the rest are stack
+/// slots.
 /// Forces lowering of every body.
 pub fn disassemble_reg(module: &Module) -> String {
     let mut out = String::new();
@@ -423,8 +424,9 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
 }
 
 /// Render every function's flat-IR lowering ([`crate::compile`]) as a
-/// stable, line-oriented listing — the `ExecMode::Compiled` companion to
-/// [`disassemble_reg`]. Forces compilation of every body.
+/// stable, line-oriented listing — the intermediate [`disassemble_reg`]'s
+/// ops were lowered from and are proven against. Forces compilation of
+/// every body.
 pub fn disassemble_flat(module: &Module) -> String {
     let mut out = String::new();
     let n_imports = module.num_imported_funcs();

@@ -11,7 +11,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::compile::Op;
 use crate::instr::Instr;
 use crate::interp::{Memory, Table, Value};
 use crate::module::{ConstExpr, ExportKind, ImportKind, Module};
@@ -168,21 +167,23 @@ impl Default for ExecLimits {
     }
 }
 
-/// Which interpreter loop runs guest code.
+/// Which interpreter loop runs guest code. There is one production
+/// executor and one oracle; the flat IR of [`crate::compile`] is lowered
+/// further and analysed, never executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The flat-IR executor (see [`crate::compile`]): side-table branches,
-    /// basic-block metering, superinstruction fusion. The default.
-    #[default]
-    Compiled,
-    /// The original decoded-[`Instr`] tree walker, kept as the semantic
-    /// reference for differential testing and ablation benchmarks.
-    Reference,
     /// The register-form executor (see [`crate::regalloc`]): the flat IR
-    /// lowered to three-address code over a per-frame virtual register
-    /// file, so push/pop traffic disappears from the hot loop. Identical
-    /// result/trap/fuel semantics to the other tiers.
+    /// (side-table branches, basic-block metering, superinstruction
+    /// fusion) lowered to three-address code over a per-frame virtual
+    /// register file, so push/pop traffic disappears from the hot loop.
+    /// Every instance runs this unless a test or ablation bench selects
+    /// the oracle.
+    #[default]
     Reg,
+    /// The original decoded-[`Instr`] tree walker, kept as the spec oracle
+    /// for differential testing and ablation benchmarks. Identical
+    /// result/trap/fuel semantics to [`ExecMode::Reg`].
+    Reference,
 }
 
 /// Cumulative execution statistics.
@@ -213,14 +214,9 @@ pub struct Instance<T> {
     deadline: Option<Duration>,
     stats: ExecStats,
     mode: ExecMode,
-    /// Reused execution buffers: the compiled executor's value stack,
-    /// locals arena and frame stack survive across invocations so steady-
-    /// state calls allocate nothing.
-    scratch_stack: Vec<Value>,
-    scratch_locals: Vec<Value>,
-    scratch_frames: Vec<CFrame>,
-    /// Register-tier buffers: one flat register file shared by all frames
-    /// (windows overlap at call boundaries) plus its frame stack.
+    /// Reused execution buffers: one flat register file shared by all
+    /// frames (windows overlap at call boundaries) plus its frame stack
+    /// survive across invocations so steady-state calls allocate nothing.
     scratch_regs: Vec<Value>,
     scratch_rframes: Vec<RFrame>,
     /// Byte size of the memory this instance was stamped with from a
@@ -650,9 +646,6 @@ impl<T> Instance<T> {
             deadline: None,
             stats: ExecStats::default(),
             mode: ExecMode::default(),
-            scratch_stack: Vec::with_capacity(64),
-            scratch_locals: Vec::with_capacity(64),
-            scratch_frames: Vec::with_capacity(16),
             scratch_regs: Vec::with_capacity(128),
             scratch_rframes: Vec::with_capacity(16),
             recycle_len,
@@ -719,7 +712,9 @@ impl<T> Instance<T> {
     }
 
     /// Select which interpreter loop runs guest code (default:
-    /// [`ExecMode::Compiled`]).
+    /// [`ExecMode::Reg`]). This is the only selector — no policy, builder
+    /// or environment knob reaches it — and exists so tests and ablation
+    /// benches can run the [`ExecMode::Reference`] oracle.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
     }
@@ -764,10 +759,19 @@ impl<T> Instance<T> {
     pub fn call_func(&mut self, func: u32, args: &[Value]) -> Result<Option<Value>, Trap> {
         let deadline = self.deadline.map(|d| Instant::now() + d);
         let mut instrs: u64 = 0;
-        let result = match self.mode {
-            ExecMode::Compiled => self.exec_compiled(func, args, deadline, &mut instrs),
-            ExecMode::Reference => self.exec(func, args, deadline, &mut instrs),
-            ExecMode::Reg => self.exec_reg(func, args, deadline, &mut instrs),
+        // `host_funcs` holds one entry per function import, in index order.
+        let result = if let Some(def) = self.host_funcs.get(func as usize) {
+            // Direct host-function entry (rare but legal via re-export):
+            // no guest code runs, so no executor is involved.
+            let expected = def.ty.results.first().copied();
+            let f = Arc::clone(&def.func);
+            f(&mut self.data, &mut self.memory, args)
+                .and_then(|got| check_host_result(expected, got))
+        } else {
+            match self.mode {
+                ExecMode::Reg => self.exec_reg(func, args, deadline, &mut instrs),
+                ExecMode::Reference => self.exec(func, args, deadline, &mut instrs),
+            }
         };
         // Flushed here unconditionally so every exit path — including the
         // out-of-fuel one, which used to skip it — counts its instructions.
@@ -792,13 +796,6 @@ impl<T> Instance<T> {
     ) -> Result<Option<Value>, Trap> {
         let module = Arc::clone(&self.module);
         let n_imports = module.num_imported_funcs();
-
-        // Direct host-function entry (rare but legal via re-export).
-        if entry < n_imports {
-            let def = &self.host_funcs[entry as usize];
-            let func = Arc::clone(&def.func);
-            return func(&mut self.data, &mut self.memory, args);
-        }
 
         let mut stack: Vec<Value> = Vec::with_capacity(64);
         stack.extend_from_slice(args);
@@ -1477,20 +1474,12 @@ impl<T> Instance<T> {
         if func < n_imports {
             // Host call: pop args, run closure, push result.
             let def = &self.host_funcs[func as usize];
-            let ty = def.ty.clone();
+            let expected = def.ty.results.first().copied();
+            let argc = def.ty.params.len();
             let f = Arc::clone(&def.func);
-            let argc = ty.params.len();
             let args: Vec<Value> = stack.split_off(stack.len() - argc);
             let result = f(&mut self.data, &mut self.memory, &args)?;
-            match (ty.results.first(), result) {
-                (Some(expected), Some(v)) if *expected == v.ty() => stack.push(v),
-                (None, None) => {}
-                (expected, got) => {
-                    return Err(Trap::HostError(format!(
-                        "host function returned {got:?}, signature says {expected:?}"
-                    )))
-                }
-            }
+            stack.extend(check_host_result(expected, result)?);
             Ok(())
         } else {
             if frames.len() >= self.limits.max_call_depth {
@@ -1502,781 +1491,8 @@ impl<T> Instance<T> {
     }
 
     // ------------------------------------------------------------------
-    // The flat-IR executor (see `crate::compile`).
+    // The register-form executor (see `crate::regalloc`).
     // ------------------------------------------------------------------
-
-    /// Run `entry` on the compiled flat IR. Reuses the instance's scratch
-    /// buffers so steady-state invocations perform no allocation.
-    fn exec_compiled(
-        &mut self,
-        entry: u32,
-        args: &[Value],
-        deadline: Option<Instant>,
-        instrs: &mut u64,
-    ) -> Result<Option<Value>, Trap> {
-        let module = Arc::clone(&self.module);
-        let n_imports = module.num_imported_funcs();
-
-        // Direct host-function entry (rare but legal via re-export).
-        if entry < n_imports {
-            let def = &self.host_funcs[entry as usize];
-            let func = Arc::clone(&def.func);
-            return func(&mut self.data, &mut self.memory, args);
-        }
-
-        let mut stack = std::mem::take(&mut self.scratch_stack);
-        let mut locals = std::mem::take(&mut self.scratch_locals);
-        let mut frames = std::mem::take(&mut self.scratch_frames);
-        stack.clear();
-        locals.clear();
-        frames.clear();
-        stack.extend_from_slice(args);
-
-        let result = self.run_compiled(
-            &module,
-            entry - n_imports,
-            deadline,
-            instrs,
-            &mut stack,
-            &mut locals,
-            &mut frames,
-        );
-        let out = result.map(|()| stack.pop());
-
-        self.scratch_stack = stack;
-        self.scratch_locals = locals;
-        self.scratch_frames = frames;
-        out
-    }
-
-    /// The hot loop: dispatch [`Op`]s until the entry frame returns.
-    #[allow(clippy::too_many_arguments)]
-    fn run_compiled(
-        &mut self,
-        module: &Arc<Module>,
-        entry_local: u32,
-        deadline: Option<Instant>,
-        instrs: &mut u64,
-        stack: &mut Vec<Value>,
-        locals: &mut Vec<Value>,
-        frames: &mut Vec<CFrame>,
-    ) -> Result<(), Trap> {
-        let n_imports = module.num_imported_funcs();
-        let mut until_deadline_check = DEADLINE_CHECK_INTERVAL as i64;
-
-        // Entry frame: arguments move off the stack into the locals arena.
-        {
-            let cf = module.compiled_func(entry_local);
-            let locals_base = locals.len() as u32;
-            locals.extend(stack.drain(stack.len() - cf.argc as usize..));
-            locals.extend_from_slice(&cf.locals_init);
-            frames.push(CFrame {
-                func: entry_local,
-                pc: 0,
-                stack_base: stack.len() as u32,
-                locals_base,
-            });
-        }
-
-        'frames: loop {
-            // Per-activation state, cached in locals until a call/return
-            // switches frames.
-            let frame = *frames.last().expect("at least one frame");
-            let mut pc = frame.pc as usize;
-            let stack_base = frame.stack_base as usize;
-            let locals_base = frame.locals_base as usize;
-            let cf = module.compiled_func(frame.func);
-            let ops = &cf.ops;
-            let branches = &cf.branches;
-
-            macro_rules! pop {
-                () => {
-                    stack.pop().expect("validated: stack non-empty")
-                };
-            }
-            macro_rules! local {
-                ($i:expr) => {
-                    locals[locals_base + $i as usize]
-                };
-            }
-            /// Unwind to a side-table target; evaluates to the new pc.
-            macro_rules! branch_to {
-                ($bi:expr) => {{
-                    let bt = branches[$bi as usize];
-                    let arity = bt.arity as usize;
-                    let dest = stack_base + bt.height as usize;
-                    let src = stack.len() - arity;
-                    if src > dest {
-                        let (lo, hi) = stack.split_at_mut(src);
-                        lo[dest..dest + arity].copy_from_slice(&hi[..arity]);
-                    }
-                    stack.truncate(dest + arity);
-                    bt.pc as usize
-                }};
-            }
-            macro_rules! binop_i32_trap {
-                ($f:expr) => {{
-                    let b = pop!().as_i32();
-                    let a = pop!().as_i32();
-                    stack.push(Value::I32($f(a, b)?));
-                }};
-            }
-            macro_rules! binop_i64 {
-                ($f:expr) => {{
-                    let b = pop!().as_i64();
-                    let a = pop!().as_i64();
-                    stack.push(Value::I64($f(a, b)));
-                }};
-            }
-            macro_rules! binop_i64_trap {
-                ($f:expr) => {{
-                    let b = pop!().as_i64();
-                    let a = pop!().as_i64();
-                    stack.push(Value::I64($f(a, b)?));
-                }};
-            }
-            macro_rules! relop_i64 {
-                ($f:expr) => {{
-                    let b = pop!().as_i64();
-                    let a = pop!().as_i64();
-                    stack.push(Value::I32($f(a, b) as i32));
-                }};
-            }
-            macro_rules! relop_f32 {
-                ($f:expr) => {{
-                    let b = pop!().as_f32();
-                    let a = pop!().as_f32();
-                    stack.push(Value::I32($f(a, b) as i32));
-                }};
-            }
-            macro_rules! relop_f64 {
-                ($f:expr) => {{
-                    let b = pop!().as_f64();
-                    let a = pop!().as_f64();
-                    stack.push(Value::I32($f(a, b) as i32));
-                }};
-            }
-            macro_rules! binop_f32 {
-                ($f:expr) => {{
-                    let b = pop!().as_f32();
-                    let a = pop!().as_f32();
-                    stack.push(Value::F32($f(a, b)));
-                }};
-            }
-            macro_rules! binop_f64 {
-                ($f:expr) => {{
-                    let b = pop!().as_f64();
-                    let a = pop!().as_f64();
-                    stack.push(Value::F64($f(a, b)));
-                }};
-            }
-            macro_rules! unop {
-                ($as:ident, $wrap:ident, $f:expr) => {{
-                    let a = pop!().$as();
-                    stack.push(Value::$wrap($f(a)));
-                }};
-            }
-            macro_rules! cload {
-                ($off:expr, $n:expr, $conv:expr) => {{
-                    let addr = pop!().as_u32();
-                    let bytes = self.memory.read::<$n>(addr, $off)?;
-                    stack.push($conv(bytes));
-                }};
-            }
-            macro_rules! cstore {
-                ($off:expr, $pop:ident, $to:expr) => {{
-                    let v = pop!().$pop();
-                    let addr = pop!().as_u32();
-                    self.memory.write(addr, $off, $to(v))?;
-                }};
-            }
-
-            loop {
-                let op = ops[pc];
-                pc += 1;
-                match op {
-                    Op::Meter { cost, peak } => {
-                        if let Some(fuel) = self.fuel.as_mut() {
-                            if *fuel < cost as u64 {
-                                // The reference walker would retire exactly
-                                // the remaining fuel before trapping.
-                                *instrs += *fuel;
-                                self.fuel = Some(0);
-                                return Err(Trap::OutOfFuel);
-                            }
-                            *fuel -= cost as u64;
-                        }
-                        *instrs += cost as u64;
-                        if let Some(dl) = deadline {
-                            until_deadline_check -= cost as i64;
-                            if until_deadline_check <= 0 {
-                                until_deadline_check = DEADLINE_CHECK_INTERVAL as i64;
-                                if Instant::now() > dl {
-                                    return Err(Trap::DeadlineExceeded);
-                                }
-                            }
-                        }
-                        if stack.len() + peak as usize > self.limits.max_value_stack {
-                            return Err(Trap::ValueStackExhausted);
-                        }
-                    }
-                    Op::Unreachable => return Err(Trap::Unreachable),
-                    Op::Br(b) => pc = branch_to!(b),
-                    Op::BrIf(b) => {
-                        if pop!().as_i32() != 0 {
-                            pc = branch_to!(b);
-                        }
-                    }
-                    Op::BrIfZ(b) => {
-                        if pop!().as_i32() == 0 {
-                            pc = branch_to!(b);
-                        }
-                    }
-                    Op::BrIfCmp { op, br } => {
-                        let b = pop!().as_i32();
-                        let a = pop!().as_i32();
-                        if op.eval(a, b) != 0 {
-                            pc = branch_to!(br);
-                        }
-                    }
-                    Op::BrIfLL { op, a, b, br } => {
-                        if op.eval(local!(a).as_i32(), local!(b).as_i32()) != 0 {
-                            pc = branch_to!(br);
-                        }
-                    }
-                    Op::BrTable { start, n } => {
-                        let sel = pop!().as_u32().min(n);
-                        pc = branch_to!(start + sel);
-                    }
-                    Op::Return => {
-                        let arity = cf.ret_arity as usize;
-                        let src = stack.len() - arity;
-                        if src > stack_base {
-                            let (lo, hi) = stack.split_at_mut(src);
-                            lo[stack_base..stack_base + arity].copy_from_slice(&hi[..arity]);
-                        }
-                        stack.truncate(stack_base + arity);
-                        locals.truncate(locals_base);
-                        frames.pop();
-                        if frames.is_empty() {
-                            return Ok(());
-                        }
-                        continue 'frames;
-                    }
-                    Op::CallWasm(f) => {
-                        if frames.len() >= self.limits.max_call_depth {
-                            return Err(Trap::StackOverflow);
-                        }
-                        frames.last_mut().expect("at least one frame").pc = pc as u32;
-                        let callee = module.compiled_func(f);
-                        let locals_base = locals.len() as u32;
-                        locals.extend(stack.drain(stack.len() - callee.argc as usize..));
-                        locals.extend_from_slice(&callee.locals_init);
-                        frames.push(CFrame {
-                            func: f,
-                            pc: 0,
-                            stack_base: stack.len() as u32,
-                            locals_base,
-                        });
-                        continue 'frames;
-                    }
-                    Op::CallHost { f, argc, ret } => {
-                        let expected = match ret {
-                            0 => None,
-                            1 => Some(ValType::I32),
-                            2 => Some(ValType::I64),
-                            3 => Some(ValType::F32),
-                            _ => Some(ValType::F64),
-                        };
-                        self.call_host_compiled(f, argc as usize, expected, stack)?;
-                    }
-                    Op::CallIndirect(type_idx) => {
-                        let idx = pop!().as_u32();
-                        let func = self.table.get(idx)?;
-                        let expected = &module.types[type_idx as usize];
-                        let actual = module.func_type(func).ok_or(Trap::UninitializedElement)?;
-                        if actual != expected {
-                            return Err(Trap::IndirectCallTypeMismatch);
-                        }
-                        if func < n_imports {
-                            let ret = expected.results.first().copied();
-                            let argc = expected.params.len();
-                            self.call_host_compiled(func, argc, ret, stack)?;
-                        } else {
-                            if frames.len() >= self.limits.max_call_depth {
-                                return Err(Trap::StackOverflow);
-                            }
-                            frames.last_mut().expect("at least one frame").pc = pc as u32;
-                            let local_func = func - n_imports;
-                            let callee = module.compiled_func(local_func);
-                            let locals_base = locals.len() as u32;
-                            locals.extend(stack.drain(stack.len() - callee.argc as usize..));
-                            locals.extend_from_slice(&callee.locals_init);
-                            frames.push(CFrame {
-                                func: local_func,
-                                pc: 0,
-                                stack_base: stack.len() as u32,
-                                locals_base,
-                            });
-                            continue 'frames;
-                        }
-                    }
-                    Op::Drop => {
-                        pop!();
-                    }
-                    Op::Select => {
-                        let cond = pop!().as_i32();
-                        let b = pop!();
-                        let a = pop!();
-                        stack.push(if cond != 0 { a } else { b });
-                    }
-                    Op::LocalGet(i) => stack.push(local!(i)),
-                    Op::LocalGet2 { a, b } => {
-                        stack.push(local!(a));
-                        stack.push(local!(b));
-                    }
-                    Op::LocalSet(i) => local!(i) = pop!(),
-                    Op::LocalTee(i) => local!(i) = *stack.last().expect("validated"),
-                    Op::LocalSetC { dst, k } => local!(dst) = Value::I32(k),
-                    Op::LocalCopy { src, dst } => local!(dst) = local!(src),
-                    Op::GlobalGet(i) => stack.push(self.globals[i as usize]),
-                    Op::GlobalSet(i) => self.globals[i as usize] = pop!(),
-
-                    Op::I32Bin(op) => {
-                        let b = pop!().as_i32();
-                        let a = pop!().as_i32();
-                        stack.push(Value::I32(op.eval(a, b)));
-                    }
-                    Op::I32BinLL { op, a, b } => {
-                        stack.push(Value::I32(op.eval(local!(a).as_i32(), local!(b).as_i32())));
-                    }
-                    Op::I32BinSL { op, b } => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::I32(op.eval(a, local!(b).as_i32())));
-                    }
-                    Op::I32BinSC { op, k } => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::I32(op.eval(a, k)));
-                    }
-                    Op::I32BinLC { op, a, k } => {
-                        stack.push(Value::I32(op.eval(local!(a).as_i32(), k)));
-                    }
-                    Op::I32BinLLSet { op, a, b, dst } => {
-                        local!(dst) = Value::I32(op.eval(local!(a).as_i32(), local!(b).as_i32()));
-                    }
-                    Op::I32BinLCSet { op, a, k, dst } => {
-                        local!(dst) = Value::I32(op.eval(local!(a).as_i32(), k));
-                    }
-                    Op::I32BinSLSet { op, b, dst } => {
-                        let a = pop!().as_i32();
-                        local!(dst) = Value::I32(op.eval(a, local!(b).as_i32()));
-                    }
-                    Op::I32BinSCSet { op, k, dst } => {
-                        let a = pop!().as_i32();
-                        local!(dst) = Value::I32(op.eval(a, k));
-                    }
-
-                    Op::I32LoadL { l, off } => {
-                        let addr = local!(l).as_u32();
-                        let bytes = self.memory.read::<4>(addr, off)?;
-                        stack.push(Value::I32(i32::from_le_bytes(bytes)));
-                    }
-                    Op::I64LoadL { l, off } => {
-                        let addr = local!(l).as_u32();
-                        let bytes = self.memory.read::<8>(addr, off)?;
-                        stack.push(Value::I64(i64::from_le_bytes(bytes)));
-                    }
-                    Op::F64LoadL { l, off } => {
-                        let addr = local!(l).as_u32();
-                        let bytes = self.memory.read::<8>(addr, off)?;
-                        stack.push(Value::F64(f64::from_le_bytes(bytes)));
-                    }
-                    Op::I32Load8UL { l, off } => {
-                        let addr = local!(l).as_u32();
-                        let bytes = self.memory.read::<1>(addr, off)?;
-                        stack.push(Value::I32(bytes[0] as i32));
-                    }
-                    Op::I32LoadSet { off, dst } => {
-                        let addr = pop!().as_u32();
-                        let bytes = self.memory.read::<4>(addr, off)?;
-                        local!(dst) = Value::I32(i32::from_le_bytes(bytes));
-                    }
-                    Op::I32LoadLSet { l, off, dst } => {
-                        let addr = local!(l).as_u32();
-                        let bytes = self.memory.read::<4>(addr, off)?;
-                        local!(dst) = Value::I32(i32::from_le_bytes(bytes));
-                    }
-
-                    Op::I32Load(off) => cload!(off, 4, |b| Value::I32(i32::from_le_bytes(b))),
-                    Op::I64Load(off) => cload!(off, 8, |b| Value::I64(i64::from_le_bytes(b))),
-                    Op::F32Load(off) => cload!(off, 4, |b| Value::F32(f32::from_le_bytes(b))),
-                    Op::F64Load(off) => cload!(off, 8, |b| Value::F64(f64::from_le_bytes(b))),
-                    Op::I32Load8S(off) => {
-                        cload!(off, 1, |b: [u8; 1]| Value::I32(b[0] as i8 as i32))
-                    }
-                    Op::I32Load8U(off) => cload!(off, 1, |b: [u8; 1]| Value::I32(b[0] as i32)),
-                    Op::I32Load16S(off) => {
-                        cload!(off, 2, |b| Value::I32(i16::from_le_bytes(b) as i32))
-                    }
-                    Op::I32Load16U(off) => {
-                        cload!(off, 2, |b| Value::I32(u16::from_le_bytes(b) as i32))
-                    }
-                    Op::I64Load8S(off) => {
-                        cload!(off, 1, |b: [u8; 1]| Value::I64(b[0] as i8 as i64))
-                    }
-                    Op::I64Load8U(off) => cload!(off, 1, |b: [u8; 1]| Value::I64(b[0] as i64)),
-                    Op::I64Load16S(off) => {
-                        cload!(off, 2, |b| Value::I64(i16::from_le_bytes(b) as i64))
-                    }
-                    Op::I64Load16U(off) => {
-                        cload!(off, 2, |b| Value::I64(u16::from_le_bytes(b) as i64))
-                    }
-                    Op::I64Load32S(off) => {
-                        cload!(off, 4, |b| Value::I64(i32::from_le_bytes(b) as i64))
-                    }
-                    Op::I64Load32U(off) => {
-                        cload!(off, 4, |b| Value::I64(u32::from_le_bytes(b) as i64))
-                    }
-                    Op::I32Store(off) => cstore!(off, as_i32, |v: i32| v.to_le_bytes()),
-                    Op::I64Store(off) => cstore!(off, as_i64, |v: i64| v.to_le_bytes()),
-                    Op::F32Store(off) => cstore!(off, as_f32, |v: f32| v.to_le_bytes()),
-                    Op::F64Store(off) => cstore!(off, as_f64, |v: f64| v.to_le_bytes()),
-                    Op::I32Store8(off) => cstore!(off, as_i32, |v: i32| [(v & 0xff) as u8]),
-                    Op::I32Store16(off) => cstore!(off, as_i32, |v: i32| (v as u16).to_le_bytes()),
-                    Op::I64Store8(off) => cstore!(off, as_i64, |v: i64| [(v & 0xff) as u8]),
-                    Op::I64Store16(off) => cstore!(off, as_i64, |v: i64| (v as u16).to_le_bytes()),
-                    Op::I64Store32(off) => cstore!(off, as_i64, |v: i64| (v as u32).to_le_bytes()),
-                    Op::MemorySize => stack.push(Value::I32(self.memory.size_pages() as i32)),
-                    Op::MemoryGrow => {
-                        let delta = pop!().as_u32();
-                        let result = self.memory.grow(delta).map(|p| p as i32).unwrap_or(-1);
-                        stack.push(Value::I32(result));
-                    }
-                    Op::MemoryCopy => {
-                        let len = pop!().as_u32();
-                        let src = pop!().as_u32();
-                        let dst = pop!().as_u32();
-                        self.memory.copy(dst, src, len)?;
-                    }
-                    Op::MemoryFill => {
-                        let len = pop!().as_u32();
-                        let byte = pop!().as_i32() as u8;
-                        let dst = pop!().as_u32();
-                        self.memory.fill(dst, byte, len)?;
-                    }
-
-                    Op::I32Const(v) => stack.push(Value::I32(v)),
-                    Op::I64Const(v) => stack.push(Value::I64(v)),
-                    Op::F32Const(v) => stack.push(Value::F32(v)),
-                    Op::F64Const(v) => stack.push(Value::F64(v)),
-
-                    Op::I32Eqz => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::I32((a == 0) as i32));
-                    }
-                    Op::I32Clz => unop!(as_i32, I32, |a: i32| a.leading_zeros() as i32),
-                    Op::I32Ctz => unop!(as_i32, I32, |a: i32| a.trailing_zeros() as i32),
-                    Op::I32Popcnt => unop!(as_i32, I32, |a: i32| a.count_ones() as i32),
-                    Op::I32DivS => binop_i32_trap!(|a: i32, b: i32| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else if a == i32::MIN && b == -1 {
-                            Err(Trap::IntegerOverflow)
-                        } else {
-                            Ok(a.wrapping_div(b))
-                        }
-                    }),
-                    Op::I32DivU => binop_i32_trap!(|a: i32, b: i32| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else {
-                            Ok(((a as u32) / (b as u32)) as i32)
-                        }
-                    }),
-                    Op::I32RemS => binop_i32_trap!(|a: i32, b: i32| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else {
-                            Ok(a.wrapping_rem(b))
-                        }
-                    }),
-                    Op::I32RemU => binop_i32_trap!(|a: i32, b: i32| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else {
-                            Ok(((a as u32) % (b as u32)) as i32)
-                        }
-                    }),
-
-                    Op::I64Eqz => {
-                        let a = pop!().as_i64();
-                        stack.push(Value::I32((a == 0) as i32));
-                    }
-                    Op::I64Eq => relop_i64!(|a, b| a == b),
-                    Op::I64Ne => relop_i64!(|a, b| a != b),
-                    Op::I64LtS => relop_i64!(|a, b| a < b),
-                    Op::I64LtU => relop_i64!(|a: i64, b: i64| (a as u64) < (b as u64)),
-                    Op::I64GtS => relop_i64!(|a, b| a > b),
-                    Op::I64GtU => relop_i64!(|a: i64, b: i64| (a as u64) > (b as u64)),
-                    Op::I64LeS => relop_i64!(|a, b| a <= b),
-                    Op::I64LeU => relop_i64!(|a: i64, b: i64| (a as u64) <= (b as u64)),
-                    Op::I64GeS => relop_i64!(|a, b| a >= b),
-                    Op::I64GeU => relop_i64!(|a: i64, b: i64| (a as u64) >= (b as u64)),
-                    Op::I64Clz => unop!(as_i64, I64, |a: i64| a.leading_zeros() as i64),
-                    Op::I64Ctz => unop!(as_i64, I64, |a: i64| a.trailing_zeros() as i64),
-                    Op::I64Popcnt => unop!(as_i64, I64, |a: i64| a.count_ones() as i64),
-                    Op::I64Add => binop_i64!(|a: i64, b: i64| a.wrapping_add(b)),
-                    Op::I64Sub => binop_i64!(|a: i64, b: i64| a.wrapping_sub(b)),
-                    Op::I64Mul => binop_i64!(|a: i64, b: i64| a.wrapping_mul(b)),
-                    Op::I64DivS => binop_i64_trap!(|a: i64, b: i64| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else if a == i64::MIN && b == -1 {
-                            Err(Trap::IntegerOverflow)
-                        } else {
-                            Ok(a.wrapping_div(b))
-                        }
-                    }),
-                    Op::I64DivU => binop_i64_trap!(|a: i64, b: i64| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else {
-                            Ok(((a as u64) / (b as u64)) as i64)
-                        }
-                    }),
-                    Op::I64RemS => binop_i64_trap!(|a: i64, b: i64| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else {
-                            Ok(a.wrapping_rem(b))
-                        }
-                    }),
-                    Op::I64RemU => binop_i64_trap!(|a: i64, b: i64| {
-                        if b == 0 {
-                            Err(Trap::IntegerDivByZero)
-                        } else {
-                            Ok(((a as u64) % (b as u64)) as i64)
-                        }
-                    }),
-                    Op::I64And => binop_i64!(|a, b| a & b),
-                    Op::I64Or => binop_i64!(|a, b| a | b),
-                    Op::I64Xor => binop_i64!(|a, b| a ^ b),
-                    Op::I64Shl => binop_i64!(|a: i64, b: i64| a.wrapping_shl(b as u32)),
-                    Op::I64ShrS => binop_i64!(|a: i64, b: i64| a.wrapping_shr(b as u32)),
-                    Op::I64ShrU => {
-                        binop_i64!(|a: i64, b: i64| ((a as u64).wrapping_shr(b as u32)) as i64)
-                    }
-                    Op::I64Rotl => binop_i64!(|a: i64, b: i64| a.rotate_left(b as u32 & 63)),
-                    Op::I64Rotr => binop_i64!(|a: i64, b: i64| a.rotate_right(b as u32 & 63)),
-
-                    Op::F32Eq => relop_f32!(|a, b| a == b),
-                    Op::F32Ne => relop_f32!(|a, b| a != b),
-                    Op::F32Lt => relop_f32!(|a, b| a < b),
-                    Op::F32Gt => relop_f32!(|a, b| a > b),
-                    Op::F32Le => relop_f32!(|a, b| a <= b),
-                    Op::F32Ge => relop_f32!(|a, b| a >= b),
-                    Op::F64Eq => relop_f64!(|a, b| a == b),
-                    Op::F64Ne => relop_f64!(|a, b| a != b),
-                    Op::F64Lt => relop_f64!(|a, b| a < b),
-                    Op::F64Gt => relop_f64!(|a, b| a > b),
-                    Op::F64Le => relop_f64!(|a, b| a <= b),
-                    Op::F64Ge => relop_f64!(|a, b| a >= b),
-
-                    Op::F32Abs => unop!(as_f32, F32, |a: f32| a.abs()),
-                    Op::F32Neg => unop!(as_f32, F32, |a: f32| -a),
-                    Op::F32Ceil => unop!(as_f32, F32, |a: f32| a.ceil()),
-                    Op::F32Floor => unop!(as_f32, F32, |a: f32| a.floor()),
-                    Op::F32Trunc => unop!(as_f32, F32, |a: f32| a.trunc()),
-                    Op::F32Nearest => unop!(as_f32, F32, |a: f32| a.round_ties_even()),
-                    Op::F32Sqrt => unop!(as_f32, F32, |a: f32| a.sqrt()),
-                    Op::F32Add => binop_f32!(|a: f32, b: f32| a + b),
-                    Op::F32Sub => binop_f32!(|a: f32, b: f32| a - b),
-                    Op::F32Mul => binop_f32!(|a: f32, b: f32| a * b),
-                    Op::F32Div => binop_f32!(|a: f32, b: f32| a / b),
-                    Op::F32Min => binop_f32!(wasm_fmin32),
-                    Op::F32Max => binop_f32!(wasm_fmax32),
-                    Op::F32Copysign => binop_f32!(|a: f32, b: f32| a.copysign(b)),
-                    Op::F64Abs => unop!(as_f64, F64, |a: f64| a.abs()),
-                    Op::F64Neg => unop!(as_f64, F64, |a: f64| -a),
-                    Op::F64Ceil => unop!(as_f64, F64, |a: f64| a.ceil()),
-                    Op::F64Floor => unop!(as_f64, F64, |a: f64| a.floor()),
-                    Op::F64Trunc => unop!(as_f64, F64, |a: f64| a.trunc()),
-                    Op::F64Nearest => unop!(as_f64, F64, |a: f64| a.round_ties_even()),
-                    Op::F64Sqrt => unop!(as_f64, F64, |a: f64| a.sqrt()),
-                    Op::F64Add => binop_f64!(|a: f64, b: f64| a + b),
-                    Op::F64Sub => binop_f64!(|a: f64, b: f64| a - b),
-                    Op::F64Mul => binop_f64!(|a: f64, b: f64| a * b),
-                    Op::F64Div => binop_f64!(|a: f64, b: f64| a / b),
-                    Op::F64Min => binop_f64!(wasm_fmin64),
-                    Op::F64Max => binop_f64!(wasm_fmax64),
-                    Op::F64Copysign => binop_f64!(|a: f64, b: f64| a.copysign(b)),
-
-                    Op::I32WrapI64 => {
-                        let a = pop!().as_i64();
-                        stack.push(Value::I32(a as i32));
-                    }
-                    Op::I32TruncF32S => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I32(trunc_f32_to_i32_s(a)?));
-                    }
-                    Op::I32TruncF32U => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I32(trunc_f32_to_u32(a)? as i32));
-                    }
-                    Op::I32TruncF64S => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I32(trunc_f64_to_i32_s(a)?));
-                    }
-                    Op::I32TruncF64U => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I32(trunc_f64_to_u32(a)? as i32));
-                    }
-                    Op::I64ExtendI32S => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::I64(a as i64));
-                    }
-                    Op::I64ExtendI32U => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::I64(a as u32 as i64));
-                    }
-                    Op::I64TruncF32S => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I64(trunc_f32_to_i64_s(a)?));
-                    }
-                    Op::I64TruncF32U => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I64(trunc_f32_to_u64(a)? as i64));
-                    }
-                    Op::I64TruncF64S => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I64(trunc_f64_to_i64_s(a)?));
-                    }
-                    Op::I64TruncF64U => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I64(trunc_f64_to_u64(a)? as i64));
-                    }
-                    Op::F32ConvertI32S => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::F32(a as f32));
-                    }
-                    Op::F32ConvertI32U => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::F32(a as u32 as f32));
-                    }
-                    Op::F32ConvertI64S => {
-                        let a = pop!().as_i64();
-                        stack.push(Value::F32(a as f32));
-                    }
-                    Op::F32ConvertI64U => {
-                        let a = pop!().as_i64();
-                        stack.push(Value::F32(a as u64 as f32));
-                    }
-                    Op::F32DemoteF64 => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::F32(a as f32));
-                    }
-                    Op::F64ConvertI32S => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::F64(a as f64));
-                    }
-                    Op::F64ConvertI32U => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::F64(a as u32 as f64));
-                    }
-                    Op::F64ConvertI64S => {
-                        let a = pop!().as_i64();
-                        stack.push(Value::F64(a as f64));
-                    }
-                    Op::F64ConvertI64U => {
-                        let a = pop!().as_i64();
-                        stack.push(Value::F64(a as u64 as f64));
-                    }
-                    Op::F64PromoteF32 => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::F64(a as f64));
-                    }
-                    Op::I32ReinterpretF32 => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I32(a.to_bits() as i32));
-                    }
-                    Op::I64ReinterpretF64 => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I64(a.to_bits() as i64));
-                    }
-                    Op::F32ReinterpretI32 => {
-                        let a = pop!().as_i32();
-                        stack.push(Value::F32(f32::from_bits(a as u32)));
-                    }
-                    Op::F64ReinterpretI64 => {
-                        let a = pop!().as_i64();
-                        stack.push(Value::F64(f64::from_bits(a as u64)));
-                    }
-                    Op::I32Extend8S => unop!(as_i32, I32, |a: i32| a as i8 as i32),
-                    Op::I32Extend16S => unop!(as_i32, I32, |a: i32| a as i16 as i32),
-                    Op::I64Extend8S => unop!(as_i64, I64, |a: i64| a as i8 as i64),
-                    Op::I64Extend16S => unop!(as_i64, I64, |a: i64| a as i16 as i64),
-                    Op::I64Extend32S => unop!(as_i64, I64, |a: i64| a as i32 as i64),
-                    Op::I32TruncSatF32S => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I32(a as i32));
-                    }
-                    Op::I32TruncSatF32U => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I32(a as u32 as i32));
-                    }
-                    Op::I32TruncSatF64S => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I32(a as i32));
-                    }
-                    Op::I32TruncSatF64U => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I32(a as u32 as i32));
-                    }
-                    Op::I64TruncSatF32S => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I64(a as i64));
-                    }
-                    Op::I64TruncSatF32U => {
-                        let a = pop!().as_f32();
-                        stack.push(Value::I64(a as u64 as i64));
-                    }
-                    Op::I64TruncSatF64S => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I64(a as i64));
-                    }
-                    Op::I64TruncSatF64U => {
-                        let a = pop!().as_f64();
-                        stack.push(Value::I64(a as u64 as i64));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Host call from the compiled loop: args are passed as a stack slice
-    /// (no per-call allocation), then popped.
-    fn call_host_compiled(
-        &mut self,
-        f: u32,
-        argc: usize,
-        expected: Option<ValType>,
-        stack: &mut Vec<Value>,
-    ) -> Result<(), Trap> {
-        let func = Arc::clone(&self.host_funcs[f as usize].func);
-        let args_start = stack.len() - argc;
-        let result = func(&mut self.data, &mut self.memory, &stack[args_start..]);
-        stack.truncate(args_start);
-        match (expected, result?) {
-            (Some(e), Some(v)) if e == v.ty() => stack.push(v),
-            (None, None) => {}
-            (expected, got) => {
-                return Err(Trap::HostError(format!(
-                    "host function returned {got:?}, signature says {expected:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
 
     /// Run `entry` on the register-form IR. Reuses the instance's register
     /// file and frame stack so steady-state invocations allocate nothing.
@@ -2289,13 +1505,6 @@ impl<T> Instance<T> {
     ) -> Result<Option<Value>, Trap> {
         let module = Arc::clone(&self.module);
         let n_imports = module.num_imported_funcs();
-
-        // Direct host-function entry (rare but legal via re-export).
-        if entry < n_imports {
-            let def = &self.host_funcs[entry as usize];
-            let func = Arc::clone(&def.func);
-            return func(&mut self.data, &mut self.memory, args);
-        }
 
         let mut regs = std::mem::take(&mut self.scratch_regs);
         let mut frames = std::mem::take(&mut self.scratch_rframes);
@@ -2324,9 +1533,10 @@ impl<T> Instance<T> {
     }
 
     /// The register-tier hot loop: dispatch [`ROp`]s until the entry frame
-    /// returns. Mirrors [`Self::run_compiled`] op-for-op on semantics —
-    /// fuel, deadlines, stack bounds and traps are bit-identical — but all
-    /// operands are frame-relative register indices; there is no value
+    /// returns. Semantics follow the flat IR the ops were lowered from —
+    /// results, traps and fuel totals match the reference walker, with
+    /// fuel, deadline and stack bounds checked once per basic block — but
+    /// all operands are frame-relative register indices; there is no value
     /// stack and no locals arena, only `regs`.
     fn run_reg(
         &mut self,
@@ -2396,8 +1606,8 @@ impl<T> Instance<T> {
                                 }
                             }
                         }
-                        // `vbase + entry` is exactly the flat tier's
-                        // `stack.len()` at this block header.
+                        // `vbase + entry` is exactly the operand-stack
+                        // height a stack machine has at this block header.
                         if vbase + entry as usize + peak as usize > self.limits.max_value_stack {
                             return Err(Trap::ValueStackExhausted);
                         }
@@ -2458,7 +1668,7 @@ impl<T> Instance<T> {
                             func: f,
                             pc: 0,
                             base: abs as u32,
-                            // The flat tier's stack height at this call
+                            // The operand-stack height at this call
                             // site: `wbase - n_locals` is the caller's
                             // abstract height minus the moved args.
                             vbase: (vbase + wbase as usize - n_locals) as u32,
@@ -2739,16 +1949,25 @@ impl<T> Instance<T> {
             &mut self.memory,
             &regs[abs_base..abs_base + argc],
         );
-        match (expected, result?) {
-            (Some(e), Some(v)) if e == v.ty() => regs[abs_base] = v,
-            (None, None) => {}
-            (expected, got) => {
-                return Err(Trap::HostError(format!(
-                    "host function returned {got:?}, signature says {expected:?}"
-                )))
-            }
+        if let Some(v) = check_host_result(expected, result?)? {
+            regs[abs_base] = v;
         }
         Ok(())
+    }
+}
+
+/// The one place a host function's return value is held to its declared
+/// signature: a closure that returns the wrong type — or a value for a
+/// `[] -> []` import, or nothing where a result is due — is a host bug
+/// surfaced as a trap, never a mistyped value handed to the guest or the
+/// embedder.
+fn check_host_result(expected: Option<ValType>, got: Option<Value>) -> Result<Option<Value>, Trap> {
+    match (expected, got) {
+        (Some(e), Some(v)) if e == v.ty() => Ok(got),
+        (None, None) => Ok(None),
+        (expected, got) => Err(Trap::HostError(format!(
+            "host function returned {got:?}, signature says {expected:?}"
+        ))),
     }
 }
 
@@ -2762,23 +1981,10 @@ struct RFrame {
     pc: u32,
     /// Absolute base of this frame's register window.
     base: u32,
-    /// The flat tier's `stack.len()` equivalent at frame entry, carried so
-    /// `Meter`'s value-stack bound check stays bit-identical across tiers.
+    /// The operand-stack height a stack machine would have at frame entry,
+    /// carried so `Meter` checks `max_value_stack` against the same height
+    /// the reference walker's real value stack reaches.
     vbase: u32,
-}
-
-/// A compiled-executor call frame: all state lives in the shared stack and
-/// locals arena, so the frame itself is four words.
-#[derive(Debug, Clone, Copy)]
-struct CFrame {
-    /// Index into `module.funcs` (local function space).
-    func: u32,
-    /// Next op index (saved across calls).
-    pc: u32,
-    /// Value-stack height at entry (after arguments were popped).
-    stack_base: u32,
-    /// Locals-arena base for this activation.
-    locals_base: u32,
 }
 
 /// A call frame.

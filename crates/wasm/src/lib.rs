@@ -12,9 +12,13 @@
 //!   linear [`Memory`](interp::Memory) with hard bounds checks, tables,
 //!   globals, traps, fuel metering and wall-clock deadlines,
 //! * [`instance`] — instantiation, host-function linking and typed calls,
-//! * [`regalloc`] — the register-form execution tier (`ExecMode::Reg`):
-//!   lowers the flat IR into three-address code over a per-frame virtual
-//!   register file, eliminating value-stack traffic from the hot loop,
+//! * [`compile`] / [`regalloc`] — the two lowerings behind the one
+//!   production executor (`ExecMode::Reg`): validated bodies become a
+//!   flat IR (side-table branches, block metering, fusion, inlining),
+//!   which is lowered again into three-address code over a per-frame
+//!   virtual register file, eliminating value-stack traffic from the hot
+//!   loop. Only the register form is executed; [`analysis`] proves it
+//!   equivalent to the flat IR at load,
 //! * [`wat`] — a WAT-subset text assembler for tests and examples,
 //! * [`disasm`] — the inverse: render any decoded module as WAT-style
 //!   text (the operator's pre-deployment inspection tool, §3.A).

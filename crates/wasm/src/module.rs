@@ -60,12 +60,15 @@ pub struct FuncBody {
     /// Flat instruction sequence terminated by `End`, with block targets
     /// resolved (see [`crate::instr::fixup_block_targets`]).
     pub code: Vec<Instr>,
-    /// Lazily compiled flat IR (see [`crate::compile`]); shared by every
-    /// instance holding the same `Arc<Module>`, so hot swap back to a
-    /// cached module re-instantiates without recompiling.
+    /// Lazily compiled flat IR (see [`crate::compile`]): never executed,
+    /// it is the intermediate the register form is lowered from, the
+    /// input of the load-time analysis and the left-hand side of
+    /// translation validation.
     pub compiled: CompiledCell,
-    /// Lazily lowered register-form IR (see [`crate::regalloc`]), derived
-    /// from the flat IR and cached the same way for `ExecMode::Reg`.
+    /// Lazily lowered register-form IR (see [`crate::regalloc`]) — what
+    /// instances execute. Shared by every instance holding the same
+    /// `Arc<Module>`, so hot swap back to a cached module re-instantiates
+    /// without re-lowering.
     pub reg: RegCell,
 }
 
@@ -226,10 +229,12 @@ impl Module {
         self.analysis.get_or_analyze(self)
     }
 
-    /// Force flat-IR compilation of every function body now.
+    /// Force both lowerings of every function body now: the flat IR
+    /// (analysis input, proof left-hand side) and the register form
+    /// derived from it (what runs).
     ///
     /// Lowering is otherwise lazy (first call per function, behind a
-    /// `OnceLock`), which is right for a single executor but makes worker
+    /// `OnceLock`), which is right for a single instance but makes worker
     /// threads that share one `Arc<Module>` briefly serialize on the cells
     /// during warm-up. Pre-compiling once — e.g. when a module enters the
     /// host's template cache — gives every instance a fully-lowered,
@@ -246,9 +251,12 @@ impl Module {
 // across worker threads (one `Arc<Module>` per bytecode hash, one
 // instance per worker) and moves `Instance`s into workers. Everything
 // here is plain owned data; the only interior mutability is the
-// `OnceLock` inside each body's `CompiledCell`, which is thread-safe by
-// construction. These assertions make the property load-bearing: a field
-// that breaks `Send`/`Sync` breaks the build, not the engine.
+// `OnceLock` inside each body's `CompiledCell` / `RegCell` and the
+// module's `AnalysisCell`, which is thread-safe by construction. Workers
+// only ever read `RegFunc`s while executing; `CompiledFunc`s are read by
+// the lowering and the analyzer. These assertions make the property
+// load-bearing: a field that breaks `Send`/`Sync` breaks the build, not
+// the engine.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Module>();

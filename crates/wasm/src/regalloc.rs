@@ -1,4 +1,5 @@
-//! Register-form lowering of the flat IR: the `ExecMode::Reg` tier.
+//! Register-form lowering of the flat IR: what `ExecMode::Reg`, the one
+//! production executor, runs.
 //!
 //! A per-function abstract-interpretation pass walks the already-lowered
 //! [`CompiledFunc`] (so side-table branches, basic-block fuel metering,
@@ -22,9 +23,9 @@
 //! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
 //! basic block), so fuel totals and `OutOfFuel` points stay bit-identical
-//! with the other two tiers. The value-stack bound is enforced against
-//! the *virtual* stack height (`vbase + entry + peak`), which equals the
-//! flat tier's `stack.len() + peak` at every meter.
+//! with the reference walker's. The value-stack bound is enforced against
+//! the *virtual* stack height (`vbase + entry + peak`), which equals a
+//! stack machine's operand-stack height plus `peak` at every meter.
 //!
 //! Calls pass arguments by *register-window overlap*: the callee's frame
 //! base is placed exactly where the caller materialized the arguments, so
@@ -394,7 +395,7 @@ pub enum ROp {
         br: u32,
     },
     /// Branch when `op(regs[a], regs[b])` holds (fused compare+br_if over
-    /// arbitrary registers — subsumes the flat tier's `BrIfLL`).
+    /// arbitrary registers — subsumes the flat IR's `BrIfLL`).
     BrIfCmp {
         op: I32Op,
         a: u32,

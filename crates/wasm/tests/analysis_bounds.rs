@@ -12,13 +12,14 @@
 //! * **Static bounds dominate runtime** — executing with fuel set to the
 //!   static fuel bound, the value-stack limit set to the static stack
 //!   bound, and the call-depth limit set to the static frame bound must
-//!   never hit a resource trap, on both the flat and register tiers. The
-//!   generator's loops all have constant trip counts, so the analyzer is
-//!   additionally required to produce *finite* bounds: an `Unbounded`
-//!   verdict here would be a precision regression, not just slack.
+//!   never hit a resource trap on the production (register-form)
+//!   executor. The generator's loops all have constant trip counts, so
+//!   the analyzer is additionally required to produce *finite* bounds: an
+//!   `Unbounded` verdict here would be a precision regression, not just
+//!   slack.
 
 use waran_wasm::analysis::Bound;
-use waran_wasm::instance::{ExecLimits, ExecMode, Instance, Linker};
+use waran_wasm::instance::{ExecLimits, Instance, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::{load_module, Trap};
 
@@ -37,29 +38,19 @@ fn assert_bounds_admit_execution(
     args: &[Value],
     ctx: &str,
 ) {
-    for mode in [ExecMode::Compiled, ExecMode::Reg] {
-        let module = load_module(wasm).expect("generated module validates");
-        let limits = ExecLimits {
-            max_call_depth: frames as usize,
-            max_value_stack: stack as usize,
-            ..ExecLimits::default()
-        };
-        let mut inst =
-            Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
-        inst.set_exec_mode(mode);
-        inst.set_fuel(Some(fuel));
-        match inst.invoke("main", args) {
-            Err(Trap::OutOfFuel) => {
-                panic!("static fuel bound {fuel} too small under {mode:?} ({ctx})")
-            }
-            Err(Trap::ValueStackExhausted) => {
-                panic!("static stack bound {stack} too small under {mode:?} ({ctx})")
-            }
-            Err(Trap::StackOverflow) => {
-                panic!("static frame bound {frames} too small under {mode:?} ({ctx})")
-            }
-            _ => {}
-        }
+    let module = load_module(wasm).expect("generated module validates");
+    let limits = ExecLimits {
+        max_call_depth: frames as usize,
+        max_value_stack: stack as usize,
+        ..ExecLimits::default()
+    };
+    let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
+    inst.set_fuel(Some(fuel));
+    match inst.invoke("main", args) {
+        Err(Trap::OutOfFuel) => panic!("static fuel bound {fuel} too small ({ctx})"),
+        Err(Trap::ValueStackExhausted) => panic!("static stack bound {stack} too small ({ctx})"),
+        Err(Trap::StackOverflow) => panic!("static frame bound {frames} too small ({ctx})"),
+        _ => {}
     }
 }
 

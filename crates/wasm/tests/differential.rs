@@ -1,13 +1,13 @@
-//! Differential execution: the flat-IR compiled executor and the
-//! register-form executor vs the reference instruction walker.
+//! Differential execution: the production register-form executor vs the
+//! reference instruction walker.
 //!
 //! Programs are generated in PlugC (the plugin language real workloads are
-//! written in), compiled to Wasm, and run under all three [`ExecMode`]s.
+//! written in), compiled to Wasm, and run under both [`ExecMode`]s.
 //! The executors must agree on:
 //!
 //! * the result value (bit-for-bit) or the trap,
 //! * `fuel_consumed()` and `ExecStats::instrs` on complete executions,
-//! * `ExecStats::instrs` on `OutOfFuel` traps (the compiled executor
+//! * `ExecStats::instrs` on `OutOfFuel` traps (the block-metered executor
 //!   retires exactly the remaining fuel before trapping, matching the
 //!   per-instruction walker).
 //!
@@ -19,18 +19,20 @@
 //! The generator is seeded (xorshift64*), so the same corpus runs both as a
 //! deterministic sweep and, below, under proptest with random seeds.
 
+use std::sync::Arc;
+
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::{ExecMode, Instance, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::types::{BlockType, ValType};
-use waran_wasm::{load_module, Trap};
+use waran_wasm::{load_module, wat, Module, Trap};
 
 #[path = "util/gen.rs"]
 mod gen;
 use gen::gen_program;
 
 // ---------------------------------------------------------------------
-// Three-mode runner
+// Two-mode runner
 // ---------------------------------------------------------------------
 
 type Outcome = (Result<Option<Value>, Trap>, Option<u64>, u64, u64);
@@ -49,38 +51,24 @@ fn exec_one(wasm: &[u8], mode: ExecMode, args: &[Value], fuel: u64) -> Outcome {
     )
 }
 
-/// Run all three executors and assert the documented agreement contract.
+/// Run both executors and assert the documented agreement contract.
 /// Returns the fuel consumed when the program completed successfully.
 fn assert_modes_agree(wasm: &[u8], args: &[Value], fuel: u64, ctx: &str) -> Option<u64> {
     let (r_res, r_fuel, r_instrs, r_traps) = exec_one(wasm, ExecMode::Reference, args, fuel);
-    for mode in [ExecMode::Compiled, ExecMode::Reg] {
-        let (c_res, c_fuel, c_instrs, c_traps) = exec_one(wasm, mode, args, fuel);
-        assert_eq!(r_res, c_res, "result diverged vs {mode:?} ({ctx})");
-        assert_eq!(r_traps, c_traps, "trap count diverged vs {mode:?} ({ctx})");
-        match &r_res {
-            Ok(_) => {
-                assert_eq!(
-                    r_fuel, c_fuel,
-                    "fuel diverged on success vs {mode:?} ({ctx})"
-                );
-                assert_eq!(
-                    r_instrs, c_instrs,
-                    "instrs diverged on success vs {mode:?} ({ctx})"
-                );
-            }
-            Err(Trap::OutOfFuel) => {
-                assert_eq!(
-                    r_fuel, c_fuel,
-                    "fuel diverged on exhaustion vs {mode:?} ({ctx})"
-                );
-                assert_eq!(
-                    r_instrs, c_instrs,
-                    "instrs diverged on exhaustion vs {mode:?} ({ctx})"
-                );
-            }
-            // Mid-block traps: fuel may differ by < 1 block (documented).
-            Err(_) => {}
+    let (c_res, c_fuel, c_instrs, c_traps) = exec_one(wasm, ExecMode::Reg, args, fuel);
+    assert_eq!(r_res, c_res, "result diverged ({ctx})");
+    assert_eq!(r_traps, c_traps, "trap count diverged ({ctx})");
+    match &r_res {
+        Ok(_) => {
+            assert_eq!(r_fuel, c_fuel, "fuel diverged on success ({ctx})");
+            assert_eq!(r_instrs, c_instrs, "instrs diverged on success ({ctx})");
         }
+        Err(Trap::OutOfFuel) => {
+            assert_eq!(r_fuel, c_fuel, "fuel diverged on exhaustion ({ctx})");
+            assert_eq!(r_instrs, c_instrs, "instrs diverged on exhaustion ({ctx})");
+        }
+        // Mid-block traps: fuel may differ by < 1 block (documented).
+        Err(_) => {}
     }
     match &r_res {
         Ok(_) => r_fuel,
@@ -161,10 +149,10 @@ fn differential_br_table() {
         let args = [Value::I32(sel)];
         assert_modes_agree(&wasm, &args, 1_000_000, &format!("br_table sel {sel}"));
     }
-    // Spot-check the actual values through the compiled executor.
-    let (res, _, _, _) = exec_one(&wasm, ExecMode::Compiled, &[Value::I32(1)], 1_000_000);
+    // Spot-check the actual values through the production executor.
+    let (res, _, _, _) = exec_one(&wasm, ExecMode::Reg, &[Value::I32(1)], 1_000_000);
     assert_eq!(res, Ok(Some(Value::I32(20))));
-    let (res, _, _, _) = exec_one(&wasm, ExecMode::Compiled, &[Value::I32(9)], 1_000_000);
+    let (res, _, _, _) = exec_one(&wasm, ExecMode::Reg, &[Value::I32(9)], 1_000_000);
     assert_eq!(res, Ok(Some(Value::I32(30))));
 }
 
@@ -260,6 +248,184 @@ export fn main(n: i32, base: i32) -> i32 {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Host-call differential
+// ---------------------------------------------------------------------
+//
+// Everything above instantiates with an empty `Linker`, so it never
+// crosses the guest→host boundary. Each executor has its own host-call
+// shim (value-stack slice vs register window), and a re-exported import
+// bypasses both; this section runs one module through every such path
+// under both executors and compares what the guest, the host and the
+// embedder can each observe.
+
+/// Host state: every call the closures saw, in order.
+type HostLog = Vec<(&'static str, i32)>;
+
+const HOST_WAT: &str = r#"(module
+  (import "env" "add3" (func $add3 (param i32) (result i32)))
+  (import "env" "poke" (func $poke (param i32 i32)))
+  (import "env" "fail" (func $fail))
+  (import "env" "wrong" (func $wrong (result i32)))
+  (memory 1)
+  (export "add3" (func $add3))
+  (export "poke" (func $poke))
+  (export "fail" (func $fail))
+  (export "wrong" (func $wrong))
+
+  ;; Straight-line helper: the compiler may inline it into its caller.
+  (func $leaf (param i32) (result i32)
+    local.get 0 call $add3 i32.const 1 i32.add)
+
+  ;; Control flow keeps these real calls: host calls from a nested frame.
+  (func $inner (param i32 i32) (result i32)
+    local.get 0
+    if (result i32)
+      local.get 1 call $add3
+    else
+      i32.const 128 local.get 1 call $poke
+      i32.const 128 i32.load
+    end)
+  (func $deep (param i32) (result i32)
+    local.get 0
+    if call $fail end
+    call $wrong)
+
+  (func (export "value") (param i32) (result i32)
+    local.get 0 call $add3 call $add3 call $leaf)
+  (func (export "memory") (param i32) (result i32)
+    i32.const 64 local.get 0 call $poke
+    i32.const 64 i32.load
+    i32.const 1 local.get 0 call $inner
+    i32.add
+    i32.const 0 local.get 0 call $inner
+    i32.add)
+  (func (export "nested_fault") (param i32) (result i32)
+    i32.const 32 local.get 0 call $poke
+    local.get 0 call $deep)
+  (func (export "wrong_top") (result i32)
+    call $wrong))"#;
+
+fn host_linker() -> Linker<HostLog> {
+    use ValType::I32;
+    let mut l: Linker<HostLog> = Linker::new();
+    l.func("env", "add3", &[I32], &[I32], |log, _, a| {
+        log.push(("add3", a[0].as_i32()));
+        Ok(Some(Value::I32(a[0].as_i32().wrapping_add(3))))
+    });
+    l.func("env", "poke", &[I32, I32], &[], |log, mem, a| {
+        log.push(("poke", a[0].as_i32()));
+        mem.write(a[0].as_u32(), 0, a[1].as_i32().to_le_bytes())?;
+        Ok(None)
+    });
+    l.func("env", "fail", &[], &[], |log, _, _| {
+        log.push(("fail", 0));
+        Err(Trap::HostError("boom".into()))
+    });
+    // Declared `-> i32`, returns an i64: a host bug the engine must trap.
+    l.func("env", "wrong", &[], &[I32], |log, _, _| {
+        log.push(("wrong", 0));
+        Ok(Some(Value::I64(7)))
+    });
+    l
+}
+
+/// One scripted call: result or trap, then `fuel_consumed()` and retired
+/// instructions where the contract pins them (completed calls, and calls
+/// that ran no guest code at all), blanked where it does not (mid-block
+/// traps may differ by < 1 block).
+type HostCall = (Result<Option<Value>, Trap>, Option<u64>, u64);
+
+/// What one executor did with the call script on one instance.
+#[derive(Debug, PartialEq)]
+struct HostRun {
+    calls: Vec<HostCall>,
+    invokes: u64,
+    traps: u64,
+    memory: Vec<u8>,
+    log: HostLog,
+}
+
+fn host_run(module: &Arc<Module>, mode: ExecMode) -> HostRun {
+    let mut inst = Instance::new(module.clone(), &host_linker(), HostLog::new()).unwrap();
+    inst.set_exec_mode(mode);
+    let i = Value::I32;
+    let script: [(&str, &[Value]); 12] = [
+        ("value", &[i(10)]),
+        ("memory", &[i(0x0102_0304)]),
+        // Nested frame: a trapping host call, then a mistyped result.
+        ("nested_fault", &[i(1)]),
+        ("nested_fault", &[i(0)]),
+        ("wrong_top", &[]),
+        // Re-exported imports, entered directly from the embedder.
+        ("add3", &[i(39)]),
+        ("poke", &[i(256), i(-1)]),
+        ("fail", &[]),
+        ("wrong", &[]),
+        // A host write past the end of memory traps out of the closure.
+        ("poke", &[i(65_533), i(5)]),
+        // The instance stays usable after every fault above.
+        ("value", &[i(-3)]),
+        ("memory", &[i(-9)]),
+    ];
+    let mut calls = Vec::new();
+    for (name, args) in script {
+        inst.set_fuel(Some(1_000_000));
+        let before = inst.stats().instrs;
+        let out = inst.invoke(name, args);
+        let instrs = inst.stats().instrs - before;
+        let pinned = out.is_ok() || instrs == 0;
+        let fuel = inst.fuel_consumed().filter(|_| pinned);
+        calls.push((out, fuel, if pinned { instrs } else { 0 }));
+    }
+    let memory = inst.memory();
+    HostRun {
+        calls,
+        invokes: inst.stats().invokes,
+        traps: inst.stats().traps,
+        memory: memory
+            .read_bytes(0, memory.size_bytes() as u32)
+            .unwrap()
+            .to_vec(),
+        log: std::mem::take(&mut inst.data),
+    }
+}
+
+#[test]
+fn differential_host_calls() {
+    let wasm = wat::assemble(HOST_WAT).expect("host module assembles");
+    let module = Arc::new(load_module(&wasm).expect("host module validates"));
+    let reference = host_run(&module, ExecMode::Reference);
+    let reg = host_run(&module, ExecMode::Reg);
+    assert_eq!(reference, reg);
+
+    // Anchor the shared behaviour so "both wrong the same way" cannot pass.
+    let results: Vec<_> = reg.calls.iter().map(|(r, _, _)| r.clone()).collect();
+    let boom = Err(Trap::HostError("boom".into()));
+    let mistyped = Err(Trap::HostError(
+        "host function returned Some(I64(7)), signature says Some(I32)".into(),
+    ));
+    assert_eq!(results[0], Ok(Some(Value::I32(20))));
+    assert_eq!(results[1], Ok(Some(Value::I32(3 * 0x0102_0304 + 3))));
+    assert_eq!(
+        results[2..5],
+        [boom.clone(), mistyped.clone(), mistyped.clone()]
+    );
+    assert_eq!(
+        results[5..9],
+        [Ok(Some(Value::I32(42))), Ok(None), boom, mistyped]
+    );
+    assert!(matches!(results[9], Err(Trap::MemoryOutOfBounds { .. })));
+    assert_eq!(results[10], Ok(Some(Value::I32(7))));
+    // Re-exported imports run no guest code: no fuel, no instructions.
+    for (_, fuel, instrs) in &reg.calls[5..10] {
+        assert_eq!((*fuel, *instrs), (Some(0), 0));
+    }
+    assert_eq!((reg.invokes, reg.traps), (6, 6));
+    assert_eq!(reg.memory[256..260], [0xff; 4]);
+    assert_eq!(reg.memory[32..36], 0i32.to_le_bytes());
 }
 
 // ---------------------------------------------------------------------

@@ -30,15 +30,6 @@ cargo run -q --release -p waran-bench --bin bench_pr5 -- digests 8 > "$tmpdir/mo
 diff "$tmpdir/mobility_2w.txt" "$tmpdir/mobility_8w.txt"
 echo "Mobility-enabled digests identical across 2 and 8 workers"
 
-# Register-tier determinism: the register-form executor must produce the
-# same per-cell digests as the flat tier, at any worker count.
-cargo run -q --release -p waran-bench --bin bench_pr6 -- digests 2 compiled > "$tmpdir/reg_flat_2w.txt"
-cargo run -q --release -p waran-bench --bin bench_pr6 -- digests 2 reg > "$tmpdir/reg_2w.txt"
-cargo run -q --release -p waran-bench --bin bench_pr6 -- digests 8 reg > "$tmpdir/reg_8w.txt"
-diff "$tmpdir/reg_flat_2w.txt" "$tmpdir/reg_2w.txt"
-diff "$tmpdir/reg_2w.txt" "$tmpdir/reg_8w.txt"
-echo "Register-tier digests identical to the flat tier across 2 and 8 workers"
-
 # Snapshot-instantiation determinism: stamping plugins out of cached
 # templates must leave per-cell digests identical to cold segment init,
 # at any worker count.
@@ -69,9 +60,9 @@ cargo run -q --release -p waran-bench --bin bench_pr10 -- digests 8 > "$tmpdir/m
 diff "$tmpdir/massive_2w.txt" "$tmpdir/massive_8w.txt"
 echo "Massive-plane digests identical across 2 and 8 workers"
 
-# Perf regression gate: compare the live register-tier deployment
-# throughput — and, when the baseline records it, snapshot instantiation
-# latency — against the highest-numbered committed benchmark snapshot.
+# Perf regression gate: compare the live deployment throughput, snapshot
+# instantiation latency, governance and massive-plane throughput against
+# the highest-numbered committed benchmark snapshot.
 # Picked by name, not mtime (all equal on a fresh clone), and fails
 # closed: no snapshot, or one without a `gate` object, is an error.
 newest="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
@@ -79,7 +70,6 @@ if [ -z "$newest" ] || ! grep -q '"gate"' "$newest"; then
     echo "perf gate: no BENCH_*.json baseline with a \"gate\" object (newest: ${newest:-none})" >&2
     exit 1
 fi
-cargo run -q --release -p waran-bench --bin bench_pr6 -- gate "$newest"
 cargo run -q --release -p waran-bench --bin bench_pr7 -- gate "$newest"
 cargo run -q --release -p waran-bench --bin bench_pr9 -- gate "$newest"
 cargo run -q --release -p waran-bench --bin bench_pr10 -- gate "$newest"
