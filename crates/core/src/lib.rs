@@ -19,12 +19,9 @@
 //!   time-to-trigger state machines, and the deterministic inter-slot
 //!   exchange barrier that migrates UEs between cells bit-identically at
 //!   every worker count.
-//! * [`affinity`] — opt-in worker core pinning (raw `sched_setaffinity`
-//!   on Linux, no-op elsewhere).
 //! * [`ric_glue`] — the gNB↔near-RT-RIC loop over plugin-wrapped
 //!   communication, with xApps steering traffic and assuring slice SLAs.
 
-pub mod affinity;
 pub mod mobility;
 pub mod multicell;
 pub mod plugins;

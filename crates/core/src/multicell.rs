@@ -36,7 +36,6 @@ use waran_host::plugin::SandboxPolicy;
 use waran_host::{fnv1a, ExecTimeStats, ShardedExecStats, SlotState, StrikeCounters};
 use waran_ric::bus::{RicBus, ServiceReport};
 
-use crate::affinity;
 use crate::mobility::{
     sort_departures, CellLayout, CellMobility, Departure, InterruptionStats, MobilityAttachment,
     MobilityReport,
@@ -107,7 +106,6 @@ pub struct MultiCellScenarioBuilder {
     policy: SandboxPolicy,
     ric: Option<RicAttachment>,
     mobility: Option<MobilityAttachment>,
-    pin_workers: bool,
     pushes: Vec<PushSpec>,
     population: PopulationModel,
 }
@@ -128,7 +126,6 @@ impl MultiCellScenarioBuilder {
             policy: SandboxPolicy::slot_budget(),
             ric: None,
             mobility: None,
-            pin_workers: false,
             pushes: Vec::new(),
             population: PopulationModel::PerUe,
         }
@@ -172,14 +169,6 @@ impl MultiCellScenarioBuilder {
     /// cell gets a disjoint UE-id range (ids stay unique in flight).
     pub fn mobility(mut self, attachment: MobilityAttachment) -> Self {
         self.mobility = Some(attachment);
-        self
-    }
-
-    /// Pin worker threads to CPU cores (worker *i* → core
-    /// `i % cores`). Linux-only; elsewhere workers run unpinned and the
-    /// report says so. See [`crate::affinity`].
-    pub fn pin_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
         self
     }
 
@@ -231,6 +220,8 @@ impl MultiCellScenarioBuilder {
         let layout = self
             .mobility
             .map(|m| Arc::new(CellLayout::grid(self.cells.len(), m.isd_m)));
+        let mut pushes = self.pushes;
+        pushes.sort_by_key(|p| p.slot);
         let mut cells = Vec::with_capacity(self.cells.len());
         for (idx, spec) in self.cells.into_iter().enumerate() {
             let cell_id = idx as u32;
@@ -268,8 +259,6 @@ impl MultiCellScenarioBuilder {
                 .mobility
                 .zip(layout.clone())
                 .map(|(m, layout)| CellMobility::new(cell_id, layout, m.a3));
-            let mut pushes = self.pushes.clone();
-            pushes.sort_by_key(|p| p.slot);
             cells.push(Mutex::new(CellRuntime {
                 name: spec.name,
                 cell_id,
@@ -278,7 +267,7 @@ impl MultiCellScenarioBuilder {
                 driver: None,
                 mobility,
                 report: None,
-                pushes,
+                pushes: pushes.clone(),
                 push_failures: 0,
                 faulted: false,
             }));
@@ -295,7 +284,6 @@ impl MultiCellScenarioBuilder {
             cells,
             bus,
             mobility_cfg: self.mobility,
-            pin_workers: self.pin_workers,
         })
     }
 }
@@ -342,12 +330,9 @@ struct CellRuntime {
 /// chunk/window starts, so the application slot is a deterministic
 /// function of the cell's slot sequence.
 fn apply_due_pushes(cell: &mut CellRuntime) {
-    while cell
-        .pushes
-        .first()
-        .is_some_and(|p| cell.scenario.gnb.slot() >= p.slot)
-    {
-        let push = cell.pushes.remove(0);
+    let slot = cell.scenario.gnb.slot();
+    let due = cell.pushes.partition_point(|p| p.slot <= slot);
+    for push in cell.pushes.drain(..due) {
         if cell
             .scenario
             .swap_plugin_bytes(&push.slice, &push.bytes)
@@ -363,10 +348,10 @@ fn apply_due_pushes(cell: &mut CellRuntime) {
 type WorkerShard = (ExecTimeStats, ExecTimeStats);
 
 /// What the lockstep engine hands back to `run`: per-worker timing
-/// shards, per-worker effective pins, `(depart_slot, admit_slot)` pairs
-/// for every admitted handover, and the count of in-transit departures
-/// dropped at the exchange (unserviceable destination).
-type LockstepOutcome = (Vec<WorkerShard>, Vec<Option<usize>>, Vec<(u64, u64)>, u64);
+/// shards, `(depart_slot, admit_slot)` pairs for every admitted
+/// handover, and the count of in-transit departures dropped at the
+/// exchange (unserviceable destination).
+type LockstepOutcome = (Vec<WorkerShard>, Vec<(u64, u64)>, u64);
 
 /// A built multi-cell deployment, runnable on any number of workers.
 pub struct MultiCellScenario {
@@ -374,7 +359,6 @@ pub struct MultiCellScenario {
     /// Present until [`MultiCellScenario::run`] starts the service.
     bus: Option<RicBus>,
     mobility_cfg: Option<MobilityAttachment>,
-    pin_workers: bool,
 }
 
 impl MultiCellScenario {
@@ -428,12 +412,9 @@ impl MultiCellScenario {
         let workers = workers.clamp(1, n_cells.max(1));
         let service = self.bus.take().map(RicBus::start);
 
-        let (shards, worker_pins, handover_records, dropped_departures) = match self.mobility_cfg {
+        let (shards, handover_records, dropped_departures) = match self.mobility_cfg {
             Some(cfg) => self.run_lockstep(workers, cfg),
-            None => {
-                let (shards, pins) = self.run_free(workers);
-                (shards, pins, Vec::new(), 0)
-            }
+            None => (self.run_free(workers), Vec::new(), 0),
         };
 
         let wall_seconds = started.elapsed().as_secs_f64();
@@ -553,7 +534,6 @@ impl MultiCellScenario {
             slot_chunks,
             workers,
             requested_workers,
-            worker_pins,
             wall_seconds,
             total_slots,
             total_sched_calls,
@@ -565,25 +545,23 @@ impl MultiCellScenario {
 
     /// The PR 2 free-running engine: workers claim whole cells off an
     /// atomic cursor and run each to completion independently.
-    fn run_free(&self, workers: usize) -> (Vec<WorkerShard>, Vec<Option<usize>>) {
+    fn run_free(&self, workers: usize) -> Vec<WorkerShard> {
         let n_cells = self.cells.len();
-        if workers <= 1 && !self.pin_workers {
+        if workers <= 1 {
             let mut shard = (ExecTimeStats::new(), ExecTimeStats::new());
             for cell in &self.cells {
                 let mut cell = lock_recover(cell);
                 run_cell_guarded(&mut cell, &mut shard.0, &mut shard.1);
             }
-            return (vec![shard], vec![None]);
+            return vec![shard];
         }
         let next = AtomicUsize::new(0);
         let next = &next;
         let cells = &self.cells;
-        let pin = self.pin_workers;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
+                .map(|_| {
                     scope.spawn(move || {
-                        let pinned = pin.then(|| affinity::pin_current_thread(w)).flatten();
                         let mut exec_shard = ExecTimeStats::new();
                         let mut chunk_shard = ExecTimeStats::new();
                         loop {
@@ -594,14 +572,14 @@ impl MultiCellScenario {
                             let mut cell = lock_recover(&cells[idx]);
                             run_cell_guarded(&mut cell, &mut exec_shard, &mut chunk_shard);
                         }
-                        ((exec_shard, chunk_shard), pinned)
+                        (exec_shard, chunk_shard)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
-                .unzip()
+                .collect()
         })
     }
 
@@ -612,7 +590,7 @@ impl MultiCellScenario {
         let window = cfg.exchange_period_slots.max(1);
 
         let mut records = Vec::new();
-        if workers <= 1 && !self.pin_workers {
+        if workers <= 1 {
             let mut shard = (ExecTimeStats::new(), ExecTimeStats::new());
             let mut in_transit = Vec::new();
             let mut dropped = 0u64;
@@ -625,9 +603,8 @@ impl MultiCellScenario {
                     break;
                 }
             }
-            let pins = vec![None];
             self.finish_lockstep_cells(&mut shard.0);
-            return (vec![shard], pins, records, dropped);
+            return (vec![shard], records, dropped);
         }
 
         let cursor = AtomicUsize::new(0);
@@ -645,12 +622,10 @@ impl MultiCellScenario {
             &barrier,
         );
         let cells = &self.cells;
-        let pin = self.pin_workers;
-        let (mut shards, pins): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+        let mut shards: Vec<WorkerShard> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
+                .map(|_| {
                     scope.spawn(move || {
-                        let pinned = pin.then(|| affinity::pin_current_thread(w)).flatten();
                         let mut chunk_shard = ExecTimeStats::new();
                         loop {
                             loop {
@@ -678,14 +653,14 @@ impl MultiCellScenario {
                                 break;
                             }
                         }
-                        ((ExecTimeStats::new(), chunk_shard), pinned)
+                        (ExecTimeStats::new(), chunk_shard)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
-                .unzip()
+                .collect()
         });
         records = records_shared
             .into_inner()
@@ -693,7 +668,7 @@ impl MultiCellScenario {
         if let Some(first) = shards.first_mut() {
             self.finish_lockstep_cells(&mut first.0);
         }
-        (shards, pins, records, dropped_shared.into_inner())
+        (shards, records, dropped_shared.into_inner())
     }
 
     /// Serial post-pass of the lockstep engine: settle E2 drivers, take
@@ -816,10 +791,6 @@ fn run_cell(
     }
 }
 
-/// Run one cell for one exchange window (the lockstep engine's unit of
-/// work): visit the E2 boundary if one lands on this window's start,
-/// then advance `window_slots` slots. Mobility evaluation happens in
-/// the serial exchange, not here.
 /// The serial exchange at a window boundary: admit the previous window's
 /// in-transit departures in admission order, then collect this window's
 /// (cells visited in declaration order — the collection order is erased
@@ -1047,11 +1018,6 @@ pub struct MultiCellReport {
     pub workers: usize,
     /// Worker threads the caller asked for, pre-clamp.
     pub requested_workers: usize,
-    /// Per-worker effective core pinning: `Some(cpu)` where
-    /// `sched_setaffinity` succeeded, `None` where pinning was off,
-    /// unsupported, or refused. One entry per worker thread; a single
-    /// `None` for the in-place sequential path.
-    pub worker_pins: Vec<Option<usize>>,
     /// Wall-clock duration of the run, seconds.
     pub wall_seconds: f64,
     /// Slots simulated, summed over cells.
@@ -1393,35 +1359,6 @@ mod tests {
         let report = deployment(2, 0.05).run(8);
         assert_eq!(report.requested_workers, 8);
         assert_eq!(report.workers, 2);
-        assert_eq!(report.worker_pins.len(), 2);
-        assert!(report.worker_pins.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn pinned_run_reports_effective_cores_and_keeps_digests() {
-        let plain = deployment(3, 0.1).run(2);
-        let mut b = MultiCellScenarioBuilder::new()
-            .seconds(0.1)
-            .base_seed(42)
-            .pin_workers(true);
-        for i in 0..3 {
-            b = b.cell(
-                CellSpec::new(&format!("cell{i}")).slice(
-                    SliceSpec::new("mvno", SchedKind::RoundRobin)
-                        .target_mbps(8.0)
-                        .ues(2),
-                ),
-            );
-        }
-        let pinned = b.build().unwrap().run(2);
-        assert_eq!(plain.cell_digests(), pinned.cell_digests());
-        assert_eq!(pinned.worker_pins.len(), 2);
-        if cfg!(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )) {
-            assert!(pinned.worker_pins.iter().all(Option::is_some));
-        }
     }
 
     #[test]

@@ -10,7 +10,11 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use waran_core::install_plugin;
+use waran_core::plugins::{self, faulty};
+use waran_core::{
+    install_plugin, CellSpec, ChannelSpec, MobilityAttachment, MultiCellScenarioBuilder, SchedKind,
+    SliceSpec, TrafficSpec,
+};
 use waran_host::{fnv1a, GovernanceClass, PluginError, PluginHost, SandboxPolicy, SlotState};
 
 /// A module whose observable behavior is its data segment: `run` returns
@@ -263,6 +267,99 @@ fn rollback_fires_once_under_concurrent_callers() {
     assert_eq!(host.state("s"), Some(SlotState::Active));
     assert_eq!(host.content_hash("s"), Some(fnv1a(&good)));
     assert_eq!(host.rollback_log("s").unwrap().len(), 1);
+}
+
+/// A 4-cell fleet taking two scheduled hostile pushes mid-run: a
+/// null-dereferencing scheduler into every `embb` slice at `embb_slot`
+/// and a fuel burner into every `iot` slice 20 slots later. Strike
+/// budget 2, fuel-metered but deadline-free so the fault kind is a pure
+/// function of simulation state.
+fn hostile_fleet(embb_slot: u64, mobility: Option<MobilityAttachment>) -> MultiCellScenarioBuilder {
+    let mut b = MultiCellScenarioBuilder::new()
+        .seconds(0.2)
+        .base_seed(909)
+        .sandbox_policy(SandboxPolicy {
+            fuel_per_call: Some(200_000),
+            deadline: None,
+            quarantine_after: 2,
+            ..SandboxPolicy::default()
+        })
+        .push_at(
+            embb_slot,
+            "embb",
+            &plugins::compile_faulty(faulty::NULL_DEREF),
+        )
+        .push_at(
+            embb_slot + 20,
+            "iot",
+            &plugins::compile_faulty(faulty::FUEL_BURNER),
+        );
+    if let Some(mobility) = mobility {
+        b = b.mobility(mobility);
+    }
+    for i in 0..4 {
+        b = b.cell(
+            CellSpec::new(&format!("cell{i}"))
+                .slice(
+                    SliceSpec::new("embb", SchedKind::ProportionalFair)
+                        .target_mbps(8.0)
+                        .ue(ChannelSpec::Static(11), TrafficSpec::FullBuffer)
+                        .ue(ChannelSpec::FadingGood, TrafficSpec::FullBuffer),
+                )
+                .slice(
+                    SliceSpec::new("iot", SchedKind::RoundRobin)
+                        .target_mbps(2.0)
+                        .ue(ChannelSpec::Static(13), TrafficSpec::FullBuffer),
+                ),
+        );
+    }
+    b
+}
+
+/// Run the fleet at 1/2/4 workers; every cell must strike both hostile
+/// modules out and roll back to last-good, identically at every worker
+/// count. Returns the (worker-count independent) per-cell digests.
+fn soak_digests(embb_slot: u64, mobility: Option<MobilityAttachment>) -> Vec<u64> {
+    let [one, two, four] = [1, 2, 4].map(|workers| {
+        let report = hostile_fleet(embb_slot, mobility)
+            .build()
+            .unwrap()
+            .run(workers);
+        assert_eq!(report.faulted_cells(), 0);
+        for cell in &report.cells {
+            let g = &cell.governance;
+            assert_eq!(g.rollbacks, 2, "{} at {workers} workers: {g:?}", cell.name);
+            assert_eq!(g.strikes.trap, 2, "{}: {g:?}", cell.name);
+            assert_eq!(g.strikes.fuel_exhausted, 2, "{}: {g:?}", cell.name);
+            assert_eq!(g.strikes.deadline + g.strikes.other, 0, "{}", cell.name);
+            assert_eq!(g.push_failures, 0, "{}: pushes must install", cell.name);
+            assert_eq!(g.quarantined_slices, 0, "{}: {g:?}", cell.name);
+        }
+        report.cell_digests()
+    });
+    assert_eq!(one, two, "digests diverged at 2 workers");
+    assert_eq!(one, four, "digests diverged at 4 workers");
+    one
+}
+
+#[test]
+fn scheduled_fleet_pushes_roll_back_identically_at_any_worker_count() {
+    // Free-running engine: each cell stops its chunk early so the swap
+    // lands at exactly the push slot.
+    let exact = soak_digests(50, None);
+    assert_ne!(
+        exact,
+        soak_digests(60, None),
+        "free-running pushes land at their own slot"
+    );
+
+    // Lockstep engine: pushes apply at exchange-window starts, so slot 50
+    // (windows open at 40 and 60) behaves exactly like slot 60 and unlike
+    // slot 40.
+    let window = MobilityAttachment::new().exchange_period_slots(20);
+    let deferred = soak_digests(50, Some(window));
+    assert_eq!(deferred, soak_digests(60, Some(window)));
+    assert_ne!(deferred, soak_digests(40, Some(window)));
 }
 
 proptest! {

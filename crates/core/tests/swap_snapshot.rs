@@ -1,7 +1,7 @@
 //! Regression suite for snapshot provenance across epoch live swaps.
 //!
-//! With snapshot instantiation on, every install stamps the slot's plugin
-//! out of a cached [`waran_host::PluginPre`]. The hazard this pins down:
+//! Every install stamps the slot's plugin out of the snapshot held by a
+//! cached [`waran_host::PluginPre`]. The hazard this pins down:
 //! a live swap that installs *different* bytes must never produce an
 //! instance stamped from the *previous* module's snapshot (stale memory,
 //! stale globals). The template cache is content-addressed, so aliasing
@@ -39,22 +39,13 @@ fn tagged_wasm(tag: &str) -> Vec<u8> {
     .expect("tagged module assembles")
 }
 
-fn snapshot_policy() -> SandboxPolicy {
-    let policy = SandboxPolicy::default();
-    assert!(
-        policy.snapshot_instantiation,
-        "snapshot instantiation must be the default for this regression to bite"
-    );
-    policy
-}
-
 #[test]
 fn live_swap_stamps_from_new_modules_snapshot() {
     let _serial = global_cache();
     let host = PluginHost::new();
     let a = tagged_wasm("AAAA");
     let b = tagged_wasm("BBBB");
-    let policy = snapshot_policy();
+    let policy = SandboxPolicy::default();
 
     install_plugin(&host, "slot", &a, policy).unwrap();
     // Pin a handle *before* the swap: the regression path is a caller that
@@ -85,7 +76,7 @@ fn live_swap_mid_soak_under_parallel_callers() {
     let host = Arc::new(PluginHost::new());
     let a = tagged_wasm("AAAA");
     let b = tagged_wasm("BBBB");
-    let policy = snapshot_policy();
+    let policy = SandboxPolicy::default();
     install_plugin(&host, "slot", &a, policy).unwrap();
 
     let swapped = Arc::new(AtomicBool::new(false));
@@ -129,7 +120,7 @@ fn swapped_bytes_never_alias_one_template() {
     let linker = Linker::<()>::new();
     let a = tagged_wasm("AAAA");
     let b = tagged_wasm("BBBB");
-    let policy = snapshot_policy();
+    let policy = SandboxPolicy::default();
 
     let pre_a = cache.get_or_build(&linker, &a, policy).unwrap();
     let pre_b = cache.get_or_build(&linker, &b, policy).unwrap();
@@ -210,7 +201,7 @@ fn eviction_is_invisible_except_in_memory() {
     let _serial = global_cache();
     let cache = TemplateCache::global();
     let host = PluginHost::new();
-    let policy = snapshot_policy();
+    let policy = SandboxPolicy::default();
     let request = request();
     let served = |slot: &str| host.call_sched(slot, &request).map(|r| r.total_prbs());
 
@@ -267,7 +258,7 @@ fn churn_working_set_stays_resident() {
     // through one cache. After the first pass every install is a hit.
     let cache = TemplateCache::new();
     let linker = Linker::<()>::new();
-    let policy = snapshot_policy();
+    let policy = SandboxPolicy::default();
     let mut working_set: Vec<Vec<u8>> = (0..24).map(tagged_scheduler).collect();
     working_set
         .extend([plugins::rr_wasm(), plugins::pf_wasm(), plugins::mt_wasm()].map(<[u8]>::to_vec));

@@ -86,12 +86,6 @@ pub struct SandboxPolicy {
     /// The resource class these budgets came from (reporting only; the
     /// numeric fields are authoritative).
     pub class: GovernanceClass,
-    /// Stamp instances out of a captured post-segment-init snapshot
-    /// (memcpy) instead of re-running data/elem/global initialization per
-    /// instance. Observationally neutral — the parity proptests pin
-    /// snapshot-on and snapshot-off to bit-identical state — so it is a
-    /// perf knob, on by default.
-    pub snapshot_instantiation: bool,
 }
 
 impl Default for SandboxPolicy {
@@ -107,7 +101,6 @@ impl Default for SandboxPolicy {
             no_unbounded_loops: false,
             quarantine_after: 3,
             class: GovernanceClass::Custom,
-            snapshot_instantiation: true,
         }
     }
 }

@@ -279,7 +279,8 @@ fn check_parity(seed: u64) {
     // Behavioral parity, on the untouched pair (these calls mutate).
     assert_same_behavior(&mut cold, &mut s2, &shape, "cold vs stamp");
 
-    // Snapshot-off templates are the same machine, minus the memcpy.
+    // Snapshot-off templates (the reference constructor) are honoured —
+    // no image is captured — and are the same machine, minus the memcpy.
     let off = PluginPre::with_snapshot(load(&bytes), &Linker::new(), policy(), false).unwrap();
     assert!(!off.has_snapshot());
     let mut o1 = off.instantiate(()).unwrap();
