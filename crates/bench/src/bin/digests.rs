@@ -10,12 +10,12 @@
 //! such a change, regenerate it with
 //! `target/release/digests 2 > crates/bench/digests.golden`.
 //!
-//! The scenarios, each a different engine path:
+//! The scenarios, each a different use of the one engine:
 //!
 //! * `ric` — 8 cells attached to the near-RT RIC in deterministic
-//!   delivery mode (free-running engine, E2 boundary protocol).
+//!   delivery mode (one window, E2 boundary protocol).
 //! * `mobility` — 32-cell grid, UEs handing over all run long on A3
-//!   events and RIC-forced steering (lockstep exchange engine).
+//!   events and RIC-forced steering (exchange windows).
 //! * `governance` — 32 cells taking two hostile fleet-wide pushes
 //!   mid-run; every cell must strike them out and roll back to last-good.
 //! * `massive` — 500 cells × 2000 background UEs on the two-tier traffic
@@ -25,8 +25,8 @@
 //! instrument.
 
 use waran_core::{
-    plugins, CellSpec, ChannelSpec, HandoverModel, MobilityAttachment, MultiCellReport,
-    MultiCellScenarioBuilder, PopulationModel, RicAttachment, SchedKind, SliceSpec, TrafficSpec,
+    plugins, CellSpec, ChannelSpec, MobilityAttachment, MultiCellReport, MultiCellScenarioBuilder,
+    PopulationModel, RicAttachment, SchedKind, SliceSpec, TrafficSpec,
 };
 use waran_host::plugin::SandboxPolicy;
 use waran_ric::bus::DeliveryMode;
@@ -75,8 +75,7 @@ fn ric(workers: usize) -> MultiCellReport {
     )
     .report_period_slots(100)
     .bus_capacity(64)
-    .mode(DeliveryMode::Deterministic)
-    .handover_model(HandoverModel::ToGoodCell);
+    .mode(DeliveryMode::Deterministic);
     run(b.ric(attachment), workers)
 }
 

@@ -11,16 +11,18 @@
 //!   hot-swappable [`waran_host::PluginHost`] slot.
 //! * [`scenario`] — the declarative driver used by examples and benches:
 //!   slices, UEs, channels, traffic, duration → run → [`scenario::Report`].
-//! * [`multicell`] — the sharded deployment engine: N independent cells
-//!   executed by a fixed worker pool, per-cell outputs independent of the
-//!   worker count.
+//! * [`multicell`] — the sharded deployment engine: N cells executed by
+//!   a fixed worker pool in barrier-fenced windows, per-cell outputs
+//!   independent of the worker count.
 //! * [`mobility`] — the cross-cell handover subsystem: A3 measurement
 //!   events over a grid [`mobility::CellLayout`], hysteresis /
 //!   time-to-trigger state machines, and the deterministic inter-slot
 //!   exchange barrier that migrates UEs between cells bit-identically at
 //!   every worker count.
 //! * [`ric_glue`] — the gNB↔near-RT-RIC loop over plugin-wrapped
-//!   communication, with xApps steering traffic and assuring slice SLAs.
+//!   communication: the cell-side E2 driver every deployment (one cell or
+//!   a fleet) attaches to the RIC bus with, xApps steering traffic and
+//!   assuring slice SLAs.
 
 pub mod mobility;
 pub mod multicell;
@@ -37,9 +39,7 @@ pub use multicell::{
     CellGovernance, CellReport, CellSpec, FleetBackground, MultiCellReport, MultiCellScenario,
     MultiCellScenarioBuilder, RicPlaneReport,
 };
-pub use ric_glue::{
-    apply_action, sample_kpis, AppliedAction, CellE2Driver, HandoverModel, RicAttachment, RicLoop,
-};
+pub use ric_glue::{apply_action, sample_kpis, AppliedAction, CellE2Driver, RicAttachment};
 pub use scenario::{
     Backend, BackgroundReport, BackgroundSpec, ChannelSpec, PopulationModel, Report, Scenario,
     ScenarioBuilder, ScenarioError, SchedKind, SliceReport, SliceSpec, TrafficSpec, UeReport,

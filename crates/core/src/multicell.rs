@@ -11,13 +11,17 @@
 //!   compiled module through the host's `TemplateCache` (compile once per
 //!   bytecode hash, stamp an instance per cell).
 //! * [`MultiCellScenario::run`] executes the cells on `workers` OS
-//!   threads via an atomic work-stealing cursor. Because a cell's
-//!   evolution depends only on its own seed, per-cell results are
-//!   byte-identical for every worker count — [`Report::digest`] is the
-//!   check.
-//! * Per-worker execution-time measurements land in
-//!   [`ShardedExecStats`] shards and are merged after the join, so the
-//!   hot loop never touches a shared accumulator.
+//!   threads with **one** engine: workers claim cells off an atomic
+//!   cursor and run each for one *window*, a barrier closes, the barrier
+//!   leader runs the serial cross-cell exchange, and the next window
+//!   opens. With mobility attached the window is the exchange period;
+//!   without it nothing crosses cells, so one window spans the whole run
+//!   and the single exchange that closes it is empty. Because a cell's
+//!   evolution depends only on its own seed and on that serial exchange,
+//!   per-cell results are byte-identical for every worker count —
+//!   [`Report::digest`] is the check.
+//! * Per-worker slot-chunk timings land in per-worker shards merged
+//!   after the join, so the hot loop never touches a shared accumulator.
 //! * A deployment can attach the whole fleet to one near-RT RIC service
 //!   thread ([`MultiCellScenarioBuilder::ric`]): every cell's E2 driver
 //!   publishes onto a bounded bus and applies mailboxed actions at report
@@ -28,12 +32,12 @@
 //!   memory.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use waran_host::plugin::SandboxPolicy;
-use waran_host::{fnv1a, ExecTimeStats, ShardedExecStats, SlotState, StrikeCounters};
+use waran_host::{fnv1a, ExecTimeStats, SlotState, StrikeCounters};
 use waran_ric::bus::{RicBus, ServiceReport};
 
 use crate::mobility::{
@@ -59,7 +63,7 @@ const _: () = {
 /// `.expect("poisoned")` every later toucher — the exchange leader, the
 /// report fold, the *other* cells' workers joining through shared state —
 /// aborts too, turning one cell's fault into a deployment-wide crash.
-/// Panicked cells are instead marked `faulted` (see [`run_cell_guarded`])
+/// Panicked cells are instead marked `faulted` (see [`run_cell_window`])
 /// and skipped, so recovering the guard here is safe: the data behind a
 /// poisoned cell lock is only ever read for final reporting.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -142,9 +146,9 @@ impl MultiCellScenarioBuilder {
 
     /// Schedule a fleet-wide plugin push: at simulated slot `slot`, every
     /// cell hot-swaps `slice`'s scheduler to `wasm` (the operator "push an
-    /// xApp to the fleet mid-run" move). Each cell applies the push at its
-    /// first chunk/window boundary at or after `slot`, so churn soaks stay
-    /// deterministic across worker counts. A push that fails to install
+    /// xApp to the fleet mid-run" move). Every cell ends its current chunk
+    /// at `slot`, so the swap lands at exactly that slot in every
+    /// deployment and at every worker count. A push that fails to install
     /// (bad bytes, admission rejection) counts into the cell's
     /// `push_failures` instead of aborting the run.
     pub fn push_at(mut self, slot: u64, slice: &str, wasm: &[u8]) -> Self {
@@ -164,9 +168,9 @@ impl MultiCellScenarioBuilder {
     }
 
     /// Attach cross-cell mobility: cells are placed on a grid, mobile
-    /// UEs roam it, and [`MultiCellScenario::run`] switches to lockstep
-    /// exchange-window execution so UEs migrate deterministically. Every
-    /// cell gets a disjoint UE-id range (ids stay unique in flight).
+    /// UEs roam it, and [`MultiCellScenario::run`] closes a window every
+    /// exchange period so UEs migrate deterministically. Every cell gets
+    /// a disjoint UE-id range (ids stay unique in flight).
     pub fn mobility(mut self, attachment: MobilityAttachment) -> Self {
         self.mobility = Some(attachment);
         self
@@ -204,8 +208,9 @@ impl MultiCellScenarioBuilder {
             ));
         }
         if let (Some(mobility), Some(ric)) = (&self.mobility, &self.ric) {
-            // E2 boundaries are only visited at exchange-window starts,
-            // so every report boundary must *be* a window start.
+            // Actions applied at a report boundary queue forced handovers
+            // for the exchange that closes the *previous* window, so every
+            // report boundary must be a window start.
             if !ric
                 .report_period_slots
                 .is_multiple_of(mobility.exchange_period_slots)
@@ -266,7 +271,6 @@ impl MultiCellScenarioBuilder {
                 scenario,
                 driver: None,
                 mobility,
-                report: None,
                 pushes: pushes.clone(),
                 push_failures: 0,
                 faulted: false,
@@ -299,9 +303,8 @@ fn derive_seed(base: u64, cell_id: u32) -> u64 {
 }
 
 /// One scheduled fleet-wide plugin push: at simulated slot `slot`, swap
-/// `slice`'s scheduler to `bytes` (applied per cell at its next chunk or
-/// window boundary at/after the slot — a pure function of simulation
-/// time, never of wall clock or worker schedule).
+/// `slice`'s scheduler to `bytes` (a pure function of simulation time,
+/// never of wall clock or worker schedule).
 #[derive(Clone)]
 struct PushSpec {
     slot: u64,
@@ -316,7 +319,6 @@ struct CellRuntime {
     scenario: Scenario,
     driver: Option<CellE2Driver>,
     mobility: Option<CellMobility>,
-    report: Option<Report>,
     /// Scheduled plugin pushes not yet applied, sorted by slot.
     pushes: Vec<PushSpec>,
     /// Scheduled pushes that failed to install (bad bytes, admission).
@@ -327,8 +329,8 @@ struct CellRuntime {
 }
 
 /// Apply every scheduled push whose slot has been reached. Called at
-/// chunk/window starts, so the application slot is a deterministic
-/// function of the cell's slot sequence.
+/// chunk starts, and chunks end at the next push slot, so each push lands
+/// at exactly its slot.
 fn apply_due_pushes(cell: &mut CellRuntime) {
     let slot = cell.scenario.gnb.slot();
     let due = cell.pushes.partition_point(|p| p.slot <= slot);
@@ -343,15 +345,18 @@ fn apply_due_pushes(cell: &mut CellRuntime) {
     }
 }
 
-/// One worker's timing shards: (plugin execution times, slot-chunk wall
-/// times).
-type WorkerShard = (ExecTimeStats, ExecTimeStats);
-
-/// What the lockstep engine hands back to `run`: per-worker timing
-/// shards, `(depart_slot, admit_slot)` pairs for every admitted
-/// handover, and the count of in-transit departures dropped at the
-/// exchange (unserviceable destination).
-type LockstepOutcome = (Vec<WorkerShard>, Vec<(u64, u64)>, u64);
+/// What the serial exchange carries from one window to the next and, at
+/// the end, hands back to `run`.
+#[derive(Default)]
+struct Exchange {
+    /// Departures collected at the last window close, admitted at the
+    /// next one.
+    in_transit: Vec<Departure>,
+    /// `(depart_slot, admit_slot)` for every admitted handover.
+    records: Vec<(u64, u64)>,
+    /// In-transit departures dropped (unserviceable destination).
+    dropped: u64,
+}
 
 /// A built multi-cell deployment, runnable on any number of workers.
 pub struct MultiCellScenario {
@@ -393,18 +398,19 @@ impl MultiCellScenario {
     }
 
     /// Run every cell to completion on `workers` threads (0 and 1 both
-    /// mean in-place sequential execution) and report per-cell and
-    /// aggregate results. Per-cell outputs are independent of `workers`.
+    /// mean sequential execution on the calling thread) and report
+    /// per-cell and aggregate results. Per-cell outputs are independent
+    /// of `workers`.
     ///
-    /// With mobility attached the engine switches from free-running
-    /// cells to lockstep exchange windows: every cell runs exactly one
-    /// window, a barrier closes, one worker (the barrier leader)
-    /// serially admits the *previous* window's in-transit departures in
-    /// `(slot, src_cell, ue_id)` order and collects this window's, and
-    /// the next window opens. Departures therefore ride in transit for
-    /// exactly one window — the handover interruption time — and the
-    /// admission sequence is a pure function of the simulation state,
-    /// never of worker scheduling.
+    /// Every cell runs exactly one window, a barrier closes, one worker
+    /// (the barrier leader) serially admits the *previous* window's
+    /// in-transit departures in `(slot, src_cell, ue_id)` order and
+    /// collects this window's, and the next window opens. Departures
+    /// therefore ride in transit for exactly one window — the handover
+    /// interruption time — and the admission sequence is a pure function
+    /// of the simulation state, never of worker scheduling. The window is
+    /// the mobility exchange period; a deployment without mobility has
+    /// nothing to exchange and runs as one window.
     pub fn run(&mut self, workers: usize) -> MultiCellReport {
         let started = Instant::now();
         let n_cells = self.cells.len();
@@ -412,14 +418,13 @@ impl MultiCellScenario {
         let workers = workers.clamp(1, n_cells.max(1));
         let service = self.bus.take().map(RicBus::start);
 
-        let (shards, handover_records, dropped_departures) = match self.mobility_cfg {
-            Some(cfg) => self.run_lockstep(workers, cfg),
-            None => (self.run_free(workers), Vec::new(), 0),
-        };
+        let window = self
+            .mobility_cfg
+            .map_or(u64::MAX, |cfg| cfg.exchange_period_slots.max(1));
+        let (chunk_shards, exchange) = self.run_windows(workers, window);
+        let (cell_reports, exec) = self.finish_cells();
 
         let wall_seconds = started.elapsed().as_secs_f64();
-        let (exec_shards, chunk_shards): (Vec<_>, Vec<_>) = shards.into_iter().unzip();
-        let exec = ShardedExecStats::from_shards(exec_shards).merged();
         let mut slot_chunks = ExecTimeStats::new();
         for shard in &chunk_shards {
             slot_chunks.merge(shard);
@@ -451,37 +456,6 @@ impl MultiCellScenario {
             plane
         });
 
-        let mut cell_reports = Vec::with_capacity(n_cells);
-        for cell in &self.cells {
-            let cell = lock_recover(cell);
-            let report = cell
-                .report
-                .clone()
-                .unwrap_or_else(|| cell.scenario.report());
-            let sched_calls = cell_sched_calls(&cell.scenario);
-            let mut governance = CellGovernance {
-                push_failures: cell.push_failures,
-                ..CellGovernance::default()
-            };
-            for name in cell.scenario.slice_names() {
-                if let Some(health) = cell.scenario.plugin_health(name) {
-                    governance.strikes.merge(&health.strikes);
-                    governance.rollbacks += health.rollbacks;
-                }
-                if cell.scenario.plugin_state(name) == Some(SlotState::Quarantined) {
-                    governance.quarantined_slices += 1;
-                }
-            }
-            cell_reports.push(CellReport {
-                name: cell.name.clone(),
-                cell_id: cell.cell_id,
-                seed: cell.seed,
-                sched_calls,
-                governance,
-                faulted: cell.faulted,
-                report,
-            });
-        }
         let total_slots = cell_reports.iter().map(|c| c.report.slots).sum();
         let total_sched_calls = cell_reports.iter().map(|c| c.sched_calls).sum();
 
@@ -512,8 +486,8 @@ impl MultiCellScenario {
             let slot_seconds = lock_recover(&self.cells[0]).scenario.gnb.slot_seconds();
             let mut report = MobilityReport {
                 exchange_period_slots: cfg.exchange_period_slots,
-                dropped_departures,
-                interruption: InterruptionStats::from_records(&handover_records, slot_seconds),
+                dropped_departures: exchange.dropped,
+                interruption: InterruptionStats::from_records(&exchange.records, slot_seconds),
                 ..MobilityReport::default()
             };
             for cell in &self.cells {
@@ -543,157 +517,102 @@ impl MultiCellScenario {
         }
     }
 
-    /// The PR 2 free-running engine: workers claim whole cells off an
-    /// atomic cursor and run each to completion independently.
-    fn run_free(&self, workers: usize) -> Vec<WorkerShard> {
-        let n_cells = self.cells.len();
-        if workers <= 1 {
-            let mut shard = (ExecTimeStats::new(), ExecTimeStats::new());
-            for cell in &self.cells {
-                let mut cell = lock_recover(cell);
-                run_cell_guarded(&mut cell, &mut shard.0, &mut shard.1);
-            }
-            return vec![shard];
-        }
-        let next = AtomicUsize::new(0);
-        let next = &next;
+    /// The engine: `workers` threads (the caller's included) alternate
+    /// between claiming cells for one window each and a barrier-fenced
+    /// serial [`lockstep_exchange`], until every cell has finished.
+    /// Returns each worker's slot-chunk timing shard and the exchange's
+    /// final state.
+    fn run_windows(&self, workers: usize, window: u64) -> (Vec<ExecTimeStats>, Exchange) {
         let cells = &self.cells;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut exec_shard = ExecTimeStats::new();
-                        let mut chunk_shard = ExecTimeStats::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n_cells {
-                                break;
-                            }
-                            let mut cell = lock_recover(&cells[idx]);
-                            run_cell_guarded(&mut cell, &mut exec_shard, &mut chunk_shard);
-                        }
-                        (exec_shard, chunk_shard)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-    }
-
-    /// The mobility engine: lockstep exchange windows with a serial
-    /// leader-side exchange between barriers (see [`MultiCellScenario::run`]).
-    fn run_lockstep(&self, workers: usize, cfg: MobilityAttachment) -> LockstepOutcome {
-        let n_cells = self.cells.len();
-        let window = cfg.exchange_period_slots.max(1);
-
-        let mut records = Vec::new();
-        if workers <= 1 {
-            let mut shard = (ExecTimeStats::new(), ExecTimeStats::new());
-            let mut in_transit = Vec::new();
-            let mut dropped = 0u64;
-            loop {
-                for cell in &self.cells {
-                    let mut cell = lock_recover(cell);
-                    run_cell_window_guarded(&mut cell, window, &mut shard.1);
-                }
-                if lockstep_exchange(&self.cells, &mut in_transit, &mut records, &mut dropped) {
-                    break;
-                }
-            }
-            self.finish_lockstep_cells(&mut shard.0);
-            return (vec![shard], records, dropped);
-        }
-
         let cursor = AtomicUsize::new(0);
         let done = AtomicBool::new(false);
-        let in_transit: Mutex<Vec<Departure>> = Mutex::new(Vec::new());
-        let records_shared: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
-        let dropped_shared = AtomicU64::new(0);
+        let exchange = Mutex::new(Exchange::default());
         let barrier = Barrier::new(workers);
-        let (cursor, done, in_transit, records_ref, dropped_ref, barrier) = (
-            &cursor,
-            &done,
-            &in_transit,
-            &records_shared,
-            &dropped_shared,
-            &barrier,
-        );
-        let cells = &self.cells;
-        let mut shards: Vec<WorkerShard> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut chunk_shard = ExecTimeStats::new();
-                        loop {
-                            loop {
-                                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                                if idx >= n_cells {
-                                    break;
-                                }
-                                let mut cell = lock_recover(&cells[idx]);
-                                run_cell_window_guarded(&mut cell, window, &mut chunk_shard);
-                            }
-                            if barrier.wait().is_leader() {
-                                // Serial section: every other worker is
-                                // parked at the second barrier.
-                                let mut transit = lock_recover(in_transit);
-                                let mut recs = lock_recover(records_ref);
-                                let mut dropped = 0u64;
-                                let all_done =
-                                    lockstep_exchange(cells, &mut transit, &mut recs, &mut dropped);
-                                dropped_ref.fetch_add(dropped, Ordering::Relaxed);
-                                cursor.store(0, Ordering::Relaxed);
-                                done.store(all_done, Ordering::Relaxed);
-                            }
-                            barrier.wait();
-                            if done.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
-                        (ExecTimeStats::new(), chunk_shard)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+        let worker = || {
+            let mut chunk_shard = ExecTimeStats::new();
+            while !done.load(Ordering::Relaxed) {
+                loop {
+                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = cells.get(idx) else {
+                        break;
+                    };
+                    run_cell_window(&mut lock_recover(cell), window, &mut chunk_shard);
+                }
+                if barrier.wait().is_leader() {
+                    // Serial section: every other worker is parked at
+                    // the second barrier.
+                    let all_done = lockstep_exchange(cells, &mut lock_recover(&exchange));
+                    cursor.store(0, Ordering::Relaxed);
+                    done.store(all_done, Ordering::Relaxed);
+                }
+                barrier.wait();
+            }
+            chunk_shard
+        };
+        let shards = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut shards = vec![worker()];
+            shards.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked")),
+            );
+            shards
         });
-        records = records_shared
+        let exchange = exchange
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(first) = shards.first_mut() {
-            self.finish_lockstep_cells(&mut first.0);
-        }
-        (shards, records, dropped_shared.into_inner())
+        (shards, exchange)
     }
 
-    /// Serial post-pass of the lockstep engine: settle E2 drivers, take
-    /// report snapshots and fold plugin execution stats — single-threaded
-    /// so the order (and thus the RIC counters) is deterministic.
-    fn finish_lockstep_cells(&self, exec_shard: &mut ExecTimeStats) {
+    /// The serial finish pass, in declaration order so the RIC counters
+    /// are deterministic: settle each cell's E2 driver, fold its plugin
+    /// execution times, then read out its counters and report snapshot. A
+    /// faulted cell is never executed again: its driver is not settled
+    /// and its timings are not folded; it is only read for reporting, as
+    /// it stood at the fault point.
+    fn finish_cells(&self) -> (Vec<CellReport>, ExecTimeStats) {
+        let mut exec = ExecTimeStats::new();
+        let mut reports = Vec::with_capacity(self.cells.len());
         for cell in &self.cells {
-            let mut cell = lock_recover(cell);
-            let CellRuntime {
-                scenario,
-                driver,
-                mobility,
-                report,
-                ..
-            } = &mut *cell;
-            if let Some(driver) = driver.as_mut() {
-                driver.finish(scenario, mobility.as_mut());
-            }
-            *report = Some(scenario.report());
-            for name in scenario.slice_names().to_vec() {
-                if let Some(stats) = scenario.plugin_stats(&name) {
-                    exec_shard.merge(&stats);
+            let mut guard = lock_recover(cell);
+            let cell = &mut *guard;
+            if !cell.faulted {
+                if let Some(driver) = cell.driver.as_mut() {
+                    driver.finish(&mut cell.scenario, cell.mobility.as_mut());
                 }
             }
+            let mut sched_calls = 0;
+            let mut governance = CellGovernance {
+                push_failures: cell.push_failures,
+                ..CellGovernance::default()
+            };
+            for name in cell.scenario.slice_names() {
+                if let Some(stats) = cell.scenario.plugin_stats(name) {
+                    sched_calls += stats.count();
+                    if !cell.faulted {
+                        exec.merge(&stats);
+                    }
+                }
+                if let Some(health) = cell.scenario.plugin_health(name) {
+                    governance.strikes.merge(&health.strikes);
+                    governance.rollbacks += health.rollbacks;
+                }
+                if cell.scenario.plugin_state(name) == Some(SlotState::Quarantined) {
+                    governance.quarantined_slices += 1;
+                }
+            }
+            reports.push(CellReport {
+                name: cell.name.clone(),
+                cell_id: cell.cell_id,
+                seed: cell.seed,
+                sched_calls,
+                governance,
+                faulted: cell.faulted,
+                report: cell.scenario.report(),
+            });
         }
+        (reports, exec)
     }
 }
 
@@ -702,107 +621,71 @@ impl MultiCellScenario {
 /// like-for-like.
 const DETACHED_CHUNK_SLOTS: u64 = 100;
 
-/// Run one cell under a panic boundary: a panic anywhere inside the cell
-/// (a poisoned internal lock, a logic bug tickled by hostile input) marks
-/// the cell faulted and is swallowed, so one cell degrades to "stopped,
-/// reported as faulted" instead of unwinding through the worker and
-/// aborting the whole deployment. `AssertUnwindSafe` is justified the
-/// same way the poison recovery is: a faulted cell is never executed
-/// again, only read for final reporting.
-fn run_cell_guarded(
-    cell: &mut CellRuntime,
-    exec_shard: &mut ExecTimeStats,
-    chunk_shard: &mut ExecTimeStats,
-) {
+/// Run one cell to the end of the current window (or of its run) in
+/// chunks: apply the scheduled pushes that are due, run the E2 boundary
+/// protocol if a report period just closed, then advance to the nearest
+/// of the next report boundary, the next scheduled push and the window
+/// end, timing each chunk into `chunk_shard`.
+///
+/// All of it under the deployment's one panic boundary: a panic anywhere
+/// inside the cell (a poisoned internal lock, a logic bug tickled by
+/// hostile input) marks the cell faulted and is swallowed, so one cell
+/// degrades to "stopped, reported as faulted" instead of unwinding
+/// through the worker and aborting the whole deployment. A faulted cell
+/// reads as finished to the exchange, so the other cells keep going
+/// without it. `AssertUnwindSafe` is justified the same way the poison
+/// recovery is: a faulted cell is never executed again, only read for
+/// final reporting.
+fn run_cell_window(cell: &mut CellRuntime, window_slots: u64, chunk_shard: &mut ExecTimeStats) {
     if cell.faulted {
         return;
     }
-    if catch_unwind(AssertUnwindSafe(|| run_cell(cell, exec_shard, chunk_shard))).is_err() {
-        cell.faulted = true;
-    }
-}
-
-/// [`run_cell_window`] under the same panic boundary as
-/// [`run_cell_guarded`]; a faulted cell reads as finished to the lockstep
-/// protocol, so the other cells keep exchanging without it.
-fn run_cell_window_guarded(
-    cell: &mut CellRuntime,
-    window_slots: u64,
-    chunk_shard: &mut ExecTimeStats,
-) {
-    if cell.faulted {
-        return;
-    }
-    if catch_unwind(AssertUnwindSafe(|| {
-        run_cell_window(cell, window_slots, chunk_shard)
-    }))
-    .is_err()
-    {
-        cell.faulted = true;
-    }
-}
-
-/// Run one cell to its configured end in report-period chunks, timing
-/// each chunk into `chunk_shard` and folding the cell's plugin execution
-/// times into `exec_shard`. Attached cells run the E2 boundary protocol
-/// between chunks.
-fn run_cell(
-    cell: &mut CellRuntime,
-    exec_shard: &mut ExecTimeStats,
-    chunk_shard: &mut ExecTimeStats,
-) {
-    let chunk_len = cell
-        .driver
-        .as_ref()
-        .map(|d| d.report_period_slots)
-        .unwrap_or(DETACHED_CHUNK_SLOTS)
-        .max(1);
-    while cell.scenario.remaining_slots() > 0 {
-        apply_due_pushes(cell);
-        let slot = cell.scenario.gnb.slot();
-        if let Some(driver) = cell.driver.as_mut() {
-            if driver.due(slot) {
-                driver.on_boundary(&mut cell.scenario, None);
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let chunk_len = cell
+            .driver
+            .as_ref()
+            .map_or(DETACHED_CHUNK_SLOTS, |d| d.report_period_slots)
+            .max(1);
+        let mut left = window_slots.min(cell.scenario.remaining_slots());
+        while left > 0 {
+            apply_due_pushes(cell);
+            let slot = cell.scenario.gnb.slot();
+            if let Some(driver) = cell.driver.as_mut() {
+                if driver.due(slot) {
+                    driver.on_boundary(&mut cell.scenario, cell.mobility.as_mut());
+                }
             }
+            let to_boundary = chunk_len - (slot % chunk_len);
+            // Stop early at the next scheduled push, so the swap lands at
+            // exactly its slot (same slot at any worker count).
+            let to_push = cell
+                .pushes
+                .first()
+                .map_or(u64::MAX, |p| p.slot.saturating_sub(slot).max(1));
+            let n = to_boundary.min(to_push).min(left);
+            let chunk_started = Instant::now();
+            cell.scenario.run_slots(n);
+            chunk_shard.record(chunk_started.elapsed());
+            left -= n;
         }
-        let to_boundary = chunk_len - (slot % chunk_len);
-        // Stop early at the next scheduled push, so the swap lands at
-        // exactly its slot (same slot at any worker count).
-        let to_push = cell
-            .pushes
-            .first()
-            .map(|p| p.slot.saturating_sub(slot).max(1))
-            .unwrap_or(u64::MAX);
-        let n = to_boundary
-            .min(to_push)
-            .min(cell.scenario.remaining_slots());
-        let chunk_started = Instant::now();
-        cell.scenario.run_slots(n);
-        chunk_shard.record(chunk_started.elapsed());
-    }
-    if let Some(driver) = cell.driver.as_mut() {
-        driver.finish(&mut cell.scenario, None);
-    }
-    cell.report = Some(cell.scenario.report());
-    for name in cell.scenario.slice_names().to_vec() {
-        if let Some(stats) = cell.scenario.plugin_stats(&name) {
-            exec_shard.merge(&stats);
-        }
+    }));
+    if ran.is_err() {
+        cell.faulted = true;
     }
 }
 
-/// The serial exchange at a window boundary: admit the previous window's
+/// The serial exchange at a window close: admit the previous window's
 /// in-transit departures in admission order, then collect this window's
 /// (cells visited in declaration order — the collection order is erased
-/// by the sort anyway). Returns true when every cell has finished. A free
-/// function over the cell slice so the threaded lockstep path can share
-/// it without capturing the (non-`Sync`) scenario itself.
-fn lockstep_exchange(
-    cells: &[Mutex<CellRuntime>],
-    in_transit: &mut Vec<Departure>,
-    records: &mut Vec<(u64, u64)>,
-    dropped: &mut u64,
-) -> bool {
+/// by the sort anyway). Returns true when every cell has finished. Without
+/// mobility there is nothing in transit and nothing to collect: the call
+/// only observes that every cell is done.
+fn lockstep_exchange(cells: &[Mutex<CellRuntime>], exchange: &mut Exchange) -> bool {
+    let Exchange {
+        in_transit,
+        records,
+        dropped,
+    } = exchange;
     for dep in in_transit.drain(..) {
         // A hostile or buggy RIC action can put an out-of-range (or
         // otherwise unserviceable) destination in flight; indexing
@@ -868,34 +751,6 @@ fn reject_at_source(cells: &[Mutex<CellRuntime>], src_cell: u32) {
     }
 }
 
-/// Run one cell for at most one exchange window, handling a due E2
-/// boundary first (boundaries only land on window starts — the builder
-/// validates the period divides).
-fn run_cell_window(cell: &mut CellRuntime, window_slots: u64, chunk_shard: &mut ExecTimeStats) {
-    if cell.scenario.remaining_slots() == 0 {
-        return;
-    }
-    // Lockstep cells apply scheduled pushes at window starts (windows are
-    // the deterministic boundary the exchange protocol already provides).
-    apply_due_pushes(cell);
-    let slot = cell.scenario.gnb.slot();
-    let CellRuntime {
-        scenario,
-        driver,
-        mobility,
-        ..
-    } = &mut *cell;
-    if let Some(driver) = driver.as_mut() {
-        if driver.due(slot) {
-            driver.on_boundary(scenario, mobility.as_mut());
-        }
-    }
-    let n = window_slots.min(scenario.remaining_slots());
-    let chunk_started = Instant::now();
-    scenario.run_slots(n);
-    chunk_shard.record(chunk_started.elapsed());
-}
-
 /// Aggregate view of the RIC plane after a run.
 #[derive(Debug, Clone, Default)]
 pub struct RicPlaneReport {
@@ -921,16 +776,6 @@ pub struct RicPlaneReport {
     pub agent_decode_errors: u64,
     /// Cells that lost the service mid-run and detached.
     pub detached_cells: u64,
-}
-
-/// Total scheduler-plugin calls a cell has made so far.
-fn cell_sched_calls(scenario: &Scenario) -> u64 {
-    scenario
-        .slice_names()
-        .iter()
-        .filter_map(|name| scenario.plugin_stats(name))
-        .map(|stats| stats.count())
-        .sum()
 }
 
 /// Governance counters for one cell, folded across its plugin slots at
@@ -1008,7 +853,7 @@ pub struct CellReport {
 pub struct MultiCellReport {
     /// Per-cell results in declaration order.
     pub cells: Vec<CellReport>,
-    /// Plugin execution-time statistics merged across all workers.
+    /// Plugin execution-time statistics folded across all cells.
     pub exec: ExecTimeStats,
     /// Wall time of each report-period slot chunk, merged across workers
     /// (the slot-loop latency the RIC attachment must not inflate).
@@ -1121,7 +966,7 @@ mod tests {
     use crate::mobility::HandoverMsg;
     use crate::scenario::SliceSpec;
 
-    fn deployment(cells: usize, seconds: f64) -> MultiCellScenario {
+    fn plain_deployment(cells: usize, seconds: f64) -> MultiCellScenarioBuilder {
         let mut b = MultiCellScenarioBuilder::new()
             .seconds(seconds)
             .base_seed(42);
@@ -1134,7 +979,11 @@ mod tests {
                 ),
             );
         }
-        b.build().unwrap()
+        b
+    }
+
+    fn deployment(cells: usize, seconds: f64) -> MultiCellScenario {
+        plain_deployment(cells, seconds).build().unwrap()
     }
 
     #[test]
@@ -1182,7 +1031,7 @@ mod tests {
             .build()
             .unwrap();
 
-        let mut in_transit = Vec::new();
+        let mut exchange = Exchange::default();
         {
             let mut cell = lock_recover(&d.cells[0]);
             let ids: Vec<u32> = cell
@@ -1195,7 +1044,7 @@ mod tests {
             assert!(ids.len() >= 2);
             for (i, ue_id) in ids.iter().take(2).enumerate() {
                 let (slice, ue) = cell.scenario.detach_ue(*ue_id).unwrap();
-                in_transit.push(Departure {
+                exchange.in_transit.push(Departure {
                     msg: HandoverMsg {
                         slot: 0,
                         src_cell: 0,
@@ -1212,12 +1061,10 @@ mod tests {
         }
         lock_recover(&d.cells[1]).faulted = true;
 
-        let mut records = Vec::new();
-        let mut dropped = 0u64;
-        lockstep_exchange(&d.cells, &mut in_transit, &mut records, &mut dropped);
+        lockstep_exchange(&d.cells, &mut exchange);
 
-        assert_eq!(dropped, 2, "both unserviceable departures dropped");
-        assert!(records.is_empty(), "nothing was admitted");
+        assert_eq!(exchange.dropped, 2, "both unserviceable departures dropped");
+        assert!(exchange.records.is_empty(), "nothing was admitted");
         assert_eq!(
             lock_recover(&d.cells[0])
                 .mobility
@@ -1352,6 +1199,82 @@ mod tests {
         // period (20 slots of 1 ms).
         assert_eq!(mob.interruption.count, mob.cross_cell_handovers);
         assert!((mob.interruption.mean_ms - 20.0).abs() < 1e-9);
+    }
+
+    /// A native scheduler that answers its first `self.0` calls with empty
+    /// grants, then panics: a logic bug inside one cell, at a slot that is
+    /// a pure function of the simulation.
+    struct PanicsAfter(u32);
+
+    impl waran_ransim::sched::SliceScheduler for PanicsAfter {
+        fn schedule(
+            &mut self,
+            _req: &waran_abi::sched::SchedRequest,
+        ) -> Result<waran_abi::sched::SchedResponse, waran_ransim::sched::SchedulerFault> {
+            self.0 = self.0.checked_sub(1).expect("injected scheduler panic");
+            Ok(Default::default())
+        }
+
+        fn name(&self) -> &str {
+            "panics-after"
+        }
+    }
+
+    #[test]
+    fn panicking_cell_is_fenced_off_and_the_deployment_finishes() {
+        use waran_ric::comm::TlvCodec;
+        use waran_ric::ric::NearRtRic;
+        // RIC attached, 20-slot reporting; cell 1's scheduler panics at
+        // slot 50, i.e. mid-chunk with a reply outstanding.
+        let run = |mobility: bool, sabotage: bool, workers: usize| {
+            let builder = if mobility {
+                mobile_deployment(3, 0.2)
+            } else {
+                plain_deployment(3, 0.2)
+            };
+            let mut d = builder
+                .ric(
+                    RicAttachment::new(
+                        Box::new(|| Box::new(TlvCodec)),
+                        Box::new(|_| NearRtRic::new()),
+                    )
+                    .report_period_slots(20),
+                )
+                .build()
+                .unwrap();
+            if sabotage {
+                lock_recover(&d.cells[1])
+                    .scenario
+                    .gnb
+                    .swap_scheduler(0, Box::new(PanicsAfter(50)));
+            }
+            // Returning at all is the first property: no abort, no worker
+            // left parked at a barrier.
+            let report = d.run(workers);
+            assert_eq!(report.faulted_cells(), u64::from(sabotage));
+            assert_eq!(report.cells[1].faulted, sabotage);
+            if sabotage {
+                // The finish pass left the faulted cell alone: its
+                // outstanding reply was never consumed.
+                let cell = lock_recover(&d.cells[1]);
+                let driver = cell.driver.as_ref().unwrap();
+                assert_eq!(driver.indications_sent, 2, "boundaries at 20 and 40");
+                assert_eq!(driver.action_batches_received, 1);
+                assert_eq!(report.cells[1].report.slots, 50);
+            }
+            report.cell_digests()
+        };
+
+        for mobility in [false, true] {
+            let one = run(mobility, true, 1);
+            assert_eq!(one, run(mobility, true, 2), "mobility {mobility}");
+        }
+        // Without mobility cells share nothing: the fault cost its own
+        // cell and nobody else's.
+        let clean = run(false, false, 2);
+        let faulted = run(false, true, 2);
+        assert_ne!(clean[1], faulted[1]);
+        assert_eq!((clean[0], clean[2]), (faulted[0], faulted[2]));
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! Closing the loop: gNB ↔ near-RT RIC.
 //!
-//! Two drivers share the same KPI-sampling and action-application logic:
-//!
-//! * [`RicLoop`] — the original synchronous single-cell loop: node and
-//!   RIC alternate turns over an unbounded duplex link, for examples and
-//!   single-scenario studies.
-//! * [`CellE2Driver`] — the multi-cell async plane's cell-side driver:
-//!   publishes indications onto a bounded [`RicBus`] at each report
-//!   boundary and applies the mailboxed action batches at the *next*
-//!   boundary, in `(answers_slot, arrival)` order. In
-//!   [`DeliveryMode::Deterministic`] it rendezvouses on the reply to its
-//!   previous indication first, which pins per-cell results regardless of
-//!   how many workers drive the deployment; in [`DeliveryMode::Lossy`] it
-//!   never waits and the bus sheds load by dropping its oldest frames.
+//! There is one path between a cell and the RIC: the bounded
+//! [`RicBus`] plane, attached to a deployment with
+//! [`MultiCellScenarioBuilder::ric`](crate::MultiCellScenarioBuilder::ric)
+//! (a single gNB is a one-cell deployment). [`CellE2Driver`] is the
+//! cell-side driver: it publishes an indication at each report boundary
+//! and applies the mailboxed action batches at the *next* boundary, in
+//! `(answers_slot, arrival)` order. In [`DeliveryMode::Deterministic`] it
+//! rendezvouses on the reply to its previous indication first, which pins
+//! per-cell results regardless of how many workers drive the deployment;
+//! in [`DeliveryMode::Lossy`] it never waits and the bus sheds load by
+//! dropping its oldest frames.
 //!
 //! Everything on the wire is a `CommCodec` — so two deployments can
 //! disagree on the encoding and still interoperate via an adapter plugin.
@@ -22,23 +20,13 @@ use std::time::Duration;
 use waran_ric::bus::{ActionBatch, CellPort, DeliveryMode, RicBus};
 use waran_ric::comm::CommCodec;
 use waran_ric::e2::{ControlAction, Indication, KpiReport};
-use waran_ric::link::{duplex, E2Agent, RecvOutcome, RicRuntime};
+use waran_ric::link::RecvOutcome;
 use waran_ric::ric::NearRtRic;
 
-use waran_ransim::channel::{DistanceChannel, MarkovFadingChannel};
+use waran_ransim::channel::MarkovFadingChannel;
 
 use crate::mobility::CellMobility;
 use crate::scenario::Scenario;
-
-/// How a handover is realized in the simulator: the UE's channel becomes
-/// the target cell's.
-#[derive(Debug, Clone, Copy)]
-pub enum HandoverModel {
-    /// Target cell has a good (cell-center) profile.
-    ToGoodCell,
-    /// Target cell at the given distance.
-    ToDistance(f64),
-}
 
 /// Snapshot the gNB's per-UE state as E2 KPI reports.
 pub fn sample_kpis(scenario: &Scenario) -> Vec<KpiReport> {
@@ -68,12 +56,11 @@ pub enum AppliedAction {
     Rejected,
 }
 
-/// Apply one control action onto a scenario's gNB.
-pub fn apply_action(
-    scenario: &mut Scenario,
-    handover: HandoverModel,
-    action: ControlAction,
-) -> AppliedAction {
+/// Apply one control action onto a scenario's gNB. Without a cell grid
+/// to move across, a handover is realized as a channel change: the UE's
+/// channel becomes that of a target cell with a good (cell-center)
+/// profile.
+pub fn apply_action(scenario: &mut Scenario, action: ControlAction) -> AppliedAction {
     match action {
         ControlAction::SetSliceTarget {
             slice_id,
@@ -86,11 +73,8 @@ pub fn apply_action(
             ue_id,
             target_cell: _,
         } => {
-            let channel: Box<dyn waran_ransim::channel::ChannelModel> = match handover {
-                HandoverModel::ToGoodCell => Box::new(MarkovFadingChannel::good()),
-                HandoverModel::ToDistance(m) => Box::new(DistanceChannel::new(m)),
-            };
-            if scenario.gnb.set_ue_channel(ue_id, channel) {
+            let good_cell = Box::new(MarkovFadingChannel::good());
+            if scenario.gnb.set_ue_channel(ue_id, good_cell) {
                 AppliedAction::Handover
             } else {
                 AppliedAction::Rejected
@@ -103,118 +87,34 @@ pub fn apply_action(
     }
 }
 
-/// The driver connecting a scenario to a RIC.
-pub struct RicLoop {
-    agent: E2Agent,
-    runtime: RicRuntime,
-    handover: HandoverModel,
-    /// Control actions applied to the gNB, by kind.
-    pub applied_slice_targets: u64,
-    /// Handovers applied.
-    pub applied_handovers: u64,
-    /// Actions that could not be applied (unknown ids).
-    pub rejected_actions: u64,
-}
-
-impl RicLoop {
-    /// Connect: node side speaks `node_codec`, RIC side `ric_codec`, xApps
-    /// run inside `ric`. Reporting every `report_period_slots`.
-    pub fn new(
-        node_codec: Box<dyn CommCodec>,
-        ric_codec: Box<dyn CommCodec>,
-        ric: NearRtRic,
-        report_period_slots: u64,
-    ) -> Self {
-        let (node_ep, ric_ep) = duplex();
-        RicLoop {
-            agent: E2Agent::new(node_codec, node_ep, report_period_slots),
-            runtime: RicRuntime::new(ric_codec, ric_ep, ric),
-            handover: HandoverModel::ToGoodCell,
-            applied_slice_targets: 0,
-            applied_handovers: 0,
-            rejected_actions: 0,
-        }
-    }
-
-    /// Configure the handover realization.
-    pub fn with_handover_model(mut self, model: HandoverModel) -> Self {
-        self.handover = model;
-        self
-    }
-
-    /// The gNB-side agent (counters).
-    pub fn agent(&self) -> &E2Agent {
-        &self.agent
-    }
-
-    /// The RIC runtime (KPI store, xApps).
-    pub fn ric(&self) -> &NearRtRic {
-        &self.runtime.ric
-    }
-
-    /// Drive the scenario for `slots`, exchanging indications and control
-    /// actions at the configured period.
-    pub fn run_slots(&mut self, scenario: &mut Scenario, slots: u64) {
-        for _ in 0..slots {
-            if scenario.remaining_slots() == 0 {
-                break;
-            }
-            let slot = scenario.gnb.slot();
-            if self.agent.due(slot) {
-                let reports = sample_kpis(scenario);
-                self.agent.report(&Indication { slot, reports });
-                self.runtime.poll();
-                for action in self.agent.poll_actions() {
-                    match apply_action(scenario, self.handover, action) {
-                        AppliedAction::SliceTarget => self.applied_slice_targets += 1,
-                        AppliedAction::Handover => self.applied_handovers += 1,
-                        AppliedAction::Rejected => self.rejected_actions += 1,
-                    }
-                }
-            }
-            scenario.run_slots(1);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The multi-cell attachment
-// ---------------------------------------------------------------------
-
 /// Builds the per-cell node codec and the service-side codec+RIC.
 pub type CodecFactory = Box<dyn Fn() -> Box<dyn CommCodec> + Send + Sync>;
 /// Builds a cell's RIC state (xApps included), keyed by cell id.
 pub type RicFactory = Box<dyn Fn(u32) -> NearRtRic + Send + Sync>;
 
-/// Configuration for attaching a multi-cell deployment to the RIC plane.
+/// Configuration for attaching a deployment to the RIC plane.
 pub struct RicAttachment {
     /// Reporting period, slots (reports land at period *ends*).
     pub report_period_slots: u64,
     /// Bound on in-flight indications on the shared bus.
     pub bus_capacity: usize,
-    /// Bound on each cell's action mailbox.
-    pub mailbox_capacity: usize,
     /// Delivery discipline (deterministic rendezvous vs lossy drop-oldest).
     pub mode: DeliveryMode,
     /// Injected per-indication service delay (stall simulation).
     pub service_delay: Duration,
-    /// Handover realization for applied actions.
-    pub handover: HandoverModel,
     codec_factory: CodecFactory,
     ric_factory: RicFactory,
 }
 
 impl RicAttachment {
     /// Attachment with deployment defaults: deterministic delivery,
-    /// 100-slot reporting, a 64-frame bus, 16-batch mailboxes.
+    /// 100-slot reporting, a 64-frame bus.
     pub fn new(codec_factory: CodecFactory, ric_factory: RicFactory) -> Self {
         RicAttachment {
             report_period_slots: 100,
             bus_capacity: 64,
-            mailbox_capacity: 16,
             mode: DeliveryMode::Deterministic,
             service_delay: Duration::ZERO,
-            handover: HandoverModel::ToGoodCell,
             codec_factory,
             ric_factory,
         }
@@ -232,12 +132,6 @@ impl RicAttachment {
         self
     }
 
-    /// Set the per-cell mailbox capacity, batches.
-    pub fn mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.mailbox_capacity = capacity.max(1);
-        self
-    }
-
     /// Set the delivery discipline.
     pub fn mode(mut self, mode: DeliveryMode) -> Self {
         self.mode = mode;
@@ -250,17 +144,9 @@ impl RicAttachment {
         self
     }
 
-    /// Set the handover realization.
-    pub fn handover_model(mut self, model: HandoverModel) -> Self {
-        self.handover = model;
-        self
-    }
-
     /// The bus this attachment describes (cells still unregistered).
     pub fn build_bus(&self) -> RicBus {
-        RicBus::new(self.bus_capacity, self.mode)
-            .mailbox_capacity(self.mailbox_capacity)
-            .service_delay(self.service_delay)
+        RicBus::new(self.bus_capacity, self.mode).service_delay(self.service_delay)
     }
 
     /// Register `cell_id` on `bus` and return its driver.
@@ -270,7 +156,6 @@ impl RicAttachment {
             port,
             codec: (self.codec_factory)(),
             mode: self.mode,
-            handover: self.handover,
             report_period_slots: self.report_period_slots,
             attached: true,
             awaiting_reply: false,
@@ -295,7 +180,6 @@ pub struct CellE2Driver {
     port: CellPort,
     codec: Box<dyn CommCodec>,
     mode: DeliveryMode,
-    handover: HandoverModel,
     /// Reporting period, slots.
     pub report_period_slots: u64,
     attached: bool,
@@ -320,8 +204,10 @@ impl CellE2Driver {
         self.attached
     }
 
-    /// True when `slot` closes a reporting period (same end-of-period
-    /// rule as [`E2Agent::due`]).
+    /// True when `slot` closes a reporting period. Reports happen at the
+    /// *end* of each period — the first at `report_period_slots` — so an
+    /// indication always covers real traffic; sampling at slot 0 would
+    /// feed all-zero KPIs into every xApp hysteresis window.
     pub fn due(&self, slot: u64) -> bool {
         slot > 0 && slot.is_multiple_of(self.report_period_slots)
     }
@@ -333,8 +219,8 @@ impl CellE2Driver {
     ///
     /// With `mobility` attached, `ControlAction::Handover` becomes a
     /// *cross-cell* command queued for the next exchange boundary; the
-    /// channel-swap [`HandoverModel`] stays the degenerate within-cell
-    /// case for detached-mobility deployments.
+    /// channel swap of [`apply_action`] stays the degenerate within-cell
+    /// case for deployments without mobility.
     pub fn on_boundary(&mut self, scenario: &mut Scenario, mobility: Option<&mut CellMobility>) {
         if !self.attached {
             return;
@@ -421,7 +307,7 @@ impl CellE2Driver {
                             }
                             continue;
                         }
-                        match apply_action(scenario, self.handover, action) {
+                        match apply_action(scenario, action) {
                             AppliedAction::SliceTarget => self.applied_slice_targets += 1,
                             AppliedAction::Handover => self.applied_handovers += 1,
                             AppliedAction::Rejected => self.rejected_actions += 1,
@@ -436,36 +322,61 @@ impl CellE2Driver {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
+    use crate::multicell::{CellSpec, MultiCellReport, MultiCellScenarioBuilder};
     use crate::scenario::{ChannelSpec, ScenarioBuilder, SchedKind, SliceSpec, TrafficSpec};
+    use waran_abi::CodecError;
+    use waran_ric::bus::ServiceReport;
     use waran_ric::comm::TlvCodec;
-    use waran_ric::ric::{SliceSlaAssurance, TrafficSteering};
+    use waran_ric::e2::ACTION_RECORD_LEN;
+    use waran_ric::ric::{SliceSlaAssurance, TrafficSteering, XApp};
+
+    /// A single gNB attached to the RIC: the one-cell deployment, TLV on
+    /// the wire, 100-slot reporting.
+    fn run_one_cell(
+        seconds: f64,
+        slices: Vec<SliceSpec>,
+        xapp: fn() -> Box<dyn XApp>,
+    ) -> MultiCellReport {
+        let mut cell = CellSpec::new("gnb");
+        for slice in slices {
+            cell = cell.slice(slice);
+        }
+        MultiCellScenarioBuilder::new()
+            .seconds(seconds)
+            .cell(cell)
+            .ric(RicAttachment::new(
+                Box::new(|| Box::new(TlvCodec)),
+                Box::new(move |_cell| {
+                    let mut ric = NearRtRic::new();
+                    ric.add_xapp(xapp());
+                    ric
+                }),
+            ))
+            .build()
+            .unwrap()
+            .run(1)
+    }
 
     #[test]
     fn traffic_steering_rescues_cell_edge_ue() {
-        let mut scenario = ScenarioBuilder::new()
-            .slice(
-                SliceSpec::new("s", SchedKind::ProportionalFair)
-                    .ue(ChannelSpec::FadingGood, TrafficSpec::FullBuffer)
-                    .ue(ChannelSpec::Distance(900.0), TrafficSpec::FullBuffer),
-            )
-            .seconds(4.0)
-            .build()
-            .unwrap();
-        let mut ric = NearRtRic::new();
-        ric.add_xapp(Box::new(TrafficSteering::new(5, 3, 1)));
-        let mut ric_loop = RicLoop::new(Box::new(TlvCodec), Box::new(TlvCodec), ric, 100)
-            .with_handover_model(HandoverModel::ToGoodCell);
+        let report = run_one_cell(
+            4.0,
+            vec![SliceSpec::new("s", SchedKind::ProportionalFair)
+                .ue(ChannelSpec::FadingGood, TrafficSpec::FullBuffer)
+                .ue(ChannelSpec::Distance(900.0), TrafficSpec::FullBuffer)],
+            || Box::new(TrafficSteering::new(5, 3, 1)),
+        );
 
-        let edge_ue = scenario.slice_ues("s")[1];
-        ric_loop.run_slots(&mut scenario, 4000);
-
-        assert!(ric_loop.applied_handovers >= 1, "steering should fire");
+        let ric = report.ric.as_ref().expect("attached run reports the plane");
+        assert!(ric.applied_handovers >= 1, "steering should fire");
         // After the handover the edge UE's rate improves markedly.
-        let report = scenario.report();
-        let series = &report.ue(edge_ue).unwrap().series_mbps;
+        let series = &report.cells[0].report.slice("s").unwrap().ues[1].series_mbps;
         // The first window (100 ms) predates the handover (hysteresis of 3
-        // reports at a 100-slot period ≈ 300 ms); the tail is post-handover.
+        // reports at a 100-slot period, applied one boundary later ≈
+        // 400 ms); the tail is post-handover.
         let early = series[0];
         let late: f64 = series[series.len() - 5..].iter().sum::<f64>() / 5.0;
         assert!(early < 3.0, "cell-edge UE should start slow, got {early}");
@@ -474,28 +385,22 @@ mod tests {
 
     #[test]
     fn sla_assurance_boosts_underperforming_slice() {
-        // A slice with an SLA it cannot quite meet under its initial
-        // target; the xApp raises the enforced target.
-        let mut scenario = ScenarioBuilder::new()
-            .slice(
+        // SLA is 12 Mb/s but the configured target is 10: the slice will
+        // underperform its SLA until the xApp raises the enforced target.
+        let report = run_one_cell(
+            3.0,
+            vec![
                 SliceSpec::new("gold", SchedKind::RoundRobin)
                     .target_mbps(10.0)
                     .ues(2),
-            )
-            .slice(SliceSpec::new("rest", SchedKind::RoundRobin).ues(2))
-            .seconds(3.0)
-            .build()
-            .unwrap();
-        // SLA is 12 Mb/s but the configured target is 10: the slice will
-        // underperform its SLA until the xApp intervenes.
-        let mut ric = NearRtRic::new();
-        ric.add_xapp(Box::new(SliceSlaAssurance::new(&[(0, 12e6)])));
-        let mut ric_loop = RicLoop::new(Box::new(TlvCodec), Box::new(TlvCodec), ric, 100);
-        ric_loop.run_slots(&mut scenario, 3000);
+                SliceSpec::new("rest", SchedKind::RoundRobin).ues(2),
+            ],
+            || Box::new(SliceSlaAssurance::new(&[(0, 12e6)])),
+        );
 
-        assert!(ric_loop.applied_slice_targets >= 1, "SLA xApp should act");
-        let report = scenario.report();
-        let gold = report.slice("gold").unwrap();
+        let ric = report.ric.as_ref().expect("attached run reports the plane");
+        assert!(ric.applied_slice_targets >= 1, "SLA xApp should act");
+        let gold = report.cells[0].report.slice("gold").unwrap();
         // Late-run rate approaches the SLA thanks to the boost.
         assert!(
             gold.recent_rate_mbps(5) > 10.5,
@@ -504,27 +409,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn kpis_flow_to_ric_store() {
-        let mut scenario = ScenarioBuilder::new()
-            .slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(3))
-            .seconds(1.0)
-            .build()
-            .unwrap();
-        let mut ric_loop =
-            RicLoop::new(Box::new(TlvCodec), Box::new(TlvCodec), NearRtRic::new(), 50);
-        ric_loop.run_slots(&mut scenario, 1000);
-        // End-of-period reporting: slots 50, 100, …, 950 → 19 indications
-        // (slot 0 carries no traffic and slot 1000 is past the run).
-        assert_eq!(ric_loop.agent().indications_sent, 19);
-        let kpis = ric_loop.ric().kpis();
-        assert_eq!(kpis.ues().count(), 3);
-        assert!(kpis.slice_tput_bps(0) > 0.0);
+    /// Drive one standalone scenario through the boundary protocol
+    /// against a live service, 100-slot reporting.
+    fn drive(attachment: RicAttachment, scenario: &mut Scenario) -> (CellE2Driver, ServiceReport) {
+        let mut bus = attachment.build_bus();
+        let mut driver = attachment.driver(0, &mut bus);
+        let service = bus.start();
+        while scenario.remaining_slots() > 0 {
+            let slot = scenario.gnb.slot();
+            if driver.due(slot) {
+                driver.on_boundary(scenario, None);
+            }
+            scenario.run_slots(100 - (slot % 100));
+        }
+        driver.finish(scenario, None);
+        (driver, service.stop())
     }
 
-    #[test]
-    fn cell_driver_applies_actions_at_next_boundary() {
-        let mut scenario = ScenarioBuilder::new()
+    fn edge_ue_scenario() -> Scenario {
+        ScenarioBuilder::new()
             .slice(
                 SliceSpec::new("s", SchedKind::ProportionalFair)
                     .ue(ChannelSpec::FadingGood, TrafficSpec::FullBuffer)
@@ -532,7 +435,11 @@ mod tests {
             )
             .seconds(2.0)
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn cell_driver_applies_actions_at_next_boundary() {
         let attachment = RicAttachment::new(
             Box::new(|| Box::new(TlvCodec)),
             Box::new(|_cell| {
@@ -540,29 +447,74 @@ mod tests {
                 ric.add_xapp(Box::new(TrafficSteering::new(5, 2, 1)));
                 ric
             }),
-        )
-        .report_period_slots(100);
-        let mut bus = attachment.build_bus();
-        let mut driver = attachment.driver(0, &mut bus);
-        let service = bus.start();
-
-        while scenario.remaining_slots() > 0 {
-            let slot = scenario.gnb.slot();
-            if driver.due(slot) {
-                driver.on_boundary(&mut scenario, None);
-            }
-            scenario.run_slots(100 - (slot % 100));
-        }
-        driver.finish(&mut scenario, None);
-        let report = service.stop();
+        );
+        let (driver, report) = drive(attachment, &mut edge_ue_scenario());
 
         assert!(driver.is_attached());
+        // End-of-period reporting: slots 100, 200, …, 1900 → 19
+        // indications (slot 0 carries no traffic and slot 2000 is past
+        // the run).
         assert_eq!(driver.indications_sent, 19);
         // Every indication was answered (reply-per-indication protocol).
         assert_eq!(driver.action_batches_received, 19);
         assert!(driver.applied_handovers >= 1, "steering should fire");
         assert_eq!(report.indications_handled, 19);
         assert_eq!(driver.decode_errors, 0);
+    }
+
+    /// TLV on the wire, except that the encoder the *service* replies
+    /// through is hostile: replies alternate between plain garbage and a
+    /// well-formed frame whose packed list carries one good action, one
+    /// unknown-tag record and a truncated trailer.
+    struct HostileReplies(AtomicU64);
+
+    impl CommCodec for HostileReplies {
+        fn encode_indication(&self, ind: &Indication) -> Vec<u8> {
+            TlvCodec.encode_indication(ind)
+        }
+        fn decode_indication(&self, bytes: &[u8]) -> Result<Indication, CodecError> {
+            TlvCodec.decode_indication(bytes)
+        }
+        fn encode_actions(&self, _actions: &[ControlAction]) -> Vec<u8> {
+            if self.0.fetch_add(1, Ordering::Relaxed).is_multiple_of(2) {
+                return vec![0xff, 0x00, 0x13];
+            }
+            let mut packed =
+                ControlAction::list_to_bytes(&[ControlAction::SetCqiTable { ue_id: 9, table: 1 }]);
+            packed.extend_from_slice(&[0x77; ACTION_RECORD_LEN]);
+            packed.extend_from_slice(&[0x01; 5]);
+            let mut w = waran_abi::tlv::TlvWriter::new();
+            w.bytes(3, &packed);
+            w.finish()
+        }
+        fn decode_actions(&self, bytes: &[u8]) -> Result<(Vec<ControlAction>, usize), CodecError> {
+            TlvCodec.decode_actions(bytes)
+        }
+        fn name(&self) -> &'static str {
+            "hostile-replies"
+        }
+    }
+
+    #[test]
+    fn cell_driver_counts_hostile_action_frames() {
+        // A misbehaving RIC cannot crash the node: undecodable batches
+        // and skipped records fold into `decode_errors`, what did decode
+        // is still applied, and the cell stays attached.
+        let attachment = RicAttachment::new(
+            Box::new(|| Box::new(HostileReplies(AtomicU64::new(0)))),
+            Box::new(|_cell| NearRtRic::new()),
+        );
+        let (driver, report) = drive(attachment, &mut edge_ue_scenario());
+
+        assert!(driver.is_attached());
+        assert_eq!(report.indications_handled, 19);
+        assert_eq!(driver.action_batches_received, 19);
+        // 10 garbage batches (1 each) + 9 spliced batches (unknown tag +
+        // truncation = 2 each).
+        assert_eq!(driver.decode_errors, 10 + 9 * 2);
+        // The one decodable action per spliced batch reached the gNB
+        // (where `SetCqiTable` is unmodelled, hence counted as rejected).
+        assert_eq!(driver.rejected_actions, 9);
     }
 
     #[test]

@@ -344,22 +344,16 @@ fn soak_digests(embb_slot: u64, mobility: Option<MobilityAttachment>) -> Vec<u64
 
 #[test]
 fn scheduled_fleet_pushes_roll_back_identically_at_any_worker_count() {
-    // Free-running engine: each cell stops its chunk early so the swap
-    // lands at exactly the push slot.
-    let exact = soak_digests(50, None);
-    assert_ne!(
-        exact,
-        soak_digests(60, None),
-        "free-running pushes land at their own slot"
-    );
-
-    // Lockstep engine: pushes apply at exchange-window starts, so slot 50
-    // (windows open at 40 and 60) behaves exactly like slot 60 and unlike
-    // slot 40.
+    // Every cell ends its chunk at the push slot, so the swap lands at
+    // exactly that slot — slot 50 behaves like neither slot 60 nor slot 40
+    // — whether the fleet runs as one window or, with mobility attached,
+    // in 20-slot exchange windows the push slot does not align with.
     let window = MobilityAttachment::new().exchange_period_slots(20);
-    let deferred = soak_digests(50, Some(window));
-    assert_eq!(deferred, soak_digests(60, Some(window)));
-    assert_ne!(deferred, soak_digests(40, Some(window)));
+    for mobility in [None, Some(window)] {
+        let exact = soak_digests(50, mobility);
+        assert_ne!(exact, soak_digests(60, mobility), "{mobility:?}");
+        assert_ne!(exact, soak_digests(40, mobility), "{mobility:?}");
+    }
 }
 
 proptest! {

@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use waran_core::{
-    CellSpec, ChannelSpec, HandoverModel, MultiCellReport, MultiCellScenarioBuilder, RicAttachment,
-    SchedKind, SliceSpec, TrafficSpec,
+    CellSpec, ChannelSpec, MultiCellReport, MultiCellScenarioBuilder, RicAttachment, SchedKind,
+    SliceSpec, TrafficSpec,
 };
 use waran_ric::bus::DeliveryMode;
 use waran_ric::comm::TlvCodec;
@@ -60,7 +60,6 @@ fn attachment() -> RicAttachment {
     .report_period_slots(100)
     .bus_capacity(8)
     .mode(DeliveryMode::Deterministic)
-    .handover_model(HandoverModel::ToGoodCell)
 }
 
 fn run_attached(workers: usize) -> MultiCellReport {

@@ -66,6 +66,11 @@ pub enum DeliveryMode {
     Lossy,
 }
 
+/// Bound on each cell's action mailbox, batches. A cell drains its
+/// mailbox at every report boundary, so depth only builds while the cell
+/// itself is stalled; overflow displaces the oldest batch.
+const MAILBOX_CAPACITY: usize = 16;
+
 struct ServiceCell {
     codec: Box<dyn CommCodec>,
     ric: NearRtRic,
@@ -78,7 +83,6 @@ pub struct RicBus {
     mode: DeliveryMode,
     ingress_tx: QueueSender<BusFrame>,
     ingress_rx: QueueReceiver<BusFrame>,
-    mailbox_capacity: usize,
     service_delay: Duration,
     cells: BTreeMap<u32, ServiceCell>,
     drops: Arc<Mutex<BTreeMap<u32, u64>>>,
@@ -87,22 +91,15 @@ pub struct RicBus {
 impl RicBus {
     /// A bus holding at most `capacity` in-flight indications.
     pub fn new(capacity: usize, mode: DeliveryMode) -> Self {
-        let (ingress_tx, ingress_rx) = queue(Some(capacity));
+        let (ingress_tx, ingress_rx) = queue(capacity);
         RicBus {
             mode,
             ingress_tx,
             ingress_rx,
-            mailbox_capacity: 16,
             service_delay: Duration::ZERO,
             cells: BTreeMap::new(),
             drops: Arc::new(Mutex::new(BTreeMap::new())),
         }
-    }
-
-    /// Bound each cell's action mailbox at `capacity` batches.
-    pub fn mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.mailbox_capacity = capacity.max(1);
-        self
     }
 
     /// Inject a per-indication processing delay — a stand-in for a slow
@@ -121,7 +118,7 @@ impl RicBus {
         codec: Box<dyn CommCodec>,
         ric: NearRtRic,
     ) -> CellPort {
-        let (reply_tx, mailbox) = queue(Some(self.mailbox_capacity));
+        let (reply_tx, mailbox) = queue(MAILBOX_CAPACITY);
         let prev = self.cells.insert(
             cell_id,
             ServiceCell {
@@ -324,7 +321,7 @@ pub struct ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::TlvCodec;
+    use crate::comm::{JsonCodec, PbCodec, TlvCodec};
     use crate::e2::{ControlAction, Indication, KpiReport};
     use crate::ric::TrafficSteering;
 
@@ -385,33 +382,55 @@ mod tests {
     }
 
     #[test]
-    fn per_cell_ric_state_is_independent() {
+    fn per_cell_ric_state_and_codec_are_independent() {
         // Cell 0 sends two bad reports (handover); cell 1 sends one
         // (no handover). Interleaving on the shared bus must not let cell
-        // 1's report advance cell 0's hysteresis or vice versa.
+        // 1's report advance cell 0's hysteresis or vice versa. Cell 1's
+        // vendor stack picked pbwire on both ends of its wire; cell 2's
+        // node speaks TLV at a service expecting JSON — the §3.B mismatch
+        // an adapter plugin fixes — and must cost decode errors, not the
+        // plane.
         let mut bus = RicBus::new(8, DeliveryMode::Deterministic);
         let p0 = bus.register(0, Box::new(TlvCodec), steering_ric());
-        let p1 = bus.register(1, Box::new(TlvCodec), steering_ric());
+        let p1 = bus.register(1, Box::new(PbCodec), steering_ric());
+        let p2 = bus.register(2, Box::new(JsonCodec), steering_ric());
         let service = bus.start();
 
-        let publish = |port: &CellPort, slot: u64| {
+        let publish = |port: &CellPort, codec: &dyn CommCodec, slot: u64| {
             let ind = Indication {
                 slot,
                 reports: vec![bad_kpi(7)],
             };
-            assert!(port.publish(slot, TlvCodec.encode_indication(&ind)));
+            assert!(port.publish(slot, codec.encode_indication(&ind)));
             let RecvOutcome::Msg(batch) = port.await_reply(Duration::from_secs(5)) else {
                 panic!("no reply");
             };
-            TlvCodec.decode_actions(&batch.frame).unwrap().0
+            batch.frame
         };
+        let actions =
+            |codec: &dyn CommCodec, frame: Vec<u8>| codec.decode_actions(&frame).unwrap().0;
 
-        assert!(publish(&p0, 10).is_empty());
-        assert!(publish(&p1, 10).is_empty());
-        let actions = publish(&p0, 20);
-        assert_eq!(actions.len(), 1, "cell 0 hit its own hysteresis");
-        assert!(publish(&p1, 20).len() == 1, "so did cell 1, independently");
-        service.stop();
+        assert!(actions(&TlvCodec, publish(&p0, &TlvCodec, 10)).is_empty());
+        assert!(actions(&PbCodec, publish(&p1, &PbCodec, 10)).is_empty());
+        // Mismatched codecs, then plain garbage: every frame is a decode
+        // error at the service, yet each is still answered (with an empty
+        // batch in the *service's* codec) so the cell never deadlocks.
+        assert!(actions(&JsonCodec, publish(&p2, &TlvCodec, 10)).is_empty());
+        assert!(p2.publish(20, vec![0xff, 0x00, 0x13]));
+        assert!(matches!(
+            p2.await_reply(Duration::from_secs(5)),
+            RecvOutcome::Msg(_)
+        ));
+        let steered = actions(&TlvCodec, publish(&p0, &TlvCodec, 20));
+        assert_eq!(steered.len(), 1, "cell 0 hit its own hysteresis");
+        let steered = actions(&PbCodec, publish(&p1, &PbCodec, 20));
+        assert_eq!(steered.len(), 1, "so did cell 1, independently");
+
+        let report = service.stop();
+        assert_eq!(report.indications_handled, 4);
+        assert_eq!(report.decode_errors, 2, "cell 2's frames, nobody else's");
+        assert_eq!(report.reply_frames_sent, 6);
+        assert_eq!(report.actions_emitted, 2);
     }
 
     #[test]

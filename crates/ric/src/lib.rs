@@ -8,12 +8,12 @@
 //! * [`comm`] — communication plugins: the [`comm::CommCodec`] wire choice
 //!   (TLV / protobuf-wire / JSON, or an arbitrary Wasm plugin via
 //!   [`comm::WasmCommPlugin`]).
-//! * [`link`] — the in-process duplex "wire" (bounded or unbounded, with
-//!   drop-oldest accounting), the gNB-side [`link::E2Agent`] and the
-//!   RIC-side [`link::RicRuntime`].
-//! * [`bus`] — the multi-cell RIC plane: a bounded MPSC bus into one
-//!   service thread hosting per-cell RIC state, with per-cell action
-//!   mailboxes and explicit backpressure.
+//! * [`link`] — the in-process "wire": a bounded MPSC queue with
+//!   drop-oldest or blocking sends and depth/drop accounting.
+//! * [`bus`] — the RIC plane, and the only path between a cell and the
+//!   RIC: a bounded MPSC bus into one service thread hosting per-cell
+//!   RIC state, with per-cell action mailboxes and explicit backpressure
+//!   (a single gNB is a one-cell deployment on the same bus).
 //! * [`ric`] — the near-RT RIC host: KPI store, xApp lifecycle (native or
 //!   [`ric::WasmXApp`] sandboxed), inter-xApp messaging host functions,
 //!   and two reference xApps (traffic steering, slice SLA assurance).
@@ -30,5 +30,5 @@ pub mod ric;
 pub use bus::{ActionBatch, BusFrame, CellPort, DeliveryMode, RicBus, RicService, ServiceReport};
 pub use comm::{CommCodec, JsonCodec, PbCodec, TlvCodec, WasmCommPlugin};
 pub use e2::{ControlAction, Indication, KpiReport};
-pub use link::{duplex, duplex_bounded, E2Agent, Endpoint, RecvOutcome, RicRuntime, SendOutcome};
+pub use link::{RecvOutcome, SendOutcome};
 pub use ric::{NearRtRic, SliceSlaAssurance, TrafficSteering, WasmXApp, XApp, XAppCtx};

@@ -1,34 +1,20 @@
-//! The in-process "wire" between an E2 node and the near-RT RIC, plus the
-//! agents that speak over it through communication plugins.
+//! The in-process "wire" of the RIC plane: a bounded MPSC queue.
 //!
-//! Frames are opaque byte vectors — whatever the chosen
-//! [`CommCodec`] produced — carried over a duplex
-//! pair of channels. This stands in for the paper's
-//! ZeroMQ/Kafka/SCTP transport choice while keeping the plugin-wrapped
-//! encode/decode path identical.
-//!
-//! Two link disciplines exist:
-//!
-//! * [`duplex`] — the original unbounded pair, for the synchronous
-//!   single-cell [`RicLoop`](../../waran_core/ric_glue/struct.RicLoop.html)
-//!   where the node and RIC alternate turns and depth can never grow.
-//! * [`duplex_bounded`] — a bounded pair with **drop-oldest** overflow and
-//!   depth/drop accounting ([`QueueDepthStats`]). This is the discipline
-//!   the multi-cell RIC plane ([`crate::bus`]) runs on: a stalled or slow
-//!   RIC must cost stale frames, never node memory.
+//! This stands in for the paper's ZeroMQ/Kafka/SCTP transport choice. It
+//! carries whatever the chosen [`CommCodec`](crate::comm::CommCodec)
+//! produced — the multi-cell plane ([`crate::bus`]) builds its shared
+//! indication bus and every per-cell action mailbox on it. The depth is
+//! always bounded; the overflow policy is chosen per send call:
+//! **drop-oldest** ([`QueueSender::send`], with depth/drop accounting in
+//! [`QueueDepthStats`]) so a stalled or slow RIC costs stale frames, never
+//! node memory, or blocking ([`QueueSender::send_wait`]) for the
+//! deterministic delivery mode where no frame may be lost.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use waran_host::QueueDepthStats;
-
-use crate::comm::CommCodec;
-use crate::e2::{ControlAction, Indication};
-
-// ---------------------------------------------------------------------
-// The queue primitive: MPSC, optionally bounded with drop-oldest
-// ---------------------------------------------------------------------
 
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -40,8 +26,8 @@ struct QueueState<T> {
 }
 
 struct QueueShared<T> {
-    /// `None` = unbounded; `Some(c)` = at most `c` queued items.
-    cap: Option<usize>,
+    /// At most this many queued items.
+    cap: usize,
     state: Mutex<QueueState<T>>,
     recv_cv: Condvar,
     send_cv: Condvar,
@@ -96,12 +82,11 @@ pub struct QueueSender<T>(Arc<QueueShared<T>>);
 /// Receiving half of a [`queue`] (single consumer).
 pub struct QueueReceiver<T>(Arc<QueueShared<T>>);
 
-/// An MPSC queue; `capacity: None` is unbounded, `Some(c)` bounds the
-/// depth at `c.max(1)` with the overflow policy chosen per send call
-/// (lossy drop-oldest or blocking).
-pub fn queue<T>(capacity: Option<usize>) -> (QueueSender<T>, QueueReceiver<T>) {
+/// An MPSC queue holding at most `capacity.max(1)` items, with the
+/// overflow policy chosen per send call (lossy drop-oldest or blocking).
+pub fn queue<T>(capacity: usize) -> (QueueSender<T>, QueueReceiver<T>) {
     let shared = Arc::new(QueueShared {
-        cap: capacity.map(|c| c.max(1)),
+        cap: capacity.max(1),
         state: Mutex::new(QueueState {
             items: VecDeque::new(),
             senders: 1,
@@ -158,12 +143,11 @@ impl<T> QueueSender<T> {
         if !s.rx_alive {
             return SendOutcome::Disconnected(item);
         }
-        let displaced = match self.0.cap {
-            Some(cap) if s.items.len() >= cap => {
-                s.dropped += 1;
-                s.items.pop_front()
-            }
-            _ => None,
+        let displaced = if s.items.len() >= self.0.cap {
+            s.dropped += 1;
+            s.items.pop_front()
+        } else {
+            None
         };
         s.items.push_back(item);
         s.enqueued += 1;
@@ -185,8 +169,7 @@ impl<T> QueueSender<T> {
             if !s.rx_alive {
                 return Err(item);
             }
-            let full = matches!(self.0.cap, Some(cap) if s.items.len() >= cap);
-            if !full {
+            if s.items.len() < self.0.cap {
                 s.items.push_back(item);
                 s.enqueued += 1;
                 s.max_depth = s.max_depth.max(s.items.len() as u64);
@@ -263,237 +246,33 @@ impl<T> QueueReceiver<T> {
     pub fn stats(&self) -> QueueDepthStats {
         self.0.stats()
     }
-
-    /// Items currently queued.
-    pub fn depth(&self) -> usize {
-        self.0.depth()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Duplex byte-frame endpoints
-// ---------------------------------------------------------------------
-
-/// One end of a duplex byte-frame link.
-pub struct Endpoint {
-    tx: QueueSender<Vec<u8>>,
-    rx: QueueReceiver<Vec<u8>>,
-}
-
-impl Endpoint {
-    /// Send one frame (never blocks; a bounded link displaces its oldest
-    /// frame, an unbounded link always queues).
-    pub fn send(&self, frame: Vec<u8>) {
-        // A disconnected peer just drops frames (the node keeps running —
-        // losing the RIC must not take down the RAN).
-        let _ = self.tx.send(frame);
-    }
-
-    /// Receive one frame if available.
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
-        match self.rx.try_recv() {
-            RecvOutcome::Msg(f) => Some(f),
-            RecvOutcome::Empty | RecvOutcome::Disconnected => None,
-        }
-    }
-
-    /// Drain all pending frames.
-    pub fn drain(&self) -> Vec<Vec<u8>> {
-        self.rx.drain()
-    }
-
-    /// Depth/drop accounting for the outbound queue.
-    pub fn send_stats(&self) -> QueueDepthStats {
-        self.tx.stats()
-    }
-
-    /// Depth/drop accounting for the inbound queue.
-    pub fn recv_stats(&self) -> QueueDepthStats {
-        self.rx.stats()
-    }
-
-    /// Frames waiting to be received.
-    pub fn pending(&self) -> usize {
-        self.rx.depth()
-    }
-}
-
-/// Create a connected pair of unbounded endpoints.
-pub fn duplex() -> (Endpoint, Endpoint) {
-    duplex_with(None)
-}
-
-/// Create a connected pair of bounded endpoints: each direction holds at
-/// most `capacity` frames and displaces its oldest on overflow (counted in
-/// the [`QueueDepthStats`]).
-pub fn duplex_bounded(capacity: usize) -> (Endpoint, Endpoint) {
-    duplex_with(Some(capacity))
-}
-
-fn duplex_with(capacity: Option<usize>) -> (Endpoint, Endpoint) {
-    let (a_tx, b_rx) = queue(capacity);
-    let (b_tx, a_rx) = queue(capacity);
-    (
-        Endpoint { tx: a_tx, rx: a_rx },
-        Endpoint { tx: b_tx, rx: b_rx },
-    )
-}
-
-/// The gNB-side E2 agent: reports KPIs at a fixed period and receives
-/// control actions, both through the node's communication plugin.
-pub struct E2Agent {
-    codec: Box<dyn CommCodec>,
-    endpoint: Endpoint,
-    /// Reporting period in slots.
-    pub report_period_slots: u64,
-    /// Indications sent.
-    pub indications_sent: u64,
-    /// Actions received.
-    pub actions_received: u64,
-    /// Frames that failed to decode plus action records that had to be
-    /// skipped (counted, then dropped — a misbehaving RIC cannot crash
-    /// the node).
-    pub decode_errors: u64,
-}
-
-impl E2Agent {
-    /// Agent speaking `codec` over `endpoint`.
-    pub fn new(codec: Box<dyn CommCodec>, endpoint: Endpoint, report_period_slots: u64) -> Self {
-        E2Agent {
-            codec,
-            endpoint,
-            report_period_slots: report_period_slots.max(1),
-            indications_sent: 0,
-            actions_received: 0,
-            decode_errors: 0,
-        }
-    }
-
-    /// True when `slot` closes a reporting period. Reports happen at the
-    /// *end* of each period — the first at `report_period_slots` — so an
-    /// indication always covers real traffic; sampling at slot 0 would
-    /// feed all-zero KPIs into every xApp hysteresis window.
-    pub fn due(&self, slot: u64) -> bool {
-        slot > 0 && slot.is_multiple_of(self.report_period_slots)
-    }
-
-    /// Send an indication (the embedder calls this on reporting slots).
-    pub fn report(&mut self, ind: &Indication) {
-        let frame = self.codec.encode_indication(ind);
-        self.endpoint.send(frame);
-        self.indications_sent += 1;
-    }
-
-    /// Drain and decode control actions from the RIC. Skipped records
-    /// (unknown tags, truncated trailers) fold into `decode_errors`.
-    pub fn poll_actions(&mut self) -> Vec<ControlAction> {
-        let mut actions = Vec::new();
-        for frame in self.endpoint.drain() {
-            match self.codec.decode_actions(&frame) {
-                Ok((mut a, skipped)) => {
-                    self.actions_received += a.len() as u64;
-                    self.decode_errors += skipped as u64;
-                    actions.append(&mut a);
-                }
-                Err(_) => self.decode_errors += 1,
-            }
-        }
-        actions
-    }
-}
-
-/// The RIC-side runtime: decodes indications, runs the RIC's xApps,
-/// encodes the resulting actions back — everything through the RIC's own
-/// communication plugin (which may differ from the node's, as long as the
-/// wire bytes agree; that is the integration problem WA-RAN solves with
-/// adapters).
-pub struct RicRuntime {
-    codec: Box<dyn CommCodec>,
-    endpoint: Endpoint,
-    /// The hosted RIC.
-    pub ric: crate::ric::NearRtRic,
-    /// Frames that failed to decode.
-    pub decode_errors: u64,
-}
-
-impl RicRuntime {
-    /// RIC runtime speaking `codec` over `endpoint`.
-    pub fn new(codec: Box<dyn CommCodec>, endpoint: Endpoint, ric: crate::ric::NearRtRic) -> Self {
-        RicRuntime {
-            codec,
-            endpoint,
-            ric,
-            decode_errors: 0,
-        }
-    }
-
-    /// Process all pending indications; sends any resulting actions.
-    /// Returns the number of indications handled.
-    pub fn poll(&mut self) -> usize {
-        let mut handled = 0;
-        for frame in self.endpoint.drain() {
-            match self.codec.decode_indication(&frame) {
-                Ok(ind) => {
-                    handled += 1;
-                    let actions = self.ric.handle_indication(&ind);
-                    if !actions.is_empty() {
-                        self.endpoint.send(self.codec.encode_actions(&actions));
-                    }
-                }
-                Err(_) => self.decode_errors += 1,
-            }
-        }
-        handled
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{JsonCodec, PbCodec, TlvCodec};
-    use crate::e2::{KpiReport, ACTION_RECORD_LEN};
-    use crate::ric::{NearRtRic, TrafficSteering};
-
-    fn kpi(ue: u32, cqi: u8) -> KpiReport {
-        KpiReport {
-            ue_id: ue,
-            slice_id: 0,
-            cqi,
-            mcs: 10,
-            buffer_bytes: 100,
-            tput_bps: 1e6,
-        }
-    }
 
     #[test]
-    fn duplex_carries_frames_both_ways() {
-        let (a, b) = duplex();
-        a.send(vec![1, 2, 3]);
-        b.send(vec![4]);
-        assert_eq!(b.try_recv(), Some(vec![1, 2, 3]));
-        assert_eq!(a.try_recv(), Some(vec![4]));
-        assert_eq!(a.try_recv(), None);
-    }
-
-    #[test]
-    fn bounded_duplex_drops_oldest_and_counts() {
-        let (a, b) = duplex_bounded(2);
-        a.send(vec![1]);
-        a.send(vec![2]);
-        a.send(vec![3]); // displaces [1]
-        assert_eq!(b.pending(), 2);
-        assert_eq!(b.try_recv(), Some(vec![2]));
-        assert_eq!(b.try_recv(), Some(vec![3]));
-        assert_eq!(b.try_recv(), None);
-        let stats = a.send_stats();
+    fn lossy_send_drops_oldest_and_counts() {
+        let (tx, rx) = queue::<u32>(2);
+        assert_eq!(tx.send(1), SendOutcome::Queued);
+        assert_eq!(tx.send(2), SendOutcome::Queued);
+        assert_eq!(tx.send(3), SendOutcome::Displaced(1));
+        assert_eq!(tx.depth(), 2);
+        assert_eq!(rx.drain(), vec![2, 3]);
+        assert_eq!(rx.try_recv(), RecvOutcome::Empty);
+        let stats = tx.stats();
         assert_eq!(stats.enqueued, 3);
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.max_depth, 2);
+        // A vanished receiver hands the item back instead of queueing it.
+        drop(rx);
+        assert_eq!(tx.send(4), SendOutcome::Disconnected(4));
     }
 
     #[test]
     fn queue_blocking_send_respects_capacity() {
-        let (tx, rx) = queue::<u32>(Some(1));
+        let (tx, rx) = queue::<u32>(1);
         tx.send_wait(1).unwrap();
         let t = std::thread::spawn(move || tx.send_wait(2).is_ok());
         std::thread::sleep(Duration::from_millis(20));
@@ -509,106 +288,11 @@ mod tests {
 
     #[test]
     fn dropped_receiver_unblocks_senders() {
-        let (tx, rx) = queue::<u32>(Some(1));
+        let (tx, rx) = queue::<u32>(1);
         assert!(tx.send_wait(1).is_ok());
         let t = std::thread::spawn(move || tx.send_wait(2));
         std::thread::sleep(Duration::from_millis(20));
         drop(rx);
         assert_eq!(t.join().unwrap(), Err(2));
-    }
-
-    #[test]
-    fn end_to_end_indication_action_loop() {
-        let (node_ep, ric_ep) = duplex();
-        let mut agent = E2Agent::new(Box::new(TlvCodec), node_ep, 10);
-        let mut ric = NearRtRic::new();
-        ric.add_xapp(Box::new(TrafficSteering::new(5, 2, 7)));
-        let mut runtime = RicRuntime::new(Box::new(TlvCodec), ric_ep, ric);
-
-        // Reporting lands at period ends; two bad reports trigger a
-        // handover on the second.
-        assert!(!agent.due(0), "no report before any traffic has run");
-        for slot in [10u64, 20] {
-            assert!(agent.due(slot));
-            agent.report(&Indication {
-                slot,
-                reports: vec![kpi(70, 2)],
-            });
-            runtime.poll();
-        }
-        let actions = agent.poll_actions();
-        assert_eq!(
-            actions,
-            vec![ControlAction::Handover {
-                ue_id: 70,
-                target_cell: 7
-            }]
-        );
-        assert_eq!(agent.indications_sent, 2);
-        assert_eq!(agent.actions_received, 1);
-    }
-
-    #[test]
-    fn mismatched_codecs_are_counted_not_fatal() {
-        // Node speaks TLV, RIC expects JSON: every frame is a decode error
-        // on the RIC side — the §3.B situation an adapter plugin fixes.
-        let (node_ep, ric_ep) = duplex();
-        let mut agent = E2Agent::new(Box::new(TlvCodec), node_ep, 1);
-        let mut runtime = RicRuntime::new(Box::new(JsonCodec), ric_ep, NearRtRic::new());
-        agent.report(&Indication {
-            slot: 1,
-            reports: vec![kpi(1, 9)],
-        });
-        assert_eq!(runtime.poll(), 0);
-        assert_eq!(runtime.decode_errors, 1);
-    }
-
-    #[test]
-    fn same_wire_different_vendor_stacks() {
-        // Both sides picked pbwire independently: interop works.
-        let (node_ep, ric_ep) = duplex();
-        let mut agent = E2Agent::new(Box::new(PbCodec), node_ep, 1);
-        let mut runtime = RicRuntime::new(Box::new(PbCodec), ric_ep, NearRtRic::new());
-        agent.report(&Indication {
-            slot: 3,
-            reports: vec![kpi(5, 11)],
-        });
-        assert_eq!(runtime.poll(), 1);
-        assert_eq!(runtime.ric.kpis().ue(5).unwrap().cqi, 11);
-    }
-
-    #[test]
-    fn garbage_on_the_wire_counted() {
-        let (node_ep, ric_ep) = duplex();
-        let mut agent = E2Agent::new(Box::new(TlvCodec), node_ep, 1);
-        ric_ep.send(vec![0xff, 0x00, 0x13]);
-        let actions = agent.poll_actions();
-        assert!(actions.is_empty());
-        assert_eq!(agent.decode_errors, 1);
-    }
-
-    #[test]
-    fn skipped_action_records_fold_into_decode_errors() {
-        let (node_ep, ric_ep) = duplex();
-        let mut agent = E2Agent::new(Box::new(TlvCodec), node_ep, 1);
-        // One good action followed by an unknown-tag record and a
-        // truncated trailer, wrapped in a valid TLV frame.
-        let mut packed =
-            ControlAction::list_to_bytes(&[ControlAction::SetCqiTable { ue_id: 9, table: 1 }]);
-        packed.extend_from_slice(&[0x77; ACTION_RECORD_LEN]); // unknown tag
-        packed.extend_from_slice(&[0x01; 5]); // truncated trailer
-        let frame = {
-            let mut w = waran_abi::tlv::TlvWriter::new();
-            w.bytes(3, &packed);
-            w.finish()
-        };
-        ric_ep.send(frame);
-        let actions = agent.poll_actions();
-        assert_eq!(
-            actions,
-            vec![ControlAction::SetCqiTable { ue_id: 9, table: 1 }]
-        );
-        assert_eq!(agent.actions_received, 1);
-        assert_eq!(agent.decode_errors, 2, "unknown tag + truncation counted");
     }
 }

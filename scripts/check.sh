@@ -17,6 +17,12 @@ cargo fmt --check
 target/release/analyze --builtin > /dev/null
 echo "static analyzer validated every builtin plugin lowering"
 
+# Smoke: the one-cell RIC deployment end to end (the only caller of that
+# shape outside the test suites). The example exits nonzero when no
+# handover or no slice-target action was applied.
+cargo run --release --quiet --example ric_xapps > /dev/null
+echo "ric_xapps example: steering handover and SLA boost applied"
+
 # Determinism: per-cell digests of the four fleet deployments (RIC
 # attached, mobility, hostile pushes, million-UE plane) must equal the
 # committed golden file at 2 and at 8 workers — worker-count independence
