@@ -4,10 +4,10 @@
 //!
 //! `ExecMode::Reference` is the pre-compilation interpreter (decoded
 //! `Instr` tree, runtime label stack, per-instruction metering);
-//! `ExecMode::Reg` is what every plugin runs (flat IR with side-table
-//! branches, basic-block metering and superinstructions, lowered to
-//! register form). Same module bytes, same sandbox policy, same requests
-//! — the measured delta is pure dispatch.
+//! `ExecMode::Reg` is what every plugin runs (a 1:1 flat IR with
+//! side-table branches and basic-block metering, lowered to register
+//! form, where every superinstruction is formed). Same module bytes, same
+//! sandbox policy, same requests — the measured delta is pure dispatch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

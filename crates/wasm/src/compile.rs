@@ -6,7 +6,10 @@
 //! is lowered once more into the register form the production executor
 //! runs ([`crate::regalloc`]), analysed for resource bounds, and used as
 //! the left-hand side of translation validation ([`crate::analysis`]).
-//! Every execution-shaping decision is made here:
+//! The IR stays 1:1 with the source stack machine — one op per
+//! instruction, no operand fusion: every superinstruction is formed by
+//! the register lowering, under the translation-validation proof. The
+//! decisions that shape execution *structure* are made here:
 //!
 //! * **Side-table branches** — every `br`/`br_if`/`br_table`/`else` and
 //!   block `end` is resolved at compile time into an absolute op PC plus a
@@ -18,11 +21,8 @@
 //!   the block, computed here. Fuel totals are identical to per-instruction
 //!   metering on every complete execution; see the notes on `Meter` below
 //!   for the granularity change on mid-block traps.
-//! * **Superinstruction fusion** — the operand patterns PlugC's code
-//!   generator emits hottest (`local.get local.get binop`,
-//!   `const`/`local.get` operands, `compare (i32.eqz) br_if`,
-//!   `local.get load`) collapse into single ops, within one basic block
-//!   only so branch targets stay valid.
+//! * **Leaf inlining** — a straight-line callee is lowered in place, its
+//!   locals remapped into fresh caller slots, with exact fuel parity.
 //! * **Branch-table interning** — `br_table` targets live in the
 //!   per-function [`CompiledFunc::branches`] side array (indexed `u32`),
 //!   not behind a per-instruction `Box<[u32]>`.
@@ -33,12 +33,13 @@
 
 use std::sync::OnceLock;
 
+use crate::analysis::{mismatch, AnalysisError};
 use crate::instr::Instr;
 use crate::interp::Value;
 use crate::module::Module;
 use crate::types::{BlockType, ValType};
 
-/// Fused i32 binary operator (non-trapping arithmetic and comparisons;
+/// Non-trapping i32 binary operator (arithmetic and comparisons;
 /// `div`/`rem` keep their own trapping ops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum I32Op {
@@ -66,7 +67,7 @@ pub enum I32Op {
 }
 
 impl I32Op {
-    /// The fused operator for a decoded instruction, when one exists.
+    /// The operator for a decoded instruction, when it is one.
     fn from_instr(i: &Instr) -> Option<I32Op> {
         Some(match i {
             Instr::I32Add => I32Op::Add,
@@ -103,7 +104,7 @@ impl I32Op {
 
     /// Logical negation, defined for comparisons only (integer comparisons
     /// are a total order, so `!(a < b) == a >= b` always holds — unlike
-    /// floats, which is why float compares never fuse with `i32.eqz`).
+    /// floats, which is why float compares never absorb an `i32.eqz`).
     pub(crate) fn negate(self) -> Option<I32Op> {
         Some(match self {
             I32Op::Eq => I32Op::Ne,
@@ -165,9 +166,8 @@ pub struct BranchTarget {
     pub arity: u8,
 }
 
-/// One flat-IR operation. Branch-carrying ops index
-/// [`CompiledFunc::branches`]; locals in fused ops are `u16` (fusion is
-/// skipped for the rare function with more locals).
+/// One flat-IR operation: a source instruction with its control flow
+/// resolved. Branch-carrying ops index [`CompiledFunc::branches`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Basic-block header: charge `cost` fuel (the number of source
@@ -183,18 +183,6 @@ pub enum Op {
     BrIf(u32),
     /// Branch when top-of-stack == 0.
     BrIfZ(u32),
-    /// Pop b, a; branch when `op(a, b)` holds (fused compare+br_if).
-    BrIfCmp {
-        op: I32Op,
-        br: u32,
-    },
-    /// Branch when `op(locals[a], locals[b])` holds; touches no stack.
-    BrIfLL {
-        op: I32Op,
-        a: u16,
-        b: u16,
-        br: u32,
-    },
     /// Pop selector; take `branches[start + min(sel, n)]` (`start + n` is
     /// the default target).
     BrTable {
@@ -217,110 +205,13 @@ pub enum Op {
     Select,
 
     LocalGet(u32),
-    /// Push locals[a] then locals[b] (fused adjacent local.get pair).
-    LocalGet2 {
-        a: u16,
-        b: u16,
-    },
     LocalSet(u32),
     LocalTee(u32),
-    /// `locals[dst] = k` (fused const + local.set); touches no stack.
-    LocalSetC {
-        dst: u16,
-        k: i32,
-    },
-    /// `locals[dst] = locals[src]` (fused local.get + local.set).
-    LocalCopy {
-        src: u16,
-        dst: u16,
-    },
     GlobalGet(u32),
     GlobalSet(u32),
 
-    /// Pop b, a; push `op(a, b)` — the generic form of every non-trapping
-    /// i32 binop/compare.
+    /// Pop b, a; push `op(a, b)` — every non-trapping i32 binop/compare.
     I32Bin(I32Op),
-    /// Push `op(locals[a], locals[b])` (fused local.get×2 + binop).
-    I32BinLL {
-        op: I32Op,
-        a: u16,
-        b: u16,
-    },
-    /// Pop a; push `op(a, locals[b])`.
-    I32BinSL {
-        op: I32Op,
-        b: u16,
-    },
-    /// Pop a; push `op(a, k)` (fused const + binop).
-    I32BinSC {
-        op: I32Op,
-        k: i32,
-    },
-    /// Push `op(locals[a], k)`.
-    I32BinLC {
-        op: I32Op,
-        a: u16,
-        k: i32,
-    },
-    /// `locals[dst] = op(locals[a], locals[b])` — a three-address
-    /// register op (binop + local.set write-back); touches no stack.
-    I32BinLLSet {
-        op: I32Op,
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    /// `locals[dst] = op(locals[a], k)` — the canonical loop increment
-    /// `i = i + 1` is exactly one of these.
-    I32BinLCSet {
-        op: I32Op,
-        a: u16,
-        k: i32,
-        dst: u16,
-    },
-    /// Pop a; `locals[dst] = op(a, locals[b])`.
-    I32BinSLSet {
-        op: I32Op,
-        b: u16,
-        dst: u16,
-    },
-    /// Pop a; `locals[dst] = op(a, k)`.
-    I32BinSCSet {
-        op: I32Op,
-        k: i32,
-        dst: u16,
-    },
-
-    /// Fused local.get + load (address comes straight from the local; the
-    /// static offset keeps the original u64 bounds-check semantics).
-    I32LoadL {
-        l: u16,
-        off: u32,
-    },
-    I64LoadL {
-        l: u16,
-        off: u32,
-    },
-    F64LoadL {
-        l: u16,
-        off: u32,
-    },
-    I32Load8UL {
-        l: u16,
-        off: u32,
-    },
-    /// Pop addr; `locals[dst] = load(addr + off)` (load + local.set).
-    I32LoadSet {
-        off: u32,
-        dst: u16,
-    },
-    /// `locals[dst] = load(locals[l] + off)` — a full register-to-register
-    /// load; touches no stack.
-    I32LoadLSet {
-        l: u16,
-        off: u32,
-        dst: u16,
-    },
 
     I32Load(u32),
     I64Load(u32),
@@ -476,6 +367,191 @@ pub enum Op {
     I64TruncSatF64U,
 }
 
+impl Op {
+    /// Operand-stack effect (pops, pushes) — the one arity table: the
+    /// compiler bumps its static height (hence every `Meter::peak`) by
+    /// it and the analyzer's mirror walk replays it. The match is
+    /// intentionally exhaustive: a new variant fails to compile here
+    /// instead of silently skipping either.
+    pub(crate) fn stack_effect(self, module: &Module) -> (u32, u32) {
+        match self {
+            Op::Meter { .. } | Op::Br(_) | Op::Return | Op::Unreachable => (0, 0),
+            Op::BrIf(_)
+            | Op::BrIfZ(_)
+            | Op::BrTable { .. }
+            | Op::Drop
+            | Op::LocalSet(_)
+            | Op::GlobalSet(_) => (1, 0),
+            Op::CallWasm(f) => {
+                // Look the signature up by type, not via `compiled_func`:
+                // neither compiling the caller nor the analysis walk may
+                // trigger a compile cascade.
+                let ft = module
+                    .func_type(module.num_imported_funcs() + f)
+                    .expect("validated call target");
+                (ft.params.len() as u32, ft.results.len() as u32)
+            }
+            Op::CallHost { argc, ret, .. } => (argc as u32, (ret != 0) as u32),
+            Op::CallIndirect(ty) => {
+                let ft = &module.types[ty as usize];
+                (ft.params.len() as u32 + 1, ft.results.len() as u32)
+            }
+            Op::Select => (3, 1),
+            Op::LocalGet(_)
+            | Op::GlobalGet(_)
+            | Op::MemorySize
+            | Op::I32Const(_)
+            | Op::I64Const(_)
+            | Op::F32Const(_)
+            | Op::F64Const(_) => (0, 1),
+            Op::LocalTee(_) | Op::MemoryGrow => (1, 1),
+            Op::I32Bin(_) => (2, 1),
+            Op::I32Load(_)
+            | Op::I64Load(_)
+            | Op::F32Load(_)
+            | Op::F64Load(_)
+            | Op::I32Load8S(_)
+            | Op::I32Load8U(_)
+            | Op::I32Load16S(_)
+            | Op::I32Load16U(_)
+            | Op::I64Load8S(_)
+            | Op::I64Load8U(_)
+            | Op::I64Load16S(_)
+            | Op::I64Load16U(_)
+            | Op::I64Load32S(_)
+            | Op::I64Load32U(_) => (1, 1),
+            Op::I32Store(_)
+            | Op::I64Store(_)
+            | Op::F32Store(_)
+            | Op::F64Store(_)
+            | Op::I32Store8(_)
+            | Op::I32Store16(_)
+            | Op::I64Store8(_)
+            | Op::I64Store16(_)
+            | Op::I64Store32(_) => (2, 0),
+            Op::MemoryCopy | Op::MemoryFill => (3, 0),
+            // Unary family (unops, conversions, truncations): pop 1 push 1.
+            Op::I32Eqz
+            | Op::I32Clz
+            | Op::I32Ctz
+            | Op::I32Popcnt
+            | Op::I64Eqz
+            | Op::I64Clz
+            | Op::I64Ctz
+            | Op::I64Popcnt
+            | Op::F32Abs
+            | Op::F32Neg
+            | Op::F32Ceil
+            | Op::F32Floor
+            | Op::F32Trunc
+            | Op::F32Nearest
+            | Op::F32Sqrt
+            | Op::F64Abs
+            | Op::F64Neg
+            | Op::F64Ceil
+            | Op::F64Floor
+            | Op::F64Trunc
+            | Op::F64Nearest
+            | Op::F64Sqrt
+            | Op::I32WrapI64
+            | Op::I32TruncF32S
+            | Op::I32TruncF32U
+            | Op::I32TruncF64S
+            | Op::I32TruncF64U
+            | Op::I64ExtendI32S
+            | Op::I64ExtendI32U
+            | Op::I64TruncF32S
+            | Op::I64TruncF32U
+            | Op::I64TruncF64S
+            | Op::I64TruncF64U
+            | Op::F32ConvertI32S
+            | Op::F32ConvertI32U
+            | Op::F32ConvertI64S
+            | Op::F32ConvertI64U
+            | Op::F32DemoteF64
+            | Op::F64ConvertI32S
+            | Op::F64ConvertI32U
+            | Op::F64ConvertI64S
+            | Op::F64ConvertI64U
+            | Op::F64PromoteF32
+            | Op::I32ReinterpretF32
+            | Op::I64ReinterpretF64
+            | Op::F32ReinterpretI32
+            | Op::F64ReinterpretI64
+            | Op::I32Extend8S
+            | Op::I32Extend16S
+            | Op::I64Extend8S
+            | Op::I64Extend16S
+            | Op::I64Extend32S
+            | Op::I32TruncSatF32S
+            | Op::I32TruncSatF32U
+            | Op::I32TruncSatF64S
+            | Op::I32TruncSatF64U
+            | Op::I64TruncSatF32S
+            | Op::I64TruncSatF32U
+            | Op::I64TruncSatF64S
+            | Op::I64TruncSatF64U => (1, 1),
+            // Binary families: i64 arithmetic/compares, trapping div/rem and
+            // float binops/compares.
+            Op::I64Eq
+            | Op::I64Ne
+            | Op::I64LtS
+            | Op::I64LtU
+            | Op::I64GtS
+            | Op::I64GtU
+            | Op::I64LeS
+            | Op::I64LeU
+            | Op::I64GeS
+            | Op::I64GeU
+            | Op::I64Add
+            | Op::I64Sub
+            | Op::I64Mul
+            | Op::I64And
+            | Op::I64Or
+            | Op::I64Xor
+            | Op::I64Shl
+            | Op::I64ShrS
+            | Op::I64ShrU
+            | Op::I64Rotl
+            | Op::I64Rotr
+            | Op::I32DivS
+            | Op::I32DivU
+            | Op::I32RemS
+            | Op::I32RemU
+            | Op::I64DivS
+            | Op::I64DivU
+            | Op::I64RemS
+            | Op::I64RemU
+            | Op::F32Eq
+            | Op::F32Ne
+            | Op::F32Lt
+            | Op::F32Gt
+            | Op::F32Le
+            | Op::F32Ge
+            | Op::F64Eq
+            | Op::F64Ne
+            | Op::F64Lt
+            | Op::F64Gt
+            | Op::F64Le
+            | Op::F64Ge
+            | Op::F32Add
+            | Op::F32Sub
+            | Op::F32Mul
+            | Op::F32Div
+            | Op::F32Min
+            | Op::F32Max
+            | Op::F32Copysign
+            | Op::F64Add
+            | Op::F64Sub
+            | Op::F64Mul
+            | Op::F64Div
+            | Op::F64Min
+            | Op::F64Max
+            | Op::F64Copysign => (2, 1),
+        }
+    }
+}
+
 /// A function body lowered to the flat IR, ready for register lowering
 /// and analysis.
 #[derive(Debug, Clone)]
@@ -491,6 +567,30 @@ pub struct CompiledFunc {
     pub argc: u32,
     /// Result count (0 or 1 in the MVP).
     pub ret_arity: u32,
+}
+
+impl CompiledFunc {
+    /// Operand-stack height each branch target starts at — the branch's
+    /// `height` plus the values it carries — indexed by op pc; `u32::MAX`
+    /// where no branch lands. Function-level targets point at the shared
+    /// `Return` trampoline and recover `ret_arity` the same way. A side
+    /// table that leaves the body or disagrees with itself about a
+    /// target's height is reported, not trusted.
+    pub(crate) fn entry_heights(&self, func: u32) -> Result<Vec<u32>, AnalysisError> {
+        let mut eh = vec![u32::MAX; self.ops.len()];
+        for bt in self.branches.iter() {
+            let pc = bt.pc as usize;
+            let h = bt.height + bt.arity as u32;
+            match eh.get_mut(pc) {
+                None => return Err(mismatch(func, pc, "branch target out of range")),
+                Some(e) if *e != u32::MAX && *e != h => {
+                    return Err(mismatch(func, pc, "inconsistent branch-target heights"))
+                }
+                Some(e) => *e = h,
+            }
+        }
+        Ok(eh)
+    }
 }
 
 /// Per-function compile cache slot, stored on
@@ -584,8 +684,6 @@ struct FnCompiler<'m> {
     block_cost: u32,
     block_entry: usize,
     block_max: usize,
-    /// Fusion may only rewrite ops at indices >= this (current block).
-    fuse_floor: usize,
     /// Branch indices targeting the function level, patched to the final
     /// return trampoline.
     fn_level: Vec<u32>,
@@ -625,7 +723,6 @@ pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
         block_cost: 0,
         block_entry: 0,
         block_max: 0,
-        fuse_floor: 0,
         fn_level: Vec::new(),
         ret_arity,
         local_offset: 0,
@@ -711,7 +808,6 @@ impl<'m> FnCompiler<'m> {
             self.block_cost = 0;
             self.block_entry = self.height;
             self.block_max = self.height;
-            self.fuse_floor = self.ops.len();
             self.open = true;
         }
         self.meter_pc as u32
@@ -777,34 +873,12 @@ impl<'m> FnCompiler<'m> {
         }
     }
 
-    /// The trailing op of the current block, if any (fusion window).
-    fn tail(&self) -> Option<Op> {
-        if self.ops.len() > self.fuse_floor {
-            self.ops.last().copied()
-        } else {
-            None
-        }
-    }
-
-    /// The two trailing ops of the current block, if present.
-    fn tail2(&self) -> Option<(Op, Op)> {
-        let n = self.ops.len();
-        if n >= self.fuse_floor + 2 {
-            Some((self.ops[n - 2], self.ops[n - 1]))
-        } else {
-            None
-        }
-    }
-
-    fn pop_tail(&mut self, n: usize) {
-        self.ops.truncate(self.ops.len() - n);
-    }
-
-    /// Plain op: count, emit, apply stack effect.
-    fn simple(&mut self, op: Op, pops: usize, pushes: usize) {
+    /// Plain op: count, emit, apply its stack effect.
+    fn simple(&mut self, op: Op) {
         self.count(1);
         self.emit(op);
-        self.bump(pops, pushes);
+        let (pops, pushes) = op.stack_effect(self.module);
+        self.bump(pops as usize, pushes as usize);
     }
 
     fn lower(&mut self, instr: &Instr) {
@@ -875,7 +949,13 @@ impl<'m> FnCompiler<'m> {
                 self.seal();
                 self.reachable = false;
             }
-            Instr::BrIf { depth } => self.lower_br_if(*depth),
+            Instr::BrIf { depth } => {
+                self.count(1);
+                self.bump(1, 0); // condition
+                let br = self.branch_index(*depth);
+                self.emit(Op::BrIf(br));
+                self.seal();
+            }
             Instr::BrTable { targets, default } => {
                 self.count(1);
                 self.bump(1, 0); // selector
@@ -898,230 +978,194 @@ impl<'m> FnCompiler<'m> {
                 self.reachable = false;
             }
             Instr::Call { func } => {
-                if *func >= self.n_imports && self.try_inline(*func - self.n_imports) {
+                if let Some(local) = func.checked_sub(self.n_imports) {
+                    if !self.try_inline(local) {
+                        self.simple(Op::CallWasm(local));
+                    }
                     return;
                 }
-                self.count(1);
                 let ty = self
                     .module
                     .func_type(*func)
                     .expect("validated: call target");
-                let (argc, retc) = (ty.params.len(), ty.results.len());
-                if *func < self.n_imports {
-                    let ret = match ty.results.first() {
-                        None => 0,
-                        Some(ValType::I32) => 1,
-                        Some(ValType::I64) => 2,
-                        Some(ValType::F32) => 3,
-                        Some(ValType::F64) => 4,
-                    };
-                    self.emit(Op::CallHost {
-                        f: *func,
-                        argc: argc as u16,
-                        ret,
-                    });
-                } else {
-                    self.emit(Op::CallWasm(*func - self.n_imports));
-                }
-                self.bump(argc, retc);
+                let ret = match ty.results.first() {
+                    None => 0,
+                    Some(ValType::I32) => 1,
+                    Some(ValType::I64) => 2,
+                    Some(ValType::F32) => 3,
+                    Some(ValType::F64) => 4,
+                };
+                self.simple(Op::CallHost {
+                    f: *func,
+                    argc: ty.params.len() as u16,
+                    ret,
+                });
             }
-            Instr::CallIndirect { type_idx } => {
-                self.count(1);
-                let ty = &self.module.types[*type_idx as usize];
-                self.emit(Op::CallIndirect(*type_idx));
-                self.bump(ty.params.len() + 1, ty.results.len());
-            }
-            Instr::Drop => self.simple(Op::Drop, 1, 0),
-            Instr::Select => self.simple(Op::Select, 3, 1),
-            Instr::LocalGet(i) => {
-                let i = self.local_offset + *i;
-                self.count(1);
-                if let (Some(Op::LocalGet(a)), true) = (self.tail(), i <= u16::MAX as u32) {
-                    if a <= u16::MAX as u32 {
-                        self.pop_tail(1);
-                        self.emit(Op::LocalGet2 {
-                            a: a as u16,
-                            b: i as u16,
-                        });
-                        self.bump(0, 1);
-                        return;
-                    }
-                }
-                self.emit(Op::LocalGet(i));
-                self.bump(0, 1);
-            }
-            Instr::LocalSet(i) => {
-                self.count(1);
-                self.emit_local_set(self.local_offset + *i);
-            }
-            Instr::LocalTee(i) => self.simple(Op::LocalTee(self.local_offset + *i), 1, 1),
-            Instr::GlobalGet(i) => self.simple(Op::GlobalGet(*i), 0, 1),
-            Instr::GlobalSet(i) => self.simple(Op::GlobalSet(*i), 1, 0),
+            Instr::CallIndirect { type_idx } => self.simple(Op::CallIndirect(*type_idx)),
+            Instr::Drop => self.simple(Op::Drop),
+            Instr::Select => self.simple(Op::Select),
+            Instr::LocalGet(i) => self.simple(Op::LocalGet(self.local_offset + *i)),
+            Instr::LocalSet(i) => self.simple(Op::LocalSet(self.local_offset + *i)),
+            Instr::LocalTee(i) => self.simple(Op::LocalTee(self.local_offset + *i)),
+            Instr::GlobalGet(i) => self.simple(Op::GlobalGet(*i)),
+            Instr::GlobalSet(i) => self.simple(Op::GlobalSet(*i)),
 
-            Instr::I32Load(m) => {
-                self.lower_load(m.offset, Op::I32Load(m.offset), Some(LoadKind::I32))
-            }
-            Instr::I64Load(m) => {
-                self.lower_load(m.offset, Op::I64Load(m.offset), Some(LoadKind::I64))
-            }
-            Instr::F32Load(m) => self.lower_load(m.offset, Op::F32Load(m.offset), None),
-            Instr::F64Load(m) => {
-                self.lower_load(m.offset, Op::F64Load(m.offset), Some(LoadKind::F64))
-            }
-            Instr::I32Load8S(m) => self.simple(Op::I32Load8S(m.offset), 1, 1),
-            Instr::I32Load8U(m) => {
-                self.lower_load(m.offset, Op::I32Load8U(m.offset), Some(LoadKind::I32U8))
-            }
-            Instr::I32Load16S(m) => self.simple(Op::I32Load16S(m.offset), 1, 1),
-            Instr::I32Load16U(m) => self.simple(Op::I32Load16U(m.offset), 1, 1),
-            Instr::I64Load8S(m) => self.simple(Op::I64Load8S(m.offset), 1, 1),
-            Instr::I64Load8U(m) => self.simple(Op::I64Load8U(m.offset), 1, 1),
-            Instr::I64Load16S(m) => self.simple(Op::I64Load16S(m.offset), 1, 1),
-            Instr::I64Load16U(m) => self.simple(Op::I64Load16U(m.offset), 1, 1),
-            Instr::I64Load32S(m) => self.simple(Op::I64Load32S(m.offset), 1, 1),
-            Instr::I64Load32U(m) => self.simple(Op::I64Load32U(m.offset), 1, 1),
-            Instr::I32Store(m) => self.simple(Op::I32Store(m.offset), 2, 0),
-            Instr::I64Store(m) => self.simple(Op::I64Store(m.offset), 2, 0),
-            Instr::F32Store(m) => self.simple(Op::F32Store(m.offset), 2, 0),
-            Instr::F64Store(m) => self.simple(Op::F64Store(m.offset), 2, 0),
-            Instr::I32Store8(m) => self.simple(Op::I32Store8(m.offset), 2, 0),
-            Instr::I32Store16(m) => self.simple(Op::I32Store16(m.offset), 2, 0),
-            Instr::I64Store8(m) => self.simple(Op::I64Store8(m.offset), 2, 0),
-            Instr::I64Store16(m) => self.simple(Op::I64Store16(m.offset), 2, 0),
-            Instr::I64Store32(m) => self.simple(Op::I64Store32(m.offset), 2, 0),
-            Instr::MemorySize => self.simple(Op::MemorySize, 0, 1),
-            Instr::MemoryGrow => self.simple(Op::MemoryGrow, 1, 1),
-            Instr::MemoryCopy => self.simple(Op::MemoryCopy, 3, 0),
-            Instr::MemoryFill => self.simple(Op::MemoryFill, 3, 0),
+            Instr::I32Load(m) => self.simple(Op::I32Load(m.offset)),
+            Instr::I64Load(m) => self.simple(Op::I64Load(m.offset)),
+            Instr::F32Load(m) => self.simple(Op::F32Load(m.offset)),
+            Instr::F64Load(m) => self.simple(Op::F64Load(m.offset)),
+            Instr::I32Load8S(m) => self.simple(Op::I32Load8S(m.offset)),
+            Instr::I32Load8U(m) => self.simple(Op::I32Load8U(m.offset)),
+            Instr::I32Load16S(m) => self.simple(Op::I32Load16S(m.offset)),
+            Instr::I32Load16U(m) => self.simple(Op::I32Load16U(m.offset)),
+            Instr::I64Load8S(m) => self.simple(Op::I64Load8S(m.offset)),
+            Instr::I64Load8U(m) => self.simple(Op::I64Load8U(m.offset)),
+            Instr::I64Load16S(m) => self.simple(Op::I64Load16S(m.offset)),
+            Instr::I64Load16U(m) => self.simple(Op::I64Load16U(m.offset)),
+            Instr::I64Load32S(m) => self.simple(Op::I64Load32S(m.offset)),
+            Instr::I64Load32U(m) => self.simple(Op::I64Load32U(m.offset)),
+            Instr::I32Store(m) => self.simple(Op::I32Store(m.offset)),
+            Instr::I64Store(m) => self.simple(Op::I64Store(m.offset)),
+            Instr::F32Store(m) => self.simple(Op::F32Store(m.offset)),
+            Instr::F64Store(m) => self.simple(Op::F64Store(m.offset)),
+            Instr::I32Store8(m) => self.simple(Op::I32Store8(m.offset)),
+            Instr::I32Store16(m) => self.simple(Op::I32Store16(m.offset)),
+            Instr::I64Store8(m) => self.simple(Op::I64Store8(m.offset)),
+            Instr::I64Store16(m) => self.simple(Op::I64Store16(m.offset)),
+            Instr::I64Store32(m) => self.simple(Op::I64Store32(m.offset)),
+            Instr::MemorySize => self.simple(Op::MemorySize),
+            Instr::MemoryGrow => self.simple(Op::MemoryGrow),
+            Instr::MemoryCopy => self.simple(Op::MemoryCopy),
+            Instr::MemoryFill => self.simple(Op::MemoryFill),
 
-            Instr::I32Const(v) => self.simple(Op::I32Const(*v), 0, 1),
-            Instr::I64Const(v) => self.simple(Op::I64Const(*v), 0, 1),
-            Instr::F32Const(v) => self.simple(Op::F32Const(*v), 0, 1),
-            Instr::F64Const(v) => self.simple(Op::F64Const(*v), 0, 1),
+            Instr::I32Const(v) => self.simple(Op::I32Const(*v)),
+            Instr::I64Const(v) => self.simple(Op::I64Const(*v)),
+            Instr::F32Const(v) => self.simple(Op::F32Const(*v)),
+            Instr::F64Const(v) => self.simple(Op::F64Const(*v)),
 
-            Instr::I32Eqz => self.lower_i32_eqz(),
-            Instr::I32DivS => self.simple(Op::I32DivS, 2, 1),
-            Instr::I32DivU => self.simple(Op::I32DivU, 2, 1),
-            Instr::I32RemS => self.simple(Op::I32RemS, 2, 1),
-            Instr::I32RemU => self.simple(Op::I32RemU, 2, 1),
-            Instr::I32Clz => self.simple(Op::I32Clz, 1, 1),
-            Instr::I32Ctz => self.simple(Op::I32Ctz, 1, 1),
-            Instr::I32Popcnt => self.simple(Op::I32Popcnt, 1, 1),
+            Instr::I32Eqz => self.simple(Op::I32Eqz),
+            Instr::I32DivS => self.simple(Op::I32DivS),
+            Instr::I32DivU => self.simple(Op::I32DivU),
+            Instr::I32RemS => self.simple(Op::I32RemS),
+            Instr::I32RemU => self.simple(Op::I32RemU),
+            Instr::I32Clz => self.simple(Op::I32Clz),
+            Instr::I32Ctz => self.simple(Op::I32Ctz),
+            Instr::I32Popcnt => self.simple(Op::I32Popcnt),
 
-            Instr::I64Eqz => self.simple(Op::I64Eqz, 1, 1),
-            Instr::I64Eq => self.simple(Op::I64Eq, 2, 1),
-            Instr::I64Ne => self.simple(Op::I64Ne, 2, 1),
-            Instr::I64LtS => self.simple(Op::I64LtS, 2, 1),
-            Instr::I64LtU => self.simple(Op::I64LtU, 2, 1),
-            Instr::I64GtS => self.simple(Op::I64GtS, 2, 1),
-            Instr::I64GtU => self.simple(Op::I64GtU, 2, 1),
-            Instr::I64LeS => self.simple(Op::I64LeS, 2, 1),
-            Instr::I64LeU => self.simple(Op::I64LeU, 2, 1),
-            Instr::I64GeS => self.simple(Op::I64GeS, 2, 1),
-            Instr::I64GeU => self.simple(Op::I64GeU, 2, 1),
-            Instr::I64Clz => self.simple(Op::I64Clz, 1, 1),
-            Instr::I64Ctz => self.simple(Op::I64Ctz, 1, 1),
-            Instr::I64Popcnt => self.simple(Op::I64Popcnt, 1, 1),
-            Instr::I64Add => self.simple(Op::I64Add, 2, 1),
-            Instr::I64Sub => self.simple(Op::I64Sub, 2, 1),
-            Instr::I64Mul => self.simple(Op::I64Mul, 2, 1),
-            Instr::I64DivS => self.simple(Op::I64DivS, 2, 1),
-            Instr::I64DivU => self.simple(Op::I64DivU, 2, 1),
-            Instr::I64RemS => self.simple(Op::I64RemS, 2, 1),
-            Instr::I64RemU => self.simple(Op::I64RemU, 2, 1),
-            Instr::I64And => self.simple(Op::I64And, 2, 1),
-            Instr::I64Or => self.simple(Op::I64Or, 2, 1),
-            Instr::I64Xor => self.simple(Op::I64Xor, 2, 1),
-            Instr::I64Shl => self.simple(Op::I64Shl, 2, 1),
-            Instr::I64ShrS => self.simple(Op::I64ShrS, 2, 1),
-            Instr::I64ShrU => self.simple(Op::I64ShrU, 2, 1),
-            Instr::I64Rotl => self.simple(Op::I64Rotl, 2, 1),
-            Instr::I64Rotr => self.simple(Op::I64Rotr, 2, 1),
+            Instr::I64Eqz => self.simple(Op::I64Eqz),
+            Instr::I64Eq => self.simple(Op::I64Eq),
+            Instr::I64Ne => self.simple(Op::I64Ne),
+            Instr::I64LtS => self.simple(Op::I64LtS),
+            Instr::I64LtU => self.simple(Op::I64LtU),
+            Instr::I64GtS => self.simple(Op::I64GtS),
+            Instr::I64GtU => self.simple(Op::I64GtU),
+            Instr::I64LeS => self.simple(Op::I64LeS),
+            Instr::I64LeU => self.simple(Op::I64LeU),
+            Instr::I64GeS => self.simple(Op::I64GeS),
+            Instr::I64GeU => self.simple(Op::I64GeU),
+            Instr::I64Clz => self.simple(Op::I64Clz),
+            Instr::I64Ctz => self.simple(Op::I64Ctz),
+            Instr::I64Popcnt => self.simple(Op::I64Popcnt),
+            Instr::I64Add => self.simple(Op::I64Add),
+            Instr::I64Sub => self.simple(Op::I64Sub),
+            Instr::I64Mul => self.simple(Op::I64Mul),
+            Instr::I64DivS => self.simple(Op::I64DivS),
+            Instr::I64DivU => self.simple(Op::I64DivU),
+            Instr::I64RemS => self.simple(Op::I64RemS),
+            Instr::I64RemU => self.simple(Op::I64RemU),
+            Instr::I64And => self.simple(Op::I64And),
+            Instr::I64Or => self.simple(Op::I64Or),
+            Instr::I64Xor => self.simple(Op::I64Xor),
+            Instr::I64Shl => self.simple(Op::I64Shl),
+            Instr::I64ShrS => self.simple(Op::I64ShrS),
+            Instr::I64ShrU => self.simple(Op::I64ShrU),
+            Instr::I64Rotl => self.simple(Op::I64Rotl),
+            Instr::I64Rotr => self.simple(Op::I64Rotr),
 
-            Instr::F32Eq => self.simple(Op::F32Eq, 2, 1),
-            Instr::F32Ne => self.simple(Op::F32Ne, 2, 1),
-            Instr::F32Lt => self.simple(Op::F32Lt, 2, 1),
-            Instr::F32Gt => self.simple(Op::F32Gt, 2, 1),
-            Instr::F32Le => self.simple(Op::F32Le, 2, 1),
-            Instr::F32Ge => self.simple(Op::F32Ge, 2, 1),
-            Instr::F64Eq => self.simple(Op::F64Eq, 2, 1),
-            Instr::F64Ne => self.simple(Op::F64Ne, 2, 1),
-            Instr::F64Lt => self.simple(Op::F64Lt, 2, 1),
-            Instr::F64Gt => self.simple(Op::F64Gt, 2, 1),
-            Instr::F64Le => self.simple(Op::F64Le, 2, 1),
-            Instr::F64Ge => self.simple(Op::F64Ge, 2, 1),
+            Instr::F32Eq => self.simple(Op::F32Eq),
+            Instr::F32Ne => self.simple(Op::F32Ne),
+            Instr::F32Lt => self.simple(Op::F32Lt),
+            Instr::F32Gt => self.simple(Op::F32Gt),
+            Instr::F32Le => self.simple(Op::F32Le),
+            Instr::F32Ge => self.simple(Op::F32Ge),
+            Instr::F64Eq => self.simple(Op::F64Eq),
+            Instr::F64Ne => self.simple(Op::F64Ne),
+            Instr::F64Lt => self.simple(Op::F64Lt),
+            Instr::F64Gt => self.simple(Op::F64Gt),
+            Instr::F64Le => self.simple(Op::F64Le),
+            Instr::F64Ge => self.simple(Op::F64Ge),
 
-            Instr::F32Abs => self.simple(Op::F32Abs, 1, 1),
-            Instr::F32Neg => self.simple(Op::F32Neg, 1, 1),
-            Instr::F32Ceil => self.simple(Op::F32Ceil, 1, 1),
-            Instr::F32Floor => self.simple(Op::F32Floor, 1, 1),
-            Instr::F32Trunc => self.simple(Op::F32Trunc, 1, 1),
-            Instr::F32Nearest => self.simple(Op::F32Nearest, 1, 1),
-            Instr::F32Sqrt => self.simple(Op::F32Sqrt, 1, 1),
-            Instr::F32Add => self.simple(Op::F32Add, 2, 1),
-            Instr::F32Sub => self.simple(Op::F32Sub, 2, 1),
-            Instr::F32Mul => self.simple(Op::F32Mul, 2, 1),
-            Instr::F32Div => self.simple(Op::F32Div, 2, 1),
-            Instr::F32Min => self.simple(Op::F32Min, 2, 1),
-            Instr::F32Max => self.simple(Op::F32Max, 2, 1),
-            Instr::F32Copysign => self.simple(Op::F32Copysign, 2, 1),
-            Instr::F64Abs => self.simple(Op::F64Abs, 1, 1),
-            Instr::F64Neg => self.simple(Op::F64Neg, 1, 1),
-            Instr::F64Ceil => self.simple(Op::F64Ceil, 1, 1),
-            Instr::F64Floor => self.simple(Op::F64Floor, 1, 1),
-            Instr::F64Trunc => self.simple(Op::F64Trunc, 1, 1),
-            Instr::F64Nearest => self.simple(Op::F64Nearest, 1, 1),
-            Instr::F64Sqrt => self.simple(Op::F64Sqrt, 1, 1),
-            Instr::F64Add => self.simple(Op::F64Add, 2, 1),
-            Instr::F64Sub => self.simple(Op::F64Sub, 2, 1),
-            Instr::F64Mul => self.simple(Op::F64Mul, 2, 1),
-            Instr::F64Div => self.simple(Op::F64Div, 2, 1),
-            Instr::F64Min => self.simple(Op::F64Min, 2, 1),
-            Instr::F64Max => self.simple(Op::F64Max, 2, 1),
-            Instr::F64Copysign => self.simple(Op::F64Copysign, 2, 1),
+            Instr::F32Abs => self.simple(Op::F32Abs),
+            Instr::F32Neg => self.simple(Op::F32Neg),
+            Instr::F32Ceil => self.simple(Op::F32Ceil),
+            Instr::F32Floor => self.simple(Op::F32Floor),
+            Instr::F32Trunc => self.simple(Op::F32Trunc),
+            Instr::F32Nearest => self.simple(Op::F32Nearest),
+            Instr::F32Sqrt => self.simple(Op::F32Sqrt),
+            Instr::F32Add => self.simple(Op::F32Add),
+            Instr::F32Sub => self.simple(Op::F32Sub),
+            Instr::F32Mul => self.simple(Op::F32Mul),
+            Instr::F32Div => self.simple(Op::F32Div),
+            Instr::F32Min => self.simple(Op::F32Min),
+            Instr::F32Max => self.simple(Op::F32Max),
+            Instr::F32Copysign => self.simple(Op::F32Copysign),
+            Instr::F64Abs => self.simple(Op::F64Abs),
+            Instr::F64Neg => self.simple(Op::F64Neg),
+            Instr::F64Ceil => self.simple(Op::F64Ceil),
+            Instr::F64Floor => self.simple(Op::F64Floor),
+            Instr::F64Trunc => self.simple(Op::F64Trunc),
+            Instr::F64Nearest => self.simple(Op::F64Nearest),
+            Instr::F64Sqrt => self.simple(Op::F64Sqrt),
+            Instr::F64Add => self.simple(Op::F64Add),
+            Instr::F64Sub => self.simple(Op::F64Sub),
+            Instr::F64Mul => self.simple(Op::F64Mul),
+            Instr::F64Div => self.simple(Op::F64Div),
+            Instr::F64Min => self.simple(Op::F64Min),
+            Instr::F64Max => self.simple(Op::F64Max),
+            Instr::F64Copysign => self.simple(Op::F64Copysign),
 
-            Instr::I32WrapI64 => self.simple(Op::I32WrapI64, 1, 1),
-            Instr::I32TruncF32S => self.simple(Op::I32TruncF32S, 1, 1),
-            Instr::I32TruncF32U => self.simple(Op::I32TruncF32U, 1, 1),
-            Instr::I32TruncF64S => self.simple(Op::I32TruncF64S, 1, 1),
-            Instr::I32TruncF64U => self.simple(Op::I32TruncF64U, 1, 1),
-            Instr::I64ExtendI32S => self.simple(Op::I64ExtendI32S, 1, 1),
-            Instr::I64ExtendI32U => self.simple(Op::I64ExtendI32U, 1, 1),
-            Instr::I64TruncF32S => self.simple(Op::I64TruncF32S, 1, 1),
-            Instr::I64TruncF32U => self.simple(Op::I64TruncF32U, 1, 1),
-            Instr::I64TruncF64S => self.simple(Op::I64TruncF64S, 1, 1),
-            Instr::I64TruncF64U => self.simple(Op::I64TruncF64U, 1, 1),
-            Instr::F32ConvertI32S => self.simple(Op::F32ConvertI32S, 1, 1),
-            Instr::F32ConvertI32U => self.simple(Op::F32ConvertI32U, 1, 1),
-            Instr::F32ConvertI64S => self.simple(Op::F32ConvertI64S, 1, 1),
-            Instr::F32ConvertI64U => self.simple(Op::F32ConvertI64U, 1, 1),
-            Instr::F32DemoteF64 => self.simple(Op::F32DemoteF64, 1, 1),
-            Instr::F64ConvertI32S => self.simple(Op::F64ConvertI32S, 1, 1),
-            Instr::F64ConvertI32U => self.simple(Op::F64ConvertI32U, 1, 1),
-            Instr::F64ConvertI64S => self.simple(Op::F64ConvertI64S, 1, 1),
-            Instr::F64ConvertI64U => self.simple(Op::F64ConvertI64U, 1, 1),
-            Instr::F64PromoteF32 => self.simple(Op::F64PromoteF32, 1, 1),
-            Instr::I32ReinterpretF32 => self.simple(Op::I32ReinterpretF32, 1, 1),
-            Instr::I64ReinterpretF64 => self.simple(Op::I64ReinterpretF64, 1, 1),
-            Instr::F32ReinterpretI32 => self.simple(Op::F32ReinterpretI32, 1, 1),
-            Instr::F64ReinterpretI64 => self.simple(Op::F64ReinterpretI64, 1, 1),
-            Instr::I32Extend8S => self.simple(Op::I32Extend8S, 1, 1),
-            Instr::I32Extend16S => self.simple(Op::I32Extend16S, 1, 1),
-            Instr::I64Extend8S => self.simple(Op::I64Extend8S, 1, 1),
-            Instr::I64Extend16S => self.simple(Op::I64Extend16S, 1, 1),
-            Instr::I64Extend32S => self.simple(Op::I64Extend32S, 1, 1),
-            Instr::I32TruncSatF32S => self.simple(Op::I32TruncSatF32S, 1, 1),
-            Instr::I32TruncSatF32U => self.simple(Op::I32TruncSatF32U, 1, 1),
-            Instr::I32TruncSatF64S => self.simple(Op::I32TruncSatF64S, 1, 1),
-            Instr::I32TruncSatF64U => self.simple(Op::I32TruncSatF64U, 1, 1),
-            Instr::I64TruncSatF32S => self.simple(Op::I64TruncSatF32S, 1, 1),
-            Instr::I64TruncSatF32U => self.simple(Op::I64TruncSatF32U, 1, 1),
-            Instr::I64TruncSatF64S => self.simple(Op::I64TruncSatF64S, 1, 1),
-            Instr::I64TruncSatF64U => self.simple(Op::I64TruncSatF64U, 1, 1),
+            Instr::I32WrapI64 => self.simple(Op::I32WrapI64),
+            Instr::I32TruncF32S => self.simple(Op::I32TruncF32S),
+            Instr::I32TruncF32U => self.simple(Op::I32TruncF32U),
+            Instr::I32TruncF64S => self.simple(Op::I32TruncF64S),
+            Instr::I32TruncF64U => self.simple(Op::I32TruncF64U),
+            Instr::I64ExtendI32S => self.simple(Op::I64ExtendI32S),
+            Instr::I64ExtendI32U => self.simple(Op::I64ExtendI32U),
+            Instr::I64TruncF32S => self.simple(Op::I64TruncF32S),
+            Instr::I64TruncF32U => self.simple(Op::I64TruncF32U),
+            Instr::I64TruncF64S => self.simple(Op::I64TruncF64S),
+            Instr::I64TruncF64U => self.simple(Op::I64TruncF64U),
+            Instr::F32ConvertI32S => self.simple(Op::F32ConvertI32S),
+            Instr::F32ConvertI32U => self.simple(Op::F32ConvertI32U),
+            Instr::F32ConvertI64S => self.simple(Op::F32ConvertI64S),
+            Instr::F32ConvertI64U => self.simple(Op::F32ConvertI64U),
+            Instr::F32DemoteF64 => self.simple(Op::F32DemoteF64),
+            Instr::F64ConvertI32S => self.simple(Op::F64ConvertI32S),
+            Instr::F64ConvertI32U => self.simple(Op::F64ConvertI32U),
+            Instr::F64ConvertI64S => self.simple(Op::F64ConvertI64S),
+            Instr::F64ConvertI64U => self.simple(Op::F64ConvertI64U),
+            Instr::F64PromoteF32 => self.simple(Op::F64PromoteF32),
+            Instr::I32ReinterpretF32 => self.simple(Op::I32ReinterpretF32),
+            Instr::I64ReinterpretF64 => self.simple(Op::I64ReinterpretF64),
+            Instr::F32ReinterpretI32 => self.simple(Op::F32ReinterpretI32),
+            Instr::F64ReinterpretI64 => self.simple(Op::F64ReinterpretI64),
+            Instr::I32Extend8S => self.simple(Op::I32Extend8S),
+            Instr::I32Extend16S => self.simple(Op::I32Extend16S),
+            Instr::I64Extend8S => self.simple(Op::I64Extend8S),
+            Instr::I64Extend16S => self.simple(Op::I64Extend16S),
+            Instr::I64Extend32S => self.simple(Op::I64Extend32S),
+            Instr::I32TruncSatF32S => self.simple(Op::I32TruncSatF32S),
+            Instr::I32TruncSatF32U => self.simple(Op::I32TruncSatF32U),
+            Instr::I32TruncSatF64S => self.simple(Op::I32TruncSatF64S),
+            Instr::I32TruncSatF64U => self.simple(Op::I32TruncSatF64U),
+            Instr::I64TruncSatF32S => self.simple(Op::I64TruncSatF32S),
+            Instr::I64TruncSatF32U => self.simple(Op::I64TruncSatF32U),
+            Instr::I64TruncSatF64S => self.simple(Op::I64TruncSatF64S),
+            Instr::I64TruncSatF64U => self.simple(Op::I64TruncSatF64U),
 
             other => {
                 if let Some(op) = I32Op::from_instr(other) {
-                    self.lower_i32_bin(op);
+                    self.simple(Op::I32Bin(op));
                 } else {
                     unreachable!("unhandled instruction in lowering: {other:?}");
                 }
@@ -1132,7 +1176,7 @@ impl<'m> FnCompiler<'m> {
     /// Inline a straight-line leaf callee (no control flow, no calls) into
     /// the current block. The callee's params and locals get fresh caller
     /// slots; its body is lowered in place with the local indices remapped,
-    /// so all superinstruction fusion applies across the call boundary.
+    /// so the register lowering fuses straight across the call boundary.
     ///
     /// Fuel parity with the reference interpreter is exact: the `call`
     /// charges 1, every body instruction charges 1 through the normal
@@ -1188,9 +1232,9 @@ impl<'m> FnCompiler<'m> {
 
         // Drain the arguments into the param slots (unmetered glue: the
         // reference interpreter moves them during frame setup).
-        // `emit_local_set` applies the pop to the static height itself.
         for i in (0..ty.params.len()).rev() {
-            self.emit_local_set(base + i as u32);
+            self.emit(Op::LocalSet(base + i as u32));
+            self.bump(1, 0);
         }
 
         // The body, with locals remapped into the fresh slots. Nested
@@ -1209,149 +1253,12 @@ impl<'m> FnCompiler<'m> {
         true
     }
 
-    /// i32 binop/compare with operand fusion against the block tail.
-    fn lower_i32_bin(&mut self, op: I32Op) {
-        self.count(1);
-        if let Some((a, b)) = self.tail2() {
-            match (a, b) {
-                (Op::LocalGet(l), Op::I32Const(k)) if l <= u16::MAX as u32 => {
-                    self.pop_tail(2);
-                    self.emit(Op::I32BinLC { op, a: l as u16, k });
-                    self.bump(2, 1);
-                    return;
-                }
-                (Op::I32Const(k), Op::LocalGet(l)) if op.commutative() && l <= u16::MAX as u32 => {
-                    self.pop_tail(2);
-                    self.emit(Op::I32BinLC { op, a: l as u16, k });
-                    self.bump(2, 1);
-                    return;
-                }
-                _ => {}
-            }
-        }
-        match self.tail() {
-            Some(Op::I32Const(k)) => {
-                self.pop_tail(1);
-                self.emit(Op::I32BinSC { op, k });
-            }
-            Some(Op::LocalGet(l)) if l <= u16::MAX as u32 => {
-                self.pop_tail(1);
-                self.emit(Op::I32BinSL { op, b: l as u16 });
-            }
-            Some(Op::LocalGet2 { a, b }) => {
-                self.pop_tail(1);
-                self.emit(Op::I32BinLL { op, a, b });
-            }
-            _ => self.emit(Op::I32Bin(op)),
-        }
-        self.bump(2, 1);
-    }
-
-    /// `local.set` with producer fusion: when the block tail is an op that
-    /// only pushes the value being stored, rewrite the pair into a
-    /// register-style write-back that never touches the operand stack.
-    /// Does not charge fuel (the caller decides whether the set is a
-    /// source instruction or inline-call glue).
-    fn emit_local_set(&mut self, i: u32) {
-        self.leader();
-        if i <= u16::MAX as u32 {
-            let dst = i as u16;
-            let fused = match self.tail() {
-                Some(Op::I32Const(k)) => Some(Op::LocalSetC { dst, k }),
-                Some(Op::LocalGet(src)) if src <= u16::MAX as u32 => Some(Op::LocalCopy {
-                    src: src as u16,
-                    dst,
-                }),
-                Some(Op::I32BinLL { op, a, b }) => Some(Op::I32BinLLSet { op, a, b, dst }),
-                Some(Op::I32BinLC { op, a, k }) => Some(Op::I32BinLCSet { op, a, k, dst }),
-                Some(Op::I32BinSL { op, b }) => Some(Op::I32BinSLSet { op, b, dst }),
-                Some(Op::I32BinSC { op, k }) => Some(Op::I32BinSCSet { op, k, dst }),
-                Some(Op::I32Load(off)) => Some(Op::I32LoadSet { off, dst }),
-                Some(Op::I32LoadL { l, off }) => Some(Op::I32LoadLSet { l, off, dst }),
-                _ => None,
-            };
-            if let Some(op) = fused {
-                self.pop_tail(1);
-                self.emit(op);
-                self.bump(1, 0);
-                return;
-            }
-        }
-        self.emit(Op::LocalSet(i));
-        self.bump(1, 0);
-    }
-
-    /// `i32.eqz` after an integer compare rewrites the compare in place.
-    fn lower_i32_eqz(&mut self) {
-        self.count(1);
-        let rewritten = match self.tail() {
-            Some(Op::I32Bin(c)) => c.negate().map(Op::I32Bin),
-            Some(Op::I32BinLL { op: c, a, b }) => c.negate().map(|n| Op::I32BinLL { op: n, a, b }),
-            Some(Op::I32BinSL { op: c, b }) => c.negate().map(|n| Op::I32BinSL { op: n, b }),
-            Some(Op::I32BinSC { op: c, k }) => c.negate().map(|n| Op::I32BinSC { op: n, k }),
-            Some(Op::I32BinLC { op: c, a, k }) => c.negate().map(|n| Op::I32BinLC { op: n, a, k }),
-            _ => None,
-        };
-        if let Some(op) = rewritten {
-            *self.ops.last_mut().expect("tail exists") = op;
-        } else {
-            self.emit(Op::I32Eqz);
-        }
-        self.bump(1, 1);
-    }
-
-    /// `br_if` with condition fusion (branch when the condition holds).
-    fn lower_br_if(&mut self, depth: u32) {
-        self.count(1);
-        self.bump(1, 0); // condition
-        let br = self.branch_index(depth);
-        match self.tail() {
-            Some(Op::I32Eqz) => {
-                self.pop_tail(1);
-                self.emit(Op::BrIfZ(br));
-            }
-            Some(Op::I32Bin(c)) if c.negate().is_some() => {
-                self.pop_tail(1);
-                self.emit(Op::BrIfCmp { op: c, br });
-            }
-            Some(Op::I32BinLL { op: c, a, b }) if c.negate().is_some() => {
-                self.pop_tail(1);
-                self.emit(Op::BrIfLL { op: c, a, b, br });
-            }
-            _ => self.emit(Op::BrIf(br)),
-        }
-        self.seal();
-    }
-
     /// `if`: the false edge is a branch to the else arm (or the end).
     fn lower_if(&mut self, ty: BlockType) {
         self.count(1);
         self.bump(1, 0); // condition
         let br = self.new_branch(self.height as u32, 0);
-        // Fuse the condition; the false edge fires when it does NOT hold.
-        match self.tail() {
-            Some(Op::I32Eqz) => {
-                self.pop_tail(1);
-                self.emit(Op::BrIf(br));
-            }
-            Some(Op::I32Bin(c)) if c.negate().is_some() => {
-                self.pop_tail(1);
-                self.emit(Op::BrIfCmp {
-                    op: c.negate().expect("compare"),
-                    br,
-                });
-            }
-            Some(Op::I32BinLL { op: c, a, b }) if c.negate().is_some() => {
-                self.pop_tail(1);
-                self.emit(Op::BrIfLL {
-                    op: c.negate().expect("compare"),
-                    a,
-                    b,
-                    br,
-                });
-            }
-            _ => self.emit(Op::BrIfZ(br)),
-        }
+        self.emit(Op::BrIfZ(br));
         self.seal();
         self.ctrls.push(Ctrl {
             kind: CtrlKind::If { else_br: br },
@@ -1440,38 +1347,6 @@ impl<'m> FnCompiler<'m> {
             }
         }
     }
-
-    /// Loads that fuse with a trailing `local.get`.
-    fn lower_load(&mut self, off: u32, plain: Op, fused: Option<LoadKind>) {
-        self.count(1);
-        if let Some(kind) = fused {
-            if let Some(Op::LocalGet(l)) = self.tail() {
-                if l <= u16::MAX as u32 {
-                    self.pop_tail(1);
-                    let l = l as u16;
-                    self.emit(match kind {
-                        LoadKind::I32 => Op::I32LoadL { l, off },
-                        LoadKind::I64 => Op::I64LoadL { l, off },
-                        LoadKind::F64 => Op::F64LoadL { l, off },
-                        LoadKind::I32U8 => Op::I32Load8UL { l, off },
-                    });
-                    self.bump(1, 1);
-                    return;
-                }
-            }
-        }
-        self.emit(plain);
-        self.bump(1, 1);
-    }
-}
-
-/// Which fused load op to emit for a `local.get`+load pair.
-#[derive(Clone, Copy)]
-enum LoadKind {
-    I32,
-    I64,
-    F64,
-    I32U8,
 }
 
 #[cfg(test)]
@@ -1493,26 +1368,23 @@ mod tests {
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
         let cf = compile_first(&m);
-        // Meter + fused mul + return.
-        assert!(
-            matches!(cf.ops[0], Op::Meter { cost: 4, .. }),
-            "ops: {:?}",
-            cf.ops
+        // One Meter charging all four source instructions (the three
+        // below plus the function-level End), then one op per instruction.
+        // Fusing them is the register lowering's job (`regalloc::tests`).
+        assert_eq!(
+            *cf.ops,
+            [
+                Op::Meter { cost: 4, peak: 2 },
+                Op::LocalGet(0),
+                Op::I32Const(2),
+                Op::I32Bin(I32Op::Mul),
+                Op::Return,
+            ]
         );
-        assert!(matches!(
-            cf.ops[1],
-            Op::I32BinLC {
-                op: I32Op::Mul,
-                a: 0,
-                k: 2
-            }
-        ));
-        assert!(matches!(cf.ops[2], Op::Return));
-        assert_eq!(cf.ops.len(), 3);
     }
 
     #[test]
-    fn while_loop_condition_fuses_to_brif_ll() {
+    fn while_loop_header_is_its_own_metered_block() {
         // while (i < n) { i = i + 1 }   as PlugC emits it:
         // block { loop { i<n; eqz; br_if 1; body; br 0 } }
         let mut b = ModuleBuilder::new();
@@ -1537,26 +1409,34 @@ mod tests {
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
         let cf = compile_first(&m);
-        // The loop condition (get,get,lt,eqz,br_if) must be ONE op: a
-        // BrIfLL with the negated compare.
+        // The loop header is a block of its own: `loop` plus the five
+        // condition instructions, spelled one op each and ended by the
+        // exit branch. (That they run as ONE compare-and-branch is pinned
+        // on the register form, in `regalloc::tests`.)
+        let header = cf
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::Meter { cost: 6, .. }))
+            .expect("loop header meter");
         assert!(
-            cf.ops.iter().any(|op| matches!(
-                op,
-                Op::BrIfLL {
-                    op: I32Op::GeS,
-                    a: 0,
-                    b: 1,
-                    ..
-                }
-            )),
+            matches!(
+                cf.ops[header + 1..header + 6],
+                [
+                    Op::LocalGet(0),
+                    Op::LocalGet(1),
+                    Op::I32Bin(I32Op::LtS),
+                    Op::I32Eqz,
+                    Op::BrIf(_)
+                ]
+            ),
             "ops: {:?}",
             cf.ops
         );
-        // No label-stack ops exist; the back edge targets a Meter.
+        // No label-stack ops exist; the back edge targets that Meter.
         let back = cf
             .branches
             .iter()
-            .find(|bt| matches!(cf.ops[bt.pc as usize], Op::Meter { .. }))
+            .find(|bt| bt.pc as usize == header)
             .expect("loop back edge lands on its header meter");
         assert_eq!(back.arity, 0);
     }
@@ -1594,8 +1474,8 @@ mod tests {
 
     #[test]
     fn fuel_cost_counts_source_instrs() {
-        // const+const+add+drop = 4 source instructions in one block (plus
-        // the function-level End), even though fusion emits fewer ops.
+        // const+const+add+drop = 4 source instructions in one block, plus
+        // the function-level End (charged, though it lowers to `Return`).
         let mut b = ModuleBuilder::new();
         let sig = b.func_type(&[], &[]);
         b.begin_func(sig);

@@ -468,10 +468,6 @@ fn render_op(op: &Op, cf: &CompiledFunc) -> String {
         Op::Br(b) => format!("br {}", br(b)),
         Op::BrIf(b) => format!("br_if {}", br(b)),
         Op::BrIfZ(b) => format!("br_ifz {}", br(b)),
-        Op::BrIfCmp { op, br: b } => format!("br_if (i32.{op:?}) {}", br(b)),
-        Op::BrIfLL { op, a, b, br: bi } => {
-            format!("br_if (i32.{op:?} l{a} l{b}) {}", br(bi))
-        }
         Op::BrTable { start, n } => {
             let arms: Vec<String> = (start..=start + n).map(br).collect();
             format!("br_table [{}]", arms.join(", "))
@@ -483,28 +479,11 @@ fn render_op(op: &Op, cf: &CompiledFunc) -> String {
         Op::Drop => "drop".into(),
         Op::Select => "select".into(),
         Op::LocalGet(l) => format!("local.get {l}"),
-        Op::LocalGet2 { a, b } => format!("local.get2 {a} {b}"),
         Op::LocalSet(l) => format!("local.set {l}"),
         Op::LocalTee(l) => format!("local.tee {l}"),
-        Op::LocalSetC { dst, k } => format!("l{dst} = i32.const {k}"),
-        Op::LocalCopy { src, dst } => format!("l{dst} = l{src}"),
         Op::GlobalGet(g) => format!("global.get {g}"),
         Op::GlobalSet(g) => format!("global.set {g}"),
         Op::I32Bin(op) => format!("i32.{op:?}"),
-        Op::I32BinLL { op, a, b } => format!("i32.{op:?} l{a} l{b}"),
-        Op::I32BinSL { op, b } => format!("i32.{op:?} s l{b}"),
-        Op::I32BinSC { op, k } => format!("i32.{op:?} s {k}"),
-        Op::I32BinLC { op, a, k } => format!("i32.{op:?} l{a} {k}"),
-        Op::I32BinLLSet { op, a, b, dst } => format!("l{dst} = i32.{op:?} l{a} l{b}"),
-        Op::I32BinLCSet { op, a, k, dst } => format!("l{dst} = i32.{op:?} l{a} {k}"),
-        Op::I32BinSLSet { op, b, dst } => format!("l{dst} = i32.{op:?} s l{b}"),
-        Op::I32BinSCSet { op, k, dst } => format!("l{dst} = i32.{op:?} s {k}"),
-        Op::I32LoadL { l, off } => format!("i32.load [l{l}+{off}]"),
-        Op::I64LoadL { l, off } => format!("i64.load [l{l}+{off}]"),
-        Op::F64LoadL { l, off } => format!("f64.load [l{l}+{off}]"),
-        Op::I32Load8UL { l, off } => format!("i32.load8_u [l{l}+{off}]"),
-        Op::I32LoadSet { off, dst } => format!("l{dst} = i32.load [s+{off}]"),
-        Op::I32LoadLSet { l, off, dst } => format!("l{dst} = i32.load [l{l}+{off}]"),
         Op::I32Load(off) => format!("i32.load offset={off}"),
         Op::I64Load(off) => format!("i64.load offset={off}"),
         Op::F32Load(off) => format!("f32.load offset={off}"),
@@ -789,10 +768,11 @@ mod tests {
     #[test]
     fn flat_form_snapshot_is_stable() {
         // Snapshot of the flat-IR listing for the same two functions as
-        // the register-form snapshot below: fused three-address arithmetic
-        // and the if/else diamond with its interned branch targets. The
-        // exact text is load-bearing for debugging the flat compiler;
-        // update it deliberately when the lowering changes.
+        // the register-form snapshot below: one op per source instruction
+        // (nothing fused — compare the register listing) and the if/else
+        // diamond with its interned branch targets. The exact text is
+        // load-bearing for debugging the flat compiler; update it
+        // deliberately when the lowering changes.
         let bytes = wat::assemble(
             r#"(module
                  (func (export "madd") (param i32 i32) (result i32)
@@ -817,9 +797,12 @@ mod tests {
             "\
 func $f0 (args 2 -> 1, locals 2):
      0  meter cost=6 peak=2
-     1  i32.Mul l0 l1
-     2  i32.Add s 3
-     3  return
+     1  local.get 0
+     2  local.get 1
+     3  i32.Mul
+     4  i32.const 3
+     5  i32.Add
+     6  return
 func $f1 (args 1 -> 1, locals 1):
      0  meter cost=2 peak=1
      1  local.get 0
@@ -865,8 +848,10 @@ func $f1 (args 1 -> 1, locals 1):
     #[test]
     fn register_form_snapshot_is_stable() {
         // Snapshot of the register-form listing for two tiny functions:
-        // straight-line arithmetic (constant fused, local reused in place)
-        // and an if/else diamond (fused compare-and-branch, join flush).
+        // straight-line arithmetic (constant fused, local reused in place;
+        // the frame counts the two lazy `local.get` cells that never
+        // materialize) and an if/else diamond (branch on the local itself,
+        // join flush).
         // The exact text is load-bearing for debugging the lowering pass;
         // update it deliberately when the lowering changes.
         let bytes = wat::assemble(
@@ -891,7 +876,7 @@ func $f1 (args 1 -> 1, locals 1):
         assert_eq!(
             text,
             "\
-func $f0 (args 2 -> 1, locals r0..r2, frame 3):
+func $f0 (args 2 -> 1, locals r0..r2, frame 4):
      0  meter cost=6 entry=0 peak=2
      1  r2 = i32.Mul r0 r1
      2  r2 = i32.Add r2 3

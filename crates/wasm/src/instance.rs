@@ -173,9 +173,9 @@ impl Default for ExecLimits {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// The register-form executor (see [`crate::regalloc`]): the flat IR
-    /// (side-table branches, basic-block metering, superinstruction
-    /// fusion) lowered to three-address code over a per-frame virtual
-    /// register file, so push/pop traffic disappears from the hot loop.
+    /// (side-table branches, basic-block metering) lowered to fused
+    /// three-address code over a per-frame virtual register file, so
+    /// push/pop traffic disappears from the hot loop.
     /// Every instance runs this unless a test or ablation bench selects
     /// the oracle.
     #[default]

@@ -14,11 +14,12 @@
 //! * [`instance`] — instantiation, host-function linking and typed calls,
 //! * [`compile`] / [`regalloc`] — the two lowerings behind the one
 //!   production executor (`ExecMode::Reg`): validated bodies become a
-//!   flat IR (side-table branches, block metering, fusion, inlining),
+//!   1:1 flat stack IR (side-table branches, block metering, inlining),
 //!   which is lowered again into three-address code over a per-frame
-//!   virtual register file, eliminating value-stack traffic from the hot
-//!   loop. Only the register form is executed; [`analysis`] proves it
-//!   equivalent to the flat IR at load,
+//!   virtual register file — the one pass that fuses operands,
+//!   write-backs, compare-and-branch and address chains — eliminating
+//!   value-stack traffic from the hot loop. Only the register form is
+//!   executed; [`analysis`] proves it equivalent to the flat IR at load,
 //! * [`wat`] — a WAT-subset text assembler for tests and examples,
 //! * [`disasm`] — the inverse: render any decoded module as WAT-style
 //!   text (the operator's pre-deployment inspection tool, §3.A).

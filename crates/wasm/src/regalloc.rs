@@ -2,10 +2,10 @@
 //! production executor, runs.
 //!
 //! A per-function abstract-interpretation pass walks the already-lowered
-//! [`CompiledFunc`] (so side-table branches, basic-block fuel metering,
-//! superinstruction fusion and leaf-call inlining all carry forward for
-//! free) and assigns every operand-stack slot a *virtual register* in a
-//! flat, frame-indexed register file:
+//! [`CompiledFunc`] (so side-table branches, basic-block fuel metering
+//! and leaf-call inlining all carry forward for free) and assigns every
+//! operand-stack slot a *virtual register* in a flat, frame-indexed
+//! register file:
 //!
 //! * registers `0 .. n_locals` are the wasm locals (local `i` *is*
 //!   register `i`),
@@ -16,9 +16,17 @@
 //! loop. The pass additionally tracks three abstract value kinds per
 //! stack cell — materialized [`Abs::Slot`], lazy local alias
 //! [`Abs::Local`] and lazy constant [`Abs::Const`] — so `local.get`,
-//! `const` and most copies are *deleted* rather than merely cheapened,
-//! folds constant i32 arithmetic, and re-fuses compare-and-branch over
-//! register operands ([`ROp::BrIfCmp`]/[`ROp::BrIfCmpC`]).
+//! `const` and most copies are *deleted* rather than merely cheapened.
+//!
+//! This is the pipeline's only fusion pass — the flat IR it reads is one
+//! op per source instruction. Local and constant operands come from the
+//! lazy cells; a pure producer followed by `local.set` is retargeted at
+//! the local (write-back); constant i32 arithmetic folds; `i32.eqz`
+//! negates a just-emitted compare or flips the branch it feeds;
+//! compare-and-branch fuses over register operands
+//! ([`ROp::BrIfCmp`]/[`ROp::BrIfCmpC`]); address chains fold into the
+//! memory access. All of it sits under the translation-validation proof
+//! of [`crate::analysis`].
 //!
 //! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
@@ -395,7 +403,7 @@ pub enum ROp {
         br: u32,
     },
     /// Branch when `op(regs[a], regs[b])` holds (fused compare+br_if over
-    /// arbitrary registers — subsumes the flat IR's `BrIfLL`).
+    /// arbitrary registers, locals included).
     BrIfCmp {
         op: I32Op,
         a: u32,
@@ -703,17 +711,6 @@ enum Abs {
     Const(Value),
 }
 
-/// Operand source for the unified i32-binop lowering helper.
-#[derive(Clone, Copy)]
-enum BinSrc {
-    /// Abstract stack cell (index into the lowering stack; popped).
-    Stack(usize),
-    /// Local register (from a flat fused form; not on the stack).
-    Local(u32),
-    /// Immediate (from a flat fused form).
-    Konst(i32),
-}
-
 struct Lowerer<'m> {
     module: &'m Module,
     cf: &'m CompiledFunc,
@@ -745,14 +742,9 @@ pub fn lower_func(module: &Module, local_idx: u32) -> RegFunc {
     let cf = module.compiled_func(local_idx);
     let n_locals = cf.argc + cf.locals_init.len() as u32;
 
-    // Entry stack height of every branch target (u32::MAX = not a
-    // target): the target block starts at `height` plus the carried
-    // values. Function-level targets point at the shared `Return`
-    // trampoline and recover `ret_arity` the same way.
-    let mut entry_height = vec![u32::MAX; cf.ops.len()];
-    for bt in cf.branches.iter() {
-        entry_height[bt.pc as usize] = bt.height + bt.arity as u32;
-    }
+    let entry_height = cf
+        .entry_heights(local_idx)
+        .expect("compiled from a validated body: the branch side table is consistent");
 
     let mut lw = Lowerer {
         module,
@@ -1032,99 +1024,80 @@ impl Lowerer<'_> {
         };
     }
 
+    /// Index of the just-emitted pure op whose result is the materialized
+    /// top-of-stack cell — the one producer a consumer may still rewrite
+    /// or absorb.
+    fn top_producer(&self) -> Option<usize> {
+        let top = self.stack.len().checked_sub(1)?;
+        let (i, d) = self.last_pure?;
+        (matches!(self.stack[top], Abs::Slot) && i + 1 == self.rops.len() && d == self.slot(top))
+            .then_some(i)
+    }
+
     /// Try to rewrite the just-emitted pure op (whose result is the
     /// top-of-stack slot) to write local `l` directly. Fails when the
     /// producer isn't the immediately preceding op or when a live stack
     /// cell still aliases `l` (the alias would observe the new value).
     fn try_writeback(&mut self, l: u32) -> bool {
-        let top = self.stack.len() - 1;
-        if !matches!(self.stack[top], Abs::Slot) {
+        let Some(i) = self.top_producer() else {
             return false;
-        }
-        if self.stack[..top]
+        };
+        if self
+            .stack
             .iter()
             .any(|a| matches!(a, Abs::Local(x) if *x == l))
         {
             return false;
         }
-        if let Some((i, d)) = self.last_pure {
-            if i + 1 == self.rops.len() && d == self.slot(top) {
-                *self.rops[i].dst_mut().expect("pure ops are retargetable") = l;
-                self.last_pure = None;
-                // The retargeted op may be (or may clobber) the pending
-                // address add — no longer safe to fuse.
-                self.pendings.clear();
-                return true;
-            }
-        }
-        false
+        *self.rops[i].dst_mut().expect("pure ops are retargetable") = l;
+        self.last_pure = None;
+        // The retargeted op may be (or may clobber) the pending
+        // address add — no longer safe to fuse.
+        self.pendings.clear();
+        true
     }
 
-    /// Unified lowering for every flat i32-binop form: folds constant
-    /// operands, canonicalizes constants to the `k` side of
-    /// [`ROp::I32BinC`] (swapping when commutative), and writes either a
-    /// fresh stack slot (`wb == None`) or a local.
-    fn i32bin(&mut self, op: I32Op, a: BinSrc, b: BinSrc, wb: Option<u32>) {
-        let kof = |this: &Self, s: BinSrc| match s {
-            BinSrc::Stack(i) => this.const_i32_at(i),
-            BinSrc::Konst(k) => Some(k),
-            BinSrc::Local(_) => None,
-        };
-        let pops = matches!(a, BinSrc::Stack(_)) as usize + matches!(b, BinSrc::Stack(_)) as usize;
-        let (ka, kb) = (kof(self, a), kof(self, b));
-
+    /// The flat i32 binop over the two top cells: folds constant
+    /// operands, canonicalizes a constant to the `k` side of
+    /// [`ROp::I32BinC`] (swapping when commutative) and leaves the result
+    /// in a fresh stack slot — `local.set` retargets it from there
+    /// ([`Lowerer::try_writeback`]).
+    fn i32bin(&mut self, op: I32Op) {
+        let (ia, ib) = (self.h() - 2, self.h() - 1);
+        let (ka, kb) = (self.const_i32_at(ia), self.const_i32_at(ib));
         if let (Some(ka), Some(kb)) = (ka, kb) {
-            let folded = Value::I32(op.eval(ka, kb));
-            self.stack.truncate(self.stack.len() - pops);
-            match wb {
-                None => self.push(Abs::Const(folded)),
-                Some(l) => {
-                    self.invalidate_local(l);
-                    self.emit_const_to(l, folded);
-                }
-            }
+            self.stack.truncate(ia);
+            self.push(Abs::Const(Value::I32(op.eval(ka, kb))));
             return;
         }
-
-        let rof = |this: &mut Self, s: BinSrc| match s {
-            BinSrc::Stack(i) => this.operand_reg(i),
-            BinSrc::Local(l) => l,
-            BinSrc::Konst(_) => unreachable!("const operands handled above"),
-        };
-        enum Form {
-            RC { a: u32, k: i32 },
-            RR { a: u32, b: u32 },
-        }
-        let form = if let Some(k) = kb {
-            let a = rof(self, a);
-            Form::RC { a, k }
+        let dst = self.slot(ia);
+        let rop = if let Some(k) = kb {
+            let a = self.operand_reg(ia);
+            ROp::I32BinC { op, dst, a, k }
         } else if let (Some(k), true) = (ka, op.commutative()) {
-            let a = rof(self, b);
-            Form::RC { a, k }
+            let a = self.operand_reg(ib);
+            ROp::I32BinC { op, dst, a, k }
         } else {
-            let ra = rof(self, a);
-            let rb = rof(self, b);
-            Form::RR { a: ra, b: rb }
+            let a = self.operand_reg(ia);
+            let b = self.operand_reg(ib);
+            ROp::I32Bin { op, dst, a, b }
         };
-        self.stack.truncate(self.stack.len() - pops);
-        let dst = match wb {
-            None => self.slot(self.stack.len()),
-            Some(l) => {
-                self.invalidate_local(l);
-                l
-            }
+        self.stack.truncate(ia);
+        self.push(Abs::Slot);
+        self.emit_pure(rop, dst);
+    }
+
+    /// `i32.eqz` of the just-emitted integer compare: negate the compare
+    /// in place (integer compares are a total order) instead of emitting
+    /// a second op.
+    fn negate_top_compare(&mut self) -> bool {
+        let Some(i) = self.top_producer() else {
+            return false;
         };
-        let rop = match form {
-            Form::RC { a, k } => ROp::I32BinC { op, dst, a, k },
-            Form::RR { a, b } => ROp::I32Bin { op, dst, a, b },
+        let (ROp::I32Bin { op, .. } | ROp::I32BinC { op, .. }) = &mut self.rops[i] else {
+            return false;
         };
-        match wb {
-            None => {
-                self.push(Abs::Slot);
-                self.emit_pure(rop, dst);
-            }
-            Some(_) => self.emit(rop),
-        }
+        op.negate().map(|n| *op = n).is_some()
     }
 
     /// Conditional branch on the abstract top of stack. `negate` = branch
@@ -1142,34 +1115,28 @@ impl Lowerer<'_> {
             }
             return;
         }
-        if matches!(self.stack[top], Abs::Slot) {
-            if let Some((i, d)) = self.last_pure {
-                if i + 1 == self.rops.len() && d == self.slot(top) {
-                    // `BrIfCmp` branches when the fused op is non-zero, so
-                    // any producer fuses directly; the zero-branch needs
-                    // the comparison's total-order dual.
-                    let fused = match self.rops[i] {
-                        ROp::I32Bin { op, dst, a, b } if dst == d => {
-                            let fop = if negate { op.negate() } else { Some(op) };
-                            fop.map(|op| ROp::BrIfCmp { op, a, b, br })
-                        }
-                        ROp::I32BinC { op, dst, a, k } if dst == d => {
-                            let fop = if negate { op.negate() } else { Some(op) };
-                            fop.map(|op| ROp::BrIfCmpC { op, a, k, br })
-                        }
-                        _ => None,
-                    };
-                    if let Some(rop) = fused {
-                        self.rops.pop();
-                        self.last_pure = None;
-                        self.pendings.clear();
-                        self.stack.pop();
-                        self.materialize_all();
-                        self.fill_branch(br);
-                        self.emit(rop);
-                        return;
-                    }
+        if let Some(i) = self.top_producer() {
+            // `BrIfCmp` branches when the fused op is non-zero, so any
+            // producer fuses directly; the zero-branch needs the
+            // comparison's total-order dual.
+            let fused = match self.rops[i] {
+                ROp::I32Bin { op, a, b, .. } => {
+                    let fop = if negate { op.negate() } else { Some(op) };
+                    fop.map(|op| ROp::BrIfCmp { op, a, b, br })
                 }
+                ROp::I32BinC { op, a, k, .. } => {
+                    let fop = if negate { op.negate() } else { Some(op) };
+                    fop.map(|op| ROp::BrIfCmpC { op, a, k, br })
+                }
+                _ => None,
+            };
+            if let Some(rop) = fused {
+                self.rops.pop();
+                self.stack.pop();
+                self.materialize_all();
+                self.fill_branch(br);
+                self.emit(rop);
+                return;
             }
         }
         let cond = self.operand_reg(top);
@@ -1197,20 +1164,6 @@ impl Lowerer<'_> {
             self.push(Abs::Slot);
         }
         self.emit(rop);
-    }
-
-    fn load_push(&mut self, kind: LoadKind, addr: u32, off: u32) {
-        let dst = self.slot(self.stack.len());
-        self.push(Abs::Slot);
-        self.emit_pure(
-            ROp::Load {
-                kind,
-                dst,
-                addr,
-                off,
-            },
-            dst,
-        );
     }
 
     /// When the address in stack cell `cell` was produced by a still-live
@@ -1283,23 +1236,18 @@ impl Lowerer<'_> {
             StoreKind::I32Lo16 => 0xffff,
             _ => return,
         };
-        if !matches!(self.stack[h - 1], Abs::Slot) {
-            return;
-        }
-        let Some((i, d)) = self.last_pure else { return };
-        if i + 1 != self.rops.len() || d != self.slot(h - 1) {
-            return;
-        }
+        let Some(i) = self.top_producer() else { return };
+        let d = self.slot(h - 1);
         if let ROp::I32BinC {
             op: I32Op::And,
-            dst,
             a,
             k,
+            ..
         } = self.rops[i]
         {
             // A stack operand always lands back in its own slot (`a == d`);
-            // a fused-local operand re-points the cell at the local.
-            if dst == d && k == mask && (a == d || a < self.n_locals) {
+            // a local operand re-points the cell at the local.
+            if k == mask && (a == d || a < self.n_locals) {
                 self.rops.pop();
                 self.last_pure = None;
                 if a != d {
@@ -1626,6 +1574,15 @@ fn pure_reads(op: &ROp) -> Option<[u32; 2]> {
 }
 
 impl Lowerer<'_> {
+    /// Whether flat op `pc` is a conditional branch fed directly by an
+    /// `i32.eqz` — the pair lowers as one branch of the opposite sense
+    /// (branch targets are never conditional branches, so nothing can
+    /// arrive between the two).
+    fn follows_eqz(&self, pc: usize) -> bool {
+        let ops = &self.cf.ops;
+        matches!(ops.get(pc), Some(Op::BrIf(_) | Op::BrIfZ(_))) && matches!(ops[pc - 1], Op::I32Eqz)
+    }
+
     fn lower_op(&mut self, pc: usize, op: Op, eh: &[u32]) {
         if !self.reachable {
             let e = eh[pc];
@@ -1671,55 +1628,10 @@ impl Lowerer<'_> {
                 self.emit(ROp::Br(b));
                 self.reachable = false;
             }
-            Op::BrIf(b) => self.cond_branch(b, false),
-            Op::BrIfZ(b) => self.cond_branch(b, true),
-            Op::BrIfCmp { op, br } => {
-                let h = self.h();
-                let (ia, ib) = (h - 2, h - 1);
-                match (self.const_i32_at(ia), self.const_i32_at(ib)) {
-                    (Some(ka), Some(kb)) => {
-                        self.stack.truncate(ia);
-                        if op.eval(ka, kb) != 0 {
-                            self.materialize_all();
-                            self.fill_branch(br);
-                            self.emit(ROp::Br(br));
-                            self.reachable = false;
-                        }
-                    }
-                    (_, Some(k)) => {
-                        let a = self.operand_reg(ia);
-                        self.stack.truncate(ia);
-                        self.materialize_all();
-                        self.fill_branch(br);
-                        self.emit(ROp::BrIfCmpC { op, a, k, br });
-                    }
-                    (Some(k), None) if op.commutative() => {
-                        let a = self.operand_reg(ib);
-                        self.stack.truncate(ia);
-                        self.materialize_all();
-                        self.fill_branch(br);
-                        self.emit(ROp::BrIfCmpC { op, a, k, br });
-                    }
-                    _ => {
-                        let a = self.operand_reg(ia);
-                        let b = self.operand_reg(ib);
-                        self.stack.truncate(ia);
-                        self.materialize_all();
-                        self.fill_branch(br);
-                        self.emit(ROp::BrIfCmp { op, a, b, br });
-                    }
-                }
-            }
-            Op::BrIfLL { op, a, b, br } => {
-                self.materialize_all();
-                self.fill_branch(br);
-                self.emit(ROp::BrIfCmp {
-                    op,
-                    a: a as u32,
-                    b: b as u32,
-                    br,
-                });
-            }
+            // `x; i32.eqz; br_if` is `x; br_ifz`: the eqz (below) emitted
+            // nothing and the branch flips its sense instead.
+            Op::BrIf(b) => self.cond_branch(b, self.follows_eqz(pc)),
+            Op::BrIfZ(b) => self.cond_branch(b, !self.follows_eqz(pc)),
             Op::BrTable { start, n } => {
                 let top = self.h() - 1;
                 if let Some(k) = self.const_i32_at(top) {
@@ -1806,10 +1718,6 @@ impl Lowerer<'_> {
                 }
             }
             Op::LocalGet(l) => self.push(Abs::Local(l)),
-            Op::LocalGet2 { a, b } => {
-                self.push(Abs::Local(a as u32));
-                self.push(Abs::Local(b as u32));
-            }
             Op::LocalSet(l) => {
                 let top = self.h() - 1;
                 match self.stack[top] {
@@ -1861,19 +1769,6 @@ impl Lowerer<'_> {
                     }
                 }
             }
-            Op::LocalSetC { dst, k } => {
-                self.invalidate_local(dst as u32);
-                self.emit(ROp::ConstI32 { dst: dst as u32, k });
-            }
-            Op::LocalCopy { src, dst } => {
-                if src != dst {
-                    self.invalidate_local(dst as u32);
-                    self.emit(ROp::Copy {
-                        dst: dst as u32,
-                        src: src as u32,
-                    });
-                }
-            }
             Op::GlobalGet(g) => {
                 let dst = self.slot(self.h());
                 self.push(Abs::Slot);
@@ -1884,106 +1779,7 @@ impl Lowerer<'_> {
                 self.stack.pop();
                 self.emit(ROp::GlobalSet { g, src });
             }
-            Op::I32Bin(op) => {
-                let h = self.h();
-                self.i32bin(op, BinSrc::Stack(h - 2), BinSrc::Stack(h - 1), None);
-            }
-            Op::I32BinLL { op, a, b } => {
-                self.i32bin(op, BinSrc::Local(a as u32), BinSrc::Local(b as u32), None)
-            }
-            Op::I32BinSL { op, b } => {
-                let h = self.h();
-                self.i32bin(op, BinSrc::Stack(h - 1), BinSrc::Local(b as u32), None);
-            }
-            Op::I32BinSC { op, k } => {
-                let h = self.h();
-                self.i32bin(op, BinSrc::Stack(h - 1), BinSrc::Konst(k), None);
-            }
-            Op::I32BinLC { op, a, k } => {
-                self.i32bin(op, BinSrc::Local(a as u32), BinSrc::Konst(k), None)
-            }
-            Op::I32BinLLSet { op, a, b, dst } => self.i32bin(
-                op,
-                BinSrc::Local(a as u32),
-                BinSrc::Local(b as u32),
-                Some(dst as u32),
-            ),
-            Op::I32BinLCSet { op, a, k, dst } => self.i32bin(
-                op,
-                BinSrc::Local(a as u32),
-                BinSrc::Konst(k),
-                Some(dst as u32),
-            ),
-            Op::I32BinSLSet { op, b, dst } => {
-                let h = self.h();
-                self.i32bin(
-                    op,
-                    BinSrc::Stack(h - 1),
-                    BinSrc::Local(b as u32),
-                    Some(dst as u32),
-                );
-            }
-            Op::I32BinSCSet { op, k, dst } => {
-                let h = self.h();
-                self.i32bin(op, BinSrc::Stack(h - 1), BinSrc::Konst(k), Some(dst as u32));
-            }
-            Op::I32LoadL { l, off } => self.load_push(LoadKind::I32, l as u32, off),
-            Op::I64LoadL { l, off } => self.load_push(LoadKind::I64, l as u32, off),
-            Op::F64LoadL { l, off } => self.load_push(LoadKind::F64, l as u32, off),
-            Op::I32Load8UL { l, off } => self.load_push(LoadKind::I32U8, l as u32, off),
-            Op::I32LoadSet { off, dst } => {
-                let top = self.h() - 1;
-                let kind = LoadKind::I32;
-                let fused = self.take_addr(top, u32::MAX, false);
-                let addr = match fused {
-                    Some(_) => 0, // unused; the fused forms carry a/b/k
-                    None => self.operand_reg(top),
-                };
-                self.stack.pop();
-                self.invalidate_local(dst as u32);
-                let dst = dst as u32;
-                self.emit(match fused {
-                    Some(AddrForm::At { a, k }) => ROp::LoadAt {
-                        kind,
-                        dst,
-                        a,
-                        k,
-                        off,
-                    },
-                    Some(AddrForm::Rr { a, b }) => ROp::LoadRR {
-                        kind,
-                        dst,
-                        a,
-                        b,
-                        off,
-                    },
-                    // A flat-op local index always fits the packed field.
-                    Some(AddrForm::Bis { a, b, sh, k }) => ROp::LoadBis {
-                        kind,
-                        dst: dst as u16,
-                        a,
-                        b,
-                        sh,
-                        k,
-                        off,
-                    },
-                    None => ROp::Load {
-                        kind,
-                        dst,
-                        addr,
-                        off,
-                    },
-                });
-            }
-            Op::I32LoadLSet { l, off, dst } => {
-                self.invalidate_local(dst as u32);
-                self.emit(ROp::Load {
-                    kind: LoadKind::I32,
-                    dst: dst as u32,
-                    addr: l as u32,
-                    off,
-                });
-            }
+            Op::I32Bin(op) => self.i32bin(op),
             Op::MemorySize => {
                 let dst = self.slot(self.h());
                 self.push(Abs::Slot);
@@ -2016,6 +1812,9 @@ impl Lowerer<'_> {
             Op::I64Const(k) => self.push(Abs::Const(Value::I64(k))),
             Op::F32Const(k) => self.push(Abs::Const(Value::F32(k))),
             Op::F64Const(k) => self.push(Abs::Const(Value::F64(k))),
+            // Absorbed by the branch it feeds (above) or by the compare it
+            // negates; every other `i32.eqz` is a plain unop (below).
+            Op::I32Eqz if self.follows_eqz(pc + 1) || self.negate_top_compare() => {}
             other => {
                 if let Some(op) = I64Op::from_op(other) {
                     let h = self.h();
@@ -2156,34 +1955,27 @@ mod tests {
         let mut b = ModuleBuilder::new();
         let sig = b.func_type(&[ValType::I32], &[ValType::I32]);
         b.begin_func(sig);
-        b.code().local_get(0).i32_const(2).i32_mul();
+        b.code()
+            .local_get(0)
+            .i32_const(2)
+            .i32_mul()
+            .i32_const(1)
+            .i32_add();
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
         let rf = lower_func(&m, 0);
-        // Meter + mul-by-const straight into the result slot + return; no
-        // copies, no const materialization.
-        assert!(
-            matches!(rf.ops[0], ROp::Meter { cost: 4, .. }),
-            "ops: {:?}",
-            rf.ops
-        );
-        assert!(
-            matches!(
-                rf.ops[1],
-                ROp::I32BinC {
-                    op: I32Op::Mul,
-                    dst: 1,
-                    a: 0,
-                    k: 2
-                }
-            ),
-            "ops: {:?}",
-            rf.ops
-        );
-        assert!(
-            matches!(rf.ops[2], ROp::Return { src: 1 }),
-            "ops: {:?}",
-            rf.ops
+        // Six source instructions (five below plus the End) in one Meter;
+        // x*2+1 is two const-operand ops through the result slot, then the
+        // return — no copies, no const materialization.
+        #[rustfmt::skip]
+        assert_eq!(
+            *rf.ops,
+            [
+                ROp::Meter { cost: 6, entry: 0, peak: 2 },
+                ROp::I32BinC { op: I32Op::Mul, dst: 1, a: 0, k: 2 },
+                ROp::I32BinC { op: I32Op::Add, dst: 1, a: 1, k: 1 },
+                ROp::Return { src: 1 },
+            ]
         );
         assert_eq!(rf.n_locals, 1);
         assert!(rf.frame_size >= 2);
@@ -2234,5 +2026,161 @@ mod tests {
         let m = b.finish().expect("valid");
         let rf = lower_func(&m, 0);
         assert_eq!(rf.consts.len(), 1, "consts: {:?}", rf.consts);
+    }
+
+    /// Function 0 of a WAT module, lowered, minus block headers.
+    fn lower_wat(src: &str) -> Vec<ROp> {
+        let wasm = crate::wat::assemble(src).expect("assembles");
+        let m = crate::load_module(&wasm).expect("valid");
+        let rf = lower_func(&m, 0);
+        let code = rf.ops.iter().filter(|op| !matches!(op, ROp::Meter { .. }));
+        code.copied().collect()
+    }
+
+    // The flat IR is unfused, so every pattern below is fused here or
+    // nowhere.
+
+    #[test]
+    fn while_loop_header_is_one_compare_and_branch() {
+        // while (i < n) { i = i + 1 } as PlugC emits it. The five header
+        // instructions (get, get, lt, eqz, br_if) are ONE op — the negated
+        // compare over the two local registers — and the increment writes
+        // its local directly: no stack register is touched anywhere.
+        let ops = lower_wat(
+            r#"(module (func (param i32 i32) (result i32)
+                 block
+                   loop
+                     local.get 0  local.get 1  i32.lt_s  i32.eqz  br_if 1
+                     local.get 0  i32.const 1  i32.add  local.set 0
+                     br 0
+                   end
+                 end
+                 local.get 0))"#,
+        );
+        #[rustfmt::skip]
+        assert!(
+            matches!(
+                ops[..],
+                [
+                    ROp::BrIfCmp { op: I32Op::GeS, a: 0, b: 1, .. },
+                    ROp::I32BinC { op: I32Op::Add, dst: 0, a: 0, k: 1 },
+                    ROp::Br(_),
+                    ROp::Return { src: 0 },
+                ]
+            ),
+            "ops: {ops:?}"
+        );
+    }
+
+    #[test]
+    fn eqz_of_a_compare_negates_it_in_place() {
+        // !(a < b) in value position: one `a >= b` into the local, no
+        // separate eqz.
+        let ops = lower_wat(
+            r#"(module (func (param i32 i32) (result i32)
+                 local.get 0  local.get 1  i32.lt_s  i32.eqz  local.set 0
+                 local.get 0))"#,
+        );
+        #[rustfmt::skip]
+        assert_eq!(
+            ops,
+            [
+                ROp::I32Bin { op: I32Op::GeS, dst: 0, a: 0, b: 1 },
+                ROp::Return { src: 0 },
+            ]
+        );
+    }
+
+    #[test]
+    fn eqz_feeding_a_branch_flips_its_sense() {
+        // `x; eqz; br_if` branches when the local itself is zero...
+        let ops = lower_wat(
+            r#"(module (func (param i32) (result i32)
+                 block  local.get 0  i32.eqz  br_if 0  end
+                 local.get 0))"#,
+        );
+        assert!(
+            matches!(
+                ops[..],
+                [ROp::BrIfZ { cond: 0, .. }, ROp::Return { src: 0 }]
+            ),
+            "ops: {ops:?}"
+        );
+        // ...and `if (!(x & 1))` skips its body when `x & 1` is non-zero:
+        // the and, the eqz and the `if` are one test-and-branch.
+        let ops = lower_wat(
+            r#"(module (func (param i32) (result i32)
+                 local.get 0  i32.const 1  i32.and  i32.eqz
+                 if  i32.const 7  local.set 0  end
+                 local.get 0))"#,
+        );
+        #[rustfmt::skip]
+        assert!(
+            matches!(
+                ops[..],
+                [
+                    ROp::BrIfCmpC { op: I32Op::And, a: 0, k: 1, .. },
+                    ROp::ConstI32 { dst: 0, k: 7 },
+                    ROp::Return { src: 0 },
+                ]
+            ),
+            "ops: {ops:?}"
+        );
+    }
+
+    #[test]
+    fn constants_and_loads_land_in_the_local() {
+        // `i32.const; local.set` is one ConstI32 into the local, and
+        // `local.get; i32.load; local.set` one Load from and into locals.
+        let ops = lower_wat(
+            r#"(module (memory 1) (func (param i32) (result i32) (local i32)
+                 i32.const 5  local.set 1
+                 local.get 0  i32.load offset=8  local.set 1
+                 local.get 1))"#,
+        );
+        #[rustfmt::skip]
+        assert_eq!(
+            ops,
+            [
+                ROp::ConstI32 { dst: 1, k: 5 },
+                ROp::Load { kind: LoadKind::I32, dst: 1, addr: 0, off: 8 },
+                ROp::Return { src: 1 },
+            ]
+        );
+    }
+
+    #[test]
+    fn write_back_respects_a_live_alias_of_the_destination() {
+        // The stack still holds the *old* local 0 when `a + b` is stored
+        // over it: the alias must be copied out first, so the add cannot
+        // simply be retargeted. old - new == -b.
+        let src = r#"(module (func (export "f") (param i32 i32) (result i32)
+             local.get 0
+             local.get 0  local.get 1  i32.add  local.set 0
+             local.get 0
+             i32.sub))"#;
+        let ops = lower_wat(src);
+        #[rustfmt::skip]
+        assert_eq!(
+            ops,
+            [
+                ROp::I32Bin { op: I32Op::Add, dst: 3, a: 0, b: 1 },
+                ROp::Copy { dst: 2, src: 0 },
+                ROp::Copy { dst: 0, src: 3 },
+                ROp::I32Bin { op: I32Op::Sub, dst: 2, a: 2, b: 0 },
+                ROp::Return { src: 2 },
+            ]
+        );
+        let wasm = crate::wat::assemble(src).expect("assembles");
+        let run = |mode| {
+            let module = crate::load_module(&wasm).expect("valid");
+            let mut inst = crate::Instance::new(module.into(), &crate::Linker::<()>::new(), ())
+                .expect("instantiates");
+            inst.set_exec_mode(mode);
+            inst.invoke("f", &[Value::I32(40), Value::I32(2)])
+        };
+        use crate::instance::ExecMode;
+        assert_eq!(run(ExecMode::Reg), Ok(Some(Value::I32(-2))));
+        assert_eq!(run(ExecMode::Reg), run(ExecMode::Reference));
     }
 }

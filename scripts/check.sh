@@ -14,8 +14,12 @@ cargo fmt --check
 # Static analysis: translation validation (register lowering proven
 # equivalent to the flat IR) plus resource-bound reports over every
 # builtin example/fig5 plugin. Nonzero exit = a lowering failed its proof.
-target/release/analyze --builtin > /dev/null
-echo "static analyzer validated every builtin plugin lowering"
+# The report and the register code each plugin executes must equal the
+# committed golden file: a lowering change that adds an op, moves a bound
+# or grows a frame shows up as a diff hunk naming the function. A missing
+# golden file fails the diff.
+target/release/analyze --builtin --reg | diff crates/bench/analyze.golden -
+echo "static analyzer validated every builtin lowering; code and bounds match crates/bench/analyze.golden"
 
 # Smoke: the one-cell RIC deployment end to end (the only caller of that
 # shape outside the test suites). The example exits nonzero when no
