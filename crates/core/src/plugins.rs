@@ -16,13 +16,9 @@ use std::sync::OnceLock;
 /// `ue_id@0 (u32)`, `buffer@+8 (u32)`, `avg@+16 (f64)`, `cap@+24 (f64)`;
 /// response: 8-byte header then 8-byte allocation records.
 ///
-/// Shared PlugC helpers: response-header writer and allocation-record
-/// writer, plus a scratch "served" bitmap at a fixed address below the
-/// bump-allocator heap base.
+/// Shared PlugC helpers: request accessors, response-header writer and
+/// allocation-record writer.
 const COMMON: &str = r#"
-// Scratch bitmap for served flags (bytes 2048..2304; heap starts at 4096).
-const SERVED: i32 = 2048;
-
 fn req_n(req: i32) -> i32 {
     return load_u8(req + 4) | (load_u8(req + 5) << 8);
 }
@@ -80,7 +76,6 @@ export fn schedule(req: i32, len: i32) -> i64 {
         write_header(out, 0);
         return pack(out, 8);
     }
-    // Map rotation position -> record index over backlogged UEs only.
     var rotation: i32 = next % m;
     next = next + 1;
     var share: i32 = prbs / m;
@@ -88,24 +83,20 @@ export fn schedule(req: i32, len: i32) -> i64 {
     var written: i32 = 0;
     var remaining: i32 = prbs;
     var spill: i32 = 0;
-    var pos: i32 = 0;
-    var scan: i32 = 0;
-    // Walk backlogged UEs starting at `rotation`.
+    // Record index of the `rotation`-th backlogged UE (one pass).
+    var idx: i32 = 0;
+    var seen: i32 = 0;
+    while (idx < n) {
+        if (load_i32(rec(req, idx) + 8) > 0) {
+            if (seen == rotation) { break; }
+            seen = seen + 1;
+        }
+        idx = idx + 1;
+    }
+    // Circular walk from there: each backlogged record is visited once.
     var step: i32 = 0;
     while (step < m) {
-        // Find the ((rotation + step) % m)-th backlogged record.
-        var want: i32 = (rotation + step) % m;
-        var seen: i32 = 0;
-        var j: i32 = 0;
-        var idx: i32 = 0 - 1;
-        while (j < n) {
-            if (load_i32(rec(req, j) + 8) > 0) {
-                if (seen == want) { idx = j; break; }
-                seen = seen + 1;
-            }
-            j = j + 1;
-        }
-        if (idx >= 0) {
+        if (load_i32(rec(req, idx) + 8) > 0) {
             var quota: i32 = share + spill;
             if (step < extra) { quota = quota + 1; }
             if (quota > remaining) { quota = remaining; }
@@ -118,8 +109,10 @@ export fn schedule(req: i32, len: i32) -> i64 {
                 write_alloc(out, written, load_i32(rec(req, idx)), give, step);
                 written = written + 1;
             }
+            step = step + 1;
         }
-        step = step + 1;
+        idx = idx + 1;
+        if (idx == n) { idx = 0; }
     }
     write_header(out, written);
     return pack(out, 8 + written * 8);
@@ -138,8 +131,10 @@ export fn schedule(req: i32, len: i32) -> i64 {{
     var n: i32 = req_n(req);
     var prbs: i32 = req_prbs(req);
     var out: i32 = wrn_alloc(8 + n * 8);
+    // One served flag per record; the heap is recycled, so clear it.
+    var served: i32 = wrn_alloc(n);
     var i: i32 = 0;
-    while (i < n) {{ store_u8(SERVED + i, 0); i = i + 1; }}
+    while (i < n) {{ store_u8(served + i, 0); i = i + 1; }}
     var written: i32 = 0;
     var remaining: i32 = prbs;
     var rank: i32 = 0;
@@ -149,7 +144,7 @@ export fn schedule(req: i32, len: i32) -> i64 {{
         var best_metric: f64 = 0.0 - 1.0e300;
         var j: i32 = 0;
         while (j < n) {{
-            if (load_u8(SERVED + j) == 0 && load_i32(rec(req, j) + 8) > 0) {{
+            if (load_u8(served + j) == 0 && load_i32(rec(req, j) + 8) > 0) {{
                 var m: f64 = metric(req, j);
                 if (m > best_metric) {{
                     best_metric = m;
@@ -159,7 +154,7 @@ export fn schedule(req: i32, len: i32) -> i64 {{
             j = j + 1;
         }}
         if (best < 0) {{ break; }}
-        store_u8(SERVED + best, 1);
+        store_u8(served + best, 1);
         var need: i32 = needed(req, best);
         var give: i32 = need;
         if (remaining < give) {{ give = remaining; }}
@@ -181,9 +176,7 @@ export fn schedule(req: i32, len: i32) -> i64 {{
 /// average.
 const PF_METRIC: &str = r#"
 fn metric(req: i32, i: i32) -> f64 {
-    var cap: f64 = load_f64(rec(req, i) + 24);
-    var avg: f64 = load_f64(rec(req, i) + 16);
-    return cap / max(avg, 0.001);
+    return load_f64(rec(req, i) + 24) / max(load_f64(rec(req, i) + 16), 0.001);
 }
 "#;
 

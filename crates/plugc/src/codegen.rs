@@ -1,9 +1,20 @@
 //! Wasm code generation from the typed IR.
 //!
-//! Lowering is direct: expressions emit stack code, statements emit
-//! structured control. `while` becomes `block { loop { !cond br_if 1; body;
-//! br 0 } }` so `break` branches to the block and `continue` to the loop;
-//! the generator tracks the current control nesting to compute relative
+//! Expressions emit stack code, statements emit structured control, in
+//! the shapes an optimising toolchain produces:
+//!
+//! * `while` is bottom-tested — `block $exit { !cond br_if $exit; loop $top
+//!   { block $cont { body } cond br_if $top } }` — so an iteration costs one
+//!   conditional back-edge and no unconditional `br`. `break` branches to
+//!   `$exit`, `continue` to `$cont` (which re-evaluates the condition); the
+//!   `$cont` block is emitted only when the body has a `continue` of this
+//!   loop.
+//! * A condition of `if`/`while` built from `&&`, `||` or `!` never
+//!   materialises its value: each operand branches directly to where the
+//!   outcome is decided (`FuncGen::cond_br`). The same operators in value
+//!   context produce a 0/1 through `if (result i32)`.
+//!
+//! The generator tracks the current control nesting to compute relative
 //! branch depths. Value-returning functions end with `unreachable`, so a
 //! body that falls off the end traps instead of returning garbage.
 
@@ -88,10 +99,34 @@ pub fn generate(
 enum Ctrl {
     /// The `block` wrapping a while loop (break target).
     LoopExit,
-    /// The `loop` of a while loop (continue target).
-    LoopHeader,
-    /// An `if`/`else` arm.
-    IfArm,
+    /// The `block` wrapping a while body (continue target: its end is the
+    /// loop's bottom test).
+    LoopCont,
+    /// Any frame `break`/`continue` never target.
+    Plain,
+}
+
+/// True when `body` has a `continue` that targets the loop `body` belongs
+/// to (one inside a nested `while` targets that loop instead).
+fn continues(body: &[TStmt]) -> bool {
+    body.iter().any(|s| match s {
+        TStmt::Continue => true,
+        TStmt::If {
+            then_body,
+            else_body,
+            ..
+        } => continues(then_body) || continues(else_body),
+        _ => false,
+    })
+}
+
+/// True for conditions `FuncGen::cond_br` splits into several branches.
+fn branches_directly(cond: &TExpr) -> bool {
+    match &cond.kind {
+        TExprKind::Bin { op, .. } => matches!(op, BinOp::LogicalAnd | BinOp::LogicalOr),
+        TExprKind::Not(inner) => inner.ty == Some(Type::I32),
+        _ => false,
+    }
 }
 
 struct FuncGen {
@@ -119,10 +154,35 @@ impl FuncGen {
                 cond,
                 then_body,
                 else_body,
+            } if branches_directly(cond) => {
+                // block $end { block $else { !cond br_if $else; then; br $end } else }
+                // (without an else arm, $else is $end).
+                let has_else = !else_body.is_empty();
+                code.block(BlockType::Empty);
+                self.ctrl.push(Ctrl::Plain);
+                if has_else {
+                    code.block(BlockType::Empty);
+                    self.ctrl.push(Ctrl::Plain);
+                }
+                self.cond_br(code, cond, 0, false);
+                self.stmts(code, then_body);
+                if has_else {
+                    code.br(1);
+                    self.ctrl.pop();
+                    code.end();
+                    self.stmts(code, else_body);
+                }
+                self.ctrl.pop();
+                code.end();
+            }
+            TStmt::If {
+                cond,
+                then_body,
+                else_body,
             } => {
                 self.expr(code, cond);
                 code.if_(BlockType::Empty);
-                self.ctrl.push(Ctrl::IfArm);
+                self.ctrl.push(Ctrl::Plain);
                 self.stmts(code, then_body);
                 if !else_body.is_empty() {
                     code.else_();
@@ -132,16 +192,23 @@ impl FuncGen {
                 code.end();
             }
             TStmt::While { cond, body } => {
-                // block $exit { loop $top { cond eqz br_if $exit; body; br $top } }
+                // block $exit { !cond br_if $exit;
+                //   loop $top { block $cont { body } cond br_if $top } }
                 code.block(BlockType::Empty);
                 self.ctrl.push(Ctrl::LoopExit);
+                self.cond_br(code, cond, 0, false);
                 code.loop_(BlockType::Empty);
-                self.ctrl.push(Ctrl::LoopHeader);
-                self.expr(code, cond);
-                code.i32_eqz();
-                code.br_if(1);
-                self.stmts(code, body);
-                code.br(0);
+                self.ctrl.push(Ctrl::Plain);
+                if continues(body) {
+                    code.block(BlockType::Empty);
+                    self.ctrl.push(Ctrl::LoopCont);
+                    self.stmts(code, body);
+                    self.ctrl.pop();
+                    code.end();
+                } else {
+                    self.stmts(code, body);
+                }
+                self.cond_br(code, cond, 0, true);
                 self.ctrl.pop();
                 code.end();
                 self.ctrl.pop();
@@ -158,7 +225,7 @@ impl FuncGen {
                 code.br(depth);
             }
             TStmt::Continue => {
-                let depth = self.depth_to(Ctrl::LoopHeader);
+                let depth = self.depth_to(Ctrl::LoopCont);
                 code.br(depth);
             }
             TStmt::Expr { expr, has_value } => {
@@ -179,6 +246,46 @@ impl FuncGen {
             .rposition(|c| *c == kind)
             .expect("type checker rejects break/continue outside loops");
         (self.ctrl.len() - 1 - idx) as u32
+    }
+
+    /// Branch to `depth` when the truth of `e` equals `sense`; fall through
+    /// otherwise. `&&`, `||` and i32 `!` are taken apart so every leaf is
+    /// one `br_if` and no 0/1 is materialised; short-circuit order and
+    /// operand evaluation counts are those of the source.
+    fn cond_br(&mut self, code: &mut CodeEmitter, e: &TExpr, depth: u32, sense: bool) {
+        match &e.kind {
+            TExprKind::Not(inner) if inner.ty == Some(Type::I32) => {
+                self.cond_br(code, inner, depth, !sense);
+            }
+            TExprKind::Bin {
+                op: op @ (BinOp::LogicalAnd | BinOp::LogicalOr),
+                lhs,
+                rhs,
+                ..
+            } => {
+                // The lhs value that settles the whole expression (to that
+                // same value): false for `&&`, true for `||`.
+                let settles = *op == BinOp::LogicalOr;
+                if sense == settles {
+                    // Either operand alone takes the branch.
+                    self.cond_br(code, lhs, depth, sense);
+                    self.cond_br(code, rhs, depth, sense);
+                } else {
+                    // A settling lhs means "do not branch": skip the rhs.
+                    code.block(BlockType::Empty);
+                    self.cond_br(code, lhs, 0, settles);
+                    self.cond_br(code, rhs, depth + 1, sense);
+                    code.end();
+                }
+            }
+            _ => {
+                self.expr(code, e);
+                if !sense {
+                    code.i32_eqz();
+                }
+                code.br_if(depth);
+            }
+        }
     }
 
     fn expr(&mut self, code: &mut CodeEmitter, e: &TExpr) {
@@ -251,24 +358,20 @@ impl FuncGen {
                     BinOp::LogicalAnd => {
                         self.expr(code, lhs);
                         code.if_(BlockType::Value(waran_wasm::types::ValType::I32));
-                        self.ctrl.push(Ctrl::IfArm);
                         self.expr(code, rhs);
                         code.i32_const(0).i32_ne();
                         code.else_();
                         code.i32_const(0);
-                        self.ctrl.pop();
                         code.end();
                         return;
                     }
                     BinOp::LogicalOr => {
                         self.expr(code, lhs);
                         code.if_(BlockType::Value(waran_wasm::types::ValType::I32));
-                        self.ctrl.push(Ctrl::IfArm);
                         code.i32_const(1);
                         code.else_();
                         self.expr(code, rhs);
                         code.i32_const(0).i32_ne();
-                        self.ctrl.pop();
                         code.end();
                         return;
                     }
@@ -421,4 +524,146 @@ fn emit_binop(code: &mut CodeEmitter, op: BinOp, ty: Type) {
         (Ge, F64) => code.f64_ge(),
         (op, ty) => unreachable!("type checker rejects {op:?} on {ty}"),
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use waran_wasm::instance::{Instance, Linker};
+    use waran_wasm::instr::Instr;
+    use waran_wasm::interp::Value;
+
+    fn module(src: &str) -> Module {
+        let program = crate::parser::parse(&crate::lexer::lex(src).unwrap()).unwrap();
+        let typed = crate::typeck::check(&program).unwrap();
+        let module = generate(&program, &typed, &Options::default()).unwrap();
+        waran_wasm::validate::validate(&module).expect("generated code validates");
+        module
+    }
+
+    fn count(code: &[Instr], pred: impl Fn(&Instr) -> bool) -> usize {
+        code.iter().filter(|i| pred(i)).count()
+    }
+
+    fn run(src: &str, args: &[i32]) -> i32 {
+        let args: Vec<Value> = args.iter().map(|a| Value::I32(*a)).collect();
+        let mut inst = Instance::new(module(src).into(), &Linker::<()>::new(), ()).unwrap();
+        inst.invoke("f", &args).unwrap().unwrap().as_i32()
+    }
+
+    #[test]
+    fn while_is_bottom_tested() {
+        let m = module(
+            "fn f(n: i32) -> i32 { var i: i32 = 0; while (i < n) { i = i + 1; } return i; }",
+        );
+        let code = &m.funcs[0].code;
+        // Entry guard + back-edge, and nothing unconditional.
+        assert_eq!(count(code, |i| matches!(i, Instr::BrIf { .. })), 2);
+        assert_eq!(count(code, |i| matches!(i, Instr::Br { .. })), 0);
+        // The back-edge is the loop's last instruction: `br_if 0; end`.
+        let loop_end = code
+            .windows(2)
+            .position(|w| matches!(w, [Instr::BrIf { depth: 0 }, Instr::End]))
+            .expect("conditional back-edge closes the loop");
+        assert!(code[..loop_end]
+            .iter()
+            .any(|i| matches!(i, Instr::Loop { .. })));
+        // No `continue`, so no `$cont` block: just `$exit`.
+        assert_eq!(count(code, |i| matches!(i, Instr::Block { .. })), 1);
+    }
+
+    const ODDS: &str = "export fn f(n: i32) -> i32 {
+        var i: i32 = 0; var odd: i32 = 0;
+        while (i < n) {
+            i = i + 1;
+            if ((i & 1) == 0) { continue; }
+            odd = odd + 1;
+        }
+        return odd;
+    }";
+
+    #[test]
+    fn continue_reevaluates_the_condition() {
+        // Jumping to the loop header instead would run the body once more
+        // after `i` reached `n` on an even step.
+        assert_eq!(run(ODDS, &[2]), 1);
+        assert_eq!(run(ODDS, &[7]), 4);
+        assert_eq!(run(ODDS, &[0]), 0);
+        // `$exit` and `$cont`.
+        let code = &module(ODDS).funcs[0].code;
+        assert_eq!(count(code, |i| matches!(i, Instr::Block { .. })), 2);
+    }
+
+    #[test]
+    fn continue_in_inner_loop_leaves_outer_without_cont_block() {
+        let src = "export fn f(n: i32) -> i32 {
+            var i: i32 = 0; var acc: i32 = 0;
+            while (i < n) {
+                var j: i32 = 0;
+                while (j < i) {
+                    j = j + 1;
+                    if (j == 2) { continue; }
+                    acc = acc + 1;
+                }
+                i = i + 1;
+            }
+            return acc;
+        }";
+        // i = 0..3 → inner trips 0+1+2+3, minus the j == 2 skips at i = 2, 3.
+        assert_eq!(run(src, &[4]), 4);
+        // Two `$exit`s, one `$cont`.
+        let code = &module(src).funcs[0].code;
+        assert_eq!(count(code, |i| matches!(i, Instr::Block { .. })), 3);
+    }
+
+    #[test]
+    fn logical_conditions_branch_without_materialising() {
+        let src = "export fn f(a: i32, b: i32) -> i32 {
+            if (a > 0 && b > 0) { return 1; }
+            if (a < 0 || !(b != 7)) { return 2; } else { return 3; }
+        }";
+        let code = &module(src).funcs[0].code;
+        assert_eq!(count(code, |i| matches!(i, Instr::If { .. })), 0);
+        assert_eq!(count(code, |i| matches!(i, Instr::BrIf { .. })), 4);
+        for (args, want) in [
+            ([1, 1], 1),
+            ([1, 0], 3),
+            ([0, 7], 2),
+            ([-1, 0], 2),
+            ([0, 0], 3),
+        ] {
+            assert_eq!(run(src, &args), want, "f{args:?}");
+        }
+    }
+
+    #[test]
+    fn logical_values_keep_the_value_form() {
+        let src = "export fn f(a: i32, b: i32) -> i32 { return (a && b) + (a || b) * 2; }";
+        let code = &module(src).funcs[0].code;
+        let valued = |i: &Instr| {
+            matches!(
+                i,
+                Instr::If {
+                    ty: BlockType::Value(_),
+                    ..
+                }
+            )
+        };
+        assert_eq!(count(code, valued), 2);
+        assert_eq!(run(src, &[5, 0]), 2);
+        assert_eq!(run(src, &[5, -1]), 3);
+        assert_eq!(run(src, &[0, 0]), 0);
+    }
+
+    #[test]
+    fn short_circuit_skips_the_trapping_operand() {
+        let src = "export fn f(a: i32, b: i32) -> i32 {
+            var n: i32 = 0;
+            while (b != 0 && a / b > n) { n = n + 1; }
+            if (b == 0 || a / b == n) { return n; }
+            return 0 - 1;
+        }";
+        assert_eq!(run(src, &[7, 0]), 0);
+        assert_eq!(run(src, &[7, 2]), 3);
+    }
 }

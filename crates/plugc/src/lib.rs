@@ -39,6 +39,15 @@
 //! `memory_grow`, `sqrt`, `floor`, `ceil`, `abs`, `min`, `max`, `pack`,
 //! `trap`).
 //!
+//! ## Pipeline
+//!
+//! `lex → parse → check → optimize → generate`, each stage a public
+//! function ([`lexer::lex`], [`parser::parse`], [`typeck::check`],
+//! [`opt::optimize`], [`codegen::generate`]). The optimiser (one-line
+//! helper inlining) and the code generator's shapes (bottom-tested loops,
+//! conditions that branch directly) always run: there is no optimisation
+//! level, so the code that is measured is the code that is tested.
+//!
 //! The compiler injects a byte-buffer ABI prelude (`wrn_alloc`/`wrn_reset`,
 //! a bump allocator over linear memory) unless
 //! [`Options::with_abi_prelude`] disables it.
@@ -46,6 +55,7 @@
 pub mod ast;
 pub mod codegen;
 pub mod lexer;
+pub mod opt;
 pub mod parser;
 pub mod typeck;
 
@@ -148,7 +158,7 @@ pub fn compile_with(source: &str, opts: &Options) -> Result<Vec<u8>, CompileErro
 
     let tokens = lexer::lex(&full_source).map_err(|e| adjust(e, prelude_lines))?;
     let program = parser::parse(&tokens).map_err(|e| adjust(e, prelude_lines))?;
-    let typed = typeck::check(&program).map_err(|e| adjust(e, prelude_lines))?;
+    let typed = opt::optimize(typeck::check(&program).map_err(|e| adjust(e, prelude_lines))?);
     let module = codegen::generate(&program, &typed, opts).map_err(|e| adjust(e, prelude_lines))?;
 
     waran_wasm::validate::validate(&module).map_err(|e| CompileError {

@@ -2,8 +2,8 @@
 //!
 //! The heavy hitter is differential execution: random expression trees are
 //! rendered as PlugC source, compiled through the full pipeline
-//! (lex → parse → typecheck → codegen → encode → decode → validate →
-//! interpret) and compared against direct evaluation in Rust, traps
+//! (lex → parse → typecheck → optimize → codegen → encode → decode →
+//! validate → interpret) and compared against direct evaluation in Rust, traps
 //! included.
 
 use proptest::prelude::*;

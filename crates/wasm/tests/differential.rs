@@ -202,11 +202,13 @@ export fn main(n: i32, base: i32) -> i32 {
 
 #[test]
 fn differential_leaf_calls() {
-    // Straight-line leaf helpers are inlined by the compiler; fuel parity
-    // must survive that (call = 1, each body instruction = 1, the
+    // Straight-line leaf helpers are inlined by the VM's compiler; fuel
+    // parity must survive that (call = 1, each body instruction = 1, the
     // return/end terminator = 1 — identical to the reference walker
     // running the call for real). `mix` keeps an `if` so it stays a real
-    // call, covering the inlined-and-not path in one program.
+    // call, covering the inlined-and-not path in one program. PlugC's own
+    // optimiser removes one-line helpers (`weight`) before the VM sees
+    // them; `probe` has two statements, so it must reach the VM as a call.
     let src = r#"
 fn weight(x: i32, y: i32) -> i32 {
     return (x * 3) + (y ^ 5);
@@ -234,6 +236,14 @@ export fn main(n: i32, base: i32) -> i32 {
 }
 "#;
     let wasm = waran_plugc::compile(src).expect("leaf-call program compiles");
+    let module = load_module(&wasm).unwrap();
+    // Function order: wrn_alloc, wrn_reset (ABI prelude), weight, probe, mix, main.
+    let main = &module.funcs[module.exported_func("main").unwrap() as usize].code;
+    let calls = |func| main.contains(&waran_wasm::instr::Instr::Call { func });
+    assert!(
+        !calls(2) && calls(3),
+        "PlugC inlines `weight`; the straight-line leaf `probe` must reach the VM as a call"
+    );
     for n in [0, 1, 5, 40] {
         let args = [Value::I32(n), Value::I32(96)];
         let consumed = assert_modes_agree(&wasm, &args, 5_000_000, &format!("leaf calls n={n}"));

@@ -29,12 +29,26 @@ impl Rng {
 }
 
 const VARS: [&str; 4] = ["v0", "v1", "v2", "v3"];
-const BINOPS: [&str; 16] = [
-    "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">=",
+const BINOPS: [&str; 18] = [
+    "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">=", "&&",
+    "||",
 ];
 
+/// One-line helpers every program can call: a pure one, one whose
+/// parameter is read twice, one that loads and one that can trap. Whether
+/// a call site is inlined by PlugC depends on its arguments, so both the
+/// inlined and the real-call path are in the corpus.
+const HELPERS: &str = "\
+fn mix(x: i32, y: i32) -> i32 { return ((x * 3) + (y ^ 5)); }
+fn sq(x: i32) -> i32 { return (x * x); }
+fn peek(x: i32) -> i32 { return load_i32((x & 1020)); }
+fn quot(x: i32, y: i32) -> i32 { return (x / y); }
+";
+
 /// A fully parenthesized i32 expression over the mutable variables.
-/// Division and remainder are reachable, so traps are part of the corpus.
+/// Division and remainder are reachable, so traps are part of the corpus;
+/// `&&`/`||`/`!` appear in value position here and in branch position when
+/// the expression is a condition.
 fn gen_expr(rng: &mut Rng, depth: u32) -> String {
     if depth == 0 || rng.below(3) == 0 {
         if rng.below(2) == 0 {
@@ -43,24 +57,45 @@ fn gen_expr(rng: &mut Rng, depth: u32) -> String {
             format!("{}", rng.below(1 << 14))
         }
     } else {
-        let op = BINOPS[rng.below(BINOPS.len() as u64) as usize];
-        format!(
-            "({} {} {})",
-            gen_expr(rng, depth - 1),
-            op,
-            gen_expr(rng, depth - 1)
-        )
+        match rng.below(8) {
+            0 => format!("(!{})", gen_expr(rng, depth - 1)),
+            1 => match rng.below(4) {
+                0 => format!(
+                    "mix({}, {})",
+                    gen_expr(rng, depth - 1),
+                    gen_expr(rng, depth - 1)
+                ),
+                1 => format!("sq({})", gen_expr(rng, depth - 1)),
+                2 => format!("peek({})", gen_expr(rng, depth - 1)),
+                _ => format!(
+                    "quot({}, {})",
+                    gen_expr(rng, depth - 1),
+                    gen_expr(rng, depth - 1)
+                ),
+            },
+            _ => {
+                let op = BINOPS[rng.below(BINOPS.len() as u64) as usize];
+                format!(
+                    "({} {} {})",
+                    gen_expr(rng, depth - 1),
+                    op,
+                    gen_expr(rng, depth - 1)
+                )
+            }
+        }
     }
 }
 
-/// Statements: assignments, if/else, bounded while loops. Loop counters
-/// (`c<depth>`) are reset before each loop and only incremented by the
-/// loop itself, so every generated program terminates.
+/// Statements: assignments, stores, if/else, bounded while loops with
+/// `break` and `continue`. Loop counters (`c<depth>`) are reset before each
+/// loop and only incremented by the loop itself — at the end of the body
+/// and right before each `continue` — so every generated program
+/// terminates.
 fn gen_stmts(rng: &mut Rng, depth: u32, loop_depth: usize, out: &mut String, indent: usize) {
     let pad = " ".repeat(indent);
     let n = 1 + rng.below(4);
     for _ in 0..n {
-        match rng.below(6) {
+        match rng.below(8) {
             0..=2 => {
                 let v = VARS[rng.below(VARS.len() as u64) as usize];
                 out.push_str(&format!("{pad}{v} = {};\n", gen_expr(rng, 3)));
@@ -83,6 +118,24 @@ fn gen_stmts(rng: &mut Rng, depth: u32, loop_depth: usize, out: &mut String, ind
                 out.push_str(&format!("{pad}  {c} = ({c} + 1);\n"));
                 out.push_str(&format!("{pad}}}\n"));
             }
+            5 => {
+                out.push_str(&format!(
+                    "{pad}store_i32(({} & 1020), {});\n",
+                    gen_expr(rng, 2),
+                    gen_expr(rng, 2)
+                ));
+            }
+            6 if loop_depth > 0 => {
+                let c = format!("c{}", loop_depth - 1);
+                let cond = gen_expr(rng, 2);
+                if rng.below(2) == 0 {
+                    out.push_str(&format!("{pad}if ({cond}) {{ break; }}\n"));
+                } else {
+                    out.push_str(&format!(
+                        "{pad}if ({cond}) {{ {c} = ({c} + 1); continue; }}\n"
+                    ));
+                }
+            }
             _ => {}
         }
     }
@@ -98,7 +151,8 @@ pub fn gen_program(seed: u64) -> String {
     let k2 = rng.below(1 << 14);
     let k3 = rng.below(1 << 14);
     format!(
-        "export fn main(a: i32, b: i32) -> i32 {{\n\
+        "{HELPERS}\
+         export fn main(a: i32, b: i32) -> i32 {{\n\
          \x20   var v0: i32 = a;\n\
          \x20   var v1: i32 = b;\n\
          \x20   var v2: i32 = {k2};\n\

@@ -21,6 +21,14 @@ cargo fmt --check
 target/release/analyze --builtin --reg | diff crates/bench/analyze.golden -
 echo "static analyzer validated every builtin lowering; code and bounds match crates/bench/analyze.golden"
 
+# Guest work: instructions each stock scheduler retires per call on
+# Fig. 5d's fixed request, per policy and UE count — exact and
+# host-independent, unlike the figure's timings. A plugin or PlugC change
+# that makes the guest do more (or less) work shows as a hunk naming
+# policy and UE count. A missing golden file fails the diff.
+target/release/fig5d --fuel | diff crates/bench/fig5d_fuel.golden -
+echo "guest instructions per call match crates/bench/fig5d_fuel.golden"
+
 # Smoke: the one-cell RIC deployment end to end (the only caller of that
 # shape outside the test suites). The example exits nonzero when no
 # handover or no slice-target action was applied.
