@@ -14,8 +14,10 @@
 //!   pass reconstructs the flat CFG, replays the lowering's constant/
 //!   reachability discipline, and checks the register form block by
 //!   block against it: identical `Meter` placement, costs and entry
-//!   heights, identical memory/call/trap-op populations per block, and
-//!   a consistent branch side table. Any future lowering bug is
+//!   heights, identical memory/call/trap-op populations per block —
+//!   counted on both sides over the shared [`crate::ops`] payload types
+//!   — and a consistent branch side table. The mirror walk itself stays
+//!   independent of the lowering it checks. Any future lowering bug is
 //!   rejected *before it executes* instead of surfacing as a sampled
 //!   differential-test failure.
 //! * **Static resource bounds** — an abstract interpretation over the
@@ -33,16 +35,16 @@
 //!
 //! Analyzer cost: one linear pass per function for the CFG/mirror walk
 //! plus near-linear SCC work, amortized once per module behind
-//! [`AnalysisCell`] — the same caching discipline as compilation
+//! [`Module::analysis`] — the same caching discipline as compilation
 //! itself.
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
-use crate::compile::{CompiledFunc, I32Op, Op};
+use crate::compile::{CompiledFunc, Op};
 use crate::interp::Value;
 use crate::module::{ExportKind, Module};
-use crate::regalloc::{BinOp, I64Op, LoadKind, ROp, RegFunc, StoreKind, UnOp};
+use crate::ops::{I32Op, LoadKind, StoreKind, UnOp};
+use crate::regalloc::{ROp, RegFunc};
 
 /// A worst-case resource bound: exactly known, or not statically
 /// boundable. `Finite(a) < Finite(b) < Unbounded` under `Ord`.
@@ -184,58 +186,6 @@ impl std::fmt::Display for AnalysisError {
 }
 
 impl std::error::Error for AnalysisError {}
-
-/// Module-level analysis cache slot, mirroring `CompiledCell`: interior
-/// `OnceLock` so `Module` keeps its derived `Clone`/`PartialEq`/`Debug`
-/// while the (pure-function-of-the-module) analysis is computed once.
-pub struct AnalysisCell(OnceLock<Result<ModuleAnalysis, AnalysisError>>);
-
-impl AnalysisCell {
-    /// Empty (not-yet-analyzed) cell.
-    pub const fn new() -> Self {
-        AnalysisCell(OnceLock::new())
-    }
-
-    /// The cached analysis, computing it on first use.
-    pub fn get_or_analyze(&self, module: &Module) -> Result<&ModuleAnalysis, AnalysisError> {
-        self.0
-            .get_or_init(|| analyze(module))
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-}
-
-impl Default for AnalysisCell {
-    fn default() -> Self {
-        AnalysisCell::new()
-    }
-}
-
-impl Clone for AnalysisCell {
-    fn clone(&self) -> Self {
-        let cell = AnalysisCell::new();
-        if let Some(r) = self.0.get() {
-            let _ = cell.0.set(r.clone());
-        }
-        cell
-    }
-}
-
-impl PartialEq for AnalysisCell {
-    /// The analysis is a pure function of the module; the cache never
-    /// affects module equality.
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for AnalysisCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AnalysisCell")
-            .field("analyzed", &self.0.get().is_some())
-            .finish()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Flat-CFG reconstruction + lowering mirror
@@ -572,26 +522,23 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
             Op::I64Const(k) => w.cells.push(Some(Value::I64(k))),
             Op::F32Const(k) => w.cells.push(Some(Value::F32(k))),
             Op::F64Const(k) => w.cells.push(Some(Value::F64(k))),
-            other => {
-                if let Some((kind, off)) = LoadKind::from_op(other) {
-                    let addr = w.pop(pc)?;
-                    w.access(addr, off, load_width(kind));
-                    w.cells.push(None);
-                } else if let Some((kind, off)) = StoreKind::from_op(other) {
-                    w.pop(pc)?; // value
-                    let addr = w.pop(pc)?;
-                    w.access(addr, off, store_width(kind));
-                } else if let Some(op) = UnOp::from_op(other) {
-                    let a = w.pop(pc)?;
-                    let folded = match a {
-                        Some(v) => op.eval(v).ok(),
-                        None => None,
-                    };
-                    w.cells.push(folded);
-                } else {
-                    w.effect(module, pc, other)?;
-                }
+            Op::Load { kind, off } => {
+                let addr = w.pop(pc)?;
+                w.access(addr, off, load_width(kind));
+                w.cells.push(None);
             }
+            Op::Store { kind, off } => {
+                w.pop(pc)?; // value
+                let addr = w.pop(pc)?;
+                w.access(addr, off, store_width(kind));
+            }
+            // Mirror the lowering's unop folding: a constant operand folds
+            // unless the conversion traps on it.
+            Op::Un(op) => {
+                let folded = w.pop(pc)?.and_then(|v| op.eval(v).ok());
+                w.cells.push(folded);
+            }
+            other => w.effect(module, pc, other)?,
         }
     }
     if let Some(c) = w.cur {
@@ -702,6 +649,8 @@ fn flat_counts(
             continue;
         }
         match cf.ops[pc] {
+            Op::Load { .. } => c.load += 1,
+            Op::Store { .. } => c.store += 1,
             Op::MemorySize => c.msize += 1,
             Op::MemoryGrow => c.mgrow += 1,
             Op::MemoryCopy => c.mcopy += 1,
@@ -709,22 +658,13 @@ fn flat_counts(
             Op::Unreachable => c.unreach += 1,
             Op::GlobalGet(_) => c.gget += 1,
             Op::GlobalSet(_) => c.gset += 1,
+            Op::I64Bin(_) => c.i64bin += 1,
+            Op::Bin(_) => c.bin += 1,
+            Op::Un(_) => c.un += 1,
             Op::CallWasm(f) => calls.push(CallDesc::Wasm(f)),
             Op::CallHost { f, argc, ret } => calls.push(CallDesc::Host(f, argc, ret)),
             Op::CallIndirect(ty) => calls.push(CallDesc::Indirect(ty)),
-            other => {
-                if StoreKind::from_op(other).is_some() {
-                    c.store += 1;
-                } else if LoadKind::from_op(other).is_some() {
-                    c.load += 1;
-                } else if I64Op::from_op(other).is_some() {
-                    c.i64bin += 1;
-                } else if BinOp::from_op(other).is_some() {
-                    c.bin += 1;
-                } else if UnOp::from_op(other).is_some() {
-                    c.un += 1;
-                }
-            }
+            _ => {}
         }
     }
     (c, calls)
@@ -1027,22 +967,6 @@ enum SymV {
     Other,
 }
 
-fn is_cmp(op: I32Op) -> bool {
-    matches!(
-        op,
-        I32Op::Eq
-            | I32Op::Ne
-            | I32Op::LtS
-            | I32Op::LtU
-            | I32Op::GtS
-            | I32Op::GtU
-            | I32Op::LeS
-            | I32Op::LeU
-            | I32Op::GeS
-            | I32Op::GeU
-    )
-}
-
 /// `a op b` ⟺ `b reflect(op) a`.
 fn reflect(op: I32Op) -> I32Op {
     match op {
@@ -1074,7 +998,8 @@ fn bin_sym(op: I32Op, a: SymV, b: SymV) -> SymV {
             (AddS(l, c), K(k)) => AddS(l, c.wrapping_sub(k)),
             _ => Other,
         },
-        op if is_cmp(op) => match (a, b) {
+        // Exactly the comparisons have a logical negation.
+        op if op.negate().is_some() => match (a, b) {
             (L(l), K(k)) => Cmp(op, l, k),
             (K(k), L(l)) => Cmp(reflect(op), l, k),
             _ => Other,
@@ -1157,7 +1082,7 @@ fn block_events(module: &Module, cf: &CompiledFunc, live: &[bool], b: &Block) ->
                 let sa = pop(&mut syms);
                 syms.push(bin_sym(o, sa, sb));
             }
-            Op::I32Eqz => {
+            Op::Un(UnOp::I32Eqz) => {
                 let s = pop(&mut syms);
                 syms.push(match s {
                     K(x) => K((x == 0) as i32),
@@ -2295,15 +2220,5 @@ mod tests {
     fn pristine_lowering_validates() {
         let m = loop_module();
         assert!(analyze(&m).is_ok());
-    }
-
-    #[test]
-    fn analysis_cell_caches_and_compares_equal() {
-        let m = loop_module();
-        let cell = AnalysisCell::new();
-        let a = cell.get_or_analyze(&m).unwrap().clone();
-        let b = cell.get_or_analyze(&m).unwrap().clone();
-        assert_eq!(a, b);
-        assert_eq!(AnalysisCell::new(), cell.clone());
     }
 }

@@ -8,7 +8,10 @@
 //! the left-hand side of translation validation ([`crate::analysis`]).
 //! The IR stays 1:1 with the source stack machine — one op per
 //! instruction, no operand fusion: every superinstruction is formed by
-//! the register lowering, under the translation-validation proof. The
+//! the register lowering, under the translation-validation proof. Plain
+//! numeric and memory operators are classified once, here
+//! (`Op::plain`), into the [`crate::ops`] payload enums the register
+//! form executes, so no later stage re-derives what an operator is. The
 //! decisions that shape execution *structure* are made here:
 //!
 //! * **Side-table branches** — every `br`/`br_if`/`br_table`/`else` and
@@ -31,124 +34,12 @@
 //! type/stack discipline the validator establishes (as the reference
 //! interpreter already does) and panics on malformed input.
 
-use std::sync::OnceLock;
-
 use crate::analysis::{mismatch, AnalysisError};
 use crate::instr::Instr;
 use crate::interp::Value;
 use crate::module::Module;
+use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
 use crate::types::{BlockType, ValType};
-
-/// Non-trapping i32 binary operator (arithmetic and comparisons;
-/// `div`/`rem` keep their own trapping ops).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum I32Op {
-    Add,
-    Sub,
-    Mul,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrS,
-    ShrU,
-    Rotl,
-    Rotr,
-    Eq,
-    Ne,
-    LtS,
-    LtU,
-    GtS,
-    GtU,
-    LeS,
-    LeU,
-    GeS,
-    GeU,
-}
-
-impl I32Op {
-    /// The operator for a decoded instruction, when it is one.
-    fn from_instr(i: &Instr) -> Option<I32Op> {
-        Some(match i {
-            Instr::I32Add => I32Op::Add,
-            Instr::I32Sub => I32Op::Sub,
-            Instr::I32Mul => I32Op::Mul,
-            Instr::I32And => I32Op::And,
-            Instr::I32Or => I32Op::Or,
-            Instr::I32Xor => I32Op::Xor,
-            Instr::I32Shl => I32Op::Shl,
-            Instr::I32ShrS => I32Op::ShrS,
-            Instr::I32ShrU => I32Op::ShrU,
-            Instr::I32Rotl => I32Op::Rotl,
-            Instr::I32Rotr => I32Op::Rotr,
-            Instr::I32Eq => I32Op::Eq,
-            Instr::I32Ne => I32Op::Ne,
-            Instr::I32LtS => I32Op::LtS,
-            Instr::I32LtU => I32Op::LtU,
-            Instr::I32GtS => I32Op::GtS,
-            Instr::I32GtU => I32Op::GtU,
-            Instr::I32LeS => I32Op::LeS,
-            Instr::I32LeU => I32Op::LeU,
-            Instr::I32GeS => I32Op::GeS,
-            Instr::I32GeU => I32Op::GeU,
-            _ => return None,
-        })
-    }
-
-    pub(crate) fn commutative(self) -> bool {
-        matches!(
-            self,
-            I32Op::Add | I32Op::Mul | I32Op::And | I32Op::Or | I32Op::Xor | I32Op::Eq | I32Op::Ne
-        )
-    }
-
-    /// Logical negation, defined for comparisons only (integer comparisons
-    /// are a total order, so `!(a < b) == a >= b` always holds — unlike
-    /// floats, which is why float compares never absorb an `i32.eqz`).
-    pub(crate) fn negate(self) -> Option<I32Op> {
-        Some(match self {
-            I32Op::Eq => I32Op::Ne,
-            I32Op::Ne => I32Op::Eq,
-            I32Op::LtS => I32Op::GeS,
-            I32Op::LtU => I32Op::GeU,
-            I32Op::GtS => I32Op::LeS,
-            I32Op::GtU => I32Op::LeU,
-            I32Op::LeS => I32Op::GtS,
-            I32Op::LeU => I32Op::GtU,
-            I32Op::GeS => I32Op::LtS,
-            I32Op::GeU => I32Op::LtU,
-            _ => return None,
-        })
-    }
-
-    /// Evaluate the operator. Comparisons produce 0/1.
-    #[inline(always)]
-    pub fn eval(self, a: i32, b: i32) -> i32 {
-        match self {
-            I32Op::Add => a.wrapping_add(b),
-            I32Op::Sub => a.wrapping_sub(b),
-            I32Op::Mul => a.wrapping_mul(b),
-            I32Op::And => a & b,
-            I32Op::Or => a | b,
-            I32Op::Xor => a ^ b,
-            I32Op::Shl => a.wrapping_shl(b as u32),
-            I32Op::ShrS => a.wrapping_shr(b as u32),
-            I32Op::ShrU => ((a as u32).wrapping_shr(b as u32)) as i32,
-            I32Op::Rotl => a.rotate_left(b as u32 & 31),
-            I32Op::Rotr => a.rotate_right(b as u32 & 31),
-            I32Op::Eq => (a == b) as i32,
-            I32Op::Ne => (a != b) as i32,
-            I32Op::LtS => (a < b) as i32,
-            I32Op::LtU => ((a as u32) < (b as u32)) as i32,
-            I32Op::GtS => (a > b) as i32,
-            I32Op::GtU => ((a as u32) > (b as u32)) as i32,
-            I32Op::LeS => (a <= b) as i32,
-            I32Op::LeU => ((a as u32) <= (b as u32)) as i32,
-            I32Op::GeS => (a >= b) as i32,
-            I32Op::GeU => ((a as u32) >= (b as u32)) as i32,
-        }
-    }
-}
 
 /// A resolved branch destination: absolute op PC plus the unwind
 /// descriptor. Taking the branch moves the top `arity` values down to
@@ -167,7 +58,9 @@ pub struct BranchTarget {
 }
 
 /// One flat-IR operation: a source instruction with its control flow
-/// resolved. Branch-carrying ops index [`CompiledFunc::branches`].
+/// resolved. Branch-carrying ops index [`CompiledFunc::branches`]; plain
+/// numeric and memory operators are carried as the [`crate::ops`]
+/// payloads the register form executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Basic-block header: charge `cost` fuel (the number of source
@@ -212,30 +105,24 @@ pub enum Op {
 
     /// Pop b, a; push `op(a, b)` — every non-trapping i32 binop/compare.
     I32Bin(I32Op),
+    /// Pop b, a; push `op(a, b)` on i64 operands (compares push an i32).
+    I64Bin(I64Op),
+    /// Pop b, a; push `op(a, b)` — trapping integer div/rem and every
+    /// float binop/compare.
+    Bin(BinOp),
+    /// Pop a; push `op(a)` — unops, conversions, truncations.
+    Un(UnOp),
 
-    I32Load(u32),
-    I64Load(u32),
-    F32Load(u32),
-    F64Load(u32),
-    I32Load8S(u32),
-    I32Load8U(u32),
-    I32Load16S(u32),
-    I32Load16U(u32),
-    I64Load8S(u32),
-    I64Load8U(u32),
-    I64Load16S(u32),
-    I64Load16U(u32),
-    I64Load32S(u32),
-    I64Load32U(u32),
-    I32Store(u32),
-    I64Store(u32),
-    F32Store(u32),
-    F64Store(u32),
-    I32Store8(u32),
-    I32Store16(u32),
-    I64Store8(u32),
-    I64Store16(u32),
-    I64Store32(u32),
+    /// Pop the address; push `load(addr + off)`.
+    Load {
+        kind: LoadKind,
+        off: u32,
+    },
+    /// Pop the value, then the address; `store(addr + off, value)`.
+    Store {
+        kind: StoreKind,
+        off: u32,
+    },
     MemorySize,
     MemoryGrow,
     MemoryCopy,
@@ -245,126 +132,6 @@ pub enum Op {
     I64Const(i64),
     F32Const(f32),
     F64Const(f64),
-
-    I32Eqz,
-    I32Clz,
-    I32Ctz,
-    I32Popcnt,
-    I32DivS,
-    I32DivU,
-    I32RemS,
-    I32RemU,
-
-    I64Eqz,
-    I64Eq,
-    I64Ne,
-    I64LtS,
-    I64LtU,
-    I64GtS,
-    I64GtU,
-    I64LeS,
-    I64LeU,
-    I64GeS,
-    I64GeU,
-    I64Clz,
-    I64Ctz,
-    I64Popcnt,
-    I64Add,
-    I64Sub,
-    I64Mul,
-    I64DivS,
-    I64DivU,
-    I64RemS,
-    I64RemU,
-    I64And,
-    I64Or,
-    I64Xor,
-    I64Shl,
-    I64ShrS,
-    I64ShrU,
-    I64Rotl,
-    I64Rotr,
-
-    F32Eq,
-    F32Ne,
-    F32Lt,
-    F32Gt,
-    F32Le,
-    F32Ge,
-    F64Eq,
-    F64Ne,
-    F64Lt,
-    F64Gt,
-    F64Le,
-    F64Ge,
-
-    F32Abs,
-    F32Neg,
-    F32Ceil,
-    F32Floor,
-    F32Trunc,
-    F32Nearest,
-    F32Sqrt,
-    F32Add,
-    F32Sub,
-    F32Mul,
-    F32Div,
-    F32Min,
-    F32Max,
-    F32Copysign,
-    F64Abs,
-    F64Neg,
-    F64Ceil,
-    F64Floor,
-    F64Trunc,
-    F64Nearest,
-    F64Sqrt,
-    F64Add,
-    F64Sub,
-    F64Mul,
-    F64Div,
-    F64Min,
-    F64Max,
-    F64Copysign,
-
-    I32WrapI64,
-    I32TruncF32S,
-    I32TruncF32U,
-    I32TruncF64S,
-    I32TruncF64U,
-    I64ExtendI32S,
-    I64ExtendI32U,
-    I64TruncF32S,
-    I64TruncF32U,
-    I64TruncF64S,
-    I64TruncF64U,
-    F32ConvertI32S,
-    F32ConvertI32U,
-    F32ConvertI64S,
-    F32ConvertI64U,
-    F32DemoteF64,
-    F64ConvertI32S,
-    F64ConvertI32U,
-    F64ConvertI64S,
-    F64ConvertI64U,
-    F64PromoteF32,
-    I32ReinterpretF32,
-    I64ReinterpretF64,
-    F32ReinterpretI32,
-    F64ReinterpretI64,
-    I32Extend8S,
-    I32Extend16S,
-    I64Extend8S,
-    I64Extend16S,
-    I64Extend32S,
-    I32TruncSatF32S,
-    I32TruncSatF32U,
-    I32TruncSatF64S,
-    I32TruncSatF64U,
-    I64TruncSatF32S,
-    I64TruncSatF32U,
-    I64TruncSatF64S,
-    I64TruncSatF64U,
 }
 
 impl Op {
@@ -404,151 +171,26 @@ impl Op {
             | Op::I64Const(_)
             | Op::F32Const(_)
             | Op::F64Const(_) => (0, 1),
-            Op::LocalTee(_) | Op::MemoryGrow => (1, 1),
-            Op::I32Bin(_) => (2, 1),
-            Op::I32Load(_)
-            | Op::I64Load(_)
-            | Op::F32Load(_)
-            | Op::F64Load(_)
-            | Op::I32Load8S(_)
-            | Op::I32Load8U(_)
-            | Op::I32Load16S(_)
-            | Op::I32Load16U(_)
-            | Op::I64Load8S(_)
-            | Op::I64Load8U(_)
-            | Op::I64Load16S(_)
-            | Op::I64Load16U(_)
-            | Op::I64Load32S(_)
-            | Op::I64Load32U(_) => (1, 1),
-            Op::I32Store(_)
-            | Op::I64Store(_)
-            | Op::F32Store(_)
-            | Op::F64Store(_)
-            | Op::I32Store8(_)
-            | Op::I32Store16(_)
-            | Op::I64Store8(_)
-            | Op::I64Store16(_)
-            | Op::I64Store32(_) => (2, 0),
+            Op::LocalTee(_) | Op::MemoryGrow | Op::Un(_) | Op::Load { .. } => (1, 1),
+            Op::I32Bin(_) | Op::I64Bin(_) | Op::Bin(_) => (2, 1),
+            Op::Store { .. } => (2, 0),
             Op::MemoryCopy | Op::MemoryFill => (3, 0),
-            // Unary family (unops, conversions, truncations): pop 1 push 1.
-            Op::I32Eqz
-            | Op::I32Clz
-            | Op::I32Ctz
-            | Op::I32Popcnt
-            | Op::I64Eqz
-            | Op::I64Clz
-            | Op::I64Ctz
-            | Op::I64Popcnt
-            | Op::F32Abs
-            | Op::F32Neg
-            | Op::F32Ceil
-            | Op::F32Floor
-            | Op::F32Trunc
-            | Op::F32Nearest
-            | Op::F32Sqrt
-            | Op::F64Abs
-            | Op::F64Neg
-            | Op::F64Ceil
-            | Op::F64Floor
-            | Op::F64Trunc
-            | Op::F64Nearest
-            | Op::F64Sqrt
-            | Op::I32WrapI64
-            | Op::I32TruncF32S
-            | Op::I32TruncF32U
-            | Op::I32TruncF64S
-            | Op::I32TruncF64U
-            | Op::I64ExtendI32S
-            | Op::I64ExtendI32U
-            | Op::I64TruncF32S
-            | Op::I64TruncF32U
-            | Op::I64TruncF64S
-            | Op::I64TruncF64U
-            | Op::F32ConvertI32S
-            | Op::F32ConvertI32U
-            | Op::F32ConvertI64S
-            | Op::F32ConvertI64U
-            | Op::F32DemoteF64
-            | Op::F64ConvertI32S
-            | Op::F64ConvertI32U
-            | Op::F64ConvertI64S
-            | Op::F64ConvertI64U
-            | Op::F64PromoteF32
-            | Op::I32ReinterpretF32
-            | Op::I64ReinterpretF64
-            | Op::F32ReinterpretI32
-            | Op::F64ReinterpretI64
-            | Op::I32Extend8S
-            | Op::I32Extend16S
-            | Op::I64Extend8S
-            | Op::I64Extend16S
-            | Op::I64Extend32S
-            | Op::I32TruncSatF32S
-            | Op::I32TruncSatF32U
-            | Op::I32TruncSatF64S
-            | Op::I32TruncSatF64U
-            | Op::I64TruncSatF32S
-            | Op::I64TruncSatF32U
-            | Op::I64TruncSatF64S
-            | Op::I64TruncSatF64U => (1, 1),
-            // Binary families: i64 arithmetic/compares, trapping div/rem and
-            // float binops/compares.
-            Op::I64Eq
-            | Op::I64Ne
-            | Op::I64LtS
-            | Op::I64LtU
-            | Op::I64GtS
-            | Op::I64GtU
-            | Op::I64LeS
-            | Op::I64LeU
-            | Op::I64GeS
-            | Op::I64GeU
-            | Op::I64Add
-            | Op::I64Sub
-            | Op::I64Mul
-            | Op::I64And
-            | Op::I64Or
-            | Op::I64Xor
-            | Op::I64Shl
-            | Op::I64ShrS
-            | Op::I64ShrU
-            | Op::I64Rotl
-            | Op::I64Rotr
-            | Op::I32DivS
-            | Op::I32DivU
-            | Op::I32RemS
-            | Op::I32RemU
-            | Op::I64DivS
-            | Op::I64DivU
-            | Op::I64RemS
-            | Op::I64RemU
-            | Op::F32Eq
-            | Op::F32Ne
-            | Op::F32Lt
-            | Op::F32Gt
-            | Op::F32Le
-            | Op::F32Ge
-            | Op::F64Eq
-            | Op::F64Ne
-            | Op::F64Lt
-            | Op::F64Gt
-            | Op::F64Le
-            | Op::F64Ge
-            | Op::F32Add
-            | Op::F32Sub
-            | Op::F32Mul
-            | Op::F32Div
-            | Op::F32Min
-            | Op::F32Max
-            | Op::F32Copysign
-            | Op::F64Add
-            | Op::F64Sub
-            | Op::F64Mul
-            | Op::F64Div
-            | Op::F64Min
-            | Op::F64Max
-            | Op::F64Copysign => (2, 1),
         }
+    }
+
+    /// The flat op of a plain numeric or memory instruction, `None` for
+    /// everything else — the one place a source operator is classified;
+    /// the register lowering and the analyzer read the payload.
+    fn plain(instr: &Instr) -> Option<Op> {
+        let load = |(kind, off)| Op::Load { kind, off };
+        let store = |(kind, off)| Op::Store { kind, off };
+        I32Op::from_instr(instr)
+            .map(Op::I32Bin)
+            .or_else(|| LoadKind::from_instr(instr).map(load))
+            .or_else(|| StoreKind::from_instr(instr).map(store))
+            .or_else(|| UnOp::from_instr(instr).map(Op::Un))
+            .or_else(|| I64Op::from_instr(instr).map(Op::I64Bin))
+            .or_else(|| BinOp::from_instr(instr).map(Op::Bin))
     }
 }
 
@@ -590,61 +232,6 @@ impl CompiledFunc {
             }
         }
         Ok(eh)
-    }
-}
-
-/// Per-function compile cache slot, stored on
-/// [`FuncBody`](crate::module::FuncBody). Wraps `OnceLock` so `FuncBody`
-/// keeps its derived `Clone`/`PartialEq`/`Debug`; the cache is identity-
-/// irrelevant to module equality.
-pub struct CompiledCell(OnceLock<CompiledFunc>);
-
-impl CompiledCell {
-    /// Empty (not-yet-compiled) cell.
-    pub const fn new() -> Self {
-        CompiledCell(OnceLock::new())
-    }
-
-    /// The compiled body, compiling on first use. `local_idx` indexes
-    /// `module.funcs` and must be the body this cell lives on.
-    pub fn get_or_compile(&self, module: &Module, local_idx: u32) -> &CompiledFunc {
-        self.0.get_or_init(|| compile_func(module, local_idx))
-    }
-}
-
-impl Default for CompiledCell {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for CompiledCell {
-    fn clone(&self) -> Self {
-        let cell = OnceLock::new();
-        if let Some(cf) = self.0.get() {
-            let _ = cell.set(cf.clone());
-        }
-        CompiledCell(cell)
-    }
-}
-
-impl PartialEq for CompiledCell {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for CompiledCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CompiledCell({})",
-            if self.0.get().is_some() {
-                "compiled"
-            } else {
-                "pending"
-            }
-        )
     }
 }
 
@@ -1009,30 +596,6 @@ impl<'m> FnCompiler<'m> {
             Instr::LocalTee(i) => self.simple(Op::LocalTee(self.local_offset + *i)),
             Instr::GlobalGet(i) => self.simple(Op::GlobalGet(*i)),
             Instr::GlobalSet(i) => self.simple(Op::GlobalSet(*i)),
-
-            Instr::I32Load(m) => self.simple(Op::I32Load(m.offset)),
-            Instr::I64Load(m) => self.simple(Op::I64Load(m.offset)),
-            Instr::F32Load(m) => self.simple(Op::F32Load(m.offset)),
-            Instr::F64Load(m) => self.simple(Op::F64Load(m.offset)),
-            Instr::I32Load8S(m) => self.simple(Op::I32Load8S(m.offset)),
-            Instr::I32Load8U(m) => self.simple(Op::I32Load8U(m.offset)),
-            Instr::I32Load16S(m) => self.simple(Op::I32Load16S(m.offset)),
-            Instr::I32Load16U(m) => self.simple(Op::I32Load16U(m.offset)),
-            Instr::I64Load8S(m) => self.simple(Op::I64Load8S(m.offset)),
-            Instr::I64Load8U(m) => self.simple(Op::I64Load8U(m.offset)),
-            Instr::I64Load16S(m) => self.simple(Op::I64Load16S(m.offset)),
-            Instr::I64Load16U(m) => self.simple(Op::I64Load16U(m.offset)),
-            Instr::I64Load32S(m) => self.simple(Op::I64Load32S(m.offset)),
-            Instr::I64Load32U(m) => self.simple(Op::I64Load32U(m.offset)),
-            Instr::I32Store(m) => self.simple(Op::I32Store(m.offset)),
-            Instr::I64Store(m) => self.simple(Op::I64Store(m.offset)),
-            Instr::F32Store(m) => self.simple(Op::F32Store(m.offset)),
-            Instr::F64Store(m) => self.simple(Op::F64Store(m.offset)),
-            Instr::I32Store8(m) => self.simple(Op::I32Store8(m.offset)),
-            Instr::I32Store16(m) => self.simple(Op::I32Store16(m.offset)),
-            Instr::I64Store8(m) => self.simple(Op::I64Store8(m.offset)),
-            Instr::I64Store16(m) => self.simple(Op::I64Store16(m.offset)),
-            Instr::I64Store32(m) => self.simple(Op::I64Store32(m.offset)),
             Instr::MemorySize => self.simple(Op::MemorySize),
             Instr::MemoryGrow => self.simple(Op::MemoryGrow),
             Instr::MemoryCopy => self.simple(Op::MemoryCopy),
@@ -1043,133 +606,10 @@ impl<'m> FnCompiler<'m> {
             Instr::F32Const(v) => self.simple(Op::F32Const(*v)),
             Instr::F64Const(v) => self.simple(Op::F64Const(*v)),
 
-            Instr::I32Eqz => self.simple(Op::I32Eqz),
-            Instr::I32DivS => self.simple(Op::I32DivS),
-            Instr::I32DivU => self.simple(Op::I32DivU),
-            Instr::I32RemS => self.simple(Op::I32RemS),
-            Instr::I32RemU => self.simple(Op::I32RemU),
-            Instr::I32Clz => self.simple(Op::I32Clz),
-            Instr::I32Ctz => self.simple(Op::I32Ctz),
-            Instr::I32Popcnt => self.simple(Op::I32Popcnt),
-
-            Instr::I64Eqz => self.simple(Op::I64Eqz),
-            Instr::I64Eq => self.simple(Op::I64Eq),
-            Instr::I64Ne => self.simple(Op::I64Ne),
-            Instr::I64LtS => self.simple(Op::I64LtS),
-            Instr::I64LtU => self.simple(Op::I64LtU),
-            Instr::I64GtS => self.simple(Op::I64GtS),
-            Instr::I64GtU => self.simple(Op::I64GtU),
-            Instr::I64LeS => self.simple(Op::I64LeS),
-            Instr::I64LeU => self.simple(Op::I64LeU),
-            Instr::I64GeS => self.simple(Op::I64GeS),
-            Instr::I64GeU => self.simple(Op::I64GeU),
-            Instr::I64Clz => self.simple(Op::I64Clz),
-            Instr::I64Ctz => self.simple(Op::I64Ctz),
-            Instr::I64Popcnt => self.simple(Op::I64Popcnt),
-            Instr::I64Add => self.simple(Op::I64Add),
-            Instr::I64Sub => self.simple(Op::I64Sub),
-            Instr::I64Mul => self.simple(Op::I64Mul),
-            Instr::I64DivS => self.simple(Op::I64DivS),
-            Instr::I64DivU => self.simple(Op::I64DivU),
-            Instr::I64RemS => self.simple(Op::I64RemS),
-            Instr::I64RemU => self.simple(Op::I64RemU),
-            Instr::I64And => self.simple(Op::I64And),
-            Instr::I64Or => self.simple(Op::I64Or),
-            Instr::I64Xor => self.simple(Op::I64Xor),
-            Instr::I64Shl => self.simple(Op::I64Shl),
-            Instr::I64ShrS => self.simple(Op::I64ShrS),
-            Instr::I64ShrU => self.simple(Op::I64ShrU),
-            Instr::I64Rotl => self.simple(Op::I64Rotl),
-            Instr::I64Rotr => self.simple(Op::I64Rotr),
-
-            Instr::F32Eq => self.simple(Op::F32Eq),
-            Instr::F32Ne => self.simple(Op::F32Ne),
-            Instr::F32Lt => self.simple(Op::F32Lt),
-            Instr::F32Gt => self.simple(Op::F32Gt),
-            Instr::F32Le => self.simple(Op::F32Le),
-            Instr::F32Ge => self.simple(Op::F32Ge),
-            Instr::F64Eq => self.simple(Op::F64Eq),
-            Instr::F64Ne => self.simple(Op::F64Ne),
-            Instr::F64Lt => self.simple(Op::F64Lt),
-            Instr::F64Gt => self.simple(Op::F64Gt),
-            Instr::F64Le => self.simple(Op::F64Le),
-            Instr::F64Ge => self.simple(Op::F64Ge),
-
-            Instr::F32Abs => self.simple(Op::F32Abs),
-            Instr::F32Neg => self.simple(Op::F32Neg),
-            Instr::F32Ceil => self.simple(Op::F32Ceil),
-            Instr::F32Floor => self.simple(Op::F32Floor),
-            Instr::F32Trunc => self.simple(Op::F32Trunc),
-            Instr::F32Nearest => self.simple(Op::F32Nearest),
-            Instr::F32Sqrt => self.simple(Op::F32Sqrt),
-            Instr::F32Add => self.simple(Op::F32Add),
-            Instr::F32Sub => self.simple(Op::F32Sub),
-            Instr::F32Mul => self.simple(Op::F32Mul),
-            Instr::F32Div => self.simple(Op::F32Div),
-            Instr::F32Min => self.simple(Op::F32Min),
-            Instr::F32Max => self.simple(Op::F32Max),
-            Instr::F32Copysign => self.simple(Op::F32Copysign),
-            Instr::F64Abs => self.simple(Op::F64Abs),
-            Instr::F64Neg => self.simple(Op::F64Neg),
-            Instr::F64Ceil => self.simple(Op::F64Ceil),
-            Instr::F64Floor => self.simple(Op::F64Floor),
-            Instr::F64Trunc => self.simple(Op::F64Trunc),
-            Instr::F64Nearest => self.simple(Op::F64Nearest),
-            Instr::F64Sqrt => self.simple(Op::F64Sqrt),
-            Instr::F64Add => self.simple(Op::F64Add),
-            Instr::F64Sub => self.simple(Op::F64Sub),
-            Instr::F64Mul => self.simple(Op::F64Mul),
-            Instr::F64Div => self.simple(Op::F64Div),
-            Instr::F64Min => self.simple(Op::F64Min),
-            Instr::F64Max => self.simple(Op::F64Max),
-            Instr::F64Copysign => self.simple(Op::F64Copysign),
-
-            Instr::I32WrapI64 => self.simple(Op::I32WrapI64),
-            Instr::I32TruncF32S => self.simple(Op::I32TruncF32S),
-            Instr::I32TruncF32U => self.simple(Op::I32TruncF32U),
-            Instr::I32TruncF64S => self.simple(Op::I32TruncF64S),
-            Instr::I32TruncF64U => self.simple(Op::I32TruncF64U),
-            Instr::I64ExtendI32S => self.simple(Op::I64ExtendI32S),
-            Instr::I64ExtendI32U => self.simple(Op::I64ExtendI32U),
-            Instr::I64TruncF32S => self.simple(Op::I64TruncF32S),
-            Instr::I64TruncF32U => self.simple(Op::I64TruncF32U),
-            Instr::I64TruncF64S => self.simple(Op::I64TruncF64S),
-            Instr::I64TruncF64U => self.simple(Op::I64TruncF64U),
-            Instr::F32ConvertI32S => self.simple(Op::F32ConvertI32S),
-            Instr::F32ConvertI32U => self.simple(Op::F32ConvertI32U),
-            Instr::F32ConvertI64S => self.simple(Op::F32ConvertI64S),
-            Instr::F32ConvertI64U => self.simple(Op::F32ConvertI64U),
-            Instr::F32DemoteF64 => self.simple(Op::F32DemoteF64),
-            Instr::F64ConvertI32S => self.simple(Op::F64ConvertI32S),
-            Instr::F64ConvertI32U => self.simple(Op::F64ConvertI32U),
-            Instr::F64ConvertI64S => self.simple(Op::F64ConvertI64S),
-            Instr::F64ConvertI64U => self.simple(Op::F64ConvertI64U),
-            Instr::F64PromoteF32 => self.simple(Op::F64PromoteF32),
-            Instr::I32ReinterpretF32 => self.simple(Op::I32ReinterpretF32),
-            Instr::I64ReinterpretF64 => self.simple(Op::I64ReinterpretF64),
-            Instr::F32ReinterpretI32 => self.simple(Op::F32ReinterpretI32),
-            Instr::F64ReinterpretI64 => self.simple(Op::F64ReinterpretI64),
-            Instr::I32Extend8S => self.simple(Op::I32Extend8S),
-            Instr::I32Extend16S => self.simple(Op::I32Extend16S),
-            Instr::I64Extend8S => self.simple(Op::I64Extend8S),
-            Instr::I64Extend16S => self.simple(Op::I64Extend16S),
-            Instr::I64Extend32S => self.simple(Op::I64Extend32S),
-            Instr::I32TruncSatF32S => self.simple(Op::I32TruncSatF32S),
-            Instr::I32TruncSatF32U => self.simple(Op::I32TruncSatF32U),
-            Instr::I32TruncSatF64S => self.simple(Op::I32TruncSatF64S),
-            Instr::I32TruncSatF64U => self.simple(Op::I32TruncSatF64U),
-            Instr::I64TruncSatF32S => self.simple(Op::I64TruncSatF32S),
-            Instr::I64TruncSatF32U => self.simple(Op::I64TruncSatF32U),
-            Instr::I64TruncSatF64S => self.simple(Op::I64TruncSatF64S),
-            Instr::I64TruncSatF64U => self.simple(Op::I64TruncSatF64U),
-
-            other => {
-                if let Some(op) = I32Op::from_instr(other) {
-                    self.simple(Op::I32Bin(op));
-                } else {
-                    unreachable!("unhandled instruction in lowering: {other:?}");
-                }
-            }
+            other => match Op::plain(other) {
+                Some(op) => self.simple(op),
+                None => unreachable!("unhandled instruction in lowering: {other:?}"),
+            },
         }
     }
 
@@ -1425,7 +865,7 @@ mod tests {
                     Op::LocalGet(0),
                     Op::LocalGet(1),
                     Op::I32Bin(I32Op::LtS),
-                    Op::I32Eqz,
+                    Op::Un(UnOp::I32Eqz),
                     Op::BrIf(_)
                 ]
             ),

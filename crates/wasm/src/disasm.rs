@@ -6,6 +6,12 @@
 //! the MVNO scheduler plugin before deployment"). The output uses the flat
 //! instruction syntax this crate's [`crate::wat`] assembler accepts for
 //! the supported subset.
+//!
+//! Two more listings render the compiled forms: [`disassemble_flat`] (the
+//! proof's left-hand side) and [`disassemble_reg`] (what executes). Both
+//! spell a plain operator by its [`crate::ops`] payload's `Debug` name —
+//! numeric ones mapped to the WAT mnemonic, loads and stores as
+//! `load.<Kind>`/`store.<Kind>` — so neither keeps a name table.
 
 use std::fmt::Write as _;
 
@@ -246,12 +252,9 @@ pub fn render(instr: &Instr) -> String {
         I64Const(v) => format!("i64.const {v}"),
         F32Const(v) => format!("f32.const {v}"),
         F64Const(v) => format!("f64.const {v}"),
-        other => {
-            // Numeric operators: derive the WAT name from the variant name,
-            // e.g. I32DivS -> i32.div_s, F64PromoteF32 -> f64.promote_f32.
-            let name = format!("{other:?}");
-            variant_to_wat(&name)
-        }
+        // Numeric operators: derive the WAT name from the variant name,
+        // e.g. I32DivS -> i32.div_s, F64PromoteF32 -> f64.promote_f32.
+        other => variant_to_wat(other),
     }
 }
 
@@ -484,29 +487,14 @@ fn render_op(op: &Op, cf: &CompiledFunc) -> String {
         Op::GlobalGet(g) => format!("global.get {g}"),
         Op::GlobalSet(g) => format!("global.set {g}"),
         Op::I32Bin(op) => format!("i32.{op:?}"),
-        Op::I32Load(off) => format!("i32.load offset={off}"),
-        Op::I64Load(off) => format!("i64.load offset={off}"),
-        Op::F32Load(off) => format!("f32.load offset={off}"),
-        Op::F64Load(off) => format!("f64.load offset={off}"),
-        Op::I32Load8S(off) => format!("i32.load8_s offset={off}"),
-        Op::I32Load8U(off) => format!("i32.load8_u offset={off}"),
-        Op::I32Load16S(off) => format!("i32.load16_s offset={off}"),
-        Op::I32Load16U(off) => format!("i32.load16_u offset={off}"),
-        Op::I64Load8S(off) => format!("i64.load8_s offset={off}"),
-        Op::I64Load8U(off) => format!("i64.load8_u offset={off}"),
-        Op::I64Load16S(off) => format!("i64.load16_s offset={off}"),
-        Op::I64Load16U(off) => format!("i64.load16_u offset={off}"),
-        Op::I64Load32S(off) => format!("i64.load32_s offset={off}"),
-        Op::I64Load32U(off) => format!("i64.load32_u offset={off}"),
-        Op::I32Store(off) => format!("i32.store offset={off}"),
-        Op::I64Store(off) => format!("i64.store offset={off}"),
-        Op::F32Store(off) => format!("f32.store offset={off}"),
-        Op::F64Store(off) => format!("f64.store offset={off}"),
-        Op::I32Store8(off) => format!("i32.store8 offset={off}"),
-        Op::I32Store16(off) => format!("i32.store16 offset={off}"),
-        Op::I64Store8(off) => format!("i64.store8 offset={off}"),
-        Op::I64Store16(off) => format!("i64.store16 offset={off}"),
-        Op::I64Store32(off) => format!("i64.store32 offset={off}"),
+        // The payload's own name is the spelling: numeric operators map
+        // mechanically to their WAT mnemonic, loads and stores read as in
+        // the register listing.
+        Op::I64Bin(op) => variant_to_wat(&op),
+        Op::Bin(op) => variant_to_wat(&op),
+        Op::Un(op) => variant_to_wat(&op),
+        Op::Load { kind, off } => format!("load.{kind:?} offset={off}"),
+        Op::Store { kind, off } => format!("store.{kind:?} offset={off}"),
         Op::MemorySize => "memory.size".into(),
         Op::MemoryGrow => "memory.grow".into(),
         Op::MemoryCopy => "memory.copy".into(),
@@ -515,131 +503,14 @@ fn render_op(op: &Op, cf: &CompiledFunc) -> String {
         Op::I64Const(v) => format!("i64.const {v}"),
         Op::F32Const(v) => format!("f32.const {v}"),
         Op::F64Const(v) => format!("f64.const {v}"),
-        // The numeric long tail: unit variants whose WAT name derives
-        // mechanically from the variant name. Listed — not wildcarded —
-        // so exhaustiveness still holds.
-        Op::I32Eqz
-        | Op::I32Clz
-        | Op::I32Ctz
-        | Op::I32Popcnt
-        | Op::I32DivS
-        | Op::I32DivU
-        | Op::I32RemS
-        | Op::I32RemU
-        | Op::I64Eqz
-        | Op::I64Eq
-        | Op::I64Ne
-        | Op::I64LtS
-        | Op::I64LtU
-        | Op::I64GtS
-        | Op::I64GtU
-        | Op::I64LeS
-        | Op::I64LeU
-        | Op::I64GeS
-        | Op::I64GeU
-        | Op::I64Clz
-        | Op::I64Ctz
-        | Op::I64Popcnt
-        | Op::I64Add
-        | Op::I64Sub
-        | Op::I64Mul
-        | Op::I64DivS
-        | Op::I64DivU
-        | Op::I64RemS
-        | Op::I64RemU
-        | Op::I64And
-        | Op::I64Or
-        | Op::I64Xor
-        | Op::I64Shl
-        | Op::I64ShrS
-        | Op::I64ShrU
-        | Op::I64Rotl
-        | Op::I64Rotr
-        | Op::F32Eq
-        | Op::F32Ne
-        | Op::F32Lt
-        | Op::F32Gt
-        | Op::F32Le
-        | Op::F32Ge
-        | Op::F64Eq
-        | Op::F64Ne
-        | Op::F64Lt
-        | Op::F64Gt
-        | Op::F64Le
-        | Op::F64Ge
-        | Op::F32Abs
-        | Op::F32Neg
-        | Op::F32Ceil
-        | Op::F32Floor
-        | Op::F32Trunc
-        | Op::F32Nearest
-        | Op::F32Sqrt
-        | Op::F32Add
-        | Op::F32Sub
-        | Op::F32Mul
-        | Op::F32Div
-        | Op::F32Min
-        | Op::F32Max
-        | Op::F32Copysign
-        | Op::F64Abs
-        | Op::F64Neg
-        | Op::F64Ceil
-        | Op::F64Floor
-        | Op::F64Trunc
-        | Op::F64Nearest
-        | Op::F64Sqrt
-        | Op::F64Add
-        | Op::F64Sub
-        | Op::F64Mul
-        | Op::F64Div
-        | Op::F64Min
-        | Op::F64Max
-        | Op::F64Copysign
-        | Op::I32WrapI64
-        | Op::I32TruncF32S
-        | Op::I32TruncF32U
-        | Op::I32TruncF64S
-        | Op::I32TruncF64U
-        | Op::I64ExtendI32S
-        | Op::I64ExtendI32U
-        | Op::I64TruncF32S
-        | Op::I64TruncF32U
-        | Op::I64TruncF64S
-        | Op::I64TruncF64U
-        | Op::F32ConvertI32S
-        | Op::F32ConvertI32U
-        | Op::F32ConvertI64S
-        | Op::F32ConvertI64U
-        | Op::F32DemoteF64
-        | Op::F64ConvertI32S
-        | Op::F64ConvertI32U
-        | Op::F64ConvertI64S
-        | Op::F64ConvertI64U
-        | Op::F64PromoteF32
-        | Op::I32ReinterpretF32
-        | Op::I64ReinterpretF64
-        | Op::F32ReinterpretI32
-        | Op::F64ReinterpretI64
-        | Op::I32Extend8S
-        | Op::I32Extend16S
-        | Op::I64Extend8S
-        | Op::I64Extend16S
-        | Op::I64Extend32S
-        | Op::I32TruncSatF32S
-        | Op::I32TruncSatF32U
-        | Op::I32TruncSatF64S
-        | Op::I32TruncSatF64U
-        | Op::I64TruncSatF32S
-        | Op::I64TruncSatF32U
-        | Op::I64TruncSatF64S
-        | Op::I64TruncSatF64U => variant_to_wat(&format!("{op:?}")),
     }
 }
 
+/// A unit variant's `Debug` name as its WAT mnemonic:
 /// `I32TruncSatF64U` → `i32.trunc_sat_f64_u`, etc.
-fn variant_to_wat(variant: &str) -> String {
+fn variant_to_wat(variant: &dyn std::fmt::Debug) -> String {
     let mut out = String::new();
-    let chars: Vec<char> = variant.chars().collect();
+    let chars: Vec<char> = format!("{variant:?}").chars().collect();
     let mut i = 0;
     // Leading type prefix: I32/I64/F32/F64.
     if chars.len() >= 3 && (chars[0] == 'I' || chars[0] == 'F') {
@@ -683,6 +554,7 @@ fn variant_to_wat(variant: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{BinOp, I64Op, LoadKind, StoreKind, UnOp};
     use crate::wat;
 
     #[test]
@@ -830,14 +702,29 @@ func $f1 (args 1 -> 1, locals 1):
             ret_arity: 0,
         };
         for (op, want) in [
-            (Op::I64Rotl, "i64.rotl"),
-            (Op::I32DivS, "i32.div_s"),
-            (Op::F64PromoteF32, "f64.promote_f32"),
-            (Op::I32TruncSatF64U, "i32.trunc_sat_f64_u"),
-            (Op::I64ExtendI32S, "i64.extend_i32_s"),
-            (Op::I64Extend32S, "i64.extend32_s"),
-            (Op::F32Copysign, "f32.copysign"),
-            (Op::I32ReinterpretF32, "i32.reinterpret_f32"),
+            (Op::I64Bin(I64Op::I64Rotl), "i64.rotl"),
+            (Op::Bin(BinOp::I32DivS), "i32.div_s"),
+            (Op::Un(UnOp::F64PromoteF32), "f64.promote_f32"),
+            (Op::Un(UnOp::I32TruncSatF64U), "i32.trunc_sat_f64_u"),
+            (Op::Un(UnOp::I64ExtendI32S), "i64.extend_i32_s"),
+            (Op::Un(UnOp::I64Extend32S), "i64.extend32_s"),
+            (Op::Bin(BinOp::F32Copysign), "f32.copysign"),
+            (Op::Un(UnOp::I32ReinterpretF32), "i32.reinterpret_f32"),
+            // Loads and stores are spelled by kind, like the register listing.
+            (
+                Op::Load {
+                    kind: LoadKind::I64S32,
+                    off: 8,
+                },
+                "load.I64S32 offset=8",
+            ),
+            (
+                Op::Store {
+                    kind: StoreKind::I32Lo8,
+                    off: 0,
+                },
+                "store.I32Lo8 offset=0",
+            ),
         ] {
             assert_eq!(render_op(&op, &cf), want);
         }

@@ -19,7 +19,8 @@
 //!   virtual register file — the one pass that fuses operands,
 //!   write-backs, compare-and-branch and address chains — eliminating
 //!   value-stack traffic from the hot loop. Only the register form is
-//!   executed; [`analysis`] proves it equivalent to the flat IR at load,
+//!   executed; [`analysis`] proves it equivalent to the flat IR at load.
+//!   Both forms carry plain operators as the [`ops`] payload enums,
 //! * [`wat`] — a WAT-subset text assembler for tests and examples,
 //! * [`disasm`] — the inverse: render any decoded module as WAT-style
 //!   text (the operator's pre-deployment inspection tool, §3.A).
@@ -63,6 +64,7 @@ pub mod instr;
 pub mod interp;
 pub mod leb128;
 pub mod module;
+pub mod ops;
 pub mod regalloc;
 pub mod trap;
 pub mod types;

@@ -1,11 +1,65 @@
 //! The decoded, immutable module representation shared by the validator and
 //! the interpreter.
 
-use crate::analysis::{AnalysisCell, AnalysisError, ModuleAnalysis};
-use crate::compile::{CompiledCell, CompiledFunc};
+use std::sync::OnceLock;
+
+use crate::analysis::{analyze, AnalysisError, ModuleAnalysis};
+use crate::compile::{compile_func, CompiledFunc};
 use crate::instr::Instr;
-use crate::regalloc::{RegCell, RegFunc};
+use crate::regalloc::{lower_func, RegFunc};
 use crate::types::{FuncType, GlobalType, Limits, ValType};
+
+/// A lazily computed pure function of the module it lives on: the flat
+/// IR, the register form and the analysis report are each derived once,
+/// on first use. Wraps `OnceLock` so [`FuncBody`] and [`Module`] keep
+/// their derived `Clone`/`PartialEq`/`Debug` — a clone carries a computed
+/// value along, and the cache never affects equality.
+pub struct Memo<T>(OnceLock<T>);
+
+impl<T> Memo<T> {
+    /// Empty (not-yet-computed) cell.
+    pub const fn new() -> Self {
+        Memo(OnceLock::new())
+    }
+
+    /// The cached value, computing it with `f` on first use.
+    pub fn get_or_init(&self, f: impl FnOnce() -> T) -> &T {
+        self.0.get_or_init(f)
+    }
+}
+
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Clone> Clone for Memo<T> {
+    fn clone(&self) -> Self {
+        Memo(
+            self.0
+                .get()
+                .cloned()
+                .map_or_else(OnceLock::new, OnceLock::from),
+        )
+    }
+}
+
+impl<T> PartialEq for Memo<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> std::fmt::Debug for Memo<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "Memo(computed)"
+        } else {
+            "Memo(pending)"
+        })
+    }
+}
 
 /// What an import provides.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,12 +118,12 @@ pub struct FuncBody {
     /// it is the intermediate the register form is lowered from, the
     /// input of the load-time analysis and the left-hand side of
     /// translation validation.
-    pub compiled: CompiledCell,
+    pub compiled: Memo<CompiledFunc>,
     /// Lazily lowered register-form IR (see [`crate::regalloc`]) — what
     /// instances execute. Shared by every instance holding the same
     /// `Arc<Module>`, so hot swap back to a cached module re-instantiates
     /// without re-lowering.
-    pub reg: RegCell,
+    pub reg: Memo<RegFunc>,
 }
 
 impl FuncBody {
@@ -79,8 +133,8 @@ impl FuncBody {
             type_idx,
             locals,
             code,
-            compiled: CompiledCell::new(),
-            reg: RegCell::new(),
+            compiled: Memo::new(),
+            reg: Memo::new(),
         }
     }
 }
@@ -160,7 +214,7 @@ pub struct Module {
     pub data: Vec<DataSegment>,
     /// Lazily computed load-time static analysis (translation validation
     /// + resource bounds), cached module-wide like the compiled bodies.
-    pub analysis: AnalysisCell,
+    pub analysis: Memo<Result<ModuleAnalysis, AnalysisError>>,
 }
 
 impl Module {
@@ -210,7 +264,7 @@ impl Module {
     pub fn compiled_func(&self, local_idx: u32) -> &CompiledFunc {
         self.funcs[local_idx as usize]
             .compiled
-            .get_or_compile(self, local_idx)
+            .get_or_init(|| compile_func(self, local_idx))
     }
 
     /// The register-form lowering of a module-local function (index into
@@ -219,14 +273,17 @@ impl Module {
     pub fn reg_func(&self, local_idx: u32) -> &RegFunc {
         self.funcs[local_idx as usize]
             .reg
-            .get_or_lower(self, local_idx)
+            .get_or_init(|| lower_func(self, local_idx))
     }
 
     /// The module's static analysis report (translation validation and
     /// worst-case resource bounds), computed on first use and cached.
     /// The module must have been validated.
     pub fn analysis(&self) -> Result<&ModuleAnalysis, AnalysisError> {
-        self.analysis.get_or_analyze(self)
+        self.analysis
+            .get_or_init(|| analyze(self))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Force both lowerings of every function body now: the flat IR
@@ -251,12 +308,11 @@ impl Module {
 // across worker threads (one `Arc<Module>` per bytecode hash, one
 // instance per worker) and moves `Instance`s into workers. Everything
 // here is plain owned data; the only interior mutability is the
-// `OnceLock` inside each body's `CompiledCell` / `RegCell` and the
-// module's `AnalysisCell`, which is thread-safe by construction. Workers
-// only ever read `RegFunc`s while executing; `CompiledFunc`s are read by
-// the lowering and the analyzer. These assertions make the property
-// load-bearing: a field that breaks `Send`/`Sync` breaks the build, not
-// the engine.
+// `OnceLock` inside each [`Memo`] (two per body, one on the module),
+// which is thread-safe by construction. Workers only ever read
+// `RegFunc`s while executing; `CompiledFunc`s are read by the lowering
+// and the analyzer. These assertions make the property load-bearing: a
+// field that breaks `Send`/`Sync` breaks the build, not the engine.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Module>();
@@ -305,6 +361,30 @@ mod tests {
         let m = module_with_import();
         assert_eq!(m.exported_func("get"), Some(1));
         assert_eq!(m.exported_func("nope"), None);
+    }
+
+    #[test]
+    fn memo_caches_and_compares_equal() {
+        let cell = Memo::new();
+        let mut runs = 0;
+        for _ in 0..2 {
+            assert_eq!(
+                *cell.get_or_init(|| {
+                    runs += 1;
+                    vec![7u8]
+                }),
+                [7]
+            );
+        }
+        assert_eq!(runs, 1, "computed once, then cached");
+        // A clone carries the value along; set or not, cells compare equal.
+        let copy = cell.clone();
+        assert_eq!(*copy.get_or_init(|| unreachable!("cloned when set")), [7]);
+        assert_eq!(Memo::new(), cell);
+        assert_eq!(
+            format!("{:?} {cell:?}", Memo::<u8>::new()),
+            "Memo(pending) Memo(computed)"
+        );
     }
 
     #[test]

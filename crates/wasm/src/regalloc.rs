@@ -19,14 +19,16 @@
 //! `const` and most copies are *deleted* rather than merely cheapened.
 //!
 //! This is the pipeline's only fusion pass — the flat IR it reads is one
-//! op per source instruction. Local and constant operands come from the
-//! lazy cells; a pure producer followed by `local.set` is retargeted at
-//! the local (write-back); constant i32 arithmetic folds; `i32.eqz`
-//! negates a just-emitted compare or flips the branch it feeds;
-//! compare-and-branch fuses over register operands
-//! ([`ROp::BrIfCmp`]/[`ROp::BrIfCmpC`]); address chains fold into the
-//! memory access. All of it sits under the translation-validation proof
-//! of [`crate::analysis`].
+//! op per source instruction, its operators already classified into the
+//! [`crate::ops`] payloads, which [`ROp`] carries on unchanged (each
+//! `lower_op` arm matches the payload; nothing is re-classified). Local
+//! and constant operands come from the lazy cells; a pure producer
+//! followed by `local.set` is retargeted at the local (write-back);
+//! constant i32 arithmetic folds; `i32.eqz` negates a just-emitted
+//! compare or flips the branch it feeds; compare-and-branch fuses over
+//! register operands ([`ROp::BrIfCmp`]/[`ROp::BrIfCmpC`]); address chains
+//! fold into the memory access. All of it sits under the
+//! translation-validation proof of [`crate::analysis`].
 //!
 //! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
@@ -39,343 +41,11 @@
 //! base is placed exactly where the caller materialized the arguments, so
 //! a wasm→wasm call copies nothing.
 
-use std::sync::OnceLock;
-
-use crate::compile::{CompiledFunc, I32Op, Op};
-use crate::instance::{
-    trunc_f32_to_i32_s, trunc_f32_to_i64_s, trunc_f32_to_u32, trunc_f32_to_u64, trunc_f64_to_i32_s,
-    trunc_f64_to_i64_s, trunc_f64_to_u32, trunc_f64_to_u64, wasm_fmax32, wasm_fmax64, wasm_fmin32,
-    wasm_fmin64,
-};
+use crate::compile::{CompiledFunc, Op};
 use crate::interp::Value;
 use crate::module::Module;
-use crate::trap::Trap;
-
-/// Defines an operator enum whose variants mirror a subset of [`Op`]
-/// one-to-one, plus the `from_op` table that maps them over.
-macro_rules! mirror_ops {
-    ($(#[$meta:meta])* $name:ident: $($v:ident),* $(,)?) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub enum $name { $($v),* }
-        impl $name {
-            pub(crate) fn from_op(op: Op) -> Option<$name> {
-                match op {
-                    $(Op::$v => Some($name::$v),)*
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-
-mirror_ops! {
-    /// Non-trapping i64 binary operators (arithmetic and comparisons;
-    /// comparisons produce an i32).
-    I64Op:
-    I64Add, I64Sub, I64Mul, I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU,
-    I64Rotl, I64Rotr, I64Eq, I64Ne, I64LtS, I64LtU, I64GtS, I64GtU, I64LeS,
-    I64LeU, I64GeS, I64GeU,
-}
-
-impl I64Op {
-    #[inline(always)]
-    pub(crate) fn eval(self, a: i64, b: i64) -> Value {
-        use I64Op::*;
-        match self {
-            I64Add => Value::I64(a.wrapping_add(b)),
-            I64Sub => Value::I64(a.wrapping_sub(b)),
-            I64Mul => Value::I64(a.wrapping_mul(b)),
-            I64And => Value::I64(a & b),
-            I64Or => Value::I64(a | b),
-            I64Xor => Value::I64(a ^ b),
-            I64Shl => Value::I64(a.wrapping_shl(b as u32)),
-            I64ShrS => Value::I64(a.wrapping_shr(b as u32)),
-            I64ShrU => Value::I64(((a as u64).wrapping_shr(b as u32)) as i64),
-            I64Rotl => Value::I64(a.rotate_left(b as u32 & 63)),
-            I64Rotr => Value::I64(a.rotate_right(b as u32 & 63)),
-            I64Eq => Value::I32((a == b) as i32),
-            I64Ne => Value::I32((a != b) as i32),
-            I64LtS => Value::I32((a < b) as i32),
-            I64LtU => Value::I32(((a as u64) < (b as u64)) as i32),
-            I64GtS => Value::I32((a > b) as i32),
-            I64GtU => Value::I32(((a as u64) > (b as u64)) as i32),
-            I64LeS => Value::I32((a <= b) as i32),
-            I64LeU => Value::I32(((a as u64) <= (b as u64)) as i32),
-            I64GeS => Value::I32((a >= b) as i32),
-            I64GeU => Value::I32(((a as u64) >= (b as u64)) as i32),
-        }
-    }
-}
-
-mirror_ops! {
-    /// Binary operators that either trap (integer div/rem) or operate on
-    /// floats — the generic [`ROp::Bin`] payload. Kept out of the hot
-    /// [`ROp::I32Bin`]/[`ROp::I64Bin`] paths.
-    BinOp:
-    I32DivS, I32DivU, I32RemS, I32RemU, I64DivS, I64DivU, I64RemS, I64RemU,
-    F32Eq, F32Ne, F32Lt, F32Gt, F32Le, F32Ge,
-    F64Eq, F64Ne, F64Lt, F64Gt, F64Le, F64Ge,
-    F32Add, F32Sub, F32Mul, F32Div, F32Min, F32Max, F32Copysign,
-    F64Add, F64Sub, F64Mul, F64Div, F64Min, F64Max, F64Copysign,
-}
-
-impl BinOp {
-    #[inline(always)]
-    pub(crate) fn eval(self, a: Value, b: Value) -> Result<Value, Trap> {
-        use BinOp::*;
-        Ok(match self {
-            I32DivS => {
-                let (a, b) = (a.as_i32(), b.as_i32());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                if a == i32::MIN && b == -1 {
-                    return Err(Trap::IntegerOverflow);
-                }
-                Value::I32(a.wrapping_div(b))
-            }
-            I32DivU => {
-                let (a, b) = (a.as_i32(), b.as_i32());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                Value::I32(((a as u32) / (b as u32)) as i32)
-            }
-            I32RemS => {
-                let (a, b) = (a.as_i32(), b.as_i32());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                Value::I32(a.wrapping_rem(b))
-            }
-            I32RemU => {
-                let (a, b) = (a.as_i32(), b.as_i32());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                Value::I32(((a as u32) % (b as u32)) as i32)
-            }
-            I64DivS => {
-                let (a, b) = (a.as_i64(), b.as_i64());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                if a == i64::MIN && b == -1 {
-                    return Err(Trap::IntegerOverflow);
-                }
-                Value::I64(a.wrapping_div(b))
-            }
-            I64DivU => {
-                let (a, b) = (a.as_i64(), b.as_i64());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                Value::I64(((a as u64) / (b as u64)) as i64)
-            }
-            I64RemS => {
-                let (a, b) = (a.as_i64(), b.as_i64());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                Value::I64(a.wrapping_rem(b))
-            }
-            I64RemU => {
-                let (a, b) = (a.as_i64(), b.as_i64());
-                if b == 0 {
-                    return Err(Trap::IntegerDivByZero);
-                }
-                Value::I64(((a as u64) % (b as u64)) as i64)
-            }
-            F32Eq => Value::I32((a.as_f32() == b.as_f32()) as i32),
-            F32Ne => Value::I32((a.as_f32() != b.as_f32()) as i32),
-            F32Lt => Value::I32((a.as_f32() < b.as_f32()) as i32),
-            F32Gt => Value::I32((a.as_f32() > b.as_f32()) as i32),
-            F32Le => Value::I32((a.as_f32() <= b.as_f32()) as i32),
-            F32Ge => Value::I32((a.as_f32() >= b.as_f32()) as i32),
-            F64Eq => Value::I32((a.as_f64() == b.as_f64()) as i32),
-            F64Ne => Value::I32((a.as_f64() != b.as_f64()) as i32),
-            F64Lt => Value::I32((a.as_f64() < b.as_f64()) as i32),
-            F64Gt => Value::I32((a.as_f64() > b.as_f64()) as i32),
-            F64Le => Value::I32((a.as_f64() <= b.as_f64()) as i32),
-            F64Ge => Value::I32((a.as_f64() >= b.as_f64()) as i32),
-            F32Add => Value::F32(a.as_f32() + b.as_f32()),
-            F32Sub => Value::F32(a.as_f32() - b.as_f32()),
-            F32Mul => Value::F32(a.as_f32() * b.as_f32()),
-            F32Div => Value::F32(a.as_f32() / b.as_f32()),
-            F32Min => Value::F32(wasm_fmin32(a.as_f32(), b.as_f32())),
-            F32Max => Value::F32(wasm_fmax32(a.as_f32(), b.as_f32())),
-            F32Copysign => Value::F32(a.as_f32().copysign(b.as_f32())),
-            F64Add => Value::F64(a.as_f64() + b.as_f64()),
-            F64Sub => Value::F64(a.as_f64() - b.as_f64()),
-            F64Mul => Value::F64(a.as_f64() * b.as_f64()),
-            F64Div => Value::F64(a.as_f64() / b.as_f64()),
-            F64Min => Value::F64(wasm_fmin64(a.as_f64(), b.as_f64())),
-            F64Max => Value::F64(wasm_fmax64(a.as_f64(), b.as_f64())),
-            F64Copysign => Value::F64(a.as_f64().copysign(b.as_f64())),
-        })
-    }
-}
-
-mirror_ops! {
-    /// Unary operators (unops, conversions, reinterprets, saturating and
-    /// trapping truncations) — the [`ROp::Un`] payload.
-    UnOp:
-    I32Eqz, I32Clz, I32Ctz, I32Popcnt,
-    I64Eqz, I64Clz, I64Ctz, I64Popcnt,
-    F32Abs, F32Neg, F32Ceil, F32Floor, F32Trunc, F32Nearest, F32Sqrt,
-    F64Abs, F64Neg, F64Ceil, F64Floor, F64Trunc, F64Nearest, F64Sqrt,
-    I32WrapI64, I32TruncF32S, I32TruncF32U, I32TruncF64S, I32TruncF64U,
-    I64ExtendI32S, I64ExtendI32U, I64TruncF32S, I64TruncF32U, I64TruncF64S,
-    I64TruncF64U, F32ConvertI32S, F32ConvertI32U, F32ConvertI64S,
-    F32ConvertI64U, F32DemoteF64, F64ConvertI32S, F64ConvertI32U,
-    F64ConvertI64S, F64ConvertI64U, F64PromoteF32, I32ReinterpretF32,
-    I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
-    I32Extend8S, I32Extend16S, I64Extend8S, I64Extend16S, I64Extend32S,
-    I32TruncSatF32S, I32TruncSatF32U, I32TruncSatF64S, I32TruncSatF64U,
-    I64TruncSatF32S, I64TruncSatF32U, I64TruncSatF64S, I64TruncSatF64U,
-}
-
-impl UnOp {
-    #[inline(always)]
-    pub(crate) fn eval(self, a: Value) -> Result<Value, Trap> {
-        use UnOp::*;
-        Ok(match self {
-            I32Eqz => Value::I32((a.as_i32() == 0) as i32),
-            I32Clz => Value::I32(a.as_i32().leading_zeros() as i32),
-            I32Ctz => Value::I32(a.as_i32().trailing_zeros() as i32),
-            I32Popcnt => Value::I32(a.as_i32().count_ones() as i32),
-            I64Eqz => Value::I32((a.as_i64() == 0) as i32),
-            I64Clz => Value::I64(a.as_i64().leading_zeros() as i64),
-            I64Ctz => Value::I64(a.as_i64().trailing_zeros() as i64),
-            I64Popcnt => Value::I64(a.as_i64().count_ones() as i64),
-            F32Abs => Value::F32(a.as_f32().abs()),
-            F32Neg => Value::F32(-a.as_f32()),
-            F32Ceil => Value::F32(a.as_f32().ceil()),
-            F32Floor => Value::F32(a.as_f32().floor()),
-            F32Trunc => Value::F32(a.as_f32().trunc()),
-            F32Nearest => Value::F32(a.as_f32().round_ties_even()),
-            F32Sqrt => Value::F32(a.as_f32().sqrt()),
-            F64Abs => Value::F64(a.as_f64().abs()),
-            F64Neg => Value::F64(-a.as_f64()),
-            F64Ceil => Value::F64(a.as_f64().ceil()),
-            F64Floor => Value::F64(a.as_f64().floor()),
-            F64Trunc => Value::F64(a.as_f64().trunc()),
-            F64Nearest => Value::F64(a.as_f64().round_ties_even()),
-            F64Sqrt => Value::F64(a.as_f64().sqrt()),
-            I32WrapI64 => Value::I32(a.as_i64() as i32),
-            I32TruncF32S => Value::I32(trunc_f32_to_i32_s(a.as_f32())?),
-            I32TruncF32U => Value::I32(trunc_f32_to_u32(a.as_f32())? as i32),
-            I32TruncF64S => Value::I32(trunc_f64_to_i32_s(a.as_f64())?),
-            I32TruncF64U => Value::I32(trunc_f64_to_u32(a.as_f64())? as i32),
-            I64ExtendI32S => Value::I64(a.as_i32() as i64),
-            I64ExtendI32U => Value::I64(a.as_i32() as u32 as i64),
-            I64TruncF32S => Value::I64(trunc_f32_to_i64_s(a.as_f32())?),
-            I64TruncF32U => Value::I64(trunc_f32_to_u64(a.as_f32())? as i64),
-            I64TruncF64S => Value::I64(trunc_f64_to_i64_s(a.as_f64())?),
-            I64TruncF64U => Value::I64(trunc_f64_to_u64(a.as_f64())? as i64),
-            F32ConvertI32S => Value::F32(a.as_i32() as f32),
-            F32ConvertI32U => Value::F32(a.as_i32() as u32 as f32),
-            F32ConvertI64S => Value::F32(a.as_i64() as f32),
-            F32ConvertI64U => Value::F32(a.as_i64() as u64 as f32),
-            F32DemoteF64 => Value::F32(a.as_f64() as f32),
-            F64ConvertI32S => Value::F64(a.as_i32() as f64),
-            F64ConvertI32U => Value::F64(a.as_i32() as u32 as f64),
-            F64ConvertI64S => Value::F64(a.as_i64() as f64),
-            F64ConvertI64U => Value::F64(a.as_i64() as u64 as f64),
-            F64PromoteF32 => Value::F64(a.as_f32() as f64),
-            I32ReinterpretF32 => Value::I32(a.as_f32().to_bits() as i32),
-            I64ReinterpretF64 => Value::I64(a.as_f64().to_bits() as i64),
-            F32ReinterpretI32 => Value::F32(f32::from_bits(a.as_i32() as u32)),
-            F64ReinterpretI64 => Value::F64(f64::from_bits(a.as_i64() as u64)),
-            I32Extend8S => Value::I32(a.as_i32() as i8 as i32),
-            I32Extend16S => Value::I32(a.as_i32() as i16 as i32),
-            I64Extend8S => Value::I64(a.as_i64() as i8 as i64),
-            I64Extend16S => Value::I64(a.as_i64() as i16 as i64),
-            I64Extend32S => Value::I64(a.as_i64() as i32 as i64),
-            I32TruncSatF32S => Value::I32(a.as_f32() as i32),
-            I32TruncSatF32U => Value::I32(a.as_f32() as u32 as i32),
-            I32TruncSatF64S => Value::I32(a.as_f64() as i32),
-            I32TruncSatF64U => Value::I32(a.as_f64() as u32 as i32),
-            I64TruncSatF32S => Value::I64(a.as_f32() as i64),
-            I64TruncSatF32U => Value::I64(a.as_f32() as u64 as i64),
-            I64TruncSatF64S => Value::I64(a.as_f64() as i64),
-            I64TruncSatF64U => Value::I64(a.as_f64() as u64 as i64),
-        })
-    }
-}
-
-/// Memory load flavour: result type plus access width/extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32S8,
-    I32U8,
-    I32S16,
-    I32U16,
-    I64S8,
-    I64U8,
-    I64S16,
-    I64U16,
-    I64S32,
-    I64U32,
-}
-
-/// Memory store flavour: operand type plus stored width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32Lo8,
-    I32Lo16,
-    I64Lo8,
-    I64Lo16,
-    I64Lo32,
-}
-
-impl LoadKind {
-    pub(crate) fn from_op(op: Op) -> Option<(LoadKind, u32)> {
-        Some(match op {
-            Op::I32Load(off) => (LoadKind::I32, off),
-            Op::I64Load(off) => (LoadKind::I64, off),
-            Op::F32Load(off) => (LoadKind::F32, off),
-            Op::F64Load(off) => (LoadKind::F64, off),
-            Op::I32Load8S(off) => (LoadKind::I32S8, off),
-            Op::I32Load8U(off) => (LoadKind::I32U8, off),
-            Op::I32Load16S(off) => (LoadKind::I32S16, off),
-            Op::I32Load16U(off) => (LoadKind::I32U16, off),
-            Op::I64Load8S(off) => (LoadKind::I64S8, off),
-            Op::I64Load8U(off) => (LoadKind::I64U8, off),
-            Op::I64Load16S(off) => (LoadKind::I64S16, off),
-            Op::I64Load16U(off) => (LoadKind::I64U16, off),
-            Op::I64Load32S(off) => (LoadKind::I64S32, off),
-            Op::I64Load32U(off) => (LoadKind::I64U32, off),
-            _ => return None,
-        })
-    }
-}
-
-impl StoreKind {
-    pub(crate) fn from_op(op: Op) -> Option<(StoreKind, u32)> {
-        Some(match op {
-            Op::I32Store(off) => (StoreKind::I32, off),
-            Op::I64Store(off) => (StoreKind::I64, off),
-            Op::F32Store(off) => (StoreKind::F32, off),
-            Op::F64Store(off) => (StoreKind::F64, off),
-            Op::I32Store8(off) => (StoreKind::I32Lo8, off),
-            Op::I32Store16(off) => (StoreKind::I32Lo16, off),
-            Op::I64Store8(off) => (StoreKind::I64Lo8, off),
-            Op::I64Store16(off) => (StoreKind::I64Lo16, off),
-            Op::I64Store32(off) => (StoreKind::I64Lo32, off),
-            _ => return None,
-        })
-    }
-}
+use crate::ops::I32Op;
+pub use crate::ops::{BinOp, I64Op, LoadKind, StoreKind, UnOp};
 
 /// One register-form operation. All register operands (`dst`/`a`/`b`/…)
 /// index the current frame's register window (`frame.base + reg`);
@@ -665,39 +335,6 @@ pub struct RegFunc {
     /// lowered). Kept as the lowering's liveness/placement witness for
     /// load-time translation validation.
     pub pc_map: Box<[u32]>,
-}
-
-/// Per-function lazily-lowered register body, cached exactly like
-/// `CompiledCell` caches the flat form.
-#[derive(Debug, Default)]
-pub struct RegCell(OnceLock<RegFunc>);
-
-impl RegCell {
-    pub const fn new() -> Self {
-        RegCell(OnceLock::new())
-    }
-
-    pub fn get_or_lower(&self, module: &Module, local_idx: u32) -> &RegFunc {
-        self.0.get_or_init(|| lower_func(module, local_idx))
-    }
-}
-
-impl Clone for RegCell {
-    fn clone(&self) -> Self {
-        let cell = RegCell::new();
-        if let Some(rf) = self.0.get() {
-            let _ = cell.0.set(rf.clone());
-        }
-        cell
-    }
-}
-
-impl PartialEq for RegCell {
-    /// Lowering is a pure function of the body; the cache never affects
-    /// module equality.
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
 }
 
 /// Abstract value of one operand-stack cell during lowering. `Slot` means
@@ -1087,6 +724,18 @@ impl Lowerer<'_> {
         self.emit_pure(rop, dst);
     }
 
+    /// A binop with no constant or fused form: both operands in
+    /// registers, the result in the lower operand's stack slot.
+    fn bin(&mut self, mk: impl FnOnce(u32, u32, u32) -> ROp) {
+        let h = self.h();
+        let a = self.operand_reg(h - 2);
+        let b = self.operand_reg(h - 1);
+        let dst = self.slot(h - 2);
+        self.stack.truncate(h - 1);
+        self.stack[h - 2] = Abs::Slot;
+        self.emit_pure(mk(dst, a, b), dst);
+    }
+
     /// `i32.eqz` of the just-emitted integer compare: negate the compare
     /// in place (integer compares are a total order) instead of emitting
     /// a second op.
@@ -1150,17 +799,20 @@ impl Lowerer<'_> {
         });
     }
 
-    /// Common call shape: materialize the top `argc` cells as the callee
-    /// window, pop them, push the (single) result slot.
-    fn call_window(&mut self, argc: usize, ret_arity: u32, mk: impl FnOnce(u32) -> ROp) {
-        let h = self.stack.len();
-        for i in (h - argc)..h {
+    /// Common call shape: materialize the cells the call pops as the
+    /// callee window, pop them, push the (single) result slot. Both counts
+    /// come from the one arity table, [`Op::stack_effect`] — read off the
+    /// signature, so lowering a caller never compiles its callees.
+    fn call_window(&mut self, call: Op, mk: impl FnOnce(u32) -> ROp) {
+        let (pops, pushes) = call.stack_effect(self.module);
+        let lo = self.stack.len() - pops as usize;
+        for i in lo..self.stack.len() {
             self.materialize(i);
         }
-        let base = self.slot(h - argc);
-        self.stack.truncate(h - argc);
+        let base = self.slot(lo);
+        self.stack.truncate(lo);
         let rop = mk(base);
-        if ret_arity == 1 {
+        if pushes == 1 {
             self.push(Abs::Slot);
         }
         self.emit(rop);
@@ -1281,6 +933,63 @@ impl Lowerer<'_> {
                 k: k as i32,
             });
         }
+    }
+
+    /// Lower a flat load, folding any pending address chain into the
+    /// access.
+    fn lower_load(&mut self, kind: LoadKind, off: u32) {
+        let top = self.h() - 1;
+        let fused = self.take_addr(top, u32::MAX, false);
+        let dst = self.slot(top);
+        let rop = match fused {
+            Some(AddrForm::At { a, k }) => ROp::LoadAt {
+                kind,
+                dst,
+                a,
+                k,
+                off,
+            },
+            Some(AddrForm::Rr { a, b }) => ROp::LoadRR {
+                kind,
+                dst,
+                a,
+                b,
+                off,
+            },
+            Some(AddrForm::Bis { a, b, sh, k }) => match u16::try_from(dst) {
+                // `LoadBis` packs `dst` into 16 bits and is not
+                // write-back-retargetable, so it goes through the impure
+                // emit (a taken chain's cell is a `Slot` already).
+                Ok(dst) => {
+                    return self.emit(ROp::LoadBis {
+                        kind,
+                        dst,
+                        a,
+                        b,
+                        sh,
+                        k,
+                        off,
+                    })
+                }
+                Err(_) => {
+                    self.reemit_chain(dst, a, b, sh, k);
+                    ROp::Load {
+                        kind,
+                        dst,
+                        addr: dst,
+                        off,
+                    }
+                }
+            },
+            None => ROp::Load {
+                kind,
+                dst,
+                addr: self.operand_reg(top),
+                off,
+            },
+        };
+        self.stack[top] = Abs::Slot;
+        self.emit_pure(rop, dst);
     }
 
     /// Lower a flat store: fold a small-width constant value into the op
@@ -1580,7 +1289,8 @@ impl Lowerer<'_> {
     /// arrive between the two).
     fn follows_eqz(&self, pc: usize) -> bool {
         let ops = &self.cf.ops;
-        matches!(ops.get(pc), Some(Op::BrIf(_) | Op::BrIfZ(_))) && matches!(ops[pc - 1], Op::I32Eqz)
+        matches!(ops.get(pc), Some(Op::BrIf(_) | Op::BrIfZ(_)))
+            && matches!(ops[pc - 1], Op::Un(UnOp::I32Eqz))
     }
 
     fn lower_op(&mut self, pc: usize, op: Op, eh: &[u32]) {
@@ -1660,33 +1370,12 @@ impl Lowerer<'_> {
                 self.emit(ROp::Return { src });
                 self.reachable = false;
             }
-            Op::CallWasm(f) => {
-                let callee = self.module.compiled_func(f);
-                let (argc, ret) = (callee.argc as usize, callee.ret_arity);
-                self.call_window(argc, ret, |base| ROp::CallWasm { f, base });
-            }
+            Op::CallWasm(f) => self.call_window(op, |base| ROp::CallWasm { f, base }),
             Op::CallHost { f, argc, ret } => {
-                self.call_window((argc) as usize, (ret != 0) as u32, |base| ROp::CallHost {
-                    f,
-                    base,
-                    argc,
-                    ret,
-                });
+                self.call_window(op, |base| ROp::CallHost { f, base, argc, ret })
             }
-            Op::CallIndirect(ty) => {
-                let ft = &self.module.types[ty as usize];
-                let (argc, ret) = (ft.params.len(), ft.results.len() as u32);
-                let h = self.h();
-                for i in (h - argc - 1)..h {
-                    self.materialize(i);
-                }
-                let base = self.slot(h - argc - 1);
-                self.stack.truncate(h - argc - 1);
-                if ret == 1 {
-                    self.push(Abs::Slot);
-                }
-                self.emit(ROp::CallIndirect { ty, base });
-            }
+            // The selector rides on top of the arguments, inside the window.
+            Op::CallIndirect(ty) => self.call_window(op, |base| ROp::CallIndirect { ty, base }),
             Op::Drop => {
                 self.stack.pop();
             }
@@ -1814,123 +1503,31 @@ impl Lowerer<'_> {
             Op::F64Const(k) => self.push(Abs::Const(Value::F64(k))),
             // Absorbed by the branch it feeds (above) or by the compare it
             // negates; every other `i32.eqz` is a plain unop (below).
-            Op::I32Eqz if self.follows_eqz(pc + 1) || self.negate_top_compare() => {}
-            other => {
-                if let Some(op) = I64Op::from_op(other) {
-                    let h = self.h();
-                    let a = self.operand_reg(h - 2);
-                    let b = self.operand_reg(h - 1);
-                    let dst = self.slot(h - 2);
-                    self.stack.truncate(h - 1);
-                    self.stack[h - 2] = Abs::Slot;
-                    self.emit_pure(ROp::I64Bin { op, dst, a, b }, dst);
-                } else if let Some(op) = BinOp::from_op(other) {
-                    let h = self.h();
-                    let a = self.operand_reg(h - 2);
-                    let b = self.operand_reg(h - 1);
-                    let dst = self.slot(h - 2);
-                    self.stack.truncate(h - 1);
-                    self.stack[h - 2] = Abs::Slot;
-                    self.emit_pure(ROp::Bin { op, dst, a, b }, dst);
-                } else if let Some(op) = UnOp::from_op(other) {
-                    let top = self.h() - 1;
-                    // Fold a constant operand when the conversion can't
-                    // trap on this value (a trapping conversion must stay
-                    // at runtime, in trap order); fuel is unchanged — the
-                    // block meter counts source instructions.
-                    let folded = match self.stack[top] {
-                        Abs::Const(v) => op.eval(v).ok(),
-                        _ => None,
-                    };
-                    match folded {
-                        Some(v) => self.stack[top] = Abs::Const(v),
-                        None => {
-                            let a = self.operand_reg(top);
-                            let dst = self.slot(top);
-                            self.stack[top] = Abs::Slot;
-                            self.emit_pure(ROp::Un { op, dst, a }, dst);
-                        }
+            Op::Un(UnOp::I32Eqz) if self.follows_eqz(pc + 1) || self.negate_top_compare() => {}
+            Op::Un(op) => {
+                let top = self.h() - 1;
+                // Fold a constant operand when the conversion can't
+                // trap on this value (a trapping conversion must stay
+                // at runtime, in trap order); fuel is unchanged — the
+                // block meter counts source instructions.
+                let folded = match self.stack[top] {
+                    Abs::Const(v) => op.eval(v).ok(),
+                    _ => None,
+                };
+                match folded {
+                    Some(v) => self.stack[top] = Abs::Const(v),
+                    None => {
+                        let a = self.operand_reg(top);
+                        let dst = self.slot(top);
+                        self.stack[top] = Abs::Slot;
+                        self.emit_pure(ROp::Un { op, dst, a }, dst);
                     }
-                } else if let Some((kind, off)) = LoadKind::from_op(other) {
-                    let top = self.h() - 1;
-                    let fused = self.take_addr(top, u32::MAX, false);
-                    let dst = self.slot(top);
-                    match fused {
-                        Some(AddrForm::At { a, k }) => {
-                            self.stack[top] = Abs::Slot;
-                            self.emit_pure(
-                                ROp::LoadAt {
-                                    kind,
-                                    dst,
-                                    a,
-                                    k,
-                                    off,
-                                },
-                                dst,
-                            );
-                        }
-                        Some(AddrForm::Rr { a, b }) => {
-                            self.stack[top] = Abs::Slot;
-                            self.emit_pure(
-                                ROp::LoadRR {
-                                    kind,
-                                    dst,
-                                    a,
-                                    b,
-                                    off,
-                                },
-                                dst,
-                            );
-                        }
-                        Some(AddrForm::Bis { a, b, sh, k }) => {
-                            self.stack[top] = Abs::Slot;
-                            match u16::try_from(dst) {
-                                // `LoadBis` packs `dst` into 16 bits and is
-                                // not write-back-retargetable, so it goes
-                                // through the impure emit.
-                                Ok(d) => self.emit(ROp::LoadBis {
-                                    kind,
-                                    dst: d,
-                                    a,
-                                    b,
-                                    sh,
-                                    k,
-                                    off,
-                                }),
-                                Err(_) => {
-                                    self.reemit_chain(dst, a, b, sh, k);
-                                    self.emit_pure(
-                                        ROp::Load {
-                                            kind,
-                                            dst,
-                                            addr: dst,
-                                            off,
-                                        },
-                                        dst,
-                                    );
-                                }
-                            }
-                        }
-                        None => {
-                            let addr = self.operand_reg(top);
-                            self.stack[top] = Abs::Slot;
-                            self.emit_pure(
-                                ROp::Load {
-                                    kind,
-                                    dst,
-                                    addr,
-                                    off,
-                                },
-                                dst,
-                            );
-                        }
-                    }
-                } else if let Some((kind, off)) = StoreKind::from_op(other) {
-                    self.lower_store(kind, off);
-                } else {
-                    unreachable!("unlowered flat op {other:?}");
                 }
             }
+            Op::I64Bin(op) => self.bin(|dst, a, b| ROp::I64Bin { op, dst, a, b }),
+            Op::Bin(op) => self.bin(|dst, a, b| ROp::Bin { op, dst, a, b }),
+            Op::Load { kind, off } => self.lower_load(kind, off),
+            Op::Store { kind, off } => self.lower_store(kind, off),
         }
     }
 }

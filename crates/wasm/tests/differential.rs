@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::{ExecMode, Instance, Linker};
+use waran_wasm::instr::Instr;
 use waran_wasm::interp::Value;
 use waran_wasm::types::{BlockType, ValType};
 use waran_wasm::{load_module, wat, Module, Trap};
@@ -258,6 +259,225 @@ export fn main(n: i32, base: i32) -> i32 {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Every plain opcode
+// ---------------------------------------------------------------------
+//
+// The generated corpus is PlugC — i32 plus a little f64 — so the i64, f32,
+// conversion, `trunc_sat` and narrow load/store long tail would cross the
+// two executors only in hand-picked cases. This section takes the opcode
+// list from the decoder and each opcode's signature from the validator
+// (no hand-written table to fall out of date) and runs `local.get… ; op`
+// over edge operands under both executors and the load-time proof.
+
+/// The instruction `bytes` decode to as a whole function body, if the
+/// decoder accepts them.
+fn decode_opcode(bytes: &[u8]) -> Option<Instr> {
+    let mut wasm = b"\0asm\x01\0\0\0".to_vec();
+    wasm.extend([0x01, 0x04, 0x01, 0x60, 0x00, 0x00]); // type 0: () -> ()
+    wasm.extend([0x03, 0x02, 0x01, 0x00]); // one function of type 0
+    let body_len = bytes.len() as u8 + 2; // no locals … `end`
+    wasm.extend([0x0a, body_len + 2, 0x01, body_len, 0x00]);
+    wasm.extend(bytes);
+    wasm.push(0x0b);
+    let module = waran_wasm::decode::decode_module(&wasm).ok()?;
+    match &module.funcs[0].code[..] {
+        [op, Instr::End] => Some(op.clone()),
+        _ => None,
+    }
+}
+
+/// `main(params) -> results { local.get 0 … ; op }` over a one-page
+/// memory, if it validates.
+fn plain_op_module(op: &Instr, params: &[ValType], results: &[ValType]) -> Option<Module> {
+    let mut mb = ModuleBuilder::new();
+    mb.memory(1, Some(1));
+    let sig = mb.func_type(params, results);
+    let f = mb.begin_func(sig);
+    for i in 0..params.len() as u32 {
+        mb.code().local_get(i);
+    }
+    mb.code().raw(op.clone());
+    mb.end_func().ok()?;
+    mb.export_func("main", f);
+    load_module(&mb.finish_bytes().ok()?).ok()
+}
+
+/// The one unary, binary or store shape over the four value types that
+/// the validator accepts for `op`.
+fn plain_op_signature(op: &Instr) -> (Vec<ValType>, Module) {
+    use ValType::*;
+    const TYPES: [ValType; 4] = [I32, I64, F32, F64];
+    let mut shapes: Vec<(Vec<ValType>, Vec<ValType>)> = Vec::new();
+    for a in TYPES {
+        for r in TYPES {
+            shapes.push((vec![a], vec![r]));
+            shapes.push((vec![a, r], vec![])); // store: address, value
+            for b in TYPES {
+                shapes.push((vec![a, b], vec![r]));
+            }
+        }
+    }
+    let mut valid = shapes
+        .into_iter()
+        .filter_map(|(p, r)| Some((p.clone(), plain_op_module(op, &p, &r)?)));
+    let found = valid
+        .next()
+        .unwrap_or_else(|| panic!("{op:?}: no shape validates"));
+    assert!(valid.next().is_none(), "{op:?}: signature is ambiguous");
+    found
+}
+
+/// Edge operands per type. The i32 list doubles as the address list of
+/// the memory ops (static offset 4 on a 65536-byte memory): in bounds,
+/// straddling the end for accesses wider than two bytes, and wrapping
+/// past 2³² once the offset is added.
+fn edge_operands(ty: ValType) -> Vec<Value> {
+    let f32s = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -0.5,
+        2.5,
+        2147483648.0,           // 2³¹
+        -2147483904.0,          // first f32 below -2³¹
+        4294967296.0,           // 2³²
+        9223372036854775808.0,  // 2⁶³
+        18446744073709551616.0, // 2⁶⁴
+        f32::MAX,
+        f32::MIN_POSITIVE,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    match ty {
+        ValType::I32 => [
+            0,
+            1,
+            -1,
+            i32::MIN,
+            i32::MAX,
+            16,
+            65_529,
+            0xffff_fffc_u32 as i32,
+        ]
+        .map(Value::I32)
+        .to_vec(),
+        ValType::I64 => [
+            0,
+            1,
+            -1,
+            i64::MIN,
+            i64::MAX,
+            1 << 31,
+            -(1 << 31) - 1,
+            1 << 32,
+        ]
+        .map(Value::I64)
+        .to_vec(),
+        ValType::F32 => f32s.map(Value::F32).to_vec(),
+        ValType::F64 => f32s
+            .iter()
+            .map(|&f| f as f64)
+            .chain([-2147483649.0, 4294967295.5, f64::MAX, f64::MIN_POSITIVE])
+            .map(Value::F64)
+            .collect(),
+    }
+}
+
+/// A value as (type, bit pattern): NaNs and signed zeros compare exactly.
+fn bits(v: Value) -> (ValType, u64) {
+    let raw = match v {
+        Value::I32(x) => x as u32 as u64,
+        Value::I64(x) => x as u64,
+        Value::F32(x) => x.to_bits() as u64,
+        Value::F64(x) => x.to_bits(),
+    };
+    (v.ty(), raw)
+}
+
+#[test]
+fn differential_every_plain_opcode() {
+    // Memory accesses carry an (align, offset) immediate; offset 4 keeps
+    // the static-offset plumbing in play.
+    let memory = (0x28..=0x3e_u8).map(|op| vec![op, 0x00, 0x04]);
+    let numeric = (0x45..=0xc4_u8).map(|op| vec![op]);
+    let saturating = (0x00..=0x07_u8).map(|sub| vec![0xfc, sub]);
+    let ops: Vec<Instr> = memory
+        .chain(numeric)
+        .chain(saturating)
+        .filter_map(|bytes| decode_opcode(&bytes))
+        .collect();
+    assert_eq!(ops.len(), 23 + 128 + 8, "plain opcodes the decoder accepts");
+
+    let (mut completed, mut trapped) = (0u32, 0u32);
+    for op in &ops {
+        let (params, module) = plain_op_signature(op);
+        module
+            .analysis()
+            .unwrap_or_else(|e| panic!("{op:?}: lowering fails its proof: {e}"));
+        let module = Arc::new(module);
+        let mut insts = [ExecMode::Reference, ExecMode::Reg].map(|mode| {
+            let mut inst = Instance::new(module.clone(), &Linker::<()>::new(), ()).unwrap();
+            inst.set_exec_mode(mode);
+            // Loads should see sign bits and distinct bytes, also at the
+            // very end of the page.
+            let pattern: Vec<u8> = (0..64u32).map(|i| (i * 37 + 0x85) as u8).collect();
+            inst.memory_mut().write_bytes(0, &pattern).unwrap();
+            inst.memory_mut()
+                .write_bytes(65_536 - 64, &pattern)
+                .unwrap();
+            inst
+        });
+        // Source instructions in the body: the gets, the op, the `end`.
+        let cost = params.len() as u64 + 2;
+
+        let firsts = edge_operands(params[0]);
+        let seconds = params.get(1).map_or(vec![None], |&ty| {
+            edge_operands(ty).into_iter().map(Some).collect()
+        });
+        for &a in &firsts {
+            for &b in &seconds {
+                let args: Vec<Value> = std::iter::once(a).chain(b).collect();
+                let [reference, reg] = insts.each_mut().map(|inst| {
+                    inst.set_fuel(Some(1_000));
+                    let out = inst.invoke("main", &args).map(|v| v.map(bits));
+                    (out, inst.fuel_consumed())
+                });
+                let ctx = format!("{op:?} {args:?}");
+                assert_eq!(reference.0, reg.0, "result diverged ({ctx})");
+                match reference.0 {
+                    Ok(_) => {
+                        completed += 1;
+                        assert_eq!(reference.1, Some(cost), "reference fuel ({ctx})");
+                        assert_eq!(reg.1, Some(cost), "register fuel ({ctx})");
+                    }
+                    // The walker stops at the trapping instruction; block
+                    // metering has charged the whole block, `end` included.
+                    Err(_) => {
+                        trapped += 1;
+                        assert_eq!(reference.1, Some(cost - 1), "reference fuel ({ctx})");
+                        assert_eq!(reg.1, Some(cost), "register fuel ({ctx})");
+                    }
+                }
+                let [m_ref, m_reg] = insts.each_ref().map(|inst| {
+                    let mem = inst.memory();
+                    mem.read_bytes(0, mem.size_bytes() as u32).unwrap()
+                });
+                assert!(m_ref == m_reg, "final memory diverged ({ctx})");
+            }
+        }
+    }
+    // Non-vacuous on both paths: most cases complete, and every trapping
+    // family (bounds, div/rem, float→int range) contributes traps.
+    assert!(
+        completed > 5_000 && trapped > 500,
+        "{completed} completed, {trapped} trapped"
+    );
 }
 
 // ---------------------------------------------------------------------
