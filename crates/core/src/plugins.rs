@@ -350,12 +350,21 @@ mod tests {
         assert_eq!(abi::MAGIC, 0x5752);
     }
 
+    /// The register lowering maps every flat op: the flat IR has no dead
+    /// op, so an unmapped one would be dropped code.
+    fn assert_every_flat_op_is_lowered(module: &waran_wasm::Module) {
+        for f in 0..module.funcs.len() as u32 {
+            assert!(!module.reg_func(f).pc_map.contains(&u32::MAX), "func {f}");
+        }
+    }
+
     #[test]
     fn standard_plugins_compile_and_validate() {
         for bytes in [rr_wasm(), pf_wasm(), mt_wasm()] {
             let module = waran_wasm::load_module(bytes).expect("validates");
             assert!(module.exported_func("schedule").is_some());
             assert!(module.exported_func("wrn_alloc").is_some());
+            assert_every_flat_op_is_lowered(&module);
         }
     }
 
@@ -368,7 +377,8 @@ mod tests {
             faulty::LEAKY,
         ] {
             let bytes = compile_faulty(body);
-            waran_wasm::load_module(&bytes).expect("validates");
+            let module = waran_wasm::load_module(&bytes).expect("validates");
+            assert_every_flat_op_is_lowered(&module);
         }
     }
 }

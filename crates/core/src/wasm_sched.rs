@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use waran_abi::sched::{SchedRequest, SchedResponse};
 use waran_host::plugin::{PluginError, SandboxPolicy};
-use waran_host::{Linker, PluginHost, SlotHandle, TemplateCache};
+use waran_host::{PluginHost, SlotHandle, TemplateCache};
 use waran_ransim::sched::{SchedulerFault, SliceScheduler};
 
 /// A [`SliceScheduler`] backed by a named plugin in a [`PluginHost`].
@@ -48,7 +48,7 @@ impl WasmSliceScheduler {
         // shares one validated module, its compiled IR, one resolved
         // import vector and one state snapshot — each install past the
         // first is a memcpy stamp-out.
-        let pre = TemplateCache::global().get_or_build(&Linker::new(), wasm, policy)?;
+        let pre = TemplateCache::global().get_or_build(wasm, policy)?;
         host.install(slot_name, pre.instantiate(())?);
         Ok(Self::new(host, slot_name))
     }
@@ -105,7 +105,7 @@ pub fn install_plugin(
     wasm: &[u8],
     policy: SandboxPolicy,
 ) -> Result<(), PluginError> {
-    let pre = TemplateCache::global().get_or_build(&Linker::new(), wasm, policy)?;
+    let pre = TemplateCache::global().get_or_build(wasm, policy)?;
     host.install(name, pre.instantiate(())?);
     Ok(())
 }
@@ -232,11 +232,13 @@ mod tests {
 
     #[test]
     fn faulty_plugin_surfaces_as_scheduler_fault() {
-        let host = Arc::new(PluginHost::with_quarantine_after(2));
+        let host = Arc::new(PluginHost::new());
         let wasm = plugins::compile_faulty(plugins::faulty::NULL_DEREF);
-        let mut sched =
-            WasmSliceScheduler::from_wasm(host.clone(), "bad", &wasm, SandboxPolicy::default())
-                .unwrap();
+        let policy = SandboxPolicy {
+            quarantine_after: 2,
+            ..SandboxPolicy::default()
+        };
+        let mut sched = WasmSliceScheduler::from_wasm(host.clone(), "bad", &wasm, policy).unwrap();
         let fault = sched.schedule(&req(10, 1)).unwrap_err();
         assert_eq!(fault.code, "trap:memory-out-of-bounds");
         let fault = sched.schedule(&req(10, 1)).unwrap_err();

@@ -14,7 +14,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use waran_abi::sched::{SchedRequest, UeInfo};
 use waran_core::plugins::{self, faulty};
 use waran_core::{install_plugin, ScenarioBuilder, SchedKind, SliceSpec};
-use waran_host::{fnv1a, Linker, PluginHost, SandboxPolicy, TemplateCache};
+use waran_host::{fnv1a, PluginHost, SandboxPolicy, TemplateCache};
+use waran_wasm::instance::Linker;
 
 /// Tests that install through the process-wide cache hold this, so the
 /// eviction test's counter deltas are exact.
@@ -116,14 +117,13 @@ fn live_swap_mid_soak_under_parallel_callers() {
 
 #[test]
 fn swapped_bytes_never_alias_one_template() {
-    let cache = TemplateCache::new();
-    let linker = Linker::<()>::new();
+    let cache = TemplateCache::<()>::new(Linker::new());
     let a = tagged_wasm("AAAA");
     let b = tagged_wasm("BBBB");
     let policy = SandboxPolicy::default();
 
-    let pre_a = cache.get_or_build(&linker, &a, policy).unwrap();
-    let pre_b = cache.get_or_build(&linker, &b, policy).unwrap();
+    let pre_a = cache.get_or_build(&a, policy).unwrap();
+    let pre_b = cache.get_or_build(&b, policy).unwrap();
     assert!(
         !Arc::ptr_eq(pre_a.module(), pre_b.module()),
         "different bytes must never share a template"
@@ -142,7 +142,7 @@ fn swapped_bytes_never_alias_one_template() {
     );
 
     // Re-requesting A's bytes is the swap-back path: one template, reused.
-    let pre_a2 = cache.get_or_build(&linker, &a, policy).unwrap();
+    let pre_a2 = cache.get_or_build(&a, policy).unwrap();
     assert!(Arc::ptr_eq(pre_a.module(), pre_a2.module()));
     assert_eq!(cache.len(), 2);
 }
@@ -256,8 +256,7 @@ fn eviction_is_invisible_except_in_memory() {
 fn churn_working_set_stays_resident() {
     // The churn pattern: 24 fresh modules + 3 stock + 1 hostile cycled
     // through one cache. After the first pass every install is a hit.
-    let cache = TemplateCache::new();
-    let linker = Linker::<()>::new();
+    let cache = TemplateCache::<()>::new(Linker::new());
     let policy = SandboxPolicy::default();
     let mut working_set: Vec<Vec<u8>> = (0..24).map(tagged_scheduler).collect();
     working_set
@@ -267,7 +266,7 @@ fn churn_working_set_stays_resident() {
 
     for pass in 0..4 {
         for wasm in &working_set {
-            cache.get_or_build(&linker, wasm, policy).unwrap();
+            cache.get_or_build(wasm, policy).unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 28, "pass {pass} rebuilt a template");

@@ -248,16 +248,14 @@ impl<T> SlotShared<T> {
 /// Run one closure against a synced slot under the fault policy.
 ///
 /// The strike budget comes from the slot's own [`SandboxPolicy`]
-/// (`quarantine_after`, part of its governance class) unless the host was
-/// built with an explicit override. Crossing the budget rolls the slot
-/// back to its retained last-good module when one exists — republished
-/// through the same epoch path as an operator swap, adopted at the next
-/// call boundary — and quarantines the slot otherwise.
+/// (`quarantine_after`, part of its governance class). Crossing it rolls
+/// the slot back to its retained last-good module when one exists —
+/// republished through the same epoch path as an operator swap, adopted
+/// at the next call boundary — and quarantines the slot otherwise.
 ///
 /// [`SandboxPolicy`]: crate::plugin::SandboxPolicy
 fn run_guarded<T, R>(
     shared: &SlotShared<T>,
-    quarantine_override: Option<u32>,
     name: &str,
     slot: &mut Slot<T>,
     f: impl FnOnce(&mut Plugin<T>) -> Result<R, PluginError>,
@@ -267,7 +265,7 @@ fn run_guarded<T, R>(
             name: name.to_string(),
         });
     }
-    let budget = quarantine_override.unwrap_or(slot.plugin.policy().quarantine_after);
+    let budget = slot.plugin.policy().quarantine_after;
     let seq_before = slot.plugin.call_seq();
     let result = f(&mut slot.plugin);
     // Record the call duration on both arms — trapping and fuel-exhausted
@@ -275,16 +273,21 @@ fn run_guarded<T, R>(
     // the reported tail latency. The sequence check keeps closures that
     // failed before reaching a plugin call from re-recording a stale
     // duration.
-    if slot.plugin.call_seq() != seq_before {
+    let called = slot.plugin.call_seq() != seq_before;
+    if called {
         if let Some(d) = slot.plugin.last_call_duration() {
             slot.stats.record(d);
         }
     }
     match result {
+        // No plugin call, no success: a closure that only reads the
+        // plugin neither ends a strike streak nor proves the module.
         Ok(out) => {
-            slot.health.calls_ok += 1;
-            slot.health.consecutive_faults = 0;
-            slot.ok_since_adopt += 1;
+            if called {
+                slot.health.calls_ok += 1;
+                slot.health.consecutive_faults = 0;
+                slot.ok_since_adopt += 1;
+            }
             Ok(out)
         }
         Err(e) => {
@@ -329,17 +332,12 @@ fn run_guarded<T, R>(
 /// different plugins proceed concurrently and a swap never tears a call.
 pub struct PluginHost<T> {
     slots: RwLock<HashMap<String, Arc<SlotShared<T>>>>,
-    /// `None` ⇒ each slot's strike budget comes from its own plugin's
-    /// `SandboxPolicy::quarantine_after` (its governance class);
-    /// `Some(n)` ⇒ a host-wide override of `n` consecutive faults.
-    quarantine_override: Option<u32>,
 }
 
 impl<T> Default for PluginHost<T> {
     fn default() -> Self {
         PluginHost {
             slots: RwLock::new(HashMap::new()),
-            quarantine_override: None,
         }
     }
 }
@@ -349,15 +347,6 @@ impl<T> PluginHost<T> {
     /// (`SandboxPolicy::quarantine_after`, set by its governance class).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Host whose strike budget is a flat `n` consecutive faults for every
-    /// slot (0 = never), overriding the per-plugin policy budgets.
-    pub fn with_quarantine_after(n: u32) -> Self {
-        PluginHost {
-            slots: RwLock::new(HashMap::new()),
-            quarantine_override: Some(n),
-        }
     }
 
     /// Install or atomically replace the plugin under `name`. Replacement
@@ -418,7 +407,6 @@ impl<T> PluginHost<T> {
         Some(SlotHandle {
             name: name.to_string(),
             shared,
-            quarantine_override: self.quarantine_override,
         })
     }
 
@@ -443,7 +431,7 @@ impl<T> PluginHost<T> {
         let shared = self.slot(name)?;
         let mut slot = shared.inner.lock();
         shared.sync(&mut slot);
-        run_guarded(&shared, self.quarantine_override, name, &mut slot, f)
+        run_guarded(&shared, name, &mut slot, f)
     }
 
     /// Lock, sync and read one slot. `f` also receives the slot's
@@ -535,7 +523,6 @@ impl<T> std::fmt::Debug for PluginHost<T> {
 pub struct SlotHandle<T> {
     name: String,
     shared: Arc<SlotShared<T>>,
-    quarantine_override: Option<u32>,
 }
 
 impl<T> Clone for SlotHandle<T> {
@@ -543,7 +530,6 @@ impl<T> Clone for SlotHandle<T> {
         SlotHandle {
             name: self.name.clone(),
             shared: Arc::clone(&self.shared),
-            quarantine_override: self.quarantine_override,
         }
     }
 }
@@ -572,13 +558,7 @@ impl<T> SlotHandle<T> {
     ) -> Result<R, PluginError> {
         let mut slot = self.shared.inner.lock();
         self.shared.sync(&mut slot);
-        run_guarded(
-            &self.shared,
-            self.quarantine_override,
-            &self.name,
-            &mut slot,
-            f,
-        )
+        run_guarded(&self.shared, &self.name, &mut slot, f)
     }
 }
 

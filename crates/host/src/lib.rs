@@ -10,13 +10,14 @@
 //! * [`plugin::Plugin`] — one loaded instance + its [`plugin::SandboxPolicy`],
 //!   with the byte-buffer ABI (`wrn_alloc` / `entry(ptr, len) -> packed` /
 //!   `wrn_reset`) and typed scheduler calls.
-//! * [`linker::Linker`] — the two-level (`module` → `name`) host-function
-//!   namespace with shadowing control; [`linker::PluginPre`] — the
-//!   pre-validated instantiation template (resolved imports + sandbox
-//!   policy + post-segment-init snapshot) fleets stamp instances from in
-//!   O(µs); [`linker::TemplateCache`] — the content-addressed, LRU-bounded
-//!   fleet-wide template store, and the only cache of loaded plugin code
-//!   (it owns each module; [`plugin::Plugin::new`] caches nothing).
+//! * [`linker::PluginPre`] — the pre-validated instantiation template
+//!   (imports resolved against the engine's `waran_wasm::instance::Linker`,
+//!   sandbox policy, post-segment-init snapshot) fleets stamp instances
+//!   from in O(µs); [`linker::TemplateCache`] — the LRU-bounded fleet-wide
+//!   template store, built around the one linker it instantiates against
+//!   and content-addressed by `(bytecode, policy)`, and the only cache of
+//!   loaded plugin code (it owns each module; [`plugin::Plugin::new`]
+//!   caches nothing).
 //! * [`host::PluginHost`] — the named registry: atomic [`host::PluginHost::install`]
 //!   (hot swap), per-slot health and quarantine, per-slot execution-time
 //!   statistics.
@@ -46,6 +47,6 @@ pub mod stats;
 pub use host::{
     FaultKind, PluginHost, RollbackEvent, SlotHandle, SlotHealth, SlotState, StrikeCounters,
 };
-pub use linker::{Linker, PluginPre, ShadowError, TemplateCache, TemplateCacheStats};
+pub use linker::{PluginPre, TemplateCache, TemplateCacheStats};
 pub use plugin::{fnv1a, GovernanceClass, Plugin, PluginError, SandboxPolicy};
 pub use stats::{ExactQuantiles, ExecTimeStats, P2Quantile, QueueDepthStats, ShardedExecStats};

@@ -1,4 +1,4 @@
-//! Two-level linker and pre-validated plugin templates.
+//! Pre-validated plugin templates and the cache that owns them.
 //!
 //! Production fleets install the *same* plugin into hundreds of cells.
 //! Before this module existed, every install re-ran import resolution,
@@ -6,196 +6,29 @@
 //! initialization per instance. The types here hoist all of that to
 //! per-*module* work:
 //!
-//! * [`Linker`] — a wasmtime-style two-level (`module` → `name`) namespace
-//!   of host functions with shadowing control. Definitions are
-//!   type-checked against a guest module exactly once, when a template is
-//!   built.
 //! * [`PluginPre`] — the pre-validated instantiation template: a
-//!   [`waran_wasm::InstancePre`] (resolved import vector + post-segment-init
-//!   memory/table/globals snapshot) plus the [`SandboxPolicy`] applied at
+//!   [`waran_wasm::InstancePre`] (import vector resolved and type-checked
+//!   once against the engine's [`Linker`], plus the post-segment-init
+//!   memory/table/globals snapshot), the [`SandboxPolicy`] applied at
 //!   stamp-out and the pre-resolved byte-buffer ABI table.
 //!   [`PluginPre::instantiate`] is a copy of the snapshot's initialized
 //!   prefix into a pooled buffer, a handful of `Arc` bumps and the start
 //!   function — O(µs), independent of module size.
 //! * [`TemplateCache`] — the fleet-wide template store and the only cache
-//!   of loaded plugin code, content-addressed by `(bytecode, policy,
-//!   linker)` and bounded by LRU eviction. Content addressing is what
-//!   makes epoch live swaps safe: swapping different bytes into a slot
-//!   *cannot* reuse the old module's snapshot, because the new bytes hash
-//!   to a different template.
+//!   of loaded plugin code, built around the one linker it instantiates
+//!   against, content-addressed by `(bytecode, policy)` and bounded by LRU
+//!   eviction. Content addressing is what makes epoch live swaps safe:
+//!   swapping different bytes into a slot *cannot* reuse the old module's
+//!   snapshot, because the new bytes hash to a different template.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use waran_wasm::analysis::Bound;
-use waran_wasm::instance::{ExecLimits, InstancePre, Linker as WasmLinker};
-use waran_wasm::interp::{Memory, Value};
-use waran_wasm::types::{FuncType, ValType};
-use waran_wasm::{Module, Trap};
+use waran_wasm::instance::{ExecLimits, InstancePre, Linker};
+use waran_wasm::Module;
 
 use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy};
-
-/// A definition registered twice under the same `(module, name)` pair with
-/// shadowing disabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShadowError {
-    /// Import-module namespace of the rejected definition.
-    pub module: String,
-    /// Field name of the rejected definition.
-    pub name: String,
-}
-
-impl std::fmt::Display for ShadowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "`{}.{}` is already defined and shadowing is disallowed",
-            self.module, self.name
-        )
-    }
-}
-
-impl std::error::Error for ShadowError {}
-
-/// A two-level (`module` → `name`) namespace of host functions.
-///
-/// This wraps the engine-level [`waran_wasm::Linker`] (the flat resolver
-/// instances consume) with the bookkeeping an embedder needs: per-module
-/// namespaces, redefinition ("shadowing") control as in wasmtime's linker,
-/// and a structural fingerprint so template caches can key on linker
-/// configuration. The fingerprint covers names and signatures — two
-/// linkers that register different *behavior* under identical names are
-/// the embedder's responsibility to keep apart (the same contract as any
-/// config-keyed cache).
-pub struct Linker<T> {
-    inner: WasmLinker<T>,
-    /// `module` → `name` → registered signature.
-    namespaces: HashMap<String, HashMap<String, FuncType>>,
-    allow_shadowing: bool,
-    /// Order-independent XOR of per-definition hashes; shadowed
-    /// definitions are XORed back out, so the fingerprint reflects the
-    /// *surviving* definitions only.
-    fingerprint: u64,
-}
-
-impl<T> Default for Linker<T> {
-    fn default() -> Self {
-        Linker {
-            inner: WasmLinker::new(),
-            namespaces: HashMap::new(),
-            allow_shadowing: false,
-            fingerprint: 0,
-        }
-    }
-}
-
-impl<T> Clone for Linker<T> {
-    fn clone(&self) -> Self {
-        Linker {
-            inner: self.inner.clone(),
-            namespaces: self.namespaces.clone(),
-            allow_shadowing: self.allow_shadowing,
-            fingerprint: self.fingerprint,
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for Linker<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Linker")
-            .field("definitions", &self.len())
-            .field("allow_shadowing", &self.allow_shadowing)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T> Linker<T> {
-    /// An empty linker that rejects redefinitions.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allow (or forbid) redefining an existing `(module, name)` pair.
-    /// Later definitions shadow earlier ones, as in wasmtime.
-    pub fn allow_shadowing(&mut self, allow: bool) -> &mut Self {
-        self.allow_shadowing = allow;
-        self
-    }
-
-    /// Register a host function under `module.name` with the given
-    /// signature.
-    ///
-    /// Errors when the pair is already defined and shadowing is off; with
-    /// shadowing on, the new definition replaces the old one.
-    pub fn func(
-        &mut self,
-        module: &str,
-        name: &str,
-        params: &[ValType],
-        results: &[ValType],
-        f: impl Fn(&mut T, &mut Memory, &[Value]) -> Result<Option<Value>, Trap> + Send + Sync + 'static,
-    ) -> Result<&mut Self, ShadowError> {
-        let ns = self.namespaces.entry(module.to_string()).or_default();
-        if let Some(prev) = ns.get(name) {
-            if !self.allow_shadowing {
-                return Err(ShadowError {
-                    module: module.to_string(),
-                    name: name.to_string(),
-                });
-            }
-            self.fingerprint ^= def_hash(module, name, prev);
-        }
-        let ty = FuncType::new(params, results);
-        self.fingerprint ^= def_hash(module, name, &ty);
-        ns.insert(name.to_string(), ty);
-        self.inner.func(module, name, params, results, f);
-        Ok(self)
-    }
-
-    /// True when `module.name` is defined.
-    pub fn defines(&self, module: &str, name: &str) -> bool {
-        self.namespaces
-            .get(module)
-            .is_some_and(|ns| ns.contains_key(name))
-    }
-
-    /// The registered signature of `module.name`, if any.
-    pub fn signature(&self, module: &str, name: &str) -> Option<&FuncType> {
-        self.namespaces.get(module)?.get(name)
-    }
-
-    /// Total number of definitions across all module namespaces.
-    pub fn len(&self) -> usize {
-        self.namespaces.values().map(HashMap::len).sum()
-    }
-
-    /// True when nothing is defined.
-    pub fn is_empty(&self) -> bool {
-        self.namespaces.is_empty()
-    }
-
-    /// Structural fingerprint of the surviving definitions (names +
-    /// signatures, order-independent). [`TemplateCache`] keys on this.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The engine-level resolver view of this linker, as consumed by
-    /// [`waran_wasm::Instance`] and [`waran_wasm::InstancePre`].
-    pub fn wasm(&self) -> &WasmLinker<T> {
-        &self.inner
-    }
-
-    /// Resolve + type-check `module`'s imports against this linker once,
-    /// returning the reusable instantiation template.
-    pub fn instantiate_pre(
-        &self,
-        module: Arc<Module>,
-        policy: SandboxPolicy,
-    ) -> Result<PluginPre<T>, PluginError> {
-        PluginPre::new(module, &self.inner, policy)
-    }
-}
 
 /// Admission gate: check every exported function's static resource
 /// bounds against the policy. Runs at template build time — i.e. at
@@ -255,11 +88,6 @@ fn admit(module: &Module, policy: &SandboxPolicy) -> Result<(), PluginError> {
     Ok(())
 }
 
-/// Hash of one linker definition, mixed into the structural fingerprint.
-fn def_hash(module: &str, name: &str, ty: &FuncType) -> u64 {
-    fnv1a(format!("{module}\u{0}{name}\u{0}{ty}").as_bytes())
-}
-
 /// A pre-validated plugin instantiation template.
 ///
 /// Bundles the engine-level [`InstancePre`] (resolved imports + state
@@ -306,7 +134,7 @@ impl<T> PluginPre<T> {
     /// (memcpy) instead of re-running data/elem/global initialization.
     pub fn new(
         module: Arc<Module>,
-        linker: &WasmLinker<T>,
+        linker: &Linker<T>,
         policy: SandboxPolicy,
     ) -> Result<Self, PluginError> {
         Self::with_snapshot(module, linker, policy, true)
@@ -318,7 +146,7 @@ impl<T> PluginPre<T> {
     /// snapshot stamp-outs must match bit for bit.
     pub fn with_snapshot(
         module: Arc<Module>,
-        linker: &WasmLinker<T>,
+        linker: &Linker<T>,
         policy: SandboxPolicy,
         snapshot: bool,
     ) -> Result<Self, PluginError> {
@@ -396,15 +224,14 @@ struct TemplateEntry<T> {
     /// The bytecode, shared by every entry built from equal bytes.
     bytes: Arc<[u8]>,
     policy: SandboxPolicy,
-    linker_fp: u64,
     pre: PluginPre<T>,
     /// Cache tick of the most recent hit (or the insert).
     last_used: u64,
 }
 
 impl<T> TemplateEntry<T> {
-    fn matches(&self, bytes: &[u8], policy: SandboxPolicy, linker_fp: u64) -> bool {
-        self.linker_fp == linker_fp && self.policy == policy && self.bytes.as_ref() == bytes
+    fn matches(&self, bytes: &[u8], policy: SandboxPolicy) -> bool {
+        self.policy == policy && self.bytes.as_ref() == bytes
     }
 }
 
@@ -422,20 +249,14 @@ impl<T> CacheState<T> {
         self.buckets.values().map(Vec::len).sum()
     }
 
-    /// The template for `(bytes, policy, linker)`, stamped as just used.
-    fn hit(
-        &mut self,
-        key: u64,
-        bytes: &[u8],
-        policy: SandboxPolicy,
-        linker_fp: u64,
-    ) -> Option<PluginPre<T>> {
+    /// The template for `(bytes, policy)`, stamped as just used.
+    fn hit(&mut self, key: u64, bytes: &[u8], policy: SandboxPolicy) -> Option<PluginPre<T>> {
         self.tick += 1;
         let entry = self
             .buckets
             .get_mut(&key)?
             .iter_mut()
-            .find(|entry| entry.matches(bytes, policy, linker_fp))?;
+            .find(|entry| entry.matches(bytes, policy))?;
         entry.last_used = self.tick;
         Some(entry.pre.clone())
     }
@@ -483,14 +304,17 @@ pub struct TemplateCacheStats {
 }
 
 /// The fleet-wide cache of [`PluginPre`] templates, content-addressed by
-/// `(bytecode, policy, linker fingerprint)` — the one place loaded plugin
-/// code is retained.
+/// `(bytecode, policy)` — the one place loaded plugin code is retained.
+///
+/// A cache is built around the one [`Linker`] its templates resolve their
+/// imports against, so "which host functions" is a property of the cache,
+/// not a key dimension: embedders with different host interfaces hold
+/// different caches.
 ///
 /// A miss decodes, validates, lowers and analyses the module, resolves
 /// imports and the ABI and captures the segment-init snapshot; a hit is a
 /// few `Arc` bumps. Entries built from equal bytes under different
-/// policies or linkers share one `Arc<Module>` and one copy of the
-/// bytecode. Installing one xApp into 100 cells costs one template build
+/// policies share one `Arc<Module>` and one copy of the bytecode. Installing one xApp into 100 cells costs one template build
 /// and 100 stamp-outs.
 ///
 /// Content addressing doubles as live-swap correctness: an epoch swap that
@@ -509,13 +333,15 @@ pub struct TemplateCacheStats {
 /// Keys are FNV-1a hashes verified by byte equality on every hit, so a
 /// collision can never alias two plugins. Builds run outside the lock.
 pub struct TemplateCache<T> {
+    linker: Linker<T>,
     state: Mutex<CacheState<T>>,
 }
 
 impl<T> TemplateCache<T> {
-    /// An empty cache.
-    pub fn new() -> Self {
+    /// An empty cache whose templates instantiate against `linker`.
+    pub fn new(linker: Linker<T>) -> Self {
         TemplateCache {
+            linker,
             state: Mutex::new(CacheState {
                 buckets: HashMap::new(),
                 tick: 0,
@@ -530,24 +356,22 @@ impl<T> TemplateCache<T> {
         self.state.lock().expect("template cache poisoned")
     }
 
-    /// Return the cached template for `(bytes, policy, linker)`, building
-    /// it on the first request.
+    /// Return the cached template for `(bytes, policy)`, building it on
+    /// the first request.
     pub fn get_or_build(
         &self,
-        linker: &Linker<T>,
         bytes: &[u8],
         policy: SandboxPolicy,
     ) -> Result<PluginPre<T>, PluginError> {
         let key = fnv1a(bytes);
-        let fp = linker.fingerprint();
         let shared = {
             let mut state = self.state();
-            if let Some(pre) = state.hit(key, bytes, policy, fp) {
+            if let Some(pre) = state.hit(key, bytes, policy) {
                 state.hits += 1;
                 return Ok(pre);
             }
             state.misses += 1;
-            // Same bytes under another policy or linker: share its module.
+            // Same bytes under another policy: share its module.
             state.buckets.get(&key).and_then(|bucket| {
                 let same = bucket.iter().find(|e| e.bytes.as_ref() == bytes)?;
                 Some((Arc::clone(&same.bytes), Arc::clone(same.pre.module())))
@@ -558,24 +382,25 @@ impl<T> TemplateCache<T> {
         let (bytes, module) = match shared {
             Some(shared) => shared,
             None => {
-                let module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
-                // Lower every body now, so workers instantiating from the
-                // shared module never contend on first-call lowering.
-                module.precompile();
+                let mut module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
+                // Lower and prove every body now, so workers instantiating
+                // from the shared module never contend on first-call
+                // lowering — and, while the module is still owned, free
+                // the flat IR the proof was the last reader of.
+                module.release_proof_inputs();
                 (Arc::from(bytes), Arc::new(module))
             }
         };
-        let pre = PluginPre::new(module, linker.wasm(), policy)?.with_content_hash(key);
+        let pre = PluginPre::new(module, &self.linker, policy)?.with_content_hash(key);
         let mut state = self.state();
         // A racing install may have added it between unlock and relock.
-        if let Some(raced) = state.hit(key, &bytes, policy, fp) {
+        if let Some(raced) = state.hit(key, &bytes, policy) {
             return Ok(raced);
         }
         let last_used = state.tick;
         state.buckets.entry(key).or_default().push(TemplateEntry {
             bytes,
             policy,
-            linker_fp: fp,
             pre: pre.clone(),
             last_used,
         });
@@ -613,8 +438,8 @@ impl<T> TemplateCache<T> {
         }
     }
 
-    /// Drop every template whose bytecode is `bytes` (all policies and
-    /// linkers), e.g. after an operator retires a plugin version. Returns
+    /// Drop every template whose bytecode is `bytes` (all policies),
+    /// e.g. after an operator retires a plugin version. Returns
     /// the number of templates dropped; live clones and instances stay
     /// valid, and the module is freed with the last of them.
     pub fn invalidate(&self, bytes: &[u8]) -> usize {
@@ -638,12 +463,6 @@ impl<T> TemplateCache<T> {
     }
 }
 
-impl<T> Default for TemplateCache<T> {
-    fn default() -> Self {
-        TemplateCache::new()
-    }
-}
-
 impl<T> std::fmt::Debug for TemplateCache<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TemplateCache")
@@ -654,16 +473,22 @@ impl<T> std::fmt::Debug for TemplateCache<T> {
 
 impl TemplateCache<()> {
     /// The process-wide cache used by the scenario engine's stateless
-    /// (`T = ()`) plugin installs.
+    /// (`T = ()`) plugin installs: no host functions.
     pub fn global() -> &'static TemplateCache<()> {
         static GLOBAL: OnceLock<TemplateCache<()>> = OnceLock::new();
-        GLOBAL.get_or_init(TemplateCache::new)
+        GLOBAL.get_or_init(|| TemplateCache::new(Linker::new()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waran_wasm::interp::Value;
+
+    /// A cache with no host functions, like [`TemplateCache::global`].
+    fn empty_cache() -> TemplateCache<()> {
+        TemplateCache::new(Linker::new())
+    }
 
     fn counter_wasm() -> Vec<u8> {
         waran_wasm::wat::assemble(
@@ -682,61 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn shadowing_is_rejected_then_allowed() {
-        let mut linker = Linker::<()>::new();
-        linker
-            .func("env", "f", &[], &[], |_, _, _| Ok(None))
-            .unwrap();
-        let err = linker
-            .func("env", "f", &[], &[], |_, _, _| Ok(None))
-            .unwrap_err();
-        assert_eq!(err.module, "env");
-        assert_eq!(err.name, "f");
-        // Same name in a different module namespace is not shadowing.
-        linker
-            .func("env2", "f", &[], &[], |_, _, _| Ok(None))
-            .unwrap();
-        linker.allow_shadowing(true);
-        linker
-            .func("env", "f", &[ValType::I32], &[], |_, _, _| Ok(None))
-            .unwrap();
-        assert_eq!(linker.len(), 2);
-        assert_eq!(
-            linker.signature("env", "f").unwrap().params,
-            vec![ValType::I32]
-        );
-    }
-
-    #[test]
-    fn fingerprint_tracks_surviving_definitions() {
-        let mut a = Linker::<()>::new();
-        let mut b = Linker::<()>::new();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        a.func("env", "f", &[], &[], |_, _, _| Ok(None)).unwrap();
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        // Same names+signatures, different registration order: equal.
-        a.func("env", "g", &[ValType::I32], &[], |_, _, _| Ok(None))
-            .unwrap();
-        b.func("env", "g", &[ValType::I32], &[], |_, _, _| Ok(None))
-            .unwrap();
-        b.func("env", "f", &[], &[], |_, _, _| Ok(None)).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // Shadowing with a different signature changes the fingerprint…
-        a.allow_shadowing(true);
-        a.func("env", "f", &[ValType::I64], &[], |_, _, _| Ok(None))
-            .unwrap();
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        // …and shadowing back restores it.
-        a.func("env", "f", &[], &[], |_, _, _| Ok(None)).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
     fn template_stamps_are_isolated_and_seeded() {
         let module = Arc::new(waran_wasm::load_module(&counter_wasm()).unwrap());
-        let pre = Linker::<()>::new()
-            .instantiate_pre(module, SandboxPolicy::default())
-            .unwrap();
+        let pre = PluginPre::new(module, &Linker::<()>::new(), SandboxPolicy::default()).unwrap();
         assert!(pre.has_snapshot());
         let mut p1 = pre.instantiate(()).unwrap();
         let mut p2 = pre.instantiate(()).unwrap();
@@ -757,34 +530,25 @@ mod tests {
     }
 
     #[test]
-    fn template_cache_keys_on_bytes_policy_and_linker() {
-        let cache = TemplateCache::new();
-        let linker = Linker::<()>::new();
+    fn template_cache_keys_on_bytes_and_policy() {
+        let cache = empty_cache();
         let wasm = counter_wasm();
-        let p1 = cache
-            .get_or_build(&linker, &wasm, SandboxPolicy::default())
-            .unwrap();
-        let p2 = cache
-            .get_or_build(&linker, &wasm, SandboxPolicy::default())
-            .unwrap();
+        let p1 = cache.get_or_build(&wasm, SandboxPolicy::default()).unwrap();
+        let p2 = cache.get_or_build(&wasm, SandboxPolicy::default()).unwrap();
         assert!(Arc::ptr_eq(p1.module(), p2.module()));
         assert_eq!(cache.len(), 1);
         // Different policy → different template.
         cache
-            .get_or_build(&linker, &wasm, SandboxPolicy::slot_budget())
+            .get_or_build(&wasm, SandboxPolicy::slot_budget())
             .unwrap();
         assert_eq!(cache.len(), 2);
-        // Different linker config → different template.
-        let mut other = Linker::<()>::new();
-        other
-            .func("env", "h", &[], &[], |_, _, _| Ok(None))
-            .unwrap();
+        // Different bytes → different template.
         cache
-            .get_or_build(&other, &wasm, SandboxPolicy::default())
+            .get_or_build(&numbered_wasm(0), SandboxPolicy::default())
             .unwrap();
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.invalidate(&wasm), 3);
-        assert!(cache.is_empty());
+        assert_eq!(cache.invalidate(&wasm), 2);
+        assert_eq!(cache.len(), 1);
     }
 
     /// `n`-th member of a family of modules that differ in one constant.
@@ -797,16 +561,13 @@ mod tests {
 
     #[test]
     fn invalidate_and_clear_free_the_module() {
-        let cache = TemplateCache::new();
-        let linker = Linker::<()>::new();
+        let cache = empty_cache();
         let wasm = counter_wasm();
         let held = |cache: &TemplateCache<()>| {
             // Two deployments of the same bytes share one module.
-            let pre = cache
-                .get_or_build(&linker, &wasm, SandboxPolicy::default())
-                .unwrap();
+            let pre = cache.get_or_build(&wasm, SandboxPolicy::default()).unwrap();
             let other = cache
-                .get_or_build(&linker, &wasm, SandboxPolicy::slot_budget())
+                .get_or_build(&wasm, SandboxPolicy::slot_budget())
                 .unwrap();
             assert!(Arc::ptr_eq(pre.module(), other.module()));
             let plugin = pre.instantiate(()).unwrap();
@@ -834,9 +595,9 @@ mod tests {
 
     #[test]
     fn invalid_modules_are_rejected_and_not_cached() {
-        let cache = TemplateCache::new();
+        let cache = empty_cache();
         let err = cache
-            .get_or_build(&Linker::<()>::new(), b"not wasm", SandboxPolicy::default())
+            .get_or_build(b"not wasm", SandboxPolicy::default())
             .unwrap_err();
         assert!(matches!(err, PluginError::Load(_)));
         assert!(cache.is_empty());
@@ -845,10 +606,9 @@ mod tests {
 
     #[test]
     fn lru_eviction_bounds_the_cache_and_spares_recent_entries() {
-        let cache = TemplateCache::new();
-        let linker = Linker::<()>::new();
+        let cache = empty_cache();
         let policy = SandboxPolicy::default();
-        let get = |n: usize| cache.get_or_build(&linker, &numbered_wasm(n), policy);
+        let get = |n: usize| cache.get_or_build(&numbered_wasm(n), policy);
         let call = |pre: &PluginPre<()>| {
             let mut plugin = pre.instantiate(()).unwrap();
             plugin.instance_mut().invoke("n", &[]).unwrap()
@@ -881,8 +641,7 @@ mod tests {
 
     #[test]
     fn racing_installs_of_the_same_bytes_share_one_template() {
-        let cache = TemplateCache::new();
-        let linker = Linker::<()>::new();
+        let cache = empty_cache();
         let wasm = counter_wasm();
         let start = std::sync::Barrier::new(4);
         let modules: Vec<Arc<Module>> = std::thread::scope(|scope| {
@@ -890,9 +649,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
-                        let pre = cache
-                            .get_or_build(&linker, &wasm, SandboxPolicy::default())
-                            .unwrap();
+                        let pre = cache.get_or_build(&wasm, SandboxPolicy::default()).unwrap();
                         Arc::clone(pre.module())
                     })
                 })
@@ -908,13 +665,9 @@ mod tests {
 
     #[test]
     fn stats_track_pinned_image_bytes() {
-        let cache = TemplateCache::new();
+        let cache = empty_cache();
         cache
-            .get_or_build(
-                &Linker::<()>::new(),
-                &counter_wasm(),
-                SandboxPolicy::default(),
-            )
+            .get_or_build(&counter_wasm(), SandboxPolicy::default())
             .unwrap();
         // The snapshot keeps the data segment's extent ("seeded" at 16),
         // not the 64 KiB memory.

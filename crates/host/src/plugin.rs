@@ -328,7 +328,8 @@ impl<T> Plugin<T> {
         data: T,
         policy: SandboxPolicy,
     ) -> Result<Plugin<T>, PluginError> {
-        let module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
+        let mut module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
+        module.release_proof_inputs();
         PluginPre::with_snapshot(Arc::new(module), linker, policy, false)?.instantiate(data)
     }
 

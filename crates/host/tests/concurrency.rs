@@ -99,13 +99,17 @@ fn concurrent_calls_to_different_plugins_do_not_serialize_errors() {
 fn quarantine_is_race_free() {
     // Many threads hammer a crashing plugin; the quarantine threshold must
     // not be bypassed by interleaving.
-    let host: Arc<PluginHost<()>> = Arc::new(PluginHost::with_quarantine_after(5));
+    let host: Arc<PluginHost<()>> = Arc::new(PluginHost::new());
+    let policy = SandboxPolicy {
+        quarantine_after: 5,
+        ..SandboxPolicy::default()
+    };
     let wasm =
         waran_plugc::compile("export fn run(ptr: i32, len: i32) -> i64 { trap(); return 0i64; }")
             .expect("compiles");
     host.install(
         "bad",
-        Plugin::new(&wasm, &Linker::new(), (), SandboxPolicy::default()).expect("instantiates"),
+        Plugin::new(&wasm, &Linker::new(), (), policy).expect("instantiates"),
     );
 
     let mut handles = Vec::new();

@@ -268,7 +268,7 @@ fn host_hot_swap_changes_behaviour() {
 
 #[test]
 fn host_quarantines_after_consecutive_faults() {
-    let host: PluginHost<()> = PluginHost::with_quarantine_after(3);
+    let host: PluginHost<()> = PluginHost::new();
     host.install(
         "bad",
         plugin(r#"export fn run(ptr: i32, len: i32) -> i64 { trap(); return 0i64; }"#),
@@ -298,7 +298,7 @@ fn host_quarantines_after_consecutive_faults() {
 
 #[test]
 fn success_resets_consecutive_faults() {
-    let host: PluginHost<()> = PluginHost::with_quarantine_after(3);
+    let host: PluginHost<()> = PluginHost::new();
     // Traps only when the first input byte is non-zero.
     host.install(
         "flaky",
@@ -315,6 +315,46 @@ fn success_resets_consecutive_faults() {
     }
     assert_eq!(host.state("flaky"), Some(SlotState::Active));
     assert_eq!(host.health("flaky").unwrap().total_faults, 10);
+}
+
+/// `with_plugin` with a closure that never calls the plugin: a
+/// monitoring read. No plugin call, no success.
+fn peek(host: &PluginHost<()>, name: &str) {
+    host.with_plugin(name, |_| Ok(())).unwrap();
+}
+
+#[test]
+fn monitoring_read_does_not_end_a_strike_streak() {
+    let host: PluginHost<()> = PluginHost::new();
+    let policy = SandboxPolicy {
+        quarantine_after: 2,
+        ..SandboxPolicy::default()
+    };
+    let wasm = compile(r#"export fn run(ptr: i32, len: i32) -> i64 { trap(); return 0i64; }"#);
+    host.install(
+        "bad",
+        Plugin::new(&wasm, &Linker::new(), (), policy).unwrap(),
+    );
+    assert!(host.call("bad", "run", &[]).is_err());
+    peek(&host, "bad");
+    assert!(host.call("bad", "run", &[]).is_err());
+    assert_eq!(host.state("bad"), Some(SlotState::Quarantined));
+    assert_eq!(host.health("bad").unwrap().calls_ok, 0);
+}
+
+#[test]
+fn module_that_was_only_read_is_not_retained_as_last_good() {
+    const WORKS: &str = r#"export fn run(ptr: i32, len: i32) -> i64 { return pack(0, 0); }"#;
+    let host: PluginHost<()> = PluginHost::new();
+    host.install("p", plugin(WORKS));
+    host.install("p", plugin(WORKS));
+    peek(&host, "p");
+    host.install("p", plugin(WORKS));
+    assert_eq!(host.has_last_good("p"), Some(false));
+    // One served call is what proves the outgoing module.
+    host.call("p", "run", &[]).unwrap();
+    host.install("p", plugin(WORKS));
+    assert_eq!(host.has_last_good("p"), Some(true));
 }
 
 #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
-use waran_host::{Linker as HostLinker, PluginPre};
+use waran_host::PluginPre;
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::{InstantiateError, Linker};
 use waran_wasm::interp::Value;
@@ -254,9 +254,7 @@ fn check_parity(seed: u64) {
 
     // Template: resolve + snapshot once, stamp thrice.
     let module = load(&bytes);
-    let pre = HostLinker::<()>::new()
-        .instantiate_pre(module, policy())
-        .unwrap();
+    let pre = PluginPre::new(module, &Linker::<()>::new(), policy()).unwrap();
     assert!(pre.has_snapshot());
     let mut s1 = pre.instantiate(()).unwrap();
     let mut s2 = pre.instantiate(()).unwrap();
@@ -319,9 +317,8 @@ proptest! {
         let bytes = mb.finish_bytes().unwrap();
 
         let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
-        let template = HostLinker::<()>::new()
-            .instantiate_pre(load(&bytes), policy())
-            .unwrap_err();
+        let template =
+            PluginPre::new(load(&bytes), &Linker::<()>::new(), policy()).unwrap_err();
         prop_assert_eq!(&cold, &template);
         prop_assert_eq!(
             cold,
@@ -342,9 +339,8 @@ proptest! {
         let bytes = mb.finish_bytes().unwrap();
 
         let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
-        let template = HostLinker::<()>::new()
-            .instantiate_pre(load(&bytes), policy())
-            .unwrap_err();
+        let template =
+            PluginPre::new(load(&bytes), &Linker::<()>::new(), policy()).unwrap_err();
         prop_assert_eq!(&cold, &template);
         prop_assert_eq!(
             cold,
@@ -363,9 +359,8 @@ proptest! {
         let bytes = mb.finish_bytes().unwrap();
 
         let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
-        let template = HostLinker::<()>::new()
-            .instantiate_pre(load(&bytes), policy())
-            .unwrap_err();
+        let template =
+            PluginPre::new(load(&bytes), &Linker::<()>::new(), policy()).unwrap_err();
         prop_assert_eq!(&cold, &template);
         prop_assert_eq!(
             cold,

@@ -67,6 +67,9 @@ pub struct XAppCtx<'a> {
     /// turn (set by [`WasmXApp`]; the RIC folds it into
     /// [`NearRtRic::action_decode_skips`]).
     pub decode_skips: u64,
+    /// Set when the xApp faulted this turn and yielded nothing (set by
+    /// [`WasmXApp`]; the RIC counts it in [`NearRtRic::xapp_faults`]).
+    pub faulted: bool,
 }
 
 /// An application hosted by the near-RT RIC.
@@ -144,11 +147,13 @@ impl NearRtRic {
                 inbox,
                 outbox: Vec::new(),
                 decode_skips: 0,
+                faulted: false,
             };
             let actions = xapp.on_indication(&mut ctx, ind);
             all_actions.extend(actions);
             routed.append(&mut ctx.outbox);
             self.action_decode_skips += ctx.decode_skips;
+            self.xapp_faults += u64::from(ctx.faulted);
         }
         for (dst, msg) in routed {
             if let Some(q) = self.mailboxes.get_mut(&dst) {
@@ -376,7 +381,9 @@ impl XApp for WasmXApp {
                 actions
             }
             Err(_fault) => {
-                // A faulty xApp yields no actions; the RIC keeps running.
+                // A faulty xApp yields no actions; the RIC keeps running
+                // and counts the skipped turn.
+                ctx.faulted = true;
                 Vec::new()
             }
         }
@@ -524,6 +531,46 @@ mod tests {
         ric.handle_indication(&ind(1, vec![]));
         // Messages sent in indication k arrive at indication k+1.
         assert_eq!(got.load(std::sync::atomic::Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn faulting_wasm_xapp_is_counted_and_skips_only_its_own_turn() {
+        struct Steady;
+        impl XApp for Steady {
+            fn name(&self) -> &str {
+                "steady"
+            }
+            fn on_indication(
+                &mut self,
+                _: &mut XAppCtx<'_>,
+                ind: &Indication,
+            ) -> Vec<ControlAction> {
+                vec![ControlAction::Handover {
+                    ue_id: ind.slot as u32,
+                    target_cell: 1,
+                }]
+            }
+        }
+        // Traps on its second indication only.
+        let wasm = waran_plugc::compile(
+            r#"global seen: i32 = 0;
+               export fn on_indication(ptr: i32, len: i32) -> i64 {
+                   seen = seen + 1;
+                   if (seen == 2) { trap(); }
+                   return pack(0, 0);
+               }"#,
+        )
+        .expect("compiles");
+        let mut ric = NearRtRic::new();
+        let flaky = WasmXApp::new("flaky", &wasm, SandboxPolicy::default()).expect("loads");
+        ric.add_xapp(Box::new(flaky));
+        ric.add_xapp(Box::new(Steady));
+        for slot in 0..3 {
+            // The xApp after the faulting one still gets its turn.
+            assert_eq!(ric.handle_indication(&ind(slot, vec![])).len(), 1);
+            assert_eq!(ric.xapp_faults, u64::from(slot >= 1), "slot {slot}");
+        }
+        assert_eq!(ric.actions_emitted, 3);
     }
 
     #[test]

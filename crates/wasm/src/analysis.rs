@@ -8,18 +8,20 @@
 //! module-local function:
 //!
 //! * **Translation validation** — the flat IR is the metering/trapping
-//!   reference: one op per source instruction, nothing fused. The
-//!   register form is an optimized lowering of it, and every
-//!   superinstruction is formed on that side of the proof. This
-//!   pass reconstructs the flat CFG, replays the lowering's constant/
-//!   reachability discipline, and checks the register form block by
-//!   block against it: identical `Meter` placement, costs and entry
-//!   heights, identical memory/call/trap-op populations per block —
-//!   counted on both sides over the shared [`crate::ops`] payload types
-//!   — and a consistent branch side table. The mirror walk itself stays
-//!   independent of the lowering it checks. Any future lowering bug is
-//!   rejected *before it executes* instead of surfacing as a sampled
-//!   differential-test failure.
+//!   reference: one op per source instruction, nothing fused, and no
+//!   dead op (the flat compiler is the one place liveness is decided).
+//!   The register form is an optimized lowering of it, and every
+//!   superinstruction is formed on that side of the proof. This pass
+//!   reconstructs the flat CFG — blocks, entry heights, edges, calls —
+//!   and checks the register form block by block against it: every flat
+//!   op mapped, identical `Meter` placement, costs and entry heights,
+//!   identical memory/call/trap-op populations per block — counted on
+//!   both sides over the shared [`crate::ops`] payload types — and a
+//!   consistent branch side table. The walk predicts no decision of the
+//!   lowering it checks: the lowering folds values, never control flow,
+//!   so there is no liveness for the two sides to agree on. Any future
+//!   lowering bug is rejected *before it executes* instead of surfacing
+//!   as a sampled differential-test failure.
 //! * **Static resource bounds** — an abstract interpretation over the
 //!   flat CFG computes per-function worst-case fuel (exact for
 //!   loop-free and constant-trip-count code, [`Bound::Unbounded`]
@@ -33,8 +35,8 @@
 //! reject any plugin with a data-dependent loop at install time, which
 //! is the enforcement half of the governance-tiers roadmap item.
 //!
-//! Analyzer cost: one linear pass per function for the CFG/mirror walk
-//! plus near-linear SCC work, amortized once per module behind
+//! Analyzer cost: one linear pass per function for the CFG walk plus
+//! near-linear SCC work, amortized once per module behind
 //! [`Module::analysis`] — the same caching discipline as compilation
 //! itself.
 
@@ -43,7 +45,7 @@ use std::collections::BTreeSet;
 use crate::compile::{CompiledFunc, Op};
 use crate::interp::Value;
 use crate::module::{ExportKind, Module};
-use crate::ops::{I32Op, LoadKind, StoreKind, UnOp};
+use crate::ops::{I32Op, UnOp};
 use crate::regalloc::{ROp, RegFunc};
 
 /// A worst-case resource bound: exactly known, or not statically
@@ -188,7 +190,7 @@ impl std::fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 // ---------------------------------------------------------------------------
-// Flat-CFG reconstruction + lowering mirror
+// Flat-CFG reconstruction
 // ---------------------------------------------------------------------------
 
 /// A call site inside a block.
@@ -203,7 +205,7 @@ enum Call {
 }
 
 /// One reconstructed flat basic block: the ops between two `Meter`
-/// leaders, with the control events the lowering mirror resolved.
+/// leaders, with the control edges and call sites found in them.
 #[derive(Debug)]
 struct Block {
     /// Leading `Meter` pc.
@@ -217,34 +219,29 @@ struct Block {
     peak: u32,
     /// Operand-stack height at block entry.
     entry_h: u32,
-    /// Reachable under the lowering's constant-folding discipline.
-    live: bool,
-    /// Branch side-table indices this block's live ops may take.
+    /// Branch side-table indices this block's ops may take.
     edges: Vec<u32>,
     /// Control can fall through into the next leader.
     falls: bool,
-    /// Live call sites in op order, with the operand-stack height just
+    /// Call sites in op order, with the operand-stack height just
     /// before the call.
     calls: Vec<(Call, u32)>,
 }
 
 /// Everything one linear pass over a flat function recovers: blocks,
-/// per-pc liveness/heights (exactly the lowering's `reachable` flag and
-/// abstract stack), and the function's own memory/stack facts.
+/// entry heights, edges, and the function's own memory/stack facts.
 struct Shape {
     blocks: Vec<Block>,
-    /// Per flat pc: reachable under the lowering's discipline.
-    live: Vec<bool>,
     /// Per flat pc: block index, `u32::MAX` when the pc leads no block.
     pc2block: Vec<u32>,
     /// The shared function-level `Return` trampoline pc, when present.
     exit_pc: Option<usize>,
-    /// Max `entry_h + peak` over live blocks (the value-stack quantity
+    /// Max `entry_h + peak` over the blocks (the value-stack quantity
     /// both executors check against `max_value_stack`).
     own_stack: u32,
     /// One past the highest statically addressed memory byte.
     mem_high: u64,
-    /// Some reachable access has a data-dependent address.
+    /// Some access has a data-dependent address.
     dynamic_mem: bool,
     /// Per-block successor lists (`usize::MAX` = function exit).
     succs: Vec<Vec<usize>>,
@@ -258,34 +255,17 @@ pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> Analysi
     }
 }
 
-fn load_width(kind: LoadKind) -> u64 {
-    match kind {
-        LoadKind::I32S8 | LoadKind::I32U8 | LoadKind::I64S8 | LoadKind::I64U8 => 1,
-        LoadKind::I32S16 | LoadKind::I32U16 | LoadKind::I64S16 | LoadKind::I64U16 => 2,
-        LoadKind::I32 | LoadKind::F32 | LoadKind::I64S32 | LoadKind::I64U32 => 4,
-        LoadKind::I64 | LoadKind::F64 => 8,
-    }
-}
-
-fn store_width(kind: StoreKind) -> u64 {
-    match kind {
-        StoreKind::I32Lo8 | StoreKind::I64Lo8 => 1,
-        StoreKind::I32Lo16 | StoreKind::I64Lo16 => 2,
-        StoreKind::I32 | StoreKind::F32 | StoreKind::I64Lo32 => 4,
-        StoreKind::I64 | StoreKind::F64 => 8,
-    }
-}
-
-/// The linear walk that reconstructs blocks and replays the lowering's
-/// constant/reachability discipline. `cells` mirrors the lowering's
-/// abstract stack with `Some(v)` exactly where the lowering holds
-/// `Abs::Const(v)` — so `live` equals the lowering's `reachable` flag
-/// at every pc, which translation validation depends on.
+/// The linear walk that reconstructs blocks. It replays no decision of
+/// the lowering: the flat IR has no dead op, so every op belongs to a
+/// block and every block counts. `cells` is a local constant tracker —
+/// `Some(v)` where the operand is `v` on every execution — feeding only
+/// the reported `mem_high`/`dynamic_mem`, never a verdict. `alive` is
+/// "the previous op falls through", which tells a join from a
+/// branch-only entry.
 struct ShapeBuilder {
     func: u32,
     cells: Vec<Option<Value>>,
     alive: bool,
-    live: Vec<bool>,
     pc2block: Vec<u32>,
     blocks: Vec<Block>,
     cur: Option<usize>,
@@ -325,21 +305,14 @@ impl ShapeBuilder {
         }
     }
 
-    /// Every cell loses constness — the lowering's `materialize_all`.
-    fn flush(&mut self) {
-        for c in &mut self.cells {
-            *c = None;
-        }
-    }
-
     fn edge(&mut self, br: u32) {
-        let b = self.cur.expect("live op inside a block");
+        let b = self.cur.expect("op inside a block");
         self.blocks[b].edges.push(br);
     }
 
     fn call(&mut self, c: Call) {
         let h = self.cells.len() as u32;
-        let b = self.cur.expect("live op inside a block");
+        let b = self.cur.expect("op inside a block");
         self.blocks[b].calls.push((c, h));
     }
 
@@ -371,7 +344,6 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
         func,
         cells: Vec::new(),
         alive: true,
-        live: vec![false; n],
         pc2block: vec![u32::MAX; n],
         blocks: Vec::new(),
         cur: None,
@@ -396,10 +368,13 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                 if w.cells.len() != eh_pc as usize {
                     return Err(w.err(pc, "fall-through height disagrees with branch target"));
                 }
-                // Join discipline: branch arrivals see only materialized
-                // registers, so constness cannot survive the merge.
-                w.flush();
+                // Join: a branch arrival may carry other values, so
+                // constness cannot survive the merge.
+                w.cells.fill(None);
             }
+        }
+        if !w.alive {
+            return Err(w.err(pc, "flat op is unreachable"));
         }
         let is_trampoline = eh_pc != u32::MAX && matches!(op, Op::Return);
         if matches!(op, Op::Meter { .. }) || is_trampoline {
@@ -421,27 +396,20 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                 cost,
                 peak,
                 entry_h: w.cells.len() as u32,
-                live: w.alive,
                 edges: Vec::new(),
                 falls: false,
                 calls: Vec::new(),
             });
             w.cur = Some(idx);
-            w.live[pc] = w.alive;
             continue;
         }
         if is_trampoline {
             w.exit_pc = Some(pc);
-            w.live[pc] = w.alive;
             w.alive = false;
             continue;
         }
-        w.live[pc] = w.alive;
-        if !w.alive {
-            continue;
-        }
         if w.cur.is_none() {
-            return Err(w.err(pc, "live op outside any metered block"));
+            return Err(w.err(pc, "op outside any metered block"));
         }
 
         match op {
@@ -452,30 +420,13 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                 w.alive = false;
             }
             Op::BrIf(b) | Op::BrIfZ(b) => {
-                let on_zero = matches!(op, Op::BrIfZ(_));
-                match const_i32(w.pop(pc)?) {
-                    // A constant condition folds: taken for good, or gone.
-                    Some(k) => {
-                        if (k == 0) == on_zero {
-                            w.edge(b);
-                            w.alive = false;
-                        }
-                    }
-                    None => {
-                        w.flush();
-                        w.edge(b);
-                    }
-                }
+                w.pop(pc)?;
+                w.edge(b);
             }
             Op::BrTable { start, n: nt } => {
-                let sel = const_i32(w.pop(pc)?);
-                match sel {
-                    Some(k) => w.edge(start + (k as u32).min(nt)),
-                    None => {
-                        for i in 0..=nt {
-                            w.edge(start + i);
-                        }
-                    }
+                w.pop(pc)?;
+                for i in start..=start + nt {
+                    w.edge(i);
                 }
                 w.alive = false;
             }
@@ -492,20 +443,10 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                 w.call(Call::Indirect(ty));
                 w.effect(module, pc, op)?;
             }
-            Op::Select => {
-                let c = w.pop(pc)?;
-                let b_ = w.pop(pc)?;
-                let a_ = w.pop(pc)?;
-                match const_i32(c) {
-                    Some(k) => w.cells.push(if k != 0 { a_ } else { b_ }),
-                    None => w.cells.push(None),
-                }
-            }
             Op::LocalTee(_) => {
                 // Top cell (and its constness) survives the write-back.
             }
-            // Mirror the lowering's `i32bin`: fold when both operands are
-            // constants, otherwise the result cell is unknown.
+            // Two constants fold; otherwise the result cell is unknown.
             Op::I32Bin(op) => {
                 let b_ = const_i32(w.pop(pc)?);
                 let a_ = const_i32(w.pop(pc)?);
@@ -524,16 +465,15 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
             Op::F64Const(k) => w.cells.push(Some(Value::F64(k))),
             Op::Load { kind, off } => {
                 let addr = w.pop(pc)?;
-                w.access(addr, off, load_width(kind));
+                w.access(addr, off, kind.width());
                 w.cells.push(None);
             }
             Op::Store { kind, off } => {
                 w.pop(pc)?; // value
                 let addr = w.pop(pc)?;
-                w.access(addr, off, store_width(kind));
+                w.access(addr, off, kind.width());
             }
-            // Mirror the lowering's unop folding: a constant operand folds
-            // unless the conversion traps on it.
+            // A constant operand folds unless the conversion traps on it.
             Op::Un(op) => {
                 let folded = w.pop(pc)?.and_then(|v| op.eval(v).ok());
                 w.cells.push(folded);
@@ -584,14 +524,12 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
     let own_stack = w
         .blocks
         .iter()
-        .filter(|b| b.live)
         .map(|b| b.entry_h + b.peak)
         .max()
         .unwrap_or(0);
 
     Ok(Shape {
         blocks: w.blocks,
-        live: w.live,
         pc2block: w.pc2block,
         exit_pc,
         own_stack,
@@ -636,19 +574,11 @@ enum CallDesc {
     Indirect(u32),
 }
 
-fn flat_counts(
-    cf: &CompiledFunc,
-    live: &[bool],
-    lo: usize,
-    hi: usize,
-) -> (ClassCounts, Vec<CallDesc>) {
+fn flat_counts(cf: &CompiledFunc, lo: usize, hi: usize) -> (ClassCounts, Vec<CallDesc>) {
     let mut c = ClassCounts::default();
     let mut calls = Vec::new();
-    for (pc, &alive) in live.iter().enumerate().take(hi).skip(lo) {
-        if !alive {
-            continue;
-        }
-        match cf.ops[pc] {
+    for op in &cf.ops[lo..hi] {
+        match *op {
             Op::Load { .. } => c.load += 1,
             Op::Store { .. } => c.store += 1,
             Op::MemorySize => c.msize += 1,
@@ -721,10 +651,9 @@ fn referenced_branches(rf: &RegFunc) -> Vec<u32> {
 
 /// Check that `rf` is a faithful lowering of `cf`, block by block, using
 /// the reconstructed `shape`. See the module docs for the argument; the
-/// short version: the mirror walk reproduces the lowering's reachability
-/// exactly, so `pc_map` liveness, `Meter` placement/cost/entry, per-block
-/// op-class populations, ordered call sequences, and the branch side
-/// table are all deterministically comparable.
+/// short version: every flat op is lowered, so `pc_map` is total and
+/// `Meter` placement/cost/entry, per-block op-class populations, ordered
+/// call sequences, and the branch side table are all directly comparable.
 fn validate_with_shape(
     func: u32,
     cf: &CompiledFunc,
@@ -748,39 +677,20 @@ fn validate_with_shape(
         return Err(mismatch(func, 0, "branch table lengths disagree"));
     }
 
-    // Liveness: the lowering skipped exactly the ops the mirror proved
-    // unreachable (both directions — a lowering that drops live code or
-    // emits dead code fails here).
-    for (pc, &alive) in shape.live.iter().enumerate() {
-        let skipped = rf.pc_map[pc] == u32::MAX;
-        if alive == skipped {
-            return Err(mismatch(
-                func,
-                pc,
-                if alive {
-                    "live flat op was skipped by the lowering"
-                } else {
-                    "dead flat op was emitted by the lowering"
-                },
-            ));
-        }
+    // Totality: the flat IR has no dead op, so a lowering that left one
+    // unmapped dropped code.
+    if let Some(pc) = rf.pc_map.iter().position(|&q| q == u32::MAX) {
+        return Err(mismatch(func, pc, "flat op was not lowered"));
     }
 
-    // Meter placement: every live flat block header maps to a register
-    // Meter with identical cost and entry height, in the same order.
-    let mut live_meters: Vec<(usize, usize)> = Vec::new(); // (block idx, reg pc)
-    let mut last_q = None;
-    for (bi, b) in shape.blocks.iter().enumerate() {
-        let mapped = rf.pc_map[b.start];
-        if !b.live {
-            debug_assert_eq!(mapped, u32::MAX);
-            continue;
-        }
-        let q = mapped as usize;
-        if q >= rf.ops.len() || last_q.is_some_and(|p| q <= p) {
+    // Meter placement: every flat block header maps to a register Meter
+    // with identical cost and entry height, in the same order.
+    let mut meters: Vec<usize> = Vec::with_capacity(shape.blocks.len()); // reg pc per block
+    for b in &shape.blocks {
+        let q = rf.pc_map[b.start] as usize;
+        if q >= rf.ops.len() || meters.last().is_some_and(|&p| q <= p) {
             return Err(mismatch(func, b.start, "block header maps out of order"));
         }
-        last_q = Some(q);
         match rf.ops[q] {
             ROp::Meter { cost, entry, .. } => {
                 if cost != b.cost {
@@ -798,25 +708,21 @@ fn validate_with_shape(
                 ))
             }
         }
-        live_meters.push((bi, q));
+        meters.push(q);
     }
     let reg_meters = rf
         .ops
         .iter()
         .filter(|o| matches!(o, ROp::Meter { .. }))
         .count();
-    if reg_meters != live_meters.len() {
+    if reg_meters != meters.len() {
         return Err(mismatch(func, 0, "register form has extra Meter headers"));
     }
 
     // Per-block op populations and ordered call sequences.
-    for (i, &(bi, q)) in live_meters.iter().enumerate() {
-        let q_end = live_meters
-            .get(i + 1)
-            .map(|&(_, q2)| q2)
-            .unwrap_or(rf.ops.len());
-        let b = &shape.blocks[bi];
-        let (fc, fcalls) = flat_counts(cf, &shape.live, b.start, b.end);
+    for (i, (b, &q)) in shape.blocks.iter().zip(&meters).enumerate() {
+        let q_end = meters.get(i + 1).copied().unwrap_or(rf.ops.len());
+        let (fc, fcalls) = flat_counts(cf, b.start, b.end);
         let (rc, rcalls) = reg_counts(rf, q, q_end);
         // `un` may only shrink (constant-folded conversions, absorbed
         // `i32.eqz`); everything else must match exactly.
@@ -1049,21 +955,18 @@ fn demote_local(syms: &mut [SymV], l: u32) {
     }
 }
 
-/// Walk one live block's ops symbolically, producing its event list.
-fn block_events(module: &Module, cf: &CompiledFunc, live: &[bool], b: &Block) -> Vec<Ev> {
+/// Walk one block's ops symbolically, producing its event list.
+fn block_events(module: &Module, cf: &CompiledFunc, b: &Block) -> Vec<Ev> {
     use SymV::{Cmp, K, L};
     let mut syms = vec![SymV::Other; b.entry_h as usize];
     let mut evs: Vec<Ev> = Vec::new();
     let pop = |syms: &mut Vec<SymV>| syms.pop().unwrap_or(SymV::Other);
-    for (pc, &alive) in live.iter().enumerate().take(b.end).skip(b.start + 1) {
-        if !alive {
-            continue;
-        }
+    for &op in &cf.ops[b.start + 1..b.end] {
         let set = |evs: &mut Vec<Ev>, syms: &mut Vec<SymV>, l: u32, w: W| {
             evs.push(Ev::Set(l, w));
             demote_local(syms, l);
         };
-        match cf.ops[pc] {
+        match op {
             Op::I32Const(k) => syms.push(K(k)),
             Op::LocalGet(l) => syms.push(L(l)),
             Op::LocalTee(l) => {
@@ -1207,17 +1110,17 @@ fn on_cycle(nodes: &BTreeSet<usize>, node: usize, adj: impl Fn(usize) -> Vec<usi
     .any(|c| c.contains(&node) && (c.len() > 1 || adj(node).contains(&node)))
 }
 
-/// Everything the fuel analysis needs about one function's live CFG.
+/// Everything the fuel analysis needs about one function's CFG.
 struct FuelCtx<'a> {
     /// Per-block worst-case weight (cost + callee fuel).
     weights: &'a [Bound],
-    /// Live successor blocks (function exits filtered out).
+    /// Successor blocks (function exits filtered out).
     succs: &'a [Vec<usize>],
     /// Raw successors including `usize::MAX` exit markers.
     full_succs: &'a [Vec<usize>],
-    /// Live predecessor blocks.
+    /// Predecessor blocks.
     preds: &'a [Vec<usize>],
-    /// Per-block event lists (empty for dead blocks).
+    /// Per-block event lists.
     events: &'a [Vec<Ev>],
     /// Per branch-table index: target block, or `usize::MAX` for exit.
     branch_block: &'a [usize],
@@ -1242,25 +1145,23 @@ impl FuelCtx<'_> {
     }
 }
 
-/// Forward local-constant dataflow over the live block graph (meet =
+/// Forward local-constant dataflow over the block graph (meet =
 /// equal-or-bottom; conditional refinement intentionally ignored, so
 /// every fact is a true must-constant).
 fn local_const_flow(
     n_locals: usize,
     entry_state: &[Option<i32>],
-    blocks: &[Block],
     events: &[Vec<Ev>],
     succs: &[Vec<usize>],
 ) -> Vec<Option<Vec<Option<i32>>>> {
-    let nb = blocks.len();
+    let nb = events.len();
     let mut ins: Vec<Option<Vec<Option<i32>>>> = vec![None; nb];
     let mut outs: Vec<Option<Vec<Option<i32>>>> = vec![None; nb];
-    let mut work = std::collections::VecDeque::new();
-    if nb > 0 && blocks[0].live {
-        debug_assert_eq!(entry_state.len(), n_locals);
-        ins[0] = Some(entry_state.to_vec());
-        work.push_back(0usize);
-    }
+    // Block 0 exists: a shape is only built for a body that starts with
+    // a `Meter`.
+    debug_assert_eq!(entry_state.len(), n_locals);
+    ins[0] = Some(entry_state.to_vec());
+    let mut work = std::collections::VecDeque::from([0usize]);
     while let Some(b) = work.pop_front() {
         let mut st = ins[b].clone().expect("queued block has an IN state");
         for ev in &events[b] {
@@ -1684,33 +1585,12 @@ fn compute_report(
             .expect("callees resolved before callers")
     };
 
-    // Live-block graph + per-block facts. The lowering unconditionally
-    // revives dead branch-target blocks (e.g. the folded arm of a
-    // constant `if`), so `live` alone still contains blocks no execution
-    // can reach. Validation must mirror them, but on the bounds side a
-    // revived arm that falls into a loop body reads as a second loop
-    // entry and would demote a provably bounded loop to "irreducible" —
-    // so bounds run on live ∩ reachable-from-entry only.
+    // Block graph + per-block facts. Every block is reachable from the
+    // entry (the flat IR has no dead op), so bounds run over all of them.
     let nb = shape.blocks.len();
-    let mut reachable = vec![false; nb];
-    if nb > 0 && shape.blocks[0].live {
-        reachable[0] = true;
-        let mut work = vec![0usize];
-        while let Some(b) = work.pop() {
-            for &v in &shape.succs[b] {
-                if v != usize::MAX && !reachable[v] {
-                    reachable[v] = true;
-                    work.push(v);
-                }
-            }
-        }
-    }
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
     for (b, raw) in shape.succs.iter().enumerate() {
-        if !shape.blocks[b].live || !reachable[b] {
-            continue;
-        }
         for &v in raw {
             if v != usize::MAX {
                 succs[b].push(v);
@@ -1733,14 +1613,7 @@ fn compute_report(
     let events: Vec<Vec<Ev>> = shape
         .blocks
         .iter()
-        .enumerate()
-        .map(|(bi, b)| {
-            if b.live && reachable[bi] {
-                block_events(module, cf, &shape.live, b)
-            } else {
-                Vec::new()
-            }
-        })
+        .map(|b| block_events(module, cf, b))
         .collect();
 
     let mut weights = vec![Bound::Finite(0); nb];
@@ -1750,9 +1623,6 @@ fn compute_report(
     let mut dynamic_mem = shape.dynamic_mem;
     let mut unbounded_loops = false;
     for (bi, b) in shape.blocks.iter().enumerate() {
-        if !b.live || !reachable[bi] {
-            continue;
-        }
         let mut w = Bound::Finite(b.cost as u64);
         for &(call, h) in &b.calls {
             match call {
@@ -1788,13 +1658,7 @@ fn compute_report(
             _ => None,
         }))
         .collect();
-    let outs = local_const_flow(
-        entry_state.len(),
-        &entry_state,
-        &shape.blocks,
-        &events,
-        &succs,
-    );
+    let outs = local_const_flow(entry_state.len(), &entry_state, &events, &succs);
 
     let ctx = FuelCtx {
         weights: &weights,
@@ -1806,14 +1670,8 @@ fn compute_report(
         outs: &outs,
         entry_state: &entry_state,
     };
-    let nodes: BTreeSet<usize> = (0..nb)
-        .filter(|&b| shape.blocks[b].live && reachable[b])
-        .collect();
-    let fuel = if nodes.is_empty() {
-        Bound::Finite(0)
-    } else {
-        region_cost(&ctx, &nodes, 0, &BTreeSet::new(), &mut unbounded_loops)
-    };
+    let nodes: BTreeSet<usize> = (0..nb).collect();
+    let fuel = region_cost(&ctx, &nodes, 0, &BTreeSet::new(), &mut unbounded_loops);
 
     let mut regs = Bound::Finite(rf.frame_size as u64);
     for op in rf.ops.iter() {
@@ -1862,7 +1720,6 @@ pub fn analyze(module: &Module) -> Result<ModuleAnalysis, AnalysisError> {
         .map(|s| {
             s.blocks
                 .iter()
-                .filter(|b| b.live)
                 .flat_map(|b| &b.calls)
                 .filter_map(|&(c, _)| match c {
                     Call::Wasm(g) => Some(g as usize),
@@ -2214,6 +2071,24 @@ mod tests {
         branches[0].pc += 1;
         rf.branches = branches.into_boxed_slice();
         assert!(validate_lowering(&m, 0, cf, &rf).is_err());
+    }
+
+    #[test]
+    fn unmapped_flat_op_is_rejected() {
+        let m = loop_module();
+        let cf = m.compiled_func(0);
+        let mut rf = m.reg_func(0).clone();
+        // Mid-block, so no Meter or branch-target check can fire first.
+        let pc = cf
+            .ops
+            .iter()
+            .position(|o| matches!(o, Op::Store { .. }))
+            .expect("has a store");
+        rf.pc_map[pc] = u32::MAX;
+        assert_eq!(
+            validate_lowering(&m, 0, cf, &rf),
+            Err(mismatch(0, pc, "flat op was not lowered"))
+        );
     }
 
     #[test]

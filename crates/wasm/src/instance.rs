@@ -176,13 +176,12 @@ pub enum ExecMode {
     /// (side-table branches, basic-block metering) lowered to fused
     /// three-address code over a per-frame virtual register file, so
     /// push/pop traffic disappears from the hot loop.
-    /// Every instance runs this unless a test or ablation bench selects
-    /// the oracle.
+    /// Every instance runs this unless a test selects the oracle.
     #[default]
     Reg,
     /// The original decoded-[`Instr`] tree walker, kept as the spec oracle
-    /// for differential testing and ablation benchmarks. Identical
-    /// result/trap/fuel semantics to [`ExecMode::Reg`].
+    /// for differential testing. Identical result/trap/fuel semantics to
+    /// [`ExecMode::Reg`].
     Reference,
 }
 
@@ -713,8 +712,8 @@ impl<T> Instance<T> {
 
     /// Select which interpreter loop runs guest code (default:
     /// [`ExecMode::Reg`]). This is the only selector — no policy, builder
-    /// or environment knob reaches it — and exists so tests and ablation
-    /// benches can run the [`ExecMode::Reference`] oracle.
+    /// or environment knob reaches it — and exists so tests can run the
+    /// [`ExecMode::Reference`] oracle.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
     }

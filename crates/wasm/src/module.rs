@@ -26,6 +26,17 @@ impl<T> Memo<T> {
     pub fn get_or_init(&self, f: impl FnOnce() -> T) -> &T {
         self.0.get_or_init(f)
     }
+
+    /// The cached value, if computed, for in-place trimming.
+    pub fn get_mut(&mut self) -> Option<&mut T> {
+        self.0.get_mut()
+    }
+
+    /// Empty the cell, returning what it held; a later
+    /// [`Self::get_or_init`] computes afresh.
+    pub fn take(&mut self) -> Option<T> {
+        self.0.take()
+    }
 }
 
 impl<T> Default for Memo<T> {
@@ -117,7 +128,8 @@ pub struct FuncBody {
     /// Lazily compiled flat IR (see [`crate::compile`]): never executed,
     /// it is the intermediate the register form is lowered from, the
     /// input of the load-time analysis and the left-hand side of
-    /// translation validation.
+    /// translation validation — and nothing after that, so
+    /// [`Module::release_proof_inputs`] empties the cell.
     pub compiled: Memo<CompiledFunc>,
     /// Lazily lowered register-form IR (see [`crate::regalloc`]) — what
     /// instances execute. Shared by every instance holding the same
@@ -286,6 +298,23 @@ impl Module {
             .map_err(Clone::clone)
     }
 
+    /// Run the load-time proof now ([`Self::analysis`], which lowers every
+    /// body), then free what only the proof read: each body's flat IR and
+    /// the register form's `pc_map`. The verdict, the bounds and the
+    /// register code stay memoised, so instances and admission see no
+    /// difference; for a module a cache retains it is the larger half of
+    /// the lowered code given back. [`Self::compiled_func`] on a released
+    /// module recompiles (tools and tests only — no runtime path asks).
+    pub fn release_proof_inputs(&mut self) {
+        let _ = self.analysis();
+        for body in &mut self.funcs {
+            body.compiled.take();
+            if let Some(rf) = body.reg.get_mut() {
+                rf.pc_map = Box::default();
+            }
+        }
+    }
+
     /// Force both lowerings of every function body now: the flat IR
     /// (analysis input, proof left-hand side) and the register form
     /// derived from it (what runs).
@@ -384,6 +413,31 @@ mod tests {
         assert_eq!(
             format!("{:?} {cell:?}", Memo::<u8>::new()),
             "Memo(pending) Memo(computed)"
+        );
+    }
+
+    #[test]
+    fn release_frees_the_proof_inputs_and_keeps_the_verdict() {
+        let wasm = crate::wat::assemble(
+            r#"(module (func (export "f") (param i32) (result i32)
+                 local.get 0  if (result i32)  i32.const 1  else  i32.const 2  end))"#,
+        )
+        .unwrap();
+        let mut m = crate::load_module(&wasm).unwrap();
+        m.release_proof_inputs();
+        let body = &m.funcs[0];
+        assert_eq!(format!("{:?}", body.compiled), "Memo(pending)");
+        let rf = m.reg_func(0);
+        assert!(rf.pc_map.is_empty() && !rf.ops.is_empty());
+        // The proof ran before anything was freed, and stays memoised;
+        // a tool that asks for the flat IR again gets it recompiled.
+        let fuel = m.analysis().expect("proven").func(0).fuel;
+        assert!(fuel.finite().is_some());
+        assert!(!m.compiled_func(0).ops.is_empty());
+        let mut inst = crate::Instance::new(m.into(), &crate::Linker::<()>::new(), ()).unwrap();
+        assert_eq!(
+            inst.invoke("f", &[crate::Value::I32(0)]),
+            Ok(Some(crate::Value::I32(2)))
         );
     }
 

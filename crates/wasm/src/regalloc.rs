@@ -30,6 +30,13 @@
 //! fold into the memory access. All of it sits under the
 //! translation-validation proof of [`crate::analysis`].
 //!
+//! Folding stops at *values*: a constant `br_if`/`br_table`/`select`
+//! condition materializes like any other operand and takes the generic
+//! op. Liveness is decided once, by the flat compiler (it emits no dead
+//! op), so every flat op is lowered, [`RegFunc::pc_map`] is total and the
+//! proof has no control decision of this pass to predict; if constant
+//! control ever matters it folds there, before the proof, not here.
+//!
 //! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
 //! basic block), so fuel totals and `OutOfFuel` points stay bit-identical
@@ -331,9 +338,10 @@ pub struct RegFunc {
     pub n_locals: u32,
     /// Total registers the frame needs (`n_locals` + max stack height).
     pub frame_size: u32,
-    /// Flat-pc → register-pc map (`u32::MAX` = dead flat op, not
-    /// lowered). Kept as the lowering's liveness/placement witness for
-    /// load-time translation validation.
+    /// Flat-pc → register-pc map, one entry per flat op: exact at block
+    /// leaders (all a branch can target), a hint inside a block (a later
+    /// address-chain fusion may pull ops out from under it). Read only by
+    /// translation validation; [`Module::release_proof_inputs`] empties it.
     pub pc_map: Box<[u32]>,
 }
 
@@ -360,8 +368,9 @@ struct Lowerer<'m> {
     max_h: u32,
     /// flat pc -> register-form pc.
     pc_map: Vec<u32>,
-    /// Whether the current flat pc is reachable; dead ops lower to
-    /// nothing (they still get a pc mapping for the side table).
+    /// Whether the previous flat op falls through into the current one.
+    /// Decides only how a branch target is entered: flush the abstract
+    /// stack at a join, or rebuild it from the recorded entry height.
     reachable: bool,
     /// `(rop index, dst register)` of the last emitted op when it is pure
     /// and retargetable — fuel for write-back and compare-branch fusion.
@@ -412,11 +421,8 @@ pub fn lower_func(module: &Module, local_idx: u32) -> RegFunc {
     }
 
     // Retarget the side table from flat pcs to register-form pcs.
-    // Branch targets are always revived by `lower_op`, so their mapping
-    // is never the dead-op sentinel.
     let mut rbranches = lw.rbranches;
     for rb in &mut rbranches {
-        debug_assert_ne!(lw.pc_map[rb.pc as usize], u32::MAX);
         rb.pc = lw.pc_map[rb.pc as usize];
     }
 
@@ -750,20 +756,10 @@ impl Lowerer<'_> {
     }
 
     /// Conditional branch on the abstract top of stack. `negate` = branch
-    /// on zero. Folds constant conditions and fuses an immediately
-    /// preceding i32 compare/binop into `BrIfCmp`/`BrIfCmpC`.
+    /// on zero. Fuses an immediately preceding i32 compare/binop into
+    /// `BrIfCmp`/`BrIfCmpC`.
     fn cond_branch(&mut self, br: u32, negate: bool) {
         let top = self.stack.len() - 1;
-        if let Some(k) = self.const_i32_at(top) {
-            self.stack.pop();
-            if (k != 0) != negate {
-                self.materialize_all();
-                self.fill_branch(br);
-                self.emit(ROp::Br(br));
-                self.reachable = false;
-            }
-            return;
-        }
         if let Some(i) = self.top_producer() {
             // `BrIfCmp` branches when the fused op is non-zero, so any
             // producer fuses directly; the zero-branch needs the
@@ -1295,16 +1291,10 @@ impl Lowerer<'_> {
 
     fn lower_op(&mut self, pc: usize, op: Op, eh: &[u32]) {
         if !self.reachable {
+            // Not fallen into, hence a branch target (the flat IR has no
+            // dead op): a fully materialized stack of the recorded height.
             let e = eh[pc];
-            if e == u32::MAX {
-                // Dead op: not lowered. The sentinel doubles as the
-                // liveness witness the static analyzer checks against
-                // its own reachability mirror.
-                self.pc_map[pc] = u32::MAX;
-                return;
-            }
-            // Branch target: resume with a fully materialized stack of
-            // the recorded entry height.
+            assert_ne!(e, u32::MAX, "flat op {pc} is unreachable");
             self.stack.clear();
             self.stack.resize(e as usize, Abs::Slot);
             self.max_h = self.max_h.max(e);
@@ -1343,22 +1333,13 @@ impl Lowerer<'_> {
             Op::BrIf(b) => self.cond_branch(b, self.follows_eqz(pc)),
             Op::BrIfZ(b) => self.cond_branch(b, !self.follows_eqz(pc)),
             Op::BrTable { start, n } => {
-                let top = self.h() - 1;
-                if let Some(k) = self.const_i32_at(top) {
-                    self.stack.pop();
-                    let chosen = start + (k as u32).min(n);
-                    self.materialize_all();
-                    self.fill_branch(chosen);
-                    self.emit(ROp::Br(chosen));
-                } else {
-                    let sel = self.operand_reg(top);
-                    self.stack.pop();
-                    self.materialize_all();
-                    for i in 0..=n {
-                        self.fill_branch(start + i);
-                    }
-                    self.emit(ROp::BrTable { sel, start, n });
+                let sel = self.operand_reg(self.h() - 1);
+                self.stack.pop();
+                self.materialize_all();
+                for i in 0..=n {
+                    self.fill_branch(start + i);
                 }
+                self.emit(ROp::BrTable { sel, start, n });
                 self.reachable = false;
             }
             Op::Return => {
@@ -1382,29 +1363,12 @@ impl Lowerer<'_> {
             Op::Select => {
                 let h = self.h();
                 let (ia, ib, ic) = (h - 3, h - 2, h - 1);
-                if let Some(k) = self.const_i32_at(ic) {
-                    self.stack.pop();
-                    if k != 0 {
-                        self.stack.pop(); // keep a, drop b
-                    } else {
-                        // keep b at a's position
-                        if matches!(self.stack[ib], Abs::Slot) {
-                            let (dst, src) = (self.slot(ia), self.slot(ib));
-                            self.emit(ROp::Copy { dst, src });
-                            self.stack[ia] = Abs::Slot;
-                        } else {
-                            self.stack[ia] = self.stack[ib];
-                        }
-                        self.stack.pop();
-                    }
-                } else {
-                    self.materialize(ia);
-                    let b = self.operand_reg(ib);
-                    let cond = self.operand_reg(ic);
-                    let dst = self.slot(ia);
-                    self.stack.truncate(ib);
-                    self.emit(ROp::Select { dst, cond, b });
-                }
+                self.materialize(ia);
+                let b = self.operand_reg(ib);
+                let cond = self.operand_reg(ic);
+                let dst = self.slot(ia);
+                self.stack.truncate(ib);
+                self.emit(ROp::Select { dst, cond, b });
             }
             Op::LocalGet(l) => self.push(Abs::Local(l)),
             Op::LocalSet(l) => {

@@ -22,9 +22,11 @@
 use std::sync::Arc;
 
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::instance::{ExecMode, Instance, Linker};
+use waran_wasm::compile::Op;
+use waran_wasm::instance::{ExecLimits, ExecMode, Instance, Linker};
 use waran_wasm::instr::Instr;
 use waran_wasm::interp::Value;
+use waran_wasm::regalloc::ROp;
 use waran_wasm::types::{BlockType, ValType};
 use waran_wasm::{load_module, wat, Module, Trap};
 
@@ -656,6 +658,268 @@ fn differential_host_calls() {
     assert_eq!((reg.invokes, reg.traps), (6, 6));
     assert_eq!(reg.memory[256..260], [0xff; 4]);
     assert_eq!(reg.memory[32..36], 0i32.to_le_bytes());
+}
+
+// ---------------------------------------------------------------------
+// Constant control flow
+// ---------------------------------------------------------------------
+//
+// The register lowering folds constant *values* and never constant
+// *control*: a literal `br_if`/`if`/`br_table`/`select` condition takes
+// the same generic op as a computed one, and every flat op is lowered.
+// PlugC emits neither `br_table` nor `select`, so the corpus above never
+// reaches those shapes; these are written by hand.
+
+/// `(name, body of main(a = 3, b = 4) -> i32, expected outcome)`.
+fn constant_control_cases() -> Vec<(String, String, Result<i32, Trap>)> {
+    let mut cases = Vec::new();
+    let mut case = |name: &str, body: String, want: Result<i32, Trap>| {
+        cases.push((name.to_string(), body, want));
+    };
+    // `br_if` carrying a value out of a block: taken, not taken, through
+    // an `i32.eqz`, and on a condition that only value folding makes
+    // constant.
+    for (cond, want) in [
+        ("i32.const 1", 7),
+        ("i32.const 0", 9),
+        ("i32.const 0  i32.eqz", 7),
+        ("i32.const 5  i32.eqz", 9),
+        ("i32.const 2  i32.const 2  i32.sub", 9),
+    ] {
+        case(
+            &format!("br_if on `{cond}`"),
+            format!("block (result i32)  i32.const 7  {cond}  br_if 0  drop  i32.const 9  end"),
+            Ok(want),
+        );
+    }
+    // `if` with a store in each arm, so the final memory tells them apart.
+    for (cond, want) in [
+        ("i32.const 1", 11),
+        ("i32.const 0", 22),
+        ("i32.const 0  i32.eqz", 11),
+        ("i32.const -1  i32.const 1  i32.add", 22),
+    ] {
+        case(
+            &format!("if on `{cond}`"),
+            format!(
+                "{cond}
+                 if (result i32)  i32.const 0  i32.const 170  i32.store8  i32.const 11
+                 else             i32.const 4  i32.const 187  i32.store8  i32.const 22
+                 end"
+            ),
+            Ok(want),
+        );
+    }
+    case(
+        "if on a constant, trapping arm taken",
+        "i32.const 1  if  unreachable  end  i32.const 5".into(),
+        Err(Trap::Unreachable),
+    );
+    // Inside a counted loop: two never-taken exits (one behind an eqz)...
+    case(
+        "never-taken constant exits inside a loop",
+        "block $exit
+           loop $top
+             local.get $i  i32.const 5  i32.ge_s  br_if $exit
+             i32.const 0  br_if $exit
+             local.get $acc  i32.const 3  i32.add  local.set $acc
+             i32.const 1  i32.eqz  br_if $exit
+             local.get $i  i32.const 1  i32.add  local.set $i
+             br $top
+           end
+         end
+         local.get $acc"
+            .into(),
+        Ok(15),
+    );
+    // ...and an always-taken one that leaves on the first trip.
+    case(
+        "always-taken constant exit inside a loop",
+        "block $exit
+           loop $top
+             local.get $i  i32.const 5  i32.ge_s  br_if $exit
+             local.get $i  i32.const 1  i32.add  local.set $i
+             i32.const 1  br_if $exit
+             br $top
+           end
+         end
+         local.get $i"
+            .into(),
+        Ok(1),
+    );
+    // `br_table` on a constant selector: first entry, last entry, and
+    // past the table on either side of zero.
+    for (sel, want) in [(0, 10), (1, 20), (2, 30), (7, 30), (-1, 30)] {
+        case(
+            &format!("br_table on `i32.const {sel}`"),
+            format!(
+                "block  block  block  i32.const {sel}  br_table 0 1 2  end
+                   i32.const 10  return  end
+                 i32.const 20  return  end
+                 i32.const 30"
+            ),
+            Ok(want),
+        );
+    }
+    // `select` on a constant condition over constant, local and computed
+    // (stack-slot) operands.
+    let slot_a = "local.get 0  i32.const 1  i32.add"; // 4
+    let slot_b = "local.get 1  i32.const 2  i32.mul"; // 8
+    for (a, b, va, vb) in [
+        ("i32.const 5", "i32.const 6", 5, 6),
+        ("local.get 0", "local.get 1", 3, 4),
+        (slot_a, slot_b, 4, 8),
+        ("i32.const 5", slot_b, 5, 8),
+        (slot_a, "local.get 1", 4, 4),
+        ("local.get 0", "i32.const 6", 3, 6),
+    ] {
+        for (cond, want) in [("i32.const 1", va), ("i32.const 0", vb)] {
+            case(
+                &format!("select `{a}` / `{b}` on `{cond}`"),
+                format!("{a}  {b}  {cond}  select"),
+                Ok(want),
+            );
+        }
+    }
+    case(
+        "select of i64 operands on a constant",
+        "i64.const 1  i64.const -2  i32.const 0  select  i32.wrap_i64".into(),
+        Ok(-2),
+    );
+    // Nested constant `if`s with a counted loop in the arm never taken.
+    case(
+        "loop in a never-taken arm",
+        "i32.const 1
+         if (result i32)
+           i32.const 0
+           if (result i32)
+             block $exit
+               loop $top
+                 local.get $i  i32.const 3  i32.ge_s  br_if $exit
+                 local.get $i  i32.const 1  i32.add  local.set $i
+                 br $top
+               end
+             end
+             local.get $i
+           else
+             i32.const 40
+           end
+         else
+           i32.const 50
+         end"
+        .into(),
+        Ok(40),
+    );
+    cases
+}
+
+/// One case's body as the module's exported `main`.
+fn constant_control_wasm(name: &str, body: &str) -> Vec<u8> {
+    wat::assemble(&format!(
+        r#"(module (memory 1)
+             (func (export "main") (param i32 i32) (result i32)
+               (local $i i32) (local $acc i32)
+               {body}))"#
+    ))
+    .unwrap_or_else(|e| panic!("{name}: {e:?}"))
+}
+
+#[test]
+fn differential_constant_control() {
+    let args = [Value::I32(3), Value::I32(4)];
+    for (name, body, want) in constant_control_cases() {
+        let wasm = constant_control_wasm(&name, &body);
+        let module = Arc::new(load_module(&wasm).expect("validates"));
+        let analysis = module
+            .analysis()
+            .unwrap_or_else(|e| panic!("{name}: lowering fails its proof: {e}"));
+        let report = analysis.func(0);
+        let (Some(fuel), Some(stack), Some(frames)) = (
+            report.fuel.finite(),
+            report.stack.finite(),
+            report.frames.finite(),
+        ) else {
+            panic!("{name}: every loop here is counted, bounds must be finite: {report:?}");
+        };
+
+        let run = |mode, fuel, limits| {
+            let mut inst =
+                Instance::with_limits(module.clone(), &Linker::<()>::new(), (), limits).unwrap();
+            inst.set_exec_mode(mode);
+            inst.set_fuel(Some(fuel));
+            let out = inst.invoke("main", &args);
+            let memory = inst.memory().read_bytes(0, 65_536).unwrap().to_vec();
+            (out, inst.fuel_consumed(), memory)
+        };
+        let reference = run(ExecMode::Reference, 100_000, ExecLimits::default());
+        let reg = run(ExecMode::Reg, 100_000, ExecLimits::default());
+        assert_eq!(reg.0, want.clone().map(|v| Some(Value::I32(v))), "{name}");
+        assert_eq!(reference.0, reg.0, "{name}: result diverged");
+        assert!(reference.2 == reg.2, "{name}: final memory diverged");
+        // Mid-block traps may differ by less than a block (see the header).
+        if want.is_ok() {
+            assert_eq!(reference.1, reg.1, "{name}: fuel diverged");
+        }
+
+        // Static bounds dominate what ran: the call fits exactly the
+        // analyzer's fuel, stack and frame budget, and no byte was written
+        // at or above `mem_high`.
+        let measured = reg.1.expect("metered");
+        assert!(fuel >= measured, "{name}: fuel bound {fuel} < {measured}");
+        let limits = ExecLimits {
+            max_call_depth: frames as usize,
+            max_value_stack: stack as usize,
+            ..ExecLimits::default()
+        };
+        assert_eq!(
+            run(ExecMode::Reg, fuel, limits),
+            reg,
+            "{name}: under its bounds"
+        );
+        assert!(!report.dynamic_mem, "{name}: every address is a literal");
+        let touched = reg.2.iter().rposition(|&b| b != 0).map_or(0, |at| at + 1);
+        assert!(
+            report.mem_high >= touched as u64,
+            "{name}: mem_high {} < {touched}",
+            report.mem_high
+        );
+
+        // And the executors still agree when the fuel runs out half way.
+        assert_modes_agree(&wasm, &args, measured / 2, &format!("{name}, half fuel"));
+    }
+}
+
+/// Every flat op is lowered: no `pc_map` entry is the unmapped sentinel,
+/// and each block leader — all a branch can target — maps to its register
+/// `Meter`. (Inside a block an entry is only a placement hint: a later
+/// address-chain fusion may pull ops out from under it.)
+fn assert_pc_map_is_total(module: &Module, ctx: &str) {
+    for f in 0..module.funcs.len() as u32 {
+        let (cf, rf) = (module.compiled_func(f), module.reg_func(f));
+        assert_eq!(rf.pc_map.len(), cf.ops.len(), "{ctx}: func {f}");
+        for (pc, &q) in rf.pc_map.iter().enumerate() {
+            assert_ne!(q, u32::MAX, "{ctx}: func {f} flat pc {pc} was not lowered");
+            if let Op::Meter { cost, .. } = cf.ops[pc] {
+                assert!(
+                    matches!(rf.ops.get(q as usize), Some(ROp::Meter { cost: c, .. }) if *c == cost),
+                    "{ctx}: func {f} block leader {pc} maps to register pc {q}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_flat_op_of_the_corpus_is_lowered() {
+    for seed in 0..300u64 {
+        let wasm = waran_plugc::compile(&gen_program(seed)).expect("corpus compiles");
+        let module = load_module(&wasm).expect("validates");
+        assert_pc_map_is_total(&module, &format!("seed {seed}"));
+    }
+    for (name, body, _) in constant_control_cases() {
+        let wasm = constant_control_wasm(&name, &body);
+        assert_pc_map_is_total(&load_module(&wasm).expect("validates"), &name);
+    }
 }
 
 // ---------------------------------------------------------------------
