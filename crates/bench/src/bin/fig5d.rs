@@ -22,7 +22,7 @@ use waran_abi::sched::{SchedRequest, UeInfo};
 use waran_bench::{banner, f1, table, write_csv};
 use waran_core::plugins;
 use waran_host::plugin::{Plugin, SandboxPolicy};
-use waran_host::ExactQuantiles;
+use waran_host::ExecTimeStats;
 use waran_wasm::instance::Linker;
 
 const SLOT_US: f64 = 1000.0;
@@ -64,9 +64,9 @@ fn instantiate(wasm: &[u8]) -> Plugin<()> {
 }
 
 /// Timing of one configuration; `Err` carries the fault that ended it.
-fn measure(wasm: &[u8], n_ues: usize) -> Result<ExactQuantiles, String> {
+fn measure(wasm: &[u8], n_ues: usize) -> Result<ExecTimeStats, String> {
     let mut plugin = instantiate(wasm);
-    let mut acc = ExactQuantiles::new();
+    let mut acc = ExecTimeStats::new();
     for slot in 0..(WARMUP + ITERATIONS) {
         let req = make_request(slot, n_ues);
         // Measured exactly as the paper: host-side encode, sandbox call,
@@ -77,7 +77,7 @@ fn measure(wasm: &[u8], n_ues: usize) -> Result<ExactQuantiles, String> {
         let resp = resp.map_err(|e| format!("slot {slot}: {e}"))?;
         assert!(resp.total_prbs() <= 52);
         if slot >= WARMUP {
-            acc.record_duration(elapsed);
+            acc.record(elapsed);
         }
     }
     Ok(acc)
@@ -137,13 +137,13 @@ fn main() {
             // A configuration that faults is over budget by definition:
             // it gets a row and counts as crossing every threshold.
             let p99 = match measure(wasm, n_ues) {
-                Ok(mut acc) => {
-                    let p99 = acc.quantile(0.99);
+                Ok(acc) => {
+                    let p99 = acc.p99_us();
                     row.extend([
-                        f1(acc.quantile(0.50)),
+                        f1(acc.p50_us()),
                         f1(p99),
-                        f1(acc.mean()),
-                        f1(acc.max()),
+                        f1(acc.mean_us()),
+                        f1(acc.max_us()),
                         f1(100.0 * p99 / SLOT_US),
                     ]);
                     p99

@@ -372,14 +372,6 @@ impl MultiCellScenario {
         self.cells.len()
     }
 
-    /// Cell names in declaration order.
-    pub fn cell_names(&self) -> Vec<String> {
-        self.cells
-            .iter()
-            .map(|c| lock_recover(c).name.clone())
-            .collect()
-    }
-
     /// Hot-swap a Wasm slice's scheduler in one cell to a standard
     /// policy. The swap is atomic per cell: only that cell's plugin host
     /// publishes a new slot epoch; every other cell is untouched.
@@ -930,15 +922,6 @@ impl MultiCellReport {
     /// Cells that panicked mid-run and were fenced off.
     pub fn faulted_cells(&self) -> u64 {
         self.cells.iter().filter(|c| c.faulted).count() as u64
-    }
-
-    /// Aggregate scheduler-call throughput, calls per wall-clock second.
-    pub fn sched_calls_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.total_sched_calls as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
     }
 
     /// Aggregate slot throughput, slots per wall-clock second.

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use waran_host::plugin::{PluginError, SandboxPolicy};
-use waran_host::{ExecTimeStats, PluginHost, RollbackEvent, SlotHealth, SlotState};
+use waran_host::{ExecTimeStats, PluginHost, SlotHealth, SlotState};
 use waran_ransim::channel::{
     ChannelModel, DistanceChannel, FixedMcsChannel, MarkovFadingChannel, MobileChannel,
     StaticChannel,
@@ -416,12 +416,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Metrics window in slots.
-    pub fn metrics_window(mut self, slots: u64) -> Self {
-        self.gnb_config.metrics_window_slots = slots;
-        self
-    }
-
     /// Sandbox policy for plugin-backed slices.
     pub fn sandbox_policy(mut self, policy: SandboxPolicy) -> Self {
         self.policy = policy;
@@ -701,12 +695,6 @@ impl Scenario {
     /// Quarantine state of a Wasm slice's plugin slot.
     pub fn plugin_state(&self, slice: &str) -> Option<SlotState> {
         self.host.state(slice)
-    }
-
-    /// Automatic rollbacks logged on a Wasm slice's plugin slot, oldest
-    /// first.
-    pub fn plugin_rollbacks(&self, slice: &str) -> Option<Vec<RollbackEvent>> {
-        self.host.rollback_log(slice)
     }
 
     /// Snapshot report of everything measured so far.

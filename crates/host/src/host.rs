@@ -28,7 +28,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -468,11 +467,6 @@ impl<T> PluginHost<T> {
         self.read_slot(name, |s, _| s.plugin.memory_bytes())
     }
 
-    /// Most recent call duration of the plugin.
-    pub fn last_call_duration(&self, name: &str) -> Option<Duration> {
-        self.read_slot(name, |s, _| s.plugin.last_call_duration())?
-    }
-
     /// Log of automatic rollbacks on the slot, oldest first.
     pub fn rollback_log(&self, name: &str) -> Option<Vec<RollbackEvent>> {
         self.read_slot(name, |s, _| s.rollback_log.clone())
@@ -488,20 +482,6 @@ impl<T> PluginHost<T> {
     /// out of a content-addressed template.
     pub fn content_hash(&self, name: &str) -> Option<u64> {
         self.read_slot(name, |s, _| s.plugin.content_hash())?
-    }
-
-    /// Lift a quarantine without swapping (operator override).
-    pub fn reset_quarantine(&self, name: &str) -> bool {
-        match self.slot(name) {
-            Ok(shared) => {
-                let mut slot = shared.inner.lock();
-                shared.sync(&mut slot);
-                slot.state = SlotState::Active;
-                slot.health.consecutive_faults = 0;
-                true
-            }
-            Err(_) => false,
-        }
     }
 }
 

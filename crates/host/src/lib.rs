@@ -21,8 +21,8 @@
 //! * [`host::PluginHost`] — the named registry: atomic [`host::PluginHost::install`]
 //!   (hot swap), per-slot health and quarantine, per-slot execution-time
 //!   statistics.
-//! * [`stats`] — the measurement instruments (P² streaming quantiles and
-//!   exact accumulators) behind the Fig. 5d reproduction.
+//! * [`stats`] — the measurement instrument behind the Fig. 5d
+//!   reproduction: [`ExecTimeStats`], a mergeable histogram of call times.
 //!
 //! ```
 //! use waran_host::plugin::{Plugin, SandboxPolicy};
@@ -49,4 +49,4 @@ pub use host::{
 };
 pub use linker::{PluginPre, TemplateCache, TemplateCacheStats};
 pub use plugin::{fnv1a, GovernanceClass, Plugin, PluginError, SandboxPolicy};
-pub use stats::{ExactQuantiles, ExecTimeStats, P2Quantile, QueueDepthStats, ShardedExecStats};
+pub use stats::{ExecTimeStats, QueueDepthStats};

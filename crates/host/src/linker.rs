@@ -93,7 +93,7 @@ fn admit(module: &Module, policy: &SandboxPolicy) -> Result<(), PluginError> {
 /// Bundles the engine-level [`InstancePre`] (resolved imports + state
 /// snapshot) with the host-level context every stamped instance needs: the
 /// [`SandboxPolicy`] (deadline, exec tier, fuel — applied at stamp-out
-/// time) and the pre-resolved byte-buffer [`AbiTable`].
+/// time) and the pre-resolved byte-buffer `AbiTable`.
 ///
 /// Cloning is a few `Arc` bumps; a template is `Send + Sync` and meant to
 /// be built once per `(module, policy)` and shared by every worker.

@@ -544,11 +544,6 @@ impl<T> Plugin<T> {
     pub fn memory_bytes(&self) -> usize {
         self.instance.memory().size_bytes()
     }
-
-    /// High-water mark of guest memory, bytes.
-    pub fn peak_memory_bytes(&self) -> usize {
-        self.instance.memory().peak_pages() as usize * waran_wasm::types::PAGE_SIZE
-    }
 }
 
 impl<T> std::fmt::Debug for Plugin<T> {

@@ -2,360 +2,67 @@
 //!
 //! The paper measures plugin running speed with Boost Accumulators and
 //! reports 50th/99th-percentile execution times (Fig. 5d). This module is
-//! the equivalent instrument: [`ExactQuantiles`] stores every sample
-//! (used by the figure harnesses, where sample counts are modest) and
-//! [`P2Quantile`] is the constant-memory streaming estimator (used by the
-//! always-on per-plugin stats in the host).
+//! the equivalent instrument, and the only one: [`ExecTimeStats`], a
+//! log-linear histogram of nanosecond durations beside an exact count,
+//! sum, minimum and maximum. The always-on per-plugin stats in the host,
+//! the multi-cell engine's per-worker shards and the figure harnesses all
+//! record into it.
 //!
-//! Every accumulator is *mergeable*: the sharded multi-cell engine gives
-//! each worker its own accumulator (no cross-thread contention on the hot
-//! path) and combines them after the run with `merge`, so Fig. 5d-style
-//! quantiles come out of a parallel run without a single shared lock.
-//! [`ShardedExecStats`] packages that pattern: one [`ExecTimeStats`] per
-//! worker, merged on read.
+//! A histogram, not a streaming quantile estimator, because the numbers
+//! that matter here are *merged*: a fleet report folds one tracker per
+//! cell × slice into a single p50/p99. Merging histograms is adding bucket
+//! counts — exact, associative and commutative, so a merged tracker equals
+//! one that recorded every sample itself and workers can keep their own
+//! (no cross-thread contention on the hot path) until the join. The price
+//! is resolution: a quantile is only known to its bucket, whose width is
+//! under 1/16 of its lower bound.
 
 use std::time::Duration;
 
-/// Exact quantile accumulator: stores all samples.
-#[derive(Debug, Clone, Default)]
-pub struct ExactQuantiles {
-    samples: Vec<f64>,
-    sorted: bool,
+/// Buckets per power of two. A bucket is narrower than 1/`SUB_BUCKETS` of
+/// its lower bound, which bounds a quantile's relative error.
+const SUB_BUCKETS: u64 = 16;
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+
+/// Histogram bucket of a duration in nanoseconds. Values below
+/// `2 * SUB_BUCKETS` get a bucket each; above, every power of two is cut
+/// into `SUB_BUCKETS` equal buckets.
+fn bucket_of(ns: u64) -> usize {
+    let shift = (u64::BITS - 1 - SUB_BITS).saturating_sub(ns.leading_zeros());
+    ((u64::from(shift) << SUB_BITS) + (ns >> shift)) as usize
 }
 
-impl ExactQuantiles {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a sample.
-    pub fn record(&mut self, v: f64) {
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Add a duration sample in microseconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_secs_f64() * 1e6);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Maximum sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Fold another accumulator's samples into this one. Exact: the result
-    /// is indistinguishable from having recorded every sample here.
-    pub fn merge(&mut self, other: &ExactQuantiles) {
-        if other.samples.is_empty() {
-            return;
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
-    /// The q-quantile (nearest-rank on the sorted samples), 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[idx]
-    }
+/// Smallest and largest nanosecond value of a bucket; inverse of
+/// [`bucket_of`].
+fn bucket_range(bucket: usize) -> (u64, u64) {
+    let bucket = bucket as u64;
+    let shift = (bucket >> SUB_BITS).saturating_sub(1);
+    let lo = (bucket - (shift << SUB_BITS)) << shift;
+    (lo, lo + ((1 << shift) - 1))
 }
 
-/// The P² (piecewise-parabolic) streaming quantile estimator
-/// (Jain & Chlamtac, 1985): estimates one quantile in O(1) memory.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    /// Samples seen (first 5 go straight into `heights`).
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Estimator for the `q`-quantile (e.g. 0.99).
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(0.0, 1.0);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Add a sample.
-    pub fn record(&mut self, v: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = v;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell k containing v and clamp extreme markers.
-        let k = if v < self.heights[0] {
-            self.heights[0] = v;
-            0
-        } else if v < self.heights[1] {
-            0
-        } else if v < self.heights[2] {
-            1
-        } else if v < self.heights[3] {
-            2
-        } else if v <= self.heights[4] {
-            3
-        } else {
-            self.heights[4] = v;
-            3
-        };
-
-        // Increment positions of markers above the cell.
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        // Adjust interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            if (d >= 1.0 && self.positions[i + 1] - self.positions[i] > 1.0)
-                || (d <= -1.0 && self.positions[i - 1] - self.positions[i] < -1.0)
-            {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    self.heights[i] = candidate;
-                } else {
-                    self.heights[i] = self.linear(i, d);
-                }
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    /// Merge another estimator of the same quantile into this one.
-    ///
-    /// Exact while either side still holds raw samples (fewer than 5).
-    /// Otherwise both marker sets are read as piecewise-linear empirical
-    /// CDFs, pooled with weights proportional to their sample counts, and
-    /// this estimator's markers are re-seeded from the pooled distribution
-    /// at their ideal ranks. The result is approximate — as P² itself is —
-    /// but for identically-distributed shards (the sharded-engine case,
-    /// where workers split one stream) it tracks the pooled-sample
-    /// quantile; the property tests pin the tolerance.
-    pub fn merge(&mut self, other: &P2Quantile) {
-        if other.count == 0 {
-            return;
-        }
-        if other.count < 5 {
-            for &v in &other.heights[..other.count] {
-                self.record(v);
-            }
-            return;
-        }
-        if self.count < 5 {
-            let mut merged = other.clone();
-            for &v in &self.heights[..self.count] {
-                merged.record(v);
-            }
-            *self = merged;
-            return;
-        }
-
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let n = n1 + n2;
-        // Pooled CDF sampled at every marker height of either estimator.
-        let mut xs: Vec<f64> = self
-            .heights
-            .iter()
-            .chain(other.heights.iter())
-            .copied()
-            .collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let points: Vec<(f64, f64)> = xs
-            .iter()
-            .map(|&x| (x, (n1 * self.cdf_at(x) + n2 * other.cdf_at(x)) / n))
-            .collect();
-
-        // Re-seed the markers at their ideal fractions of the pooled CDF.
-        let fracs = [0.0, self.q / 2.0, self.q, (1.0 + self.q) / 2.0, 1.0];
-        let mut heights = [0.0; 5];
-        heights[0] = xs[0];
-        heights[4] = xs[xs.len() - 1];
-        for i in 1..4 {
-            heights[i] = Self::inverse_cdf(&points, fracs[i]);
-        }
-        for i in 1..5 {
-            if heights[i] < heights[i - 1] {
-                heights[i] = heights[i - 1];
-            }
-        }
-        self.heights = heights;
-
-        let count = self.count + other.count;
-        self.positions[0] = 1.0;
-        self.positions[4] = n;
-        for (pos, &frac) in self.positions.iter_mut().zip(&fracs).take(4).skip(1) {
-            *pos = (1.0 + frac * (n - 1.0)).round();
-        }
-        for i in 1..4 {
-            // Keep ranks strictly increasing (always possible: n >= 10).
-            self.positions[i] = self.positions[i]
-                .max(self.positions[i - 1] + 1.0)
-                .min(n - (4 - i) as f64);
-        }
-        // Desired positions follow the standard P² recurrence at count n.
-        let init = [
-            1.0,
-            1.0 + 2.0 * self.q,
-            1.0 + 4.0 * self.q,
-            3.0 + 2.0 * self.q,
-            5.0,
-        ];
-        let increments = self.increments;
-        for ((desired, &seed), &inc) in self.desired.iter_mut().zip(&init).zip(&increments) {
-            *desired = seed + (count as f64 - 5.0) * inc;
-        }
-        self.count = count;
-    }
-
-    /// Empirical CDF through this estimator's markers (requires >= 5
-    /// samples): piecewise linear between `(height[i], rank-fraction[i])`,
-    /// 0 below the minimum and 1 above the maximum.
-    fn cdf_at(&self, x: f64) -> f64 {
-        let m = self.count as f64;
-        let frac = |i: usize| (self.positions[i] - 1.0) / (m - 1.0);
-        if x <= self.heights[0] {
-            return 0.0;
-        }
-        if x >= self.heights[4] {
-            return 1.0;
-        }
-        for i in 0..4 {
-            let (x0, x1) = (self.heights[i], self.heights[i + 1]);
-            if x <= x1 {
-                let (f0, f1) = (frac(i), frac(i + 1));
-                if x1 <= x0 {
-                    return f1;
-                }
-                return f0 + (f1 - f0) * (x - x0) / (x1 - x0);
-            }
-        }
-        1.0
-    }
-
-    /// Invert a sampled, non-decreasing CDF by linear interpolation.
-    fn inverse_cdf(points: &[(f64, f64)], f: f64) -> f64 {
-        if f <= points[0].1 {
-            return points[0].0;
-        }
-        for w in points.windows(2) {
-            let (x0, f0) = w[0];
-            let (x1, f1) = w[1];
-            if f <= f1 {
-                if f1 <= f0 {
-                    return x1;
-                }
-                return x0 + (x1 - x0) * (f - f0) / (f1 - f0);
-            }
-        }
-        points[points.len() - 1].0
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate (exact for <5 samples; 0 when empty).
-    pub fn value(&self) -> f64 {
-        match self.count {
-            0 => 0.0,
-            n @ 1..=4 => {
-                let mut v = self.heights[..n].to_vec();
-                v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-                let idx = ((n as f64 - 1.0) * self.q).round() as usize;
-                v[idx]
-            }
-            _ => self.heights[2],
-        }
-    }
-}
-
-/// Per-plugin execution-time tracker: count, mean, min/max and streaming
-/// p50/p99, in microseconds.
-#[derive(Debug, Clone)]
+/// Per-plugin execution-time tracker: count, mean, min/max and p50/p99.
+/// Durations are kept in whole nanoseconds and reported in microseconds.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecTimeStats {
     count: u64,
-    sum_us: f64,
-    min_us: f64,
-    max_us: f64,
-    p50: P2Quantile,
-    p99: P2Quantile,
+    sum_ns: u128,
+    min_ns: u64,
+    max_ns: u64,
+    /// Samples per [`bucket_of`] index, grown to the highest bucket seen:
+    /// an idle tracker allocates nothing and a plugin with microsecond
+    /// calls 1–2 KB.
+    buckets: Vec<u64>,
 }
 
 impl Default for ExecTimeStats {
     fn default() -> Self {
         ExecTimeStats {
             count: 0,
-            sum_us: 0.0,
-            min_us: f64::INFINITY,
-            max_us: 0.0,
-            p50: P2Quantile::new(0.5),
-            p99: P2Quantile::new(0.99),
+            sum_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+            buckets: Vec::new(),
         }
     }
 }
@@ -366,15 +73,18 @@ impl ExecTimeStats {
         Self::default()
     }
 
-    /// Record one execution.
+    /// Record one execution. A duration past `u64::MAX` ns counts as that.
     pub fn record(&mut self, d: Duration) {
-        let us = d.as_secs_f64() * 1e6;
+        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let bucket = bucket_of(ns);
+        if bucket >= self.buckets.len() {
+            self.buckets.resize(bucket + 1, 0);
+        }
+        self.buckets[bucket] += 1;
         self.count += 1;
-        self.sum_us += us;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
-        self.p50.record(us);
-        self.p99.record(us);
+        self.sum_ns += u128::from(ns);
+        self.min_ns = self.min_ns.min(ns);
+        self.max_ns = self.max_ns.max(ns);
     }
 
     /// Executions recorded.
@@ -382,12 +92,12 @@ impl ExecTimeStats {
         self.count
     }
 
-    /// Mean, µs.
+    /// Mean, µs (0 when empty).
     pub fn mean_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            self.sum_us / self.count as f64
+            self.sum_ns as f64 / self.count as f64 / 1e3
         }
     }
 
@@ -396,37 +106,66 @@ impl ExecTimeStats {
         if self.count == 0 {
             0.0
         } else {
-            self.min_us
+            self.min_ns as f64 / 1e3
         }
     }
 
-    /// Maximum, µs.
+    /// Maximum, µs (0 when empty).
     pub fn max_us(&self) -> f64 {
-        self.max_us
+        self.max_ns as f64 / 1e3
     }
 
-    /// Streaming median estimate, µs.
+    /// Median, µs.
     pub fn p50_us(&self) -> f64 {
-        self.p50.value()
+        self.quantile_us(0.5)
     }
 
-    /// Streaming 99th-percentile estimate, µs.
+    /// 99th percentile, µs.
     pub fn p99_us(&self) -> f64 {
-        self.p99.value()
+        self.quantile_us(0.99)
     }
 
-    /// Fold another tracker into this one: counts, sums and extrema are
-    /// exact; the streaming quantiles use [`P2Quantile::merge`].
+    /// The `q`-quantile in µs, 0 when empty: the sample of nearest rank
+    /// `round((count - 1) * q)`, located to its bucket and interpolated
+    /// inside it by its position among the bucket's samples. The estimate
+    /// lies in the same bucket as that sample, so it is off by less than
+    /// 1/16 of it; the first and last rank are the exact extremes.
+    pub fn quantile_us(&self, q: f64) -> f64 {
+        let last = self.count.saturating_sub(1);
+        let rank = (last as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        let mut seen = 0;
+        for (bucket, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen > rank {
+                let ns = if rank == 0 {
+                    self.min_ns as f64
+                } else if rank == last {
+                    self.max_ns as f64
+                } else {
+                    let (lo, hi) = bucket_range(bucket);
+                    let below = (rank - (seen - n)) as f64 + 0.5;
+                    (lo as f64 + (hi - lo) as f64 * below / n as f64)
+                        .clamp(self.min_ns as f64, self.max_ns as f64)
+                };
+                return ns / 1e3;
+            }
+        }
+        0.0
+    }
+
+    /// Fold another tracker into this one. Exact: the result equals a
+    /// tracker that recorded both sides' samples itself, in any order.
     pub fn merge(&mut self, other: &ExecTimeStats) {
-        if other.count == 0 {
-            return;
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
         self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-        self.p50.merge(&other.p50);
-        self.p99.merge(&other.p99);
+        self.sum_ns += other.sum_ns;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
@@ -461,219 +200,21 @@ impl QueueDepthStats {
     }
 }
 
-/// Per-worker execution-time accumulators with contention-free recording:
-/// each worker writes only its own shard (no locks, no shared cache
-/// lines) and readers merge all shards into one [`ExecTimeStats`].
-#[derive(Debug, Clone)]
-pub struct ShardedExecStats {
-    shards: Vec<ExecTimeStats>,
-}
-
-impl ShardedExecStats {
-    /// One shard per worker.
-    pub fn new(workers: usize) -> Self {
-        ShardedExecStats {
-            shards: vec![ExecTimeStats::new(); workers.max(1)],
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when there are no shards (never: `new` clamps to >= 1).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Exclusive access to one worker's shard.
-    pub fn shard_mut(&mut self, worker: usize) -> &mut ExecTimeStats {
-        &mut self.shards[worker]
-    }
-
-    /// Record one execution on a worker's shard.
-    pub fn record(&mut self, worker: usize, d: Duration) {
-        self.shards[worker].record(d);
-    }
-
-    /// Split into per-worker accumulators (hand one to each thread).
-    pub fn into_shards(self) -> Vec<ExecTimeStats> {
-        self.shards
-    }
-
-    /// Rebuild from per-worker accumulators after a parallel run.
-    pub fn from_shards(shards: Vec<ExecTimeStats>) -> Self {
-        ShardedExecStats { shards }
-    }
-
-    /// Merge every shard into one tracker.
-    pub fn merged(&self) -> ExecTimeStats {
-        let mut out = ExecTimeStats::new();
-        for shard in &self.shards {
-            out.merge(shard);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn exact_quantiles_basic() {
-        let mut q = ExactQuantiles::new();
-        for v in 1..=100 {
-            q.record(v as f64);
+    fn buckets_tile_the_range_within_resolution() {
+        let mut next = 0;
+        for bucket in 0..=bucket_of(u64::MAX) {
+            let (lo, hi) = bucket_range(bucket);
+            assert_eq!(lo, next, "bucket {bucket} leaves a gap or overlaps");
+            assert_eq!((bucket_of(lo), bucket_of(hi)), (bucket, bucket));
+            assert!((hi - lo) * SUB_BUCKETS <= lo, "bucket {bucket} is too wide");
+            next = hi.wrapping_add(1);
         }
-        assert_eq!(q.count(), 100);
-        assert!((q.mean() - 50.5).abs() < 1e-9);
-        assert_eq!(q.quantile(0.0), 1.0);
-        assert_eq!(q.quantile(1.0), 100.0);
-        assert!((q.quantile(0.5) - 50.0).abs() <= 1.0);
-        assert!((q.quantile(0.99) - 99.0).abs() <= 1.0);
-        assert_eq!(q.max(), 100.0);
-    }
-
-    #[test]
-    fn exact_quantiles_empty() {
-        let mut q = ExactQuantiles::new();
-        assert_eq!(q.quantile(0.5), 0.0);
-        assert_eq!(q.mean(), 0.0);
-    }
-
-    #[test]
-    fn p2_median_of_uniform() {
-        let mut p2 = P2Quantile::new(0.5);
-        // Deterministic pseudo-random walk over [0, 1000).
-        let mut x: u64 = 12345;
-        for _ in 0..10_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            p2.record((x >> 33) as f64 % 1000.0);
-        }
-        let est = p2.value();
-        assert!(
-            (est - 500.0).abs() < 50.0,
-            "median estimate {est} too far from 500"
-        );
-    }
-
-    #[test]
-    fn p2_p99_of_uniform() {
-        let mut p2 = P2Quantile::new(0.99);
-        let mut x: u64 = 99;
-        for _ in 0..50_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            p2.record((x >> 33) as f64 % 1000.0);
-        }
-        let est = p2.value();
-        assert!(
-            (est - 990.0).abs() < 30.0,
-            "p99 estimate {est} too far from 990"
-        );
-    }
-
-    #[test]
-    fn p2_small_sample_exact() {
-        let mut p2 = P2Quantile::new(0.5);
-        p2.record(10.0);
-        assert_eq!(p2.value(), 10.0);
-        p2.record(20.0);
-        p2.record(30.0);
-        assert_eq!(p2.value(), 20.0);
-    }
-
-    #[test]
-    fn p2_monotone_input() {
-        let mut p2 = P2Quantile::new(0.9);
-        for i in 0..1000 {
-            p2.record(i as f64);
-        }
-        let est = p2.value();
-        assert!((est - 900.0).abs() < 40.0, "p90 of 0..1000 was {est}");
-    }
-
-    #[test]
-    fn exact_merge_is_exact() {
-        let mut all = ExactQuantiles::new();
-        let mut a = ExactQuantiles::new();
-        let mut b = ExactQuantiles::new();
-        for v in 0..1000 {
-            all.record(v as f64);
-            if v % 3 == 0 {
-                a.record(v as f64);
-            } else {
-                b.record(v as f64);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), all.quantile(q), "q={q}");
-        }
-        assert_eq!(a.mean(), all.mean());
-    }
-
-    #[test]
-    fn p2_merge_small_sides_is_exact() {
-        // While either side holds < 5 samples the merge replays raw values.
-        let mut a = P2Quantile::new(0.5);
-        let mut b = P2Quantile::new(0.5);
-        for v in [1.0, 2.0] {
-            a.record(v);
-        }
-        for v in [3.0, 4.0, 5.0] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.value(), 3.0);
-    }
-
-    #[test]
-    fn p2_merge_tracks_pooled_quantile() {
-        // Two big shards of one deterministic uniform stream: the merged
-        // p99 must stay close to the pooled estimate.
-        let mut pooled = P2Quantile::new(0.99);
-        let mut shards = [P2Quantile::new(0.99), P2Quantile::new(0.99)];
-        let mut x: u64 = 2024;
-        for i in 0..40_000usize {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = (x >> 33) as f64 % 1000.0;
-            pooled.record(v);
-            shards[i % 2].record(v);
-        }
-        let [mut merged, other] = shards;
-        merged.merge(&other);
-        assert_eq!(merged.count(), pooled.count());
-        let (m, p) = (merged.value(), pooled.value());
-        assert!((m - p).abs() < 30.0, "merged {m} vs pooled {p}");
-        assert!((m - 990.0).abs() < 30.0, "merged {m} vs true 990");
-    }
-
-    #[test]
-    fn sharded_exec_stats_merge_matches_single() {
-        let mut single = ExecTimeStats::new();
-        let mut sharded = ShardedExecStats::new(4);
-        for i in 1..=2000u64 {
-            let d = Duration::from_micros(i % 97 + 1);
-            single.record(d);
-            sharded.record((i % 4) as usize, d);
-        }
-        let merged = sharded.merged();
-        assert_eq!(merged.count(), single.count());
-        assert!((merged.mean_us() - single.mean_us()).abs() < 1e-9);
-        assert_eq!(merged.min_us(), single.min_us());
-        assert_eq!(merged.max_us(), single.max_us());
-        assert!((merged.p50_us() - single.p50_us()).abs() < 10.0);
-        assert!((merged.p99_us() - single.p99_us()).abs() < 10.0);
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
     }
 
     #[test]
@@ -702,8 +243,38 @@ mod tests {
     }
 
     #[test]
+    fn counts_do_not_wrap_and_extremes_saturate() {
+        let mut s = ExecTimeStats::new();
+        for us in 1..=100u64 {
+            s.record(Duration::from_micros(us));
+        }
+        let (p50, p99) = (s.p50_us(), s.p99_us());
+        // Doubling 40 times takes every bucket count past u32.
+        for _ in 0..40 {
+            let same = s.clone();
+            s.merge(&same);
+        }
+        assert_eq!(s.count(), 100 << 40);
+        assert!((s.mean_us() - 50.5).abs() < 1e-9);
+        assert!((s.p50_us() - p50).abs() <= p50 / 16.0);
+        assert!((s.p99_us() - p99).abs() <= p99 / 16.0);
+
+        // Past what nanoseconds in a u64 can hold: counted, clamped, no panic.
+        s.record(Duration::MAX);
+        assert_eq!(s.count(), (100 << 40) + 1);
+        assert_eq!(s.max_us(), u64::MAX as f64 / 1e3);
+        assert_eq!(s.quantile_us(1.0), s.max_us());
+        assert_eq!(s.min_us(), 1.0);
+    }
+
+    #[test]
     fn exec_time_stats_accumulate() {
         let mut s = ExecTimeStats::new();
+        assert_eq!(
+            (s.count(), s.mean_us(), s.min_us(), s.max_us()),
+            (0, 0.0, 0.0, 0.0)
+        );
+        assert_eq!((s.p50_us(), s.p99_us()), (0.0, 0.0));
         for i in 1..=100u64 {
             s.record(Duration::from_micros(i));
         }

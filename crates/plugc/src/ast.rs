@@ -21,11 +21,6 @@ impl Type {
         matches!(self, Type::I32 | Type::I64)
     }
 
-    /// True for f32/f64.
-    pub fn is_float(self) -> bool {
-        matches!(self, Type::F32 | Type::F64)
-    }
-
     /// The corresponding Wasm value type.
     pub fn to_wasm(self) -> waran_wasm::types::ValType {
         use waran_wasm::types::ValType;

@@ -287,15 +287,6 @@ impl Gnb {
             .unwrap_or_default()
     }
 
-    /// A UE's current EWMA throughput, bit/s.
-    pub fn ue_avg_tput_bps(&self, ue_id: u32) -> Option<f64> {
-        self.slices
-            .iter()
-            .flat_map(|s| s.ues.iter())
-            .find(|u| u.ue_id == ue_id)
-            .map(|u| u.avg_tput_bps)
-    }
-
     /// Change a slice's target rate at run time (a RIC control action).
     pub fn set_slice_target(&mut self, slice_id: u32, target_bps: Option<f64>) {
         if let Some(slice) = self.slices.get_mut(slice_id as usize) {

@@ -119,11 +119,6 @@ impl NearRtRic {
         self.xapps.push(xapp);
     }
 
-    /// Deployed xApp names, in order.
-    pub fn xapp_names(&self) -> Vec<String> {
-        self.xapps.iter().map(|x| x.name().to_string()).collect()
-    }
-
     /// The KPI store.
     pub fn kpis(&self) -> &KpiStore {
         &self.kpis

@@ -14,8 +14,8 @@
 //! Ops become three-address form (`dst`, `lhs`, `rhs` indices into one
 //! `[Value]` frame) and push/pop traffic disappears from the interpreter
 //! loop. The pass additionally tracks three abstract value kinds per
-//! stack cell — materialized [`Abs::Slot`], lazy local alias
-//! [`Abs::Local`] and lazy constant [`Abs::Const`] — so `local.get`,
+//! stack cell — materialized `Abs::Slot`, lazy local alias
+//! `Abs::Local` and lazy constant `Abs::Const` — so `local.get`,
 //! `const` and most copies are *deleted* rather than merely cheapened.
 //!
 //! This is the pipeline's only fusion pass — the flat IR it reads is one

@@ -23,6 +23,8 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# A doc link to a deleted or private item fails here, by name.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Static analysis: translation validation (register lowering proven
 # equivalent to the flat IR) plus resource-bound reports over every
