@@ -196,13 +196,13 @@ impl<T> PluginPre<T> {
     }
 
     /// Stamp out a live [`Plugin`] with host state `data`: memcpy the
-    /// snapshot, arm the policy's deadline, run `start`.
+    /// snapshot, run `start`. (The policy's deadline is armed by the
+    /// plugin per ABI call, from the call's own start.)
     pub fn instantiate(&self, data: T) -> Result<Plugin<T>, PluginError> {
-        let mut instance = self
+        let instance = self
             .pre
             .instantiate(data)
             .map_err(PluginError::Instantiate)?;
-        instance.set_deadline(self.policy.deadline);
         Ok(Plugin::from_parts(
             instance,
             self.policy,

@@ -234,7 +234,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A loaded, instantiated plugin with host state `T`.
 /// An ABI entry point resolved once at instantiation. The byte-buffer ABI
 /// calls `wrn_alloc`/`entry`/`wrn_reset` every slot; resolving the export
 /// by name each time is a linear string scan on the hot path.
@@ -288,6 +287,7 @@ fn resolve_export(module: &Module, name: &str, params: &[ValType]) -> AbiFn {
     }
 }
 
+/// A loaded, instantiated plugin with host state `T`.
 pub struct Plugin<T> {
     instance: Instance<T>,
     policy: SandboxPolicy,
@@ -399,15 +399,30 @@ impl<T> Plugin<T> {
     /// 4. the output bytes are copied out,
     /// 5. `wrn_reset()` (if exported) recycles the guest bump heap.
     ///
-    /// Fuel is re-armed per call when the policy meters it. The measured
-    /// duration (including both copies) is available via
+    /// Fuel is re-armed per call when the policy meters it, and the
+    /// policy's deadline covers the whole ABI call — all three guest
+    /// entries and both copies — measured from the call's start. The
+    /// measured duration (including both copies) is available via
     /// [`Self::last_call_duration`] and is stamped on faults too — a call
     /// that burns its whole fuel or deadline budget before trapping must
     /// not vanish from the latency record.
     pub fn call(&mut self, entry: &str, input: &[u8]) -> Result<Vec<u8>, PluginError> {
+        self.timed(|p| p.call_abi(entry, input))
+    }
+
+    /// Run one ABI call under the bookkeeping every call shares: one clock
+    /// read at its start, which both times the call (success or fault) and
+    /// anchors the policy's deadline, so deadline scope = fuel scope = one
+    /// ABI call and no guest entry reads the clock. The deadline is
+    /// disarmed afterwards: a direct [`Self::instance_mut`] invocation is
+    /// not part of any call.
+    fn timed<R>(&mut self, abi_call: impl FnOnce(&mut Self) -> R) -> R {
         let start = Instant::now();
         self.call_seq = self.call_seq.wrapping_add(1);
-        let result = self.call_abi(entry, input);
+        self.instance
+            .set_deadline_at(self.policy.deadline.map(|d| start + d));
+        let result = abi_call(self);
+        self.instance.set_deadline_at(None);
         self.last_call = Some(start.elapsed());
         result
     }
@@ -511,13 +526,10 @@ impl<T> Plugin<T> {
     ///
     /// Unlike [`Self::call`] this reuses the plugin's scratch buffer for the
     /// request bytes and decodes the response straight out of guest memory —
-    /// zero host-side allocations beyond the decoded allocation list.
+    /// zero host-side allocations beyond the decoded allocation list. As in
+    /// [`Self::call`], the policy's deadline covers the whole ABI call.
     pub fn call_sched(&mut self, req: &SchedRequest) -> Result<SchedResponse, PluginError> {
-        let start = Instant::now();
-        self.call_seq = self.call_seq.wrapping_add(1);
-        let result = self.call_sched_abi(req);
-        self.last_call = Some(start.elapsed());
-        result
+        self.timed(|p| p.call_sched_abi(req))
     }
 
     /// The ABI dance of [`Self::call_sched`], minus timing bookkeeping.

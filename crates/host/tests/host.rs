@@ -7,6 +7,7 @@ use waran_abi::sched::{Allocation, SchedRequest, SchedResponse, UeInfo};
 use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
 use waran_host::{PluginHost, SlotState};
 use waran_wasm::instance::Linker;
+use waran_wasm::interp::Value;
 use waran_wasm::Trap;
 
 fn compile(src: &str) -> Vec<u8> {
@@ -140,6 +141,66 @@ fn runaway_plugin_hits_deadline_or_fuel() {
     assert_eq!(
         p.call("run", &[]),
         Err(PluginError::Trap(Trap::DeadlineExceeded))
+    );
+}
+
+#[test]
+fn deadline_covers_the_whole_abi_call() {
+    // One `call` is three guest entries (`wrn_alloc`, the entry point,
+    // `wrn_reset`) under ONE wall-clock budget measured from the call's
+    // start. Here `wrn_alloc` and the entry each stall in a host function
+    // for 70 % of the deadline (how long comes from the host state), and
+    // the entry then retires enough instructions for the engine to poll
+    // the clock: 140 % of the budget is a `DeadlineExceeded`, even though
+    // neither guest entry overran it alone.
+    let wasm = waran_wasm::wat::assemble(
+        r#"(module
+          (import "env" "stall" (func $stall))
+          (memory 1)
+          (func (export "wrn_alloc") (param i32) (result i32)
+            call $stall
+            i32.const 1024)
+          (func (export "run") (param i32 i32) (result i64)
+            (local $i i32)
+            call $stall
+            loop $l
+              local.get $i i32.const 1 i32.add local.tee $i
+              i32.const 20000 i32.lt_u
+              br_if $l
+            end
+            i64.const 0))"#,
+    )
+    .expect("assembles");
+    let mut linker: Linker<Duration> = Linker::new();
+    linker.func("env", "stall", &[], &[], |stall, _, _| {
+        std::thread::sleep(*stall);
+        Ok(None)
+    });
+    let deadline = Duration::from_millis(100);
+    let policy = SandboxPolicy {
+        fuel_per_call: None,
+        deadline: Some(deadline),
+        ..SandboxPolicy::default()
+    };
+    let mut p = Plugin::new(&wasm, &linker, Duration::from_millis(70), policy).unwrap();
+    assert_eq!(
+        p.call("run", b"x"),
+        Err(PluginError::Trap(Trap::DeadlineExceeded))
+    );
+    assert!(p.last_call_duration().unwrap() >= deadline);
+    assert_eq!(p.instance().stats().traps, 1);
+
+    // The next call's budget starts at its own start, not at the last one's.
+    p.instance_mut().data = Duration::ZERO;
+    assert_eq!(p.call("run", b"x"), Ok(Vec::new()));
+
+    // And it ends with the call: a direct invocation once that budget has
+    // lapsed is outside any ABI call, so no deadline applies to it.
+    std::thread::sleep(deadline);
+    let args = [Value::I32(0), Value::I32(0)];
+    assert_eq!(
+        p.instance_mut().invoke("run", &args),
+        Ok(Some(Value::I64(0)))
     );
 }
 

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::instr::Instr;
 use crate::interp::{Memory, Table, Value};
@@ -210,14 +210,20 @@ pub struct Instance<T> {
     limits: ExecLimits,
     fuel: Option<u64>,
     fuel_limit: Option<u64>,
-    deadline: Option<Duration>,
+    deadline: Option<Instant>,
     stats: ExecStats,
     mode: ExecMode,
     /// Reused execution buffers: one flat register file shared by all
     /// frames (windows overlap at call boundaries) plus its frame stack
     /// survive across invocations so steady-state calls allocate nothing.
-    scratch_regs: Vec<Value>,
+    /// A register is an untyped 64-bit cell ([`Value::to_bits`]): the
+    /// validator and the lowering proof fixed every cell's type at load,
+    /// so the executor neither stores nor checks it.
+    scratch_regs: Vec<u64>,
     scratch_rframes: Vec<RFrame>,
+    /// Host-call arguments, re-tagged from the register window by the
+    /// import's signature.
+    scratch_host_args: Vec<Value>,
     /// Byte size of the memory this instance was stamped with from a
     /// template snapshot (0 otherwise): on drop, a buffer still that size
     /// is re-zeroed up to its dirty high-water mark and donated to the
@@ -647,6 +653,7 @@ impl<T> Instance<T> {
             mode: ExecMode::default(),
             scratch_regs: Vec::with_capacity(128),
             scratch_rframes: Vec::with_capacity(16),
+            scratch_host_args: Vec::new(),
             recycle_len,
         };
 
@@ -704,9 +711,12 @@ impl<T> Instance<T> {
         Some(self.fuel_limit? - self.fuel?)
     }
 
-    /// Set the wall-clock budget applied to each invocation. `None`
-    /// disables the deadline.
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) {
+    /// Set the absolute wall-clock instant past which guest code traps
+    /// with [`Trap::DeadlineExceeded`] (polled every few thousand retired
+    /// instructions). `None` disables the deadline. Like fuel, it stays in
+    /// force across invocations until reset: the embedder reads the clock
+    /// once per unit of work it wants bounded, and no guest entry reads it.
+    pub fn set_deadline_at(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
 
@@ -741,22 +751,24 @@ impl<T> Instance<T> {
             .module
             .exported_func(name)
             .ok_or_else(|| Trap::HostError(format!("no exported function `{name}`")))?;
-        let ty = self
-            .module
-            .func_type(func)
-            .ok_or_else(|| Trap::HostError(format!("export `{name}` has no type")))?;
-        if ty.params.len() != args.len() || ty.params.iter().zip(args).any(|(p, a)| *p != a.ty()) {
-            return Err(Trap::HostError(format!(
-                "argument mismatch calling `{name}`: expected {ty}",
-            )));
-        }
         self.call_func(func, args)
     }
 
     /// Invoke by module-wide function index (used by the RIC host for table
-    /// dispatch and by tests).
+    /// dispatch and by tests). `args` are held to the function's signature
+    /// here — the one place the embedder's values enter either executor —
+    /// and a mismatch is a [`Trap::HostError`] before any guest code runs.
     pub fn call_func(&mut self, func: u32, args: &[Value]) -> Result<Option<Value>, Trap> {
-        let deadline = self.deadline.map(|d| Instant::now() + d);
+        let ty = self
+            .module
+            .func_type(func)
+            .ok_or_else(|| Trap::HostError(format!("no function with index {func}")))?;
+        if ty.params.len() != args.len() || ty.params.iter().zip(args).any(|(p, a)| *p != a.ty()) {
+            return Err(Trap::HostError(format!(
+                "argument mismatch calling function {func}: expected {ty}",
+            )));
+        }
+        let deadline = self.deadline;
         let mut instrs: u64 = 0;
         // `host_funcs` holds one entry per function import, in index order.
         let result = if let Some(def) = self.host_funcs.get(func as usize) {
@@ -1495,6 +1507,8 @@ impl<T> Instance<T> {
 
     /// Run `entry` on the register-form IR. Reuses the instance's register
     /// file and frame stack so steady-state invocations allocate nothing.
+    /// `args` already match the entry's signature ([`Self::call_func`]);
+    /// the result is re-tagged from the same signature.
     fn exec_reg(
         &mut self,
         entry: u32,
@@ -1512,10 +1526,13 @@ impl<T> Instance<T> {
 
         let entry_local = entry - n_imports;
         let rf = module.reg_func(entry_local);
-        let ret_arity = rf.ret_arity;
-        regs.extend_from_slice(args);
-        regs.extend_from_slice(&rf.locals_init);
-        regs.resize(rf.frame_size as usize, Value::I32(0));
+        let ret_ty = module
+            .func_type(entry)
+            .and_then(|ty| ty.results.first().copied());
+        // Declared locals and the operand window start as zero words: zero
+        // bits are the zero of all four types.
+        regs.extend(args.iter().map(|v| v.to_bits()));
+        regs.resize(rf.frame_size as usize, 0);
         frames.push(RFrame {
             func: entry_local,
             pc: 0,
@@ -1524,7 +1541,7 @@ impl<T> Instance<T> {
         });
 
         let result = self.run_reg(&module, deadline, instrs, &mut regs, &mut frames);
-        let out = result.map(|()| if ret_arity == 1 { Some(regs[0]) } else { None });
+        let out = result.map(|()| ret_ty.map(|ty| Value::from_bits(ty, regs[0])));
 
         self.scratch_regs = regs;
         self.scratch_rframes = frames;
@@ -1537,12 +1554,20 @@ impl<T> Instance<T> {
     /// fuel, deadline and stack bounds checked once per basic block — but
     /// all operands are frame-relative register indices; there is no value
     /// stack and no locals arena, only `regs`.
+    ///
+    /// A register is an untyped word: each op reads its operands at the
+    /// type the op itself implies (an i32 read takes the low half, an i32
+    /// write zero-extends, so an i64 that last lived in the cell never
+    /// leaks its upper half) and `Copy`/`Select`/carried windows move the
+    /// word whole. A `Value` is rebuilt only where a type is *declared*:
+    /// the entry signature, a host import's signature, a global's own tag
+    /// and the operand type of a generic `Bin`/`Un` operator.
     fn run_reg(
         &mut self,
         module: &Arc<Module>,
         deadline: Option<Instant>,
         instrs: &mut u64,
-        regs: &mut Vec<Value>,
+        regs: &mut Vec<u64>,
         frames: &mut Vec<RFrame>,
     ) -> Result<(), Trap> {
         let n_imports = module.num_imported_funcs();
@@ -1566,6 +1591,18 @@ impl<T> Instance<T> {
                     regs[base + $i as usize]
                 };
             }
+            /// Read a register as an i32: the low half of the cell.
+            macro_rules! r32 {
+                ($i:expr) => {
+                    reg!($i) as i32
+                };
+            }
+            /// Write an i32 result, zero-extended.
+            macro_rules! w32 {
+                ($i:expr, $v:expr) => {
+                    reg!($i) = $v as u32 as u64
+                };
+            }
             /// Take a side-table branch; evaluates to the new pc. The
             /// carried window (`n ≤ 1` in the MVP) moves down to the
             /// target height; `n == 0` when the windows already coincide.
@@ -1577,6 +1614,37 @@ impl<T> Instance<T> {
                         regs.copy_within(src..src + rb.n as usize, base + rb.dst as usize);
                     }
                     rb.pc as usize
+                }};
+            }
+            /// Enter local function `$f` whose window starts at absolute
+            /// register `$abs`; `$wbase` is the same start frame-relative.
+            macro_rules! enter {
+                ($f:expr, $abs:expr, $wbase:expr) => {{
+                    let (f, abs) = ($f, $abs);
+                    if frames.len() >= self.limits.max_call_depth {
+                        return Err(Trap::StackOverflow);
+                    }
+                    frames.last_mut().expect("at least one frame").pc = pc as u32;
+                    let callee = module.reg_func(f);
+                    let need = abs + callee.frame_size as usize;
+                    if regs.len() < need {
+                        regs.resize(need, 0);
+                    }
+                    // Arguments are already in place at `abs..abs+argc`
+                    // (register-window overlap); declared locals still
+                    // need their zero values, whatever the caller's
+                    // operand stack left in those cells.
+                    regs[abs + callee.argc as usize..abs + callee.n_locals as usize].fill(0);
+                    frames.push(RFrame {
+                        func: f,
+                        pc: 0,
+                        base: abs as u32,
+                        // The operand-stack height at this call site:
+                        // `wbase - n_locals` is the caller's abstract
+                        // height minus the moved args.
+                        vbase: (vbase + $wbase as usize - n_locals) as u32,
+                    });
+                    continue 'frames;
                 }};
             }
 
@@ -1614,27 +1682,27 @@ impl<T> Instance<T> {
                     ROp::Unreachable => return Err(Trap::Unreachable),
                     ROp::Br(b) => pc = rbranch_to!(b),
                     ROp::BrIf { cond, br } => {
-                        if reg!(cond).as_i32() != 0 {
+                        if r32!(cond) != 0 {
                             pc = rbranch_to!(br);
                         }
                     }
                     ROp::BrIfZ { cond, br } => {
-                        if reg!(cond).as_i32() == 0 {
+                        if r32!(cond) == 0 {
                             pc = rbranch_to!(br);
                         }
                     }
                     ROp::BrIfCmp { op, a, b, br } => {
-                        if op.eval(reg!(a).as_i32(), reg!(b).as_i32()) != 0 {
+                        if op.eval(r32!(a), r32!(b)) != 0 {
                             pc = rbranch_to!(br);
                         }
                     }
                     ROp::BrIfCmpC { op, a, k, br } => {
-                        if op.eval(reg!(a).as_i32(), k) != 0 {
+                        if op.eval(r32!(a), k) != 0 {
                             pc = rbranch_to!(br);
                         }
                     }
                     ROp::BrTable { sel, start, n } => {
-                        let s = reg!(sel).as_u32().min(n);
+                        let s = (r32!(sel) as u32).min(n);
                         pc = rbranch_to!(start + s);
                     }
                     ROp::Return { src } => {
@@ -1647,138 +1715,69 @@ impl<T> Instance<T> {
                         }
                         continue 'frames;
                     }
-                    ROp::CallWasm { f, base: wbase } => {
-                        if frames.len() >= self.limits.max_call_depth {
-                            return Err(Trap::StackOverflow);
-                        }
-                        frames.last_mut().expect("at least one frame").pc = pc as u32;
-                        let callee = module.reg_func(f);
-                        let abs = base + wbase as usize;
-                        let need = abs + callee.frame_size as usize;
-                        if regs.len() < need {
-                            regs.resize(need, Value::I32(0));
-                        }
-                        // Arguments are already in place at `abs..abs+argc`
-                        // (register-window overlap); declared locals still
-                        // need their zero values.
-                        regs[abs + callee.argc as usize..abs + callee.n_locals as usize]
-                            .copy_from_slice(&callee.locals_init);
-                        frames.push(RFrame {
-                            func: f,
-                            pc: 0,
-                            base: abs as u32,
-                            // The operand-stack height at this call
-                            // site: `wbase - n_locals` is the caller's
-                            // abstract height minus the moved args.
-                            vbase: (vbase + wbase as usize - n_locals) as u32,
-                        });
-                        continue 'frames;
-                    }
-                    ROp::CallHost {
-                        f,
-                        base: wbase,
-                        argc,
-                        ret,
-                    } => {
-                        let expected = match ret {
-                            0 => None,
-                            1 => Some(ValType::I32),
-                            2 => Some(ValType::I64),
-                            3 => Some(ValType::F32),
-                            _ => Some(ValType::F64),
-                        };
-                        self.call_host_reg(
-                            f,
-                            argc as usize,
-                            expected,
-                            regs,
-                            base + wbase as usize,
-                        )?;
+                    ROp::CallWasm { f, base: wbase } => enter!(f, base + wbase as usize, wbase),
+                    // Arity and result type come from the import's own
+                    // signature, not from the op.
+                    ROp::CallHost { f, base: wbase, .. } => {
+                        self.call_host_reg(f, regs, base + wbase as usize)?
                     }
                     ROp::CallIndirect { ty, base: wbase } => {
                         let abs = base + wbase as usize;
                         let expected = &module.types[ty as usize];
                         let argc = expected.params.len();
-                        let idx = regs[abs + argc].as_u32();
+                        let idx = regs[abs + argc] as u32;
                         let func = self.table.get(idx)?;
                         let actual = module.func_type(func).ok_or(Trap::UninitializedElement)?;
                         if actual != expected {
                             return Err(Trap::IndirectCallTypeMismatch);
                         }
                         if func < n_imports {
-                            let ret = expected.results.first().copied();
-                            self.call_host_reg(func, argc, ret, regs, abs)?;
+                            self.call_host_reg(func, regs, abs)?;
                         } else {
-                            if frames.len() >= self.limits.max_call_depth {
-                                return Err(Trap::StackOverflow);
-                            }
-                            frames.last_mut().expect("at least one frame").pc = pc as u32;
-                            let local_func = func - n_imports;
-                            let callee = module.reg_func(local_func);
-                            let need = abs + callee.frame_size as usize;
-                            if regs.len() < need {
-                                regs.resize(need, Value::I32(0));
-                            }
-                            regs[abs + callee.argc as usize..abs + callee.n_locals as usize]
-                                .copy_from_slice(&callee.locals_init);
-                            frames.push(RFrame {
-                                func: local_func,
-                                pc: 0,
-                                base: abs as u32,
-                                vbase: (vbase + wbase as usize - n_locals) as u32,
-                            });
-                            continue 'frames;
+                            enter!(func - n_imports, abs, wbase);
                         }
                     }
                     ROp::Copy { dst, src } => reg!(dst) = reg!(src),
-                    ROp::ConstI32 { dst, k } => reg!(dst) = Value::I32(k),
-                    ROp::Const { dst, idx } => reg!(dst) = consts[idx as usize],
+                    ROp::ConstI32 { dst, k } => w32!(dst, k),
+                    ROp::Const { dst, idx } => reg!(dst) = consts[idx as usize].to_bits(),
                     ROp::Select { dst, cond, b } => {
                         // `dst` already holds the true-arm value.
-                        if reg!(cond).as_i32() == 0 {
+                        if r32!(cond) == 0 {
                             reg!(dst) = reg!(b);
                         }
                     }
-                    ROp::GlobalGet { dst, g } => reg!(dst) = self.globals[g as usize],
-                    ROp::GlobalSet { g, src } => self.globals[g as usize] = reg!(src),
-                    ROp::MemorySize { dst } => {
-                        reg!(dst) = Value::I32(self.memory.size_pages() as i32)
+                    ROp::GlobalGet { dst, g } => reg!(dst) = self.globals[g as usize].to_bits(),
+                    ROp::GlobalSet { g, src } => {
+                        let global = &mut self.globals[g as usize];
+                        *global = Value::from_bits(global.ty(), reg!(src));
                     }
+                    ROp::MemorySize { dst } => w32!(dst, self.memory.size_pages()),
                     ROp::MemoryGrow { dst, delta } => {
-                        let delta = reg!(delta).as_u32();
+                        let delta = r32!(delta) as u32;
                         let result = self.memory.grow(delta).map(|p| p as i32).unwrap_or(-1);
-                        reg!(dst) = Value::I32(result);
+                        w32!(dst, result);
                     }
                     ROp::MemoryCopy { dst, src, len } => {
-                        self.memory.copy(
-                            reg!(dst).as_u32(),
-                            reg!(src).as_u32(),
-                            reg!(len).as_u32(),
-                        )?;
+                        self.memory
+                            .copy(r32!(dst) as u32, r32!(src) as u32, r32!(len) as u32)?;
                     }
                     ROp::MemoryFill { dst, val, len } => {
-                        self.memory.fill(
-                            reg!(dst).as_u32(),
-                            reg!(val).as_i32() as u8,
-                            reg!(len).as_u32(),
-                        )?;
+                        self.memory
+                            .fill(r32!(dst) as u32, r32!(val) as u8, r32!(len) as u32)?;
                     }
-                    ROp::I32Bin { op, dst, a, b } => {
-                        let v = op.eval(reg!(a).as_i32(), reg!(b).as_i32());
-                        reg!(dst) = Value::I32(v);
-                    }
-                    ROp::I32BinC { op, dst, a, k } => {
-                        let v = op.eval(reg!(a).as_i32(), k);
-                        reg!(dst) = Value::I32(v);
-                    }
+                    ROp::I32Bin { op, dst, a, b } => w32!(dst, op.eval(r32!(a), r32!(b))),
+                    ROp::I32BinC { op, dst, a, k } => w32!(dst, op.eval(r32!(a), k)),
                     ROp::I64Bin { op, dst, a, b } => {
-                        reg!(dst) = op.eval(reg!(a).as_i64(), reg!(b).as_i64());
+                        reg!(dst) = op.eval(reg!(a) as i64, reg!(b) as i64).to_bits();
                     }
                     ROp::Bin { op, dst, a, b } => {
-                        reg!(dst) = op.eval(reg!(a), reg!(b))?;
+                        let ty = op.operand_ty();
+                        let (a, b) = (Value::from_bits(ty, reg!(a)), Value::from_bits(ty, reg!(b)));
+                        reg!(dst) = op.eval(a, b)?.to_bits();
                     }
                     ROp::Un { op, dst, a } => {
-                        reg!(dst) = op.eval(reg!(a))?;
+                        let a = Value::from_bits(op.operand_ty(), reg!(a));
+                        reg!(dst) = op.eval(a)?.to_bits();
                     }
                     ROp::Load {
                         kind,
@@ -1786,7 +1785,7 @@ impl<T> Instance<T> {
                         addr,
                         off,
                     } => {
-                        let a = reg!(addr).as_u32();
+                        let a = r32!(addr) as u32;
                         reg!(dst) = self.mem_load(kind, a, off)?;
                     }
                     ROp::Store {
@@ -1796,7 +1795,7 @@ impl<T> Instance<T> {
                         off,
                     } => {
                         let v = reg!(val);
-                        let a = reg!(addr).as_u32();
+                        let a = r32!(addr) as u32;
                         self.mem_store(kind, a, off, v)?;
                     }
                     ROp::LoadAt {
@@ -1806,7 +1805,7 @@ impl<T> Instance<T> {
                         k,
                         off,
                     } => {
-                        let a = reg!(a as u32).as_i32().wrapping_add(k) as u32;
+                        let a = r32!(a).wrapping_add(k) as u32;
                         reg!(dst) = self.mem_load(kind, a, off)?;
                     }
                     ROp::LoadRR {
@@ -1816,10 +1815,7 @@ impl<T> Instance<T> {
                         b,
                         off,
                     } => {
-                        let a = reg!(a as u32)
-                            .as_i32()
-                            .wrapping_add(reg!(b as u32).as_i32())
-                            as u32;
+                        let a = r32!(a).wrapping_add(r32!(b)) as u32;
                         reg!(dst) = self.mem_load(kind, a, off)?;
                     }
                     ROp::StoreAt {
@@ -1829,8 +1825,8 @@ impl<T> Instance<T> {
                         val,
                         off,
                     } => {
-                        let v = reg!(val as u32);
-                        let a = reg!(a as u32).as_i32().wrapping_add(k) as u32;
+                        let v = reg!(val);
+                        let a = r32!(a).wrapping_add(k) as u32;
                         self.mem_store(kind, a, off, v)?;
                     }
                     ROp::StoreRR {
@@ -1840,11 +1836,8 @@ impl<T> Instance<T> {
                         val,
                         off,
                     } => {
-                        let v = reg!(val as u32);
-                        let a = reg!(a as u32)
-                            .as_i32()
-                            .wrapping_add(reg!(b as u32).as_i32())
-                            as u32;
+                        let v = reg!(val);
+                        let a = r32!(a).wrapping_add(r32!(b)) as u32;
                         self.mem_store(kind, a, off, v)?;
                     }
                     ROp::LoadBis {
@@ -1856,11 +1849,10 @@ impl<T> Instance<T> {
                         k,
                         off,
                     } => {
-                        let a = reg!(a as u32)
-                            .as_i32()
-                            .wrapping_add(reg!(b as u32).as_i32().wrapping_shl(sh as u32))
+                        let a = r32!(a)
+                            .wrapping_add(r32!(b).wrapping_shl(sh as u32))
                             .wrapping_add(k as i32) as u32;
-                        reg!(dst as u32) = self.mem_load(kind, a, off)?;
+                        reg!(dst) = self.mem_load(kind, a, off)?;
                     }
                     ROp::StoreBis {
                         kind,
@@ -1871,21 +1863,16 @@ impl<T> Instance<T> {
                         val,
                         off,
                     } => {
-                        let v = reg!(val as u32);
-                        let a = reg!(a as u32)
-                            .as_i32()
-                            .wrapping_add(reg!(b as u32).as_i32().wrapping_shl(sh as u32))
+                        let v = reg!(val);
+                        let a = r32!(a)
+                            .wrapping_add(r32!(b).wrapping_shl(sh as u32))
                             .wrapping_add(k as i32) as u32;
                         self.mem_store(kind, a, off, v)?;
                     }
+                    // `v` is already the raw cell (i32 value or f32 bits).
                     ROp::StoreCAt { kind, a, k, v, off } => {
-                        let a = reg!(a as u32).as_i32().wrapping_add(k) as u32;
-                        let v = if matches!(kind, StoreKind::F32) {
-                            Value::F32(f32::from_bits(v))
-                        } else {
-                            Value::I32(v as i32)
-                        };
-                        self.mem_store(kind, a, off, v)?;
+                        let a = r32!(a).wrapping_add(k) as u32;
+                        self.mem_store(kind, a, off, v as u64)?;
                     }
                 }
             }
@@ -1894,62 +1881,60 @@ impl<T> Instance<T> {
 
     /// Width-dispatched load for the register loop (shared by the plain
     /// and address-fused forms; `a` is the fully computed i32 address).
+    /// Returns the register cell: 32-bit results zero-extended, the
+    /// sign-extending kinds extended to their result width first.
     #[inline]
-    fn mem_load(&mut self, kind: LoadKind, a: u32, off: u32) -> Result<Value, Trap> {
+    fn mem_load(&mut self, kind: LoadKind, a: u32, off: u32) -> Result<u64, Trap> {
         let m = &mut self.memory;
         Ok(match kind {
-            LoadKind::I32 => Value::I32(i32::from_le_bytes(m.read::<4>(a, off)?)),
-            LoadKind::I64 => Value::I64(i64::from_le_bytes(m.read::<8>(a, off)?)),
-            LoadKind::F32 => Value::F32(f32::from_le_bytes(m.read::<4>(a, off)?)),
-            LoadKind::F64 => Value::F64(f64::from_le_bytes(m.read::<8>(a, off)?)),
-            LoadKind::I32S8 => Value::I32(m.read::<1>(a, off)?[0] as i8 as i32),
-            LoadKind::I32U8 => Value::I32(m.read::<1>(a, off)?[0] as i32),
-            LoadKind::I32S16 => Value::I32(i16::from_le_bytes(m.read::<2>(a, off)?) as i32),
-            LoadKind::I32U16 => Value::I32(u16::from_le_bytes(m.read::<2>(a, off)?) as i32),
-            LoadKind::I64S8 => Value::I64(m.read::<1>(a, off)?[0] as i8 as i64),
-            LoadKind::I64U8 => Value::I64(m.read::<1>(a, off)?[0] as i64),
-            LoadKind::I64S16 => Value::I64(i16::from_le_bytes(m.read::<2>(a, off)?) as i64),
-            LoadKind::I64U16 => Value::I64(u16::from_le_bytes(m.read::<2>(a, off)?) as i64),
-            LoadKind::I64S32 => Value::I64(i32::from_le_bytes(m.read::<4>(a, off)?) as i64),
-            LoadKind::I64U32 => Value::I64(u32::from_le_bytes(m.read::<4>(a, off)?) as i64),
+            LoadKind::I32 | LoadKind::F32 | LoadKind::I64U32 => {
+                u32::from_le_bytes(m.read::<4>(a, off)?) as u64
+            }
+            LoadKind::I64 | LoadKind::F64 => u64::from_le_bytes(m.read::<8>(a, off)?),
+            LoadKind::I32S8 => m.read::<1>(a, off)?[0] as i8 as i32 as u32 as u64,
+            LoadKind::I32U8 | LoadKind::I64U8 => m.read::<1>(a, off)?[0] as u64,
+            LoadKind::I32S16 => i16::from_le_bytes(m.read::<2>(a, off)?) as i32 as u32 as u64,
+            LoadKind::I32U16 | LoadKind::I64U16 => u16::from_le_bytes(m.read::<2>(a, off)?) as u64,
+            LoadKind::I64S8 => m.read::<1>(a, off)?[0] as i8 as i64 as u64,
+            LoadKind::I64S16 => i16::from_le_bytes(m.read::<2>(a, off)?) as i64 as u64,
+            LoadKind::I64S32 => i32::from_le_bytes(m.read::<4>(a, off)?) as i64 as u64,
         })
     }
 
-    /// Width-dispatched store for the register loop.
+    /// Width-dispatched store for the register loop: the low `width` bytes
+    /// of the cell, which is the stored value for every kind.
     #[inline]
-    fn mem_store(&mut self, kind: StoreKind, a: u32, off: u32, v: Value) -> Result<(), Trap> {
+    fn mem_store(&mut self, kind: StoreKind, a: u32, off: u32, v: u64) -> Result<(), Trap> {
         match kind {
-            StoreKind::I32 => self.memory.write(a, off, v.as_i32().to_le_bytes()),
-            StoreKind::I64 => self.memory.write(a, off, v.as_i64().to_le_bytes()),
-            StoreKind::F32 => self.memory.write(a, off, v.as_f32().to_le_bytes()),
-            StoreKind::F64 => self.memory.write(a, off, v.as_f64().to_le_bytes()),
-            StoreKind::I32Lo8 => self.memory.write(a, off, [(v.as_i32() & 0xff) as u8]),
-            StoreKind::I32Lo16 => self.memory.write(a, off, (v.as_i32() as u16).to_le_bytes()),
-            StoreKind::I64Lo8 => self.memory.write(a, off, [(v.as_i64() & 0xff) as u8]),
-            StoreKind::I64Lo16 => self.memory.write(a, off, (v.as_i64() as u16).to_le_bytes()),
-            StoreKind::I64Lo32 => self.memory.write(a, off, (v.as_i64() as u32).to_le_bytes()),
+            StoreKind::I32Lo8 | StoreKind::I64Lo8 => self.memory.write(a, off, [v as u8]),
+            StoreKind::I32Lo16 | StoreKind::I64Lo16 => {
+                self.memory.write(a, off, (v as u16).to_le_bytes())
+            }
+            StoreKind::I32 | StoreKind::F32 | StoreKind::I64Lo32 => {
+                self.memory.write(a, off, (v as u32).to_le_bytes())
+            }
+            StoreKind::I64 | StoreKind::F64 => self.memory.write(a, off, v.to_le_bytes()),
         }
     }
 
-    /// Host call from the register loop: args are read from a register
-    /// window (no per-call allocation); the result overwrites the window
-    /// base, which the lowering pass reserved as the call's result cell.
-    fn call_host_reg(
-        &mut self,
-        f: u32,
-        argc: usize,
-        expected: Option<ValType>,
-        regs: &mut [Value],
-        abs_base: usize,
-    ) -> Result<(), Trap> {
-        let func = Arc::clone(&self.host_funcs[f as usize].func);
-        let result = func(
-            &mut self.data,
-            &mut self.memory,
-            &regs[abs_base..abs_base + argc],
+    /// Host call from the register loop: the import's signature re-tags
+    /// the argument window into the `&[Value]` host functions take (a
+    /// reused buffer, no per-call allocation) and names the result type;
+    /// the result overwrites the window base, which the lowering pass
+    /// reserved as the call's result cell.
+    fn call_host_reg(&mut self, f: u32, regs: &mut [u64], abs_base: usize) -> Result<(), Trap> {
+        let def = &self.host_funcs[f as usize];
+        self.scratch_host_args.clear();
+        let params = &def.ty.params;
+        self.scratch_host_args.extend(
+            params
+                .iter()
+                .zip(&regs[abs_base..abs_base + params.len()])
+                .map(|(&ty, &cell)| Value::from_bits(ty, cell)),
         );
-        if let Some(v) = check_host_result(expected, result?)? {
-            regs[abs_base] = v;
+        let result = (def.func)(&mut self.data, &mut self.memory, &self.scratch_host_args)?;
+        if let Some(v) = check_host_result(def.ty.results.first().copied(), result)? {
+            regs[abs_base] = v.to_bits();
         }
         Ok(())
     }

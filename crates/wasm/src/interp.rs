@@ -44,6 +44,32 @@ impl Value {
         }
     }
 
+    /// The payload as an untyped 64-bit register cell: i32/f32
+    /// zero-extended, i64/f64 as their bits. The register executor runs on
+    /// these; the type stays behind in whatever declared it.
+    #[inline(always)]
+    pub fn to_bits(self) -> u64 {
+        match self {
+            Value::I32(v) => v as u32 as u64,
+            Value::I64(v) => v as u64,
+            Value::F32(v) => v.to_bits() as u64,
+            Value::F64(v) => v.to_bits(),
+        }
+    }
+
+    /// Re-tag a register cell with the type a declaration gives it (a
+    /// signature, a global, an operator). 32-bit types read the low half
+    /// only, so whatever an earlier i64 left in the upper half is dropped.
+    #[inline(always)]
+    pub fn from_bits(ty: ValType, bits: u64) -> Value {
+        match ty {
+            ValType::I32 => Value::I32(bits as i32),
+            ValType::I64 => Value::I64(bits as i64),
+            ValType::F32 => Value::F32(f32::from_bits(bits as u32)),
+            ValType::F64 => Value::F64(f64::from_bits(bits)),
+        }
+    }
+
     /// Extract an i32; panics on type confusion (validated code cannot
     /// trigger this).
     pub fn as_i32(self) -> i32 {

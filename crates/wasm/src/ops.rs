@@ -18,6 +18,7 @@ use crate::instance::{
 use crate::instr::Instr;
 use crate::interp::Value;
 use crate::trap::Trap;
+use crate::types::ValType;
 
 /// Non-trapping i32 binary operator (arithmetic and comparisons;
 /// `div`/`rem` keep their own trapping ops).
@@ -200,6 +201,21 @@ mirror_ops! {
 }
 
 impl BinOp {
+    /// The type of both operands: what the register executor, whose cells
+    /// are untyped, re-tags them as before [`Self::eval`].
+    #[inline(always)]
+    pub(crate) fn operand_ty(self) -> ValType {
+        use BinOp::*;
+        match self {
+            I32DivS | I32DivU | I32RemS | I32RemU => ValType::I32,
+            I64DivS | I64DivU | I64RemS | I64RemU => ValType::I64,
+            F32Eq | F32Ne | F32Lt | F32Gt | F32Le | F32Ge | F32Add | F32Sub | F32Mul | F32Div
+            | F32Min | F32Max | F32Copysign => ValType::F32,
+            F64Eq | F64Ne | F64Lt | F64Gt | F64Le | F64Ge | F64Add | F64Sub | F64Mul | F64Div
+            | F64Min | F64Max | F64Copysign => ValType::F64,
+        }
+    }
+
     #[inline(always)]
     pub(crate) fn eval(self, a: Value, b: Value) -> Result<Value, Trap> {
         use BinOp::*;
@@ -316,6 +332,28 @@ mirror_ops! {
 }
 
 impl UnOp {
+    /// The operand's type (see [`BinOp::operand_ty`]).
+    #[inline(always)]
+    pub(crate) fn operand_ty(self) -> ValType {
+        use UnOp::*;
+        match self {
+            I32Eqz | I32Clz | I32Ctz | I32Popcnt | I64ExtendI32S | I64ExtendI32U
+            | F32ConvertI32S | F32ConvertI32U | F64ConvertI32S | F64ConvertI32U
+            | F32ReinterpretI32 | I32Extend8S | I32Extend16S => ValType::I32,
+            I64Eqz | I64Clz | I64Ctz | I64Popcnt | I32WrapI64 | F32ConvertI64S | F32ConvertI64U
+            | F64ConvertI64S | F64ConvertI64U | F64ReinterpretI64 | I64Extend8S | I64Extend16S
+            | I64Extend32S => ValType::I64,
+            F32Abs | F32Neg | F32Ceil | F32Floor | F32Trunc | F32Nearest | F32Sqrt
+            | I32TruncF32S | I32TruncF32U | I64TruncF32S | I64TruncF32U | F64PromoteF32
+            | I32ReinterpretF32 | I32TruncSatF32S | I32TruncSatF32U | I64TruncSatF32S
+            | I64TruncSatF32U => ValType::F32,
+            F64Abs | F64Neg | F64Ceil | F64Floor | F64Trunc | F64Nearest | F64Sqrt
+            | I32TruncF64S | I32TruncF64U | I64TruncF64S | I64TruncF64U | F32DemoteF64
+            | I64ReinterpretF64 | I32TruncSatF64S | I32TruncSatF64U | I64TruncSatF64S
+            | I64TruncSatF64U => ValType::F64,
+        }
+    }
+
     #[inline(always)]
     pub(crate) fn eval(self, a: Value) -> Result<Value, Trap> {
         use UnOp::*;

@@ -393,13 +393,7 @@ fn edge_operands(ty: ValType) -> Vec<Value> {
 
 /// A value as (type, bit pattern): NaNs and signed zeros compare exactly.
 fn bits(v: Value) -> (ValType, u64) {
-    let raw = match v {
-        Value::I32(x) => x as u32 as u64,
-        Value::I64(x) => x as u64,
-        Value::F32(x) => x.to_bits() as u64,
-        Value::F64(x) => x.to_bits(),
-    };
-    (v.ty(), raw)
+    (v.ty(), v.to_bits())
 }
 
 #[test]
@@ -658,6 +652,414 @@ fn differential_host_calls() {
     assert_eq!((reg.invokes, reg.traps), (6, 6));
     assert_eq!(reg.memory[256..260], [0xff; 4]);
     assert_eq!(reg.memory[32..36], 0i32.to_le_bytes());
+}
+
+// ---------------------------------------------------------------------
+// The typed/untyped boundary
+// ---------------------------------------------------------------------
+//
+// The register executor's cells are untyped 64-bit words; the oracle's
+// are tagged `Value`s. `differential_every_plain_opcode` runs one op on
+// clean cells. This section crosses the two executors where a cell's
+// history could show: a word that last held an i64 and now holds an i32,
+// a callee's declared locals over a window the caller used, bit patterns
+// that only survive if nothing re-interprets them on the way, and the
+// host boundary where a `Value` is rebuilt from a declaration.
+
+type Bits = (ValType, u64);
+
+/// `[Reference, Reg]` instances of one module.
+fn mode_pair<T>(src: &str, linker: &Linker<T>, data: impl Fn() -> T) -> [Instance<T>; 2] {
+    let wasm = wat::assemble(src).expect("module assembles");
+    let module = Arc::new(load_module(&wasm).expect("module validates"));
+    module.analysis().expect("lowering passes its proof");
+    [ExecMode::Reference, ExecMode::Reg].map(|mode| {
+        let mut inst = Instance::new(module.clone(), linker, data()).unwrap();
+        inst.set_exec_mode(mode);
+        inst
+    })
+}
+
+/// Call `name(args)` under both executors: result bits or trap agree, and
+/// so does `fuel_consumed()` when the call completes (a mid-block trap
+/// may differ by less than one block, see the header). Returns the agreed
+/// outcome.
+fn call_pair<T>(
+    insts: &mut [Instance<T>; 2],
+    name: &str,
+    args: &[Value],
+) -> Result<Option<Bits>, Trap> {
+    let [reference, reg] = insts.each_mut().map(|inst| {
+        inst.set_fuel(Some(1_000_000));
+        let out = inst.invoke(name, args).map(|v| v.map(bits));
+        (out, inst.fuel_consumed())
+    });
+    let ctx = format!("{name} {args:?}");
+    assert_eq!(reference.0, reg.0, "result diverged ({ctx})");
+    if reference.0.is_ok() {
+        assert_eq!(reference.1, reg.1, "fuel diverged ({ctx})");
+    }
+    reference.0
+}
+
+/// Does the register code of export `name` contain an op `pred` accepts?
+fn lowered_with(module: &Module, name: &str, pred: impl Fn(&ROp) -> bool) -> bool {
+    let local = module.exported_func(name).unwrap() - module.num_imported_funcs();
+    module.reg_func(local).ops.iter().any(pred)
+}
+
+/// Every export first loads an all-ones i64 into the bottom operand cell
+/// and drops it (a load may trap, so it is never elided), then computes
+/// the i32 `!a` into that same cell (an xor, which no address fusion
+/// absorbs) and feeds it to a consumer that would misbehave on a stale
+/// upper half.
+const DIRTY_WAT: &str = r#"(module
+  (import "env" "see" (func $see (param i32) (result i32)))
+  (memory 1 4)
+  (data (i32.const 0) "\ff\ff\ff\ff\ff\ff\ff\ff")
+  (func (export "extend") (param $a i32) (param $b i32) (result i64)
+    i32.const 0 i64.load drop
+    local.get $a i32.const -1 i32.xor
+    i64.extend_i32_u)
+  (func (export "load_rr") (param $a i32) (param $b i32) (result i32)
+    i32.const 0 i64.load drop
+    local.get $a i32.const -1 i32.xor
+    local.get $b i32.add
+    i32.load8_u)
+  (func (export "load_bis") (param $a i32) (param $b i32) (result i32)
+    i32.const 0 i64.load drop
+    local.get $a i32.const -1 i32.xor
+    local.get $b i32.const 2 i32.shl i32.add
+    i32.const 3 i32.add
+    i32.load8_u)
+  (func (export "table") (param $a i32) (param $b i32) (result i32)
+    block $default
+      block $two
+        block $one
+          block $zero
+            i32.const 0 i64.load drop
+            local.get $a i32.const -1 i32.xor
+            br_table $zero $one $two $default
+          end
+          i32.const 100 return
+        end
+        i32.const 101 return
+      end
+      i32.const 102 return
+    end
+    i32.const 103)
+  (func (export "grow") (param $a i32) (param $b i32) (result i32)
+    i32.const 0 i64.load drop
+    local.get $a i32.const -1 i32.xor
+    memory.grow)
+  (func (export "host") (param $a i32) (param $b i32) (result i32)
+    i32.const 0 i64.load drop
+    local.get $a i32.const -1 i32.xor
+    call $see))"#;
+
+#[test]
+fn differential_dirty_upper_halves() {
+    // The host sees exactly the typed value the guest computed.
+    let mut linker: Linker<Vec<Value>> = Linker::new();
+    linker.func(
+        "env",
+        "see",
+        &[ValType::I32],
+        &[ValType::I32],
+        |seen, _, a| {
+            seen.push(a[0]);
+            Ok(Some(a[0]))
+        },
+    );
+    let mut insts = mode_pair(DIRTY_WAT, &linker, Vec::new);
+    let module = insts[0].module().clone();
+    // The address forms the issue names are really what runs.
+    assert!(lowered_with(&module, "load_rr", |op| matches!(
+        op,
+        ROp::LoadRR { .. }
+    )));
+    assert!(lowered_with(&module, "load_bis", |op| matches!(
+        op,
+        ROp::LoadBis { .. }
+    )));
+
+    // `!a` lands on 0, 1, 2, u32::MAX, i32::MIN and the top of the
+    // one-page memory; `b` moves the address across the end and around
+    // 2³².
+    let firsts = [-1, -2, -3, 0, i32::MAX, !65_535, !65_534, !65_532];
+    let seconds = [0, 1, 2, -1, 16_383, 16_384];
+    let (mut completed, mut trapped) = (0u32, 0u32);
+    for name in ["extend", "load_rr", "load_bis", "table", "grow", "host"] {
+        for a in firsts {
+            for b in seconds {
+                match call_pair(&mut insts, name, &[Value::I32(a), Value::I32(b)]) {
+                    Ok(_) => completed += 1,
+                    Err(Trap::MemoryOutOfBounds { .. }) => trapped += 1,
+                    Err(t) => panic!("{name}({a}, {b}): unexpected trap {t}"),
+                }
+            }
+        }
+    }
+    assert!(
+        completed >= 200 && trapped >= 40,
+        "{completed} completed, {trapped} trapped"
+    );
+    let [reference, reg] = insts.each_ref().map(|inst| &inst.data);
+    assert_eq!(reference, reg, "host saw different arguments");
+    assert_eq!(reg.len(), firsts.len() * seconds.len());
+    assert!(reg.contains(&Value::I32(-1)) && reg.contains(&Value::I32(i32::MIN)));
+
+    // Anchors, so "both wrong the same way" cannot pass: a stale upper
+    // half would show as a wide value, a wild address, the default arm, a
+    // refused grow.
+    let mut insts = mode_pair(DIRTY_WAT, &linker, Vec::new);
+    let mut run =
+        |name: &str, a: i32, b: i32| call_pair(&mut insts, name, &[Value::I32(a), Value::I32(b)]);
+    let i32v = |v: i32| Ok(Some(bits(Value::I32(v))));
+    assert_eq!(run("extend", 0, 0), Ok(Some((ValType::I64, 0xffff_ffff))));
+    assert_eq!(run("load_rr", -1, 0), i32v(0xff));
+    assert_eq!(run("load_rr", !65_535, 0), i32v(0)); // the last byte
+    assert!(run("load_rr", !65_535, 1).is_err());
+    assert_eq!(run("load_rr", 0, 1), i32v(0xff)); // u32::MAX + 1 wraps to 0
+    assert_eq!(run("load_bis", -1, 1), i32v(0xff)); // byte 7, in the segment
+    assert_eq!(run("load_bis", -1, 2), i32v(0)); // byte 11, past it
+    assert_eq!(run("load_bis", !65_532, 0), i32v(0)); // the last byte
+    assert!(run("load_bis", !65_532, 1).is_err());
+    assert_eq!(run("table", -1, 0), i32v(100));
+    assert_eq!(run("table", -3, 0), i32v(102));
+    assert_eq!(run("table", 0, 0), i32v(103)); // selector u32::MAX: default
+    assert_eq!(run("grow", -2, 0), i32v(1)); // 1 page → 2
+    assert_eq!(run("grow", -3, 0), i32v(2)); // 2 pages → 4
+    assert_eq!(run("grow", -2, 0), i32v(-1)); // past the declared max
+    assert_eq!(run("host", i32::MAX, 0), i32v(i32::MIN));
+}
+
+/// `$callee` loops (so it stays a real call) and reports what its
+/// declared i64/f32/f64 locals read on entry, then leaves all-ones in
+/// them. `twice` calls it, fills the operand cells the next frame will
+/// overlap with all-ones i64s, and calls it again one cell higher.
+const LOCALS_WAT: &str = r#"(module
+  (memory 1)
+  (data (i32.const 0) "\ff\ff\ff\ff\ff\ff\ff\ff")
+  (func $callee (param $n i32) (result i64)
+    (local $l i64) (local $f f32) (local $d f64) (local $seen i64)
+    local.get $l
+    local.get $d i64.reinterpret_f64 i64.or
+    local.get $f i32.reinterpret_f32 i64.extend_i32_u i64.or
+    local.set $seen
+    loop $again
+      i64.const -1 local.set $l
+      i32.const -1 f32.reinterpret_i32 local.set $f
+      i64.const -1 f64.reinterpret_i64 local.set $d
+      local.get $n i32.const 1 i32.sub local.tee $n
+      br_if $again
+    end
+    local.get $seen)
+  (func (export "twice") (param $n i32) (result i64)
+    local.get $n call $callee
+    i32.const 0 i64.load i32.const 0 i64.load i32.const 0 i64.load
+    i32.const 0 i64.load i32.const 0 i64.load i32.const 0 i64.load
+    drop drop drop drop drop drop
+    local.get $n call $callee
+    i64.or))"#;
+
+#[test]
+fn differential_callee_locals_start_at_zero() {
+    let mut insts = mode_pair(LOCALS_WAT, &Linker::<()>::new(), || ());
+    let module = insts[0].module().clone();
+    assert!(
+        lowered_with(&module, "twice", |op| matches!(op, ROp::CallWasm { .. })),
+        "the callee was inlined: the test no longer enters a frame"
+    );
+    let mut cases = 0u32;
+    for n in [1, 2, 3, 7, 100] {
+        // Twice per instance too: the register file persists across calls.
+        for _ in 0..2 {
+            let out = call_pair(&mut insts, "twice", &[Value::I32(n)]);
+            assert_eq!(out, Ok(Some((ValType::I64, 0))), "n = {n}");
+            cases += 1;
+        }
+    }
+    assert!(cases >= 10, "{cases} cases");
+}
+
+/// One module per value type: every way a value moves without an
+/// operator touching it. `carry` branches out of a block with a second
+/// value underneath, so the carried window really moves down.
+fn preserve_wat(ty: &str) -> String {
+    format!(
+        r#"(module
+  (memory 1)
+  (global $g (mut {ty}) ({ty}.const 0))
+  (func (export "entry") (param {ty}) (result {ty})
+    local.get 0)
+  (func (export "copy") (param {ty}) (result {ty}) (local {ty})
+    local.get 0 local.set 1 local.get 1)
+  (func (export "select_a") (param {ty}) (result {ty})
+    local.get 0 {ty}.const 1 i32.const 1 select)
+  (func (export "select_b") (param {ty}) (result {ty})
+    {ty}.const 1 local.get 0 i32.const 0 select)
+  (func (export "carry") (param {ty}) (result {ty})
+    block (result {ty})
+      i64.const 5
+      local.get 0
+      i32.const 0 i32.load8_u i32.eqz
+      br_if 0
+      drop drop
+      {ty}.const 1
+    end)
+  (func (export "global") (param {ty}) (result {ty})
+    local.get 0 global.set $g
+    global.get $g)
+  (func (export "memory") (param {ty}) (result {ty})
+    i32.const 8 local.get 0 {ty}.store
+    i32.const 8 {ty}.load))"#
+    )
+}
+
+#[test]
+fn differential_bit_preservation() {
+    // NaNs quiet and signalling with payloads, both zeros, and integers
+    // with every half set.
+    let f32s = [0x7fc0_0001_u32, 0x7fa0_0000, 0xffc1_2345, 0x8000_0000, 0, 1];
+    let f64s = [
+        0x7ff8_0000_0000_0001_u64,
+        0x7ff4_0000_0000_0000,
+        0xfff8_dead_beef_0001,
+        0x8000_0000_0000_0000,
+        0,
+        1,
+    ];
+    let families: [(&str, Vec<Value>); 4] = [
+        ("i32", edge_operands(ValType::I32)),
+        (
+            "i64",
+            [-1, i64::MIN, 0x1234_5678_9abc_def0, 0xffff_ffff, 1 << 32]
+                .map(Value::I64)
+                .to_vec(),
+        ),
+        ("f32", f32s.map(|b| Value::F32(f32::from_bits(b))).to_vec()),
+        ("f64", f64s.map(|b| Value::F64(f64::from_bits(b))).to_vec()),
+    ];
+    let mut cases = 0u32;
+    for (ty, values) in families {
+        let mut insts = mode_pair(&preserve_wat(ty), &Linker::<()>::new(), || ());
+        for v in values {
+            for name in [
+                "entry", "copy", "select_a", "select_b", "carry", "global", "memory",
+            ] {
+                let out = call_pair(&mut insts, name, &[v]);
+                assert_eq!(out, Ok(Some(bits(v))), "{ty} {name} {v:?}");
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 150, "{cases} cases");
+}
+
+/// Nine parameters: the four types twice over, plus one.
+const NINE: [ValType; 9] = [
+    ValType::I32,
+    ValType::I64,
+    ValType::F32,
+    ValType::F64,
+    ValType::I32,
+    ValType::I64,
+    ValType::F32,
+    ValType::F64,
+    ValType::I32,
+];
+
+const BOUNDARY_WAT: &str = r#"(module
+  (import "env" "four" (func $four (param i32 i64 f32 f64) (result i64)))
+  (import "env" "nine"
+    (func $nine (param i32 i64 f32 f64 i32 i64 f32 f64 i32) (result f64)))
+  (import "env" "wrong" (func $wrong (param f32) (result f32)))
+  (func (export "four") (param i32 i64 f32 f64) (result i64)
+    local.get 0 local.get 1 local.get 2 local.get 3 call $four)
+  (func (export "nine") (param i32 i64 f32 f64) (result f64)
+    local.get 0 local.get 1 local.get 2 local.get 3
+    local.get 0 i32.const 1 i32.add
+    local.get 1 i64.const 1 i64.add
+    local.get 2 local.get 3
+    local.get 0 i32.const -1 i32.xor
+    call $nine)
+  (func (export "wrong") (param i32 i64 f32 f64) (result f32)
+    local.get 2 call $wrong))"#;
+
+/// The arguments of one host call, as (type, bit pattern) each.
+fn typed(args: &[Value]) -> Vec<Bits> {
+    args.iter().copied().map(bits).collect()
+}
+
+#[test]
+fn differential_host_boundary_is_typed() {
+    use ValType::{F32, F64, I32, I64};
+    // Each call logged as the host saw it; results echo an argument back.
+    let mut linker: Linker<Vec<Vec<Bits>>> = Linker::new();
+    linker.func("env", "four", &[I32, I64, F32, F64], &[I64], |log, _, a| {
+        log.push(typed(a));
+        Ok(Some(a[1]))
+    });
+    linker.func("env", "nine", &NINE, &[F64], |log, _, a| {
+        log.push(typed(a));
+        Ok(Some(a[7]))
+    });
+    // Declared `f32 -> f32`, returns the same bits as an i32.
+    linker.func("env", "wrong", &[F32], &[F32], |log, _, a| {
+        log.push(typed(a));
+        Ok(Some(Value::I32(a[0].as_f32().to_bits() as i32)))
+    });
+    let mut insts = mode_pair(BOUNDARY_WAT, &linker, Vec::new);
+
+    let quads = [
+        (-1_i32, -1_i64, 0xffc1_2345_u32, 0xfff8_dead_beef_0001_u64),
+        (i32::MIN, i64::MIN, 0x8000_0000, 0x8000_0000_0000_0000),
+        (7, 1 << 32, 0x7fa0_0000, 0x7ff4_0000_0000_0000),
+        (0, 0, 0, 0),
+    ];
+    let mut expected_log = Vec::new();
+    for (i, l, f, d) in quads {
+        let args = [
+            Value::I32(i),
+            Value::I64(l),
+            Value::F32(f32::from_bits(f)),
+            Value::F64(f64::from_bits(d)),
+        ];
+        let exact = typed(&args);
+
+        assert_eq!(
+            call_pair(&mut insts, "four", &args),
+            Ok(Some((I64, l as u64)))
+        );
+        expected_log.push(exact.clone());
+
+        assert_eq!(call_pair(&mut insts, "nine", &args), Ok(Some((F64, d))));
+        let mut nine = exact.clone();
+        nine.extend([
+            bits(Value::I32(i.wrapping_add(1))),
+            bits(Value::I64(l.wrapping_add(1))),
+            exact[2],
+            exact[3],
+            bits(Value::I32(!i)),
+        ]);
+        expected_log.push(nine);
+
+        let mistyped = Trap::HostError(format!(
+            "host function returned Some(I32({})), signature says Some(F32)",
+            f as i32
+        ));
+        assert_eq!(call_pair(&mut insts, "wrong", &args), Err(mistyped));
+        expected_log.push(vec![exact[2]]);
+    }
+    for inst in &insts {
+        assert_eq!(inst.data, expected_log, "{:?}", inst.exec_mode());
+    }
+    assert!(
+        expected_log.len() >= 12,
+        "{} host calls",
+        expected_log.len()
+    );
 }
 
 // ---------------------------------------------------------------------

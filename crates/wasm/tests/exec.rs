@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker};
+use waran_wasm::instance::{ExecLimits, ExecMode, Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::types::ValType;
 use waran_wasm::{load_module, wat, Trap};
@@ -382,8 +382,8 @@ fn deadline_interrupts_runaway_plugin() {
           br $l
         end))"#;
     let mut inst = instantiate(src);
-    inst.set_deadline(Some(Duration::from_millis(5)));
     let start = std::time::Instant::now();
+    inst.set_deadline_at(Some(start + Duration::from_millis(5)));
     assert_eq!(inst.invoke("spin", &[]), Err(Trap::DeadlineExceeded));
     // Must abort promptly (well within a second even on a loaded machine).
     assert!(start.elapsed() < Duration::from_secs(1));
@@ -614,6 +614,38 @@ fn invoke_binding_errors() {
 }
 
 #[test]
+fn call_func_holds_args_to_the_signature() {
+    // `call_func` is the public by-index entry and the one place the
+    // embedder's values enter an executor: a short, long or mistyped
+    // argument list is a `HostError` under both — never a panic, and never
+    // a value computed from whatever cell the missing argument aliased.
+    let src = r#"(module
+      (func (export "f") (param i32 f64) (result f64)
+        (local f64)
+        local.get 1 local.get 2 f64.add))"#;
+    for mode in [ExecMode::Reg, ExecMode::Reference] {
+        let mut inst = instantiate(src);
+        inst.set_exec_mode(mode);
+        let f = inst.module().exported_func("f").unwrap();
+        let (i, l, d) = (Value::I32(3), Value::I64(3), Value::F64(1.5));
+        for bad in [&[i][..], &[i, d, Value::I32(9)], &[l, d], &[]] {
+            let out = inst.call_func(f, bad);
+            assert!(
+                matches!(out, Err(Trap::HostError(_))),
+                "{mode:?} {bad:?}: {out:?}"
+            );
+        }
+        assert_eq!(inst.call_func(f, &[i, d]), Ok(Some(d)));
+        // An index past the function space is an error too, not a panic.
+        assert!(matches!(
+            inst.call_func(f + 1, &[]),
+            Err(Trap::HostError(_))
+        ));
+        assert_eq!((inst.stats().invokes, inst.stats().traps), (1, 0));
+    }
+}
+
+#[test]
 fn memory_copy_fill_instructions() {
     let src = r#"(module
       (memory 1)
@@ -818,7 +850,6 @@ fn out_of_fuel_still_counts_retired_instrs() {
     // Regression: the interpreter used to early-return on OutOfFuel without
     // flushing its local instruction counter into `ExecStats`, so a fuel
     // trap reported `instrs == 0` no matter how long the guest actually ran.
-    use waran_wasm::instance::ExecMode;
     let src = r#"(module
       (func (export "spin")
         loop $l
@@ -838,7 +869,6 @@ fn out_of_fuel_still_counts_retired_instrs() {
 
 #[test]
 fn exec_modes_agree_on_results_and_fuel() {
-    use waran_wasm::instance::ExecMode;
     let src = r#"(module
       (func $fib (export "fib") (param i32) (result i32)
         local.get 0
