@@ -43,7 +43,10 @@ fn write_alloc(out: i32, idx: i32, ue_id: i32, prbs: i32, priority: i32) {
     store_i32(slot, ue_id);
     store_u8(slot + 4, prbs & 255);
     store_u8(slot + 5, (prbs >> 8) & 255);
-    store_u8(slot + 6, priority & 255);
+    // Ranks past 255 saturate: all ones stores as 255, the lowest
+    // priority (wrapping would sort the 257th-ranked UE first). No branch,
+    // so this stays a straight-line helper the lowering inlines.
+    store_u8(slot + 6, priority | -(priority > 255));
     store_u8(slot + 7, 0);
 }
 

@@ -3,11 +3,11 @@
 //! traffic trace; here it is a property over arbitrary requests, run for
 //! 50 consecutive slots on one instance so RR's rotation and spill chain
 //! carry state across calls, plus the large-cell case the served bitmap
-//! used to corrupt.
+//! used to corrupt and the 273-PRB case whose ranks pass 255.
 
 use proptest::prelude::*;
 
-use waran_abi::sched::{SchedRequest, UeInfo};
+use waran_abi::sched::{SchedRequest, SchedResponse, UeInfo};
 use waran_core::plugins;
 use waran_host::{Plugin, SandboxPolicy};
 use waran_ransim::{MaxThroughput, ProportionalFair, RoundRobin, SliceScheduler};
@@ -24,9 +24,15 @@ fn plugin(wasm: &[u8]) -> Plugin<()> {
 }
 
 /// Feed the same request sequence to one Wasm instance and one native
-/// scheduler; every slot must produce identical allocations.
-fn assert_twins(wasm: &[u8], mut native: impl SliceScheduler, requests: &[SchedRequest]) {
+/// scheduler; every slot must produce identical allocations. Returns the
+/// last slot's response.
+fn assert_twins(
+    wasm: &[u8],
+    mut native: impl SliceScheduler,
+    requests: &[SchedRequest],
+) -> SchedResponse {
     let mut guest = plugin(wasm);
+    let mut last = SchedResponse::default();
     for req in requests {
         let got = guest.call_sched(req).expect("stock plugin schedules");
         let want = native.schedule(req).expect("native scheduler cannot fault");
@@ -39,7 +45,9 @@ fn assert_twins(wasm: &[u8], mut native: impl SliceScheduler, requests: &[SchedR
             req.ues.len(),
             req.prbs_granted
         );
+        last = got;
     }
+    last
 }
 
 /// Buffers with zeros mixed in (half the UEs idle on average, the rest
@@ -126,4 +134,69 @@ fn greedy_plugins_match_native_at_3000_ues_best_first() {
     let twice = [req.clone(), SchedRequest { slot: 1, ..req }];
     assert_twins(plugins::mt_wasm(), MaxThroughput::new(), &twice);
     assert_twins(plugins::pf_wasm(), ProportionalFair::new(), &twice);
+}
+
+/// The priority byte saturates at 255 in every scheduler: 273 PRBs over
+/// 500 UEs that each need exactly one PRB make 273 records, ranked by
+/// position. A wrapped rank would turn the 257th record's priority into
+/// 0 and sort it first in `Gnb::apply_response`. RR's rotation decides
+/// which UEs land past rank 255, so each run first advances it to a
+/// different head with one-UE slots (the greedy policies are stateless).
+#[test]
+fn priorities_saturate_past_256_records_at_273_prbs() {
+    let wide = |slot: u64| SchedRequest {
+        slot,
+        prbs_granted: 273,
+        slice_id: 0,
+        ues: (0..500u32)
+            .map(|i| {
+                let mix = i as u64 * 31 + slot * 17;
+                UeInfo {
+                    ue_id: 1000 + i,
+                    cqi: 10,
+                    mcs: 16,
+                    flags: 0,
+                    // At most 400 bits against at least 500 bits per PRB.
+                    buffer_bytes: 1 + (mix % 50) as u32,
+                    avg_tput_bps: 1e6 + 1e3 * ((mix * 7) % 500) as f64,
+                    prb_capacity_bits: 500.0 + (mix % 499) as f64,
+                }
+            })
+            .collect(),
+    };
+    let single = |slot: u64| SchedRequest {
+        slot,
+        prbs_granted: 1,
+        slice_id: 0,
+        ues: vec![UeInfo {
+            ue_id: 1,
+            cqi: 10,
+            mcs: 16,
+            flags: 0,
+            buffer_bytes: 1,
+            avg_tput_bps: 1e6,
+            prb_capacity_bits: 500.0,
+        }],
+    };
+    for start in [0u64, 137, 499] {
+        let run: Vec<SchedRequest> = (0..start)
+            .map(single)
+            .chain([wide(start), wide(start + 1)])
+            .collect();
+        let last = [
+            assert_twins(plugins::rr_wasm(), RoundRobin::new(), &run),
+            assert_twins(plugins::mt_wasm(), MaxThroughput::new(), &run),
+            assert_twins(plugins::pf_wasm(), ProportionalFair::new(), &run),
+        ];
+        for (policy, resp) in ["RR", "MT", "PF"].into_iter().zip(last) {
+            assert_eq!(resp.allocs.len(), 273, "{policy} from slot {start}");
+            for (rank, a) in resp.allocs.iter().enumerate() {
+                assert_eq!(
+                    a.priority as usize,
+                    rank.min(255),
+                    "{policy} from slot {start}, record {rank}"
+                );
+            }
+        }
+    }
 }

@@ -8,6 +8,11 @@
 //! quantize to byte-aligned code blocks) while preserving exactly what the
 //! paper's figures depend on: who gets scheduled, and at what rate a PRB
 //! converts to bits for a given channel quality.
+//!
+//! Link adaptation is a lookup: the CQI → MCS map and the bits per PRB of
+//! every MCS are computed at compile time from the TS 38.214 efficiency
+//! arrays, so [`cqi_to_mcs`] and [`bits_per_prb`] are one clamped index
+//! each — they run per UE row per slot on the massive plane.
 
 use std::time::Duration;
 
@@ -110,33 +115,52 @@ const CQI_EFFICIENCY: [f64; 16] = [
 /// Fraction of resource elements lost to control/reference signals.
 pub const OVERHEAD: f64 = 0.14;
 
-/// Map a CQI report to the highest MCS whose efficiency does not exceed
-/// the CQI's (the standard link-adaptation rule of thumb).
-pub fn cqi_to_mcs(cqi: u8) -> u8 {
-    let cqi = cqi.min(MAX_CQI) as usize;
-    if cqi as u8 == MAX_CQI {
-        // Peak CQI unlocks the peak MCS (the 64QAM table tops out slightly
-        // above CQI 15's efficiency; real schedulers make this jump too).
-        return MAX_MCS;
-    }
-    let target = CQI_EFFICIENCY[cqi];
-    let mut best = 0u8;
-    for (mcs, eff) in MCS_EFFICIENCY.iter().enumerate() {
-        if *eff <= target {
-            best = mcs as u8;
-        } else {
-            break;
+/// CQI → MCS for every CQI, computed at compile time: the highest MCS
+/// whose efficiency does not exceed the CQI's (the standard
+/// link-adaptation rule of thumb). Peak CQI unlocks the peak MCS: the
+/// 64QAM table tops out slightly above CQI 15's efficiency, and real
+/// schedulers make this jump too.
+const CQI_TO_MCS: [u8; MAX_CQI as usize + 1] = {
+    let mut table = [0u8; MAX_CQI as usize + 1];
+    let mut cqi = 0;
+    while cqi < MAX_CQI as usize {
+        let target = CQI_EFFICIENCY[cqi];
+        let mut mcs = 0;
+        while mcs < MCS_EFFICIENCY.len() && MCS_EFFICIENCY[mcs] <= target {
+            table[cqi] = mcs as u8;
+            mcs += 1;
         }
+        cqi += 1;
     }
-    best
+    table[MAX_CQI as usize] = MAX_MCS;
+    table
+};
+
+/// Transport-block bits of one PRB for one slot per MCS, computed at
+/// compile time: `12 subcarriers × 14 symbols × efficiency × (1 −
+/// overhead)`, floored.
+const BITS_PER_PRB: [u32; MAX_MCS as usize + 1] = {
+    let re_per_prb = 12.0 * 14.0; // subcarriers × OFDM symbols
+    let mut table = [0u32; MAX_MCS as usize + 1];
+    let mut mcs = 0;
+    while mcs < table.len() {
+        table[mcs] = (re_per_prb * MCS_EFFICIENCY[mcs] * (1.0 - OVERHEAD)).floor() as u32;
+        mcs += 1;
+    }
+    table
+};
+
+/// Map a CQI report to the highest MCS whose efficiency does not exceed
+/// the CQI's, and peak CQI to the peak MCS; CQIs above [`MAX_CQI`] are
+/// clamped.
+pub fn cqi_to_mcs(cqi: u8) -> u8 {
+    CQI_TO_MCS[cqi.min(MAX_CQI) as usize]
 }
 
 /// Transport-block capacity of one PRB for one slot at the given MCS, in
-/// bits.
+/// bits; MCS indices above [`MAX_MCS`] are clamped.
 pub fn bits_per_prb(mcs: u8) -> u32 {
-    let mcs = mcs.min(MAX_MCS) as usize;
-    let re_per_prb = 12.0 * 14.0; // subcarriers × OFDM symbols
-    (re_per_prb * MCS_EFFICIENCY[mcs] * (1.0 - OVERHEAD)).floor() as u32
+    BITS_PER_PRB[mcs.min(MAX_MCS) as usize]
 }
 
 /// Peak DL rate of a carrier at the given MCS, bit/s.
@@ -166,6 +190,43 @@ mod tests {
     fn mcs_efficiency_monotone() {
         for w in MCS_EFFICIENCY.windows(2) {
             assert!(w[1] > w[0]);
+        }
+    }
+
+    /// The link-adaptation scan the [`CQI_TO_MCS`] table replaces, kept as
+    /// its oracle.
+    fn cqi_to_mcs_scan(cqi: u8) -> u8 {
+        let cqi = cqi.min(MAX_CQI) as usize;
+        if cqi as u8 == MAX_CQI {
+            return MAX_MCS;
+        }
+        let target = CQI_EFFICIENCY[cqi];
+        let mut best = 0u8;
+        for (mcs, eff) in MCS_EFFICIENCY.iter().enumerate() {
+            if *eff <= target {
+                best = mcs as u8;
+            } else {
+                break;
+            }
+        }
+        best
+    }
+
+    /// The float expression the [`BITS_PER_PRB`] table replaces, kept as
+    /// its oracle.
+    fn bits_per_prb_formula(mcs: u8) -> u32 {
+        let mcs = mcs.min(MAX_MCS) as usize;
+        let re_per_prb = 12.0 * 14.0;
+        (re_per_prb * MCS_EFFICIENCY[mcs] * (1.0 - OVERHEAD)).floor() as u32
+    }
+
+    /// The compile-time tables equal the runtime formulas on every input,
+    /// so an edit to an efficiency array cannot desynchronise them.
+    #[test]
+    fn tables_equal_the_formulas() {
+        for x in 0..=u8::MAX {
+            assert_eq!(cqi_to_mcs(x), cqi_to_mcs_scan(x), "cqi {x}");
+            assert_eq!(bits_per_prb(x), bits_per_prb_formula(x), "mcs {x}");
         }
     }
 

@@ -89,7 +89,7 @@ impl SliceScheduler for RoundRobin {
                 allocs.push(Allocation {
                     ue_id: ue.ue_id,
                     prbs: give as u16,
-                    priority: i as u8,
+                    priority: i.min(255) as u8,
                 });
             }
         }

@@ -5,11 +5,13 @@
 # count for neither), parent IQR / median — ready to paste into CHANGES.md.
 #
 #   scripts/ab.sh <parent-slotbench> <change-slotbench> \
-#       [--pairs N] [--seconds S] [--layers] [workload...]
+#       [--pairs N] [--seconds S] [--seed N] [--layers] [workload...]
 #
 # Defaults come from BENCHMARK.json: its `run_seconds`, all its workloads,
-# its `end_to_end` metrics and their `better` direction; --pairs is 10.
-# Each run is `run --workload W --seed 3 --trace 0`; its last output line
+# its `end_to_end` metrics and their `better` direction; --pairs is 10 and
+# --seed is 3. Rerunning with another --seed (e.g. 11) is the other-seed
+# confirmation of a claimed gain: same pairs, same table.
+# Each run is `run --workload W --seed N --trace 0`; its last output line
 # (the driver's JSON result) is echoed to stderr, so `2> runs.log` keeps
 # every run made. Exits non-zero if any run reports `correct:false` or
 # `failed > 0`, or if two runs of a workload disagree on `attempted`.
@@ -24,7 +26,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 bench="$root/BENCHMARK.json"
 
 usage() {
-    sed -n '2,21p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 }
 
@@ -33,6 +35,7 @@ parent=$1
 change=$2
 shift 2
 pairs=10
+seed=3
 layers=0
 seconds=$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' "$bench")
 workloads=()
@@ -40,6 +43,7 @@ while [ "$#" -gt 0 ]; do
     case $1 in
     --pairs) pairs=$2; shift 2 ;;
     --seconds) seconds=$2; shift 2 ;;
+    --seed) seed=$2; shift 2 ;;
     --layers) layers=1; shift ;;
     -*) usage ;;
     *) workloads+=("$1"); shift ;;
@@ -67,7 +71,7 @@ for w in "${workloads[@]}"; do
         if ((i % 2)); then order="parent change"; else order="change parent"; fi
         for side in $order; do
             if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
-            line=$("$bin" run --workload "$w" --seed 3 --seconds "$seconds" --trace 0 | tail -n 1)
+            line=$("$bin" run --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
             echo "$w pair $i $side $line" >&2
             echo "$w $i $side $line" >>"$tmp/runs"
         done
@@ -137,7 +141,7 @@ awk -v metrics="$metrics" -v pairs="$pairs" "$num_fn"'
 for w in "${workloads[@]}"; do
     for side in parent change; do
         if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
-        line=$("$bin" run --workload "$w" --seed 3 --seconds "$seconds" --trace 1 | tail -n 1)
+        line=$("$bin" run --workload "$w" --seed "$seed" --seconds "$seconds" --trace 1 | tail -n 1)
         echo "$w layers $side $line" >&2
         echo "$w $side $line" >>"$tmp/layers"
     done
