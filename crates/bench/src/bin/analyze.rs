@@ -8,7 +8,8 @@
 //! nonzero: such a module must never reach a host.
 //!
 //! Usage:
-//!   analyze --builtin          # every example/fig5 plugin in the repo
+//!   analyze --builtin          # every example/fig5 plugin in the repo,
+//!                              # plus slotbench's two PlugC modules
 //!   analyze FILE...            # .wat (assembled here) or raw .wasm
 //!   analyze --reg ...          # also list each module's register code
 //!
@@ -72,6 +73,13 @@ fn line(r: &FuncReport) -> String {
     )
 }
 
+/// Slotbench's `plugin_churn` template, whose cold push `setup_s`
+/// measures, and its null scheduler. The template's `@TAG@` gets one fixed
+/// value of the kind the workload draws (bit 30 set, same encoded width).
+const CHURN_TEMPLATE: &str = include_str!("../../../slotbench/plugins/churn_template.plugc");
+const CHURN_TAG: &str = "1073741824";
+const NULL_SCHED: &str = include_str!("../../../slotbench/plugins/null_sched.plugc");
+
 fn builtin() -> Vec<(String, Vec<u8>)> {
     vec![
         ("rr".into(), plugins::rr_wasm().to_vec()),
@@ -84,6 +92,15 @@ fn builtin() -> Vec<(String, Vec<u8>)> {
         (
             "faulty/null-deref".into(),
             plugins::compile_faulty(faulty::NULL_DEREF),
+        ),
+        (
+            format!("slotbench/churn_template (tag {CHURN_TAG})"),
+            waran_plugc::compile(&CHURN_TEMPLATE.replace("@TAG@", CHURN_TAG))
+                .expect("churn template compiles"),
+        ),
+        (
+            "slotbench/null_sched".into(),
+            waran_plugc::compile(NULL_SCHED).expect("null scheduler compiles"),
         ),
     ]
 }

@@ -4,9 +4,20 @@ use crate::ast::*;
 use crate::lexer::{FloatWidth, IntWidth, Pos, Tok, Token};
 use crate::CompileError;
 
+/// The deepest nesting [`parse`] accepts. A function body is level 1, and
+/// each block, `else if`, parenthesis, call, unary, cast or binary operator
+/// adds a level to what it encloses. Deeper source is a [`CompileError`]:
+/// the parser and every later stage recurse over the tree, so an unbounded
+/// depth would let hostile source exhaust the stack.
+pub const MAX_NESTING: u32 = 256;
+
 /// Parse a token stream into a [`Program`].
 pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut items = Vec::new();
     while !p.at_end() {
         items.push(p.item()?);
@@ -17,6 +28,8 @@ pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting levels enclosing the construct being parsed.
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -66,6 +79,33 @@ impl<'a> Parser<'a> {
             Some(Tok::Ident(name)) => Ok((name.clone(), pos)),
             other => Err(pos.err(format!("expected {what}, found {other:?}"))),
         }
+    }
+
+    fn too_deep(pos: Pos) -> CompileError {
+        pos.err(format!("nesting deeper than {MAX_NESTING}"))
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth >= MAX_NESTING {
+            return Err(Self::too_deep(self.here()));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// The height of a new expression node at `pos` over operands of
+    /// height `h`, if the node still fits under [`MAX_NESTING`].
+    fn node(&self, pos: Pos, h: u32) -> Result<u32, CompileError> {
+        if self.depth + h >= MAX_NESTING {
+            return Err(Self::too_deep(pos));
+        }
+        Ok(h + 1)
     }
 
     fn ty(&mut self) -> Result<Type, CompileError> {
@@ -205,74 +245,27 @@ impl<'a> Parser<'a> {
 
     fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
         self.expect(&Tok::LBrace, "'{'")?;
-        let mut body = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            if self.at_end() {
-                return Err(self.here().err("unexpected end of input inside block"));
+        self.nested(|p| {
+            let mut body = Vec::new();
+            while !p.eat(&Tok::RBrace) {
+                if p.at_end() {
+                    return Err(p.here().err("unexpected end of input inside block"));
+                }
+                body.push(p.stmt()?);
             }
-            body.push(self.stmt()?);
-        }
-        Ok(body)
+            Ok(body)
+        })
     }
 
+    /// One statement. Each kind with an expression or a body has its own
+    /// method, so the frame that recurses into nested blocks stays small.
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
         let pos = self.here();
         match self.peek() {
-            Some(Tok::Var) => {
-                self.advance();
-                let (name, _) = self.ident("variable name")?;
-                self.expect(&Tok::Colon, "':' after variable name")?;
-                let ty = self.ty()?;
-                self.expect(&Tok::Assign, "'=' in var declaration")?;
-                let init = self.expr()?;
-                self.expect(&Tok::Semi, "';' after var declaration")?;
-                Ok(Stmt::Var {
-                    name,
-                    ty,
-                    init,
-                    pos,
-                })
-            }
-            Some(Tok::If) => {
-                self.advance();
-                self.expect(&Tok::LParen, "'(' after 'if'")?;
-                let cond = self.expr()?;
-                self.expect(&Tok::RParen, "')' after condition")?;
-                let then_body = self.block()?;
-                let else_body = if self.eat(&Tok::Else) {
-                    if self.peek() == Some(&Tok::If) {
-                        vec![self.stmt()?] // else if
-                    } else {
-                        self.block()?
-                    }
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    pos,
-                })
-            }
-            Some(Tok::While) => {
-                self.advance();
-                self.expect(&Tok::LParen, "'(' after 'while'")?;
-                let cond = self.expr()?;
-                self.expect(&Tok::RParen, "')' after condition")?;
-                let body = self.block()?;
-                Ok(Stmt::While { cond, body, pos })
-            }
-            Some(Tok::Return) => {
-                self.advance();
-                let value = if self.peek() == Some(&Tok::Semi) {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(&Tok::Semi, "';' after return")?;
-                Ok(Stmt::Return { value, pos })
-            }
+            Some(Tok::Var) => self.var_stmt(pos),
+            Some(Tok::If) => self.if_stmt(pos),
+            Some(Tok::While) => self.while_stmt(pos),
+            Some(Tok::Return) => self.return_stmt(pos),
             Some(Tok::Break) => {
                 self.advance();
                 self.expect(&Tok::Semi, "';' after break")?;
@@ -287,131 +280,107 @@ impl<'a> Parser<'a> {
                 let body = self.block()?;
                 Ok(Stmt::Block { body, pos })
             }
-            // Assignment or expression statement: disambiguate by lookahead.
-            Some(Tok::Ident(_))
-                if self.tokens.get(self.pos + 1).map(|t| &t.tok) == Some(&Tok::Assign) =>
-            {
-                let (name, _) = self.ident("assignment target")?;
-                self.advance(); // '='
-                let value = self.expr()?;
-                self.expect(&Tok::Semi, "';' after assignment")?;
-                Ok(Stmt::Assign { name, value, pos })
-            }
-            _ => {
-                let expr = self.expr()?;
-                self.expect(&Tok::Semi, "';' after expression")?;
-                Ok(Stmt::Expr { expr, pos })
-            }
+            _ => self.assign_or_expr_stmt(pos),
         }
+    }
+
+    fn var_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
+        self.advance();
+        let (name, _) = self.ident("variable name")?;
+        self.expect(&Tok::Colon, "':' after variable name")?;
+        let ty = self.ty()?;
+        self.expect(&Tok::Assign, "'=' in var declaration")?;
+        let init = self.expr()?;
+        self.expect(&Tok::Semi, "';' after var declaration")?;
+        Ok(Stmt::Var {
+            name,
+            ty,
+            init,
+            pos,
+        })
+    }
+
+    fn if_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
+        self.advance();
+        self.expect(&Tok::LParen, "'(' after 'if'")?;
+        let cond = self.expr()?;
+        self.expect(&Tok::RParen, "')' after condition")?;
+        let then_body = self.block()?;
+        let else_body = if self.eat(&Tok::Else) {
+            if self.peek() == Some(&Tok::If) {
+                vec![self.nested(Self::stmt)?] // else if
+            } else {
+                self.block()?
+            }
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If {
+            cond,
+            then_body,
+            else_body,
+            pos,
+        })
+    }
+
+    fn while_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
+        self.advance();
+        self.expect(&Tok::LParen, "'(' after 'while'")?;
+        let cond = self.expr()?;
+        self.expect(&Tok::RParen, "')' after condition")?;
+        let body = self.block()?;
+        Ok(Stmt::While { cond, body, pos })
+    }
+
+    fn return_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
+        self.advance();
+        let value = if self.peek() == Some(&Tok::Semi) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(&Tok::Semi, "';' after return")?;
+        Ok(Stmt::Return { value, pos })
+    }
+
+    /// Assignment or expression statement, told apart by lookahead.
+    fn assign_or_expr_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
+        if matches!(self.peek(), Some(Tok::Ident(_)))
+            && self.tokens.get(self.pos + 1).map(|t| &t.tok) == Some(&Tok::Assign)
+        {
+            let (name, _) = self.ident("assignment target")?;
+            self.advance(); // '='
+            let value = self.expr()?;
+            self.expect(&Tok::Semi, "';' after assignment")?;
+            return Ok(Stmt::Assign { name, value, pos });
+        }
+        let expr = self.expr()?;
+        self.expect(&Tok::Semi, "';' after expression")?;
+        Ok(Stmt::Expr { expr, pos })
     }
 
     // -- expressions (precedence climbing) ---------------------------------
+    //
+    // Each returns the expression with its height: the levels on its
+    // deepest path, one per parenthesis, call, unary, cast or binary
+    // operator (a literal or a name has height 0).
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.logical_or()
+        Ok(self.binary(0)?.0)
     }
 
-    fn logical_or(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.logical_and()?;
-        loop {
-            let pos = self.here();
-            if self.eat(&Tok::OrOr) {
-                let rhs = self.logical_and()?;
-                lhs = Expr::Bin {
-                    op: BinOp::LogicalOr,
-                    lhs: lhs.into(),
-                    rhs: rhs.into(),
-                    pos,
-                };
-            } else {
-                return Ok(lhs);
+    /// A `cast` operand, then every binary operator of precedence at
+    /// least `min`, folded left.
+    fn binary(&mut self, min: u8) -> Result<(Expr, u32), CompileError> {
+        let (mut lhs, mut h) = self.cast()?;
+        while let Some((op, prec)) = self.peek().and_then(binop) {
+            if prec < min {
+                break;
             }
-        }
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_or()?;
-        loop {
             let pos = self.here();
-            if self.eat(&Tok::AndAnd) {
-                let rhs = self.bit_or()?;
-                lhs = Expr::Bin {
-                    op: BinOp::LogicalAnd,
-                    lhs: lhs.into(),
-                    rhs: rhs.into(),
-                    pos,
-                };
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_xor()?;
-        loop {
-            let pos = self.here();
-            if self.eat(&Tok::Pipe) {
-                let rhs = self.bit_xor()?;
-                lhs = Expr::Bin {
-                    op: BinOp::Or,
-                    lhs: lhs.into(),
-                    rhs: rhs.into(),
-                    pos,
-                };
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_and()?;
-        loop {
-            let pos = self.here();
-            if self.eat(&Tok::Caret) {
-                let rhs = self.bit_and()?;
-                lhs = Expr::Bin {
-                    op: BinOp::Xor,
-                    lhs: lhs.into(),
-                    rhs: rhs.into(),
-                    pos,
-                };
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.equality()?;
-        loop {
-            let pos = self.here();
-            if self.eat(&Tok::Amp) {
-                let rhs = self.equality()?;
-                lhs = Expr::Bin {
-                    op: BinOp::And,
-                    lhs: lhs.into(),
-                    rhs: rhs.into(),
-                    pos,
-                };
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn equality(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let pos = self.here();
-            let op = match self.peek() {
-                Some(Tok::Eq) => BinOp::Eq,
-                Some(Tok::Ne) => BinOp::Ne,
-                _ => return Ok(lhs),
-            };
             self.advance();
-            let rhs = self.relational()?;
+            let (rhs, rh) = self.nested(|p| p.binary(prec + 1))?;
+            h = self.node(pos, h.max(rh))?;
             lhs = Expr::Bin {
                 op,
                 lhs: lhs.into(),
@@ -419,171 +388,107 @@ impl<'a> Parser<'a> {
                 pos,
             };
         }
+        Ok((lhs, h))
     }
 
-    fn relational(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.shift()?;
+    fn cast(&mut self) -> Result<(Expr, u32), CompileError> {
+        let (mut e, mut h) = self.unary()?;
         loop {
             let pos = self.here();
-            let op = match self.peek() {
-                Some(Tok::Lt) => BinOp::Lt,
-                Some(Tok::Le) => BinOp::Le,
-                Some(Tok::Gt) => BinOp::Gt,
-                Some(Tok::Ge) => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.shift()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: lhs.into(),
-                rhs: rhs.into(),
-                pos,
-            };
-        }
-    }
-
-    fn shift(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let pos = self.here();
-            let op = match self.peek() {
-                Some(Tok::Shl) => BinOp::Shl,
-                Some(Tok::Shr) => BinOp::Shr,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.additive()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: lhs.into(),
-                rhs: rhs.into(),
-                pos,
-            };
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let pos = self.here();
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: lhs.into(),
-                rhs: rhs.into(),
-                pos,
-            };
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.cast()?;
-        loop {
-            let pos = self.here();
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                Some(Tok::Percent) => BinOp::Rem,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.cast()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: lhs.into(),
-                rhs: rhs.into(),
-                pos,
-            };
-        }
-    }
-
-    fn cast(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.unary()?;
-        loop {
-            let pos = self.here();
-            if self.eat(&Tok::As) {
-                let ty = self.ty()?;
-                e = Expr::Cast {
-                    expr: e.into(),
-                    ty,
-                    pos,
-                };
-            } else {
-                return Ok(e);
+            if !self.eat(&Tok::As) {
+                return Ok((e, h));
             }
+            let ty = self.ty()?;
+            h = self.node(pos, h)?;
+            e = Expr::Cast {
+                expr: e.into(),
+                ty,
+                pos,
+            };
         }
     }
 
-    fn unary(&mut self) -> Result<Expr, CompileError> {
+    fn unary(&mut self) -> Result<(Expr, u32), CompileError> {
         let pos = self.here();
-        if self.eat(&Tok::Minus) {
-            let operand = self.unary()?;
-            Ok(Expr::Un {
-                op: UnOp::Neg,
-                operand: operand.into(),
-                pos,
-            })
-        } else if self.eat(&Tok::Not) {
-            let operand = self.unary()?;
-            Ok(Expr::Un {
-                op: UnOp::Not,
-                operand: operand.into(),
-                pos,
-            })
-        } else {
-            self.primary()
-        }
+        let op = match self.peek() {
+            Some(Tok::Minus) => UnOp::Neg,
+            Some(Tok::Not) => UnOp::Not,
+            _ => return self.primary(),
+        };
+        self.advance();
+        let (operand, h) = self.nested(Self::unary)?;
+        let operand = operand.into();
+        Ok((Expr::Un { op, operand, pos }, h + 1))
     }
 
-    fn primary(&mut self) -> Result<Expr, CompileError> {
+    fn primary(&mut self) -> Result<(Expr, u32), CompileError> {
         let pos = self.here();
+        let lit = |l| Ok((Expr::Lit(l, pos), 0));
         match self.advance().map(|t| &t.tok) {
             Some(Tok::Int(v, IntWidth::W32)) => {
                 let v = i32::try_from(*v).map_err(|_| {
                     pos.err(format!("integer {v} does not fit in i32 (use i64 suffix)"))
                 })?;
-                Ok(Expr::Lit(Literal::I32(v), pos))
+                lit(Literal::I32(v))
             }
-            Some(Tok::Int(v, IntWidth::W64)) => Ok(Expr::Lit(Literal::I64(*v), pos)),
-            Some(Tok::Float(v, FloatWidth::W32)) => Ok(Expr::Lit(Literal::F32(*v as f32), pos)),
-            Some(Tok::Float(v, FloatWidth::W64)) => Ok(Expr::Lit(Literal::F64(*v), pos)),
-            Some(Tok::Ident(name)) => {
-                if self.peek() == Some(&Tok::LParen) {
-                    self.advance();
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
+            Some(Tok::Int(v, IntWidth::W64)) => lit(Literal::I64(*v)),
+            Some(Tok::Float(v, FloatWidth::W32)) => lit(Literal::F32(*v as f32)),
+            Some(Tok::Float(v, FloatWidth::W64)) => lit(Literal::F64(*v)),
+            Some(Tok::Ident(name)) if self.eat(&Tok::LParen) => {
+                let (args, h) = self.nested(|p| {
+                    let (mut args, mut h) = (Vec::new(), 0);
+                    if !p.eat(&Tok::RParen) {
                         loop {
-                            args.push(self.expr()?);
-                            if self.eat(&Tok::RParen) {
+                            let (arg, ah) = p.binary(0)?;
+                            args.push(arg);
+                            h = h.max(ah);
+                            if p.eat(&Tok::RParen) {
                                 break;
                             }
-                            self.expect(&Tok::Comma, "',' between arguments")?;
+                            p.expect(&Tok::Comma, "',' between arguments")?;
                         }
                     }
-                    Ok(Expr::Call {
-                        name: name.clone(),
-                        args,
-                        pos,
-                    })
-                } else {
-                    Ok(Expr::Ident(name.clone(), pos))
-                }
+                    Ok((args, h))
+                })?;
+                let name = name.clone();
+                Ok((Expr::Call { name, args, pos }, h + 1))
             }
+            Some(Tok::Ident(name)) => Ok((Expr::Ident(name.clone(), pos), 0)),
             Some(Tok::LParen) => {
-                let e = self.expr()?;
+                let (e, h) = self.nested(|p| p.binary(0))?;
                 self.expect(&Tok::RParen, "')'")?;
-                Ok(e)
+                Ok((e, h + 1))
             }
             other => Err(pos.err(format!("expected an expression, found {other:?}"))),
         }
     }
+}
+
+/// A binary operator token's operator and precedence, loosest first: C's
+/// order, which LANGUAGE.md's "Expressions" list states. Every level folds
+/// left.
+fn binop(tok: &Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::LogicalOr, 0),
+        Tok::AndAnd => (BinOp::LogicalAnd, 1),
+        Tok::Pipe => (BinOp::Or, 2),
+        Tok::Caret => (BinOp::Xor, 3),
+        Tok::Amp => (BinOp::And, 4),
+        Tok::Eq => (BinOp::Eq, 5),
+        Tok::Ne => (BinOp::Ne, 5),
+        Tok::Lt => (BinOp::Lt, 6),
+        Tok::Le => (BinOp::Le, 6),
+        Tok::Gt => (BinOp::Gt, 6),
+        Tok::Ge => (BinOp::Ge, 6),
+        Tok::Shl => (BinOp::Shl, 7),
+        Tok::Shr => (BinOp::Shr, 7),
+        Tok::Plus => (BinOp::Add, 8),
+        Tok::Minus => (BinOp::Sub, 8),
+        Tok::Star => (BinOp::Mul, 9),
+        Tok::Slash => (BinOp::Div, 9),
+        Tok::Percent => (BinOp::Rem, 9),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

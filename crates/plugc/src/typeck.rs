@@ -278,9 +278,14 @@ impl Checker {
 
     fn check_block(&self, stmts: &[Stmt], ctx: &mut FnCtx) -> Result<Vec<TStmt>, CompileError> {
         ctx.scopes.push(HashMap::new());
-        let result = stmts.iter().map(|s| self.check_stmt(s, ctx)).collect();
+        // A plain loop: an iterator chain adds several frames per nested
+        // block, and nesting depth is bounded in levels, not bytes.
+        let mut body = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            body.push(self.check_stmt(s, ctx)?);
+        }
         ctx.scopes.pop();
-        result
+        Ok(body)
     }
 
     fn check_stmt(&self, stmt: &Stmt, ctx: &mut FnCtx) -> Result<TStmt, CompileError> {
@@ -290,32 +295,8 @@ impl Checker {
                 ty,
                 init,
                 pos,
-            } => {
-                let value = self.check_expr(init, ctx)?;
-                expect_ty(&value, *ty, *pos)?;
-                let idx = ctx.locals.len() as u32;
-                ctx.locals.push(*ty);
-                let scope = ctx.scopes.last_mut().expect("scope stack non-empty");
-                if scope.insert(name.clone(), idx).is_some() {
-                    return Err(pos.err(format!("duplicate variable `{name}` in this scope")));
-                }
-                Ok(TStmt::SetLocal { idx, value })
-            }
-            Stmt::Assign { name, value, pos } => {
-                let value = self.check_expr(value, ctx)?;
-                if let Some(idx) = ctx.lookup(name) {
-                    expect_ty(&value, ctx.locals[idx as usize], *pos)?;
-                    Ok(TStmt::SetLocal { idx, value })
-                } else if let Some(&(idx, ty, mutable)) = self.global_table.get(name) {
-                    if !mutable {
-                        return Err(pos.err(format!("cannot assign to const `{name}`")));
-                    }
-                    expect_ty(&value, ty, *pos)?;
-                    Ok(TStmt::SetGlobal { idx, value })
-                } else {
-                    Err(pos.err(format!("unknown variable `{name}`")))
-                }
-            }
+            } => self.check_var(name, *ty, init, *pos, ctx),
+            Stmt::Assign { name, value, pos } => self.check_assign(name, value, *pos, ctx),
             Stmt::If {
                 cond,
                 then_body,
@@ -338,16 +319,7 @@ impl Checker {
                 ctx.loop_depth -= 1;
                 Ok(TStmt::While { cond, body })
             }
-            Stmt::Return { value, pos } => match (value, ctx.ret) {
-                (Some(e), Some(rt)) => {
-                    let value = self.check_expr(e, ctx)?;
-                    expect_ty(&value, rt, *pos)?;
-                    Ok(TStmt::Return { value: Some(value) })
-                }
-                (None, None) => Ok(TStmt::Return { value: None }),
-                (Some(_), None) => Err(pos.err("return with a value in a void function")),
-                (None, Some(rt)) => Err(pos.err(format!("return without a value; expected {rt}"))),
-            },
+            Stmt::Return { value, pos } => self.check_return(value.as_ref(), *pos, ctx),
             Stmt::Break { pos } => {
                 if ctx.loop_depth == 0 {
                     return Err(pos.err("`break` outside a loop"));
@@ -380,6 +352,68 @@ impl Checker {
                     else_body: Vec::new(),
                 })
             }
+        }
+    }
+
+    // `check_stmt`'s leaf statements, kept out of the frame that recurses
+    // into nested blocks.
+
+    fn check_var(
+        &self,
+        name: &str,
+        ty: Type,
+        init: &Expr,
+        pos: Pos,
+        ctx: &mut FnCtx,
+    ) -> Result<TStmt, CompileError> {
+        let value = self.check_expr(init, ctx)?;
+        expect_ty(&value, ty, pos)?;
+        let idx = ctx.locals.len() as u32;
+        ctx.locals.push(ty);
+        let scope = ctx.scopes.last_mut().expect("scope stack non-empty");
+        if scope.insert(name.to_string(), idx).is_some() {
+            return Err(pos.err(format!("duplicate variable `{name}` in this scope")));
+        }
+        Ok(TStmt::SetLocal { idx, value })
+    }
+
+    fn check_assign(
+        &self,
+        name: &str,
+        value: &Expr,
+        pos: Pos,
+        ctx: &FnCtx,
+    ) -> Result<TStmt, CompileError> {
+        let value = self.check_expr(value, ctx)?;
+        if let Some(idx) = ctx.lookup(name) {
+            expect_ty(&value, ctx.locals[idx as usize], pos)?;
+            Ok(TStmt::SetLocal { idx, value })
+        } else if let Some(&(idx, ty, mutable)) = self.global_table.get(name) {
+            if !mutable {
+                return Err(pos.err(format!("cannot assign to const `{name}`")));
+            }
+            expect_ty(&value, ty, pos)?;
+            Ok(TStmt::SetGlobal { idx, value })
+        } else {
+            Err(pos.err(format!("unknown variable `{name}`")))
+        }
+    }
+
+    fn check_return(
+        &self,
+        value: Option<&Expr>,
+        pos: Pos,
+        ctx: &FnCtx,
+    ) -> Result<TStmt, CompileError> {
+        match (value, ctx.ret) {
+            (Some(e), Some(rt)) => {
+                let value = self.check_expr(e, ctx)?;
+                expect_ty(&value, rt, pos)?;
+                Ok(TStmt::Return { value: Some(value) })
+            }
+            (None, None) => Ok(TStmt::Return { value: None }),
+            (Some(_), None) => Err(pos.err("return with a value in a void function")),
+            (None, Some(rt)) => Err(pos.err(format!("return without a value; expected {rt}"))),
         }
     }
 
