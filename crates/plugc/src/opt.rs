@@ -26,9 +26,24 @@
 //! the next round. Each rewrite removes a call node and adds none, so the
 //! rounds terminate. Inlined helpers stay in the module (they may be
 //! exported, and function indices do not move).
+//!
+//! An inline whose result would be taller than [`MAX_NESTING`] or larger
+//! than [`MAX_INLINED_NODES`] keeps the call. Substitution stacks one
+//! helper's tree on the next, so without the bounds a chain of helpers —
+//! each within the parser's nesting limit — compiles to a tree as tall as
+//! all of them together, which every later stage recurses over, and a
+//! helper that calls its predecessor twice doubles the code per line of
+//! source. An inlined tree holds no call, so no later round inlines into
+//! it: a root is at most the parser's nesting plus one bounded inline
+//! deep, and a function body grows by at most one bounded inline per call
+//! in its source.
 
 use crate::ast::BinOp;
+use crate::parser::MAX_NESTING;
 use crate::typeck::{TExpr, TExprKind, TProgram, TStmt};
+
+/// The most expression nodes one inline may produce.
+pub const MAX_INLINED_NODES: usize = 4096;
 
 /// Optimise a checked program. Behaviour-preserving by construction: see
 /// the module docs for the argument.
@@ -165,6 +180,33 @@ fn is_trivial(e: &TExpr) -> bool {
     matches!(e.kind, TExprKind::Lit(_) | TExprKind::LocalGet(_))
 }
 
+/// Height (a leaf is 1) and node count of an expression tree.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    height: u32,
+    nodes: usize,
+}
+
+/// The shape of `e`, with each parameter read counted as the argument
+/// of shape `args[p]` when `args` is given — the shape a substitution
+/// would produce, measured without building it.
+fn shape(e: &TExpr, args: Option<&[Shape]>) -> Shape {
+    if let (TExprKind::LocalGet(p), Some(args)) = (&e.kind, args) {
+        return args[*p as usize];
+    }
+    let mut out = Shape {
+        height: 0,
+        nodes: 1,
+    };
+    for_each_child(e, |c| {
+        let c = shape(c, args);
+        out.height = out.height.max(c.height);
+        out.nodes += c.nodes;
+    });
+    out.height += 1;
+    out
+}
+
 /// Rewrite every inlinable helper call in `e`, innermost first. Returns
 /// whether anything changed.
 fn inline_calls(e: &mut TExpr, helpers: &Helpers) -> bool {
@@ -181,6 +223,11 @@ fn inline_calls(e: &mut TExpr, helpers: &Helpers) -> bool {
         .enumerate()
         .all(|(p, a)| is_pure(a) && (is_trivial(a) || uses(body, p as u32) <= 1));
     if !inlinable {
+        return changed;
+    }
+    let arg_shapes: Vec<Shape> = args.iter().map(|a| shape(a, None)).collect();
+    let result = shape(body, Some(&arg_shapes));
+    if result.height > MAX_NESTING || result.nodes > MAX_INLINED_NODES {
         return changed;
     }
     let mut inlined = body.clone();
@@ -272,6 +319,19 @@ mod tests {
             // outer argument is pure — everything else must stay a call.
             assert_eq!(calls_left(&src), arg != "id(a)", "id({arg})");
         }
+    }
+
+    #[test]
+    fn an_inline_taller_than_the_nesting_limit_stays_a_call() {
+        // `x` sits 250 levels down the helper's chain: a trivial argument
+        // fits under the limit, a 10-level one would not.
+        let tall = format!(
+            "fn tall(x: i32) -> i32 {{ return x{}; }}\n",
+            " + 1".repeat(249)
+        );
+        let call = |arg: &str| format!("{tall}fn caller(a: i32) -> i32 {{ return tall({arg}); }}");
+        assert!(!calls_left(&call("a")));
+        assert!(calls_left(&call(&format!("a{}", " + 1".repeat(9)))));
     }
 
     #[test]

@@ -96,3 +96,67 @@ fn optimised_equals_unoptimised_on_edge_arguments() {
         }
     }
 }
+
+/// Compile `src` both ways in under a second (a debug build), then check
+/// the optimised module against the unoptimised one on a few arguments.
+fn check_bounded(name: &str, src: &str, args: &[(i32, i32)]) {
+    let start = std::time::Instant::now();
+    waran_plugc::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let took = start.elapsed();
+    assert!(took.as_secs_f64() < 1.0, "{name}: compiled in {took:?}");
+    let program = parser::parse(&lexer::lex(src).unwrap()).unwrap();
+    let typed = typeck::check(&program).unwrap();
+    let opts = Options::default();
+    for &(a, b) in args {
+        let plain = run(codegen::generate(&program, &typed, &opts).unwrap(), a, b);
+        let optimised = run(
+            codegen::generate(&program, &opt::optimize(typed.clone()), &opts).unwrap(),
+            a,
+            b,
+        );
+        assert!(plain.result.is_ok(), "{name}: {:?}", plain.result);
+        assert_eq!(plain.result, optimised.result, "{name} ({a}, {b})");
+        assert!(optimised.fuel <= plain.fuel, "{name} ({a}, {b})");
+    }
+}
+
+#[test]
+fn a_chain_of_tall_helpers_is_not_inlined_into_one_tree() {
+    // 150 one-line helpers, each a 200-term chain over its predecessor:
+    // inlined end to end, a 30 000-deep tree from 120 KB of source.
+    let terms = " + x".repeat(199);
+    let mut src = format!("fn h0(x: i32) -> i32 {{ return x{terms}; }}\n");
+    for i in 1..150 {
+        src += &format!(
+            "fn h{i}(x: i32) -> i32 {{ return h{}(x){terms}; }}\n",
+            i - 1
+        );
+    }
+    src += "export fn main(a: i32, b: i32) -> i32 { return h149(a) - b; }\n";
+    check_bounded("tall chain", &src, &[(0, 0), (1, 7), (-3, i32::MAX)]);
+}
+
+#[test]
+fn a_chain_of_doubling_helpers_is_not_inlined_exponentially() {
+    // Each helper calls its predecessor twice: inlined end to end, 2^k
+    // nodes from k lines of source.
+    let doubling = |k: usize| {
+        let mut src = String::from("fn d0(x: i32) -> i32 { return x; }\n");
+        for i in 1..=k {
+            src += &format!(
+                "fn d{i}(x: i32) -> i32 {{ return d{0}(x) + d{0}(x); }}\n",
+                i - 1
+            );
+        }
+        src + &format!("export fn main(a: i32, b: i32) -> i32 {{ return d{k}(a) ^ b; }}\n")
+    };
+    // Run where the uninlined calls stay cheap; compile far past it.
+    check_bounded("doubling ×14", &doubling(14), &[(0, 0), (5, -1)]);
+    let start = std::time::Instant::now();
+    waran_plugc::compile(&doubling(64)).expect("compiles");
+    assert!(
+        start.elapsed().as_secs_f64() < 1.0,
+        "doubling ×64: {:?}",
+        start.elapsed()
+    );
+}

@@ -93,16 +93,20 @@ pub struct MarkovFadingChannel {
     sigma_db: f64,
     /// AR(1) coefficient in [0, 1): higher = slower fading.
     rho: f64,
+    /// `sqrt(1 − ρ²)`, the innovation's weight.
+    innovation: f64,
     state_db: f64,
 }
 
 impl MarkovFadingChannel {
     /// Channel with the given mean SNR, shadowing σ and correlation ρ.
     pub fn new(mean_snr_db: f64, sigma_db: f64, rho: f64) -> Self {
+        let rho = rho.clamp(0.0, 0.9999);
         MarkovFadingChannel {
             mean_snr_db,
             sigma_db,
-            rho: rho.clamp(0.0, 0.9999),
+            rho,
+            innovation: (1.0 - rho * rho).sqrt(),
             state_db: 0.0,
         }
     }
@@ -129,9 +133,8 @@ pub fn snr_to_cqi(snr_db: f64) -> u8 {
 impl ChannelModel for MarkovFadingChannel {
     fn sample_cqi(&mut self, _slot: u64, rng: &mut dyn rand::RngCore) -> u8 {
         // AR(1): x' = ρx + sqrt(1-ρ²)·n, n ~ N(0, σ).
-        let mut r = rng;
-        let noise: f64 = sample_gaussian(&mut r) * self.sigma_db;
-        self.state_db = self.rho * self.state_db + (1.0 - self.rho * self.rho).sqrt() * noise;
+        let noise: f64 = sample_gaussian(rng) * self.sigma_db;
+        self.state_db = self.rho * self.state_db + self.innovation * noise;
         snr_to_cqi(self.mean_snr_db + self.state_db)
     }
 
@@ -199,6 +202,8 @@ pub struct MobileChannel {
     serving_pos: [f64; 2],
     shadow_sigma_db: f64,
     shadow_rho: f64,
+    /// `sqrt(1 − ρ²)` for `shadow_rho`.
+    shadow_innovation: f64,
     shadow_db: f64,
     rng: rand::rngs::StdRng,
     last_slot: u64,
@@ -216,6 +221,7 @@ impl MobileChannel {
         seed: u64,
     ) -> Self {
         use rand::SeedableRng;
+        let shadow_rho = 0.98;
         let mut ch = MobileChannel {
             pos: clamp_to_area(start, area),
             waypoint: start,
@@ -223,7 +229,8 @@ impl MobileChannel {
             step_m: step_m.max(0.0),
             serving_pos,
             shadow_sigma_db: 3.0,
-            shadow_rho: 0.98,
+            shadow_rho,
+            shadow_innovation: (1.0f64 - shadow_rho * shadow_rho).sqrt(),
             shadow_db: 0.0,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             last_slot: 0,
@@ -286,8 +293,7 @@ impl ChannelModel for MobileChannel {
             self.advance();
         }
         let noise: f64 = sample_gaussian(&mut self.rng) * self.shadow_sigma_db;
-        self.shadow_db = self.shadow_rho * self.shadow_db
-            + (1.0 - self.shadow_rho * self.shadow_rho).sqrt() * noise;
+        self.shadow_db = self.shadow_rho * self.shadow_db + self.shadow_innovation * noise;
         snr_to_cqi(self.snr_db())
     }
 
@@ -323,18 +329,22 @@ pub struct PinnedChannel {
     shadow_db: f64,
     sigma_db: f64,
     rho: f64,
+    /// `sqrt(1 − ρ²)`, the innovation's weight.
+    innovation: f64,
 }
 
 impl PinnedChannel {
     /// A stationary UE at `pos` served from `serving_pos`, resuming the
     /// AR(1) shadowing process at `shadow_db`.
     pub fn new(pos: [f64; 2], serving_pos: [f64; 2], shadow_db: f64) -> Self {
+        let rho = 0.98;
         PinnedChannel {
             pos,
             serving_pos,
             shadow_db,
             sigma_db: 3.0,
-            rho: 0.98,
+            rho,
+            innovation: (1.0f64 - rho * rho).sqrt(),
         }
     }
 
@@ -346,9 +356,8 @@ impl PinnedChannel {
 
 impl ChannelModel for PinnedChannel {
     fn sample_cqi(&mut self, _slot: u64, rng: &mut dyn rand::RngCore) -> u8 {
-        let mut r = rng;
-        let noise: f64 = sample_gaussian(&mut r) * self.sigma_db;
-        self.shadow_db = self.rho * self.shadow_db + (1.0 - self.rho * self.rho).sqrt() * noise;
+        let noise: f64 = sample_gaussian(rng) * self.sigma_db;
+        self.shadow_db = self.rho * self.shadow_db + self.innovation * noise;
         let dx = self.pos[0] - self.serving_pos[0];
         let dy = self.pos[1] - self.serving_pos[1];
         snr_to_cqi(path_loss_snr_db((dx * dx + dy * dy).sqrt()) + self.shadow_db)
@@ -367,8 +376,9 @@ impl ChannelModel for PinnedChannel {
     }
 }
 
-/// Box-Muller standard normal from a `RngCore`.
-pub(crate) fn sample_gaussian(rng: &mut dyn rand::RngCore) -> f64 {
+/// Box-Muller standard normal from a `RngCore`. Generic, so a concrete
+/// generator (the massive plane's `StdRng`) inlines its draws.
+pub(crate) fn sample_gaussian<R: rand::RngCore + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -113,8 +113,21 @@ struct SliceRuntime {
     scheduler: Box<dyn SliceScheduler>,
     fallback: RoundRobin,
     ues: Vec<UeState>,
+    /// Each UE's index in the metrics recorder, parallel to `ues`.
+    metric_idx: Vec<usize>,
     tokens_bits: f64,
     health: SliceHealth,
+    // Per-slot scratch, owned so a slot allocates nothing outside the
+    // plugin. Each is cleared and refilled before it is read, so no value
+    // carries from one slot into the next.
+    /// The scheduler request (`slice_id` fixed, the rest set per slot).
+    req: SchedRequest,
+    /// Bits delivered to each UE this slot, parallel to `ues`.
+    delivered: Vec<u64>,
+    /// Response records in priority order.
+    order: Vec<usize>,
+    /// Whether a UE already took a record this slot, parallel to `ues`.
+    served: Vec<bool>,
 }
 
 /// The simulated gNB.
@@ -128,6 +141,9 @@ pub struct Gnb {
     next_ue_id: u32,
     /// Massive-UE background tier (None = classic per-UE path).
     background: Option<MassivePlane>,
+    /// Per-slot scratch for the inter-slice grant, one entry per slice.
+    demands: Vec<SliceDemand>,
+    grants: Vec<u32>,
 }
 
 impl Gnb {
@@ -151,6 +167,8 @@ impl Gnb {
             metrics,
             next_ue_id,
             background: None,
+            demands: Vec::new(),
+            grants: Vec::new(),
         }
     }
 
@@ -220,8 +238,18 @@ impl Gnb {
             scheduler,
             fallback: RoundRobin::new(),
             ues: Vec::new(),
+            metric_idx: Vec::new(),
             tokens_bits: 0.0,
             health: SliceHealth::default(),
+            req: SchedRequest {
+                slot: 0,
+                prbs_granted: 0,
+                slice_id,
+                ues: Vec::new(),
+            },
+            delivered: Vec::new(),
+            order: Vec::new(),
+            served: Vec::new(),
         });
         slice_id
     }
@@ -237,7 +265,9 @@ impl Gnb {
         self.next_ue_id += 1;
         let slice = &mut self.slices[slice_id as usize];
         slice.ues.push(UeState::new(ue_id, channel, traffic));
-        self.metrics.register(slice_id, ue_id);
+        slice
+            .metric_idx
+            .push(self.metrics.register(slice_id, ue_id));
         ue_id
     }
 
@@ -314,6 +344,7 @@ impl Gnb {
     pub fn remove_ue(&mut self, ue_id: u32) -> Option<(u32, UeState)> {
         for slice in &mut self.slices {
             if let Some(pos) = slice.ues.iter().position(|u| u.ue_id == ue_id) {
+                slice.metric_idx.remove(pos);
                 return Some((slice.slice_id, slice.ues.remove(pos)));
             }
         }
@@ -348,7 +379,9 @@ impl Gnb {
         let Some(slice) = self.slices.get_mut(slice_id as usize) else {
             return Err(ue);
         };
-        self.metrics.register(slice_id, ue.ue_id);
+        slice
+            .metric_idx
+            .push(self.metrics.register(slice_id, ue.ue_id));
         slice.ues.push(ue);
         Ok(())
     }
@@ -430,89 +463,77 @@ impl Gnb {
         }
 
         // 2. Inter-slice allocation (foreground + background demand).
-        let background = &self.background;
-        let demands: Vec<SliceDemand> = self
-            .slices
-            .iter()
-            .map(|s| {
-                let backlogged: Vec<&UeState> =
-                    s.ues.iter().filter(|u| u.buffer_bytes > 0).collect();
-                let fg_bits: f64 = backlogged.iter().map(|u| u.buffer_bytes as f64 * 8.0).sum();
-                let fg_mean = if backlogged.is_empty() {
-                    0.0
-                } else {
-                    backlogged
-                        .iter()
-                        .map(|u| u.prb_capacity_bits() as f64)
-                        .sum::<f64>()
-                        / backlogged.len() as f64
-                };
-                let (bg_bits, bg_mean) = background
-                    .as_ref()
-                    .and_then(|p| p.slice_index(s.slice_id).map(|si| p.demand(si)))
-                    .unwrap_or((0, 0.0));
-                let bg_bits = bg_bits as f64;
-                let demand_bits = fg_bits + bg_bits;
-                // Blend the per-PRB capacities, weighted by backlog.
-                let mean_prb_bits = if demand_bits <= 0.0 {
-                    0.0
-                } else {
-                    (fg_bits * fg_mean + bg_bits * bg_mean) / demand_bits
-                };
-                SliceDemand {
-                    slice_id: s.slice_id,
-                    target_bps: s.config.target_bps,
-                    demand_bits,
-                    mean_prb_bits,
-                    tokens_bits: s.tokens_bits,
-                    weight: s.config.weight,
-                }
-            })
-            .collect();
-        let grants = self.inter.allocate(total_prbs, &demands);
-        debug_assert!(grants.iter().sum::<u32>() <= total_prbs);
+        self.demands.clear();
+        for s in &self.slices {
+            // One pass over the backlogged UEs, summing in UE order.
+            let (mut fg_bits, mut fg_prb_bits, mut backlogged) = (0.0, 0.0, 0usize);
+            for u in s.ues.iter().filter(|u| u.buffer_bytes > 0) {
+                fg_bits += u.buffer_bytes as f64 * 8.0;
+                fg_prb_bits += u.prb_capacity_bits() as f64;
+                backlogged += 1;
+            }
+            let fg_mean = if backlogged == 0 {
+                0.0
+            } else {
+                fg_prb_bits / backlogged as f64
+            };
+            let (bg_bits, bg_mean) = self
+                .background
+                .as_ref()
+                .and_then(|p| p.slice_index(s.slice_id).map(|si| p.demand(si)))
+                .unwrap_or((0, 0.0));
+            let bg_bits = bg_bits as f64;
+            let demand_bits = fg_bits + bg_bits;
+            // Blend the per-PRB capacities, weighted by backlog.
+            let mean_prb_bits = if demand_bits <= 0.0 {
+                0.0
+            } else {
+                (fg_bits * fg_mean + bg_bits * bg_mean) / demand_bits
+            };
+            self.demands.push(SliceDemand {
+                slice_id: s.slice_id,
+                target_bps: s.config.target_bps,
+                demand_bits,
+                mean_prb_bits,
+                tokens_bits: s.tokens_bits,
+                weight: s.config.weight,
+            });
+        }
+        self.inter
+            .allocate(total_prbs, &self.demands, &mut self.grants);
+        debug_assert!(self.grants.iter().sum::<u32>() <= total_prbs);
 
         // 3-4. Intra-slice scheduling + delivery. The plane is taken out
         // so its mutation doesn't alias the slice iteration.
         let mut background = self.background.take();
         let mut prbs_used_total = 0u32;
-        for (slice, grant) in self.slices.iter_mut().zip(&grants) {
-            let grant = *grant;
+        for (slice, &grant) in self.slices.iter_mut().zip(&self.grants) {
             let bg_si = background
                 .as_ref()
                 .and_then(|p| p.slice_index(slice.slice_id));
             // Per-UE delivered bits this slot (for the EWMA pass below).
-            let mut delivered: Vec<u64> = vec![0; slice.ues.len()];
+            slice.delivered.clear();
+            slice.delivered.resize(slice.ues.len(), 0);
             let mut remaining = grant;
             // A background-only slice (no foreground UEs) skips the
             // scheduler and gives the whole grant to the aggregate tier;
             // without a plane the classic path is unchanged.
             let run_scheduler = grant > 0 && !(slice.ues.is_empty() && bg_si.is_some());
             if run_scheduler {
-                let req = SchedRequest {
-                    slot,
-                    prbs_granted: grant,
-                    slice_id: slice.slice_id,
-                    ues: slice.ues.iter().map(UeState::to_abi).collect(),
-                };
-                let response = match slice.scheduler.schedule(&req) {
+                let req = &mut slice.req;
+                req.slot = slot;
+                req.prbs_granted = grant;
+                req.ues.clear();
+                req.ues.extend(slice.ues.iter().map(UeState::to_abi));
+                let response = match slice.scheduler.schedule(&slice.req) {
                     Ok(resp) => resp,
                     Err(_fault) => {
                         slice.health.faults += 1;
                         slice.health.fallback_slots += 1;
-                        slice
-                            .fallback
-                            .schedule(&req)
-                            .expect("native round robin cannot fault")
+                        slice.fallback.fill(&slice.req)
                     }
                 };
-                let used = Self::apply_response(
-                    slice,
-                    &response,
-                    grant,
-                    &mut delivered,
-                    &mut self.metrics,
-                );
+                let used = Self::apply_response(slice, &response, grant, &mut self.metrics);
                 prbs_used_total += used;
                 // PRBs the foreground schedule did not fill with data are
                 // leftovers for the background tier (a nominal claim that
@@ -532,7 +553,7 @@ impl Gnb {
                 }
             }
             // 5. EWMA update for every UE.
-            for (ue, bits) in slice.ues.iter_mut().zip(&delivered) {
+            for (ue, bits) in slice.ues.iter_mut().zip(&slice.delivered) {
                 ue.update_average(*bits, slot_seconds, self.config.pf_time_constant_slots);
             }
         }
@@ -549,23 +570,34 @@ impl Gnb {
         slice: &mut SliceRuntime,
         response: &SchedResponse,
         grant: u32,
-        delivered: &mut [u64],
         metrics: &mut MetricsRecorder,
     ) -> u32 {
+        let SliceRuntime {
+            slice_id,
+            ues,
+            metric_idx,
+            tokens_bits,
+            delivered,
+            order,
+            served,
+            ..
+        } = slice;
         // Order by priority (stable: record order breaks ties).
-        let mut order: Vec<usize> = (0..response.allocs.len()).collect();
+        order.clear();
+        order.extend(0..response.allocs.len());
         order.sort_by_key(|i| response.allocs[*i].priority);
 
         let mut remaining = grant;
-        let mut served = vec![false; slice.ues.len()];
+        served.clear();
+        served.resize(ues.len(), false);
         let mut used = 0u32;
-        for idx in order {
+        for &idx in order.iter() {
             if remaining == 0 {
                 break;
             }
             let alloc = &response.allocs[idx];
             // Unknown UE ids and duplicates are plugin bugs: skip, don't fault.
-            let Some(pos) = slice.ues.iter().position(|u| u.ue_id == alloc.ue_id) else {
+            let Some(pos) = ues.iter().position(|u| u.ue_id == alloc.ue_id) else {
                 continue;
             };
             if served[pos] {
@@ -576,16 +608,16 @@ impl Gnb {
             if prbs == 0 {
                 continue;
             }
-            let bits = slice.ues[pos].deliver(prbs);
+            let bits = ues[pos].deliver(prbs);
             if bits > 0 {
                 // Only count PRBs that moved data toward utilization.
-                let cap = slice.ues[pos].prb_capacity_bits().max(1) as u64;
+                let cap = ues[pos].prb_capacity_bits().max(1) as u64;
                 let prbs_carrying = bits.div_ceil(cap).min(prbs as u64) as u32;
                 used += prbs_carrying;
                 remaining -= prbs;
-                slice.tokens_bits -= bits as f64;
+                *tokens_bits -= bits as f64;
                 delivered[pos] += bits;
-                metrics.record_delivery(slice.slice_id, alloc.ue_id, bits);
+                metrics.record_delivery(metric_idx[pos], *slice_id, bits);
             } else {
                 remaining -= prbs;
             }
@@ -675,6 +707,142 @@ mod tests {
 
         gnb.run_seconds(0.2);
         assert!(gnb.metrics().ue_mean_mbps(ue) > 0.0, "serves again");
+    }
+
+    /// Every slice's metric indices run parallel to its UEs and name each
+    /// UE's own accumulator.
+    fn assert_metric_idx_parallel(gnb: &Gnb) {
+        for slice in &gnb.slices {
+            assert_eq!(slice.metric_idx.len(), slice.ues.len());
+            for (ue, &idx) in slice.ues.iter().zip(&slice.metric_idx) {
+                assert_eq!(gnb.metrics.ue_index(ue.ue_id), Some(idx), "ue {}", ue.ue_id);
+            }
+        }
+    }
+
+    #[test]
+    fn metric_identity_survives_a_round_trip_through_another_gnb() {
+        let mut home = basic_gnb();
+        let mut away = Gnb::new(GnbConfig {
+            first_ue_id: 500,
+            ..GnbConfig::default()
+        });
+        let sh = home.add_slice(SliceConfig::best_effort("s"), Box::new(RoundRobin::new()));
+        let sa = away.add_slice(SliceConfig::best_effort("s"), Box::new(RoundRobin::new()));
+        home.add_ue(sh, Box::new(StaticChannel::new(9)), Box::new(FullBuffer));
+        let ue = home.add_ue(sh, Box::new(StaticChannel::new(12)), Box::new(FullBuffer));
+        away.add_ue(sa, Box::new(StaticChannel::new(9)), Box::new(FullBuffer));
+        let idx = home.slices[0].metric_idx[1];
+        let both = |home: &mut Gnb, away: &mut Gnb, n| {
+            home.run(n);
+            away.run(n);
+        };
+
+        // Windows 0-2 at home, 3-4 away, 5-7 at home again.
+        both(&mut home, &mut away, 300);
+        let (_, state) = home.remove_ue(ue).expect("attached");
+        assert_metric_idx_parallel(&home);
+        away.admit_ue(sa, state).expect("admitted away");
+        both(&mut home, &mut away, 200);
+        let (_, state) = away.remove_ue(ue).expect("attached away");
+        home.admit_ue(sh, state).expect("admitted home");
+        assert_eq!(
+            home.slices[0].metric_idx[1], idx,
+            "re-admission reuses the index"
+        );
+        assert_metric_idx_parallel(&home);
+        assert_metric_idx_parallel(&away);
+        both(&mut home, &mut away, 300);
+
+        // One series and one total per recorder; the gap reads zero.
+        let series = home.metrics().ue_series_mbps(ue);
+        assert_eq!(series.len(), 8);
+        assert!(series[..3].iter().chain(&series[5..]).all(|r| *r > 0.0));
+        assert_eq!(&series[3..5], &[0.0, 0.0]);
+        assert_eq!(
+            home.metrics()
+                .ue_ids()
+                .iter()
+                .filter(|&&id| id == ue)
+                .count(),
+            1
+        );
+        // Away registered the UE at slot 300: five windows, two served.
+        let series = away.metrics().ue_series_mbps(ue);
+        assert_eq!(series.len(), 5);
+        assert!(series[..2].iter().all(|r| *r > 0.0));
+        assert_eq!(&series[2..], &[0.0, 0.0, 0.0]);
+
+        // The two recorders' totals for the UE add up to what it received.
+        let (_, state) = home.remove_ue(ue).expect("attached");
+        let bits = |g: &Gnb| g.metrics().ue_mean_mbps(ue) * 0.8 * 1e6;
+        let recorded = bits(&home) + bits(&away);
+        assert!((recorded - state.delivered_bits as f64).abs() < 1.0);
+    }
+
+    #[test]
+    fn rejected_admissions_keep_metric_idx_parallel() {
+        let mut gnb = basic_gnb();
+        let s = gnb.add_slice(SliceConfig::best_effort("s"), Box::new(RoundRobin::new()));
+        let ids: Vec<u32> = (0..3)
+            .map(|_| gnb.add_ue(s, Box::new(StaticChannel::new(12)), Box::new(FullBuffer)))
+            .collect();
+        let idx = gnb.slices[0].metric_idx[1];
+        let (_, state) = gnb.remove_ue(ids[1]).expect("attached");
+        gnb.admit_ue(s, state).expect("readmit");
+        assert_eq!(
+            gnb.slices[0].metric_idx[2], idx,
+            "re-admission reuses the index"
+        );
+        let dup = UeState::new(
+            ids[0],
+            Box::new(StaticChannel::new(1)),
+            Box::new(FullBuffer),
+        );
+        assert!(gnb.admit_ue(s, dup).is_err());
+        let orphan = UeState::new(999, Box::new(StaticChannel::new(1)), Box::new(FullBuffer));
+        assert!(gnb.admit_ue(7, orphan).is_err());
+        assert_metric_idx_parallel(&gnb);
+        assert_eq!(gnb.metrics().ue_ids(), ids);
+        gnb.run(10);
+    }
+
+    #[test]
+    fn background_rotations_keep_metric_idx_parallel() {
+        use crate::massive::{BackgroundSliceSpec, MassiveConfig, MassivePlane};
+        let mut gnb = basic_gnb();
+        let fg = gnb.add_slice(SliceConfig::best_effort("fg"), Box::new(RoundRobin::new()));
+        gnb.add_ue(fg, Box::new(StaticChannel::new(12)), Box::new(FullBuffer));
+        let bg = gnb.add_slice(SliceConfig::best_effort("bg"), Box::new(RoundRobin::new()));
+        gnb.add_ue(
+            bg,
+            Box::new(StaticChannel::new(12)),
+            Box::new(Cbr::new(1e5)),
+        );
+        gnb.attach_background(MassivePlane::new(
+            MassiveConfig {
+                seed: 5,
+                foreground_quota: 3,
+                rotation_period_slots: 10,
+                ..MassiveConfig::default()
+            },
+            &[BackgroundSliceSpec {
+                slice_id: bg,
+                population: 40,
+                per_ue_rate_bps: 16_000.0,
+                burst_bytes: 0.0,
+            }],
+        ));
+        for _ in 0..20 {
+            gnb.run(10);
+            assert_metric_idx_parallel(&gnb);
+        }
+        let snap = gnb.background().unwrap().snapshot()[0];
+        assert!(snap.demotions >= 57, "demotions {}", snap.demotions);
+        // The promotion cursor wrapped the 40 rows: a UE promoted again
+        // reuses its accumulator, so there is one per UE ever foreground.
+        assert!(snap.promotions > 40, "promotions {}", snap.promotions);
+        assert_eq!(gnb.metrics().ue_ids().len(), 2 + 40);
     }
 
     #[test]

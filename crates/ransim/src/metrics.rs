@@ -2,26 +2,53 @@
 
 use std::collections::BTreeMap;
 
+/// Delivered bits of one UE or one slice: the open window, the lifetime
+/// total, and one Mb/s entry per closed window.
+#[derive(Debug, Clone, Default)]
+struct Accum {
+    window_bits: u64,
+    total_bits: u64,
+    series: Vec<f64>,
+}
+
+impl Accum {
+    fn add(&mut self, bits: u64) {
+        self.window_bits += bits;
+        self.total_bits += bits;
+    }
+
+    fn close_window(&mut self, window_s: f64) {
+        self.series.push(self.window_bits as f64 / window_s / 1e6);
+        self.window_bits = 0;
+    }
+}
+
 /// Records per-UE and per-slice delivered bits, aggregated into fixed
 /// windows (e.g. 100 ms) to produce the rate-vs-time series the paper's
 /// Fig. 5a/5b plot.
+///
+/// Accumulators are dense: a UE's lives at the index [`register`] returns,
+/// which the gNB keeps beside the UE, and a slice's at its id, so a
+/// delivery is two indexed adds. The id → index map serves report-time
+/// reads by id.
+///
+/// [`register`]: MetricsRecorder::register
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
     window_slots: u64,
     slot_seconds: f64,
     slot: u64,
-    // Current-window accumulators.
-    ue_window_bits: BTreeMap<u32, u64>,
-    slice_window_bits: BTreeMap<u32, u64>,
+    /// Per-UE accumulators, in registration order.
+    ues: Vec<Accum>,
+    /// UE id → index into `ues`.
+    ue_index: BTreeMap<u32, usize>,
+    /// Per-slice accumulators indexed by slice id (`None` = never
+    /// registered: no series, absent from reports).
+    slices: Vec<Option<Accum>>,
+    // Current-window utilization.
     prbs_used_window: u64,
     prbs_total_window: u64,
-    // Completed series.
-    ue_series: BTreeMap<u32, Vec<f64>>,
-    slice_series: BTreeMap<u32, Vec<f64>>,
     util_series: Vec<f64>,
-    // Lifetime totals.
-    ue_total_bits: BTreeMap<u32, u64>,
-    slice_total_bits: BTreeMap<u32, u64>,
 }
 
 impl MetricsRecorder {
@@ -32,53 +59,59 @@ impl MetricsRecorder {
             window_slots: window_slots.max(1),
             slot_seconds,
             slot: 0,
-            ue_window_bits: BTreeMap::new(),
-            slice_window_bits: BTreeMap::new(),
+            ues: Vec::new(),
+            ue_index: BTreeMap::new(),
+            slices: Vec::new(),
             prbs_used_window: 0,
             prbs_total_window: 0,
-            ue_series: BTreeMap::new(),
-            slice_series: BTreeMap::new(),
             util_series: Vec::new(),
-            ue_total_bits: BTreeMap::new(),
-            slice_total_bits: BTreeMap::new(),
         }
     }
 
-    /// Ensure a UE/slice shows up in reports even if never scheduled.
-    pub fn register(&mut self, slice_id: u32, ue_id: u32) {
-        self.ue_series.entry(ue_id).or_default();
-        self.slice_series.entry(slice_id).or_default();
-        self.ue_total_bits.entry(ue_id).or_insert(0);
-        self.slice_total_bits.entry(slice_id).or_insert(0);
+    /// Ensure a UE and its slice show up in reports even if never
+    /// scheduled; returns the UE's accumulator index for
+    /// [`MetricsRecorder::record_delivery`]. Registering a UE again (a
+    /// handover back, a move between slices) returns the index it already
+    /// has, so the UE keeps one series and one total.
+    pub fn register(&mut self, slice_id: u32, ue_id: u32) -> usize {
+        self.register_slice(slice_id);
+        *self.ue_index.entry(ue_id).or_insert_with(|| {
+            self.ues.push(Accum::default());
+            self.ues.len() - 1
+        })
     }
 
-    /// Record a delivery of `bits` to `ue_id` within `slice_id`.
-    pub fn record_delivery(&mut self, slice_id: u32, ue_id: u32, bits: u64) {
-        *self.ue_window_bits.entry(ue_id).or_insert(0) += bits;
-        *self.slice_window_bits.entry(slice_id).or_insert(0) += bits;
-        *self.ue_total_bits.entry(ue_id).or_insert(0) += bits;
-        *self.slice_total_bits.entry(slice_id).or_insert(0) += bits;
+    /// Record a delivery of `bits` to the UE registered at index `ue`
+    /// within `slice_id`.
+    pub fn record_delivery(&mut self, ue: usize, slice_id: u32, bits: u64) {
+        self.ues[ue].add(bits);
+        self.record_slice_delivery(slice_id, bits);
     }
 
     /// Ensure a slice shows up in reports without registering any UE —
     /// the massive plane's background tier has no per-UE series (a
-    /// million UEs must never materialize a million map entries here).
+    /// million UEs must never materialize a million accumulators here).
     pub fn register_slice(&mut self, slice_id: u32) {
-        self.slice_series.entry(slice_id).or_default();
-        self.slice_total_bits.entry(slice_id).or_insert(0);
+        let i = slice_id as usize;
+        if self.slices.len() <= i {
+            self.slices.resize(i + 1, None);
+        }
+        self.slices[i].get_or_insert_with(Accum::default);
     }
 
     /// Record a slice-level delivery with no per-UE attribution (the
-    /// background tier's aggregate service path).
+    /// background tier's aggregate service path). A slice that was never
+    /// registered records nothing.
     pub fn record_slice_delivery(&mut self, slice_id: u32, bits: u64) {
-        *self.slice_window_bits.entry(slice_id).or_insert(0) += bits;
-        *self.slice_total_bits.entry(slice_id).or_insert(0) += bits;
+        if let Some(Some(slice)) = self.slices.get_mut(slice_id as usize) {
+            slice.add(bits);
+        }
     }
 
     /// Lifetime delivered bits across all slices (foreground UE
     /// deliveries plus background aggregate deliveries).
     pub fn total_bits(&self) -> u64 {
-        self.slice_total_bits.values().sum()
+        self.slices.iter().flatten().map(|s| s.total_bits).sum()
     }
 
     /// Close the slot; rolls the window when due.
@@ -88,23 +121,39 @@ impl MetricsRecorder {
         self.slot += 1;
         if self.slot.is_multiple_of(self.window_slots) {
             let window_s = self.window_slots as f64 * self.slot_seconds;
-            for (ue, series) in self.ue_series.iter_mut() {
-                let bits = self.ue_window_bits.get(ue).copied().unwrap_or(0);
-                series.push(bits as f64 / window_s / 1e6);
-            }
-            for (slice, series) in self.slice_series.iter_mut() {
-                let bits = self.slice_window_bits.get(slice).copied().unwrap_or(0);
-                series.push(bits as f64 / window_s / 1e6);
+            for acc in self.ues.iter_mut().chain(self.slices.iter_mut().flatten()) {
+                acc.close_window(window_s);
             }
             self.util_series.push(if self.prbs_total_window == 0 {
                 0.0
             } else {
                 self.prbs_used_window as f64 / self.prbs_total_window as f64
             });
-            self.ue_window_bits.clear();
-            self.slice_window_bits.clear();
             self.prbs_used_window = 0;
             self.prbs_total_window = 0;
+        }
+    }
+
+    /// A registered UE's accumulator index.
+    pub(crate) fn ue_index(&self, ue_id: u32) -> Option<usize> {
+        self.ue_index.get(&ue_id).copied()
+    }
+
+    fn ue(&self, ue_id: u32) -> Option<&Accum> {
+        self.ue_index(ue_id).map(|i| &self.ues[i])
+    }
+
+    fn slice(&self, slice_id: u32) -> Option<&Accum> {
+        self.slices.get(slice_id as usize)?.as_ref()
+    }
+
+    /// Mb/s over the whole run for `total_bits`.
+    fn lifetime_mbps(&self, total_bits: u64) -> f64 {
+        let secs = self.slot as f64 * self.slot_seconds;
+        if secs == 0.0 {
+            0.0
+        } else {
+            total_bits as f64 / secs / 1e6
         }
     }
 
@@ -115,14 +164,13 @@ impl MetricsRecorder {
 
     /// Throughput series (Mb/s per window) for a UE.
     pub fn ue_series_mbps(&self, ue_id: u32) -> &[f64] {
-        self.ue_series.get(&ue_id).map(Vec::as_slice).unwrap_or(&[])
+        self.ue(ue_id).map(|u| u.series.as_slice()).unwrap_or(&[])
     }
 
     /// Throughput series (Mb/s per window) for a slice.
     pub fn slice_series_mbps(&self, slice_id: u32) -> &[f64] {
-        self.slice_series
-            .get(&slice_id)
-            .map(Vec::as_slice)
+        self.slice(slice_id)
+            .map(|s| s.series.as_slice())
             .unwrap_or(&[])
     }
 
@@ -133,24 +181,12 @@ impl MetricsRecorder {
 
     /// Mean rate of a slice over the whole run, Mb/s.
     pub fn slice_mean_mbps(&self, slice_id: u32) -> f64 {
-        let total = self.slice_total_bits.get(&slice_id).copied().unwrap_or(0);
-        let secs = self.slot as f64 * self.slot_seconds;
-        if secs == 0.0 {
-            0.0
-        } else {
-            total as f64 / secs / 1e6
-        }
+        self.lifetime_mbps(self.slice(slice_id).map_or(0, |s| s.total_bits))
     }
 
     /// Mean rate of a UE over the whole run, Mb/s.
     pub fn ue_mean_mbps(&self, ue_id: u32) -> f64 {
-        let total = self.ue_total_bits.get(&ue_id).copied().unwrap_or(0);
-        let secs = self.slot as f64 * self.slot_seconds;
-        if secs == 0.0 {
-            0.0
-        } else {
-            total as f64 / secs / 1e6
-        }
+        self.lifetime_mbps(self.ue(ue_id).map_or(0, |u| u.total_bits))
     }
 
     /// Mean rate of a slice over the last `windows` windows, Mb/s.
@@ -168,7 +204,7 @@ impl MetricsRecorder {
     pub fn jain_fairness(&self, ue_ids: &[u32]) -> f64 {
         let rates: Vec<f64> = ue_ids
             .iter()
-            .map(|id| self.ue_total_bits.get(id).copied().unwrap_or(0) as f64)
+            .map(|id| self.ue(*id).map_or(0, |u| u.total_bits) as f64)
             .collect();
         let n = rates.len() as f64;
         if n == 0.0 {
@@ -187,14 +223,16 @@ impl MetricsRecorder {
         self.slot
     }
 
-    /// All UE ids seen.
+    /// All registered UE ids, ascending.
     pub fn ue_ids(&self) -> Vec<u32> {
-        self.ue_series.keys().copied().collect()
+        self.ue_index.keys().copied().collect()
     }
 
-    /// All slice ids seen.
+    /// All registered slice ids, ascending.
     pub fn slice_ids(&self) -> Vec<u32> {
-        self.slice_series.keys().copied().collect()
+        (0..self.slices.len() as u32)
+            .filter(|&id| self.slice(id).is_some())
+            .collect()
     }
 }
 
@@ -205,9 +243,9 @@ mod tests {
     #[test]
     fn windows_roll_correctly() {
         let mut m = MetricsRecorder::new(10, 0.001);
-        m.register(0, 1);
+        let ue = m.register(0, 1);
         for _ in 0..25 {
-            m.record_delivery(0, 1, 1000);
+            m.record_delivery(ue, 0, 1000);
             m.end_slot(10, 52);
         }
         // Two complete windows of 10 slots each (the 5 leftover pending).
@@ -221,9 +259,9 @@ mod tests {
     #[test]
     fn mean_rates() {
         let mut m = MetricsRecorder::new(10, 0.001);
-        m.register(7, 1);
+        let ue = m.register(7, 1);
         for _ in 0..1000 {
-            m.record_delivery(7, 1, 12_000); // 12 Mb/s at 1 ms slots
+            m.record_delivery(ue, 7, 12_000); // 12 Mb/s at 1 ms slots
             m.end_slot(26, 52);
         }
         assert!((m.slice_mean_mbps(7) - 12.0).abs() < 1e-9);
@@ -234,10 +272,10 @@ mod tests {
     #[test]
     fn unscheduled_ue_reports_zero() {
         let mut m = MetricsRecorder::new(5, 0.001);
-        m.register(0, 1);
+        let ue = m.register(0, 1);
         m.register(0, 2);
         for _ in 0..5 {
-            m.record_delivery(0, 1, 5000);
+            m.record_delivery(ue, 0, 5000);
             m.end_slot(5, 52);
         }
         assert!(m.ue_series_mbps(1)[0] > 0.0);
@@ -247,18 +285,16 @@ mod tests {
     #[test]
     fn jain_index() {
         let mut m = MetricsRecorder::new(1, 0.001);
-        for ue in [1, 2, 3, 4] {
-            m.register(0, ue);
-        }
+        let idx: Vec<usize> = [1, 2, 3, 4].iter().map(|&ue| m.register(0, ue)).collect();
         // Perfectly equal.
-        for ue in [1, 2, 3, 4] {
-            m.record_delivery(0, ue, 1000);
+        for &ue in &idx {
+            m.record_delivery(ue, 0, 1000);
         }
         m.end_slot(0, 52);
         assert!((m.jain_fairness(&[1, 2, 3, 4]) - 1.0).abs() < 1e-9);
         // One hog: fairness drops.
         for _ in 0..100 {
-            m.record_delivery(0, 1, 10_000);
+            m.record_delivery(idx[0], 0, 10_000);
             m.end_slot(0, 52);
         }
         let j = m.jain_fairness(&[1, 2, 3, 4]);
@@ -285,5 +321,40 @@ mod tests {
         assert_eq!(m.ue_series_mbps(1), &[] as &[f64]);
         assert_eq!(m.slice_mean_mbps(0), 0.0);
         assert_eq!(m.jain_fairness(&[]), 1.0);
+        assert!(m.slice_ids().is_empty());
+    }
+
+    #[test]
+    fn reregistration_keeps_one_accumulator() {
+        // Two half-second slots: a one-second window, so Mb/s = bits / 1e6.
+        let mut m = MetricsRecorder::new(2, 0.5);
+        let ue = m.register(0, 9);
+        m.record_delivery(ue, 0, 1000);
+        m.end_slot(0, 52);
+        // The same UE registered again — in another slice — is the same
+        // accumulator: one series, one total.
+        assert_eq!(m.register(1, 9), ue);
+        m.record_delivery(ue, 1, 3000);
+        m.end_slot(0, 52);
+        assert_eq!(m.ue_ids(), vec![9]);
+        assert_eq!(m.ue_series_mbps(9), &[0.004]);
+        assert_eq!(m.ue_mean_mbps(9), 0.004);
+        assert_eq!(m.slice_series_mbps(0), &[0.001]);
+        assert_eq!(m.slice_series_mbps(1), &[0.003]);
+        assert_eq!(m.total_bits(), 4000);
+    }
+
+    #[test]
+    fn ids_report_in_ascending_order() {
+        // Registration order is not id order; reports list ids ascending,
+        // and a slice id gap is not a slice.
+        let mut m = MetricsRecorder::new(10, 0.001);
+        for (slice, ue) in [(4, 90), (0, 30), (4, 70), (2, 10)] {
+            m.register(slice, ue);
+        }
+        m.register_slice(7);
+        assert_eq!(m.ue_ids(), vec![10, 30, 70, 90]);
+        assert_eq!(m.slice_ids(), vec![0, 2, 4, 7]);
+        assert_eq!(m.slice_series_mbps(3), &[] as &[f64]);
     }
 }

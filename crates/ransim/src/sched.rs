@@ -57,14 +57,14 @@ impl RoundRobin {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl SliceScheduler for RoundRobin {
-    fn schedule(&mut self, req: &SchedRequest) -> Result<SchedResponse, SchedulerFault> {
+    /// Allocate one slot. Infallible: the gNB serves a slot whose plugin
+    /// faulted with this, and the trait impl wraps it.
+    pub fn fill(&mut self, req: &SchedRequest) -> SchedResponse {
         let backlogged: Vec<&waran_abi::sched::UeInfo> =
             req.ues.iter().filter(|u| u.buffer_bytes > 0).collect();
         if backlogged.is_empty() || req.prbs_granted == 0 {
-            return Ok(SchedResponse::default());
+            return SchedResponse::default();
         }
         let n = backlogged.len();
         let rotation = self.next % n;
@@ -93,7 +93,13 @@ impl SliceScheduler for RoundRobin {
                 });
             }
         }
-        Ok(SchedResponse { allocs })
+        SchedResponse { allocs }
+    }
+}
+
+impl SliceScheduler for RoundRobin {
+    fn schedule(&mut self, req: &SchedRequest) -> Result<SchedResponse, SchedulerFault> {
+        Ok(self.fill(req))
     }
 
     fn name(&self) -> &str {
@@ -120,8 +126,7 @@ impl SliceScheduler for MaxThroughput {
         order.sort_by(|a, b| {
             req.ues[*b]
                 .prb_capacity_bits
-                .partial_cmp(&req.ues[*a].prb_capacity_bits)
-                .expect("capacities are finite")
+                .total_cmp(&req.ues[*a].prb_capacity_bits)
         });
         Ok(greedy_fill(req, &order))
     }
@@ -154,11 +159,7 @@ impl SliceScheduler for ProportionalFair {
         let mut order: Vec<usize> = (0..req.ues.len())
             .filter(|i| req.ues[*i].buffer_bytes > 0)
             .collect();
-        order.sort_by(|a, b| {
-            metric(*b)
-                .partial_cmp(&metric(*a))
-                .expect("metric is finite")
-        });
+        order.sort_by(|a, b| metric(*b).total_cmp(&metric(*a)));
         Ok(greedy_fill(req, &order))
     }
 
@@ -188,11 +189,7 @@ impl SliceScheduler for MaxWeight {
         let mut order: Vec<usize> = (0..req.ues.len())
             .filter(|i| req.ues[*i].buffer_bytes > 0)
             .collect();
-        order.sort_by(|a, b| {
-            weight(*b)
-                .partial_cmp(&weight(*a))
-                .expect("weight is finite")
-        });
+        order.sort_by(|a, b| weight(*b).total_cmp(&weight(*a)));
         Ok(greedy_fill(req, &order))
     }
 

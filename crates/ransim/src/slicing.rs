@@ -22,8 +22,10 @@ pub struct SliceDemand {
 
 /// An inter-slice scheduler: maps demands to per-slice PRB grants.
 pub trait InterSliceScheduler: Send {
-    /// Grant PRBs (same order as `demands`; sums to at most `total_prbs`).
-    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand]) -> Vec<u32>;
+    /// Clear `grants` and fill it with one grant per demand (same order as
+    /// `demands`; the grants sum to at most `total_prbs`). The caller owns
+    /// the buffer, so a slot allocates nothing here.
+    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand], grants: &mut Vec<u32>);
 
     /// Name for reports.
     fn name(&self) -> &str;
@@ -41,25 +43,23 @@ impl FixedShare {
 }
 
 impl InterSliceScheduler for FixedShare {
-    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand]) -> Vec<u32> {
+    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand], grants: &mut Vec<u32>) {
+        grants.clear();
         let total_weight: f64 = demands.iter().map(|d| d.weight.max(0.0)).sum();
         if total_weight <= 0.0 {
-            return vec![0; demands.len()];
+            grants.resize(demands.len(), 0);
+            return;
         }
-        let mut grants: Vec<u32> = demands
-            .iter()
-            .map(|d| ((d.weight.max(0.0) / total_weight) * total_prbs as f64).floor() as u32)
-            .collect();
+        grants.extend(
+            demands
+                .iter()
+                .map(|d| ((d.weight.max(0.0) / total_weight) * total_prbs as f64).floor() as u32),
+        );
         // Distribute the rounding remainder by weight order.
         let used: u32 = grants.iter().sum();
         let mut remainder = total_prbs.saturating_sub(used);
         let mut order: Vec<usize> = (0..demands.len()).collect();
-        order.sort_by(|a, b| {
-            demands[*b]
-                .weight
-                .partial_cmp(&demands[*a].weight)
-                .expect("finite weights")
-        });
+        order.sort_by(|a, b| demands[*b].weight.total_cmp(&demands[*a].weight));
         for &i in order.iter().cycle().take(demands.len() * 2) {
             if remainder == 0 {
                 break;
@@ -67,7 +67,6 @@ impl InterSliceScheduler for FixedShare {
             grants[i] += 1;
             remainder -= 1;
         }
-        grants
     }
 
     fn name(&self) -> &str {
@@ -91,85 +90,89 @@ impl TargetRate {
     }
 }
 
+/// PRBs a targeted slice draws against its token bucket (0 for a
+/// best-effort slice or one with no backlogged capacity).
+fn want(d: &SliceDemand) -> u32 {
+    if d.target_bps.is_none() || d.mean_prb_bits <= 0.0 {
+        return 0;
+    }
+    let want_bits = d.tokens_bits.min(d.demand_bits).max(0.0);
+    (want_bits / d.mean_prb_bits).ceil() as u32
+}
+
+/// PRBs that would drain a slice's whole backlog.
+fn need(d: &SliceDemand) -> u32 {
+    (d.demand_bits / d.mean_prb_bits.max(1.0)).ceil() as u32
+}
+
+/// A best-effort slice with something to send.
+fn hungry_best_effort(d: &SliceDemand) -> bool {
+    d.target_bps.is_none() && d.demand_bits > 0.0
+}
+
 impl InterSliceScheduler for TargetRate {
-    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand]) -> Vec<u32> {
-        let mut grants = vec![0u32; demands.len()];
+    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand], grants: &mut Vec<u32>) {
+        grants.clear();
+        grants.resize(demands.len(), 0);
         let mut remaining = total_prbs;
 
         // Pass 1: targeted slices draw PRBs against their token buckets.
         // When the grid cannot cover everyone's wish, shares scale down
         // proportionally instead of starving later slices.
-        let wants: Vec<u32> = demands
-            .iter()
-            .map(|d| {
-                if d.target_bps.is_none() || d.mean_prb_bits <= 0.0 {
-                    return 0;
-                }
-                let want_bits = d.tokens_bits.min(d.demand_bits).max(0.0);
-                (want_bits / d.mean_prb_bits).ceil() as u32
-            })
-            .collect();
-        let total_want: u64 = wants.iter().map(|w| *w as u64).sum();
+        let total_want: u64 = demands.iter().map(|d| want(d) as u64).sum();
         let scale = if total_want > total_prbs as u64 {
             total_prbs as f64 / total_want as f64
         } else {
             1.0
         };
-        for (i, want) in wants.iter().enumerate() {
+        for (grant, d) in grants.iter_mut().zip(demands) {
             if remaining == 0 {
                 break;
             }
-            let give = ((*want as f64 * scale).floor() as u32).min(remaining);
-            grants[i] = give;
+            let give = ((want(d) as f64 * scale).floor() as u32).min(remaining);
+            *grant = give;
             remaining -= give;
         }
         // Rounding leftovers go to still-hungry targeted slices in order.
         if scale < 1.0 {
-            for (i, want) in wants.iter().enumerate() {
+            for (grant, d) in grants.iter_mut().zip(demands) {
                 if remaining == 0 {
                     break;
                 }
-                let extra = want.saturating_sub(grants[i]).min(1).min(remaining);
-                grants[i] += extra;
+                let extra = want(d).saturating_sub(*grant).min(1).min(remaining);
+                *grant += extra;
                 remaining -= extra;
             }
         }
 
         // Pass 2: spare capacity to best-effort slices, weighted.
-        let be: Vec<usize> = demands
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.target_bps.is_none() && d.demand_bits > 0.0)
-            .map(|(i, _)| i)
-            .collect();
-        if !be.is_empty() && remaining > 0 {
-            let total_weight: f64 = be.iter().map(|i| demands[*i].weight.max(0.0)).sum();
+        if remaining > 0 && demands.iter().any(hungry_best_effort) {
+            let total_weight: f64 = demands
+                .iter()
+                .filter(|d| hungry_best_effort(d))
+                .map(|d| d.weight.max(0.0))
+                .sum();
             if total_weight > 0.0 {
                 let pool = remaining;
-                for &i in &be {
-                    let share =
-                        ((demands[i].weight.max(0.0) / total_weight) * pool as f64).floor() as u32;
-                    let need =
-                        (demands[i].demand_bits / demands[i].mean_prb_bits.max(1.0)).ceil() as u32;
-                    let give = share.min(need).min(remaining);
-                    grants[i] += give;
+                let best_effort = grants.iter_mut().zip(demands);
+                for (grant, d) in best_effort.filter(|(_, d)| hungry_best_effort(d)) {
+                    let share = ((d.weight.max(0.0) / total_weight) * pool as f64).floor() as u32;
+                    let give = share.min(need(d)).min(remaining);
+                    *grant += give;
                     remaining -= give;
                 }
                 // Leftovers to the first best-effort slice that can use them.
-                for &i in &be {
+                let best_effort = grants.iter_mut().zip(demands);
+                for (grant, d) in best_effort.filter(|(_, d)| hungry_best_effort(d)) {
                     if remaining == 0 {
                         break;
                     }
-                    let need =
-                        (demands[i].demand_bits / demands[i].mean_prb_bits.max(1.0)).ceil() as u32;
-                    let extra = need.saturating_sub(grants[i]).min(remaining);
-                    grants[i] += extra;
+                    let extra = need(d).saturating_sub(*grant).min(remaining);
+                    *grant += extra;
                     remaining -= extra;
                 }
             }
         }
-
-        grants
     }
 
     fn name(&self) -> &str {
@@ -190,20 +193,18 @@ impl StrictPriority {
 }
 
 impl InterSliceScheduler for StrictPriority {
-    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand]) -> Vec<u32> {
+    fn allocate(&mut self, total_prbs: u32, demands: &[SliceDemand], grants: &mut Vec<u32>) {
+        grants.clear();
         let mut remaining = total_prbs;
-        demands
-            .iter()
-            .map(|d| {
-                if d.mean_prb_bits <= 0.0 {
-                    return 0;
-                }
-                let need = (d.demand_bits / d.mean_prb_bits).ceil() as u32;
-                let give = need.min(remaining);
-                remaining -= give;
-                give
-            })
-            .collect()
+        grants.extend(demands.iter().map(|d| {
+            if d.mean_prb_bits <= 0.0 {
+                return 0;
+            }
+            let need = (d.demand_bits / d.mean_prb_bits).ceil() as u32;
+            let give = need.min(remaining);
+            remaining -= give;
+            give
+        }));
     }
 
     fn name(&self) -> &str {
@@ -226,6 +227,14 @@ mod tests {
         }
     }
 
+    /// Run `alloc` into a buffer left dirty by an earlier, longer slot:
+    /// the callee must clear it.
+    fn run(alloc: &mut dyn InterSliceScheduler, total: u32, demands: &[SliceDemand]) -> Vec<u32> {
+        let mut out = vec![u32::MAX; demands.len() + 3];
+        alloc.allocate(total, demands, &mut out);
+        out
+    }
+
     #[test]
     fn fixed_share_proportional() {
         let mut fs = FixedShare::new();
@@ -233,7 +242,7 @@ mod tests {
         let mut d2 = demand(1, None, 1e9, 0.0);
         d1.weight = 3.0;
         d2.weight = 1.0;
-        let grants = fs.allocate(52, &[d1, d2]);
+        let grants = run(&mut fs, 52, &[d1, d2]);
         assert_eq!(grants.iter().sum::<u32>(), 52);
         assert!(grants[0] >= 38 && grants[0] <= 40, "grants {grants:?}");
     }
@@ -242,7 +251,7 @@ mod tests {
     fn target_rate_gives_tokens_worth() {
         let mut tr = TargetRate::new();
         // Slice owed 5000 bits, 500 bits/PRB -> 10 PRBs.
-        let grants = tr.allocate(52, &[demand(0, Some(5e6), 1e9, 5000.0)]);
+        let grants = run(&mut tr, 52, &[demand(0, Some(5e6), 1e9, 5000.0)]);
         assert_eq!(grants[0], 10);
     }
 
@@ -250,7 +259,7 @@ mod tests {
     fn target_rate_capped_by_demand() {
         let mut tr = TargetRate::new();
         // Owed a lot, but only 1000 bits buffered -> 2 PRBs.
-        let grants = tr.allocate(52, &[demand(0, Some(5e6), 1000.0, 1e9)]);
+        let grants = run(&mut tr, 52, &[demand(0, Some(5e6), 1000.0, 1e9)]);
         assert_eq!(grants[0], 2);
     }
 
@@ -258,7 +267,7 @@ mod tests {
     fn target_rate_respects_capacity() {
         let mut tr = TargetRate::new();
         let d = demand(0, Some(100e6), 1e9, 1e9);
-        let grants = tr.allocate(52, &[d, d]);
+        let grants = run(&mut tr, 52, &[d, d]);
         assert_eq!(grants.iter().sum::<u32>(), 52);
     }
 
@@ -267,7 +276,7 @@ mod tests {
         let mut tr = TargetRate::new();
         let targeted = demand(0, Some(1e6), 1e9, 1000.0); // wants 2 PRBs
         let be = demand(1, None, 1e9, 0.0);
-        let grants = tr.allocate(52, &[targeted, be]);
+        let grants = run(&mut tr, 52, &[targeted, be]);
         assert_eq!(grants[0], 2);
         assert_eq!(grants[1], 50);
     }
@@ -277,7 +286,7 @@ mod tests {
         let mut sp = StrictPriority::new();
         let hungry = demand(0, None, 500.0 * 40.0, 0.0); // needs 40 PRBs
         let second = demand(1, None, 1e9, 0.0);
-        let grants = sp.allocate(52, &[hungry, second]);
+        let grants = run(&mut sp, 52, &[hungry, second]);
         assert_eq!(grants[0], 40);
         assert_eq!(grants[1], 12);
     }
@@ -285,10 +294,38 @@ mod tests {
     #[test]
     fn zero_demand_zero_grant() {
         let mut tr = TargetRate::new();
-        let grants = tr.allocate(
+        let grants = run(
+            &mut tr,
             52,
             &[demand(0, Some(5e6), 0.0, 1e9), demand(1, None, 0.0, 0.0)],
         );
         assert_eq!(grants, vec![0, 0]);
+    }
+
+    #[test]
+    fn every_allocator_clears_the_buffer() {
+        let allocators: [&mut dyn InterSliceScheduler; 3] = [
+            &mut FixedShare::new(),
+            &mut TargetRate::new(),
+            &mut StrictPriority::new(),
+        ];
+        for alloc in allocators {
+            for demands in [&[][..], &[demand(0, None, 0.0, 0.0)][..]] {
+                let g = run(alloc, 52, demands);
+                assert_eq!(g.len(), demands.len(), "{}", alloc.name());
+                assert!(g.iter().sum::<u32>() <= 52, "{}", alloc.name());
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_share_survives_a_nan_weight() {
+        let mut fs = FixedShare::new();
+        let mut bad = demand(0, None, 1e9, 0.0);
+        bad.weight = f64::NAN;
+        let good = demand(1, None, 1e9, 0.0);
+        let g = run(&mut fs, 52, &[bad, good]);
+        // A NaN weight counts as zero: the other slice takes the grid.
+        assert_eq!(g, vec![0, 52]);
     }
 }

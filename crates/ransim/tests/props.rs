@@ -102,8 +102,10 @@ proptest! {
             Box::new(FixedShare::new()),
             Box::new(StrictPriority::new()),
         ];
+        // One buffer across allocators, as the gNB reuses it across slots.
+        let mut grants = vec![u32::MAX; 3];
         for alloc in &mut allocators {
-            let grants = alloc.allocate(total, &demands);
+            alloc.allocate(total, &demands, &mut grants);
             prop_assert_eq!(grants.len(), demands.len());
             prop_assert!(
                 grants.iter().sum::<u32>() <= total,
