@@ -7,53 +7,17 @@
 //! priorities.
 //!
 //! The encoding is a fixed-layout little-endian binary format so PlugC
-//! plugins can parse it with plain `load_*` intrinsics at documented
-//! offsets — no dynamic parsing inside the 1 ms slot budget.
+//! plugins can parse it with plain `load_*` intrinsics at fixed offsets —
+//! no dynamic parsing inside the 1 ms slot budget. The layout is declared
+//! once, as the [`Field`] consts below: a request is the [`frame`], the
+//! [`request`] fields and `n` [`ue`] records; a response is the [`frame`]
+//! and `n` [`alloc`] records. The Rust codec reads and writes only through
+//! these consts, [`plugc_prelude`] renders the PlugC accessors from them,
+//! and a compile-time assertion per record checks that its fields tile it.
 //!
-//! ## Request layout (`SchedRequest`)
-//!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0  | 2 | magic `0x5752` (`"RW"` LE) |
-//! | 2  | 2 | version (currently 1) |
-//! | 4  | 2 | number of UE records |
-//! | 6  | 2 | reserved (0) |
-//! | 8  | 8 | slot number |
-//! | 16 | 4 | PRBs granted to the slice this slot |
-//! | 20 | 4 | slice id |
-//! | 24 | 32×n | UE records |
-//!
-//! ## UE record layout (`UeInfo`, 32 bytes)
-//!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0  | 4 | UE id (RNTI) |
-//! | 4  | 1 | CQI (1–15) |
-//! | 5  | 1 | MCS (0–28) |
-//! | 6  | 2 | flags (bit 0: retransmission pending) |
-//! | 8  | 4 | DL buffer occupancy, bytes |
-//! | 12 | 4 | reserved (0) |
-//! | 16 | 8 | long-term average throughput, bit/s (f64) |
-//! | 24 | 8 | transport bits one PRB carries this slot at current MCS (f64) |
-//!
-//! ## Response layout (`SchedResponse`)
-//!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0 | 2 | magic `0x5752` |
-//! | 2 | 2 | version |
-//! | 4 | 2 | number of allocations |
-//! | 6 | 2 | reserved |
-//! | 8 | 8×n | allocation records |
-//!
-//! ## Allocation record (`Allocation`, 8 bytes)
-//!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0 | 4 | UE id |
-//! | 4 | 2 | PRBs allocated |
-//! | 6 | 1 | priority (0 = highest; ties broken by record order) |
-//! | 7 | 1 | reserved |
+//! The record count is a `u16`, so a message carries at most
+//! [`MAX_RECORDS`] records; the encoders write no more than that, and the
+//! count they write is always the number of records that follow.
 
 use crate::CodecError;
 
@@ -65,13 +29,221 @@ pub const VERSION: u16 = 1;
 pub const REQUEST_HEADER_LEN: usize = 24;
 /// Size of one UE record in bytes.
 pub const UE_RECORD_LEN: usize = 32;
-/// Size of the response header in bytes.
+/// Size of the response header (the [`frame`]) in bytes.
 pub const RESPONSE_HEADER_LEN: usize = 8;
 /// Size of one allocation record in bytes.
 pub const ALLOC_RECORD_LEN: usize = 8;
+/// Most records one request or response carries: the count is a `u16`.
+pub const MAX_RECORDS: usize = u16::MAX as usize;
 
 /// Flag bit: the UE has a pending retransmission.
 pub const FLAG_RETX: u16 = 1 << 0;
+
+/// A little-endian field `W` bytes wide at `offset` in its record. The
+/// width is part of the type, so a value of another width neither reads
+/// nor writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field<const W: usize> {
+    /// Byte offset from the start of the record.
+    pub offset: usize,
+}
+
+/// PlugC for the address `offset` bytes into the record at `base`: `base`
+/// itself at offset 0, `base + <offset>` elsewhere.
+fn addr_at(base: &str, offset: usize) -> String {
+    match offset {
+        0 => base.to_string(),
+        off => format!("{base} + {off}"),
+    }
+}
+
+impl<const W: usize> Field<W> {
+    /// PlugC for the field's address in the record at `base`.
+    pub fn addr(self, base: &str) -> String {
+        addr_at(base, self.offset)
+    }
+
+    /// PlugC for the address of each of the field's bytes, low first.
+    fn byte_addrs(self, base: &str) -> [String; W] {
+        std::array::from_fn(|k| addr_at(base, self.offset + k))
+    }
+
+    /// The field's bytes in `rec`, which its record's tiling assertion
+    /// proves long enough.
+    fn get<const N: usize>(self, rec: &[u8; N]) -> [u8; W] {
+        let mut bytes = [0; W];
+        bytes.copy_from_slice(&rec[self.offset..self.offset + W]);
+        bytes
+    }
+
+    /// Store `bytes` into `rec`, as [`Self::get`] reads them.
+    fn put<const N: usize>(self, rec: &mut [u8; N], bytes: [u8; W]) {
+        rec[self.offset..self.offset + W].copy_from_slice(&bytes);
+    }
+}
+
+/// True when the `(offset, width)` spans, in order, cover `start..end`
+/// with no gap or overlap.
+const fn tiles(spans: &[(usize, usize)], start: usize, end: usize) -> bool {
+    match spans {
+        [] => start == end,
+        [(offset, width), rest @ ..] => *offset == start && tiles(rest, start + *width, end),
+    }
+}
+
+/// Declares one record's fields, in order, as [`Field`] consts of module
+/// `$record`, each `NAME: width @ offset => "doc"`, and asserts at compile
+/// time that they tile `$start..$end`.
+macro_rules! fields {
+    ($(#[$doc:meta])* $record:ident, $start:expr, $end:expr, {
+        $($name:ident: $width:literal @ $offset:literal => $fdoc:literal,)*
+    }) => {
+        $(#[$doc])*
+        pub mod $record {
+            use super::Field;
+            $(#[doc = $fdoc] pub const $name: Field<$width> = Field { offset: $offset };)*
+        }
+        const _: () = assert!(tiles(&[$(($offset, $width)),*], $start, $end));
+    };
+}
+
+fields! {
+    /// The 8-byte header every request and response starts with.
+    frame, 0, RESPONSE_HEADER_LEN, {
+    MAGIC: 2 @ 0 => "Magic, [`super::MAGIC`].",
+    VERSION: 2 @ 2 => "ABI version, [`super::VERSION`].",
+    COUNT: 2 @ 4 => "Records that follow: UEs in a request, allocations in a response.",
+    RESERVED: 2 @ 6 => "Reserved, 0.",
+}}
+
+fields! {
+    /// The rest of the request header, after the [`frame`].
+    request, RESPONSE_HEADER_LEN, REQUEST_HEADER_LEN, {
+    SLOT: 8 @ 8 => "Slot number.",
+    PRBS: 4 @ 16 => "PRBs granted to the slice this slot.",
+    SLICE_ID: 4 @ 20 => "Slice id.",
+}}
+
+fields! {
+    /// One UE record, [`UeInfo`].
+    ue, 0, UE_RECORD_LEN, {
+    ID: 4 @ 0 => "UE id (RNTI).",
+    CQI: 1 @ 4 => "CQI, 1–15.",
+    MCS: 1 @ 5 => "MCS, 0–28.",
+    FLAGS: 2 @ 6 => "Flags (bit 0: retransmission pending).",
+    BUFFER: 4 @ 8 => "DL buffer occupancy in bytes (u32).",
+    RESERVED: 4 @ 12 => "Reserved, 0.",
+    AVG_TPUT: 8 @ 16 => "Long-term average throughput in bit/s (f64).",
+    PRB_CAPACITY: 8 @ 24 => "Transport bits one PRB carries this slot at the current MCS (f64).",
+}}
+
+fields! {
+    /// One allocation record, [`Allocation`].
+    alloc, 0, ALLOC_RECORD_LEN, {
+    UE_ID: 4 @ 0 => "UE id.",
+    PRBS: 2 @ 4 => "PRBs allocated (u16).",
+    PRIORITY: 1 @ 6 => "Priority, 0 = highest; ties are broken by record order.",
+    RESERVED: 1 @ 7 => "Reserved, 0.",
+}}
+
+/// A header of `N` bytes that starts with the frame for `count` records;
+/// callers pass at most [`MAX_RECORDS`].
+fn header<const N: usize>(count: usize) -> [u8; N] {
+    let mut head = [0; N];
+    frame::MAGIC.put(&mut head, MAGIC.to_le_bytes());
+    frame::VERSION.put(&mut head, VERSION.to_le_bytes());
+    frame::COUNT.put(&mut head, (count as u16).to_le_bytes());
+    head
+}
+
+/// Check the `HEAD`-byte header at the start of `buf` — the codec's one
+/// length-checked read — and split off the `LEN`-byte records its frame
+/// counts (at most `max`).
+fn records<const HEAD: usize, const LEN: usize>(
+    buf: &[u8],
+    max: usize,
+) -> Result<(&[u8; HEAD], &[[u8; LEN]]), CodecError> {
+    let head = buf.first_chunk().ok_or(CodecError::UnexpectedEof)?;
+    let magic = u16::from_le_bytes(frame::MAGIC.get(head));
+    if magic != MAGIC {
+        return Err(CodecError::Malformed(format!("bad magic {magic:#06x}")));
+    }
+    let version = u16::from_le_bytes(frame::VERSION.get(head));
+    if version != VERSION {
+        return Err(CodecError::VersionMismatch {
+            expected: VERSION,
+            found: version,
+        });
+    }
+    let n = u16::from_le_bytes(frame::COUNT.get(head)) as usize;
+    if n > max {
+        // Only a response's caller sets `max` below the `u16` range.
+        return Err(CodecError::Malformed(format!(
+            "plugin returned {n} allocations, limit is {max}"
+        )));
+    }
+    let need = HEAD + n * LEN;
+    let body = buf.get(HEAD..need).ok_or(CodecError::BadLength {
+        need,
+        have: buf.len(),
+    })?;
+    Ok((head, body.as_chunks().0))
+}
+
+/// The PlugC helpers a scheduler plugin is built on, rendered from the
+/// field table: `req_n`, `req_prbs`, `rec`, `write_header`, `write_alloc`.
+///
+/// Offsets are rendered as literals, not as PlugC `const`s: a `const`
+/// compiles to a `global.get` and no PlugC pass folds it, so constants
+/// would change every module built on the prelude.
+pub fn plugc_prelude() -> String {
+    let [n_lo, n_hi] = frame::COUNT.byte_addrs("req");
+    let req_prbs = request::PRBS.addr("req");
+    let [magic_0, magic_1] = frame::MAGIC.byte_addrs("out");
+    let [magic_lo, magic_hi] = MAGIC.to_le_bytes();
+    let [version_0, version_1] = frame::VERSION.byte_addrs("out");
+    let [version_lo, version_hi] = VERSION.to_le_bytes();
+    let [count_0, count_1] = frame::COUNT.byte_addrs("out");
+    let [reserved_0, reserved_1] = frame::RESERVED.byte_addrs("out");
+    let alloc_id = alloc::UE_ID.addr("slot");
+    let [prbs_0, prbs_1] = alloc::PRBS.byte_addrs("slot");
+    let alloc_priority = alloc::PRIORITY.addr("slot");
+    let alloc_reserved = alloc::RESERVED.addr("slot");
+    format!(
+        r#"
+fn req_n(req: i32) -> i32 {{
+    return load_u8({n_lo}) | (load_u8({n_hi}) << 8);
+}}
+
+fn req_prbs(req: i32) -> i32 {{
+    return load_i32({req_prbs});
+}}
+
+fn rec(req: i32, i: i32) -> i32 {{
+    return req + {REQUEST_HEADER_LEN} + i * {UE_RECORD_LEN};
+}}
+
+fn write_header(out: i32, n: i32) {{
+    store_u8({magic_0}, {magic_lo:#04x}); store_u8({magic_1}, {magic_hi:#04x});
+    store_u8({version_0}, {version_lo}); store_u8({version_1}, {version_hi});
+    store_u8({count_0}, n & 255); store_u8({count_1}, (n >> 8) & 255);
+    store_u8({reserved_0}, 0); store_u8({reserved_1}, 0);
+}}
+
+fn write_alloc(out: i32, idx: i32, ue_id: i32, prbs: i32, priority: i32) {{
+    var slot: i32 = out + {RESPONSE_HEADER_LEN} + idx * {ALLOC_RECORD_LEN};
+    store_i32({alloc_id}, ue_id);
+    store_u8({prbs_0}, prbs & 255);
+    store_u8({prbs_1}, (prbs >> 8) & 255);
+    // Ranks past 255 saturate: all ones stores as 255, the lowest
+    // priority (wrapping would sort the 257th-ranked UE first). No branch,
+    // so this stays a straight-line helper the lowering inlines.
+    store_u8({alloc_priority}, priority | -(priority > 255));
+    store_u8({alloc_reserved}, 0);
+}}
+"#
+    )
+}
 
 /// Snapshot of one UE handed to the intra-slice scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,30 +266,28 @@ pub struct UeInfo {
 }
 
 impl UeInfo {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.ue_id.to_le_bytes());
-        out.push(self.cqi);
-        out.push(self.mcs);
-        out.extend_from_slice(&self.flags.to_le_bytes());
-        out.extend_from_slice(&self.buffer_bytes.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&self.avg_tput_bps.to_le_bytes());
-        out.extend_from_slice(&self.prb_capacity_bits.to_le_bytes());
+    fn encode(&self) -> [u8; UE_RECORD_LEN] {
+        let mut rec = [0; UE_RECORD_LEN];
+        ue::ID.put(&mut rec, self.ue_id.to_le_bytes());
+        ue::CQI.put(&mut rec, [self.cqi]);
+        ue::MCS.put(&mut rec, [self.mcs]);
+        ue::FLAGS.put(&mut rec, self.flags.to_le_bytes());
+        ue::BUFFER.put(&mut rec, self.buffer_bytes.to_le_bytes());
+        ue::AVG_TPUT.put(&mut rec, self.avg_tput_bps.to_le_bytes());
+        ue::PRB_CAPACITY.put(&mut rec, self.prb_capacity_bits.to_le_bytes());
+        rec
     }
 
-    fn decode_from(buf: &[u8]) -> Result<UeInfo, CodecError> {
-        if buf.len() < UE_RECORD_LEN {
-            return Err(CodecError::UnexpectedEof);
+    fn decode(rec: &[u8; UE_RECORD_LEN]) -> UeInfo {
+        UeInfo {
+            ue_id: u32::from_le_bytes(ue::ID.get(rec)),
+            cqi: u8::from_le_bytes(ue::CQI.get(rec)),
+            mcs: u8::from_le_bytes(ue::MCS.get(rec)),
+            flags: u16::from_le_bytes(ue::FLAGS.get(rec)),
+            buffer_bytes: u32::from_le_bytes(ue::BUFFER.get(rec)),
+            avg_tput_bps: f64::from_le_bytes(ue::AVG_TPUT.get(rec)),
+            prb_capacity_bits: f64::from_le_bytes(ue::PRB_CAPACITY.get(rec)),
         }
-        Ok(UeInfo {
-            ue_id: u32::from_le_bytes(buf[0..4].try_into().expect("sized")),
-            cqi: buf[4],
-            mcs: buf[5],
-            flags: u16::from_le_bytes(buf[6..8].try_into().expect("sized")),
-            buffer_bytes: u32::from_le_bytes(buf[8..12].try_into().expect("sized")),
-            avg_tput_bps: f64::from_le_bytes(buf[16..24].try_into().expect("sized")),
-            prb_capacity_bits: f64::from_le_bytes(buf[24..32].try_into().expect("sized")),
-        })
     }
 }
 
@@ -135,67 +305,38 @@ pub struct SchedRequest {
 }
 
 impl SchedRequest {
-    /// Encode to the wire layout.
+    /// Encode to the wire layout; only the first [`MAX_RECORDS`] UEs fit.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(REQUEST_HEADER_LEN + self.ues.len() * UE_RECORD_LEN);
+        let mut out = Vec::new();
         self.encode_into(&mut out);
         out
     }
 
     /// Append the wire layout to `out` — the reusable-buffer variant for
-    /// per-slot callers that want to avoid an allocation per request.
+    /// per-slot callers that want to avoid an allocation per request. Only
+    /// the first [`MAX_RECORDS`] UEs fit.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(REQUEST_HEADER_LEN + self.ues.len() * UE_RECORD_LEN);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.ues.len() as u16).to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&self.slot.to_le_bytes());
-        out.extend_from_slice(&self.prbs_granted.to_le_bytes());
-        out.extend_from_slice(&self.slice_id.to_le_bytes());
-        for ue in &self.ues {
-            ue.encode_into(out);
+        let ues = &self.ues[..self.ues.len().min(MAX_RECORDS)];
+        out.reserve(REQUEST_HEADER_LEN + ues.len() * UE_RECORD_LEN);
+        let mut head = header::<REQUEST_HEADER_LEN>(ues.len());
+        request::SLOT.put(&mut head, self.slot.to_le_bytes());
+        request::PRBS.put(&mut head, self.prbs_granted.to_le_bytes());
+        request::SLICE_ID.put(&mut head, self.slice_id.to_le_bytes());
+        out.extend_from_slice(&head);
+        for ue in ues {
+            out.extend_from_slice(&ue.encode());
         }
     }
 
     /// Decode from the wire layout (what a Rust-side "plugin" or test does;
     /// PlugC plugins read the same bytes with `load_*`).
     pub fn decode(buf: &[u8]) -> Result<SchedRequest, CodecError> {
-        if buf.len() < REQUEST_HEADER_LEN {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let magic = u16::from_le_bytes(buf[0..2].try_into().expect("sized"));
-        if magic != MAGIC {
-            return Err(CodecError::Malformed(format!("bad magic {magic:#06x}")));
-        }
-        let version = u16::from_le_bytes(buf[2..4].try_into().expect("sized"));
-        if version != VERSION {
-            return Err(CodecError::VersionMismatch {
-                expected: VERSION,
-                found: version,
-            });
-        }
-        let n_ues = u16::from_le_bytes(buf[4..6].try_into().expect("sized")) as usize;
-        let need = REQUEST_HEADER_LEN + n_ues * UE_RECORD_LEN;
-        if buf.len() < need {
-            return Err(CodecError::BadLength {
-                need,
-                have: buf.len(),
-            });
-        }
-        let slot = u64::from_le_bytes(buf[8..16].try_into().expect("sized"));
-        let prbs_granted = u32::from_le_bytes(buf[16..20].try_into().expect("sized"));
-        let slice_id = u32::from_le_bytes(buf[20..24].try_into().expect("sized"));
-        let mut ues = Vec::with_capacity(n_ues);
-        for i in 0..n_ues {
-            let off = REQUEST_HEADER_LEN + i * UE_RECORD_LEN;
-            ues.push(UeInfo::decode_from(&buf[off..])?);
-        }
+        let (head, records) = records::<REQUEST_HEADER_LEN, UE_RECORD_LEN>(buf, MAX_RECORDS)?;
         Ok(SchedRequest {
-            slot,
-            prbs_granted,
-            slice_id,
-            ues,
+            slot: u64::from_le_bytes(request::SLOT.get(head)),
+            prbs_granted: u32::from_le_bytes(request::PRBS.get(head)),
+            slice_id: u32::from_le_bytes(request::SLICE_ID.get(head)),
+            ues: records.iter().map(UeInfo::decode).collect(),
         })
     }
 }
@@ -220,19 +361,18 @@ pub struct SchedResponse {
 }
 
 impl SchedResponse {
-    /// Encode to the wire layout.
+    /// Encode to the wire layout; only the first [`MAX_RECORDS`]
+    /// allocations fit.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(RESPONSE_HEADER_LEN + self.allocs.len() * ALLOC_RECORD_LEN);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.allocs.len() as u16).to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        for a in &self.allocs {
-            out.extend_from_slice(&a.ue_id.to_le_bytes());
-            out.extend_from_slice(&a.prbs.to_le_bytes());
-            out.push(a.priority);
-            out.push(0);
+        let allocs = &self.allocs[..self.allocs.len().min(MAX_RECORDS)];
+        let mut out = Vec::with_capacity(RESPONSE_HEADER_LEN + allocs.len() * ALLOC_RECORD_LEN);
+        out.extend_from_slice(&header::<RESPONSE_HEADER_LEN>(allocs.len()));
+        for a in allocs {
+            let mut rec = [0; ALLOC_RECORD_LEN];
+            alloc::UE_ID.put(&mut rec, a.ue_id.to_le_bytes());
+            alloc::PRBS.put(&mut rec, a.prbs.to_le_bytes());
+            alloc::PRIORITY.put(&mut rec, [a.priority]);
+            out.extend_from_slice(&rec);
         }
         out
     }
@@ -242,43 +382,15 @@ impl SchedResponse {
     /// `max_allocs` bounds how many records a (possibly hostile) plugin may
     /// return — the fault policy treats violations as plugin faults.
     pub fn decode(buf: &[u8], max_allocs: usize) -> Result<SchedResponse, CodecError> {
-        if buf.len() < RESPONSE_HEADER_LEN {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let magic = u16::from_le_bytes(buf[0..2].try_into().expect("sized"));
-        if magic != MAGIC {
-            return Err(CodecError::Malformed(format!("bad magic {magic:#06x}")));
-        }
-        let version = u16::from_le_bytes(buf[2..4].try_into().expect("sized"));
-        if version != VERSION {
-            return Err(CodecError::VersionMismatch {
-                expected: VERSION,
-                found: version,
-            });
-        }
-        let n = u16::from_le_bytes(buf[4..6].try_into().expect("sized")) as usize;
-        if n > max_allocs {
-            return Err(CodecError::Malformed(format!(
-                "plugin returned {n} allocations, limit is {max_allocs}"
-            )));
-        }
-        let need = RESPONSE_HEADER_LEN + n * ALLOC_RECORD_LEN;
-        if buf.len() < need {
-            return Err(CodecError::BadLength {
-                need,
-                have: buf.len(),
-            });
-        }
-        let mut allocs = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = RESPONSE_HEADER_LEN + i * ALLOC_RECORD_LEN;
-            allocs.push(Allocation {
-                ue_id: u32::from_le_bytes(buf[off..off + 4].try_into().expect("sized")),
-                prbs: u16::from_le_bytes(buf[off + 4..off + 6].try_into().expect("sized")),
-                priority: buf[off + 6],
-            });
-        }
-        Ok(SchedResponse { allocs })
+        let (_, records) = records::<RESPONSE_HEADER_LEN, ALLOC_RECORD_LEN>(buf, max_allocs)?;
+        let allocs = records.iter().map(|rec| Allocation {
+            ue_id: u32::from_le_bytes(alloc::UE_ID.get(rec)),
+            prbs: u16::from_le_bytes(alloc::PRBS.get(rec)),
+            priority: u8::from_le_bytes(alloc::PRIORITY.get(rec)),
+        });
+        Ok(SchedResponse {
+            allocs: allocs.collect(),
+        })
     }
 
     /// Total PRBs requested across all allocations.
@@ -413,25 +525,28 @@ mod tests {
     }
 
     #[test]
-    fn layout_offsets_match_documentation() {
-        // PlugC plugins hard-code these offsets; lock them down.
-        let req = sample_request();
+    fn counts_never_wrap() {
+        // 65 536 records used to encode a count of 0 and then all of them.
+        let ue = sample_request().ues[0];
+        let req = SchedRequest {
+            ues: vec![ue; MAX_RECORDS + 1],
+            ..sample_request()
+        };
         let bytes = req.encode();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 2); // n_ues at 4
         assert_eq!(
-            u32::from_le_bytes(bytes[16..20].try_into().unwrap()),
-            52 // prbs_granted at 16
+            bytes.len(),
+            REQUEST_HEADER_LEN + MAX_RECORDS * UE_RECORD_LEN
         );
-        let ue0 = REQUEST_HEADER_LEN;
-        assert_eq!(
-            u32::from_le_bytes(bytes[ue0..ue0 + 4].try_into().unwrap()),
-            70
-        );
-        assert_eq!(bytes[ue0 + 4], 12); // cqi
-        assert_eq!(bytes[ue0 + 5], 24); // mcs
-        assert_eq!(
-            f64::from_le_bytes(bytes[ue0 + 16..ue0 + 24].try_into().unwrap()),
-            12.5e6 // avg_tput at +16
-        );
+        assert_eq!(SchedRequest::decode(&bytes).unwrap().ues.len(), MAX_RECORDS);
+        let alloc = Allocation {
+            ue_id: 1,
+            prbs: 1,
+            priority: 0,
+        };
+        let resp = SchedResponse {
+            allocs: vec![alloc; MAX_RECORDS + 1],
+        };
+        let decoded = SchedResponse::decode(&resp.encode(), usize::MAX).unwrap();
+        assert_eq!(decoded.allocs.len(), MAX_RECORDS);
     }
 }

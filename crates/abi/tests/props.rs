@@ -1,13 +1,16 @@
 //! Property tests: every codec round-trips arbitrary well-typed data, and
-//! no decoder panics on arbitrary bytes.
+//! no decoder panics on arbitrary bytes or on any cut of a valid message.
 
 use proptest::prelude::*;
 
 use waran_abi::bitpack::{BitReader, BitWriter, RecordSpec};
 use waran_abi::pbwire::{PbReader, PbWriter};
-use waran_abi::sched::{Allocation, SchedRequest, SchedResponse, UeInfo};
+use waran_abi::sched::{
+    Allocation, SchedRequest, SchedResponse, UeInfo, REQUEST_HEADER_LEN, RESPONSE_HEADER_LEN,
+};
 use waran_abi::sjson::Json;
 use waran_abi::tlv::{TlvReader, TlvWriter};
+use waran_abi::CodecError;
 
 fn arb_ue() -> impl Strategy<Value = UeInfo> {
     (
@@ -30,6 +33,28 @@ fn arb_ue() -> impl Strategy<Value = UeInfo> {
         })
 }
 
+fn arb_alloc() -> impl Strategy<Value = Allocation> {
+    (any::<u32>(), any::<u16>(), any::<u8>()).prop_map(|(ue_id, prbs, priority)| Allocation {
+        ue_id,
+        prbs,
+        priority,
+    })
+}
+
+/// The error the first `cut` bytes of a `len`-byte message with a
+/// `header_len`-byte header decode to: a cut header is `UnexpectedEof`, cut
+/// records are `BadLength`.
+fn cut_error(cut: usize, header_len: usize, len: usize) -> CodecError {
+    if cut < header_len {
+        CodecError::UnexpectedEof
+    } else {
+        CodecError::BadLength {
+            need: len,
+            have: cut,
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn sched_request_roundtrip(
@@ -44,13 +69,7 @@ proptest! {
     }
 
     #[test]
-    fn sched_response_roundtrip(
-        allocs in proptest::collection::vec(
-            (any::<u32>(), any::<u16>(), any::<u8>())
-                .prop_map(|(ue_id, prbs, priority)| Allocation { ue_id, prbs, priority }),
-            0..64,
-        ),
-    ) {
+    fn sched_response_roundtrip(allocs in proptest::collection::vec(arb_alloc(), 0..64)) {
         let resp = SchedResponse { allocs };
         let decoded = SchedResponse::decode(&resp.encode(), 64).unwrap();
         prop_assert_eq!(decoded, resp);
@@ -60,6 +79,33 @@ proptest! {
     fn sched_decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = SchedRequest::decode(&bytes);
         let _ = SchedResponse::decode(&bytes, 32);
+    }
+
+    #[test]
+    fn sched_strict_prefixes_are_short_and_the_whole_decodes(
+        slot in any::<u64>(),
+        ues in proptest::collection::vec(arb_ue(), 0..6),
+        allocs in proptest::collection::vec(arb_alloc(), 0..6),
+    ) {
+        let req = SchedRequest { slot, prbs_granted: 52, slice_id: 7, ues };
+        let bytes = req.encode();
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(
+                SchedRequest::decode(&bytes[..cut]).err(),
+                Some(cut_error(cut, REQUEST_HEADER_LEN, bytes.len()))
+            );
+        }
+        prop_assert_eq!(SchedRequest::decode(&bytes).unwrap(), req);
+        let resp = SchedResponse { allocs };
+        let bytes = resp.encode();
+        let max = resp.allocs.len();
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(
+                SchedResponse::decode(&bytes[..cut], max).err(),
+                Some(cut_error(cut, RESPONSE_HEADER_LEN, bytes.len()))
+            );
+        }
+        prop_assert_eq!(SchedResponse::decode(&bytes, max).unwrap(), resp);
     }
 
     #[test]

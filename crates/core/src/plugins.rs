@@ -3,82 +3,63 @@
 //! Wasm on first use.
 //!
 //! The scheduler plugins implement exactly the three policies the paper's
-//! MVNOs use (Round Robin, Proportional Fair, Maximum Throughput) against
-//! the documented `waran-abi::sched` byte layout. They are bit-for-bit
+//! MVNOs use (Round Robin, Proportional Fair, Maximum Throughput) on top of
+//! the PlugC prelude `waran_abi::sched` renders from its field table, and
+//! read per-UE fields at offsets taken from that table. They are bit-for-bit
 //! ordinary `.wasm` modules — the same bytes could be loaded by any other
 //! conformant runtime.
 
 use std::sync::OnceLock;
 
-/// ABI offsets used by the plugin sources below (kept in sync with
-/// `waran_abi::sched` by the `abi_offsets_locked` test):
-/// request: `n_ues@4 (u16)`, `prbs@16 (i32)`, records at 24 + 32·i with
-/// `ue_id@0 (u32)`, `buffer@+8 (u32)`, `avg@+16 (f64)`, `cap@+24 (f64)`;
-/// response: 8-byte header then 8-byte allocation records.
-///
-/// Shared PlugC helpers: request accessors, response-header writer and
-/// allocation-record writer.
-const COMMON: &str = r#"
-fn req_n(req: i32) -> i32 {
-    return load_u8(req + 4) | (load_u8(req + 5) << 8);
+use waran_abi::sched::{plugc_prelude, ue, Field};
+
+/// PlugC that loads `field` of UE record `i` as `ty`. The templates below
+/// name these loads `{<field>_<i>}`, so every per-UE offset comes from the
+/// `waran_abi::sched` field table.
+fn load<const W: usize>(ty: &str, field: Field<W>, i: &str) -> String {
+    format!("load_{ty}({})", field.addr(&format!("rec(req, {i})")))
 }
 
-fn req_prbs(req: i32) -> i32 {
-    return load_i32(req + 16);
-}
-
-fn rec(req: i32, i: i32) -> i32 {
-    return req + 24 + i * 32;
-}
-
-fn write_header(out: i32, n: i32) {
-    store_u8(out, 0x52); store_u8(out + 1, 0x57);
-    store_u8(out + 2, 1); store_u8(out + 3, 0);
-    store_u8(out + 4, n & 255); store_u8(out + 5, (n >> 8) & 255);
-    store_u8(out + 6, 0); store_u8(out + 7, 0);
-}
-
-fn write_alloc(out: i32, idx: i32, ue_id: i32, prbs: i32, priority: i32) {
-    var slot: i32 = out + 8 + idx * 8;
-    store_i32(slot, ue_id);
-    store_u8(slot + 4, prbs & 255);
-    store_u8(slot + 5, (prbs >> 8) & 255);
-    // Ranks past 255 saturate: all ones stores as 255, the lowest
-    // priority (wrapping would sort the 257th-ranked UE first). No branch,
-    // so this stays a straight-line helper the lowering inlines.
-    store_u8(slot + 6, priority | -(priority > 255));
-    store_u8(slot + 7, 0);
-}
-
+/// The ABI prelude plus the helper every policy shares.
+fn common() -> String {
+    format!(
+        r#"{prelude}
 // PRBs needed to drain the buffer of record i.
-fn needed(req: i32, i: i32) -> i32 {
-    var cap: f64 = load_f64(rec(req, i) + 24);
-    if (cap <= 0.0) { return 0; }
-    var bits: f64 = (load_i32(rec(req, i) + 8) as f64) * 8.0;
+fn needed(req: i32, i: i32) -> i32 {{
+    var cap: f64 = {cap_i};
+    if (cap <= 0.0) {{ return 0; }}
+    var bits: f64 = ({buffer_i} as f64) * 8.0;
     return ceil(bits / cap) as i32;
+}}
+"#,
+        prelude = plugc_prelude(),
+        cap_i = load("f64", ue::PRB_CAPACITY, "i"),
+        buffer_i = load("i32", ue::BUFFER, "i"),
+    )
 }
-"#;
 
 /// Round-robin scheduler plugin: equal shares over backlogged UEs with a
 /// rotating head; unusable quota spills to the next UE in rotation.
-pub const RR_SOURCE_BODY: &str = r#"
+fn rr_source() -> String {
+    format!(
+        r#"
 global next: i32 = 0;
 
-export fn schedule(req: i32, len: i32) -> i64 {
+export fn schedule(req: i32, len: i32) -> i64 {{
     var n: i32 = req_n(req);
     var prbs: i32 = req_prbs(req);
     var out: i32 = wrn_alloc(8 + n * 8);
     // Count backlogged UEs.
     var m: i32 = 0;
     var i: i32 = 0;
-    while (i < n) {
-        if (load_i32(rec(req, i) + 8) > 0) { m = m + 1; }
+    while (i < n) {{
+        if ({buffer_i} > 0) {{ m = m + 1; }}
         i = i + 1;
-    }
-    if (m == 0 || prbs == 0) {
+    }}
+    if (m == 0 || prbs == 0) {{
         write_header(out, 0);
         return pack(out, 8);
-    }
+    }}
     var rotation: i32 = next % m;
     next = next + 1;
     var share: i32 = prbs / m;
@@ -89,46 +70,53 @@ export fn schedule(req: i32, len: i32) -> i64 {
     // Record index of the `rotation`-th backlogged UE (one pass).
     var idx: i32 = 0;
     var seen: i32 = 0;
-    while (idx < n) {
-        if (load_i32(rec(req, idx) + 8) > 0) {
-            if (seen == rotation) { break; }
+    while (idx < n) {{
+        if ({buffer_idx} > 0) {{
+            if (seen == rotation) {{ break; }}
             seen = seen + 1;
-        }
+        }}
         idx = idx + 1;
-    }
+    }}
     // Circular walk from there: each backlogged record is visited once.
     var step: i32 = 0;
-    while (step < m) {
-        if (load_i32(rec(req, idx) + 8) > 0) {
+    while (step < m) {{
+        if ({buffer_idx} > 0) {{
             var quota: i32 = share + spill;
-            if (step < extra) { quota = quota + 1; }
-            if (quota > remaining) { quota = remaining; }
+            if (step < extra) {{ quota = quota + 1; }}
+            if (quota > remaining) {{ quota = remaining; }}
             var need: i32 = needed(req, idx);
             var give: i32 = quota;
-            if (need < give) { give = need; }
+            if (need < give) {{ give = need; }}
             spill = quota - give;
             remaining = remaining - give;
-            if (give > 0) {
-                write_alloc(out, written, load_i32(rec(req, idx)), give, step);
+            if (give > 0) {{
+                write_alloc(out, written, {id_idx}, give, step);
                 written = written + 1;
-            }
+            }}
             step = step + 1;
-        }
+        }}
         idx = idx + 1;
-        if (idx == n) { idx = 0; }
-    }
+        if (idx == n) {{ idx = 0; }}
+    }}
     write_header(out, written);
     return pack(out, 8 + written * 8);
+}}
+"#,
+        buffer_i = load("i32", ue::BUFFER, "i"),
+        buffer_idx = load("i32", ue::BUFFER, "idx"),
+        id_idx = load("i32", ue::ID, "idx"),
+    )
 }
-"#;
 
 /// Greedy argmax scheduler skeleton shared by PF and MT: repeatedly pick
 /// the unserved backlogged UE with the best metric and give it the PRBs it
-/// needs. The `metric` function differs per policy.
-fn greedy_source(metric_fn: &str) -> String {
+/// needs. The `metric` of record `i` differs per policy.
+fn greedy_source(metric: String) -> String {
     format!(
         r#"
-{metric_fn}
+fn metric(req: i32, i: i32) -> f64 {{
+    return {metric};
+}}
 
 export fn schedule(req: i32, len: i32) -> i64 {{
     var n: i32 = req_n(req);
@@ -147,7 +135,7 @@ export fn schedule(req: i32, len: i32) -> i64 {{
         var best_metric: f64 = 0.0 - 1.0e300;
         var j: i32 = 0;
         while (j < n) {{
-            if (load_u8(served + j) == 0 && load_i32(rec(req, j) + 8) > 0) {{
+            if (load_u8(served + j) == 0 && {buffer_j} > 0) {{
                 var m: f64 = metric(req, j);
                 if (m > best_metric) {{
                     best_metric = m;
@@ -162,7 +150,7 @@ export fn schedule(req: i32, len: i32) -> i64 {{
         var give: i32 = need;
         if (remaining < give) {{ give = remaining; }}
         if (give > 0) {{
-            write_alloc(out, written, load_i32(rec(req, best)), give, rank);
+            write_alloc(out, written, {id_best}, give, rank);
             written = written + 1;
             remaining = remaining - give;
         }}
@@ -171,24 +159,11 @@ export fn schedule(req: i32, len: i32) -> i64 {{
     write_header(out, written);
     return pack(out, 8 + written * 8);
 }}
-"#
+"#,
+        buffer_j = load("i32", ue::BUFFER, "j"),
+        id_best = load("i32", ue::ID, "best"),
     )
 }
-
-/// Proportional-fair metric: achievable per-PRB rate over long-term
-/// average.
-const PF_METRIC: &str = r#"
-fn metric(req: i32, i: i32) -> f64 {
-    return load_f64(rec(req, i) + 24) / max(load_f64(rec(req, i) + 16), 0.001);
-}
-"#;
-
-/// Maximum-throughput metric: achievable per-PRB rate.
-const MT_METRIC: &str = r#"
-fn metric(req: i32, i: i32) -> f64 {
-    return load_f64(rec(req, i) + 24);
-}
-"#;
 
 /// §5.D fault plugins: each triggers one class of unsafe behaviour inside
 /// the sandbox when `schedule` runs.
@@ -291,9 +266,9 @@ export fn schedule(req: i32, len: i32) -> i64 {
 "#;
 }
 
-fn compile_cached(cell: &'static OnceLock<Vec<u8>>, body: &str) -> &'static [u8] {
+fn compile_cached(cell: &'static OnceLock<Vec<u8>>, body: fn() -> String) -> &'static [u8] {
     cell.get_or_init(|| {
-        let source = format!("{COMMON}\n{body}");
+        let source = format!("{}\n{}", common(), body());
         waran_plugc::compile(&source).expect("standard plugin library compiles")
     })
 }
@@ -301,23 +276,27 @@ fn compile_cached(cell: &'static OnceLock<Vec<u8>>, body: &str) -> &'static [u8]
 /// Compiled round-robin scheduler plugin (`.wasm` bytes).
 pub fn rr_wasm() -> &'static [u8] {
     static CELL: OnceLock<Vec<u8>> = OnceLock::new();
-    compile_cached(&CELL, RR_SOURCE_BODY)
+    compile_cached(&CELL, rr_source)
 }
 
-/// Compiled proportional-fair scheduler plugin.
+/// Compiled proportional-fair scheduler plugin: the metric is the
+/// achievable per-PRB rate over the long-term average.
 pub fn pf_wasm() -> &'static [u8] {
     static CELL: OnceLock<Vec<u8>> = OnceLock::new();
-    static SRC: OnceLock<String> = OnceLock::new();
-    let src = SRC.get_or_init(|| greedy_source(PF_METRIC));
-    compile_cached(&CELL, src)
+    compile_cached(&CELL, || {
+        let (cap, avg) = (
+            load("f64", ue::PRB_CAPACITY, "i"),
+            load("f64", ue::AVG_TPUT, "i"),
+        );
+        greedy_source(format!("{cap} / max({avg}, 0.001)"))
+    })
 }
 
-/// Compiled maximum-throughput scheduler plugin.
+/// Compiled maximum-throughput scheduler plugin: the metric is the
+/// achievable per-PRB rate.
 pub fn mt_wasm() -> &'static [u8] {
     static CELL: OnceLock<Vec<u8>> = OnceLock::new();
-    static SRC: OnceLock<String> = OnceLock::new();
-    let src = SRC.get_or_init(|| greedy_source(MT_METRIC));
-    compile_cached(&CELL, src)
+    compile_cached(&CELL, || greedy_source(load("f64", ue::PRB_CAPACITY, "i")))
 }
 
 /// Compile one of the §5.D fault plugins (no caching).
@@ -328,17 +307,6 @@ pub fn compile_faulty(body: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waran_abi::sched as abi;
-
-    #[test]
-    fn abi_offsets_locked() {
-        // The PlugC sources hard-code these; fail loudly if the ABI moves.
-        assert_eq!(abi::REQUEST_HEADER_LEN, 24);
-        assert_eq!(abi::UE_RECORD_LEN, 32);
-        assert_eq!(abi::RESPONSE_HEADER_LEN, 8);
-        assert_eq!(abi::ALLOC_RECORD_LEN, 8);
-        assert_eq!(abi::MAGIC, 0x5752);
-    }
 
     /// The register lowering maps every flat op: the flat IR has no dead
     /// op, so an unmapped one would be dropped code.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use waran_abi::sched::{SchedRequest, SchedResponse};
+use waran_abi::sched::{SchedRequest, SchedResponse, MAX_RECORDS};
 use waran_abi::CodecError;
 use waran_wasm::instance::{Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
@@ -534,9 +534,17 @@ impl<T> Plugin<T> {
     /// request bytes and decodes the response straight out of guest memory —
     /// zero host-side allocations beyond the decoded allocation list. As in
     /// [`Self::call`], the call is one guest entry and the policy's
-    /// deadline covers all of it.
+    /// deadline covers all of it. A request with more than [`MAX_RECORDS`]
+    /// UEs does not fit the ABI's `u16` count and is a [`PluginError::Abi`]
+    /// before any guest code runs.
     pub fn call_sched(&mut self, req: &SchedRequest) -> Result<SchedResponse, PluginError> {
         self.timed(|p| {
+            if req.ues.len() > MAX_RECORDS {
+                return Err(PluginError::Abi(format!(
+                    "{} UEs exceed the ABI's {MAX_RECORDS}-record request",
+                    req.ues.len()
+                )));
+            }
             let func = p.abi.schedule.ok_or_else(|| bad_entry("schedule"))?;
             let mut input = std::mem::take(&mut p.scratch);
             input.clear();

@@ -3,7 +3,9 @@
 
 use std::time::Duration;
 
-use waran_abi::sched::{Allocation, SchedRequest, SchedResponse, UeInfo};
+use waran_abi::sched::{
+    plugc_prelude, Allocation, SchedRequest, SchedResponse, UeInfo, MAX_RECORDS,
+};
 use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
 use waran_host::{PluginHost, SlotState};
 use waran_wasm::instance::Linker;
@@ -30,35 +32,30 @@ fn ue(id: u32, mcs: u8, avg: f64) -> UeInfo {
     }
 }
 
-/// A round-robin intra-slice scheduler in PlugC against the documented ABI
-/// offsets (see waran-abi::sched).
+/// `body` after the scheduler ABI's PlugC prelude.
+fn with_prelude(body: &str) -> String {
+    format!("{}{body}", plugc_prelude())
+}
+
+/// A round-robin intra-slice scheduler in PlugC on the ABI prelude.
 const RR_PLUGIN: &str = r#"
 global next: i32 = 0;
 
 export fn schedule(req: i32, len: i32) -> i64 {
-    var n: i32 = load_u8(req + 4) | (load_u8(req + 5) << 8);
-    var prbs: i32 = load_i32(req + 16);
+    var n: i32 = req_n(req);
+    var prbs: i32 = req_prbs(req);
     var out: i32 = wrn_alloc(8 + n * 8);
-    // Response header: magic 0x5752, version 1, count n, reserved.
-    store_u8(out, 0x52); store_u8(out + 1, 0x57);
-    store_u8(out + 2, 1); store_u8(out + 3, 0);
-    store_u8(out + 4, n & 255); store_u8(out + 5, (n >> 8) & 255);
-    store_u8(out + 6, 0); store_u8(out + 7, 0);
+    write_header(out, n);
     if (n == 0) { return pack(out, 8); }
     var share: i32 = prbs / n;
     var extra: i32 = prbs - share * n;
     var i: i32 = 0;
     while (i < n) {
         var idx: i32 = (next + i) % n;
-        var rec: i32 = req + 24 + idx * 32;
-        var slot: i32 = out + 8 + i * 8;
-        store_i32(slot, load_i32(rec));        // ue_id
         var give: i32 = share;
         if (i < extra) { give = give + 1; }
-        store_u8(slot + 4, give & 255);
-        store_u8(slot + 5, (give >> 8) & 255);
-        store_u8(slot + 6, i & 255);            // priority by position
-        store_u8(slot + 7, 0);
+        // Priority by position; the UE id is the record's first word.
+        write_alloc(out, i, load_i32(rec(req, idx)), give, i);
         i = i + 1;
     }
     next = (next + 1) % n;
@@ -95,7 +92,7 @@ fn byte_abi_transform() {
 
 #[test]
 fn sched_plugin_round_robin() {
-    let mut p = plugin(RR_PLUGIN);
+    let mut p = plugin(&with_prelude(RR_PLUGIN));
     let req = SchedRequest {
         slot: 1,
         prbs_granted: 52,
@@ -339,7 +336,7 @@ fn missing_entry_is_a_fault_not_a_panic() {
 #[test]
 fn host_install_call_and_names() {
     let host: PluginHost<()> = PluginHost::new();
-    host.install("rr", plugin(RR_PLUGIN));
+    host.install("rr", plugin(&with_prelude(RR_PLUGIN)));
     host.install(
         "echo",
         plugin(r#"export fn run(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }"#),
@@ -476,7 +473,7 @@ fn module_that_was_only_read_is_not_retained_as_last_good() {
 #[test]
 fn host_records_exec_stats() {
     let host: PluginHost<()> = PluginHost::new();
-    host.install("rr", plugin(RR_PLUGIN));
+    host.install("rr", plugin(&with_prelude(RR_PLUGIN)));
     let req = SchedRequest {
         slot: 0,
         prbs_granted: 52,
@@ -499,14 +496,11 @@ fn sched_response_semantic_check() {
     let src = r#"
         export fn schedule(req: i32, len: i32) -> i64 {
             var out: i32 = wrn_alloc(8);
-            store_u8(out, 0x52); store_u8(out + 1, 0x57);
-            store_u8(out + 2, 1); store_u8(out + 3, 0);
-            store_u8(out + 4, 255); store_u8(out + 5, 0); // claims 255 allocs
-            store_u8(out + 6, 0); store_u8(out + 7, 0);
+            write_header(out, 255); // claims 255 allocs
             return pack(out, 8);
         }
     "#;
-    let mut p = plugin(src);
+    let mut p = plugin(&with_prelude(src));
     let req = SchedRequest {
         slot: 0,
         prbs_granted: 10,
@@ -519,7 +513,7 @@ fn sched_response_semantic_check() {
 #[test]
 fn rust_side_reference_scheduler_matches_plugin() {
     // The RR plugin's allocation must equal the obvious native computation.
-    let mut p = plugin(RR_PLUGIN);
+    let mut p = plugin(&with_prelude(RR_PLUGIN));
     let req = SchedRequest {
         slot: 9,
         prbs_granted: 17,
@@ -540,4 +534,26 @@ fn rust_side_reference_scheduler_matches_plugin() {
         .collect();
     // First call: rotation starts at 0, so order is identity.
     assert_eq!(resp, SchedResponse { allocs: expected });
+}
+
+#[test]
+fn a_request_past_the_u16_count_is_refused_before_guest_code_runs() {
+    // 65 536 UEs used to encode a count of 0 followed by every record: the
+    // plugin scheduled nobody and the call returned Ok with no allocations.
+    // The module may grow to the policy's 64 pages, so the 2 MiB of
+    // records would fit.
+    let opts = waran_plugc::Options::default().with_memory(1, Some(64));
+    let wasm = waran_plugc::compile_with(&with_prelude(RR_PLUGIN), &opts).expect("compiles");
+    let mut p = Plugin::new(&wasm, &Linker::new(), (), SandboxPolicy::default()).unwrap();
+    let req = SchedRequest {
+        slot: 0,
+        prbs_granted: 52,
+        slice_id: 0,
+        ues: vec![ue(1, 20, 1e6); MAX_RECORDS + 1],
+    };
+    match p.call_sched(&req) {
+        Err(PluginError::Abi(msg)) => assert!(msg.contains("65536 UEs"), "{msg}"),
+        other => panic!("expected an ABI fault, got {other:?}"),
+    }
+    assert_eq!(p.instance().stats().invokes, 0, "no guest code ran");
 }

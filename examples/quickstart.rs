@@ -12,37 +12,33 @@ fn main() {
     // ------------------------------------------------------------------
     // 1. Author a plugin in PlugC and compile it to a real .wasm module.
     // ------------------------------------------------------------------
-    let source = r#"
+    // The scheduler ABI's prelude supplies the request accessors (`req_n`,
+    // `req_prbs`, `rec`) and the response writers (`write_header`,
+    // `write_alloc`), rendered from the one declaration of the layout.
+    let policy = r#"
         // An "every other UE" toy scheduler: serves UEs with even index.
         export fn schedule(req: i32, len: i32) -> i64 {
-            var n: i32 = load_u8(req + 4) | (load_u8(req + 5) << 8);
-            var prbs: i32 = load_i32(req + 16);
+            var n: i32 = req_n(req);
+            var prbs: i32 = req_prbs(req);
             var out: i32 = wrn_alloc(8 + n * 8);
-            store_u8(out, 0x52); store_u8(out + 1, 0x57);
-            store_u8(out + 2, 1); store_u8(out + 3, 0);
             var written: i32 = 0;
             var i: i32 = 0;
             var share: i32 = prbs;
             if (n > 1) { share = prbs / ((n + 1) / 2); }
             while (i < n) {
                 if (i % 2 == 0) {
-                    var rec: i32 = req + 24 + i * 32;
-                    var slot: i32 = out + 8 + written * 8;
-                    store_i32(slot, load_i32(rec));
-                    store_u8(slot + 4, share & 255);
-                    store_u8(slot + 5, (share >> 8) & 255);
-                    store_u8(slot + 6, written & 255);
-                    store_u8(slot + 7, 0);
+                    // A UE record starts with the UE id.
+                    write_alloc(out, written, load_i32(rec(req, i)), share, written);
                     written = written + 1;
                 }
                 i = i + 1;
             }
-            store_u8(out + 4, written & 255); store_u8(out + 5, (written >> 8) & 255);
-            store_u8(out + 6, 0); store_u8(out + 7, 0);
+            write_header(out, written);
             return pack(out, 8 + written * 8);
         }
     "#;
-    let wasm = wa_ran::plugc::compile(source).expect("PlugC compiles");
+    let source = format!("{}{policy}", wa_ran::abi::sched::plugc_prelude());
+    let wasm = wa_ran::plugc::compile(&source).expect("PlugC compiles");
     println!("compiled PlugC → {} bytes of WebAssembly", wasm.len());
 
     // It is a genuine Wasm binary: decode + validate it like any runtime.

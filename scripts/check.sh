@@ -43,11 +43,15 @@ echo "static analyzer validated every builtin lowering; code and bounds match cr
 golden crates/bench/fig5d_fuel.golden target/release/fig5d --fuel
 echo "guest instructions per call match crates/bench/fig5d_fuel.golden"
 
-# Smoke: the one-cell RIC deployment end to end (the only caller of that
-# shape outside the test suites). The example exits nonzero when no
-# handover or no slice-target action was applied.
-cargo run --release --quiet --example ric_xapps > /dev/null
-echo "ric_xapps example: steering handover and SLA boost applied"
+# Smoke: every example end to end, each well under a second in release.
+# `quickstart` builds its plugin on the scheduler ABI's PlugC prelude;
+# `ric_xapps` is the only caller of the one-cell RIC deployment outside
+# the test suites and exits nonzero when no handover or no slice-target
+# action was applied.
+for example in quickstart mvno_slicing live_swap interface_adapter ric_xapps; do
+    cargo run --release --quiet --example "$example" > /dev/null
+done
+echo "examples: all five ran; ric_xapps applied a steering handover and an SLA boost"
 
 # Determinism: per-cell digests of the four fleet deployments (RIC
 # attached, mobility, hostile pushes, million-UE plane) must equal the

@@ -2,6 +2,7 @@
 //! (PlugC → Wasm → sandbox → gNB → RIC) exercised through the umbrella
 //! crate's public API.
 
+use wa_ran::abi::sched::{self, ue};
 use wa_ran::core::{plugins, ChannelSpec, ScenarioBuilder, SchedKind, SliceSpec, TrafficSpec};
 use wa_ran::host::plugin::{Plugin, SandboxPolicy};
 use wa_ran::wasm::instance::Linker;
@@ -135,36 +136,37 @@ fn paper_5d_safety_table_holds() {
 #[test]
 fn custom_plugc_plugin_runs_in_scenario() {
     // An MVNO ships a bespoke policy: strict priority by UE id.
-    let src = r#"
-        export fn schedule(req: i32, len: i32) -> i64 {
-            var n: i32 = load_u8(req + 4) | (load_u8(req + 5) << 8);
-            var prbs: i32 = load_i32(req + 16);
+    // `r` is the UE record; its field offsets come from the ABI table.
+    let [id, buffer, cap] = [
+        ue::ID.addr("r"),
+        ue::BUFFER.addr("r"),
+        ue::PRB_CAPACITY.addr("r"),
+    ];
+    let policy = format!(
+        r#"
+        export fn schedule(req: i32, len: i32) -> i64 {{
+            var n: i32 = req_n(req);
+            var prbs: i32 = req_prbs(req);
             var out: i32 = wrn_alloc(8 + n * 8);
-            store_u8(out, 0x52); store_u8(out + 1, 0x57);
-            store_u8(out + 2, 1); store_u8(out + 3, 0);
-            store_u8(out + 4, n & 255); store_u8(out + 5, (n >> 8) & 255);
-            store_u8(out + 6, 0); store_u8(out + 7, 0);
+            write_header(out, n);
             var i: i32 = 0;
             var remaining: i32 = prbs;
-            while (i < n) {
-                var rec: i32 = req + 24 + i * 32;
-                var cap: f64 = load_f64(rec + 24);
-                var need: i32 = ceil((load_i32(rec + 8) as f64) * 8.0 / max(cap, 1.0)) as i32;
+            while (i < n) {{
+                var r: i32 = rec(req, i);
+                var cap: f64 = load_f64({cap});
+                var need: i32 = ceil((load_i32({buffer}) as f64) * 8.0 / max(cap, 1.0)) as i32;
                 var give: i32 = need;
-                if (remaining < give) { give = remaining; }
-                var slot: i32 = out + 8 + i * 8;
-                store_i32(slot, load_i32(rec));
-                store_u8(slot + 4, give & 255);
-                store_u8(slot + 5, (give >> 8) & 255);
-                store_u8(slot + 6, i & 255);
-                store_u8(slot + 7, 0);
+                if (remaining < give) {{ give = remaining; }}
+                write_alloc(out, i, load_i32({id}), give, i);
                 remaining = remaining - give;
                 i = i + 1;
-            }
+            }}
             return pack(out, 8 + n * 8);
-        }
-    "#;
-    let wasm = wa_ran::plugc::compile(src).expect("compiles");
+        }}
+    "#
+    );
+    let src = format!("{}{policy}", sched::plugc_prelude());
+    let wasm = wa_ran::plugc::compile(&src).expect("compiles");
     let mut scenario = ScenarioBuilder::new()
         .slice(SliceSpec::new("custom", SchedKind::RoundRobin).ues(3))
         .seconds(1.0)
