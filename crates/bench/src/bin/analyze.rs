@@ -49,9 +49,6 @@ fn line(r: &FuncReport) -> String {
         None => format!("$f{}", r.func),
     };
     let mut flags = Vec::new();
-    if r.dynamic_mem {
-        flags.push("dynamic-mem");
-    }
     if r.unbounded_loops {
         flags.push("unbounded-loops");
     }
@@ -59,12 +56,11 @@ fn line(r: &FuncReport) -> String {
         flags.push("recursive");
     }
     format!(
-        "{name}: fuel={} stack={} frames={} regs={} mem_high={}{}",
+        "{name}: fuel={} stack={} frames={} regs={}{}",
         r.fuel,
         r.stack,
         r.frames,
         r.regs,
-        r.mem_high,
         if flags.is_empty() {
             String::new()
         } else {

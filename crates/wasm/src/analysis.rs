@@ -25,10 +25,10 @@
 //! * **Static resource bounds** — an abstract interpretation over the
 //!   flat CFG computes per-function worst-case fuel (exact for
 //!   loop-free and constant-trip-count code, [`Bound::Unbounded`]
-//!   otherwise), worst-case value-stack height, call-frame depth,
-//!   register-arena footprint, and the highest statically addressable
-//!   memory byte. Bounds propagate through the call graph; recursion
-//!   (direct or mutual) and indirect calls degrade to `Unbounded`.
+//!   otherwise), worst-case value-stack height, call-frame depth and
+//!   register-arena footprint. Bounds propagate through the call graph;
+//!   recursion (direct or mutual) and indirect calls degrade to
+//!   `Unbounded`.
 //!
 //! The host's `SandboxPolicy` consumes the report as an admission gate:
 //! a real-time deployment class can require a finite fuel bound or
@@ -128,12 +128,6 @@ pub struct FuncReport {
     pub frames: Bound,
     /// Worst-case register-arena footprint of the register executor.
     pub regs: Bound,
-    /// One past the highest memory byte touched through a statically
-    /// known address (0 when no such access exists).
-    pub mem_high: u64,
-    /// True when some reachable memory access has a data-dependent
-    /// address (including `memory.copy`/`memory.fill`).
-    pub dynamic_mem: bool,
     /// True when some reachable loop has no statically bounded trip
     /// count.
     pub unbounded_loops: bool,
@@ -234,7 +228,7 @@ struct Block {
 }
 
 /// Everything one linear pass over a flat function recovers: blocks,
-/// entry heights, edges, and the function's own memory/stack facts.
+/// entry heights, edges, and the function's own stack height.
 struct Shape {
     blocks: Vec<Block>,
     /// Per flat pc: block index, `u32::MAX` when the pc leads no block.
@@ -244,10 +238,6 @@ struct Shape {
     /// Max `entry_h + peak` over the blocks (the value-stack quantity
     /// both executors check against `max_value_stack`).
     own_stack: u32,
-    /// One past the highest statically addressed memory byte.
-    mem_high: u64,
-    /// Some access has a data-dependent address.
-    dynamic_mem: bool,
     /// Per-block successor lists (`usize::MAX` = function exit).
     succs: Vec<Vec<usize>>,
 }
@@ -262,28 +252,17 @@ pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> Analysi
 
 /// The linear walk that reconstructs blocks. It replays no decision of
 /// the lowering: the flat IR has no dead op, so every op belongs to a
-/// block and every block counts. `cells` is a local constant tracker —
-/// `Some(v)` where the operand is `v` on every execution — feeding only
-/// the reported `mem_high`/`dynamic_mem`, never a verdict. `alive` is
-/// "the previous op falls through", which tells a join from a
+/// block and every block counts. `height` is the operand-stack height.
+/// `alive` is "the previous op falls through", which tells a join from a
 /// branch-only entry.
 struct ShapeBuilder {
     func: u32,
-    cells: Vec<Option<Value>>,
+    height: u32,
     alive: bool,
     pc2block: Vec<u32>,
     blocks: Vec<Block>,
     cur: Option<usize>,
     exit_pc: Option<usize>,
-    mem_high: u64,
-    dynamic_mem: bool,
-}
-
-fn const_i32(cell: Option<Value>) -> Option<i32> {
-    match cell {
-        Some(Value::I32(k)) => Some(k),
-        _ => None,
-    }
 }
 
 impl ShapeBuilder {
@@ -291,23 +270,12 @@ impl ShapeBuilder {
         mismatch(self.func, pc, what)
     }
 
-    fn pop(&mut self, pc: usize) -> Result<Option<Value>, AnalysisError> {
-        self.cells
-            .pop()
-            .ok_or_else(|| self.err(pc, "operand stack underflow in analysis walk"))
-    }
-
-    fn popn(&mut self, pc: usize, n: u32) -> Result<(), AnalysisError> {
-        for _ in 0..n {
-            self.pop(pc)?;
-        }
+    fn pop(&mut self, pc: usize) -> Result<(), AnalysisError> {
+        self.height = self
+            .height
+            .checked_sub(1)
+            .ok_or_else(|| self.err(pc, "operand stack underflow in analysis walk"))?;
         Ok(())
-    }
-
-    fn pushn(&mut self, n: u32) {
-        for _ in 0..n {
-            self.cells.push(None);
-        }
     }
 
     fn edge(&mut self, b: usize, br: u32) {
@@ -315,26 +283,17 @@ impl ShapeBuilder {
     }
 
     fn call(&mut self, b: usize, c: Call) {
-        let h = self.cells.len() as u32;
-        self.blocks[b].calls.push((c, h));
+        self.blocks[b].calls.push((c, self.height));
     }
 
-    fn access(&mut self, addr: Option<Value>, off: u32, width: u64) {
-        match const_i32(addr) {
-            Some(a) => {
-                let end = a as u32 as u64 + off as u64 + width;
-                self.mem_high = self.mem_high.max(end);
-            }
-            None => self.dynamic_mem = true,
-        }
-    }
-
-    /// An op that neither folds nor touches memory: apply the arity
-    /// table, every result cell unknown.
+    /// Apply an op's arity.
     fn effect(&mut self, module: &Module, pc: usize, op: Op) -> Result<(), AnalysisError> {
         let (pops, pushes) = op.stack_effect(module);
-        self.popn(pc, pops)?;
-        self.pushn(pushes);
+        self.height = self
+            .height
+            .checked_sub(pops)
+            .ok_or_else(|| self.err(pc, "operand stack underflow in analysis walk"))?
+            + pushes;
         Ok(())
     }
 }
@@ -345,14 +304,12 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
 
     let mut w = ShapeBuilder {
         func,
-        cells: Vec::new(),
+        height: 0,
         alive: true,
         pc2block: vec![u32::MAX; n],
         blocks: Vec::new(),
         cur: None,
         exit_pc: None,
-        mem_high: 0,
-        dynamic_mem: false,
     };
 
     if n == 0 || !matches!(cf.ops[0], Op::Meter { .. }) {
@@ -364,16 +321,10 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
         let arriving = w.alive;
         if eh_pc != u32::MAX {
             if !w.alive {
-                w.cells.clear();
-                w.cells.resize(eh_pc as usize, None);
+                w.height = eh_pc;
                 w.alive = true;
-            } else {
-                if w.cells.len() != eh_pc as usize {
-                    return Err(w.err(pc, "fall-through height disagrees with branch target"));
-                }
-                // Join: a branch arrival may carry other values, so
-                // constness cannot survive the merge.
-                w.cells.fill(None);
+            } else if w.height != eh_pc {
+                return Err(w.err(pc, "fall-through height disagrees with branch target"));
             }
         }
         if !w.alive {
@@ -398,7 +349,7 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                 end: n,
                 cost,
                 peak,
-                entry_h: w.cells.len() as u32,
+                entry_h: w.height,
                 edges: Vec::new(),
                 falls: false,
                 calls: Vec::new(),
@@ -445,41 +396,6 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
             Op::CallIndirect(ty) => {
                 w.call(cur, Call::Indirect(ty));
                 w.effect(module, pc, op)?;
-            }
-            Op::LocalTee(_) => {
-                // Top cell (and its constness) survives the write-back.
-            }
-            // Two constants fold; otherwise the result cell is unknown.
-            Op::I32Bin(op) => {
-                let b_ = const_i32(w.pop(pc)?);
-                let a_ = const_i32(w.pop(pc)?);
-                w.cells.push(match (a_, b_) {
-                    (Some(x), Some(y)) => Some(Value::I32(op.eval(x, y))),
-                    _ => None,
-                });
-            }
-            Op::MemoryCopy | Op::MemoryFill => {
-                w.popn(pc, 3)?;
-                w.dynamic_mem = true;
-            }
-            Op::I32Const(k) => w.cells.push(Some(Value::I32(k))),
-            Op::I64Const(k) => w.cells.push(Some(Value::I64(k))),
-            Op::F32Const(k) => w.cells.push(Some(Value::F32(k))),
-            Op::F64Const(k) => w.cells.push(Some(Value::F64(k))),
-            Op::Load { kind, off } => {
-                let addr = w.pop(pc)?;
-                w.access(addr, off, kind.width());
-                w.cells.push(None);
-            }
-            Op::Store { kind, off } => {
-                w.pop(pc)?; // value
-                let addr = w.pop(pc)?;
-                w.access(addr, off, kind.width());
-            }
-            // A constant operand folds unless the conversion traps on it.
-            Op::Un(op) => {
-                let folded = w.pop(pc)?.and_then(|v| op.eval(v).ok());
-                w.cells.push(folded);
             }
             other => w.effect(module, pc, other)?,
         }
@@ -536,8 +452,6 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
         pc2block: w.pc2block,
         exit_pc,
         own_stack,
-        mem_high: w.mem_high,
-        dynamic_mem: w.dynamic_mem,
         succs,
     })
 }
@@ -1640,8 +1554,6 @@ fn compute_report(
     let mut weights = vec![Bound::Finite(0); nb];
     let mut stack = Bound::Finite(shape.own_stack as u64);
     let mut callee_frames = Bound::Finite(0);
-    let mut mem_high = shape.mem_high;
-    let mut dynamic_mem = shape.dynamic_mem;
     let mut unbounded_loops = false;
     for (bi, b) in shape.blocks.iter().enumerate() {
         let mut w = Bound::Finite(b.cost as u64);
@@ -1656,8 +1568,6 @@ fn compute_report(
                         .unwrap_or(0);
                     stack = stack.max(Bound::Finite(h as u64 - argc).add(r.stack));
                     callee_frames = callee_frames.max(r.frames);
-                    mem_high = mem_high.max(r.mem_high);
-                    dynamic_mem |= r.dynamic_mem;
                     unbounded_loops |= r.unbounded_loops;
                 }
                 Call::Host(_) => {}
@@ -1665,7 +1575,6 @@ fn compute_report(
                     w = Bound::Unbounded;
                     stack = Bound::Unbounded;
                     callee_frames = Bound::Unbounded;
-                    dynamic_mem = true;
                 }
             }
         }
@@ -1712,8 +1621,6 @@ fn compute_report(
         stack,
         frames: Bound::Finite(1).add(callee_frames),
         regs,
-        mem_high,
-        dynamic_mem,
         unbounded_loops,
         recursive: false,
     }
@@ -1762,8 +1669,6 @@ pub fn analyze(module: &Module) -> Result<ModuleAnalysis, AnalysisError> {
                     stack: Bound::Unbounded,
                     frames: Bound::Unbounded,
                     regs: Bound::Unbounded,
-                    mem_high: shapes[f].mem_high,
-                    dynamic_mem: true,
                     unbounded_loops: false,
                     recursive: true,
                 });
@@ -1837,8 +1742,7 @@ mod tests {
         assert!(matches!(r.fuel, Bound::Finite(n) if n > 0 && n < 16));
         assert!(matches!(r.stack, Bound::Finite(n) if n <= 4));
         assert_eq!(r.frames, Bound::Finite(1));
-        assert!(!r.unbounded_loops && !r.recursive && !r.dynamic_mem);
-        assert_eq!(r.mem_high, 0);
+        assert!(!r.unbounded_loops && !r.recursive);
     }
 
     #[test]
@@ -2244,31 +2148,6 @@ mod tests {
         assert_eq!(top.frames, Bound::Finite(2));
         assert!(top.fuel > leaf.fuel);
         assert!(!top.recursive);
-    }
-
-    #[test]
-    fn static_memory_range_is_tracked() {
-        let m = module(
-            r#"(module (memory 1) (func (export "w")
-                 i32.const 100
-                 i32.const 1
-                 i32.store))"#,
-        );
-        let r = report(&m, "w");
-        assert_eq!(r.mem_high, 104);
-        assert!(!r.dynamic_mem);
-    }
-
-    #[test]
-    fn dynamic_memory_access_is_flagged() {
-        let m = module(
-            r#"(module (memory 1) (func (export "w") (param $a i32)
-                 local.get $a
-                 i32.const 1
-                 i32.store))"#,
-        );
-        let r = report(&m, "w");
-        assert!(r.dynamic_mem);
     }
 
     fn loop_module() -> Module {

@@ -1,10 +1,11 @@
 //! Lowering of validated function bodies into a flat IR.
 //!
-//! The decoded [`Instr`] tree stays the source of truth for `disasm`,
-//! `encode` and the reference interpreter; this pass consumes it and
-//! produces a [`CompiledFunc`]. Nothing executes that form directly: it
-//! is lowered once more into the register form the production executor
-//! runs ([`crate::regalloc`]), analysed for resource bounds, and used as
+//! The decoded [`Instr`] tree stays the source of truth for `encode` and
+//! for the test oracle (a per-instruction walker, `tests/util/oracle.rs`);
+//! this pass consumes it and produces a [`CompiledFunc`]. Nothing executes
+//! that form directly: it is lowered once more into the register form the
+//! production executor runs ([`crate::regalloc`]), analysed for resource
+//! bounds, and used as
 //! the left-hand side of translation validation ([`crate::analysis`]).
 //! The IR stays 1:1 with the source stack machine — one op per
 //! instruction, no operand fusion: every superinstruction is formed by
@@ -31,8 +32,8 @@
 //!   not behind a per-instruction `Box<[u32]>`.
 //!
 //! Compilation requires a *validated* body: the lowering trusts the
-//! type/stack discipline the validator establishes (as the reference
-//! interpreter already does) and panics on malformed input.
+//! type/stack discipline the validator establishes (as the test oracle
+//! does too) and panics on malformed input.
 
 use crate::analysis::{mismatch, AnalysisError};
 use crate::instr::Instr;
@@ -323,7 +324,7 @@ pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
     debug_assert!(c.ctrls.is_empty(), "validated: balanced control frames");
     // Conditional branches to the function level land on a shared return
     // trampoline (unmetered: the branch already paid for itself, matching
-    // the reference interpreter, which never executes an End on this path).
+    // a per-instruction walk, which never executes an End on this path).
     if !c.fn_level.is_empty() {
         let tramp = c.ops.len() as u32;
         c.ops.push(Op::Return);
@@ -507,8 +508,8 @@ impl<'m> FnCompiler<'m> {
             Instr::Loop { ty } => {
                 // The loop header must start a fresh block even when the
                 // current one is empty: its Meter is the back-edge target
-                // and is re-charged every iteration (the reference
-                // interpreter re-executes the Loop instruction too).
+                // and is re-charged every iteration (a per-instruction
+                // walk re-executes the Loop instruction too).
                 self.seal();
                 let header = self.leader();
                 self.count(1);
@@ -527,7 +528,7 @@ impl<'m> FnCompiler<'m> {
                 let ci = self.ctrls.len() - 1 - *depth as usize;
                 if ci == 0 {
                     // Branch to the function label: a return (same fuel as
-                    // the reference path, which never runs the final End).
+                    // a per-instruction walk, which never runs the final End).
                     self.emit(Op::Return);
                 } else {
                     let b = self.branch_index(*depth);
@@ -618,7 +619,7 @@ impl<'m> FnCompiler<'m> {
     /// slots; its body is lowered in place with the local indices remapped,
     /// so the register lowering fuses straight across the call boundary.
     ///
-    /// Fuel parity with the reference interpreter is exact: the `call`
+    /// Fuel parity with a per-instruction walk is exact: the `call`
     /// charges 1, every body instruction charges 1 through the normal
     /// lowering, and the callee's exit (explicit `return` or fallthrough
     /// `end` — exactly one executes) charges 1. The only observable
@@ -671,7 +672,7 @@ impl<'m> FnCompiler<'m> {
             .extend(body.locals.iter().map(|t| Value::zero(*t)));
 
         // Drain the arguments into the param slots (unmetered glue: the
-        // reference interpreter moves them during frame setup).
+        // a per-instruction walk moves them during frame setup).
         for i in (0..ty.params.len()).rev() {
             self.emit(Op::LocalSet(base + i as u32));
             self.bump(1, 0);
@@ -771,7 +772,7 @@ impl<'m> FnCompiler<'m> {
                 if self.reachable || !fixups.is_empty() {
                     // The end leader is charged the End instruction and is
                     // reached by both fallthrough and every branch here —
-                    // exactly the paths on which the reference interpreter
+                    // exactly the paths on which a per-instruction walk
                     // executes this End.
                     self.seal();
                     self.height = f.height as usize + f.arity as usize;

@@ -2,16 +2,17 @@
 //!
 //! [`Linker`] resolves a module's function imports to host closures;
 //! [`Instance`] owns the runtime state (memory, table, globals, host state
-//! `T`) and drives the interpreter loop. The engine enforces the sandbox
-//! policies WA-RAN's plugin host configures: call-depth and value-stack
-//! bounds, optional deterministic fuel, and an optional wall-clock deadline
-//! (the 5G slot budget).
+//! `T`) and drives the one executor, the register-form loop over
+//! [`crate::regalloc`]'s code. The engine enforces the sandbox policies
+//! WA-RAN's plugin host configures: call-depth and value-stack bounds,
+//! optional deterministic fuel, and an optional wall-clock deadline (the 5G
+//! slot budget). Its test oracle, a tree walker over the decoded `Instr`
+//! bodies with its own memory, lives in the crate's `tests/util/oracle.rs`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::instr::Instr;
 use crate::interp::{Memory, Table, Value};
 use crate::module::{ConstExpr, ExportKind, ImportKind, Module};
 use crate::regalloc::{LoadKind, ROp, StoreKind};
@@ -84,8 +85,10 @@ impl<T> Linker<T> {
         self
     }
 
-    fn resolve(&self, module: &str, name: &str) -> Option<&HostFuncDef<T>> {
-        self.funcs.get(&(module.to_string(), name.to_string()))
+    /// The signature and closure registered under `(module, name)`.
+    pub fn resolve(&self, module: &str, name: &str) -> Option<(&FuncType, &HostFn<T>)> {
+        let def = self.funcs.get(&(module.to_string(), name.to_string()))?;
+        Some((&def.ty, &def.func))
     }
 }
 
@@ -167,24 +170,6 @@ impl Default for ExecLimits {
     }
 }
 
-/// Which interpreter loop runs guest code. There is one production
-/// executor and one oracle; the flat IR of [`crate::compile`] is lowered
-/// further and analysed, never executed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The register-form executor (see [`crate::regalloc`]): the flat IR
-    /// (side-table branches, basic-block metering) lowered to fused
-    /// three-address code over a per-frame virtual register file, so
-    /// push/pop traffic disappears from the hot loop.
-    /// Every instance runs this unless a test selects the oracle.
-    #[default]
-    Reg,
-    /// The original decoded-[`Instr`] tree walker, kept as the spec oracle
-    /// for differential testing. Identical result/trap/fuel semantics to
-    /// [`ExecMode::Reg`].
-    Reference,
-}
-
 /// Cumulative execution statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
@@ -212,7 +197,6 @@ pub struct Instance<T> {
     vm: Vm,
     fuel_limit: Option<u64>,
     stats: ExecStats,
-    mode: ExecMode,
     /// Byte size of the memory this instance was stamped with from a
     /// template snapshot (0 otherwise): on drop, a buffer still that size
     /// is re-zeroed up to its dirty high-water mark and donated to the
@@ -221,8 +205,8 @@ pub struct Instance<T> {
 }
 
 /// The half of an [`Instance`] a guest entry mutates: linear memory,
-/// globals, the resource meters and the reused execution buffers. Both
-/// executors are methods on it and take the module, the host functions
+/// globals, the resource meters and the reused execution buffers. The
+/// executor is a method on it and takes the module, the host functions
 /// and the host state as separate borrows.
 struct Vm {
     memory: Memory,
@@ -299,21 +283,24 @@ fn resolve_imports<T>(
     for imp in &module.imports {
         let ImportKind::Func { type_idx } = imp.kind;
         let expected = &module.types[type_idx as usize];
-        let def = linker.resolve(&imp.module, &imp.name).ok_or_else(|| {
+        let (ty, func) = linker.resolve(&imp.module, &imp.name).ok_or_else(|| {
             InstantiateError::MissingImport {
                 module: imp.module.clone(),
                 name: imp.name.clone(),
             }
         })?;
-        if def.ty != *expected {
+        if ty != expected {
             return Err(InstantiateError::ImportTypeMismatch {
                 module: imp.module.clone(),
                 name: imp.name.clone(),
                 expected: Box::new(expected.clone()),
-                found: Box::new(def.ty.clone()),
+                found: Box::new(ty.clone()),
             });
         }
-        host_funcs.push(def.clone());
+        host_funcs.push(HostFuncDef {
+            ty: ty.clone(),
+            func: func.clone(),
+        });
     }
     Ok(host_funcs)
 }
@@ -668,7 +655,6 @@ impl<T> Instance<T> {
             },
             fuel_limit: None,
             stats: ExecStats::default(),
-            mode: ExecMode::default(),
             recycle_len,
         };
 
@@ -753,19 +739,6 @@ impl<T> Instance<T> {
         self.vm.deadline = deadline;
     }
 
-    /// Select which interpreter loop runs guest code (default:
-    /// [`ExecMode::Reg`]). This is the only selector — no policy, builder
-    /// or environment knob reaches it — and exists so tests can run the
-    /// [`ExecMode::Reference`] oracle.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
-    /// The currently selected interpreter loop.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// True when the module exports a function under `name`.
     pub fn has_export(&self, name: &str) -> bool {
         self.module.exported_func(name).is_some()
@@ -789,8 +762,8 @@ impl<T> Instance<T> {
 
     /// Invoke by module-wide function index (used by the RIC host for table
     /// dispatch and by tests). `args` are held to the function's signature
-    /// here — the one place the embedder's values enter either executor —
-    /// and a mismatch is a [`Trap::HostError`] before any guest code runs.
+    /// here — the one place the embedder's values enter the executor — and
+    /// a mismatch is a [`Trap::HostError`] before any guest code runs.
     pub fn call_func(&mut self, func: u32, args: &[Value]) -> Result<Option<Value>, Trap> {
         let ty = self
             .module
@@ -810,16 +783,8 @@ impl<T> Instance<T> {
             (def.func)(data, &mut self.vm.memory, args)
                 .and_then(|got| check_host_result(def.ty.results.first().copied(), got))
         } else {
-            match self.mode {
-                ExecMode::Reg => {
-                    self.vm
-                        .exec_reg(module, host_funcs, data, func, args, &mut instrs)
-                }
-                ExecMode::Reference => {
-                    self.vm
-                        .exec(module, host_funcs, data, func, args, &mut instrs)
-                }
-            }
+            self.vm
+                .exec_reg(module, host_funcs, data, func, args, &mut instrs)
         };
         // Flushed here unconditionally so every exit path — including the
         // out-of-fuel one, which used to skip it — counts its instructions.
@@ -833,717 +798,6 @@ impl<T> Instance<T> {
 }
 
 impl Vm {
-    // ------------------------------------------------------------------
-    // The interpreter.
-    // ------------------------------------------------------------------
-
-    fn exec<T>(
-        &mut self,
-        module: &Module,
-        host_funcs: &[HostFuncDef<T>],
-        data: &mut T,
-        entry: u32,
-        args: &[Value],
-        instrs: &mut u64,
-    ) -> Result<Option<Value>, Trap> {
-        let n_imports = module.num_imported_funcs();
-        let deadline = self.deadline;
-
-        let mut stack: Vec<Value> = Vec::with_capacity(64);
-        stack.extend_from_slice(args);
-        let mut frames: Vec<Frame> = Vec::with_capacity(16);
-        frames.push(Frame::enter(module, entry - n_imports, &mut stack));
-
-        let mut until_deadline_check = DEADLINE_CHECK_INTERVAL;
-
-        macro_rules! pop {
-            () => {
-                stack.pop().expect("validated: stack non-empty")
-            };
-        }
-        macro_rules! binop_i32 {
-            ($f:expr) => {{
-                let b = pop!().as_i32();
-                let a = pop!().as_i32();
-                stack.push(Value::I32($f(a, b)));
-            }};
-        }
-        macro_rules! binop_i32_trap {
-            ($f:expr) => {{
-                let b = pop!().as_i32();
-                let a = pop!().as_i32();
-                stack.push(Value::I32($f(a, b)?));
-            }};
-        }
-        macro_rules! binop_i64 {
-            ($f:expr) => {{
-                let b = pop!().as_i64();
-                let a = pop!().as_i64();
-                stack.push(Value::I64($f(a, b)));
-            }};
-        }
-        macro_rules! binop_i64_trap {
-            ($f:expr) => {{
-                let b = pop!().as_i64();
-                let a = pop!().as_i64();
-                stack.push(Value::I64($f(a, b)?));
-            }};
-        }
-        macro_rules! relop_i32 {
-            ($f:expr) => {{
-                let b = pop!().as_i32();
-                let a = pop!().as_i32();
-                stack.push(Value::I32($f(a, b) as i32));
-            }};
-        }
-        macro_rules! relop_i64 {
-            ($f:expr) => {{
-                let b = pop!().as_i64();
-                let a = pop!().as_i64();
-                stack.push(Value::I32($f(a, b) as i32));
-            }};
-        }
-        macro_rules! relop_f32 {
-            ($f:expr) => {{
-                let b = pop!().as_f32();
-                let a = pop!().as_f32();
-                stack.push(Value::I32($f(a, b) as i32));
-            }};
-        }
-        macro_rules! relop_f64 {
-            ($f:expr) => {{
-                let b = pop!().as_f64();
-                let a = pop!().as_f64();
-                stack.push(Value::I32($f(a, b) as i32));
-            }};
-        }
-        macro_rules! binop_f32 {
-            ($f:expr) => {{
-                let b = pop!().as_f32();
-                let a = pop!().as_f32();
-                stack.push(Value::F32($f(a, b)));
-            }};
-        }
-        macro_rules! binop_f64 {
-            ($f:expr) => {{
-                let b = pop!().as_f64();
-                let a = pop!().as_f64();
-                stack.push(Value::F64($f(a, b)));
-            }};
-        }
-        macro_rules! unop {
-            ($as:ident, $wrap:ident, $f:expr) => {{
-                let a = pop!().$as();
-                stack.push(Value::$wrap($f(a)));
-            }};
-        }
-        macro_rules! load {
-            ($m:expr, $n:expr, $conv:expr) => {{
-                let addr = pop!().as_u32();
-                let bytes = self.memory.read::<$n>(addr, $m.offset)?;
-                stack.push($conv(bytes));
-            }};
-        }
-        macro_rules! store {
-            ($m:expr, $pop:ident, $to:expr) => {{
-                let v = pop!().$pop();
-                let addr = pop!().as_u32();
-                self.memory.write(addr, $m.offset, $to(v))?;
-            }};
-        }
-
-        'outer: loop {
-            // Resource accounting.
-            if let Some(fuel) = self.fuel.as_mut() {
-                if *fuel == 0 {
-                    self.fuel = Some(0);
-                    return Err(Trap::OutOfFuel);
-                }
-                *fuel -= 1;
-            }
-            *instrs += 1;
-            if let Some(dl) = deadline {
-                until_deadline_check -= 1;
-                if until_deadline_check == 0 {
-                    until_deadline_check = DEADLINE_CHECK_INTERVAL;
-                    if Instant::now() > dl {
-                        return Err(Trap::DeadlineExceeded);
-                    }
-                }
-            }
-            if stack.len() > self.limits.max_value_stack {
-                return Err(Trap::ValueStackExhausted);
-            }
-
-            let frame = frames.last_mut().expect("at least one frame");
-            let body = &module.funcs[frame.func as usize];
-            let instr = &body.code[frame.pc];
-            frame.pc += 1;
-
-            match instr {
-                Instr::Unreachable => {
-                    return Err(Trap::Unreachable);
-                }
-                Instr::Nop => {}
-                Instr::Block { ty, end_pc } => {
-                    frame.labels.push(Label {
-                        target: *end_pc,
-                        stack_base: stack.len(),
-                        arity: ty.arity() as u8,
-                        pop_self: false,
-                    });
-                }
-                Instr::Loop { .. } => {
-                    frame.labels.push(Label {
-                        target: (frame.pc - 1) as u32,
-                        stack_base: stack.len(),
-                        arity: 0,
-                        pop_self: true,
-                    });
-                }
-                Instr::If {
-                    ty,
-                    else_pc,
-                    end_pc,
-                } => {
-                    let cond = pop!().as_i32();
-                    frame.labels.push(Label {
-                        target: *end_pc,
-                        stack_base: stack.len(),
-                        arity: ty.arity() as u8,
-                        pop_self: false,
-                    });
-                    if cond == 0 {
-                        frame.pc = if else_pc == end_pc {
-                            *end_pc as usize
-                        } else {
-                            *else_pc as usize + 1
-                        };
-                    }
-                }
-                Instr::Else { end_pc } => {
-                    // Then-arm fell through: jump to End (which pops the label).
-                    frame.pc = *end_pc as usize;
-                }
-                Instr::End => {
-                    match frame.labels.pop() {
-                        Some(_) => {}
-                        None => {
-                            // Function-level end: return.
-                            if Self::do_return(module, &mut frames, &mut stack) {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-                Instr::Br { depth } => {
-                    // Depth == open-label count targets the function label
-                    // itself: a return.
-                    if *depth as usize == frame.labels.len() {
-                        if Self::do_return(module, &mut frames, &mut stack) {
-                            break 'outer;
-                        }
-                    } else {
-                        Self::do_branch(frame, &mut stack, *depth);
-                    }
-                }
-                Instr::BrIf { depth } => {
-                    let cond = pop!().as_i32();
-                    if cond != 0 {
-                        if *depth as usize == frame.labels.len() {
-                            if Self::do_return(module, &mut frames, &mut stack) {
-                                break 'outer;
-                            }
-                        } else {
-                            Self::do_branch(frame, &mut stack, *depth);
-                        }
-                    }
-                }
-                Instr::BrTable { targets, default } => {
-                    let idx = pop!().as_u32() as usize;
-                    let depth = targets.get(idx).copied().unwrap_or(*default);
-                    if depth as usize == frame.labels.len() {
-                        if Self::do_return(module, &mut frames, &mut stack) {
-                            break 'outer;
-                        }
-                    } else {
-                        Self::do_branch(frame, &mut stack, depth);
-                    }
-                }
-                Instr::Return => {
-                    if Self::do_return(module, &mut frames, &mut stack) {
-                        break 'outer;
-                    }
-                }
-                Instr::Call { func } => {
-                    self.do_call(module, host_funcs, data, *func, &mut frames, &mut stack)?;
-                }
-                Instr::CallIndirect { type_idx } => {
-                    let idx = pop!().as_u32();
-                    let func = self.table.get(idx)?;
-                    let expected = &module.types[*type_idx as usize];
-                    let actual = module.func_type(func).ok_or(Trap::UninitializedElement)?;
-                    if actual != expected {
-                        return Err(Trap::IndirectCallTypeMismatch);
-                    }
-                    self.do_call(module, host_funcs, data, func, &mut frames, &mut stack)?;
-                }
-                Instr::Drop => {
-                    pop!();
-                }
-                Instr::Select => {
-                    let cond = pop!().as_i32();
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(if cond != 0 { a } else { b });
-                }
-                Instr::LocalGet(idx) => {
-                    stack.push(frame.locals[*idx as usize]);
-                }
-                Instr::LocalSet(idx) => {
-                    frame.locals[*idx as usize] = pop!();
-                }
-                Instr::LocalTee(idx) => {
-                    frame.locals[*idx as usize] = *stack.last().expect("validated");
-                }
-                Instr::GlobalGet(idx) => {
-                    stack.push(self.globals[*idx as usize]);
-                }
-                Instr::GlobalSet(idx) => {
-                    self.globals[*idx as usize] = pop!();
-                }
-
-                Instr::I32Load(m) => load!(m, 4, |b| Value::I32(i32::from_le_bytes(b))),
-                Instr::I64Load(m) => load!(m, 8, |b| Value::I64(i64::from_le_bytes(b))),
-                Instr::F32Load(m) => load!(m, 4, |b| Value::F32(f32::from_le_bytes(b))),
-                Instr::F64Load(m) => load!(m, 8, |b| Value::F64(f64::from_le_bytes(b))),
-                Instr::I32Load8S(m) => load!(m, 1, |b: [u8; 1]| Value::I32(b[0] as i8 as i32)),
-                Instr::I32Load8U(m) => load!(m, 1, |b: [u8; 1]| Value::I32(b[0] as i32)),
-                Instr::I32Load16S(m) => {
-                    load!(m, 2, |b| Value::I32(i16::from_le_bytes(b) as i32))
-                }
-                Instr::I32Load16U(m) => {
-                    load!(m, 2, |b| Value::I32(u16::from_le_bytes(b) as i32))
-                }
-                Instr::I64Load8S(m) => load!(m, 1, |b: [u8; 1]| Value::I64(b[0] as i8 as i64)),
-                Instr::I64Load8U(m) => load!(m, 1, |b: [u8; 1]| Value::I64(b[0] as i64)),
-                Instr::I64Load16S(m) => {
-                    load!(m, 2, |b| Value::I64(i16::from_le_bytes(b) as i64))
-                }
-                Instr::I64Load16U(m) => {
-                    load!(m, 2, |b| Value::I64(u16::from_le_bytes(b) as i64))
-                }
-                Instr::I64Load32S(m) => {
-                    load!(m, 4, |b| Value::I64(i32::from_le_bytes(b) as i64))
-                }
-                Instr::I64Load32U(m) => {
-                    load!(m, 4, |b| Value::I64(u32::from_le_bytes(b) as i64))
-                }
-                Instr::I32Store(m) => store!(m, as_i32, |v: i32| v.to_le_bytes()),
-                Instr::I64Store(m) => store!(m, as_i64, |v: i64| v.to_le_bytes()),
-                Instr::F32Store(m) => store!(m, as_f32, |v: f32| v.to_le_bytes()),
-                Instr::F64Store(m) => store!(m, as_f64, |v: f64| v.to_le_bytes()),
-                Instr::I32Store8(m) => store!(m, as_i32, |v: i32| [(v & 0xff) as u8]),
-                Instr::I32Store16(m) => store!(m, as_i32, |v: i32| (v as u16).to_le_bytes()),
-                Instr::I64Store8(m) => store!(m, as_i64, |v: i64| [(v & 0xff) as u8]),
-                Instr::I64Store16(m) => store!(m, as_i64, |v: i64| (v as u16).to_le_bytes()),
-                Instr::I64Store32(m) => store!(m, as_i64, |v: i64| (v as u32).to_le_bytes()),
-                Instr::MemorySize => stack.push(Value::I32(self.memory.size_pages() as i32)),
-                Instr::MemoryGrow => {
-                    let delta = pop!().as_u32();
-                    let result = self.memory.grow(delta).map(|p| p as i32).unwrap_or(-1);
-                    stack.push(Value::I32(result));
-                }
-                Instr::MemoryCopy => {
-                    let len = pop!().as_u32();
-                    let src = pop!().as_u32();
-                    let dst = pop!().as_u32();
-                    self.memory.copy(dst, src, len)?;
-                }
-                Instr::MemoryFill => {
-                    let len = pop!().as_u32();
-                    let byte = pop!().as_i32() as u8;
-                    let dst = pop!().as_u32();
-                    self.memory.fill(dst, byte, len)?;
-                }
-
-                Instr::I32Const(v) => stack.push(Value::I32(*v)),
-                Instr::I64Const(v) => stack.push(Value::I64(*v)),
-                Instr::F32Const(v) => stack.push(Value::F32(*v)),
-                Instr::F64Const(v) => stack.push(Value::F64(*v)),
-
-                Instr::I32Eqz => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::I32((a == 0) as i32));
-                }
-                Instr::I32Eq => relop_i32!(|a, b| a == b),
-                Instr::I32Ne => relop_i32!(|a, b| a != b),
-                Instr::I32LtS => relop_i32!(|a, b| a < b),
-                Instr::I32LtU => relop_i32!(|a: i32, b: i32| (a as u32) < (b as u32)),
-                Instr::I32GtS => relop_i32!(|a, b| a > b),
-                Instr::I32GtU => relop_i32!(|a: i32, b: i32| (a as u32) > (b as u32)),
-                Instr::I32LeS => relop_i32!(|a, b| a <= b),
-                Instr::I32LeU => relop_i32!(|a: i32, b: i32| (a as u32) <= (b as u32)),
-                Instr::I32GeS => relop_i32!(|a, b| a >= b),
-                Instr::I32GeU => relop_i32!(|a: i32, b: i32| (a as u32) >= (b as u32)),
-                Instr::I64Eqz => {
-                    let a = pop!().as_i64();
-                    stack.push(Value::I32((a == 0) as i32));
-                }
-                Instr::I64Eq => relop_i64!(|a, b| a == b),
-                Instr::I64Ne => relop_i64!(|a, b| a != b),
-                Instr::I64LtS => relop_i64!(|a, b| a < b),
-                Instr::I64LtU => relop_i64!(|a: i64, b: i64| (a as u64) < (b as u64)),
-                Instr::I64GtS => relop_i64!(|a, b| a > b),
-                Instr::I64GtU => relop_i64!(|a: i64, b: i64| (a as u64) > (b as u64)),
-                Instr::I64LeS => relop_i64!(|a, b| a <= b),
-                Instr::I64LeU => relop_i64!(|a: i64, b: i64| (a as u64) <= (b as u64)),
-                Instr::I64GeS => relop_i64!(|a, b| a >= b),
-                Instr::I64GeU => relop_i64!(|a: i64, b: i64| (a as u64) >= (b as u64)),
-                Instr::F32Eq => relop_f32!(|a, b| a == b),
-                Instr::F32Ne => relop_f32!(|a, b| a != b),
-                Instr::F32Lt => relop_f32!(|a, b| a < b),
-                Instr::F32Gt => relop_f32!(|a, b| a > b),
-                Instr::F32Le => relop_f32!(|a, b| a <= b),
-                Instr::F32Ge => relop_f32!(|a, b| a >= b),
-                Instr::F64Eq => relop_f64!(|a, b| a == b),
-                Instr::F64Ne => relop_f64!(|a, b| a != b),
-                Instr::F64Lt => relop_f64!(|a, b| a < b),
-                Instr::F64Gt => relop_f64!(|a, b| a > b),
-                Instr::F64Le => relop_f64!(|a, b| a <= b),
-                Instr::F64Ge => relop_f64!(|a, b| a >= b),
-
-                Instr::I32Clz => unop!(as_i32, I32, |a: i32| a.leading_zeros() as i32),
-                Instr::I32Ctz => unop!(as_i32, I32, |a: i32| a.trailing_zeros() as i32),
-                Instr::I32Popcnt => unop!(as_i32, I32, |a: i32| a.count_ones() as i32),
-                Instr::I32Add => binop_i32!(|a: i32, b: i32| a.wrapping_add(b)),
-                Instr::I32Sub => binop_i32!(|a: i32, b: i32| a.wrapping_sub(b)),
-                Instr::I32Mul => binop_i32!(|a: i32, b: i32| a.wrapping_mul(b)),
-                Instr::I32DivS => binop_i32_trap!(|a: i32, b: i32| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else if a == i32::MIN && b == -1 {
-                        Err(Trap::IntegerOverflow)
-                    } else {
-                        Ok(a.wrapping_div(b))
-                    }
-                }),
-                Instr::I32DivU => binop_i32_trap!(|a: i32, b: i32| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else {
-                        Ok(((a as u32) / (b as u32)) as i32)
-                    }
-                }),
-                Instr::I32RemS => binop_i32_trap!(|a: i32, b: i32| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else {
-                        Ok(a.wrapping_rem(b))
-                    }
-                }),
-                Instr::I32RemU => binop_i32_trap!(|a: i32, b: i32| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else {
-                        Ok(((a as u32) % (b as u32)) as i32)
-                    }
-                }),
-                Instr::I32And => binop_i32!(|a, b| a & b),
-                Instr::I32Or => binop_i32!(|a, b| a | b),
-                Instr::I32Xor => binop_i32!(|a, b| a ^ b),
-                Instr::I32Shl => binop_i32!(|a: i32, b: i32| a.wrapping_shl(b as u32)),
-                Instr::I32ShrS => binop_i32!(|a: i32, b: i32| a.wrapping_shr(b as u32)),
-                Instr::I32ShrU => {
-                    binop_i32!(|a: i32, b: i32| ((a as u32).wrapping_shr(b as u32)) as i32)
-                }
-                Instr::I32Rotl => binop_i32!(|a: i32, b: i32| a.rotate_left(b as u32 & 31)),
-                Instr::I32Rotr => binop_i32!(|a: i32, b: i32| a.rotate_right(b as u32 & 31)),
-
-                Instr::I64Clz => unop!(as_i64, I64, |a: i64| a.leading_zeros() as i64),
-                Instr::I64Ctz => unop!(as_i64, I64, |a: i64| a.trailing_zeros() as i64),
-                Instr::I64Popcnt => unop!(as_i64, I64, |a: i64| a.count_ones() as i64),
-                Instr::I64Add => binop_i64!(|a: i64, b: i64| a.wrapping_add(b)),
-                Instr::I64Sub => binop_i64!(|a: i64, b: i64| a.wrapping_sub(b)),
-                Instr::I64Mul => binop_i64!(|a: i64, b: i64| a.wrapping_mul(b)),
-                Instr::I64DivS => binop_i64_trap!(|a: i64, b: i64| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else if a == i64::MIN && b == -1 {
-                        Err(Trap::IntegerOverflow)
-                    } else {
-                        Ok(a.wrapping_div(b))
-                    }
-                }),
-                Instr::I64DivU => binop_i64_trap!(|a: i64, b: i64| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else {
-                        Ok(((a as u64) / (b as u64)) as i64)
-                    }
-                }),
-                Instr::I64RemS => binop_i64_trap!(|a: i64, b: i64| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else {
-                        Ok(a.wrapping_rem(b))
-                    }
-                }),
-                Instr::I64RemU => binop_i64_trap!(|a: i64, b: i64| {
-                    if b == 0 {
-                        Err(Trap::IntegerDivByZero)
-                    } else {
-                        Ok(((a as u64) % (b as u64)) as i64)
-                    }
-                }),
-                Instr::I64And => binop_i64!(|a, b| a & b),
-                Instr::I64Or => binop_i64!(|a, b| a | b),
-                Instr::I64Xor => binop_i64!(|a, b| a ^ b),
-                Instr::I64Shl => binop_i64!(|a: i64, b: i64| a.wrapping_shl(b as u32)),
-                Instr::I64ShrS => binop_i64!(|a: i64, b: i64| a.wrapping_shr(b as u32)),
-                Instr::I64ShrU => {
-                    binop_i64!(|a: i64, b: i64| ((a as u64).wrapping_shr(b as u32)) as i64)
-                }
-                Instr::I64Rotl => binop_i64!(|a: i64, b: i64| a.rotate_left(b as u32 & 63)),
-                Instr::I64Rotr => binop_i64!(|a: i64, b: i64| a.rotate_right(b as u32 & 63)),
-
-                Instr::F32Abs => unop!(as_f32, F32, |a: f32| a.abs()),
-                Instr::F32Neg => unop!(as_f32, F32, |a: f32| -a),
-                Instr::F32Ceil => unop!(as_f32, F32, |a: f32| a.ceil()),
-                Instr::F32Floor => unop!(as_f32, F32, |a: f32| a.floor()),
-                Instr::F32Trunc => unop!(as_f32, F32, |a: f32| a.trunc()),
-                Instr::F32Nearest => unop!(as_f32, F32, |a: f32| a.round_ties_even()),
-                Instr::F32Sqrt => unop!(as_f32, F32, |a: f32| a.sqrt()),
-                Instr::F32Add => binop_f32!(|a: f32, b: f32| a + b),
-                Instr::F32Sub => binop_f32!(|a: f32, b: f32| a - b),
-                Instr::F32Mul => binop_f32!(|a: f32, b: f32| a * b),
-                Instr::F32Div => binop_f32!(|a: f32, b: f32| a / b),
-                Instr::F32Min => binop_f32!(wasm_fmin32),
-                Instr::F32Max => binop_f32!(wasm_fmax32),
-                Instr::F32Copysign => binop_f32!(|a: f32, b: f32| a.copysign(b)),
-                Instr::F64Abs => unop!(as_f64, F64, |a: f64| a.abs()),
-                Instr::F64Neg => unop!(as_f64, F64, |a: f64| -a),
-                Instr::F64Ceil => unop!(as_f64, F64, |a: f64| a.ceil()),
-                Instr::F64Floor => unop!(as_f64, F64, |a: f64| a.floor()),
-                Instr::F64Trunc => unop!(as_f64, F64, |a: f64| a.trunc()),
-                Instr::F64Nearest => unop!(as_f64, F64, |a: f64| a.round_ties_even()),
-                Instr::F64Sqrt => unop!(as_f64, F64, |a: f64| a.sqrt()),
-                Instr::F64Add => binop_f64!(|a: f64, b: f64| a + b),
-                Instr::F64Sub => binop_f64!(|a: f64, b: f64| a - b),
-                Instr::F64Mul => binop_f64!(|a: f64, b: f64| a * b),
-                Instr::F64Div => binop_f64!(|a: f64, b: f64| a / b),
-                Instr::F64Min => binop_f64!(wasm_fmin64),
-                Instr::F64Max => binop_f64!(wasm_fmax64),
-                Instr::F64Copysign => binop_f64!(|a: f64, b: f64| a.copysign(b)),
-
-                Instr::I32WrapI64 => {
-                    let a = pop!().as_i64();
-                    stack.push(Value::I32(a as i32));
-                }
-                Instr::I32TruncF32S => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I32(trunc_f32_to_i32_s(a)?));
-                }
-                Instr::I32TruncF32U => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I32(trunc_f32_to_u32(a)? as i32));
-                }
-                Instr::I32TruncF64S => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I32(trunc_f64_to_i32_s(a)?));
-                }
-                Instr::I32TruncF64U => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I32(trunc_f64_to_u32(a)? as i32));
-                }
-                Instr::I64ExtendI32S => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::I64(a as i64));
-                }
-                Instr::I64ExtendI32U => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::I64(a as u32 as i64));
-                }
-                Instr::I64TruncF32S => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I64(trunc_f32_to_i64_s(a)?));
-                }
-                Instr::I64TruncF32U => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I64(trunc_f32_to_u64(a)? as i64));
-                }
-                Instr::I64TruncF64S => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I64(trunc_f64_to_i64_s(a)?));
-                }
-                Instr::I64TruncF64U => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I64(trunc_f64_to_u64(a)? as i64));
-                }
-                Instr::F32ConvertI32S => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::F32(a as f32));
-                }
-                Instr::F32ConvertI32U => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::F32(a as u32 as f32));
-                }
-                Instr::F32ConvertI64S => {
-                    let a = pop!().as_i64();
-                    stack.push(Value::F32(a as f32));
-                }
-                Instr::F32ConvertI64U => {
-                    let a = pop!().as_i64();
-                    stack.push(Value::F32(a as u64 as f32));
-                }
-                Instr::F32DemoteF64 => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::F32(a as f32));
-                }
-                Instr::F64ConvertI32S => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::F64(a as f64));
-                }
-                Instr::F64ConvertI32U => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::F64(a as u32 as f64));
-                }
-                Instr::F64ConvertI64S => {
-                    let a = pop!().as_i64();
-                    stack.push(Value::F64(a as f64));
-                }
-                Instr::F64ConvertI64U => {
-                    let a = pop!().as_i64();
-                    stack.push(Value::F64(a as u64 as f64));
-                }
-                Instr::F64PromoteF32 => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::F64(a as f64));
-                }
-                Instr::I32ReinterpretF32 => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I32(a.to_bits() as i32));
-                }
-                Instr::I64ReinterpretF64 => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I64(a.to_bits() as i64));
-                }
-                Instr::F32ReinterpretI32 => {
-                    let a = pop!().as_i32();
-                    stack.push(Value::F32(f32::from_bits(a as u32)));
-                }
-                Instr::F64ReinterpretI64 => {
-                    let a = pop!().as_i64();
-                    stack.push(Value::F64(f64::from_bits(a as u64)));
-                }
-                Instr::I32Extend8S => unop!(as_i32, I32, |a: i32| a as i8 as i32),
-                Instr::I32Extend16S => unop!(as_i32, I32, |a: i32| a as i16 as i32),
-                Instr::I64Extend8S => unop!(as_i64, I64, |a: i64| a as i8 as i64),
-                Instr::I64Extend16S => unop!(as_i64, I64, |a: i64| a as i16 as i64),
-                Instr::I64Extend32S => unop!(as_i64, I64, |a: i64| a as i32 as i64),
-                Instr::I32TruncSatF32S => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I32(a as i32));
-                }
-                Instr::I32TruncSatF32U => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I32(a as u32 as i32));
-                }
-                Instr::I32TruncSatF64S => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I32(a as i32));
-                }
-                Instr::I32TruncSatF64U => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I32(a as u32 as i32));
-                }
-                Instr::I64TruncSatF32S => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I64(a as i64));
-                }
-                Instr::I64TruncSatF32U => {
-                    let a = pop!().as_f32();
-                    stack.push(Value::I64(a as u64 as i64));
-                }
-                Instr::I64TruncSatF64S => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I64(a as i64));
-                }
-                Instr::I64TruncSatF64U => {
-                    let a = pop!().as_f64();
-                    stack.push(Value::I64(a as u64 as i64));
-                }
-            }
-        }
-
-        Ok(stack.pop())
-    }
-
-    /// Branch within the current frame.
-    #[inline]
-    fn do_branch(frame: &mut Frame, stack: &mut Vec<Value>, depth: u32) {
-        let idx = frame.labels.len() - 1 - depth as usize;
-        let label = frame.labels[idx];
-        let arity = label.arity as usize;
-        // Carry the label's result values across the unwind.
-        let carried_start = stack.len() - arity;
-        // Move values down to the label's base height.
-        if carried_start > label.stack_base {
-            let (lo, hi) = stack.split_at_mut(carried_start);
-            lo[label.stack_base..label.stack_base + arity].copy_from_slice(&hi[..arity]);
-        }
-        stack.truncate(label.stack_base + arity);
-        let keep = if label.pop_self { idx } else { idx + 1 };
-        frame.labels.truncate(keep);
-        frame.pc = label.target as usize;
-    }
-
-    /// Pop the current frame; returns true when the entry frame was popped
-    /// (execution is complete).
-    fn do_return(module: &Module, frames: &mut Vec<Frame>, stack: &mut Vec<Value>) -> bool {
-        let frame = frames.pop().expect("at least one frame");
-        let ty = &module.types[module.funcs[frame.func as usize].type_idx as usize];
-        let arity = ty.results.len();
-        // Carry results, drop everything above the frame's base.
-        if stack.len() - arity > frame.stack_base {
-            let carried_start = stack.len() - arity;
-            let (lo, hi) = stack.split_at_mut(carried_start);
-            lo[frame.stack_base..frame.stack_base + arity].copy_from_slice(&hi[..arity]);
-        }
-        stack.truncate(frame.stack_base + arity);
-        frames.is_empty()
-    }
-
-    /// Call a function (host or wasm) from inside the interpreter loop.
-    fn do_call<T>(
-        &mut self,
-        module: &Module,
-        host_funcs: &[HostFuncDef<T>],
-        data: &mut T,
-        func: u32,
-        frames: &mut Vec<Frame>,
-        stack: &mut Vec<Value>,
-    ) -> Result<(), Trap> {
-        // `host_funcs` holds one entry per function import.
-        if let Some(def) = host_funcs.get(func as usize) {
-            // Host call: pop args, run closure, push result.
-            let args: Vec<Value> = stack.split_off(stack.len() - def.ty.params.len());
-            let result = (def.func)(data, &mut self.memory, &args)?;
-            stack.extend(check_host_result(def.ty.results.first().copied(), result)?);
-            Ok(())
-        } else {
-            if frames.len() >= self.limits.max_call_depth {
-                return Err(Trap::StackOverflow);
-            }
-            frames.push(Frame::enter(module, func - host_funcs.len() as u32, stack));
-            Ok(())
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // The register-form executor (see `crate::regalloc`).
-    // ------------------------------------------------------------------
-
     /// Run `entry` on the register-form IR. Reuses the instance's register
     /// file and frame stack so steady-state invocations allocate nothing.
     /// `args` already match the entry's signature ([`Instance::call_func`]);
@@ -1590,8 +844,9 @@ impl Vm {
 
     /// The register-tier hot loop: dispatch [`ROp`]s until the entry frame
     /// returns. Semantics follow the flat IR the ops were lowered from —
-    /// results, traps and fuel totals match the reference walker, with
-    /// fuel, deadline and stack bounds checked once per basic block — but
+    /// results, traps and fuel totals match a per-instruction walk of the
+    /// source, with fuel, deadline and stack bounds checked once per basic
+    /// block — but
     /// all operands are frame-relative register indices; there is no value
     /// stack and no locals arena, only `regs`.
     ///
@@ -1697,8 +952,8 @@ impl Vm {
                     ROp::Meter { cost, entry, peak } => {
                         if let Some(fuel) = self.fuel.as_mut() {
                             if *fuel < cost as u64 {
-                                // The reference walker would retire exactly
-                                // the remaining fuel before trapping.
+                                // A per-instruction meter would retire
+                                // exactly the remaining fuel before trapping.
                                 *instrs += *fuel;
                                 self.fuel = Some(0);
                                 return Err(Trap::OutOfFuel);
@@ -2015,55 +1270,10 @@ struct RFrame {
     /// Absolute base of this frame's register window.
     base: u32,
     /// The operand-stack height a stack machine would have at frame entry,
-    /// carried so `Meter` checks `max_value_stack` against the same height
-    /// the reference walker's real value stack reaches.
+    /// carried so `Meter` checks `max_value_stack` against the height the
+    /// source program's value stack reaches (what the test oracle's real
+    /// stack holds).
     vbase: u32,
-}
-
-/// A call frame.
-struct Frame {
-    /// Index into `module.funcs` (local function space).
-    func: u32,
-    /// Parameters followed by zero-initialized locals.
-    locals: Vec<Value>,
-    /// Next instruction index.
-    pc: usize,
-    /// Open labels within this frame.
-    labels: Vec<Label>,
-    /// Value-stack height at entry (after arguments were popped).
-    stack_base: usize,
-}
-
-impl Frame {
-    /// Pop arguments off `stack` and build the frame.
-    fn enter(module: &Module, local_func: u32, stack: &mut Vec<Value>) -> Frame {
-        let body = &module.funcs[local_func as usize];
-        let ty = &module.types[body.type_idx as usize];
-        let argc = ty.params.len();
-        let mut locals = Vec::with_capacity(argc + body.locals.len());
-        locals.extend(stack.drain(stack.len() - argc..));
-        locals.extend(body.locals.iter().map(|t| Value::zero(*t)));
-        Frame {
-            func: local_func,
-            locals,
-            pc: 0,
-            labels: Vec::with_capacity(8),
-            stack_base: stack.len(),
-        }
-    }
-}
-
-/// A control label within a frame.
-#[derive(Debug, Clone, Copy)]
-struct Label {
-    /// Branch destination pc.
-    target: u32,
-    /// Value-stack height at label entry.
-    stack_base: usize,
-    /// Values a branch to this label carries.
-    arity: u8,
-    /// Loops are popped by the branch itself (the header re-pushes).
-    pop_self: bool,
 }
 
 // ---------------------------------------------------------------------

@@ -8,22 +8,22 @@
 //! * [`encode`] / [`builder`] — binary-format encoder and an ergonomic
 //!   [`builder::ModuleBuilder`] for constructing modules programmatically,
 //! * [`validate`] — the full stack-polymorphic type checker,
-//! * [`interp`] — the interpreter: value stack, call frames, sandboxed
-//!   linear [`Memory`](interp::Memory) with hard bounds checks, tables,
-//!   globals, traps, fuel metering and wall-clock deadlines,
-//! * [`instance`] — instantiation, host-function linking and typed calls,
-//! * [`compile`] / [`regalloc`] — the two lowerings behind the one
-//!   production executor (`ExecMode::Reg`): validated bodies become a
-//!   1:1 flat stack IR (side-table branches, block metering, inlining),
-//!   which is lowered again into three-address code over a per-frame
-//!   virtual register file — the one pass that fuses operands,
-//!   write-backs, compare-and-branch and address chains — eliminating
-//!   value-stack traffic from the hot loop. Only the register form is
-//!   executed; [`analysis`] proves it equivalent to the flat IR at load.
-//!   Both forms carry plain operators as the [`ops`] payload enums,
+//! * [`interp`] — the runtime state: values, sandboxed linear
+//!   [`Memory`](interp::Memory) with hard bounds checks, and tables,
+//! * [`instance`] — instantiation, host-function linking, typed calls and
+//!   the one executor: traps, fuel metering and wall-clock deadlines,
+//! * [`compile`] / [`regalloc`] — the two lowerings behind that executor:
+//!   validated bodies become a 1:1 flat stack IR (side-table branches,
+//!   block metering, inlining), which is lowered again into three-address
+//!   code over a per-frame virtual register file — the one pass that fuses
+//!   operands, write-backs, compare-and-branch and address chains —
+//!   eliminating value-stack traffic from the hot loop. Only the register
+//!   form is executed; [`analysis`] proves it equivalent to the flat IR at
+//!   load. Both forms carry plain operators as the [`ops`] payload enums.
+//!   The crate's tests hold the executor to an oracle that walks the
+//!   decoded instructions over its own memory (`tests/util/oracle.rs`),
 //! * [`wat`] — a WAT-subset text assembler for tests and examples,
-//! * [`disasm`] — the inverse: render any decoded module as WAT-style
-//!   text (the operator's pre-deployment inspection tool, §3.A).
+//! * [`disasm`] — the register-code listing the `analyze` tool prints.
 //!
 //! Design goals follow the paper's requirements for RAN plugin hosting:
 //! deterministic execution (fuel), tight worst-case latency (deadlines,

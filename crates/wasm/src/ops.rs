@@ -476,16 +476,6 @@ impl LoadKind {
             _ => return None,
         })
     }
-
-    /// Bytes the access reads.
-    pub(crate) fn width(self) -> u64 {
-        match self {
-            LoadKind::I32S8 | LoadKind::I32U8 | LoadKind::I64S8 | LoadKind::I64U8 => 1,
-            LoadKind::I32S16 | LoadKind::I32U16 | LoadKind::I64S16 | LoadKind::I64U16 => 2,
-            LoadKind::I32 | LoadKind::F32 | LoadKind::I64S32 | LoadKind::I64U32 => 4,
-            LoadKind::I64 | LoadKind::F64 => 8,
-        }
-    }
 }
 
 impl StoreKind {
@@ -503,15 +493,5 @@ impl StoreKind {
             Instr::I64Store32(m) => (StoreKind::I64Lo32, m.offset),
             _ => return None,
         })
-    }
-
-    /// Bytes the access writes.
-    pub(crate) fn width(self) -> u64 {
-        match self {
-            StoreKind::I32Lo8 | StoreKind::I64Lo8 => 1,
-            StoreKind::I32Lo16 | StoreKind::I64Lo16 => 2,
-            StoreKind::I32 | StoreKind::F32 | StoreKind::I64Lo32 => 4,
-            StoreKind::I64 | StoreKind::F64 => 8,
-        }
     }
 }

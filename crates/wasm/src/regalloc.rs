@@ -1,5 +1,5 @@
-//! Register-form lowering of the flat IR: what `ExecMode::Reg`, the one
-//! production executor, runs.
+//! Register-form lowering of the flat IR: what [`crate::Instance`]'s one
+//! executor runs.
 //!
 //! A per-function abstract-interpretation pass walks the already-lowered
 //! [`CompiledFunc`] (so side-table branches, basic-block fuel metering
@@ -40,7 +40,7 @@
 //! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
 //! basic block), so fuel totals and `OutOfFuel` points stay bit-identical
-//! with the reference walker's. The value-stack bound is enforced against
+//! with a per-instruction walk's. The value-stack bound is enforced against
 //! the *virtual* stack height (`vbase + entry + peak`), which equals a
 //! stack machine's operand-stack height plus `peak` at every meter.
 //!
@@ -1732,16 +1732,13 @@ mod tests {
                 ROp::Return { src: 2 },
             ]
         );
-        let wasm = crate::wat::assemble(src).expect("assembles");
-        let run = |mode| {
-            let module = crate::load_module(&wasm).expect("valid");
-            let mut inst = crate::Instance::new(module.into(), &crate::Linker::<()>::new(), ())
+        let module = crate::load_module(&crate::wat::assemble(src).expect("assembles"));
+        let mut inst =
+            crate::Instance::new(module.expect("valid").into(), &crate::Linker::new(), ())
                 .expect("instantiates");
-            inst.set_exec_mode(mode);
-            inst.invoke("f", &[Value::I32(40), Value::I32(2)])
-        };
-        use crate::instance::ExecMode;
-        assert_eq!(run(ExecMode::Reg), Ok(Some(Value::I32(-2))));
-        assert_eq!(run(ExecMode::Reg), run(ExecMode::Reference));
+        assert_eq!(
+            inst.invoke("f", &[Value::I32(40), Value::I32(2)]),
+            Ok(Some(Value::I32(-2)))
+        );
     }
 }

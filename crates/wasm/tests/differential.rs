@@ -1,20 +1,25 @@
-//! Differential execution: the production register-form executor vs the
-//! reference instruction walker.
+//! Differential execution: the production register-form executor against
+//! the test oracle, a tree walker over the decoded instructions with its
+//! own memory (`util/oracle.rs`).
 //!
 //! Programs are generated in PlugC (the plugin language real workloads are
-//! written in), compiled to Wasm, and run under both [`ExecMode`]s.
-//! The executors must agree on:
+//! written in), compiled to Wasm, and run by both. They must agree on:
 //!
 //! * the result value (bit-for-bit) or the trap,
-//! * `fuel_consumed()` and `ExecStats::instrs` on complete executions,
-//! * `ExecStats::instrs` on `OutOfFuel` traps (the block-metered executor
+//! * `fuel_consumed()` and instructions retired on complete executions,
+//! * instructions retired on `OutOfFuel` traps (the block-metered executor
 //!   retires exactly the remaining fuel before trapping, matching the
-//!   per-instruction walker).
+//!   per-instruction oracle),
+//! * the final memory bytes, unless a resource limit fired,
+//! * what host functions saw.
 //!
-//! On non-fuel traps that fire mid-block (e.g. division by zero) the two
-//! modes may differ in fuel by less than one basic block — that is the
-//! documented granularity change of block metering — so fuel is only
-//! compared on completion and on fuel exhaustion.
+//! On traps that fire mid-block (e.g. division by zero) the two may differ
+//! in fuel by less than one basic block — that is the documented
+//! granularity change of block metering — so fuel is only compared on
+//! completion and on fuel exhaustion. A resource limit (fuel, value stack,
+//! call depth) fires at a block's `Meter` in the executor and at the exact
+//! instruction in the oracle, so stores earlier in that block may have run
+//! on one side only.
 //!
 //! The generator is seeded (xorshift64*), so the same corpus runs both as a
 //! deterministic sweep and, below, under proptest with random seeds.
@@ -23,7 +28,7 @@ use std::sync::Arc;
 
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::compile::Op;
-use waran_wasm::instance::{ExecLimits, ExecMode, Instance, Linker};
+use waran_wasm::instance::{ExecLimits, Instance, Linker};
 use waran_wasm::instr::Instr;
 use waran_wasm::interp::Value;
 use waran_wasm::regalloc::ROp;
@@ -34,49 +39,133 @@ use waran_wasm::{load_module, wat, Module, Trap};
 mod gen;
 use gen::gen_program;
 
+#[path = "util/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
+
 // ---------------------------------------------------------------------
-// Two-mode runner
+// Both sides
 // ---------------------------------------------------------------------
 
-type Outcome = (Result<Option<Value>, Trap>, Option<u64>, u64, u64);
-
-fn exec_one(wasm: &[u8], mode: ExecMode, args: &[Value], fuel: u64) -> Outcome {
-    let module = load_module(wasm).expect("generated module validates");
-    let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
-    inst.set_exec_mode(mode);
-    inst.set_fuel(Some(fuel));
-    let out = inst.invoke("main", args);
-    (
-        out,
-        inst.fuel_consumed(),
-        inst.stats().instrs,
-        inst.stats().traps,
-    )
+/// One side of a comparison, the production `Instance` or the oracle, seen
+/// through what the contract compares.
+trait Side<T> {
+    fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, Trap>;
+    fn set_fuel(&mut self, fuel: Option<u64>);
+    fn fuel_consumed(&self) -> Option<u64>;
+    /// Instructions retired, calls completed and calls trapped so far.
+    fn counts(&self) -> (u64, u64, u64);
+    fn bytes(&self) -> &[u8];
+    fn data(&mut self) -> &mut T;
 }
 
-/// Run both executors and assert the documented agreement contract.
-/// Returns the fuel consumed when the program completed successfully.
-fn assert_modes_agree(wasm: &[u8], args: &[Value], fuel: u64, ctx: &str) -> Option<u64> {
-    let (r_res, r_fuel, r_instrs, r_traps) = exec_one(wasm, ExecMode::Reference, args, fuel);
-    let (c_res, c_fuel, c_instrs, c_traps) = exec_one(wasm, ExecMode::Reg, args, fuel);
-    assert_eq!(r_res, c_res, "result diverged ({ctx})");
-    assert_eq!(r_traps, c_traps, "trap count diverged ({ctx})");
-    match &r_res {
-        Ok(_) => {
-            assert_eq!(r_fuel, c_fuel, "fuel diverged on success ({ctx})");
-            assert_eq!(r_instrs, c_instrs, "instrs diverged on success ({ctx})");
-        }
-        Err(Trap::OutOfFuel) => {
-            assert_eq!(r_fuel, c_fuel, "fuel diverged on exhaustion ({ctx})");
-            assert_eq!(r_instrs, c_instrs, "instrs diverged on exhaustion ({ctx})");
+impl<T> Side<T> for Instance<T> {
+    fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, Trap> {
+        Instance::invoke(self, name, args)
+    }
+    fn set_fuel(&mut self, fuel: Option<u64>) {
+        Instance::set_fuel(self, fuel)
+    }
+    fn fuel_consumed(&self) -> Option<u64> {
+        Instance::fuel_consumed(self)
+    }
+    fn counts(&self) -> (u64, u64, u64) {
+        let s = self.stats();
+        (s.instrs, s.invokes, s.traps)
+    }
+    fn bytes(&self) -> &[u8] {
+        let mem = self.memory();
+        mem.read_bytes(0, mem.size_bytes() as u32).unwrap()
+    }
+    fn data(&mut self) -> &mut T {
+        &mut self.data
+    }
+}
+
+impl<T> Side<T> for Oracle<T> {
+    fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, Trap> {
+        Oracle::invoke(self, name, args)
+    }
+    fn set_fuel(&mut self, fuel: Option<u64>) {
+        Oracle::set_fuel(self, fuel)
+    }
+    fn fuel_consumed(&self) -> Option<u64> {
+        Oracle::fuel_consumed(self)
+    }
+    fn counts(&self) -> (u64, u64, u64) {
+        (self.instrs, self.invokes, self.traps)
+    }
+    fn bytes(&self) -> &[u8] {
+        &self.memory
+    }
+    fn data(&mut self) -> &mut T {
+        &mut self.data
+    }
+}
+
+/// `module` instantiated on both sides: `(production, oracle)`.
+fn both<T>(
+    module: &Arc<Module>,
+    linker: &Linker<T>,
+    data: impl Fn() -> T,
+) -> (Instance<T>, Oracle<T>) {
+    let inst = Instance::new(module.clone(), linker, data()).unwrap();
+    let oracle = Oracle::new(module.clone(), linker, data()).unwrap();
+    (inst, oracle)
+}
+
+/// What one call of `main` left behind on one side.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    result: Result<Option<Value>, Trap>,
+    fuel: Option<u64>,
+    instrs: u64,
+    traps: u64,
+    memory: Vec<u8>,
+}
+
+fn outcome<S: Side<()>>(side: &mut S, args: &[Value], fuel: u64) -> Outcome {
+    side.set_fuel(Some(fuel));
+    let result = side.invoke("main", args);
+    let (instrs, _, traps) = side.counts();
+    Outcome {
+        result,
+        fuel: side.fuel_consumed(),
+        instrs,
+        traps,
+        memory: side.bytes().to_vec(),
+    }
+}
+
+/// Hold one call's two outcomes to the contract in the header. Returns the
+/// fuel consumed when the call completed.
+fn assert_outcomes_agree(oracle: &Outcome, ours: &Outcome, ctx: &str) -> Option<u64> {
+    assert_eq!(oracle.result, ours.result, "result diverged ({ctx})");
+    assert_eq!(oracle.traps, ours.traps, "trap count diverged ({ctx})");
+    match &oracle.result {
+        Ok(_) | Err(Trap::OutOfFuel) => {
+            assert_eq!(oracle.fuel, ours.fuel, "fuel diverged ({ctx})");
+            assert_eq!(oracle.instrs, ours.instrs, "instrs diverged ({ctx})");
         }
         // Mid-block traps: fuel may differ by < 1 block (documented).
         Err(_) => {}
     }
-    match &r_res {
-        Ok(_) => r_fuel,
-        Err(_) => None,
+    if !matches!(&oracle.result, Err(t) if t.is_resource_exhaustion()) {
+        assert!(
+            oracle.memory == ours.memory,
+            "final memory diverged ({ctx})"
+        );
     }
+    oracle.result.as_ref().ok().and(oracle.fuel)
+}
+
+/// Run `main(args)` once on fresh instances of both sides and assert the
+/// contract. Returns the fuel consumed when the program completed.
+fn assert_agree(wasm: &[u8], args: &[Value], fuel: u64, ctx: &str) -> Option<u64> {
+    let module = Arc::new(load_module(wasm).expect("generated module validates"));
+    let (mut inst, mut oracle) = both(&module, &Linker::new(), || ());
+    let ours = outcome(&mut inst, args, fuel);
+    assert_outcomes_agree(&outcome(&mut oracle, args, fuel), &ours, ctx)
 }
 
 /// The full contract for one generated program: agreement at a generous
@@ -88,9 +177,9 @@ fn check_seed(seed: u64, a: i32, b: i32) {
         .unwrap_or_else(|e| panic!("seed {seed}: plugc rejected generated program: {e}\n{src}"));
     let args = [Value::I32(a), Value::I32(b)];
     let ctx = format!("seed {seed}, args ({a}, {b})");
-    if let Some(consumed) = assert_modes_agree(&wasm, &args, 5_000_000, &ctx) {
+    if let Some(consumed) = assert_agree(&wasm, &args, 5_000_000, &ctx) {
         if consumed > 1 {
-            assert_modes_agree(&wasm, &args, consumed / 2, &format!("{ctx}, half fuel"));
+            assert_agree(&wasm, &args, consumed / 2, &format!("{ctx}, half fuel"));
         }
     }
 }
@@ -150,13 +239,18 @@ fn differential_br_table() {
 
     for sel in [0, 1, 2, 7, -1] {
         let args = [Value::I32(sel)];
-        assert_modes_agree(&wasm, &args, 1_000_000, &format!("br_table sel {sel}"));
+        assert_agree(&wasm, &args, 1_000_000, &format!("br_table sel {sel}"));
     }
     // Spot-check the actual values through the production executor.
-    let (res, _, _, _) = exec_one(&wasm, ExecMode::Reg, &[Value::I32(1)], 1_000_000);
-    assert_eq!(res, Ok(Some(Value::I32(20))));
-    let (res, _, _, _) = exec_one(&wasm, ExecMode::Reg, &[Value::I32(9)], 1_000_000);
-    assert_eq!(res, Ok(Some(Value::I32(30))));
+    let mut inst = Instance::new(load_module(&wasm).unwrap().into(), &Linker::new(), ()).unwrap();
+    assert_eq!(
+        inst.invoke("main", &[Value::I32(1)]),
+        Ok(Some(Value::I32(20)))
+    );
+    assert_eq!(
+        inst.invoke("main", &[Value::I32(9)]),
+        Ok(Some(Value::I32(30)))
+    );
 }
 
 #[test]
@@ -189,10 +283,10 @@ export fn main(n: i32, base: i32) -> i32 {
     let wasm = waran_plugc::compile(src).expect("scheduler shape compiles");
     for n in [0, 1, 7, 64, 500] {
         let args = [Value::I32(n), Value::I32(64)];
-        let consumed = assert_modes_agree(&wasm, &args, 5_000_000, &format!("scheduler n={n}"));
+        let consumed = assert_agree(&wasm, &args, 5_000_000, &format!("scheduler n={n}"));
         if let Some(consumed) = consumed {
             if consumed > 1 {
-                assert_modes_agree(
+                assert_agree(
                     &wasm,
                     &args,
                     consumed / 2,
@@ -249,10 +343,10 @@ export fn main(n: i32, base: i32) -> i32 {
     );
     for n in [0, 1, 5, 40] {
         let args = [Value::I32(n), Value::I32(96)];
-        let consumed = assert_modes_agree(&wasm, &args, 5_000_000, &format!("leaf calls n={n}"));
+        let consumed = assert_agree(&wasm, &args, 5_000_000, &format!("leaf calls n={n}"));
         if let Some(consumed) = consumed {
             if consumed > 1 {
-                assert_modes_agree(
+                assert_agree(
                     &wasm,
                     &args,
                     consumed / 2,
@@ -268,11 +362,11 @@ export fn main(n: i32, base: i32) -> i32 {
 // ---------------------------------------------------------------------
 //
 // The generated corpus is PlugC — i32 plus a little f64 — so the i64, f32,
-// conversion, `trunc_sat` and narrow load/store long tail would cross the
-// two executors only in hand-picked cases. This section takes the opcode
-// list from the decoder and each opcode's signature from the validator
-// (no hand-written table to fall out of date) and runs `local.get… ; op`
-// over edge operands under both executors and the load-time proof.
+// conversion, `trunc_sat` and narrow load/store long tail would meet the
+// oracle only in hand-picked cases. This section takes the opcode list
+// from the decoder and each opcode's signature from the validator (no
+// hand-written table to fall out of date) and runs `local.get… ; op` over
+// edge operands on both sides and under the load-time proof.
 
 /// The instruction `bytes` decode to as a whole function body, if the
 /// decoder accepts them.
@@ -334,7 +428,8 @@ fn plain_op_signature(op: &Instr) -> (Vec<ValType>, Module) {
 
 /// Edge operands per type. The i32 list doubles as the address list of
 /// the memory ops (static offset 4 on a 65536-byte memory): in bounds,
-/// straddling the end for accesses wider than two bytes, and wrapping
+/// straddling the end for accesses wider than two bytes, ending exactly at
+/// the last byte for each access width (1, 2, 4 and 8 bytes), and wrapping
 /// past 2³² once the offset is added.
 fn edge_operands(ty: ValType) -> Vec<Value> {
     let f32s = [
@@ -365,6 +460,10 @@ fn edge_operands(ty: ValType) -> Vec<Value> {
             i32::MAX,
             16,
             65_529,
+            65_531,
+            65_530,
+            65_528,
+            65_524,
             0xffff_fffc_u32 as i32,
         ]
         .map(Value::I32)
@@ -396,6 +495,51 @@ fn bits(v: Value) -> (ValType, u64) {
     (v.ty(), v.to_bits())
 }
 
+/// Both sides of a one-op module that passed its proof, with a byte
+/// pattern at each end of the page so loads see sign bits and distinct
+/// bytes, also at the very end.
+fn patterned(module: Module, op: &Instr) -> (Instance<()>, Oracle<()>) {
+    module
+        .analysis()
+        .unwrap_or_else(|e| panic!("{op:?}: lowering fails its proof: {e}"));
+    let module = Arc::new(module);
+    let (mut inst, mut oracle) = both(&module, &Linker::new(), || ());
+    let pattern: Vec<u8> = (0..64u32).map(|i| (i * 37 + 0x85) as u8).collect();
+    for at in [0, 65_536 - 64] {
+        inst.memory_mut().write_bytes(at as u32, &pattern).unwrap();
+        oracle.memory[at..at + 64].copy_from_slice(&pattern);
+    }
+    (inst, oracle)
+}
+
+/// One call of a one-op `main` on both sides: the result agrees, each side
+/// charges the body's exact cost, and the final memory agrees byte for
+/// byte. True when the call completed.
+fn one_op_agrees(sides: &mut (Instance<()>, Oracle<()>), args: &[Value], ctx: &str) -> bool {
+    let (inst, oracle) = sides;
+    // Source instructions in the body: the gets, the op, the `end`.
+    let cost = args.len() as u64 + 2;
+    inst.set_fuel(Some(1_000));
+    oracle.set_fuel(Some(1_000));
+    let ours = inst.invoke("main", args).map(|v| v.map(bits));
+    let theirs = oracle.invoke("main", args).map(|v| v.map(bits));
+    assert_eq!(theirs, ours, "result diverged ({ctx})");
+    // The oracle stops at the trapping instruction; block metering has
+    // charged the whole block, `end` included.
+    let oracle_cost = if ours.is_ok() { cost } else { cost - 1 };
+    assert_eq!(
+        oracle.fuel_consumed(),
+        Some(oracle_cost),
+        "oracle fuel ({ctx})"
+    );
+    assert_eq!(inst.fuel_consumed(), Some(cost), "register fuel ({ctx})");
+    assert!(
+        inst.bytes() == oracle.memory,
+        "final memory diverged ({ctx})"
+    );
+    ours.is_ok()
+}
+
 #[test]
 fn differential_every_plain_opcode() {
     // Memory accesses carry an (align, offset) immediate; offset 4 keeps
@@ -413,25 +557,7 @@ fn differential_every_plain_opcode() {
     let (mut completed, mut trapped) = (0u32, 0u32);
     for op in &ops {
         let (params, module) = plain_op_signature(op);
-        module
-            .analysis()
-            .unwrap_or_else(|e| panic!("{op:?}: lowering fails its proof: {e}"));
-        let module = Arc::new(module);
-        let mut insts = [ExecMode::Reference, ExecMode::Reg].map(|mode| {
-            let mut inst = Instance::new(module.clone(), &Linker::<()>::new(), ()).unwrap();
-            inst.set_exec_mode(mode);
-            // Loads should see sign bits and distinct bytes, also at the
-            // very end of the page.
-            let pattern: Vec<u8> = (0..64u32).map(|i| (i * 37 + 0x85) as u8).collect();
-            inst.memory_mut().write_bytes(0, &pattern).unwrap();
-            inst.memory_mut()
-                .write_bytes(65_536 - 64, &pattern)
-                .unwrap();
-            inst
-        });
-        // Source instructions in the body: the gets, the op, the `end`.
-        let cost = params.len() as u64 + 2;
-
+        let mut sides = patterned(module, op);
         let firsts = edge_operands(params[0]);
         let seconds = params.get(1).map_or(vec![None], |&ty| {
             edge_operands(ty).into_iter().map(Some).collect()
@@ -439,32 +565,11 @@ fn differential_every_plain_opcode() {
         for &a in &firsts {
             for &b in &seconds {
                 let args: Vec<Value> = std::iter::once(a).chain(b).collect();
-                let [reference, reg] = insts.each_mut().map(|inst| {
-                    inst.set_fuel(Some(1_000));
-                    let out = inst.invoke("main", &args).map(|v| v.map(bits));
-                    (out, inst.fuel_consumed())
-                });
-                let ctx = format!("{op:?} {args:?}");
-                assert_eq!(reference.0, reg.0, "result diverged ({ctx})");
-                match reference.0 {
-                    Ok(_) => {
-                        completed += 1;
-                        assert_eq!(reference.1, Some(cost), "reference fuel ({ctx})");
-                        assert_eq!(reg.1, Some(cost), "register fuel ({ctx})");
-                    }
-                    // The walker stops at the trapping instruction; block
-                    // metering has charged the whole block, `end` included.
-                    Err(_) => {
-                        trapped += 1;
-                        assert_eq!(reference.1, Some(cost - 1), "reference fuel ({ctx})");
-                        assert_eq!(reg.1, Some(cost), "register fuel ({ctx})");
-                    }
+                if one_op_agrees(&mut sides, &args, &format!("{op:?} {args:?}")) {
+                    completed += 1;
+                } else {
+                    trapped += 1;
                 }
-                let [m_ref, m_reg] = insts.each_ref().map(|inst| {
-                    let mem = inst.memory();
-                    mem.read_bytes(0, mem.size_bytes() as u32).unwrap()
-                });
-                assert!(m_ref == m_reg, "final memory diverged ({ctx})");
             }
         }
     }
@@ -474,6 +579,41 @@ fn differential_every_plain_opcode() {
         completed > 5_000 && trapped > 500,
         "{completed} completed, {trapped} trapped"
     );
+
+    // `memory.copy` (dst, src, len) and `memory.fill` (dst, byte, len)
+    // take three i32s, a shape the sweep above does not try. Ranges end
+    // exactly at the last byte and one past it, are empty at 65536 and
+    // 65537, wrap past 2³², and overlap forwards and backwards (16 ← 8 and
+    // 8 ← 16 over 32 bytes, and 40 bytes ending at the last byte).
+    let addrs = [
+        0, 8, 16, 65_488, 65_496, 65_528, 65_529, 65_535, 65_536, 65_537, -8,
+    ];
+    let lens = [0, 1, 8, 9, 32, 40, 65_536];
+    let (mut completed, mut trapped) = (0u32, 0u32);
+    for (bytes, middles) in [
+        (&[0xfc, 0x0a, 0x00, 0x00][..], &addrs[..]),
+        (&[0xfc, 0x0b, 0x00], &[0x1a5, -1]),
+    ] {
+        let op = decode_opcode(bytes).expect("bulk-memory opcode decodes");
+        let module = plain_op_module(&op, &[ValType::I32; 3], &[]).expect("op validates");
+        let mut sides = patterned(module, &op);
+        for dst in addrs {
+            for &mid in middles {
+                for len in lens {
+                    let args = [dst, mid, len].map(Value::I32);
+                    if one_op_agrees(&mut sides, &args, &format!("{op:?} {args:?}")) {
+                        completed += 1;
+                    } else {
+                        trapped += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        completed >= 300 && trapped >= 600,
+        "bulk memory: {completed} completed, {trapped} trapped"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -481,11 +621,11 @@ fn differential_every_plain_opcode() {
 // ---------------------------------------------------------------------
 //
 // Everything above instantiates with an empty `Linker`, so it never
-// crosses the guest→host boundary. Each executor has its own host-call
-// shim (value-stack slice vs register window), and a re-exported import
-// bypasses both; this section runs one module through every such path
-// under both executors and compares what the guest, the host and the
-// embedder can each observe.
+// crosses the guest→host boundary. The executor re-tags a register window
+// into the host's arguments, the oracle pops them off its value stack and
+// lends its bytes as a `Memory`, and a re-exported import bypasses both;
+// this section runs one module through every such path on both sides and
+// compares what the guest, the host and the embedder can each observe.
 
 /// Host state: every call the closures saw, in order.
 type HostLog = Vec<(&'static str, i32)>;
@@ -564,7 +704,7 @@ fn host_linker() -> Linker<HostLog> {
 /// traps may differ by < 1 block).
 type HostCall = (Result<Option<Value>, Trap>, Option<u64>, u64);
 
-/// What one executor did with the call script on one instance.
+/// What one side did with the call script on one instance.
 #[derive(Debug, PartialEq)]
 struct HostRun {
     calls: Vec<HostCall>,
@@ -574,9 +714,7 @@ struct HostRun {
     log: HostLog,
 }
 
-fn host_run(module: &Arc<Module>, mode: ExecMode) -> HostRun {
-    let mut inst = Instance::new(module.clone(), &host_linker(), HostLog::new()).unwrap();
-    inst.set_exec_mode(mode);
+fn host_run<S: Side<HostLog>>(mut side: S) -> HostRun {
     let i = Value::I32;
     let script: [(&str, &[Value]); 12] = [
         ("value", &[i(10)]),
@@ -598,24 +736,21 @@ fn host_run(module: &Arc<Module>, mode: ExecMode) -> HostRun {
     ];
     let mut calls = Vec::new();
     for (name, args) in script {
-        inst.set_fuel(Some(1_000_000));
-        let before = inst.stats().instrs;
-        let out = inst.invoke(name, args);
-        let instrs = inst.stats().instrs - before;
+        side.set_fuel(Some(1_000_000));
+        let before = side.counts().0;
+        let out = side.invoke(name, args);
+        let instrs = side.counts().0 - before;
         let pinned = out.is_ok() || instrs == 0;
-        let fuel = inst.fuel_consumed().filter(|_| pinned);
+        let fuel = side.fuel_consumed().filter(|_| pinned);
         calls.push((out, fuel, if pinned { instrs } else { 0 }));
     }
-    let memory = inst.memory();
+    let (_, invokes, traps) = side.counts();
     HostRun {
         calls,
-        invokes: inst.stats().invokes,
-        traps: inst.stats().traps,
-        memory: memory
-            .read_bytes(0, memory.size_bytes() as u32)
-            .unwrap()
-            .to_vec(),
-        log: std::mem::take(&mut inst.data),
+        invokes,
+        traps,
+        memory: side.bytes().to_vec(),
+        log: std::mem::take(side.data()),
     }
 }
 
@@ -623,9 +758,9 @@ fn host_run(module: &Arc<Module>, mode: ExecMode) -> HostRun {
 fn differential_host_calls() {
     let wasm = wat::assemble(HOST_WAT).expect("host module assembles");
     let module = Arc::new(load_module(&wasm).expect("host module validates"));
-    let reference = host_run(&module, ExecMode::Reference);
-    let reg = host_run(&module, ExecMode::Reg);
-    assert_eq!(reference, reg);
+    let (inst, oracle) = both(&module, &host_linker(), HostLog::new);
+    let reg = host_run(inst);
+    assert_eq!(host_run(oracle), reg);
 
     // Anchor the shared behaviour so "both wrong the same way" cannot pass.
     let results: Vec<_> = reg.calls.iter().map(|(r, _, _)| r.clone()).collect();
@@ -660,7 +795,7 @@ fn differential_host_calls() {
 //
 // The register executor's cells are untyped 64-bit words; the oracle's
 // are tagged `Value`s. `differential_every_plain_opcode` runs one op on
-// clean cells. This section crosses the two executors where a cell's
+// clean cells. This section crosses the two sides where a cell's
 // history could show: a word that last held an i64 and now holds an i32,
 // a callee's declared locals over a window the caller used, bit patterns
 // that only survive if nothing re-interprets them on the way, and the
@@ -668,38 +803,41 @@ fn differential_host_calls() {
 
 type Bits = (ValType, u64);
 
-/// `[Reference, Reg]` instances of one module.
-fn mode_pair<T>(src: &str, linker: &Linker<T>, data: impl Fn() -> T) -> [Instance<T>; 2] {
+/// Both sides of one module that passed its proof.
+fn wat_pair<T>(src: &str, linker: &Linker<T>, data: impl Fn() -> T) -> (Instance<T>, Oracle<T>) {
     let wasm = wat::assemble(src).expect("module assembles");
     let module = Arc::new(load_module(&wasm).expect("module validates"));
     module.analysis().expect("lowering passes its proof");
-    [ExecMode::Reference, ExecMode::Reg].map(|mode| {
-        let mut inst = Instance::new(module.clone(), linker, data()).unwrap();
-        inst.set_exec_mode(mode);
-        inst
-    })
+    both(&module, linker, data)
 }
 
-/// Call `name(args)` under both executors: result bits or trap agree, and
-/// so does `fuel_consumed()` when the call completes (a mid-block trap
-/// may differ by less than one block, see the header). Returns the agreed
-/// outcome.
+/// Call `name(args)` on both sides: result bits or trap agree, so does
+/// the final memory, and so does `fuel_consumed()` when the call completes
+/// (a mid-block trap may differ by less than one block, see the header).
+/// Returns the agreed outcome.
 fn call_pair<T>(
-    insts: &mut [Instance<T>; 2],
+    (inst, oracle): &mut (Instance<T>, Oracle<T>),
     name: &str,
     args: &[Value],
 ) -> Result<Option<Bits>, Trap> {
-    let [reference, reg] = insts.each_mut().map(|inst| {
-        inst.set_fuel(Some(1_000_000));
-        let out = inst.invoke(name, args).map(|v| v.map(bits));
-        (out, inst.fuel_consumed())
-    });
+    inst.set_fuel(Some(1_000_000));
+    oracle.set_fuel(Some(1_000_000));
+    let ours = inst.invoke(name, args).map(|v| v.map(bits));
+    let theirs = oracle.invoke(name, args).map(|v| v.map(bits));
     let ctx = format!("{name} {args:?}");
-    assert_eq!(reference.0, reg.0, "result diverged ({ctx})");
-    if reference.0.is_ok() {
-        assert_eq!(reference.1, reg.1, "fuel diverged ({ctx})");
+    assert_eq!(theirs, ours, "result diverged ({ctx})");
+    if ours.is_ok() {
+        assert_eq!(
+            oracle.fuel_consumed(),
+            inst.fuel_consumed(),
+            "fuel diverged ({ctx})"
+        );
     }
-    reference.0
+    assert!(
+        inst.bytes() == oracle.memory,
+        "final memory diverged ({ctx})"
+    );
+    ours
 }
 
 /// Does the register code of export `name` contain an op `pred` accepts?
@@ -771,8 +909,8 @@ fn differential_dirty_upper_halves() {
             Ok(Some(a[0]))
         },
     );
-    let mut insts = mode_pair(DIRTY_WAT, &linker, Vec::new);
-    let module = insts[0].module().clone();
+    let mut sides = wat_pair(DIRTY_WAT, &linker, Vec::new);
+    let module = sides.0.module().clone();
     // The address forms the issue names are really what runs.
     assert!(lowered_with(&module, "load_rr", |op| matches!(
         op,
@@ -792,7 +930,7 @@ fn differential_dirty_upper_halves() {
     for name in ["extend", "load_rr", "load_bis", "table", "grow", "host"] {
         for a in firsts {
             for b in seconds {
-                match call_pair(&mut insts, name, &[Value::I32(a), Value::I32(b)]) {
+                match call_pair(&mut sides, name, &[Value::I32(a), Value::I32(b)]) {
                     Ok(_) => completed += 1,
                     Err(Trap::MemoryOutOfBounds { .. }) => trapped += 1,
                     Err(t) => panic!("{name}({a}, {b}): unexpected trap {t}"),
@@ -804,17 +942,17 @@ fn differential_dirty_upper_halves() {
         completed >= 200 && trapped >= 40,
         "{completed} completed, {trapped} trapped"
     );
-    let [reference, reg] = insts.each_ref().map(|inst| &inst.data);
-    assert_eq!(reference, reg, "host saw different arguments");
+    let (reg, oracle) = (&sides.0.data, &sides.1.data);
+    assert_eq!(oracle, reg, "host saw different arguments");
     assert_eq!(reg.len(), firsts.len() * seconds.len());
     assert!(reg.contains(&Value::I32(-1)) && reg.contains(&Value::I32(i32::MIN)));
 
     // Anchors, so "both wrong the same way" cannot pass: a stale upper
     // half would show as a wide value, a wild address, the default arm, a
     // refused grow.
-    let mut insts = mode_pair(DIRTY_WAT, &linker, Vec::new);
+    let mut sides = wat_pair(DIRTY_WAT, &linker, Vec::new);
     let mut run =
-        |name: &str, a: i32, b: i32| call_pair(&mut insts, name, &[Value::I32(a), Value::I32(b)]);
+        |name: &str, a: i32, b: i32| call_pair(&mut sides, name, &[Value::I32(a), Value::I32(b)]);
     let i32v = |v: i32| Ok(Some(bits(Value::I32(v))));
     assert_eq!(run("extend", 0, 0), Ok(Some((ValType::I64, 0xffff_ffff))));
     assert_eq!(run("load_rr", -1, 0), i32v(0xff));
@@ -865,8 +1003,8 @@ const LOCALS_WAT: &str = r#"(module
 
 #[test]
 fn differential_callee_locals_start_at_zero() {
-    let mut insts = mode_pair(LOCALS_WAT, &Linker::<()>::new(), || ());
-    let module = insts[0].module().clone();
+    let mut sides = wat_pair(LOCALS_WAT, &Linker::<()>::new(), || ());
+    let module = sides.0.module().clone();
     assert!(
         lowered_with(&module, "twice", |op| matches!(op, ROp::CallWasm { .. })),
         "the callee was inlined: the test no longer enters a frame"
@@ -875,7 +1013,7 @@ fn differential_callee_locals_start_at_zero() {
     for n in [1, 2, 3, 7, 100] {
         // Twice per instance too: the register file persists across calls.
         for _ in 0..2 {
-            let out = call_pair(&mut insts, "twice", &[Value::I32(n)]);
+            let out = call_pair(&mut sides, "twice", &[Value::I32(n)]);
             assert_eq!(out, Ok(Some((ValType::I64, 0))), "n = {n}");
             cases += 1;
         }
@@ -943,12 +1081,12 @@ fn differential_bit_preservation() {
     ];
     let mut cases = 0u32;
     for (ty, values) in families {
-        let mut insts = mode_pair(&preserve_wat(ty), &Linker::<()>::new(), || ());
+        let mut sides = wat_pair(&preserve_wat(ty), &Linker::<()>::new(), || ());
         for v in values {
             for name in [
                 "entry", "copy", "select_a", "select_b", "carry", "global", "memory",
             ] {
-                let out = call_pair(&mut insts, name, &[v]);
+                let out = call_pair(&mut sides, name, &[v]);
                 assert_eq!(out, Ok(Some(bits(v))), "{ty} {name} {v:?}");
                 cases += 1;
             }
@@ -1010,7 +1148,7 @@ fn differential_host_boundary_is_typed() {
         log.push(typed(a));
         Ok(Some(Value::I32(a[0].as_f32().to_bits() as i32)))
     });
-    let mut insts = mode_pair(BOUNDARY_WAT, &linker, Vec::new);
+    let mut sides = wat_pair(BOUNDARY_WAT, &linker, Vec::new);
 
     let quads = [
         (-1_i32, -1_i64, 0xffc1_2345_u32, 0xfff8_dead_beef_0001_u64),
@@ -1029,12 +1167,12 @@ fn differential_host_boundary_is_typed() {
         let exact = typed(&args);
 
         assert_eq!(
-            call_pair(&mut insts, "four", &args),
+            call_pair(&mut sides, "four", &args),
             Ok(Some((I64, l as u64)))
         );
         expected_log.push(exact.clone());
 
-        assert_eq!(call_pair(&mut insts, "nine", &args), Ok(Some((F64, d))));
+        assert_eq!(call_pair(&mut sides, "nine", &args), Ok(Some((F64, d))));
         let mut nine = exact.clone();
         nine.extend([
             bits(Value::I32(i.wrapping_add(1))),
@@ -1049,12 +1187,11 @@ fn differential_host_boundary_is_typed() {
             "host function returned Some(I32({})), signature says Some(F32)",
             f as i32
         ));
-        assert_eq!(call_pair(&mut insts, "wrong", &args), Err(mistyped));
+        assert_eq!(call_pair(&mut sides, "wrong", &args), Err(mistyped));
         expected_log.push(vec![exact[2]]);
     }
-    for inst in &insts {
-        assert_eq!(inst.data, expected_log, "{:?}", inst.exec_mode());
-    }
+    assert_eq!(sides.0.data, expected_log, "production");
+    assert_eq!(sides.1.data, expected_log, "oracle");
     assert!(
         expected_log.len() >= 12,
         "{} host calls",
@@ -1244,50 +1381,34 @@ fn differential_constant_control() {
             panic!("{name}: every loop here is counted, bounds must be finite: {report:?}");
         };
 
-        let run = |mode, fuel, limits| {
-            let mut inst =
-                Instance::with_limits(module.clone(), &Linker::<()>::new(), (), limits).unwrap();
-            inst.set_exec_mode(mode);
-            inst.set_fuel(Some(fuel));
-            let out = inst.invoke("main", &args);
-            let memory = inst.memory().read_bytes(0, 65_536).unwrap().to_vec();
-            (out, inst.fuel_consumed(), memory)
-        };
-        let reference = run(ExecMode::Reference, 100_000, ExecLimits::default());
-        let reg = run(ExecMode::Reg, 100_000, ExecLimits::default());
-        assert_eq!(reg.0, want.clone().map(|v| Some(Value::I32(v))), "{name}");
-        assert_eq!(reference.0, reg.0, "{name}: result diverged");
-        assert!(reference.2 == reg.2, "{name}: final memory diverged");
-        // Mid-block traps may differ by less than a block (see the header).
-        if want.is_ok() {
-            assert_eq!(reference.1, reg.1, "{name}: fuel diverged");
-        }
+        let (mut inst, mut oracle) = both(&module, &Linker::new(), || ());
+        let reg = outcome(&mut inst, &args, 100_000);
+        assert_eq!(
+            reg.result,
+            want.clone().map(|v| Some(Value::I32(v))),
+            "{name}"
+        );
+        assert_outcomes_agree(&outcome(&mut oracle, &args, 100_000), &reg, &name);
 
         // Static bounds dominate what ran: the call fits exactly the
-        // analyzer's fuel, stack and frame budget, and no byte was written
-        // at or above `mem_high`.
-        let measured = reg.1.expect("metered");
+        // analyzer's fuel, stack and frame budget.
+        let measured = reg.fuel.expect("metered");
         assert!(fuel >= measured, "{name}: fuel bound {fuel} < {measured}");
         let limits = ExecLimits {
             max_call_depth: frames as usize,
             max_value_stack: stack as usize,
             ..ExecLimits::default()
         };
+        let mut bounded =
+            Instance::with_limits(module.clone(), &Linker::new(), (), limits).unwrap();
         assert_eq!(
-            run(ExecMode::Reg, fuel, limits),
+            outcome(&mut bounded, &args, fuel),
             reg,
             "{name}: under its bounds"
         );
-        assert!(!report.dynamic_mem, "{name}: every address is a literal");
-        let touched = reg.2.iter().rposition(|&b| b != 0).map_or(0, |at| at + 1);
-        assert!(
-            report.mem_high >= touched as u64,
-            "{name}: mem_high {} < {touched}",
-            report.mem_high
-        );
 
-        // And the executors still agree when the fuel runs out half way.
-        assert_modes_agree(&wasm, &args, measured / 2, &format!("{name}, half fuel"));
+        // And the two still agree when the fuel runs out half way.
+        assert_agree(&wasm, &args, measured / 2, &format!("{name}, half fuel"));
     }
 }
 

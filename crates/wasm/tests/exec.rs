@@ -4,15 +4,26 @@
 
 use std::time::Duration;
 
-use waran_wasm::instance::{ExecLimits, ExecMode, Instance, InstantiateError, Linker};
+use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::types::ValType;
 use waran_wasm::{load_module, wat, Trap};
+
+#[path = "util/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
 
 fn instantiate(src: &str) -> Instance<()> {
     let bytes = wat::assemble(src).expect("assembles");
     let module = load_module(&bytes).expect("validates");
     Instance::new(module.into(), &Linker::new(), ()).expect("instantiates")
+}
+
+/// The same module under the test oracle.
+fn oracle(src: &str) -> Oracle<()> {
+    let bytes = wat::assemble(src).expect("assembles");
+    let module = load_module(&bytes).expect("validates");
+    Oracle::new(module.into(), &Linker::new(), ()).expect("instantiates")
 }
 
 fn run1(src: &str, name: &str, args: &[Value]) -> Result<Option<Value>, Trap> {
@@ -616,33 +627,34 @@ fn invoke_binding_errors() {
 #[test]
 fn call_func_holds_args_to_the_signature() {
     // `call_func` is the public by-index entry and the one place the
-    // embedder's values enter an executor: a short, long or mistyped
-    // argument list is a `HostError` under both — never a panic, and never
-    // a value computed from whatever cell the missing argument aliased.
+    // embedder's values enter the executor: a short, long or mistyped
+    // argument list is a `HostError` — never a panic, and never a value
+    // computed from whatever cell the missing argument aliased. The oracle
+    // refuses the same calls with the same errors.
     let src = r#"(module
       (func (export "f") (param i32 f64) (result f64)
         (local f64)
         local.get 1 local.get 2 f64.add))"#;
-    for mode in [ExecMode::Reg, ExecMode::Reference] {
-        let mut inst = instantiate(src);
-        inst.set_exec_mode(mode);
-        let f = inst.module().exported_func("f").unwrap();
-        let (i, l, d) = (Value::I32(3), Value::I64(3), Value::F64(1.5));
-        for bad in [&[i][..], &[i, d, Value::I32(9)], &[l, d], &[]] {
-            let out = inst.call_func(f, bad);
-            assert!(
-                matches!(out, Err(Trap::HostError(_))),
-                "{mode:?} {bad:?}: {out:?}"
-            );
-        }
-        assert_eq!(inst.call_func(f, &[i, d]), Ok(Some(d)));
-        // An index past the function space is an error too, not a panic.
-        assert!(matches!(
-            inst.call_func(f + 1, &[]),
-            Err(Trap::HostError(_))
-        ));
-        assert_eq!((inst.stats().invokes, inst.stats().traps), (1, 0));
+    let (mut inst, mut oracle) = (instantiate(src), oracle(src));
+    let f = inst.module().exported_func("f").unwrap();
+    let (i, l, d) = (Value::I32(3), Value::I64(3), Value::F64(1.5));
+    // An index past the function space is an error too, not a panic.
+    let bad: [(u32, &[Value]); 5] = [
+        (f, &[i]),
+        (f, &[i, d, i]),
+        (f, &[l, d]),
+        (f, &[]),
+        (f + 1, &[]),
+    ];
+    for (func, args) in bad {
+        let out = inst.call_func(func, args);
+        assert!(matches!(out, Err(Trap::HostError(_))), "{args:?}: {out:?}");
+        assert_eq!(oracle.call_func(func, args), out, "oracle, {args:?}");
     }
+    assert_eq!(inst.call_func(f, &[i, d]), Ok(Some(d)));
+    assert_eq!(oracle.call_func(f, &[i, d]), Ok(Some(d)));
+    assert_eq!((inst.stats().invokes, inst.stats().traps), (1, 0));
+    assert_eq!((oracle.invokes, oracle.traps), (1, 0));
 }
 
 #[test]
@@ -855,20 +867,21 @@ fn out_of_fuel_still_counts_retired_instrs() {
         loop $l
           br $l
         end))"#;
-    for mode in [ExecMode::Reference, ExecMode::Reg] {
-        let mut inst = instantiate(src);
-        inst.set_exec_mode(mode);
-        inst.set_fuel(Some(10_000));
-        assert_eq!(inst.invoke("spin", &[]), Err(Trap::OutOfFuel));
-        // Every unit of fuel retires exactly one source instruction, and the
-        // stats must account for all of them even though the call trapped.
-        assert_eq!(inst.stats().instrs, 10_000, "mode {mode:?}");
-        assert_eq!(inst.stats().traps, 1);
-    }
+    let mut inst = instantiate(src);
+    inst.set_fuel(Some(10_000));
+    assert_eq!(inst.invoke("spin", &[]), Err(Trap::OutOfFuel));
+    // Every unit of fuel retires exactly one source instruction, and the
+    // stats must account for all of them even though the call trapped.
+    assert_eq!((inst.stats().instrs, inst.stats().traps), (10_000, 1));
+    // The oracle meters per instruction and agrees.
+    let mut oracle = oracle(src);
+    oracle.set_fuel(Some(10_000));
+    assert_eq!(oracle.invoke("spin", &[]), Err(Trap::OutOfFuel));
+    assert_eq!((oracle.instrs, oracle.traps), (10_000, 1));
 }
 
 #[test]
-fn exec_modes_agree_on_results_and_fuel() {
+fn executor_and_oracle_agree_on_results_and_fuel() {
     let src = r#"(module
       (func $fib (export "fib") (param i32) (result i32)
         local.get 0
@@ -881,12 +894,18 @@ fn exec_modes_agree_on_results_and_fuel() {
           local.get 0 i32.const 2 i32.sub call $fib
           i32.add
         end))"#;
-    let run = |mode: ExecMode| {
-        let mut inst = instantiate(src);
-        inst.set_exec_mode(mode);
-        inst.set_fuel(Some(1_000_000));
-        let out = inst.invoke("fib", &[Value::I32(18)]);
+    let mut inst = instantiate(src);
+    inst.set_fuel(Some(1_000_000));
+    let out = inst.invoke("fib", &[Value::I32(18)]);
+    assert_eq!(out, Ok(Some(Value::I32(2584))));
+    let mut oracle = oracle(src);
+    oracle.set_fuel(Some(1_000_000));
+    assert_eq!(
+        (
+            oracle.invoke("fib", &[Value::I32(18)]),
+            oracle.fuel_consumed(),
+            oracle.instrs
+        ),
         (out, inst.fuel_consumed(), inst.stats().instrs)
-    };
-    assert_eq!(run(ExecMode::Reference), run(ExecMode::Reg));
+    );
 }

@@ -5,7 +5,10 @@
 #   scripts/loc.sh                 first-party Rust total
 #   scripts/loc.sh PATH...         also, per file or directory: non-test
 #                                  lines (each .rs file up to its first
-#                                  `#[cfg(test)]`), and their sum
+#                                  `#[cfg(test)]`), non-test panic sites
+#                                  (matches of `.unwrap()`, `.expect(`,
+#                                  `panic!(` and `unreachable!(` in those
+#                                  same lines), and the sum of the lines
 #
 # "First-party" is crates/ src/ tests/ examples/ — not vendor/, not target/.
 set -euo pipefail
@@ -16,15 +19,25 @@ non_test() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
+# Panic sites in the same lines.
+panic_sites() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+         { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "") }
+         END { print n + 0 }' "$1"
+}
+
 echo "first-party Rust total: $(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
 sum=0
 for path in "$@"; do
     n=0
+    p=0
     while IFS= read -r -d '' file; do
         n=$((n + $(non_test "$file")))
+        p=$((p + $(panic_sites "$file")))
     done < <(find "$path" -name '*.rs' -print0)
     echo "non-test $path: $n"
+    echo "panic sites $path: $p"
     sum=$((sum + n))
 done
 if [ "$#" -gt 1 ]; then
