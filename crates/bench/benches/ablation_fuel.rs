@@ -1,8 +1,5 @@
 //! Ablation A2 — what deterministic metering costs: the PF plugin with
-//! fuel + deadline off, fuel only, and fuel + deadline (the production
-//! sandbox policy).
-
-use std::time::Duration;
+//! fuel off and fuel on (the production sandbox policy).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -34,24 +31,9 @@ fn bench_fuel(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_metering_overhead");
     let req = request();
 
-    let configs: [(&str, SandboxPolicy); 3] = [
+    let configs: [(&str, SandboxPolicy); 2] = [
         ("unmetered", SandboxPolicy::unmetered()),
-        (
-            "fuel_only",
-            SandboxPolicy {
-                fuel_per_call: Some(5_000_000),
-                deadline: None,
-                ..SandboxPolicy::default()
-            },
-        ),
-        (
-            "fuel_and_deadline",
-            SandboxPolicy {
-                fuel_per_call: Some(5_000_000),
-                deadline: Some(Duration::from_millis(10)),
-                ..SandboxPolicy::default()
-            },
-        ),
+        ("fuel_only", SandboxPolicy::default()),
     ];
 
     for (name, policy) in configs {

@@ -160,17 +160,14 @@ fn mobility(workers: usize) -> MultiCellReport {
 const STRIKE_BUDGET: u32 = 2;
 
 /// A null-dereferencing scheduler pushed into every `embb` slice at slot
-/// 200 and a fuel burner into every `iot` slice at slot 300. The policy
-/// is fuel-metered but deadline-free: a wall-clock deadline classifies
-/// faults by host speed, and the digests need fault kinds to be a pure
-/// function of the simulation state.
+/// 200 and a fuel burner into every `iot` slice at slot 300, under a
+/// 200 000-fuel budget.
 fn governance(workers: usize) -> MultiCellReport {
     let deployment = fleet([ChannelSpec::Static(11), ChannelSpec::Static(14)], false)
         .seconds(0.5)
         .base_seed(6006)
         .sandbox_policy(SandboxPolicy {
             fuel_per_call: Some(200_000),
-            deadline: None,
             quarantine_after: STRIKE_BUDGET,
             ..SandboxPolicy::default()
         })
@@ -211,7 +208,6 @@ fn assert_rollback_invariants(report: &MultiCellReport) {
             "{}: iot fuel-strike count off, got {g:?}",
             cell.name
         );
-        assert_eq!(g.strikes.deadline, 0, "{}: deadline-free soak", cell.name);
         assert_eq!(
             g.quarantined_slices, 0,
             "{}: rollback must clear quarantine, got {g:?}",

@@ -39,7 +39,7 @@ fn main() {
         .seconds(seconds as f64)
         .sandbox_policy(SandboxPolicy {
             max_memory_pages: 128,
-            ..SandboxPolicy::slot_budget()
+            ..SandboxPolicy::realtime()
         })
         .build()
         .expect("scenario builds");

@@ -16,7 +16,7 @@
 //! `scripts/check.sh`: a plugin or PlugC change that makes the guest do
 //! more work shows as a hunk naming policy and UE count.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use waran_abi::sched::{SchedRequest, UeInfo};
 use waran_bench::{banner, f1, table, write_csv};
@@ -52,15 +52,11 @@ fn make_request(slot: u64, n_ues: usize) -> SchedRequest {
     }
 }
 
-/// Fresh instance per configuration, under slotbench's policy: fuel
-/// metering on (production setting), wall-clock deadline at 1 s so a host
-/// stall cannot fault a call and abort a row.
+/// Fresh instance per configuration, under the default policy: fuel
+/// metering on (production setting) with a budget no row comes near.
 fn instantiate(wasm: &[u8]) -> Plugin<()> {
-    let policy = SandboxPolicy {
-        deadline: Some(Duration::from_secs(1)),
-        ..SandboxPolicy::default()
-    };
-    Plugin::new(wasm, &Linker::<()>::new(), (), policy).expect("stock plugin instantiates")
+    Plugin::new(wasm, &Linker::<()>::new(), (), SandboxPolicy::default())
+        .expect("stock plugin instantiates")
 }
 
 /// Timing of one configuration; `Err` carries the fault that ended it.

@@ -58,13 +58,8 @@ fn main() {
     let mut all_caught = true;
     for (name, source, native_outcome) in cases {
         let wasm = plugins::compile_faulty(source);
-        let mut plugin = Plugin::new(
-            &wasm,
-            &Linker::<()>::new(),
-            (),
-            SandboxPolicy::slot_budget(),
-        )
-        .expect("fault plugin instantiates");
+        let mut plugin = Plugin::new(&wasm, &Linker::<()>::new(), (), SandboxPolicy::realtime())
+            .expect("fault plugin instantiates");
 
         // Run the unsafe code. The call must return an error — not crash.
         let outcome = plugin.call_sched(&request());
@@ -81,7 +76,7 @@ fn main() {
             plugins::rr_wasm(),
             &Linker::<()>::new(),
             (),
-            SandboxPolicy::slot_budget(),
+            SandboxPolicy::realtime(),
         )
         .expect("healthy plugin instantiates");
         let continues = healthy.call_sched(&request()).is_ok();

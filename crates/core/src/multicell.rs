@@ -127,7 +127,7 @@ impl MultiCellScenarioBuilder {
             cells: Vec::new(),
             seconds: 1.0,
             base_seed: 1,
-            policy: SandboxPolicy::slot_budget(),
+            policy: SandboxPolicy::realtime(),
             ric: None,
             mobility: None,
             pushes: Vec::new(),
@@ -890,7 +890,7 @@ impl MultiCellReport {
                 for (i, v) in [
                     g.strikes.trap,
                     g.strikes.fuel_exhausted,
-                    g.strikes.deadline,
+                    0, // once wall-clock strikes; kept so digests do not move
                     g.strikes.other,
                     g.rollbacks,
                     g.quarantined_slices,

@@ -215,10 +215,9 @@ export fn schedule(req: i32, len: i32) -> i64 {
 "#;
 
     /// Fuel burner: a long busy loop the fuel meter halts deterministically
-    /// (out-of-fuel, not the wall-clock deadline) — the resource-exhaustion
-    /// strike class for governance tests and churn soaks. The bound is far
-    /// beyond any sane per-call fuel budget but finite, so a meterless host
-    /// still terminates.
+    /// — the resource-exhaustion strike class for governance tests and
+    /// churn soaks. The bound is far beyond any sane per-call fuel budget
+    /// but finite, so a meterless host still terminates.
     pub const FUEL_BURNER: &str = r#"
 export fn schedule(req: i32, len: i32) -> i64 {
     var x: i32 = 0;

@@ -350,7 +350,7 @@ impl ScenarioBuilder {
             seconds: 1.0,
             seed: 1,
             gnb_config: GnbConfig::default(),
-            policy: SandboxPolicy::slot_budget(),
+            policy: SandboxPolicy::realtime(),
             cell_position: [0.0, 0.0],
             mobility_area: [-500.0, -500.0, 500.0, 500.0],
             population: PopulationModel::PerUe,

@@ -15,11 +15,8 @@ const CHURN_TEMPLATE: &str = include_str!("../../slotbench/plugins/churn_templat
 const NULL_SCHED: &str = include_str!("../../slotbench/plugins/null_sched.plugc");
 
 fn plugin(wasm: &[u8]) -> Plugin<()> {
-    let policy = SandboxPolicy {
-        deadline: None,
-        ..SandboxPolicy::default()
-    };
-    Plugin::new(wasm, &Linker::<()>::new(), (), policy).expect("plugin instantiates")
+    Plugin::new(wasm, &Linker::<()>::new(), (), SandboxPolicy::default())
+        .expect("plugin instantiates")
 }
 
 /// Five UEs on which every field, read or not, differs per UE; the floats

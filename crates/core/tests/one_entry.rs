@@ -19,15 +19,6 @@ fn plugin(wasm: &[u8], policy: SandboxPolicy) -> Plugin<()> {
     Plugin::new(wasm, &Linker::<()>::new(), (), policy).expect("plugin instantiates")
 }
 
-/// Fuel on, no wall-clock deadline: a debug-build interpreter on a busy
-/// host must not turn a slow call into a fault.
-fn no_deadline() -> SandboxPolicy {
-    SandboxPolicy {
-        deadline: None,
-        ..SandboxPolicy::default()
-    }
-}
-
 fn request(slot: u64, n_ues: u32) -> SchedRequest {
     SchedRequest {
         slot,
@@ -79,7 +70,7 @@ fn every_abi_call_is_one_guest_entry_and_recycles_the_heap() {
         ("null", &null),
     ];
     for (name, wasm) in schedulers {
-        let mut p = plugin(wasm, no_deadline());
+        let mut p = plugin(wasm, SandboxPolicy::default());
         assert_one_entry_and_flat_heap(name, &mut p, "schedule", |p, slot| {
             let n_ues = 1 + (slot % 40) as u32;
             let resp = p.call_sched(&request(slot, n_ues)).expect("schedules");
@@ -99,7 +90,7 @@ fn every_abi_call_is_one_guest_entry_and_recycles_the_heap() {
         "#,
     )
     .expect("compiles");
-    let mut p = plugin(&reverse, no_deadline());
+    let mut p = plugin(&reverse, SandboxPolicy::default());
     assert_one_entry_and_flat_heap("byte ABI", &mut p, "run", |p, i| {
         let input: Vec<u8> = (0..(i % 512) as u8).collect();
         let mut want = input.clone();
@@ -114,7 +105,7 @@ fn the_leaky_plugin_leaks_exactly_one_4k_block_per_call() {
     const LEAK: usize = 4096;
     let policy = SandboxPolicy {
         max_memory_pages: 128,
-        ..no_deadline()
+        ..SandboxPolicy::default()
     };
     let mut p = plugin(&plugins::compile_faulty(plugins::faulty::LEAKY), policy);
     let base = p.memory_bytes();

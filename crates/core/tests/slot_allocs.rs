@@ -12,7 +12,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use waran_core::{ChannelSpec, ScenarioBuilder, SchedKind, SliceSpec, TrafficSpec};
-use waran_host::SandboxPolicy;
 
 /// The system allocator, counting every new block (`alloc`,
 /// `alloc_zeroed`). Growing a block (`realloc`) is not counted: each of
@@ -65,13 +64,7 @@ const SLICES: [(&str, SchedKind, f64); 3] = [
 fn a_wasm_cell_slot_allocates_only_the_plugin_responses() {
     let mut b = ScenarioBuilder::new()
         .seconds((WARMUP_SLOTS + SLOTS) as f64 / 1000.0)
-        .seed(3)
-        // A debug-build interpreter must not turn a slow call into a
-        // fault (and a fault into fallback allocations).
-        .sandbox_policy(SandboxPolicy {
-            deadline: None,
-            ..SandboxPolicy::default()
-        });
+        .seed(3);
     for (name, kind, mbps) in SLICES {
         let mut slice = SliceSpec::new(name, kind).target_mbps(mbps);
         for i in 0..20 {

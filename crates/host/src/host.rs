@@ -46,59 +46,28 @@ pub enum SlotState {
     Quarantined,
 }
 
-/// The governance-relevant classification of one fault.
-///
-/// Strike accounting distinguishes *why* a plugin faulted: a trap points at
-/// buggy or hostile guest logic, fuel exhaustion at a blown deterministic
-/// budget, a deadline at wall-clock overrun. Operators tune strike budgets
-/// per class, so the counters must keep them apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A guest trap other than a metering limit (OOB access, unreachable,
-    /// division by zero, …).
-    Trap,
-    /// The deterministic per-call fuel budget ran out.
-    FuelExhausted,
-    /// The wall-clock per-call deadline expired.
-    DeadlineExceeded,
-    /// Host-side faults: ABI violations, payload codec errors, anything
-    /// that is a plugin fault but not a trap.
-    Other,
-}
-
-impl FaultKind {
-    /// Classify a plugin error for strike accounting.
-    pub fn classify(err: &PluginError) -> FaultKind {
-        match err {
-            PluginError::Trap(Trap::OutOfFuel) => FaultKind::FuelExhausted,
-            PluginError::Trap(Trap::DeadlineExceeded) => FaultKind::DeadlineExceeded,
-            PluginError::Trap(_) => FaultKind::Trap,
-            _ => FaultKind::Other,
-        }
-    }
-}
-
-/// Per-kind lifetime strike counters (survive swaps and rollbacks).
+/// Lifetime strike counters by why a plugin faulted (they survive swaps
+/// and rollbacks). Operators tune strike budgets per kind, so the counters
+/// keep them apart. Every kind is a function of the guest and its input,
+/// never of host speed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StrikeCounters {
-    /// Guest traps other than metering limits.
+    /// Guest traps other than metering limits (OOB access, unreachable,
+    /// division by zero, …): buggy or hostile guest logic.
     pub trap: u64,
-    /// Fuel-exhaustion faults.
+    /// The deterministic per-call fuel budget ran out.
     pub fuel_exhausted: u64,
-    /// Wall-clock deadline faults.
-    pub deadline: u64,
-    /// ABI/codec/other plugin faults.
+    /// Host-side faults: ABI violations, payload codec errors.
     pub other: u64,
 }
 
 impl StrikeCounters {
-    /// Record one fault of the given kind.
-    pub fn bump(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::Trap => self.trap += 1,
-            FaultKind::FuelExhausted => self.fuel_exhausted += 1,
-            FaultKind::DeadlineExceeded => self.deadline += 1,
-            FaultKind::Other => self.other += 1,
+    /// Record one fault under its kind.
+    pub fn record(&mut self, err: &PluginError) {
+        match err {
+            PluginError::Trap(Trap::OutOfFuel) => self.fuel_exhausted += 1,
+            PluginError::Trap(_) => self.trap += 1,
+            _ => self.other += 1,
         }
     }
 
@@ -106,13 +75,12 @@ impl StrikeCounters {
     pub fn merge(&mut self, other: &StrikeCounters) {
         self.trap += other.trap;
         self.fuel_exhausted += other.fuel_exhausted;
-        self.deadline += other.deadline;
         self.other += other.other;
     }
 
     /// Total strikes across all kinds.
     pub fn total(&self) -> u64 {
-        self.trap + self.fuel_exhausted + self.deadline + self.other
+        self.trap + self.fuel_exhausted + self.other
     }
 }
 
@@ -146,8 +114,14 @@ pub struct SlotHealth {
     pub consecutive_faults: u32,
     /// Total faults over the slot's lifetime (survives swaps).
     pub total_faults: u64,
-    /// Lifetime faults broken down by kind (trap / fuel / deadline / other).
+    /// Lifetime faults broken down by kind (trap / fuel / other).
     pub strikes: StrikeCounters,
+    /// Calls, ok or faulted, that took longer than the policy's watchdog
+    /// ([`SandboxPolicy::deadline`]). Counted only: a slow call is not a
+    /// fault, and wall time enters no strike and no digest.
+    ///
+    /// [`SandboxPolicy::deadline`]: crate::plugin::SandboxPolicy::deadline
+    pub overruns: u64,
     /// Automatic rollbacks to the last-good module.
     pub rollbacks: u64,
     /// Successful calls.
@@ -264,7 +238,7 @@ fn run_guarded<T, R>(
             name: name.to_string(),
         });
     }
-    let budget = slot.plugin.policy().quarantine_after;
+    let policy = slot.plugin.policy();
     let seq_before = slot.plugin.call_seq();
     let result = f(&mut slot.plugin);
     // Record the call duration on both arms — trapping and fuel-exhausted
@@ -276,6 +250,9 @@ fn run_guarded<T, R>(
     if called {
         if let Some(d) = slot.plugin.last_call_duration() {
             slot.stats.record(d);
+            if policy.deadline.is_some_and(|watchdog| d > watchdog) {
+                slot.health.overruns += 1;
+            }
         }
     }
     match result {
@@ -292,7 +269,8 @@ fn run_guarded<T, R>(
         Err(e) => {
             slot.health.total_faults += 1;
             slot.health.consecutive_faults += 1;
-            slot.health.strikes.bump(FaultKind::classify(&e));
+            slot.health.strikes.record(&e);
+            let budget = policy.quarantine_after;
             if budget > 0 && slot.health.consecutive_faults >= budget {
                 if let Some(good) = slot.last_good.take() {
                     // Automatic rollback: republish the last-good module
@@ -302,7 +280,7 @@ fn run_guarded<T, R>(
                     let event = RollbackEvent {
                         name: name.to_string(),
                         epoch: shared.epoch.load(Ordering::Acquire) + 1,
-                        class: slot.plugin.policy().class,
+                        class: policy.class,
                         strikes: slot.health.strikes,
                         consecutive_faults: slot.health.consecutive_faults,
                         from_hash: slot.plugin.content_hash(),

@@ -44,9 +44,7 @@ pub mod linker;
 pub mod plugin;
 pub mod stats;
 
-pub use host::{
-    FaultKind, PluginHost, RollbackEvent, SlotHandle, SlotHealth, SlotState, StrikeCounters,
-};
+pub use host::{PluginHost, RollbackEvent, SlotHandle, SlotHealth, SlotState, StrikeCounters};
 pub use linker::{PluginPre, TemplateCache, TemplateCacheStats};
 pub use plugin::{fnv1a, GovernanceClass, Plugin, PluginError, SandboxPolicy};
 pub use stats::{ExecTimeStats, QueueDepthStats};

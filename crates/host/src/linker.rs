@@ -92,8 +92,8 @@ fn admit(module: &Module, policy: &SandboxPolicy) -> Result<(), PluginError> {
 ///
 /// Bundles the engine-level [`InstancePre`] (resolved imports + state
 /// snapshot) with the host-level context every stamped instance needs: the
-/// [`SandboxPolicy`] (deadline, exec tier, fuel — applied at stamp-out
-/// time) and the pre-resolved byte-buffer `AbiTable`.
+/// [`SandboxPolicy`] (execution limits applied at stamp-out time, fuel
+/// re-armed per call) and the pre-resolved byte-buffer `AbiTable`.
 ///
 /// Cloning is a few `Arc` bumps; a template is `Send + Sync` and meant to
 /// be built once per `(module, policy)` and shared by every worker.
@@ -196,8 +196,8 @@ impl<T> PluginPre<T> {
     }
 
     /// Stamp out a live [`Plugin`] with host state `data`: memcpy the
-    /// snapshot, run `start`. (The policy's deadline is armed by the
-    /// plugin per ABI call, from the call's own start.)
+    /// snapshot, run `start`. (The policy's fuel is armed by the plugin
+    /// per ABI call.)
     pub fn instantiate(&self, data: T) -> Result<Plugin<T>, PluginError> {
         let instance = self
             .pre
@@ -539,7 +539,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         // Different policy → different template.
         cache
-            .get_or_build(&wasm, SandboxPolicy::slot_budget())
+            .get_or_build(&wasm, SandboxPolicy::realtime())
             .unwrap();
         assert_eq!(cache.len(), 2);
         // Different bytes → different template.
@@ -567,7 +567,7 @@ mod tests {
             // Two deployments of the same bytes share one module.
             let pre = cache.get_or_build(&wasm, SandboxPolicy::default()).unwrap();
             let other = cache
-                .get_or_build(&wasm, SandboxPolicy::slot_budget())
+                .get_or_build(&wasm, SandboxPolicy::realtime())
                 .unwrap();
             assert!(Arc::ptr_eq(pre.module(), other.module()));
             let plugin = pre.instantiate(()).unwrap();

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use waran_abi::sched::{SchedRequest, SchedResponse, MAX_RECORDS};
 use waran_abi::CodecError;
-use waran_wasm::instance::{Instance, InstantiateError, Linker};
+use waran_wasm::instance::{Instance, InstantiateError, Linker, NS_PER_FUEL};
 use waran_wasm::interp::Value;
 use waran_wasm::module::{ConstExpr, ExportKind, Global};
 use waran_wasm::types::{GlobalType, Mutability, ValType, PAGE_SIZE};
@@ -16,20 +16,18 @@ use crate::linker::PluginPre;
 /// Named resource class a plugin is admitted under.
 ///
 /// A class is an operator-facing label for a bundle of sandbox budgets
-/// (fuel, memory, deadline, strike budget). The numeric fields on
+/// (fuel, memory, watchdog, strike budget). The numeric fields on
 /// [`SandboxPolicy`] stay the source of truth — the class records *which
 /// preset* produced them, so reports and rollback logs can say "realtime
 /// plugin exceeded its strike budget" instead of dumping raw numbers, and
 /// so two deployments can assert they run the same tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GovernanceClass {
-    /// Strict tier for logic on the slot-critical path: one-slot deadline,
-    /// small fuel budget, low strike tolerance. See
-    /// [`SandboxPolicy::realtime`].
+    /// Strict tier for logic on the slot-critical path: one slot of fuel,
+    /// low strike tolerance. See [`SandboxPolicy::realtime`].
     Realtime,
-    /// Flexible tier for non-critical logic: the default deadline/fuel
-    /// budgets with a generous strike budget. See
-    /// [`SandboxPolicy::besteffort`].
+    /// Flexible tier for non-critical logic: ten slots of fuel with a
+    /// generous strike budget. See [`SandboxPolicy::besteffort`].
     BestEffort,
     /// Hand-tuned budgets that match no preset (the default for policies
     /// built field-by-field).
@@ -57,9 +55,12 @@ pub struct SandboxPolicy {
     /// Hard cap on linear-memory pages (layered under the module's own
     /// declared maximum). 64 pages = 4 MiB.
     pub max_memory_pages: u32,
-    /// Deterministic instruction budget per call (`None` = unmetered).
+    /// Deterministic fuel budget per call (`None` = unmetered): the only
+    /// budget that faults a call.
     pub fuel_per_call: Option<u64>,
-    /// Wall-clock budget per call (`None` = no deadline).
+    /// Watchdog on a call's wall time (`None` = none). A host slot call
+    /// that takes longer is counted in [`crate::SlotHealth::overruns`] and
+    /// still returns its result: the host's speed never decides a fault.
     pub deadline: Option<Duration>,
     /// Maximum nested call depth inside the plugin.
     pub max_call_depth: usize,
@@ -106,18 +107,15 @@ impl Default for SandboxPolicy {
     }
 }
 
-impl SandboxPolicy {
-    /// A policy tuned to the 5G slot budget used in the paper's evaluation
-    /// (1 ms slots): deadline at one slot, modest fuel.
-    pub fn slot_budget() -> Self {
-        SandboxPolicy {
-            deadline: Some(Duration::from_millis(1)),
-            fuel_per_call: Some(5_000_000),
-            ..SandboxPolicy::default()
-        }
-    }
+/// The NR slot at 15 kHz subcarrier spacing, the paper's setting: the unit
+/// the class budgets are shares of.
+const SLOT: Duration = Duration::from_millis(1);
 
-    /// Disable fuel and deadline (benchmarking the raw interpreter).
+/// One slot of fuel on the calibrated executor: 1 ms / 3 ns = 333 333.
+const SLOT_FUEL: u64 = SLOT.as_nanos() as u64 / NS_PER_FUEL;
+
+impl SandboxPolicy {
+    /// Disable fuel and the watchdog (benchmarking the raw interpreter).
     pub fn unmetered() -> Self {
         SandboxPolicy {
             fuel_per_call: None,
@@ -126,15 +124,15 @@ impl SandboxPolicy {
         }
     }
 
-    /// The `realtime` governance class: slot-critical budgets (one-slot
-    /// deadline, modest fuel, 4 MiB memory) with a *small* strike budget —
-    /// two consecutive faults and the host rolls the slot back to its
-    /// last-good module (or quarantines it when there is none).
+    /// The `realtime` governance class: one 1 ms slot of fuel at
+    /// [`NS_PER_FUEL`], a one-slot watchdog, 4 MiB memory and a *small*
+    /// strike budget — two consecutive faults and the host rolls the slot
+    /// back to its last-good module (or quarantines it when there is none).
     pub fn realtime() -> Self {
         SandboxPolicy {
             max_memory_pages: 64,
-            fuel_per_call: Some(5_000_000),
-            deadline: Some(Duration::from_millis(1)),
+            fuel_per_call: Some(SLOT_FUEL),
+            deadline: Some(SLOT),
             quarantine_after: 2,
             class: GovernanceClass::Realtime,
             ..SandboxPolicy::default()
@@ -142,12 +140,13 @@ impl SandboxPolicy {
     }
 
     /// The `besteffort` governance class: off the slot-critical path, so
-    /// the budgets are generous (default deadline/fuel, 8 MiB memory) and
-    /// the strike budget tolerant (eight consecutive faults before
-    /// rollback/quarantine).
+    /// the budgets are generous (ten slots of fuel, the default 10 ms
+    /// watchdog, 8 MiB memory) and the strike budget tolerant (eight
+    /// consecutive faults before rollback/quarantine).
     pub fn besteffort() -> Self {
         SandboxPolicy {
             max_memory_pages: 128,
+            fuel_per_call: Some(10 * SLOT_FUEL),
             quarantine_after: 8,
             class: GovernanceClass::BestEffort,
             ..SandboxPolicy::default()
@@ -421,12 +420,11 @@ impl<T> Plugin<T> {
     /// pointer 0. `entry` must be exported as `(i32, i32) -> i64`; anything
     /// else is a [`PluginError::Abi`] before any guest code runs.
     ///
-    /// Fuel is re-armed per call when the policy meters it, and the
-    /// policy's deadline covers the whole ABI call — both copies and the
-    /// guest entry — measured from the call's start. The measured duration
-    /// is available via [`Self::last_call_duration`] and is stamped on
-    /// faults too — a call that burns its whole fuel or deadline budget
-    /// before trapping must not vanish from the latency record.
+    /// Fuel is re-armed per call when the policy meters it. The call's wall
+    /// time — both copies and the guest entry — is available via
+    /// [`Self::last_call_duration`] and is stamped on faults too: a call
+    /// that burns its whole fuel before trapping must not vanish from the
+    /// latency record.
     pub fn call(&mut self, entry: &str, input: &[u8]) -> Result<Vec<u8>, PluginError> {
         self.timed(|p| {
             let func = entry_index(p.instance.module(), entry).ok_or_else(|| bad_entry(entry))?;
@@ -436,18 +434,12 @@ impl<T> Plugin<T> {
     }
 
     /// Run one ABI call under the bookkeeping every call shares: one clock
-    /// read at its start, which both times the call (success or fault) and
-    /// anchors the policy's deadline, so deadline scope = fuel scope = one
-    /// ABI call and no guest entry reads the clock. The deadline is
-    /// disarmed afterwards: a direct [`Self::instance_mut`] invocation is
-    /// not part of any call.
+    /// read at its start times the call, success or fault. Nothing reads
+    /// that time to decide the call.
     fn timed<R>(&mut self, abi_call: impl FnOnce(&mut Self) -> R) -> R {
         let start = Instant::now();
         self.call_seq = self.call_seq.wrapping_add(1);
-        self.instance
-            .set_deadline_at(self.policy.deadline.map(|d| start + d));
         let result = abi_call(self);
-        self.instance.set_deadline_at(None);
         self.last_call = Some(start.elapsed());
         result
     }
@@ -533,10 +525,9 @@ impl<T> Plugin<T> {
     /// Unlike [`Self::call`] this reuses the plugin's scratch buffer for the
     /// request bytes and decodes the response straight out of guest memory —
     /// zero host-side allocations beyond the decoded allocation list. As in
-    /// [`Self::call`], the call is one guest entry and the policy's
-    /// deadline covers all of it. A request with more than [`MAX_RECORDS`]
-    /// UEs does not fit the ABI's `u16` count and is a [`PluginError::Abi`]
-    /// before any guest code runs.
+    /// [`Self::call`], the call is one guest entry. A request with more than
+    /// [`MAX_RECORDS`] UEs does not fit the ABI's `u16` count and is a
+    /// [`PluginError::Abi`] before any guest code runs.
     pub fn call_sched(&mut self, req: &SchedRequest) -> Result<SchedResponse, PluginError> {
         self.timed(|p| {
             if req.ues.len() > MAX_RECORDS {

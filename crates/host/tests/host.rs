@@ -9,7 +9,6 @@ use waran_abi::sched::{
 use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
 use waran_host::{PluginHost, SlotState};
 use waran_wasm::instance::Linker;
-use waran_wasm::interp::Value;
 use waran_wasm::Trap;
 
 fn compile(src: &str) -> Vec<u8> {
@@ -114,7 +113,7 @@ fn sched_plugin_round_robin() {
 }
 
 #[test]
-fn runaway_plugin_hits_deadline_or_fuel() {
+fn runaway_plugin_runs_out_of_fuel() {
     let src = r#"
         export fn run(ptr: i32, len: i32) -> i64 {
             while (1) { }
@@ -123,29 +122,16 @@ fn runaway_plugin_hits_deadline_or_fuel() {
     "#;
     let policy = SandboxPolicy {
         fuel_per_call: Some(100_000),
-        deadline: None,
         ..SandboxPolicy::default()
     };
     let mut p = Plugin::new(&compile(src), &Linker::<()>::new(), (), policy).unwrap();
     assert_eq!(p.call("run", &[]), Err(PluginError::Trap(Trap::OutOfFuel)));
-
-    let policy = SandboxPolicy {
-        fuel_per_call: None,
-        deadline: Some(Duration::from_millis(3)),
-        ..SandboxPolicy::default()
-    };
-    let mut p = Plugin::new(&compile(src), &Linker::<()>::new(), (), policy).unwrap();
-    assert_eq!(
-        p.call("run", &[]),
-        Err(PluginError::Trap(Trap::DeadlineExceeded))
-    );
 }
 
-/// The deadline test's plugin: `run` stalls in a host function for as
-/// long as the host state says, then — when the request's first byte is
-/// non-zero — retires enough instructions for the engine to poll the
-/// clock. A zero first byte never reaches a poll, so nothing can trap it.
-const STALL_THEN_POLL: &str = r#"(module
+/// `run` stalls in a host function for as long as the host state says,
+/// then — when the request's first byte is non-zero — runs a counted loop
+/// of some ten thousand instructions.
+const STALL_THEN_RUN: &str = r#"(module
   (import "env" "stall" (func $stall))
   (memory 1)
   (global $heap (mut i32) (i32.const 1024))
@@ -163,8 +149,8 @@ const STALL_THEN_POLL: &str = r#"(module
     end
     i64.const 0))"#;
 
-fn stall_then_poll(stall: Duration, policy: SandboxPolicy) -> Plugin<Duration> {
-    let wasm = waran_wasm::wat::assemble(STALL_THEN_POLL).expect("assembles");
+fn stall_then_run(stall: Duration, policy: SandboxPolicy) -> Plugin<Duration> {
+    let wasm = waran_wasm::wat::assemble(STALL_THEN_RUN).expect("assembles");
     let mut linker: Linker<Duration> = Linker::new();
     linker.func("env", "stall", &[], &[], |stall, _, _| {
         std::thread::sleep(*stall);
@@ -173,84 +159,57 @@ fn stall_then_poll(stall: Duration, policy: SandboxPolicy) -> Plugin<Duration> {
     Plugin::new(&wasm, &linker, stall, policy).unwrap()
 }
 
-/// Fastest of three runs of `call` on `p`, which must succeed.
-fn fastest(p: &mut Plugin<Duration>, input: &[u8]) -> Duration {
-    (0..3)
-        .map(|_| {
-            p.call("run", input).unwrap();
-            p.last_call_duration().unwrap()
-        })
-        .min()
-        .unwrap()
+#[test]
+fn a_host_stall_past_the_watchdog_is_counted_not_faulted() {
+    // A `realtime` call whose host function stalls 3 ms — three times its
+    // one-slot watchdog — and then runs guest code returns its result: wall
+    // time takes no strike, it only counts an overrun.
+    let host: PluginHost<Duration> = PluginHost::new();
+    host.install(
+        "p",
+        stall_then_run(Duration::from_millis(3), SandboxPolicy::realtime()),
+    );
+    assert_eq!(host.call("p", "run", &[1]), Ok(Vec::new()));
+    let health = host.health("p").unwrap();
+    assert_eq!(health.overruns, 1);
+    assert_eq!(health.strikes.total(), 0);
+    assert_eq!(health.calls_ok, 1);
 }
 
+/// A counted loop of 4 MiB `memory.fill`s over the whole 64-page memory.
+const FILL_LOOP: &str = r#"(module
+  (memory 64 64)
+  (func (export "run") (param $ptr i32) (param $len i32) (result i64)
+    (local $i i32)
+    block $exit
+      loop $top
+        local.get $i i32.const 1000 i32.ge_s br_if $exit
+        i32.const 0 i32.const 165 i32.const 4194304 memory.fill
+        local.get $i i32.const 1 i32.add local.set $i
+        br $top
+      end
+    end
+    i64.const 0))"#;
+
 #[test]
-fn deadline_covers_the_whole_abi_call() {
-    // One `call` is one guest entry, but its wall-clock budget is measured
-    // from the call's start: the host's rewind, memory growth and request
-    // copy spend it too. Calibrate on this machine: `guest` is a call with
-    // a one-byte request that polls the clock once, `copy` one whose
-    // request is large but whose guest never polls (so it cannot trap and
-    // its time is almost all host-side placement). Grow the request until
-    // placing it takes 8× the guest's time, then give a fresh plugin half
-    // the placement time as its deadline: the small request fits in it,
-    // the large one — same guest work — overruns it.
-    let unmetered = SandboxPolicy {
-        max_memory_pages: 1024,
-        fuel_per_call: None,
-        deadline: None,
-        ..SandboxPolicy::default()
-    };
-    let mut probe = stall_then_poll(Duration::ZERO, unmetered);
-    let guest = fastest(&mut probe, &[1]);
-    let mut big = vec![0u8; 1 << 20];
-    let mut copy = fastest(&mut probe, &big);
-    while copy < guest * 8 && big.len() < 32 << 20 {
-        big.resize(big.len() * 2, 0);
-        copy = fastest(&mut probe, &big);
-    }
-    drop(probe);
+fn bulk_fills_pay_per_byte_and_run_out_of_fuel() {
+    // Each 4 MiB fill pays 262 144 fuel for its bytes, so a `realtime`
+    // call (one slot, 333 333 fuel) gets through one and runs out in the
+    // second, however cheap a fill is per instruction.
+    let wasm = waran_wasm::wat::assemble(FILL_LOOP).expect("assembles");
+    let policy = SandboxPolicy::realtime();
+    let mut p = Plugin::new(&wasm, &Linker::<()>::new(), (), policy).unwrap();
+    assert_eq!(p.call("run", &[]), Err(PluginError::Trap(Trap::OutOfFuel)));
+    let measured = p.instance().fuel_consumed().unwrap();
+    assert_eq!(Some(measured), policy.fuel_per_call);
+
+    let module = p.instance().module();
+    let run = module.exported_func("run").unwrap() - module.num_imported_funcs();
+    let bound = module.analysis().unwrap().func(run).fuel;
+    let bound = bound.finite().expect("a counted loop has a finite bound");
     assert!(
-        copy >= guest * 8,
-        "placement ({copy:?}) vs guest ({guest:?})"
-    );
-
-    let deadline = copy / 2;
-    let policy = SandboxPolicy {
-        deadline: Some(deadline),
-        ..unmetered
-    };
-    let mut p = stall_then_poll(Duration::ZERO, policy);
-    assert_eq!(p.call("run", &[1]), Ok(Vec::new()), "the guest alone fits");
-    big[0] = 1;
-    assert_eq!(
-        p.call("run", &big),
-        Err(PluginError::Trap(Trap::DeadlineExceeded)),
-        "placing {} bytes took ~{copy:?}, past the {deadline:?} budget",
-        big.len()
-    );
-    assert!(p.last_call_duration().unwrap() >= deadline);
-    assert_eq!(p.instance().stats().traps, 1);
-
-    // Time the guest spends in a host function counts as well: a stall
-    // past the deadline followed by a poll traps, small request or not.
-    p.instance_mut().data = deadline * 2;
-    assert_eq!(
-        p.call("run", &[1]),
-        Err(PluginError::Trap(Trap::DeadlineExceeded))
-    );
-
-    // The next call's budget starts at its own start, not at the last one's.
-    p.instance_mut().data = Duration::ZERO;
-    assert_eq!(p.call("run", &[1]), Ok(Vec::new()));
-
-    // And it ends with the call: a direct invocation once that budget has
-    // lapsed is outside any ABI call, so no deadline applies to it.
-    std::thread::sleep(deadline);
-    let args = [Value::I32(1024), Value::I32(1)];
-    assert_eq!(
-        p.instance_mut().invoke("run", &args),
-        Ok(Some(Value::I64(0)))
+        bound >= measured,
+        "static bound {bound} < measured {measured}"
     );
 }
 

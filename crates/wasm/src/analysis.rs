@@ -24,11 +24,12 @@
 //!   as a sampled differential-test failure.
 //! * **Static resource bounds** — an abstract interpretation over the
 //!   flat CFG computes per-function worst-case fuel (exact for
-//!   loop-free and constant-trip-count code, [`Bound::Unbounded`]
-//!   otherwise), worst-case value-stack height, call-frame depth and
-//!   register-arena footprint. Bounds propagate through the call graph;
-//!   recursion (direct or mutual) and indirect calls degrade to
-//!   `Unbounded`.
+//!   loop-free and constant-trip-count code, save that a bulk memory op
+//!   counts the byte charge of the whole memory it may reach;
+//!   [`Bound::Unbounded`] otherwise), worst-case value-stack height,
+//!   call-frame depth and register-arena footprint. Bounds propagate
+//!   through the call graph; recursion (direct or mutual) and indirect
+//!   calls degrade to `Unbounded`.
 //!
 //! The host's `SandboxPolicy` consumes the report as an admission gate:
 //! a real-time deployment class can require a finite fuel bound or
@@ -48,10 +49,12 @@
 //! itself.
 
 use crate::compile::{CompiledFunc, Op};
+use crate::instance::BULK_BYTES_PER_FUEL;
 use crate::interp::Value;
 use crate::module::{ExportKind, Module};
 use crate::ops::{I32Op, UnOp};
 use crate::regalloc::{ROp, RegFunc};
+use crate::types::{MAX_PAGES, PAGE_SIZE};
 
 /// A worst-case resource bound: exactly known, or not statically
 /// boundable. `Finite(a) < Finite(b) < Unbounded` under `Ord`.
@@ -118,7 +121,8 @@ pub struct FuncReport {
     pub func: u32,
     /// First export name carrying this function, when exported.
     pub export: Option<String>,
-    /// Worst-case fuel (source instructions) a call can retire.
+    /// Worst-case fuel a call can consume: source instructions plus each
+    /// bulk memory op's byte charge.
     pub fuel: Bound,
     /// Worst-case value-stack height a call can reach, as enforced by
     /// the `Meter` checks (identical in the flat IR and the register
@@ -1022,7 +1026,7 @@ impl BlockSet {
 
 /// Everything the fuel analysis needs about one function's CFG.
 struct FuelCtx<'a> {
-    /// Per-block worst-case weight (cost + callee fuel).
+    /// Per-block worst-case weight (cost + byte charges + callee fuel).
     weights: &'a [Bound],
     /// Successor blocks (function exits filtered out).
     succs: &'a [Vec<usize>],
@@ -1551,12 +1555,20 @@ fn compute_report(
         .map(|b| block_events(module, cf, b))
         .collect();
 
+    // A bulk op pays only once its range is in bounds: at most the whole
+    // memory it may reach, the declared maximum or else the spec's.
+    let max_pages = u64::from(module.memory.and_then(|m| m.max).unwrap_or(MAX_PAGES));
+    let bulk_worst = max_pages * (PAGE_SIZE as u64 / u64::from(BULK_BYTES_PER_FUEL));
     let mut weights = vec![Bound::Finite(0); nb];
     let mut stack = Bound::Finite(shape.own_stack as u64);
     let mut callee_frames = Bound::Finite(0);
     let mut unbounded_loops = false;
     for (bi, b) in shape.blocks.iter().enumerate() {
-        let mut w = Bound::Finite(b.cost as u64);
+        let bulk = cf.ops[b.start..b.end]
+            .iter()
+            .filter(|op| matches!(op, Op::MemoryCopy | Op::MemoryFill))
+            .count() as u64;
+        let mut w = Bound::Finite(b.cost as u64 + bulk * bulk_worst);
         for &(call, h) in &b.calls {
             match call {
                 Call::Wasm(g) => {

@@ -19,12 +19,13 @@
 //!   block `end` is resolved at compile time into an absolute op PC plus a
 //!   precomputed unwind descriptor ([`BranchTarget`]: frame-relative stack
 //!   height + result arity). The runtime label stack disappears entirely.
-//! * **Basic-block metering** — fuel, the wall-clock deadline and the
-//!   value-stack bound are charged once per basic block by a leading
-//!   [`Op::Meter`] whose `cost` is the number of *source* instructions in
-//!   the block, computed here. Fuel totals are identical to per-instruction
-//!   metering on every complete execution; see the notes on `Meter` below
-//!   for the granularity change on mid-block traps.
+//! * **Basic-block metering** — fuel and the value-stack bound are
+//!   charged once per basic block by a leading [`Op::Meter`] whose `cost`
+//!   is the number of *source* instructions in the block, computed here
+//!   (a bulk memory op's byte charge is the executor's, at the op). Fuel
+//!   totals are identical to per-instruction metering on every complete
+//!   execution; see the notes on `Meter` below for the granularity change
+//!   on mid-block traps.
 //! * **Leaf inlining** — a straight-line callee is lowered in place, its
 //!   locals remapped into fresh caller slots, with exact fuel parity.
 //! * **Branch-table interning** — `br_table` targets live in the
@@ -65,8 +66,8 @@ pub struct BranchTarget {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Basic-block header: charge `cost` fuel (the number of source
-    /// instructions in the block), poll the deadline, and verify the value
-    /// stack can grow by `peak` without exceeding the limit.
+    /// instructions in the block) and verify the value stack can grow by
+    /// `peak` without exceeding the limit.
     Meter {
         cost: u32,
         peak: u32,

@@ -4,14 +4,14 @@
 //! [`Instance`] owns the runtime state (memory, table, globals, host state
 //! `T`) and drives the one executor, the register-form loop over
 //! [`crate::regalloc`]'s code. The engine enforces the sandbox policies
-//! WA-RAN's plugin host configures: call-depth and value-stack bounds,
-//! optional deterministic fuel, and an optional wall-clock deadline (the 5G
-//! slot budget). Its test oracle, a tree walker over the decoded `Instr`
-//! bodies with its own memory, lives in the crate's `tests/util/oracle.rs`.
+//! WA-RAN's plugin host configures: call-depth and value-stack bounds and
+//! optional deterministic fuel, the one budget that stops a call (the host
+//! sizes it from the 5G slot with [`NS_PER_FUEL`]). The executor reads no
+//! clock. Its test oracle, a tree walker over the decoded `Instr` bodies
+//! with its own memory, lives in the crate's `tests/util/oracle.rs`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::interp::{Memory, Table, Value};
 use crate::module::{ConstExpr, ExportKind, ImportKind, Module};
@@ -147,6 +147,17 @@ impl std::fmt::Display for InstantiateError {
 
 impl std::error::Error for InstantiateError {}
 
+/// Nanoseconds one unit of fuel may take on this executor, the calibration
+/// that turns a time budget into fuel: the worst p99 ÷ instructions ratio
+/// of EXPERIMENTS.md's Fig. 5d table is 2.15 ns (RR at 500 UEs, 167.7 µs
+/// over 77 851 instructions), rounded up.
+pub const NS_PER_FUEL: u64 = 3;
+
+/// Bytes a `memory.copy` or `memory.fill` moves per unit of fuel. Each pays
+/// ⌈len / 16⌉ on top of its own instruction, so fuel bounds time whatever
+/// the length: a 4 MiB fill costs 262 144 fuel.
+pub const BULK_BYTES_PER_FUEL: u32 = 16;
+
 /// Execution resource limits. The plugin host derives these from its
 /// per-plugin sandbox policy.
 #[derive(Debug, Clone, Copy)]
@@ -214,7 +225,6 @@ struct Vm {
     globals: Vec<Value>,
     limits: ExecLimits,
     fuel: Option<u64>,
-    deadline: Option<Instant>,
     /// Reused execution buffers: one flat register file shared by all
     /// frames (windows overlap at call boundaries) plus its frame stack
     /// survive across invocations so steady-state calls allocate nothing.
@@ -243,9 +253,6 @@ impl<T> std::fmt::Debug for Instance<T> {
             .finish_non_exhaustive()
     }
 }
-
-/// How often the engine polls the wall clock when a deadline is set.
-const DEADLINE_CHECK_INTERVAL: u64 = 8192;
 
 // Concurrency audit for the sharded engine: instances (and linkers, whose
 // host functions are `Arc<dyn Fn .. + Send + Sync>`) must move into worker
@@ -648,7 +655,6 @@ impl<T> Instance<T> {
                 globals,
                 limits,
                 fuel: None,
-                deadline: None,
                 scratch_regs: Vec::with_capacity(128),
                 scratch_rframes: Vec::with_capacity(16),
                 scratch_host_args: Vec::new(),
@@ -712,9 +718,11 @@ impl<T> Instance<T> {
         }
     }
 
-    /// Set the deterministic instruction budget for subsequent invocations.
-    /// `None` disables metering. The budget is *per `set_fuel` call*: it
-    /// carries across invocations until exhausted or reset.
+    /// Set the deterministic fuel budget for subsequent invocations: one
+    /// unit per instruction, plus a bulk memory op's byte charge
+    /// ([`BULK_BYTES_PER_FUEL`]). `None` disables metering. The budget is
+    /// *per `set_fuel` call*: it carries across invocations until
+    /// exhausted or reset.
     pub fn set_fuel(&mut self, fuel: Option<u64>) {
         self.vm.fuel = fuel;
         self.fuel_limit = fuel;
@@ -728,15 +736,6 @@ impl<T> Instance<T> {
     /// Fuel consumed since the last [`Self::set_fuel`].
     pub fn fuel_consumed(&self) -> Option<u64> {
         Some(self.fuel_limit? - self.vm.fuel?)
-    }
-
-    /// Set the absolute wall-clock instant past which guest code traps
-    /// with [`Trap::DeadlineExceeded`] (polled every few thousand retired
-    /// instructions). `None` disables the deadline. Like fuel, it stays in
-    /// force across invocations until reset: the embedder reads the clock
-    /// once per unit of work it wants bounded, and no guest entry reads it.
-    pub fn set_deadline_at(&mut self, deadline: Option<Instant>) {
-        self.vm.deadline = deadline;
     }
 
     /// True when the module exports a function under `name`.
@@ -845,10 +844,9 @@ impl Vm {
     /// The register-tier hot loop: dispatch [`ROp`]s until the entry frame
     /// returns. Semantics follow the flat IR the ops were lowered from —
     /// results, traps and fuel totals match a per-instruction walk of the
-    /// source, with fuel, deadline and stack bounds checked once per basic
-    /// block — but
-    /// all operands are frame-relative register indices; there is no value
-    /// stack and no locals arena, only `regs`.
+    /// source, with fuel and stack bounds checked once per basic block —
+    /// but all operands are frame-relative register indices; there is no
+    /// value stack and no locals arena, only `regs`.
     ///
     /// A register is an untyped word: each op reads its operands at the
     /// type the op itself implies (an i32 read takes the low half, an i32
@@ -867,8 +865,6 @@ impl Vm {
         frames: &mut Vec<RFrame>,
     ) -> Result<(), Trap> {
         let n_imports = module.num_imported_funcs();
-        let deadline = self.deadline;
-        let mut until_deadline_check = DEADLINE_CHECK_INTERVAL as i64;
 
         'frames: loop {
             // Per-activation state, cached in locals until a call/return
@@ -961,15 +957,6 @@ impl Vm {
                             *fuel -= cost as u64;
                         }
                         *instrs += cost as u64;
-                        if let Some(dl) = deadline {
-                            until_deadline_check -= cost as i64;
-                            if until_deadline_check <= 0 {
-                                until_deadline_check = DEADLINE_CHECK_INTERVAL as i64;
-                                if Instant::now() > dl {
-                                    return Err(Trap::DeadlineExceeded);
-                                }
-                            }
-                        }
                         // `vbase + entry` is exactly the operand-stack
                         // height a stack machine has at this block header.
                         if vbase + entry as usize + peak as usize > self.limits.max_value_stack {
@@ -1049,18 +1036,28 @@ impl Vm {
                         *global = Value::from_bits(global.ty(), reg!(src));
                     }
                     ROp::MemorySize { dst } => w32!(dst, self.memory.size_pages()),
+                    // One unit whatever `delta`: the pages it zeroes count
+                    // against `max_memory_pages`, and memory never shrinks,
+                    // so an instance zeroes at most that cap over its whole
+                    // life.
                     ROp::MemoryGrow { dst, delta } => {
                         let delta = r32!(delta) as u32;
                         let result = self.memory.grow(delta).map(|p| p as i32).unwrap_or(-1);
                         w32!(dst, result);
                     }
                     ROp::MemoryCopy { dst, src, len } => {
-                        self.memory
-                            .copy(r32!(dst) as u32, r32!(src) as u32, r32!(len) as u32)?;
+                        let (dst, src, len) =
+                            (r32!(dst) as u32, r32!(src) as u32, r32!(len) as u32);
+                        self.memory.check(src, 0, len)?;
+                        self.memory.check(dst, 0, len)?;
+                        self.pay_bytes(len)?;
+                        self.memory.copy(dst, src, len)?;
                     }
                     ROp::MemoryFill { dst, val, len } => {
-                        self.memory
-                            .fill(r32!(dst) as u32, r32!(val) as u8, r32!(len) as u32)?;
+                        let (dst, len) = (r32!(dst) as u32, r32!(len) as u32);
+                        self.memory.check(dst, 0, len)?;
+                        self.pay_bytes(len)?;
+                        self.memory.fill(dst, r32!(val) as u8, len)?;
                     }
                     ROp::I32Bin { op, dst, a, b } => w32!(dst, op.eval(r32!(a), r32!(b))),
                     ROp::I32BinC { op, dst, a, k } => w32!(dst, op.eval(r32!(a), k)),
@@ -1174,6 +1171,22 @@ impl Vm {
                 }
             }
         }
+    }
+
+    /// A bulk op's byte charge, ⌈len / [`BULK_BYTES_PER_FUEL`]⌉, taken
+    /// once its ranges are known to be in bounds and before a byte moves.
+    /// Running out here leaves no fuel, as at a `Meter`.
+    #[inline]
+    fn pay_bytes(&mut self, len: u32) -> Result<(), Trap> {
+        if let Some(fuel) = self.fuel.as_mut() {
+            let charge = u64::from(len.div_ceil(BULK_BYTES_PER_FUEL));
+            if *fuel < charge {
+                *fuel = 0;
+                return Err(Trap::OutOfFuel);
+            }
+            *fuel -= charge;
+        }
+        Ok(())
     }
 
     /// Width-dispatched load for the register loop (shared by the plain

@@ -268,8 +268,9 @@ impl Memory {
         Some(old)
     }
 
+    /// Start of the `len` bytes at `addr + offset`, if all lie in memory.
     #[inline]
-    fn check(&self, addr: u32, offset: u32, len: u32) -> Result<usize, Trap> {
+    pub(crate) fn check(&self, addr: u32, offset: u32, len: u32) -> Result<usize, Trap> {
         // addr + offset can exceed u32; compute in u64.
         let start = addr as u64 + offset as u64;
         let end = start + len as u64;

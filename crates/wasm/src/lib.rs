@@ -11,7 +11,8 @@
 //! * [`interp`] — the runtime state: values, sandboxed linear
 //!   [`Memory`](interp::Memory) with hard bounds checks, and tables,
 //! * [`instance`] — instantiation, host-function linking, typed calls and
-//!   the one executor: traps, fuel metering and wall-clock deadlines,
+//!   the one executor: traps and fuel metering, the only budget that
+//!   stops a call (it reads no clock),
 //! * [`compile`] / [`regalloc`] — the two lowerings behind that executor:
 //!   validated bodies become a 1:1 flat stack IR (side-table branches,
 //!   block metering, inlining), which is lowered again into three-address
@@ -26,9 +27,11 @@
 //! * [`disasm`] — the register-code listing the `analyze` tool prints.
 //!
 //! Design goals follow the paper's requirements for RAN plugin hosting:
-//! deterministic execution (fuel), tight worst-case latency (deadlines,
-//! bounded call depth, bounded memory growth) and fault containment (every
-//! guest misbehaviour surfaces as a catchable [`Trap`], never as host UB).
+//! deterministic execution (fuel), tight worst-case latency (fuel sized
+//! from the slot by [`instance::NS_PER_FUEL`], bulk memory ops paying per
+//! byte, bounded call depth, bounded memory growth) and fault containment
+//! (every guest misbehaviour surfaces as a catchable [`Trap`], never as
+//! host UB).
 //!
 //! Not implemented (out of scope, documented in DESIGN.md): SIMD, threads,
 //! reference types beyond `funcref` tables, multi-value block types,

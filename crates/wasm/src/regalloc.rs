@@ -59,7 +59,7 @@ pub use crate::ops::{BinOp, I64Op, LoadKind, StoreKind, UnOp};
 /// branch-carrying ops index [`RegFunc::branches`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ROp {
-    /// Basic-block header: identical fuel/deadline semantics to
+    /// Basic-block header: identical fuel semantics to
     /// [`Op::Meter`]; `entry` is the abstract stack height at block entry
     /// so the value-stack bound check is `vbase + entry + peak`.
     Meter {

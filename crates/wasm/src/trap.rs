@@ -36,8 +36,6 @@ pub enum Trap {
     StackOverflow,
     /// Deterministic instruction budget exhausted.
     OutOfFuel,
-    /// Wall-clock deadline exceeded.
-    DeadlineExceeded,
     /// A host function reported an error.
     HostError(String),
     /// The value stack exceeded its configured bound (runaway recursion in
@@ -63,7 +61,6 @@ impl Trap {
             Trap::TableOutOfBounds => "table-out-of-bounds",
             Trap::StackOverflow => "stack-overflow",
             Trap::OutOfFuel => "out-of-fuel",
-            Trap::DeadlineExceeded => "deadline-exceeded",
             Trap::HostError(_) => "host-error",
             Trap::ValueStackExhausted => "value-stack-exhausted",
             Trap::MemoryLimitExceeded => "memory-limit-exceeded",
@@ -76,7 +73,6 @@ impl Trap {
         matches!(
             self,
             Trap::OutOfFuel
-                | Trap::DeadlineExceeded
                 | Trap::StackOverflow
                 | Trap::ValueStackExhausted
                 | Trap::MemoryLimitExceeded
@@ -122,7 +118,6 @@ mod tests {
     #[test]
     fn exhaustion_classification() {
         assert!(Trap::OutOfFuel.is_resource_exhaustion());
-        assert!(Trap::DeadlineExceeded.is_resource_exhaustion());
         assert!(!Trap::Unreachable.is_resource_exhaustion());
         assert!(!Trap::IntegerDivByZero.is_resource_exhaustion());
     }

@@ -9,7 +9,8 @@
 //! * `fuel_consumed()` and instructions retired on complete executions,
 //! * instructions retired on `OutOfFuel` traps (the block-metered executor
 //!   retires exactly the remaining fuel before trapping, matching the
-//!   per-instruction oracle),
+//!   per-instruction oracle) — except when a bulk memory op's byte charge
+//!   ran out, where only fuel agrees (neither side has any left),
 //! * the final memory bytes, unless a resource limit fired,
 //! * what host functions saw.
 //!
@@ -28,7 +29,7 @@ use std::sync::Arc;
 
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::compile::Op;
-use waran_wasm::instance::{ExecLimits, Instance, Linker};
+use waran_wasm::instance::{ExecLimits, Instance, Linker, BULK_BYTES_PER_FUEL};
 use waran_wasm::instr::Instr;
 use waran_wasm::interp::Value;
 use waran_wasm::regalloc::ROp;
@@ -512,32 +513,53 @@ fn patterned(module: Module, op: &Instr) -> (Instance<()>, Oracle<()>) {
     (inst, oracle)
 }
 
-/// One call of a one-op `main` on both sides: the result agrees, each side
-/// charges the body's exact cost, and the final memory agrees byte for
-/// byte. True when the call completed.
-fn one_op_agrees(sides: &mut (Instance<()>, Oracle<()>), args: &[Value], ctx: &str) -> bool {
+/// One call of a one-op `main` on both sides under `fuel`, at least the
+/// body's block: the result agrees, each side charges the body's exact
+/// cost — `charge` is what the op pays on top of its instruction when it
+/// runs — and the final memory agrees byte for byte unless the fuel ran
+/// out (block metering has paid for the `end` before the op's charge, so
+/// the oracle may finish an op the executor could not pay for).
+fn one_op_agrees(
+    sides: &mut (Instance<()>, Oracle<()>),
+    args: &[Value],
+    charge: u64,
+    fuel: u64,
+    ctx: &str,
+) -> Result<(), Trap> {
     let (inst, oracle) = sides;
     // Source instructions in the body: the gets, the op, the `end`.
     let cost = args.len() as u64 + 2;
-    inst.set_fuel(Some(1_000));
-    oracle.set_fuel(Some(1_000));
+    inst.set_fuel(Some(fuel));
+    oracle.set_fuel(Some(fuel));
     let ours = inst.invoke("main", args).map(|v| v.map(bits));
     let theirs = oracle.invoke("main", args).map(|v| v.map(bits));
     assert_eq!(theirs, ours, "result diverged ({ctx})");
-    // The oracle stops at the trapping instruction; block metering has
-    // charged the whole block, `end` included.
-    let oracle_cost = if ours.is_ok() { cost } else { cost - 1 };
+    let (oracle_cost, our_cost) = match &ours {
+        Ok(_) => (cost + charge, cost + charge),
+        Err(Trap::OutOfFuel) => (fuel, fuel),
+        // The oracle stops at the trapping instruction; block metering has
+        // charged the whole block, `end` included.
+        Err(_) => (cost - 1, cost),
+    };
     assert_eq!(
         oracle.fuel_consumed(),
         Some(oracle_cost),
         "oracle fuel ({ctx})"
     );
-    assert_eq!(inst.fuel_consumed(), Some(cost), "register fuel ({ctx})");
+    assert_eq!(
+        inst.fuel_consumed(),
+        Some(our_cost),
+        "register fuel ({ctx})"
+    );
+    if ours == Err(Trap::OutOfFuel) {
+        // The next call starts both sides from the executor's bytes.
+        oracle.memory.copy_from_slice(inst.bytes());
+    }
     assert!(
         inst.bytes() == oracle.memory,
         "final memory diverged ({ctx})"
     );
-    ours.is_ok()
+    ours.map(drop)
 }
 
 #[test]
@@ -565,7 +587,8 @@ fn differential_every_plain_opcode() {
         for &a in &firsts {
             for &b in &seconds {
                 let args: Vec<Value> = std::iter::once(a).chain(b).collect();
-                if one_op_agrees(&mut sides, &args, &format!("{op:?} {args:?}")) {
+                let ctx = format!("{op:?} {args:?}");
+                if one_op_agrees(&mut sides, &args, 0, 1_000, &ctx).is_ok() {
                     completed += 1;
                 } else {
                     trapped += 1;
@@ -584,12 +607,16 @@ fn differential_every_plain_opcode() {
     // take three i32s, a shape the sweep above does not try. Ranges end
     // exactly at the last byte and one past it, are empty at 65536 and
     // 65537, wrap past 2³², and overlap forwards and backwards (16 ← 8 and
-    // 8 ← 16 over 32 bytes, and 40 bytes ending at the last byte).
+    // 8 ← 16 over 32 bytes, and 40 bytes ending at the last byte). Each
+    // in-bounds op pays ⌈len / 16⌉ on top of its instruction, so every
+    // case runs with fuel that ends inside that charge on both sides, on
+    // the executor's side only (the oracle has not paid for `end` yet),
+    // exactly on it, and one unit after it.
     let addrs = [
         0, 8, 16, 65_488, 65_496, 65_528, 65_529, 65_535, 65_536, 65_537, -8,
     ];
-    let lens = [0, 1, 8, 9, 32, 40, 65_536];
-    let (mut completed, mut trapped) = (0u32, 0u32);
+    let lens = [0, 1, 8, 9, 15, 16, 17, 32, 40, 65_536];
+    let (mut completed, mut trapped, mut exhausted) = (0u32, 0u32, 0u32);
     for (bytes, middles) in [
         (&[0xfc, 0x0a, 0x00, 0x00][..], &addrs[..]),
         (&[0xfc, 0x0b, 0x00], &[0x1a5, -1]),
@@ -601,18 +628,24 @@ fn differential_every_plain_opcode() {
             for &mid in middles {
                 for len in lens {
                     let args = [dst, mid, len].map(Value::I32);
-                    if one_op_agrees(&mut sides, &args, &format!("{op:?} {args:?}")) {
-                        completed += 1;
-                    } else {
-                        trapped += 1;
+                    let charge = u64::from((len as u32).div_ceil(BULK_BYTES_PER_FUEL));
+                    // The body is one block of five instructions: fuel
+                    // below that stops at the `Meter` before any op runs.
+                    for fuel in (5 + charge - 2).max(5)..=5 + charge + 1 {
+                        let ctx = format!("{op:?} {args:?}, fuel {fuel}");
+                        match one_op_agrees(&mut sides, &args, charge, fuel, &ctx) {
+                            Ok(()) => completed += 1,
+                            Err(Trap::OutOfFuel) => exhausted += 1,
+                            Err(_) => trapped += 1,
+                        }
                     }
                 }
             }
         }
     }
     assert!(
-        completed >= 300 && trapped >= 600,
-        "bulk memory: {completed} completed, {trapped} trapped"
+        completed >= 300 && trapped >= 600 && exhausted >= 200,
+        "bulk memory: {completed} completed, {trapped} trapped, {exhausted} out of fuel"
     );
 }
 

@@ -2,8 +2,6 @@
 //! flow, arithmetic corner cases, traps, sandbox limits, host functions,
 //! tables and memory.
 
-use std::time::Duration;
-
 use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::types::ValType;
@@ -383,21 +381,6 @@ fn fuel_accounting_is_deterministic() {
     let f20 = consumed(20);
     let f30 = consumed(30);
     assert_eq!(f30 - f20, f20 - f10);
-}
-
-#[test]
-fn deadline_interrupts_runaway_plugin() {
-    let src = r#"(module
-      (func (export "spin")
-        loop $l
-          br $l
-        end))"#;
-    let mut inst = instantiate(src);
-    let start = std::time::Instant::now();
-    inst.set_deadline_at(Some(start + Duration::from_millis(5)));
-    assert_eq!(inst.invoke("spin", &[]), Err(Trap::DeadlineExceeded));
-    // Must abort promptly (well within a second even on a loaded machine).
-    assert!(start.elapsed() < Duration::from_secs(1));
 }
 
 #[test]

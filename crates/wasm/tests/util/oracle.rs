@@ -16,15 +16,18 @@
 //!
 //! What a comparison may hold the two to: result bits or trap; fuel and
 //! instructions on completion and on fuel exhaustion (one unit per source
-//! instruction here, while the executor meters per basic block and retires
-//! exactly the remaining fuel when it runs out); the final memory bytes
-//! unless a resource limit fired (the executor checks those per block); and
-//! what host functions saw.
+//! instruction here, plus a bulk memory op's byte charge, while the
+//! executor meters per basic block and retires exactly the remaining fuel
+//! when it runs out); the final memory bytes unless a resource limit fired
+//! (the executor checks those per block); and what host functions saw. A
+//! run that ends on a byte charge agrees on fuel (none left on either side)
+//! but not on instructions: the executor has counted its whole block, the
+//! oracle up to the bulk op.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use waran_wasm::instance::{ExecLimits, HostFn, Linker};
+use waran_wasm::instance::{ExecLimits, HostFn, Linker, BULK_BYTES_PER_FUEL};
 use waran_wasm::instr::Instr;
 use waran_wasm::interp::Value;
 use waran_wasm::module::{ConstExpr, ImportKind, Module};
@@ -229,13 +232,30 @@ impl<T> Oracle<T> {
         // the embedder's report does when both are out of bounds.
         let from = self.span(src, 0, len)?;
         let to = self.span(dst, 0, len)?;
+        self.pay_bytes(len)?;
         self.memory.copy_within(from, to.start);
         Ok(())
     }
 
     fn fill(&mut self, dst: u32, byte: u8, len: u32) -> Result<(), Trap> {
         let to = self.span(dst, 0, len)?;
+        self.pay_bytes(len)?;
         self.memory[to].fill(byte);
+        Ok(())
+    }
+
+    /// A bulk op's byte charge on top of its instruction: one unit per
+    /// started `BULK_BYTES_PER_FUEL` bytes, once the ranges are in bounds
+    /// and before a byte moves. Running out leaves no fuel.
+    fn pay_bytes(&mut self, len: u32) -> Result<(), Trap> {
+        if let Some(fuel) = self.fuel.as_mut() {
+            let charge = u64::from(len).div_ceil(u64::from(BULK_BYTES_PER_FUEL));
+            if *fuel < charge {
+                *fuel = 0;
+                return Err(Trap::OutOfFuel);
+            }
+            *fuel -= charge;
+        }
         Ok(())
     }
 

@@ -55,13 +55,8 @@ fn main() {
     // ------------------------------------------------------------------
     // 2. Sandbox it and call it directly through the byte ABI.
     // ------------------------------------------------------------------
-    let mut plugin = Plugin::new(
-        &wasm,
-        &Linker::<()>::new(),
-        (),
-        SandboxPolicy::slot_budget(),
-    )
-    .expect("instantiates");
+    let mut plugin = Plugin::new(&wasm, &Linker::<()>::new(), (), SandboxPolicy::realtime())
+        .expect("instantiates");
     let req = wa_ran::abi::sched::SchedRequest {
         slot: 0,
         prbs_granted: 52,

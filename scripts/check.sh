@@ -19,6 +19,19 @@ golden() {
     "$@" | diff "$file" -
 }
 
+# The executor reads no clock: fuel is the only verdict on a guest call,
+# so wall time cannot decide a fault or leak into a digest.
+for file in crates/wasm/src/instance.rs crates/wasm/src/interp.rs; do
+    if [ ! -f "$file" ]; then
+        echo "clock tripwire: missing $file" >&2
+        exit 1
+    fi
+    if grep -nw 'Instant' "$file"; then
+        echo "clock tripwire: $file names Instant; the executor must read no clock" >&2
+        exit 1
+    fi
+done
+
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings

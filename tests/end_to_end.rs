@@ -112,13 +112,8 @@ fn paper_5d_safety_table_holds() {
         ("double-free", plugins::faulty::DOUBLE_FREE),
     ] {
         let wasm = plugins::compile_faulty(src);
-        let mut plugin = Plugin::new(
-            &wasm,
-            &Linker::<()>::new(),
-            (),
-            SandboxPolicy::slot_budget(),
-        )
-        .expect("instantiates");
+        let mut plugin = Plugin::new(&wasm, &Linker::<()>::new(), (), SandboxPolicy::realtime())
+            .expect("instantiates");
         let result = plugin.call_sched(&req);
         assert!(result.is_err(), "{name} must be caught");
         // The same process continues scheduling with a healthy plugin.
@@ -126,7 +121,7 @@ fn paper_5d_safety_table_holds() {
             plugins::rr_wasm(),
             &Linker::<()>::new(),
             (),
-            SandboxPolicy::slot_budget(),
+            SandboxPolicy::realtime(),
         )
         .expect("instantiates");
         assert!(healthy.call_sched(&req).is_ok(), "host survives {name}");
