@@ -451,12 +451,10 @@ impl ScenarioBuilder {
             };
             let scheduler: Box<dyn SliceScheduler> = match spec.backend {
                 Backend::Native => spec.kind.native(),
-                Backend::Wasm => Box::new(WasmSliceScheduler::from_wasm(
-                    host.clone(),
-                    &spec.name,
-                    spec.kind.wasm_bytes(),
-                    self.policy,
-                )?),
+                Backend::Wasm => {
+                    install_plugin(&host, &spec.name, spec.kind.wasm_bytes(), self.policy)?;
+                    Box::new(WasmSliceScheduler::new(host.clone(), &spec.name))
+                }
             };
             let slice_id = gnb.add_slice(config, scheduler);
             slice_ids.insert(spec.name.clone(), slice_id);
@@ -664,11 +662,7 @@ impl Scenario {
     /// Hot-swap a Wasm slice's scheduler to another standard policy (the
     /// Fig. 5b move): the gNB keeps running, no UE detaches.
     pub fn swap_plugin(&mut self, slice: &str, kind: SchedKind) -> Result<(), ScenarioError> {
-        if !self.slice_ids.contains_key(slice) {
-            return Err(ScenarioError::Invalid(format!("no slice `{slice}`")));
-        }
-        install_plugin(&self.host, slice, kind.wasm_bytes(), self.policy)?;
-        Ok(())
+        self.swap_plugin_bytes(slice, kind.wasm_bytes())
     }
 
     /// Hot-swap a Wasm slice's scheduler to arbitrary module bytes (e.g. a

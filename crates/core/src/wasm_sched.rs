@@ -36,32 +36,6 @@ impl WasmSliceScheduler {
             handle: None,
         }
     }
-
-    /// Convenience: create a host slot from raw module bytes and bind to it.
-    pub fn from_wasm(
-        host: Arc<PluginHost<()>>,
-        slot_name: &str,
-        wasm: &[u8],
-        policy: SandboxPolicy,
-    ) -> Result<Self, PluginError> {
-        // Template-cached: binding the same plugin to many slices/cells
-        // shares one validated module, its compiled IR, one resolved
-        // import vector and one state snapshot — each install past the
-        // first is a memcpy stamp-out.
-        let pre = TemplateCache::global().get_or_build(wasm, policy)?;
-        host.install(slot_name, pre.instantiate(())?);
-        Ok(Self::new(host, slot_name))
-    }
-
-    /// The backing host (for swaps, stats, health).
-    pub fn host(&self) -> &Arc<PluginHost<()>> {
-        &self.host
-    }
-
-    /// The host slot this scheduler calls.
-    pub fn slot_name(&self) -> &str {
-        &self.slot_name
-    }
 }
 
 impl SliceScheduler for WasmSliceScheduler {
@@ -116,6 +90,16 @@ mod tests {
     use crate::plugins;
     use waran_abi::sched::UeInfo;
 
+    /// Install `wasm` into `host` under `slot` and bind to it.
+    fn bind_in(host: &Arc<PluginHost<()>>, slot: &str, wasm: &[u8]) -> WasmSliceScheduler {
+        install_plugin(host, slot, wasm, SandboxPolicy::default()).unwrap();
+        WasmSliceScheduler::new(host.clone(), slot)
+    }
+
+    fn bind(slot: &str, wasm: &[u8]) -> WasmSliceScheduler {
+        bind_in(&Arc::new(PluginHost::new()), slot, wasm)
+    }
+
     fn req(prbs: u32, n: usize) -> SchedRequest {
         SchedRequest {
             slot: 0,
@@ -137,10 +121,7 @@ mod tests {
 
     #[test]
     fn wasm_rr_schedules_everyone() {
-        let host = Arc::new(PluginHost::new());
-        let mut sched =
-            WasmSliceScheduler::from_wasm(host, "rr", plugins::rr_wasm(), SandboxPolicy::default())
-                .unwrap();
+        let mut sched = bind("rr", plugins::rr_wasm());
         let resp = sched.schedule(&req(52, 4)).unwrap();
         assert_eq!(resp.allocs.len(), 4);
         assert_eq!(resp.total_prbs(), 52);
@@ -148,10 +129,7 @@ mod tests {
 
     #[test]
     fn wasm_mt_picks_best_channel() {
-        let host = Arc::new(PluginHost::new());
-        let mut sched =
-            WasmSliceScheduler::from_wasm(host, "mt", plugins::mt_wasm(), SandboxPolicy::default())
-                .unwrap();
+        let mut sched = bind("mt", plugins::mt_wasm());
         let resp = sched.schedule(&req(10, 3)).unwrap();
         // Highest capacity is the last UE (102).
         assert_eq!(resp.allocs[0].ue_id, 102);
@@ -160,10 +138,7 @@ mod tests {
 
     #[test]
     fn wasm_pf_picks_lowest_average_on_equal_channels() {
-        let host = Arc::new(PluginHost::new());
-        let mut sched =
-            WasmSliceScheduler::from_wasm(host, "pf", plugins::pf_wasm(), SandboxPolicy::default())
-                .unwrap();
+        let mut sched = bind("pf", plugins::pf_wasm());
         let mut r = req(10, 3);
         for ue in &mut r.ues {
             ue.prb_capacity_bits = 500.0;
@@ -185,9 +160,7 @@ mod tests {
             ("mt", plugins::mt_wasm(), Box::new(MaxThroughput::new())),
         ];
         for (name, wasm, mut native) in cases {
-            let mut wasm_sched =
-                WasmSliceScheduler::from_wasm(host.clone(), name, wasm, SandboxPolicy::default())
-                    .unwrap();
+            let mut wasm_sched = bind_in(&host, name, wasm);
             for prbs in [0u32, 1, 7, 52] {
                 for n in [0usize, 1, 3, 10] {
                     let r = req(prbs, n);
@@ -202,13 +175,7 @@ mod tests {
     #[test]
     fn hot_swap_through_shared_host() {
         let host = Arc::new(PluginHost::new());
-        let mut sched = WasmSliceScheduler::from_wasm(
-            host.clone(),
-            "slice0",
-            plugins::mt_wasm(),
-            SandboxPolicy::default(),
-        )
-        .unwrap();
+        let mut sched = bind_in(&host, "slice0", plugins::mt_wasm());
         let r = req(10, 3);
         let before = sched.schedule(&r).unwrap();
         assert_eq!(before.allocs[0].ue_id, 102); // MT picks best channel
@@ -238,7 +205,8 @@ mod tests {
             quarantine_after: 2,
             ..SandboxPolicy::default()
         };
-        let mut sched = WasmSliceScheduler::from_wasm(host.clone(), "bad", &wasm, policy).unwrap();
+        install_plugin(&host, "bad", &wasm, policy).unwrap();
+        let mut sched = WasmSliceScheduler::new(host, "bad");
         let fault = sched.schedule(&req(10, 1)).unwrap_err();
         assert_eq!(fault.code, "trap:memory-out-of-bounds");
         let fault = sched.schedule(&req(10, 1)).unwrap_err();

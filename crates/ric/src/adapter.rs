@@ -5,13 +5,12 @@
 //! closed firmware. WA-RAN's answer is a plugin at the boundary that
 //! re-packs records between layouts. This module provides the adapter both
 //! natively ([`InterfaceAdapter`]) and as a PlugC-compiled Wasm plugin
-//! ([`POWER_WIDEN_PLUGC`] / [`build_widen_plugin`]) to show the full
-//! sandboxed path.
+//! ([`POWER_WIDEN_PLUGC`] / [`install_widen_plugin`]) hosted in a governed
+//! plugin-host slot, to show the full sandboxed path.
 
 use waran_abi::bitpack::RecordSpec;
 use waran_abi::CodecError;
-use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
-use waran_wasm::instance::Linker;
+use waran_host::{PluginError, PluginHost, SlotHandle, TemplateCache};
 
 /// A native record adapter between two packed layouts.
 pub struct InterfaceAdapter {
@@ -83,16 +82,21 @@ export fn adapt(ptr: i32, len: i32) -> i64 {
 }
 "#;
 
-/// Compile and instantiate the Wasm power-widening adapter.
-pub fn build_widen_plugin() -> Result<Plugin<()>, PluginError> {
+/// Compile the Wasm power-widening adapter into slot `"power-widen"` of
+/// `host` (class `besteffort`); call `adapt` through the returned handle.
+pub fn install_widen_plugin(host: &PluginHost<()>) -> Result<SlotHandle<()>, PluginError> {
     let wasm = waran_plugc::compile(POWER_WIDEN_PLUGC)
         .map_err(|e| PluginError::Abi(format!("adapter source failed to compile: {e}")))?;
-    Plugin::new(&wasm, &Linker::new(), (), SandboxPolicy::default())
+    crate::install_besteffort(TemplateCache::global(), host, "power-widen", &wasm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn widen_plugin() -> SlotHandle<()> {
+        install_widen_plugin(&PluginHost::new()).expect("adapter builds")
+    }
 
     #[test]
     fn native_adapter_power_example() {
@@ -130,7 +134,7 @@ mod tests {
 
     #[test]
     fn wasm_adapter_matches_native() {
-        let mut plugin = build_widen_plugin().expect("adapter builds");
+        let plugin = widen_plugin();
         let native = InterfaceAdapter::power_example();
         let a = RecordSpec::new(&[("power", 8), ("antenna", 4)]);
         let mut stream = Vec::new();
@@ -147,7 +151,10 @@ mod tests {
 
     #[test]
     fn wasm_adapter_handles_empty_stream() {
-        let mut plugin = build_widen_plugin().unwrap();
+        let host = PluginHost::new();
+        let plugin = install_widen_plugin(&host).unwrap();
         assert_eq!(plugin.call("adapt", &[]).unwrap(), Vec::<u8>::new());
+        let health = host.health(plugin.name()).expect("slot exists");
+        assert_eq!((health.calls_ok, health.total_faults), (1, 0));
     }
 }

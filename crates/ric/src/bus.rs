@@ -23,10 +23,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use parking_lot::Mutex;
 use waran_host::QueueDepthStats;
 
 use crate::comm::CommCodec;
@@ -172,10 +173,10 @@ impl RicBus {
                     }
                 }
                 report.ingress = ingress_rx.stats();
-                report.drops_by_cell = drops.lock().expect("drop map lock").clone();
+                report.drops_by_cell = drops.lock().clone();
                 for cell in cells.values() {
                     report.actions_emitted += cell.ric.actions_emitted;
-                    report.xapp_faults += cell.ric.xapp_faults;
+                    report.xapp_faults += cell.ric.xapp_faults();
                     report.action_decode_skips += cell.ric.action_decode_skips;
                 }
                 report
@@ -240,12 +241,7 @@ impl CellPort {
             DeliveryMode::Lossy => match self.tx.send(bus_frame) {
                 SendOutcome::Queued => true,
                 SendOutcome::Displaced(victim) => {
-                    *self
-                        .drops
-                        .lock()
-                        .expect("drop map lock")
-                        .entry(victim.cell_id)
-                        .or_insert(0) += 1;
+                    *self.drops.lock().entry(victim.cell_id).or_insert(0) += 1;
                     true
                 }
                 SendOutcome::Disconnected(_) => false,
@@ -275,7 +271,7 @@ impl CellPort {
 
     /// Indications this bus displaced, per victim cell, so far.
     pub fn drops_by_cell(&self) -> BTreeMap<u32, u64> {
-        self.drops.lock().expect("drop map lock").clone()
+        self.drops.lock().clone()
     }
 }
 

@@ -4,15 +4,17 @@
 //! §4.B: "operators may choose to use ZeroMQ or Apache Kafka for
 //! communication, encode the payload in ASN.1, JSON, or Protocol Buffers".
 //! [`CommCodec`] is that choice; three native codecs implement it over the
-//! waran-abi wire formats, and [`WasmCommPlugin`] wraps an arbitrary Wasm
+//! waran-abi wire formats, and [`WasmCommPlugin`] hosts an arbitrary Wasm
 //! plugin so a third party can ship a codec (or a vendor-mismatch adapter,
-//! §3.B) as sandboxed bytecode.
+//! §3.B) as sandboxed bytecode, in a governed plugin-host slot of its own.
+
+use std::sync::Arc;
 
 use waran_abi::pbwire::{PbReader, PbWriter};
 use waran_abi::sjson::Json;
 use waran_abi::tlv::{TlvReader, TlvWriter};
 use waran_abi::CodecError;
-use waran_host::plugin::{Plugin, PluginError};
+use waran_host::{PluginError, PluginHost, SlotHandle, TemplateCache};
 
 use crate::e2::{ControlAction, Indication, KpiReport};
 
@@ -339,36 +341,38 @@ impl CommCodec for JsonCodec {
 ///
 /// This is how WA-RAN lets a third party bridge two vendors without either
 /// one changing device code: the SI ships a plugin, not a firmware patch.
+/// A faulting call encodes to an empty frame or fails to decode.
 pub struct WasmCommPlugin {
-    plugin: std::sync::Mutex<Plugin<()>>,
+    host: Arc<PluginHost<()>>,
+    handle: SlotHandle<()>,
     name: &'static str,
 }
 
 impl WasmCommPlugin {
-    /// Wrap a loaded plugin.
-    pub fn new(plugin: Plugin<()>, name: &'static str) -> Self {
-        WasmCommPlugin {
-            plugin: std::sync::Mutex::new(plugin),
-            name,
-        }
+    /// Host `wasm` as the codec `name`, stamped from
+    /// [`TemplateCache::global`] into a `besteffort` slot of its own.
+    pub fn new(wasm: &[u8], name: &'static str) -> Result<Self, PluginError> {
+        let host = Arc::new(PluginHost::new());
+        let handle = crate::install_besteffort(TemplateCache::global(), &host, name, wasm)?;
+        Ok(WasmCommPlugin { host, handle, name })
     }
 
-    fn call(&self, entry: &str, input: &[u8]) -> Result<Vec<u8>, PluginError> {
-        self.plugin
-            .lock()
-            .expect("comm plugin lock never poisoned")
-            .call(entry, input)
+    /// The host of this codec's slot, named after the codec.
+    pub fn plugins(&self) -> &Arc<PluginHost<()>> {
+        &self.host
     }
 }
 
 impl CommCodec for WasmCommPlugin {
     fn encode_indication(&self, ind: &Indication) -> Vec<u8> {
-        self.call("encode_indication", &ind.to_xapp_bytes())
+        self.handle
+            .call("encode_indication", &ind.to_xapp_bytes())
             .unwrap_or_default()
     }
 
     fn decode_indication(&self, bytes: &[u8]) -> Result<Indication, CodecError> {
         let out = self
+            .handle
             .call("decode_indication", bytes)
             .map_err(|e| CodecError::Malformed(format!("comm plugin fault: {e}")))?;
         Indication::from_xapp_bytes(&out)
@@ -376,12 +380,14 @@ impl CommCodec for WasmCommPlugin {
     }
 
     fn encode_actions(&self, actions: &[ControlAction]) -> Vec<u8> {
-        self.call("encode_actions", &ControlAction::list_to_bytes(actions))
+        self.handle
+            .call("encode_actions", &ControlAction::list_to_bytes(actions))
             .unwrap_or_default()
     }
 
     fn decode_actions(&self, bytes: &[u8]) -> Result<(Vec<ControlAction>, usize), CodecError> {
         let out = self
+            .handle
             .call("decode_actions", bytes)
             .map_err(|e| CodecError::Malformed(format!("comm plugin fault: {e}")))?;
         Ok(ControlAction::list_from_bytes(&out))

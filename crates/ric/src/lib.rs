@@ -15,10 +15,13 @@
 //!   RIC state, with per-cell action mailboxes and explicit backpressure
 //!   (a single gNB is a one-cell deployment on the same bus).
 //! * [`ric`] — the near-RT RIC host: KPI store, xApp lifecycle (native or
-//!   [`ric::WasmXApp`] sandboxed), inter-xApp messaging host functions,
-//!   and two reference xApps (traffic steering, slice SLA assurance).
+//!   Wasm), inter-xApp messaging host functions, and two reference xApps
+//!   (traffic steering, slice SLA assurance).
 //! * [`adapter`] — the §3.B vendor-mismatch adapter (8-bit ↔ 12-bit
 //!   power-control fields), native and as a PlugC-compiled Wasm plugin.
+//!
+//! Every Wasm plugin here is hosted as a scheduler is: a `TemplateCache`
+//! stamp-out in a `PluginHost` slot of the `besteffort` class.
 
 pub mod adapter;
 pub mod bus;
@@ -31,4 +34,20 @@ pub use bus::{ActionBatch, BusFrame, CellPort, DeliveryMode, RicBus, RicService,
 pub use comm::{CommCodec, JsonCodec, PbCodec, TlvCodec, WasmCommPlugin};
 pub use e2::{ControlAction, Indication, KpiReport};
 pub use link::{RecvOutcome, SendOutcome};
-pub use ric::{NearRtRic, SliceSlaAssurance, TrafficSteering, WasmXApp, XApp, XAppCtx};
+pub use ric::{NearRtRic, SliceSlaAssurance, TrafficSteering, XApp, XAppCtx};
+
+use waran_host::{PluginError, PluginHost, SandboxPolicy, SlotHandle, TemplateCache};
+
+/// Stamp `wasm` from `cache` into slot `name` of `host` (a hot swap when
+/// taken) under [`SandboxPolicy::besteffort`], and pin the slot.
+fn install_besteffort<T: Default>(
+    cache: &TemplateCache<T>,
+    host: &PluginHost<T>,
+    name: &str,
+    wasm: &[u8],
+) -> Result<SlotHandle<T>, PluginError> {
+    let pre = cache.get_or_build(wasm, SandboxPolicy::besteffort())?;
+    host.install(name, pre.instantiate(T::default())?);
+    host.handle(name)
+        .ok_or_else(|| PluginError::NoSuchPlugin(name.to_string()))
+}

@@ -11,7 +11,7 @@
 //! deterministic delivery mode where no frame may be lost.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use waran_host::QueueDepthStats;
@@ -33,9 +33,21 @@ struct QueueShared<T> {
     send_cv: Condvar,
 }
 
+/// Recover a poisoned guard, as the vendored `parking_lot` shim does: each
+/// critical section is one push or pop plus counters, with nothing that
+/// unwinds in between, so the queue is consistent even after a holder
+/// panicked.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 impl<T> QueueShared<T> {
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        recover(self.state.lock())
+    }
+
     fn stats(&self) -> QueueDepthStats {
-        let s = self.state.lock().expect("queue lock never poisoned");
+        let s = self.lock();
         QueueDepthStats {
             enqueued: s.enqueued,
             dropped: s.dropped,
@@ -44,11 +56,7 @@ impl<T> QueueShared<T> {
     }
 
     fn depth(&self) -> usize {
-        self.state
-            .lock()
-            .expect("queue lock never poisoned")
-            .items
-            .len()
+        self.lock().items.len()
     }
 }
 
@@ -103,18 +111,14 @@ pub fn queue<T>(capacity: usize) -> (QueueSender<T>, QueueReceiver<T>) {
 
 impl<T> Clone for QueueSender<T> {
     fn clone(&self) -> Self {
-        self.0
-            .state
-            .lock()
-            .expect("queue lock never poisoned")
-            .senders += 1;
+        self.0.lock().senders += 1;
         QueueSender(self.0.clone())
     }
 }
 
 impl<T> Drop for QueueSender<T> {
     fn drop(&mut self) {
-        let mut s = self.0.state.lock().expect("queue lock never poisoned");
+        let mut s = self.0.lock();
         s.senders -= 1;
         if s.senders == 0 {
             drop(s);
@@ -125,11 +129,7 @@ impl<T> Drop for QueueSender<T> {
 
 impl<T> Drop for QueueReceiver<T> {
     fn drop(&mut self) {
-        self.0
-            .state
-            .lock()
-            .expect("queue lock never poisoned")
-            .rx_alive = false;
+        self.0.lock().rx_alive = false;
         self.0.send_cv.notify_all();
     }
 }
@@ -139,7 +139,7 @@ impl<T> QueueSender<T> {
     /// displaced (and returned) — the freshest control state wins, and a
     /// stalled receiver costs stale frames instead of memory.
     pub fn send(&self, item: T) -> SendOutcome<T> {
-        let mut s = self.0.state.lock().expect("queue lock never poisoned");
+        let mut s = self.0.lock();
         if !s.rx_alive {
             return SendOutcome::Disconnected(item);
         }
@@ -164,7 +164,7 @@ impl<T> QueueSender<T> {
     /// deterministic delivery mode, where no frame may be lost). Returns
     /// the item if the receiver disappears.
     pub fn send_wait(&self, item: T) -> Result<(), T> {
-        let mut s = self.0.state.lock().expect("queue lock never poisoned");
+        let mut s = self.0.lock();
         loop {
             if !s.rx_alive {
                 return Err(item);
@@ -177,7 +177,7 @@ impl<T> QueueSender<T> {
                 self.0.recv_cv.notify_one();
                 return Ok(());
             }
-            s = self.0.send_cv.wait(s).expect("queue lock never poisoned");
+            s = recover(self.0.send_cv.wait(s));
         }
     }
 
@@ -195,7 +195,7 @@ impl<T> QueueSender<T> {
 impl<T> QueueReceiver<T> {
     /// Receive one item if available.
     pub fn try_recv(&self) -> RecvOutcome<T> {
-        let mut s = self.0.state.lock().expect("queue lock never poisoned");
+        let mut s = self.0.lock();
         match s.items.pop_front() {
             Some(item) => {
                 drop(s);
@@ -210,7 +210,7 @@ impl<T> QueueReceiver<T> {
     /// Receive one item, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> RecvOutcome<T> {
         let deadline = Instant::now() + timeout;
-        let mut s = self.0.state.lock().expect("queue lock never poisoned");
+        let mut s = self.0.lock();
         loop {
             if let Some(item) = s.items.pop_front() {
                 drop(s);
@@ -224,12 +224,7 @@ impl<T> QueueReceiver<T> {
             if now >= deadline {
                 return RecvOutcome::Empty;
             }
-            let (ns, _) = self
-                .0
-                .recv_cv
-                .wait_timeout(s, deadline - now)
-                .expect("queue lock never poisoned");
-            s = ns;
+            (s, _) = recover(self.0.recv_cv.wait_timeout(s, deadline - now));
         }
     }
 
@@ -284,6 +279,21 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             RecvOutcome::Disconnected
         );
+    }
+
+    #[test]
+    fn poisoned_queue_lock_is_recovered() {
+        let (tx, rx) = queue::<u32>(2);
+        let shared = Arc::clone(&tx.0);
+        let holder = std::thread::spawn(move || {
+            let _guard = shared.lock();
+            panic!("a holder dies with the lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(tx.0.state.is_poisoned());
+        assert_eq!(tx.send(1), SendOutcome::Queued);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), RecvOutcome::Msg(1));
+        assert_eq!(tx.stats().enqueued, 1);
     }
 
     #[test]

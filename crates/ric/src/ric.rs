@@ -4,11 +4,12 @@
 //! an exported entry point per indication, and exposes host functions —
 //! here inter-xApp messaging — back into the sandbox. [`XApp`] is the
 //! seam; native Rust xApps (traffic steering, slice SLA assurance) and
-//! [`WasmXApp`]-wrapped plugins are interchangeable.
+//! Wasm xApps in the RIC's own [`PluginHost`] are interchangeable.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::OnceLock;
 
-use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
+use waran_host::{PluginError, PluginHost, SlotHandle, TemplateCache};
 use waran_wasm::instance::Linker;
 use waran_wasm::interp::Value;
 use waran_wasm::types::ValType;
@@ -64,12 +65,9 @@ pub struct XAppCtx<'a> {
     /// Messages to deliver to other xApps: `(destination xApp, payload)`.
     pub outbox: Vec<(String, Vec<u8>)>,
     /// Malformed action records the xApp's output decoder skipped this
-    /// turn (set by [`WasmXApp`]; the RIC folds it into
+    /// turn (set for Wasm xApps; the RIC folds it into
     /// [`NearRtRic::action_decode_skips`]).
     pub decode_skips: u64,
-    /// Set when the xApp faulted this turn and yielded nothing (set by
-    /// [`WasmXApp`]; the RIC counts it in [`NearRtRic::xapp_faults`]).
-    pub faulted: bool,
 }
 
 /// An application hosted by the near-RT RIC.
@@ -84,12 +82,11 @@ pub trait XApp: Send {
 /// The near-RT RIC.
 pub struct NearRtRic {
     xapps: Vec<Box<dyn XApp>>,
+    plugins: PluginHost<XAppHostState>,
     kpis: KpiStore,
     mailboxes: HashMap<String, VecDeque<Vec<u8>>>,
     /// Lifetime count of control actions emitted.
     pub actions_emitted: u64,
-    /// xApp faults observed (a faulting xApp skips its turn, §6.A).
-    pub xapp_faults: u64,
     /// Malformed action records skipped while decoding xApp output.
     pub action_decode_skips: u64,
 }
@@ -105,18 +102,45 @@ impl NearRtRic {
     pub fn new() -> Self {
         NearRtRic {
             xapps: Vec::new(),
+            plugins: PluginHost::new(),
             kpis: KpiStore::default(),
             mailboxes: HashMap::new(),
             actions_emitted: 0,
-            xapp_faults: 0,
             action_decode_skips: 0,
         }
     }
 
-    /// Deploy an xApp.
+    /// Deploy a native xApp.
     pub fn add_xapp(&mut self, xapp: Box<dyn XApp>) {
         self.mailboxes.entry(xapp.name().to_string()).or_default();
         self.xapps.push(xapp);
+    }
+
+    /// Deploy a Wasm xApp into slot `name` of [`Self::plugins`] (class
+    /// `besteffort`), or hot-swap the one there; strikes roll a bad build
+    /// back to the last one that served a turn. The module may import
+    /// `env.xapp_send`/`env.xapp_recv` and exports `on_indication`, mapping
+    /// the xApp-ABI indication to [`ControlAction::list_from_bytes`] records.
+    pub fn add_wasm_xapp(&mut self, name: &str, wasm: &[u8]) -> Result<(), PluginError> {
+        let fresh = self.plugins.handle(name).is_none();
+        let handle = crate::install_besteffort(xapp_templates(), &self.plugins, name, wasm)?;
+        if fresh {
+            self.add_xapp(Box::new(WasmXApp { handle }));
+        }
+        Ok(())
+    }
+
+    /// The Wasm xApps' slots: health, strikes, rollback log.
+    pub fn plugins(&self) -> &PluginHost<XAppHostState> {
+        &self.plugins
+    }
+
+    /// Faults of the Wasm xApps over the RIC's lifetime, from their slots'
+    /// health (§6.A: a faulting xApp skips its turn, and so does a
+    /// quarantined one, without faulting again).
+    pub fn xapp_faults(&self) -> u64 {
+        let faults = |name: String| self.plugins.health(&name).map_or(0, |h| h.total_faults);
+        self.plugins.names().into_iter().map(faults).sum()
     }
 
     /// The KPI store.
@@ -142,13 +166,11 @@ impl NearRtRic {
                 inbox,
                 outbox: Vec::new(),
                 decode_skips: 0,
-                faulted: false,
             };
             let actions = xapp.on_indication(&mut ctx, ind);
             all_actions.extend(actions);
             routed.append(&mut ctx.outbox);
             self.action_decode_skips += ctx.decode_skips;
-            self.xapp_faults += u64::from(ctx.faulted);
         }
         for (dst, msg) in routed {
             if let Some(q) = self.mailboxes.get_mut(&dst) {
@@ -289,21 +311,27 @@ impl XApp for SliceSlaAssurance {
 // Wasm-hosted xApps
 // ---------------------------------------------------------------------
 
-/// Host state exposed to a Wasm xApp: its inbox and outgoing messages.
+/// Host state of a Wasm xApp: this turn's inbox, sends and sent bytes.
 #[derive(Debug, Default)]
 pub struct XAppHostState {
     inbox: VecDeque<Vec<u8>>,
     outgoing: Vec<(String, Vec<u8>)>,
+    outbox_bytes: u64,
 }
 
-/// Build the host-function linker a Wasm xApp instantiates against:
+/// Destination plus payload bytes one xApp turn may `xapp_send`: messages
+/// are control hints, and uncapped, each ~1-fuel call could copy the whole
+/// guest memory onto the host heap.
+const OUTBOX_CAP: u64 = 64 << 10;
+
+/// The host-function linker a Wasm xApp instantiates against:
 ///
 /// * `env.xapp_send(dst_ptr, dst_len, msg_ptr, msg_len)` — queue a message
-///   to another xApp by name,
+///   to another xApp by name; traps past [`OUTBOX_CAP`] bytes in a turn,
 /// * `env.xapp_recv(buf_ptr, buf_cap) -> i32` — pop the next inbox message
 ///   into guest memory (returns its length, `-1` when empty, or traps if
 ///   the buffer is too small).
-pub fn xapp_linker() -> Linker<XAppHostState> {
+fn xapp_linker() -> Linker<XAppHostState> {
     let mut linker: Linker<XAppHostState> = Linker::new();
     linker.func(
         "env",
@@ -311,10 +339,14 @@ pub fn xapp_linker() -> Linker<XAppHostState> {
         &[ValType::I32, ValType::I32, ValType::I32, ValType::I32],
         &[],
         |state, mem, args| {
-            let dst = mem.read_bytes(args[0].as_u32(), args[1].as_u32())?.to_vec();
+            state.outbox_bytes += u64::from(args[1].as_u32()) + u64::from(args[3].as_u32());
+            if state.outbox_bytes > OUTBOX_CAP {
+                return Err(Trap::HostError("xapp_send: outbox cap exceeded".into()));
+            }
+            let dst = std::str::from_utf8(mem.read_bytes(args[0].as_u32(), args[1].as_u32())?)
+                .map_err(|_| Trap::HostError("xapp_send: destination not UTF-8".into()))?
+                .to_string();
             let msg = mem.read_bytes(args[2].as_u32(), args[3].as_u32())?.to_vec();
-            let dst = String::from_utf8(dst)
-                .map_err(|_| Trap::HostError("xapp_send: destination not UTF-8".into()))?;
             state.outgoing.push((dst, msg));
             Ok(None)
         },
@@ -338,50 +370,44 @@ pub fn xapp_linker() -> Linker<XAppHostState> {
     linker
 }
 
-/// An xApp implemented as a Wasm plugin.
-///
-/// The plugin must export `on_indication(ptr, len) -> packed` taking the
-/// xApp-ABI indication layout and returning a packed list of control
-/// actions ([`ControlAction::list_from_bytes`]).
-pub struct WasmXApp {
-    name: String,
-    plugin: Plugin<XAppHostState>,
+/// The process-wide xApp template cache, built on the first Wasm install
+/// so native-only RICs never build a linker.
+fn xapp_templates() -> &'static TemplateCache<XAppHostState> {
+    static CACHE: OnceLock<TemplateCache<XAppHostState>> = OnceLock::new();
+    CACHE.get_or_init(|| TemplateCache::new(xapp_linker()))
 }
 
-impl WasmXApp {
-    /// Load a Wasm xApp from module bytes.
-    pub fn new(name: &str, wasm: &[u8], policy: SandboxPolicy) -> Result<Self, PluginError> {
-        let plugin = Plugin::new(wasm, &xapp_linker(), XAppHostState::default(), policy)?;
-        Ok(WasmXApp {
-            name: name.to_string(),
-            plugin,
-        })
-    }
+/// A Wasm xApp: its pinned slot in [`NearRtRic::plugins`].
+struct WasmXApp {
+    handle: SlotHandle<XAppHostState>,
 }
 
 impl XApp for WasmXApp {
     fn name(&self) -> &str {
-        &self.name
+        self.handle.name()
     }
 
     fn on_indication(&mut self, ctx: &mut XAppCtx<'_>, ind: &Indication) -> Vec<ControlAction> {
-        self.plugin.instance_mut().data.inbox = ctx.inbox.drain(..).collect();
+        let inbox = ctx.inbox.drain(..).collect();
         let input = ind.to_xapp_bytes();
-        match self.plugin.call("on_indication", &input) {
-            Ok(out) => {
-                let state = &mut self.plugin.instance_mut().data;
-                ctx.outbox.append(&mut state.outgoing);
-                let (actions, skipped) = ControlAction::list_from_bytes(&out);
-                ctx.decode_skips += skipped as u64;
-                actions
-            }
-            Err(_fault) => {
-                // A faulty xApp yields no actions; the RIC keeps running
-                // and counts the skipped turn.
-                ctx.faulted = true;
-                Vec::new()
-            }
-        }
+        let turn = self.handle.with_plugin(|plugin| {
+            let state = &mut plugin.instance_mut().data;
+            state.inbox = inbox;
+            state.outbox_bytes = 0;
+            let out = plugin.call("on_indication", &input);
+            // A faulted turn's sends are dropped with it.
+            let sent = std::mem::take(&mut plugin.instance_mut().data.outgoing);
+            Ok((out?, sent))
+        });
+        // A faulted or quarantined xApp yields nothing this turn; the
+        // slot's health has the fault.
+        let Ok((out, mut sent)) = turn else {
+            return Vec::new();
+        };
+        ctx.outbox.append(&mut sent);
+        let (actions, skipped) = ControlAction::list_from_bytes(&out);
+        ctx.decode_skips += skipped as u64;
+        actions
     }
 }
 
@@ -557,15 +583,96 @@ mod tests {
         )
         .expect("compiles");
         let mut ric = NearRtRic::new();
-        let flaky = WasmXApp::new("flaky", &wasm, SandboxPolicy::default()).expect("loads");
-        ric.add_xapp(Box::new(flaky));
+        ric.add_wasm_xapp("flaky", &wasm).expect("loads");
         ric.add_xapp(Box::new(Steady));
         for slot in 0..3 {
             // The xApp after the faulting one still gets its turn.
             assert_eq!(ric.handle_indication(&ind(slot, vec![])).len(), 1);
-            assert_eq!(ric.xapp_faults, u64::from(slot >= 1), "slot {slot}");
+            assert_eq!(ric.xapp_faults(), u64::from(slot >= 1), "slot {slot}");
         }
         assert_eq!(ric.actions_emitted, 3);
+        let health = ric.plugins().health("flaky").expect("slot exists");
+        assert_eq!((health.strikes.trap, health.calls_ok), (1, 2));
+    }
+
+    /// A native xApp named "sink" that records every message it receives.
+    struct Sink {
+        got: std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>,
+    }
+    impl XApp for Sink {
+        fn name(&self) -> &str {
+            "sink"
+        }
+        fn on_indication(
+            &mut self,
+            ctx: &mut XAppCtx<'_>,
+            _ind: &Indication,
+        ) -> Vec<ControlAction> {
+            self.got.lock().unwrap().append(&mut ctx.inbox);
+            Vec::new()
+        }
+    }
+
+    /// A RIC hosting the Wasm xApp `src` as "sender", then a [`Sink`];
+    /// returns the RIC and what the sink has received.
+    fn sender_and_sink(src: &str) -> (NearRtRic, std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>) {
+        let got = std::sync::Arc::default();
+        let mut ric = NearRtRic::new();
+        let wasm = waran_plugc::compile(src).expect("compiles");
+        ric.add_wasm_xapp("sender", &wasm).expect("loads");
+        ric.add_xapp(Box::new(Sink {
+            got: std::sync::Arc::clone(&got),
+        }));
+        (ric, got)
+    }
+
+    #[test]
+    fn faulted_turn_drops_its_messages() {
+        // Sends its turn number to "sink" every turn, then traps on turn 1.
+        let (mut ric, got) = sender_and_sink(
+            r#"extern fn xapp_send(dst: i32, dst_len: i32, msg: i32, msg_len: i32);
+               global turn: i32 = 0;
+               export fn on_indication(ptr: i32, len: i32) -> i64 {
+                   turn = turn + 1;
+                   store_u8(0, 115); store_u8(1, 105); store_u8(2, 110); store_u8(3, 107);
+                   store_u8(16, turn);
+                   xapp_send(0, 4, 16, 1);
+                   if (turn == 1) { trap(); }
+                   return pack(0, 0);
+               }"#,
+        );
+        for slot in 0..3 {
+            ric.handle_indication(&ind(slot, vec![]));
+        }
+        assert_eq!(ric.xapp_faults(), 1);
+        assert_eq!(
+            *got.lock().unwrap(),
+            vec![vec![2u8]],
+            "turn 1's send leaked"
+        );
+    }
+
+    #[test]
+    fn outbox_cap_faults_a_flooding_turn() {
+        // 10 000 sends of 1 KiB each: ~10 MB, far past the per-turn cap.
+        let (mut ric, got) = sender_and_sink(
+            r#"extern fn xapp_send(dst: i32, dst_len: i32, msg: i32, msg_len: i32);
+               export fn on_indication(ptr: i32, len: i32) -> i64 {
+                   store_u8(0, 115); store_u8(1, 105); store_u8(2, 110); store_u8(3, 107);
+                   var i: i32 = 0;
+                   while (i < 10000) {
+                       xapp_send(0, 4, 1024, 1024);
+                       i = i + 1;
+                   }
+                   return pack(0, 0);
+               }"#,
+        );
+        ric.handle_indication(&ind(0, vec![]));
+        ric.handle_indication(&ind(1, vec![]));
+        assert_eq!(ric.xapp_faults(), 2);
+        assert!(got.lock().unwrap().is_empty(), "a capped turn delivered");
+        let health = ric.plugins().health("sender").expect("slot exists");
+        assert_eq!(health.strikes.trap, 2);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //!
 //! Run with: `cargo run --release --example interface_adapter`
 
+use std::time::Instant;
+
 use wa_ran::abi::bitpack::RecordSpec;
-use wa_ran::ric::adapter::{build_widen_plugin, InterfaceAdapter};
+use wa_ran::host::PluginHost;
+use wa_ran::ric::adapter::{install_widen_plugin, InterfaceAdapter};
 
 fn main() {
     // Vendor A's radio emits 2-byte records: power in 8 bits, antenna in 4.
@@ -32,9 +35,13 @@ fn main() {
         misread[0], misread[1]
     );
 
-    // The SI deploys the adapter as a sandboxed Wasm plugin.
-    let mut plugin = build_widen_plugin().expect("adapter plugin builds");
+    // The SI deploys the adapter as a sandboxed Wasm plugin, in a slot of
+    // a plugin host that strikes and quarantines it if it misbehaves.
+    let host = PluginHost::new();
+    let plugin = install_widen_plugin(&host).expect("adapter plugin builds");
+    let start = Instant::now();
     let wire_b = plugin.call("adapt", &wire_a).expect("adapts");
+    let took = start.elapsed();
     println!("adapter plugin output: {:02x?}", wire_b);
 
     println!("\nvendor B after adaptation:");
@@ -58,7 +65,7 @@ fn main() {
     println!("\nnative and sandboxed adapters agree bit-for-bit.");
     println!(
         "the plugin ran in {:?} for {} records — trivially inside any interface budget.",
-        plugin.last_call_duration().expect("measured"),
+        took,
         commands.len()
     );
 }

@@ -32,6 +32,20 @@ for file in crates/wasm/src/instance.rs crates/wasm/src/interp.rs; do
     fi
 done
 
+# Production code hosts Wasm one way: bytes through a TemplateCache into a
+# PluginHost slot. A bare `Plugin::new` there would skip admission,
+# strikes, rollback, swap and the content hash.
+for dir in crates/core/src crates/ric/src; do
+    if [ ! -d "$dir" ]; then
+        echo "hosting tripwire: missing $dir" >&2
+        exit 1
+    fi
+    if grep -rnE '(^|[^[:alnum:]_])Plugin::new\(' "$dir"; then
+        echo "hosting tripwire: $dir calls Plugin::new; host Wasm through a TemplateCache and a PluginHost slot" >&2
+        exit 1
+    fi
+done
+
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings

@@ -2,10 +2,14 @@
 //! communication, Wasm xApps with host functions, and the vendor-mismatch
 //! adapter in the message path.
 
-use wa_ran::host::plugin::SandboxPolicy;
+use std::time::Duration;
+
+use wa_ran::host::SlotState;
+use wa_ran::ric::bus::{DeliveryMode, RicBus};
 use wa_ran::ric::comm::{CommCodec, JsonCodec, PbCodec, TlvCodec, WasmCommPlugin};
 use wa_ran::ric::e2::{ControlAction, Indication, KpiReport};
-use wa_ran::ric::ric::{NearRtRic, WasmXApp};
+use wa_ran::ric::link::RecvOutcome;
+use wa_ran::ric::ric::{NearRtRic, TrafficSteering};
 
 fn kpi(ue: u32, slice: u32, cqi: u8, tput: f64) -> KpiReport {
     KpiReport {
@@ -45,10 +49,8 @@ fn wasm_xapp_emits_control_actions() {
         }
     "#;
     let wasm = wa_ran::plugc::compile(src).expect("xapp compiles");
-    let xapp = WasmXApp::new("steer", &wasm, SandboxPolicy::default()).expect("loads");
-
     let mut ric = NearRtRic::new();
-    ric.add_xapp(Box::new(xapp));
+    ric.add_wasm_xapp("steer", &wasm).expect("loads");
 
     let actions = ric.handle_indication(&Indication {
         slot: 5,
@@ -105,22 +107,11 @@ fn wasm_xapps_message_each_other_via_host_functions() {
             return pack(out, written * 16);
         }
     "#;
-    let sender = WasmXApp::new(
-        "sender",
-        &wa_ran::plugc::compile(sender_src).expect("compiles"),
-        SandboxPolicy::default(),
-    )
-    .expect("loads");
-    let sink = WasmXApp::new(
-        "sink",
-        &wa_ran::plugc::compile(sink_src).expect("compiles"),
-        SandboxPolicy::default(),
-    )
-    .expect("loads");
-
     let mut ric = NearRtRic::new();
-    ric.add_xapp(Box::new(sender));
-    ric.add_xapp(Box::new(sink));
+    for (name, src) in [("sender", sender_src), ("sink", sink_src)] {
+        let wasm = wa_ran::plugc::compile(src).expect("compiles");
+        ric.add_wasm_xapp(name, &wasm).expect("loads");
+    }
 
     let ind = Indication {
         slot: 0,
@@ -151,14 +142,7 @@ fn wasm_comm_plugin_passthrough_wire() {
         export fn decode_actions(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }
     "#;
     let wasm = wa_ran::plugc::compile(src).expect("compiles");
-    let plugin = wa_ran::host::plugin::Plugin::new(
-        &wasm,
-        &wa_ran::wasm::instance::Linker::new(),
-        (),
-        SandboxPolicy::default(),
-    )
-    .expect("loads");
-    let codec = WasmCommPlugin::new(plugin, "identity");
+    let codec = WasmCommPlugin::new(&wasm, "identity").expect("loads");
 
     let ind = Indication {
         slot: 77,
@@ -176,6 +160,84 @@ fn wasm_comm_plugin_passthrough_wire() {
         codec.decode_actions(&bytes).expect("roundtrips"),
         (actions, 0)
     );
+}
+
+#[test]
+fn trapping_comm_plugin_is_quarantined_and_the_bus_keeps_answering() {
+    // The xApp-ABI identity codec, except that `encode_actions` traps.
+    let src = r#"
+        export fn encode_indication(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }
+        export fn decode_indication(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }
+        export fn encode_actions(ptr: i32, len: i32) -> i64 { trap(); return pack(ptr, len); }
+        export fn decode_actions(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }
+    "#;
+    let wasm = wa_ran::plugc::compile(src).expect("compiles");
+    let codec = |name| WasmCommPlugin::new(&wasm, name).expect("loads");
+    let steering = || {
+        let mut ric = NearRtRic::new();
+        ric.add_xapp(Box::new(TrafficSteering::new(5, 1, 3)));
+        ric
+    };
+
+    // Eight consecutive faults — besteffort's strike budget — quarantine
+    // the codec; each faulted encode is an empty frame, not a panic.
+    let struck = codec("struck");
+    let actions = [ControlAction::Handover {
+        ue_id: 1,
+        target_cell: 2,
+    }];
+    for _ in 0..8 {
+        assert!(struck.encode_actions(&actions).is_empty());
+    }
+    let struck_host = struck.plugins().clone();
+    assert_eq!(struck_host.state("struck"), Some(SlotState::Quarantined));
+
+    // On the bus, cell 0's service codec is the quarantined one and cell
+    // 1's is a fresh copy that traps inside the service thread on every
+    // reply. Both cells get an answer to every indication.
+    let fresh = codec("fresh");
+    let fresh_host = fresh.plugins().clone();
+    let mut bus = RicBus::new(4, DeliveryMode::Deterministic);
+    let ports = [
+        bus.register(0, Box::new(struck), steering()),
+        bus.register(1, Box::new(fresh), steering()),
+    ];
+    let service = bus.start();
+    let node = codec("node");
+    const INDICATIONS: u64 = 12;
+    for slot in 0..INDICATIONS {
+        for port in &ports {
+            let frame = node.encode_indication(&Indication {
+                slot,
+                reports: vec![kpi(70, 0, 2, 0.1e6)],
+            });
+            assert!(port.publish(slot, frame), "service alive at slot {slot}");
+            let RecvOutcome::Msg(batch) = port.await_reply(Duration::from_secs(5)) else {
+                panic!("the bus must answer cell {} at slot {slot}", port.cell_id);
+            };
+            assert_eq!(batch.answers_slot, slot);
+            assert_eq!(node.decode_actions(&batch.frame), Ok((Vec::new(), 0)));
+        }
+    }
+    // Joins the service thread: a panic there would fail the test here.
+    let report = service.stop();
+    assert_eq!(report.reply_frames_sent, 2 * INDICATIONS);
+    // The quarantined codec refuses to decode (a decode error per frame)
+    // and runs no guest code; its strikes stay at the budget.
+    assert_eq!(report.decode_errors, INDICATIONS);
+    let struck = struck_host.health("struck").expect("slot exists");
+    assert_eq!((struck.strikes.trap, struck.calls_ok), (8, 0));
+    // The fresh codec decodes every indication, so its xApp keeps acting,
+    // and is struck once per reply. A decode that succeeds between two
+    // faulted encodes ends the consecutive streak, so it stays active.
+    assert_eq!(report.indications_handled, INDICATIONS);
+    assert_eq!(report.actions_emitted, INDICATIONS);
+    let fresh = fresh_host.health("fresh").expect("slot exists");
+    assert_eq!(
+        (fresh.strikes.trap, fresh.calls_ok),
+        (INDICATIONS, INDICATIONS)
+    );
+    assert_eq!(fresh_host.state("fresh"), Some(SlotState::Active));
 }
 
 #[test]
