@@ -10,6 +10,11 @@
 //!   state. Identical plugin bytecode across cells still shares one
 //!   compiled module through the host's `TemplateCache` (compile once per
 //!   bytecode hash, stamp an instance per cell).
+//! * [`MultiCellScenarioBuilder::build`] builds a fleet with enough UEs to
+//!   pay for a thread spawn on up to every core, each thread one
+//!   contiguous range of cells, concatenated back in declaration order;
+//!   a small fleet builds serially. A cell is a pure function of its spec
+//!   and index, so the build thread count never reaches a digest.
 //! * [`MultiCellScenario::run`] executes the cells on `workers` OS
 //!   threads with **one** engine: workers claim cells off an atomic
 //!   cursor and run each for one *window*, a barrier closes, the barrier
@@ -31,7 +36,8 @@
 //!   ([`RicPlaneReport::service`] drop counters) instead of growing node
 //!   memory.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -201,7 +207,24 @@ impl MultiCellScenarioBuilder {
     }
 
     /// Instantiate every cell (gNBs, slices, UEs, plugins).
+    ///
+    /// A fleet large enough to pay for a thread spawn builds its cells on
+    /// up to every core, one contiguous index range per thread (the
+    /// caller's included), and concatenates them back in declaration
+    /// order; a small fleet builds serially. Each cell is a pure function
+    /// of its spec, its index and the deployment inputs, so the result —
+    /// and the first error in declaration order — is the same at any
+    /// thread count.
     pub fn build(self) -> Result<MultiCellScenario, ScenarioError> {
+        self.build_on(build_threads)
+    }
+
+    /// [`Self::build`] with the thread-count rule passed in: the seam the
+    /// tests pin the count through.
+    fn build_on(
+        mut self,
+        threads: fn(&[CellSpec]) -> usize,
+    ) -> Result<MultiCellScenario, ScenarioError> {
         if self.cells.is_empty() {
             return Err(ScenarioError::Invalid(
                 "a deployment needs at least one cell".into(),
@@ -225,57 +248,33 @@ impl MultiCellScenarioBuilder {
         let layout = self
             .mobility
             .map(|m| Arc::new(CellLayout::grid(self.cells.len(), m.isd_m)));
+        // The first duplicate name, found before anything is built. Only
+        // the cells before it are built, so an earlier cell's build error
+        // still wins over it, as in declaration order.
+        let mut specs = std::mem::take(&mut self.cells);
+        let mut seen = HashSet::with_capacity(specs.len());
+        let duplicate = specs
+            .iter()
+            .position(|spec| !seen.insert(spec.name.as_str()));
+        let duplicate = duplicate.map(|at| {
+            let error = ScenarioError::Invalid(format!("duplicate cell `{}`", specs[at].name));
+            specs.truncate(at);
+            error
+        });
+        let threads = threads(&specs);
+        let built = self.build_cells(specs, layout.as_ref(), threads)?;
+        if let Some(error) = duplicate {
+            return Err(error);
+        }
         let mut pushes = self.pushes;
         pushes.sort_by_key(|p| p.slot);
-        let mut cells = Vec::with_capacity(self.cells.len());
-        for (idx, spec) in self.cells.into_iter().enumerate() {
-            let cell_id = idx as u32;
-            if cells
-                .iter()
-                .any(|c: &Mutex<CellRuntime>| lock_recover(c).name == spec.name)
-            {
-                return Err(ScenarioError::Invalid(format!(
-                    "duplicate cell `{}`",
-                    spec.name
-                )));
-            }
-            let seed = spec
-                .seed
-                .unwrap_or_else(|| derive_seed(self.base_seed, cell_id));
-            let mut builder = ScenarioBuilder::new()
-                .seconds(self.seconds)
-                .seed(seed)
-                .cell_id(cell_id)
-                .sandbox_policy(self.policy)
-                .population(self.population);
-            if let Some(layout) = &layout {
-                // Disjoint per-cell UE-id ranges: an id stays unique
-                // deployment-wide while its UE migrates.
-                builder = builder
-                    .cell_position(layout.pos(idx))
-                    .mobility_area(layout.area())
-                    .first_ue_id(70 + cell_id * 100_000);
-            }
-            for slice in spec.slices {
-                builder = builder.slice(slice);
-            }
-            let scenario = builder.build()?;
-            let mobility = self
-                .mobility
-                .zip(layout.clone())
-                .map(|(m, layout)| CellMobility::new(cell_id, layout, m.a3));
-            cells.push(Mutex::new(CellRuntime {
-                name: spec.name,
-                cell_id,
-                seed,
-                scenario,
-                driver: None,
-                mobility,
-                pushes: pushes.clone(),
-                push_failures: 0,
-                faulted: false,
-            }));
-        }
+        let cells: Vec<_> = built
+            .into_iter()
+            .map(|mut cell| {
+                cell.pushes = pushes.clone();
+                Mutex::new(cell)
+            })
+            .collect();
         let bus = self.ric.map(|attachment| {
             let mut bus = attachment.build_bus();
             for cell in &cells {
@@ -290,6 +289,120 @@ impl MultiCellScenarioBuilder {
             mobility_cfg: self.mobility,
         })
     }
+
+    /// Build cell `idx`: a pure function of `spec`, `idx`, `layout` and
+    /// the deployment settings, so which thread builds it cannot matter.
+    /// Its pushes and RIC driver are filled in after the join.
+    fn build_cell(
+        &self,
+        layout: Option<&Arc<CellLayout>>,
+        idx: usize,
+        spec: CellSpec,
+    ) -> Result<CellRuntime, ScenarioError> {
+        let cell_id = idx as u32;
+        let seed = spec
+            .seed
+            .unwrap_or_else(|| derive_seed(self.base_seed, cell_id));
+        let mut builder = ScenarioBuilder::new()
+            .seconds(self.seconds)
+            .seed(seed)
+            .cell_id(cell_id)
+            .sandbox_policy(self.policy)
+            .population(self.population);
+        if let Some(layout) = layout {
+            // Disjoint per-cell UE-id ranges: an id stays unique
+            // deployment-wide while its UE migrates.
+            builder = builder
+                .cell_position(layout.pos(idx))
+                .mobility_area(layout.area())
+                .first_ue_id(70 + cell_id * 100_000);
+        }
+        for slice in spec.slices {
+            builder = builder.slice(slice);
+        }
+        let scenario = builder.build()?;
+        let mobility = self
+            .mobility
+            .zip(layout)
+            .map(|(m, layout)| CellMobility::new(cell_id, Arc::clone(layout), m.a3));
+        Ok(CellRuntime {
+            name: spec.name,
+            cell_id,
+            seed,
+            scenario,
+            driver: None,
+            mobility,
+            pushes: Vec::new(),
+            push_failures: 0,
+            faulted: false,
+        })
+    }
+
+    /// Build `specs` on `threads` threads, the caller's included, one
+    /// contiguous index range each (a shared cursor scattered the cells
+    /// over the threads' malloc arenas and moved peak RSS run to run). The
+    /// first failure in declaration order decides, error or panic (re-raised
+    /// as it was), and each range stops at its own first failure, as the
+    /// serial loop would.
+    fn build_cells(
+        &self,
+        specs: Vec<CellSpec>,
+        layout: Option<&Arc<CellLayout>>,
+        threads: usize,
+    ) -> Result<Vec<CellRuntime>, ScenarioError> {
+        let n = specs.len();
+        let per_range = n.div_ceil(threads.max(1));
+        let build = |range: Vec<(usize, CellSpec)>| -> Result<Vec<CellRuntime>, ScenarioError> {
+            range
+                .into_iter()
+                .map(|(idx, spec)| self.build_cell(layout, idx, spec))
+                .collect()
+        };
+        let mut specs = specs.into_iter().enumerate();
+        let mut ranges = std::iter::from_fn(|| {
+            let range: Vec<_> = specs.by_ref().take(per_range).collect();
+            (!range.is_empty()).then_some(range)
+        });
+        let own = ranges.next().unwrap_or_default();
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = ranges
+                .map(|range| scope.spawn(move || build(range)))
+                .collect();
+            let own = build(own);
+            // Join every helper before judging any range, so none is left
+            // for the scope to join (and re-panic on) behind an error.
+            let joined: Vec<_> = helpers.into_iter().map(|h| h.join()).collect();
+            let mut cells = Vec::with_capacity(n);
+            cells.extend(own?);
+            for range in joined {
+                cells.extend(range.unwrap_or_else(|payload| resume_unwind(payload))?);
+            }
+            Ok(cells)
+        })
+    }
+}
+
+/// UEs (foreground plus background rows) a build thread must own before
+/// its spawn pays for itself: a cold spawn + join, the new thread's first
+/// allocations included, costs 200–310 µs on a 2-vCPU host and laying out
+/// a background row ≈ 70 ns, so break-even is ≈ 4 000 rows; this leaves
+/// a 4× margin.
+const BUILD_UES_PER_THREAD: usize = 16_384;
+
+/// How many threads build `specs`: one per `BUILD_UES_PER_THREAD` UEs,
+/// capped by the cell count and the cores. A fleet too small to pay for a
+/// spawn never asks for the core count (≈ 23 µs: a cgroup read on Linux).
+fn build_threads(specs: &[CellSpec]) -> usize {
+    let ues: usize = specs
+        .iter()
+        .flat_map(|spec| &spec.slices)
+        .map(SliceSpec::ue_count)
+        .sum();
+    let wanted = specs.len().min(1 + ues / BUILD_UES_PER_THREAD);
+    if wanted <= 1 {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |cores| wanted.min(cores.get()))
 }
 
 /// SplitMix64 over (deployment seed, cell id): decorrelates per-cell RNG
@@ -979,7 +1092,116 @@ mod tests {
             .cell(CellSpec::new("a").slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(1)))
             .cell(CellSpec::new("a").slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(1)))
             .build();
-        assert!(matches!(dup, Err(ScenarioError::Invalid(_))));
+        assert!(matches!(dup, Err(ScenarioError::Invalid(m)) if m == "duplicate cell `a`"));
+        // The first error in declaration order wins: cell 0's own build
+        // error comes before cell 1's duplicate name.
+        let empty_then_dup = MultiCellScenarioBuilder::new()
+            .cell(CellSpec::new("a"))
+            .cell(CellSpec::new("a").slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(1)))
+            .build();
+        assert!(matches!(
+            empty_then_dup,
+            Err(ScenarioError::Invalid(m)) if m == "a scenario needs at least one slice"
+        ));
+    }
+
+    /// Six small `TwoTier` cells (one foreground UE, 300 background rows
+    /// each), so a build at any thread count takes milliseconds.
+    fn small_two_tier(cells: usize) -> MultiCellScenarioBuilder {
+        let mut b = MultiCellScenarioBuilder::new()
+            .seconds(0.05)
+            .base_seed(5)
+            .population(PopulationModel::TwoTier {
+                foreground_per_slice: 2,
+                rotation_period_slots: 20,
+            });
+        for i in 0..cells {
+            b = b.cell(
+                CellSpec::new(&format!("t{i}")).slice(
+                    SliceSpec::new("iot", SchedKind::RoundRobin)
+                        .ues(1)
+                        .background(300, 4.0),
+                ),
+            );
+        }
+        b
+    }
+
+    #[test]
+    fn bring_up_is_thread_count_independent() {
+        let one = small_two_tier(6).build_on(|_| 1).unwrap().run(2);
+        let three = small_two_tier(6).build_on(|_| 3).unwrap().run(2);
+        let ids = |r: &MultiCellReport| -> Vec<(String, u32, u64)> {
+            r.cells
+                .iter()
+                .map(|c| (c.name.clone(), c.cell_id, c.seed))
+                .collect()
+        };
+        assert_eq!(ids(&one), ids(&three));
+        assert_eq!(one.cell_digests(), three.cell_digests());
+        assert_eq!(one.background, three.background);
+        assert!(one.background.is_some_and(|bg| bg.population == 6 * 300));
+    }
+
+    #[test]
+    fn parallel_bring_up_reports_the_first_error_in_declaration_order() {
+        // At 3 threads cells 1 and 4 open the first and last ranges'
+        // failures; the helper's range fails first in time, the caller's
+        // range first in order. Two different defects tell them apart.
+        let no_slices = |name: &str| CellSpec::new(name);
+        let dup_slice = |name: &str| {
+            CellSpec::new(name)
+                .slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(1))
+                .slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(1))
+        };
+        type Defect = fn(&str) -> CellSpec;
+        let cases: [(Defect, Defect, &str); 3] = [
+            (no_slices, no_slices, "a scenario needs at least one slice"),
+            (no_slices, dup_slice, "a scenario needs at least one slice"),
+            (dup_slice, no_slices, "duplicate slice `s`"),
+        ];
+        for (first, second, want) in cases {
+            let mut b = MultiCellScenarioBuilder::new();
+            for i in 0..6 {
+                let name = format!("c{i}");
+                b = b.cell(match i {
+                    1 => first(&name),
+                    4 => second(&name),
+                    _ => CellSpec::new(&name)
+                        .slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(1)),
+                });
+            }
+            let err = b.build_on(|_| 3).err();
+            assert!(
+                matches!(&err, Some(ScenarioError::Invalid(m)) if m == want),
+                "want `{want}`, got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn build_thread_rule_spawns_only_for_large_fleets() {
+        // The `fleet_ric_mobility` shape: 16 cells × 3 UEs stays serial.
+        let small: Vec<CellSpec> = (0..16)
+            .map(|i| {
+                CellSpec::new(&format!("c{i}"))
+                    .slice(SliceSpec::new("s", SchedKind::RoundRobin).ues(3))
+            })
+            .collect();
+        assert_eq!(build_threads(&small), 1);
+        // The `fleet_massive` shape: 100 cells × 2 000 background rows
+        // asks for 1 + 200 000 / 16 384 = 13 threads, capped by the cores.
+        let massive: Vec<CellSpec> = (0..100)
+            .map(|i| {
+                CellSpec::new(&format!("c{i}"))
+                    .slice(
+                        SliceSpec::new("embb", SchedKind::ProportionalFair).background(1500, 4.0),
+                    )
+                    .slice(SliceSpec::new("iot", SchedKind::RoundRobin).background(500, 2.0))
+            })
+            .collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(build_threads(&massive), cores.min(13));
     }
 
     #[test]

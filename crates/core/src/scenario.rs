@@ -296,6 +296,12 @@ impl SliceSpec {
         self.ues.push((channel, traffic));
         self
     }
+
+    /// Foreground UEs plus background rows: what building this slice
+    /// lays out, whichever population model materializes it.
+    pub(crate) fn ue_count(&self) -> usize {
+        self.ues.len() + self.background.map_or(0, |bg| bg.ues as usize)
+    }
 }
 
 /// Scenario construction errors.

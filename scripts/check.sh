@@ -46,6 +46,36 @@ for dir in crates/core/src crates/ric/src; do
     fi
 done
 
+# Panic-site ceilings (ROADMAP 3(d)): non-test `.unwrap()`, `.expect(`,
+# `panic!(` and `unreachable!(` per crate's src, as scripts/loc.sh counts
+# them. A count may fall; the change that lowers one lowers its line here.
+while read -r crate ceiling; do
+    dir=crates/$crate/src
+    if [ ! -d "$dir" ]; then
+        echo "panic-site tripwire: missing $dir" >&2
+        exit 1
+    fi
+    count=$(scripts/loc.sh "$dir" | awk '/^panic sites / { print $NF }')
+    case $count in
+    '' | *[!0-9]*)
+        echo "panic-site tripwire: scripts/loc.sh gave no count for $dir" >&2
+        exit 1
+        ;;
+    esac
+    if [ "$count" -gt "$ceiling" ]; then
+        echo "panic-site tripwire: $dir has $count panic sites, above its ceiling of $ceiling" >&2
+        exit 1
+    fi
+done <<'EOF'
+wasm 37
+plugc 37
+abi 7
+ric 2
+core 7
+host 6
+ransim 0
+EOF
+
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
