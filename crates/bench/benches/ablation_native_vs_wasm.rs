@@ -1,6 +1,7 @@
 //! Ablation A1 — the sandbox tax: the same scheduling policy executed
-//! natively vs as a Wasm plugin (including ABI serialization), across UE
-//! counts. The paper's §6.C discusses exactly this overhead.
+//! natively vs as a Wasm plugin (including ABI serialization and fuel
+//! metering, which every hosted call pays), across UE counts. The paper's
+//! §6.C discusses exactly this overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -54,9 +55,8 @@ fn bench_native_vs_wasm(c: &mut Criterion) {
             ("pf", plugins::pf_wasm()),
             ("mt", plugins::mt_wasm()),
         ] {
-            let mut plugin =
-                Plugin::new(wasm, &Linker::<()>::new(), (), SandboxPolicy::unmetered())
-                    .expect("plugin instantiates");
+            let mut plugin = Plugin::new(wasm, &Linker::<()>::new(), (), SandboxPolicy::default())
+                .expect("plugin instantiates");
             group.bench_with_input(BenchmarkId::new("wasm", name), &req, |b, req| {
                 b.iter(|| {
                     plugin

@@ -167,7 +167,7 @@ fn governance(workers: usize) -> MultiCellReport {
         .seconds(0.5)
         .base_seed(6006)
         .sandbox_policy(SandboxPolicy {
-            fuel_per_call: Some(200_000),
+            fuel_per_call: 200_000,
             quarantine_after: STRIKE_BUDGET,
             ..SandboxPolicy::default()
         })

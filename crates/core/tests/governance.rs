@@ -20,6 +20,7 @@ use waran_host::{
     fnv1a, GovernanceClass, Plugin, PluginError, PluginHost, SandboxPolicy, SlotState,
 };
 use waran_wasm::instance::{Linker, NS_PER_FUEL};
+use waran_wasm::Trap;
 
 /// A module whose observable behavior is its data segment: `run` returns
 /// guest memory `[0, 4)`.
@@ -169,7 +170,7 @@ fn operator_swap_grants_fresh_chance_but_keeps_lifetime_counters() {
 fn fuel_exhaustion_strikes_in_its_own_class() {
     let host = PluginHost::new();
     let policy = SandboxPolicy {
-        fuel_per_call: Some(10_000),
+        fuel_per_call: 10_000,
         ..budget(1)
     };
     install_plugin(&host, "s", &spinning_wasm(), policy).unwrap();
@@ -178,6 +179,25 @@ fn fuel_exhaustion_strikes_in_its_own_class() {
     assert_eq!(health.strikes.fuel_exhausted, 1);
     assert_eq!(health.strikes.trap, 0);
     assert_eq!(host.state("s"), Some(SlotState::Quarantined));
+
+    // Every preset meters every call: a guest that never returns runs
+    // out of fuel under each of them instead of hanging its cell.
+    for (name, policy) in [
+        ("default", SandboxPolicy::default()),
+        ("realtime", SandboxPolicy::realtime()),
+        ("besteffort", SandboxPolicy::besteffort()),
+    ] {
+        let host = PluginHost::new();
+        install_plugin(&host, "s", &spinning_wasm(), policy).unwrap();
+        assert_eq!(
+            host.call("s", "run", &[]),
+            Err(PluginError::Trap(Trap::OutOfFuel)),
+            "{name}"
+        );
+        let strikes = host.health("s").unwrap().strikes;
+        assert_eq!(strikes.fuel_exhausted, 1, "{name}");
+        assert_eq!(strikes.total(), 1, "{name}");
+    }
 }
 
 #[test]
@@ -188,20 +208,20 @@ fn governance_class_presets_bundle_budgets() {
     let rt = SandboxPolicy::realtime();
     assert_eq!(rt.class, GovernanceClass::Realtime);
     assert_eq!(rt.quarantine_after, 2);
-    assert_eq!(rt.fuel_per_call, Some(333_333));
+    assert_eq!(rt.fuel_per_call, 333_333);
     assert_eq!(rt.deadline, Some(Duration::from_millis(1)));
     assert_eq!(rt.max_memory_pages, 64);
 
     let be = SandboxPolicy::besteffort();
     assert_eq!(be.class, GovernanceClass::BestEffort);
     assert_eq!(be.quarantine_after, 8);
-    assert_eq!(be.fuel_per_call, Some(3_333_330));
+    assert_eq!(be.fuel_per_call, 3_333_330);
     assert_eq!(be.deadline, Some(Duration::from_millis(10)));
     assert_eq!(be.max_memory_pages, 128);
 
     let custom = SandboxPolicy::default();
     assert_eq!(custom.class, GovernanceClass::Custom);
-    assert_eq!(custom.fuel_per_call, Some(50_000_000));
+    assert_eq!(custom.fuel_per_call, 50_000_000);
     assert_eq!(GovernanceClass::Realtime.label(), "realtime");
     assert_eq!(GovernanceClass::BestEffort.label(), "besteffort");
     assert_eq!(GovernanceClass::Custom.label(), "custom");
@@ -236,7 +256,7 @@ fn stock_schedulers_at_500_ues_use_a_quarter_of_a_realtime_slot() {
             .collect(),
     };
     let policy = SandboxPolicy::realtime();
-    let budget = policy.fuel_per_call.expect("realtime is metered");
+    let budget = policy.fuel_per_call;
     for (name, wasm) in [
         ("RR", plugins::rr_wasm()),
         ("MT", plugins::mt_wasm()),
@@ -333,7 +353,7 @@ fn hostile_fleet(embb_slot: u64, mobility: Option<MobilityAttachment>) -> MultiC
         .seconds(0.2)
         .base_seed(909)
         .sandbox_policy(SandboxPolicy {
-            fuel_per_call: Some(200_000),
+            fuel_per_call: 200_000,
             quarantine_after: 2,
             ..SandboxPolicy::default()
         })

@@ -437,30 +437,6 @@ impl<T> TemplateCache<T> {
             pooled_buffers: waran_wasm::instance::pooled_buffers(),
         }
     }
-
-    /// Drop every template whose bytecode is `bytes` (all policies),
-    /// e.g. after an operator retires a plugin version. Returns
-    /// the number of templates dropped; live clones and instances stay
-    /// valid, and the module is freed with the last of them.
-    pub fn invalidate(&self, bytes: &[u8]) -> usize {
-        let key = fnv1a(bytes);
-        let mut state = self.state();
-        let Some(bucket) = state.buckets.get_mut(&key) else {
-            return 0;
-        };
-        let before = bucket.len();
-        bucket.retain(|entry| entry.bytes.as_ref() != bytes);
-        let dropped = before - bucket.len();
-        if bucket.is_empty() {
-            state.buckets.remove(&key);
-        }
-        dropped
-    }
-
-    /// Drop every cached template (live clones and instances stay valid).
-    pub fn clear(&self) {
-        self.state().buckets.clear();
-    }
 }
 
 impl<T> std::fmt::Debug for TemplateCache<T> {
@@ -547,8 +523,6 @@ mod tests {
             .get_or_build(&numbered_wasm(0), SandboxPolicy::default())
             .unwrap();
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.invalidate(&wasm), 2);
-        assert_eq!(cache.len(), 1);
     }
 
     /// `n`-th member of a family of modules that differ in one constant.
@@ -560,10 +534,10 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_clear_free_the_module() {
+    fn eviction_frees_the_module_with_its_last_owner() {
         let cache = empty_cache();
         let wasm = counter_wasm();
-        let held = |cache: &TemplateCache<()>| {
+        let held = || {
             // Two deployments of the same bytes share one module.
             let pre = cache.get_or_build(&wasm, SandboxPolicy::default()).unwrap();
             let other = cache
@@ -573,24 +547,37 @@ mod tests {
             let plugin = pre.instantiate(()).unwrap();
             (Arc::downgrade(pre.module()), plugin)
         };
+        // A full capacity of never-seen modules evicts every older entry.
+        let mut next = 0;
+        let mut flood = || {
+            for n in next..next + TEMPLATE_CAPACITY {
+                cache
+                    .get_or_build(&numbered_wasm(n), SandboxPolicy::default())
+                    .unwrap();
+            }
+            next += TEMPLATE_CAPACITY;
+        };
 
-        let (module, plugin) = held(&cache);
-        assert_eq!(cache.invalidate(&wasm), 2);
+        let (module, plugin) = held();
+        flood();
         assert!(module.upgrade().is_some(), "live instance keeps its module");
         drop(plugin);
         assert!(
             module.upgrade().is_none(),
-            "retired module survived its last instance"
+            "evicted module survived its last instance"
         );
 
-        let (module, plugin) = held(&cache);
+        let (module, plugin) = held();
         drop(plugin);
         assert!(
             module.upgrade().is_some(),
             "cached template owns the module"
         );
-        cache.clear();
-        assert!(module.upgrade().is_none(), "cleared cache kept the module");
+        flood();
+        assert!(
+            module.upgrade().is_none(),
+            "evicted template kept the module"
+        );
     }
 
     #[test]

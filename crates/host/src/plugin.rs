@@ -55,9 +55,10 @@ pub struct SandboxPolicy {
     /// Hard cap on linear-memory pages (layered under the module's own
     /// declared maximum). 64 pages = 4 MiB.
     pub max_memory_pages: u32,
-    /// Deterministic fuel budget per call (`None` = unmetered): the only
-    /// budget that faults a call.
-    pub fuel_per_call: Option<u64>,
+    /// Deterministic fuel budget per call: the only budget that faults a
+    /// call. Every call is metered, so a guest that never returns runs out
+    /// of fuel instead of hanging its caller.
+    pub fuel_per_call: u64,
     /// Watchdog on a call's wall time (`None` = none). A host slot call
     /// that takes longer is counted in [`crate::SlotHealth::overruns`] and
     /// still returns its result: the host's speed never decides a fault.
@@ -68,8 +69,6 @@ pub struct SandboxPolicy {
     /// the block meters and at install time against the static per-export
     /// bound from load-time analysis.
     pub max_value_stack: usize,
-    /// Upper bound on the byte length a plugin may return through the ABI.
-    pub max_response_bytes: u32,
     /// Admission gate: require every exported function's *static*
     /// worst-case fuel bound to be finite and at most this value
     /// (`None` = no requirement). A real-time deployment class sets this
@@ -94,11 +93,10 @@ impl Default for SandboxPolicy {
     fn default() -> Self {
         SandboxPolicy {
             max_memory_pages: 64,
-            fuel_per_call: Some(50_000_000),
+            fuel_per_call: 50_000_000,
             deadline: Some(Duration::from_millis(10)),
             max_call_depth: 512,
             max_value_stack: 1 << 20,
-            max_response_bytes: 1 << 20,
             max_fuel_bound: None,
             no_unbounded_loops: false,
             quarantine_after: 3,
@@ -114,16 +112,10 @@ const SLOT: Duration = Duration::from_millis(1);
 /// One slot of fuel on the calibrated executor: 1 ms / 3 ns = 333 333.
 const SLOT_FUEL: u64 = SLOT.as_nanos() as u64 / NS_PER_FUEL;
 
-impl SandboxPolicy {
-    /// Disable fuel and the watchdog (benchmarking the raw interpreter).
-    pub fn unmetered() -> Self {
-        SandboxPolicy {
-            fuel_per_call: None,
-            deadline: None,
-            ..SandboxPolicy::default()
-        }
-    }
+/// Upper bound on the byte length a plugin may return through the ABI.
+const MAX_RESPONSE_BYTES: u32 = 1 << 20;
 
+impl SandboxPolicy {
     /// The `realtime` governance class: one 1 ms slot of fuel at
     /// [`NS_PER_FUEL`], a one-slot watchdog, 4 MiB memory and a *small*
     /// strike budget — two consecutive faults and the host rolls the slot
@@ -131,7 +123,7 @@ impl SandboxPolicy {
     pub fn realtime() -> Self {
         SandboxPolicy {
             max_memory_pages: 64,
-            fuel_per_call: Some(SLOT_FUEL),
+            fuel_per_call: SLOT_FUEL,
             deadline: Some(SLOT),
             quarantine_after: 2,
             class: GovernanceClass::Realtime,
@@ -146,7 +138,7 @@ impl SandboxPolicy {
     pub fn besteffort() -> Self {
         SandboxPolicy {
             max_memory_pages: 128,
-            fuel_per_call: Some(10 * SLOT_FUEL),
+            fuel_per_call: 10 * SLOT_FUEL,
             quarantine_after: 8,
             class: GovernanceClass::BestEffort,
             ..SandboxPolicy::default()
@@ -449,9 +441,7 @@ impl<T> Plugin<T> {
     /// the guest-memory span of the output.
     fn call_raw(&mut self, func: u32, input: &[u8]) -> Result<(u32, u32), PluginError> {
         let ptr = self.place(input)?;
-        if let Some(fuel) = self.policy.fuel_per_call {
-            self.instance.set_fuel(Some(fuel));
-        }
+        self.instance.set_fuel(Some(self.policy.fuel_per_call));
         // `place` bounded the input by the 32-bit address space.
         let args = [Value::I32(ptr as i32), Value::I32(input.len() as i32)];
         // The entry's signature was checked when it was resolved, so the
@@ -461,10 +451,9 @@ impl<T> Plugin<T> {
         };
         let out_ptr = (packed as u64 >> 32) as u32;
         let out_len = (packed as u64 & 0xffff_ffff) as u32;
-        if out_len > self.policy.max_response_bytes {
+        if out_len > MAX_RESPONSE_BYTES {
             return Err(PluginError::Abi(format!(
-                "response of {out_len} bytes exceeds policy limit {}",
-                self.policy.max_response_bytes
+                "response of {out_len} bytes exceeds limit {MAX_RESPONSE_BYTES}"
             )));
         }
         Ok((out_ptr, out_len))

@@ -121,7 +121,7 @@ fn runaway_plugin_runs_out_of_fuel() {
         }
     "#;
     let policy = SandboxPolicy {
-        fuel_per_call: Some(100_000),
+        fuel_per_call: 100_000,
         ..SandboxPolicy::default()
     };
     let mut p = Plugin::new(&compile(src), &Linker::<()>::new(), (), policy).unwrap();
@@ -201,7 +201,7 @@ fn bulk_fills_pay_per_byte_and_run_out_of_fuel() {
     let mut p = Plugin::new(&wasm, &Linker::<()>::new(), (), policy).unwrap();
     assert_eq!(p.call("run", &[]), Err(PluginError::Trap(Trap::OutOfFuel)));
     let measured = p.instance().fuel_consumed().unwrap();
-    assert_eq!(Some(measured), policy.fuel_per_call);
+    assert_eq!(measured, policy.fuel_per_call);
 
     let module = p.instance().module();
     let run = module.exported_func("run").unwrap() - module.num_imported_funcs();

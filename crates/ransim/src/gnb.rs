@@ -3,9 +3,11 @@
 //!
 //! Each slot:
 //! 1. every UE receives traffic and sounds its channel;
-//! 2. the inter-slice scheduler divides the PRB grid among slices
-//!    (targets/tokens/weights — §4.A "fixed percentages, latency priority,
-//!    or target bit rates");
+//! 2. [`slicing::allocate`] divides the PRB grid among slices: targeted
+//!    slices draw against token buckets filled at their target rate, and
+//!    best-effort slices share what is left equally. §4.A leaves the
+//!    split to the operator ("fixed percentages, latency priority, or
+//!    target bit rates"); the paper evaluates target rates (Fig. 5a);
 //! 3. each slice's intra-slice scheduler (native or Wasm plugin behind the
 //!    same [`SliceScheduler`] seam) divides its grant among its UEs;
 //! 4. the resource allocator sanitizes the response (unknown UEs dropped,
@@ -26,9 +28,16 @@ use crate::massive::MassivePlane;
 use crate::metrics::MetricsRecorder;
 use crate::phy::Carrier;
 use crate::sched::{RoundRobin, SliceScheduler};
-use crate::slicing::{InterSliceScheduler, SliceDemand, TargetRate};
+use crate::slicing::{self, SliceDemand};
 use crate::traffic::TrafficSource;
 use crate::ue::UeState;
+
+/// Metrics aggregation window in slots.
+const METRICS_WINDOW_SLOTS: u64 = 100;
+
+/// Cap on a targeted slice's token-bucket fill, in seconds of its target
+/// rate.
+const TOKEN_CAP_SECONDS: f64 = 0.05;
 
 /// Static configuration of a slice (an MVNO).
 #[derive(Debug, Clone)]
@@ -37,8 +46,6 @@ pub struct SliceConfig {
     pub name: String,
     /// Target cumulative DL rate, bit/s (`None` = best effort).
     pub target_bps: Option<f64>,
-    /// Weight for best-effort sharing.
-    pub weight: f64,
 }
 
 impl SliceConfig {
@@ -47,7 +54,6 @@ impl SliceConfig {
         SliceConfig {
             name: name.to_string(),
             target_bps: None,
-            weight: 1.0,
         }
     }
 
@@ -56,7 +62,6 @@ impl SliceConfig {
         SliceConfig {
             name: name.to_string(),
             target_bps: Some(mbps * 1e6),
-            weight: 1.0,
         }
     }
 }
@@ -74,10 +79,6 @@ pub struct GnbConfig {
     /// PF time constant in slots (large = long memory; the paper
     /// "intentionally chose a large time constant" for Fig. 5b).
     pub pf_time_constant_slots: f64,
-    /// Metrics aggregation window in slots.
-    pub metrics_window_slots: u64,
-    /// Cap on token-bucket accumulation, seconds of target rate.
-    pub token_cap_seconds: f64,
     /// First UE id this gNB assigns. Multi-cell mobility deployments give
     /// every cell a disjoint range so a UE id stays unique while the UE
     /// migrates across cells.
@@ -91,8 +92,6 @@ impl Default for GnbConfig {
             carrier: Carrier::paper_testbed(),
             seed: 1,
             pf_time_constant_slots: 1000.0,
-            metrics_window_slots: 100,
-            token_cap_seconds: 0.05,
             first_ue_id: 70,
         }
     }
@@ -134,7 +133,6 @@ struct SliceRuntime {
 pub struct Gnb {
     config: GnbConfig,
     slices: Vec<SliceRuntime>,
-    inter: Box<dyn InterSliceScheduler>,
     slot: u64,
     rng: StdRng,
     metrics: MetricsRecorder,
@@ -147,21 +145,15 @@ pub struct Gnb {
 }
 
 impl Gnb {
-    /// gNB with the default target-rate inter-slice scheduler.
+    /// An empty gNB: no slices, no UEs, slot 0.
     pub fn new(config: GnbConfig) -> Self {
-        Self::with_inter_scheduler(config, Box::new(TargetRate::new()))
-    }
-
-    /// gNB with an explicit inter-slice scheduler.
-    pub fn with_inter_scheduler(config: GnbConfig, inter: Box<dyn InterSliceScheduler>) -> Self {
         let slot_seconds = config.carrier.numerology.slot_seconds();
-        let metrics = MetricsRecorder::new(config.metrics_window_slots, slot_seconds);
+        let metrics = MetricsRecorder::new(METRICS_WINDOW_SLOTS, slot_seconds);
         let rng = StdRng::seed_from_u64(config.seed);
         let next_ue_id = config.first_ue_id;
         Gnb {
             config,
             slices: Vec::new(),
-            inter,
             slot: 0,
             rng,
             metrics,
@@ -454,7 +446,7 @@ impl Gnb {
             }
             if let Some(target) = slice.config.target_bps {
                 slice.tokens_bits += target * slot_seconds;
-                let cap = target * self.config.token_cap_seconds;
+                let cap = target * TOKEN_CAP_SECONDS;
                 slice.tokens_bits = slice.tokens_bits.min(cap).max(0.0);
             }
         }
@@ -496,11 +488,9 @@ impl Gnb {
                 demand_bits,
                 mean_prb_bits,
                 tokens_bits: s.tokens_bits,
-                weight: s.config.weight,
             });
         }
-        self.inter
-            .allocate(total_prbs, &self.demands, &mut self.grants);
+        slicing::allocate(total_prbs, &self.demands, &mut self.grants);
         debug_assert!(self.grants.iter().sum::<u32>() <= total_prbs);
 
         // 3-4. Intra-slice scheduling + delivery. The plane is taken out

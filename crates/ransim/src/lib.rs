@@ -9,12 +9,12 @@
 //! * [`channel`] — per-UE channel models (static, fixed-MCS, Gauss-Markov
 //!   fading, distance-based).
 //! * [`traffic`] — DL traffic sources (full-buffer "iperf", CBR, Poisson
-//!   IoT, on/off).
+//!   IoT, the massive plane's aggregate fleet flow).
 //! * [`sched`] — the [`sched::SliceScheduler`] seam plus native
-//!   round-robin / proportional-fair / max-throughput / max-weight
-//!   policies speaking the same ABI as Wasm plugins.
-//! * [`slicing`] — inter-slice allocators (target-rate token bucket,
-//!   fixed share, strict priority).
+//!   round-robin / proportional-fair / max-throughput policies speaking
+//!   the same ABI as Wasm plugins.
+//! * [`slicing`] — the inter-slice allocation: target-rate token buckets,
+//!   spare PRBs shared equally among best-effort slices.
 //! * [`gnb`] — the slot loop: arrivals, sounding, two-level scheduling,
 //!   sanitized delivery, EWMA averages, fault fallback.
 //! * [`metrics`] — windowed throughput series, Jain fairness, PRB

@@ -168,36 +168,6 @@ impl SliceScheduler for ProportionalFair {
     }
 }
 
-/// Max-weight: order by `buffer × per-PRB capacity` (queue-aware; included
-/// as an extra policy for the ablation benches).
-#[derive(Debug, Default)]
-pub struct MaxWeight;
-
-impl MaxWeight {
-    /// Max-weight scheduler.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl SliceScheduler for MaxWeight {
-    fn schedule(&mut self, req: &SchedRequest) -> Result<SchedResponse, SchedulerFault> {
-        let weight = |i: usize| {
-            let ue = &req.ues[i];
-            ue.buffer_bytes as f64 * ue.prb_capacity_bits
-        };
-        let mut order: Vec<usize> = (0..req.ues.len())
-            .filter(|i| req.ues[*i].buffer_bytes > 0)
-            .collect();
-        order.sort_by(|a, b| weight(*b).total_cmp(&weight(*a)));
-        Ok(greedy_fill(req, &order))
-    }
-
-    fn name(&self) -> &str {
-        "max-weight"
-    }
-}
-
 /// Serve UEs in `order`, granting each the PRBs it needs to drain its
 /// buffer until the grant runs out.
 fn greedy_fill(req: &SchedRequest, order: &[usize]) -> SchedResponse {
@@ -368,14 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn maxweight_prefers_big_backlog() {
-        let mut mw = MaxWeight::new();
-        let r = req(10, vec![ue(1, 100, 500.0, 0.0), ue(2, 1 << 20, 500.0, 0.0)]);
-        let resp = mw.schedule(&r).unwrap();
-        assert_eq!(resp.allocs[0].ue_id, 2);
-    }
-
-    #[test]
     fn zero_grant_or_no_ues() {
         let mut rr = RoundRobin::new();
         assert!(rr
@@ -394,7 +356,6 @@ mod tests {
             &mut RoundRobin::new() as &mut dyn SliceScheduler,
             &mut MaxThroughput::new(),
             &mut ProportionalFair::new(),
-            &mut MaxWeight::new(),
         ] {
             let r = req(
                 7,

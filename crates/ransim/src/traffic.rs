@@ -127,69 +127,6 @@ impl TrafficSource for PoissonPackets {
     }
 }
 
-/// On/off bursty traffic: exponential-ish on and off periods, CBR while on.
-#[derive(Debug, Clone, Copy)]
-pub struct OnOff {
-    /// Rate while on, bit/s.
-    pub rate_bps: f64,
-    /// Mean on duration, seconds.
-    pub mean_on_s: f64,
-    /// Mean off duration, seconds.
-    pub mean_off_s: f64,
-    on: bool,
-    remaining_s: f64,
-    carry: f64,
-}
-
-impl OnOff {
-    /// On/off source starting in the off state.
-    pub fn new(rate_bps: f64, mean_on_s: f64, mean_off_s: f64) -> Self {
-        OnOff {
-            rate_bps,
-            mean_on_s,
-            mean_off_s,
-            on: false,
-            remaining_s: 0.0,
-            carry: 0.0,
-        }
-    }
-}
-
-impl TrafficSource for OnOff {
-    fn bytes_for_slot(
-        &mut self,
-        _slot: u64,
-        slot_seconds: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> u64 {
-        let r = rng;
-        self.remaining_s -= slot_seconds;
-        if self.remaining_s <= 0.0 {
-            self.on = !self.on;
-            let mean = if self.on {
-                self.mean_on_s
-            } else {
-                self.mean_off_s
-            };
-            // Exponential via inverse CDF.
-            let u: f64 = r.gen_range(f64::MIN_POSITIVE..1.0);
-            self.remaining_s = -mean * u.ln();
-        }
-        if self.on {
-            let exact = self.rate_bps * slot_seconds / 8.0 + self.carry;
-            let whole = exact.floor();
-            self.carry = exact - whole;
-            whole as u64
-        } else {
-            0
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "on-off"
-    }
-}
-
 /// Statistical multiplex of many background UEs into one aggregate flow.
 ///
 /// Instead of simulating `n` independent per-UE sources, the fleet draws
@@ -370,20 +307,5 @@ mod tests {
         let mut t = FleetTraffic::new(0, 64_000.0, 1200.0);
         let mut rng = StdRng::seed_from_u64(9);
         assert_eq!(t.bytes_for_slot(0, SLOT, &mut rng), 0);
-    }
-
-    #[test]
-    fn onoff_duty_cycle() {
-        let mut t = OnOff::new(10e6, 0.5, 0.5);
-        let mut rng = StdRng::seed_from_u64(7);
-        let total: u64 = (0..60_000)
-            .map(|s| t.bytes_for_slot(s, SLOT, &mut rng))
-            .sum();
-        // ~50% duty cycle of 10 Mb/s over 60 s ≈ 37.5 MB, very loosely.
-        let expected = 37_500_000.0;
-        assert!(
-            (total as f64) > expected * 0.6 && (total as f64) < expected * 1.4,
-            "total {total}"
-        );
     }
 }

@@ -100,6 +100,13 @@ echo "static analyzer validated every builtin lowering; code and bounds match cr
 golden crates/bench/fig5d_fuel.golden target/release/fig5d --fuel
 echo "guest instructions per call match crates/bench/fig5d_fuel.golden"
 
+# Fig. 5a: three Wasm MVNO slices on the target-rate inter-slice
+# allocation, 60 simulated seconds. The printed rate table, shape strip
+# and summary are seeded and exact, so a change to the allocation, the
+# token buckets or the stock schedulers shows as a hunk naming the MVNO.
+golden crates/bench/fig5a.golden target/release/fig5a
+echo "Fig. 5a matches crates/bench/fig5a.golden"
+
 # Smoke: every example end to end, each well under a second in release.
 # `quickstart` builds its plugin on the scheduler ABI's PlugC prelude;
 # `ric_xapps` is the only caller of the one-cell RIC deployment outside
