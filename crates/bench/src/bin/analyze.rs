@@ -10,7 +10,8 @@
 //! Usage:
 //!   analyze --builtin          # every example/fig5 plugin in the repo,
 //!                              # plus slotbench's two PlugC modules
-//!   analyze FILE...            # .wat (assembled here) or raw .wasm
+//!   analyze FILE...            # Wasm binaries; anything else fails to
+//!                              # load and the tool exits nonzero
 //!   analyze --reg ...          # also list each module's register code
 //!
 //! `scripts/check.sh` diffs `analyze --builtin --reg` against
@@ -22,7 +23,7 @@ use std::process::ExitCode;
 use waran_core::plugins::{self, faulty};
 use waran_wasm::analysis::FuncReport;
 use waran_wasm::disasm::disassemble_reg;
-use waran_wasm::{load_module, wat};
+use waran_wasm::load_module;
 
 fn print_report(name: &str, wasm: &[u8], reg: bool) -> Result<(), String> {
     let module = load_module(wasm).map_err(|e| format!("{name}: load failed: {e}"))?;
@@ -117,20 +118,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // WAT sources are assembled in-process; anything starting
-            // with the Wasm magic is taken as a binary module.
-            let wasm = if bytes.starts_with(b"\0asm") {
-                bytes
-            } else {
-                match wat::assemble(&String::from_utf8_lossy(&bytes)) {
-                    Ok(w) => w,
-                    Err(e) => {
-                        eprintln!("{path}: assembly failed: {e:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            v.push((path.clone(), wasm));
+            v.push((path.clone(), bytes));
         }
         v
     };

@@ -10,7 +10,7 @@
 //!   SNR and the SNR a UE actually sees after handover agree by
 //!   construction.
 //! * [`CellMobility`] runs per-cell A3-style events at every exchange
-//!   boundary: `neighbor > serving + hysteresis` for `ttt_windows`
+//!   boundary: `neighbor > serving +` [`A3_HYSTERESIS_DB`] for `ttt_windows`
 //!   consecutive boundaries triggers a departure; a post-handover hold
 //!   suppresses ping-pong. RIC-commanded handovers enter the same path
 //!   through [`CellMobility::queue_forced`].
@@ -123,12 +123,13 @@ impl CellLayout {
     }
 }
 
+/// A3 hysteresis: a neighbor must beat the serving cell by this margin, dB.
+pub const A3_HYSTERESIS_DB: f64 = 3.0;
+
 /// A3 event parameters (3GPP TS 38.331 §5.5.4.4, scaled to exchange
-/// windows instead of milliseconds).
+/// windows instead of milliseconds). The margin is [`A3_HYSTERESIS_DB`].
 #[derive(Debug, Clone, Copy)]
 pub struct A3Config {
-    /// Neighbor must beat serving by this margin, dB.
-    pub hysteresis_db: f64,
     /// Consecutive exchange windows the condition must hold
     /// (time-to-trigger).
     pub ttt_windows: u32,
@@ -140,7 +141,6 @@ pub struct A3Config {
 impl Default for A3Config {
     fn default() -> Self {
         A3Config {
-            hysteresis_db: 3.0,
             ttt_windows: 2,
             hold_windows: 3,
         }
@@ -295,7 +295,7 @@ impl CellMobility {
                 st.streak = 0;
                 continue;
             }
-            if nbr_snr > serving_snr + self.a3.hysteresis_db {
+            if nbr_snr > serving_snr + A3_HYSTERESIS_DB {
                 if st.candidate == nbr {
                     st.streak += 1;
                 } else {
@@ -395,12 +395,6 @@ impl MobilityAttachment {
     /// Set the exchange window, slots.
     pub fn exchange_period_slots(mut self, slots: u64) -> Self {
         self.exchange_period_slots = slots.max(1);
-        self
-    }
-
-    /// Set the A3 hysteresis, dB.
-    pub fn hysteresis_db(mut self, db: f64) -> Self {
-        self.a3.hysteresis_db = db;
         self
     }
 

@@ -84,7 +84,7 @@ fn max_fuel_bound_rejects_unprovable_fuel() {
 /// gate — the bound is usable, not just a rejection hammer.
 #[test]
 fn max_fuel_bound_admits_straight_line_plugin() {
-    let wasm = waran_wasm::wat::assemble(
+    let wasm = waran_wat::assemble(
         r#"(module
              (memory (export "memory") 1)
              (func (export "run") (param i32 i32) (result i64)
@@ -105,7 +105,7 @@ fn max_fuel_bound_admits_straight_line_plugin() {
 /// inline the chain away.
 #[test]
 fn static_call_depth_bound_exceeding_limit_is_rejected() {
-    let wasm = waran_wasm::wat::assemble(
+    let wasm = waran_wat::assemble(
         r#"(module
              (func $h (result i32)
                block $b

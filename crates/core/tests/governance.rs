@@ -26,7 +26,7 @@ use waran_wasm::Trap;
 /// guest memory `[0, 4)`.
 fn tagged_wasm(tag: &str) -> Vec<u8> {
     assert_eq!(tag.len(), 4);
-    waran_wasm::wat::assemble(&format!(
+    waran_wat::assemble(&format!(
         r#"(module
              (memory (export "memory") 1)
              (data (i32.const 0) "{tag}")
@@ -38,7 +38,7 @@ fn tagged_wasm(tag: &str) -> Vec<u8> {
 
 /// A module whose `run` traps unconditionally (the strike generator).
 fn trapping_wasm() -> Vec<u8> {
-    waran_wasm::wat::assemble(
+    waran_wat::assemble(
         r#"(module
              (memory (export "memory") 1)
              (func (export "run") (param i32 i32) (result i64)
@@ -49,7 +49,7 @@ fn trapping_wasm() -> Vec<u8> {
 
 /// A module whose `run` spins forever: only the fuel meter stops it.
 fn spinning_wasm() -> Vec<u8> {
-    waran_wasm::wat::assemble(
+    waran_wat::assemble(
         r#"(module
              (memory (export "memory") 1)
              (func (export "run") (param i32 i32) (result i64)
@@ -66,7 +66,7 @@ fn spinning_wasm() -> Vec<u8> {
 fn mixed_wasm() -> &'static [u8] {
     static CELL: OnceLock<Vec<u8>> = OnceLock::new();
     CELL.get_or_init(|| {
-        waran_wasm::wat::assemble(
+        waran_wat::assemble(
             r#"(module
                  (memory (export "memory") 1)
                  (func (export "ok") (param i32 i32) (result i64)

@@ -30,7 +30,7 @@ fn global_cache() -> MutexGuard<'static, ()> {
 /// returns guest memory `[0, 4)`, which segment init seeds with `tag`.
 fn tagged_wasm(tag: &str) -> Vec<u8> {
     assert_eq!(tag.len(), 4);
-    waran_wasm::wat::assemble(&format!(
+    waran_wat::assemble(&format!(
         r#"(module
              (memory (export "memory") 1)
              (data (i32.const 0) "{tag}")

@@ -467,7 +467,7 @@ mod tests {
     }
 
     fn counter_wasm() -> Vec<u8> {
-        waran_wasm::wat::assemble(
+        waran_wat::assemble(
             r#"(module
                  (memory 1)
                  (data (i32.const 16) "seeded")
@@ -527,7 +527,7 @@ mod tests {
 
     /// `n`-th member of a family of modules that differ in one constant.
     fn numbered_wasm(n: usize) -> Vec<u8> {
-        waran_wasm::wat::assemble(&format!(
+        waran_wat::assemble(&format!(
             r#"(module (memory 1) (func (export "n") (result i32) i32.const {n}))"#
         ))
         .unwrap()

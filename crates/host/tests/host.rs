@@ -150,7 +150,7 @@ const STALL_THEN_RUN: &str = r#"(module
     i64.const 0))"#;
 
 fn stall_then_run(stall: Duration, policy: SandboxPolicy) -> Plugin<Duration> {
-    let wasm = waran_wasm::wat::assemble(STALL_THEN_RUN).expect("assembles");
+    let wasm = waran_wat::assemble(STALL_THEN_RUN).expect("assembles");
     let mut linker: Linker<Duration> = Linker::new();
     linker.func("env", "stall", &[], &[], |stall, _, _| {
         std::thread::sleep(*stall);
@@ -196,7 +196,7 @@ fn bulk_fills_pay_per_byte_and_run_out_of_fuel() {
     // Each 4 MiB fill pays 262 144 fuel for its bytes, so a `realtime`
     // call (one slot, 333 333 fuel) gets through one and runs out in the
     // second, however cheap a fill is per instruction.
-    let wasm = waran_wasm::wat::assemble(FILL_LOOP).expect("assembles");
+    let wasm = waran_wat::assemble(FILL_LOOP).expect("assembles");
     let policy = SandboxPolicy::realtime();
     let mut p = Plugin::new(&wasm, &Linker::<()>::new(), (), policy).unwrap();
     assert_eq!(p.call("run", &[]), Err(PluginError::Trap(Trap::OutOfFuel)));

@@ -1715,7 +1715,7 @@ mod tests {
     use super::*;
 
     fn module(src: &str) -> Module {
-        let bytes = crate::wat::assemble(src).expect("wat assembles");
+        let bytes = waran_wat::assemble(src).expect("wat assembles");
         let m = crate::decode::decode_module(&bytes).expect("decodes");
         crate::validate::validate(&m).expect("validates");
         m

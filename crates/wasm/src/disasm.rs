@@ -183,7 +183,6 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wat;
 
     #[test]
     fn register_form_snapshot_is_stable() {
@@ -194,7 +193,7 @@ mod tests {
         // join flush).
         // The exact text is load-bearing for debugging the lowering pass;
         // update it deliberately when the lowering changes.
-        let bytes = wat::assemble(
+        let bytes = waran_wat::assemble(
             r#"(module
                  (func (export "madd") (param i32 i32) (result i32)
                    local.get 0

@@ -743,11 +743,6 @@ impl<T> Instance<T> {
         self.module.exported_func(name).is_some()
     }
 
-    /// The signature of the exported function `name`.
-    pub fn export_type(&self, name: &str) -> Option<&FuncType> {
-        self.module.func_type(self.module.exported_func(name)?)
-    }
-
     /// Invoke the exported function `name`. Binding failures (unknown
     /// export, argument mismatch) are reported as [`Trap::HostError`] so the
     /// plugin host has a single fault channel.

@@ -23,7 +23,6 @@
 //!   load. Both forms carry plain operators as the [`ops`] payload enums.
 //!   The crate's tests hold the executor to an oracle that walks the
 //!   decoded instructions over its own memory (`tests/util/oracle.rs`),
-//! * [`wat`] — a WAT-subset text assembler for tests and examples,
 //! * [`disasm`] — the register-code listing the `analyze` tool prints.
 //!
 //! Design goals follow the paper's requirements for RAN plugin hosting:
@@ -40,17 +39,18 @@
 //! ## Example
 //!
 //! ```
-//! use waran_wasm::{wat, instance::{Instance, Linker}, interp::Value};
+//! use waran_wasm::{builder::ModuleBuilder, instance::{Instance, Linker}, interp::Value};
+//! use waran_wasm::types::ValType::I32;
 //!
-//! let bytes = wat::assemble(r#"
-//!   (module
-//!     (func (export "add") (param i32 i32) (result i32)
-//!       local.get 0
-//!       local.get 1
-//!       i32.add))
-//! "#).unwrap();
-//! let module = waran_wasm::decode::decode_module(&bytes).unwrap();
-//! waran_wasm::validate::validate(&module).unwrap();
+//! let mut mb = ModuleBuilder::new();
+//! let sig = mb.func_type(&[I32, I32], &[I32]);
+//! let f = mb.begin_func(sig);
+//! mb.code().local_get(0).local_get(1).i32_add();
+//! mb.end_func().unwrap();
+//! mb.export_func("add", f);
+//! let bytes = mb.finish_bytes().unwrap();
+//!
+//! let module = waran_wasm::load_module(&bytes).unwrap();
 //! let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
 //! let out = inst.invoke("add", &[Value::I32(2), Value::I32(40)]).unwrap();
 //! assert_eq!(out, Some(Value::I32(42)));
@@ -72,7 +72,6 @@ pub mod regalloc;
 pub mod trap;
 pub mod types;
 pub mod validate;
-pub mod wat;
 
 pub use instance::{Instance, InstancePre, Linker};
 pub use interp::Value;

@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn release_frees_the_proof_inputs_and_keeps_the_verdict() {
-        let wasm = crate::wat::assemble(
+        let wasm = waran_wat::assemble(
             r#"(module (func (export "f") (param i32) (result i32)
                  local.get 0  if (result i32)  i32.const 1  else  i32.const 2  end))"#,
         )

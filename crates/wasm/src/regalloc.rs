@@ -1591,7 +1591,7 @@ mod tests {
 
     /// Function 0 of a WAT module, lowered, minus block headers.
     fn lower_wat(src: &str) -> Vec<ROp> {
-        let wasm = crate::wat::assemble(src).expect("assembles");
+        let wasm = waran_wat::assemble(src).expect("assembles");
         let m = crate::load_module(&wasm).expect("valid");
         let rf = lower_func(&m, 0);
         let code = rf.ops.iter().filter(|op| !matches!(op, ROp::Meter { .. }));
@@ -1732,7 +1732,7 @@ mod tests {
                 ROp::Return { src: 2 },
             ]
         );
-        let module = crate::load_module(&crate::wat::assemble(src).expect("assembles"));
+        let module = crate::load_module(&waran_wat::assemble(src).expect("assembles"));
         let mut inst =
             crate::Instance::new(module.expect("valid").into(), &crate::Linker::new(), ())
                 .expect("instantiates");

@@ -110,7 +110,7 @@ fn static_bounds_sound_on_differential_corpus() {
 /// static depth admits the call, one less overflows.
 #[test]
 fn frame_bound_is_tight_on_call_chain() {
-    let wasm = waran_wasm::wat::assemble(
+    let wasm = waran_wat::assemble(
         r#"(module
              (func $h (result i32)
                block $b

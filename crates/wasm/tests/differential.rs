@@ -34,7 +34,7 @@ use waran_wasm::instr::Instr;
 use waran_wasm::interp::Value;
 use waran_wasm::regalloc::ROp;
 use waran_wasm::types::{BlockType, ValType};
-use waran_wasm::{load_module, wat, Module, Trap};
+use waran_wasm::{load_module, Module, Trap};
 
 #[path = "util/gen.rs"]
 mod gen;
@@ -789,7 +789,7 @@ fn host_run<S: Side<HostLog>>(mut side: S) -> HostRun {
 
 #[test]
 fn differential_host_calls() {
-    let wasm = wat::assemble(HOST_WAT).expect("host module assembles");
+    let wasm = waran_wat::assemble(HOST_WAT).expect("host module assembles");
     let module = Arc::new(load_module(&wasm).expect("host module validates"));
     let (inst, oracle) = both(&module, &host_linker(), HostLog::new);
     let reg = host_run(inst);
@@ -838,7 +838,7 @@ type Bits = (ValType, u64);
 
 /// Both sides of one module that passed its proof.
 fn wat_pair<T>(src: &str, linker: &Linker<T>, data: impl Fn() -> T) -> (Instance<T>, Oracle<T>) {
-    let wasm = wat::assemble(src).expect("module assembles");
+    let wasm = waran_wat::assemble(src).expect("module assembles");
     let module = Arc::new(load_module(&wasm).expect("module validates"));
     module.analysis().expect("lowering passes its proof");
     both(&module, linker, data)
@@ -1387,7 +1387,7 @@ fn constant_control_cases() -> Vec<(String, String, Result<i32, Trap>)> {
 
 /// One case's body as the module's exported `main`.
 fn constant_control_wasm(name: &str, body: &str) -> Vec<u8> {
-    wat::assemble(&format!(
+    waran_wat::assemble(&format!(
         r#"(module (memory 1)
              (func (export "main") (param i32 i32) (result i32)
                (local $i i32) (local $acc i32)

@@ -5,21 +5,21 @@
 use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::types::ValType;
-use waran_wasm::{load_module, wat, Trap};
+use waran_wasm::{load_module, Trap};
 
 #[path = "util/oracle.rs"]
 mod oracle;
 use oracle::Oracle;
 
 fn instantiate(src: &str) -> Instance<()> {
-    let bytes = wat::assemble(src).expect("assembles");
+    let bytes = waran_wat::assemble(src).expect("assembles");
     let module = load_module(&bytes).expect("validates");
     Instance::new(module.into(), &Linker::new(), ()).expect("instantiates")
 }
 
 /// The same module under the test oracle.
 fn oracle(src: &str) -> Oracle<()> {
-    let bytes = wat::assemble(src).expect("assembles");
+    let bytes = waran_wat::assemble(src).expect("assembles");
     let module = load_module(&bytes).expect("validates");
     Oracle::new(module.into(), &Linker::new(), ()).expect("instantiates")
 }
@@ -326,7 +326,7 @@ fn unreachable_traps() {
 fn call_stack_depth_limited() {
     let src = r#"(module
       (func $inf (export "inf") call $inf))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let limits = ExecLimits {
         max_call_depth: 100,
@@ -396,7 +396,7 @@ fn host_functions_called_with_memory_access() {
         i32.const 64
         call $peek
         i32.add))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut linker: Linker<u32> = Linker::new();
     linker.func(
@@ -433,7 +433,7 @@ fn host_error_propagates_as_trap() {
     let src = r#"(module
       (import "env" "fail" (func $fail))
       (func (export "f") call $fail))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut linker: Linker<()> = Linker::new();
     linker.func("env", "fail", &[], &[], |_, _, _| {
@@ -453,7 +453,7 @@ fn reexported_host_import_result_is_type_checked() {
       (import "env" "extra" (func $extra))
       (export "wrong" (func $wrong))
       (export "extra" (func $extra)))"#;
-    let module = load_module(&wat::assemble(src).unwrap()).unwrap();
+    let module = load_module(&waran_wat::assemble(src).unwrap()).unwrap();
     let mut linker: Linker<()> = Linker::new();
     linker.func("env", "wrong", &[], &[ValType::I32], |_, _, _| {
         Ok(Some(Value::I64(7)))
@@ -478,7 +478,7 @@ fn missing_import_rejected_at_instantiation() {
     let src = r#"(module
       (import "env" "nope" (func $n))
       (func (export "f") call $n))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let err = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap_err();
     assert!(matches!(err, InstantiateError::MissingImport { .. }));
@@ -489,7 +489,7 @@ fn import_signature_mismatch_rejected() {
     let src = r#"(module
       (import "env" "f" (func $f (param i32)))
       (func (export "g") i32.const 1 call $f))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut linker: Linker<()> = Linker::new();
     linker.func("env", "f", &[ValType::I64], &[], |_, _, _| Ok(None));
@@ -779,7 +779,7 @@ fn value_stack_limit_enforced() {
     // Each iteration leaves one extra i32 on the stack... actually the loop
     // result discipline prevents unbounded growth in validated code, so we
     // emulate with a tiny limit instead.
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let limits = ExecLimits {
         max_value_stack: 3,

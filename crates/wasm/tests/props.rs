@@ -62,7 +62,7 @@ proptest! {
         flip_at in 0usize..200,
         flip_to in any::<u8>(),
     ) {
-        let mut bytes = waran_wasm::wat::assemble(r#"
+        let mut bytes = waran_wat::assemble(r#"
           (module
             (memory 1)
             (global $g (mut i64) (i64.const 5))
@@ -316,7 +316,7 @@ proptest! {
                 br $l
               end
             end))"#;
-        let bytes = waran_wasm::wat::assemble(src).unwrap();
+        let bytes = waran_wat::assemble(src).unwrap();
         let module = waran_wasm::load_module(&bytes).unwrap();
         let consumed = |k: u32| {
             let mut inst = Instance::new(std::sync::Arc::new(module.clone()), &Linker::<()>::new(), ()).unwrap();

@@ -14,13 +14,13 @@ use waran_wasm::instance::{ExecLimits, Instance, InstancePre, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::module::ConstExpr;
 use waran_wasm::types::{Mutability, ValType};
-use waran_wasm::{load_module, wat, Module};
+use waran_wasm::{load_module, Module};
 
 const PAGE: u32 = 65536;
 
 /// A module with a data segment, a mutable global and store/fill probes.
 fn pool_module() -> InstancePre<()> {
-    let bytes = wat::assemble(
+    let bytes = waran_wat::assemble(
         r#"(module
              (memory (export "memory") 1 4)
              (data (i32.const 64) "snapshot-image")

@@ -3,10 +3,10 @@
 
 use waran_wasm::instance::{Instance, Linker};
 use waran_wasm::interp::Value;
-use waran_wasm::{load_module, wat, Trap};
+use waran_wasm::{load_module, Trap};
 
 fn run(src: &str, name: &str, args: &[Value]) -> Result<Option<Value>, Trap> {
-    let bytes = wat::assemble(src).expect("assembles");
+    let bytes = waran_wat::assemble(src).expect("assembles");
     let module = load_module(&bytes).expect("validates");
     Instance::new(module.into(), &Linker::<()>::new(), ())
         .expect("instantiates")
@@ -121,7 +121,7 @@ fn unsigned_comparisons_differ_from_signed() {
       (func (export "lt_u") (param i32 i32) (result i32)
         local.get 0 local.get 1 i32.lt_u))"#;
     // -1 < 1 signed, but 0xffffffff > 1 unsigned.
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     assert_eq!(
@@ -143,7 +143,7 @@ fn wrap_and_extend_are_exact() {
         local.get 0 i64.extend_i32_u)
       (func (export "ext_s") (param i32) (result i64)
         local.get 0 i64.extend_i32_s))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     assert_eq!(
@@ -174,7 +174,7 @@ fn partial_oob_store_traps_before_writing() {
       (func (export "peek") (result i32)
         i32.const 65532
         i32.load))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     assert!(inst.invoke("poke", &[]).is_err());
@@ -192,7 +192,7 @@ fn float_arithmetic_ieee_corner_cases() {
         local.get 0 local.get 1 f64.div)
       (func (export "sqrt") (param f64) (result f64)
         local.get 0 f64.sqrt))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     // 1/0 = inf, -1/0 = -inf, 0/0 = NaN; float division never traps.
@@ -238,7 +238,7 @@ fn start_function_trap_fails_instantiation() {
     let src = r#"(module
       (func $boom unreachable)
       (start $boom))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let err = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap_err();
     assert!(matches!(
@@ -252,7 +252,7 @@ fn data_segment_out_of_bounds_fails_instantiation() {
     let src = r#"(module
       (memory 1 1)
       (data (i32.const 65534) "xyz"))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     assert!(matches!(
         Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap_err(),
@@ -266,7 +266,7 @@ fn elem_segment_out_of_bounds_fails_instantiation() {
       (table 1 funcref)
       (func $f)
       (elem (i32.const 1) $f))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     assert!(matches!(
         Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap_err(),
@@ -289,7 +289,7 @@ fn deep_recursion_unwinds_cleanly_after_trap() {
     let src = r#"(module
       (func $inf (export "inf") (result i32) call $inf)
       (func (export "ok") (result i32) i32.const 5))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = load_module(&bytes).unwrap();
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     assert_eq!(inst.invoke("inf", &[]), Err(Trap::StackOverflow));
@@ -332,7 +332,7 @@ fn globals_are_per_instance() {
       (global $g (mut i32) (i32.const 0))
       (func (export "bump") (result i32)
         global.get $g i32.const 1 i32.add global.set $g global.get $g))"#;
-    let bytes = wat::assemble(src).unwrap();
+    let bytes = waran_wat::assemble(src).unwrap();
     let module = std::sync::Arc::new(load_module(&bytes).unwrap());
     let mut a = Instance::new(module.clone(), &Linker::<()>::new(), ()).unwrap();
     let mut b = Instance::new(module, &Linker::<()>::new(), ()).unwrap();

@@ -1,14 +1,19 @@
-//! A WAT-subset text assembler.
+//! # waran-wat — a WAT-subset text assembler for tests
+//!
+//! Plugins reach the host as Wasm binaries; this crate turns hand-written
+//! text into such a binary so tests can state a module inline. It is a
+//! dev-dependency only: no deployment crate links a text parser, and
+//! `waran_wasm::load_module` stays the one front door for untrusted bytes.
 //!
 //! Supports the flat (non-folded) instruction syntax and the module fields
 //! WA-RAN plugins need: function imports, memories (with inline exports),
 //! tables + element segments, globals, data segments, start functions and
 //! `$name` identifiers for functions, locals, globals and labels. Folded
 //! expressions, inline `(type …)` declarations and `call_indirect` type
-//! annotations are not supported — use [`crate::builder`] for those.
+//! annotations are not supported — use [`waran_wasm::builder`] for those.
 //!
 //! ```
-//! let bytes = waran_wasm::wat::assemble(r#"
+//! let bytes = waran_wat::assemble(r#"
 //!   (module
 //!     (memory (export "memory") 1)
 //!     (func $sum (export "sum") (param $n i32) (result i32)
@@ -37,10 +42,10 @@
 
 use std::collections::HashMap;
 
-use crate::builder::ModuleBuilder;
-use crate::instr::{Instr, MemArg};
-use crate::module::ConstExpr;
-use crate::types::{BlockType, Mutability, ValType};
+use waran_wasm::builder::ModuleBuilder;
+use waran_wasm::instr::{Instr, MemArg};
+use waran_wasm::module::ConstExpr;
+use waran_wasm::types::{BlockType, Mutability, ValType};
 
 /// Assembly error with a line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1149,7 +1154,7 @@ mod tests {
     #[test]
     fn assembles_minimal_module() {
         let bytes = assemble("(module)").unwrap();
-        let m = crate::decode::decode_module(&bytes).unwrap();
+        let m = waran_wasm::decode::decode_module(&bytes).unwrap();
         assert!(m.funcs.is_empty());
     }
 
@@ -1163,7 +1168,7 @@ mod tests {
                    i32.add))"#,
         )
         .unwrap();
-        let m = crate::load_module(&bytes).unwrap();
+        let m = waran_wasm::load_module(&bytes).unwrap();
         assert!(m.exported_func("add").is_some());
     }
 
@@ -1182,7 +1187,7 @@ mod tests {
                    end))"#,
         )
         .unwrap();
-        crate::load_module(&bytes).unwrap();
+        waran_wasm::load_module(&bytes).unwrap();
     }
 
     #[test]
@@ -1200,7 +1205,7 @@ mod tests {
                    call $log))"#,
         )
         .unwrap();
-        let m = crate::load_module(&bytes).unwrap();
+        let m = waran_wasm::load_module(&bytes).unwrap();
         assert_eq!(m.num_imported_funcs(), 1);
         assert_eq!(m.globals.len(), 1);
     }
@@ -1216,7 +1221,7 @@ mod tests {
                    i32.load offset=16))"#,
         )
         .unwrap();
-        let m = crate::load_module(&bytes).unwrap();
+        let m = waran_wasm::load_module(&bytes).unwrap();
         assert_eq!(m.data[0].bytes, b"hi\0");
     }
 
@@ -1231,7 +1236,7 @@ mod tests {
                    i32.const 7))"#,
         )
         .unwrap();
-        crate::load_module(&bytes).unwrap();
+        waran_wasm::load_module(&bytes).unwrap();
     }
 
     #[test]
@@ -1244,7 +1249,7 @@ mod tests {
                  (elem (i32.const 0) $a $b))"#,
         )
         .unwrap();
-        let m = crate::load_module(&bytes).unwrap();
+        let m = waran_wasm::load_module(&bytes).unwrap();
         assert_eq!(m.elems[0].funcs, vec![0, 1]);
     }
 
@@ -1268,7 +1273,7 @@ mod tests {
                    i64.const 0xff_ff))"#,
         )
         .unwrap();
-        crate::load_module(&bytes).unwrap();
+        waran_wasm::load_module(&bytes).unwrap();
     }
 
     #[test]
@@ -1280,7 +1285,7 @@ mod tests {
                  (start $init))"#,
         )
         .unwrap();
-        let m = crate::load_module(&bytes).unwrap();
+        let m = waran_wasm::load_module(&bytes).unwrap();
         assert_eq!(m.start, Some(0));
     }
 }

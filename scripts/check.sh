@@ -67,7 +67,8 @@ while read -r crate ceiling; do
         exit 1
     fi
 done <<'EOF'
-wasm 37
+wasm 30
+wat 7
 plugc 37
 abi 7
 ric 2
@@ -75,6 +76,19 @@ core 7
 host 6
 ransim 0
 EOF
+
+# The library every deployment links parses one format, the Wasm binary.
+# The WAT assembler lives in the dev-only waran-wat crate; no deployment
+# crate may reach it through a normal dependency edge.
+if [ -e crates/wasm/src/wat.rs ]; then
+    echo "text-parser tripwire: crates/wasm/src/wat.rs exists; the WAT assembler lives in crates/wat" >&2
+    exit 1
+fi
+deps=$(cargo tree -e normal --offline -p waran-host -p waran-core -p waran-ric -p waran-bench -p wa-ran)
+if grep -n 'waran-wat' <<<"$deps"; then
+    echo "text-parser tripwire: a deployment crate depends on waran-wat; keep it a dev-dependency" >&2
+    exit 1
+fi
 
 cargo build --release --workspace
 cargo test -q --workspace
@@ -106,6 +120,14 @@ echo "guest instructions per call match crates/bench/fig5d_fuel.golden"
 # token buckets or the stock schedulers shows as a hunk naming the MVNO.
 golden crates/bench/fig5a.golden target/release/fig5a
 echo "Fig. 5a matches crates/bench/fig5a.golden"
+
+# Fig. 5b (live swap MT → PF → RR), Fig. 5c (sandboxed leak vs native
+# leak) and the §5.D safety table: seeded and exact like Fig. 5a, so a
+# change to hot swap, the memory cap or the trap paths shows as a hunk.
+golden crates/bench/fig5b.golden target/release/fig5b
+golden crates/bench/fig5c.golden target/release/fig5c
+golden crates/bench/safety_table.golden target/release/safety_table
+echo "Fig. 5b, Fig. 5c and the §5.D table match their golden files"
 
 # Smoke: every example end to end, each well under a second in release.
 # `quickstart` builds its plugin on the scheduler ABI's PlugC prelude;

@@ -9,8 +9,8 @@
 //! This umbrella crate re-exports the workspace's public API:
 //!
 //! - [`wasm`] — the WebAssembly substrate: binary decoder, validator,
-//!   interpreter with sandboxed linear memory, fuel metering, module
-//!   builder/encoder, and a WAT-subset assembler.
+//!   interpreter with sandboxed linear memory, fuel metering, and a module
+//!   builder/encoder. It takes modules as Wasm binaries only.
 //! - [`plugc`] — PlugC, a small C-like language compiled to Wasm, used to
 //!   author plugins as source text.
 //! - [`abi`] — the host↔plugin data plane: byte-buffer ABI, scheduler
