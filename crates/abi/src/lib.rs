@@ -7,7 +7,7 @@
 //!   UEs ([`sched::UeInfo`]) and the plugin's allocation decisions
 //!   ([`sched::Allocation`]), with versioned request/response framing.
 //! * [`tlv`] — a tag-length-value codec (the "keep it simple" wire choice).
-//! * [`pbwire`] — a protobuf-compatible wire format (varints, zigzag,
+//! * [`pbwire`] — a protobuf-compatible wire format (varints, doubles,
 //!   length-delimited fields) implemented from scratch.
 //! * [`bitpack`] — bit-level packing in the style of ASN.1 PER; used by the
 //!   §3.B interface-mismatch demo (8-bit vs 12-bit power-control fields).

@@ -1,18 +1,21 @@
 //! Protocol-Buffers-compatible wire format, from scratch.
 //!
-//! Implements the protobuf wire encoding (varints, zigzag, the four wire
-//! types that matter) without code generation: messages are written
-//! field-by-field and read via a field iterator, exactly how hand-rolled
-//! protobuf parsers work. Compatible with real protobuf for the supported
-//! wire types, which is the point of the §4.B menu — an operator can pick
-//! "protobuf" and interoperate with stock tooling.
+//! Implements the protobuf wire encoding without code generation: messages
+//! are written field-by-field and read via a field iterator, exactly how
+//! hand-rolled protobuf parsers work. Compatible with real protobuf for the
+//! supported wire types, which is the point of the §4.B menu — an operator
+//! can pick "protobuf" and interoperate with stock tooling.
 //!
-//! | wire type | meaning | used for |
+//! The writer emits the field types the RIC's protobuf codec uses; the
+//! reader parses all four wire types, so a message carrying a field it does
+//! not know is skipped field by field rather than refused.
+//!
+//! | wire type | meaning | written for |
 //! |---|---|---|
-//! | 0 | varint | u64/i64 (zigzag)/bool |
-//! | 1 | 64-bit | f64/fixed64 |
-//! | 2 | length-delimited | bytes/strings/sub-messages |
-//! | 5 | 32-bit | f32/fixed32 |
+//! | 0 | varint | u64 |
+//! | 1 | 64-bit | f64 |
+//! | 2 | length-delimited | bytes/sub-messages |
+//! | 5 | 32-bit | (read only) |
 
 use crate::CodecError;
 
@@ -48,16 +51,6 @@ impl WireType {
             WireType::Fixed32 => 5,
         }
     }
-}
-
-/// Zigzag-encode a signed value.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Zigzag-decode to a signed value.
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -112,29 +105,9 @@ impl PbWriter {
         self
     }
 
-    /// Signed (zigzag) varint field.
-    pub fn sint(&mut self, field: u32, v: i64) -> &mut Self {
-        self.uint(field, zigzag(v));
-        // uint wrote key+value with the same field id — fix nothing; but we
-        // must not double-write the key. `uint` already did both.
-        self
-    }
-
-    /// Boolean field.
-    pub fn boolean(&mut self, field: u32, v: bool) -> &mut Self {
-        self.uint(field, v as u64)
-    }
-
     /// f64 field.
     pub fn double(&mut self, field: u32, v: f64) -> &mut Self {
         self.key(field, WireType::Fixed64);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// f32 field.
-    pub fn float(&mut self, field: u32, v: f32) -> &mut Self {
-        self.key(field, WireType::Fixed32);
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
@@ -145,11 +118,6 @@ impl PbWriter {
         write_varint(&mut self.buf, v.len() as u64);
         self.buf.extend_from_slice(v);
         self
-    }
-
-    /// String field.
-    pub fn string(&mut self, field: u32, v: &str) -> &mut Self {
-        self.bytes(field, v.as_bytes())
     }
 
     /// Sub-message field.
@@ -190,27 +158,12 @@ impl<'a> PbValue<'a> {
         }
     }
 
-    /// As zigzag signed integer.
-    pub fn as_sint(&self) -> Result<i64, CodecError> {
-        Ok(unzigzag(self.as_uint()?))
-    }
-
     /// As f64.
     pub fn as_double(&self) -> Result<f64, CodecError> {
         match self {
             PbValue::Fixed64(v) => Ok(f64::from_bits(*v)),
             other => Err(CodecError::Malformed(format!(
                 "expected fixed64, got {other:?}"
-            ))),
-        }
-    }
-
-    /// As f32.
-    pub fn as_float(&self) -> Result<f32, CodecError> {
-        match self {
-            PbValue::Fixed32(v) => Ok(f32::from_bits(*v)),
-            other => Err(CodecError::Malformed(format!(
-                "expected fixed32, got {other:?}"
             ))),
         }
     }
@@ -223,12 +176,6 @@ impl<'a> PbValue<'a> {
                 "expected bytes, got {other:?}"
             ))),
         }
-    }
-
-    /// As UTF-8.
-    pub fn as_string(&self) -> Result<&'a str, CodecError> {
-        std::str::from_utf8(self.as_bytes()?)
-            .map_err(|_| CodecError::Malformed("invalid UTF-8".into()))
     }
 }
 
@@ -290,16 +237,6 @@ impl<'a> PbReader<'a> {
         Ok(Some((field, value)))
     }
 
-    /// Collect all fields into a vector (convenience for tests and small
-    /// messages).
-    pub fn fields(mut self) -> Result<Vec<(u32, PbValue<'a>)>, CodecError> {
-        let mut out = Vec::new();
-        while let Some(f) = self.next_field()? {
-            out.push(f);
-        }
-        Ok(out)
-    }
-
     /// Find the first occurrence of `field`.
     pub fn find(&self, field: u32) -> Result<Option<PbValue<'a>>, CodecError> {
         let mut r = PbReader::new(self.buf);
@@ -317,19 +254,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zigzag_known_values() {
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
-        assert_eq!(zigzag(i64::MAX), u64::MAX - 1);
-        assert_eq!(zigzag(i64::MIN), u64::MAX);
-        for v in [-5i64, 0, 7, i64::MIN, i64::MAX] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
     fn wire_compatible_with_protobuf_reference() {
         // Protobuf docs example: field 1 varint 150 encodes as 08 96 01.
         let mut w = PbWriter::new();
@@ -337,7 +261,7 @@ mod tests {
         assert_eq!(w.finish(), vec![0x08, 0x96, 0x01]);
         // Field 2 string "testing" -> 12 07 74 65 73 74 69 6e 67.
         let mut w = PbWriter::new();
-        w.string(2, "testing");
+        w.bytes(2, b"testing");
         assert_eq!(
             w.finish(),
             vec![0x12, 0x07, 0x74, 0x65, 0x73, 0x74, 0x69, 0x6e, 0x67]
@@ -345,22 +269,31 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_types() {
+    fn roundtrip_all_written_types() {
         let mut w = PbWriter::new();
-        w.uint(1, u64::MAX)
-            .sint(2, -123456789)
-            .double(3, 2.75)
-            .float(4, -1.5)
-            .string(5, "wa-ran")
-            .boolean(6, true);
+        w.uint(1, u64::MAX).double(3, 2.75).bytes(5, b"wa-ran");
         let bytes = w.finish();
         let r = PbReader::new(&bytes);
         assert_eq!(r.find(1).unwrap().unwrap().as_uint().unwrap(), u64::MAX);
-        assert_eq!(r.find(2).unwrap().unwrap().as_sint().unwrap(), -123456789);
         assert_eq!(r.find(3).unwrap().unwrap().as_double().unwrap(), 2.75);
-        assert_eq!(r.find(4).unwrap().unwrap().as_float().unwrap(), -1.5);
-        assert_eq!(r.find(5).unwrap().unwrap().as_string().unwrap(), "wa-ran");
-        assert_eq!(r.find(6).unwrap().unwrap().as_uint().unwrap(), 1);
+        assert_eq!(r.find(5).unwrap().unwrap().as_bytes().unwrap(), b"wa-ran");
+    }
+
+    #[test]
+    fn unknown_fixed32_fields_are_skipped() {
+        // Field 4, wire type 5 (f32 -1.5), between two known fields.
+        let mut bytes = PbWriter::new();
+        bytes.uint(1, 7);
+        let mut bytes = bytes.finish();
+        bytes.push((4 << 3) | 5);
+        bytes.extend_from_slice(&(-1.5f32).to_le_bytes());
+        bytes.extend_from_slice(&[2 << 3, 9]);
+        let r = PbReader::new(&bytes);
+        assert_eq!(r.find(2).unwrap().unwrap().as_uint().unwrap(), 9);
+        assert_eq!(
+            r.find(4).unwrap(),
+            Some(PbValue::Fixed32((-1.5f32).to_bits()))
+        );
     }
 
     #[test]
@@ -369,7 +302,7 @@ mod tests {
         w.message(1, |inner| {
             inner.uint(1, 42);
             inner.message(2, |deep| {
-                deep.string(1, "deep");
+                deep.bytes(1, b"deep");
             });
         });
         let bytes = w.finish();
@@ -378,7 +311,7 @@ mod tests {
         assert_eq!(inner.find(1).unwrap().unwrap().as_uint().unwrap(), 42);
         let deep_bytes = inner.find(2).unwrap().unwrap();
         let deep = PbReader::new(deep_bytes.as_bytes().unwrap());
-        assert_eq!(deep.find(1).unwrap().unwrap().as_string().unwrap(), "deep");
+        assert_eq!(deep.find(1).unwrap().unwrap().as_bytes().unwrap(), b"deep");
     }
 
     #[test]
@@ -386,13 +319,12 @@ mod tests {
         let mut w = PbWriter::new();
         w.uint(7, 1).uint(7, 2).uint(7, 3);
         let bytes = w.finish();
-        let vals: Vec<u64> = PbReader::new(&bytes)
-            .fields()
-            .unwrap()
-            .into_iter()
-            .map(|(_, v)| v.as_uint().unwrap())
-            .collect();
-        assert_eq!(vals, vec![1, 2, 3]);
+        let mut r = PbReader::new(&bytes);
+        let mut vals = Vec::new();
+        while let Some((field, v)) = r.next_field().unwrap() {
+            vals.push((field, v.as_uint().unwrap()));
+        }
+        assert_eq!(vals, vec![(7, 1), (7, 2), (7, 3)]);
     }
 
     #[test]

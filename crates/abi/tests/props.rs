@@ -134,19 +134,25 @@ proptest! {
     #[test]
     fn pbwire_roundtrip(
         u in any::<u64>(),
-        s in any::<i64>(),
         d in any::<f64>(),
-        text in "[a-zA-Z0-9 ]{0,32}",
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+        inner in any::<u64>(),
     ) {
         let mut w = PbWriter::new();
-        w.uint(1, u).sint(2, s).double(3, d).string(4, &text);
+        w.uint(1, u)
+            .double(3, d)
+            .bytes(4, &raw)
+            .message(5, |m| {
+                m.uint(1, inner);
+            });
         let bytes = w.finish();
         let r = PbReader::new(&bytes);
         prop_assert_eq!(r.find(1).unwrap().unwrap().as_uint().unwrap(), u);
-        prop_assert_eq!(r.find(2).unwrap().unwrap().as_sint().unwrap(), s);
         let got = r.find(3).unwrap().unwrap().as_double().unwrap();
         prop_assert!(got == d || (got.is_nan() && d.is_nan()));
-        prop_assert_eq!(r.find(4).unwrap().unwrap().as_string().unwrap(), text);
+        prop_assert_eq!(r.find(4).unwrap().unwrap().as_bytes().unwrap(), &raw[..]);
+        let sub = PbReader::new(r.find(5).unwrap().unwrap().as_bytes().unwrap());
+        prop_assert_eq!(sub.find(1).unwrap().unwrap().as_uint().unwrap(), inner);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Operator-side static-analysis report tool (§3.A: "MNOs can perform
 //! static analysis on the MVNO scheduler plugin before deployment").
 //!
-//! For each module the tool runs the load-time analyzer — translation
+//! For each module the tool prints its byte length and FNV-1a content
+//! hash, then runs the load-time analyzer — translation
 //! validation of the register lowering plus worst-case resource bounds —
 //! and prints one report line per function. A failed validation (a
 //! lowering that cannot be proven equivalent to the flat IR) exits
@@ -16,11 +17,13 @@
 //!
 //! `scripts/check.sh` diffs `analyze --builtin --reg` against
 //! `crates/bench/analyze.golden`, so any change to the code the builtin
-//! plugins execute, or to their static bounds, shows up as a diff hunk.
+//! plugins execute, to their static bounds, or to the bytes PlugC emits for
+//! them, shows up as a diff hunk.
 
 use std::process::ExitCode;
 
 use waran_core::plugins::{self, faulty};
+use waran_host::fnv1a;
 use waran_wasm::analysis::FuncReport;
 use waran_wasm::disasm::disassemble_reg;
 use waran_wasm::load_module;
@@ -31,7 +34,9 @@ fn print_report(name: &str, wasm: &[u8], reg: bool) -> Result<(), String> {
         .analysis()
         .map_err(|e| format!("{name}: translation validation FAILED: {e}"))?;
     println!(
-        "{name}: {} functions, lowering proven equivalent",
+        "{name}: {} bytes fnv1a={:016x}, {} functions, lowering proven equivalent",
+        wasm.len(),
+        fnv1a(wasm),
         analysis.funcs.len()
     );
     for r in &analysis.funcs {

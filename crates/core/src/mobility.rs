@@ -132,10 +132,10 @@ pub const A3_HYSTERESIS_DB: f64 = 3.0;
 pub struct A3Config {
     /// Consecutive exchange windows the condition must hold
     /// (time-to-trigger).
-    pub ttt_windows: u32,
+    pub(crate) ttt_windows: u32,
     /// Windows after admission during which a fresh handover is
     /// suppressed (ping-pong guard).
-    pub hold_windows: u32,
+    pub(crate) hold_windows: u32,
 }
 
 impl Default for A3Config {
@@ -358,16 +358,17 @@ impl CellMobility {
     }
 }
 
-/// Mobility configuration for a multi-cell deployment.
+/// Mobility configuration for a multi-cell deployment. Each value is set
+/// through its builder method, which clamps it to a usable range.
 #[derive(Debug, Clone, Copy)]
 pub struct MobilityAttachment {
     /// Inter-site distance of the grid layout, meters.
-    pub isd_m: f64,
+    pub(crate) isd_m: f64,
     /// Slots per exchange window (departures collected at window ends,
     /// admitted one window later — the handover interruption time).
-    pub exchange_period_slots: u64,
+    pub(crate) exchange_period_slots: u64,
     /// A3 event parameters.
-    pub a3: A3Config,
+    pub(crate) a3: A3Config,
 }
 
 impl Default for MobilityAttachment {

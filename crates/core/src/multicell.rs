@@ -525,7 +525,7 @@ impl MultiCellScenario {
 
         let window = self
             .mobility_cfg
-            .map_or(u64::MAX, |cfg| cfg.exchange_period_slots.max(1));
+            .map_or(u64::MAX, |cfg| cfg.exchange_period_slots);
         let (chunk_shards, exchange) = self.run_windows(workers, window);
         let (cell_reports, exec) = self.finish_cells();
 
@@ -1043,15 +1043,6 @@ impl MultiCellReport {
             self.total_slots as f64 / self.wall_seconds
         } else {
             0.0
-        }
-    }
-
-    /// Delivered-byte throughput of the massive-plane cells, bytes per
-    /// wall-clock second (0 when no cell ran `PopulationModel::TwoTier`).
-    pub fn bytes_scheduled_per_sec(&self) -> f64 {
-        match &self.background {
-            Some(bg) if self.wall_seconds > 0.0 => bg.delivered_bytes as f64 / self.wall_seconds,
-            _ => 0.0,
         }
     }
 }

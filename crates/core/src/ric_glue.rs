@@ -92,16 +92,15 @@ pub type CodecFactory = Box<dyn Fn() -> Box<dyn CommCodec> + Send + Sync>;
 /// Builds a cell's RIC state (xApps included), keyed by cell id.
 pub type RicFactory = Box<dyn Fn(u32) -> NearRtRic + Send + Sync>;
 
-/// Configuration for attaching a deployment to the RIC plane.
+/// Configuration for attaching a deployment to the RIC plane. Each value
+/// is set through its builder method, which clamps it to a usable range.
 pub struct RicAttachment {
     /// Reporting period, slots (reports land at period *ends*).
-    pub report_period_slots: u64,
+    pub(crate) report_period_slots: u64,
     /// Bound on in-flight indications on the shared bus.
-    pub bus_capacity: usize,
+    pub(crate) bus_capacity: usize,
     /// Delivery discipline (deterministic rendezvous vs lossy drop-oldest).
-    pub mode: DeliveryMode,
-    /// Injected per-indication service delay (stall simulation).
-    pub service_delay: Duration,
+    pub(crate) mode: DeliveryMode,
     codec_factory: CodecFactory,
     ric_factory: RicFactory,
 }
@@ -114,7 +113,6 @@ impl RicAttachment {
             report_period_slots: 100,
             bus_capacity: 64,
             mode: DeliveryMode::Deterministic,
-            service_delay: Duration::ZERO,
             codec_factory,
             ric_factory,
         }
@@ -138,15 +136,9 @@ impl RicAttachment {
         self
     }
 
-    /// Inject a per-indication service delay (soak/stall testing).
-    pub fn service_delay(mut self, delay: Duration) -> Self {
-        self.service_delay = delay;
-        self
-    }
-
     /// The bus this attachment describes (cells still unregistered).
     pub fn build_bus(&self) -> RicBus {
-        RicBus::new(self.bus_capacity, self.mode).service_delay(self.service_delay)
+        RicBus::new(self.bus_capacity, self.mode)
     }
 
     /// Register `cell_id` on `bus` and return its driver.

@@ -99,50 +99,54 @@ fn max_fuel_bound_admits_straight_line_plugin() {
     install_plugin(&host(), "tiny", &wasm, policy).expect("trivial plugin passes both gates");
 }
 
-/// A statically-provable deep call chain is rejected against a shallow
-/// `max_call_depth` at install time instead of trapping `StackOverflow`
-/// mid-call. The callees carry control flow so the compiler cannot
-/// inline the chain away.
-#[test]
-fn static_call_depth_bound_exceeding_limit_is_rejected() {
-    let wasm = waran_wat::assemble(
+/// A module whose export `run` heads a chain of `frames` (at least 2)
+/// nested calls. Each function opens with `block br end`, control flow that
+/// keeps the compiler from inlining the chain away.
+fn call_chain(frames: usize) -> Vec<u8> {
+    let mut wat = String::from(
         r#"(module
-             (func $h (result i32)
-               block $b
-                 br $b
-               end
-               i32.const 3)
-             (func $g (result i32)
-               block $b
-                 br $b
-               end
-               call $h)
+             (memory (export "memory") 1)
              (func (export "run") (param i32 i32) (result i64)
-               block $b
-                 br $b
-               end
-               call $g
-               drop
-               i64.const 0))"#,
-    )
-    .expect("assembles");
-    let policy = SandboxPolicy {
-        max_call_depth: 2,
-        ..SandboxPolicy::default()
-    };
-    let err = install_plugin(&host(), "deep", &wasm, policy)
-        .expect_err("3-deep chain must not fit a depth-2 limit");
+               block $b br $b end call $f1 drop i64.const 0)
+"#,
+    );
+    for k in 1..frames - 1 {
+        wat += &format!(
+            "(func $f{k} (result i32) block $b br $b end call $f{})\n",
+            k + 1
+        );
+    }
+    wat += &format!(
+        "(func $f{} (result i32) block $b br $b end i32.const 3))",
+        frames - 1
+    );
+    waran_wat::assemble(&wat).expect("assembles")
+}
+
+/// A statically provable call chain one frame deeper than the host's fixed
+/// depth of 512 is rejected at install time instead of trapping
+/// `StackOverflow` mid-call; a chain of exactly 512 is admitted and runs.
+#[test]
+fn static_call_depth_bound_past_the_host_limit_is_rejected() {
+    let h = host();
+    let err = install_plugin(&h, "deep", &call_chain(513), SandboxPolicy::default())
+        .expect_err("a 513-deep chain must not fit the 512-frame limit");
     match err {
         PluginError::Admission {
+            func,
             bound,
             value,
             limit,
-            ..
         } => {
+            assert_eq!(func, "run");
             assert_eq!(bound, "call-depth");
-            assert_eq!(value, Bound::Finite(3));
-            assert_eq!(limit, 2);
+            assert_eq!(value, Bound::Finite(513));
+            assert_eq!(limit, 512);
         }
         other => panic!("expected a typed admission error, got {other:?}"),
     }
+
+    install_plugin(&h, "deep", &call_chain(512), SandboxPolicy::default())
+        .expect("a 512-deep chain fits");
+    assert_eq!(h.call("deep", "run", &[]), Ok(Vec::new()));
 }

@@ -13,7 +13,8 @@ use waran_core::{
 };
 use waran_ric::bus::DeliveryMode;
 use waran_ric::comm::TlvCodec;
-use waran_ric::ric::{NearRtRic, SliceSlaAssurance, TrafficSteering};
+use waran_ric::e2::{ControlAction, Indication};
+use waran_ric::ric::{NearRtRic, SliceSlaAssurance, TrafficSteering, XApp, XAppCtx};
 
 /// Five cells, each with fading channels (per-cell RNG), a cell-edge UE
 /// the steering xApp will rescue, and a gold slice whose SLA the
@@ -149,21 +150,42 @@ fn ric_actions_change_the_run() {
     );
 }
 
+/// A slow RIC: an xApp that sleeps 100 ms through every indication.
+struct Stall;
+
+impl XApp for Stall {
+    fn name(&self) -> &str {
+        "stall"
+    }
+
+    fn on_indication(&mut self, _: &mut XAppCtx<'_>, _: &Indication) -> Vec<ControlAction> {
+        std::thread::sleep(Duration::from_millis(100));
+        Vec::new()
+    }
+}
+
 #[test]
 fn lossy_attachment_keeps_cells_running_under_a_stalled_ric() {
-    // A wedged service (large injected delay) with a tiny bus: cells must
+    // A wedged service (an xApp that sleeps) with a tiny bus: cells must
     // finish at full speed, the queue stays bounded, and the overflow is
     // visible as per-cell drop counters.
     // 29 boundaries per cell × 5 cells = 145 indications, against a
     // service that absorbs at most ~10/s: overflow is certain whatever
     // the host machine's speed.
+    let stalled = RicAttachment::new(
+        Box::new(|| Box::new(TlvCodec)),
+        Box::new(|_cell| {
+            let mut ric = NearRtRic::new();
+            ric.add_xapp(Box::new(Stall));
+            ric
+        }),
+    );
     let report = deployment(0.3)
         .ric(
-            attachment()
+            stalled
                 .mode(DeliveryMode::Lossy)
                 .report_period_slots(10)
-                .bus_capacity(2)
-                .service_delay(Duration::from_millis(100)),
+                .bus_capacity(2),
         )
         .build()
         .unwrap()

@@ -28,7 +28,9 @@ use waran_wasm::analysis::Bound;
 use waran_wasm::instance::{ExecLimits, InstancePre, Linker};
 use waran_wasm::Module;
 
-use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy};
+use crate::plugin::{
+    fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy, MAX_CALL_DEPTH, MAX_VALUE_STACK,
+};
 
 /// Admission gate: check every exported function's static resource
 /// bounds against the policy. Runs at template build time — i.e. at
@@ -65,22 +67,22 @@ fn admit(module: &Module, policy: &SandboxPolicy) -> Result<(), PluginError> {
             });
         }
         if let Bound::Finite(s) = r.stack {
-            if s > policy.max_value_stack as u64 {
+            if s > MAX_VALUE_STACK as u64 {
                 return Err(PluginError::Admission {
                     func,
                     bound: "value-stack",
                     value: r.stack,
-                    limit: policy.max_value_stack as u64,
+                    limit: MAX_VALUE_STACK as u64,
                 });
             }
         }
         if let Bound::Finite(d) = r.frames {
-            if d > policy.max_call_depth as u64 {
+            if d > MAX_CALL_DEPTH as u64 {
                 return Err(PluginError::Admission {
                     func,
                     bound: "call-depth",
                     value: r.frames,
-                    limit: policy.max_call_depth as u64,
+                    limit: MAX_CALL_DEPTH as u64,
                 });
             }
         }
@@ -137,27 +139,13 @@ impl<T> PluginPre<T> {
         linker: &Linker<T>,
         policy: SandboxPolicy,
     ) -> Result<Self, PluginError> {
-        Self::with_snapshot(module, linker, policy, true)
-    }
-
-    /// Build a template with an explicit snapshot decision. `false` is
-    /// the cold path: the one-shot [`Plugin::new`] uses it (state used
-    /// once is copied never) and the parity tests hold it as the oracle
-    /// snapshot stamp-outs must match bit for bit.
-    pub fn with_snapshot(
-        module: Arc<Module>,
-        linker: &Linker<T>,
-        policy: SandboxPolicy,
-        snapshot: bool,
-    ) -> Result<Self, PluginError> {
         let limits = ExecLimits {
-            max_call_depth: policy.max_call_depth,
-            max_value_stack: policy.max_value_stack,
+            max_call_depth: MAX_CALL_DEPTH,
+            max_value_stack: MAX_VALUE_STACK,
             max_memory_pages: policy.max_memory_pages,
         };
         let abi = AbiTable::resolve(&module);
-        let pre = InstancePre::new_with(module, linker, limits, snapshot)
-            .map_err(PluginError::Instantiate)?;
+        let pre = InstancePre::new(module, linker, limits).map_err(PluginError::Instantiate)?;
         admit(pre.module(), &policy)?;
         Ok(PluginPre {
             pre,
@@ -187,12 +175,6 @@ impl<T> PluginPre<T> {
     /// The sandbox policy stamped instances run under.
     pub fn policy(&self) -> SandboxPolicy {
         self.policy
-    }
-
-    /// True when stamp-outs copy a captured snapshot instead of re-running
-    /// segment init.
-    pub fn has_snapshot(&self) -> bool {
-        self.pre.has_snapshot()
     }
 
     /// Stamp out a live [`Plugin`] with host state `data`: memcpy the
@@ -486,7 +468,6 @@ mod tests {
     fn template_stamps_are_isolated_and_seeded() {
         let module = Arc::new(waran_wasm::load_module(&counter_wasm()).unwrap());
         let pre = PluginPre::new(module, &Linker::<()>::new(), SandboxPolicy::default()).unwrap();
-        assert!(pre.has_snapshot());
         let mut p1 = pre.instantiate(()).unwrap();
         let mut p2 = pre.instantiate(()).unwrap();
         // Data segment present in every stamp-out.

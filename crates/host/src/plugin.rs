@@ -63,12 +63,6 @@ pub struct SandboxPolicy {
     /// that takes longer is counted in [`crate::SlotHealth::overruns`] and
     /// still returns its result: the host's speed never decides a fault.
     pub deadline: Option<Duration>,
-    /// Maximum nested call depth inside the plugin.
-    pub max_call_depth: usize,
-    /// Maximum operand-stack slots a call may use. Enforced at runtime by
-    /// the block meters and at install time against the static per-export
-    /// bound from load-time analysis.
-    pub max_value_stack: usize,
     /// Admission gate: require every exported function's *static*
     /// worst-case fuel bound to be finite and at most this value
     /// (`None` = no requirement). A real-time deployment class sets this
@@ -95,8 +89,6 @@ impl Default for SandboxPolicy {
             max_memory_pages: 64,
             fuel_per_call: 50_000_000,
             deadline: Some(Duration::from_millis(10)),
-            max_call_depth: 512,
-            max_value_stack: 1 << 20,
             max_fuel_bound: None,
             no_unbounded_loops: false,
             quarantine_after: 3,
@@ -111,6 +103,15 @@ const SLOT: Duration = Duration::from_millis(1);
 
 /// One slot of fuel on the calibrated executor: 1 ms / 3 ns = 333 333.
 const SLOT_FUEL: u64 = SLOT.as_nanos() as u64 / NS_PER_FUEL;
+
+/// Maximum nested call depth inside any plugin. Enforced at runtime and,
+/// against each export's static frame bound, at install time.
+pub(crate) const MAX_CALL_DEPTH: usize = 512;
+
+/// Maximum operand-stack slots any plugin call may use. Enforced at runtime
+/// by the block meters and, against each export's static stack bound, at
+/// install time.
+pub(crate) const MAX_VALUE_STACK: usize = 1 << 20;
 
 /// Upper bound on the byte length a plugin may return through the ABI.
 const MAX_RESPONSE_BYTES: u32 = 1 << 20;
@@ -247,8 +248,7 @@ enum Arena {
 ///
 /// Resolution is a property of the *module*, not of any one instance, so a
 /// [`crate::linker::PluginPre`] resolves this table once at template build
-/// and every stamped-out [`Plugin`] copies it — the same table the one-shot
-/// construction path uses, so the uncached and pooled paths cannot drift.
+/// and every stamped-out [`Plugin`] copies it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AbiTable {
     arena: Arena,
@@ -325,12 +325,9 @@ pub struct Plugin<T> {
 impl<T> Plugin<T> {
     /// Load a binary module, validate it, and instantiate it under `policy`.
     ///
-    /// One-shot construction rides the same [`PluginPre`] template path the
-    /// fleet installs use — import resolution, sandbox-limit derivation and
-    /// ABI pre-resolution exist exactly once — just without a snapshot,
-    /// since state built for a single instance would be copied zero times.
-    /// Nothing is cached: installs that repeat go through
-    /// [`crate::linker::TemplateCache`].
+    /// One-shot construction is one stamp from a [`PluginPre`] template,
+    /// the path fleet installs use. Nothing is cached: installs that repeat
+    /// go through [`crate::linker::TemplateCache`].
     pub fn new(
         bytes: &[u8],
         linker: &Linker<T>,
@@ -339,7 +336,7 @@ impl<T> Plugin<T> {
     ) -> Result<Plugin<T>, PluginError> {
         let mut module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
         module.release_proof_inputs();
-        PluginPre::with_snapshot(Arc::new(module), linker, policy, false)?.instantiate(data)
+        PluginPre::new(Arc::new(module), linker, policy)?.instantiate(data)
     }
 
     /// Wire an already-stamped instance to its policy and pre-resolved ABI
@@ -441,7 +438,7 @@ impl<T> Plugin<T> {
     /// the guest-memory span of the output.
     fn call_raw(&mut self, func: u32, input: &[u8]) -> Result<(u32, u32), PluginError> {
         let ptr = self.place(input)?;
-        self.instance.set_fuel(Some(self.policy.fuel_per_call));
+        self.instance.set_fuel(self.policy.fuel_per_call);
         // `place` bounded the input by the 32-bit address space.
         let args = [Value::I32(ptr as i32), Value::I32(input.len() as i32)];
         // The entry's signature was checked when it was resolved, so the

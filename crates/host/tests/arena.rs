@@ -11,17 +11,29 @@ use waran_wasm::instance::Linker;
 const BASE: u32 = 4096;
 const PAGE: usize = 65536;
 
-fn plugin_with(src: &str, opts: &waran_plugc::Options, policy: SandboxPolicy) -> Plugin<()> {
-    let wasm = waran_plugc::compile_with(src, opts).expect("plugin compiles");
+fn plugin_with(src: &str, policy: SandboxPolicy) -> Plugin<()> {
+    let wasm = waran_plugc::compile(src).expect("plugin compiles");
     Plugin::new(&wasm, &Linker::new(), (), policy).expect("instantiates")
 }
 
 fn plugin(src: &str) -> Plugin<()> {
-    plugin_with(
-        src,
-        &waran_plugc::Options::default(),
-        SandboxPolicy::default(),
-    )
+    plugin_with(src, SandboxPolicy::default())
+}
+
+/// An echo entry point beside `heap`, a module field that declares (or
+/// omits) `wrn_heap` — a module PlugC, whose prelude always declares it
+/// well-formed, cannot produce.
+fn echo_with(heap: &str) -> Plugin<()> {
+    let wasm = waran_wat::assemble(&format!(
+        r#"(module
+  (memory (export "memory") 1 16)
+  {heap}
+  (func (export "run") (param $ptr i32) (param $len i32) (result i64)
+    local.get $ptr i64.extend_i32_u i64.const 32 i64.shl
+    local.get $len i64.extend_i32_u i64.or))"#
+    ))
+    .expect("assembles");
+    Plugin::new(&wasm, &Linker::new(), (), SandboxPolicy::default()).expect("instantiates")
 }
 
 /// Echoes its request after recording where it was placed (scratch word
@@ -71,14 +83,11 @@ fn a_clobbered_heap_pointer_is_rewound_before_the_next_request() {
 
 #[test]
 fn a_malformed_heap_export_faults_every_call_before_a_byte_is_written() {
-    let no_prelude = waran_plugc::Options::default().with_abi_prelude(false);
-    let echo = "export fn run(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }";
     for decl in [
-        "export const wrn_heap: i32 = 4096;",
-        "export global wrn_heap: i64 = 4096i64;",
+        r#"(global $h i32 (i32.const 4096)) (export "wrn_heap" (global $h))"#,
+        r#"(global $h (mut i64) (i64.const 4096)) (export "wrn_heap" (global $h))"#,
     ] {
-        let src = format!("{decl}\n{echo}");
-        let mut p = plugin_with(&src, &no_prelude, SandboxPolicy::default());
+        let mut p = echo_with(decl);
         for input in [&b"request"[..], &[]] {
             assert_abi_naming(p.call("run", input), "wrn_heap");
         }
@@ -107,12 +116,7 @@ fn a_malformed_heap_export_faults_every_call_before_a_byte_is_written() {
 
 #[test]
 fn without_a_heap_export_only_empty_requests_are_accepted() {
-    let no_prelude = waran_plugc::Options::default().with_abi_prelude(false);
-    let mut p = plugin_with(
-        "export fn run(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }",
-        &no_prelude,
-        SandboxPolicy::default(),
-    );
+    let mut p = echo_with("");
     assert_eq!(p.call("run", &[]).unwrap(), b"");
     assert_abi_naming(p.call("run", b"x"), "wrn_heap");
     assert_eq!(p.instance().stats().invokes, 1);
@@ -125,10 +129,7 @@ fn a_request_past_the_memory_cap_is_a_strike_and_the_slot_stays_usable() {
         ..SandboxPolicy::default()
     };
     let host: PluginHost<()> = PluginHost::new();
-    host.install(
-        "p",
-        plugin_with(CLOBBER, &waran_plugc::Options::default(), policy),
-    );
+    host.install("p", plugin_with(CLOBBER, policy));
     let fits = vec![7u8; 2 * PAGE - BASE as usize];
     let too_big = vec![7u8; fits.len() + 1];
 

@@ -214,11 +214,31 @@ fn bulk_fills_pay_per_byte_and_run_out_of_fuel() {
 }
 
 #[test]
+fn a_hosted_call_always_reports_the_fuel_it_consumed() {
+    // Every call arms the policy's budget, so `fuel_consumed` is `Some`
+    // after the first one: the per-call reading a trace takes.
+    let mut p = plugin(&with_prelude(RR_PLUGIN));
+    assert_eq!(p.instance().fuel_consumed(), None);
+    let req = SchedRequest {
+        slot: 0,
+        prbs_granted: 52,
+        slice_id: 0,
+        ues: vec![ue(1, 20, 1e6); 4],
+    };
+    p.call_sched(&req).unwrap();
+    let consumed = p.instance().fuel_consumed().expect("metered");
+    assert!(consumed > 0);
+    assert_eq!(
+        p.instance().fuel_remaining(),
+        SandboxPolicy::default().fuel_per_call - consumed
+    );
+}
+
+#[test]
 fn leaky_plugin_memory_is_capped() {
     // Allocate 64 KiB per call without freeing: the §5.D leak experiment.
-    // Compiled without the ABI prelude, so it exports no `wrn_heap` for the
-    // host to rewind: it takes only empty requests and leaks through its
-    // own pointer on purpose.
+    // The host rewinds the prelude's `wrn_heap` before every call, so the
+    // plugin leaks through its own pointer, `heap`, on purpose.
     let src = r#"
         global heap: i32 = 4096;
         fn leak_alloc(n: i32) -> i32 {
@@ -235,11 +255,7 @@ fn leaky_plugin_memory_is_capped() {
             return pack(0, 0);
         }
     "#;
-    let bytes = waran_plugc::compile_with(
-        src,
-        &waran_plugc::Options::default().with_abi_prelude(false),
-    )
-    .expect("compiles");
+    let bytes = waran_plugc::compile(src).expect("compiles");
     let policy = SandboxPolicy {
         max_memory_pages: 8, // 512 KiB hard cap
         ..SandboxPolicy::default()
@@ -499,10 +515,10 @@ fn rust_side_reference_scheduler_matches_plugin() {
 fn a_request_past_the_u16_count_is_refused_before_guest_code_runs() {
     // 65 536 UEs used to encode a count of 0 followed by every record: the
     // plugin scheduled nobody and the call returned Ok with no allocations.
-    // The module may grow to the policy's 64 pages, so the 2 MiB of
-    // records would fit.
-    let opts = waran_plugc::Options::default().with_memory(1, Some(64));
-    let wasm = waran_plugc::compile_with(&with_prelude(RR_PLUGIN), &opts).expect("compiles");
+    // The count is checked before the request is placed, so the refusal
+    // names it even though the 2 MiB of records would not fit in the
+    // module's 16 pages either.
+    let wasm = waran_plugc::compile(&with_prelude(RR_PLUGIN)).expect("compiles");
     let mut p = Plugin::new(&wasm, &Linker::new(), (), SandboxPolicy::default()).unwrap();
     let req = SchedRequest {
         slot: 0,

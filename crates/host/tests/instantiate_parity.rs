@@ -1,6 +1,7 @@
 //! Snapshot-instantiation parity: stamping a plugin out of a cached
 //! [`PluginPre`] snapshot must be observationally identical to a cold
-//! decode → validate → segment-init pass over the same bytes.
+//! decode → validate → segment-init pass over the same bytes, the bare
+//! [`Instance::with_limits`] path.
 //!
 //! Modules are generated randomly over [`ModuleBuilder`] (memories with
 //! data segments, mutable/immutable globals of every type, tables with
@@ -18,10 +19,10 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
+use waran_host::plugin::{PluginError, SandboxPolicy};
 use waran_host::PluginPre;
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::instance::{InstantiateError, Linker};
+use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::module::ConstExpr;
 use waran_wasm::types::{Mutability, ValType, PAGE_SIZE};
@@ -185,23 +186,32 @@ fn policy() -> SandboxPolicy {
     SandboxPolicy::default()
 }
 
-/// Full observable-state comparison between two plugins.
-fn assert_same_state(a: &Plugin<()>, b: &Plugin<()>, shape: &Shape, what: &str) {
+/// The cold reference: a bare instance under the limits a template stamps
+/// for [`policy`] (the host's fixed call-depth and value-stack caps).
+fn cold(bytes: &[u8]) -> Result<Instance<()>, InstantiateError> {
+    let limits = ExecLimits {
+        max_call_depth: 512,
+        max_value_stack: 1 << 20,
+        max_memory_pages: policy().max_memory_pages,
+    };
+    Instance::with_limits(load(bytes), &Linker::new(), (), limits)
+}
+
+/// Full observable-state comparison between two instances.
+fn assert_same_state(a: &Instance<()>, b: &Instance<()>, shape: &Shape, what: &str) {
     let mem_a = a
-        .instance()
         .memory()
         .read_bytes(0, (shape.pages as usize * PAGE_SIZE) as u32)
         .unwrap();
     let mem_b = b
-        .instance()
         .memory()
         .read_bytes(0, (shape.pages as usize * PAGE_SIZE) as u32)
         .unwrap();
     assert!(mem_a == mem_b, "{what}: linear memory diverged");
     for g in &shape.globals {
         assert_eq!(
-            a.instance().get_global(g),
-            b.instance().get_global(g),
+            a.get_global(g),
+            b.get_global(g),
             "{what}: global {g} diverged"
         );
     }
@@ -214,9 +224,9 @@ fn assert_same_state(a: &Plugin<()>, b: &Plugin<()>, shape: &Shape, what: &str) 
     }
 }
 
-/// Drive both plugins through the same probe calls; results (including
+/// Drive both instances through the same probe calls; results (including
 /// traps) must match bit for bit.
-fn assert_same_behavior(a: &mut Plugin<()>, b: &mut Plugin<()>, shape: &Shape, what: &str) {
+fn assert_same_behavior(a: &mut Instance<()>, b: &mut Instance<()>, shape: &Shape, what: &str) {
     let probes = [
         0,
         17,
@@ -226,14 +236,14 @@ fn assert_same_behavior(a: &mut Plugin<()>, b: &mut Plugin<()>, shape: &Shape, w
         i32::MAX,
     ];
     for addr in probes {
-        let ra = a.instance_mut().invoke("peek", &[Value::I32(addr)]);
-        let rb = b.instance_mut().invoke("peek", &[Value::I32(addr)]);
+        let ra = a.invoke("peek", &[Value::I32(addr)]);
+        let rb = b.invoke("peek", &[Value::I32(addr)]);
         assert_eq!(ra, rb, "{what}: peek({addr}) diverged");
     }
     if a.has_export("bump") {
         for _ in 0..3 {
-            let ra = a.instance_mut().invoke("bump", &[]);
-            let rb = b.instance_mut().invoke("bump", &[]);
+            let ra = a.invoke("bump", &[]);
+            let rb = b.invoke("bump", &[]);
             assert_eq!(ra, rb, "{what}: bump diverged");
         }
     }
@@ -249,18 +259,21 @@ fn load(bytes: &[u8]) -> Arc<waran_wasm::Module> {
 fn check_parity(seed: u64) {
     let (bytes, shape) = build_module(seed);
 
-    // Cold: full decode/validate/init per instance.
-    let mut cold = Plugin::new(&bytes, &Linker::new(), (), policy()).unwrap();
+    // Cold: full import resolution and segment init per instance.
+    let mut cold = cold(&bytes).unwrap();
 
     // Template: resolve + snapshot once, stamp thrice.
-    let module = load(&bytes);
-    let pre = PluginPre::new(module, &Linker::<()>::new(), policy()).unwrap();
-    assert!(pre.has_snapshot());
+    let pre = PluginPre::new(load(&bytes), &Linker::<()>::new(), policy()).unwrap();
     let mut s1 = pre.instantiate(()).unwrap();
     let mut s2 = pre.instantiate(()).unwrap();
 
-    assert_same_state(&cold, &s1, &shape, "cold vs stamp");
-    assert_same_state(&s1, &s2, &shape, "stamp vs sibling stamp");
+    assert_same_state(&cold, s1.instance(), &shape, "cold vs stamp");
+    assert_same_state(
+        s1.instance(),
+        s2.instance(),
+        &shape,
+        "stamp vs sibling stamp",
+    );
 
     // Mutate s1 heavily: memory pokes + global bumps. Siblings, later
     // stamp-outs and the cold path must not see any of it.
@@ -270,20 +283,12 @@ fn check_parity(seed: u64) {
     if s1.has_export("bump") {
         s1.instance_mut().invoke("bump", &[]).unwrap();
     }
-    assert_same_state(&cold, &s2, &shape, "sibling after mutation");
-    let mut s3 = pre.instantiate(()).unwrap();
-    assert_same_state(&cold, &s3, &shape, "fresh stamp after mutation");
+    assert_same_state(&cold, s2.instance(), &shape, "sibling after mutation");
+    let s3 = pre.instantiate(()).unwrap();
+    assert_same_state(&cold, s3.instance(), &shape, "fresh stamp after mutation");
 
     // Behavioral parity, on the untouched pair (these calls mutate).
-    assert_same_behavior(&mut cold, &mut s2, &shape, "cold vs stamp");
-
-    // Snapshot-off templates (the reference constructor) are honoured —
-    // no image is captured — and are the same machine, minus the memcpy.
-    let off = PluginPre::with_snapshot(load(&bytes), &Linker::new(), policy(), false).unwrap();
-    assert!(!off.has_snapshot());
-    let mut o1 = off.instantiate(()).unwrap();
-    assert_same_state(&s3, &o1, &shape, "snapshot-on vs snapshot-off");
-    assert_same_behavior(&mut s3, &mut o1, &shape, "snapshot-on vs snapshot-off");
+    assert_same_behavior(&mut cold, s2.instance_mut(), &shape, "cold vs stamp");
 }
 
 // ---------------------------------------------------------------------
@@ -316,7 +321,7 @@ proptest! {
         mb.data((PAGE_SIZE as u32 + past - len as u32) as i32, &vec![0xAB; len]);
         let bytes = mb.finish_bytes().unwrap();
 
-        let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
+        let cold = PluginError::Instantiate(cold(&bytes).err().unwrap());
         let template =
             PluginPre::new(load(&bytes), &Linker::<()>::new(), policy()).unwrap_err();
         prop_assert_eq!(&cold, &template);
@@ -338,7 +343,7 @@ proptest! {
         mb.elem((slots + past - 1) as i32, &[f]);
         let bytes = mb.finish_bytes().unwrap();
 
-        let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
+        let cold = PluginError::Instantiate(cold(&bytes).err().unwrap());
         let template =
             PluginPre::new(load(&bytes), &Linker::<()>::new(), policy()).unwrap_err();
         prop_assert_eq!(&cold, &template);
@@ -358,7 +363,7 @@ proptest! {
         mb.memory(1, None);
         let bytes = mb.finish_bytes().unwrap();
 
-        let cold = Plugin::new(&bytes, &Linker::<()>::new(), (), policy()).unwrap_err();
+        let cold = PluginError::Instantiate(cold(&bytes).err().unwrap());
         let template =
             PluginPre::new(load(&bytes), &Linker::<()>::new(), policy()).unwrap_err();
         prop_assert_eq!(&cold, &template);

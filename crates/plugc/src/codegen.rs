@@ -22,18 +22,21 @@ use waran_wasm::builder::{CodeEmitter, ModuleBuilder};
 use waran_wasm::module::{ConstExpr, Module};
 use waran_wasm::types::{BlockType, Mutability};
 
-use crate::ast::{BinOp, Literal, Program, Type};
+use crate::ast::{BinOp, Literal, Type};
 use crate::typeck::{TExpr, TExprKind, TProgram, TStmt};
-use crate::{CompileError, Options};
+use crate::CompileError;
 
-/// Generate a Wasm module from a checked program.
-pub fn generate(
-    _program: &Program,
-    typed: &TProgram,
-    opts: &Options,
-) -> Result<Module, CompileError> {
+/// Initial linear-memory pages every generated module declares.
+const MEMORY_MIN_PAGES: u32 = 1;
+/// Maximum linear-memory pages every generated module declares (the host
+/// may cap further).
+const MEMORY_MAX_PAGES: u32 = 16;
+
+/// Generate a Wasm module, with `MEMORY_MIN_PAGES`..`MEMORY_MAX_PAGES`
+/// pages of exported `memory`, from a checked program.
+pub fn generate(typed: &TProgram) -> Result<Module, CompileError> {
     let mut mb = ModuleBuilder::new();
-    mb.memory(opts.memory_min_pages, opts.memory_max_pages);
+    mb.memory(MEMORY_MIN_PAGES, Some(MEMORY_MAX_PAGES));
     mb.export_memory("memory");
 
     for imp in &typed.imports {
@@ -539,7 +542,7 @@ mod tests {
     fn module(src: &str) -> Module {
         let program = crate::parser::parse(&crate::lexer::lex(src).unwrap()).unwrap();
         let typed = crate::typeck::check(&program).unwrap();
-        let module = generate(&program, &typed, &Options::default()).unwrap();
+        let module = generate(&typed).unwrap();
         waran_wasm::validate::validate(&module).expect("generated code validates");
         module
     }

@@ -48,10 +48,11 @@
 //! conditions that branch directly) always run: there is no optimisation
 //! level, so the code that is measured is the code that is tested.
 //!
-//! The compiler injects a byte-buffer ABI prelude (the exported bump
-//! pointer `wrn_heap` the host places each request at and rewinds, and
-//! `wrn_alloc`, a bump allocator over it) unless
-//! [`Options::with_abi_prelude`] disables it.
+//! [`compile`] has no options. Every module it emits declares one initial
+//! and at most 16 pages of exported `memory`, and carries a byte-buffer ABI
+//! prelude: the exported bump pointer `wrn_heap`, initialised to 4096, that
+//! the host places each request at and rewinds, and `wrn_alloc`, a bump
+//! allocator over it.
 
 pub mod ast;
 pub mod codegen;
@@ -81,55 +82,15 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Compilation options.
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// Initial linear-memory pages.
-    pub memory_min_pages: u32,
-    /// Maximum linear-memory pages (declared in the module; the host may
-    /// cap further).
-    pub memory_max_pages: Option<u32>,
-    /// Inject the `wrn_heap`/`wrn_alloc` ABI prelude.
-    pub abi_prelude: bool,
-    /// `wrn_heap`'s declared initialiser: where the host places every
-    /// request (bytes below it are scratch space the plugin may address
-    /// directly).
-    pub heap_base: u32,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            memory_min_pages: 1,
-            memory_max_pages: Some(16),
-            abi_prelude: true,
-            heap_base: 4096,
-        }
-    }
-}
-
-impl Options {
-    /// Toggle the ABI prelude.
-    pub fn with_abi_prelude(mut self, on: bool) -> Self {
-        self.abi_prelude = on;
-        self
-    }
-
-    /// Set memory limits.
-    pub fn with_memory(mut self, min: u32, max: Option<u32>) -> Self {
-        self.memory_min_pages = min;
-        self.memory_max_pages = max;
-        self
-    }
-}
-
 /// The byte-buffer ABI prelude, itself written in PlugC. The host owns
 /// the arena: before every call it rewinds `wrn_heap` to the declared base,
 /// copies the request there and leaves `wrn_heap` just past it, so
 /// `wrn_alloc` hands out memory above the request and the next call's
-/// rewind recycles everything this one allocated.
+/// rewind recycles everything this one allocated. `wrn_heap` starts at
+/// 4096: the bytes below it are scratch space the plugin may address
+/// directly.
 const ABI_PRELUDE: &str = r#"
-export global wrn_heap: i32 = __HEAP_BASE__;
+export global wrn_heap: i32 = 4096;
 
 fn wrn_alloc(n: i32) -> i32 {
     var p: i32 = (wrn_heap + 7) & (0 - 8);
@@ -141,26 +102,17 @@ fn wrn_alloc(n: i32) -> i32 {
 }
 "#;
 
-/// Compile PlugC source to a validated, binary-encoded Wasm module.
+/// Compile PlugC source, behind the ABI prelude, to a validated,
+/// binary-encoded Wasm module.
 pub fn compile(source: &str) -> Result<Vec<u8>, CompileError> {
-    compile_with(source, &Options::default())
-}
-
-/// Compile with explicit [`Options`].
-pub fn compile_with(source: &str, opts: &Options) -> Result<Vec<u8>, CompileError> {
-    let mut full_source = String::new();
-    if opts.abi_prelude {
-        full_source.push_str(&ABI_PRELUDE.replace("__HEAP_BASE__", &opts.heap_base.to_string()));
-    }
-    // Track how many lines the prelude added so user diagnostics stay
-    // accurate.
-    let prelude_lines = full_source.matches('\n').count();
-    full_source.push_str(source);
+    // Diagnostics subtract the prelude's lines so they point at user code.
+    let prelude_lines = ABI_PRELUDE.matches('\n').count();
+    let full_source = format!("{ABI_PRELUDE}{source}");
 
     let tokens = lexer::lex(&full_source).map_err(|e| adjust(e, prelude_lines))?;
     let program = parser::parse(&tokens).map_err(|e| adjust(e, prelude_lines))?;
     let typed = opt::optimize(typeck::check(&program).map_err(|e| adjust(e, prelude_lines))?);
-    let module = codegen::generate(&program, &typed, opts).map_err(|e| adjust(e, prelude_lines))?;
+    let module = codegen::generate(&typed).map_err(|e| adjust(e, prelude_lines))?;
 
     waran_wasm::validate::validate(&module).map_err(|e| CompileError {
         line: 0,

@@ -6,7 +6,7 @@
 //! completes — never retire more instructions. The pipeline stages are
 //! public, so the unoptimised side needs no compiler switch.
 
-use waran_plugc::{codegen, lexer, opt, parser, typeck, Options};
+use waran_plugc::{codegen, lexer, opt, parser, typeck};
 use waran_wasm::instance::{Instance, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::{Module, Trap};
@@ -23,7 +23,7 @@ struct Outcome {
 fn run(module: Module, a: i32, b: i32) -> Outcome {
     waran_wasm::validate::validate(&module).expect("generated module validates");
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
-    inst.set_fuel(Some(50_000_000));
+    inst.set_fuel(50_000_000);
     let result = inst.invoke("main", &[Value::I32(a), Value::I32(b)]);
     let memory = inst.memory();
     Outcome {
@@ -42,13 +42,8 @@ fn check_seed(seed: u64, a: i32, b: i32) -> Option<(u64, u64)> {
     let program = parser::parse(&lexer::lex(&src).unwrap()).unwrap();
     let typed = typeck::check(&program)
         .unwrap_or_else(|e| panic!("seed {seed}: generated program rejected: {e}\n{src}"));
-    let opts = Options::default();
-    let plain = run(codegen::generate(&program, &typed, &opts).unwrap(), a, b);
-    let optimised = run(
-        codegen::generate(&program, &opt::optimize(typed), &opts).unwrap(),
-        a,
-        b,
-    );
+    let plain = run(codegen::generate(&typed).unwrap(), a, b);
+    let optimised = run(codegen::generate(&opt::optimize(typed)).unwrap(), a, b);
     let ctx = format!("seed {seed}, args ({a}, {b})\n{src}");
     assert_ne!(
         plain.result,
@@ -106,11 +101,10 @@ fn check_bounded(name: &str, src: &str, args: &[(i32, i32)]) {
     assert!(took.as_secs_f64() < 1.0, "{name}: compiled in {took:?}");
     let program = parser::parse(&lexer::lex(src).unwrap()).unwrap();
     let typed = typeck::check(&program).unwrap();
-    let opts = Options::default();
     for &(a, b) in args {
-        let plain = run(codegen::generate(&program, &typed, &opts).unwrap(), a, b);
+        let plain = run(codegen::generate(&typed).unwrap(), a, b);
         let optimised = run(
-            codegen::generate(&program, &opt::optimize(typed.clone()), &opts).unwrap(),
+            codegen::generate(&opt::optimize(typed.clone())).unwrap(),
             a,
             b,
         );

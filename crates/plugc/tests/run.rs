@@ -1,10 +1,11 @@
 //! Execute compiled PlugC programs on the waran-wasm VM and check observable
 //! behaviour: control flow, casts, intrinsics, host imports, traps.
 
-use waran_plugc::{compile, compile_with, Options};
+use waran_plugc::compile;
 use waran_wasm::instance::{Instance, Linker};
 use waran_wasm::interp::Value;
-use waran_wasm::types::ValType;
+use waran_wasm::module::{ConstExpr, ExportKind};
+use waran_wasm::types::{GlobalType, Limits, Mutability, ValType};
 use waran_wasm::Trap;
 
 fn instantiate(src: &str) -> Instance<Vec<i32>> {
@@ -301,27 +302,34 @@ fn out_of_bounds_load_traps_and_instance_survives() {
 }
 
 #[test]
-fn no_prelude_option() {
-    let bytes = compile_with(
-        "export fn f() -> i32 { return 1; }",
-        &Options::default().with_abi_prelude(false),
-    )
-    .unwrap();
+fn every_module_has_one_to_sixteen_pages_and_the_heap_at_4096() {
+    let bytes = compile("export fn f() -> i32 { return memory_size(); }").unwrap();
     let module = waran_wasm::load_module(&bytes).unwrap();
-    assert!(module.exported_func("wrn_alloc").is_none());
-    assert!(module.exported_func("f").is_some());
-}
-
-#[test]
-fn memory_options_respected() {
-    let bytes = compile_with(
-        "export fn f() -> i32 { return memory_size(); }",
-        &Options::default().with_memory(3, Some(5)),
-    )
-    .unwrap();
-    let module = waran_wasm::load_module(&bytes).unwrap();
+    assert_eq!(
+        module.memory,
+        Some(Limits {
+            min: 1,
+            max: Some(16)
+        })
+    );
+    assert_eq!(
+        module.export("memory").map(|e| e.kind),
+        Some(ExportKind::Memory)
+    );
+    let Some(ExportKind::Global(heap)) = module.export("wrn_heap").map(|e| e.kind) else {
+        panic!("wrn_heap is not an exported global");
+    };
+    let heap = &module.globals[heap as usize];
+    assert_eq!(
+        heap.ty,
+        GlobalType {
+            ty: ValType::I32,
+            mutability: Mutability::Var
+        }
+    );
+    assert_eq!(heap.init, ConstExpr::I32(4096));
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
-    assert_eq!(inst.invoke("f", &[]), Ok(Some(Value::I32(3))));
+    assert_eq!(inst.invoke("f", &[]), Ok(Some(Value::I32(1))));
 }
 
 #[test]

@@ -189,35 +189,6 @@ impl MetricsRecorder {
         self.lifetime_mbps(self.ue(ue_id).map_or(0, |u| u.total_bits))
     }
 
-    /// Mean rate of a slice over the last `windows` windows, Mb/s.
-    pub fn slice_recent_mbps(&self, slice_id: u32, windows: usize) -> f64 {
-        let series = self.slice_series_mbps(slice_id);
-        if series.is_empty() {
-            return 0.0;
-        }
-        let n = windows.min(series.len()).max(1);
-        series[series.len() - n..].iter().sum::<f64>() / n as f64
-    }
-
-    /// Jain fairness index over the lifetime throughputs of the given UEs
-    /// (1.0 = perfectly fair).
-    pub fn jain_fairness(&self, ue_ids: &[u32]) -> f64 {
-        let rates: Vec<f64> = ue_ids
-            .iter()
-            .map(|id| self.ue(*id).map_or(0, |u| u.total_bits) as f64)
-            .collect();
-        let n = rates.len() as f64;
-        if n == 0.0 {
-            return 1.0;
-        }
-        let sum: f64 = rates.iter().sum();
-        let sum_sq: f64 = rates.iter().map(|r| r * r).sum();
-        if sum_sq == 0.0 {
-            return 1.0;
-        }
-        sum * sum / (n * sum_sq)
-    }
-
     /// Slots recorded.
     pub fn slots(&self) -> u64 {
         self.slot
@@ -266,7 +237,6 @@ mod tests {
         }
         assert!((m.slice_mean_mbps(7) - 12.0).abs() < 1e-9);
         assert!((m.ue_mean_mbps(1) - 12.0).abs() < 1e-9);
-        assert!((m.slice_recent_mbps(7, 5) - 12.0).abs() < 1e-9);
     }
 
     #[test]
@@ -280,25 +250,6 @@ mod tests {
         }
         assert!(m.ue_series_mbps(1)[0] > 0.0);
         assert_eq!(m.ue_series_mbps(2), &[0.0]);
-    }
-
-    #[test]
-    fn jain_index() {
-        let mut m = MetricsRecorder::new(1, 0.001);
-        let idx: Vec<usize> = [1, 2, 3, 4].iter().map(|&ue| m.register(0, ue)).collect();
-        // Perfectly equal.
-        for &ue in &idx {
-            m.record_delivery(ue, 0, 1000);
-        }
-        m.end_slot(0, 52);
-        assert!((m.jain_fairness(&[1, 2, 3, 4]) - 1.0).abs() < 1e-9);
-        // One hog: fairness drops.
-        for _ in 0..100 {
-            m.record_delivery(idx[0], 0, 10_000);
-            m.end_slot(0, 52);
-        }
-        let j = m.jain_fairness(&[1, 2, 3, 4]);
-        assert!(j < 0.5, "jain {j}");
     }
 
     #[test]
@@ -320,7 +271,6 @@ mod tests {
         let m = MetricsRecorder::new(10, 0.001);
         assert_eq!(m.ue_series_mbps(1), &[] as &[f64]);
         assert_eq!(m.slice_mean_mbps(0), 0.0);
-        assert_eq!(m.jain_fairness(&[]), 1.0);
         assert!(m.slice_ids().is_empty());
     }
 

@@ -84,7 +84,6 @@ pub struct RicBus {
     mode: DeliveryMode,
     ingress_tx: QueueSender<BusFrame>,
     ingress_rx: QueueReceiver<BusFrame>,
-    service_delay: Duration,
     cells: BTreeMap<u32, ServiceCell>,
     drops: Arc<Mutex<BTreeMap<u32, u64>>>,
 }
@@ -97,17 +96,9 @@ impl RicBus {
             mode,
             ingress_tx,
             ingress_rx,
-            service_delay: Duration::ZERO,
             cells: BTreeMap::new(),
             drops: Arc::new(Mutex::new(BTreeMap::new())),
         }
-    }
-
-    /// Inject a per-indication processing delay — a stand-in for a slow
-    /// or stalled RIC, used by the soak bench to exercise backpressure.
-    pub fn service_delay(mut self, delay: Duration) -> Self {
-        self.service_delay = delay;
-        self
     }
 
     /// Register a cell: the service hosts `ric` (with the cell's own xApp
@@ -145,7 +136,6 @@ impl RicBus {
         let RicBus {
             ingress_tx,
             ingress_rx,
-            service_delay,
             mut cells,
             drops,
             ..
@@ -163,10 +153,7 @@ impl RicBus {
                     }
                     match ingress_rx.recv_timeout(Duration::from_millis(5)) {
                         RecvOutcome::Msg(bus_frame) => {
-                            if !service_delay.is_zero() {
-                                std::thread::sleep(service_delay);
-                            }
-                            Self::serve(&mut cells, bus_frame, &mut report);
+                            Self::serve(&mut cells, bus_frame, &mut report)
                         }
                         RecvOutcome::Empty => {}
                         RecvOutcome::Disconnected => break,
@@ -319,7 +306,21 @@ mod tests {
     use super::*;
     use crate::comm::{JsonCodec, PbCodec, TlvCodec};
     use crate::e2::{ControlAction, Indication, KpiReport};
-    use crate::ric::TrafficSteering;
+    use crate::ric::{TrafficSteering, XApp, XAppCtx};
+
+    /// A slow RIC: an xApp that sleeps through every indication.
+    struct Stall(Duration);
+
+    impl XApp for Stall {
+        fn name(&self) -> &str {
+            "stall"
+        }
+
+        fn on_indication(&mut self, _: &mut XAppCtx<'_>, _: &Indication) -> Vec<ControlAction> {
+            std::thread::sleep(self.0);
+            Vec::new()
+        }
+    }
 
     fn bad_kpi(ue: u32) -> KpiReport {
         KpiReport {
@@ -433,8 +434,10 @@ mod tests {
     fn lossy_mode_bounds_depth_and_counts_drops() {
         // A stalled service: depth must stay at the cap and overflow must
         // surface as per-cell drop counts, while publishing never blocks.
-        let mut bus = RicBus::new(4, DeliveryMode::Lossy).service_delay(Duration::from_millis(250));
-        let port = bus.register(3, Box::new(TlvCodec), steering_ric());
+        let mut bus = RicBus::new(4, DeliveryMode::Lossy);
+        let mut ric = NearRtRic::new();
+        ric.add_xapp(Box::new(Stall(Duration::from_millis(250))));
+        let port = bus.register(3, Box::new(TlvCodec), ric);
         let service = bus.start();
 
         let ind = Indication {

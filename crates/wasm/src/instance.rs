@@ -5,8 +5,9 @@
 //! `T`) and drives the one executor, the register-form loop over
 //! [`crate::regalloc`]'s code. The engine enforces the sandbox policies
 //! WA-RAN's plugin host configures: call-depth and value-stack bounds and
-//! optional deterministic fuel, the one budget that stops a call (the host
-//! sizes it from the 5G slot with [`NS_PER_FUEL`]). The executor reads no
+//! deterministic fuel, the one budget that stops a call (the host sizes it
+//! from the 5G slot with [`NS_PER_FUEL`]; a bare instance starts with
+//! `u64::MAX`). The executor reads no
 //! clock. Its test oracle, a tree walker over the decoded `Instr` bodies
 //! with its own memory, lives in the crate's `tests/util/oracle.rs`.
 
@@ -158,8 +159,9 @@ pub const NS_PER_FUEL: u64 = 3;
 /// the length: a 4 MiB fill costs 262 144 fuel.
 pub const BULK_BYTES_PER_FUEL: u32 = 16;
 
-/// Execution resource limits. The plugin host derives these from its
-/// per-plugin sandbox policy.
+/// Execution resource limits. The plugin host takes the memory cap from
+/// each plugin's sandbox policy and the depth and stack limits from its
+/// own fixed values.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
     /// Maximum nested call depth.
@@ -224,7 +226,8 @@ struct Vm {
     table: Table,
     globals: Vec<Value>,
     limits: ExecLimits,
-    fuel: Option<u64>,
+    /// Fuel left; `u64::MAX` until [`Instance::set_fuel`] arms a budget.
+    fuel: u64,
     /// Reused execution buffers: one flat register file shared by all
     /// frames (windows overlap at call boundaries) plus its frame stack
     /// survive across invocations so steady-state calls allocate nothing.
@@ -471,8 +474,8 @@ impl StateSnapshot {
 }
 
 /// A pre-validated instantiation template: the module, its fully resolved
-/// and type-checked import vector, and (optionally) a snapshot of the
-/// post-segment-init mutable state.
+/// and type-checked import vector, and a snapshot of the post-segment-init
+/// mutable state.
 ///
 /// Building an `InstancePre` runs decode-adjacent work — import
 /// resolution, type checks, memory allocation, data/elem-segment
@@ -480,21 +483,19 @@ impl StateSnapshot {
 /// out a live [`Instance`] as a copy of the snapshot's initialized prefix
 /// into a pooled buffer plus a handful of `Arc` bumps, which is what
 /// keeps per-worker plugin spin-up in the microsecond range for
-/// hundred-cell fleets.
+/// hundred-cell fleets. Segment errors surface when the template is built.
 ///
 /// The snapshot is captured *before* the start function: `start` may call
 /// host functions against the instance's own host state, so it must run
 /// per stamp-out for snapshot instantiation to be observationally
-/// identical to the cold path.
+/// identical to the cold path, [`Instance::with_limits`].
 ///
 /// Cloning is cheap (three `Arc` bumps); a template is `Send + Sync` and
 /// meant to be shared across worker threads.
 pub struct InstancePre<T> {
     module: Arc<Module>,
     host_funcs: Arc<[HostFuncDef<T>]>,
-    /// `None` when snapshotting is disabled: [`Self::instantiate`] then
-    /// re-runs segment init per instance (imports stay pre-resolved).
-    snapshot: Option<Arc<StateSnapshot>>,
+    snapshot: Arc<StateSnapshot>,
     limits: ExecLimits,
 }
 
@@ -503,7 +504,7 @@ impl<T> Clone for InstancePre<T> {
         InstancePre {
             module: Arc::clone(&self.module),
             host_funcs: Arc::clone(&self.host_funcs),
-            snapshot: self.snapshot.clone(),
+            snapshot: Arc::clone(&self.snapshot),
             limits: self.limits,
         }
     }
@@ -513,7 +514,7 @@ impl<T> std::fmt::Debug for InstancePre<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstancePre")
             .field("imports", &self.host_funcs.len())
-            .field("snapshot", &self.snapshot.is_some())
+            .field("image_bytes", &self.image_bytes())
             .finish_non_exhaustive()
     }
 }
@@ -526,22 +527,6 @@ impl<T> InstancePre<T> {
         linker: &Linker<T>,
         limits: ExecLimits,
     ) -> Result<Self, InstantiateError> {
-        Self::new_with(module, linker, limits, true)
-    }
-
-    /// Like [`Self::new`] with an explicit snapshot knob. With `snapshot`
-    /// off the template still skips per-instance import resolution but
-    /// runs segment init on every [`Self::instantiate`] — the ablation
-    /// point between "cold" and "snapshot" instantiation, and the route
-    /// one-shot construction takes (init exactly once, copied zero times).
-    /// Segment errors consequently surface at build time with the snapshot
-    /// on, and at stamp-out time with it off.
-    pub fn new_with(
-        module: Arc<Module>,
-        linker: &Linker<T>,
-        limits: ExecLimits,
-        snapshot: bool,
-    ) -> Result<Self, InstantiateError> {
         let host_funcs: Arc<[HostFuncDef<T>]> = resolve_imports(&module, linker)?.into();
         // Templates are the shared gateway for fleet deployment: prove
         // the register lowering faithful (and cache the resource bounds)
@@ -549,13 +534,7 @@ impl<T> InstancePre<T> {
         module
             .analysis()
             .map_err(|e| InstantiateError::Analysis(e.clone()))?;
-        let snapshot = if snapshot {
-            Some(Arc::new(StateSnapshot::new(InstanceState::init(
-                &module, &limits,
-            )?)))
-        } else {
-            None
-        };
+        let snapshot = Arc::new(StateSnapshot::new(InstanceState::init(&module, &limits)?));
         Ok(InstancePre {
             module,
             host_funcs,
@@ -569,38 +548,21 @@ impl<T> InstancePre<T> {
         &self.module
     }
 
-    /// The execution limits instances are stamped with.
-    pub fn limits(&self) -> ExecLimits {
-        self.limits
-    }
-
-    /// True when stamp-outs copy the captured snapshot instead of
-    /// re-running segment init.
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
-    /// Bytes of memory image the snapshot pins (its initialized prefix);
-    /// 0 without a snapshot.
+    /// Bytes of memory image the snapshot pins (its initialized prefix).
     pub fn image_bytes(&self) -> usize {
-        self.snapshot.as_ref().map_or(0, |snap| snap.image.len())
+        self.snapshot.image.len()
     }
 
     /// Stamp out a live instance: copy the snapshot's initialized prefix
-    /// into a pooled buffer (or re-init when snapshotting is off), bump
-    /// the shared import vector, run `start`.
+    /// into a pooled buffer, bump the shared import vector, run `start`.
     pub fn instantiate(&self, data: T) -> Result<Instance<T>, InstantiateError> {
-        let (state, recycle_len) = match &self.snapshot {
-            Some(snap) => (snap.stamp(), snap.size_bytes),
-            None => (InstanceState::init(&self.module, &self.limits)?, 0),
-        };
         Instance::assemble(
             Arc::clone(&self.module),
             Arc::clone(&self.host_funcs),
-            state,
+            self.snapshot.stamp(),
             data,
             self.limits,
-            recycle_len,
+            self.snapshot.size_bytes,
         )
     }
 }
@@ -654,7 +616,7 @@ impl<T> Instance<T> {
                 table,
                 globals,
                 limits,
-                fuel: None,
+                fuel: u64::MAX,
                 scratch_regs: Vec::with_capacity(128),
                 scratch_rframes: Vec::with_capacity(16),
                 scratch_host_args: Vec::new(),
@@ -720,22 +682,22 @@ impl<T> Instance<T> {
 
     /// Set the deterministic fuel budget for subsequent invocations: one
     /// unit per instruction, plus a bulk memory op's byte charge
-    /// ([`BULK_BYTES_PER_FUEL`]). `None` disables metering. The budget is
-    /// *per `set_fuel` call*: it carries across invocations until
-    /// exhausted or reset.
-    pub fn set_fuel(&mut self, fuel: Option<u64>) {
+    /// ([`BULK_BYTES_PER_FUEL`]). The budget is *per `set_fuel` call*: it
+    /// carries across invocations until exhausted or reset.
+    pub fn set_fuel(&mut self, fuel: u64) {
         self.vm.fuel = fuel;
-        self.fuel_limit = fuel;
+        self.fuel_limit = Some(fuel);
     }
 
-    /// Fuel remaining, if metering is enabled.
-    pub fn fuel_remaining(&self) -> Option<u64> {
+    /// Fuel remaining.
+    pub fn fuel_remaining(&self) -> u64 {
         self.vm.fuel
     }
 
-    /// Fuel consumed since the last [`Self::set_fuel`].
+    /// Fuel consumed since the last [`Self::set_fuel`]; `None` until a
+    /// budget is armed.
     pub fn fuel_consumed(&self) -> Option<u64> {
-        Some(self.fuel_limit? - self.vm.fuel?)
+        Some(self.fuel_limit? - self.vm.fuel)
     }
 
     /// True when the module exports a function under `name`.
@@ -941,16 +903,14 @@ impl Vm {
                 pc += 1;
                 match op {
                     ROp::Meter { cost, entry, peak } => {
-                        if let Some(fuel) = self.fuel.as_mut() {
-                            if *fuel < cost as u64 {
-                                // A per-instruction meter would retire
-                                // exactly the remaining fuel before trapping.
-                                *instrs += *fuel;
-                                self.fuel = Some(0);
-                                return Err(Trap::OutOfFuel);
-                            }
-                            *fuel -= cost as u64;
+                        if self.fuel < cost as u64 {
+                            // A per-instruction meter would retire exactly
+                            // the remaining fuel before trapping.
+                            *instrs += self.fuel;
+                            self.fuel = 0;
+                            return Err(Trap::OutOfFuel);
                         }
+                        self.fuel -= cost as u64;
                         *instrs += cost as u64;
                         // `vbase + entry` is exactly the operand-stack
                         // height a stack machine has at this block header.
@@ -1173,14 +1133,12 @@ impl Vm {
     /// Running out here leaves no fuel, as at a `Meter`.
     #[inline]
     fn pay_bytes(&mut self, len: u32) -> Result<(), Trap> {
-        if let Some(fuel) = self.fuel.as_mut() {
-            let charge = u64::from(len.div_ceil(BULK_BYTES_PER_FUEL));
-            if *fuel < charge {
-                *fuel = 0;
-                return Err(Trap::OutOfFuel);
-            }
-            *fuel -= charge;
+        let charge = u64::from(len.div_ceil(BULK_BYTES_PER_FUEL));
+        if self.fuel < charge {
+            self.fuel = 0;
+            return Err(Trap::OutOfFuel);
         }
+        self.fuel -= charge;
         Ok(())
     }
 

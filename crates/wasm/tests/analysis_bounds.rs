@@ -45,7 +45,7 @@ fn assert_bounds_admit_execution(
         ..ExecLimits::default()
     };
     let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
-    inst.set_fuel(Some(fuel));
+    inst.set_fuel(fuel);
     match inst.invoke("main", args) {
         Err(Trap::OutOfFuel) => panic!("static fuel bound {fuel} too small ({ctx})"),
         Err(Trap::ValueStackExhausted) => panic!("static stack bound {stack} too small ({ctx})"),

@@ -52,7 +52,7 @@ use oracle::Oracle;
 /// through what the contract compares.
 trait Side<T> {
     fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, Trap>;
-    fn set_fuel(&mut self, fuel: Option<u64>);
+    fn set_fuel(&mut self, fuel: u64);
     fn fuel_consumed(&self) -> Option<u64>;
     /// Instructions retired, calls completed and calls trapped so far.
     fn counts(&self) -> (u64, u64, u64);
@@ -64,7 +64,7 @@ impl<T> Side<T> for Instance<T> {
     fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, Trap> {
         Instance::invoke(self, name, args)
     }
-    fn set_fuel(&mut self, fuel: Option<u64>) {
+    fn set_fuel(&mut self, fuel: u64) {
         Instance::set_fuel(self, fuel)
     }
     fn fuel_consumed(&self) -> Option<u64> {
@@ -87,7 +87,7 @@ impl<T> Side<T> for Oracle<T> {
     fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, Trap> {
         Oracle::invoke(self, name, args)
     }
-    fn set_fuel(&mut self, fuel: Option<u64>) {
+    fn set_fuel(&mut self, fuel: u64) {
         Oracle::set_fuel(self, fuel)
     }
     fn fuel_consumed(&self) -> Option<u64> {
@@ -126,7 +126,7 @@ struct Outcome {
 }
 
 fn outcome<S: Side<()>>(side: &mut S, args: &[Value], fuel: u64) -> Outcome {
-    side.set_fuel(Some(fuel));
+    side.set_fuel(fuel);
     let result = side.invoke("main", args);
     let (instrs, _, traps) = side.counts();
     Outcome {
@@ -529,8 +529,8 @@ fn one_op_agrees(
     let (inst, oracle) = sides;
     // Source instructions in the body: the gets, the op, the `end`.
     let cost = args.len() as u64 + 2;
-    inst.set_fuel(Some(fuel));
-    oracle.set_fuel(Some(fuel));
+    inst.set_fuel(fuel);
+    oracle.set_fuel(fuel);
     let ours = inst.invoke("main", args).map(|v| v.map(bits));
     let theirs = oracle.invoke("main", args).map(|v| v.map(bits));
     assert_eq!(theirs, ours, "result diverged ({ctx})");
@@ -769,7 +769,7 @@ fn host_run<S: Side<HostLog>>(mut side: S) -> HostRun {
     ];
     let mut calls = Vec::new();
     for (name, args) in script {
-        side.set_fuel(Some(1_000_000));
+        side.set_fuel(1_000_000);
         let before = side.counts().0;
         let out = side.invoke(name, args);
         let instrs = side.counts().0 - before;
@@ -853,8 +853,8 @@ fn call_pair<T>(
     name: &str,
     args: &[Value],
 ) -> Result<Option<Bits>, Trap> {
-    inst.set_fuel(Some(1_000_000));
-    oracle.set_fuel(Some(1_000_000));
+    inst.set_fuel(1_000_000);
+    oracle.set_fuel(1_000_000);
     let ours = inst.invoke(name, args).map(|v| v.map(bits));
     let theirs = oracle.invoke(name, args).map(|v| v.map(bits));
     let ctx = format!("{name} {args:?}");

@@ -344,13 +344,42 @@ fn fuel_bounds_infinite_loop() {
           br $l
         end))"#;
     let mut inst = instantiate(src);
-    inst.set_fuel(Some(10_000));
+    inst.set_fuel(10_000);
     assert_eq!(inst.invoke("spin", &[]), Err(Trap::OutOfFuel));
-    assert_eq!(inst.fuel_remaining(), Some(0));
+    assert_eq!(inst.fuel_remaining(), 0);
     // Refuelling restores service.
-    inst.set_fuel(Some(1_000_000));
+    inst.set_fuel(1_000_000);
     let src_ok = inst.invoke("spin", &[]); // still infinite: burns the new budget
     assert_eq!(src_ok, Err(Trap::OutOfFuel));
+}
+
+#[test]
+fn a_bare_instance_runs_on_the_full_budget_until_one_is_armed() {
+    let src = r#"(module
+      (func (export "count") (param $n i32) (result i32)
+        block $exit
+          loop $top
+            local.get $n i32.eqz br_if $exit
+            local.get $n i32.const 1 i32.sub local.set $n
+            br $top
+          end
+        end
+        local.get $n))"#;
+    let mut inst = instantiate(src);
+    assert_eq!(inst.fuel_remaining(), u64::MAX);
+    assert_eq!(
+        inst.invoke("count", &[Value::I32(1000)]),
+        Ok(Some(Value::I32(0)))
+    );
+    let retired = inst.stats().instrs;
+    assert!(retired > 1000);
+    assert_eq!(inst.fuel_remaining(), u64::MAX - retired);
+    assert_eq!(inst.fuel_consumed(), None, "no budget armed yet");
+
+    inst.set_fuel(1_000_000);
+    assert_eq!(inst.fuel_consumed(), Some(0));
+    inst.invoke("count", &[Value::I32(1000)]).unwrap();
+    assert_eq!(inst.fuel_consumed(), Some(retired));
 }
 
 #[test]
@@ -371,7 +400,7 @@ fn fuel_accounting_is_deterministic() {
         local.get $acc))"#;
     let consumed = |n: i32| {
         let mut inst = instantiate(src);
-        inst.set_fuel(Some(1_000_000));
+        inst.set_fuel(1_000_000);
         inst.invoke("work", &[Value::I32(n)]).unwrap();
         inst.fuel_consumed().unwrap()
     };
@@ -851,14 +880,14 @@ fn out_of_fuel_still_counts_retired_instrs() {
           br $l
         end))"#;
     let mut inst = instantiate(src);
-    inst.set_fuel(Some(10_000));
+    inst.set_fuel(10_000);
     assert_eq!(inst.invoke("spin", &[]), Err(Trap::OutOfFuel));
     // Every unit of fuel retires exactly one source instruction, and the
     // stats must account for all of them even though the call trapped.
     assert_eq!((inst.stats().instrs, inst.stats().traps), (10_000, 1));
     // The oracle meters per instruction and agrees.
     let mut oracle = oracle(src);
-    oracle.set_fuel(Some(10_000));
+    oracle.set_fuel(10_000);
     assert_eq!(oracle.invoke("spin", &[]), Err(Trap::OutOfFuel));
     assert_eq!((oracle.instrs, oracle.traps), (10_000, 1));
 }
@@ -878,11 +907,11 @@ fn executor_and_oracle_agree_on_results_and_fuel() {
           i32.add
         end))"#;
     let mut inst = instantiate(src);
-    inst.set_fuel(Some(1_000_000));
+    inst.set_fuel(1_000_000);
     let out = inst.invoke("fib", &[Value::I32(18)]);
     assert_eq!(out, Ok(Some(Value::I32(2584))));
     let mut oracle = oracle(src);
-    oracle.set_fuel(Some(1_000_000));
+    oracle.set_fuel(1_000_000);
     assert_eq!(
         (
             oracle.invoke("fib", &[Value::I32(18)]),

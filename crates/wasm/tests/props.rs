@@ -320,7 +320,7 @@ proptest! {
         let module = waran_wasm::load_module(&bytes).unwrap();
         let consumed = |k: u32| {
             let mut inst = Instance::new(std::sync::Arc::new(module.clone()), &Linker::<()>::new(), ()).unwrap();
-            inst.set_fuel(Some(10_000_000));
+            inst.set_fuel(10_000_000);
             inst.invoke("w", &[Value::I32(k as i32)]).unwrap();
             inst.fuel_consumed().unwrap()
         };

@@ -48,7 +48,8 @@ pub struct Oracle<T> {
     table: Vec<Option<u32>>,
     globals: Vec<Value>,
     limits: ExecLimits,
-    fuel: Option<u64>,
+    /// Fuel left; `u64::MAX` until [`Self::set_fuel`] arms a budget.
+    fuel: u64,
     fuel_limit: Option<u64>,
     /// Source instructions retired, over all calls.
     pub instrs: u64,
@@ -98,7 +99,7 @@ impl<T> Oracle<T> {
             memory,
             max_pages,
             limits,
-            fuel: None,
+            fuel: u64::MAX,
             fuel_limit: None,
             instrs: 0,
             invokes: 0,
@@ -133,15 +134,16 @@ impl<T> Oracle<T> {
         Ok(oracle)
     }
 
-    /// The instruction budget for subsequent calls; `None` disables it.
-    pub fn set_fuel(&mut self, fuel: Option<u64>) {
+    /// The instruction budget for subsequent calls.
+    pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
-        self.fuel_limit = fuel;
+        self.fuel_limit = Some(fuel);
     }
 
-    /// Fuel consumed since the last [`Self::set_fuel`].
+    /// Fuel consumed since the last [`Self::set_fuel`]; `None` until a
+    /// budget is armed.
     pub fn fuel_consumed(&self) -> Option<u64> {
-        Some(self.fuel_limit? - self.fuel?)
+        Some(self.fuel_limit? - self.fuel)
     }
 
     /// Call the exported function `name`.
@@ -248,14 +250,12 @@ impl<T> Oracle<T> {
     /// started `BULK_BYTES_PER_FUEL` bytes, once the ranges are in bounds
     /// and before a byte moves. Running out leaves no fuel.
     fn pay_bytes(&mut self, len: u32) -> Result<(), Trap> {
-        if let Some(fuel) = self.fuel.as_mut() {
-            let charge = u64::from(len).div_ceil(u64::from(BULK_BYTES_PER_FUEL));
-            if *fuel < charge {
-                *fuel = 0;
-                return Err(Trap::OutOfFuel);
-            }
-            *fuel -= charge;
+        let charge = u64::from(len).div_ceil(u64::from(BULK_BYTES_PER_FUEL));
+        if self.fuel < charge {
+            self.fuel = 0;
+            return Err(Trap::OutOfFuel);
         }
+        self.fuel -= charge;
         Ok(())
     }
 
@@ -360,12 +360,10 @@ impl<T> Oracle<T> {
 
         'outer: loop {
             // One unit of fuel and one retired instruction per step.
-            if let Some(fuel) = self.fuel.as_mut() {
-                if *fuel == 0 {
-                    return Err(Trap::OutOfFuel);
-                }
-                *fuel -= 1;
+            if self.fuel == 0 {
+                return Err(Trap::OutOfFuel);
             }
+            self.fuel -= 1;
             *instrs += 1;
             if stack.len() > self.limits.max_value_stack {
                 return Err(Trap::ValueStackExhausted);
