@@ -39,7 +39,7 @@ pub use multicell::{
     CellGovernance, CellReport, CellSpec, FleetBackground, MultiCellReport, MultiCellScenario,
     MultiCellScenarioBuilder, RicPlaneReport,
 };
-pub use ric_glue::{apply_action, sample_kpis, AppliedAction, CellE2Driver, RicAttachment};
+pub use ric_glue::{apply_action, sample_kpis, AppliedAction, RicAttachment};
 pub use scenario::{
     Backend, BackgroundReport, BackgroundSpec, ChannelSpec, PopulationModel, Report, Scenario,
     ScenarioBuilder, ScenarioError, SchedKind, SliceReport, SliceSpec, TrafficSpec, UeReport,

@@ -487,7 +487,7 @@ impl MultiCellScenario {
 
     /// Hot-swap a Wasm slice's scheduler in one cell to a standard
     /// policy. The swap is atomic per cell: only that cell's plugin host
-    /// publishes a new slot epoch; every other cell is untouched.
+    /// swaps the slot's plugin; every other cell is untouched.
     pub fn swap_plugin(
         &self,
         cell: &str,

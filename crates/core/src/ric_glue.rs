@@ -3,8 +3,8 @@
 //! There is one path between a cell and the RIC: the bounded
 //! [`RicBus`] plane, attached to a deployment with
 //! [`MultiCellScenarioBuilder::ric`](crate::MultiCellScenarioBuilder::ric)
-//! (a single gNB is a one-cell deployment). [`CellE2Driver`] is the
-//! cell-side driver: it publishes an indication at each report boundary
+//! (a single gNB is a one-cell deployment). Each cell's (crate-private)
+//! `CellE2Driver` publishes an indication at each report boundary
 //! and applies the mailboxed action batches at the *next* boundary, in
 //! `(answers_slot, arrival)` order. In [`DeliveryMode::Deterministic`] it
 //! rendezvouses on the reply to its previous indication first, which pins
@@ -137,12 +137,12 @@ impl RicAttachment {
     }
 
     /// The bus this attachment describes (cells still unregistered).
-    pub fn build_bus(&self) -> RicBus {
+    pub(crate) fn build_bus(&self) -> RicBus {
         RicBus::new(self.bus_capacity, self.mode)
     }
 
     /// Register `cell_id` on `bus` and return its driver.
-    pub fn driver(&self, cell_id: u32, bus: &mut RicBus) -> CellE2Driver {
+    pub(crate) fn driver(&self, cell_id: u32, bus: &mut RicBus) -> CellE2Driver {
         let port = bus.register(cell_id, (self.codec_factory)(), (self.ric_factory)(cell_id));
         CellE2Driver {
             port,
@@ -168,26 +168,26 @@ impl RicAttachment {
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Cell-side driver for the async RIC plane (see module docs).
-pub struct CellE2Driver {
+pub(crate) struct CellE2Driver {
     port: CellPort,
     codec: Box<dyn CommCodec>,
     mode: DeliveryMode,
     /// Reporting period, slots.
-    pub report_period_slots: u64,
+    pub(crate) report_period_slots: u64,
     attached: bool,
     awaiting_reply: bool,
     /// Indications published.
-    pub indications_sent: u64,
+    pub(crate) indications_sent: u64,
     /// Action batches received (including empty ones).
-    pub action_batches_received: u64,
+    pub(crate) action_batches_received: u64,
     /// Slice-target actions applied.
-    pub applied_slice_targets: u64,
+    pub(crate) applied_slice_targets: u64,
     /// Handovers applied.
-    pub applied_handovers: u64,
+    pub(crate) applied_handovers: u64,
     /// Actions that could not be applied.
-    pub rejected_actions: u64,
+    pub(crate) rejected_actions: u64,
     /// Undecodable batches plus skipped action records.
-    pub decode_errors: u64,
+    pub(crate) decode_errors: u64,
 }
 
 impl CellE2Driver {
@@ -262,16 +262,6 @@ impl CellE2Driver {
         }
         batches.extend(self.port.collect());
         self.apply_batches(scenario, mobility, batches);
-    }
-
-    /// Bus-level queue accounting as seen from this cell.
-    pub fn ingress_stats(&self) -> waran_host::QueueDepthStats {
-        self.port.ingress_stats()
-    }
-
-    /// Indications currently queued at the service.
-    pub fn ingress_depth(&self) -> usize {
-        self.port.ingress_depth()
     }
 
     fn apply_batches(

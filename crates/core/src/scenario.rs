@@ -686,7 +686,7 @@ impl Scenario {
         self.host.stats(slice)
     }
 
-    /// Health counters (per-kind strikes, rollbacks, swap epoch) of a Wasm
+    /// Health counters (per-kind strikes, rollbacks, swaps) of a Wasm
     /// slice's plugin slot.
     pub fn plugin_health(&self, slice: &str) -> Option<SlotHealth> {
         self.host.health(slice)

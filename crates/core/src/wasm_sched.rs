@@ -21,8 +21,8 @@ pub struct WasmSliceScheduler {
     display_name: String,
     /// Pinned slot, resolved on first use: the per-slot scheduler call
     /// then skips the host's name → slot map and contends only on the
-    /// slot's own call mutex. Hot swaps still land (the handle shares the
-    /// slot's publication cell).
+    /// slot's own mutex. Hot swaps still land (the handle shares the slot
+    /// they swap in).
     handle: Option<SlotHandle<()>>,
 }
 
@@ -70,9 +70,9 @@ impl SliceScheduler for WasmSliceScheduler {
 /// (hot swap if the slot exists).
 ///
 /// Swaps go through the content-addressed [`TemplateCache`]: installing
-/// *different* bytes builds (or re-uses) a different template, so the new
-/// slot epoch can never be stamped from the previous module's snapshot,
-/// while re-installing identical bytes intentionally reuses one.
+/// *different* bytes builds (or re-uses) a different template, so the
+/// swapped-in plugin can never be stamped from the previous module's
+/// snapshot, while re-installing identical bytes intentionally reuses one.
 pub fn install_plugin(
     host: &PluginHost<()>,
     name: &str,

@@ -163,7 +163,7 @@ fn operator_swap_grants_fresh_chance_but_keeps_lifetime_counters() {
     assert_eq!(host.state("s"), Some(SlotState::Active));
     assert_eq!(health.consecutive_faults, 0);
     assert_eq!(health.strikes.trap, 2);
-    assert_eq!(health.total_faults, 2);
+    assert_eq!(health.strikes.total(), 2);
 }
 
 #[test]

@@ -10,23 +10,23 @@
 //! # Locking (the sharded-engine audit)
 //!
 //! The hot path — one scheduler call per slice per 1 ms slot, on every
-//! worker — holds exactly one lock: the slot's own `inner` mutex, which is
-//! what hands out `&mut Plugin` and cannot be removed without giving up
-//! exclusive instance state. Everything else is arranged so that lock is
-//! never held longer than one call:
+//! worker — holds exactly one lock: the slot's own mutex, which is what
+//! hands out `&mut Plugin` and cannot be removed without giving up
+//! exclusive instance state.
 //!
 //! * The name → slot map is behind a `RwLock` taken only for *reading* on
 //!   the call path (and not at all once a caller pins a [`SlotHandle`]).
-//!   Writers appear only on first install / remove.
-//! * Hot swap is **epoch-style publication**: [`PluginHost::install`] on an
-//!   existing name stages the new plugin in a side cell and bumps the
-//!   slot's epoch counter — it never waits for the global writer lock or
-//!   for an in-flight call on the slot. The caller adopts the staged
-//!   plugin at its next call boundary, which is exactly the "in-flight
-//!   call finishes on the old instance" contract.
+//!   Only a first install takes the writer lock.
+//! * Hot swap and automatic rollback replace the plugin **in place under
+//!   the slot mutex**, so a swap lands exactly between two calls: a call
+//!   in flight finishes on the old instance and every later call sees the
+//!   new one. An install waits for at most one fuel-bounded call; in
+//!   practice it waits for none, because every install site (scenario
+//!   build and push, RIC xApp install, codec and adapter set-up) runs with
+//!   exclusive access to its slot.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -85,14 +85,13 @@ impl StrikeCounters {
 }
 
 /// One automatic rollback: a freshly-swapped module crossed its strike
-/// budget and the host republished the retained last-good module through
-/// the epoch publication path.
+/// budget and the host swapped the retained last-good module back in.
 #[derive(Debug, Clone)]
 pub struct RollbackEvent {
     /// Slot (plugin name) that rolled back.
     pub name: String,
-    /// Publication epoch of the rollback (the "when" in swap time: the
-    /// bad module's adoption epoch is `epoch - 1`).
+    /// The slot's swap count once the rollback is in (the "when" in swap
+    /// time: the bad module came in at swap `epoch - 1`).
     pub epoch: u64,
     /// Governance class of the module that was rolled back.
     pub class: GovernanceClass,
@@ -112,9 +111,8 @@ pub struct RollbackEvent {
 pub struct SlotHealth {
     /// Consecutive faults (reset by a successful call or a swap).
     pub consecutive_faults: u32,
-    /// Total faults over the slot's lifetime (survives swaps).
-    pub total_faults: u64,
-    /// Lifetime faults broken down by kind (trap / fuel / other).
+    /// Lifetime faults broken down by kind (trap / fuel / other); their
+    /// [`StrikeCounters::total`] survives swaps.
     pub strikes: StrikeCounters,
     /// Calls, ok or faulted, that took longer than the policy's watchdog
     /// ([`SandboxPolicy::deadline`]). Counted only: a slow call is not a
@@ -126,7 +124,7 @@ pub struct SlotHealth {
     pub rollbacks: u64,
     /// Successful calls.
     pub calls_ok: u64,
-    /// Times the slot was hot-swapped.
+    /// Times the slot was hot-swapped, automatic rollbacks included.
     pub swaps: u64,
 }
 
@@ -135,15 +133,13 @@ struct Slot<T> {
     state: SlotState,
     health: SlotHealth,
     stats: ExecTimeStats,
-    /// The publication epoch this slot last adopted.
-    seen_epoch: u64,
     /// Successful calls since the current plugin was adopted. A swapped-out
     /// plugin is retained as last-good only when this is nonzero — a module
     /// that never served a call is not a proven fallback.
     ok_since_adopt: u64,
     /// The previous module, retained at swap time while it was healthy;
-    /// republished automatically when its replacement crosses the strike
-    /// budget. `take()`n at rollback so a bad→bad chain cannot loop.
+    /// swapped back in automatically when its replacement crosses the
+    /// strike budget. `take()`n at rollback so a bad→bad chain cannot loop.
     last_good: Option<Plugin<T>>,
     /// Log of automatic rollbacks on this slot, newest last, capped at
     /// [`ROLLBACK_LOG_CAP`] entries.
@@ -155,80 +151,49 @@ struct Slot<T> {
 /// counters keep the lifetime totals, the log keeps the recent forensics.
 const ROLLBACK_LOG_CAP: usize = 64;
 
-/// The shared identity of a named slot: callers hold the `inner` mutex for
-/// the duration of one plugin call; installers publish replacements
-/// through `pending`/`epoch` without ever taking `inner`.
-struct SlotShared<T> {
-    inner: Mutex<Slot<T>>,
-    /// Staged replacement, adopted at the next call boundary. Latest
-    /// install wins if several are staged between calls.
-    pending: Mutex<Option<Plugin<T>>>,
-    /// Publications completed on this slot (== lifetime swap count).
-    epoch: AtomicU64,
-}
-
-impl<T> SlotShared<T> {
+impl<T> Slot<T> {
     fn new(plugin: Plugin<T>) -> Self {
-        SlotShared {
-            inner: Mutex::new(Slot {
-                plugin,
-                state: SlotState::Active,
-                health: SlotHealth::default(),
-                stats: ExecTimeStats::new(),
-                seen_epoch: 0,
-                ok_since_adopt: 0,
-                last_good: None,
-                rollback_log: Vec::new(),
-            }),
-            pending: Mutex::new(None),
-            epoch: AtomicU64::new(0),
+        Slot {
+            plugin,
+            state: SlotState::Active,
+            health: SlotHealth::default(),
+            stats: ExecTimeStats::new(),
+            ok_since_adopt: 0,
+            last_good: None,
+            rollback_log: Vec::new(),
         }
     }
 
-    /// Stage `plugin` and bump the epoch. Never blocks on `inner`.
-    fn publish(&self, plugin: Plugin<T>) {
-        *self.pending.lock() = Some(plugin);
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Adopt a staged replacement, if any. Called with `inner` held, so
-    /// adoption is serialized and lands exactly between two calls.
-    fn sync(&self, slot: &mut Slot<T>) {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        if slot.seen_epoch == epoch {
-            return;
+    /// Swap `plugin` in. Called with the slot mutex held, so the swap lands
+    /// exactly between two calls.
+    fn adopt(&mut self, plugin: Plugin<T>) {
+        let outgoing = std::mem::replace(&mut self.plugin, plugin);
+        // Retain the outgoing module as the rollback target iff it was
+        // healthy: active (not quarantined, not the module a rollback is
+        // replacing) and proven by at least one successful call. A slot
+        // swapped bad→bad keeps its older last-good instead.
+        if self.state == SlotState::Active && self.ok_since_adopt > 0 {
+            self.last_good = Some(outgoing);
         }
-        if let Some(plugin) = self.pending.lock().take() {
-            let outgoing = std::mem::replace(&mut slot.plugin, plugin);
-            // Retain the outgoing module as the rollback target iff it was
-            // healthy: active (not quarantined, not the module a rollback
-            // is currently replacing) and proven by at least one
-            // successful call. A slot swapped bad→bad keeps its older
-            // last-good instead.
-            if slot.state == SlotState::Active && slot.ok_since_adopt > 0 {
-                slot.last_good = Some(outgoing);
-            }
-            // The new code gets a fresh chance: quarantine and the
-            // consecutive counter clear; lifetime counters survive.
-            slot.state = SlotState::Active;
-            slot.health.consecutive_faults = 0;
-            slot.ok_since_adopt = 0;
-        }
-        slot.seen_epoch = epoch;
+        // The new code gets a fresh chance: quarantine and the consecutive
+        // counter clear; lifetime counters survive.
+        self.state = SlotState::Active;
+        self.health.consecutive_faults = 0;
+        self.ok_since_adopt = 0;
+        self.health.swaps += 1;
     }
 }
 
-/// Run one closure against a synced slot under the fault policy.
+/// Run one closure against a locked slot under the fault policy.
 ///
 /// The strike budget comes from the slot's own [`SandboxPolicy`]
 /// (`quarantine_after`, part of its governance class). Crossing it rolls
 /// the slot back to its retained last-good module when one exists —
-/// republished through the same epoch path as an operator swap, adopted
-/// at the next call boundary — and quarantines the slot otherwise.
+/// swapped in place, exactly like an operator install — and quarantines
+/// the slot otherwise.
 ///
 /// [`SandboxPolicy`]: crate::plugin::SandboxPolicy
 fn run_guarded<T, R>(
-    shared: &SlotShared<T>,
     name: &str,
     slot: &mut Slot<T>,
     f: impl FnOnce(&mut Plugin<T>) -> Result<R, PluginError>,
@@ -267,36 +232,33 @@ fn run_guarded<T, R>(
             Ok(out)
         }
         Err(e) => {
-            slot.health.total_faults += 1;
             slot.health.consecutive_faults += 1;
             slot.health.strikes.record(&e);
             let budget = policy.quarantine_after;
             if budget > 0 && slot.health.consecutive_faults >= budget {
+                // Quarantined first, so the swap below does not retain the
+                // faulting module as last-good. With no last-good retained
+                // this parks the slot until the next install.
+                slot.state = SlotState::Quarantined;
                 if let Some(good) = slot.last_good.take() {
-                    // Automatic rollback: republish the last-good module
-                    // through the epoch path. The next call on this slot
-                    // adopts it (clearing the quarantine below) exactly
-                    // like an operator-pushed swap would.
+                    // Automatic rollback: swap the last-good module back
+                    // in, exactly like an operator install would.
                     let event = RollbackEvent {
                         name: name.to_string(),
-                        epoch: shared.epoch.load(Ordering::Acquire) + 1,
+                        epoch: slot.health.swaps + 1,
                         class: policy.class,
                         strikes: slot.health.strikes,
                         consecutive_faults: slot.health.consecutive_faults,
                         from_hash: slot.plugin.content_hash(),
                         to_hash: good.content_hash(),
                     };
-                    shared.publish(good);
                     slot.health.rollbacks += 1;
                     if slot.rollback_log.len() == ROLLBACK_LOG_CAP {
                         slot.rollback_log.remove(0);
                     }
                     slot.rollback_log.push(event);
+                    slot.adopt(good);
                 }
-                // Quarantined until the rollback (or any other pending
-                // publication) is adopted at the next call boundary; with
-                // no last-good retained this parks the slot for good.
-                slot.state = SlotState::Quarantined;
             }
             Err(e)
         }
@@ -308,7 +270,7 @@ fn run_guarded<T, R>(
 /// All methods take `&self`; slots are independently locked so calls into
 /// different plugins proceed concurrently and a swap never tears a call.
 pub struct PluginHost<T> {
-    slots: RwLock<HashMap<String, Arc<SlotShared<T>>>>,
+    slots: RwLock<HashMap<String, Arc<Mutex<Slot<T>>>>>,
 }
 
 impl<T> Default for PluginHost<T> {
@@ -330,30 +292,25 @@ impl<T> PluginHost<T> {
     /// clears quarantine and consecutive-fault state (the new code gets a
     /// fresh chance) but keeps lifetime counters.
     ///
-    /// Replacing an existing slot is wait-free with respect to callers:
-    /// the new plugin is *published* (staged + epoch bump) and adopted at
-    /// the slot's next call boundary, so an installer never blocks behind
-    /// an in-flight call and never takes the global writer lock.
+    /// Replacing an existing slot swaps the plugin in place under the
+    /// slot's mutex: it waits for a call in flight on that slot (at most
+    /// one fuel-bounded call) and takes only the map's read lock. A host
+    /// function must not install into its own slot — its call holds that
+    /// mutex, so the install would deadlock.
     pub fn install(&self, name: &str, plugin: Plugin<T>) {
-        if let Some(shared) = self.slots.read().get(name).cloned() {
-            shared.publish(plugin);
-            return;
-        }
-        let mut slots = self.slots.write();
-        match slots.entry(name.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                // Raced with another first-installer: publish instead.
-                e.get().publish(plugin);
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Arc::new(SlotShared::new(plugin)));
-            }
-        }
-    }
-
-    /// Remove a plugin. Returns true when it existed.
-    pub fn remove(&self, name: &str) -> bool {
-        self.slots.write().remove(name).is_some()
+        let existing = self.slots.read().get(name).cloned();
+        let slot = match existing {
+            Some(slot) => slot,
+            None => match self.slots.write().entry(name.to_string()) {
+                Entry::Vacant(v) => {
+                    v.insert(Arc::new(Mutex::new(Slot::new(plugin))));
+                    return;
+                }
+                // Raced with another first installer: swap into its slot.
+                Entry::Occupied(e) => Arc::clone(e.get()),
+            },
+        };
+        slot.lock().adopt(plugin);
     }
 
     /// Installed plugin names, sorted.
@@ -363,7 +320,7 @@ impl<T> PluginHost<T> {
         names
     }
 
-    fn slot(&self, name: &str) -> Result<Arc<SlotShared<T>>, PluginError> {
+    fn slot(&self, name: &str) -> Result<Arc<Mutex<Slot<T>>>, PluginError> {
         self.slots
             .read()
             .get(name)
@@ -375,15 +332,12 @@ impl<T> PluginHost<T> {
     ///
     /// The handle bypasses the name → slot map lookup on every call; hot
     /// swaps through [`Self::install`] still take effect because the
-    /// handle shares the slot's publication cell. The handle pins the
-    /// slot's *identity*: after [`Self::remove`], a handle keeps the
-    /// removed slot alive and a later `install` under the same name
-    /// creates a fresh slot the old handle does not see.
+    /// handle shares the slot itself.
     pub fn handle(&self, name: &str) -> Option<SlotHandle<T>> {
-        let shared = self.slots.read().get(name).cloned()?;
+        let slot = self.slots.read().get(name).cloned()?;
         Some(SlotHandle {
             name: name.to_string(),
-            shared,
+            slot,
         })
     }
 
@@ -405,61 +359,49 @@ impl<T> PluginHost<T> {
         name: &str,
         f: impl FnOnce(&mut Plugin<T>) -> Result<R, PluginError>,
     ) -> Result<R, PluginError> {
-        let shared = self.slot(name)?;
-        let mut slot = shared.inner.lock();
-        shared.sync(&mut slot);
-        run_guarded(&shared, name, &mut slot, f)
+        run_guarded(name, &mut self.slot(name)?.lock(), f)
     }
 
-    /// Lock, sync and read one slot. `f` also receives the slot's
-    /// publication epoch (== lifetime swap count), which lives on the
-    /// shared cell rather than under the inner lock.
-    fn read_slot<R>(&self, name: &str, f: impl FnOnce(&Slot<T>, u64) -> R) -> Option<R> {
-        let shared = self.slot(name).ok()?;
-        let mut slot = shared.inner.lock();
-        shared.sync(&mut slot);
-        let epoch = shared.epoch.load(Ordering::Acquire);
-        Some(f(&slot, epoch))
+    /// Lock and read one slot.
+    fn read_slot<R>(&self, name: &str, f: impl FnOnce(&Slot<T>) -> R) -> Option<R> {
+        Some(f(&self.slot(name).ok()?.lock()))
     }
 
     /// Slot state, if the plugin exists.
     pub fn state(&self, name: &str) -> Option<SlotState> {
-        self.read_slot(name, |s, _| s.state)
+        self.read_slot(name, |s| s.state)
     }
 
     /// Health counters, if the plugin exists.
     pub fn health(&self, name: &str) -> Option<SlotHealth> {
-        self.read_slot(name, |s, epoch| SlotHealth {
-            swaps: epoch,
-            ..s.health
-        })
+        self.read_slot(name, |s| s.health)
     }
 
     /// Execution-time statistics, if the plugin exists.
     pub fn stats(&self, name: &str) -> Option<ExecTimeStats> {
-        self.read_slot(name, |s, _| s.stats.clone())
+        self.read_slot(name, |s| s.stats.clone())
     }
 
     /// Current guest memory footprint of the plugin, bytes.
     pub fn memory_bytes(&self, name: &str) -> Option<usize> {
-        self.read_slot(name, |s, _| s.plugin.memory_bytes())
+        self.read_slot(name, |s| s.plugin.memory_bytes())
     }
 
     /// Log of automatic rollbacks on the slot, oldest first.
     pub fn rollback_log(&self, name: &str) -> Option<Vec<RollbackEvent>> {
-        self.read_slot(name, |s, _| s.rollback_log.clone())
+        self.read_slot(name, |s| s.rollback_log.clone())
     }
 
     /// True when the slot currently retains a last-good module to roll
     /// back to.
     pub fn has_last_good(&self, name: &str) -> Option<bool> {
-        self.read_slot(name, |s, _| s.last_good.is_some())
+        self.read_slot(name, |s| s.last_good.is_some())
     }
 
     /// Content hash of the module currently serving the slot, when it came
     /// out of a content-addressed template.
     pub fn content_hash(&self, name: &str) -> Option<u64> {
-        self.read_slot(name, |s, _| s.plugin.content_hash())?
+        self.read_slot(name, |s| s.plugin.content_hash())?
     }
 }
 
@@ -475,19 +417,18 @@ impl<T> std::fmt::Debug for PluginHost<T> {
 /// plugin every slot (the per-cell scheduler binding).
 ///
 /// Calls through the handle skip the host's name → slot map entirely: the
-/// only synchronization left is the slot's own call mutex. Hot swaps
-/// published via [`PluginHost::install`] are still adopted at the next
-/// call boundary.
+/// only synchronization left is the slot's own mutex, under which
+/// [`PluginHost::install`] swaps, so the next call sees the new plugin.
 pub struct SlotHandle<T> {
     name: String,
-    shared: Arc<SlotShared<T>>,
+    slot: Arc<Mutex<Slot<T>>>,
 }
 
 impl<T> Clone for SlotHandle<T> {
     fn clone(&self) -> Self {
         SlotHandle {
             name: self.name.clone(),
-            shared: Arc::clone(&self.shared),
+            slot: Arc::clone(&self.slot),
         }
     }
 }
@@ -514,9 +455,7 @@ impl<T> SlotHandle<T> {
         &self,
         f: impl FnOnce(&mut Plugin<T>) -> Result<R, PluginError>,
     ) -> Result<R, PluginError> {
-        let mut slot = self.shared.inner.lock();
-        self.shared.sync(&mut slot);
-        run_guarded(&self.shared, &self.name, &mut slot, f)
+        run_guarded(&self.name, &mut self.slot.lock(), f)
     }
 }
 

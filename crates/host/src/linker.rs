@@ -17,7 +17,7 @@
 //! * [`TemplateCache`] — the fleet-wide template store and the only cache
 //!   of loaded plugin code, built around the one linker it instantiates
 //!   against, content-addressed by `(bytecode, policy)` and bounded by LRU
-//!   eviction. Content addressing is what makes epoch live swaps safe:
+//!   eviction. Content addressing is what makes live swaps safe:
 //!   swapping different bytes into a slot *cannot* reuse the old module's
 //!   snapshot, because the new bytes hash to a different template.
 
@@ -280,9 +280,6 @@ pub struct TemplateCacheStats {
     pub templates: usize,
     /// Snapshot memory-image bytes the cached templates pin.
     pub image_bytes: usize,
-    /// Buffers in the process-wide linear-memory pool (shared by every
-    /// cache in the process).
-    pub pooled_buffers: usize,
 }
 
 /// The fleet-wide cache of [`PluginPre`] templates, content-addressed by
@@ -299,7 +296,7 @@ pub struct TemplateCacheStats {
 /// policies share one `Arc<Module>` and one copy of the bytecode. Installing one xApp into 100 cells costs one template build
 /// and 100 stamp-outs.
 ///
-/// Content addressing doubles as live-swap correctness: an epoch swap that
+/// Content addressing doubles as live-swap correctness: a swap that
 /// installs different bytes necessarily builds (or re-uses) a *different*
 /// template, so post-swap instances can never be stamped from the old
 /// module's snapshot. Swapping back to previous bytes deliberately re-uses
@@ -416,7 +413,6 @@ impl<T> TemplateCache<T> {
                 .flatten()
                 .map(|entry| entry.pre.pre.image_bytes())
                 .sum(),
-            pooled_buffers: waran_wasm::instance::pooled_buffers(),
         }
     }
 }

@@ -135,7 +135,7 @@ fn a_request_past_the_memory_cap_is_a_strike_and_the_slot_stays_usable() {
 
     assert_abi_naming(host.call("p", "run", &too_big), "wrn_heap");
     let health = host.health("p").unwrap();
-    assert_eq!((health.total_faults, health.strikes.other), (1, 1));
+    assert_eq!((health.strikes.total(), health.strikes.other), (1, 1));
     assert_eq!(host.memory_bytes("p"), Some(PAGE), "nothing grew");
 
     // A request that exactly fills the last page fits.

@@ -3,7 +3,7 @@
 //! loop and the swapper genuinely race on different threads.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -130,5 +130,57 @@ fn quarantine_is_race_free() {
     let total_guest_faults: u64 = handles.into_iter().map(|h| h.join().expect("joins")).sum();
     // Exactly the threshold ran guest code; everything after was refused.
     assert_eq!(total_guest_faults, 5);
-    assert_eq!(host.health("bad").expect("slot").total_faults, 5);
+    assert_eq!(host.health("bad").expect("slot").strikes.total(), 5);
+}
+
+/// `run` calls the host import `env.wait_for_push`, then traps.
+const WAIT_THEN_TRAP: &str = r#"(module
+  (import "env" "wait_for_push" (func $wait))
+  (memory 1)
+  (func (export "run") (param $ptr i32) (param $len i32) (result i64)
+    call $wait
+    unreachable))"#;
+
+#[test]
+fn a_push_during_the_faulting_call_survives_its_rollback() {
+    // Slot `s` serves G once, then takes B, whose first fault rolls back
+    // to G. An operator pushes P while that faulting call is in flight:
+    // the push lands after the rollback, so P serves the next call.
+    let host: Arc<PluginHost<()>> = Arc::new(PluginHost::new());
+    host.install("s", plugin_returning(71));
+    assert_eq!(host.call("s", "run", &[]).expect("G serves"), [71]);
+
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (pushed_tx, pushed_rx) = mpsc::channel::<()>();
+    let pushed_rx = Mutex::new(pushed_rx);
+    let mut linker: Linker<()> = Linker::new();
+    linker.func("env", "wait_for_push", &[], &[], move |_, _, _| {
+        entered_tx.send(()).expect("test waits for entry");
+        let _ = pushed_rx
+            .lock()
+            .expect("one caller")
+            .recv_timeout(Duration::from_millis(500));
+        Ok(None)
+    });
+    let policy = SandboxPolicy {
+        quarantine_after: 1,
+        ..SandboxPolicy::default()
+    };
+    let wasm = waran_wat::assemble(WAIT_THEN_TRAP).expect("assembles");
+    host.install(
+        "s",
+        Plugin::new(&wasm, &linker, (), policy).expect("instantiates"),
+    );
+
+    let caller = {
+        let host = host.clone();
+        thread::spawn(move || host.call("s", "run", &[]))
+    };
+    entered_rx.recv().expect("B's call enters the host import");
+    host.install("s", plugin_returning(80));
+    pushed_tx.send(()).ok();
+
+    assert!(caller.join().expect("caller finishes").is_err());
+    assert_eq!(host.health("s").expect("slot").rollbacks, 1);
+    assert_eq!(host.call("s", "run", &[]).expect("P serves"), [80]);
 }

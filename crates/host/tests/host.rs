@@ -373,7 +373,7 @@ fn host_quarantines_after_consecutive_faults() {
         host.call("bad", "run", &[]),
         Err(PluginError::Quarantined { .. })
     ));
-    assert_eq!(host.health("bad").unwrap().total_faults, 3);
+    assert_eq!(host.health("bad").unwrap().strikes.total(), 3);
 
     // A swap (the operator pushing fixed code) clears the quarantine.
     host.install(
@@ -402,7 +402,42 @@ fn success_resets_consecutive_faults() {
         let _ = host.call("flaky", "run", &[0]); // success resets
     }
     assert_eq!(host.state("flaky"), Some(SlotState::Active));
-    assert_eq!(host.health("flaky").unwrap().total_faults, 10);
+    assert_eq!(host.health("flaky").unwrap().strikes.total(), 10);
+}
+
+#[test]
+fn swaps_count_installs_and_rollbacks_and_the_event_names_its_swap() {
+    const GOOD: &str = r#"export fn run(ptr: i32, len: i32) -> i64 {
+        var out: i32 = wrn_alloc(1);
+        store_u8(out, 71);
+        return pack(out, 1);
+    }"#;
+    const PUSHED: &str = r#"export fn run(ptr: i32, len: i32) -> i64 {
+        var out: i32 = wrn_alloc(1);
+        store_u8(out, 80);
+        return pack(out, 1);
+    }"#;
+    let host: PluginHost<()> = PluginHost::new();
+    let swaps = |host: &PluginHost<()>| host.health("s").unwrap().swaps;
+    host.install("s", plugin(GOOD));
+    assert_eq!(host.call("s", "run", &[]).unwrap(), b"G");
+    host.install(
+        "s",
+        plugin(r#"export fn run(ptr: i32, len: i32) -> i64 { trap(); return 0i64; }"#),
+    );
+    assert_eq!(swaps(&host), 1);
+    for _ in 0..SandboxPolicy::default().quarantine_after {
+        assert!(host.call("s", "run", &[]).is_err());
+    }
+    assert_eq!(host.health("s").unwrap().rollbacks, 1);
+    assert_eq!(swaps(&host), 2);
+    assert_eq!(host.call("s", "run", &[]).unwrap(), b"G");
+    host.install("s", plugin(PUSHED));
+    assert_eq!(swaps(&host), 3);
+    assert_eq!(host.call("s", "run", &[]).unwrap(), b"P");
+    let log = host.rollback_log("s").unwrap();
+    assert_eq!(log.len(), 1);
+    assert_eq!(log[0].epoch, 2);
 }
 
 /// `with_plugin` with a closure that never calls the plugin: a

@@ -155,6 +155,6 @@ mod tests {
         let plugin = install_widen_plugin(&host).unwrap();
         assert_eq!(plugin.call("adapt", &[]).unwrap(), Vec::<u8>::new());
         let health = host.health(plugin.name()).expect("slot exists");
-        assert_eq!((health.calls_ok, health.total_faults), (1, 0));
+        assert_eq!((health.calls_ok, health.strikes.total()), (1, 0));
     }
 }

@@ -139,7 +139,7 @@ impl NearRtRic {
     /// health (§6.A: a faulting xApp skips its turn, and so does a
     /// quarantined one, without faulting again).
     pub fn xapp_faults(&self) -> u64 {
-        let faults = |name: String| self.plugins.health(&name).map_or(0, |h| h.total_faults);
+        let faults = |name: String| self.plugins.health(&name).map_or(0, |h| h.strikes.total());
         self.plugins.names().into_iter().map(faults).sum()
     }
 

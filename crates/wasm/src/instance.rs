@@ -397,13 +397,6 @@ const MEMORY_POOL_CAP: usize = 32;
 /// and drops free, which is always correct.
 static MEMORY_POOL: Mutex<BTreeMap<usize, Vec<Vec<u8>>>> = Mutex::new(BTreeMap::new());
 
-/// Buffers currently pooled across all size classes.
-pub fn pooled_buffers() -> usize {
-    MEMORY_POOL
-        .lock()
-        .map_or(0, |pool| pool.values().map(Vec::len).sum())
-}
-
 /// Take back a dropped instance's memory if it still has the `len` bytes
 /// it was stamped with.
 fn reclaim(memory: &mut Memory, len: usize) {

@@ -56,7 +56,7 @@ fn main() {
     let health = scenario.plugin_host().health("mvno").expect("health");
     println!(
         "    host fault accounting: {} total faults, quarantined = {}",
-        health.total_faults,
+        health.strikes.total(),
         matches!(
             scenario.plugin_host().state("mvno"),
             Some(wa_ran::host::SlotState::Quarantined)
