@@ -307,14 +307,6 @@ pub fn compile_faulty(body: &str) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    /// The register lowering maps every flat op: the flat IR has no dead
-    /// op, so an unmapped one would be dropped code.
-    fn assert_every_flat_op_is_lowered(module: &waran_wasm::Module) {
-        for f in 0..module.funcs.len() as u32 {
-            assert!(!module.reg_func(f).pc_map.contains(&u32::MAX), "func {f}");
-        }
-    }
-
     #[test]
     fn standard_plugins_compile_and_validate() {
         for bytes in [rr_wasm(), pf_wasm(), mt_wasm()] {
@@ -324,7 +316,8 @@ mod tests {
                 module.export("wrn_heap").map(|e| &e.kind),
                 Some(waran_wasm::module::ExportKind::Global(_))
             ));
-            assert_every_flat_op_is_lowered(&module);
+            // The proof rejects a flat op the lowering left unmapped.
+            module.analysis().expect("every flat op lowered and proven");
         }
     }
 
@@ -338,7 +331,8 @@ mod tests {
         ] {
             let bytes = compile_faulty(body);
             let module = waran_wasm::load_module(&bytes).expect("validates");
-            assert_every_flat_op_is_lowered(&module);
+            // The proof rejects a flat op the lowering left unmapped.
+            module.analysis().expect("every flat op lowered and proven");
         }
     }
 }

@@ -361,12 +361,7 @@ impl<T> TemplateCache<T> {
         let (bytes, module) = match shared {
             Some(shared) => shared,
             None => {
-                let mut module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
-                // Lower and prove every body now, so workers instantiating
-                // from the shared module never contend on first-call
-                // lowering — and, while the module is still owned, free
-                // the flat IR the proof was the last reader of.
-                module.release_proof_inputs();
+                let module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
                 (Arc::from(bytes), Arc::new(module))
             }
         };

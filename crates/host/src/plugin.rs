@@ -334,8 +334,7 @@ impl<T> Plugin<T> {
         data: T,
         policy: SandboxPolicy,
     ) -> Result<Plugin<T>, PluginError> {
-        let mut module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
-        module.release_proof_inputs();
+        let module = waran_wasm::load_module(bytes).map_err(PluginError::Load)?;
         PluginPre::new(Arc::new(module), linker, policy)?.instantiate(data)
     }
 

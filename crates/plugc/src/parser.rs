@@ -64,7 +64,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<Pos, CompileError> {
+    fn want(&mut self, tok: &Tok, what: &str) -> Result<Pos, CompileError> {
         let pos = self.here();
         if self.eat(tok) {
             Ok(pos)
@@ -126,9 +126,9 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(Tok::Extern) => {
                 self.advance();
-                self.expect(&Tok::Fn, "'fn' after 'extern'")?;
+                self.want(&Tok::Fn, "'fn' after 'extern'")?;
                 let sig = self.fn_sig(pos)?;
-                self.expect(&Tok::Semi, "';' after extern declaration")?;
+                self.want(&Tok::Semi, "';' after extern declaration")?;
                 Ok(Item::ExternFn(sig))
             }
             Some(Tok::Export) => {
@@ -136,7 +136,7 @@ impl<'a> Parser<'a> {
                 if matches!(self.peek(), Some(Tok::Global) | Some(Tok::Const)) {
                     return self.global(pos, true);
                 }
-                self.expect(&Tok::Fn, "'fn' or 'global' after 'export'")?;
+                self.want(&Tok::Fn, "'fn' or 'global' after 'export'")?;
                 let sig = self.fn_sig(pos)?;
                 let body = self.block()?;
                 Ok(Item::Fn(FnDecl {
@@ -168,11 +168,11 @@ impl<'a> Parser<'a> {
         let mutable = matches!(self.peek(), Some(Tok::Global));
         self.advance();
         let (name, _) = self.ident("global name")?;
-        self.expect(&Tok::Colon, "':' after global name")?;
+        self.want(&Tok::Colon, "':' after global name")?;
         let ty = self.ty()?;
-        self.expect(&Tok::Assign, "'=' in global declaration")?;
+        self.want(&Tok::Assign, "'=' in global declaration")?;
         let init = self.literal(ty)?;
-        self.expect(&Tok::Semi, "';' after global declaration")?;
+        self.want(&Tok::Semi, "';' after global declaration")?;
         Ok(Item::Global(GlobalDecl {
             name,
             ty,
@@ -185,18 +185,18 @@ impl<'a> Parser<'a> {
 
     fn fn_sig(&mut self, pos: Pos) -> Result<FnSig, CompileError> {
         let (name, _) = self.ident("function name")?;
-        self.expect(&Tok::LParen, "'('")?;
+        self.want(&Tok::LParen, "'('")?;
         let mut params = Vec::new();
         if !self.eat(&Tok::RParen) {
             loop {
                 let (pname, _) = self.ident("parameter name")?;
-                self.expect(&Tok::Colon, "':' after parameter name")?;
+                self.want(&Tok::Colon, "':' after parameter name")?;
                 let pty = self.ty()?;
                 params.push((pname, pty));
                 if self.eat(&Tok::RParen) {
                     break;
                 }
-                self.expect(&Tok::Comma, "',' between parameters")?;
+                self.want(&Tok::Comma, "',' between parameters")?;
             }
         }
         let ret = if self.eat(&Tok::Arrow) {
@@ -244,7 +244,7 @@ impl<'a> Parser<'a> {
     // -- statements -------------------------------------------------------
 
     fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
-        self.expect(&Tok::LBrace, "'{'")?;
+        self.want(&Tok::LBrace, "'{'")?;
         self.nested(|p| {
             let mut body = Vec::new();
             while !p.eat(&Tok::RBrace) {
@@ -268,12 +268,12 @@ impl<'a> Parser<'a> {
             Some(Tok::Return) => self.return_stmt(pos),
             Some(Tok::Break) => {
                 self.advance();
-                self.expect(&Tok::Semi, "';' after break")?;
+                self.want(&Tok::Semi, "';' after break")?;
                 Ok(Stmt::Break { pos })
             }
             Some(Tok::Continue) => {
                 self.advance();
-                self.expect(&Tok::Semi, "';' after continue")?;
+                self.want(&Tok::Semi, "';' after continue")?;
                 Ok(Stmt::Continue { pos })
             }
             Some(Tok::LBrace) => {
@@ -287,11 +287,11 @@ impl<'a> Parser<'a> {
     fn var_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
         self.advance();
         let (name, _) = self.ident("variable name")?;
-        self.expect(&Tok::Colon, "':' after variable name")?;
+        self.want(&Tok::Colon, "':' after variable name")?;
         let ty = self.ty()?;
-        self.expect(&Tok::Assign, "'=' in var declaration")?;
+        self.want(&Tok::Assign, "'=' in var declaration")?;
         let init = self.expr()?;
-        self.expect(&Tok::Semi, "';' after var declaration")?;
+        self.want(&Tok::Semi, "';' after var declaration")?;
         Ok(Stmt::Var {
             name,
             ty,
@@ -302,9 +302,9 @@ impl<'a> Parser<'a> {
 
     fn if_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
         self.advance();
-        self.expect(&Tok::LParen, "'(' after 'if'")?;
+        self.want(&Tok::LParen, "'(' after 'if'")?;
         let cond = self.expr()?;
-        self.expect(&Tok::RParen, "')' after condition")?;
+        self.want(&Tok::RParen, "')' after condition")?;
         let then_body = self.block()?;
         let else_body = if self.eat(&Tok::Else) {
             if self.peek() == Some(&Tok::If) {
@@ -325,9 +325,9 @@ impl<'a> Parser<'a> {
 
     fn while_stmt(&mut self, pos: Pos) -> Result<Stmt, CompileError> {
         self.advance();
-        self.expect(&Tok::LParen, "'(' after 'while'")?;
+        self.want(&Tok::LParen, "'(' after 'while'")?;
         let cond = self.expr()?;
-        self.expect(&Tok::RParen, "')' after condition")?;
+        self.want(&Tok::RParen, "')' after condition")?;
         let body = self.block()?;
         Ok(Stmt::While { cond, body, pos })
     }
@@ -339,7 +339,7 @@ impl<'a> Parser<'a> {
         } else {
             Some(self.expr()?)
         };
-        self.expect(&Tok::Semi, "';' after return")?;
+        self.want(&Tok::Semi, "';' after return")?;
         Ok(Stmt::Return { value, pos })
     }
 
@@ -351,11 +351,11 @@ impl<'a> Parser<'a> {
             let (name, _) = self.ident("assignment target")?;
             self.advance(); // '='
             let value = self.expr()?;
-            self.expect(&Tok::Semi, "';' after assignment")?;
+            self.want(&Tok::Semi, "';' after assignment")?;
             return Ok(Stmt::Assign { name, value, pos });
         }
         let expr = self.expr()?;
-        self.expect(&Tok::Semi, "';' after expression")?;
+        self.want(&Tok::Semi, "';' after expression")?;
         Ok(Stmt::Expr { expr, pos })
     }
 
@@ -445,7 +445,7 @@ impl<'a> Parser<'a> {
                             if p.eat(&Tok::RParen) {
                                 break;
                             }
-                            p.expect(&Tok::Comma, "',' between arguments")?;
+                            p.want(&Tok::Comma, "',' between arguments")?;
                         }
                     }
                     Ok((args, h))
@@ -456,7 +456,7 @@ impl<'a> Parser<'a> {
             Some(Tok::Ident(name)) => Ok((Expr::Ident(name.clone(), pos), 0)),
             Some(Tok::LParen) => {
                 let (e, h) = self.nested(|p| p.binary(0))?;
-                self.expect(&Tok::RParen, "')'")?;
+                self.want(&Tok::RParen, "')'")?;
                 Ok((e, h + 1))
             }
             other => Err(pos.err(format!("expected an expression, found {other:?}"))),

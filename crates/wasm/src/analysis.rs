@@ -1,11 +1,13 @@
-//! Load-time static analysis over the compiled IRs: translation
-//! validation of the register form (what executes) against the flat IR
-//! (the intermediate it was lowered from), plus worst-case resource
-//! bounds for admission control.
+//! Load-time lowering and proof: every validated body is compiled to the
+//! flat IR, lowered to the register form the executor runs, and the
+//! register form is proven faithful to the flat IR (translation
+//! validation), plus worst-case resource bounds for admission control.
 //!
-//! The pass runs after validation and lowering (see [`crate::compile`]
-//! and [`crate::regalloc`]) and produces one [`FuncReport`] per
-//! module-local function:
+//! One pass, run once per module behind [`Module::analysis`], does all of
+//! it and returns the register code with its report; the flat IR never
+//! leaves the pass. Every instance runs the code this pass returned, so
+//! no instance can exist without a passed proof. It produces one
+//! [`FuncReport`] per module-local function:
 //!
 //! * **Translation validation** — the flat IR is the metering/trapping
 //!   reference: one op per source instruction, nothing fused, and no
@@ -16,7 +18,7 @@
 //!   and checks the register form block by block against it: every flat
 //!   op mapped, identical `Meter` placement, costs and entry heights,
 //!   identical memory/call/trap-op populations per block — counted on
-//!   both sides over the shared [`crate::ops`] payload types — and a
+//!   both sides over the shared operator payload types — and a
 //!   consistent branch side table. The walk predicts no decision of the
 //!   lowering it checks: the lowering folds values, never control flow,
 //!   so there is no liveness for the two sides to agree on. Any future
@@ -44,16 +46,16 @@
 //! RR/PF/MT schedulers. The loop-bound pass works on dense block indices:
 //! block sets are masks with sorted member lists, a loop body drops only
 //! the edges into its own header, and one Tarjan serves the block graph
-//! and the call graph. It runs once per module behind
-//! [`Module::analysis`] — the same caching discipline as compilation
-//! itself.
+//! and the call graph.
 
-use crate::compile::{CompiledFunc, Op};
+use std::sync::Arc;
+
+use crate::compile::{compile_func, CompiledFunc, Op};
 use crate::instance::BULK_BYTES_PER_FUEL;
 use crate::interp::Value;
 use crate::module::{ExportKind, Module};
 use crate::ops::{I32Op, UnOp};
-use crate::regalloc::{ROp, RegFunc};
+use crate::regalloc::{lower_func, ROp, RegFunc};
 use crate::types::{MAX_PAGES, PAGE_SIZE};
 
 /// A worst-case resource bound: exactly known, or not statically
@@ -738,18 +740,6 @@ fn validate_with_shape(
         }
     }
     Ok(())
-}
-
-/// Validate one function's register lowering against its flat IR.
-/// Exposed for regression tests that corrupt a cloned `RegFunc`.
-pub fn validate_lowering(
-    module: &Module,
-    func: u32,
-    cf: &CompiledFunc,
-    rf: &RegFunc,
-) -> Result<(), AnalysisError> {
-    let shape = build_shape(module, func, cf)?;
-    validate_with_shape(func, cf, rf, &shape)
 }
 
 // ---------------------------------------------------------------------------
@@ -1510,14 +1500,14 @@ fn region_cost(
 fn compute_report(
     module: &Module,
     func: u32,
+    cf: &CompiledFunc,
+    rf: &RegFunc,
     shape: &Shape,
     reports: &[Option<FuncReport>],
 ) -> FuncReport {
-    let cf = module.compiled_func(func);
-    let rf = module.reg_func(func);
     let n_imp = module.num_imported_funcs();
-    // `analyze` reports SCCs callees first, and a function in a cyclic
-    // SCC never gets here, so every callee already has its report.
+    // `lower_and_prove` reports SCCs callees first, and a function in a
+    // cyclic SCC never gets here, so every callee already has its report.
     let callee = |g: u32| -> &FuncReport {
         reports[g as usize]
             .as_ref()
@@ -1638,18 +1628,35 @@ fn compute_report(
     }
 }
 
-/// Analyze every module-local function: prove the register lowering
-/// faithful and compute worst-case resource bounds. The module must be
-/// validated; lowering is triggered (and cached) as needed.
-pub fn analyze(module: &Module) -> Result<ModuleAnalysis, AnalysisError> {
+/// A module's lowered code and the report of the proof that checked it.
+#[derive(Debug, Clone)]
+pub(crate) struct Lowered {
+    /// Register code per module-local function: what every instance runs.
+    pub(crate) code: Arc<[RegFunc]>,
+    /// The proof's verdict and the worst-case resource bounds.
+    pub(crate) report: ModuleAnalysis,
+}
+
+/// Lower every module-local function to register form, prove each
+/// lowering faithful to its flat IR and compute worst-case resource
+/// bounds. The flat IR exists only inside this pass; the code it returns
+/// is the code the proof checked, minus the `pc_map` only the proof
+/// reads. The module must be validated.
+pub(crate) fn lower_and_prove(module: &Module) -> Result<Lowered, AnalysisError> {
     let nf = module.funcs.len();
     let n_imp = module.num_imported_funcs();
+    let mut flat = Vec::with_capacity(nf);
+    let mut code = Vec::with_capacity(nf);
     let mut shapes = Vec::with_capacity(nf);
     for f in 0..nf as u32 {
-        let cf = module.compiled_func(f);
-        let rf = module.reg_func(f);
-        let shape = build_shape(module, f, cf)?;
-        validate_with_shape(f, cf, rf, &shape)?;
+        let cf = compile_func(module, f);
+        let mut rf = lower_func(module, f, &cf);
+        let shape = build_shape(module, f, &cf)?;
+        validate_with_shape(f, &cf, &rf, &shape)?;
+        // Only the proof reads the pc map; the bounds below need the flat IR.
+        rf.pc_map = Box::default();
+        flat.push(cf);
+        code.push(rf);
         shapes.push(shape);
     }
 
@@ -1687,7 +1694,8 @@ pub fn analyze(module: &Module) -> Result<ModuleAnalysis, AnalysisError> {
             }
         } else {
             let f = comp[0];
-            reports[f] = Some(compute_report(module, f as u32, &shapes[f], &reports));
+            let (cf, rf, shape) = (&flat[f], &code[f], &shapes[f]);
+            reports[f] = Some(compute_report(module, f as u32, cf, rf, shape, &reports));
         }
     }
 
@@ -1707,7 +1715,10 @@ pub fn analyze(module: &Module) -> Result<ModuleAnalysis, AnalysisError> {
             }
         }
     }
-    Ok(ModuleAnalysis { funcs })
+    Ok(Lowered {
+        code: code.into(),
+        report: ModuleAnalysis { funcs },
+    })
 }
 
 #[cfg(test)]
@@ -1722,7 +1733,7 @@ mod tests {
     }
 
     fn report(m: &Module, name: &str) -> FuncReport {
-        let a = analyze(m).expect("analysis passes");
+        let a = m.analysis().expect("analysis passes");
         let r = a
             .exports()
             .find(|r| r.export.as_deref() == Some(name))
@@ -2151,7 +2162,7 @@ mod tests {
                  (func (export "top") (result i32)
                    call $leaf))"#,
         );
-        let a = analyze(&m).unwrap();
+        let a = m.analysis().unwrap();
         let top = a
             .exports()
             .find(|r| r.export.as_deref() == Some("top"))
@@ -2187,11 +2198,29 @@ mod tests {
         )
     }
 
+    /// Function 0's flat IR and a fresh lowering of it, for a test to
+    /// corrupt before [`validate_lowering`].
+    fn flat_and_reg(m: &Module) -> (CompiledFunc, RegFunc) {
+        let cf = compile_func(m, 0);
+        let rf = lower_func(m, 0, &cf);
+        (cf, rf)
+    }
+
+    /// Validate one function's register lowering against its flat IR.
+    fn validate_lowering(
+        module: &Module,
+        func: u32,
+        cf: &CompiledFunc,
+        rf: &RegFunc,
+    ) -> Result<(), AnalysisError> {
+        let shape = build_shape(module, func, cf)?;
+        validate_with_shape(func, cf, rf, &shape)
+    }
+
     #[test]
     fn corrupted_meter_cost_is_rejected() {
         let m = loop_module();
-        let cf = m.compiled_func(0);
-        let mut rf = m.reg_func(0).clone();
+        let (cf, mut rf) = flat_and_reg(&m);
         let mut ops = rf.ops.to_vec();
         let meter = ops
             .iter_mut()
@@ -2202,14 +2231,13 @@ mod tests {
             .expect("has a Meter");
         *meter += 1;
         rf.ops = ops.into_boxed_slice();
-        assert!(validate_lowering(&m, 0, cf, &rf).is_err());
+        assert!(validate_lowering(&m, 0, &cf, &rf).is_err());
     }
 
     #[test]
     fn dropped_store_is_rejected() {
         let m = loop_module();
-        let cf = m.compiled_func(0);
-        let mut rf = m.reg_func(0).clone();
+        let (cf, mut rf) = flat_and_reg(&m);
         let mut ops = rf.ops.to_vec();
         let at = ops
             .iter()
@@ -2226,25 +2254,23 @@ mod tests {
             .expect("has a store");
         ops.remove(at);
         rf.ops = ops.into_boxed_slice();
-        assert!(validate_lowering(&m, 0, cf, &rf).is_err());
+        assert!(validate_lowering(&m, 0, &cf, &rf).is_err());
     }
 
     #[test]
     fn retargeted_branch_is_rejected() {
         let m = loop_module();
-        let cf = m.compiled_func(0);
-        let mut rf = m.reg_func(0).clone();
+        let (cf, mut rf) = flat_and_reg(&m);
         let mut branches = rf.branches.to_vec();
         branches[0].pc += 1;
         rf.branches = branches.into_boxed_slice();
-        assert!(validate_lowering(&m, 0, cf, &rf).is_err());
+        assert!(validate_lowering(&m, 0, &cf, &rf).is_err());
     }
 
     #[test]
     fn unmapped_flat_op_is_rejected() {
         let m = loop_module();
-        let cf = m.compiled_func(0);
-        let mut rf = m.reg_func(0).clone();
+        let (cf, mut rf) = flat_and_reg(&m);
         // Mid-block, so no Meter or branch-target check can fire first.
         let pc = cf
             .ops
@@ -2253,7 +2279,7 @@ mod tests {
             .expect("has a store");
         rf.pc_map[pc] = u32::MAX;
         assert_eq!(
-            validate_lowering(&m, 0, cf, &rf),
+            validate_lowering(&m, 0, &cf, &rf),
             Err(mismatch(0, pc, "flat op was not lowered"))
         );
     }
@@ -2261,6 +2287,8 @@ mod tests {
     #[test]
     fn pristine_lowering_validates() {
         let m = loop_module();
-        assert!(analyze(&m).is_ok());
+        let (cf, rf) = flat_and_reg(&m);
+        assert_eq!(validate_lowering(&m, 0, &cf, &rf), Ok(()));
+        assert!(m.analysis().is_ok());
     }
 }

@@ -145,9 +145,11 @@ impl ModuleBuilder {
         let mut cur = self.current.take().ok_or(BuildError::FunctionState)?;
         cur.code.instrs.push(Instr::End);
         fixup_block_targets(&mut cur.code.instrs).map_err(BuildError::Fixup)?;
-        self.module
-            .funcs
-            .push(FuncBody::new(cur.type_idx, cur.locals, cur.code.instrs));
+        self.module.funcs.push(FuncBody {
+            type_idx: cur.type_idx,
+            locals: cur.locals,
+            code: cur.code.instrs,
+        });
         Ok(())
     }
 

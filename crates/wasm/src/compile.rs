@@ -3,10 +3,11 @@
 //! The decoded [`Instr`] tree stays the source of truth for `encode` and
 //! for the test oracle (a per-instruction walker, `tests/util/oracle.rs`);
 //! this pass consumes it and produces a [`CompiledFunc`]. Nothing executes
-//! that form directly: it is lowered once more into the register form the
-//! production executor runs ([`crate::regalloc`]), analysed for resource
-//! bounds, and used as
-//! the left-hand side of translation validation ([`crate::analysis`]).
+//! that form directly: inside the one load-time pass
+//! ([`crate::analysis`]) it is lowered once more into the register form
+//! the production executor runs ([`crate::regalloc`]), analysed for
+//! resource bounds and used as the left-hand side of translation
+//! validation, and then dropped.
 //! The IR stays 1:1 with the source stack machine — one op per
 //! instruction, no operand fusion: every superinstruction is formed by
 //! the register lowering, under the translation-validation proof. Plain
@@ -152,9 +153,8 @@ impl Op {
             | Op::LocalSet(_)
             | Op::GlobalSet(_) => (1, 0),
             Op::CallWasm(f) => {
-                // Look the signature up by type, not via `compiled_func`:
-                // neither compiling the caller nor the analysis walk may
-                // trigger a compile cascade.
+                // Look the signature up by type: the callee's body may
+                // not be compiled yet.
                 let ft = module
                     .func_type(module.num_imported_funcs() + f)
                     .expect("validated call target");
@@ -289,7 +289,8 @@ struct FnCompiler<'m> {
 }
 
 /// Lower one validated function body (index into `Module::funcs`) to the
-/// flat IR. Prefer [`Module::compiled_func`], which caches the result.
+/// flat IR. Called only by the proof, which lowers the result to register
+/// form, checks the two against each other and then drops this one.
 pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
     let body = &module.funcs[local_idx as usize];
     let ty = &module.types[body.type_idx as usize];

@@ -6,6 +6,7 @@
 
 use crate::instr::{fixup_block_targets, FixupError, Instr, MemArg};
 use crate::leb128;
+pub use crate::leb128::LebError;
 use crate::module::*;
 use crate::types::*;
 
@@ -28,7 +29,7 @@ pub enum DecodeErrorKind {
     /// Input ended prematurely.
     UnexpectedEof,
     /// Malformed LEB128 integer.
-    Leb(leb128::LebError),
+    Leb(LebError),
     /// Unknown or unsupported section id.
     BadSection(u8),
     /// Sections out of order or repeated.
@@ -517,7 +518,11 @@ fn decode_code_section(
         }
         fixup_block_targets(&mut code).map_err(|e| r.err(DecodeErrorKind::Fixup(e)))?;
 
-        module.funcs.push(FuncBody::new(type_idx, locals, code));
+        module.funcs.push(FuncBody {
+            type_idx,
+            locals,
+            code,
+        });
     }
     Ok(())
 }

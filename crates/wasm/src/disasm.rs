@@ -5,7 +5,7 @@
 //! `analyze` tool prints it next to each function's static bounds (the
 //! paper's §3.A: "MNOs can perform static analysis on the MVNO scheduler
 //! plugin before deployment"), and `crates/bench/analyze.golden` pins it.
-//! A plain operator is spelled by its [`crate::ops`] payload's `Debug`
+//! A plain operator is spelled by its operator payload's `Debug`
 //! name — loads and stores as `load.<Kind>`/`store.<Kind>` — so the
 //! listing keeps no name table.
 
@@ -14,19 +14,20 @@ use std::fmt::Write as _;
 use crate::module::Module;
 use crate::regalloc::{RBranch, ROp, RegFunc};
 
-/// Render every function's register-form lowering ([`crate::regalloc`])
-/// as a stable, line-oriented listing. Registers print as `r{n}`;
-/// `r0..r{n_locals}` are the locals, the rest are stack slots. Forces
-/// lowering of every body.
+/// Render the register code every function of `module` runs, as the
+/// proof checked it ([`Module::analysis`]), as a stable, line-oriented
+/// listing. Registers print as `r{n}`; `r0..r{n_locals}` are the locals,
+/// the rest are stack slots. Empty when the proof fails: no such code
+/// runs.
 pub fn disassemble_reg(module: &Module) -> String {
     let mut out = String::new();
     let n_imports = module.num_imported_funcs();
-    for i in 0..module.funcs.len() as u32 {
-        let rf = module.reg_func(i);
+    let code = module.code().map(|c| &c[..]).unwrap_or_default();
+    for (i, rf) in code.iter().enumerate() {
         let _ = writeln!(
             out,
             "func $f{} (args {} -> {}, locals r0..r{}, frame {}):",
-            n_imports + i,
+            n_imports as usize + i,
             rf.argc,
             rf.ret_arity,
             rf.n_locals,

@@ -615,11 +615,11 @@ mod tests {
     fn roundtrip_minimal() {
         let mut m = Module::default();
         m.types.push(FuncType::new(&[], &[ValType::I32]));
-        m.funcs.push(FuncBody::new(
-            0,
-            vec![],
-            vec![Instr::I32Const(42), Instr::End],
-        ));
+        m.funcs.push(FuncBody {
+            type_idx: 0,
+            locals: vec![],
+            code: vec![Instr::I32Const(42), Instr::End],
+        });
         m.exports.push(Export {
             name: "f".into(),
             kind: ExportKind::Func(0),
@@ -651,10 +651,10 @@ mod tests {
             },
             init: ConstExpr::F64(3.25),
         });
-        m.funcs.push(FuncBody::new(
-            0,
-            vec![ValType::I32, ValType::I32, ValType::F64],
-            vec![
+        m.funcs.push(FuncBody {
+            type_idx: 0,
+            locals: vec![ValType::I32, ValType::I32, ValType::F64],
+            code: vec![
                 Instr::Block {
                     ty: BlockType::Value(ValType::I64),
                     end_pc: 3,
@@ -673,7 +673,7 @@ mod tests {
                 Instr::I64Add,
                 Instr::End,
             ],
-        ));
+        });
         m.exports.push(Export {
             name: "go".into(),
             kind: ExportKind::Func(1),

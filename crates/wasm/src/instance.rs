@@ -2,21 +2,22 @@
 //!
 //! [`Linker`] resolves a module's function imports to host closures;
 //! [`Instance`] owns the runtime state (memory, table, globals, host state
-//! `T`) and drives the one executor, the register-form loop over
-//! [`crate::regalloc`]'s code. The engine enforces the sandbox policies
-//! WA-RAN's plugin host configures: call-depth and value-stack bounds and
-//! deterministic fuel, the one budget that stops a call (the host sizes it
-//! from the 5G slot with [`NS_PER_FUEL`]; a bare instance starts with
-//! `u64::MAX`). The executor reads no
-//! clock. Its test oracle, a tree walker over the decoded `Instr` bodies
-//! with its own memory, lives in the crate's `tests/util/oracle.rs`.
+//! `T`) and drives the one executor, the register-form loop over the
+//! code [`Module::analysis`]'s proof checked. The engine enforces the
+//! sandbox policies WA-RAN's plugin host configures: call-depth and
+//! value-stack bounds and deterministic fuel, the one budget that stops a
+//! call (the host sizes it from the 5G slot with [`NS_PER_FUEL`]; a bare
+//! instance starts with `u64::MAX`). The executor reads no clock. Its
+//! test oracle, a tree walker over the decoded `Instr` bodies with its
+//! own memory, lives in the crate's `tests/util/oracle.rs`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use crate::interp::{Memory, Table, Value};
 use crate::module::{ConstExpr, ExportKind, ImportKind, Module};
-use crate::regalloc::{LoadKind, ROp, StoreKind};
+use crate::ops::{LoadKind, StoreKind};
+use crate::regalloc::{ROp, RegFunc};
 use crate::trap::Trap;
 use crate::types::{FuncType, Limits, Mutability, ValType};
 
@@ -197,6 +198,9 @@ pub struct ExecStats {
 /// An instantiated module plus its host state `T`.
 pub struct Instance<T> {
     module: Arc<Module>,
+    /// The module's proven register code, shared with every other
+    /// instance of it: an instance exists only once the proof passed.
+    code: Arc<[RegFunc]>,
     /// Host functions in import order, shared with the [`InstancePre`] the
     /// instance was stamped from (one atomic refcount bump per stamp-out).
     host_funcs: Arc<[HostFuncDef<T>]>,
@@ -209,7 +213,6 @@ pub struct Instance<T> {
     /// a fleet shares).
     vm: Vm,
     fuel_limit: Option<u64>,
-    stats: ExecStats,
     /// Byte size of the memory this instance was stamped with from a
     /// template snapshot (0 otherwise): on drop, a buffer still that size
     /// is re-zeroed up to its dirty high-water mark and donated to the
@@ -218,9 +221,10 @@ pub struct Instance<T> {
 }
 
 /// The half of an [`Instance`] a guest entry mutates: linear memory,
-/// globals, the resource meters and the reused execution buffers. The
-/// executor is a method on it and takes the module, the host functions
-/// and the host state as separate borrows.
+/// globals, the resource meters, the execution statistics and the reused
+/// execution buffers. The executor is a method on it and takes the
+/// module, its proven code, the host functions and the host state as
+/// separate borrows.
 struct Vm {
     memory: Memory,
     table: Table,
@@ -228,6 +232,7 @@ struct Vm {
     limits: ExecLimits,
     /// Fuel left; `u64::MAX` until [`Instance::set_fuel`] arms a budget.
     fuel: u64,
+    stats: ExecStats,
     /// Reused execution buffers: one flat register file shared by all
     /// frames (windows overlap at call boundaries) plus its frame stack
     /// survive across invocations so steady-state calls allocate nothing.
@@ -252,7 +257,7 @@ impl<T> std::fmt::Debug for Instance<T> {
         f.debug_struct("Instance")
             .field("memory_pages", &self.vm.memory.size_pages())
             .field("globals", &self.vm.globals.len())
-            .field("stats", &self.stats)
+            .field("stats", &self.vm.stats)
             .finish_non_exhaustive()
     }
 }
@@ -483,10 +488,11 @@ impl StateSnapshot {
 /// per stamp-out for snapshot instantiation to be observationally
 /// identical to the cold path, [`Instance::with_limits`].
 ///
-/// Cloning is cheap (three `Arc` bumps); a template is `Send + Sync` and
+/// Cloning is cheap (four `Arc` bumps); a template is `Send + Sync` and
 /// meant to be shared across worker threads.
 pub struct InstancePre<T> {
     module: Arc<Module>,
+    code: Arc<[RegFunc]>,
     host_funcs: Arc<[HostFuncDef<T>]>,
     snapshot: Arc<StateSnapshot>,
     limits: ExecLimits,
@@ -496,6 +502,7 @@ impl<T> Clone for InstancePre<T> {
     fn clone(&self) -> Self {
         InstancePre {
             module: Arc::clone(&self.module),
+            code: Arc::clone(&self.code),
             host_funcs: Arc::clone(&self.host_funcs),
             snapshot: Arc::clone(&self.snapshot),
             limits: self.limits,
@@ -521,15 +528,11 @@ impl<T> InstancePre<T> {
         limits: ExecLimits,
     ) -> Result<Self, InstantiateError> {
         let host_funcs: Arc<[HostFuncDef<T>]> = resolve_imports(&module, linker)?.into();
-        // Templates are the shared gateway for fleet deployment: prove
-        // the register lowering faithful (and cache the resource bounds)
-        // before any instance is stamped from this module.
-        module
-            .analysis()
-            .map_err(|e| InstantiateError::Analysis(e.clone()))?;
+        let code = Arc::clone(module.code().map_err(InstantiateError::Analysis)?);
         let snapshot = Arc::new(StateSnapshot::new(InstanceState::init(&module, &limits)?));
         Ok(InstancePre {
             module,
+            code,
             host_funcs,
             snapshot,
             limits,
@@ -551,6 +554,7 @@ impl<T> InstancePre<T> {
     pub fn instantiate(&self, data: T) -> Result<Instance<T>, InstantiateError> {
         Instance::assemble(
             Arc::clone(&self.module),
+            Arc::clone(&self.code),
             Arc::clone(&self.host_funcs),
             self.snapshot.stamp(),
             data,
@@ -578,8 +582,9 @@ impl<T> Instance<T> {
         limits: ExecLimits,
     ) -> Result<Self, InstantiateError> {
         let host_funcs: Arc<[HostFuncDef<T>]> = resolve_imports(&module, linker)?.into();
+        let code = Arc::clone(module.code().map_err(InstantiateError::Analysis)?);
         let state = InstanceState::init(&module, &limits)?;
-        Self::assemble(module, host_funcs, state, data, limits, 0)
+        Self::assemble(module, code, host_funcs, state, data, limits, 0)
     }
 
     /// Final construction step shared by the cold path and
@@ -589,6 +594,7 @@ impl<T> Instance<T> {
     /// `data`).
     fn assemble(
         module: Arc<Module>,
+        code: Arc<[RegFunc]>,
         host_funcs: Arc<[HostFuncDef<T>]>,
         state: InstanceState,
         data: T,
@@ -602,6 +608,7 @@ impl<T> Instance<T> {
         } = state;
         let mut inst = Instance {
             module,
+            code,
             host_funcs,
             data,
             vm: Vm {
@@ -610,12 +617,12 @@ impl<T> Instance<T> {
                 globals,
                 limits,
                 fuel: u64::MAX,
+                stats: ExecStats::default(),
                 scratch_regs: Vec::with_capacity(128),
                 scratch_rframes: Vec::with_capacity(16),
                 scratch_host_args: Vec::new(),
             },
             fuel_limit: None,
-            stats: ExecStats::default(),
             recycle_len,
         };
 
@@ -644,7 +651,7 @@ impl<T> Instance<T> {
 
     /// Execution statistics so far.
     pub fn stats(&self) -> ExecStats {
-        self.stats
+        self.vm.stats
     }
 
     /// Read a global exported under `name`.
@@ -723,8 +730,8 @@ impl<T> Instance<T> {
                 "argument mismatch calling function {func}: expected {ty}",
             )));
         }
-        let mut instrs: u64 = 0;
-        let (module, host_funcs, data) = (&*self.module, &*self.host_funcs, &mut self.data);
+        let (module, code, host_funcs) = (&*self.module, &*self.code, &*self.host_funcs);
+        let data = &mut self.data;
         // `host_funcs` holds one entry per function import, in index order.
         let result = if let Some(def) = host_funcs.get(func as usize) {
             // Direct host-function entry (rare but legal via re-export):
@@ -732,15 +739,11 @@ impl<T> Instance<T> {
             (def.func)(data, &mut self.vm.memory, args)
                 .and_then(|got| check_host_result(def.ty.results.first().copied(), got))
         } else {
-            self.vm
-                .exec_reg(module, host_funcs, data, func, args, &mut instrs)
+            self.vm.exec_reg(module, code, host_funcs, data, func, args)
         };
-        // Flushed here unconditionally so every exit path — including the
-        // out-of-fuel one, which used to skip it — counts its instructions.
-        self.stats.instrs += instrs;
         match &result {
-            Ok(_) => self.stats.invokes += 1,
-            Err(_) => self.stats.traps += 1,
+            Ok(_) => self.vm.stats.invokes += 1,
+            Err(_) => self.vm.stats.traps += 1,
         }
         result
     }
@@ -754,11 +757,11 @@ impl Vm {
     fn exec_reg<T>(
         &mut self,
         module: &Module,
+        code: &[RegFunc],
         host_funcs: &[HostFuncDef<T>],
         data: &mut T,
         entry: u32,
         args: &[Value],
-        instrs: &mut u64,
     ) -> Result<Option<Value>, Trap> {
         let n_imports = module.num_imported_funcs();
 
@@ -768,7 +771,7 @@ impl Vm {
         frames.clear();
 
         let entry_local = entry - n_imports;
-        let rf = module.reg_func(entry_local);
+        let rf = &code[entry_local as usize];
         let ret_ty = module
             .func_type(entry)
             .and_then(|ty| ty.results.first().copied());
@@ -783,7 +786,7 @@ impl Vm {
             vbase: 0,
         });
 
-        let result = self.run_reg(module, host_funcs, data, instrs, &mut regs, &mut frames);
+        let result = self.run_reg(module, code, host_funcs, data, &mut regs, &mut frames);
         let out = result.map(|()| ret_ty.map(|ty| Value::from_bits(ty, regs[0])));
 
         self.scratch_regs = regs;
@@ -808,9 +811,9 @@ impl Vm {
     fn run_reg<T>(
         &mut self,
         module: &Module,
+        code: &[RegFunc],
         host_funcs: &[HostFuncDef<T>],
         data: &mut T,
-        instrs: &mut u64,
         regs: &mut Vec<u64>,
         frames: &mut Vec<RFrame>,
     ) -> Result<(), Trap> {
@@ -823,7 +826,7 @@ impl Vm {
             let mut pc = frame.pc as usize;
             let base = frame.base as usize;
             let vbase = frame.vbase as usize;
-            let rf = module.reg_func(frame.func);
+            let rf = &code[frame.func as usize];
             let ops = &rf.ops;
             let rbranches = &rf.branches;
             let consts = &rf.consts;
@@ -868,7 +871,7 @@ impl Vm {
                         return Err(Trap::StackOverflow);
                     }
                     frames.last_mut().expect("at least one frame").pc = pc as u32;
-                    let callee = module.reg_func(f);
+                    let callee = &code[f as usize];
                     let need = abs + callee.frame_size as usize;
                     if regs.len() < need {
                         regs.resize(need, 0);
@@ -899,12 +902,12 @@ impl Vm {
                         if self.fuel < cost as u64 {
                             // A per-instruction meter would retire exactly
                             // the remaining fuel before trapping.
-                            *instrs += self.fuel;
+                            self.stats.instrs += self.fuel;
                             self.fuel = 0;
                             return Err(Trap::OutOfFuel);
                         }
                         self.fuel -= cost as u64;
-                        *instrs += cost as u64;
+                        self.stats.instrs += cost as u64;
                         // `vbase + entry` is exactly the operand-stack
                         // height a stack machine has at this block header.
                         if vbase + entry as usize + peak as usize > self.limits.max_value_stack {
@@ -1390,5 +1393,27 @@ pub(crate) fn trunc_f64_to_u64(a: f64) -> Result<u64, Trap> {
         Ok(a as u64)
     } else {
         Err(Trap::InvalidConversion)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_instance_runs_the_code_the_proof_checked() {
+        let wasm = waran_wat::assemble(r#"(module (func (export "f") (result i32) i32.const 7))"#)
+            .unwrap();
+        let module = Arc::new(crate::load_module(&wasm).unwrap());
+        let linker = Linker::<()>::new();
+        let pre = InstancePre::new(module.clone(), &linker, ExecLimits::default()).unwrap();
+        let stamped = pre.instantiate(()).unwrap();
+        let cold = Instance::with_limits(module.clone(), &linker, (), ExecLimits::default());
+        let cold = cold.unwrap();
+        let second = Instance::new(module.clone(), &linker, ()).unwrap();
+        let proven = module.code().unwrap();
+        for inst in [&stamped, &cold, &second] {
+            assert!(Arc::ptr_eq(&inst.code, proven));
+        }
     }
 }

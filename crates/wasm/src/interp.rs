@@ -156,8 +156,6 @@ pub struct Memory {
     data: Vec<u8>,
     /// Effective maximum size in pages.
     max_pages: u32,
-    /// High-water mark of pages ever reached (for host-side accounting).
-    peak_pages: u32,
     /// High-water mark of *written* bytes: every byte at index
     /// `>= dirty_max` is still zero (conservative — writes of zero bytes
     /// advance it too). The buffer pool uses this to re-zero only the
@@ -181,7 +179,6 @@ impl Memory {
         Ok(Memory {
             data: vec![0; limits.min as usize * PAGE_SIZE],
             max_pages,
-            peak_pages: limits.min,
             dirty_max: 0,
         })
     }
@@ -191,7 +188,6 @@ impl Memory {
         Memory {
             data: Vec::new(),
             max_pages: 0,
-            peak_pages: 0,
             dirty_max: 0,
         }
     }
@@ -227,7 +223,6 @@ impl Memory {
     pub(crate) fn from_image(mut data: Vec<u8>, image: &[u8], max_pages: u32) -> Memory {
         data[..image.len()].copy_from_slice(image);
         Memory {
-            peak_pages: (data.len() / PAGE_SIZE) as u32,
             data,
             max_pages,
             dirty_max: image.len(),
@@ -242,11 +237,6 @@ impl Memory {
     /// Current size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.data.len()
-    }
-
-    /// High-water mark in pages.
-    pub fn peak_pages(&self) -> u32 {
-        self.peak_pages
     }
 
     /// Effective maximum size in pages.
@@ -264,7 +254,6 @@ impl Memory {
             return None;
         }
         self.data.resize(new as usize * PAGE_SIZE, 0);
-        self.peak_pages = self.peak_pages.max(new);
         Some(old)
     }
 
@@ -367,16 +356,6 @@ impl Table {
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// True when the table has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
-    }
-
     /// Install a function index at `idx` (instantiation-time element
     /// segments; grows never happen in the MVP).
     pub fn set(&mut self, idx: u32, func: u32) -> Result<(), Trap> {
@@ -445,7 +424,7 @@ mod tests {
         let mut mem = Memory::new(Limits::new(1, Some(100)), 3).unwrap();
         assert_eq!(mem.grow(2), Some(1));
         assert_eq!(mem.grow(1), None);
-        assert_eq!(mem.peak_pages(), 3);
+        assert_eq!(mem.size_pages(), 3);
     }
 
     #[test]
@@ -480,7 +459,8 @@ mod tests {
     #[test]
     fn table_semantics() {
         let mut t = Table::new(Limits::new(2, None));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(1), Err(Trap::UninitializedElement));
+        assert_eq!(t.get(2), Err(Trap::TableOutOfBounds));
         assert_eq!(t.get(0), Err(Trap::UninitializedElement));
         t.set(0, 7).unwrap();
         assert_eq!(t.get(0), Ok(7));

@@ -137,6 +137,43 @@ pub fn write_signed(out: &mut Vec<u8>, mut value: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn leb_unsigned_roundtrip(v in any::<u64>()) {
+            let mut buf = Vec::new();
+            write_unsigned(&mut buf, v);
+            let (got, n) = read_unsigned(&buf, 64).unwrap();
+            prop_assert_eq!(got, v);
+            prop_assert_eq!(n, buf.len());
+        }
+
+        #[test]
+        fn leb_signed_roundtrip(v in any::<i64>()) {
+            let mut buf = Vec::new();
+            write_signed(&mut buf, v);
+            let (got, n) = read_signed(&buf, 64).unwrap();
+            prop_assert_eq!(got, v);
+            prop_assert_eq!(n, buf.len());
+        }
+
+        #[test]
+        fn leb_u32_roundtrip(v in any::<u32>()) {
+            let mut buf = Vec::new();
+            write_unsigned(&mut buf, v as u64);
+            let (got, _) = read_unsigned(&buf, 32).unwrap();
+            prop_assert_eq!(got, v as u64);
+        }
+
+        #[test]
+        fn leb_i32_roundtrip(v in any::<i32>()) {
+            let mut buf = Vec::new();
+            write_signed(&mut buf, v as i64);
+            let (got, _) = read_signed(&buf, 32).unwrap();
+            prop_assert_eq!(got, v as i64);
+        }
+    }
 
     fn roundtrip_u(v: u64, bits: u32) {
         let mut buf = Vec::new();

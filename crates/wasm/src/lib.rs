@@ -11,18 +11,18 @@
 //! * [`interp`] — the runtime state: values, sandboxed linear
 //!   [`Memory`](interp::Memory) with hard bounds checks, and tables,
 //! * [`instance`] — instantiation, host-function linking, typed calls and
-//!   the one executor: traps and fuel metering, the only budget that
-//!   stops a call (it reads no clock),
-//! * [`compile`] / [`regalloc`] — the two lowerings behind that executor:
-//!   validated bodies become a 1:1 flat stack IR (side-table branches,
-//!   block metering, inlining), which is lowered again into three-address
-//!   code over a per-frame virtual register file — the one pass that fuses
-//!   operands, write-backs, compare-and-branch and address chains —
-//!   eliminating value-stack traffic from the hot loop. Only the register
-//!   form is executed; [`analysis`] proves it equivalent to the flat IR at
-//!   load. Both forms carry plain operators as the [`ops`] payload enums.
-//!   The crate's tests hold the executor to an oracle that walks the
-//!   decoded instructions over its own memory (`tests/util/oracle.rs`),
+//!   the one executor: traps ([`Trap`]) and fuel metering, the only
+//!   budget that stops a call (it reads no clock),
+//! * [`analysis`] — the one load-time pass behind that executor, run once
+//!   per module: validated bodies become a 1:1 flat stack IR (side-table
+//!   branches, block metering, inlining), which is lowered again into
+//!   three-address code over a per-frame virtual register file — the one
+//!   pass that fuses operands, write-backs, compare-and-branch and address
+//!   chains — and the register form is proven equivalent to the flat IR,
+//!   with worst-case resource bounds. The flat IR lives only inside that
+//!   pass; every instance runs the register code it proved. The crate's
+//!   tests hold the executor to an oracle that walks the decoded
+//!   instructions over its own memory (`tests/util/oracle.rs`),
 //! * [`disasm`] — the register-code listing the `analyze` tool prints.
 //!
 //! Design goals follow the paper's requirements for RAN plugin hosting:
@@ -58,18 +58,18 @@
 
 pub mod analysis;
 pub mod builder;
-pub mod compile;
+mod compile;
 pub mod decode;
 pub mod disasm;
 pub mod encode;
 pub mod instance;
 pub mod instr;
 pub mod interp;
-pub mod leb128;
+mod leb128;
 pub mod module;
-pub mod ops;
-pub mod regalloc;
-pub mod trap;
+mod ops;
+mod regalloc;
+mod trap;
 pub mod types;
 pub mod validate;
 

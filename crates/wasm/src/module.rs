@@ -1,41 +1,29 @@
 //! The decoded, immutable module representation shared by the validator and
 //! the interpreter.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use crate::analysis::{analyze, AnalysisError, ModuleAnalysis};
-use crate::compile::{compile_func, CompiledFunc};
+use crate::analysis::{lower_and_prove, AnalysisError, Lowered, ModuleAnalysis};
 use crate::instr::Instr;
-use crate::regalloc::{lower_func, RegFunc};
+use crate::regalloc::RegFunc;
 use crate::types::{FuncType, GlobalType, Limits, ValType};
 
-/// A lazily computed pure function of the module it lives on: the flat
-/// IR, the register form and the analysis report are each derived once,
-/// on first use. Wraps `OnceLock` so [`FuncBody`] and [`Module`] keep
-/// their derived `Clone`/`PartialEq`/`Debug` — a clone carries a computed
-/// value along, and the cache never affects equality.
-pub struct Memo<T>(OnceLock<T>);
+/// A lazily computed pure function of the module it lives on: the
+/// lowered and proven code is derived once, on first use. Wraps
+/// `OnceLock` so [`Module`] keeps its derived `Clone`/`PartialEq`/`Debug`
+/// — a clone carries a computed value along, and the cache never affects
+/// equality.
+pub(crate) struct Memo<T>(OnceLock<T>);
 
 impl<T> Memo<T> {
     /// Empty (not-yet-computed) cell.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Memo(OnceLock::new())
     }
 
     /// The cached value, computing it with `f` on first use.
-    pub fn get_or_init(&self, f: impl FnOnce() -> T) -> &T {
+    pub(crate) fn get_or_init(&self, f: impl FnOnce() -> T) -> &T {
         self.0.get_or_init(f)
-    }
-
-    /// The cached value, if computed, for in-place trimming.
-    pub fn get_mut(&mut self) -> Option<&mut T> {
-        self.0.get_mut()
-    }
-
-    /// Empty the cell, returning what it held; a later
-    /// [`Self::get_or_init`] computes afresh.
-    pub fn take(&mut self) -> Option<T> {
-        self.0.take()
     }
 }
 
@@ -125,30 +113,6 @@ pub struct FuncBody {
     /// Flat instruction sequence terminated by `End`, with block targets
     /// resolved (see [`crate::instr::fixup_block_targets`]).
     pub code: Vec<Instr>,
-    /// Lazily compiled flat IR (see [`crate::compile`]): never executed,
-    /// it is the intermediate the register form is lowered from, the
-    /// input of the load-time analysis and the left-hand side of
-    /// translation validation — and nothing after that, so
-    /// [`Module::release_proof_inputs`] empties the cell.
-    pub compiled: Memo<CompiledFunc>,
-    /// Lazily lowered register-form IR (see [`crate::regalloc`]) — what
-    /// instances execute. Shared by every instance holding the same
-    /// `Arc<Module>`, so hot swap back to a cached module re-instantiates
-    /// without re-lowering.
-    pub reg: Memo<RegFunc>,
-}
-
-impl FuncBody {
-    /// A body with an empty compile cache.
-    pub fn new(type_idx: u32, locals: Vec<ValType>, code: Vec<Instr>) -> Self {
-        FuncBody {
-            type_idx,
-            locals,
-            code,
-            compiled: Memo::new(),
-            reg: Memo::new(),
-        }
-    }
 }
 
 /// A module-defined global: its type and constant initializer.
@@ -224,9 +188,9 @@ pub struct Module {
     pub elems: Vec<ElemSegment>,
     /// Active data segments.
     pub data: Vec<DataSegment>,
-    /// Lazily computed load-time static analysis (translation validation
-    /// + resource bounds), cached module-wide like the compiled bodies.
-    pub analysis: Memo<Result<ModuleAnalysis, AnalysisError>>,
+    /// The register code every instance runs and the report of the proof
+    /// that checked it, derived once by `analysis::lower_and_prove`.
+    lowered: Memo<Result<Lowered, AnalysisError>>,
 }
 
 impl Module {
@@ -270,66 +234,32 @@ impl Module {
         }
     }
 
-    /// The flat-IR compilation of a module-local function (index into
-    /// [`Module::funcs`]), compiling on first use. The body must have been
-    /// validated.
-    pub fn compiled_func(&self, local_idx: u32) -> &CompiledFunc {
-        self.funcs[local_idx as usize]
-            .compiled
-            .get_or_init(|| compile_func(self, local_idx))
-    }
-
-    /// The register-form lowering of a module-local function (index into
-    /// [`Module::funcs`]), lowering (and flat-compiling) on first use. The
-    /// body must have been validated.
-    pub fn reg_func(&self, local_idx: u32) -> &RegFunc {
-        self.funcs[local_idx as usize]
-            .reg
-            .get_or_init(|| lower_func(self, local_idx))
-    }
-
     /// The module's static analysis report (translation validation and
     /// worst-case resource bounds), computed on first use and cached.
     /// The module must have been validated.
     pub fn analysis(&self) -> Result<&ModuleAnalysis, AnalysisError> {
-        self.analysis
-            .get_or_init(|| analyze(self))
+        self.lowered().map(|l| &l.report)
+    }
+
+    /// The register code of every body, index-aligned with
+    /// [`Module::funcs`]: what every instance of this module runs, and
+    /// exactly what the proof checked.
+    pub(crate) fn code(&self) -> Result<&Arc<[RegFunc]>, AnalysisError> {
+        self.lowered().map(|l| &l.code)
+    }
+
+    fn lowered(&self) -> Result<&Lowered, AnalysisError> {
+        self.lowered
+            .get_or_init(|| lower_and_prove(self))
             .as_ref()
             .map_err(Clone::clone)
     }
 
-    /// Run the load-time proof now ([`Self::analysis`], which lowers every
-    /// body), then free what only the proof read: each body's flat IR and
-    /// the register form's `pc_map`. The verdict, the bounds and the
-    /// register code stay memoised, so instances and admission see no
-    /// difference; for a module a cache retains it is the larger half of
-    /// the lowered code given back. [`Self::compiled_func`] on a released
-    /// module recompiles (tools and tests only — no runtime path asks).
-    pub fn release_proof_inputs(&mut self) {
-        let _ = self.analysis();
-        for body in &mut self.funcs {
-            body.compiled.take();
-            if let Some(rf) = body.reg.get_mut() {
-                rf.pc_map = Box::default();
-            }
-        }
-    }
-
-    /// Force both lowerings of every function body now: the flat IR
-    /// (analysis input, proof left-hand side) and the register form
-    /// derived from it (what runs).
-    ///
-    /// Lowering is otherwise lazy (first call per function, behind a
-    /// `OnceLock`), which is right for a single instance but makes worker
-    /// threads that share one `Arc<Module>` briefly serialize on the cells
-    /// during warm-up. Pre-compiling once — e.g. when a module enters the
-    /// host's template cache — gives every instance a fully-lowered,
-    /// read-only module to execute from.
+    /// Lower and prove every body now ([`Self::analysis`]), so the first
+    /// instantiation on a worker that shares this module finds the code
+    /// ready instead of waiting on the cell.
     pub fn precompile(&self) {
-        for local_idx in 0..self.funcs.len() as u32 {
-            self.compiled_func(local_idx);
-            self.reg_func(local_idx);
-        }
+        let _ = self.analysis();
     }
 }
 
@@ -337,15 +267,14 @@ impl Module {
 // across worker threads (one `Arc<Module>` per bytecode hash, one
 // instance per worker) and moves `Instance`s into workers. Everything
 // here is plain owned data; the only interior mutability is the
-// `OnceLock` inside each [`Memo`] (two per body, one on the module),
-// which is thread-safe by construction. Workers only ever read
-// `RegFunc`s while executing; `CompiledFunc`s are read by the lowering
-// and the analyzer. These assertions make the property load-bearing: a
-// field that breaks `Send`/`Sync` breaks the build, not the engine.
+// `OnceLock` inside the module's one [`Memo`], which is thread-safe by
+// construction. Workers only ever read the proven `RegFunc`s while
+// executing; the flat IR lives only inside the proof and is never
+// stored. These assertions make the property load-bearing: a field that
+// breaks `Send`/`Sync` breaks the build, not the engine.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Module>();
-    assert_send_sync::<CompiledFunc>();
     assert_send_sync::<RegFunc>();
 };
 
@@ -363,11 +292,11 @@ mod tests {
             name: "log".into(),
             kind: ImportKind::Func { type_idx: 0 },
         });
-        m.funcs.push(FuncBody::new(
-            1,
-            vec![],
-            vec![Instr::I64Const(7), Instr::End],
-        ));
+        m.funcs.push(FuncBody {
+            type_idx: 1,
+            locals: vec![],
+            code: vec![Instr::I64Const(7), Instr::End],
+        });
         m.exports.push(Export {
             name: "get".into(),
             kind: ExportKind::Func(1),
@@ -417,28 +346,21 @@ mod tests {
     }
 
     #[test]
-    fn release_frees_the_proof_inputs_and_keeps_the_verdict() {
-        let wasm = waran_wat::assemble(
-            r#"(module (func (export "f") (param i32) (result i32)
-                 local.get 0  if (result i32)  i32.const 1  else  i32.const 2  end))"#,
-        )
-        .unwrap();
-        let mut m = crate::load_module(&wasm).unwrap();
-        m.release_proof_inputs();
-        let body = &m.funcs[0];
-        assert_eq!(format!("{:?}", body.compiled), "Memo(pending)");
-        let rf = m.reg_func(0);
-        assert!(rf.pc_map.is_empty() && !rf.ops.is_empty());
-        // The proof ran before anything was freed, and stays memoised;
-        // a tool that asks for the flat IR again gets it recompiled.
-        let fuel = m.analysis().expect("proven").func(0).fuel;
-        assert!(fuel.finite().is_some());
-        assert!(!m.compiled_func(0).ops.is_empty());
-        let mut inst = crate::Instance::new(m.into(), &crate::Linker::<()>::new(), ()).unwrap();
-        assert_eq!(
-            inst.invoke("f", &[crate::Value::I32(0)]),
-            Ok(Some(crate::Value::I32(2)))
-        );
+    fn a_module_that_fails_its_proof_has_no_instance() {
+        let wasm = waran_wat::assemble(r#"(module (func (export "f")))"#).unwrap();
+        let m = crate::load_module(&wasm).unwrap();
+        let failed = crate::analysis::mismatch(0, 0, "injected");
+        m.lowered.get_or_init(|| Err(failed.clone()));
+        assert_eq!(m.analysis(), Err(failed.clone()));
+        assert_eq!(crate::disasm::disassemble_reg(&m), "");
+        let m = std::sync::Arc::new(m);
+        let linker = crate::Linker::<()>::new();
+        let limits = crate::instance::ExecLimits::default();
+        let want = crate::instance::InstantiateError::Analysis(failed);
+        let cold = crate::Instance::with_limits(m.clone(), &linker, (), limits);
+        assert_eq!(cold.unwrap_err(), want);
+        let pre = crate::InstancePre::new(m, &linker, limits);
+        assert_eq!(pre.unwrap_err(), want);
     }
 
     #[test]

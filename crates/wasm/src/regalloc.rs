@@ -33,9 +33,10 @@
 //! Folding stops at *values*: a constant `br_if`/`br_table`/`select`
 //! condition materializes like any other operand and takes the generic
 //! op. Liveness is decided once, by the flat compiler (it emits no dead
-//! op), so every flat op is lowered, [`RegFunc::pc_map`] is total and the
-//! proof has no control decision of this pass to predict; if constant
-//! control ever matters it folds there, before the proof, not here.
+//! op), so every flat op is lowered, [`RegFunc::pc_map`] is total (the
+//! proof checks it, then empties it) and the proof has no control
+//! decision of this pass to predict; if constant control ever matters it
+//! folds there, before the proof, not here.
 //!
 //! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
@@ -51,8 +52,7 @@
 use crate::compile::{CompiledFunc, Op};
 use crate::interp::Value;
 use crate::module::Module;
-use crate::ops::I32Op;
-pub use crate::ops::{BinOp, I64Op, LoadKind, StoreKind, UnOp};
+use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
 
 /// One register-form operation. All register operands (`dst`/`a`/`b`/…)
 /// index the current frame's register window (`frame.base + reg`);
@@ -341,7 +341,7 @@ pub struct RegFunc {
     /// Flat-pc → register-pc map, one entry per flat op: exact at block
     /// leaders (all a branch can target), a hint inside a block (a later
     /// address-chain fusion may pull ops out from under it). Read only by
-    /// translation validation; [`Module::release_proof_inputs`] empties it.
+    /// translation validation, which empties it once the proof passes.
     pub pc_map: Box<[u32]>,
 }
 
@@ -382,10 +382,9 @@ struct Lowerer<'m> {
     pendings: Vec<Pending>,
 }
 
-/// Lower `module`'s local function `local_idx` from flat to register
-/// form. Requires (and triggers) the flat compilation.
-pub fn lower_func(module: &Module, local_idx: u32) -> RegFunc {
-    let cf = module.compiled_func(local_idx);
+/// Lower `module`'s local function `local_idx` from its flat IR `cf` to
+/// register form. Called only by the proof that checks the result.
+pub fn lower_func(module: &Module, local_idx: u32, cf: &CompiledFunc) -> RegFunc {
     let n_locals = cf.argc + cf.locals_init.len() as u32;
 
     let entry_height = cf
@@ -1524,7 +1523,7 @@ mod tests {
             .i32_add();
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
-        let rf = lower_func(&m, 0);
+        let rf = &m.code().unwrap()[0];
         // Six source instructions (five below plus the End) in one Meter;
         // x*2+1 is two const-operand ops through the result slot, then the
         // return — no copies, no const materialization.
@@ -1556,7 +1555,7 @@ mod tests {
             .local_get(0);
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
-        let rf = lower_func(&m, 0);
+        let rf = &m.code().unwrap()[0];
         // The add must write local 0 directly — no Copy in the body.
         assert!(
             !rf.ops.iter().any(|op| matches!(op, ROp::Copy { .. })),
@@ -1585,7 +1584,7 @@ mod tests {
             .i64_const(7);
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
-        let rf = lower_func(&m, 0);
+        let rf = &m.code().unwrap()[0];
         assert_eq!(rf.consts.len(), 1, "consts: {:?}", rf.consts);
     }
 
@@ -1593,7 +1592,7 @@ mod tests {
     fn lower_wat(src: &str) -> Vec<ROp> {
         let wasm = waran_wat::assemble(src).expect("assembles");
         let m = crate::load_module(&wasm).expect("valid");
-        let rf = lower_func(&m, 0);
+        let rf = &m.code().unwrap()[0];
         let code = rf.ops.iter().filter(|op| !matches!(op, ROp::Meter { .. }));
         code.copied().collect()
     }

@@ -28,11 +28,10 @@
 use std::sync::Arc;
 
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::compile::Op;
+use waran_wasm::disasm::disassemble_reg;
 use waran_wasm::instance::{ExecLimits, Instance, Linker, BULK_BYTES_PER_FUEL};
 use waran_wasm::instr::Instr;
 use waran_wasm::interp::Value;
-use waran_wasm::regalloc::ROp;
 use waran_wasm::types::{BlockType, ValType};
 use waran_wasm::{load_module, Module, Trap};
 
@@ -873,10 +872,16 @@ fn call_pair<T>(
     ours
 }
 
-/// Does the register code of export `name` contain an op `pred` accepts?
-fn lowered_with(module: &Module, name: &str, pred: impl Fn(&ROp) -> bool) -> bool {
-    let local = module.exported_func(name).unwrap() - module.num_imported_funcs();
-    module.reg_func(local).ops.iter().any(pred)
+/// Does the register code of export `name` have a listing line (see
+/// `disassemble_reg`) containing `needle`?
+fn lowered_with(module: &Module, name: &str, needle: &str) -> bool {
+    let header = format!("func $f{} (", module.exported_func(name).unwrap());
+    let listing = disassemble_reg(module);
+    let mut lines = listing.lines().skip_while(|l| !l.starts_with(&header));
+    lines.next().expect("export listed");
+    lines
+        .take_while(|l| !l.starts_with("func "))
+        .any(|l| l.contains(needle))
 }
 
 /// Every export first loads an all-ones i64 into the bottom operand cell
@@ -944,15 +949,10 @@ fn differential_dirty_upper_halves() {
     );
     let mut sides = wat_pair(DIRTY_WAT, &linker, Vec::new);
     let module = sides.0.module().clone();
-    // The address forms the issue names are really what runs.
-    assert!(lowered_with(&module, "load_rr", |op| matches!(
-        op,
-        ROp::LoadRR { .. }
-    )));
-    assert!(lowered_with(&module, "load_bis", |op| matches!(
-        op,
-        ROp::LoadBis { .. }
-    )));
+    // The fused address forms are really what runs: `[ra+rb+off]`
+    // (LoadRR) and `[ra+(rb<<sh)+k+off]` (LoadBis).
+    assert!(lowered_with(&module, "load_rr", "+r"));
+    assert!(lowered_with(&module, "load_bis", "<<"));
 
     // `!a` lands on 0, 1, 2, u32::MAX, i32::MIN and the top of the
     // one-page memory; `b` moves the address across the end and around
@@ -1039,7 +1039,7 @@ fn differential_callee_locals_start_at_zero() {
     let mut sides = wat_pair(LOCALS_WAT, &Linker::<()>::new(), || ());
     let module = sides.0.module().clone();
     assert!(
-        lowered_with(&module, "twice", |op| matches!(op, ROp::CallWasm { .. })),
+        lowered_with(&module, "twice", "call $f"),
         "the callee was inlined: the test no longer enters a frame"
     );
     let mut cases = 0u32;
@@ -1445,36 +1445,18 @@ fn differential_constant_control() {
     }
 }
 
-/// Every flat op is lowered: no `pc_map` entry is the unmapped sentinel,
-/// and each block leader — all a branch can target — maps to its register
-/// `Meter`. (Inside a block an entry is only a placement hint: a later
-/// address-chain fusion may pull ops out from under it.)
-fn assert_pc_map_is_total(module: &Module, ctx: &str) {
-    for f in 0..module.funcs.len() as u32 {
-        let (cf, rf) = (module.compiled_func(f), module.reg_func(f));
-        assert_eq!(rf.pc_map.len(), cf.ops.len(), "{ctx}: func {f}");
-        for (pc, &q) in rf.pc_map.iter().enumerate() {
-            assert_ne!(q, u32::MAX, "{ctx}: func {f} flat pc {pc} was not lowered");
-            if let Op::Meter { cost, .. } = cf.ops[pc] {
-                assert!(
-                    matches!(rf.ops.get(q as usize), Some(ROp::Meter { cost: c, .. }) if *c == cost),
-                    "{ctx}: func {f} block leader {pc} maps to register pc {q}"
-                );
-            }
-        }
-    }
-}
-
+/// Every flat op is lowered and each block leader — all a branch can
+/// target — maps to its register `Meter`: the proof checks both (a
+/// `pc_map` entry left unmapped fails it as "flat op was not lowered").
+/// `differential_constant_control` holds its cases to the same proof.
 #[test]
 fn every_flat_op_of_the_corpus_is_lowered() {
     for seed in 0..300u64 {
         let wasm = waran_plugc::compile(&gen_program(seed)).expect("corpus compiles");
         let module = load_module(&wasm).expect("validates");
-        assert_pc_map_is_total(&module, &format!("seed {seed}"));
-    }
-    for (name, body, _) in constant_control_cases() {
-        let wasm = constant_control_wasm(&name, &body);
-        assert_pc_map_is_total(&load_module(&wasm).expect("validates"), &name);
+        module
+            .analysis()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property-based tests for the Wasm substrate.
 //!
 //! Three invariant families:
-//! 1. LEB128 and binary-format round trips (encode ∘ decode = identity).
+//! 1. Binary-format round trips (encode ∘ decode = identity) and a
+//!    decoder that never panics.
 //! 2. Builder output always validates (well-typed construction is safe).
 //! 3. Differential execution: randomly generated arithmetic expression
 //!    trees are compiled to Wasm via the builder and evaluated natively;
@@ -12,45 +13,10 @@ use proptest::prelude::*;
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::{Instance, Linker};
 use waran_wasm::interp::Value;
-use waran_wasm::leb128;
 use waran_wasm::types::ValType;
 use waran_wasm::Trap;
 
 proptest! {
-    #[test]
-    fn leb_unsigned_roundtrip(v in any::<u64>()) {
-        let mut buf = Vec::new();
-        leb128::write_unsigned(&mut buf, v);
-        let (got, n) = leb128::read_unsigned(&buf, 64).unwrap();
-        prop_assert_eq!(got, v);
-        prop_assert_eq!(n, buf.len());
-    }
-
-    #[test]
-    fn leb_signed_roundtrip(v in any::<i64>()) {
-        let mut buf = Vec::new();
-        leb128::write_signed(&mut buf, v);
-        let (got, n) = leb128::read_signed(&buf, 64).unwrap();
-        prop_assert_eq!(got, v);
-        prop_assert_eq!(n, buf.len());
-    }
-
-    #[test]
-    fn leb_u32_roundtrip(v in any::<u32>()) {
-        let mut buf = Vec::new();
-        leb128::write_unsigned(&mut buf, v as u64);
-        let (got, _) = leb128::read_unsigned(&buf, 32).unwrap();
-        prop_assert_eq!(got, v as u64);
-    }
-
-    #[test]
-    fn leb_i32_roundtrip(v in any::<i32>()) {
-        let mut buf = Vec::new();
-        leb128::write_signed(&mut buf, v as i64);
-        let (got, _) = leb128::read_signed(&buf, 32).unwrap();
-        prop_assert_eq!(got, v as i64);
-    }
-
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Any input must produce Ok or Err, never a panic.

@@ -69,13 +69,41 @@ while read -r crate ceiling; do
 done <<'EOF'
 wasm 30
 wat 7
-plugc 37
+plugc 13
 abi 7
 ric 2
 core 7
 host 6
 ransim 0
 EOF
+
+# One pass lowers and proves: the flat IR lives only inside the proof, so
+# every instance runs the code the proof checked. Outside
+# crates/wasm/src/analysis.rs no non-test line (the scripts/loc.sh cut)
+# calls `compile_func(` or `lower_func(`, and waran-wasm keeps its IR
+# modules private: at most 11 `pub mod`s in its lib.rs.
+for file in crates/wasm/src/analysis.rs crates/wasm/src/lib.rs; do
+    if [ ! -f "$file" ]; then
+        echo "lowering tripwire: missing $file" >&2
+        exit 1
+    fi
+done
+calls=$(find crates src tests examples -name '*.rs' ! -path crates/wasm/src/analysis.rs -print0 |
+    xargs -0 awk 'FNR == 1 { live = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        live && /(compile_func|lower_func)\(/ && !/fn (compile_func|lower_func)\(/ {
+            print FILENAME ":" FNR ": " $0
+        }')
+if [ -n "$calls" ]; then
+    echo "$calls" >&2
+    echo "lowering tripwire: only crates/wasm/src/analysis.rs may call compile_func( or lower_func(" >&2
+    exit 1
+fi
+pub_mods=$(grep -c '^pub mod' crates/wasm/src/lib.rs || true)
+if [ "$pub_mods" -gt 11 ]; then
+    echo "lowering tripwire: crates/wasm/src/lib.rs declares $pub_mods pub mods, above 11; keep the IR modules private" >&2
+    exit 1
+fi
 
 # The library every deployment links parses one format, the Wasm binary.
 # The WAT assembler lives in the dev-only waran-wat crate; no deployment
