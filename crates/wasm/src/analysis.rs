@@ -27,7 +27,8 @@
 //! * **Static resource bounds** — an abstract interpretation over the
 //!   flat CFG computes per-function worst-case fuel (exact for
 //!   loop-free and constant-trip-count code, save that a bulk memory op
-//!   counts the byte charge of the whole memory it may reach;
+//!   or a `memory.grow` counts the byte charge of the whole memory it may
+//!   reach;
 //!   [`Bound::Unbounded`] otherwise), worst-case value-stack height,
 //!   call-frame depth and register-arena footprint. Bounds propagate
 //!   through the call graph; recursion (direct or mutual) and indirect
@@ -51,12 +52,12 @@
 use std::sync::Arc;
 
 use crate::compile::{compile_func, CompiledFunc, Op};
-use crate::instance::BULK_BYTES_PER_FUEL;
+use crate::instance::PAGE_FUEL;
 use crate::interp::Value;
 use crate::module::{ExportKind, Module};
 use crate::ops::{I32Op, UnOp};
 use crate::regalloc::{lower_func, ROp, RegFunc};
-use crate::types::{MAX_PAGES, PAGE_SIZE};
+use crate::types::MAX_PAGES;
 
 /// A worst-case resource bound: exactly known, or not statically
 /// boundable. `Finite(a) < Finite(b) < Unbounded` under `Ord`.
@@ -124,7 +125,7 @@ pub struct FuncReport {
     /// First export name carrying this function, when exported.
     pub export: Option<String>,
     /// Worst-case fuel a call can consume: source instructions plus each
-    /// bulk memory op's byte charge.
+    /// bulk memory op's byte charge and each `memory.grow`'s page charge.
     pub fuel: Bound,
     /// Worst-case value-stack height a call can reach, as enforced by
     /// the `Meter` checks (identical in the flat IR and the register
@@ -1545,10 +1546,11 @@ fn compute_report(
         .map(|b| block_events(module, cf, b))
         .collect();
 
-    // A bulk op pays only once its range is in bounds: at most the whole
-    // memory it may reach, the declared maximum or else the spec's.
+    // A bulk op pays only once its range is in bounds, and a grow only
+    // for pages the cap lets it add: at most the whole memory either may
+    // reach, the declared maximum or else the spec's.
     let max_pages = u64::from(module.memory.and_then(|m| m.max).unwrap_or(MAX_PAGES));
-    let bulk_worst = max_pages * (PAGE_SIZE as u64 / u64::from(BULK_BYTES_PER_FUEL));
+    let bulk_worst = max_pages * PAGE_FUEL;
     let mut weights = vec![Bound::Finite(0); nb];
     let mut stack = Bound::Finite(shape.own_stack as u64);
     let mut callee_frames = Bound::Finite(0);
@@ -1556,7 +1558,7 @@ fn compute_report(
     for (bi, b) in shape.blocks.iter().enumerate() {
         let bulk = cf.ops[b.start..b.end]
             .iter()
-            .filter(|op| matches!(op, Op::MemoryCopy | Op::MemoryFill))
+            .filter(|op| matches!(op, Op::MemoryCopy | Op::MemoryFill | Op::MemoryGrow))
             .count() as u64;
         let mut w = Bound::Finite(b.cost as u64 + bulk * bulk_worst);
         for &(call, h) in &b.calls {

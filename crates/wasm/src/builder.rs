@@ -19,7 +19,7 @@
 //! assert!(waran_wasm::validate::validate(&module).is_ok());
 //! ```
 
-use crate::instr::{fixup_block_targets, FixupError, Instr, MemArg};
+use crate::instr::{fixup_block_targets, FixupError, Instr};
 use crate::module::*;
 use crate::types::{BlockType, FuncType, GlobalType, Limits, Mutability, ValType};
 
@@ -250,18 +250,6 @@ macro_rules! emit_simple {
     };
 }
 
-macro_rules! emit_mem {
-    ($( $name:ident => $variant:ident ),+ $(,)?) => {
-        $(
-            /// Memory access with the given constant offset.
-            pub fn $name(&mut self, offset: u32) -> &mut Self {
-                self.instrs.push(Instr::$variant(MemArg::offset(offset)));
-                self
-            }
-        )+
-    };
-}
-
 impl CodeEmitter {
     /// Push a raw instruction.
     pub fn raw(&mut self, instr: Instr) -> &mut Self {
@@ -412,70 +400,10 @@ impl CodeEmitter {
         memory_copy => MemoryCopy,
         /// Fill memory.
         memory_fill => MemoryFill,
-        i32_eqz => I32Eqz, i32_eq => I32Eq, i32_ne => I32Ne,
-        i32_lt_s => I32LtS, i32_lt_u => I32LtU, i32_gt_s => I32GtS, i32_gt_u => I32GtU,
-        i32_le_s => I32LeS, i32_le_u => I32LeU, i32_ge_s => I32GeS, i32_ge_u => I32GeU,
-        i64_eqz => I64Eqz, i64_eq => I64Eq, i64_ne => I64Ne,
-        i64_lt_s => I64LtS, i64_lt_u => I64LtU, i64_gt_s => I64GtS, i64_gt_u => I64GtU,
-        i64_le_s => I64LeS, i64_le_u => I64LeU, i64_ge_s => I64GeS, i64_ge_u => I64GeU,
-        f32_eq => F32Eq, f32_ne => F32Ne, f32_lt => F32Lt, f32_gt => F32Gt,
-        f32_le => F32Le, f32_ge => F32Ge,
-        f64_eq => F64Eq, f64_ne => F64Ne, f64_lt => F64Lt, f64_gt => F64Gt,
-        f64_le => F64Le, f64_ge => F64Ge,
-        i32_clz => I32Clz, i32_ctz => I32Ctz, i32_popcnt => I32Popcnt,
-        i32_add => I32Add, i32_sub => I32Sub, i32_mul => I32Mul,
-        i32_div_s => I32DivS, i32_div_u => I32DivU, i32_rem_s => I32RemS, i32_rem_u => I32RemU,
-        i32_and => I32And, i32_or => I32Or, i32_xor => I32Xor,
-        i32_shl => I32Shl, i32_shr_s => I32ShrS, i32_shr_u => I32ShrU,
-        i32_rotl => I32Rotl, i32_rotr => I32Rotr,
-        i64_clz => I64Clz, i64_ctz => I64Ctz, i64_popcnt => I64Popcnt,
-        i64_add => I64Add, i64_sub => I64Sub, i64_mul => I64Mul,
-        i64_div_s => I64DivS, i64_div_u => I64DivU, i64_rem_s => I64RemS, i64_rem_u => I64RemU,
-        i64_and => I64And, i64_or => I64Or, i64_xor => I64Xor,
-        i64_shl => I64Shl, i64_shr_s => I64ShrS, i64_shr_u => I64ShrU,
-        i64_rotl => I64Rotl, i64_rotr => I64Rotr,
-        f32_abs => F32Abs, f32_neg => F32Neg, f32_ceil => F32Ceil, f32_floor => F32Floor,
-        f32_trunc => F32Trunc, f32_nearest => F32Nearest, f32_sqrt => F32Sqrt,
-        f32_add => F32Add, f32_sub => F32Sub, f32_mul => F32Mul, f32_div => F32Div,
-        f32_min => F32Min, f32_max => F32Max, f32_copysign => F32Copysign,
-        f64_abs => F64Abs, f64_neg => F64Neg, f64_ceil => F64Ceil, f64_floor => F64Floor,
-        f64_trunc => F64Trunc, f64_nearest => F64Nearest, f64_sqrt => F64Sqrt,
-        f64_add => F64Add, f64_sub => F64Sub, f64_mul => F64Mul, f64_div => F64Div,
-        f64_min => F64Min, f64_max => F64Max, f64_copysign => F64Copysign,
-        i32_wrap_i64 => I32WrapI64,
-        i32_trunc_f32_s => I32TruncF32S, i32_trunc_f32_u => I32TruncF32U,
-        i32_trunc_f64_s => I32TruncF64S, i32_trunc_f64_u => I32TruncF64U,
-        i64_extend_i32_s => I64ExtendI32S, i64_extend_i32_u => I64ExtendI32U,
-        i64_trunc_f32_s => I64TruncF32S, i64_trunc_f32_u => I64TruncF32U,
-        i64_trunc_f64_s => I64TruncF64S, i64_trunc_f64_u => I64TruncF64U,
-        f32_convert_i32_s => F32ConvertI32S, f32_convert_i32_u => F32ConvertI32U,
-        f32_convert_i64_s => F32ConvertI64S, f32_convert_i64_u => F32ConvertI64U,
-        f32_demote_f64 => F32DemoteF64,
-        f64_convert_i32_s => F64ConvertI32S, f64_convert_i32_u => F64ConvertI32U,
-        f64_convert_i64_s => F64ConvertI64S, f64_convert_i64_u => F64ConvertI64U,
-        f64_promote_f32 => F64PromoteF32,
-        i32_reinterpret_f32 => I32ReinterpretF32, i64_reinterpret_f64 => I64ReinterpretF64,
-        f32_reinterpret_i32 => F32ReinterpretI32, f64_reinterpret_i64 => F64ReinterpretI64,
-        i32_extend8_s => I32Extend8S, i32_extend16_s => I32Extend16S,
-        i64_extend8_s => I64Extend8S, i64_extend16_s => I64Extend16S,
-        i64_extend32_s => I64Extend32S,
-        i32_trunc_sat_f32_s => I32TruncSatF32S, i32_trunc_sat_f32_u => I32TruncSatF32U,
-        i32_trunc_sat_f64_s => I32TruncSatF64S, i32_trunc_sat_f64_u => I32TruncSatF64U,
-        i64_trunc_sat_f32_s => I64TruncSatF32S, i64_trunc_sat_f32_u => I64TruncSatF32U,
-        i64_trunc_sat_f64_s => I64TruncSatF64S, i64_trunc_sat_f64_u => I64TruncSatF64U,
     }
 
-    emit_mem! {
-        i32_load => I32Load, i64_load => I64Load, f32_load => F32Load, f64_load => F64Load,
-        i32_load8_s => I32Load8S, i32_load8_u => I32Load8U,
-        i32_load16_s => I32Load16S, i32_load16_u => I32Load16U,
-        i64_load8_s => I64Load8S, i64_load8_u => I64Load8U,
-        i64_load16_s => I64Load16S, i64_load16_u => I64Load16U,
-        i64_load32_s => I64Load32S, i64_load32_u => I64Load32U,
-        i32_store => I32Store, i64_store => I64Store, f32_store => F32Store, f64_store => F64Store,
-        i32_store8 => I32Store8, i32_store16 => I32Store16,
-        i64_store8 => I64Store8, i64_store16 => I64Store16, i64_store32 => I64Store32,
-    }
+    // Every plain numeric and memory operator's method (`i32_add`,
+    // `i64_load8_s`, …) is generated from the operator table in `ops`.
 }
 
 #[cfg(test)]

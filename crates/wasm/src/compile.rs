@@ -11,10 +11,11 @@
 //! The IR stays 1:1 with the source stack machine — one op per
 //! instruction, no operand fusion: every superinstruction is formed by
 //! the register lowering, under the translation-validation proof. Plain
-//! numeric and memory operators are classified once, here
-//! (`Op::plain`), into the [`crate::ops`] payload enums the register
-//! form executes, so no later stage re-derives what an operator is. The
-//! decisions that shape execution *structure* are made here:
+//! numeric and memory operators arrive already classified, as the
+//! [`crate::ops`] payloads the decoder put in the `Instr`; lowering moves
+//! each payload into its op unchanged, and the register form executes it,
+//! so no stage re-derives what an operator is. The decisions that shape
+//! execution *structure* are made here:
 //!
 //! * **Side-table branches** — every `br`/`br_if`/`br_table`/`else` and
 //!   block `end` is resolved at compile time into an absolute op PC plus a
@@ -178,21 +179,6 @@ impl Op {
             Op::Store { .. } => (2, 0),
             Op::MemoryCopy | Op::MemoryFill => (3, 0),
         }
-    }
-
-    /// The flat op of a plain numeric or memory instruction, `None` for
-    /// everything else — the one place a source operator is classified;
-    /// the register lowering and the analyzer read the payload.
-    fn plain(instr: &Instr) -> Option<Op> {
-        let load = |(kind, off)| Op::Load { kind, off };
-        let store = |(kind, off)| Op::Store { kind, off };
-        I32Op::from_instr(instr)
-            .map(Op::I32Bin)
-            .or_else(|| LoadKind::from_instr(instr).map(load))
-            .or_else(|| StoreKind::from_instr(instr).map(store))
-            .or_else(|| UnOp::from_instr(instr).map(Op::Un))
-            .or_else(|| I64Op::from_instr(instr).map(Op::I64Bin))
-            .or_else(|| BinOp::from_instr(instr).map(Op::Bin))
     }
 }
 
@@ -599,6 +585,18 @@ impl<'m> FnCompiler<'m> {
             Instr::LocalTee(i) => self.simple(Op::LocalTee(self.local_offset + *i)),
             Instr::GlobalGet(i) => self.simple(Op::GlobalGet(*i)),
             Instr::GlobalSet(i) => self.simple(Op::GlobalSet(*i)),
+            Instr::I32Bin(op) => self.simple(Op::I32Bin(*op)),
+            Instr::I64Bin(op) => self.simple(Op::I64Bin(*op)),
+            Instr::Bin(op) => self.simple(Op::Bin(*op)),
+            Instr::Un(op) => self.simple(Op::Un(*op)),
+            Instr::Load(kind, m) => self.simple(Op::Load {
+                kind: *kind,
+                off: m.offset,
+            }),
+            Instr::Store(kind, m) => self.simple(Op::Store {
+                kind: *kind,
+                off: m.offset,
+            }),
             Instr::MemorySize => self.simple(Op::MemorySize),
             Instr::MemoryGrow => self.simple(Op::MemoryGrow),
             Instr::MemoryCopy => self.simple(Op::MemoryCopy),
@@ -608,11 +606,6 @@ impl<'m> FnCompiler<'m> {
             Instr::I64Const(v) => self.simple(Op::I64Const(*v)),
             Instr::F32Const(v) => self.simple(Op::F32Const(*v)),
             Instr::F64Const(v) => self.simple(Op::F64Const(*v)),
-
-            other => match Op::plain(other) {
-                Some(op) => self.simple(op),
-                None => unreachable!("unhandled instruction in lowering: {other:?}"),
-            },
         }
     }
 

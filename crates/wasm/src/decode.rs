@@ -8,6 +8,7 @@ use crate::instr::{fixup_block_targets, FixupError, Instr, MemArg};
 use crate::leb128;
 pub use crate::leb128::LebError;
 use crate::module::*;
+use crate::ops;
 use crate::types::*;
 
 /// Decoder error with the byte offset where it was detected.
@@ -580,29 +581,6 @@ fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, DecodeError> {
         0x22 => Instr::LocalTee(r.u32()?),
         0x23 => Instr::GlobalGet(r.u32()?),
         0x24 => Instr::GlobalSet(r.u32()?),
-        0x28 => Instr::I32Load(r.memarg()?),
-        0x29 => Instr::I64Load(r.memarg()?),
-        0x2a => Instr::F32Load(r.memarg()?),
-        0x2b => Instr::F64Load(r.memarg()?),
-        0x2c => Instr::I32Load8S(r.memarg()?),
-        0x2d => Instr::I32Load8U(r.memarg()?),
-        0x2e => Instr::I32Load16S(r.memarg()?),
-        0x2f => Instr::I32Load16U(r.memarg()?),
-        0x30 => Instr::I64Load8S(r.memarg()?),
-        0x31 => Instr::I64Load8U(r.memarg()?),
-        0x32 => Instr::I64Load16S(r.memarg()?),
-        0x33 => Instr::I64Load16U(r.memarg()?),
-        0x34 => Instr::I64Load32S(r.memarg()?),
-        0x35 => Instr::I64Load32U(r.memarg()?),
-        0x36 => Instr::I32Store(r.memarg()?),
-        0x37 => Instr::I64Store(r.memarg()?),
-        0x38 => Instr::F32Store(r.memarg()?),
-        0x39 => Instr::F64Store(r.memarg()?),
-        0x3a => Instr::I32Store8(r.memarg()?),
-        0x3b => Instr::I32Store16(r.memarg()?),
-        0x3c => Instr::I64Store8(r.memarg()?),
-        0x3d => Instr::I64Store16(r.memarg()?),
-        0x3e => Instr::I64Store32(r.memarg()?),
         0x3f => {
             if r.byte()? != 0 {
                 return Err(DecodeError {
@@ -625,177 +603,41 @@ fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, DecodeError> {
         0x42 => Instr::I64Const(r.i64()?),
         0x43 => Instr::F32Const(r.f32()?),
         0x44 => Instr::F64Const(r.f64()?),
-        0x45 => Instr::I32Eqz,
-        0x46 => Instr::I32Eq,
-        0x47 => Instr::I32Ne,
-        0x48 => Instr::I32LtS,
-        0x49 => Instr::I32LtU,
-        0x4a => Instr::I32GtS,
-        0x4b => Instr::I32GtU,
-        0x4c => Instr::I32LeS,
-        0x4d => Instr::I32LeU,
-        0x4e => Instr::I32GeS,
-        0x4f => Instr::I32GeU,
-        0x50 => Instr::I64Eqz,
-        0x51 => Instr::I64Eq,
-        0x52 => Instr::I64Ne,
-        0x53 => Instr::I64LtS,
-        0x54 => Instr::I64LtU,
-        0x55 => Instr::I64GtS,
-        0x56 => Instr::I64GtU,
-        0x57 => Instr::I64LeS,
-        0x58 => Instr::I64LeU,
-        0x59 => Instr::I64GeS,
-        0x5a => Instr::I64GeU,
-        0x5b => Instr::F32Eq,
-        0x5c => Instr::F32Ne,
-        0x5d => Instr::F32Lt,
-        0x5e => Instr::F32Gt,
-        0x5f => Instr::F32Le,
-        0x60 => Instr::F32Ge,
-        0x61 => Instr::F64Eq,
-        0x62 => Instr::F64Ne,
-        0x63 => Instr::F64Lt,
-        0x64 => Instr::F64Gt,
-        0x65 => Instr::F64Le,
-        0x66 => Instr::F64Ge,
-        0x67 => Instr::I32Clz,
-        0x68 => Instr::I32Ctz,
-        0x69 => Instr::I32Popcnt,
-        0x6a => Instr::I32Add,
-        0x6b => Instr::I32Sub,
-        0x6c => Instr::I32Mul,
-        0x6d => Instr::I32DivS,
-        0x6e => Instr::I32DivU,
-        0x6f => Instr::I32RemS,
-        0x70 => Instr::I32RemU,
-        0x71 => Instr::I32And,
-        0x72 => Instr::I32Or,
-        0x73 => Instr::I32Xor,
-        0x74 => Instr::I32Shl,
-        0x75 => Instr::I32ShrS,
-        0x76 => Instr::I32ShrU,
-        0x77 => Instr::I32Rotl,
-        0x78 => Instr::I32Rotr,
-        0x79 => Instr::I64Clz,
-        0x7a => Instr::I64Ctz,
-        0x7b => Instr::I64Popcnt,
-        0x7c => Instr::I64Add,
-        0x7d => Instr::I64Sub,
-        0x7e => Instr::I64Mul,
-        0x7f => Instr::I64DivS,
-        0x80 => Instr::I64DivU,
-        0x81 => Instr::I64RemS,
-        0x82 => Instr::I64RemU,
-        0x83 => Instr::I64And,
-        0x84 => Instr::I64Or,
-        0x85 => Instr::I64Xor,
-        0x86 => Instr::I64Shl,
-        0x87 => Instr::I64ShrS,
-        0x88 => Instr::I64ShrU,
-        0x89 => Instr::I64Rotl,
-        0x8a => Instr::I64Rotr,
-        0x8b => Instr::F32Abs,
-        0x8c => Instr::F32Neg,
-        0x8d => Instr::F32Ceil,
-        0x8e => Instr::F32Floor,
-        0x8f => Instr::F32Trunc,
-        0x90 => Instr::F32Nearest,
-        0x91 => Instr::F32Sqrt,
-        0x92 => Instr::F32Add,
-        0x93 => Instr::F32Sub,
-        0x94 => Instr::F32Mul,
-        0x95 => Instr::F32Div,
-        0x96 => Instr::F32Min,
-        0x97 => Instr::F32Max,
-        0x98 => Instr::F32Copysign,
-        0x99 => Instr::F64Abs,
-        0x9a => Instr::F64Neg,
-        0x9b => Instr::F64Ceil,
-        0x9c => Instr::F64Floor,
-        0x9d => Instr::F64Trunc,
-        0x9e => Instr::F64Nearest,
-        0x9f => Instr::F64Sqrt,
-        0xa0 => Instr::F64Add,
-        0xa1 => Instr::F64Sub,
-        0xa2 => Instr::F64Mul,
-        0xa3 => Instr::F64Div,
-        0xa4 => Instr::F64Min,
-        0xa5 => Instr::F64Max,
-        0xa6 => Instr::F64Copysign,
-        0xa7 => Instr::I32WrapI64,
-        0xa8 => Instr::I32TruncF32S,
-        0xa9 => Instr::I32TruncF32U,
-        0xaa => Instr::I32TruncF64S,
-        0xab => Instr::I32TruncF64U,
-        0xac => Instr::I64ExtendI32S,
-        0xad => Instr::I64ExtendI32U,
-        0xae => Instr::I64TruncF32S,
-        0xaf => Instr::I64TruncF32U,
-        0xb0 => Instr::I64TruncF64S,
-        0xb1 => Instr::I64TruncF64U,
-        0xb2 => Instr::F32ConvertI32S,
-        0xb3 => Instr::F32ConvertI32U,
-        0xb4 => Instr::F32ConvertI64S,
-        0xb5 => Instr::F32ConvertI64U,
-        0xb6 => Instr::F32DemoteF64,
-        0xb7 => Instr::F64ConvertI32S,
-        0xb8 => Instr::F64ConvertI32U,
-        0xb9 => Instr::F64ConvertI64S,
-        0xba => Instr::F64ConvertI64U,
-        0xbb => Instr::F64PromoteF32,
-        0xbc => Instr::I32ReinterpretF32,
-        0xbd => Instr::I64ReinterpretF64,
-        0xbe => Instr::F32ReinterpretI32,
-        0xbf => Instr::F64ReinterpretI64,
-        0xc0 => Instr::I32Extend8S,
-        0xc1 => Instr::I32Extend16S,
-        0xc2 => Instr::I64Extend8S,
-        0xc3 => Instr::I64Extend16S,
-        0xc4 => Instr::I64Extend32S,
-        0xfc => {
-            let sub = r.u32()?;
-            match sub {
-                0 => Instr::I32TruncSatF32S,
-                1 => Instr::I32TruncSatF32U,
-                2 => Instr::I32TruncSatF64S,
-                3 => Instr::I32TruncSatF64U,
-                4 => Instr::I64TruncSatF32S,
-                5 => Instr::I64TruncSatF32U,
-                6 => Instr::I64TruncSatF64S,
-                7 => Instr::I64TruncSatF64U,
-                10 => {
-                    // memory.copy dst_mem src_mem (both must be 0)
-                    if r.byte()? != 0 || r.byte()? != 0 {
-                        return Err(DecodeError {
-                            offset: op_off,
-                            kind: DecodeErrorKind::NonZeroIndex,
-                        });
-                    }
-                    Instr::MemoryCopy
-                }
-                11 => {
-                    if r.byte()? != 0 {
-                        return Err(DecodeError {
-                            offset: op_off,
-                            kind: DecodeErrorKind::NonZeroIndex,
-                        });
-                    }
-                    Instr::MemoryFill
-                }
-                other => {
+        0xfc => match r.u32()? {
+            10 => {
+                // memory.copy dst_mem src_mem (both must be 0)
+                if r.byte()? != 0 || r.byte()? != 0 {
                     return Err(DecodeError {
                         offset: op_off,
-                        kind: DecodeErrorKind::BadPrefixedOpcode(other),
-                    })
+                        kind: DecodeErrorKind::NonZeroIndex,
+                    });
                 }
+                Instr::MemoryCopy
             }
-        }
-        other => {
-            return Err(DecodeError {
+            11 => {
+                if r.byte()? != 0 {
+                    return Err(DecodeError {
+                        offset: op_off,
+                        kind: DecodeErrorKind::NonZeroIndex,
+                    });
+                }
+                Instr::MemoryFill
+            }
+            sub => ops::decode(op, Some(sub)).ok_or(DecodeError {
                 offset: op_off,
-                kind: DecodeErrorKind::BadOpcode(other),
-            })
+                kind: DecodeErrorKind::BadPrefixedOpcode(sub),
+            })?,
+        },
+        // Every other opcode is a row of the operator table or unknown.
+        _ => {
+            let mut instr = ops::decode(op, None).ok_or(DecodeError {
+                offset: op_off,
+                kind: DecodeErrorKind::BadOpcode(op),
+            })?;
+            if let Instr::Load(_, m) | Instr::Store(_, m) = &mut instr {
+                *m = r.memarg()?;
+            }
+            instr
         }
     };
     Ok(instr)

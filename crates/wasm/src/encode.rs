@@ -5,7 +5,7 @@
 //! a first-class part of the toolchain, not a test helper. Round-tripping
 //! (`encode(decode(x)) == canonical(x)`) is covered by property tests.
 
-use crate::instr::Instr;
+use crate::instr::{Instr, MemArg, OpRow};
 use crate::leb128::{write_signed, write_unsigned};
 use crate::module::*;
 use crate::types::{BlockType, FuncType, Limits, Mutability, ValType};
@@ -241,13 +241,13 @@ fn encode_blocktype(out: &mut Vec<u8>, ty: BlockType) {
     }
 }
 
-fn encode_memarg(out: &mut Vec<u8>, m: crate::instr::MemArg) {
+fn encode_memarg(out: &mut Vec<u8>, m: MemArg) {
     write_unsigned(out, m.align as u64);
     write_unsigned(out, m.offset as u64);
 }
 
 /// Encode one instruction (used by the code section writer).
-pub fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
+fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
     use Instr::*;
     match instr {
         Unreachable => out.push(0x00),
@@ -314,98 +314,12 @@ pub fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
             out.push(0x24);
             write_unsigned(out, *i as u64);
         }
-        I32Load(m) => {
-            out.push(0x28);
-            encode_memarg(out, *m);
-        }
-        I64Load(m) => {
-            out.push(0x29);
-            encode_memarg(out, *m);
-        }
-        F32Load(m) => {
-            out.push(0x2a);
-            encode_memarg(out, *m);
-        }
-        F64Load(m) => {
-            out.push(0x2b);
-            encode_memarg(out, *m);
-        }
-        I32Load8S(m) => {
-            out.push(0x2c);
-            encode_memarg(out, *m);
-        }
-        I32Load8U(m) => {
-            out.push(0x2d);
-            encode_memarg(out, *m);
-        }
-        I32Load16S(m) => {
-            out.push(0x2e);
-            encode_memarg(out, *m);
-        }
-        I32Load16U(m) => {
-            out.push(0x2f);
-            encode_memarg(out, *m);
-        }
-        I64Load8S(m) => {
-            out.push(0x30);
-            encode_memarg(out, *m);
-        }
-        I64Load8U(m) => {
-            out.push(0x31);
-            encode_memarg(out, *m);
-        }
-        I64Load16S(m) => {
-            out.push(0x32);
-            encode_memarg(out, *m);
-        }
-        I64Load16U(m) => {
-            out.push(0x33);
-            encode_memarg(out, *m);
-        }
-        I64Load32S(m) => {
-            out.push(0x34);
-            encode_memarg(out, *m);
-        }
-        I64Load32U(m) => {
-            out.push(0x35);
-            encode_memarg(out, *m);
-        }
-        I32Store(m) => {
-            out.push(0x36);
-            encode_memarg(out, *m);
-        }
-        I64Store(m) => {
-            out.push(0x37);
-            encode_memarg(out, *m);
-        }
-        F32Store(m) => {
-            out.push(0x38);
-            encode_memarg(out, *m);
-        }
-        F64Store(m) => {
-            out.push(0x39);
-            encode_memarg(out, *m);
-        }
-        I32Store8(m) => {
-            out.push(0x3a);
-            encode_memarg(out, *m);
-        }
-        I32Store16(m) => {
-            out.push(0x3b);
-            encode_memarg(out, *m);
-        }
-        I64Store8(m) => {
-            out.push(0x3c);
-            encode_memarg(out, *m);
-        }
-        I64Store16(m) => {
-            out.push(0x3d);
-            encode_memarg(out, *m);
-        }
-        I64Store32(m) => {
-            out.push(0x3e);
-            encode_memarg(out, *m);
-        }
+        I32Bin(op) => plain(out, op.row(), None),
+        I64Bin(op) => plain(out, op.row(), None),
+        Bin(op) => plain(out, op.row(), None),
+        Un(op) => plain(out, op.row(), None),
+        Load(kind, m) => plain(out, kind.row(), Some(*m)),
+        Store(kind, m) => plain(out, kind.row(), Some(*m)),
         MemorySize => {
             out.push(0x3f);
             out.push(0x00);
@@ -441,166 +355,17 @@ pub fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
             out.push(0x44);
             out.extend_from_slice(&v.to_le_bytes());
         }
-        I32Eqz => out.push(0x45),
-        I32Eq => out.push(0x46),
-        I32Ne => out.push(0x47),
-        I32LtS => out.push(0x48),
-        I32LtU => out.push(0x49),
-        I32GtS => out.push(0x4a),
-        I32GtU => out.push(0x4b),
-        I32LeS => out.push(0x4c),
-        I32LeU => out.push(0x4d),
-        I32GeS => out.push(0x4e),
-        I32GeU => out.push(0x4f),
-        I64Eqz => out.push(0x50),
-        I64Eq => out.push(0x51),
-        I64Ne => out.push(0x52),
-        I64LtS => out.push(0x53),
-        I64LtU => out.push(0x54),
-        I64GtS => out.push(0x55),
-        I64GtU => out.push(0x56),
-        I64LeS => out.push(0x57),
-        I64LeU => out.push(0x58),
-        I64GeS => out.push(0x59),
-        I64GeU => out.push(0x5a),
-        F32Eq => out.push(0x5b),
-        F32Ne => out.push(0x5c),
-        F32Lt => out.push(0x5d),
-        F32Gt => out.push(0x5e),
-        F32Le => out.push(0x5f),
-        F32Ge => out.push(0x60),
-        F64Eq => out.push(0x61),
-        F64Ne => out.push(0x62),
-        F64Lt => out.push(0x63),
-        F64Gt => out.push(0x64),
-        F64Le => out.push(0x65),
-        F64Ge => out.push(0x66),
-        I32Clz => out.push(0x67),
-        I32Ctz => out.push(0x68),
-        I32Popcnt => out.push(0x69),
-        I32Add => out.push(0x6a),
-        I32Sub => out.push(0x6b),
-        I32Mul => out.push(0x6c),
-        I32DivS => out.push(0x6d),
-        I32DivU => out.push(0x6e),
-        I32RemS => out.push(0x6f),
-        I32RemU => out.push(0x70),
-        I32And => out.push(0x71),
-        I32Or => out.push(0x72),
-        I32Xor => out.push(0x73),
-        I32Shl => out.push(0x74),
-        I32ShrS => out.push(0x75),
-        I32ShrU => out.push(0x76),
-        I32Rotl => out.push(0x77),
-        I32Rotr => out.push(0x78),
-        I64Clz => out.push(0x79),
-        I64Ctz => out.push(0x7a),
-        I64Popcnt => out.push(0x7b),
-        I64Add => out.push(0x7c),
-        I64Sub => out.push(0x7d),
-        I64Mul => out.push(0x7e),
-        I64DivS => out.push(0x7f),
-        I64DivU => out.push(0x80),
-        I64RemS => out.push(0x81),
-        I64RemU => out.push(0x82),
-        I64And => out.push(0x83),
-        I64Or => out.push(0x84),
-        I64Xor => out.push(0x85),
-        I64Shl => out.push(0x86),
-        I64ShrS => out.push(0x87),
-        I64ShrU => out.push(0x88),
-        I64Rotl => out.push(0x89),
-        I64Rotr => out.push(0x8a),
-        F32Abs => out.push(0x8b),
-        F32Neg => out.push(0x8c),
-        F32Ceil => out.push(0x8d),
-        F32Floor => out.push(0x8e),
-        F32Trunc => out.push(0x8f),
-        F32Nearest => out.push(0x90),
-        F32Sqrt => out.push(0x91),
-        F32Add => out.push(0x92),
-        F32Sub => out.push(0x93),
-        F32Mul => out.push(0x94),
-        F32Div => out.push(0x95),
-        F32Min => out.push(0x96),
-        F32Max => out.push(0x97),
-        F32Copysign => out.push(0x98),
-        F64Abs => out.push(0x99),
-        F64Neg => out.push(0x9a),
-        F64Ceil => out.push(0x9b),
-        F64Floor => out.push(0x9c),
-        F64Trunc => out.push(0x9d),
-        F64Nearest => out.push(0x9e),
-        F64Sqrt => out.push(0x9f),
-        F64Add => out.push(0xa0),
-        F64Sub => out.push(0xa1),
-        F64Mul => out.push(0xa2),
-        F64Div => out.push(0xa3),
-        F64Min => out.push(0xa4),
-        F64Max => out.push(0xa5),
-        F64Copysign => out.push(0xa6),
-        I32WrapI64 => out.push(0xa7),
-        I32TruncF32S => out.push(0xa8),
-        I32TruncF32U => out.push(0xa9),
-        I32TruncF64S => out.push(0xaa),
-        I32TruncF64U => out.push(0xab),
-        I64ExtendI32S => out.push(0xac),
-        I64ExtendI32U => out.push(0xad),
-        I64TruncF32S => out.push(0xae),
-        I64TruncF32U => out.push(0xaf),
-        I64TruncF64S => out.push(0xb0),
-        I64TruncF64U => out.push(0xb1),
-        F32ConvertI32S => out.push(0xb2),
-        F32ConvertI32U => out.push(0xb3),
-        F32ConvertI64S => out.push(0xb4),
-        F32ConvertI64U => out.push(0xb5),
-        F32DemoteF64 => out.push(0xb6),
-        F64ConvertI32S => out.push(0xb7),
-        F64ConvertI32U => out.push(0xb8),
-        F64ConvertI64S => out.push(0xb9),
-        F64ConvertI64U => out.push(0xba),
-        F64PromoteF32 => out.push(0xbb),
-        I32ReinterpretF32 => out.push(0xbc),
-        I64ReinterpretF64 => out.push(0xbd),
-        F32ReinterpretI32 => out.push(0xbe),
-        F64ReinterpretI64 => out.push(0xbf),
-        I32Extend8S => out.push(0xc0),
-        I32Extend16S => out.push(0xc1),
-        I64Extend8S => out.push(0xc2),
-        I64Extend16S => out.push(0xc3),
-        I64Extend32S => out.push(0xc4),
-        I32TruncSatF32S => {
-            out.push(0xfc);
-            write_unsigned(out, 0);
-        }
-        I32TruncSatF32U => {
-            out.push(0xfc);
-            write_unsigned(out, 1);
-        }
-        I32TruncSatF64S => {
-            out.push(0xfc);
-            write_unsigned(out, 2);
-        }
-        I32TruncSatF64U => {
-            out.push(0xfc);
-            write_unsigned(out, 3);
-        }
-        I64TruncSatF32S => {
-            out.push(0xfc);
-            write_unsigned(out, 4);
-        }
-        I64TruncSatF32U => {
-            out.push(0xfc);
-            write_unsigned(out, 5);
-        }
-        I64TruncSatF64S => {
-            out.push(0xfc);
-            write_unsigned(out, 6);
-        }
-        I64TruncSatF64U => {
-            out.push(0xfc);
-            write_unsigned(out, 7);
-        }
+    }
+}
+
+/// A plain operator: its table row's opcode, then a memory row's immediate.
+fn plain(out: &mut Vec<u8>, row: &OpRow, memarg: Option<MemArg>) {
+    out.push(row.opcode);
+    if let Some(sub) = row.sub {
+        write_unsigned(out, sub.into());
+    }
+    if let Some(m) = memarg {
+        encode_memarg(out, m);
     }
 }
 
@@ -608,7 +373,7 @@ pub fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
 mod tests {
     use super::*;
     use crate::decode::decode_module;
-    use crate::instr::MemArg;
+    use crate::instr::{I64Op, LoadKind, UnOp};
     use crate::types::GlobalType;
 
     #[test]
@@ -663,14 +428,17 @@ mod tests {
                 Instr::Br { depth: 0 },
                 Instr::End,
                 Instr::LocalGet(0),
-                Instr::I64ExtendI32S,
-                Instr::I64Add,
+                Instr::Un(UnOp::I64ExtendI32S),
+                Instr::I64Bin(I64Op::I64Add),
                 Instr::I32Const(0),
-                Instr::I64Load(MemArg {
-                    align: 3,
-                    offset: 8,
-                }),
-                Instr::I64Add,
+                Instr::Load(
+                    LoadKind::I64,
+                    MemArg {
+                        align: 3,
+                        offset: 8,
+                    },
+                ),
+                Instr::I64Bin(I64Op::I64Add),
                 Instr::End,
             ],
         });

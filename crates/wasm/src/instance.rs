@@ -19,7 +19,7 @@ use crate::module::{ConstExpr, ExportKind, ImportKind, Module};
 use crate::ops::{LoadKind, StoreKind};
 use crate::regalloc::{ROp, RegFunc};
 use crate::trap::Trap;
-use crate::types::{FuncType, Limits, Mutability, ValType};
+use crate::types::{FuncType, Limits, Mutability, ValType, PAGE_SIZE};
 
 /// A host function: receives the host state, the guest memory and the
 /// arguments; returns at most one value.
@@ -159,6 +159,11 @@ pub const NS_PER_FUEL: u64 = 3;
 /// ⌈len / 16⌉ on top of its own instruction, so fuel bounds time whatever
 /// the length: a 4 MiB fill costs 262 144 fuel.
 pub const BULK_BYTES_PER_FUEL: u32 = 16;
+
+/// What `memory.grow` pays per page it adds, on top of its instruction:
+/// the page's bytes at the bulk rate, 4096. A grow the memory cap refuses
+/// pays only its instruction.
+pub const PAGE_FUEL: u64 = PAGE_SIZE as u64 / BULK_BYTES_PER_FUEL as u64;
 
 /// Execution resource limits. The plugin host takes the memory cap from
 /// each plugin's sandbox policy and the depth and stack limits from its
@@ -682,7 +687,8 @@ impl<T> Instance<T> {
 
     /// Set the deterministic fuel budget for subsequent invocations: one
     /// unit per instruction, plus a bulk memory op's byte charge
-    /// ([`BULK_BYTES_PER_FUEL`]). The budget is *per `set_fuel` call*: it
+    /// ([`BULK_BYTES_PER_FUEL`]) and a successful `memory.grow`'s page
+    /// charge ([`PAGE_FUEL`]). The budget is *per `set_fuel` call*: it
     /// carries across invocations until exhausted or reset.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.vm.fuel = fuel;
@@ -987,13 +993,20 @@ impl Vm {
                         *global = Value::from_bits(global.ty(), reg!(src));
                     }
                     ROp::MemorySize { dst } => w32!(dst, self.memory.size_pages()),
-                    // One unit whatever `delta`: the pages it zeroes count
-                    // against `max_memory_pages`, and memory never shrinks,
-                    // so an instance zeroes at most that cap over its whole
-                    // life.
+                    // A grow the cap allows zeroes `delta` pages, so it
+                    // pays for their bytes like a bulk op, before a page
+                    // is added; one the cap refuses pays only its unit.
                     ROp::MemoryGrow { dst, delta } => {
                         let delta = r32!(delta) as u32;
-                        let result = self.memory.grow(delta).map(|p| p as i32).unwrap_or(-1);
+                        let pages = self.memory.size_pages();
+                        let result = if u64::from(pages) + u64::from(delta)
+                            <= u64::from(self.memory.max_pages())
+                        {
+                            self.pay(u64::from(delta) * PAGE_FUEL)?;
+                            self.memory.grow(delta).map_or(-1, |p| p as i32)
+                        } else {
+                            -1
+                        };
                         w32!(dst, result);
                     }
                     ROp::MemoryCopy { dst, src, len } => {
@@ -1126,10 +1139,15 @@ impl Vm {
 
     /// A bulk op's byte charge, ⌈len / [`BULK_BYTES_PER_FUEL`]⌉, taken
     /// once its ranges are known to be in bounds and before a byte moves.
-    /// Running out here leaves no fuel, as at a `Meter`.
     #[inline]
     fn pay_bytes(&mut self, len: u32) -> Result<(), Trap> {
-        let charge = u64::from(len.div_ceil(BULK_BYTES_PER_FUEL));
+        self.pay(u64::from(len.div_ceil(BULK_BYTES_PER_FUEL)))
+    }
+
+    /// An op's charge on top of its instruction. Running out here leaves
+    /// no fuel, as at a `Meter`.
+    #[inline]
+    fn pay(&mut self, charge: u64) -> Result<(), Trap> {
         if self.fuel < charge {
             self.fuel = 0;
             return Err(Trap::OutOfFuel);

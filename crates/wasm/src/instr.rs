@@ -1,5 +1,12 @@
 //! The decoded instruction set.
 //!
+//! Control, variable, bulk-memory and constant instructions are variants of
+//! their own; every plain numeric or memory operator is one of six payload
+//! variants over the operator table's enums ([`I32Op`], [`I64Op`],
+//! [`BinOp`], [`UnOp`], [`LoadKind`], [`StoreKind`]), whose rows
+//! ([`OpRow`], [`OP_TABLE`]) say what each one's opcode, builder method and
+//! signature are.
+//!
 //! Instructions are stored flat (one `Vec<Instr>` per function body) with
 //! structured-control instructions carrying pre-resolved program counters:
 //! `Block`/`If` know where their `End` is, `If` knows where its `Else` is.
@@ -7,6 +14,7 @@
 //! module builder reuses the same pass), which lets the interpreter branch
 //! without scanning for matching `end` opcodes at run time.
 
+pub use crate::ops::{BinOp, I32Op, I64Op, LoadKind, OpRow, StoreKind, UnOp, OP_TABLE};
 use crate::types::BlockType;
 
 /// Alignment + offset immediate of a memory access instruction.
@@ -97,30 +105,21 @@ pub enum Instr {
     /// Pop into a global.
     GlobalSet(u32),
 
+    // -- plain operators (the table in `ops`) -----------------------------
+    /// A non-trapping i32 binary operator.
+    I32Bin(I32Op),
+    /// A non-trapping i64 binary operator.
+    I64Bin(I64Op),
+    /// A trapping integer or a float binary operator.
+    Bin(BinOp),
+    /// A unary operator or conversion.
+    Un(UnOp),
+    /// A load from linear memory.
+    Load(LoadKind, MemArg),
+    /// A store to linear memory.
+    Store(StoreKind, MemArg),
+
     // -- memory ------------------------------------------------------------
-    I32Load(MemArg),
-    I64Load(MemArg),
-    F32Load(MemArg),
-    F64Load(MemArg),
-    I32Load8S(MemArg),
-    I32Load8U(MemArg),
-    I32Load16S(MemArg),
-    I32Load16U(MemArg),
-    I64Load8S(MemArg),
-    I64Load8U(MemArg),
-    I64Load16S(MemArg),
-    I64Load16U(MemArg),
-    I64Load32S(MemArg),
-    I64Load32U(MemArg),
-    I32Store(MemArg),
-    I64Store(MemArg),
-    F32Store(MemArg),
-    F64Store(MemArg),
-    I32Store8(MemArg),
-    I32Store16(MemArg),
-    I64Store8(MemArg),
-    I64Store16(MemArg),
-    I64Store32(MemArg),
     /// Current memory size in pages.
     MemorySize,
     /// Grow memory; pushes the old size or -1.
@@ -135,162 +134,6 @@ pub enum Instr {
     I64Const(i64),
     F32Const(f32),
     F64Const(f64),
-
-    // -- i32 comparisons ---------------------------------------------------
-    I32Eqz,
-    I32Eq,
-    I32Ne,
-    I32LtS,
-    I32LtU,
-    I32GtS,
-    I32GtU,
-    I32LeS,
-    I32LeU,
-    I32GeS,
-    I32GeU,
-
-    // -- i64 comparisons ---------------------------------------------------
-    I64Eqz,
-    I64Eq,
-    I64Ne,
-    I64LtS,
-    I64LtU,
-    I64GtS,
-    I64GtU,
-    I64LeS,
-    I64LeU,
-    I64GeS,
-    I64GeU,
-
-    // -- float comparisons -------------------------------------------------
-    F32Eq,
-    F32Ne,
-    F32Lt,
-    F32Gt,
-    F32Le,
-    F32Ge,
-    F64Eq,
-    F64Ne,
-    F64Lt,
-    F64Gt,
-    F64Le,
-    F64Ge,
-
-    // -- i32 arithmetic ----------------------------------------------------
-    I32Clz,
-    I32Ctz,
-    I32Popcnt,
-    I32Add,
-    I32Sub,
-    I32Mul,
-    I32DivS,
-    I32DivU,
-    I32RemS,
-    I32RemU,
-    I32And,
-    I32Or,
-    I32Xor,
-    I32Shl,
-    I32ShrS,
-    I32ShrU,
-    I32Rotl,
-    I32Rotr,
-
-    // -- i64 arithmetic ----------------------------------------------------
-    I64Clz,
-    I64Ctz,
-    I64Popcnt,
-    I64Add,
-    I64Sub,
-    I64Mul,
-    I64DivS,
-    I64DivU,
-    I64RemS,
-    I64RemU,
-    I64And,
-    I64Or,
-    I64Xor,
-    I64Shl,
-    I64ShrS,
-    I64ShrU,
-    I64Rotl,
-    I64Rotr,
-
-    // -- f32 arithmetic ----------------------------------------------------
-    F32Abs,
-    F32Neg,
-    F32Ceil,
-    F32Floor,
-    F32Trunc,
-    F32Nearest,
-    F32Sqrt,
-    F32Add,
-    F32Sub,
-    F32Mul,
-    F32Div,
-    F32Min,
-    F32Max,
-    F32Copysign,
-
-    // -- f64 arithmetic ----------------------------------------------------
-    F64Abs,
-    F64Neg,
-    F64Ceil,
-    F64Floor,
-    F64Trunc,
-    F64Nearest,
-    F64Sqrt,
-    F64Add,
-    F64Sub,
-    F64Mul,
-    F64Div,
-    F64Min,
-    F64Max,
-    F64Copysign,
-
-    // -- conversions -------------------------------------------------------
-    I32WrapI64,
-    I32TruncF32S,
-    I32TruncF32U,
-    I32TruncF64S,
-    I32TruncF64U,
-    I64ExtendI32S,
-    I64ExtendI32U,
-    I64TruncF32S,
-    I64TruncF32U,
-    I64TruncF64S,
-    I64TruncF64U,
-    F32ConvertI32S,
-    F32ConvertI32U,
-    F32ConvertI64S,
-    F32ConvertI64U,
-    F32DemoteF64,
-    F64ConvertI32S,
-    F64ConvertI32U,
-    F64ConvertI64S,
-    F64ConvertI64U,
-    F64PromoteF32,
-    I32ReinterpretF32,
-    I64ReinterpretF64,
-    F32ReinterpretI32,
-    F64ReinterpretI64,
-
-    // -- sign extension ----------------------------------------------------
-    I32Extend8S,
-    I32Extend16S,
-    I64Extend8S,
-    I64Extend16S,
-    I64Extend32S,
-
-    // -- saturating truncation (0xFC prefix) --------------------------------
-    I32TruncSatF32S,
-    I32TruncSatF32U,
-    I32TruncSatF64S,
-    I32TruncSatF64U,
-    I64TruncSatF32S,
-    I64TruncSatF32U,
-    I64TruncSatF64S,
-    I64TruncSatF64U,
 }
 
 /// Error from [`fixup_block_targets`]: the body's structured control

@@ -4,6 +4,10 @@
 //! WebAssembly MVP (plus sign-extension, saturating float→int truncation and
 //! the `memory.copy`/`memory.fill` subset of bulk-memory) end to end:
 //!
+//! * [`instr`] — the decoded instruction set; its 159 plain numeric and
+//!   memory operators are declared once, as rows of one operator table
+//!   ([`instr::OP_TABLE`]) that the decoder, the encoder, the validator,
+//!   the builder and the test-only WAT assembler all read,
 //! * [`decode`] — binary-format (`.wasm`) decoder,
 //! * [`encode`] / [`builder`] — binary-format encoder and an ergonomic
 //!   [`builder::ModuleBuilder`] for constructing modules programmatically,
@@ -28,9 +32,9 @@
 //! Design goals follow the paper's requirements for RAN plugin hosting:
 //! deterministic execution (fuel), tight worst-case latency (fuel sized
 //! from the slot by [`instance::NS_PER_FUEL`], bulk memory ops paying per
-//! byte, bounded call depth, bounded memory growth) and fault containment
-//! (every guest misbehaviour surfaces as a catchable [`Trap`], never as
-//! host UB).
+//! byte and `memory.grow` per page, bounded call depth, bounded memory
+//! growth) and fault containment (every guest misbehaviour surfaces as a
+//! catchable [`Trap`], never as host UB).
 //!
 //! Not implemented (out of scope, documented in DESIGN.md): SIMD, threads,
 //! reference types beyond `funcref` tables, multi-value block types,

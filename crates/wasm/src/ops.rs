@@ -1,81 +1,387 @@
-//! The operator vocabulary both compiled IRs share.
+//! The plain operators: the one table of WebAssembly's numeric and memory
+//! instructions, and the payload enums every stage carries them in.
 //!
-//! A plain numeric or memory instruction is classified exactly once, at
-//! `Instr → Op` ([`crate::compile`]), into one of the six payload enums
-//! below; the flat [`Op`](crate::compile::Op) carries that payload, the
-//! register lowering ([`crate::regalloc`]) copies it into the
+//! Each row of the `ops!` invocation below declares one operator: its
+//! payload variant, its opcode (a byte, or `0xfc` and a sub-opcode), its
+//! [`CodeEmitter`] method name (the WAT mnemonic with `.` as `_`), its
+//! operand and result types and, for a memory access, its natural width in
+//! bytes. From the table the macro generates, as compile-time matches, the
+//! six payload enums, each operator's [`OpRow`] (what the encoder writes
+//! and the validator checks), the decoder's opcode match, the
+//! `CodeEmitter` methods, the name lookup of the WAT assembler
+//! ([`Instr::named`]) and the operand types the register executor re-tags
+//! its untyped cells with.
+//!
+//! [`Instr`] carries the payloads decoded, the flat
+//! [`Op`](crate::compile::Op) moves them over unchanged, the register
+//! lowering ([`crate::regalloc`]) copies them into the
 //! [`ROp`](crate::regalloc::ROp) that executes, and the analyzer
-//! ([`crate::analysis`]) counts both sides on the same types. The enums,
-//! their `from_instr` classifiers and their `eval`s live here together,
-//! so a new operator is one enum member, one classifier line and one
-//! `eval` arm.
+//! ([`crate::analysis`]) counts both sides on the same types. Their
+//! `eval`s live here too, so a new operator is one table row, one `eval`
+//! arm and one arm in the test oracle.
 
+use crate::builder::CodeEmitter;
 use crate::instance::{
     trunc_f32_to_i32_s, trunc_f32_to_i64_s, trunc_f32_to_u32, trunc_f32_to_u64, trunc_f64_to_i32_s,
     trunc_f64_to_i64_s, trunc_f64_to_u32, trunc_f64_to_u64, wasm_fmax32, wasm_fmax64, wasm_fmin32,
     wasm_fmin64,
 };
-use crate::instr::Instr;
+use crate::instr::{Instr, MemArg};
 use crate::interp::Value;
 use crate::trap::Trap;
 use crate::types::ValType;
 
-/// Non-trapping i32 binary operator (arithmetic and comparisons;
-/// `div`/`rem` keep their own trapping ops).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum I32Op {
-    Add,
-    Sub,
-    Mul,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrS,
-    ShrU,
-    Rotl,
-    Rotr,
-    Eq,
-    Ne,
-    LtS,
-    LtU,
-    GtS,
-    GtU,
-    LeS,
-    LeU,
-    GeS,
-    GeU,
+/// One row of the operator table: what the decoder, the encoder, the
+/// validator, the builder and the WAT assembler know about a plain
+/// operator.
+#[derive(Debug, Clone, Copy)]
+pub struct OpRow {
+    /// The opcode byte, `0xfc` for a prefixed operator.
+    pub opcode: u8,
+    /// The LEB128 sub-opcode after a `0xfc` prefix.
+    pub sub: Option<u32>,
+    /// The [`CodeEmitter`] method: the WAT mnemonic with `.` as `_`.
+    pub name: &'static str,
+    /// Operand types, bottom of the stack first.
+    pub params: &'static [ValType],
+    /// Result type, if the operator pushes one.
+    pub result: Option<ValType>,
+    /// The natural access width in bytes of a memory row, `None` for the
+    /// others.
+    pub width: Option<u32>,
+    /// Emit the instruction through its [`CodeEmitter`] method, passing a
+    /// memory row the static offset (the others ignore it).
+    pub emit: fn(&mut CodeEmitter, u32) -> &mut CodeEmitter,
+}
+
+/// `None` for no tokens, else `Some` of them: an optional table column.
+macro_rules! opt {
+    () => {
+        None
+    };
+    ($($t:tt)+) => {
+        Some($($t)+)
+    };
+}
+
+/// A row's instruction. A memory row (one with a width) comes with a zero
+/// [`MemArg`] for whoever reads its immediate to fill in.
+macro_rules! instr {
+    ($ctor:ident($op:path), $width:literal) => {
+        Instr::$ctor($op, MemArg::default())
+    };
+    ($ctor:ident($op:path),) => {
+        Instr::$ctor($op)
+    };
+}
+
+/// A row's [`CodeEmitter`] method; a memory row takes the static offset.
+macro_rules! emitter {
+    ($name:ident, $ctor:ident($op:path), $width:literal) => {
+        /// Memory access with the given constant offset.
+        pub fn $name(&mut self, offset: u32) -> &mut Self {
+            self.raw(Instr::$ctor($op, MemArg::offset(offset)))
+        }
+    };
+    ($name:ident, $ctor:ident($op:path),) => {
+        pub fn $name(&mut self) -> &mut Self {
+            self.raw(Instr::$ctor($op))
+        }
+    };
+}
+
+/// A call of a row's [`CodeEmitter`] method, as [`OpRow::emit`].
+macro_rules! emit {
+    ($name:ident, $width:literal) => {
+        |c, offset| c.$name(offset)
+    };
+    ($name:ident,) => {
+        |c, _| c.$name()
+    };
+}
+
+/// `operand_ty` for the payloads the register executor, whose cells are
+/// untyped, re-tags before their `eval`: `Bin` and `Un`.
+macro_rules! operand_ty {
+    (Bin $($t:tt)+) => {
+        operand_ty!(@impl $($t)+);
+    };
+    (Un $($t:tt)+) => {
+        operand_ty!(@impl $($t)+);
+    };
+    (@impl $enum:ident $($v:ident [$p:ident $($rest:ident)*])+) => {
+        impl $enum {
+            /// The type of the (first) operand.
+            #[inline(always)]
+            pub(crate) fn operand_ty(self) -> ValType {
+                match self {
+                    $($enum::$v => ValType::$p,)+
+                }
+            }
+        }
+    };
+    ($($t:tt)+) => {};
+}
+
+/// The operator table. A group per payload declares its enum; a row is
+/// `Variant opcode [sub-opcode] name [operands] -> [result] [width],`.
+macro_rules! ops {
+    ($(
+        $(#[$meta:meta])*
+        $ctor:ident($enum:ident) {
+            $($v:ident $op:literal $($sub:literal)? $name:ident
+                [$($p:ident)+] -> [$($r:ident)?] $($width:literal)?,)+
+        }
+    )+) => {
+        $(
+            $(#[$meta])*
+            #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+            pub enum $enum {
+                $($v,)+
+            }
+
+            impl $enum {
+                /// This operator's row of the table.
+                pub const fn row(self) -> &'static OpRow {
+                    match self {
+                        $($enum::$v => &OpRow {
+                            opcode: $op,
+                            sub: opt!($($sub)?),
+                            name: stringify!($name),
+                            params: &[$(ValType::$p),+],
+                            result: opt!($(ValType::$r)?),
+                            width: opt!($($width)?),
+                            emit: emit!($name, $($width)?),
+                        },)+
+                    }
+                }
+            }
+
+            operand_ty!($ctor $enum $($v [$($p)+])+);
+        )+
+
+        /// Every row of the table, in table order.
+        pub const OP_TABLE: &[&OpRow] = &[$($($enum::$v.row(),)+)+];
+
+        impl Instr {
+            /// The plain operator whose [`CodeEmitter`] method is `name`
+            /// (`i32_add`, `i64_load8_s`, …: the WAT mnemonic with `.` as
+            /// `_`); a memory access comes with a zero [`MemArg`].
+            pub fn named(name: &str) -> Option<Instr> {
+                Some(match name {
+                    $($(stringify!($name) => instr!($ctor($enum::$v), $($width)?),)+)+
+                    _ => return None,
+                })
+            }
+        }
+
+        /// The plain operator with opcode `op` (and `sub` after a `0xfc`
+        /// prefix); a memory access comes with a zero [`MemArg`] for the
+        /// decoder to read in.
+        pub(crate) fn decode(op: u8, sub: Option<u32>) -> Option<Instr> {
+            Some(match (op, sub) {
+                $($(($op, opt!($($sub)?)) => instr!($ctor($enum::$v), $($width)?),)+)+
+                _ => return None,
+            })
+        }
+
+        impl CodeEmitter {
+            $($(emitter!($name, $ctor($enum::$v), $($width)?);)+)+
+        }
+    };
+}
+
+ops! {
+    /// Non-trapping i32 binary operator (arithmetic and comparisons;
+    /// `div`/`rem` keep their own trapping ops).
+    I32Bin(I32Op) {
+        Add     0x6a i32_add   [I32 I32] -> [I32],
+        Sub     0x6b i32_sub   [I32 I32] -> [I32],
+        Mul     0x6c i32_mul   [I32 I32] -> [I32],
+        And     0x71 i32_and   [I32 I32] -> [I32],
+        Or      0x72 i32_or    [I32 I32] -> [I32],
+        Xor     0x73 i32_xor   [I32 I32] -> [I32],
+        Shl     0x74 i32_shl   [I32 I32] -> [I32],
+        ShrS    0x75 i32_shr_s [I32 I32] -> [I32],
+        ShrU    0x76 i32_shr_u [I32 I32] -> [I32],
+        Rotl    0x77 i32_rotl  [I32 I32] -> [I32],
+        Rotr    0x78 i32_rotr  [I32 I32] -> [I32],
+        Eq      0x46 i32_eq    [I32 I32] -> [I32],
+        Ne      0x47 i32_ne    [I32 I32] -> [I32],
+        LtS     0x48 i32_lt_s  [I32 I32] -> [I32],
+        LtU     0x49 i32_lt_u  [I32 I32] -> [I32],
+        GtS     0x4a i32_gt_s  [I32 I32] -> [I32],
+        GtU     0x4b i32_gt_u  [I32 I32] -> [I32],
+        LeS     0x4c i32_le_s  [I32 I32] -> [I32],
+        LeU     0x4d i32_le_u  [I32 I32] -> [I32],
+        GeS     0x4e i32_ge_s  [I32 I32] -> [I32],
+        GeU     0x4f i32_ge_u  [I32 I32] -> [I32],
+    }
+
+    /// Non-trapping i64 binary operators (arithmetic and comparisons;
+    /// comparisons produce an i32).
+    I64Bin(I64Op) {
+        I64Add  0x7c i64_add   [I64 I64] -> [I64],
+        I64Sub  0x7d i64_sub   [I64 I64] -> [I64],
+        I64Mul  0x7e i64_mul   [I64 I64] -> [I64],
+        I64And  0x83 i64_and   [I64 I64] -> [I64],
+        I64Or   0x84 i64_or    [I64 I64] -> [I64],
+        I64Xor  0x85 i64_xor   [I64 I64] -> [I64],
+        I64Shl  0x86 i64_shl   [I64 I64] -> [I64],
+        I64ShrS 0x87 i64_shr_s [I64 I64] -> [I64],
+        I64ShrU 0x88 i64_shr_u [I64 I64] -> [I64],
+        I64Rotl 0x89 i64_rotl  [I64 I64] -> [I64],
+        I64Rotr 0x8a i64_rotr  [I64 I64] -> [I64],
+        I64Eq   0x51 i64_eq    [I64 I64] -> [I32],
+        I64Ne   0x52 i64_ne    [I64 I64] -> [I32],
+        I64LtS  0x53 i64_lt_s  [I64 I64] -> [I32],
+        I64LtU  0x54 i64_lt_u  [I64 I64] -> [I32],
+        I64GtS  0x55 i64_gt_s  [I64 I64] -> [I32],
+        I64GtU  0x56 i64_gt_u  [I64 I64] -> [I32],
+        I64LeS  0x57 i64_le_s  [I64 I64] -> [I32],
+        I64LeU  0x58 i64_le_u  [I64 I64] -> [I32],
+        I64GeS  0x59 i64_ge_s  [I64 I64] -> [I32],
+        I64GeU  0x5a i64_ge_u  [I64 I64] -> [I32],
+    }
+
+    /// Binary operators that either trap (integer div/rem) or operate on
+    /// floats — the generic `Bin` payload. Kept out of the hot `I32Bin`/
+    /// `I64Bin` paths.
+    Bin(BinOp) {
+        I32DivS     0x6d i32_div_s    [I32 I32] -> [I32],
+        I32DivU     0x6e i32_div_u    [I32 I32] -> [I32],
+        I32RemS     0x6f i32_rem_s    [I32 I32] -> [I32],
+        I32RemU     0x70 i32_rem_u    [I32 I32] -> [I32],
+        I64DivS     0x7f i64_div_s    [I64 I64] -> [I64],
+        I64DivU     0x80 i64_div_u    [I64 I64] -> [I64],
+        I64RemS     0x81 i64_rem_s    [I64 I64] -> [I64],
+        I64RemU     0x82 i64_rem_u    [I64 I64] -> [I64],
+        F32Eq       0x5b f32_eq       [F32 F32] -> [I32],
+        F32Ne       0x5c f32_ne       [F32 F32] -> [I32],
+        F32Lt       0x5d f32_lt       [F32 F32] -> [I32],
+        F32Gt       0x5e f32_gt       [F32 F32] -> [I32],
+        F32Le       0x5f f32_le       [F32 F32] -> [I32],
+        F32Ge       0x60 f32_ge       [F32 F32] -> [I32],
+        F64Eq       0x61 f64_eq       [F64 F64] -> [I32],
+        F64Ne       0x62 f64_ne       [F64 F64] -> [I32],
+        F64Lt       0x63 f64_lt       [F64 F64] -> [I32],
+        F64Gt       0x64 f64_gt       [F64 F64] -> [I32],
+        F64Le       0x65 f64_le       [F64 F64] -> [I32],
+        F64Ge       0x66 f64_ge       [F64 F64] -> [I32],
+        F32Add      0x92 f32_add      [F32 F32] -> [F32],
+        F32Sub      0x93 f32_sub      [F32 F32] -> [F32],
+        F32Mul      0x94 f32_mul      [F32 F32] -> [F32],
+        F32Div      0x95 f32_div      [F32 F32] -> [F32],
+        F32Min      0x96 f32_min      [F32 F32] -> [F32],
+        F32Max      0x97 f32_max      [F32 F32] -> [F32],
+        F32Copysign 0x98 f32_copysign [F32 F32] -> [F32],
+        F64Add      0xa0 f64_add      [F64 F64] -> [F64],
+        F64Sub      0xa1 f64_sub      [F64 F64] -> [F64],
+        F64Mul      0xa2 f64_mul      [F64 F64] -> [F64],
+        F64Div      0xa3 f64_div      [F64 F64] -> [F64],
+        F64Min      0xa4 f64_min      [F64 F64] -> [F64],
+        F64Max      0xa5 f64_max      [F64 F64] -> [F64],
+        F64Copysign 0xa6 f64_copysign [F64 F64] -> [F64],
+    }
+
+    /// Unary operators (unops, conversions, reinterprets, saturating and
+    /// trapping truncations) — the `Un` payload.
+    Un(UnOp) {
+        I32Eqz            0x45      i32_eqz             [I32] -> [I32],
+        I32Clz            0x67      i32_clz             [I32] -> [I32],
+        I32Ctz            0x68      i32_ctz             [I32] -> [I32],
+        I32Popcnt         0x69      i32_popcnt          [I32] -> [I32],
+        I64Eqz            0x50      i64_eqz             [I64] -> [I32],
+        I64Clz            0x79      i64_clz             [I64] -> [I64],
+        I64Ctz            0x7a      i64_ctz             [I64] -> [I64],
+        I64Popcnt         0x7b      i64_popcnt          [I64] -> [I64],
+        F32Abs            0x8b      f32_abs             [F32] -> [F32],
+        F32Neg            0x8c      f32_neg             [F32] -> [F32],
+        F32Ceil           0x8d      f32_ceil            [F32] -> [F32],
+        F32Floor          0x8e      f32_floor           [F32] -> [F32],
+        F32Trunc          0x8f      f32_trunc           [F32] -> [F32],
+        F32Nearest        0x90      f32_nearest         [F32] -> [F32],
+        F32Sqrt           0x91      f32_sqrt            [F32] -> [F32],
+        F64Abs            0x99      f64_abs             [F64] -> [F64],
+        F64Neg            0x9a      f64_neg             [F64] -> [F64],
+        F64Ceil           0x9b      f64_ceil            [F64] -> [F64],
+        F64Floor          0x9c      f64_floor           [F64] -> [F64],
+        F64Trunc          0x9d      f64_trunc           [F64] -> [F64],
+        F64Nearest        0x9e      f64_nearest         [F64] -> [F64],
+        F64Sqrt           0x9f      f64_sqrt            [F64] -> [F64],
+        I32WrapI64        0xa7      i32_wrap_i64        [I64] -> [I32],
+        I32TruncF32S      0xa8      i32_trunc_f32_s     [F32] -> [I32],
+        I32TruncF32U      0xa9      i32_trunc_f32_u     [F32] -> [I32],
+        I32TruncF64S      0xaa      i32_trunc_f64_s     [F64] -> [I32],
+        I32TruncF64U      0xab      i32_trunc_f64_u     [F64] -> [I32],
+        I64ExtendI32S     0xac      i64_extend_i32_s    [I32] -> [I64],
+        I64ExtendI32U     0xad      i64_extend_i32_u    [I32] -> [I64],
+        I64TruncF32S      0xae      i64_trunc_f32_s     [F32] -> [I64],
+        I64TruncF32U      0xaf      i64_trunc_f32_u     [F32] -> [I64],
+        I64TruncF64S      0xb0      i64_trunc_f64_s     [F64] -> [I64],
+        I64TruncF64U      0xb1      i64_trunc_f64_u     [F64] -> [I64],
+        F32ConvertI32S    0xb2      f32_convert_i32_s   [I32] -> [F32],
+        F32ConvertI32U    0xb3      f32_convert_i32_u   [I32] -> [F32],
+        F32ConvertI64S    0xb4      f32_convert_i64_s   [I64] -> [F32],
+        F32ConvertI64U    0xb5      f32_convert_i64_u   [I64] -> [F32],
+        F32DemoteF64      0xb6      f32_demote_f64      [F64] -> [F32],
+        F64ConvertI32S    0xb7      f64_convert_i32_s   [I32] -> [F64],
+        F64ConvertI32U    0xb8      f64_convert_i32_u   [I32] -> [F64],
+        F64ConvertI64S    0xb9      f64_convert_i64_s   [I64] -> [F64],
+        F64ConvertI64U    0xba      f64_convert_i64_u   [I64] -> [F64],
+        F64PromoteF32     0xbb      f64_promote_f32     [F32] -> [F64],
+        I32ReinterpretF32 0xbc      i32_reinterpret_f32 [F32] -> [I32],
+        I64ReinterpretF64 0xbd      i64_reinterpret_f64 [F64] -> [I64],
+        F32ReinterpretI32 0xbe      f32_reinterpret_i32 [I32] -> [F32],
+        F64ReinterpretI64 0xbf      f64_reinterpret_i64 [I64] -> [F64],
+        I32Extend8S       0xc0      i32_extend8_s       [I32] -> [I32],
+        I32Extend16S      0xc1      i32_extend16_s      [I32] -> [I32],
+        I64Extend8S       0xc2      i64_extend8_s       [I64] -> [I64],
+        I64Extend16S      0xc3      i64_extend16_s      [I64] -> [I64],
+        I64Extend32S      0xc4      i64_extend32_s      [I64] -> [I64],
+        I32TruncSatF32S   0xfc 0x00 i32_trunc_sat_f32_s [F32] -> [I32],
+        I32TruncSatF32U   0xfc 0x01 i32_trunc_sat_f32_u [F32] -> [I32],
+        I32TruncSatF64S   0xfc 0x02 i32_trunc_sat_f64_s [F64] -> [I32],
+        I32TruncSatF64U   0xfc 0x03 i32_trunc_sat_f64_u [F64] -> [I32],
+        I64TruncSatF32S   0xfc 0x04 i64_trunc_sat_f32_s [F32] -> [I64],
+        I64TruncSatF32U   0xfc 0x05 i64_trunc_sat_f32_u [F32] -> [I64],
+        I64TruncSatF64S   0xfc 0x06 i64_trunc_sat_f64_s [F64] -> [I64],
+        I64TruncSatF64U   0xfc 0x07 i64_trunc_sat_f64_u [F64] -> [I64],
+    }
+
+    /// Memory load flavour: result type plus access width/extension.
+    Load(LoadKind) {
+        I32    0x28 i32_load     [I32] -> [I32] 4,
+        I64    0x29 i64_load     [I32] -> [I64] 8,
+        F32    0x2a f32_load     [I32] -> [F32] 4,
+        F64    0x2b f64_load     [I32] -> [F64] 8,
+        I32S8  0x2c i32_load8_s  [I32] -> [I32] 1,
+        I32U8  0x2d i32_load8_u  [I32] -> [I32] 1,
+        I32S16 0x2e i32_load16_s [I32] -> [I32] 2,
+        I32U16 0x2f i32_load16_u [I32] -> [I32] 2,
+        I64S8  0x30 i64_load8_s  [I32] -> [I64] 1,
+        I64U8  0x31 i64_load8_u  [I32] -> [I64] 1,
+        I64S16 0x32 i64_load16_s [I32] -> [I64] 2,
+        I64U16 0x33 i64_load16_u [I32] -> [I64] 2,
+        I64S32 0x34 i64_load32_s [I32] -> [I64] 4,
+        I64U32 0x35 i64_load32_u [I32] -> [I64] 4,
+    }
+
+    /// Memory store flavour: operand type plus stored width.
+    Store(StoreKind) {
+        I32     0x36 i32_store   [I32 I32] -> [] 4,
+        I64     0x37 i64_store   [I32 I64] -> [] 8,
+        F32     0x38 f32_store   [I32 F32] -> [] 4,
+        F64     0x39 f64_store   [I32 F64] -> [] 8,
+        I32Lo8  0x3a i32_store8  [I32 I32] -> [] 1,
+        I32Lo16 0x3b i32_store16 [I32 I32] -> [] 2,
+        I64Lo8  0x3c i64_store8  [I32 I64] -> [] 1,
+        I64Lo16 0x3d i64_store16 [I32 I64] -> [] 2,
+        I64Lo32 0x3e i64_store32 [I32 I64] -> [] 4,
+    }
 }
 
 impl I32Op {
-    /// The operator for a decoded instruction, when it is one.
-    pub(crate) fn from_instr(i: &Instr) -> Option<I32Op> {
-        Some(match i {
-            Instr::I32Add => I32Op::Add,
-            Instr::I32Sub => I32Op::Sub,
-            Instr::I32Mul => I32Op::Mul,
-            Instr::I32And => I32Op::And,
-            Instr::I32Or => I32Op::Or,
-            Instr::I32Xor => I32Op::Xor,
-            Instr::I32Shl => I32Op::Shl,
-            Instr::I32ShrS => I32Op::ShrS,
-            Instr::I32ShrU => I32Op::ShrU,
-            Instr::I32Rotl => I32Op::Rotl,
-            Instr::I32Rotr => I32Op::Rotr,
-            Instr::I32Eq => I32Op::Eq,
-            Instr::I32Ne => I32Op::Ne,
-            Instr::I32LtS => I32Op::LtS,
-            Instr::I32LtU => I32Op::LtU,
-            Instr::I32GtS => I32Op::GtS,
-            Instr::I32GtU => I32Op::GtU,
-            Instr::I32LeS => I32Op::LeS,
-            Instr::I32LeU => I32Op::LeU,
-            Instr::I32GeS => I32Op::GeS,
-            Instr::I32GeU => I32Op::GeU,
-            _ => return None,
-        })
-    }
-
     pub(crate) fn commutative(self) -> bool {
         matches!(
             self,
@@ -104,7 +410,7 @@ impl I32Op {
 
     /// Evaluate the operator. Comparisons produce 0/1.
     #[inline(always)]
-    pub fn eval(self, a: i32, b: i32) -> i32 {
+    pub(crate) fn eval(self, a: i32, b: i32) -> i32 {
         match self {
             I32Op::Add => a.wrapping_add(b),
             I32Op::Sub => a.wrapping_sub(b),
@@ -129,33 +435,6 @@ impl I32Op {
             I32Op::GeU => ((a as u32) >= (b as u32)) as i32,
         }
     }
-}
-
-/// Defines an operator enum whose variants mirror a subset of [`Instr`]
-/// one-to-one, plus the `from_instr` table that maps them over.
-macro_rules! mirror_ops {
-    ($(#[$meta:meta])* $name:ident: $($v:ident),* $(,)?) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub enum $name { $($v),* }
-        impl $name {
-            pub(crate) fn from_instr(i: &Instr) -> Option<$name> {
-                match i {
-                    $(Instr::$v => Some($name::$v),)*
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-
-mirror_ops! {
-    /// Non-trapping i64 binary operators (arithmetic and comparisons;
-    /// comparisons produce an i32).
-    I64Op:
-    I64Add, I64Sub, I64Mul, I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU,
-    I64Rotl, I64Rotr, I64Eq, I64Ne, I64LtS, I64LtU, I64GtS, I64GtU, I64LeS,
-    I64LeU, I64GeS, I64GeU,
 }
 
 impl I64Op {
@@ -188,34 +467,7 @@ impl I64Op {
     }
 }
 
-mirror_ops! {
-    /// Binary operators that either trap (integer div/rem) or operate on
-    /// floats — the generic `Bin` payload. Kept out of the hot `I32Bin`/
-    /// `I64Bin` paths.
-    BinOp:
-    I32DivS, I32DivU, I32RemS, I32RemU, I64DivS, I64DivU, I64RemS, I64RemU,
-    F32Eq, F32Ne, F32Lt, F32Gt, F32Le, F32Ge,
-    F64Eq, F64Ne, F64Lt, F64Gt, F64Le, F64Ge,
-    F32Add, F32Sub, F32Mul, F32Div, F32Min, F32Max, F32Copysign,
-    F64Add, F64Sub, F64Mul, F64Div, F64Min, F64Max, F64Copysign,
-}
-
 impl BinOp {
-    /// The type of both operands: what the register executor, whose cells
-    /// are untyped, re-tags them as before [`Self::eval`].
-    #[inline(always)]
-    pub(crate) fn operand_ty(self) -> ValType {
-        use BinOp::*;
-        match self {
-            I32DivS | I32DivU | I32RemS | I32RemU => ValType::I32,
-            I64DivS | I64DivU | I64RemS | I64RemU => ValType::I64,
-            F32Eq | F32Ne | F32Lt | F32Gt | F32Le | F32Ge | F32Add | F32Sub | F32Mul | F32Div
-            | F32Min | F32Max | F32Copysign => ValType::F32,
-            F64Eq | F64Ne | F64Lt | F64Gt | F64Le | F64Ge | F64Add | F64Sub | F64Mul | F64Div
-            | F64Min | F64Max | F64Copysign => ValType::F64,
-        }
-    }
-
     #[inline(always)]
     pub(crate) fn eval(self, a: Value, b: Value) -> Result<Value, Trap> {
         use BinOp::*;
@@ -312,48 +564,7 @@ impl BinOp {
     }
 }
 
-mirror_ops! {
-    /// Unary operators (unops, conversions, reinterprets, saturating and
-    /// trapping truncations) — the `Un` payload.
-    UnOp:
-    I32Eqz, I32Clz, I32Ctz, I32Popcnt,
-    I64Eqz, I64Clz, I64Ctz, I64Popcnt,
-    F32Abs, F32Neg, F32Ceil, F32Floor, F32Trunc, F32Nearest, F32Sqrt,
-    F64Abs, F64Neg, F64Ceil, F64Floor, F64Trunc, F64Nearest, F64Sqrt,
-    I32WrapI64, I32TruncF32S, I32TruncF32U, I32TruncF64S, I32TruncF64U,
-    I64ExtendI32S, I64ExtendI32U, I64TruncF32S, I64TruncF32U, I64TruncF64S,
-    I64TruncF64U, F32ConvertI32S, F32ConvertI32U, F32ConvertI64S,
-    F32ConvertI64U, F32DemoteF64, F64ConvertI32S, F64ConvertI32U,
-    F64ConvertI64S, F64ConvertI64U, F64PromoteF32, I32ReinterpretF32,
-    I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
-    I32Extend8S, I32Extend16S, I64Extend8S, I64Extend16S, I64Extend32S,
-    I32TruncSatF32S, I32TruncSatF32U, I32TruncSatF64S, I32TruncSatF64U,
-    I64TruncSatF32S, I64TruncSatF32U, I64TruncSatF64S, I64TruncSatF64U,
-}
-
 impl UnOp {
-    /// The operand's type (see [`BinOp::operand_ty`]).
-    #[inline(always)]
-    pub(crate) fn operand_ty(self) -> ValType {
-        use UnOp::*;
-        match self {
-            I32Eqz | I32Clz | I32Ctz | I32Popcnt | I64ExtendI32S | I64ExtendI32U
-            | F32ConvertI32S | F32ConvertI32U | F64ConvertI32S | F64ConvertI32U
-            | F32ReinterpretI32 | I32Extend8S | I32Extend16S => ValType::I32,
-            I64Eqz | I64Clz | I64Ctz | I64Popcnt | I32WrapI64 | F32ConvertI64S | F32ConvertI64U
-            | F64ConvertI64S | F64ConvertI64U | F64ReinterpretI64 | I64Extend8S | I64Extend16S
-            | I64Extend32S => ValType::I64,
-            F32Abs | F32Neg | F32Ceil | F32Floor | F32Trunc | F32Nearest | F32Sqrt
-            | I32TruncF32S | I32TruncF32U | I64TruncF32S | I64TruncF32U | F64PromoteF32
-            | I32ReinterpretF32 | I32TruncSatF32S | I32TruncSatF32U | I64TruncSatF32S
-            | I64TruncSatF32U => ValType::F32,
-            F64Abs | F64Neg | F64Ceil | F64Floor | F64Trunc | F64Nearest | F64Sqrt
-            | I32TruncF64S | I32TruncF64U | I64TruncF64S | I64TruncF64U | F32DemoteF64
-            | I64ReinterpretF64 | I32TruncSatF64S | I32TruncSatF64U | I64TruncSatF64S
-            | I64TruncSatF64U => ValType::F64,
-        }
-    }
-
     #[inline(always)]
     pub(crate) fn eval(self, a: Value) -> Result<Value, Trap> {
         use UnOp::*;
@@ -418,80 +629,6 @@ impl UnOp {
             I64TruncSatF32U => Value::I64(a.as_f32() as u64 as i64),
             I64TruncSatF64S => Value::I64(a.as_f64() as i64),
             I64TruncSatF64U => Value::I64(a.as_f64() as u64 as i64),
-        })
-    }
-}
-
-/// Memory load flavour: result type plus access width/extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32S8,
-    I32U8,
-    I32S16,
-    I32U16,
-    I64S8,
-    I64U8,
-    I64S16,
-    I64U16,
-    I64S32,
-    I64U32,
-}
-
-/// Memory store flavour: operand type plus stored width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32Lo8,
-    I32Lo16,
-    I64Lo8,
-    I64Lo16,
-    I64Lo32,
-}
-
-impl LoadKind {
-    /// The load flavour and static offset of a decoded instruction.
-    pub(crate) fn from_instr(i: &Instr) -> Option<(LoadKind, u32)> {
-        Some(match i {
-            Instr::I32Load(m) => (LoadKind::I32, m.offset),
-            Instr::I64Load(m) => (LoadKind::I64, m.offset),
-            Instr::F32Load(m) => (LoadKind::F32, m.offset),
-            Instr::F64Load(m) => (LoadKind::F64, m.offset),
-            Instr::I32Load8S(m) => (LoadKind::I32S8, m.offset),
-            Instr::I32Load8U(m) => (LoadKind::I32U8, m.offset),
-            Instr::I32Load16S(m) => (LoadKind::I32S16, m.offset),
-            Instr::I32Load16U(m) => (LoadKind::I32U16, m.offset),
-            Instr::I64Load8S(m) => (LoadKind::I64S8, m.offset),
-            Instr::I64Load8U(m) => (LoadKind::I64U8, m.offset),
-            Instr::I64Load16S(m) => (LoadKind::I64S16, m.offset),
-            Instr::I64Load16U(m) => (LoadKind::I64U16, m.offset),
-            Instr::I64Load32S(m) => (LoadKind::I64S32, m.offset),
-            Instr::I64Load32U(m) => (LoadKind::I64U32, m.offset),
-            _ => return None,
-        })
-    }
-}
-
-impl StoreKind {
-    /// The store flavour and static offset of a decoded instruction.
-    pub(crate) fn from_instr(i: &Instr) -> Option<(StoreKind, u32)> {
-        Some(match i {
-            Instr::I32Store(m) => (StoreKind::I32, m.offset),
-            Instr::I64Store(m) => (StoreKind::I64, m.offset),
-            Instr::F32Store(m) => (StoreKind::F32, m.offset),
-            Instr::F64Store(m) => (StoreKind::F64, m.offset),
-            Instr::I32Store8(m) => (StoreKind::I32Lo8, m.offset),
-            Instr::I32Store16(m) => (StoreKind::I32Lo16, m.offset),
-            Instr::I64Store8(m) => (StoreKind::I64Lo8, m.offset),
-            Instr::I64Store16(m) => (StoreKind::I64Lo16, m.offset),
-            Instr::I64Store32(m) => (StoreKind::I64Lo32, m.offset),
-            _ => return None,
         })
     }
 }

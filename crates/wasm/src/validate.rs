@@ -7,7 +7,7 @@
 //! instantiated, so the interpreter may assume well-typed code and bounds
 //! errors can only be *dynamic* (memory, table, fuel), never structural.
 
-use crate::instr::Instr;
+use crate::instr::{Instr, OpRow};
 use crate::module::*;
 use crate::types::*;
 
@@ -384,45 +384,19 @@ impl<'m> FuncValidator<'m> {
             .ok_or_else(|| self.err(ValidateErrorKind::BadGlobalIndex(idx)))
     }
 
-    fn load(&mut self, align: u32, width: u32, result: ValType) -> Result<(), ValidateError> {
-        self.check_mem()?;
-        self.check_align(align, width)?;
-        self.pop_expect(ValType::I32)?;
-        self.push(result);
-        Ok(())
-    }
-
-    fn store(&mut self, align: u32, width: u32, operand: ValType) -> Result<(), ValidateError> {
-        self.check_mem()?;
-        self.check_align(align, width)?;
-        self.pop_expect(operand)?;
-        self.pop_expect(ValType::I32)?;
-        Ok(())
-    }
-
-    fn unop(&mut self, ty: ValType) -> Result<(), ValidateError> {
-        self.pop_expect(ty)?;
-        self.push(ty);
-        Ok(())
-    }
-
-    fn binop(&mut self, ty: ValType) -> Result<(), ValidateError> {
-        self.pop_expect(ty)?;
-        self.pop_expect(ty)?;
-        self.push(ty);
-        Ok(())
-    }
-
-    fn relop(&mut self, ty: ValType) -> Result<(), ValidateError> {
-        self.pop_expect(ty)?;
-        self.pop_expect(ty)?;
-        self.push(ValType::I32);
-        Ok(())
-    }
-
-    fn cvtop(&mut self, from: ValType, to: ValType) -> Result<(), ValidateError> {
-        self.pop_expect(from)?;
-        self.push(to);
+    /// A plain operator, typed by its row of the operator table: a memory
+    /// row needs the memory and an alignment of at most its width.
+    fn plain(&mut self, row: &OpRow, align: u32) -> Result<(), ValidateError> {
+        if let Some(width) = row.width {
+            self.check_mem()?;
+            self.check_align(align, width)?;
+        }
+        for &ty in row.params.iter().rev() {
+            self.pop_expect(ty)?;
+        }
+        if let Some(ty) = row.result {
+            self.push(ty);
+        }
         Ok(())
     }
 
@@ -569,24 +543,12 @@ impl<'m> FuncValidator<'m> {
                     }
                     self.pop_expect(g.ty)?;
                 }
-                I32Load(m) => self.load(m.align, 4, I32)?,
-                I64Load(m) => self.load(m.align, 8, I64)?,
-                F32Load(m) => self.load(m.align, 4, F32)?,
-                F64Load(m) => self.load(m.align, 8, F64)?,
-                I32Load8S(m) | I32Load8U(m) => self.load(m.align, 1, I32)?,
-                I32Load16S(m) | I32Load16U(m) => self.load(m.align, 2, I32)?,
-                I64Load8S(m) | I64Load8U(m) => self.load(m.align, 1, I64)?,
-                I64Load16S(m) | I64Load16U(m) => self.load(m.align, 2, I64)?,
-                I64Load32S(m) | I64Load32U(m) => self.load(m.align, 4, I64)?,
-                I32Store(m) => self.store(m.align, 4, I32)?,
-                I64Store(m) => self.store(m.align, 8, I64)?,
-                F32Store(m) => self.store(m.align, 4, F32)?,
-                F64Store(m) => self.store(m.align, 8, F64)?,
-                I32Store8(m) => self.store(m.align, 1, I32)?,
-                I32Store16(m) => self.store(m.align, 2, I32)?,
-                I64Store8(m) => self.store(m.align, 1, I64)?,
-                I64Store16(m) => self.store(m.align, 2, I64)?,
-                I64Store32(m) => self.store(m.align, 4, I64)?,
+                I32Bin(op) => self.plain(op.row(), 0)?,
+                I64Bin(op) => self.plain(op.row(), 0)?,
+                Bin(op) => self.plain(op.row(), 0)?,
+                Un(op) => self.plain(op.row(), 0)?,
+                Load(kind, m) => self.plain(kind.row(), m.align)?,
+                Store(kind, m) => self.plain(kind.row(), m.align)?,
                 MemorySize => {
                     self.check_mem()?;
                     self.push(I32);
@@ -606,68 +568,6 @@ impl<'m> FuncValidator<'m> {
                 I64Const(_) => self.push(I64),
                 F32Const(_) => self.push(F32),
                 F64Const(_) => self.push(F64),
-                I32Eqz => {
-                    self.pop_expect(I32)?;
-                    self.push(I32);
-                }
-                I64Eqz => {
-                    self.pop_expect(I64)?;
-                    self.push(I32);
-                }
-                I32Eq | I32Ne | I32LtS | I32LtU | I32GtS | I32GtU | I32LeS | I32LeU | I32GeS
-                | I32GeU => self.relop(I32)?,
-                I64Eq | I64Ne | I64LtS | I64LtU | I64GtS | I64GtU | I64LeS | I64LeU | I64GeS
-                | I64GeU => self.relop(I64)?,
-                F32Eq | F32Ne | F32Lt | F32Gt | F32Le | F32Ge => self.relop(F32)?,
-                F64Eq | F64Ne | F64Lt | F64Gt | F64Le | F64Ge => self.relop(F64)?,
-                I32Clz | I32Ctz | I32Popcnt | I32Extend8S | I32Extend16S => self.unop(I32)?,
-                I64Clz | I64Ctz | I64Popcnt | I64Extend8S | I64Extend16S | I64Extend32S => {
-                    self.unop(I64)?
-                }
-                I32Add | I32Sub | I32Mul | I32DivS | I32DivU | I32RemS | I32RemU | I32And
-                | I32Or | I32Xor | I32Shl | I32ShrS | I32ShrU | I32Rotl | I32Rotr => {
-                    self.binop(I32)?
-                }
-                I64Add | I64Sub | I64Mul | I64DivS | I64DivU | I64RemS | I64RemU | I64And
-                | I64Or | I64Xor | I64Shl | I64ShrS | I64ShrU | I64Rotl | I64Rotr => {
-                    self.binop(I64)?
-                }
-                F32Abs | F32Neg | F32Ceil | F32Floor | F32Trunc | F32Nearest | F32Sqrt => {
-                    self.unop(F32)?
-                }
-                F64Abs | F64Neg | F64Ceil | F64Floor | F64Trunc | F64Nearest | F64Sqrt => {
-                    self.unop(F64)?
-                }
-                F32Add | F32Sub | F32Mul | F32Div | F32Min | F32Max | F32Copysign => {
-                    self.binop(F32)?
-                }
-                F64Add | F64Sub | F64Mul | F64Div | F64Min | F64Max | F64Copysign => {
-                    self.binop(F64)?
-                }
-                I32WrapI64 => self.cvtop(I64, I32)?,
-                I32TruncF32S | I32TruncF32U | I32TruncSatF32S | I32TruncSatF32U => {
-                    self.cvtop(F32, I32)?
-                }
-                I32TruncF64S | I32TruncF64U | I32TruncSatF64S | I32TruncSatF64U => {
-                    self.cvtop(F64, I32)?
-                }
-                I64ExtendI32S | I64ExtendI32U => self.cvtop(I32, I64)?,
-                I64TruncF32S | I64TruncF32U | I64TruncSatF32S | I64TruncSatF32U => {
-                    self.cvtop(F32, I64)?
-                }
-                I64TruncF64S | I64TruncF64U | I64TruncSatF64S | I64TruncSatF64U => {
-                    self.cvtop(F64, I64)?
-                }
-                F32ConvertI32S | F32ConvertI32U => self.cvtop(I32, F32)?,
-                F32ConvertI64S | F32ConvertI64U => self.cvtop(I64, F32)?,
-                F32DemoteF64 => self.cvtop(F64, F32)?,
-                F64ConvertI32S | F64ConvertI32U => self.cvtop(I32, F64)?,
-                F64ConvertI64S | F64ConvertI64U => self.cvtop(I64, F64)?,
-                F64PromoteF32 => self.cvtop(F32, F64)?,
-                I32ReinterpretF32 => self.cvtop(F32, I32)?,
-                I64ReinterpretF64 => self.cvtop(F64, I64)?,
-                F32ReinterpretI32 => self.cvtop(I32, F32)?,
-                F64ReinterpretI64 => self.cvtop(I64, F64)?,
             }
             self.pc += 1;
         }
@@ -831,12 +731,13 @@ mod tests {
         mb.memory(1, None);
         let sig = mb.func_type(&[], &[I32]);
         mb.begin_func(sig);
-        mb.code()
-            .i32_const(0)
-            .raw(crate::instr::Instr::I32Load(crate::instr::MemArg {
+        mb.code().i32_const(0).raw(crate::instr::Instr::Load(
+            crate::instr::LoadKind::I32,
+            crate::instr::MemArg {
                 align: 3, // 2^3 = 8 > 4-byte access
                 offset: 0,
-            }));
+            },
+        ));
         mb.end_func().unwrap();
         let module = mb.finish().unwrap();
         let err = validate(&module).unwrap_err();

@@ -28,11 +28,12 @@
 use std::sync::Arc;
 
 use waran_wasm::builder::ModuleBuilder;
+use waran_wasm::decode::{decode_module, DecodeErrorKind};
 use waran_wasm::disasm::disassemble_reg;
 use waran_wasm::instance::{ExecLimits, Instance, Linker, BULK_BYTES_PER_FUEL};
-use waran_wasm::instr::Instr;
+use waran_wasm::instr::{Instr, OpRow, OP_TABLE};
 use waran_wasm::interp::Value;
-use waran_wasm::types::{BlockType, ValType};
+use waran_wasm::types::{BlockType, ValType, PAGE_SIZE};
 use waran_wasm::{load_module, Module, Trap};
 
 #[path = "util/gen.rs"]
@@ -363,14 +364,15 @@ export fn main(n: i32, base: i32) -> i32 {
 //
 // The generated corpus is PlugC — i32 plus a little f64 — so the i64, f32,
 // conversion, `trunc_sat` and narrow load/store long tail would meet the
-// oracle only in hand-picked cases. This section takes the opcode list
-// from the decoder and each opcode's signature from the validator (no
-// hand-written table to fall out of date) and runs `local.get… ; op` over
-// edge operands on both sides and under the load-time proof.
+// oracle only in hand-picked cases. This section takes the opcodes from
+// the operator table, decodes each, derives its signature from the
+// validator by brute force (an independent check on the table's
+// signature column) and runs `local.get… ; op` over edge operands on both
+// sides and under the load-time proof.
 
-/// The instruction `bytes` decode to as a whole function body, if the
-/// decoder accepts them.
-fn decode_opcode(bytes: &[u8]) -> Option<Instr> {
+/// The instruction `bytes` decode to as a whole function body, or the
+/// decoder's error.
+fn decode_opcode(bytes: &[u8]) -> Result<Instr, DecodeErrorKind> {
     let mut wasm = b"\0asm\x01\0\0\0".to_vec();
     wasm.extend([0x01, 0x04, 0x01, 0x60, 0x00, 0x00]); // type 0: () -> ()
     wasm.extend([0x03, 0x02, 0x01, 0x00]); // one function of type 0
@@ -378,11 +380,24 @@ fn decode_opcode(bytes: &[u8]) -> Option<Instr> {
     wasm.extend([0x0a, body_len + 2, 0x01, body_len, 0x00]);
     wasm.extend(bytes);
     wasm.push(0x0b);
-    let module = waran_wasm::decode::decode_module(&wasm).ok()?;
+    let module = decode_module(&wasm).map_err(|e| e.kind)?;
     match &module.funcs[0].code[..] {
-        [op, Instr::End] => Some(op.clone()),
-        _ => None,
+        [op, Instr::End] => Ok(op.clone()),
+        other => panic!("{bytes:02x?} decoded to {other:?}"),
     }
+}
+
+/// Whether `instr` is a row of the operator table.
+fn is_plain(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::I32Bin(_)
+            | Instr::I64Bin(_)
+            | Instr::Bin(_)
+            | Instr::Un(_)
+            | Instr::Load(..)
+            | Instr::Store(..)
+    )
 }
 
 /// `main(params) -> results { local.get 0 … ; op }` over a one-page
@@ -402,8 +417,9 @@ fn plain_op_module(op: &Instr, params: &[ValType], results: &[ValType]) -> Optio
 }
 
 /// The one unary, binary or store shape over the four value types that
-/// the validator accepts for `op`.
-fn plain_op_signature(op: &Instr) -> (Vec<ValType>, Module) {
+/// the validator accepts for `op`: its operand types, its result types
+/// and the module.
+fn plain_op_signature(op: &Instr) -> (Vec<ValType>, Vec<ValType>, Module) {
     use ValType::*;
     const TYPES: [ValType; 4] = [I32, I64, F32, F64];
     let mut shapes: Vec<(Vec<ValType>, Vec<ValType>)> = Vec::new();
@@ -418,7 +434,7 @@ fn plain_op_signature(op: &Instr) -> (Vec<ValType>, Module) {
     }
     let mut valid = shapes
         .into_iter()
-        .filter_map(|(p, r)| Some((p.clone(), plain_op_module(op, &p, &r)?)));
+        .filter_map(|(p, r)| Some((p.clone(), r.clone(), plain_op_module(op, &p, &r)?)));
     let found = valid
         .next()
         .unwrap_or_else(|| panic!("{op:?}: no shape validates"));
@@ -551,8 +567,9 @@ fn one_op_agrees(
         "register fuel ({ctx})"
     );
     if ours == Err(Trap::OutOfFuel) {
-        // The next call starts both sides from the executor's bytes.
-        oracle.memory.copy_from_slice(inst.bytes());
+        // The next call starts both sides from the executor's bytes (and
+        // pages: the oracle may have finished a grow).
+        oracle.memory = inst.bytes().to_vec();
     }
     assert!(
         inst.bytes() == oracle.memory,
@@ -565,19 +582,66 @@ fn one_op_agrees(
 fn differential_every_plain_opcode() {
     // Memory accesses carry an (align, offset) immediate; offset 4 keeps
     // the static-offset plumbing in play.
-    let memory = (0x28..=0x3e_u8).map(|op| vec![op, 0x00, 0x04]);
-    let numeric = (0x45..=0xc4_u8).map(|op| vec![op]);
-    let saturating = (0x00..=0x07_u8).map(|sub| vec![0xfc, sub]);
-    let ops: Vec<Instr> = memory
-        .chain(numeric)
-        .chain(saturating)
-        .filter_map(|bytes| decode_opcode(&bytes))
+    let ops: Vec<(Instr, &OpRow)> = OP_TABLE
+        .iter()
+        .map(|&row| {
+            let mut bytes = vec![row.opcode];
+            bytes.extend(row.sub.map(|sub| sub as u8));
+            if row.width.is_some() {
+                bytes.extend([0x00, 0x04]);
+            }
+            let op = decode_opcode(&bytes)
+                .unwrap_or_else(|e| panic!("{}: {bytes:02x?} fails to decode: {e:?}", row.name));
+            (op, row)
+        })
         .collect();
-    assert_eq!(ops.len(), 23 + 128 + 8, "plain opcodes the decoder accepts");
+    let memory = OP_TABLE.iter().filter(|row| row.width.is_some()).count();
+    let prefixed = OP_TABLE.iter().filter(|row| row.sub.is_some()).count();
+    assert_eq!(
+        (memory, ops.len() - memory - prefixed, prefixed),
+        (23, 128, 8),
+        "plain opcodes: memory, numeric, saturating"
+    );
+
+    // Every other byte, and every other 0xfc sub-opcode up to the
+    // bulk-memory ones, is an instruction outside the table or unknown.
+    let in_table = |opcode: u8, sub: Option<u32>| {
+        OP_TABLE
+            .iter()
+            .any(|row| (row.opcode, row.sub) == (opcode, sub))
+    };
+    for byte in (0x00..=0xff_u8).filter(|&b| b != 0xfc && !in_table(b, None)) {
+        let decoded = decode_opcode(&[byte]);
+        // Control, variables, memory.size/grow and the constants.
+        if matches!(byte, 0x00..=0x05 | 0x0b..=0x11 | 0x1a | 0x1b | 0x20..=0x24 | 0x3f..=0x44) {
+            assert!(
+                !matches!(&decoded, Err(DecodeErrorKind::BadOpcode(_)))
+                    && !decoded.as_ref().is_ok_and(is_plain),
+                "{byte:#04x}: {decoded:?}"
+            );
+        } else {
+            assert_eq!(decoded, Err(DecodeErrorKind::BadOpcode(byte)));
+        }
+    }
+    for sub in (0x00..=0x11_u8).filter(|&sub| !in_table(0xfc, Some(sub.into()))) {
+        let decoded = decode_opcode(&[0xfc, sub]);
+        if matches!(sub, 0x0a | 0x0b) {
+            // memory.copy and memory.fill, missing their index bytes.
+            assert_eq!(decoded, Err(DecodeErrorKind::NonZeroIndex));
+        } else {
+            assert_eq!(decoded, Err(DecodeErrorKind::BadPrefixedOpcode(sub.into())));
+        }
+    }
 
     let (mut completed, mut trapped) = (0u32, 0u32);
-    for op in &ops {
-        let (params, module) = plain_op_signature(op);
+    for (op, row) in &ops {
+        let (params, results, module) = plain_op_signature(op);
+        assert_eq!(
+            (&params[..], &results[..]),
+            (row.params, row.result.as_slice()),
+            "{}: the table's signature disagrees with the validator's",
+            row.name
+        );
         let mut sides = patterned(module, op);
         let firsts = edge_operands(params[0]);
         let seconds = params.get(1).map_or(vec![None], |&ty| {
@@ -646,6 +710,53 @@ fn differential_every_plain_opcode() {
         completed >= 300 && trapped >= 600 && exhausted >= 200,
         "bulk memory: {completed} completed, {trapped} trapped, {exhausted} out of fuel"
     );
+}
+
+#[test]
+fn differential_memory_grow_pays_per_page() {
+    // `main(delta)` is `local.get 0; memory.grow` on one page of at most
+    // three. A grow the cap allows pays PAGE_SIZE / BULK_BYTES_PER_FUEL per
+    // page before the page is added; one the cap refuses, and `delta = 0`,
+    // pay only the instruction.
+    let wasm = waran_wat::assemble(
+        r#"(module (memory 1 3)
+          (func (export "main") (param i32) (result i32) local.get 0 memory.grow))"#,
+    )
+    .unwrap();
+    let fresh = || patterned(load_module(&wasm).unwrap(), &Instr::MemoryGrow);
+    let page = (PAGE_SIZE as u32 / BULK_BYTES_PER_FUEL) as u64;
+    let grow = |sides: &mut (Instance<()>, Oracle<()>), delta: i32, charge: u64, fuel: u64| {
+        let ctx = format!("memory.grow {delta}, fuel {fuel}");
+        one_op_agrees(sides, &[Value::I32(delta)], charge, fuel, &ctx)
+    };
+
+    let mut sides = fresh();
+    assert_eq!(grow(&mut sides, 0, 0, 100), Ok(()));
+    assert_eq!(grow(&mut sides, 1, page, 10_000), Ok(()));
+    assert_eq!(sides.0.memory().size_pages(), 2);
+    // One page past the cap: -1, nothing on top of the instruction.
+    assert_eq!(grow(&mut sides, 2, 0, 100), Ok(()));
+    assert_eq!(
+        sides.0.invoke("main", &[Value::I32(2)]),
+        Ok(Some(Value::I32(-1)))
+    );
+    assert_eq!(sides.0.memory().size_pages(), 2);
+
+    // Two pages with fuel ending inside the charge on both sides, on the
+    // executor's side only (the oracle has not paid for `end` yet),
+    // exactly on it and one unit after it. The body is one block of three
+    // instructions.
+    for fuel in 3 + 2 * page - 2..=3 + 2 * page + 1 {
+        let mut sides = fresh();
+        let result = grow(&mut sides, 2, 2 * page, fuel);
+        if fuel < 3 + 2 * page {
+            assert_eq!(result, Err(Trap::OutOfFuel), "fuel {fuel}");
+            assert_eq!(sides.0.memory().size_pages(), 1, "fuel {fuel}");
+        } else {
+            assert_eq!(result, Ok(()), "fuel {fuel}");
+            assert_eq!(sides.0.memory().size_pages(), 3, "fuel {fuel}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -316,6 +316,61 @@ fn memory_grow_and_limits() {
     assert_eq!(inst.invoke("size", &[]), Ok(Some(Value::I32(2))));
 }
 
+/// `grow(delta)` is `local.get 0; memory.grow`: three instructions a call.
+const GROW: &str = r#"(module
+  (memory 1)
+  (func (export "grow") (param i32) (result i32)
+    local.get 0
+    memory.grow))"#;
+
+#[test]
+fn memory_grow_pays_per_page() {
+    // The `realtime` class's budget: one 1 ms slot of fuel and 64 pages.
+    let module = load_module(&waran_wat::assemble(GROW).unwrap()).unwrap();
+    let limits = ExecLimits {
+        max_memory_pages: 64,
+        ..ExecLimits::default()
+    };
+    let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
+    inst.set_fuel(333_333);
+    for pages in 1..64 {
+        assert_eq!(
+            inst.invoke("grow", &[Value::I32(1)]),
+            Ok(Some(Value::I32(pages)))
+        );
+    }
+    // Each page's 65 536 zeroed bytes pay 4096 on top of the instructions.
+    assert_eq!(inst.fuel_consumed(), Some(63 * 4096 + 63 * 3));
+    // Past the cap: -1, and only the instructions are paid.
+    assert_eq!(
+        inst.invoke("grow", &[Value::I32(1)]),
+        Ok(Some(Value::I32(-1)))
+    );
+    assert_eq!(inst.fuel_consumed(), Some(63 * 4096 + 64 * 3));
+    assert_eq!(inst.memory().size_pages(), 64);
+}
+
+#[test]
+fn memory_grow_past_the_remaining_fuel_traps_unchanged() {
+    let mut inst = instantiate(GROW);
+    // Enough for the instructions and one of the two pages.
+    inst.set_fuel(3 + 4096);
+    assert_eq!(inst.invoke("grow", &[Value::I32(2)]), Err(Trap::OutOfFuel));
+    assert_eq!(inst.fuel_remaining(), 0);
+    assert_eq!(inst.memory().size_pages(), 1);
+    // The oracle charges the same.
+    let mut oracle = oracle(GROW);
+    oracle.set_fuel(3 + 4096);
+    assert_eq!(
+        oracle.invoke("grow", &[Value::I32(2)]),
+        Err(Trap::OutOfFuel)
+    );
+    assert_eq!(
+        (oracle.fuel_consumed(), oracle.memory.len()),
+        (Some(3 + 4096), 65_536)
+    );
+}
+
 #[test]
 fn unreachable_traps() {
     let src = r#"(module (func (export "f") unreachable))"#;

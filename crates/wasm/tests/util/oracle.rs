@@ -6,9 +6,10 @@
 //! table types. The oracle walks the source instructions one at a time
 //! over a plain `Vec<u8>` with its own bounds arithmetic, and keeps its own
 //! table, globals, segment initialisation and float helpers. It shares
-//! with the executor it judges only the decoder's `Module`/`Instr`,
-//! `Value`, `Trap`, the types and `ExecLimits`, so a bounds or arithmetic
-//! bug in the executor's runtime cannot hide behind the same bug here.
+//! with the executor it judges only the decoder's `Module`/`Instr` (with
+//! the operator enums `Instr` carries, never their `eval`s), `Value`,
+//! `Trap`, the types and `ExecLimits`, so a bounds or arithmetic bug in
+//! the executor's runtime cannot hide behind the same bug here.
 //!
 //! The one bridge is a host call. Host functions take the crate's memory
 //! type, so for the length of the call the oracle lends its bytes as one
@@ -16,19 +17,20 @@
 //!
 //! What a comparison may hold the two to: result bits or trap; fuel and
 //! instructions on completion and on fuel exhaustion (one unit per source
-//! instruction here, plus a bulk memory op's byte charge, while the
-//! executor meters per basic block and retires exactly the remaining fuel
-//! when it runs out); the final memory bytes unless a resource limit fired
-//! (the executor checks those per block); and what host functions saw. A
-//! run that ends on a byte charge agrees on fuel (none left on either side)
-//! but not on instructions: the executor has counted its whole block, the
-//! oracle up to the bulk op.
+//! instruction here, plus a bulk memory op's byte charge and a
+//! `memory.grow`'s page charge, while the executor meters per basic block
+//! and retires exactly the remaining fuel when it runs out); the final
+//! memory bytes unless a resource limit fired (the executor checks those
+//! per block); and what host functions saw. A run that ends on a byte or
+//! page charge agrees on fuel (none left on either side) but not on
+//! instructions: the executor has counted its whole block, the oracle up
+//! to the bulk op or grow.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use waran_wasm::instance::{ExecLimits, HostFn, Linker, BULK_BYTES_PER_FUEL};
-use waran_wasm::instr::Instr;
+use waran_wasm::instr::{BinOp, I32Op, I64Op, Instr, LoadKind, StoreKind, UnOp};
 use waran_wasm::interp::Value;
 use waran_wasm::module::{ConstExpr, ImportKind, Module};
 use waran_wasm::types::{FuncType, MAX_PAGES, PAGE_SIZE};
@@ -218,15 +220,19 @@ impl<T> Oracle<T> {
         (self.memory.len() / PAGE_SIZE) as u32
     }
 
-    /// `memory.grow`: the old size in pages, or -1 past the cap.
-    fn grow(&mut self, delta: u32) -> i32 {
+    /// `memory.grow`: the old size in pages, or -1 past the cap. A grow
+    /// the cap allows pays for the bytes it zeroes at the bulk rate before
+    /// a page is added; a refused one pays nothing on top of its
+    /// instruction.
+    fn grow(&mut self, delta: u32) -> Result<i32, Trap> {
         let old = self.pages();
         let new = u64::from(old) + u64::from(delta);
         if new > u64::from(self.max_pages) {
-            return -1;
+            return Ok(-1);
         }
+        self.pay(u64::from(delta) * PAGE_SIZE as u64 / u64::from(BULK_BYTES_PER_FUEL))?;
         self.memory.resize(new as usize * PAGE_SIZE, 0);
-        old as i32
+        Ok(old as i32)
     }
 
     fn copy(&mut self, dst: u32, src: u32, len: u32) -> Result<(), Trap> {
@@ -248,9 +254,13 @@ impl<T> Oracle<T> {
 
     /// A bulk op's byte charge on top of its instruction: one unit per
     /// started `BULK_BYTES_PER_FUEL` bytes, once the ranges are in bounds
-    /// and before a byte moves. Running out leaves no fuel.
+    /// and before a byte moves.
     fn pay_bytes(&mut self, len: u32) -> Result<(), Trap> {
-        let charge = u64::from(len).div_ceil(u64::from(BULK_BYTES_PER_FUEL));
+        self.pay(u64::from(len).div_ceil(u64::from(BULK_BYTES_PER_FUEL)))
+    }
+
+    /// A charge on top of an instruction. Running out leaves no fuel.
+    fn pay(&mut self, charge: u64) -> Result<(), Trap> {
         if self.fuel < charge {
             self.fuel = 0;
             return Err(Trap::OutOfFuel);
@@ -469,45 +479,63 @@ impl<T> Oracle<T> {
                 Instr::GlobalGet(idx) => stack.push(self.globals[*idx as usize]),
                 Instr::GlobalSet(idx) => self.globals[*idx as usize] = pop!(),
 
-                Instr::I32Load(m) => load!(m, 4, |b| Value::I32(i32::from_le_bytes(b))),
-                Instr::I64Load(m) => load!(m, 8, |b| Value::I64(i64::from_le_bytes(b))),
-                Instr::F32Load(m) => load!(m, 4, |b| Value::F32(f32::from_le_bytes(b))),
-                Instr::F64Load(m) => load!(m, 8, |b| Value::F64(f64::from_le_bytes(b))),
-                Instr::I32Load8S(m) => load!(m, 1, |b: [u8; 1]| Value::I32(b[0] as i8 as i32)),
-                Instr::I32Load8U(m) => load!(m, 1, |b: [u8; 1]| Value::I32(b[0] as i32)),
-                Instr::I32Load16S(m) => {
+                Instr::Load(LoadKind::I32, m) => load!(m, 4, |b| Value::I32(i32::from_le_bytes(b))),
+                Instr::Load(LoadKind::I64, m) => load!(m, 8, |b| Value::I64(i64::from_le_bytes(b))),
+                Instr::Load(LoadKind::F32, m) => load!(m, 4, |b| Value::F32(f32::from_le_bytes(b))),
+                Instr::Load(LoadKind::F64, m) => load!(m, 8, |b| Value::F64(f64::from_le_bytes(b))),
+                Instr::Load(LoadKind::I32S8, m) => {
+                    load!(m, 1, |b: [u8; 1]| Value::I32(b[0] as i8 as i32))
+                }
+                Instr::Load(LoadKind::I32U8, m) => {
+                    load!(m, 1, |b: [u8; 1]| Value::I32(b[0] as i32))
+                }
+                Instr::Load(LoadKind::I32S16, m) => {
                     load!(m, 2, |b| Value::I32(i16::from_le_bytes(b) as i32))
                 }
-                Instr::I32Load16U(m) => {
+                Instr::Load(LoadKind::I32U16, m) => {
                     load!(m, 2, |b| Value::I32(u16::from_le_bytes(b) as i32))
                 }
-                Instr::I64Load8S(m) => load!(m, 1, |b: [u8; 1]| Value::I64(b[0] as i8 as i64)),
-                Instr::I64Load8U(m) => load!(m, 1, |b: [u8; 1]| Value::I64(b[0] as i64)),
-                Instr::I64Load16S(m) => {
+                Instr::Load(LoadKind::I64S8, m) => {
+                    load!(m, 1, |b: [u8; 1]| Value::I64(b[0] as i8 as i64))
+                }
+                Instr::Load(LoadKind::I64U8, m) => {
+                    load!(m, 1, |b: [u8; 1]| Value::I64(b[0] as i64))
+                }
+                Instr::Load(LoadKind::I64S16, m) => {
                     load!(m, 2, |b| Value::I64(i16::from_le_bytes(b) as i64))
                 }
-                Instr::I64Load16U(m) => {
+                Instr::Load(LoadKind::I64U16, m) => {
                     load!(m, 2, |b| Value::I64(u16::from_le_bytes(b) as i64))
                 }
-                Instr::I64Load32S(m) => {
+                Instr::Load(LoadKind::I64S32, m) => {
                     load!(m, 4, |b| Value::I64(i32::from_le_bytes(b) as i64))
                 }
-                Instr::I64Load32U(m) => {
+                Instr::Load(LoadKind::I64U32, m) => {
                     load!(m, 4, |b| Value::I64(u32::from_le_bytes(b) as i64))
                 }
-                Instr::I32Store(m) => store!(m, as_i32, |v: i32| v.to_le_bytes()),
-                Instr::I64Store(m) => store!(m, as_i64, |v: i64| v.to_le_bytes()),
-                Instr::F32Store(m) => store!(m, as_f32, |v: f32| v.to_le_bytes()),
-                Instr::F64Store(m) => store!(m, as_f64, |v: f64| v.to_le_bytes()),
-                Instr::I32Store8(m) => store!(m, as_i32, |v: i32| [(v & 0xff) as u8]),
-                Instr::I32Store16(m) => store!(m, as_i32, |v: i32| (v as u16).to_le_bytes()),
-                Instr::I64Store8(m) => store!(m, as_i64, |v: i64| [(v & 0xff) as u8]),
-                Instr::I64Store16(m) => store!(m, as_i64, |v: i64| (v as u16).to_le_bytes()),
-                Instr::I64Store32(m) => store!(m, as_i64, |v: i64| (v as u32).to_le_bytes()),
+                Instr::Store(StoreKind::I32, m) => store!(m, as_i32, |v: i32| v.to_le_bytes()),
+                Instr::Store(StoreKind::I64, m) => store!(m, as_i64, |v: i64| v.to_le_bytes()),
+                Instr::Store(StoreKind::F32, m) => store!(m, as_f32, |v: f32| v.to_le_bytes()),
+                Instr::Store(StoreKind::F64, m) => store!(m, as_f64, |v: f64| v.to_le_bytes()),
+                Instr::Store(StoreKind::I32Lo8, m) => {
+                    store!(m, as_i32, |v: i32| [(v & 0xff) as u8])
+                }
+                Instr::Store(StoreKind::I32Lo16, m) => {
+                    store!(m, as_i32, |v: i32| (v as u16).to_le_bytes())
+                }
+                Instr::Store(StoreKind::I64Lo8, m) => {
+                    store!(m, as_i64, |v: i64| [(v & 0xff) as u8])
+                }
+                Instr::Store(StoreKind::I64Lo16, m) => {
+                    store!(m, as_i64, |v: i64| (v as u16).to_le_bytes())
+                }
+                Instr::Store(StoreKind::I64Lo32, m) => {
+                    store!(m, as_i64, |v: i64| (v as u32).to_le_bytes())
+                }
                 Instr::MemorySize => stack.push(Value::I32(self.pages() as i32)),
                 Instr::MemoryGrow => {
                     let delta = pop!().as_u32();
-                    stack.push(Value::I32(self.grow(delta)));
+                    stack.push(Value::I32(self.grow(delta)?));
                 }
                 Instr::MemoryCopy => {
                     let len = pop!().as_u32();
@@ -527,51 +555,63 @@ impl<T> Oracle<T> {
                 Instr::F32Const(v) => stack.push(Value::F32(*v)),
                 Instr::F64Const(v) => stack.push(Value::F64(*v)),
 
-                Instr::I32Eqz => un!(as_i32, I32, |a: i32| (a == 0) as i32),
-                Instr::I32Eq => rel!(as_i32, |a, b| a == b),
-                Instr::I32Ne => rel!(as_i32, |a, b| a != b),
-                Instr::I32LtS => rel!(as_i32, |a, b| a < b),
-                Instr::I32LtU => rel!(as_i32, |a: i32, b: i32| (a as u32) < (b as u32)),
-                Instr::I32GtS => rel!(as_i32, |a, b| a > b),
-                Instr::I32GtU => rel!(as_i32, |a: i32, b: i32| (a as u32) > (b as u32)),
-                Instr::I32LeS => rel!(as_i32, |a, b| a <= b),
-                Instr::I32LeU => rel!(as_i32, |a: i32, b: i32| (a as u32) <= (b as u32)),
-                Instr::I32GeS => rel!(as_i32, |a, b| a >= b),
-                Instr::I32GeU => rel!(as_i32, |a: i32, b: i32| (a as u32) >= (b as u32)),
-                Instr::I64Eqz => {
+                Instr::Un(UnOp::I32Eqz) => un!(as_i32, I32, |a: i32| (a == 0) as i32),
+                Instr::I32Bin(I32Op::Eq) => rel!(as_i32, |a, b| a == b),
+                Instr::I32Bin(I32Op::Ne) => rel!(as_i32, |a, b| a != b),
+                Instr::I32Bin(I32Op::LtS) => rel!(as_i32, |a, b| a < b),
+                Instr::I32Bin(I32Op::LtU) => rel!(as_i32, |a: i32, b: i32| (a as u32) < (b as u32)),
+                Instr::I32Bin(I32Op::GtS) => rel!(as_i32, |a, b| a > b),
+                Instr::I32Bin(I32Op::GtU) => rel!(as_i32, |a: i32, b: i32| (a as u32) > (b as u32)),
+                Instr::I32Bin(I32Op::LeS) => rel!(as_i32, |a, b| a <= b),
+                Instr::I32Bin(I32Op::LeU) => {
+                    rel!(as_i32, |a: i32, b: i32| (a as u32) <= (b as u32))
+                }
+                Instr::I32Bin(I32Op::GeS) => rel!(as_i32, |a, b| a >= b),
+                Instr::I32Bin(I32Op::GeU) => {
+                    rel!(as_i32, |a: i32, b: i32| (a as u32) >= (b as u32))
+                }
+                Instr::Un(UnOp::I64Eqz) => {
                     let a = pop!().as_i64();
                     stack.push(Value::I32((a == 0) as i32));
                 }
-                Instr::I64Eq => rel!(as_i64, |a, b| a == b),
-                Instr::I64Ne => rel!(as_i64, |a, b| a != b),
-                Instr::I64LtS => rel!(as_i64, |a, b| a < b),
-                Instr::I64LtU => rel!(as_i64, |a: i64, b: i64| (a as u64) < (b as u64)),
-                Instr::I64GtS => rel!(as_i64, |a, b| a > b),
-                Instr::I64GtU => rel!(as_i64, |a: i64, b: i64| (a as u64) > (b as u64)),
-                Instr::I64LeS => rel!(as_i64, |a, b| a <= b),
-                Instr::I64LeU => rel!(as_i64, |a: i64, b: i64| (a as u64) <= (b as u64)),
-                Instr::I64GeS => rel!(as_i64, |a, b| a >= b),
-                Instr::I64GeU => rel!(as_i64, |a: i64, b: i64| (a as u64) >= (b as u64)),
-                Instr::F32Eq => rel!(as_f32, |a, b| a == b),
-                Instr::F32Ne => rel!(as_f32, |a, b| a != b),
-                Instr::F32Lt => rel!(as_f32, |a, b| a < b),
-                Instr::F32Gt => rel!(as_f32, |a, b| a > b),
-                Instr::F32Le => rel!(as_f32, |a, b| a <= b),
-                Instr::F32Ge => rel!(as_f32, |a, b| a >= b),
-                Instr::F64Eq => rel!(as_f64, |a, b| a == b),
-                Instr::F64Ne => rel!(as_f64, |a, b| a != b),
-                Instr::F64Lt => rel!(as_f64, |a, b| a < b),
-                Instr::F64Gt => rel!(as_f64, |a, b| a > b),
-                Instr::F64Le => rel!(as_f64, |a, b| a <= b),
-                Instr::F64Ge => rel!(as_f64, |a, b| a >= b),
+                Instr::I64Bin(I64Op::I64Eq) => rel!(as_i64, |a, b| a == b),
+                Instr::I64Bin(I64Op::I64Ne) => rel!(as_i64, |a, b| a != b),
+                Instr::I64Bin(I64Op::I64LtS) => rel!(as_i64, |a, b| a < b),
+                Instr::I64Bin(I64Op::I64LtU) => {
+                    rel!(as_i64, |a: i64, b: i64| (a as u64) < (b as u64))
+                }
+                Instr::I64Bin(I64Op::I64GtS) => rel!(as_i64, |a, b| a > b),
+                Instr::I64Bin(I64Op::I64GtU) => {
+                    rel!(as_i64, |a: i64, b: i64| (a as u64) > (b as u64))
+                }
+                Instr::I64Bin(I64Op::I64LeS) => rel!(as_i64, |a, b| a <= b),
+                Instr::I64Bin(I64Op::I64LeU) => {
+                    rel!(as_i64, |a: i64, b: i64| (a as u64) <= (b as u64))
+                }
+                Instr::I64Bin(I64Op::I64GeS) => rel!(as_i64, |a, b| a >= b),
+                Instr::I64Bin(I64Op::I64GeU) => {
+                    rel!(as_i64, |a: i64, b: i64| (a as u64) >= (b as u64))
+                }
+                Instr::Bin(BinOp::F32Eq) => rel!(as_f32, |a, b| a == b),
+                Instr::Bin(BinOp::F32Ne) => rel!(as_f32, |a, b| a != b),
+                Instr::Bin(BinOp::F32Lt) => rel!(as_f32, |a, b| a < b),
+                Instr::Bin(BinOp::F32Gt) => rel!(as_f32, |a, b| a > b),
+                Instr::Bin(BinOp::F32Le) => rel!(as_f32, |a, b| a <= b),
+                Instr::Bin(BinOp::F32Ge) => rel!(as_f32, |a, b| a >= b),
+                Instr::Bin(BinOp::F64Eq) => rel!(as_f64, |a, b| a == b),
+                Instr::Bin(BinOp::F64Ne) => rel!(as_f64, |a, b| a != b),
+                Instr::Bin(BinOp::F64Lt) => rel!(as_f64, |a, b| a < b),
+                Instr::Bin(BinOp::F64Gt) => rel!(as_f64, |a, b| a > b),
+                Instr::Bin(BinOp::F64Le) => rel!(as_f64, |a, b| a <= b),
+                Instr::Bin(BinOp::F64Ge) => rel!(as_f64, |a, b| a >= b),
 
-                Instr::I32Clz => un!(as_i32, I32, |a: i32| a.leading_zeros() as i32),
-                Instr::I32Ctz => un!(as_i32, I32, |a: i32| a.trailing_zeros() as i32),
-                Instr::I32Popcnt => un!(as_i32, I32, |a: i32| a.count_ones() as i32),
-                Instr::I32Add => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_add(b)),
-                Instr::I32Sub => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_sub(b)),
-                Instr::I32Mul => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_mul(b)),
-                Instr::I32DivS => bin_trap!(as_i32, I32, |a: i32, b: i32| {
+                Instr::Un(UnOp::I32Clz) => un!(as_i32, I32, |a: i32| a.leading_zeros() as i32),
+                Instr::Un(UnOp::I32Ctz) => un!(as_i32, I32, |a: i32| a.trailing_zeros() as i32),
+                Instr::Un(UnOp::I32Popcnt) => un!(as_i32, I32, |a: i32| a.count_ones() as i32),
+                Instr::I32Bin(I32Op::Add) => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_add(b)),
+                Instr::I32Bin(I32Op::Sub) => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_sub(b)),
+                Instr::I32Bin(I32Op::Mul) => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_mul(b)),
+                Instr::Bin(BinOp::I32DivS) => bin_trap!(as_i32, I32, |a: i32, b: i32| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else if a == i32::MIN && b == -1 {
@@ -580,45 +620,59 @@ impl<T> Oracle<T> {
                         Ok(a.wrapping_div(b))
                     }
                 }),
-                Instr::I32DivU => bin_trap!(as_i32, I32, |a: i32, b: i32| {
+                Instr::Bin(BinOp::I32DivU) => bin_trap!(as_i32, I32, |a: i32, b: i32| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else {
                         Ok(((a as u32) / (b as u32)) as i32)
                     }
                 }),
-                Instr::I32RemS => bin_trap!(as_i32, I32, |a: i32, b: i32| {
+                Instr::Bin(BinOp::I32RemS) => bin_trap!(as_i32, I32, |a: i32, b: i32| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else {
                         Ok(a.wrapping_rem(b))
                     }
                 }),
-                Instr::I32RemU => bin_trap!(as_i32, I32, |a: i32, b: i32| {
+                Instr::Bin(BinOp::I32RemU) => bin_trap!(as_i32, I32, |a: i32, b: i32| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else {
                         Ok(((a as u32) % (b as u32)) as i32)
                     }
                 }),
-                Instr::I32And => bin!(as_i32, I32, |a, b| a & b),
-                Instr::I32Or => bin!(as_i32, I32, |a, b| a | b),
-                Instr::I32Xor => bin!(as_i32, I32, |a, b| a ^ b),
-                Instr::I32Shl => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_shl(b as u32)),
-                Instr::I32ShrS => bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_shr(b as u32)),
-                Instr::I32ShrU => bin!(as_i32, I32, |a: i32, b: i32| {
+                Instr::I32Bin(I32Op::And) => bin!(as_i32, I32, |a, b| a & b),
+                Instr::I32Bin(I32Op::Or) => bin!(as_i32, I32, |a, b| a | b),
+                Instr::I32Bin(I32Op::Xor) => bin!(as_i32, I32, |a, b| a ^ b),
+                Instr::I32Bin(I32Op::Shl) => {
+                    bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_shl(b as u32))
+                }
+                Instr::I32Bin(I32Op::ShrS) => {
+                    bin!(as_i32, I32, |a: i32, b: i32| a.wrapping_shr(b as u32))
+                }
+                Instr::I32Bin(I32Op::ShrU) => bin!(as_i32, I32, |a: i32, b: i32| {
                     ((a as u32).wrapping_shr(b as u32)) as i32
                 }),
-                Instr::I32Rotl => bin!(as_i32, I32, |a: i32, b: i32| a.rotate_left(b as u32 & 31)),
-                Instr::I32Rotr => bin!(as_i32, I32, |a: i32, b: i32| a.rotate_right(b as u32 & 31)),
+                Instr::I32Bin(I32Op::Rotl) => {
+                    bin!(as_i32, I32, |a: i32, b: i32| a.rotate_left(b as u32 & 31))
+                }
+                Instr::I32Bin(I32Op::Rotr) => {
+                    bin!(as_i32, I32, |a: i32, b: i32| a.rotate_right(b as u32 & 31))
+                }
 
-                Instr::I64Clz => un!(as_i64, I64, |a: i64| a.leading_zeros() as i64),
-                Instr::I64Ctz => un!(as_i64, I64, |a: i64| a.trailing_zeros() as i64),
-                Instr::I64Popcnt => un!(as_i64, I64, |a: i64| a.count_ones() as i64),
-                Instr::I64Add => bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_add(b)),
-                Instr::I64Sub => bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_sub(b)),
-                Instr::I64Mul => bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_mul(b)),
-                Instr::I64DivS => bin_trap!(as_i64, I64, |a: i64, b: i64| {
+                Instr::Un(UnOp::I64Clz) => un!(as_i64, I64, |a: i64| a.leading_zeros() as i64),
+                Instr::Un(UnOp::I64Ctz) => un!(as_i64, I64, |a: i64| a.trailing_zeros() as i64),
+                Instr::Un(UnOp::I64Popcnt) => un!(as_i64, I64, |a: i64| a.count_ones() as i64),
+                Instr::I64Bin(I64Op::I64Add) => {
+                    bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_add(b))
+                }
+                Instr::I64Bin(I64Op::I64Sub) => {
+                    bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_sub(b))
+                }
+                Instr::I64Bin(I64Op::I64Mul) => {
+                    bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_mul(b))
+                }
+                Instr::Bin(BinOp::I64DivS) => bin_trap!(as_i64, I64, |a: i64, b: i64| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else if a == i64::MIN && b == -1 {
@@ -627,105 +681,117 @@ impl<T> Oracle<T> {
                         Ok(a.wrapping_div(b))
                     }
                 }),
-                Instr::I64DivU => bin_trap!(as_i64, I64, |a: i64, b: i64| {
+                Instr::Bin(BinOp::I64DivU) => bin_trap!(as_i64, I64, |a: i64, b: i64| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else {
                         Ok(((a as u64) / (b as u64)) as i64)
                     }
                 }),
-                Instr::I64RemS => bin_trap!(as_i64, I64, |a: i64, b: i64| {
+                Instr::Bin(BinOp::I64RemS) => bin_trap!(as_i64, I64, |a: i64, b: i64| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else {
                         Ok(a.wrapping_rem(b))
                     }
                 }),
-                Instr::I64RemU => bin_trap!(as_i64, I64, |a: i64, b: i64| {
+                Instr::Bin(BinOp::I64RemU) => bin_trap!(as_i64, I64, |a: i64, b: i64| {
                     if b == 0 {
                         Err(Trap::IntegerDivByZero)
                     } else {
                         Ok(((a as u64) % (b as u64)) as i64)
                     }
                 }),
-                Instr::I64And => bin!(as_i64, I64, |a, b| a & b),
-                Instr::I64Or => bin!(as_i64, I64, |a, b| a | b),
-                Instr::I64Xor => bin!(as_i64, I64, |a, b| a ^ b),
-                Instr::I64Shl => bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_shl(b as u32)),
-                Instr::I64ShrS => bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_shr(b as u32)),
-                Instr::I64ShrU => bin!(as_i64, I64, |a: i64, b: i64| {
+                Instr::I64Bin(I64Op::I64And) => bin!(as_i64, I64, |a, b| a & b),
+                Instr::I64Bin(I64Op::I64Or) => bin!(as_i64, I64, |a, b| a | b),
+                Instr::I64Bin(I64Op::I64Xor) => bin!(as_i64, I64, |a, b| a ^ b),
+                Instr::I64Bin(I64Op::I64Shl) => {
+                    bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_shl(b as u32))
+                }
+                Instr::I64Bin(I64Op::I64ShrS) => {
+                    bin!(as_i64, I64, |a: i64, b: i64| a.wrapping_shr(b as u32))
+                }
+                Instr::I64Bin(I64Op::I64ShrU) => bin!(as_i64, I64, |a: i64, b: i64| {
                     ((a as u64).wrapping_shr(b as u32)) as i64
                 }),
-                Instr::I64Rotl => bin!(as_i64, I64, |a: i64, b: i64| a.rotate_left(b as u32 & 63)),
-                Instr::I64Rotr => bin!(as_i64, I64, |a: i64, b: i64| a.rotate_right(b as u32 & 63)),
+                Instr::I64Bin(I64Op::I64Rotl) => {
+                    bin!(as_i64, I64, |a: i64, b: i64| a.rotate_left(b as u32 & 63))
+                }
+                Instr::I64Bin(I64Op::I64Rotr) => {
+                    bin!(as_i64, I64, |a: i64, b: i64| a.rotate_right(b as u32 & 63))
+                }
 
-                Instr::F32Abs => un!(as_f32, F32, |a: f32| a.abs()),
-                Instr::F32Neg => un!(as_f32, F32, |a: f32| -a),
-                Instr::F32Ceil => un!(as_f32, F32, |a: f32| a.ceil()),
-                Instr::F32Floor => un!(as_f32, F32, |a: f32| a.floor()),
-                Instr::F32Trunc => un!(as_f32, F32, |a: f32| a.trunc()),
-                Instr::F32Nearest => un!(as_f32, F32, |a: f32| a.round_ties_even()),
-                Instr::F32Sqrt => un!(as_f32, F32, |a: f32| a.sqrt()),
-                Instr::F32Add => bin!(as_f32, F32, |a: f32, b: f32| a + b),
-                Instr::F32Sub => bin!(as_f32, F32, |a: f32, b: f32| a - b),
-                Instr::F32Mul => bin!(as_f32, F32, |a: f32, b: f32| a * b),
-                Instr::F32Div => bin!(as_f32, F32, |a: f32, b: f32| a / b),
-                Instr::F32Min => bin!(as_f32, F32, fmin32),
-                Instr::F32Max => bin!(as_f32, F32, fmax32),
-                Instr::F32Copysign => bin!(as_f32, F32, |a: f32, b: f32| a.copysign(b)),
-                Instr::F64Abs => un!(as_f64, F64, |a: f64| a.abs()),
-                Instr::F64Neg => un!(as_f64, F64, |a: f64| -a),
-                Instr::F64Ceil => un!(as_f64, F64, |a: f64| a.ceil()),
-                Instr::F64Floor => un!(as_f64, F64, |a: f64| a.floor()),
-                Instr::F64Trunc => un!(as_f64, F64, |a: f64| a.trunc()),
-                Instr::F64Nearest => un!(as_f64, F64, |a: f64| a.round_ties_even()),
-                Instr::F64Sqrt => un!(as_f64, F64, |a: f64| a.sqrt()),
-                Instr::F64Add => bin!(as_f64, F64, |a: f64, b: f64| a + b),
-                Instr::F64Sub => bin!(as_f64, F64, |a: f64, b: f64| a - b),
-                Instr::F64Mul => bin!(as_f64, F64, |a: f64, b: f64| a * b),
-                Instr::F64Div => bin!(as_f64, F64, |a: f64, b: f64| a / b),
-                Instr::F64Min => bin!(as_f64, F64, fmin64),
-                Instr::F64Max => bin!(as_f64, F64, fmax64),
-                Instr::F64Copysign => bin!(as_f64, F64, |a: f64, b: f64| a.copysign(b)),
+                Instr::Un(UnOp::F32Abs) => un!(as_f32, F32, |a: f32| a.abs()),
+                Instr::Un(UnOp::F32Neg) => un!(as_f32, F32, |a: f32| -a),
+                Instr::Un(UnOp::F32Ceil) => un!(as_f32, F32, |a: f32| a.ceil()),
+                Instr::Un(UnOp::F32Floor) => un!(as_f32, F32, |a: f32| a.floor()),
+                Instr::Un(UnOp::F32Trunc) => un!(as_f32, F32, |a: f32| a.trunc()),
+                Instr::Un(UnOp::F32Nearest) => un!(as_f32, F32, |a: f32| a.round_ties_even()),
+                Instr::Un(UnOp::F32Sqrt) => un!(as_f32, F32, |a: f32| a.sqrt()),
+                Instr::Bin(BinOp::F32Add) => bin!(as_f32, F32, |a: f32, b: f32| a + b),
+                Instr::Bin(BinOp::F32Sub) => bin!(as_f32, F32, |a: f32, b: f32| a - b),
+                Instr::Bin(BinOp::F32Mul) => bin!(as_f32, F32, |a: f32, b: f32| a * b),
+                Instr::Bin(BinOp::F32Div) => bin!(as_f32, F32, |a: f32, b: f32| a / b),
+                Instr::Bin(BinOp::F32Min) => bin!(as_f32, F32, fmin32),
+                Instr::Bin(BinOp::F32Max) => bin!(as_f32, F32, fmax32),
+                Instr::Bin(BinOp::F32Copysign) => bin!(as_f32, F32, |a: f32, b: f32| a.copysign(b)),
+                Instr::Un(UnOp::F64Abs) => un!(as_f64, F64, |a: f64| a.abs()),
+                Instr::Un(UnOp::F64Neg) => un!(as_f64, F64, |a: f64| -a),
+                Instr::Un(UnOp::F64Ceil) => un!(as_f64, F64, |a: f64| a.ceil()),
+                Instr::Un(UnOp::F64Floor) => un!(as_f64, F64, |a: f64| a.floor()),
+                Instr::Un(UnOp::F64Trunc) => un!(as_f64, F64, |a: f64| a.trunc()),
+                Instr::Un(UnOp::F64Nearest) => un!(as_f64, F64, |a: f64| a.round_ties_even()),
+                Instr::Un(UnOp::F64Sqrt) => un!(as_f64, F64, |a: f64| a.sqrt()),
+                Instr::Bin(BinOp::F64Add) => bin!(as_f64, F64, |a: f64, b: f64| a + b),
+                Instr::Bin(BinOp::F64Sub) => bin!(as_f64, F64, |a: f64, b: f64| a - b),
+                Instr::Bin(BinOp::F64Mul) => bin!(as_f64, F64, |a: f64, b: f64| a * b),
+                Instr::Bin(BinOp::F64Div) => bin!(as_f64, F64, |a: f64, b: f64| a / b),
+                Instr::Bin(BinOp::F64Min) => bin!(as_f64, F64, fmin64),
+                Instr::Bin(BinOp::F64Max) => bin!(as_f64, F64, fmax64),
+                Instr::Bin(BinOp::F64Copysign) => bin!(as_f64, F64, |a: f64, b: f64| a.copysign(b)),
 
-                Instr::I32WrapI64 => un!(as_i64, I32, |a: i64| a as i32),
-                Instr::I32TruncF32S => trunc!(as_f32, I32, -P31, P31, i32),
-                Instr::I32TruncF32U => trunc!(as_f32, I32, 0.0, P32, u32),
-                Instr::I32TruncF64S => trunc!(as_f64, I32, -P31, P31, i32),
-                Instr::I32TruncF64U => trunc!(as_f64, I32, 0.0, P32, u32),
-                Instr::I64ExtendI32S => un!(as_i32, I64, |a: i32| a as i64),
-                Instr::I64ExtendI32U => un!(as_i32, I64, |a: i32| a as u32 as i64),
-                Instr::I64TruncF32S => trunc!(as_f32, I64, -P63, P63, i64),
-                Instr::I64TruncF32U => trunc!(as_f32, I64, 0.0, P64, u64),
-                Instr::I64TruncF64S => trunc!(as_f64, I64, -P63, P63, i64),
-                Instr::I64TruncF64U => trunc!(as_f64, I64, 0.0, P64, u64),
-                Instr::F32ConvertI32S => un!(as_i32, F32, |a: i32| a as f32),
-                Instr::F32ConvertI32U => un!(as_i32, F32, |a: i32| a as u32 as f32),
-                Instr::F32ConvertI64S => un!(as_i64, F32, |a: i64| a as f32),
-                Instr::F32ConvertI64U => un!(as_i64, F32, |a: i64| a as u64 as f32),
-                Instr::F32DemoteF64 => un!(as_f64, F32, |a: f64| a as f32),
-                Instr::F64ConvertI32S => un!(as_i32, F64, |a: i32| a as f64),
-                Instr::F64ConvertI32U => un!(as_i32, F64, |a: i32| a as u32 as f64),
-                Instr::F64ConvertI64S => un!(as_i64, F64, |a: i64| a as f64),
-                Instr::F64ConvertI64U => un!(as_i64, F64, |a: i64| a as u64 as f64),
-                Instr::F64PromoteF32 => un!(as_f32, F64, |a: f32| a as f64),
-                Instr::I32ReinterpretF32 => un!(as_f32, I32, |a: f32| a.to_bits() as i32),
-                Instr::I64ReinterpretF64 => un!(as_f64, I64, |a: f64| a.to_bits() as i64),
-                Instr::F32ReinterpretI32 => un!(as_i32, F32, |a: i32| f32::from_bits(a as u32)),
-                Instr::F64ReinterpretI64 => un!(as_i64, F64, |a: i64| f64::from_bits(a as u64)),
-                Instr::I32Extend8S => un!(as_i32, I32, |a: i32| a as i8 as i32),
-                Instr::I32Extend16S => un!(as_i32, I32, |a: i32| a as i16 as i32),
-                Instr::I64Extend8S => un!(as_i64, I64, |a: i64| a as i8 as i64),
-                Instr::I64Extend16S => un!(as_i64, I64, |a: i64| a as i16 as i64),
-                Instr::I64Extend32S => un!(as_i64, I64, |a: i64| a as i32 as i64),
-                Instr::I32TruncSatF32S => un!(as_f32, I32, |a: f32| a as i32),
-                Instr::I32TruncSatF32U => un!(as_f32, I32, |a: f32| a as u32 as i32),
-                Instr::I32TruncSatF64S => un!(as_f64, I32, |a: f64| a as i32),
-                Instr::I32TruncSatF64U => un!(as_f64, I32, |a: f64| a as u32 as i32),
-                Instr::I64TruncSatF32S => un!(as_f32, I64, |a: f32| a as i64),
-                Instr::I64TruncSatF32U => un!(as_f32, I64, |a: f32| a as u64 as i64),
-                Instr::I64TruncSatF64S => un!(as_f64, I64, |a: f64| a as i64),
-                Instr::I64TruncSatF64U => un!(as_f64, I64, |a: f64| a as u64 as i64),
+                Instr::Un(UnOp::I32WrapI64) => un!(as_i64, I32, |a: i64| a as i32),
+                Instr::Un(UnOp::I32TruncF32S) => trunc!(as_f32, I32, -P31, P31, i32),
+                Instr::Un(UnOp::I32TruncF32U) => trunc!(as_f32, I32, 0.0, P32, u32),
+                Instr::Un(UnOp::I32TruncF64S) => trunc!(as_f64, I32, -P31, P31, i32),
+                Instr::Un(UnOp::I32TruncF64U) => trunc!(as_f64, I32, 0.0, P32, u32),
+                Instr::Un(UnOp::I64ExtendI32S) => un!(as_i32, I64, |a: i32| a as i64),
+                Instr::Un(UnOp::I64ExtendI32U) => un!(as_i32, I64, |a: i32| a as u32 as i64),
+                Instr::Un(UnOp::I64TruncF32S) => trunc!(as_f32, I64, -P63, P63, i64),
+                Instr::Un(UnOp::I64TruncF32U) => trunc!(as_f32, I64, 0.0, P64, u64),
+                Instr::Un(UnOp::I64TruncF64S) => trunc!(as_f64, I64, -P63, P63, i64),
+                Instr::Un(UnOp::I64TruncF64U) => trunc!(as_f64, I64, 0.0, P64, u64),
+                Instr::Un(UnOp::F32ConvertI32S) => un!(as_i32, F32, |a: i32| a as f32),
+                Instr::Un(UnOp::F32ConvertI32U) => un!(as_i32, F32, |a: i32| a as u32 as f32),
+                Instr::Un(UnOp::F32ConvertI64S) => un!(as_i64, F32, |a: i64| a as f32),
+                Instr::Un(UnOp::F32ConvertI64U) => un!(as_i64, F32, |a: i64| a as u64 as f32),
+                Instr::Un(UnOp::F32DemoteF64) => un!(as_f64, F32, |a: f64| a as f32),
+                Instr::Un(UnOp::F64ConvertI32S) => un!(as_i32, F64, |a: i32| a as f64),
+                Instr::Un(UnOp::F64ConvertI32U) => un!(as_i32, F64, |a: i32| a as u32 as f64),
+                Instr::Un(UnOp::F64ConvertI64S) => un!(as_i64, F64, |a: i64| a as f64),
+                Instr::Un(UnOp::F64ConvertI64U) => un!(as_i64, F64, |a: i64| a as u64 as f64),
+                Instr::Un(UnOp::F64PromoteF32) => un!(as_f32, F64, |a: f32| a as f64),
+                Instr::Un(UnOp::I32ReinterpretF32) => un!(as_f32, I32, |a: f32| a.to_bits() as i32),
+                Instr::Un(UnOp::I64ReinterpretF64) => un!(as_f64, I64, |a: f64| a.to_bits() as i64),
+                Instr::Un(UnOp::F32ReinterpretI32) => {
+                    un!(as_i32, F32, |a: i32| f32::from_bits(a as u32))
+                }
+                Instr::Un(UnOp::F64ReinterpretI64) => {
+                    un!(as_i64, F64, |a: i64| f64::from_bits(a as u64))
+                }
+                Instr::Un(UnOp::I32Extend8S) => un!(as_i32, I32, |a: i32| a as i8 as i32),
+                Instr::Un(UnOp::I32Extend16S) => un!(as_i32, I32, |a: i32| a as i16 as i32),
+                Instr::Un(UnOp::I64Extend8S) => un!(as_i64, I64, |a: i64| a as i8 as i64),
+                Instr::Un(UnOp::I64Extend16S) => un!(as_i64, I64, |a: i64| a as i16 as i64),
+                Instr::Un(UnOp::I64Extend32S) => un!(as_i64, I64, |a: i64| a as i32 as i64),
+                Instr::Un(UnOp::I32TruncSatF32S) => un!(as_f32, I32, |a: f32| a as i32),
+                Instr::Un(UnOp::I32TruncSatF32U) => un!(as_f32, I32, |a: f32| a as u32 as i32),
+                Instr::Un(UnOp::I32TruncSatF64S) => un!(as_f64, I32, |a: f64| a as i32),
+                Instr::Un(UnOp::I32TruncSatF64U) => un!(as_f64, I32, |a: f64| a as u32 as i32),
+                Instr::Un(UnOp::I64TruncSatF32S) => un!(as_f32, I64, |a: f32| a as i64),
+                Instr::Un(UnOp::I64TruncSatF32U) => un!(as_f32, I64, |a: f32| a as u64 as i64),
+                Instr::Un(UnOp::I64TruncSatF64S) => un!(as_f64, I64, |a: f64| a as i64),
+                Instr::Un(UnOp::I64TruncSatF64U) => un!(as_f64, I64, |a: f64| a as u64 as i64),
             }
         }
 

@@ -43,7 +43,7 @@
 use std::collections::HashMap;
 
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::instr::{Instr, MemArg};
+use waran_wasm::instr::Instr;
 use waran_wasm::module::ConstExpr;
 use waran_wasm::types::{BlockType, Mutability, ValType};
 
@@ -801,23 +801,24 @@ impl Assembler {
                     })?);
                 }
                 _ => {
-                    // Memory instructions take optional offset=N align=N.
-                    if let Some(make) = memory_instr(op) {
-                        let mut memarg = MemArg::default();
-                        while let Some(Node::Atom(a, _)) = nodes.peek() {
-                            if let Some(v) = a.strip_prefix("offset=") {
-                                memarg.offset = parse_u32(v, line)?;
-                                nodes.next();
-                            } else if let Some(v) = a.strip_prefix("align=") {
-                                let align = parse_u32(v, line)?;
-                                memarg.align = align.trailing_zeros();
-                                nodes.next();
-                            } else {
-                                break;
+                    if let Some(instr) = simple_instr(op) {
+                        mb.code().raw(instr);
+                    } else if let Some(mut instr) = Instr::named(&op.replace('.', "_")) {
+                        // Memory accesses take optional offset=N align=N.
+                        if let Instr::Load(_, memarg) | Instr::Store(_, memarg) = &mut instr {
+                            while let Some(Node::Atom(a, _)) = nodes.peek() {
+                                if let Some(v) = a.strip_prefix("offset=") {
+                                    memarg.offset = parse_u32(v, line)?;
+                                    nodes.next();
+                                } else if let Some(v) = a.strip_prefix("align=") {
+                                    let align = parse_u32(v, line)?;
+                                    memarg.align = align.trailing_zeros();
+                                    nodes.next();
+                                } else {
+                                    break;
+                                }
                             }
                         }
-                        mb.code().raw(make(memarg));
-                    } else if let Some(instr) = simple_instr(op) {
                         mb.code().raw(instr);
                     } else {
                         return err(line, format!("unknown instruction '{op}'"));
@@ -966,35 +967,6 @@ fn is_instr_name(s: &str) -> bool {
         && !s.chars().all(|c| c.is_ascii_digit())
 }
 
-fn memory_instr(op: &str) -> Option<fn(MemArg) -> Instr> {
-    Some(match op {
-        "i32.load" => Instr::I32Load,
-        "i64.load" => Instr::I64Load,
-        "f32.load" => Instr::F32Load,
-        "f64.load" => Instr::F64Load,
-        "i32.load8_s" => Instr::I32Load8S,
-        "i32.load8_u" => Instr::I32Load8U,
-        "i32.load16_s" => Instr::I32Load16S,
-        "i32.load16_u" => Instr::I32Load16U,
-        "i64.load8_s" => Instr::I64Load8S,
-        "i64.load8_u" => Instr::I64Load8U,
-        "i64.load16_s" => Instr::I64Load16S,
-        "i64.load16_u" => Instr::I64Load16U,
-        "i64.load32_s" => Instr::I64Load32S,
-        "i64.load32_u" => Instr::I64Load32U,
-        "i32.store" => Instr::I32Store,
-        "i64.store" => Instr::I64Store,
-        "f32.store" => Instr::F32Store,
-        "f64.store" => Instr::F64Store,
-        "i32.store8" => Instr::I32Store8,
-        "i32.store16" => Instr::I32Store16,
-        "i64.store8" => Instr::I64Store8,
-        "i64.store16" => Instr::I64Store16,
-        "i64.store32" => Instr::I64Store32,
-        _ => return None,
-    })
-}
-
 fn simple_instr(op: &str) -> Option<Instr> {
     use Instr::*;
     Some(match op {
@@ -1007,142 +979,6 @@ fn simple_instr(op: &str) -> Option<Instr> {
         "memory.grow" => MemoryGrow,
         "memory.copy" => MemoryCopy,
         "memory.fill" => MemoryFill,
-        "i32.eqz" => I32Eqz,
-        "i32.eq" => I32Eq,
-        "i32.ne" => I32Ne,
-        "i32.lt_s" => I32LtS,
-        "i32.lt_u" => I32LtU,
-        "i32.gt_s" => I32GtS,
-        "i32.gt_u" => I32GtU,
-        "i32.le_s" => I32LeS,
-        "i32.le_u" => I32LeU,
-        "i32.ge_s" => I32GeS,
-        "i32.ge_u" => I32GeU,
-        "i64.eqz" => I64Eqz,
-        "i64.eq" => I64Eq,
-        "i64.ne" => I64Ne,
-        "i64.lt_s" => I64LtS,
-        "i64.lt_u" => I64LtU,
-        "i64.gt_s" => I64GtS,
-        "i64.gt_u" => I64GtU,
-        "i64.le_s" => I64LeS,
-        "i64.le_u" => I64LeU,
-        "i64.ge_s" => I64GeS,
-        "i64.ge_u" => I64GeU,
-        "f32.eq" => F32Eq,
-        "f32.ne" => F32Ne,
-        "f32.lt" => F32Lt,
-        "f32.gt" => F32Gt,
-        "f32.le" => F32Le,
-        "f32.ge" => F32Ge,
-        "f64.eq" => F64Eq,
-        "f64.ne" => F64Ne,
-        "f64.lt" => F64Lt,
-        "f64.gt" => F64Gt,
-        "f64.le" => F64Le,
-        "f64.ge" => F64Ge,
-        "i32.clz" => I32Clz,
-        "i32.ctz" => I32Ctz,
-        "i32.popcnt" => I32Popcnt,
-        "i32.add" => I32Add,
-        "i32.sub" => I32Sub,
-        "i32.mul" => I32Mul,
-        "i32.div_s" => I32DivS,
-        "i32.div_u" => I32DivU,
-        "i32.rem_s" => I32RemS,
-        "i32.rem_u" => I32RemU,
-        "i32.and" => I32And,
-        "i32.or" => I32Or,
-        "i32.xor" => I32Xor,
-        "i32.shl" => I32Shl,
-        "i32.shr_s" => I32ShrS,
-        "i32.shr_u" => I32ShrU,
-        "i32.rotl" => I32Rotl,
-        "i32.rotr" => I32Rotr,
-        "i64.clz" => I64Clz,
-        "i64.ctz" => I64Ctz,
-        "i64.popcnt" => I64Popcnt,
-        "i64.add" => I64Add,
-        "i64.sub" => I64Sub,
-        "i64.mul" => I64Mul,
-        "i64.div_s" => I64DivS,
-        "i64.div_u" => I64DivU,
-        "i64.rem_s" => I64RemS,
-        "i64.rem_u" => I64RemU,
-        "i64.and" => I64And,
-        "i64.or" => I64Or,
-        "i64.xor" => I64Xor,
-        "i64.shl" => I64Shl,
-        "i64.shr_s" => I64ShrS,
-        "i64.shr_u" => I64ShrU,
-        "i64.rotl" => I64Rotl,
-        "i64.rotr" => I64Rotr,
-        "f32.abs" => F32Abs,
-        "f32.neg" => F32Neg,
-        "f32.ceil" => F32Ceil,
-        "f32.floor" => F32Floor,
-        "f32.trunc" => F32Trunc,
-        "f32.nearest" => F32Nearest,
-        "f32.sqrt" => F32Sqrt,
-        "f32.add" => F32Add,
-        "f32.sub" => F32Sub,
-        "f32.mul" => F32Mul,
-        "f32.div" => F32Div,
-        "f32.min" => F32Min,
-        "f32.max" => F32Max,
-        "f32.copysign" => F32Copysign,
-        "f64.abs" => F64Abs,
-        "f64.neg" => F64Neg,
-        "f64.ceil" => F64Ceil,
-        "f64.floor" => F64Floor,
-        "f64.trunc" => F64Trunc,
-        "f64.nearest" => F64Nearest,
-        "f64.sqrt" => F64Sqrt,
-        "f64.add" => F64Add,
-        "f64.sub" => F64Sub,
-        "f64.mul" => F64Mul,
-        "f64.div" => F64Div,
-        "f64.min" => F64Min,
-        "f64.max" => F64Max,
-        "f64.copysign" => F64Copysign,
-        "i32.wrap_i64" => I32WrapI64,
-        "i32.trunc_f32_s" => I32TruncF32S,
-        "i32.trunc_f32_u" => I32TruncF32U,
-        "i32.trunc_f64_s" => I32TruncF64S,
-        "i32.trunc_f64_u" => I32TruncF64U,
-        "i64.extend_i32_s" => I64ExtendI32S,
-        "i64.extend_i32_u" => I64ExtendI32U,
-        "i64.trunc_f32_s" => I64TruncF32S,
-        "i64.trunc_f32_u" => I64TruncF32U,
-        "i64.trunc_f64_s" => I64TruncF64S,
-        "i64.trunc_f64_u" => I64TruncF64U,
-        "f32.convert_i32_s" => F32ConvertI32S,
-        "f32.convert_i32_u" => F32ConvertI32U,
-        "f32.convert_i64_s" => F32ConvertI64S,
-        "f32.convert_i64_u" => F32ConvertI64U,
-        "f32.demote_f64" => F32DemoteF64,
-        "f64.convert_i32_s" => F64ConvertI32S,
-        "f64.convert_i32_u" => F64ConvertI32U,
-        "f64.convert_i64_s" => F64ConvertI64S,
-        "f64.convert_i64_u" => F64ConvertI64U,
-        "f64.promote_f32" => F64PromoteF32,
-        "i32.reinterpret_f32" => I32ReinterpretF32,
-        "i64.reinterpret_f64" => I64ReinterpretF64,
-        "f32.reinterpret_i32" => F32ReinterpretI32,
-        "f64.reinterpret_i64" => F64ReinterpretI64,
-        "i32.extend8_s" => I32Extend8S,
-        "i32.extend16_s" => I32Extend16S,
-        "i64.extend8_s" => I64Extend8S,
-        "i64.extend16_s" => I64Extend16S,
-        "i64.extend32_s" => I64Extend32S,
-        "i32.trunc_sat_f32_s" => I32TruncSatF32S,
-        "i32.trunc_sat_f32_u" => I32TruncSatF32U,
-        "i32.trunc_sat_f64_s" => I32TruncSatF64S,
-        "i32.trunc_sat_f64_u" => I32TruncSatF64U,
-        "i64.trunc_sat_f32_s" => I64TruncSatF32S,
-        "i64.trunc_sat_f32_u" => I64TruncSatF32U,
-        "i64.trunc_sat_f64_s" => I64TruncSatF64S,
-        "i64.trunc_sat_f64_u" => I64TruncSatF64U,
         _ => return None,
     })
 }

@@ -67,7 +67,7 @@ while read -r crate ceiling; do
         exit 1
     fi
 done <<'EOF'
-wasm 30
+wasm 29
 wat 7
 plugc 13
 abi 7
@@ -102,6 +102,39 @@ fi
 pub_mods=$(grep -c '^pub mod' crates/wasm/src/lib.rs || true)
 if [ "$pub_mods" -gt 11 ]; then
     echo "lowering tripwire: crates/wasm/src/lib.rs declares $pub_mods pub mods, above 11; keep the IR modules private" >&2
+    exit 1
+fi
+
+# One operator table: each plain numeric or memory operator is declared
+# once, by its row in crates/wasm/src/ops.rs, and `Instr` carries it as an
+# operator payload. The per-operator copies the table replaced stay gone:
+# nothing in crates/wasm/src names `mirror_ops!` or `from_instr(`, and no
+# non-test line (the scripts/loc.sh cut) in crates/wasm/src or
+# crates/wat/src names a per-operator `Instr` variant (`Instr::I32Add` and
+# kin; the four constants and the `I32Bin`/`I64Bin` payloads are not).
+for path in crates/wasm/src/ops.rs crates/wasm/src crates/wat/src; do
+    if [ ! -e "$path" ]; then
+        echo "operator-table tripwire: missing $path" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'mirror_ops!|from_instr\(' crates/wasm/src; then
+    echo "operator-table tripwire: crates/wasm/src names mirror_ops! or from_instr(; an operator is a row of the table in crates/wasm/src/ops.rs" >&2
+    exit 1
+fi
+variants=$(find crates/wasm/src crates/wat/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { live = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        live {
+            line = $0
+            gsub(/Instr::(I32|I64|F32|F64)Const|Instr::I(32|64)Bin/, "", line)
+            if (line ~ /Instr::(I32|I64|F32|F64)[A-Z]/) {
+                print FILENAME ":" FNR ": " $0
+            }
+        }')
+if [ -n "$variants" ]; then
+    echo "$variants" >&2
+    echo "operator-table tripwire: a non-test line names a per-operator Instr variant; use the payload (Instr::I32Bin(I32Op::Add), Instr::Load(LoadKind::I32, m), ...)" >&2
     exit 1
 fi
 
