@@ -62,9 +62,8 @@ fn line(r: &FuncReport) -> String {
         flags.push("recursive");
     }
     format!(
-        "{name}: fuel={} stack={} frames={} regs={}{}",
+        "{name}: fuel={} frames={} regs={}{}",
         r.fuel,
-        r.stack,
         r.frames,
         r.regs,
         if flags.is_empty() {

@@ -10,8 +10,9 @@
 //!
 //! Run with: `cargo run -p waran-bench --release --bin fig5d`
 //!
-//! `fig5d --fuel` prints, instead of timings, the instructions each
-//! configuration retires per call — exact and host-independent, so it is
+//! `fig5d --fuel` prints, instead of timings, the fuel each configuration
+//! retires per call (instructions plus each activation's price, what
+//! `ExecStats::instrs` counts) — exact and host-independent, so it is
 //! committed as `crates/bench/fig5d_fuel.golden` and diffed by
 //! `scripts/check.sh`: a plugin or PlugC change that makes the guest do
 //! more work shows as a hunk naming policy and UE count.
@@ -92,7 +93,7 @@ fn knee(p99_by_ues: &[(usize, f64)], pct: f64) -> String {
 
 fn print_fuel(policies: &[(&str, &[u8])]) {
     println!(
-        "# retired instructions per call (one guest entry: schedule), mean of {FUEL_CALLS} calls"
+        "# retired instructions and call prices per call (one guest entry: schedule), mean of {FUEL_CALLS} calls"
     );
     for (name, wasm) in policies {
         for &n_ues in &UE_COUNTS {

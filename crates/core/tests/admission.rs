@@ -9,6 +9,9 @@ use waran_core::install_plugin;
 use waran_core::plugins::{self, faulty};
 use waran_host::{PluginError, PluginHost, SandboxPolicy};
 use waran_wasm::analysis::Bound;
+use waran_wasm::builder::ModuleBuilder;
+use waran_wasm::instance::MAX_REGS;
+use waran_wasm::types::{BlockType, ValType};
 
 fn host() -> Arc<PluginHost<()>> {
     Arc::new(PluginHost::new())
@@ -149,4 +152,90 @@ fn static_call_depth_bound_past_the_host_limit_is_rejected() {
     install_plugin(&h, "deep", &call_chain(512), SandboxPolicy::default())
         .expect("a 512-deep chain fits");
     assert_eq!(h.call("deep", "run", &[]), Ok(Vec::new()));
+}
+
+/// A module whose export `run` heads a chain of 21 frames of 49 000 `i64`
+/// locals each, ending in a leaf with `leaf_locals`. Each function opens
+/// with `block br end` so none is inlined, and nothing recurses, so the
+/// static `regs` bound is finite: about 49 000 cells per frame.
+fn wide_chain(leaf_locals: u32) -> Vec<u8> {
+    const WIDE: u32 = 21;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    b.export_memory("memory");
+    let unit = b.func_type(&[], &[]);
+    let entry = b.func_type(&[ValType::I32, ValType::I32], &[ValType::I64]);
+    // Functions are numbered in declaration order: `run` is 0, the
+    // wide frames 1..=WIDE and the leaf WIDE + 1.
+    let run = b.begin_func(entry);
+    b.code()
+        .block(BlockType::Empty)
+        .br(0)
+        .end()
+        .call(1)
+        .i64_const(0);
+    b.end_func().unwrap();
+    for k in 1..=WIDE + 1 {
+        b.begin_func(unit);
+        let locals = if k <= WIDE { 49_000 } else { leaf_locals };
+        for _ in 0..locals {
+            b.local(ValType::I64);
+        }
+        b.code().block(BlockType::Empty).br(0).end();
+        if k <= WIDE {
+            b.code().call(k + 1);
+        }
+        b.end_func().unwrap();
+    }
+    b.export_func("run", run);
+    b.finish_bytes().unwrap()
+}
+
+/// The static `regs` bound of `run`.
+fn regs_bound(wasm: &[u8]) -> u64 {
+    let module = waran_wasm::load_module(wasm).unwrap();
+    let analysis = module.analysis().unwrap();
+    let run = analysis
+        .exports()
+        .find(|r| r.export.as_deref() == Some("run"));
+    run.unwrap()
+        .regs
+        .finite()
+        .expect("a call chain has a finite bound")
+}
+
+/// A statically provable call chain whose frames need one register cell
+/// more than the host's fixed arena of `MAX_REGS` is rejected at install
+/// time instead of trapping `StackOverflow` mid-call; a chain that needs
+/// exactly `MAX_REGS` cells is admitted and runs.
+#[test]
+fn static_regs_bound_past_the_host_arena_is_rejected() {
+    let limit = MAX_REGS as u64;
+    // A leaf local adds one cell to the bound: size the leaf so the chain
+    // lands on the limit, then one past it.
+    let leaf = (limit - regs_bound(&wide_chain(0))) as u32;
+    let (at_limit, past) = (wide_chain(leaf), wide_chain(leaf + 1));
+    assert_eq!(regs_bound(&at_limit), limit);
+
+    let h = host();
+    let err = install_plugin(&h, "wide", &past, SandboxPolicy::default())
+        .expect_err("a chain one cell past the arena must not be admitted");
+    match err {
+        PluginError::Admission {
+            func,
+            bound,
+            value,
+            limit: l,
+        } => {
+            assert_eq!(func, "run");
+            assert_eq!(bound, "regs");
+            assert_eq!(value, Bound::Finite(limit + 1));
+            assert_eq!(l, limit);
+        }
+        other => panic!("expected a typed admission error, got {other:?}"),
+    }
+
+    install_plugin(&h, "wide", &at_limit, SandboxPolicy::default())
+        .expect("a chain of exactly MAX_REGS cells fits");
+    assert_eq!(h.call("wide", "run", &[]), Ok(Vec::new()));
 }

@@ -25,12 +25,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use waran_wasm::analysis::Bound;
-use waran_wasm::instance::{ExecLimits, InstancePre, Linker};
+use waran_wasm::instance::{ExecLimits, InstancePre, Linker, MAX_REGS};
 use waran_wasm::Module;
 
-use crate::plugin::{
-    fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy, MAX_CALL_DEPTH, MAX_VALUE_STACK,
-};
+use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy, MAX_CALL_DEPTH};
 
 /// Admission gate: check every exported function's static resource
 /// bounds against the policy. Runs at template build time — i.e. at
@@ -38,7 +36,7 @@ use crate::plugin::{
 /// never stamps an instance.
 ///
 /// Opt-in gates (`max_fuel_bound`, `no_unbounded_loops`) reject anything
-/// the analyzer could not prove conforming. The always-on stack/depth
+/// the analyzer could not prove conforming. The always-on arena/depth
 /// gates reject only *provable* violations — a finite worst case that
 /// exceeds the runtime limit — so plugins the analyzer cannot bound keep
 /// today's behavior (the runtime meters still trap them).
@@ -66,13 +64,13 @@ fn admit(module: &Module, policy: &SandboxPolicy) -> Result<(), PluginError> {
                 limit: 0,
             });
         }
-        if let Bound::Finite(s) = r.stack {
-            if s > MAX_VALUE_STACK as u64 {
+        if let Bound::Finite(n) = r.regs {
+            if n > MAX_REGS as u64 {
                 return Err(PluginError::Admission {
                     func,
-                    bound: "value-stack",
-                    value: r.stack,
-                    limit: MAX_VALUE_STACK as u64,
+                    bound: "regs",
+                    value: r.regs,
+                    limit: MAX_REGS as u64,
                 });
             }
         }
@@ -141,7 +139,7 @@ impl<T> PluginPre<T> {
     ) -> Result<Self, PluginError> {
         let limits = ExecLimits {
             max_call_depth: MAX_CALL_DEPTH,
-            max_value_stack: MAX_VALUE_STACK,
+            max_regs: MAX_REGS,
             max_memory_pages: policy.max_memory_pages,
         };
         let abi = AbiTable::resolve(&module);

@@ -108,11 +108,6 @@ const SLOT_FUEL: u64 = SLOT.as_nanos() as u64 / NS_PER_FUEL;
 /// against each export's static frame bound, at install time.
 pub(crate) const MAX_CALL_DEPTH: usize = 512;
 
-/// Maximum operand-stack slots any plugin call may use. Enforced at runtime
-/// by the block meters and, against each export's static stack bound, at
-/// install time.
-pub(crate) const MAX_VALUE_STACK: usize = 1 << 20;
-
 /// Upper bound on the byte length a plugin may return through the ABI.
 const MAX_RESPONSE_BYTES: u32 = 1 << 20;
 
@@ -175,7 +170,7 @@ pub enum PluginError {
     Admission {
         /// The exported function whose bound failed the gate.
         func: String,
-        /// Which bound failed (`"fuel"`, `"value-stack"`, `"call-depth"`,
+        /// Which bound failed (`"fuel"`, `"regs"`, `"call-depth"`,
         /// `"loop-bound"`).
         bound: &'static str,
         /// The statically computed worst case.

@@ -8,7 +8,10 @@ use waran_abi::sched::{
 };
 use waran_host::plugin::{Plugin, PluginError, SandboxPolicy};
 use waran_host::{PluginHost, SlotState};
+use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::Linker;
+use waran_wasm::module::ConstExpr;
+use waran_wasm::types::{BlockType, Mutability, ValType};
 use waran_wasm::Trap;
 
 fn compile(src: &str) -> Vec<u8> {
@@ -566,4 +569,60 @@ fn a_request_past_the_u16_count_is_refused_before_guest_code_runs() {
         other => panic!("expected an ABI fault, got {other:?}"),
     }
     assert_eq!(p.instance().stats().invokes, 0, "no guest code ran");
+}
+
+/// An ABI entry `run` that recurses as many frames below itself as the
+/// request's first byte says, through a function holding 49 000 `i64`
+/// locals: 392 KB of registers per frame for a handful of instructions.
+fn wide_recursion() -> Vec<u8> {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.export_memory("memory");
+    let heap = b.global(ValType::I32, Mutability::Var, ConstExpr::I32(1024));
+    b.export_global("wrn_heap", heap);
+    let sig = b.func_type(&[ValType::I32], &[]);
+    let rec = b.begin_func(sig);
+    for _ in 0..49_000 {
+        b.local(ValType::I64);
+    }
+    b.code()
+        .local_get(0)
+        .if_(BlockType::Empty)
+        .local_get(0)
+        .i32_const(1)
+        .i32_sub()
+        .call(rec)
+        .end();
+    b.end_func().unwrap();
+    let sig = b.func_type(&[ValType::I32, ValType::I32], &[ValType::I64]);
+    let run = b.begin_func(sig);
+    b.code().local_get(0).i32_load8_u(0).call(rec).i64_const(0);
+    b.end_func().unwrap();
+    b.export_func("run", run);
+    b.finish_bytes().unwrap()
+}
+
+#[test]
+fn a_recursion_past_the_register_arena_is_struck_and_the_slot_serves_on() {
+    // Under `realtime`, 21 frames fill most of the 2^20-cell arena on a
+    // tenth of the slot's fuel; the 22nd frame does not fit.
+    let host: PluginHost<()> = PluginHost::new();
+    let plugin = Plugin::new(
+        &wide_recursion(),
+        &Linker::new(),
+        (),
+        SandboxPolicy::realtime(),
+    )
+    .expect("a recursive module has no finite arena bound to refuse");
+    host.install("wide", plugin);
+    assert_eq!(host.call("wide", "run", &[20]), Ok(Vec::new()));
+    assert_eq!(
+        host.call("wide", "run", &[21]),
+        Err(PluginError::Trap(Trap::StackOverflow))
+    );
+    let health = host.health("wide").unwrap();
+    assert_eq!(health.strikes.trap, 1);
+    // The same slot's next shallow call runs on the same instance.
+    assert_eq!(host.call("wide", "run", &[1]), Ok(Vec::new()));
+    assert_eq!(host.state("wide"), Some(SlotState::Active));
 }

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use waran_host::plugin::{PluginError, SandboxPolicy};
 use waran_host::PluginPre;
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker};
+use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker, MAX_REGS};
 use waran_wasm::interp::Value;
 use waran_wasm::module::ConstExpr;
 use waran_wasm::types::{Mutability, ValType, PAGE_SIZE};
@@ -187,11 +187,11 @@ fn policy() -> SandboxPolicy {
 }
 
 /// The cold reference: a bare instance under the limits a template stamps
-/// for [`policy`] (the host's fixed call-depth and value-stack caps).
+/// for [`policy`] (the host's fixed call-depth and register-arena caps).
 fn cold(bytes: &[u8]) -> Result<Instance<()>, InstantiateError> {
     let limits = ExecLimits {
         max_call_depth: 512,
-        max_value_stack: 1 << 20,
+        max_regs: MAX_REGS,
         max_memory_pages: policy().max_memory_pages,
     };
     Instance::with_limits(load(bytes), &Linker::new(), (), limits)

@@ -16,7 +16,7 @@
 //!   superinstruction is formed on that side of the proof. This pass
 //!   reconstructs the flat CFG — blocks, entry heights, edges, calls —
 //!   and checks the register form block by block against it: every flat
-//!   op mapped, identical `Meter` placement, costs and entry heights,
+//!   op mapped, identical `Meter` placement and costs,
 //!   identical memory/call/trap-op populations per block — counted on
 //!   both sides over the shared operator payload types — and a
 //!   consistent branch side table. The walk predicts no decision of the
@@ -29,8 +29,9 @@
 //!   loop-free and constant-trip-count code, save that a bulk memory op
 //!   or a `memory.grow` counts the byte charge of the whole memory it may
 //!   reach;
-//!   [`Bound::Unbounded`] otherwise), worst-case value-stack height,
-//!   call-frame depth and register-arena footprint. Bounds propagate
+//!   [`Bound::Unbounded`] otherwise; a function's entry block carries its
+//!   activation price), worst-case call-frame depth and register-arena
+//!   footprint, the one stack the executor allocates. Bounds propagate
 //!   through the call graph; recursion (direct or mutual) and indirect
 //!   calls degrade to `Unbounded`.
 //!
@@ -124,16 +125,14 @@ pub struct FuncReport {
     pub func: u32,
     /// First export name carrying this function, when exported.
     pub export: Option<String>,
-    /// Worst-case fuel a call can consume: source instructions plus each
-    /// bulk memory op's byte charge and each `memory.grow`'s page charge.
+    /// Worst-case fuel a call can consume: source instructions, each
+    /// activation's price, each bulk memory op's byte charge and each
+    /// `memory.grow`'s page charge.
     pub fuel: Bound,
-    /// Worst-case value-stack height a call can reach, as enforced by
-    /// the `Meter` checks (identical in the flat IR and the register
-    /// form; see the reg executor's `vbase + entry + peak` note).
-    pub stack: Bound,
     /// Worst-case call-frame depth (the function's own frame included).
     pub frames: Bound,
-    /// Worst-case register-arena footprint of the register executor.
+    /// Worst-case register-arena footprint of the executor, in cells: what
+    /// a call rooted here needs under [`crate::instance::ExecLimits::max_regs`].
     pub regs: Bound,
     /// True when some reachable loop has no statically bounded trip
     /// count.
@@ -218,33 +217,27 @@ struct Block {
     start: usize,
     /// One past the last op (the next leader).
     end: usize,
-    /// `Meter` cost (source instructions).
+    /// `Meter` cost (source instructions, plus the activation price in
+    /// the entry block).
     cost: u32,
-    /// `Meter` peak (stored value-stack headroom, what the runtime
-    /// enforces).
-    peak: u32,
     /// Operand-stack height at block entry.
     entry_h: u32,
     /// Branch side-table indices this block's ops may take.
     edges: Vec<u32>,
     /// Control can fall through into the next leader.
     falls: bool,
-    /// Call sites in op order, with the operand-stack height just
-    /// before the call.
-    calls: Vec<(Call, u32)>,
+    /// Call sites in op order.
+    calls: Vec<Call>,
 }
 
 /// Everything one linear pass over a flat function recovers: blocks,
-/// entry heights, edges, and the function's own stack height.
+/// entry heights and edges.
 struct Shape {
     blocks: Vec<Block>,
     /// Per flat pc: block index, `u32::MAX` when the pc leads no block.
     pc2block: Vec<u32>,
     /// The shared function-level `Return` trampoline pc, when present.
     exit_pc: Option<usize>,
-    /// Max `entry_h + peak` over the blocks (the value-stack quantity
-    /// both executors check against `max_value_stack`).
-    own_stack: u32,
     /// Per-block successor lists (`usize::MAX` = function exit).
     succs: Vec<Vec<usize>>,
 }
@@ -290,7 +283,7 @@ impl ShapeBuilder {
     }
 
     fn call(&mut self, b: usize, c: Call) {
-        self.blocks[b].calls.push((c, self.height));
+        self.blocks[b].calls.push(c);
     }
 
     /// Apply an op's arity.
@@ -348,14 +341,13 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
         if eh_pc != u32::MAX && !matches!(op, Op::Meter { .. } | Op::Return) {
             return Err(w.err(pc, "branch target is neither a Meter nor a Return"));
         }
-        if let Op::Meter { cost, peak } = op {
+        if let Op::Meter { cost } = op {
             let idx = w.blocks.len();
             w.pc2block[pc] = idx as u32;
             w.blocks.push(Block {
                 start: pc,
                 end: n,
                 cost,
-                peak,
                 entry_h: w.height,
                 edges: Vec::new(),
                 falls: false,
@@ -447,18 +439,10 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
         succs.push(out);
     }
 
-    let own_stack = w
-        .blocks
-        .iter()
-        .map(|b| b.entry_h + b.peak)
-        .max()
-        .unwrap_or(0);
-
     Ok(Shape {
         blocks: w.blocks,
         pc2block: w.pc2block,
         exit_pc,
-        own_stack,
         succs,
     })
 }
@@ -576,7 +560,7 @@ fn referenced_branches(rf: &RegFunc) -> Vec<u32> {
 /// Check that `rf` is a faithful lowering of `cf`, block by block, using
 /// the reconstructed `shape`. See the module docs for the argument; the
 /// short version: every flat op is lowered, so `pc_map` is total and
-/// `Meter` placement/cost/entry, per-block op-class populations, ordered
+/// `Meter` placement/cost, per-block op-class populations, ordered
 /// call sequences, and the branch side table are all directly comparable.
 fn validate_with_shape(
     func: u32,
@@ -608,7 +592,7 @@ fn validate_with_shape(
     }
 
     // Meter placement: every flat block header maps to a register Meter
-    // with identical cost and entry height, in the same order.
+    // with identical cost, in the same order.
     let mut meters: Vec<usize> = Vec::with_capacity(shape.blocks.len()); // reg pc per block
     for b in &shape.blocks {
         let q = rf.pc_map[b.start] as usize;
@@ -616,12 +600,9 @@ fn validate_with_shape(
             return Err(mismatch(func, b.start, "block header maps out of order"));
         }
         match rf.ops[q] {
-            ROp::Meter { cost, entry, .. } => {
+            ROp::Meter { cost } => {
                 if cost != b.cost {
                     return Err(mismatch(func, b.start, "Meter cost diverges across tiers"));
-                }
-                if entry != b.entry_h {
-                    return Err(mismatch(func, b.start, "Meter entry height diverges"));
                 }
             }
             _ => {
@@ -702,11 +683,9 @@ fn validate_with_shape(
             .get(rb.pc as usize)
             .ok_or_else(|| mismatch(func, bt.pc as usize, "branch target outside body"))?;
         match cf.ops[bt.pc as usize] {
-            Op::Meter { cost, .. } => match *target {
-                ROp::Meter {
-                    cost: rc, entry, ..
-                } => {
-                    if rc != cost || entry != bt.height + bt.arity as u32 {
+            Op::Meter { cost } => match *target {
+                ROp::Meter { cost: rc } => {
+                    if rc != cost {
                         return Err(mismatch(
                             func,
                             bt.pc as usize,
@@ -1506,7 +1485,6 @@ fn compute_report(
     shape: &Shape,
     reports: &[Option<FuncReport>],
 ) -> FuncReport {
-    let n_imp = module.num_imported_funcs();
     // `lower_and_prove` reports SCCs callees first, and a function in a
     // cyclic SCC never gets here, so every callee already has its report.
     let callee = |g: u32| -> &FuncReport {
@@ -1552,7 +1530,6 @@ fn compute_report(
     let max_pages = u64::from(module.memory.and_then(|m| m.max).unwrap_or(MAX_PAGES));
     let bulk_worst = max_pages * PAGE_FUEL;
     let mut weights = vec![Bound::Finite(0); nb];
-    let mut stack = Bound::Finite(shape.own_stack as u64);
     let mut callee_frames = Bound::Finite(0);
     let mut unbounded_loops = false;
     for (bi, b) in shape.blocks.iter().enumerate() {
@@ -1561,23 +1538,17 @@ fn compute_report(
             .filter(|op| matches!(op, Op::MemoryCopy | Op::MemoryFill | Op::MemoryGrow))
             .count() as u64;
         let mut w = Bound::Finite(b.cost as u64 + bulk * bulk_worst);
-        for &(call, h) in &b.calls {
+        for &call in &b.calls {
             match call {
                 Call::Wasm(g) => {
                     let r = callee(g);
                     w = w.add(r.fuel);
-                    let argc = module
-                        .func_type(n_imp + g)
-                        .map(|ft| ft.params.len() as u64)
-                        .unwrap_or(0);
-                    stack = stack.max(Bound::Finite(h as u64 - argc).add(r.stack));
                     callee_frames = callee_frames.max(r.frames);
                     unbounded_loops |= r.unbounded_loops;
                 }
                 Call::Host(_) => {}
                 Call::Indirect(_) => {
                     w = Bound::Unbounded;
-                    stack = Bound::Unbounded;
                     callee_frames = Bound::Unbounded;
                 }
             }
@@ -1622,7 +1593,6 @@ fn compute_report(
         func,
         export: None,
         fuel,
-        stack,
         frames: Bound::Finite(1).add(callee_frames),
         regs,
         unbounded_loops,
@@ -1670,7 +1640,7 @@ pub(crate) fn lower_and_prove(module: &Module) -> Result<Lowered, AnalysisError>
             s.blocks
                 .iter()
                 .flat_map(|b| &b.calls)
-                .filter_map(|&(c, _)| match c {
+                .filter_map(|&c| match c {
                     Call::Wasm(g) => Some(g as usize),
                     _ => None,
                 })
@@ -1687,7 +1657,6 @@ pub(crate) fn lower_and_prove(module: &Module) -> Result<Lowered, AnalysisError>
                     func: f as u32,
                     export: None,
                     fuel: Bound::Unbounded,
-                    stack: Bound::Unbounded,
                     frames: Bound::Unbounded,
                     regs: Bound::Unbounded,
                     unbounded_loops: false,
@@ -1765,7 +1734,7 @@ mod tests {
         );
         let r = report(&m, "add");
         assert!(matches!(r.fuel, Bound::Finite(n) if n > 0 && n < 16));
-        assert!(matches!(r.stack, Bound::Finite(n) if n <= 4));
+        assert!(matches!(r.regs, Bound::Finite(n) if n <= 4));
         assert_eq!(r.frames, Bound::Finite(1));
         assert!(!r.unbounded_loops && !r.recursive);
     }
@@ -2041,7 +2010,9 @@ mod tests {
          local.get $acc))"#;
 
     /// Exact `fuel` and `unbounded_loops` per loop shape, pinned from the
-    /// analysis before its loop-bound pass moved to dense block arrays.
+    /// analysis before its loop-bound pass moved to dense block arrays,
+    /// plus each activation's price: 7 here (`CALL_FUEL` and one unit for
+    /// two or three locals).
     #[test]
     fn loop_bounds_are_pinned_per_shape() {
         use Bound::{Finite, Unbounded};
@@ -2049,25 +2020,25 @@ mod tests {
             (
                 "up, lt_s",
                 counted(0, "i32.lt_s", 10, 1),
-                Finite(186),
+                Finite(193),
                 false,
             ),
             (
                 "up, le_s",
                 counted(0, "i32.le_s", 10, 1),
-                Finite(201),
+                Finite(208),
                 false,
             ),
             (
                 "down, gt_s",
                 counted(10, "i32.gt_s", 0, -1),
-                Finite(186),
+                Finite(193),
                 false,
             ),
             (
                 "down, ge_s",
                 counted(10, "i32.ge_s", 0, -1),
-                Finite(201),
+                Finite(208),
                 false,
             ),
             // The guard's range [min(I,K)-S, max(I,K)+S] dips below 0.
@@ -2080,19 +2051,19 @@ mod tests {
             (
                 "up, lt_u by 3 from 4",
                 counted(4, "i32.lt_u", 10, 3),
-                Finite(66),
+                Finite(73),
                 false,
             ),
             (
                 "down, ge_u by 2",
                 counted(20, "i32.ge_u", 5, -2),
-                Finite(156),
+                Finite(163),
                 false,
             ),
             (
                 "ne, exact hit",
                 counted(0, "i32.ne", 10, 2),
-                Finite(111),
+                Finite(118),
                 false,
             ),
             (
@@ -2110,19 +2081,19 @@ mod tests {
             (
                 "two increment sites",
                 TWO_INCREMENTS.into(),
-                Finite(284),
+                Finite(291),
                 false,
             ),
             (
                 "nested, inner leaves local",
                 NESTED_COUNTED.into(),
-                Finite(592),
+                Finite(599),
                 false,
             ),
             (
                 "inner br to outer header",
                 INNER_BR_TO_OUTER_HEADER.into(),
-                Finite(460),
+                Finite(467),
                 false,
             ),
             ("data-dependent", DATA_DEPENDENT.into(), Unbounded, true),

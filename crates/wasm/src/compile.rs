@@ -21,15 +21,18 @@
 //!   block `end` is resolved at compile time into an absolute op PC plus a
 //!   precomputed unwind descriptor ([`BranchTarget`]: frame-relative stack
 //!   height + result arity). The runtime label stack disappears entirely.
-//! * **Basic-block metering** — fuel and the value-stack bound are
-//!   charged once per basic block by a leading [`Op::Meter`] whose `cost`
-//!   is the number of *source* instructions in the block, computed here
-//!   (a bulk memory op's byte charge is the executor's, at the op). Fuel
-//!   totals are identical to per-instruction metering on every complete
-//!   execution; see the notes on `Meter` below for the granularity change
-//!   on mid-block traps.
+//! * **Basic-block metering** — fuel is charged once per basic block by a
+//!   leading [`Op::Meter`] whose `cost` is the number of *source*
+//!   instructions in the block, computed here (a bulk memory op's byte
+//!   charge is the executor's, at the op). A function's entry block also
+//!   carries its activation price, [`call_price`]: the entry block is never
+//!   a branch target, so the price is paid once per call. Fuel totals are
+//!   identical to per-instruction metering with that price on every
+//!   complete execution; see the notes on `Meter` below for the
+//!   granularity change on mid-block traps.
 //! * **Leaf inlining** — a straight-line callee is lowered in place, its
-//!   locals remapped into fresh caller slots, with exact fuel parity.
+//!   locals remapped into fresh caller slots, with exact fuel parity: the
+//!   inline site pays the callee's activation price.
 //! * **Branch-table interning** — `br_table` targets live in the
 //!   per-function [`CompiledFunc::branches`] side array (indexed `u32`),
 //!   not behind a per-instruction `Box<[u32]>`.
@@ -39,6 +42,7 @@
 //! does too) and panics on malformed input.
 
 use crate::analysis::{mismatch, AnalysisError};
+use crate::instance::call_price;
 use crate::instr::Instr;
 use crate::interp::Value;
 use crate::module::Module;
@@ -68,11 +72,10 @@ pub struct BranchTarget {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Basic-block header: charge `cost` fuel (the number of source
-    /// instructions in the block) and verify the value stack can grow by
-    /// `peak` without exceeding the limit.
+    /// instructions in the block, plus the activation price in a
+    /// function's entry block).
     Meter {
         cost: u32,
-        peak: u32,
     },
     Unreachable,
     Br(u32),
@@ -140,7 +143,7 @@ pub enum Op {
 
 impl Op {
     /// Operand-stack effect (pops, pushes) — the one arity table: the
-    /// compiler bumps its static height (hence every `Meter::peak`) by
+    /// compiler bumps its static height (hence every branch target's) by
     /// it and the analyzer's mirror walk replays it. The match is
     /// intentionally exhaustive: a new variant fails to compile here
     /// instead of silently skipping either.
@@ -257,8 +260,6 @@ struct FnCompiler<'m> {
     open: bool,
     meter_pc: usize,
     block_cost: u32,
-    block_entry: usize,
-    block_max: usize,
     /// Branch indices targeting the function level, patched to the final
     /// return trampoline.
     fn_level: Vec<u32>,
@@ -297,8 +298,6 @@ pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
         open: false,
         meter_pc: 0,
         block_cost: 0,
-        block_entry: 0,
-        block_max: 0,
         fn_level: Vec::new(),
         ret_arity,
         local_offset: 0,
@@ -306,6 +305,9 @@ pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
         inline_stack: Vec::new(),
         extra_locals: Vec::new(),
     };
+    // The entry block carries the activation price. A leading `loop`
+    // seals it and opens its own header, so no branch lands here.
+    c.count(call_price(body.locals.len()));
     for instr in &body.code {
         c.lower(instr);
     }
@@ -364,13 +366,11 @@ const INLINE_MAX_INSTRS: usize = 64;
 const INLINE_MAX_DEPTH: usize = 2;
 
 impl<'m> FnCompiler<'m> {
-    /// Finalize the open block's `Meter` (cost + static peak growth).
+    /// Finalize the open block's `Meter` cost.
     fn seal(&mut self) {
         if self.open {
-            let peak = (self.block_max - self.block_entry) as u32;
-            if let Op::Meter { cost, peak: p } = &mut self.ops[self.meter_pc] {
+            if let Op::Meter { cost } = &mut self.ops[self.meter_pc] {
                 *cost = self.block_cost;
-                *p = peak;
             }
             self.open = false;
         }
@@ -380,10 +380,8 @@ impl<'m> FnCompiler<'m> {
     fn leader(&mut self) -> u32 {
         if !self.open {
             self.meter_pc = self.ops.len();
-            self.ops.push(Op::Meter { cost: 0, peak: 0 });
+            self.ops.push(Op::Meter { cost: 0 });
             self.block_cost = 0;
-            self.block_entry = self.height;
-            self.block_max = self.height;
             self.open = true;
         }
         self.meter_pc as u32
@@ -407,9 +405,6 @@ impl<'m> FnCompiler<'m> {
             .checked_sub(pops)
             .expect("validated: operand stack underflow")
             + pushes;
-        if self.height > self.block_max {
-            self.block_max = self.height;
-        }
     }
 
     fn new_branch(&mut self, height: u32, arity: u8) -> u32 {
@@ -615,11 +610,13 @@ impl<'m> FnCompiler<'m> {
     /// so the register lowering fuses straight across the call boundary.
     ///
     /// Fuel parity with a per-instruction walk is exact: the `call`
-    /// charges 1, every body instruction charges 1 through the normal
-    /// lowering, and the callee's exit (explicit `return` or fallthrough
-    /// `end` — exactly one executes) charges 1. The only observable
-    /// difference is that an inlined call no longer counts toward the
-    /// call-depth limit, which is implementation-defined.
+    /// charges 1 plus the callee's activation price, every body
+    /// instruction charges 1 through the normal lowering, and the callee's
+    /// exit (explicit `return` or fallthrough `end` — exactly one
+    /// executes) charges 1. An inlined call takes no frame: it counts
+    /// toward neither the call-depth limit nor the arena cap, and its
+    /// locals grow the caller's frame instead, which the caller's `regs`
+    /// bound covers.
     fn try_inline(&mut self, callee: u32) -> bool {
         if self.inline_stack.len() >= INLINE_MAX_DEPTH || self.inline_stack.contains(&callee) {
             return false;
@@ -655,8 +652,8 @@ impl<'m> FnCompiler<'m> {
         }
         let ty = &self.module.types[body.type_idx as usize];
 
-        // The call instruction itself.
-        self.count(1);
+        // The call instruction itself and the activation it stands for.
+        self.count(1 + call_price(body.locals.len()));
 
         // Fresh slots for the callee frame: params then declared locals.
         let base = self.next_local;
@@ -805,12 +802,13 @@ mod tests {
         let m = b.finish().expect("valid");
         let cf = compile_first(&m);
         // One Meter charging all four source instructions (the three
-        // below plus the function-level End), then one op per instruction.
+        // below plus the function-level End) and the activation's
+        // `CALL_FUEL`, then one op per instruction.
         // Fusing them is the register lowering's job (`regalloc::tests`).
         assert_eq!(
             *cf.ops,
             [
-                Op::Meter { cost: 4, peak: 2 },
+                Op::Meter { cost: 10 },
                 Op::LocalGet(0),
                 Op::I32Const(2),
                 Op::I32Bin(I32Op::Mul),
@@ -911,7 +909,8 @@ mod tests {
     #[test]
     fn fuel_cost_counts_source_instrs() {
         // const+const+add+drop = 4 source instructions in one block, plus
-        // the function-level End (charged, though it lowers to `Return`).
+        // the function-level End (charged, though it lowers to `Return`)
+        // and the activation's `CALL_FUEL`.
         let mut b = ModuleBuilder::new();
         let sig = b.func_type(&[], &[]);
         b.begin_func(sig);
@@ -927,7 +926,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        assert_eq!(total, 5);
+        assert_eq!(total, 11);
     }
 
     #[test]

@@ -53,9 +53,7 @@ fn render_rbranch(rb: &RBranch) -> String {
 fn render_rop(op: &ROp, rf: &RegFunc) -> String {
     let br = |bi: u32| render_rbranch(&rf.branches[bi as usize]);
     match *op {
-        ROp::Meter { cost, entry, peak } => {
-            format!("meter cost={cost} entry={entry} peak={peak}")
-        }
+        ROp::Meter { cost } => format!("meter cost={cost}"),
         ROp::Unreachable => "unreachable".into(),
         ROp::Br(b) => format!("br {}", br(b)),
         ROp::BrIf { cond, br: b } => format!("br_if r{cond} {}", br(b)),
@@ -217,19 +215,19 @@ mod tests {
             text,
             "\
 func $f0 (args 2 -> 1, locals r0..r2, frame 4):
-     0  meter cost=6 entry=0 peak=2
+     0  meter cost=12
      1  r2 = i32.Mul r0 r1
      2  r2 = i32.Add r2 3
      3  return r2
 func $f1 (args 1 -> 1, locals r0..r1, frame 2):
-     0  meter cost=2 entry=0 peak=1
+     0  meter cost=8
      1  br_ifz r0 ->5
-     2  meter cost=2 entry=0 peak=1
+     2  meter cost=2
      3  r1 = i32.const 7
      4  br ->7
-     5  meter cost=1 entry=0 peak=1
+     5  meter cost=1
      6  r1 = i32.const 9
-     7  meter cost=2 entry=1 peak=0
+     7  meter cost=2
      8  return r1
 "
         );

@@ -4,10 +4,10 @@
 //! [`Instance`] owns the runtime state (memory, table, globals, host state
 //! `T`) and drives the one executor, the register-form loop over the
 //! code [`Module::analysis`]'s proof checked. The engine enforces the
-//! sandbox policies WA-RAN's plugin host configures: call-depth and
-//! value-stack bounds and deterministic fuel, the one budget that stops a
-//! call (the host sizes it from the 5G slot with [`NS_PER_FUEL`]; a bare
-//! instance starts with `u64::MAX`). The executor reads no clock. Its
+//! sandbox policies WA-RAN's plugin host configures: a call-depth bound,
+//! a cap on the register arena the executor allocates, and deterministic
+//! fuel, the one budget that stops a call (the host sizes it from the 5G
+//! slot with [`NS_PER_FUEL`]; a bare instance starts with `u64::MAX`). The executor reads no clock. Its
 //! test oracle, a tree walker over the decoded `Instr` bodies with its
 //! own memory, lives in the crate's `tests/util/oracle.rs`.
 
@@ -165,15 +165,39 @@ pub const BULK_BYTES_PER_FUEL: u32 = 16;
 /// pays only its instruction.
 pub const PAGE_FUEL: u64 = PAGE_SIZE as u64 / BULK_BYTES_PER_FUEL as u64;
 
+/// What every function activation pays on entry, on top of its
+/// instructions: setting up a frame costs more than an `i32.add`. Together
+/// with [`LOCALS_PER_FUEL`] it is folded into the function's entry `Meter`
+/// at load time (and charged at the site of an inlined call), so it costs
+/// nothing at run time.
+pub const CALL_FUEL: u32 = 6;
+
+/// Declared locals zeroed per unit of fuel on entry: an activation pays
+/// ⌈declared locals / 8⌉ on top of [`CALL_FUEL`], so a frame of 49 000
+/// locals costs 6 131 fuel, not one unit.
+pub const LOCALS_PER_FUEL: u32 = 8;
+
+/// The fuel one activation of a function with `declared_locals` locals
+/// (parameters excluded) pays on entry.
+pub(crate) fn call_price(declared_locals: usize) -> u32 {
+    CALL_FUEL + (declared_locals as u32).div_ceil(LOCALS_PER_FUEL)
+}
+
+/// Register cells the executor's arena may hold, 2^20 words (8 MiB): the
+/// default [`ExecLimits::max_regs`] and the plugin host's fixed cap. A call
+/// whose frame would grow the arena past it traps [`Trap::StackOverflow`].
+pub const MAX_REGS: usize = 1 << 20;
+
 /// Execution resource limits. The plugin host takes the memory cap from
-/// each plugin's sandbox policy and the depth and stack limits from its
+/// each plugin's sandbox policy and the depth and arena limits from its
 /// own fixed values.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
     /// Maximum nested call depth.
     pub max_call_depth: usize,
-    /// Maximum value-stack entries.
-    pub max_value_stack: usize,
+    /// Maximum register cells in the executor's arena: every live frame's
+    /// locals and operand window.
+    pub max_regs: usize,
     /// Maximum memory pages the instance may ever hold (policy cap layered
     /// under the module's own declared max).
     pub max_memory_pages: u32,
@@ -183,7 +207,7 @@ impl Default for ExecLimits {
     fn default() -> Self {
         ExecLimits {
             max_call_depth: 1024,
-            max_value_stack: 1 << 20,
+            max_regs: MAX_REGS,
             max_memory_pages: u32::MAX,
         }
     }
@@ -192,7 +216,8 @@ impl Default for ExecLimits {
 /// Cumulative execution statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
-    /// Instructions retired across all invocations.
+    /// Fuel the block meters retired across all invocations: source
+    /// instructions plus each activation's price.
     pub instrs: u64,
     /// Completed invocations.
     pub invokes: u64,
@@ -781,18 +806,20 @@ impl Vm {
         let ret_ty = module
             .func_type(entry)
             .and_then(|ty| ty.results.first().copied());
-        // Declared locals and the operand window start as zero words: zero
-        // bits are the zero of all four types.
-        regs.extend(args.iter().map(|v| v.to_bits()));
-        regs.resize(rf.frame_size as usize, 0);
-        frames.push(RFrame {
-            func: entry_local,
-            pc: 0,
-            base: 0,
-            vbase: 0,
-        });
-
-        let result = self.run_reg(module, code, host_funcs, data, &mut regs, &mut frames);
+        let result = if rf.frame_size as usize > self.limits.max_regs {
+            Err(Trap::StackOverflow)
+        } else {
+            // Declared locals and the operand window start as zero words:
+            // zero bits are the zero of all four types.
+            regs.extend(args.iter().map(|v| v.to_bits()));
+            regs.resize(rf.frame_size as usize, 0);
+            frames.push(RFrame {
+                func: entry_local,
+                pc: 0,
+                base: 0,
+            });
+            self.run_reg(module, code, host_funcs, data, &mut regs, &mut frames)
+        };
         let out = result.map(|()| ret_ty.map(|ty| Value::from_bits(ty, regs[0])));
 
         self.scratch_regs = regs;
@@ -803,9 +830,10 @@ impl Vm {
     /// The register-tier hot loop: dispatch [`ROp`]s until the entry frame
     /// returns. Semantics follow the flat IR the ops were lowered from —
     /// results, traps and fuel totals match a per-instruction walk of the
-    /// source, with fuel and stack bounds checked once per basic block —
-    /// but all operands are frame-relative register indices; there is no
-    /// value stack and no locals arena, only `regs`.
+    /// source, with fuel checked once per basic block — but all operands
+    /// are frame-relative register indices; there is no value stack and no
+    /// locals arena, only `regs`, capped at [`ExecLimits::max_regs`] where
+    /// a call grows it.
     ///
     /// A register is an untyped word: each op reads its operands at the
     /// type the op itself implies (an i32 read takes the low half, an i32
@@ -831,12 +859,10 @@ impl Vm {
             let frame = *frames.last().expect("at least one frame");
             let mut pc = frame.pc as usize;
             let base = frame.base as usize;
-            let vbase = frame.vbase as usize;
             let rf = &code[frame.func as usize];
             let ops = &rf.ops;
             let rbranches = &rf.branches;
             let consts = &rf.consts;
-            let n_locals = rf.n_locals as usize;
 
             macro_rules! reg {
                 ($i:expr) => {
@@ -869,9 +895,9 @@ impl Vm {
                 }};
             }
             /// Enter local function `$f` whose window starts at absolute
-            /// register `$abs`; `$wbase` is the same start frame-relative.
+            /// register `$abs`. Its entry `Meter` charges the activation.
             macro_rules! enter {
-                ($f:expr, $abs:expr, $wbase:expr) => {{
+                ($f:expr, $abs:expr) => {{
                     let (f, abs) = ($f, $abs);
                     if frames.len() >= self.limits.max_call_depth {
                         return Err(Trap::StackOverflow);
@@ -880,6 +906,9 @@ impl Vm {
                     let callee = &code[f as usize];
                     let need = abs + callee.frame_size as usize;
                     if regs.len() < need {
+                        if need > self.limits.max_regs {
+                            return Err(Trap::StackOverflow);
+                        }
                         regs.resize(need, 0);
                     }
                     // Arguments are already in place at `abs..abs+argc`
@@ -891,10 +920,6 @@ impl Vm {
                         func: f,
                         pc: 0,
                         base: abs as u32,
-                        // The operand-stack height at this call site:
-                        // `wbase - n_locals` is the caller's abstract
-                        // height minus the moved args.
-                        vbase: (vbase + $wbase as usize - n_locals) as u32,
                     });
                     continue 'frames;
                 }};
@@ -904,7 +929,7 @@ impl Vm {
                 let op = ops[pc];
                 pc += 1;
                 match op {
-                    ROp::Meter { cost, entry, peak } => {
+                    ROp::Meter { cost } => {
                         if self.fuel < cost as u64 {
                             // A per-instruction meter would retire exactly
                             // the remaining fuel before trapping.
@@ -914,11 +939,6 @@ impl Vm {
                         }
                         self.fuel -= cost as u64;
                         self.stats.instrs += cost as u64;
-                        // `vbase + entry` is exactly the operand-stack
-                        // height a stack machine has at this block header.
-                        if vbase + entry as usize + peak as usize > self.limits.max_value_stack {
-                            return Err(Trap::ValueStackExhausted);
-                        }
                     }
                     ROp::Unreachable => return Err(Trap::Unreachable),
                     ROp::Br(b) => pc = rbranch_to!(b),
@@ -956,7 +976,7 @@ impl Vm {
                         }
                         continue 'frames;
                     }
-                    ROp::CallWasm { f, base: wbase } => enter!(f, base + wbase as usize, wbase),
+                    ROp::CallWasm { f, base: wbase } => enter!(f, base + wbase as usize),
                     // Arity and result type come from the import's own
                     // signature, not from the op.
                     ROp::CallHost { f, base: wbase, .. } => {
@@ -975,7 +995,7 @@ impl Vm {
                         if func < n_imports {
                             self.call_host_reg(host_funcs, data, func, regs, abs)?;
                         } else {
-                            enter!(func - n_imports, abs, wbase);
+                            enter!(func - n_imports, abs);
                         }
                     }
                     ROp::Copy { dst, src } => reg!(dst) = reg!(src),
@@ -1240,7 +1260,7 @@ fn check_host_result(expected: Option<ValType>, got: Option<Value>) -> Result<Op
 }
 
 /// A register-tier call frame: all values live in the shared register
-/// file, so the frame itself is four words.
+/// file, so the frame itself is three words.
 #[derive(Debug, Clone, Copy)]
 struct RFrame {
     /// Index into `module.funcs` (local function space).
@@ -1249,11 +1269,6 @@ struct RFrame {
     pc: u32,
     /// Absolute base of this frame's register window.
     base: u32,
-    /// The operand-stack height a stack machine would have at frame entry,
-    /// carried so `Meter` checks `max_value_stack` against the height the
-    /// source program's value stack reaches (what the test oracle's real
-    /// stack holds).
-    vbase: u32,
 }
 
 // ---------------------------------------------------------------------

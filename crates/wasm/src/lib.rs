@@ -32,8 +32,10 @@
 //! Design goals follow the paper's requirements for RAN plugin hosting:
 //! deterministic execution (fuel), tight worst-case latency (fuel sized
 //! from the slot by [`instance::NS_PER_FUEL`], bulk memory ops paying per
-//! byte and `memory.grow` per page, bounded call depth, bounded memory
-//! growth) and fault containment (every guest misbehaviour surfaces as a
+//! byte, `memory.grow` per page and every call for its frame), bounded
+//! stacks (a call-depth limit and a cap on the register arena the executor
+//! allocates, [`instance::MAX_REGS`]), bounded memory growth and fault
+//! containment (every guest misbehaviour surfaces as a
 //! catchable [`Trap`], never as host UB).
 //!
 //! Not implemented (out of scope, documented in DESIGN.md): SIMD, threads,

@@ -40,10 +40,10 @@
 //!
 //! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
-//! basic block), so fuel totals and `OutOfFuel` points stay bit-identical
-//! with a per-instruction walk's. The value-stack bound is enforced against
-//! the *virtual* stack height (`vbase + entry + peak`), which equals a
-//! stack machine's operand-stack height plus `peak` at every meter.
+//! basic block, plus the activation price in a function's entry block), so
+//! fuel totals and `OutOfFuel` points stay bit-identical with a
+//! per-instruction walk's. The only stack the executor bounds is the one
+//! it allocates: each function's `frame_size` cells of the register arena.
 //!
 //! Calls pass arguments by *register-window overlap*: the callee's frame
 //! base is placed exactly where the caller materialized the arguments, so
@@ -59,13 +59,9 @@ use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
 /// branch-carrying ops index [`RegFunc::branches`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ROp {
-    /// Basic-block header: identical fuel semantics to
-    /// [`Op::Meter`]; `entry` is the abstract stack height at block entry
-    /// so the value-stack bound check is `vbase + entry + peak`.
+    /// Basic-block header: identical fuel semantics to [`Op::Meter`].
     Meter {
         cost: u32,
-        entry: u32,
-        peak: u32,
     },
     Unreachable,
     Br(u32),
@@ -1313,10 +1309,7 @@ impl Lowerer<'_> {
         self.pc_map[pc] = self.rops.len() as u32;
 
         match op {
-            Op::Meter { cost, peak } => {
-                let entry = self.stack.len() as u32;
-                self.emit(ROp::Meter { cost, entry, peak });
-            }
+            Op::Meter { cost } => self.emit(ROp::Meter { cost }),
             Op::Unreachable => {
                 self.emit(ROp::Unreachable);
                 self.reachable = false;
@@ -1524,14 +1517,15 @@ mod tests {
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
         let rf = &m.code().unwrap()[0];
-        // Six source instructions (five below plus the End) in one Meter;
-        // x*2+1 is two const-operand ops through the result slot, then the
-        // return — no copies, no const materialization.
+        // Six source instructions (five below plus the End) and the
+        // activation's `CALL_FUEL` in one Meter; x*2+1 is two const-operand
+        // ops through the result slot, then the return — no copies, no
+        // const materialization.
         #[rustfmt::skip]
         assert_eq!(
             *rf.ops,
             [
-                ROp::Meter { cost: 6, entry: 0, peak: 2 },
+                ROp::Meter { cost: 12 },
                 ROp::I32BinC { op: I32Op::Mul, dst: 1, a: 0, k: 2 },
                 ROp::I32BinC { op: I32Op::Add, dst: 1, a: 1, k: 1 },
                 ROp::Return { src: 1 },

@@ -32,15 +32,13 @@ pub enum Trap {
     IndirectCallTypeMismatch,
     /// Table access out of bounds.
     TableOutOfBounds,
-    /// Call stack exceeded the configured depth limit.
+    /// A call exceeded the configured call depth, or its frame would grow
+    /// the register arena past its cell cap.
     StackOverflow,
     /// Deterministic instruction budget exhausted.
     OutOfFuel,
     /// A host function reported an error.
     HostError(String),
-    /// The value stack exceeded its configured bound (runaway recursion in
-    /// expression form or a pathological module).
-    ValueStackExhausted,
     /// `memory.grow` beyond the instance's page limit was attempted via an
     /// instruction that must not fail silently (only raised by embedder
     /// policies that forbid growth entirely).
@@ -62,7 +60,6 @@ impl Trap {
             Trap::StackOverflow => "stack-overflow",
             Trap::OutOfFuel => "out-of-fuel",
             Trap::HostError(_) => "host-error",
-            Trap::ValueStackExhausted => "value-stack-exhausted",
             Trap::MemoryLimitExceeded => "memory-limit-exceeded",
         }
     }
@@ -72,10 +69,7 @@ impl Trap {
     pub fn is_resource_exhaustion(&self) -> bool {
         matches!(
             self,
-            Trap::OutOfFuel
-                | Trap::StackOverflow
-                | Trap::ValueStackExhausted
-                | Trap::MemoryLimitExceeded
+            Trap::OutOfFuel | Trap::StackOverflow | Trap::MemoryLimitExceeded
         )
     }
 }

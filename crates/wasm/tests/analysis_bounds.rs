@@ -10,7 +10,7 @@
 //!   `analysis.rs`), this is the deterministic replacement for sampled
 //!   cross-tier parity.
 //! * **Static bounds dominate runtime** — executing with fuel set to the
-//!   static fuel bound, the value-stack limit set to the static stack
+//!   static fuel bound, the register-arena cap set to the static `regs`
 //!   bound, and the call-depth limit set to the static frame bound must
 //!   never hit a resource trap on the production (register-form)
 //!   executor. The generator's loops all have constant trip counts, so
@@ -33,7 +33,7 @@ use gen::gen_program;
 fn assert_bounds_admit_execution(
     wasm: &[u8],
     fuel: u64,
-    stack: u64,
+    regs: u64,
     frames: u64,
     args: &[Value],
     ctx: &str,
@@ -41,15 +41,16 @@ fn assert_bounds_admit_execution(
     let module = load_module(wasm).expect("generated module validates");
     let limits = ExecLimits {
         max_call_depth: frames as usize,
-        max_value_stack: stack as usize,
+        max_regs: regs as usize,
         ..ExecLimits::default()
     };
     let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
     inst.set_fuel(fuel);
     match inst.invoke("main", args) {
         Err(Trap::OutOfFuel) => panic!("static fuel bound {fuel} too small ({ctx})"),
-        Err(Trap::ValueStackExhausted) => panic!("static stack bound {stack} too small ({ctx})"),
-        Err(Trap::StackOverflow) => panic!("static frame bound {frames} too small ({ctx})"),
+        Err(Trap::StackOverflow) => {
+            panic!("static frame bound {frames} or regs bound {regs} too small ({ctx})")
+        }
         _ => {}
     }
 }
@@ -72,12 +73,12 @@ fn check_seed(seed: u64, a: i32, b: i32) {
 
     // The corpus is loop-bounded by construction; the analyzer must see
     // that (`Unbounded` would be a precision regression).
-    let (Bound::Finite(fuel), Bound::Finite(stack), Bound::Finite(frames)) =
-        (report.fuel, report.stack, report.frames)
+    let (Bound::Finite(fuel), Bound::Finite(regs), Bound::Finite(frames)) =
+        (report.fuel, report.regs, report.frames)
     else {
         panic!(
-            "seed {seed}: constant-trip corpus must bound (fuel {}, stack {}, frames {})\n{src}",
-            report.fuel, report.stack, report.frames
+            "seed {seed}: constant-trip corpus must bound (fuel {}, regs {}, frames {})\n{src}",
+            report.fuel, report.regs, report.frames
         );
     };
     assert!(
@@ -90,7 +91,7 @@ fn check_seed(seed: u64, a: i32, b: i32) {
     assert_bounds_admit_execution(
         &wasm,
         fuel,
-        stack,
+        regs,
         frames,
         &[Value::I32(a), Value::I32(b)],
         &ctx,

@@ -7,6 +7,7 @@
 //!
 //! * the result value (bit-for-bit) or the trap,
 //! * `fuel_consumed()` and instructions retired on complete executions,
+//!   each activation's price included,
 //! * instructions retired on `OutOfFuel` traps (the block-metered executor
 //!   retires exactly the remaining fuel before trapping, matching the
 //!   per-instruction oracle) — except when a bulk memory op's byte charge
@@ -17,10 +18,12 @@
 //! On traps that fire mid-block (e.g. division by zero) the two may differ
 //! in fuel by less than one basic block — that is the documented
 //! granularity change of block metering — so fuel is only compared on
-//! completion and on fuel exhaustion. A resource limit (fuel, value stack,
-//! call depth) fires at a block's `Meter` in the executor and at the exact
-//! instruction in the oracle, so stores earlier in that block may have run
-//! on one side only.
+//! completion and on fuel exhaustion. Fuel runs out at a block's `Meter`
+//! in the executor and at the exact instruction in the oracle, so stores
+//! earlier in that block may have run on one side only. The register-arena
+//! cap is the executor's alone (the oracle has no arena); here it is left
+//! at its default or set to the static `regs` bound, under which it must
+//! never fire.
 //!
 //! The generator is seeded (xorshift64*), so the same corpus runs both as a
 //! deterministic sweep and, below, under proptest with random seeds.
@@ -30,7 +33,7 @@ use std::sync::Arc;
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::decode::{decode_module, DecodeErrorKind};
 use waran_wasm::disasm::disassemble_reg;
-use waran_wasm::instance::{ExecLimits, Instance, Linker, BULK_BYTES_PER_FUEL};
+use waran_wasm::instance::{ExecLimits, Instance, Linker, BULK_BYTES_PER_FUEL, CALL_FUEL};
 use waran_wasm::instr::{Instr, OpRow, OP_TABLE};
 use waran_wasm::interp::Value;
 use waran_wasm::types::{BlockType, ValType, PAGE_SIZE};
@@ -542,8 +545,9 @@ fn one_op_agrees(
     ctx: &str,
 ) -> Result<(), Trap> {
     let (inst, oracle) = sides;
-    // Source instructions in the body: the gets, the op, the `end`.
-    let cost = args.len() as u64 + 2;
+    // The activation's price and the source instructions in the body: the
+    // gets, the op, the `end`.
+    let cost = u64::from(CALL_FUEL) + args.len() as u64 + 2;
     inst.set_fuel(fuel);
     oracle.set_fuel(fuel);
     let ours = inst.invoke("main", args).map(|v| v.map(bits));
@@ -692,9 +696,11 @@ fn differential_every_plain_opcode() {
                 for len in lens {
                     let args = [dst, mid, len].map(Value::I32);
                     let charge = u64::from((len as u32).div_ceil(BULK_BYTES_PER_FUEL));
-                    // The body is one block of five instructions: fuel
-                    // below that stops at the `Meter` before any op runs.
-                    for fuel in (5 + charge - 2).max(5)..=5 + charge + 1 {
+                    // The body is one block of five instructions and the
+                    // call's price: fuel below that stops at the `Meter`
+                    // before any op runs.
+                    let block = 5 + u64::from(CALL_FUEL);
+                    for fuel in (block + charge - 2).max(block)..=block + charge + 1 {
                         let ctx = format!("{op:?} {args:?}, fuel {fuel}");
                         match one_op_agrees(&mut sides, &args, charge, fuel, &ctx) {
                             Ok(()) => completed += 1,
@@ -745,11 +751,12 @@ fn differential_memory_grow_pays_per_page() {
     // Two pages with fuel ending inside the charge on both sides, on the
     // executor's side only (the oracle has not paid for `end` yet),
     // exactly on it and one unit after it. The body is one block of three
-    // instructions.
-    for fuel in 3 + 2 * page - 2..=3 + 2 * page + 1 {
+    // instructions and the call's price.
+    let block = 3 + u64::from(CALL_FUEL);
+    for fuel in block + 2 * page - 2..=block + 2 * page + 1 {
         let mut sides = fresh();
         let result = grow(&mut sides, 2, 2 * page, fuel);
-        if fuel < 3 + 2 * page {
+        if fuel < block + 2 * page {
             assert_eq!(result, Err(Trap::OutOfFuel), "fuel {fuel}");
             assert_eq!(sides.0.memory().size_pages(), 1, "fuel {fuel}");
         } else {
@@ -1517,9 +1524,9 @@ fn differential_constant_control() {
             .analysis()
             .unwrap_or_else(|e| panic!("{name}: lowering fails its proof: {e}"));
         let report = analysis.func(0);
-        let (Some(fuel), Some(stack), Some(frames)) = (
+        let (Some(fuel), Some(regs), Some(frames)) = (
             report.fuel.finite(),
-            report.stack.finite(),
+            report.regs.finite(),
             report.frames.finite(),
         ) else {
             panic!("{name}: every loop here is counted, bounds must be finite: {report:?}");
@@ -1535,12 +1542,12 @@ fn differential_constant_control() {
         assert_outcomes_agree(&outcome(&mut oracle, &args, 100_000), &reg, &name);
 
         // Static bounds dominate what ran: the call fits exactly the
-        // analyzer's fuel, stack and frame budget.
+        // analyzer's fuel, register-arena and frame budget.
         let measured = reg.fuel.expect("metered");
         assert!(fuel >= measured, "{name}: fuel bound {fuel} < {measured}");
         let limits = ExecLimits {
             max_call_depth: frames as usize,
-            max_value_stack: stack as usize,
+            max_regs: regs as usize,
             ..ExecLimits::default()
         };
         let mut bounded =

@@ -2,10 +2,16 @@
 //! flow, arithmetic corner cases, traps, sandbox limits, host functions,
 //! tables and memory.
 
-use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker};
+use std::sync::Arc;
+
+use waran_wasm::analysis::Bound;
+use waran_wasm::builder::ModuleBuilder;
+use waran_wasm::instance::{
+    ExecLimits, Instance, InstantiateError, Linker, CALL_FUEL, LOCALS_PER_FUEL, MAX_REGS,
+};
 use waran_wasm::interp::Value;
-use waran_wasm::types::ValType;
-use waran_wasm::{load_module, Trap};
+use waran_wasm::types::{BlockType, ValType};
+use waran_wasm::{load_module, Module, Trap};
 
 #[path = "util/oracle.rs"]
 mod oracle;
@@ -339,35 +345,38 @@ fn memory_grow_pays_per_page() {
             Ok(Some(Value::I32(pages)))
         );
     }
-    // Each page's 65 536 zeroed bytes pay 4096 on top of the instructions.
-    assert_eq!(inst.fuel_consumed(), Some(63 * 4096 + 63 * 3));
-    // Past the cap: -1, and only the instructions are paid.
+    // Each page's 65 536 zeroed bytes pay 4096 on top of the instructions
+    // and the activation's `CALL_FUEL`.
+    let call = 3 + u64::from(CALL_FUEL);
+    assert_eq!(inst.fuel_consumed(), Some(63 * 4096 + 63 * call));
+    // Past the cap: -1, and only the call is paid.
     assert_eq!(
         inst.invoke("grow", &[Value::I32(1)]),
         Ok(Some(Value::I32(-1)))
     );
-    assert_eq!(inst.fuel_consumed(), Some(63 * 4096 + 64 * 3));
+    assert_eq!(inst.fuel_consumed(), Some(63 * 4096 + 64 * call));
     assert_eq!(inst.memory().size_pages(), 64);
 }
 
 #[test]
 fn memory_grow_past_the_remaining_fuel_traps_unchanged() {
     let mut inst = instantiate(GROW);
-    // Enough for the instructions and one of the two pages.
-    inst.set_fuel(3 + 4096);
+    // Enough for the call, its instructions and one of the two pages.
+    let fuel = u64::from(CALL_FUEL) + 3 + 4096;
+    inst.set_fuel(fuel);
     assert_eq!(inst.invoke("grow", &[Value::I32(2)]), Err(Trap::OutOfFuel));
     assert_eq!(inst.fuel_remaining(), 0);
     assert_eq!(inst.memory().size_pages(), 1);
     // The oracle charges the same.
     let mut oracle = oracle(GROW);
-    oracle.set_fuel(3 + 4096);
+    oracle.set_fuel(fuel);
     assert_eq!(
         oracle.invoke("grow", &[Value::I32(2)]),
         Err(Trap::OutOfFuel)
     );
     assert_eq!(
         (oracle.fuel_consumed(), oracle.memory.len()),
-        (Some(3 + 4096), 65_536)
+        (Some(fuel), 65_536)
     );
 }
 
@@ -843,34 +852,92 @@ fn float_math_pipeline() {
 }
 
 #[test]
-fn value_stack_limit_enforced() {
-    // A function that pushes more than the configured stack bound.
+fn register_arena_cap_enforced() {
+    // `f` calls a leaf that `block br end` keeps from being inlined, so the
+    // leaf's frame grows the arena past `f`'s own.
     let src = r#"(module
-      (func (export "deep") (result i32)
-        (local $n i32)
-        i32.const 0
-        loop $l (result i32)
-          i32.const 1
-          local.get $n
-          i32.const 1
-          i32.add
-          local.tee $n
-          i32.const 100000
-          i32.lt_s
-          br_if $l
-        end
-        i32.add))"#;
-    // Each iteration leaves one extra i32 on the stack... actually the loop
-    // result discipline prevents unbounded growth in validated code, so we
-    // emulate with a tiny limit instead.
-    let bytes = waran_wat::assemble(src).unwrap();
-    let module = load_module(&bytes).unwrap();
-    let limits = ExecLimits {
-        max_value_stack: 3,
-        ..ExecLimits::default()
+      (func $leaf (param i32) (result i32)
+        block $b br $b end
+        local.get 0)
+      (func (export "f") (param i32) (result i32)
+        local.get 0
+        call $leaf))"#;
+    let module = Arc::new(load_module(&waran_wat::assemble(src).unwrap()).unwrap());
+    let Bound::Finite(need) = module.analysis().unwrap().func(1).regs else {
+        panic!("a call chain has a finite arena bound")
     };
-    let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
-    assert_eq!(inst.invoke("deep", &[]), Err(Trap::ValueStackExhausted));
+    let need = need as usize;
+    let run = |max_regs: usize| {
+        let limits = ExecLimits {
+            max_regs,
+            ..ExecLimits::default()
+        };
+        let mut inst = Instance::with_limits(module.clone(), &Linker::<()>::new(), (), limits)
+            .expect("instantiates");
+        inst.set_fuel(1_000);
+        (inst.invoke("f", &[Value::I32(7)]), inst.fuel_consumed())
+    };
+    let (out, _) = run(need);
+    assert_eq!(out, Ok(Some(Value::I32(7))));
+    // One cell short: the leaf's frame does not fit, and the call traps
+    // after `f`'s entry block ran.
+    let (out, fuel) = run(need - 1);
+    assert_eq!(out, Err(Trap::StackOverflow));
+    assert!(fuel > Some(0));
+    // An entry frame past the cap traps before any guest code runs.
+    assert_eq!(run(1), (Err(Trap::StackOverflow), Some(0)));
+}
+
+/// `rec(d)` recurses `d` frames below its own, each frame holding 49 000
+/// `i64` locals (`MAX_LOCALS` is 50 000): 392 KB of zeroed registers per
+/// activation, for a handful of instructions.
+fn arena_probe() -> Module {
+    let mut b = ModuleBuilder::new();
+    let sig = b.func_type(&[ValType::I32], &[]);
+    let rec = b.begin_func(sig);
+    for _ in 0..49_000 {
+        b.local(ValType::I64);
+    }
+    b.code()
+        .local_get(0)
+        .if_(BlockType::Empty)
+        .local_get(0)
+        .i32_const(1)
+        .i32_sub()
+        .call(rec)
+        .end();
+    b.end_func().unwrap();
+    b.export_func("rec", rec);
+    b.finish().unwrap()
+}
+
+#[test]
+fn arena_cap_stops_wide_recursion_under_the_host_limits() {
+    // The plugin host's limits and the `realtime` class's budget: depth
+    // 512, the `MAX_REGS` arena, 64 pages and one 1 ms slot of fuel. The
+    // arena holds 2^20 / 49 001 ≈ 21.4 frames: 21 activations fit, the
+    // 22nd traps long before the depth limit or the fuel does.
+    let limits = ExecLimits {
+        max_call_depth: 512,
+        max_regs: MAX_REGS,
+        max_memory_pages: 64,
+    };
+    let mut inst =
+        Instance::with_limits(arena_probe().into(), &Linker::<()>::new(), (), limits).unwrap();
+    inst.set_fuel(333_333);
+    assert_eq!(inst.invoke("rec", &[Value::I32(20)]), Ok(None));
+    // Each activation pays `CALL_FUEL` + ⌈49 000 / 8⌉ on entry.
+    let price = u64::from(CALL_FUEL) + 49_000u64.div_ceil(u64::from(LOCALS_PER_FUEL));
+    let consumed = inst.fuel_consumed().unwrap();
+    assert!(consumed >= 21 * price && consumed < 333_333, "{consumed}");
+    inst.set_fuel(333_333);
+    assert_eq!(
+        inst.invoke("rec", &[Value::I32(21)]),
+        Err(Trap::StackOverflow)
+    );
+    // The instance survives: a shallow call on the same arena still runs.
+    inst.set_fuel(333_333);
+    assert_eq!(inst.invoke("rec", &[Value::I32(1)]), Ok(None));
 }
 
 #[test]

@@ -17,11 +17,13 @@
 //!
 //! What a comparison may hold the two to: result bits or trap; fuel and
 //! instructions on completion and on fuel exhaustion (one unit per source
-//! instruction here, plus a bulk memory op's byte charge and a
-//! `memory.grow`'s page charge, while the executor meters per basic block
-//! and retires exactly the remaining fuel when it runs out); the final
-//! memory bytes unless a resource limit fired (the executor checks those
-//! per block); and what host functions saw. A run that ends on a byte or
+//! instruction here, plus each activation's price when its frame is
+//! entered, a bulk memory op's byte charge and a `memory.grow`'s page
+//! charge, while the executor meters per basic block and retires exactly
+//! the remaining fuel when it runs out); the final memory bytes unless a
+//! resource limit fired (the executor checks fuel per block); and what
+//! host functions saw. The oracle has no register arena, so it never
+//! raises the executor's arena trap. A run that ends on a byte or
 //! page charge agrees on fuel (none left on either side) but not on
 //! instructions: the executor has counted its whole block, the oracle up
 //! to the bulk op or grow.
@@ -29,7 +31,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use waran_wasm::instance::{ExecLimits, HostFn, Linker, BULK_BYTES_PER_FUEL};
+use waran_wasm::instance::{
+    ExecLimits, HostFn, Linker, BULK_BYTES_PER_FUEL, CALL_FUEL, LOCALS_PER_FUEL,
+};
 use waran_wasm::instr::{BinOp, I32Op, I64Op, Instr, LoadKind, StoreKind, UnOp};
 use waran_wasm::interp::Value;
 use waran_wasm::module::{ConstExpr, ImportKind, Module};
@@ -313,7 +317,7 @@ impl<T> Oracle<T> {
     ) -> Result<Option<Value>, Trap> {
         let n_imports = module.num_imported_funcs();
         let mut stack: Vec<Value> = args.to_vec();
-        let mut frames = vec![Frame::enter(module, entry - n_imports, &mut stack)];
+        let mut frames = vec![self.enter(module, entry - n_imports, &mut stack, instrs)?];
 
         macro_rules! pop {
             () => {
@@ -375,9 +379,6 @@ impl<T> Oracle<T> {
             }
             self.fuel -= 1;
             *instrs += 1;
-            if stack.len() > self.limits.max_value_stack {
-                return Err(Trap::ValueStackExhausted);
-            }
 
             let frame = frames.last_mut().expect("at least one frame");
             let instr = &module.funcs[frame.func as usize].code[frame.pc];
@@ -448,7 +449,9 @@ impl<T> Oracle<T> {
                         break 'outer;
                     }
                 }
-                Instr::Call { func } => self.call(module, *func, &mut frames, &mut stack)?,
+                Instr::Call { func } => {
+                    self.call(module, *func, &mut frames, &mut stack, instrs)?
+                }
                 Instr::CallIndirect { type_idx } => {
                     let idx = pop!().as_u32();
                     let func = match self.table.get(idx as usize) {
@@ -460,7 +463,7 @@ impl<T> Oracle<T> {
                     if *actual != module.types[*type_idx as usize] {
                         return Err(Trap::IndirectCallTypeMismatch);
                     }
-                    self.call(module, func, &mut frames, &mut stack)?;
+                    self.call(module, func, &mut frames, &mut stack, instrs)?;
                 }
                 Instr::Drop => {
                     pop!();
@@ -806,6 +809,7 @@ impl<T> Oracle<T> {
         func: u32,
         frames: &mut Vec<Frame>,
         stack: &mut Vec<Value>,
+        instrs: &mut u64,
     ) -> Result<(), Trap> {
         let n_imports = module.num_imported_funcs();
         if func < n_imports {
@@ -816,9 +820,43 @@ impl<T> Oracle<T> {
             if frames.len() >= self.limits.max_call_depth {
                 return Err(Trap::StackOverflow);
             }
-            frames.push(Frame::enter(module, func - n_imports, stack));
+            let frame = self.enter(module, func - n_imports, stack, instrs)?;
+            frames.push(frame);
         }
         Ok(())
+    }
+
+    /// Set up a Wasm function's frame, paid for first: every activation
+    /// pays `CALL_FUEL` plus one unit per started `LOCALS_PER_FUEL` of
+    /// its declared locals. Running out retires exactly the fuel left, as
+    /// an instruction step that finds none retires nothing.
+    fn enter(
+        &mut self,
+        module: &Module,
+        local_func: u32,
+        stack: &mut Vec<Value>,
+        instrs: &mut u64,
+    ) -> Result<Frame, Trap> {
+        let body = &module.funcs[local_func as usize];
+        let declared = body.locals.len() as u64;
+        let price = u64::from(CALL_FUEL) + declared.div_ceil(u64::from(LOCALS_PER_FUEL));
+        if self.fuel < price {
+            *instrs += self.fuel;
+            self.fuel = 0;
+            return Err(Trap::OutOfFuel);
+        }
+        self.fuel -= price;
+        *instrs += price;
+        let argc = module.types[body.type_idx as usize].params.len();
+        let mut locals = stack.split_off(stack.len() - argc);
+        locals.extend(body.locals.iter().map(|&t| Value::zero(t)));
+        Ok(Frame {
+            func: local_func,
+            locals,
+            pc: 0,
+            labels: Vec::new(),
+            stack_base: stack.len(),
+        })
     }
 }
 
@@ -834,22 +872,6 @@ struct Frame {
     labels: Vec<Label>,
     /// Value-stack height at entry, arguments already moved to `locals`.
     stack_base: usize,
-}
-
-impl Frame {
-    fn enter(module: &Module, local_func: u32, stack: &mut Vec<Value>) -> Frame {
-        let body = &module.funcs[local_func as usize];
-        let argc = module.types[body.type_idx as usize].params.len();
-        let mut locals = stack.split_off(stack.len() - argc);
-        locals.extend(body.locals.iter().map(|&t| Value::zero(t)));
-        Frame {
-            func: local_func,
-            locals,
-            pc: 0,
-            labels: Vec::new(),
-            stack_base: stack.len(),
-        }
-    }
 }
 
 /// A control label.

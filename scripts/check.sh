@@ -138,6 +138,21 @@ if [ -n "$variants" ]; then
     exit 1
 fi
 
+# One stack bound: the executor caps the register arena it allocates
+# (`ExecLimits::max_regs`, `MAX_REGS`; past it a call traps
+# `StackOverflow`) and emulates no operand stack. The names of the emulated
+# limit stay gone from crates/.
+if [ ! -d crates ]; then
+    echo "stack tripwire: missing crates" >&2
+    exit 1
+fi
+for name in vbase max_value_stack MAX_VALUE_STACK ValueStackExhausted; do
+    if grep -rnw "$name" crates; then
+        echo "stack tripwire: crates/ names $name; the one stack bound is the register arena's max_regs" >&2
+        exit 1
+    fi
+done
+
 # The library every deployment links parses one format, the Wasm binary.
 # The WAT assembler lives in the dev-only waran-wat crate; no deployment
 # crate may reach it through a normal dependency edge.
