@@ -578,7 +578,7 @@ fn validate_with_shape(
     if rf.locals_init != cf.locals_init {
         return Err(mismatch(func, 0, "locals_init disagree across tiers"));
     }
-    if rf.n_locals != cf.argc + cf.locals_init.len() as u32 {
+    if rf.n_locals != cf.n_locals || cf.n_locals < cf.argc + cf.locals_init.len() as u32 {
         return Err(mismatch(func, 0, "n_locals inconsistent with signature"));
     }
     if rf.branches.len() != cf.branches.len() {
@@ -1556,13 +1556,17 @@ fn compute_report(
         weights[bi] = w;
     }
 
-    let entry_state: Vec<Option<i32>> = (0..cf.argc)
-        .map(|_| None)
-        .chain(cf.locals_init.iter().map(|v| match v {
-            Value::I32(k) => Some(*k),
-            _ => None,
-        }))
-        .collect();
+    // Parameters and inlined callees' slots hold unknown words on entry;
+    // only the declared locals are zeroed.
+    let mut entry_state: Vec<Option<i32>> = vec![None; cf.n_locals as usize];
+    for (s, v) in entry_state[cf.argc as usize..]
+        .iter_mut()
+        .zip(&cf.locals_init)
+    {
+        if let Value::I32(k) = v {
+            *s = Some(*k);
+        }
+    }
     let consts = local_const_flow(&entry_state, &events, &succs);
 
     let ctx = FuelCtx {

@@ -193,11 +193,15 @@ pub struct CompiledFunc {
     pub ops: Box<[Op]>,
     /// Interned branch targets (including all `br_table` entries).
     pub branches: Box<[BranchTarget]>,
-    /// Zero values for the declared (non-parameter) locals, memcpy'd into
-    /// the locals arena on frame entry.
+    /// Zero values for the function's own declared (non-parameter)
+    /// locals, which frame entry zeroes.
     pub locals_init: Box<[Value]>,
     /// Parameter count.
     pub argc: u32,
+    /// Local slots: the parameters, the declared locals, then the slots
+    /// of inlined callees, which each inline site writes before it reads
+    /// them (see `try_inline`), so frame entry leaves them alone.
+    pub n_locals: u32,
     /// Result count (0 or 1 in the MVP).
     pub ret_arity: u32,
 }
@@ -271,8 +275,6 @@ struct FnCompiler<'m> {
     next_local: u32,
     /// Callee indices currently being inlined (recursion/depth guard).
     inline_stack: Vec<u32>,
-    /// Zero values for the inline slots, appended to `locals_init`.
-    extra_locals: Vec<Value>,
 }
 
 /// Lower one validated function body (index into `Module::funcs`) to the
@@ -303,7 +305,6 @@ pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
         local_offset: 0,
         next_local: (ty.params.len() + body.locals.len()) as u32,
         inline_stack: Vec::new(),
-        extra_locals: Vec::new(),
     };
     // The entry block carries the activation price. A leading `loop`
     // seals it and opens its own header, so no branch lands here.
@@ -322,17 +323,12 @@ pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
             c.branches[*bi as usize].pc = tramp;
         }
     }
-    let locals_init = body
-        .locals
-        .iter()
-        .map(|t| Value::zero(*t))
-        .chain(c.extra_locals)
-        .collect();
     CompiledFunc {
         ops: c.ops.into_boxed_slice(),
         branches: c.branches.into_boxed_slice(),
-        locals_init,
+        locals_init: body.locals.iter().map(|t| Value::zero(*t)).collect(),
         argc: ty.params.len() as u32,
+        n_locals: c.next_local,
         ret_arity,
     }
 }
@@ -358,7 +354,9 @@ fn is_straight_line(instr: &Instr) -> bool {
     )
 }
 
-/// Inline at most this many source instructions per callee body.
+/// Inline a callee only when its body instructions plus its declared
+/// locals, which take caller slots the inline site may zero, number at
+/// most this.
 const INLINE_MAX_INSTRS: usize = 64;
 
 /// Maximum nesting of inlined callee bodies (a callee's own calls may
@@ -616,14 +614,16 @@ impl<'m> FnCompiler<'m> {
     /// executes) charges 1. An inlined call takes no frame: it counts
     /// toward neither the call-depth limit nor the arena cap, and its
     /// locals grow the caller's frame instead, which the caller's `regs`
-    /// bound covers.
+    /// bound covers. Each time it runs, the site zeroes those of them the
+    /// body reads before writing, as a frame entry would; the caller's own
+    /// entry leaves them alone.
     fn try_inline(&mut self, callee: u32) -> bool {
         if self.inline_stack.len() >= INLINE_MAX_DEPTH || self.inline_stack.contains(&callee) {
             return false;
         }
         let body = &self.module.funcs[callee as usize];
         let code = &body.code;
-        if code.len() > INLINE_MAX_INSTRS {
+        if code.len() + body.locals.len() > INLINE_MAX_INSTRS {
             return false;
         }
         let Some((Instr::End, rest)) = code.split_last() else {
@@ -657,17 +657,39 @@ impl<'m> FnCompiler<'m> {
 
         // Fresh slots for the callee frame: params then declared locals.
         let base = self.next_local;
-        self.next_local += (ty.params.len() + body.locals.len()) as u32;
-        self.extra_locals
-            .extend(ty.params.iter().map(|t| Value::zero(*t)));
-        self.extra_locals
-            .extend(body.locals.iter().map(|t| Value::zero(*t)));
+        let argc = ty.params.len() as u32;
+        self.next_local += argc + body.locals.len() as u32;
 
-        // Drain the arguments into the param slots (unmetered glue: the
-        // a per-instruction walk moves them during frame setup).
-        for i in (0..ty.params.len()).rev() {
-            self.emit(Op::LocalSet(base + i as u32));
+        // Drain the arguments into the param slots and zero each declared
+        // local the body reads before it writes, on every run of the site:
+        // frame entry never touches these slots. The body is straight-line,
+        // so one pass in order finds those reads exactly. Unmetered glue,
+        // paid by the price above, as a per-instruction walk's frame setup
+        // is.
+        for i in (0..argc).rev() {
+            self.emit(Op::LocalSet(base + i));
             self.bump(1, 0);
+        }
+        let mut settled = vec![false; body.locals.len()];
+        for instr in rest {
+            let (Instr::LocalGet(l) | Instr::LocalSet(l) | Instr::LocalTee(l)) = *instr else {
+                continue;
+            };
+            let Some(d) = l.checked_sub(argc) else {
+                continue;
+            };
+            if std::mem::replace(&mut settled[d as usize], true)
+                || !matches!(instr, Instr::LocalGet(_))
+            {
+                continue;
+            }
+            self.emit(match Value::zero(body.locals[d as usize]) {
+                Value::I32(k) => Op::I32Const(k),
+                Value::I64(k) => Op::I64Const(k),
+                Value::F32(k) => Op::F32Const(k),
+                Value::F64(k) => Op::F64Const(k),
+            });
+            self.emit(Op::LocalSet(base + argc + d));
         }
 
         // The body, with locals remapped into the fresh slots. Nested

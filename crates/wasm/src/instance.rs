@@ -914,8 +914,10 @@ impl Vm {
                     // Arguments are already in place at `abs..abs+argc`
                     // (register-window overlap); declared locals still
                     // need their zero values, whatever the caller's
-                    // operand stack left in those cells.
-                    regs[abs + callee.argc as usize..abs + callee.n_locals as usize].fill(0);
+                    // operand stack left in those cells. Inlined callees'
+                    // slots are zeroed at their inline sites instead.
+                    let locals = abs + callee.argc as usize;
+                    regs[locals..locals + callee.locals_init.len()].fill(0);
                     frames.push(RFrame {
                         func: f,
                         pc: 0,

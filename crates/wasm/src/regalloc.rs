@@ -326,11 +326,14 @@ pub struct RegFunc {
     pub branches: Box<[RBranch]>,
     /// Pool for non-i32 constants referenced by [`ROp::Const`].
     pub consts: Box<[Value]>,
-    /// Zero-values for the declared (non-parameter) locals.
+    /// Zero values for the function's own declared (non-parameter)
+    /// locals: registers `argc..argc + locals_init.len()`, which frame
+    /// entry zeroes.
     pub locals_init: Box<[Value]>,
     pub argc: u32,
     pub ret_arity: u32,
-    /// Locals (params + declared): registers `0..n_locals`.
+    /// Locals (params, declared, then inlined callees' slots, which their
+    /// inline sites write before reading): registers `0..n_locals`.
     pub n_locals: u32,
     /// Total registers the frame needs (`n_locals` + max stack height).
     pub frame_size: u32,
@@ -381,7 +384,7 @@ struct Lowerer<'m> {
 /// Lower `module`'s local function `local_idx` from its flat IR `cf` to
 /// register form. Called only by the proof that checks the result.
 pub fn lower_func(module: &Module, local_idx: u32, cf: &CompiledFunc) -> RegFunc {
-    let n_locals = cf.argc + cf.locals_init.len() as u32;
+    let n_locals = cf.n_locals;
 
     let entry_height = cf
         .entry_heights(local_idx)
@@ -1492,7 +1495,7 @@ impl Lowerer<'_> {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::types::ValType;
+    use crate::types::{BlockType, ValType};
 
     #[test]
     fn rop_enum_stays_small() {
@@ -1533,6 +1536,53 @@ mod tests {
         );
         assert_eq!(rf.n_locals, 1);
         assert!(rf.frame_size >= 2);
+    }
+
+    #[test]
+    fn inline_site_zeroes_the_callee_locals_and_entry_leaves_them() {
+        let mut b = ModuleBuilder::new();
+        let sig = b.func_type(&[ValType::I32], &[ValType::I32]);
+        // Leaf: (param i32) (local i32 i64); writes l2, returns l1 + p0.
+        b.begin_func(sig);
+        b.local(ValType::I32);
+        b.local(ValType::I64);
+        b.code()
+            .i64_const(5)
+            .local_set(2)
+            .local_get(1)
+            .local_get(0)
+            .i32_add();
+        b.end_func().unwrap();
+        // Caller: inlines the leaf under an `if`.
+        b.begin_func(sig);
+        b.code()
+            .local_get(0)
+            .if_(BlockType::Value(ValType::I32))
+            .local_get(0)
+            .call(0)
+            .else_()
+            .i32_const(0)
+            .end();
+        b.end_func().unwrap();
+        let m = b.finish().expect("valid");
+        let rf = &m.code().unwrap()[1];
+        assert!(
+            !rf.ops.iter().any(|op| matches!(op, ROp::CallWasm { .. })),
+            "the leaf is inlined: {:?}",
+            rf.ops
+        );
+        // Frame entry zeroes no declared local of the caller's own; the
+        // leaf's param and locals sit in registers 1..4. The site zeroes
+        // l1 (register 2), which the leaf reads first, each time it runs,
+        // and not l2, which the leaf writes first.
+        assert!(rf.locals_init.is_empty());
+        assert_eq!(rf.n_locals, 4);
+        assert!(
+            rf.ops.contains(&ROp::ConstI32 { dst: 2, k: 0 }),
+            "{:?}",
+            rf.ops
+        );
+        assert_eq!(*rf.consts, [Value::I64(5)]);
     }
 
     #[test]

@@ -1172,6 +1172,102 @@ fn differential_callee_locals_start_at_zero() {
     assert!(cases >= 10, "{cases} cases");
 }
 
+/// `$leaf` is straight-line, so its call sites are inlined: it reports
+/// what its declared locals read, then leaves all-ones in them. `loop`
+/// runs one inline site `n` times in one activation; `twice` has two
+/// sites. Every run is a fresh activation and must read zeros.
+const INLINE_LOCALS_WAT: &str = r#"(module
+  (func $leaf (param $x i32) (result i64)
+    (local $l i64) (local $i i32) (local $f f32) (local $d f64)
+    local.get $l
+    local.get $d i64.reinterpret_f64 i64.or
+    local.get $f i32.reinterpret_f32 i64.extend_i32_u i64.or
+    local.get $i i64.extend_i32_u i64.or
+    i64.const -1 local.set $l
+    local.get $x local.set $i
+    i32.const -1 f32.reinterpret_i32 local.set $f
+    i64.const -1 f64.reinterpret_i64 local.set $d)
+  (func (export "loop") (param $n i32) (result i64) (local $acc i64)
+    loop $again
+      local.get $n call $leaf local.get $acc i64.or local.set $acc
+      local.get $n i32.const 1 i32.sub local.tee $n
+      br_if $again
+    end
+    local.get $acc)
+  (func (export "twice") (param $n i32) (result i64)
+    local.get $n call $leaf
+    local.get $n call $leaf
+    i64.or))"#;
+
+#[test]
+fn differential_inlined_leaf_locals_start_at_zero_on_every_run() {
+    let mut sides = wat_pair(INLINE_LOCALS_WAT, &Linker::<()>::new(), || ());
+    let module = sides.0.module().clone();
+    for name in ["loop", "twice"] {
+        assert!(
+            !lowered_with(&module, name, "call $f"),
+            "`{name}` calls the leaf: the test no longer inlines it"
+        );
+    }
+    let mut cases = 0u32;
+    for n in [1, 2, 3, 7, -1] {
+        for name in ["loop", "twice"] {
+            if name == "loop" && n < 0 {
+                continue;
+            }
+            let out = call_pair(&mut sides, name, &[Value::I32(n)]);
+            assert_eq!(out, Ok(Some((ValType::I64, 0))), "{name}({n})");
+            cases += 1;
+        }
+    }
+    assert!(cases >= 9, "{cases} cases");
+}
+
+/// `$leaf` declares `locals` i64 locals and is straight-line; `g` calls
+/// it under an `if` that `g(0)` does not take, and `spin` calls `g(0)`
+/// `n` times.
+fn wide_leaf_wat(locals: usize) -> String {
+    format!(
+        r#"(module
+  (func $leaf (param i32) (result i32) (local{}) local.get 0)
+  (func (export "g") (param $x i32) (result i32)
+    local.get $x
+    if (result i32) local.get $x call $leaf else i32.const 7 end)
+  (func (export "spin") (param $n i32) (result i32) (local $acc i32)
+    loop $again
+      i32.const 0 call 1 local.get $acc i32.add local.set $acc
+      local.get $n i32.const 1 i32.sub local.tee $n
+      br_if $again
+    end
+    local.get $acc))"#,
+        " i64".repeat(locals)
+    )
+}
+
+#[test]
+fn differential_wide_leaf_is_called_and_a_narrow_one_inlined() {
+    // A leaf is inlined only while its instructions (`local.get`, `end`)
+    // plus its declared locals, which the site zeroes, fit the inline
+    // budget of 64: 62 locals do, 63 and 49 000 do not.
+    for (locals, inlined) in [(0, true), (62, true), (63, false), (49_000, false)] {
+        let mut sides = wat_pair(&wide_leaf_wat(locals), &Linker::<()>::new(), || ());
+        let module = sides.0.module().clone();
+        assert_eq!(
+            !lowered_with(&module, "g", "call $f"),
+            inlined,
+            "{locals} locals"
+        );
+        for (name, arg, want) in [("g", 0, 7), ("g", 5, 5), ("spin", 100, 700)] {
+            let out = call_pair(&mut sides, name, &[Value::I32(arg)]);
+            assert_eq!(
+                out,
+                Ok(Some((ValType::I32, want))),
+                "{locals}: {name}({arg})"
+            );
+        }
+    }
+}
+
 /// One module per value type: every way a value moves without an
 /// operator touching it. `carry` branches out of a block with a second
 /// value underneath, so the carried window really moves down.
