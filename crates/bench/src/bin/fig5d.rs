@@ -6,7 +6,10 @@
 //! 50th and 99th percentiles against the 1000 µs slot duration. The UE
 //! axis continues past the paper's 20 to 500 per slice, and the first UE
 //! count at which each policy's p99 crosses 10 % and 50 % of the slot (the
-//! knee) is reported.
+//! knee) is reported. Each row also times the native ransim scheduler of
+//! the same policy on the same requests (the sandbox tax, ablation A1),
+//! in batches of calls because a native call is too short to time alone:
+//! its p50 and the Wasm/native p50 factor.
 //!
 //! Run with: `cargo run -p waran-bench --release --bin fig5d`
 //!
@@ -19,17 +22,20 @@
 
 use std::time::Instant;
 
-use waran_abi::sched::{SchedRequest, UeInfo};
+use waran_abi::sched::{SchedRequest, SchedResponse, UeInfo};
 use waran_bench::{banner, f1, table, write_csv};
 use waran_core::plugins;
 use waran_host::plugin::{Plugin, SandboxPolicy};
 use waran_host::ExecTimeStats;
+use waran_ransim::sched::{MaxThroughput, ProportionalFair, RoundRobin, SliceScheduler};
 use waran_wasm::instance::Linker;
 
 const SLOT_US: f64 = 1000.0;
 const UE_COUNTS: [usize; 7] = [1, 10, 20, 50, 100, 200, 500];
 const ITERATIONS: u64 = 20_000;
 const WARMUP: u64 = 1_000;
+/// Native calls timed per sample; divides `WARMUP` and `ITERATIONS`.
+const NATIVE_BATCH: u64 = 100;
 /// Calls averaged by `--fuel`: a multiple of every UE count, so RR's
 /// rotation completes whole turns.
 const FUEL_CALLS: u64 = 1_000;
@@ -60,21 +66,35 @@ fn instantiate(wasm: &[u8]) -> Plugin<()> {
         .expect("stock plugin instantiates")
 }
 
-/// Timing of one configuration; `Err` carries the fault that ended it.
-fn measure(wasm: &[u8], n_ues: usize) -> Result<ExecTimeStats, String> {
-    let mut plugin = instantiate(wasm);
+/// Times of `call` over one configuration's requests, warm-up excluded:
+/// one sample per `batch` consecutive calls, their mean. The Wasm rows
+/// time each call (`batch` 1), as the paper does; a native scheduler call
+/// at a few UEs takes under 100 ns, close to the cost of the clock reads
+/// themselves, so the native rows are timed [`NATIVE_BATCH`] calls to a
+/// sample.
+/// Responses are checked after the clock stops; `Err` carries the fault
+/// that ended the run.
+fn measure<E: std::fmt::Display>(
+    n_ues: usize,
+    batch: u64,
+    mut call: impl FnMut(&SchedRequest) -> Result<SchedResponse, E>,
+) -> Result<ExecTimeStats, String> {
     let mut acc = ExecTimeStats::new();
-    for slot in 0..(WARMUP + ITERATIONS) {
-        let req = make_request(slot, n_ues);
-        // Measured exactly as the paper: host-side encode, sandbox call,
-        // host-side decode.
+    let mut resps = Vec::with_capacity(batch as usize);
+    for first in (0..(WARMUP + ITERATIONS)).step_by(batch as usize) {
+        let reqs: Vec<_> = (first..first + batch)
+            .map(|slot| make_request(slot, n_ues))
+            .collect();
+        resps.clear();
         let start = Instant::now();
-        let resp = plugin.call_sched(&req);
+        resps.extend(reqs.iter().map(&mut call));
         let elapsed = start.elapsed();
-        let resp = resp.map_err(|e| format!("slot {slot}: {e}"))?;
-        assert!(resp.total_prbs() <= 52);
-        if slot >= WARMUP {
-            acc.record(elapsed);
+        for (slot, resp) in (first..).zip(resps.drain(..)) {
+            let resp = resp.map_err(|e| format!("slot {slot}: {e}"))?;
+            assert!(resp.total_prbs() <= 52);
+        }
+        if first >= WARMUP {
+            acc.record(elapsed / batch as u32);
         }
     }
     Ok(acc)
@@ -109,6 +129,15 @@ fn print_fuel(policies: &[(&str, &[u8])]) {
     }
 }
 
+/// The native ransim scheduler of each figure policy.
+fn native(policy: &str) -> Box<dyn SliceScheduler> {
+    match policy {
+        "MT" => Box::new(MaxThroughput::new()),
+        "PF" => Box::new(ProportionalFair::new()),
+        _ => Box::new(RoundRobin::new()),
+    }
+}
+
 fn main() {
     let policies: [(&str, &[u8]); 3] = [
         ("MT", plugins::mt_wasm()),
@@ -133,9 +162,17 @@ fn main() {
         let mut p99_by_ues = Vec::new();
         for &n_ues in &UE_COUNTS {
             let mut row = vec![name.to_string(), format!("{n_ues}")];
+            // Measured exactly as the paper: host-side encode, sandbox
+            // call, host-side decode.
+            let mut plugin = instantiate(wasm);
+            let wasm_times = measure(n_ues, 1, |req| plugin.call_sched(req));
+            let mut sched = native(name);
+            let native_p50 = measure(n_ues, NATIVE_BATCH, |req| sched.schedule(req))
+                .expect("native scheduler schedules the figure's request")
+                .p50_us();
             // A configuration that faults is over budget by definition:
             // it gets a row and counts as crossing every threshold.
-            let p99 = match measure(wasm, n_ues) {
+            let p99 = match wasm_times {
                 Ok(acc) => {
                     let p99 = acc.p99_us();
                     row.extend([
@@ -144,12 +181,15 @@ fn main() {
                         f1(acc.mean_us()),
                         f1(acc.max_us()),
                         f1(100.0 * p99 / SLOT_US),
+                        format!("{native_p50:.3}"),
+                        format!("{:.0}×", acc.p50_us() / native_p50),
                     ]);
                     p99
                 }
                 Err(fault) => {
                     eprintln!("{name} @ {n_ues} UEs faulted: {fault}");
                     row.extend(["FAULT", "FAULT", "-", "-", "> 100"].map(String::from));
+                    row.extend([format!("{native_p50:.3}"), "-".into()]);
                     f64::INFINITY
                 }
             };
@@ -172,6 +212,8 @@ fn main() {
         "mean[µs]",
         "max[µs]",
         "p99 %slot",
+        "native p50[µs]",
+        "Wasm/native p50",
     ];
     table(&header, &rows);
     write_csv("fig5d.csv", &header, &rows);

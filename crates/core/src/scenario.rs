@@ -23,7 +23,9 @@ use waran_ransim::channel::{
     StaticChannel,
 };
 use waran_ransim::gnb::{Gnb, GnbConfig, SliceConfig};
-use waran_ransim::massive::{BackgroundSliceSnapshot, BackgroundSliceSpec, MassiveConfig};
+use waran_ransim::massive::{
+    BackgroundSliceSnapshot, BackgroundSliceSpec, MassiveConfig, CELL_RADIUS_M,
+};
 use waran_ransim::sched::{MaxThroughput, ProportionalFair, RoundRobin, SliceScheduler};
 use waran_ransim::traffic::{Cbr, FullBuffer, PoissonPackets, TrafficSource};
 use waran_ransim::ue::UeState;
@@ -500,9 +502,8 @@ impl ScenarioBuilder {
                         let hx = splitmix64(h);
                         let hy = splitmix64(hx);
                         let unit = |z: u64| (z >> 11) as f64 / (1u64 << 53) as f64;
-                        let r = MassiveConfig::default().cell_radius_m;
-                        let x = (unit(hx) * 2.0 - 1.0) * r;
-                        let y = (unit(hy) * 2.0 - 1.0) * r;
+                        let x = (unit(hx) * 2.0 - 1.0) * CELL_RADIUS_M;
+                        let y = (unit(hy) * 2.0 - 1.0) * CELL_RADIUS_M;
                         let rate_bps = bg.per_ue_kbps * 1000.0;
                         let traffic: Box<dyn TrafficSource> = if bg.burst_bytes > 0.0 {
                             Box::new(PoissonPackets::new(
@@ -544,7 +545,6 @@ impl ScenarioBuilder {
                             rotation_period_slots,
                             cell_pos: self.cell_position,
                             first_ue_id: self.gnb_config.first_ue_id + BACKGROUND_ID_OFFSET,
-                            ..MassiveConfig::default()
                         },
                         &specs,
                     );

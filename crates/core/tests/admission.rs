@@ -10,7 +10,7 @@ use waran_core::plugins::{self, faulty};
 use waran_host::{PluginError, PluginHost, SandboxPolicy};
 use waran_wasm::analysis::Bound;
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::instance::MAX_REGS;
+use waran_wasm::instance::{MAX_CALL_DEPTH, MAX_REGS};
 use waran_wasm::types::{BlockType, ValType};
 
 fn host() -> Arc<PluginHost<()>> {
@@ -126,14 +126,16 @@ fn call_chain(frames: usize) -> Vec<u8> {
     waran_wat::assemble(&wat).expect("assembles")
 }
 
-/// A statically provable call chain one frame deeper than the host's fixed
-/// depth of 512 is rejected at install time instead of trapping
-/// `StackOverflow` mid-call; a chain of exactly 512 is admitted and runs.
+/// A statically provable call chain one frame deeper than the executor's
+/// `MAX_CALL_DEPTH` is rejected at install time instead of trapping
+/// `StackOverflow` mid-call; a chain of exactly that depth is admitted and
+/// runs.
 #[test]
 fn static_call_depth_bound_past_the_host_limit_is_rejected() {
+    let depth = MAX_CALL_DEPTH;
     let h = host();
-    let err = install_plugin(&h, "deep", &call_chain(513), SandboxPolicy::default())
-        .expect_err("a 513-deep chain must not fit the 512-frame limit");
+    let err = install_plugin(&h, "deep", &call_chain(depth + 1), SandboxPolicy::default())
+        .expect_err("a chain one frame deeper than the cap must not be admitted");
     match err {
         PluginError::Admission {
             func,
@@ -143,14 +145,14 @@ fn static_call_depth_bound_past_the_host_limit_is_rejected() {
         } => {
             assert_eq!(func, "run");
             assert_eq!(bound, "call-depth");
-            assert_eq!(value, Bound::Finite(513));
-            assert_eq!(limit, 512);
+            assert_eq!(value, Bound::Finite(depth as u64 + 1));
+            assert_eq!(limit, depth as u64);
         }
         other => panic!("expected a typed admission error, got {other:?}"),
     }
 
-    install_plugin(&h, "deep", &call_chain(512), SandboxPolicy::default())
-        .expect("a 512-deep chain fits");
+    install_plugin(&h, "deep", &call_chain(depth), SandboxPolicy::default())
+        .expect("a chain of exactly MAX_CALL_DEPTH frames fits");
     assert_eq!(h.call("deep", "run", &[]), Ok(Vec::new()));
 }
 

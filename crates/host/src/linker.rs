@@ -25,10 +25,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use waran_wasm::analysis::Bound;
-use waran_wasm::instance::{ExecLimits, InstancePre, Linker, MAX_REGS};
+use waran_wasm::instance::{InstancePre, Linker, MAX_CALL_DEPTH, MAX_REGS};
 use waran_wasm::Module;
 
-use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy, MAX_CALL_DEPTH};
+use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy};
 
 /// Admission gate: check every exported function's static resource
 /// bounds against the policy. Runs at template build time — i.e. at
@@ -137,13 +137,9 @@ impl<T> PluginPre<T> {
         linker: &Linker<T>,
         policy: SandboxPolicy,
     ) -> Result<Self, PluginError> {
-        let limits = ExecLimits {
-            max_call_depth: MAX_CALL_DEPTH,
-            max_regs: MAX_REGS,
-            max_memory_pages: policy.max_memory_pages,
-        };
         let abi = AbiTable::resolve(&module);
-        let pre = InstancePre::new(module, linker, limits).map_err(PluginError::Instantiate)?;
+        let pre = InstancePre::new(module, linker, policy.max_memory_pages)
+            .map_err(PluginError::Instantiate)?;
         admit(pre.module(), &policy)?;
         Ok(PluginPre {
             pre,

@@ -104,10 +104,6 @@ const SLOT: Duration = Duration::from_millis(1);
 /// One slot of fuel on the calibrated executor: 1 ms / 3 ns = 333 333.
 const SLOT_FUEL: u64 = SLOT.as_nanos() as u64 / NS_PER_FUEL;
 
-/// Maximum nested call depth inside any plugin. Enforced at runtime and,
-/// against each export's static frame bound, at install time.
-pub(crate) const MAX_CALL_DEPTH: usize = 512;
-
 /// Upper bound on the byte length a plugin may return through the ABI.
 const MAX_RESPONSE_BYTES: u32 = 1 << 20;
 

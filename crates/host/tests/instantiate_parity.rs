@@ -1,7 +1,7 @@
 //! Snapshot-instantiation parity: stamping a plugin out of a cached
 //! [`PluginPre`] snapshot must be observationally identical to a cold
 //! decode → validate → segment-init pass over the same bytes, the bare
-//! [`Instance::with_limits`] path.
+//! [`Instance::with_page_cap`] path.
 //!
 //! Modules are generated randomly over [`ModuleBuilder`] (memories with
 //! data segments, mutable/immutable globals of every type, tables with
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use waran_host::plugin::{PluginError, SandboxPolicy};
 use waran_host::PluginPre;
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::instance::{ExecLimits, Instance, InstantiateError, Linker, MAX_REGS};
+use waran_wasm::instance::{Instance, InstantiateError, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::module::ConstExpr;
 use waran_wasm::types::{Mutability, ValType, PAGE_SIZE};
@@ -186,15 +186,10 @@ fn policy() -> SandboxPolicy {
     SandboxPolicy::default()
 }
 
-/// The cold reference: a bare instance under the limits a template stamps
-/// for [`policy`] (the host's fixed call-depth and register-arena caps).
+/// The cold reference: a bare instance under the page cap a template
+/// stamps for [`policy`].
 fn cold(bytes: &[u8]) -> Result<Instance<()>, InstantiateError> {
-    let limits = ExecLimits {
-        max_call_depth: 512,
-        max_regs: MAX_REGS,
-        max_memory_pages: policy().max_memory_pages,
-    };
-    Instance::with_limits(load(bytes), &Linker::new(), (), limits)
+    Instance::with_page_cap(load(bytes), &Linker::new(), (), policy().max_memory_pages)
 }
 
 /// Full observable-state comparison between two instances.

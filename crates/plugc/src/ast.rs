@@ -1,5 +1,7 @@
 //! PlugC abstract syntax tree.
 
+use waran_wasm::builder::CodeEmitter;
+
 use crate::lexer::Pos;
 
 /// A PlugC value type (maps 1:1 onto Wasm value types).
@@ -281,35 +283,75 @@ impl Expr {
     }
 }
 
+/// One step of an intrinsic's lowering.
+#[derive(Debug)]
+pub enum Step {
+    /// Evaluate argument `i` onto the operand stack.
+    Arg(usize),
+    /// Emit instructions.
+    Emit(fn(&mut CodeEmitter) -> &mut CodeEmitter),
+}
+
+/// An intrinsic every PlugC module can call without declaring: its name,
+/// signature, whether it is pure (reads no memory, cannot trap, has no
+/// effect, so the optimiser may move it) and the steps a call lowers to.
+#[derive(Debug)]
+pub struct Intrinsic {
+    pub name: &'static str,
+    pub params: &'static [Type],
+    pub ret: Option<Type>,
+    pub pure: bool,
+    pub lowering: &'static [Step],
+}
+
+/// The [`INTRINSICS`] table: a row is `name [params] -> ret, pure, steps;`.
+macro_rules! intrinsics {
+    ($($name:literal [$($param:ident),*] -> $ret:expr, $pure:literal, $steps:expr;)*) => {
+        &[$(Intrinsic {
+            name: $name,
+            params: &[$($param),*],
+            ret: $ret,
+            pure: $pure,
+            lowering: $steps,
+        }),*]
+    };
+}
+
 /// The intrinsic functions every PlugC module can call without declaring.
-///
-/// `(name, param types, return type)` — `None` params marks polymorphic
-/// intrinsics handled specially by the type checker.
-pub const INTRINSICS: &[(&str, &[Type], Option<Type>)] = &[
-    ("load_u8", &[Type::I32], Some(Type::I32)),
-    ("load_i32", &[Type::I32], Some(Type::I32)),
-    ("load_i64", &[Type::I32], Some(Type::I64)),
-    ("load_f32", &[Type::I32], Some(Type::F32)),
-    ("load_f64", &[Type::I32], Some(Type::F64)),
-    ("store_u8", &[Type::I32, Type::I32], None),
-    ("store_i32", &[Type::I32, Type::I32], None),
-    ("store_i64", &[Type::I32, Type::I64], None),
-    ("store_f32", &[Type::I32, Type::F32], None),
-    ("store_f64", &[Type::I32, Type::F64], None),
-    ("memory_size", &[], Some(Type::I32)),
-    ("memory_grow", &[Type::I32], Some(Type::I32)),
-    ("sqrt", &[Type::F64], Some(Type::F64)),
-    ("floor", &[Type::F64], Some(Type::F64)),
-    ("ceil", &[Type::F64], Some(Type::F64)),
-    ("abs", &[Type::F64], Some(Type::F64)),
-    ("min", &[Type::F64, Type::F64], Some(Type::F64)),
-    ("max", &[Type::F64, Type::F64], Some(Type::F64)),
-    // pack(ptr, len) -> i64: the ABI's (ptr << 32) | len return convention.
-    ("pack", &[Type::I32, Type::I32], Some(Type::I64)),
-    ("trap", &[], None),
-];
+/// The type checker, the optimiser and the code generator all read this
+/// table. `pack(ptr, len)` is the ABI's `(ptr << 32) | len` return
+/// convention, both halves zero-extended.
+pub const INTRINSICS: &[Intrinsic] = {
+    use Step::{Arg, Emit};
+    use Type::{F32, F64, I32, I64};
+    intrinsics! {
+        "load_u8" [I32] -> Some(I32), false, &[Arg(0), Emit(|c| c.i32_load8_u(0))];
+        "load_i32" [I32] -> Some(I32), false, &[Arg(0), Emit(|c| c.i32_load(0))];
+        "load_i64" [I32] -> Some(I64), false, &[Arg(0), Emit(|c| c.i64_load(0))];
+        "load_f32" [I32] -> Some(F32), false, &[Arg(0), Emit(|c| c.f32_load(0))];
+        "load_f64" [I32] -> Some(F64), false, &[Arg(0), Emit(|c| c.f64_load(0))];
+        "store_u8" [I32, I32] -> None, false, &[Arg(0), Arg(1), Emit(|c| c.i32_store8(0))];
+        "store_i32" [I32, I32] -> None, false, &[Arg(0), Arg(1), Emit(|c| c.i32_store(0))];
+        "store_i64" [I32, I64] -> None, false, &[Arg(0), Arg(1), Emit(|c| c.i64_store(0))];
+        "store_f32" [I32, F32] -> None, false, &[Arg(0), Arg(1), Emit(|c| c.f32_store(0))];
+        "store_f64" [I32, F64] -> None, false, &[Arg(0), Arg(1), Emit(|c| c.f64_store(0))];
+        "memory_size" [] -> Some(I32), false, &[Emit(|c| c.memory_size())];
+        "memory_grow" [I32] -> Some(I32), false, &[Arg(0), Emit(|c| c.memory_grow())];
+        "sqrt" [F64] -> Some(F64), true, &[Arg(0), Emit(|c| c.f64_sqrt())];
+        "floor" [F64] -> Some(F64), true, &[Arg(0), Emit(|c| c.f64_floor())];
+        "ceil" [F64] -> Some(F64), true, &[Arg(0), Emit(|c| c.f64_ceil())];
+        "abs" [F64] -> Some(F64), true, &[Arg(0), Emit(|c| c.f64_abs())];
+        "min" [F64, F64] -> Some(F64), true, &[Arg(0), Arg(1), Emit(|c| c.f64_min())];
+        "max" [F64, F64] -> Some(F64), true, &[Arg(0), Arg(1), Emit(|c| c.f64_max())];
+        "pack" [I32, I32] -> Some(I64), true, &[
+            Arg(0), Emit(|c| c.i64_extend_i32_u().i64_const(32).i64_shl()),
+            Arg(1), Emit(|c| c.i64_extend_i32_u().i64_or()),
+        ];
+        "trap" [] -> None, false, &[Emit(|c| c.unreachable())];
+    }
+};
 
 /// Look up an intrinsic by name.
-pub fn intrinsic(name: &str) -> Option<&'static (&'static str, &'static [Type], Option<Type>)> {
-    INTRINSICS.iter().find(|(n, _, _)| *n == name)
+pub fn intrinsic(name: &str) -> Option<&'static Intrinsic> {
+    INTRINSICS.iter().find(|i| i.name == name)
 }

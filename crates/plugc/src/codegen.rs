@@ -22,7 +22,7 @@ use waran_wasm::builder::{CodeEmitter, ModuleBuilder};
 use waran_wasm::module::{ConstExpr, Module};
 use waran_wasm::types::{BlockType, Mutability};
 
-use crate::ast::{BinOp, Literal, Type};
+use crate::ast::{BinOp, Literal, Step, Type};
 use crate::typeck::{TExpr, TExprKind, TProgram, TStmt};
 use crate::CompileError;
 
@@ -352,7 +352,16 @@ impl FuncGen {
                 }
                 code.call(*index);
             }
-            TExprKind::Intrinsic { name, args } => self.intrinsic(code, name, args),
+            TExprKind::Intrinsic { def, args } => {
+                for step in def.lowering {
+                    match step {
+                        Step::Arg(i) => self.expr(code, &args[*i]),
+                        Step::Emit(emit) => {
+                            emit(code);
+                        }
+                    }
+                }
+            }
             TExprKind::Bin {
                 op,
                 operand_ty,
@@ -388,42 +397,6 @@ impl FuncGen {
                 emit_binop(code, *op, *operand_ty);
             }
         }
-    }
-
-    fn intrinsic(&mut self, code: &mut CodeEmitter, name: &str, args: &[TExpr]) {
-        if name == "pack" {
-            // (ptr as u64) << 32 | (len as u64), emitted inline.
-            self.expr(code, &args[0]);
-            code.i64_extend_i32_u().i64_const(32).i64_shl();
-            self.expr(code, &args[1]);
-            code.i64_extend_i32_u().i64_or();
-            return;
-        }
-        for a in args {
-            self.expr(code, a);
-        }
-        match name {
-            "load_u8" => code.i32_load8_u(0),
-            "load_i32" => code.i32_load(0),
-            "load_i64" => code.i64_load(0),
-            "load_f32" => code.f32_load(0),
-            "load_f64" => code.f64_load(0),
-            "store_u8" => code.i32_store8(0),
-            "store_i32" => code.i32_store(0),
-            "store_i64" => code.i64_store(0),
-            "store_f32" => code.f32_store(0),
-            "store_f64" => code.f64_store(0),
-            "memory_size" => code.memory_size(),
-            "memory_grow" => code.memory_grow(),
-            "sqrt" => code.f64_sqrt(),
-            "floor" => code.f64_floor(),
-            "ceil" => code.f64_ceil(),
-            "abs" => code.f64_abs(),
-            "min" => code.f64_min(),
-            "max" => code.f64_max(),
-            "trap" => code.unreachable(),
-            other => unreachable!("unknown intrinsic {other}"),
-        };
     }
 }
 

@@ -37,7 +37,7 @@
 //! precedence, short-circuiting `&&`/`||`, casts (`x as i64`), calls, and
 //! memory/math intrinsics (`load_*`/`store_*`, `memory_size`,
 //! `memory_grow`, `sqrt`, `floor`, `ceil`, `abs`, `min`, `max`, `pack`,
-//! `trap`).
+//! `trap`), each one row of [`ast::INTRINSICS`].
 //!
 //! ## Pipeline
 //!

@@ -21,11 +21,13 @@
 //! * nothing non-trivial is evaluated more often than before, so the
 //!   optimised program never retires more instructions.
 //!
-//! Helpers are inlined bottom-up: once `rec` is gone from `metric`'s
-//! body, `metric` is itself call-free and its callers are rewritten on
-//! the next round. Each rewrite removes a call node and adds none, so the
-//! rounds terminate. Inlined helpers stay in the module (they may be
-//! exported, and function indices do not move).
+//! Each function body is rewritten once, after the bodies of the
+//! functions it calls: once `rec` is gone from `metric`'s body, `metric`
+//! is itself call-free and a helper for its callers. A call that closes
+//! a cycle of calls stays a call, and so does every call along the
+//! cycle: no function on it can become call-free. The pass is linear in
+//! the program, however long a chain of helpers. Inlined helpers stay in
+//! the module (they may be exported, and function indices do not move).
 //!
 //! An inline whose result would be taller than [`MAX_NESTING`] or larger
 //! than [`MAX_INLINED_NODES`] keeps the call. Substitution stacks one
@@ -48,31 +50,60 @@ pub const MAX_INLINED_NODES: usize = 4096;
 /// Optimise a checked program. Behaviour-preserving by construction: see
 /// the module docs for the argument.
 pub fn optimize(mut program: TProgram) -> TProgram {
-    let n_imports = program.imports.len() as u32;
-    loop {
-        // Per defined function: the returned expression, if it is a
-        // one-line helper.
-        let bodies: Vec<Option<TExpr>> = program
-            .funcs
-            .iter()
-            .map(|f| match f.body.as_slice() {
-                [TStmt::Return { value: Some(e) }] if !has_call(e) => Some(e.clone()),
-                _ => None,
-            })
-            .collect();
-        let helpers = Helpers { n_imports, bodies };
-        let mut changed = false;
-        for func in &mut program.funcs {
-            for_each_root(&mut func.body, &mut |e| {
-                changed |= inline_calls(e, &helpers)
-            });
-        }
-        if !changed {
-            return program;
-        }
+    let mut helpers = Helpers {
+        n_imports: program.imports.len() as u32,
+        bodies: vec![None; program.funcs.len()],
+    };
+    for f in callee_first(&mut program) {
+        let body = &mut program.funcs[f].body;
+        for_each_root(body, &mut |e| inline_calls(e, &helpers));
+        helpers.bodies[f] = match body.as_slice() {
+            [TStmt::Return { value: Some(e) }] if !has_call(e) => Some(e.clone()),
+            _ => None,
+        };
     }
+    program
 }
 
+/// The defined functions, each once, every callee before its callers. A
+/// call into a function whose callees are still being ordered closes a
+/// cycle and is not followed.
+fn callee_first(program: &mut TProgram) -> Vec<usize> {
+    let n_imports = program.imports.len() as u32;
+    let mut callees = Vec::new();
+    for f in &mut program.funcs {
+        let mut out = Vec::new();
+        for_each_root(&mut f.body, &mut |e| calls(e, n_imports, &mut out));
+        callees.push(out);
+    }
+    let mut seen = vec![false; callees.len()];
+    let mut order = Vec::with_capacity(callees.len());
+    for root in 0..callees.len() {
+        // Depth first without recursion: (function, next callee to visit).
+        let mut stack = vec![(root, 0)];
+        while let Some((f, next)) = stack.pop() {
+            if next == 0 && std::mem::replace(&mut seen[f], true) {
+                continue;
+            }
+            match callees[f].get(next) {
+                Some(&c) => stack.extend([(f, next + 1), (c, 0)]),
+                None => order.push(f),
+            }
+        }
+    }
+    order
+}
+
+/// Collect the defined functions `e` calls.
+fn calls(e: &TExpr, n_imports: u32, out: &mut Vec<usize>) {
+    if let TExprKind::Call { index, .. } = e.kind {
+        out.extend(index.checked_sub(n_imports).map(|f| f as usize));
+    }
+    for_each_child(e, |c| calls(c, n_imports, out));
+}
+
+/// Per defined function: the returned expression, once its body is final
+/// and if it is a one-line helper.
 struct Helpers {
     n_imports: u32,
     bodies: Vec<Option<TExpr>>,
@@ -163,12 +194,7 @@ fn is_pure(e: &TExpr) -> bool {
             !(matches!(op, BinOp::Div | BinOp::Rem) && operand_ty.is_int())
         }
         TExprKind::Call { .. } => false,
-        TExprKind::Intrinsic { name, .. } => {
-            matches!(
-                *name,
-                "sqrt" | "floor" | "ceil" | "abs" | "min" | "max" | "pack"
-            )
-        }
+        TExprKind::Intrinsic { def, .. } => def.pure,
         // Float→int casts saturate, so no cast traps.
         _ => true,
     };
@@ -207,34 +233,31 @@ fn shape(e: &TExpr, args: Option<&[Shape]>) -> Shape {
     out
 }
 
-/// Rewrite every inlinable helper call in `e`, innermost first. Returns
-/// whether anything changed.
-fn inline_calls(e: &mut TExpr, helpers: &Helpers) -> bool {
-    let mut changed = false;
-    for_each_child_mut(e, |c| changed |= inline_calls(c, helpers));
+/// Rewrite every inlinable helper call in `e`, innermost first.
+fn inline_calls(e: &mut TExpr, helpers: &Helpers) {
+    for_each_child_mut(e, |c| inline_calls(c, helpers));
     let TExprKind::Call { index, args } = &e.kind else {
-        return changed;
+        return;
     };
     let Some(body) = helpers.body(*index) else {
-        return changed;
+        return;
     };
     let inlinable = args
         .iter()
         .enumerate()
         .all(|(p, a)| is_pure(a) && (is_trivial(a) || uses(body, p as u32) <= 1));
     if !inlinable {
-        return changed;
+        return;
     }
     let arg_shapes: Vec<Shape> = args.iter().map(|a| shape(a, None)).collect();
     let result = shape(body, Some(&arg_shapes));
     if result.height > MAX_NESTING || result.nodes > MAX_INLINED_NODES {
-        return changed;
+        return;
     }
     let mut inlined = body.clone();
     substitute(&mut inlined, args);
     debug_assert_eq!(inlined.ty, e.ty);
     *e = inlined;
-    true
 }
 
 /// Replace each parameter read in a helper's expression by its argument.
@@ -252,10 +275,14 @@ fn substitute(e: &mut TExpr, args: &[TExpr]) {
 mod tests {
     use super::*;
 
+    fn checked(src: &str) -> TProgram {
+        let program = crate::parser::parse(&crate::lexer::lex(src).unwrap()).unwrap();
+        crate::typeck::check(&program).unwrap()
+    }
+
     /// Whether `caller`'s body still contains a call after optimisation.
     fn calls_left(src: &str) -> bool {
-        let program = crate::parser::parse(&crate::lexer::lex(src).unwrap()).unwrap();
-        let typed = optimize(crate::typeck::check(&program).unwrap());
+        let typed = optimize(checked(src));
         let caller = typed.funcs.iter().find(|f| f.name == "caller").unwrap();
         let mut body = caller.body.clone();
         let mut found = false;
@@ -285,6 +312,37 @@ mod tests {
              }}"
         );
         assert!(!calls_left(&src));
+    }
+
+    #[test]
+    fn each_body_is_rewritten_once_after_its_callees() {
+        // `h19999` … `h0`, declared callers first: each helper calls the
+        // next, so a declaration-order pass would need a round per link.
+        const N: usize = 20_000;
+        let mut src = String::new();
+        for i in (1..N).rev() {
+            src += &format!("fn h{i}(x: i32) -> i32 {{ return h{}(x); }}\n", i - 1);
+        }
+        src += "fn h0(x: i32) -> i32 { return x + 1; }\n";
+        src += &format!("fn caller(a: i32) -> i32 {{ return h{}(a); }}", N - 1);
+        let order = callee_first(&mut checked(&src));
+        // Declaration index `i` holds `h{N-1-i}`, then `caller`: the pass
+        // walks them from `h0` up, each once.
+        let want: Vec<usize> = (0..N).rev().chain([N]).collect();
+        assert_eq!(order, want);
+        assert!(!calls_left(&src));
+        crate::compile(&src).expect("a long helper chain compiles");
+    }
+
+    #[test]
+    fn calls_on_a_cycle_stay_calls() {
+        let src = "fn even(x: i32) -> i32 { return odd(x); }
+                   fn odd(x: i32) -> i32 { return even(x); }
+                   fn caller(a: i32) -> i32 { return even(a); }";
+        let mut order = callee_first(&mut checked(src));
+        order.sort_unstable();
+        assert_eq!(order, [0, 1, 2]);
+        assert!(calls_left(src));
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub enum TExprKind {
     Call { index: u32, args: Vec<TExpr> },
     /// Call a compiler intrinsic.
     Intrinsic {
-        name: &'static str,
+        def: &'static Intrinsic,
         args: Vec<TExpr>,
     },
 }
@@ -515,23 +515,20 @@ impl Checker {
                     .iter()
                     .map(|a| self.check_expr(a, ctx))
                     .collect::<Result<_, _>>()?;
-                if let Some((iname, params, ret)) = intrinsic(name) {
-                    if targs.len() != params.len() {
+                if let Some(def) = intrinsic(name) {
+                    if targs.len() != def.params.len() {
                         return Err(pos.err(format!(
                             "intrinsic `{name}` takes {} arguments, got {}",
-                            params.len(),
+                            def.params.len(),
                             targs.len()
                         )));
                     }
-                    for (a, p) in targs.iter().zip(params.iter()) {
+                    for (a, p) in targs.iter().zip(def.params.iter()) {
                         expect_ty(a, *p, *pos)?;
                     }
                     return Ok(TExpr {
-                        ty: *ret,
-                        kind: TExprKind::Intrinsic {
-                            name: iname,
-                            args: targs,
-                        },
+                        ty: def.ret,
+                        kind: TExprKind::Intrinsic { def, args: targs },
                     });
                 }
                 let entry = self

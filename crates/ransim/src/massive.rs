@@ -32,6 +32,9 @@
 //! than compacted, keeping every recorded index stable. The destination
 //! cell absorbs such arrivals into its own plane (see
 //! `Gnb::admit_ue`), which appends a fresh SoA row.
+//!
+//! A deployment sets only what [`MassiveConfig`] holds; every setting with
+//! one value (strides, buffer ceiling, [`CELL_RADIUS_M`]) is a constant.
 
 use std::collections::VecDeque;
 
@@ -47,6 +50,23 @@ use crate::ue::UeState;
 const SHADOW_SIGMA_DB: f64 = 3.0;
 /// Shadowing AR(1) coefficient (matches [`PinnedChannel`]).
 const SHADOW_RHO: f64 = 0.98;
+
+/// Background UEs are placed uniformly in a square of this half-width
+/// around the serving site, meters, in the per-UE population model too.
+/// The shared link budget ([`path_loss_snr_db`]: 38 dB at 10 m,
+/// −35 dB/decade) puts the cell edge near 500 m; 100 m keeps a dense
+/// background population in the small-cell regime where the carrier can
+/// actually serve it.
+pub const CELL_RADIUS_M: f64 = 100.0;
+
+/// Active rows the per-slot aggregate arrival is spread over.
+const ARRIVAL_STRIDE: usize = 64;
+
+/// Rows whose channel is resampled per slot (round-robin).
+const RESAMPLE_STRIDE: usize = 64;
+
+/// Per-row buffer ceiling, bytes.
+const MAX_BUFFER_BYTES: u64 = 1 << 20;
 
 /// Lifecycle of one SoA row. Rows are never compacted (`swap_remove`
 /// would invalidate the indices held by the promotion FIFO); they move
@@ -71,23 +91,11 @@ pub struct MassiveConfig {
     /// Promote/demote every this many slots (0 = never rotate after the
     /// initial fill).
     pub rotation_period_slots: u64,
-    /// Entries whose channel is resampled per slot (round-robin).
-    pub resample_stride: usize,
-    /// Entries the per-slot aggregate arrival is spread over.
-    pub arrival_stride: usize,
-    /// Serving-site position, meters.
+    /// Serving-site position, meters; background UEs are placed within
+    /// [`CELL_RADIUS_M`] of it.
     pub cell_pos: [f64; 2],
-    /// Background UEs are placed uniformly in a square of this
-    /// half-width around the site, meters. The shared link budget
-    /// ([`path_loss_snr_db`]: 38 dB at 10 m, −35 dB/decade) puts the
-    /// cell edge near 500 m; the default 100 m keeps a dense background
-    /// population in the small-cell regime where the carrier can
-    /// actually serve it.
-    pub cell_radius_m: f64,
     /// First background UE id (must not collide with foreground ids).
     pub first_ue_id: u32,
-    /// Per-entry buffer ceiling, bytes.
-    pub max_buffer_bytes: u64,
 }
 
 impl Default for MassiveConfig {
@@ -96,12 +104,8 @@ impl Default for MassiveConfig {
             seed: 0,
             foreground_quota: 2,
             rotation_period_slots: 100,
-            resample_stride: 64,
-            arrival_stride: 64,
             cell_pos: [0.0, 0.0],
-            cell_radius_m: 100.0,
             first_ue_id: 1_000_000,
-            max_buffer_bytes: 1 << 20,
         }
     }
 }
@@ -283,9 +287,8 @@ impl MassivePlane {
                     splitmix64(config.seed ^ splitmix64(((si as u64 + 1) << 32) ^ (i as u64 + 1)));
                 let hx = splitmix64(h);
                 let hy = splitmix64(hx);
-                let r = config.cell_radius_m.max(1.0);
-                let x = config.cell_pos[0] + (unit_f64(hx) * 2.0 - 1.0) * r;
-                let y = config.cell_pos[1] + (unit_f64(hy) * 2.0 - 1.0) * r;
+                let x = config.cell_pos[0] + (unit_f64(hx) * 2.0 - 1.0) * CELL_RADIUS_M;
+                let y = config.cell_pos[1] + (unit_f64(hy) * 2.0 - 1.0) * CELL_RADIUS_M;
                 let dx = x - config.cell_pos[0];
                 let dy = y - config.cell_pos[1];
                 let snr = path_loss_snr_db((dx * dx + dy * dy).sqrt());
@@ -339,20 +342,16 @@ impl MassivePlane {
     }
 
     /// Start-of-slot batch update: one aggregate draw per slice spread
-    /// over `arrival_stride` active rows, then AR(1) channel resampling
-    /// of the next `resample_stride` rows. O(strides), not O(population).
+    /// over `ARRIVAL_STRIDE` active rows, then AR(1) channel resampling
+    /// of the next `RESAMPLE_STRIDE` rows. O(strides), not O(population).
     pub fn begin_slot(&mut self, slot: u64, slot_seconds: f64) {
-        let MassivePlane {
-            config,
-            rng,
-            slices,
-        } = self;
+        let MassivePlane { rng, slices, .. } = self;
         for s in slices.iter_mut() {
             // Aggregate arrival.
             let offered = s.fleet.bytes_for_slot(slot, slot_seconds, rng);
             s.offered_bytes += offered;
             if s.active > 0 && offered > 0 {
-                let targets = (config.arrival_stride.max(1)).min(s.active as usize);
+                let targets = ARRIVAL_STRIDE.min(s.active as usize);
                 let per = offered / targets as u64;
                 let mut extra = offered - per * targets as u64;
                 let len = s.len();
@@ -366,7 +365,7 @@ impl MassivePlane {
                             amount += extra;
                             extra = 0;
                         }
-                        let room = config.max_buffer_bytes.saturating_sub(s.buffer_bytes[i]);
+                        let room = MAX_BUFFER_BYTES.saturating_sub(s.buffer_bytes[i]);
                         let accepted = amount.min(room);
                         s.buffer_bytes[i] += accepted;
                         s.buffer_total += accepted;
@@ -381,7 +380,7 @@ impl MassivePlane {
             // Batched channel resampling.
             if s.active > 0 {
                 let len = s.len();
-                let budget = config.resample_stride.max(1).min(len);
+                let budget = RESAMPLE_STRIDE.min(len);
                 let mut i = s.resample_cursor % len;
                 for _ in 0..budget {
                     if s.state[i] != EntryState::Departed {
@@ -462,7 +461,7 @@ impl MassivePlane {
         s.promoted_fifo.pop_front();
         match ue {
             Some(ue) => {
-                let buf = ue.buffer_bytes.min(self.config.max_buffer_bytes);
+                let buf = ue.buffer_bytes.min(MAX_BUFFER_BYTES);
                 s.state[row] = EntryState::Active;
                 s.buffer_bytes[row] = buf;
                 s.buffer_total += buf;
@@ -526,7 +525,7 @@ impl MassivePlane {
         ue.buffer_bytes = s.buffer_bytes[i];
         ue.cqi = s.cqi[i];
         ue.mcs = s.mcs[i];
-        ue.max_buffer_bytes = self.config.max_buffer_bytes;
+        ue.max_buffer_bytes = MAX_BUFFER_BYTES;
         s.buffer_bytes[i] = 0;
         Some((s.slice_id, ue))
     }
@@ -540,7 +539,7 @@ impl MassivePlane {
         };
         debug_assert_eq!(id, ue.ue_id);
         s.state[row] = EntryState::Active;
-        s.buffer_bytes[row] = ue.buffer_bytes.min(self.config.max_buffer_bytes);
+        s.buffer_bytes[row] = ue.buffer_bytes.min(MAX_BUFFER_BYTES);
         s.buffer_total += s.buffer_bytes[row];
         s.sum_prb_bits += bits_per_prb(s.mcs[row]) as u64;
         s.active += 1;
@@ -556,7 +555,6 @@ impl MassivePlane {
             return false;
         };
         let cell_pos = self.config.cell_pos;
-        let max_buf = self.config.max_buffer_bytes;
         let s = &mut self.slices[si];
         let pos = ue.channel.position().unwrap_or(cell_pos);
         let dx = pos[0] - cell_pos[0];
@@ -564,7 +562,7 @@ impl MassivePlane {
         let snr = path_loss_snr_db((dx * dx + dy * dy).sqrt());
         let cqi = ue.cqi.max(1);
         let mcs = ue.mcs;
-        let buf = ue.buffer_bytes.min(max_buf);
+        let buf = ue.buffer_bytes.min(MAX_BUFFER_BYTES);
         s.ue_id.push(ue.ue_id);
         s.buffer_bytes.push(buf);
         s.cqi.push(cqi);

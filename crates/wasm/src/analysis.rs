@@ -129,10 +129,11 @@ pub struct FuncReport {
     /// activation's price, each bulk memory op's byte charge and each
     /// `memory.grow`'s page charge.
     pub fuel: Bound,
-    /// Worst-case call-frame depth (the function's own frame included).
+    /// Worst-case call-frame depth (the function's own frame included),
+    /// held against [`crate::instance::MAX_CALL_DEPTH`].
     pub frames: Bound,
     /// Worst-case register-arena footprint of the executor, in cells: what
-    /// a call rooted here needs under [`crate::instance::ExecLimits::max_regs`].
+    /// a call rooted here needs under [`crate::instance::MAX_REGS`].
     pub regs: Bound,
     /// True when some reachable loop has no statically bounded trip
     /// count.

@@ -4,10 +4,11 @@
 //! [`Instance`] owns the runtime state (memory, table, globals, host state
 //! `T`) and drives the one executor, the register-form loop over the
 //! code [`Module::analysis`]'s proof checked. The engine enforces the
-//! sandbox policies WA-RAN's plugin host configures: a call-depth bound,
-//! a cap on the register arena the executor allocates, and deterministic
-//! fuel, the one budget that stops a call (the host sizes it from the 5G
-//! slot with [`NS_PER_FUEL`]; a bare instance starts with `u64::MAX`). The executor reads no clock. Its
+//! sandbox: two fixed stack bounds, [`MAX_CALL_DEPTH`] frames and a
+//! [`MAX_REGS`]-cell register arena, the one page cap each instance is
+//! built with, and deterministic fuel, the one budget that stops a call
+//! (the host sizes it from the 5G slot with [`NS_PER_FUEL`]; a bare
+//! instance starts with `u64::MAX`). The executor reads no clock. Its
 //! test oracle, a tree walker over the decoded `Instr` bodies with its
 //! own memory, lives in the crate's `tests/util/oracle.rs`.
 
@@ -19,7 +20,7 @@ use crate::module::{ConstExpr, ExportKind, ImportKind, Module};
 use crate::ops::{LoadKind, StoreKind};
 use crate::regalloc::{ROp, RegFunc};
 use crate::trap::Trap;
-use crate::types::{FuncType, Limits, Mutability, ValType, PAGE_SIZE};
+use crate::types::{FuncType, Limits, Mutability, ValType, MAX_PAGES, PAGE_SIZE};
 
 /// A host function: receives the host state, the guest memory and the
 /// arguments; returns at most one value.
@@ -183,35 +184,16 @@ pub(crate) fn call_price(declared_locals: usize) -> u32 {
     CALL_FUEL + (declared_locals as u32).div_ceil(LOCALS_PER_FUEL)
 }
 
-/// Register cells the executor's arena may hold, 2^20 words (8 MiB): the
-/// default [`ExecLimits::max_regs`] and the plugin host's fixed cap. A call
-/// whose frame would grow the arena past it traps [`Trap::StackOverflow`].
+/// Register cells the executor's arena may hold, 2^20 words (8 MiB). A
+/// call whose frame would grow the arena past it traps
+/// [`Trap::StackOverflow`], and the plugin host refuses an export whose
+/// static `regs` bound exceeds it.
 pub const MAX_REGS: usize = 1 << 20;
 
-/// Execution resource limits. The plugin host takes the memory cap from
-/// each plugin's sandbox policy and the depth and arena limits from its
-/// own fixed values.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecLimits {
-    /// Maximum nested call depth.
-    pub max_call_depth: usize,
-    /// Maximum register cells in the executor's arena: every live frame's
-    /// locals and operand window.
-    pub max_regs: usize,
-    /// Maximum memory pages the instance may ever hold (policy cap layered
-    /// under the module's own declared max).
-    pub max_memory_pages: u32,
-}
-
-impl Default for ExecLimits {
-    fn default() -> Self {
-        ExecLimits {
-            max_call_depth: 1024,
-            max_regs: MAX_REGS,
-            max_memory_pages: u32::MAX,
-        }
-    }
-}
+/// Frames a call may nest, the entry frame included. One frame deeper
+/// traps [`Trap::StackOverflow`], and the plugin host refuses an export
+/// whose static `frames` bound exceeds it.
+pub const MAX_CALL_DEPTH: usize = 512;
 
 /// Cumulative execution statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -223,6 +205,12 @@ pub struct ExecStats {
     pub invokes: u64,
     /// Traps observed.
     pub traps: u64,
+    /// Most register cells the arena held in any one call: the measured
+    /// counterpart of an export's static `regs` bound.
+    pub peak_regs: u64,
+    /// Deepest frame stack any one call reached, the entry frame
+    /// included: the measured counterpart of the static `frames` bound.
+    pub peak_frames: u64,
 }
 
 /// An instantiated module plus its host state `T`.
@@ -259,7 +247,6 @@ struct Vm {
     memory: Memory,
     table: Table,
     globals: Vec<Value>,
-    limits: ExecLimits,
     /// Fuel left; `u64::MAX` until [`Instance::set_fuel`] arms a budget.
     fuel: u64,
     stats: ExecStats,
@@ -318,7 +305,7 @@ fn _linker_sync_audit<T: Send + Sync>() {
 
 /// Resolve a module's function imports against a linker, type-checking
 /// each one. This is the single import-resolution path: the cold
-/// [`Instance::with_limits`] and the pre-validated [`InstancePre`] both go
+/// [`Instance::with_page_cap`] and the pre-validated [`InstancePre`] both go
 /// through it, so their error behavior cannot drift.
 fn resolve_imports<T>(
     module: &Module,
@@ -367,11 +354,12 @@ struct InstanceState {
 impl InstanceState {
     /// Initialize from the module's segments (the cold path, and the one
     /// snapshot capture per template).
-    fn init(module: &Module, limits: &ExecLimits) -> Result<Self, InstantiateError> {
+    fn init(module: &Module, max_pages: u32) -> Result<Self, InstantiateError> {
         // Memory + data segments.
         let mut memory = match module.memory {
-            Some(mem_limits) => Memory::new(mem_limits, limits.max_memory_pages)
-                .map_err(InstantiateError::MemoryPolicy)?,
+            Some(mem_limits) => {
+                Memory::new(mem_limits, max_pages).map_err(InstantiateError::MemoryPolicy)?
+            }
             None => Memory::empty(),
         };
         for seg in &module.data {
@@ -516,7 +504,7 @@ impl StateSnapshot {
 /// The snapshot is captured *before* the start function: `start` may call
 /// host functions against the instance's own host state, so it must run
 /// per stamp-out for snapshot instantiation to be observationally
-/// identical to the cold path, [`Instance::with_limits`].
+/// identical to the cold path, [`Instance::with_page_cap`].
 ///
 /// Cloning is cheap (four `Arc` bumps); a template is `Send + Sync` and
 /// meant to be shared across worker threads.
@@ -525,7 +513,6 @@ pub struct InstancePre<T> {
     code: Arc<[RegFunc]>,
     host_funcs: Arc<[HostFuncDef<T>]>,
     snapshot: Arc<StateSnapshot>,
-    limits: ExecLimits,
 }
 
 impl<T> Clone for InstancePre<T> {
@@ -535,7 +522,6 @@ impl<T> Clone for InstancePre<T> {
             code: Arc::clone(&self.code),
             host_funcs: Arc::clone(&self.host_funcs),
             snapshot: Arc::clone(&self.snapshot),
-            limits: self.limits,
         }
     }
 }
@@ -551,21 +537,21 @@ impl<T> std::fmt::Debug for InstancePre<T> {
 
 impl<T> InstancePre<T> {
     /// Resolve + type-check `module`'s imports against `linker` and capture
-    /// the post-segment-init state snapshot.
+    /// the post-segment-init state snapshot, its memory capped at
+    /// `max_pages` under the module's own declared max.
     pub fn new(
         module: Arc<Module>,
         linker: &Linker<T>,
-        limits: ExecLimits,
+        max_pages: u32,
     ) -> Result<Self, InstantiateError> {
         let host_funcs: Arc<[HostFuncDef<T>]> = resolve_imports(&module, linker)?.into();
         let code = Arc::clone(module.code().map_err(InstantiateError::Analysis)?);
-        let snapshot = Arc::new(StateSnapshot::new(InstanceState::init(&module, &limits)?));
+        let snapshot = Arc::new(StateSnapshot::new(InstanceState::init(&module, max_pages)?));
         Ok(InstancePre {
             module,
             code,
             host_funcs,
             snapshot,
-            limits,
         })
     }
 
@@ -588,33 +574,33 @@ impl<T> InstancePre<T> {
             Arc::clone(&self.host_funcs),
             self.snapshot.stamp(),
             data,
-            self.limits,
             self.snapshot.size_bytes,
         )
     }
 }
 
 impl<T> Instance<T> {
-    /// Instantiate `module` with imports from `linker` and host state `data`,
-    /// using default [`ExecLimits`].
+    /// Instantiate `module` with imports from `linker` and host state `data`;
+    /// its memory may grow to the module's own declared max.
     pub fn new(module: Arc<Module>, linker: &Linker<T>, data: T) -> Result<Self, InstantiateError> {
-        Self::with_limits(module, linker, data, ExecLimits::default())
+        Self::with_page_cap(module, linker, data, MAX_PAGES)
     }
 
-    /// Instantiate with explicit limits. This is the *cold* path: imports
-    /// are resolved and the mutable state initialized from the module's
-    /// segments on every call. Fleets stamping out many instances of one
-    /// module should build an [`InstancePre`] once and instantiate from it.
-    pub fn with_limits(
+    /// Instantiate with memory capped at `max_pages` under the module's
+    /// own declared max. This is the *cold* path: imports are resolved and
+    /// the mutable state initialized from the module's segments on every
+    /// call. Fleets stamping out many instances of one module should build
+    /// an [`InstancePre`] once and instantiate from it.
+    pub fn with_page_cap(
         module: Arc<Module>,
         linker: &Linker<T>,
         data: T,
-        limits: ExecLimits,
+        max_pages: u32,
     ) -> Result<Self, InstantiateError> {
         let host_funcs: Arc<[HostFuncDef<T>]> = resolve_imports(&module, linker)?.into();
         let code = Arc::clone(module.code().map_err(InstantiateError::Analysis)?);
-        let state = InstanceState::init(&module, &limits)?;
-        Self::assemble(module, code, host_funcs, state, data, limits, 0)
+        let state = InstanceState::init(&module, max_pages)?;
+        Self::assemble(module, code, host_funcs, state, data, 0)
     }
 
     /// Final construction step shared by the cold path and
@@ -628,7 +614,6 @@ impl<T> Instance<T> {
         host_funcs: Arc<[HostFuncDef<T>]>,
         state: InstanceState,
         data: T,
-        limits: ExecLimits,
         recycle_len: usize,
     ) -> Result<Self, InstantiateError> {
         let InstanceState {
@@ -645,7 +630,6 @@ impl<T> Instance<T> {
                 memory,
                 table,
                 globals,
-                limits,
                 fuel: u64::MAX,
                 stats: ExecStats::default(),
                 scratch_regs: Vec::with_capacity(128),
@@ -806,7 +790,7 @@ impl Vm {
         let ret_ty = module
             .func_type(entry)
             .and_then(|ty| ty.results.first().copied());
-        let result = if rf.frame_size as usize > self.limits.max_regs {
+        let result = if rf.frame_size as usize > MAX_REGS {
             Err(Trap::StackOverflow)
         } else {
             // Declared locals and the operand window start as zero words:
@@ -818,8 +802,12 @@ impl Vm {
                 pc: 0,
                 base: 0,
             });
+            self.stats.peak_frames = self.stats.peak_frames.max(1);
             self.run_reg(module, code, host_funcs, data, &mut regs, &mut frames)
         };
+        // Within a call the arena only grows, so its length now is the
+        // call's high-water mark.
+        self.stats.peak_regs = self.stats.peak_regs.max(regs.len() as u64);
         let out = result.map(|()| ret_ty.map(|ty| Value::from_bits(ty, regs[0])));
 
         self.scratch_regs = regs;
@@ -832,8 +820,8 @@ impl Vm {
     /// results, traps and fuel totals match a per-instruction walk of the
     /// source, with fuel checked once per basic block — but all operands
     /// are frame-relative register indices; there is no value stack and no
-    /// locals arena, only `regs`, capped at [`ExecLimits::max_regs`] where
-    /// a call grows it.
+    /// locals arena, only `regs`, capped at [`MAX_REGS`] where a call grows
+    /// it.
     ///
     /// A register is an untyped word: each op reads its operands at the
     /// type the op itself implies (an i32 read takes the low half, an i32
@@ -899,14 +887,14 @@ impl Vm {
             macro_rules! enter {
                 ($f:expr, $abs:expr) => {{
                     let (f, abs) = ($f, $abs);
-                    if frames.len() >= self.limits.max_call_depth {
+                    if frames.len() >= MAX_CALL_DEPTH {
                         return Err(Trap::StackOverflow);
                     }
                     frames.last_mut().expect("at least one frame").pc = pc as u32;
                     let callee = &code[f as usize];
                     let need = abs + callee.frame_size as usize;
                     if regs.len() < need {
-                        if need > self.limits.max_regs {
+                        if need > MAX_REGS {
                             return Err(Trap::StackOverflow);
                         }
                         regs.resize(need, 0);
@@ -923,6 +911,10 @@ impl Vm {
                         pc: 0,
                         base: abs as u32,
                     });
+                    // A new depth is rare, so a call only compares.
+                    if frames.len() as u64 > self.stats.peak_frames {
+                        self.stats.peak_frames = frames.len() as u64;
+                    }
                     continue 'frames;
                 }};
             }
@@ -1441,10 +1433,9 @@ mod tests {
             .unwrap();
         let module = Arc::new(crate::load_module(&wasm).unwrap());
         let linker = Linker::<()>::new();
-        let pre = InstancePre::new(module.clone(), &linker, ExecLimits::default()).unwrap();
+        let pre = InstancePre::new(module.clone(), &linker, MAX_PAGES).unwrap();
         let stamped = pre.instantiate(()).unwrap();
-        let cold = Instance::with_limits(module.clone(), &linker, (), ExecLimits::default());
-        let cold = cold.unwrap();
+        let cold = Instance::with_page_cap(module.clone(), &linker, (), MAX_PAGES).unwrap();
         let second = Instance::new(module.clone(), &linker, ()).unwrap();
         let proven = module.code().unwrap();
         for inst in [&stamped, &cold, &second] {

@@ -33,8 +33,9 @@
 //! deterministic execution (fuel), tight worst-case latency (fuel sized
 //! from the slot by [`instance::NS_PER_FUEL`], bulk memory ops paying per
 //! byte, `memory.grow` per page and every call for its frame), bounded
-//! stacks (a call-depth limit and a cap on the register arena the executor
-//! allocates, [`instance::MAX_REGS`]), bounded memory growth and fault
+//! stacks (two constants: [`instance::MAX_CALL_DEPTH`] frames and
+//! [`instance::MAX_REGS`] cells of the register arena the executor
+//! allocates), bounded memory growth (one page cap per instance) and fault
 //! containment (every guest misbehaviour surfaces as a
 //! catchable [`Trap`], never as host UB).
 //!

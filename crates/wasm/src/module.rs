@@ -355,11 +355,11 @@ mod tests {
         assert_eq!(crate::disasm::disassemble_reg(&m), "");
         let m = std::sync::Arc::new(m);
         let linker = crate::Linker::<()>::new();
-        let limits = crate::instance::ExecLimits::default();
+        let cap = crate::types::MAX_PAGES;
         let want = crate::instance::InstantiateError::Analysis(failed);
-        let cold = crate::Instance::with_limits(m.clone(), &linker, (), limits);
+        let cold = crate::Instance::with_page_cap(m.clone(), &linker, (), cap);
         assert_eq!(cold.unwrap_err(), want);
-        let pre = crate::InstancePre::new(m, &linker, limits);
+        let pre = crate::InstancePre::new(m, &linker, cap);
         assert_eq!(pre.unwrap_err(), want);
     }
 

@@ -10,16 +10,16 @@
 //!   `analysis.rs`), this is the deterministic replacement for sampled
 //!   cross-tier parity.
 //! * **Static bounds dominate runtime** — executing with fuel set to the
-//!   static fuel bound, the register-arena cap set to the static `regs`
-//!   bound, and the call-depth limit set to the static frame bound must
-//!   never hit a resource trap on the production (register-form)
-//!   executor. The generator's loops all have constant trip counts, so
-//!   the analyzer is additionally required to produce *finite* bounds: an
-//!   `Unbounded` verdict here would be a precision regression, not just
-//!   slack.
+//!   static fuel bound must never hit a resource trap on the production
+//!   (register-form) executor, and the register cells and frames the call
+//!   measurably used (`ExecStats::peak_regs`/`peak_frames`) must not
+//!   exceed the static `regs` and `frames` bounds. The generator's loops
+//!   all have constant trip counts, so the analyzer is additionally
+//!   required to produce *finite* bounds: an `Unbounded` verdict here
+//!   would be a precision regression, not just slack.
 
 use waran_wasm::analysis::Bound;
-use waran_wasm::instance::{ExecLimits, Instance, Linker};
+use waran_wasm::instance::{Instance, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::{load_module, Trap};
 
@@ -27,9 +27,10 @@ use waran_wasm::{load_module, Trap};
 mod gen;
 use gen::gen_program;
 
-/// Run `main` under exactly the analyzer's bounds; any resource trap is
-/// a soundness violation (semantic traps like division by zero are part
-/// of the corpus and fine).
+/// Run `main` on exactly the analyzer's fuel bound, then hold the
+/// measured arena and frame peaks to the static bounds; any resource trap
+/// is a soundness violation (semantic traps like division by zero are
+/// part of the corpus and fine).
 fn assert_bounds_admit_execution(
     wasm: &[u8],
     fuel: u64,
@@ -39,20 +40,24 @@ fn assert_bounds_admit_execution(
     ctx: &str,
 ) {
     let module = load_module(wasm).expect("generated module validates");
-    let limits = ExecLimits {
-        max_call_depth: frames as usize,
-        max_regs: regs as usize,
-        ..ExecLimits::default()
-    };
-    let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
+    let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     inst.set_fuel(fuel);
     match inst.invoke("main", args) {
         Err(Trap::OutOfFuel) => panic!("static fuel bound {fuel} too small ({ctx})"),
-        Err(Trap::StackOverflow) => {
-            panic!("static frame bound {frames} or regs bound {regs} too small ({ctx})")
-        }
+        Err(Trap::StackOverflow) => panic!("stack overflow under the caps ({ctx})"),
         _ => {}
     }
+    let stats = inst.stats();
+    assert!(
+        stats.peak_regs <= regs,
+        "static regs bound {regs} < measured {} ({ctx})",
+        stats.peak_regs
+    );
+    assert!(
+        stats.peak_frames <= frames,
+        "static frame bound {frames} < measured {} ({ctx})",
+        stats.peak_frames
+    );
 }
 
 fn check_seed(seed: u64, a: i32, b: i32) {
@@ -107,8 +112,8 @@ fn static_bounds_sound_on_differential_corpus() {
     }
 }
 
-/// The frame bound is exercised end to end on a call chain: exactly the
-/// static depth admits the call, one less overflows.
+/// The bounds are exact on a call chain: the call reaches exactly the
+/// static frame depth and fills exactly the static register arena.
 #[test]
 fn frame_bound_is_tight_on_call_chain() {
     let wasm = waran_wat::assemble(
@@ -137,20 +142,12 @@ fn frame_bound_is_tight_on_call_chain() {
         .find(|r| r.export.as_deref() == Some("main"))
         .unwrap();
     assert_eq!(r.frames, Bound::Finite(3));
+    let regs = r.regs;
 
-    for (depth, expect_ok) in [(3usize, true), (2, false)] {
-        let module = load_module(&wasm).unwrap();
-        let limits = ExecLimits {
-            max_call_depth: depth,
-            ..ExecLimits::default()
-        };
-        let mut inst =
-            Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
-        let out = inst.invoke("main", &[]);
-        if expect_ok {
-            assert_eq!(out, Ok(Some(Value::I32(3))));
-        } else {
-            assert_eq!(out, Err(Trap::StackOverflow));
-        }
-    }
+    let module = load_module(&wasm).unwrap();
+    let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
+    assert_eq!(inst.invoke("main", &[]), Ok(Some(Value::I32(3))));
+    let stats = inst.stats();
+    assert_eq!(stats.peak_frames, 3);
+    assert_eq!(Bound::Finite(stats.peak_regs), regs);
 }

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::decode::{decode_module, DecodeErrorKind};
 use waran_wasm::disasm::disassemble_reg;
-use waran_wasm::instance::{ExecLimits, Instance, Linker, BULK_BYTES_PER_FUEL, CALL_FUEL};
+use waran_wasm::instance::{Instance, Linker, BULK_BYTES_PER_FUEL, CALL_FUEL};
 use waran_wasm::instr::{Instr, OpRow, OP_TABLE};
 use waran_wasm::interp::Value;
 use waran_wasm::types::{BlockType, ValType, PAGE_SIZE};
@@ -1637,21 +1637,27 @@ fn differential_constant_control() {
         );
         assert_outcomes_agree(&outcome(&mut oracle, &args, 100_000), &reg, &name);
 
-        // Static bounds dominate what ran: the call fits exactly the
-        // analyzer's fuel, register-arena and frame budget.
+        // Static bounds dominate what ran: the call fits the analyzer's
+        // fuel, and its measured arena and frame peaks are within the
+        // static bounds.
         let measured = reg.fuel.expect("metered");
         assert!(fuel >= measured, "{name}: fuel bound {fuel} < {measured}");
-        let limits = ExecLimits {
-            max_call_depth: frames as usize,
-            max_regs: regs as usize,
-            ..ExecLimits::default()
-        };
-        let mut bounded =
-            Instance::with_limits(module.clone(), &Linker::new(), (), limits).unwrap();
+        let stats = inst.stats();
+        assert!(
+            stats.peak_regs <= regs,
+            "{name}: regs bound {regs} < {}",
+            stats.peak_regs
+        );
+        assert!(
+            stats.peak_frames <= frames,
+            "{name}: frame bound {frames} < {}",
+            stats.peak_frames
+        );
+        let mut bounded = Instance::new(module.clone(), &Linker::new(), ()).unwrap();
         assert_eq!(
             outcome(&mut bounded, &args, fuel),
             reg,
-            "{name}: under its bounds"
+            "{name}: on its fuel bound"
         );
 
         // And the two still agree when the fuel runs out half way.

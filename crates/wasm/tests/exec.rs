@@ -7,7 +7,7 @@ use std::sync::Arc;
 use waran_wasm::analysis::Bound;
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::{
-    ExecLimits, Instance, InstantiateError, Linker, CALL_FUEL, LOCALS_PER_FUEL, MAX_REGS,
+    Instance, InstantiateError, Linker, CALL_FUEL, LOCALS_PER_FUEL, MAX_CALL_DEPTH, MAX_REGS,
 };
 use waran_wasm::interp::Value;
 use waran_wasm::types::{BlockType, ValType};
@@ -333,11 +333,7 @@ const GROW: &str = r#"(module
 fn memory_grow_pays_per_page() {
     // The `realtime` class's budget: one 1 ms slot of fuel and 64 pages.
     let module = load_module(&waran_wat::assemble(GROW).unwrap()).unwrap();
-    let limits = ExecLimits {
-        max_memory_pages: 64,
-        ..ExecLimits::default()
-    };
-    let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
+    let mut inst = Instance::with_page_cap(module.into(), &Linker::<()>::new(), (), 64).unwrap();
     inst.set_fuel(333_333);
     for pages in 1..64 {
         assert_eq!(
@@ -390,14 +386,42 @@ fn unreachable_traps() {
 fn call_stack_depth_limited() {
     let src = r#"(module
       (func $inf (export "inf") call $inf))"#;
-    let bytes = waran_wat::assemble(src).unwrap();
-    let module = load_module(&bytes).unwrap();
-    let limits = ExecLimits {
-        max_call_depth: 100,
-        ..ExecLimits::default()
-    };
-    let mut inst = Instance::with_limits(module.into(), &Linker::<()>::new(), (), limits).unwrap();
+    let mut inst = instantiate(src);
     assert_eq!(inst.invoke("inf", &[]), Err(Trap::StackOverflow));
+    // The trap fires on the push past the cap: the stack was full.
+    assert_eq!(inst.stats().peak_frames, MAX_CALL_DEPTH as u64);
+    assert_eq!(oracle(src).invoke("inf", &[]), Err(Trap::StackOverflow));
+}
+
+/// `rec(n)` nests `n` frames, its own included.
+const REC: &str = r#"(module
+  (func $rec (export "rec") (param i32)
+    local.get 0
+    i32.const 1
+    i32.gt_u
+    if
+      local.get 0
+      i32.const 1
+      i32.sub
+      call $rec
+    end))"#;
+
+#[test]
+fn recursion_returns_at_the_depth_cap_and_traps_one_frame_deeper() {
+    let depth = MAX_CALL_DEPTH as i32;
+    let mut inst = instantiate(REC);
+    assert_eq!(inst.invoke("rec", &[Value::I32(depth)]), Ok(None));
+    assert_eq!(inst.stats().peak_frames, MAX_CALL_DEPTH as u64);
+    assert_eq!(
+        inst.invoke("rec", &[Value::I32(depth + 1)]),
+        Err(Trap::StackOverflow)
+    );
+    let mut oracle = oracle(REC);
+    assert_eq!(oracle.invoke("rec", &[Value::I32(depth)]), Ok(None));
+    assert_eq!(
+        oracle.invoke("rec", &[Value::I32(depth + 1)]),
+        Err(Trap::StackOverflow)
+    );
 }
 
 #[test]
@@ -854,7 +878,8 @@ fn float_math_pipeline() {
 #[test]
 fn register_arena_cap_enforced() {
     // `f` calls a leaf that `block br end` keeps from being inlined, so the
-    // leaf's frame grows the arena past `f`'s own.
+    // leaf's frame grows the arena past `f`'s own: the call fills exactly
+    // the static bound.
     let src = r#"(module
       (func $leaf (param i32) (result i32)
         block $b br $b end
@@ -863,29 +888,125 @@ fn register_arena_cap_enforced() {
         local.get 0
         call $leaf))"#;
     let module = Arc::new(load_module(&waran_wat::assemble(src).unwrap()).unwrap());
-    let Bound::Finite(need) = module.analysis().unwrap().func(1).regs else {
-        panic!("a call chain has a finite arena bound")
-    };
-    let need = need as usize;
-    let run = |max_regs: usize| {
-        let limits = ExecLimits {
-            max_regs,
-            ..ExecLimits::default()
-        };
-        let mut inst = Instance::with_limits(module.clone(), &Linker::<()>::new(), (), limits)
-            .expect("instantiates");
-        inst.set_fuel(1_000);
-        (inst.invoke("f", &[Value::I32(7)]), inst.fuel_consumed())
-    };
-    let (out, _) = run(need);
-    assert_eq!(out, Ok(Some(Value::I32(7))));
-    // One cell short: the leaf's frame does not fit, and the call traps
-    // after `f`'s entry block ran.
-    let (out, fuel) = run(need - 1);
-    assert_eq!(out, Err(Trap::StackOverflow));
-    assert!(fuel > Some(0));
-    // An entry frame past the cap traps before any guest code runs.
-    assert_eq!(run(1), (Err(Trap::StackOverflow), Some(0)));
+    let report = module.analysis().unwrap().func(1).clone();
+    let mut inst = Instance::new(module, &Linker::<()>::new(), ()).unwrap();
+    assert_eq!(inst.invoke("f", &[Value::I32(7)]), Ok(Some(Value::I32(7))));
+    let stats = inst.stats();
+    assert_eq!(Bound::Finite(stats.peak_regs), report.regs);
+    assert_eq!(Bound::Finite(stats.peak_frames), report.frames);
+
+    // A call chain whose static bound is exactly `MAX_REGS` fills the
+    // arena to the cell and returns. One more leaf local traps where the
+    // leaf's frame would grow the arena, after the frames above it have
+    // paid for their activations.
+    let leaf = MAX_REGS as u64 - regs_bound(&wide_chain(0), "run");
+    let (at_limit, past) = (wide_chain(leaf as u32), wide_chain(leaf as u32 + 1));
+    let report = export_report(&at_limit, "run");
+    assert_eq!(report.regs, Bound::Finite(MAX_REGS as u64));
+    let mut inst = Instance::new(at_limit.into(), &Linker::<()>::new(), ()).unwrap();
+    inst.set_fuel(1_000_000);
+    assert_eq!(inst.invoke("run", &[]), Ok(None));
+    let stats = inst.stats();
+    assert_eq!(stats.peak_regs, MAX_REGS as u64);
+    assert_eq!(Bound::Finite(stats.peak_frames), report.frames);
+    let mut inst = Instance::new(past.into(), &Linker::<()>::new(), ()).unwrap();
+    inst.set_fuel(1_000_000);
+    assert_eq!(inst.invoke("run", &[]), Err(Trap::StackOverflow));
+    assert!(inst.fuel_consumed().unwrap() > 0);
+    assert!(inst.stats().peak_regs < MAX_REGS as u64);
+
+    // The same boundary at the entry frame, which `exec_reg` checks before
+    // any guest code runs: exactly `MAX_REGS` cells run, one more traps
+    // with no fuel spent.
+    let own = MAX_REGS as u64 - regs_bound(&wide_entry(0), "f");
+    let (at_limit, past) = (wide_entry(own as u32), wide_entry(own as u32 + 1));
+    assert_eq!(regs_bound(&at_limit, "f"), MAX_REGS as u64);
+    let mut wide = Instance::new(at_limit.into(), &Linker::<()>::new(), ()).unwrap();
+    wide.set_fuel(u64::from(u32::MAX));
+    assert_eq!(wide.invoke("f", &[]), Ok(None));
+    assert!(wide.fuel_consumed().unwrap() > 0);
+    assert_eq!(wide.stats().peak_regs, MAX_REGS as u64);
+    assert_eq!(wide.stats().peak_frames, 1);
+    let mut wide = Instance::new(past.into(), &Linker::<()>::new(), ()).unwrap();
+    wide.set_fuel(u64::from(u32::MAX));
+    assert_eq!(wide.invoke("f", &[]), Err(Trap::StackOverflow));
+    assert_eq!(wide.fuel_consumed(), Some(0));
+    assert_eq!(wide.stats().peak_regs, 0);
+}
+
+/// The analysis report of `module`'s export `name`.
+fn export_report(module: &Module, name: &str) -> waran_wasm::analysis::FuncReport {
+    let analysis = module.analysis().unwrap();
+    let report = analysis
+        .exports()
+        .find(|r| r.export.as_deref() == Some(name));
+    report.unwrap().clone()
+}
+
+/// The finite static `regs` bound of `module`'s export `name`.
+fn regs_bound(module: &Module, name: &str) -> u64 {
+    match export_report(module, name).regs {
+        Bound::Finite(n) => n,
+        other => panic!("{name}: regs bound {other:?}"),
+    }
+}
+
+/// `run` calls down a chain of 21 frames of 49 000 `i64` locals each,
+/// ending in a leaf with `leaf_locals`. Each function opens with
+/// `block br end` so none is inlined, and nothing recurses, so the static
+/// `regs` bound is finite and a leaf local adds exactly one cell to it.
+fn wide_chain(leaf_locals: u32) -> Module {
+    const WIDE: u32 = 21;
+    let mut b = ModuleBuilder::new();
+    let unit = b.func_type(&[], &[]);
+    // Functions are numbered in declaration order: `run` is 0, the wide
+    // frames 1..=WIDE and the leaf WIDE + 1.
+    let run = b.begin_func(unit);
+    b.code().block(BlockType::Empty).br(0).end().call(1);
+    b.end_func().unwrap();
+    for k in 1..=WIDE + 1 {
+        b.begin_func(unit);
+        let locals = if k <= WIDE { 49_000 } else { leaf_locals };
+        for _ in 0..locals {
+            b.local(ValType::I64);
+        }
+        b.code().block(BlockType::Empty).br(0).end();
+        if k <= WIDE {
+            b.code().call(k + 1);
+        }
+        b.end_func().unwrap();
+    }
+    b.export_func("run", run);
+    b.finish().unwrap()
+}
+
+/// Declared locals of the widest leaf the lowering still inlines: its
+/// locals plus its one `end` fill the 64-slot inline budget.
+const WIDE_LEAF_LOCALS: usize = 63;
+
+/// `f` declares `own_locals` `i64` locals and inlines a
+/// [`WIDE_LEAF_LOCALS`]-local leaf at enough sites that its frame alone
+/// comes within 25 000 cells of [`MAX_REGS`]: each inline site takes fresh
+/// caller slots, and a frame may declare at most 50 000 locals of its
+/// own, each one more cell.
+fn wide_entry(own_locals: u32) -> Module {
+    let mut b = ModuleBuilder::new();
+    let sig = b.func_type(&[], &[]);
+    let leaf = b.begin_func(sig);
+    for _ in 0..WIDE_LEAF_LOCALS {
+        b.local(ValType::I64);
+    }
+    b.end_func().unwrap();
+    let f = b.begin_func(sig);
+    for _ in 0..own_locals {
+        b.local(ValType::I64);
+    }
+    for _ in 0..(MAX_REGS - 25_000) / WIDE_LEAF_LOCALS {
+        b.code().call(leaf);
+    }
+    b.end_func().unwrap();
+    b.export_func("f", f);
+    b.finish().unwrap()
 }
 
 /// `rec(d)` recurses `d` frames below its own, each frame holding 49 000
@@ -913,17 +1034,12 @@ fn arena_probe() -> Module {
 
 #[test]
 fn arena_cap_stops_wide_recursion_under_the_host_limits() {
-    // The plugin host's limits and the `realtime` class's budget: depth
-    // 512, the `MAX_REGS` arena, 64 pages and one 1 ms slot of fuel. The
-    // arena holds 2^20 / 49 001 ≈ 21.4 frames: 21 activations fit, the
-    // 22nd traps long before the depth limit or the fuel does.
-    let limits = ExecLimits {
-        max_call_depth: 512,
-        max_regs: MAX_REGS,
-        max_memory_pages: 64,
-    };
+    // The `realtime` class's budget: 64 pages and one 1 ms slot of fuel.
+    // The `MAX_REGS` arena holds 2^20 / 49 001 ≈ 21.4 frames: 21
+    // activations fit, the 22nd traps long before the depth cap or the
+    // fuel does.
     let mut inst =
-        Instance::with_limits(arena_probe().into(), &Linker::<()>::new(), (), limits).unwrap();
+        Instance::with_page_cap(arena_probe().into(), &Linker::<()>::new(), (), 64).unwrap();
     inst.set_fuel(333_333);
     assert_eq!(inst.invoke("rec", &[Value::I32(20)]), Ok(None));
     // Each activation pays `CALL_FUEL` + ⌈49 000 / 8⌉ on entry.
@@ -935,6 +1051,10 @@ fn arena_cap_stops_wide_recursion_under_the_host_limits() {
         inst.invoke("rec", &[Value::I32(21)]),
         Err(Trap::StackOverflow)
     );
+    // The 22nd frame was refused before it was pushed or allocated.
+    let stats = inst.stats();
+    assert_eq!(stats.peak_frames, 21);
+    assert!(stats.peak_regs <= MAX_REGS as u64, "{}", stats.peak_regs);
     // The instance survives: a shallow call on the same arena still runs.
     inst.set_fuel(333_333);
     assert_eq!(inst.invoke("rec", &[Value::I32(1)]), Ok(None));

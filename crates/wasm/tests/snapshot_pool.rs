@@ -10,10 +10,10 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use waran_wasm::builder::ModuleBuilder;
-use waran_wasm::instance::{ExecLimits, Instance, InstancePre, Linker};
+use waran_wasm::instance::{Instance, InstancePre, Linker};
 use waran_wasm::interp::Value;
 use waran_wasm::module::ConstExpr;
-use waran_wasm::types::{Mutability, ValType};
+use waran_wasm::types::{Mutability, ValType, MAX_PAGES};
 use waran_wasm::{load_module, Module};
 
 const PAGE: u32 = 65536;
@@ -35,7 +35,7 @@ fn pool_module() -> InstancePre<()> {
     )
     .expect("assembles");
     let module = load_module(&bytes).expect("validates");
-    InstancePre::new(module.into(), &Linker::new(), ExecLimits::default()).expect("pre builds")
+    InstancePre::new(module.into(), &Linker::new(), MAX_PAGES).expect("pre builds")
 }
 
 /// Full-memory image plus globals: everything a stamp-out must restore.
@@ -293,9 +293,8 @@ proptest! {
         b in tenant(),
         dirt in vec(dirt(), 0..24),
     ) {
-        let limits = ExecLimits::default();
         {
-            let pre_a = InstancePre::new(a.module(), &Linker::new(), limits).unwrap();
+            let pre_a = InstancePre::new(a.module(), &Linker::new(), MAX_PAGES).unwrap();
             let mut inst = pre_a.instantiate(()).unwrap();
             for d in &dirt {
                 apply(&mut inst, d);
@@ -304,9 +303,9 @@ proptest! {
         }
 
         let module_b = b.module();
-        let pre_b = InstancePre::new(Arc::clone(&module_b), &Linker::new(), limits).unwrap();
+        let pre_b = InstancePre::new(Arc::clone(&module_b), &Linker::new(), MAX_PAGES).unwrap();
         let mut stamped = pre_b.instantiate(()).unwrap();
-        let mut cold = Instance::with_limits(module_b, &Linker::new(), (), limits).unwrap();
+        let mut cold = Instance::with_page_cap(module_b, &Linker::new(), (), MAX_PAGES).unwrap();
 
         prop_assert!(
             stamped.memory().read_bytes(0, TENANT_BYTES) == cold.memory().read_bytes(0, TENANT_BYTES),

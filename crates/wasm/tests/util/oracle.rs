@@ -8,7 +8,7 @@
 //! table, globals, segment initialisation and float helpers. It shares
 //! with the executor it judges only the decoder's `Module`/`Instr` (with
 //! the operator enums `Instr` carries, never their `eval`s), `Value`,
-//! `Trap`, the types and `ExecLimits`, so a bounds or arithmetic bug in
+//! `Trap`, the types and `MAX_CALL_DEPTH`, so a bounds or arithmetic bug in
 //! the executor's runtime cannot hide behind the same bug here.
 //!
 //! The one bridge is a host call. Host functions take the crate's memory
@@ -32,7 +32,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use waran_wasm::instance::{
-    ExecLimits, HostFn, Linker, BULK_BYTES_PER_FUEL, CALL_FUEL, LOCALS_PER_FUEL,
+    HostFn, Linker, BULK_BYTES_PER_FUEL, CALL_FUEL, LOCALS_PER_FUEL, MAX_CALL_DEPTH,
 };
 use waran_wasm::instr::{BinOp, I32Op, I64Op, Instr, LoadKind, StoreKind, UnOp};
 use waran_wasm::interp::Value;
@@ -53,7 +53,6 @@ pub struct Oracle<T> {
     max_pages: u32,
     table: Vec<Option<u32>>,
     globals: Vec<Value>,
-    limits: ExecLimits,
     /// Fuel left; `u64::MAX` until [`Self::set_fuel`] arms a budget.
     fuel: u64,
     fuel_limit: Option<u64>,
@@ -66,11 +65,10 @@ pub struct Oracle<T> {
 }
 
 impl<T> Oracle<T> {
-    /// Resolve imports, build memory, table and globals under the default
-    /// [`ExecLimits`] (what `Instance::new` uses), apply the data and
-    /// element segments, then run the start function.
+    /// Resolve imports, build memory, table and globals with no page cap
+    /// beyond the module's own (as `Instance::new` does), apply the data
+    /// and element segments, then run the start function.
     pub fn new(module: Arc<Module>, linker: &Linker<T>, data: T) -> Result<Self, String> {
-        let limits = ExecLimits::default();
         let mut host = Vec::new();
         for imp in &module.imports {
             let ImportKind::Func { type_idx } = imp.kind;
@@ -85,11 +83,7 @@ impl<T> Oracle<T> {
         let (memory, max_pages) = match module.memory {
             None => (Vec::new(), 0),
             Some(l) => {
-                let max = l
-                    .max
-                    .unwrap_or(MAX_PAGES)
-                    .min(limits.max_memory_pages)
-                    .min(MAX_PAGES);
+                let max = l.max.unwrap_or(MAX_PAGES).min(MAX_PAGES);
                 if l.min > max {
                     return Err(format!("{} initial pages, cap {max}", l.min));
                 }
@@ -104,7 +98,6 @@ impl<T> Oracle<T> {
             data,
             memory,
             max_pages,
-            limits,
             fuel: u64::MAX,
             fuel_limit: None,
             instrs: 0,
@@ -817,7 +810,7 @@ impl<T> Oracle<T> {
             let args = stack.split_off(stack.len() - argc);
             stack.extend(self.call_host(func as usize, &args)?);
         } else {
-            if frames.len() >= self.limits.max_call_depth {
+            if frames.len() >= MAX_CALL_DEPTH {
                 return Err(Trap::StackOverflow);
             }
             let frame = self.enter(module, func - n_imports, stack, instrs)?;

@@ -69,7 +69,7 @@ while read -r crate ceiling; do
 done <<'EOF'
 wasm 29
 wat 7
-plugc 13
+plugc 12
 abi 7
 ric 2
 core 7
@@ -138,17 +138,20 @@ if [ -n "$variants" ]; then
     exit 1
 fi
 
-# One stack bound: the executor caps the register arena it allocates
-# (`ExecLimits::max_regs`, `MAX_REGS`; past it a call traps
-# `StackOverflow`) and emulates no operand stack. The names of the emulated
-# limit stay gone from crates/.
+# Two stack bounds, each one constant: the executor caps the register
+# arena it allocates at `MAX_REGS` and the frames a call nests at
+# `MAX_CALL_DEPTH` (past either a call traps `StackOverflow`), and
+# emulates no operand stack. The names of the emulated limit and of the
+# settings the constants replaced (the `ExecLimits` struct and its stack
+# fields, the massive plane's two strides) stay gone from crates/.
 if [ ! -d crates ]; then
     echo "stack tripwire: missing crates" >&2
     exit 1
 fi
-for name in vbase max_value_stack MAX_VALUE_STACK ValueStackExhausted; do
+for name in vbase max_value_stack MAX_VALUE_STACK ValueStackExhausted \
+    ExecLimits max_call_depth max_regs resample_stride arrival_stride; do
     if grep -rnw "$name" crates; then
-        echo "stack tripwire: crates/ names $name; the one stack bound is the register arena's max_regs" >&2
+        echo "stack tripwire: crates/ names $name; the stack bounds are the constants MAX_REGS and MAX_CALL_DEPTH, and a setting with one value is a constant" >&2
         exit 1
     fi
 done
