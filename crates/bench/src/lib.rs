@@ -12,9 +12,7 @@ use std::sync::Arc;
 /// Decode, validate and lower a stock plugin into a shareable module —
 /// what a template build starts from.
 pub fn load(wasm: &[u8]) -> Arc<waran_wasm::Module> {
-    let module = waran_wasm::load_module(wasm).expect("stock plugin loads");
-    module.precompile();
-    Arc::new(module)
+    Arc::new(waran_wasm::load_module(wasm).expect("stock plugin loads"))
 }
 
 /// Print a banner for one experiment.

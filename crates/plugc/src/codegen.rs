@@ -516,8 +516,8 @@ mod tests {
         let program = crate::parser::parse(&crate::lexer::lex(src).unwrap()).unwrap();
         let typed = crate::typeck::check(&program).unwrap();
         let module = generate(&typed).unwrap();
-        waran_wasm::validate::validate(&module).expect("generated code validates");
-        module
+        waran_wasm::load_module(&waran_wasm::encode::encode_module(&module))
+            .expect("generated code validates")
     }
 
     fn count(code: &[Instr], pred: impl Fn(&Instr) -> bool) -> usize {

@@ -102,8 +102,9 @@ fn wrn_alloc(n: i32) -> i32 {
 }
 "#;
 
-/// Compile PlugC source, behind the ABI prelude, to a validated,
-/// binary-encoded Wasm module.
+/// Compile PlugC source, behind the ABI prelude, to a binary-encoded Wasm
+/// module. It is not validated here: every consumer loads it through
+/// `waran_wasm::load_module`, which validates and lowers it once.
 pub fn compile(source: &str) -> Result<Vec<u8>, CompileError> {
     // Diagnostics subtract the prelude's lines so they point at user code.
     let prelude_lines = ABI_PRELUDE.matches('\n').count();
@@ -113,12 +114,6 @@ pub fn compile(source: &str) -> Result<Vec<u8>, CompileError> {
     let program = parser::parse(&tokens).map_err(|e| adjust(e, prelude_lines))?;
     let typed = opt::optimize(typeck::check(&program).map_err(|e| adjust(e, prelude_lines))?);
     let module = codegen::generate(&typed).map_err(|e| adjust(e, prelude_lines))?;
-
-    waran_wasm::validate::validate(&module).map_err(|e| CompileError {
-        line: 0,
-        col: 0,
-        msg: format!("internal codegen error (generated module failed validation): {e}"),
-    })?;
     Ok(waran_wasm::encode::encode_module(&module))
 }
 

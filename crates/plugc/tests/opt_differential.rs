@@ -21,7 +21,8 @@ struct Outcome {
 }
 
 fn run(module: Module, a: i32, b: i32) -> Outcome {
-    waran_wasm::validate::validate(&module).expect("generated module validates");
+    let module = waran_wasm::load_module(&waran_wasm::encode::encode_module(&module))
+        .expect("generated module validates");
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     inst.set_fuel(50_000_000);
     let result = inst.invoke("main", &[Value::I32(a), Value::I32(b)]);

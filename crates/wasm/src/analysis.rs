@@ -1,13 +1,14 @@
-//! Load-time lowering and proof: every validated body is compiled to the
-//! flat IR, lowered to the register form the executor runs, and the
-//! register form is proven faithful to the flat IR (translation
-//! validation), plus worst-case resource bounds for admission control.
+//! Load-time lowering and proof: every body is type-checked and compiled
+//! to the flat IR in one walk, lowered to the register form the executor
+//! runs, and the register form is proven faithful to the flat IR
+//! (translation validation), plus worst-case resource bounds for
+//! admission control.
 //!
-//! One pass, run once per module behind [`Module::analysis`], does all of
-//! it and returns the register code with its report; the flat IR never
-//! leaves the pass. Every instance runs the code this pass returned, so
-//! no instance can exist without a passed proof. It produces one
-//! [`FuncReport`] per module-local function:
+//! One pass, run once per module by [`crate::load_module`] (its report is
+//! [`Module::analysis`]), does all of it and returns the register code
+//! with its report; the flat IR never leaves the pass. Every instance
+//! runs the code this pass returned, so no instance can exist without a
+//! passed proof. It produces one [`FuncReport`] per module-local function:
 //!
 //! * **Translation validation** — the flat IR is the metering/trapping
 //!   reference: one op per source instruction, nothing fused, and no
@@ -59,6 +60,7 @@ use crate::module::{ExportKind, Module};
 use crate::ops::{I32Op, UnOp};
 use crate::regalloc::{lower_func, ROp, RegFunc};
 use crate::types::MAX_PAGES;
+use crate::validate::ValidateError;
 
 /// A worst-case resource bound: exactly known, or not statically
 /// boundable. `Finite(a) < Finite(b) < Unbounded` under `Ord`.
@@ -1614,25 +1616,34 @@ pub(crate) struct Lowered {
     pub(crate) report: ModuleAnalysis,
 }
 
-/// Lower every module-local function to register form, prove each
+/// Type-check and lower every module-local function to the flat IR, in
+/// function-index order, then lower each to register form, prove each
 /// lowering faithful to its flat IR and compute worst-case resource
-/// bounds. The flat IR exists only inside this pass; the code it returns
-/// is the code the proof checked, minus the `pc_map` only the proof
-/// reads. The module must be validated.
-pub(crate) fn lower_and_prove(module: &Module) -> Result<Lowered, AnalysisError> {
+/// bounds. A body that fails its type check is the outer error, the first
+/// by function index; a lowering that fails its proof is the inner one.
+/// The flat IR exists only inside this pass; the code it returns is the
+/// code the proof checked, minus the `pc_map` only the proof reads. The
+/// module-level checks ([`crate::validate::validate`]) must have passed.
+pub(crate) fn lower_and_prove(
+    module: &Module,
+) -> Result<Result<Lowered, AnalysisError>, ValidateError> {
+    let flat = (0..module.funcs.len() as u32)
+        .map(|f| compile_func(module, f))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(prove(module, flat))
+}
+
+fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisError> {
     let nf = module.funcs.len();
     let n_imp = module.num_imported_funcs();
-    let mut flat = Vec::with_capacity(nf);
     let mut code = Vec::with_capacity(nf);
     let mut shapes = Vec::with_capacity(nf);
-    for f in 0..nf as u32 {
-        let cf = compile_func(module, f);
-        let mut rf = lower_func(module, f, &cf);
-        let shape = build_shape(module, f, &cf)?;
-        validate_with_shape(f, &cf, &rf, &shape)?;
+    for (f, cf) in (0..).zip(&flat) {
+        let mut rf = lower_func(module, f, cf);
+        let shape = build_shape(module, f, cf)?;
+        validate_with_shape(f, cf, &rf, &shape)?;
         // Only the proof reads the pc map; the bounds below need the flat IR.
         rf.pc_map = Box::default();
-        flat.push(cf);
         code.push(rf);
         shapes.push(shape);
     }
@@ -1703,9 +1714,7 @@ mod tests {
 
     fn module(src: &str) -> Module {
         let bytes = waran_wat::assemble(src).expect("wat assembles");
-        let m = crate::decode::decode_module(&bytes).expect("decodes");
-        crate::validate::validate(&m).expect("validates");
-        m
+        crate::load_module(&bytes).expect("loads")
     }
 
     fn report(m: &Module, name: &str) -> FuncReport {
@@ -2179,7 +2188,7 @@ mod tests {
     /// Function 0's flat IR and a fresh lowering of it, for a test to
     /// corrupt before [`validate_lowering`].
     fn flat_and_reg(m: &Module) -> (CompiledFunc, RegFunc) {
-        let cf = compile_func(m, 0);
+        let cf = compile_func(m, 0).expect("well-typed");
         let rf = lower_func(m, 0, &cf);
         (cf, rf)
     }

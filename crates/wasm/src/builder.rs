@@ -15,8 +15,8 @@
 //! mb.code().local_get(0).local_get(1).i32_add();
 //! mb.end_func().unwrap();
 //! mb.export_func("add", f);
-//! let module = mb.finish().unwrap();
-//! assert!(waran_wasm::validate::validate(&module).is_ok());
+//! let bytes = mb.finish_bytes().unwrap();
+//! assert!(waran_wasm::load_module(&bytes).is_ok());
 //! ```
 
 use crate::instr::{fixup_block_targets, FixupError, Instr};
@@ -422,7 +422,7 @@ mod tests {
         let module = mb.finish().unwrap();
         assert_eq!(module.funcs.len(), 1);
         assert_eq!(module.exported_func("add"), Some(0));
-        crate::validate::validate(&module).unwrap();
+        crate::load_module(&crate::encode::encode_module(&module)).unwrap();
     }
 
     #[test]
@@ -507,7 +507,6 @@ mod tests {
         mb.end_func().unwrap();
         mb.export_func("lt10", f);
         let bytes = mb.finish_bytes().unwrap();
-        let module = crate::decode::decode_module(&bytes).unwrap();
-        crate::validate::validate(&module).unwrap();
+        crate::load_module(&bytes).unwrap();
     }
 }

@@ -1,4 +1,5 @@
-//! Lowering of validated function bodies into a flat IR.
+//! Type-checking and lowering of function bodies into a flat IR, in one
+//! walk per body.
 //!
 //! The decoded [`Instr`] tree stays the source of truth for `encode` and
 //! for the test oracle (a per-instruction walker, `tests/util/oracle.rs`);
@@ -37,17 +38,23 @@
 //!   per-function [`CompiledFunc::branches`] side array (indexed `u32`),
 //!   not behind a per-instruction `Box<[u32]>`.
 //!
-//! Compilation requires a *validated* body: the lowering trusts the
-//! type/stack discipline the validator establishes (as the test oracle
-//! does too) and panics on malformed input.
+//! The walk is also the type check: the spec appendix's stack-polymorphic
+//! algorithm — operand types over a control-frame stack — runs on the
+//! same frames the lowering resolves branches on, over dead code too
+//! (which it checks and does not emit). A body that breaks the type
+//! system is a [`ValidateError`] at its function, instruction and kind;
+//! no input makes the walk panic. The module-level checks
+//! ([`crate::validate::validate`]) come first: the walk trusts the type,
+//! function and table declarations they hold.
 
 use crate::analysis::{mismatch, AnalysisError};
 use crate::instance::call_price;
-use crate::instr::Instr;
+use crate::instr::{Instr, OpRow};
 use crate::interp::Value;
 use crate::module::Module;
 use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
-use crate::types::{BlockType, ValType};
+use crate::types::{FuncType, GlobalType, Mutability, ValType};
+use crate::validate::{ValidateError, ValidateErrorKind};
 
 /// A resolved branch destination: absolute op PC plus the unwind
 /// descriptor. Taking the branch moves the top `arity` values down to
@@ -142,11 +149,11 @@ pub enum Op {
 }
 
 impl Op {
-    /// Operand-stack effect (pops, pushes) — the one arity table: the
-    /// compiler bumps its static height (hence every branch target's) by
-    /// it and the analyzer's mirror walk replays it. The match is
-    /// intentionally exhaustive: a new variant fails to compile here
-    /// instead of silently skipping either.
+    /// Operand-stack effect (pops, pushes) — the one arity table the
+    /// analyzer's mirror walk and the register lowering replay over the
+    /// ops the type-checked walk emitted. The match is intentionally
+    /// exhaustive: a new variant fails to compile here instead of silently
+    /// skipping either.
     pub(crate) fn stack_effect(self, module: &Module) -> (u32, u32) {
         match self {
             Op::Meter { .. } | Op::Br(_) | Op::Return | Op::Unreachable => (0, 0),
@@ -234,31 +241,53 @@ impl CompiledFunc {
 enum CtrlKind {
     /// The implicit function-level frame (branches to it return).
     Func,
-    /// `block` — and `if` frames once their else edge is resolved.
+    /// `block` — and `if` frames once their `else` is seen.
     Block,
-    /// `loop` with its resolved back-edge target (the header `Meter`).
+    /// `loop` with its resolved back-edge target (the header `Meter`;
+    /// `u32::MAX` in dead code, where no branch is emitted).
     Loop { header: u32 },
-    /// `if` whose false edge (branch index) still needs a destination.
-    If { else_br: u32 },
+    /// `if` before its `else`: the false edge (branch index) still needs a
+    /// destination, `None` in dead code.
+    If { else_br: Option<u32> },
 }
 
+/// One control frame: the type checker's (its label type, its operand
+/// height, whether its code became unreachable) and the lowering's (its
+/// kind, the branches to patch at its end).
 struct Ctrl {
     kind: CtrlKind,
-    /// Frame-relative operand height at entry (after the `if` condition).
+    /// Operand height at entry (after the `if` condition), frame-relative.
     height: u32,
-    arity: u8,
+    /// The value the frame ends with (MVP: at most one).
+    ty: Option<ValType>,
     /// Branch indices to patch to this frame's end leader.
     fixups: Vec<u32>,
+    /// Set once the frame's remaining code became unreachable: its operand
+    /// stack is polymorphic from there on.
+    unreachable: bool,
 }
 
 struct FnCompiler<'m> {
     module: &'m Module,
     n_imports: u32,
+    /// Module-wide index of the function walked, for errors.
+    func_idx: u32,
+    /// Index of the source instruction walked, for errors.
+    pc: usize,
     ops: Vec<Op>,
     branches: Vec<BranchTarget>,
     ctrls: Vec<Ctrl>,
-    /// Static operand height, frame-relative. Exact for reachable code.
-    height: usize,
+    /// The operand stack's types, frame-relative; `None` is a value
+    /// popped from an unreachable stack. Its height is exact for the code
+    /// the lowering emits.
+    vals: Vec<Option<ValType>>,
+    /// The function's result.
+    results: Option<ValType>,
+    /// The locals the walked body sees: its parameters and its declared
+    /// locals (an inlined callee's while its body is walked).
+    frame: (&'m [ValType], &'m [ValType]),
+    /// Whether the code walked executes; dead code is type-checked and not
+    /// emitted.
     reachable: bool,
     /// Whether a metered block is currently open.
     open: bool,
@@ -267,7 +296,6 @@ struct FnCompiler<'m> {
     /// Branch indices targeting the function level, patched to the final
     /// return trampoline.
     fn_level: Vec<u32>,
-    ret_arity: u32,
     /// Added to every local index while lowering an inlined callee body
     /// (the callee's locals live in fresh caller slots).
     local_offset: u32,
@@ -277,42 +305,50 @@ struct FnCompiler<'m> {
     inline_stack: Vec<u32>,
 }
 
-/// Lower one validated function body (index into `Module::funcs`) to the
-/// flat IR. Called only by the proof, which lowers the result to register
-/// form, checks the two against each other and then drops this one.
-pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
+/// Type-check one function body (index into `Module::funcs`) and lower it
+/// to the flat IR, in one walk. A body that breaks the type system is the
+/// [`ValidateError`] naming its function, instruction and kind. Called
+/// only by the proof, which lowers the result to register form, checks
+/// the two against each other and then drops this one. The module-level
+/// checks ([`crate::validate::validate`]) must have passed.
+pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, ValidateError> {
     let body = &module.funcs[local_idx as usize];
     let ty = &module.types[body.type_idx as usize];
-    let ret_arity = ty.results.len() as u32;
+    let results = ty.results.first().copied();
     let mut c = FnCompiler {
         module,
         n_imports: module.num_imported_funcs(),
+        func_idx: module.num_imported_funcs() + local_idx,
+        pc: 0,
         ops: Vec::with_capacity(body.code.len() + 8),
         branches: Vec::new(),
-        ctrls: vec![Ctrl {
-            kind: CtrlKind::Func,
-            height: 0,
-            arity: ret_arity as u8,
-            fixups: Vec::new(),
-        }],
-        height: 0,
+        ctrls: Vec::new(),
+        vals: Vec::new(),
+        results,
+        frame: (&ty.params, &body.locals),
         reachable: true,
         open: false,
         meter_pc: 0,
         block_cost: 0,
         fn_level: Vec::new(),
-        ret_arity,
         local_offset: 0,
         next_local: (ty.params.len() + body.locals.len()) as u32,
         inline_stack: Vec::new(),
     };
+    c.push_ctrl(CtrlKind::Func, results);
     // The entry block carries the activation price. A leading `loop`
     // seals it and opens its own header, so no branch lands here.
     c.count(call_price(body.locals.len()));
-    for instr in &body.code {
-        c.lower(instr);
+    for (pc, instr) in body.code.iter().enumerate() {
+        c.pc = pc;
+        c.lower(instr)?;
     }
-    debug_assert!(c.ctrls.is_empty(), "validated: balanced control frames");
+    if !c.ctrls.is_empty() {
+        // The final `End` pops the function frame; the decoder's block
+        // fixup refuses a body where it does not.
+        c.pc = body.code.len();
+        return Err(c.err(ValidateErrorKind::ControlUnderflow));
+    }
     // Conditional branches to the function level land on a shared return
     // trampoline (unmetered: the branch already paid for itself, matching
     // a per-instruction walk, which never executes an End on this path).
@@ -323,14 +359,14 @@ pub fn compile_func(module: &Module, local_idx: u32) -> CompiledFunc {
             c.branches[*bi as usize].pc = tramp;
         }
     }
-    CompiledFunc {
+    Ok(CompiledFunc {
         ops: c.ops.into_boxed_slice(),
         branches: c.branches.into_boxed_slice(),
         locals_init: body.locals.iter().map(|t| Value::zero(*t)).collect(),
         argc: ty.params.len() as u32,
         n_locals: c.next_local,
-        ret_arity,
-    }
+        ret_arity: results.is_some() as u32,
+    })
 }
 
 /// True for instructions an inlined callee body may contain: straight-line
@@ -364,6 +400,156 @@ const INLINE_MAX_INSTRS: usize = 64;
 const INLINE_MAX_DEPTH: usize = 2;
 
 impl<'m> FnCompiler<'m> {
+    fn err(&self, kind: ValidateErrorKind) -> ValidateError {
+        ValidateError {
+            func: Some(self.func_idx),
+            pc: Some(self.pc),
+            kind,
+        }
+    }
+
+    // -- the type checker: the spec appendix's algorithm -----------------
+
+    fn push(&mut self, ty: ValType) {
+        self.vals.push(Some(ty));
+    }
+
+    fn pop_any(&mut self) -> Result<Option<ValType>, ValidateError> {
+        let (height, unreachable) = self
+            .ctrls
+            .last()
+            .map_or((0, false), |f| (f.height as usize, f.unreachable));
+        if self.vals.len() == height {
+            if unreachable {
+                return Ok(None);
+            }
+            return Err(self.err(ValidateErrorKind::StackUnderflow));
+        }
+        Ok(self.vals.pop().flatten())
+    }
+
+    fn pop_expect(&mut self, expected: ValType) -> Result<(), ValidateError> {
+        match self.pop_any()? {
+            Some(t) if t != expected => Err(self.err(ValidateErrorKind::TypeMismatch {
+                expected,
+                found: Some(t),
+            })),
+            _ => Ok(()),
+        }
+    }
+
+    /// Pop a call's arguments, last first.
+    fn pop_params(&mut self, params: &[ValType]) -> Result<(), ValidateError> {
+        params.iter().rev().try_for_each(|&p| self.pop_expect(p))
+    }
+
+    fn push_ctrl(&mut self, kind: CtrlKind, ty: Option<ValType>) {
+        self.ctrls.push(Ctrl {
+            kind,
+            height: self.vals.len() as u32,
+            ty,
+            fixups: Vec::new(),
+            unreachable: false,
+        });
+    }
+
+    /// The checks at a frame's `else` or `end`: its value on top of the
+    /// stack, and nothing else above its entry height.
+    fn check_frame_end(&mut self) -> Result<(), ValidateError> {
+        let Some(&Ctrl { height, ty, .. }) = self.ctrls.last() else {
+            return Err(self.err(ValidateErrorKind::ControlUnderflow));
+        };
+        if let Some(t) = ty {
+            self.pop_expect(t)?;
+        }
+        if self.vals.len() != height as usize {
+            return Err(self.err(ValidateErrorKind::StackHeightMismatch {
+                expected: height as usize,
+                found: self.vals.len(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// The rest of the current frame is unreachable: drop its operands and
+    /// make its stack polymorphic.
+    fn set_unreachable(&mut self) {
+        if let Some(f) = self.ctrls.last_mut() {
+            self.vals.truncate(f.height as usize);
+            f.unreachable = true;
+        }
+    }
+
+    /// Types carried by a branch to the label `depth` levels up (none to a
+    /// loop, whose branches target its start).
+    fn label_types(&self, depth: u32) -> Result<Option<ValType>, ValidateError> {
+        let ci = self
+            .ctrls
+            .len()
+            .checked_sub(1 + depth as usize)
+            .ok_or_else(|| self.err(ValidateErrorKind::BadLabelDepth(depth)))?;
+        let f = &self.ctrls[ci];
+        Ok(match f.kind {
+            CtrlKind::Loop { .. } => None,
+            _ => f.ty,
+        })
+    }
+
+    fn check_mem(&self) -> Result<(), ValidateError> {
+        match self.module.memory {
+            Some(_) => Ok(()),
+            None => Err(self.err(ValidateErrorKind::NoMemory)),
+        }
+    }
+
+    fn local_ty(&self, idx: u32) -> Result<ValType, ValidateError> {
+        let (params, locals) = self.frame;
+        let i = idx as usize;
+        params
+            .get(i)
+            .or_else(|| locals.get(i.checked_sub(params.len())?))
+            .copied()
+            .ok_or_else(|| self.err(ValidateErrorKind::BadLocalIndex(idx)))
+    }
+
+    fn global_ty(&self, idx: u32) -> Result<GlobalType, ValidateError> {
+        self.module
+            .globals
+            .get(idx as usize)
+            .map(|g| g.ty)
+            .ok_or_else(|| self.err(ValidateErrorKind::BadGlobalIndex(idx)))
+    }
+
+    /// An op that pops `params` (last first) and pushes `result`.
+    fn op(
+        &mut self,
+        params: &[ValType],
+        result: Option<ValType>,
+        op: Op,
+    ) -> Result<(), ValidateError> {
+        self.pop_params(params)?;
+        if let Some(ty) = result {
+            self.push(ty);
+        }
+        self.simple(op);
+        Ok(())
+    }
+
+    /// A plain operator, typed by its row of the operator table: a memory
+    /// row needs the memory and an alignment of at most its width.
+    fn plain(&mut self, row: &OpRow, align: u32, op: Op) -> Result<(), ValidateError> {
+        if let Some(width) = row.width {
+            self.check_mem()?;
+            let natural = width.trailing_zeros();
+            if align > natural {
+                return Err(self.err(ValidateErrorKind::BadAlignment { align, natural }));
+            }
+        }
+        self.op(row.params, row.result, op)
+    }
+
+    // -- the lowering ----------------------------------------------------
+
     /// Finalize the open block's `Meter` cost.
     fn seal(&mut self) {
         if self.open {
@@ -396,13 +582,19 @@ impl<'m> FnCompiler<'m> {
         self.ops.push(op);
     }
 
-    /// Apply a source instruction's stack effect to the static height.
-    fn bump(&mut self, pops: usize, pushes: usize) {
-        self.height = self
-            .height
-            .checked_sub(pops)
-            .expect("validated: operand stack underflow")
-            + pushes;
+    /// A plain op, where the code executes: count it and emit it.
+    fn simple(&mut self, op: Op) {
+        if self.reachable {
+            self.count(1);
+            self.emit(op);
+        }
+    }
+
+    /// End the reachable code: `op` is the block's last op.
+    fn terminate(&mut self, op: Op) {
+        self.emit(op);
+        self.seal();
+        self.reachable = false;
     }
 
     fn new_branch(&mut self, height: u32, arity: u8) -> u32 {
@@ -414,17 +606,18 @@ impl<'m> FnCompiler<'m> {
         (self.branches.len() - 1) as u32
     }
 
-    /// Resolve a relative branch depth to a branch-table index. Loop
-    /// targets resolve immediately; forward targets are fixed up at `end`;
-    /// function-level targets go to the return trampoline.
+    /// Resolve a relative branch depth (checked by `label_types`) to a
+    /// branch-table index. Loop targets resolve immediately; forward
+    /// targets are fixed up at `end`; function-level targets go to the
+    /// return trampoline.
     fn branch_index(&mut self, depth: u32) -> u32 {
         let ci = self.ctrls.len() - 1 - depth as usize;
         if ci == 0 {
-            let b = self.new_branch(0, self.ret_arity as u8);
+            let b = self.new_branch(0, self.results.is_some() as u8);
             self.fn_level.push(b);
             return b;
         }
-        let (height, arity) = (self.ctrls[ci].height, self.ctrls[ci].arity);
+        let (height, arity) = (self.ctrls[ci].height, self.ctrls[ci].ty.is_some() as u8);
         match self.ctrls[ci].kind {
             CtrlKind::Loop { header } => {
                 self.branches.push(BranchTarget {
@@ -442,170 +635,272 @@ impl<'m> FnCompiler<'m> {
         }
     }
 
-    /// Plain op: count, emit, apply its stack effect.
-    fn simple(&mut self, op: Op) {
-        self.count(1);
-        self.emit(op);
-        let (pops, pushes) = op.stack_effect(self.module);
-        self.bump(pops as usize, pushes as usize);
-    }
-
-    fn lower(&mut self, instr: &Instr) {
-        if !self.reachable {
-            // Skip dead code, but keep the control-frame bookkeeping so
-            // `else`/`end` can restore reachability.
-            match instr {
-                Instr::Block { ty, .. } | Instr::Loop { ty } | Instr::If { ty, .. } => {
-                    self.ctrls.push(Ctrl {
-                        kind: CtrlKind::Block,
-                        height: self.height as u32,
-                        arity: ty.arity() as u8,
-                        fixups: Vec::new(),
-                    });
-                }
-                Instr::Else { .. } => self.lower_else(),
-                Instr::End => self.lower_end(),
-                _ => {}
-            }
-            return;
+    /// Type-check one source instruction and, where it executes, lower it.
+    /// Dead code is checked against its polymorphic stack and emits
+    /// nothing; its frames are kept so `else`/`end` can restore
+    /// reachability.
+    fn lower(&mut self, instr: &Instr) -> Result<(), ValidateError> {
+        use ValType::*;
+        if self.ctrls.is_empty() {
+            // Code after the function's final `end`.
+            return Err(self.err(ValidateErrorKind::ControlUnderflow));
         }
+        let module = self.module;
         match instr {
             Instr::Unreachable => {
-                self.count(1);
-                self.emit(Op::Unreachable);
-                self.seal();
-                self.reachable = false;
+                if self.reachable {
+                    self.count(1);
+                    self.terminate(Op::Unreachable);
+                }
+                self.set_unreachable();
             }
-            Instr::Nop => self.count(1),
+            Instr::Nop => {
+                if self.reachable {
+                    self.count(1);
+                }
+            }
             Instr::Block { ty, .. } => {
-                self.count(1);
-                self.ctrls.push(Ctrl {
-                    kind: CtrlKind::Block,
-                    height: self.height as u32,
-                    arity: ty.arity() as u8,
-                    fixups: Vec::new(),
-                });
+                if self.reachable {
+                    self.count(1);
+                }
+                self.push_ctrl(CtrlKind::Block, ty.result());
             }
             Instr::Loop { ty } => {
                 // The loop header must start a fresh block even when the
                 // current one is empty: its Meter is the back-edge target
                 // and is re-charged every iteration (a per-instruction
                 // walk re-executes the Loop instruction too).
-                self.seal();
-                let header = self.leader();
-                self.count(1);
-                self.ctrls.push(Ctrl {
-                    kind: CtrlKind::Loop { header },
-                    height: self.height as u32,
-                    arity: ty.arity() as u8,
-                    fixups: Vec::new(),
-                });
-            }
-            Instr::If { ty, .. } => self.lower_if(*ty),
-            Instr::Else { .. } => self.lower_else(),
-            Instr::End => self.lower_end(),
-            Instr::Br { depth } => {
-                self.count(1);
-                let ci = self.ctrls.len() - 1 - *depth as usize;
-                if ci == 0 {
-                    // Branch to the function label: a return (same fuel as
-                    // a per-instruction walk, which never runs the final End).
-                    self.emit(Op::Return);
-                } else {
-                    let b = self.branch_index(*depth);
-                    self.emit(Op::Br(b));
+                let mut header = u32::MAX;
+                if self.reachable {
+                    self.seal();
+                    header = self.leader();
+                    self.count(1);
                 }
-                self.seal();
-                self.reachable = false;
+                self.push_ctrl(CtrlKind::Loop { header }, ty.result());
+            }
+            Instr::If { ty, .. } => {
+                // The false edge is a branch to the else arm (or the end).
+                self.pop_expect(I32)?;
+                let mut else_br = None;
+                if self.reachable {
+                    self.count(1);
+                    let br = self.new_branch(self.vals.len() as u32, 0);
+                    self.emit(Op::BrIfZ(br));
+                    self.seal();
+                    else_br = Some(br);
+                }
+                self.push_ctrl(CtrlKind::If { else_br }, ty.result());
+            }
+            Instr::Else { .. } => self.lower_else()?,
+            Instr::End => self.lower_end()?,
+            Instr::Br { depth } => {
+                if let Some(t) = self.label_types(*depth)? {
+                    self.pop_expect(t)?;
+                }
+                if self.reachable {
+                    self.count(1);
+                    if self.ctrls.len() - 1 == *depth as usize {
+                        // Branch to the function label: a return (same fuel
+                        // as a per-instruction walk, which never runs the
+                        // final End).
+                        self.terminate(Op::Return);
+                    } else {
+                        let b = self.branch_index(*depth);
+                        self.terminate(Op::Br(b));
+                    }
+                }
+                self.set_unreachable();
             }
             Instr::BrIf { depth } => {
-                self.count(1);
-                self.bump(1, 0); // condition
-                let br = self.branch_index(*depth);
-                self.emit(Op::BrIf(br));
-                self.seal();
+                self.pop_expect(I32)?;
+                if let Some(t) = self.label_types(*depth)? {
+                    self.pop_expect(t)?;
+                    self.push(t);
+                }
+                if self.reachable {
+                    self.count(1);
+                    let br = self.branch_index(*depth);
+                    self.emit(Op::BrIf(br));
+                    self.seal();
+                }
             }
             Instr::BrTable { targets, default } => {
-                self.count(1);
-                self.bump(1, 0); // selector
-                let start = self.branches.len() as u32;
-                for d in targets.iter() {
-                    let _ = self.branch_index(*d);
+                self.pop_expect(I32)?;
+                let tys = self.label_types(*default)?;
+                for t in targets.iter() {
+                    if self.label_types(*t)? != tys {
+                        return Err(self.err(ValidateErrorKind::BrTableArityMismatch));
+                    }
                 }
-                let _ = self.branch_index(*default);
-                self.emit(Op::BrTable {
-                    start,
-                    n: targets.len() as u32,
-                });
-                self.seal();
-                self.reachable = false;
+                if let Some(t) = tys {
+                    self.pop_expect(t)?;
+                }
+                if self.reachable {
+                    self.count(1);
+                    let start = self.branches.len() as u32;
+                    for d in targets.iter() {
+                        self.branch_index(*d);
+                    }
+                    self.branch_index(*default);
+                    self.terminate(Op::BrTable {
+                        start,
+                        n: targets.len() as u32,
+                    });
+                }
+                self.set_unreachable();
             }
             Instr::Return => {
-                self.count(1);
-                self.emit(Op::Return);
-                self.seal();
-                self.reachable = false;
+                if let Some(t) = self.results {
+                    self.pop_expect(t)?;
+                }
+                if self.reachable {
+                    self.count(1);
+                    self.terminate(Op::Return);
+                }
+                self.set_unreachable();
             }
             Instr::Call { func } => {
-                if let Some(local) = func.checked_sub(self.n_imports) {
-                    if !self.try_inline(local) {
-                        self.simple(Op::CallWasm(local));
-                    }
-                    return;
-                }
-                let ty = self
-                    .module
+                let ty = module
                     .func_type(*func)
-                    .expect("validated: call target");
-                let ret = match ty.results.first() {
-                    None => 0,
-                    Some(ValType::I32) => 1,
-                    Some(ValType::I64) => 2,
-                    Some(ValType::F32) => 3,
-                    Some(ValType::F64) => 4,
-                };
-                self.simple(Op::CallHost {
-                    f: *func,
-                    argc: ty.params.len() as u16,
-                    ret,
-                });
+                    .ok_or_else(|| self.err(ValidateErrorKind::BadFuncIndex(*func)))?;
+                self.pop_params(&ty.params)?;
+                if self.reachable {
+                    match func.checked_sub(self.n_imports) {
+                        Some(local) => {
+                            if !self.try_inline(local, ty) {
+                                self.simple(Op::CallWasm(local));
+                            }
+                        }
+                        None => {
+                            let ret = match ty.results.first() {
+                                None => 0,
+                                Some(ValType::I32) => 1,
+                                Some(ValType::I64) => 2,
+                                Some(ValType::F32) => 3,
+                                Some(ValType::F64) => 4,
+                            };
+                            self.simple(Op::CallHost {
+                                f: *func,
+                                argc: ty.params.len() as u16,
+                                ret,
+                            });
+                        }
+                    }
+                }
+                if let Some(&r) = ty.results.first() {
+                    self.push(r);
+                }
             }
-            Instr::CallIndirect { type_idx } => self.simple(Op::CallIndirect(*type_idx)),
-            Instr::Drop => self.simple(Op::Drop),
-            Instr::Select => self.simple(Op::Select),
-            Instr::LocalGet(i) => self.simple(Op::LocalGet(self.local_offset + *i)),
-            Instr::LocalSet(i) => self.simple(Op::LocalSet(self.local_offset + *i)),
-            Instr::LocalTee(i) => self.simple(Op::LocalTee(self.local_offset + *i)),
-            Instr::GlobalGet(i) => self.simple(Op::GlobalGet(*i)),
-            Instr::GlobalSet(i) => self.simple(Op::GlobalSet(*i)),
-            Instr::I32Bin(op) => self.simple(Op::I32Bin(*op)),
-            Instr::I64Bin(op) => self.simple(Op::I64Bin(*op)),
-            Instr::Bin(op) => self.simple(Op::Bin(*op)),
-            Instr::Un(op) => self.simple(Op::Un(*op)),
-            Instr::Load(kind, m) => self.simple(Op::Load {
-                kind: *kind,
-                off: m.offset,
-            }),
-            Instr::Store(kind, m) => self.simple(Op::Store {
-                kind: *kind,
-                off: m.offset,
-            }),
-            Instr::MemorySize => self.simple(Op::MemorySize),
-            Instr::MemoryGrow => self.simple(Op::MemoryGrow),
-            Instr::MemoryCopy => self.simple(Op::MemoryCopy),
-            Instr::MemoryFill => self.simple(Op::MemoryFill),
-
-            Instr::I32Const(v) => self.simple(Op::I32Const(*v)),
-            Instr::I64Const(v) => self.simple(Op::I64Const(*v)),
-            Instr::F32Const(v) => self.simple(Op::F32Const(*v)),
-            Instr::F64Const(v) => self.simple(Op::F64Const(*v)),
+            Instr::CallIndirect { type_idx } => {
+                if module.table.is_none() {
+                    return Err(self.err(ValidateErrorKind::NoTable));
+                }
+                let ty = module
+                    .types
+                    .get(*type_idx as usize)
+                    .ok_or_else(|| self.err(ValidateErrorKind::BadTypeIndex(*type_idx)))?;
+                self.pop_expect(I32)?;
+                self.pop_params(&ty.params)?;
+                self.simple(Op::CallIndirect(*type_idx));
+                if let Some(&r) = ty.results.first() {
+                    self.push(r);
+                }
+            }
+            Instr::Drop => {
+                self.pop_any()?;
+                self.simple(Op::Drop);
+            }
+            Instr::Select => {
+                self.pop_expect(I32)?;
+                let a = self.pop_any()?;
+                let b = self.pop_any()?;
+                match (a, b) {
+                    (Some(ta), Some(tb)) if ta != tb => {
+                        return Err(self.err(ValidateErrorKind::TypeMismatch {
+                            expected: ta,
+                            found: b,
+                        }))
+                    }
+                    _ => self.vals.push(a.or(b)),
+                }
+                self.simple(Op::Select);
+            }
+            Instr::LocalGet(i) => {
+                let t = self.local_ty(*i)?;
+                self.op(&[], Some(t), Op::LocalGet(self.local_offset + *i))?;
+            }
+            Instr::LocalSet(i) => {
+                let t = self.local_ty(*i)?;
+                self.op(&[t], None, Op::LocalSet(self.local_offset + *i))?;
+            }
+            Instr::LocalTee(i) => {
+                let t = self.local_ty(*i)?;
+                self.op(&[t], Some(t), Op::LocalTee(self.local_offset + *i))?;
+            }
+            Instr::GlobalGet(i) => {
+                let g = self.global_ty(*i)?;
+                self.op(&[], Some(g.ty), Op::GlobalGet(*i))?;
+            }
+            Instr::GlobalSet(i) => {
+                let g = self.global_ty(*i)?;
+                if g.mutability != Mutability::Var {
+                    return Err(self.err(ValidateErrorKind::ImmutableGlobal(*i)));
+                }
+                self.op(&[g.ty], None, Op::GlobalSet(*i))?;
+            }
+            Instr::I32Bin(op) => self.plain(op.row(), 0, Op::I32Bin(*op))?,
+            Instr::I64Bin(op) => self.plain(op.row(), 0, Op::I64Bin(*op))?,
+            Instr::Bin(op) => self.plain(op.row(), 0, Op::Bin(*op))?,
+            Instr::Un(op) => self.plain(op.row(), 0, Op::Un(*op))?,
+            Instr::Load(kind, m) => {
+                let op = Op::Load {
+                    kind: *kind,
+                    off: m.offset,
+                };
+                self.plain(kind.row(), m.align, op)?;
+            }
+            Instr::Store(kind, m) => {
+                let op = Op::Store {
+                    kind: *kind,
+                    off: m.offset,
+                };
+                self.plain(kind.row(), m.align, op)?;
+            }
+            Instr::MemorySize => {
+                self.check_mem()?;
+                self.op(&[], Some(I32), Op::MemorySize)?;
+            }
+            Instr::MemoryGrow => {
+                self.check_mem()?;
+                self.op(&[I32], Some(I32), Op::MemoryGrow)?;
+            }
+            Instr::MemoryCopy => {
+                self.check_mem()?;
+                self.op(&[I32; 3], None, Op::MemoryCopy)?;
+            }
+            Instr::MemoryFill => {
+                self.check_mem()?;
+                self.op(&[I32; 3], None, Op::MemoryFill)?;
+            }
+            Instr::I32Const(v) => self.op(&[], Some(I32), Op::I32Const(*v))?,
+            Instr::I64Const(v) => self.op(&[], Some(I64), Op::I64Const(*v))?,
+            Instr::F32Const(v) => self.op(&[], Some(F32), Op::F32Const(*v))?,
+            Instr::F64Const(v) => self.op(&[], Some(F64), Op::F64Const(*v))?,
         }
+        Ok(())
     }
 
     /// Inline a straight-line leaf callee (no control flow, no calls) into
-    /// the current block. The callee's params and locals get fresh caller
-    /// slots; its body is lowered in place with the local indices remapped,
-    /// so the register lowering fuses straight across the call boundary.
+    /// the current block, its arguments already popped by the caller's
+    /// check. The callee's params and locals get fresh caller slots; its
+    /// body is lowered in place with the local indices remapped, so the
+    /// register lowering fuses straight across the call boundary.
+    ///
+    /// The callee is type-checked as it is lowered here, in a frame of its
+    /// own, before its own walk has checked it (it may come later in the
+    /// module). A callee that fails the check is not inlined: its code is
+    /// taken back and the call stays a real call, so the error is reported
+    /// by the callee's own walk, in function-index order.
     ///
     /// Fuel parity with a per-instruction walk is exact: the `call`
     /// charges 1 plus the callee's activation price, every body
@@ -617,7 +912,7 @@ impl<'m> FnCompiler<'m> {
     /// bound covers. Each time it runs, the site zeroes those of them the
     /// body reads before writing, as a frame entry would; the caller's own
     /// entry leaves them alone.
-    fn try_inline(&mut self, callee: u32) -> bool {
+    fn try_inline(&mut self, callee: u32, ty: &'m FuncType) -> bool {
         if self.inline_stack.len() >= INLINE_MAX_DEPTH || self.inline_stack.contains(&callee) {
             return false;
         }
@@ -650,27 +945,13 @@ impl<'m> FnCompiler<'m> {
         if !rest.iter().all(is_straight_line) {
             return false;
         }
-        let ty = &self.module.types[body.type_idx as usize];
-
-        // The call instruction itself and the activation it stands for.
-        self.count(1 + call_price(body.locals.len()));
-
-        // Fresh slots for the callee frame: params then declared locals.
-        let base = self.next_local;
+        // The declared locals the body reads before it writes: zeroed on
+        // every run of the site, as frame entry never touches these slots.
+        // The body is straight-line, so one pass in order finds those
+        // reads exactly.
         let argc = ty.params.len() as u32;
-        self.next_local += argc + body.locals.len() as u32;
-
-        // Drain the arguments into the param slots and zero each declared
-        // local the body reads before it writes, on every run of the site:
-        // frame entry never touches these slots. The body is straight-line,
-        // so one pass in order finds those reads exactly. Unmetered glue,
-        // paid by the price above, as a per-instruction walk's frame setup
-        // is.
-        for i in (0..argc).rev() {
-            self.emit(Op::LocalSet(base + i));
-            self.bump(1, 0);
-        }
         let mut settled = vec![false; body.locals.len()];
+        let mut zeroed = Vec::new();
         for instr in rest {
             let (Instr::LocalGet(l) | Instr::LocalSet(l) | Instr::LocalTee(l)) = *instr else {
                 continue;
@@ -678,11 +959,30 @@ impl<'m> FnCompiler<'m> {
             let Some(d) = l.checked_sub(argc) else {
                 continue;
             };
-            if std::mem::replace(&mut settled[d as usize], true)
-                || !matches!(instr, Instr::LocalGet(_))
-            {
-                continue;
+            let Some(seen) = settled.get_mut(d as usize) else {
+                // Past the callee's frame: its own walk reports it.
+                return false;
+            };
+            if !std::mem::replace(seen, true) && matches!(instr, Instr::LocalGet(_)) {
+                zeroed.push(d);
             }
+        }
+
+        // The block the call sits in, and where to take the inline back
+        // to if the body fails its check.
+        self.leader();
+        let (ops, block_cost, next_local) = (self.ops.len(), self.block_cost, self.next_local);
+
+        // Fresh slots for the callee frame: params then declared locals.
+        // Drain the arguments into the param slots and zero the locals
+        // found above: unmetered glue, paid by the activation price, as a
+        // per-instruction walk's frame setup is.
+        let base = self.next_local;
+        self.next_local += argc + body.locals.len() as u32;
+        for i in (0..argc).rev() {
+            self.emit(Op::LocalSet(base + i));
+        }
+        for d in zeroed {
             self.emit(match Value::zero(body.locals[d as usize]) {
                 Value::I32(k) => Op::I32Const(k),
                 Value::I64(k) => Op::I64Const(k),
@@ -692,94 +992,103 @@ impl<'m> FnCompiler<'m> {
             self.emit(Op::LocalSet(base + argc + d));
         }
 
-        // The body, with locals remapped into the fresh slots. Nested
-        // direct calls lower recursively under the depth guard.
-        let saved = self.local_offset;
+        // The body, checked in a frame of its own that ends in its result,
+        // with locals remapped into the fresh slots. Nested direct calls
+        // lower recursively under the depth guard.
+        let (offset, frame, height) = (self.local_offset, self.frame, self.vals.len());
         self.local_offset = base;
+        self.frame = (&ty.params, &body.locals);
         self.inline_stack.push(callee);
-        for instr in rest {
-            self.lower(instr);
-        }
+        self.push_ctrl(CtrlKind::Block, ty.results.first().copied());
+        let checked = rest
+            .iter()
+            .try_for_each(|instr| self.lower(instr))
+            .and_then(|()| self.check_frame_end());
         self.inline_stack.pop();
-        self.local_offset = saved;
+        self.ctrls.pop();
+        self.vals.truncate(height);
+        (self.local_offset, self.frame) = (offset, frame);
+        if checked.is_err() {
+            (self.block_cost, self.next_local) = (block_cost, next_local);
+            self.ops.truncate(ops);
+            return false;
+        }
 
-        // The callee's terminator (return or function-level end).
-        self.count(1);
+        // The call instruction itself, the activation it stands for and
+        // the callee's terminator (return or function-level end).
+        self.count(2 + call_price(body.locals.len()));
         true
     }
 
-    /// `if`: the false edge is a branch to the else arm (or the end).
-    fn lower_if(&mut self, ty: BlockType) {
-        self.count(1);
-        self.bump(1, 0); // condition
-        let br = self.new_branch(self.height as u32, 0);
-        self.emit(Op::BrIfZ(br));
-        self.seal();
-        self.ctrls.push(Ctrl {
-            kind: CtrlKind::If { else_br: br },
-            height: self.height as u32,
-            arity: ty.arity() as u8,
-            fixups: Vec::new(),
-        });
-    }
-
-    fn lower_else(&mut self) {
+    /// `else`: the then arm's value is checked, and its fallthrough jumps
+    /// over the else arm.
+    fn lower_else(&mut self) -> Result<(), ValidateError> {
+        self.check_frame_end()?;
         let fi = self.ctrls.len() - 1;
-        // Then-arm fallthrough jumps over the else arm; the Else
-        // instruction is charged on this path only, like the reference
-        // interpreter which executes Else only on then-fallthrough.
+        // The Else instruction is charged on the then-fallthrough path
+        // only, like the reference interpreter which executes Else only
+        // there.
         if self.reachable {
             self.count(1);
-            let (h, a) = (self.ctrls[fi].height, self.ctrls[fi].arity);
+            let (h, a) = (self.ctrls[fi].height, self.ctrls[fi].ty.is_some() as u8);
             let b = self.new_branch(h, a);
-            self.emit(Op::Br(b));
-            self.seal();
+            self.terminate(Op::Br(b));
             self.ctrls[fi].fixups.push(b);
         }
         let f = &mut self.ctrls[fi];
-        match f.kind {
-            CtrlKind::If { else_br } => {
-                f.kind = CtrlKind::Block;
-                let h = f.height;
+        f.unreachable = false;
+        match std::mem::replace(&mut f.kind, CtrlKind::Block) {
+            CtrlKind::If {
+                else_br: Some(else_br),
+            } => {
                 // An emitted If is always reachable at entry.
                 self.reachable = true;
-                self.height = h as usize;
                 let lp = self.leader();
                 self.branches[else_br as usize].pc = lp;
             }
-            _ => {
-                // The whole if/else sat in dead code.
-                self.reachable = false;
-            }
+            // The whole if/else sits in dead code.
+            _ => self.reachable = false,
         }
+        Ok(())
     }
 
-    fn lower_end(&mut self) {
-        let f = self.ctrls.pop().expect("validated: end matches a frame");
+    /// `end`: the frame's value is checked and pushed on its parent.
+    fn lower_end(&mut self) -> Result<(), ValidateError> {
+        self.check_frame_end()?;
+        let Some(f) = self.ctrls.pop() else {
+            return Err(self.err(ValidateErrorKind::ControlUnderflow));
+        };
+        if let (CtrlKind::If { .. }, Some(_)) = (&f.kind, f.ty) {
+            // The false path would yield no value.
+            return Err(self.err(ValidateErrorKind::IfMissingElse));
+        }
         if self.ctrls.is_empty() {
             // Function-level End: executes (and is charged) only on
             // fallthrough, then returns.
             if self.reachable {
-                self.height = self.ret_arity as usize;
                 self.count(1);
-                self.emit(Op::Return);
-                self.seal();
+                self.terminate(Op::Return);
             }
             self.reachable = false;
-            return;
+            return Ok(());
+        }
+        if let Some(t) = f.ty {
+            self.push(t);
         }
         match f.kind {
             CtrlKind::Loop { .. } => {
                 // Nothing branches forward to a loop's End; on fallthrough
                 // it simply pops (and costs one instruction).
                 if self.reachable {
-                    self.height = f.height as usize + f.arity as usize;
                     self.count(1);
                 }
             }
-            _ => {
+            kind => {
                 let mut fixups = f.fixups;
-                if let CtrlKind::If { else_br } = f.kind {
+                if let CtrlKind::If {
+                    else_br: Some(else_br),
+                } = kind
+                {
                     // Bare if: the false edge lands at the End.
                     fixups.push(else_br);
                 }
@@ -789,7 +1098,6 @@ impl<'m> FnCompiler<'m> {
                     // exactly the paths on which a per-instruction walk
                     // executes this End.
                     self.seal();
-                    self.height = f.height as usize + f.arity as usize;
                     let lp = self.leader();
                     self.count(1);
                     for bi in fixups {
@@ -801,6 +1109,7 @@ impl<'m> FnCompiler<'m> {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -811,7 +1120,7 @@ mod tests {
     use crate::types::ValType;
 
     fn compile_first(m: &Module) -> CompiledFunc {
-        compile_func(m, 0)
+        compile_func(m, 0).expect("well-typed")
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! * [`decode`] — binary-format (`.wasm`) decoder,
 //! * [`encode`] / [`builder`] — binary-format encoder and an ergonomic
 //!   [`builder::ModuleBuilder`] for constructing modules programmatically,
-//! * [`validate`] — the full stack-polymorphic type checker,
+//! * [`validate`] — the type system's errors and the module-level checks;
+//!   each body is type-checked by the walk that lowers it (below),
 //! * [`interp`] — the runtime state: values, sandboxed linear
 //!   [`Memory`](interp::Memory) with hard bounds checks, and tables,
 //! * [`instance`] — instantiation, host-function linking, typed calls and
 //!   the one executor: traps ([`Trap`]) and fuel metering, the only
 //!   budget that stops a call (it reads no clock),
 //! * [`analysis`] — the one load-time pass behind that executor, run once
-//!   per module: validated bodies become a 1:1 flat stack IR (side-table
-//!   branches, block metering, inlining), which is lowered again into
+//!   per module by [`load_module`]: each body is type-checked and lowered
+//!   in one walk to a 1:1 flat stack IR (side-table branches, block
+//!   metering, inlining), which is lowered again into
 //!   three-address code over a per-frame virtual register file — the one
 //!   pass that fuses operands, write-backs, compare-and-branch and address
 //!   chains — and the register form is proven equivalent to the flat IR,
@@ -86,13 +88,19 @@ pub use module::Module;
 pub use trap::Trap;
 pub use types::ValType;
 
-/// Decode, validate and wrap a binary module in one step.
+/// Decode, validate and lower a binary module in one step.
 ///
 /// This is the front door used by the plugin host: any malformed or
-/// ill-typed module is rejected before it can be instantiated.
+/// ill-typed module is rejected before it can be instantiated. After the
+/// decoder, the module-level checks run, then one walk per body
+/// type-checks it as it lowers it, in function-index order; the first
+/// body that fails is the error. The returned module holds its proven
+/// register code ([`Module::analysis`] has the proof's verdict; a failed
+/// proof leaves it no instance).
 pub fn load_module(bytes: &[u8]) -> Result<Module, LoadError> {
     let module = decode::decode_module(bytes).map_err(LoadError::Decode)?;
-    validate::validate(&module).map_err(LoadError::Validate)?;
+    let lowered = module.check().map_err(LoadError::Validate)?;
+    module.lowered.get_or_init(|| lowered);
     Ok(module)
 }
 

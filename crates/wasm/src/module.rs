@@ -3,13 +3,15 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::analysis::{lower_and_prove, AnalysisError, Lowered, ModuleAnalysis};
+use crate::analysis::{lower_and_prove, mismatch, AnalysisError, Lowered, ModuleAnalysis};
 use crate::instr::Instr;
 use crate::regalloc::RegFunc;
 use crate::types::{FuncType, GlobalType, Limits, ValType};
+use crate::validate::{validate, ValidateError};
 
-/// A lazily computed pure function of the module it lives on: the
-/// lowered and proven code is derived once, on first use. Wraps
+/// A pure function of the module it lives on, computed once: the lowered
+/// and proven code, which [`crate::load_module`] derives before it returns
+/// the module (and a module built in memory on first use). Wraps
 /// `OnceLock` so [`Module`] keeps its derived `Clone`/`PartialEq`/`Debug`
 /// — a clone carries a computed value along, and the cache never affects
 /// equality.
@@ -190,7 +192,7 @@ pub struct Module {
     pub data: Vec<DataSegment>,
     /// The register code every instance runs and the report of the proof
     /// that checked it, derived once by `analysis::lower_and_prove`.
-    lowered: Memo<Result<Lowered, AnalysisError>>,
+    pub(crate) lowered: Memo<Result<Lowered, AnalysisError>>,
 }
 
 impl Module {
@@ -235,8 +237,10 @@ impl Module {
     }
 
     /// The module's static analysis report (translation validation and
-    /// worst-case resource bounds), computed on first use and cached.
-    /// The module must have been validated.
+    /// worst-case resource bounds), computed when [`crate::load_module`]
+    /// type-checked and lowered the module. A module built in memory is
+    /// checked and lowered on first use, and one that fails validation
+    /// reports it here.
     pub fn analysis(&self) -> Result<&ModuleAnalysis, AnalysisError> {
         self.lowered().map(|l| &l.report)
     }
@@ -250,14 +254,34 @@ impl Module {
 
     fn lowered(&self) -> Result<&Lowered, AnalysisError> {
         self.lowered
-            .get_or_init(|| lower_and_prove(self))
+            .get_or_init(|| {
+                self.check().unwrap_or_else(|e| {
+                    let func = e
+                        .func
+                        .map_or(0, |f| f.saturating_sub(self.num_imported_funcs()));
+                    Err(mismatch(
+                        func,
+                        e.pc.unwrap_or(0),
+                        format!("invalid module: {e}"),
+                    ))
+                })
+            })
             .as_ref()
             .map_err(Clone::clone)
     }
 
-    /// Lower and prove every body now ([`Self::analysis`]), so the first
-    /// instantiation on a worker that shares this module finds the code
-    /// ready instead of waiting on the cell.
+    /// Validate the module: its declarations, then each body in
+    /// function-index order, type-checked by the walk that lowers it. On
+    /// success, the lowering's proof verdict.
+    pub(crate) fn check(&self) -> Result<Result<Lowered, AnalysisError>, ValidateError> {
+        validate(self)?;
+        lower_and_prove(self)
+    }
+
+    /// Lower and prove every body now ([`Self::analysis`]). A module from
+    /// [`crate::load_module`] already is, so this returns at once; one
+    /// built in memory is lowered here, so the first instantiation on a
+    /// worker that shares it finds the code ready.
     pub fn precompile(&self) {
         let _ = self.analysis();
     }
@@ -347,8 +371,9 @@ mod tests {
 
     #[test]
     fn a_module_that_fails_its_proof_has_no_instance() {
+        // Decoded, not loaded: the cell is still empty for the failure.
         let wasm = waran_wat::assemble(r#"(module (func (export "f")))"#).unwrap();
-        let m = crate::load_module(&wasm).unwrap();
+        let m = crate::decode::decode_module(&wasm).unwrap();
         let failed = crate::analysis::mismatch(0, 0, "injected");
         m.lowered.get_or_init(|| Err(failed.clone()));
         assert_eq!(m.analysis(), Err(failed.clone()));
@@ -361,6 +386,25 @@ mod tests {
         assert_eq!(cold.unwrap_err(), want);
         let pre = crate::InstancePre::new(m, &linker, cap);
         assert_eq!(pre.unwrap_err(), want);
+    }
+
+    #[test]
+    fn an_ill_typed_module_built_in_memory_has_no_instance() {
+        let mut mb = crate::builder::ModuleBuilder::new();
+        let sig = mb.func_type(&[], &[ValType::I32]);
+        let f = mb.begin_func(sig);
+        mb.code().i64_const(1);
+        mb.end_func().unwrap();
+        mb.export_func("f", f);
+        let m = mb.finish().unwrap();
+        let err = m.analysis().unwrap_err();
+        assert!(err.to_string().contains("TypeMismatch"), "{err}");
+        let linker = crate::Linker::<()>::new();
+        let cold = crate::Instance::new(std::sync::Arc::new(m), &linker, ());
+        assert_eq!(
+            cold.unwrap_err(),
+            crate::instance::InstantiateError::Analysis(err)
+        );
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Module validation: the WebAssembly type system.
+//! Module validation: the WebAssembly type system's verdicts, and its
+//! module-level checks.
 //!
-//! Implements the stack-polymorphic validation algorithm from the spec
-//! appendix — a value stack of possibly-unknown types plus a control-frame
-//! stack — over the flat instruction representation. Validation is the
-//! security gate of the plugin host: only validated modules can be
-//! instantiated, so the interpreter may assume well-typed code and bounds
-//! errors can only be *dynamic* (memory, table, fuel), never structural.
+//! Validation is the security gate of the plugin host: only a validated
+//! module has code to instantiate, so the executor may assume well-typed
+//! code and bounds errors can only be *dynamic* (memory, table, fuel),
+//! never structural. [`crate::load_module`] runs it in two steps. This
+//! module holds the first: the declarations — types, imports, limits,
+//! globals, functions, exports, start and segments. Each function body is
+//! then type-checked by the walk that lowers it (`compile.rs`, inside the
+//! load-time pass of [`crate::analysis`]): one walk, one control stack,
+//! and a body error is the same [`ValidateError`] at its function and
+//! instruction.
 
-use crate::instr::{Instr, OpRow};
 use crate::module::*;
 use crate::types::*;
 
@@ -93,8 +97,9 @@ impl std::fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
-/// Validate a decoded module.
-pub fn validate(module: &Module) -> Result<(), ValidateError> {
+/// The module-level checks of a decoded module; its bodies are checked as
+/// they are lowered.
+pub(crate) fn validate(module: &Module) -> Result<(), ValidateError> {
     let err = |kind| ValidateError {
         func: None,
         pc: None,
@@ -208,378 +213,7 @@ pub fn validate(module: &Module) -> Result<(), ValidateError> {
         }
     }
 
-    // Function bodies.
-    let n_imports = module.num_imported_funcs();
-    for (i, body) in module.funcs.iter().enumerate() {
-        let func_idx = n_imports + i as u32;
-        let ty = &module.types[body.type_idx as usize];
-        FuncValidator::new(module, func_idx, ty, body).run()?;
-    }
-
     Ok(())
-}
-
-/// A control frame on the validator's frame stack.
-struct CtrlFrame {
-    /// True for `loop` (branches target the start, so label types are the
-    /// frame's *start* types — empty in the MVP).
-    is_loop: bool,
-    /// True for an `if` frame that has not (yet) seen its `else`.
-    is_bare_if: bool,
-    /// Result types of the frame.
-    end_types: Option<ValType>,
-    /// Value-stack height at frame entry.
-    height: usize,
-    /// Set once code in this frame became unreachable.
-    unreachable: bool,
-}
-
-struct FuncValidator<'m> {
-    module: &'m Module,
-    func_idx: u32,
-    locals: Vec<ValType>,
-    results: Option<ValType>,
-    body: &'m FuncBody,
-    // None = unknown type (from unreachable code).
-    vals: Vec<Option<ValType>>,
-    ctrls: Vec<CtrlFrame>,
-    pc: usize,
-}
-
-impl<'m> FuncValidator<'m> {
-    fn new(module: &'m Module, func_idx: u32, ty: &'m FuncType, body: &'m FuncBody) -> Self {
-        let mut locals = ty.params.clone();
-        locals.extend_from_slice(&body.locals);
-        FuncValidator {
-            module,
-            func_idx,
-            locals,
-            results: ty.results.first().copied(),
-            body,
-            vals: Vec::new(),
-            ctrls: Vec::new(),
-            pc: 0,
-        }
-    }
-
-    fn err(&self, kind: ValidateErrorKind) -> ValidateError {
-        ValidateError {
-            func: Some(self.func_idx),
-            pc: Some(self.pc),
-            kind,
-        }
-    }
-
-    fn push(&mut self, ty: ValType) {
-        self.vals.push(Some(ty));
-    }
-
-    fn push_unknown(&mut self) {
-        self.vals.push(None);
-    }
-
-    fn pop_any(&mut self) -> Result<Option<ValType>, ValidateError> {
-        let frame = self
-            .ctrls
-            .last()
-            .expect("frame stack never empty during body");
-        if self.vals.len() == frame.height {
-            if frame.unreachable {
-                return Ok(None);
-            }
-            return Err(self.err(ValidateErrorKind::StackUnderflow));
-        }
-        Ok(self.vals.pop().expect("checked non-empty"))
-    }
-
-    fn pop_expect(&mut self, expected: ValType) -> Result<(), ValidateError> {
-        match self.pop_any()? {
-            None => Ok(()),
-            Some(t) if t == expected => Ok(()),
-            Some(t) => Err(self.err(ValidateErrorKind::TypeMismatch {
-                expected,
-                found: Some(t),
-            })),
-        }
-    }
-
-    fn push_ctrl(&mut self, is_loop: bool, end_types: Option<ValType>) {
-        self.push_ctrl_full(is_loop, false, end_types);
-    }
-
-    fn push_ctrl_full(&mut self, is_loop: bool, is_bare_if: bool, end_types: Option<ValType>) {
-        self.ctrls.push(CtrlFrame {
-            is_loop,
-            is_bare_if,
-            end_types,
-            height: self.vals.len(),
-            unreachable: false,
-        });
-    }
-
-    fn pop_ctrl(&mut self) -> Result<CtrlFrame, ValidateError> {
-        let frame = self
-            .ctrls
-            .last()
-            .ok_or_else(|| self.err(ValidateErrorKind::ControlUnderflow))?;
-        let height = frame.height;
-        let end = frame.end_types;
-        if let Some(t) = end {
-            self.pop_expect(t)?;
-        }
-        if self.vals.len() != height {
-            let found = self.vals.len();
-            return Err(self.err(ValidateErrorKind::StackHeightMismatch {
-                expected: height,
-                found,
-            }));
-        }
-        Ok(self.ctrls.pop().expect("checked non-empty"))
-    }
-
-    fn set_unreachable(&mut self) {
-        let frame = self.ctrls.last_mut().expect("frame stack never empty");
-        self.vals.truncate(frame.height);
-        frame.unreachable = true;
-    }
-
-    /// Types carried by a branch to the label `depth` levels up.
-    fn label_types(&self, depth: u32) -> Result<Option<ValType>, ValidateError> {
-        let idx = self
-            .ctrls
-            .len()
-            .checked_sub(1 + depth as usize)
-            .ok_or_else(|| self.err(ValidateErrorKind::BadLabelDepth(depth)))?;
-        let frame = &self.ctrls[idx];
-        Ok(if frame.is_loop { None } else { frame.end_types })
-    }
-
-    fn check_mem(&self) -> Result<(), ValidateError> {
-        if self.module.memory.is_none() {
-            return Err(self.err(ValidateErrorKind::NoMemory));
-        }
-        Ok(())
-    }
-
-    fn check_align(&self, align: u32, width_bytes: u32) -> Result<(), ValidateError> {
-        let natural = width_bytes.trailing_zeros();
-        if align > natural {
-            return Err(self.err(ValidateErrorKind::BadAlignment { align, natural }));
-        }
-        Ok(())
-    }
-
-    fn local_ty(&self, idx: u32) -> Result<ValType, ValidateError> {
-        self.locals
-            .get(idx as usize)
-            .copied()
-            .ok_or_else(|| self.err(ValidateErrorKind::BadLocalIndex(idx)))
-    }
-
-    fn global_ty(&self, idx: u32) -> Result<GlobalType, ValidateError> {
-        self.module
-            .globals
-            .get(idx as usize)
-            .map(|g| g.ty)
-            .ok_or_else(|| self.err(ValidateErrorKind::BadGlobalIndex(idx)))
-    }
-
-    /// A plain operator, typed by its row of the operator table: a memory
-    /// row needs the memory and an alignment of at most its width.
-    fn plain(&mut self, row: &OpRow, align: u32) -> Result<(), ValidateError> {
-        if let Some(width) = row.width {
-            self.check_mem()?;
-            self.check_align(align, width)?;
-        }
-        for &ty in row.params.iter().rev() {
-            self.pop_expect(ty)?;
-        }
-        if let Some(ty) = row.result {
-            self.push(ty);
-        }
-        Ok(())
-    }
-
-    fn run(mut self) -> Result<(), ValidateError> {
-        // The function-level frame.
-        self.push_ctrl(false, self.results);
-
-        use Instr::*;
-        use ValType::*;
-        let code = &self.body.code;
-        while self.pc < code.len() {
-            let instr = &code[self.pc];
-            match instr {
-                Unreachable => self.set_unreachable(),
-                Nop => {}
-                Block { ty, .. } => {
-                    self.push_ctrl(false, ty.result());
-                }
-                Loop { ty } => {
-                    self.push_ctrl(true, ty.result());
-                }
-                If { ty, .. } => {
-                    self.pop_expect(I32)?;
-                    self.push_ctrl_full(false, true, ty.result());
-                }
-                Else { .. } => {
-                    let frame = self.pop_ctrl()?;
-                    // Re-open a frame for the else arm with the same results.
-                    self.push_ctrl(false, frame.end_types);
-                }
-                End => {
-                    let frame = self.pop_ctrl()?;
-                    if frame.is_bare_if && frame.end_types.is_some() {
-                        // The false path would yield no value.
-                        return Err(self.err(ValidateErrorKind::IfMissingElse));
-                    }
-                    if let Some(t) = frame.end_types {
-                        self.push(t);
-                    }
-                }
-                Br { depth } => {
-                    if let Some(t) = self.label_types(*depth)? {
-                        self.pop_expect(t)?;
-                    }
-                    self.set_unreachable();
-                }
-                BrIf { depth } => {
-                    self.pop_expect(I32)?;
-                    if let Some(t) = self.label_types(*depth)? {
-                        self.pop_expect(t)?;
-                        self.push(t);
-                    }
-                }
-                BrTable { targets, default } => {
-                    self.pop_expect(I32)?;
-                    let default_tys = self.label_types(*default)?;
-                    for t in targets.iter() {
-                        if self.label_types(*t)? != default_tys {
-                            return Err(self.err(ValidateErrorKind::BrTableArityMismatch));
-                        }
-                    }
-                    if let Some(t) = default_tys {
-                        self.pop_expect(t)?;
-                    }
-                    self.set_unreachable();
-                }
-                Return => {
-                    if let Some(t) = self.results {
-                        self.pop_expect(t)?;
-                    }
-                    self.set_unreachable();
-                }
-                Call { func } => {
-                    let ty = self
-                        .module
-                        .func_type(*func)
-                        .ok_or_else(|| self.err(ValidateErrorKind::BadFuncIndex(*func)))?
-                        .clone();
-                    for p in ty.params.iter().rev() {
-                        self.pop_expect(*p)?;
-                    }
-                    if let Some(r) = ty.results.first() {
-                        self.push(*r);
-                    }
-                }
-                CallIndirect { type_idx } => {
-                    if self.module.table.is_none() {
-                        return Err(self.err(ValidateErrorKind::NoTable));
-                    }
-                    let ty = self
-                        .module
-                        .types
-                        .get(*type_idx as usize)
-                        .ok_or_else(|| self.err(ValidateErrorKind::BadTypeIndex(*type_idx)))?
-                        .clone();
-                    self.pop_expect(I32)?;
-                    for p in ty.params.iter().rev() {
-                        self.pop_expect(*p)?;
-                    }
-                    if let Some(r) = ty.results.first() {
-                        self.push(*r);
-                    }
-                }
-                Drop => {
-                    self.pop_any()?;
-                }
-                Select => {
-                    self.pop_expect(I32)?;
-                    let a = self.pop_any()?;
-                    let b = self.pop_any()?;
-                    match (a, b) {
-                        (Some(ta), Some(tb)) if ta == tb => self.push(ta),
-                        (Some(t), None) | (None, Some(t)) => self.push(t),
-                        (None, None) => self.push_unknown(),
-                        (Some(ta), Some(_tb)) => {
-                            return Err(self.err(ValidateErrorKind::TypeMismatch {
-                                expected: ta,
-                                found: b,
-                            }))
-                        }
-                    }
-                }
-                LocalGet(idx) => {
-                    let t = self.local_ty(*idx)?;
-                    self.push(t);
-                }
-                LocalSet(idx) => {
-                    let t = self.local_ty(*idx)?;
-                    self.pop_expect(t)?;
-                }
-                LocalTee(idx) => {
-                    let t = self.local_ty(*idx)?;
-                    self.pop_expect(t)?;
-                    self.push(t);
-                }
-                GlobalGet(idx) => {
-                    let g = self.global_ty(*idx)?;
-                    self.push(g.ty);
-                }
-                GlobalSet(idx) => {
-                    let g = self.global_ty(*idx)?;
-                    if g.mutability != Mutability::Var {
-                        return Err(self.err(ValidateErrorKind::ImmutableGlobal(*idx)));
-                    }
-                    self.pop_expect(g.ty)?;
-                }
-                I32Bin(op) => self.plain(op.row(), 0)?,
-                I64Bin(op) => self.plain(op.row(), 0)?,
-                Bin(op) => self.plain(op.row(), 0)?,
-                Un(op) => self.plain(op.row(), 0)?,
-                Load(kind, m) => self.plain(kind.row(), m.align)?,
-                Store(kind, m) => self.plain(kind.row(), m.align)?,
-                MemorySize => {
-                    self.check_mem()?;
-                    self.push(I32);
-                }
-                MemoryGrow => {
-                    self.check_mem()?;
-                    self.pop_expect(I32)?;
-                    self.push(I32);
-                }
-                MemoryCopy | MemoryFill => {
-                    self.check_mem()?;
-                    self.pop_expect(I32)?;
-                    self.pop_expect(I32)?;
-                    self.pop_expect(I32)?;
-                }
-                I32Const(_) => self.push(I32),
-                I64Const(_) => self.push(I64),
-                F32Const(_) => self.push(F32),
-                F64Const(_) => self.push(F64),
-            }
-            self.pc += 1;
-        }
-
-        if !self.ctrls.is_empty() {
-            // The final `End` should have popped the function frame; if the
-            // body was well-formed (fixup passed) this cannot happen.
-            return Err(self.err(ValidateErrorKind::ControlUnderflow));
-        }
-        // The function frame's pop checked the result type and final height.
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -587,6 +221,13 @@ mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
     use crate::types::ValType::{F64, I32, I64};
+
+    /// The whole load-time check: the module's declarations, then each
+    /// body's walk.
+    fn check(module: &Module) -> Result<(), ValidateError> {
+        validate(module)?;
+        crate::analysis::lower_and_prove(module).map(drop)
+    }
 
     fn validate_body(
         params: &[ValType],
@@ -600,7 +241,7 @@ mod tests {
         build(&mut mb);
         mb.end_func().expect("structure ok");
         let module = mb.finish().expect("module builds");
-        validate(&module)
+        check(&module)
     }
 
     #[test]
@@ -709,7 +350,7 @@ mod tests {
         mb.code().i32_const(2).global_set(g);
         mb.end_func().unwrap();
         let module = mb.finish().unwrap();
-        let err = validate(&module).unwrap_err();
+        let err = check(&module).unwrap_err();
         assert_eq!(err.kind, ValidateErrorKind::ImmutableGlobal(0));
     }
 
@@ -721,7 +362,7 @@ mod tests {
         mb.code().i32_const(0).i32_load(0);
         mb.end_func().unwrap();
         let module = mb.finish().unwrap();
-        let err = validate(&module).unwrap_err();
+        let err = check(&module).unwrap_err();
         assert_eq!(err.kind, ValidateErrorKind::NoMemory);
     }
 
@@ -740,7 +381,7 @@ mod tests {
         ));
         mb.end_func().unwrap();
         let module = mb.finish().unwrap();
-        let err = validate(&module).unwrap_err();
+        let err = check(&module).unwrap_err();
         assert!(matches!(
             err.kind,
             ValidateErrorKind::BadAlignment {
@@ -781,7 +422,7 @@ mod tests {
         mb.code().f64_const(1.0).i64_const(2).call(callee);
         mb.end_func().unwrap();
         let module = mb.finish().unwrap();
-        assert!(validate(&module).is_err());
+        assert!(check(&module).is_err());
     }
 
     #[test]
@@ -820,7 +461,7 @@ mod tests {
         mb.export_func("x", f);
         mb.export_func("x", f);
         let module = mb.finish().unwrap();
-        let err = validate(&module).unwrap_err();
+        let err = check(&module).unwrap_err();
         assert!(matches!(err.kind, ValidateErrorKind::DuplicateExport(_)));
     }
 
@@ -833,7 +474,7 @@ mod tests {
         mb.end_func().unwrap();
         mb.start(f);
         let module = mb.finish().unwrap();
-        let err = validate(&module).unwrap_err();
+        let err = check(&module).unwrap_err();
         assert_eq!(err.kind, ValidateErrorKind::BadStart);
     }
 

@@ -11,7 +11,8 @@
 //! * instructions retired on `OutOfFuel` traps (the block-metered executor
 //!   retires exactly the remaining fuel before trapping, matching the
 //!   per-instruction oracle) — except when a bulk memory op's byte charge
-//!   ran out, where only fuel agrees (neither side has any left),
+//!   or a `memory.grow`'s page charge ran out, where only fuel agrees
+//!   (neither side has any left),
 //! * the final memory bytes, unless a resource limit fired,
 //! * what host functions saw.
 //!
@@ -121,7 +122,7 @@ fn both<T>(
 /// What one call of `main` left behind on one side.
 #[derive(Debug, PartialEq)]
 struct Outcome {
-    result: Result<Option<Value>, Trap>,
+    result: Result<Option<Bits>, Trap>,
     fuel: Option<u64>,
     instrs: u64,
     traps: u64,
@@ -130,7 +131,7 @@ struct Outcome {
 
 fn outcome<S: Side<()>>(side: &mut S, args: &[Value], fuel: u64) -> Outcome {
     side.set_fuel(fuel);
-    let result = side.invoke("main", args);
+    let result = side.invoke("main", args).map(|v| v.map(bits));
     let (instrs, _, traps) = side.counts();
     Outcome {
         result,
@@ -1632,7 +1633,7 @@ fn differential_constant_control() {
         let reg = outcome(&mut inst, &args, 100_000);
         assert_eq!(
             reg.result,
-            want.clone().map(|v| Some(Value::I32(v))),
+            want.clone().map(|v| Some(bits(Value::I32(v)))),
             "{name}"
         );
         assert_outcomes_agree(&outcome(&mut oracle, &args, 100_000), &reg, &name);
@@ -1679,6 +1680,264 @@ fn every_flat_op_of_the_corpus_is_lowered() {
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
+
+// ---------------------------------------------------------------------
+// Generated raw Wasm
+// ---------------------------------------------------------------------
+//
+// PlugC reaches the VM only through the shapes it emits. The modules of
+// `util/wasm_gen.rs` are written in Wasm directly and valid by
+// construction: typed blocks, `br_table`, dead code, `select`, all four
+// value types, globals, `memory.grow`, `call_indirect` and leaves on both
+// sides of the inline threshold. Each one is held to the whole load path
+// and to the contract above; a mutant of each must be refused by kind,
+// at its place.
+
+#[path = "util/wasm_gen.rs"]
+mod wasm_gen;
+
+/// Modules the generated properties run over.
+const GENERATED: u64 = 420;
+
+/// `main`'s arguments for `seed`: one of each value type, as `main` takes them.
+fn main_args(seed: u64) -> [Value; 4] {
+    let mut rng = gen::Rng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let small = |r: &mut gen::Rng| r.below(64) as i64 - 8;
+    [
+        Value::I32(small(&mut rng) as i32),
+        Value::I64(if rng.below(4) == 0 {
+            rng.next() as i64
+        } else {
+            small(&mut rng)
+        }),
+        Value::F32(small(&mut rng) as f32 * 0.75),
+        Value::F64(f64::from_bits(rng.next() >> 2)),
+    ]
+}
+
+/// One call of `main` on fresh instances of both sides, held to the
+/// contract in the header: the fuel consumed when it completed, and the
+/// executor's high-water marks.
+fn generated_agree(
+    module: &Arc<Module>,
+    args: &[Value],
+    fuel: u64,
+    ctx: &str,
+) -> (Option<u64>, waran_wasm::instance::ExecStats) {
+    let (mut inst, mut oracle) = both(module, &Linker::new(), || ());
+    let mut ours = outcome(&mut inst, args, fuel);
+    let mut theirs = outcome(&mut oracle, args, fuel);
+    if ours.result == Err(Trap::OutOfFuel) {
+        // What ran out may be a bulk op's byte charge or a grow's page
+        // charge, where only fuel agrees.
+        (ours.instrs, theirs.instrs) = (0, 0);
+    }
+    (assert_outcomes_agree(&theirs, &ours, ctx), inst.stats())
+}
+
+/// Every generated module survives the encoder and the decoder unchanged,
+/// loads, passes its proof, and runs `main` alike on the executor and the
+/// oracle — result bits, trap, final memory and, when the call completes
+/// or runs out of fuel, `fuel_consumed()` — also again with half the fuel
+/// a completed call used. Each finite static bound of `main` holds the
+/// call: fuel consumed, and the measured `peak_regs` and `peak_frames`.
+/// Floors on completed and trapped calls keep the property from passing
+/// on a corpus that stopped running.
+#[test]
+fn differential_generated_wasm() {
+    const FUEL: u64 = 2_000_000;
+    let (mut completed, mut trapped, mut bounded) = (0u32, 0u32, 0u32);
+    let (mut leaves_called, mut leaves_inlined) = (0u32, 0u32);
+    for seed in 0..GENERATED {
+        let generated = wasm_gen::gen_module(seed);
+        let wasm = waran_wasm::encode::encode_module(&generated.module);
+        let back = decode_module(&wasm).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(
+            back == generated.module,
+            "seed {seed}: decode(encode(m)) != m"
+        );
+        let module = Arc::new(
+            load_module(&wasm).unwrap_or_else(|e| panic!("seed {seed}: generated module: {e}")),
+        );
+        let report = module
+            .analysis()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+            .func(0)
+            .clone();
+
+        // A called leaf either stays a call or is inlined at every site.
+        let listing = disassemble_reg(&module);
+        for f in (0..generated.leaves.len() as u32).filter(|&f| generated.leaves[f as usize]) {
+            let call = Instr::Call { func: f };
+            if generated
+                .module
+                .funcs
+                .iter()
+                .any(|b| b.code.contains(&call))
+            {
+                match listing.contains(&format!("call $f{f} ")) {
+                    true => leaves_called += 1,
+                    false => leaves_inlined += 1,
+                }
+            }
+        }
+
+        let args = main_args(seed);
+        let ctx = format!("seed {seed}, args {args:?}");
+        let (consumed, stats) = generated_agree(&module, &args, FUEL, &ctx);
+        for (what, bound, peak) in [
+            ("regs", report.regs, stats.peak_regs),
+            ("frames", report.frames, stats.peak_frames),
+            ("fuel", report.fuel, consumed.unwrap_or(0)),
+        ] {
+            if let Some(bound) = bound.finite() {
+                assert!(peak <= bound, "{ctx}: static {what} bound {bound} < {peak}");
+                bounded += 1;
+            }
+        }
+        match consumed {
+            Some(fuel) => {
+                completed += 1;
+                generated_agree(&module, &args, fuel / 2, &format!("{ctx}, half fuel"));
+            }
+            None => trapped += 1,
+        }
+    }
+    assert!(
+        completed >= 250 && trapped >= 60 && bounded >= 250,
+        "{completed} completed, {trapped} trapped, {bounded} finite bounds checked"
+    );
+    assert!(
+        leaves_called >= 150 && leaves_inlined >= 300,
+        "leaves: {leaves_called} called, {leaves_inlined} inlined"
+    );
+}
+
+/// One type-breaking mutation per generated module: `load_module` refuses
+/// it as `LoadError::Validate` with the mutation's kind, at the function
+/// and instruction it broke, and never panics. Between them the classes
+/// produce every body-level kind but `ControlUnderflow`, which the
+/// decoder's block fixup refuses first.
+#[test]
+fn generated_wasm_mutants_are_refused_by_kind() {
+    use waran_wasm::validate::ValidateErrorKind as K;
+    let mut seen = std::collections::HashSet::new();
+    for seed in 0..GENERATED {
+        let generated = wasm_gen::gen_module(seed);
+        let class = (seed % wasm_gen::CLASSES as u64) as usize;
+        let mutant = wasm_gen::mutate(&generated, class, &mut gen::Rng::new(!seed));
+        let ctx = format!("seed {seed}, {}", mutant.class);
+        let err = match load_module(&mutant.bytes) {
+            Err(waran_wasm::LoadError::Validate(e)) => e,
+            other => panic!("{ctx}: {other:?}"),
+        };
+        let kind_agrees = match (&mutant.kind, &err.kind) {
+            (K::StackHeightMismatch { .. }, K::StackHeightMismatch { expected, found }) => {
+                *found == expected + 1
+            }
+            (want, got) => want == got,
+        };
+        assert!(
+            kind_agrees && err.func == Some(mutant.func) && err.pc == Some(mutant.pc),
+            "{ctx}: expected {:?} in func {} at {}, got {err:?}",
+            mutant.kind,
+            mutant.func,
+            mutant.pc
+        );
+        seen.insert(std::mem::discriminant(&err.kind));
+    }
+    let body_kinds = [
+        K::BadTypeIndex(0),
+        K::BadFuncIndex(0),
+        K::BadLocalIndex(0),
+        K::BadGlobalIndex(0),
+        K::ImmutableGlobal(0),
+        K::BadLabelDepth(0),
+        K::NoMemory,
+        K::NoTable,
+        K::BadAlignment {
+            align: 0,
+            natural: 0,
+        },
+        K::StackUnderflow,
+        K::TypeMismatch {
+            expected: ValType::I32,
+            found: None,
+        },
+        K::StackHeightMismatch {
+            expected: 0,
+            found: 0,
+        },
+        K::BrTableArityMismatch,
+        K::IfMissingElse,
+    ];
+    for kind in body_kinds {
+        assert!(
+            seen.contains(&std::mem::discriminant(&kind)),
+            "no mutant produced {kind:?}"
+        );
+    }
+}
+
+/// A body that fails its type check is reported as itself — its own
+/// function, instruction and kind, the lowest function index first —
+/// even where an earlier function's lowering inlines it, and a valid
+/// forward call to a straight-line leaf is still inlined.
+#[test]
+fn type_errors_are_attributed_across_inlining() {
+    use waran_wasm::validate::ValidateErrorKind as K;
+    const LEAF: &str = "(func $leaf (param i32) (result i32)";
+    let refused = |src: &str| match load_module(&waran_wat::assemble(src).unwrap()) {
+        Err(waran_wasm::LoadError::Validate(e)) => (e.func, e.pc, e.kind),
+        other => panic!("{src}: {other:?}"),
+    };
+    let i32_into_i64 = K::TypeMismatch {
+        expected: ValType::I64,
+        found: Some(ValType::I32),
+    };
+    // Function 0 calls a later straight-line leaf that is ill-typed.
+    assert_eq!(
+        refused(&format!(
+            r#"(module
+                 (func (export "main") (param i32) (result i32) local.get 0 call $leaf)
+                 {LEAF} local.get 0 i64.const 1 i64.add drop local.get 0))"#
+        )),
+        (Some(1), Some(2), i32_into_i64.clone())
+    );
+    // Two ill-typed bodies, the first after its call to the second: the
+    // first is reported.
+    assert_eq!(
+        refused(&format!(
+            r#"(module
+                 (func (export "main") (param i32) (result i32)
+                   local.get 0 call $leaf i64.const 1 i64.add)
+                 {LEAF} local.get 0 i64.const 1 i64.add drop local.get 0))"#
+        )),
+        (Some(0), Some(3), i32_into_i64)
+    );
+    // A valid forward call to a leaf is lowered in place: no call remains.
+    let wasm = waran_wat::assemble(&format!(
+        r#"(module
+             (func (export "main") (param i32) (result i32) local.get 0 call $leaf)
+             {LEAF} local.get 0 i32.const 3 i32.mul))"#
+    ))
+    .unwrap();
+    assert_eq!(disassemble_reg(&load_module(&wasm).unwrap()), INLINED_LEAF);
+}
+
+/// `disassemble_reg` of the valid module in
+/// `type_errors_are_attributed_across_inlining`.
+const INLINED_LEAF: &str = "\
+func $f0 (args 1 -> 1, locals r0..r2, frame 4):
+     0  meter cost=19
+     1  r1 = r0
+     2  r2 = i32.Mul r1 3
+     3  return r2
+func $f1 (args 1 -> 1, locals r0..r1, frame 3):
+     0  meter cost=10
+     1  r1 = i32.Mul r0 3
+     2  return r1
+";
 
 // ---------------------------------------------------------------------
 // Randomized corpus (proptest)

@@ -642,7 +642,7 @@ fn call_indirect_dispatch_and_traps() {
     mb.end_func().unwrap();
     mb.export_func("apply", apply);
     let module = mb.finish().unwrap();
-    waran_wasm::validate::validate(&module).unwrap();
+    let module = waran_wasm::load_module(&waran_wasm::encode::encode_module(&module)).unwrap();
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
 
     assert_eq!(
@@ -676,7 +676,7 @@ fn uninitialized_table_slot_traps() {
     mb.end_func().unwrap();
     mb.export_func("f", f);
     let module = mb.finish().unwrap();
-    waran_wasm::validate::validate(&module).unwrap();
+    let module = waran_wasm::load_module(&waran_wasm::encode::encode_module(&module)).unwrap();
     let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
     assert_eq!(inst.invoke("f", &[]), Err(Trap::UninitializedElement));
 }

@@ -311,7 +311,7 @@ proptest! {
         mb.end_func().unwrap();
         mb.export_func("e", f);
         let module = mb.finish().unwrap();
-        prop_assert!(waran_wasm::validate::validate(&module).is_ok());
+        prop_assert!(waran_wasm::load_module(&waran_wasm::encode::encode_module(&module)).is_ok());
     }
 
     #[test]
