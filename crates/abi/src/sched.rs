@@ -237,7 +237,7 @@ fn write_alloc(out: i32, idx: i32, ue_id: i32, prbs: i32, priority: i32) {{
     store_u8({prbs_1}, (prbs >> 8) & 255);
     // Ranks past 255 saturate: all ones stores as 255, the lowest
     // priority (wrapping would sort the 257th-ranked UE first). No branch,
-    // so this stays a straight-line helper the lowering inlines.
+    // so this stays a straight-line helper PlugC splices at its call sites.
     store_u8({alloc_priority}, priority | -(priority > 255));
     store_u8({alloc_reserved}, 0);
 }}

@@ -11,7 +11,7 @@ use waran_host::{PluginError, PluginHost, SandboxPolicy};
 use waran_wasm::analysis::Bound;
 use waran_wasm::builder::ModuleBuilder;
 use waran_wasm::instance::{MAX_CALL_DEPTH, MAX_REGS};
-use waran_wasm::types::{BlockType, ValType};
+use waran_wasm::types::ValType;
 
 fn host() -> Arc<PluginHost<()>> {
     Arc::new(PluginHost::new())
@@ -103,26 +103,19 @@ fn max_fuel_bound_admits_straight_line_plugin() {
 }
 
 /// A module whose export `run` heads a chain of `frames` (at least 2)
-/// nested calls. Each function opens with `block br end`, control flow that
-/// keeps the compiler from inlining the chain away.
+/// nested calls.
 fn call_chain(frames: usize) -> Vec<u8> {
     let mut wat = String::from(
         r#"(module
              (memory (export "memory") 1)
              (func (export "run") (param i32 i32) (result i64)
-               block $b br $b end call $f1 drop i64.const 0)
+               call $f1 drop i64.const 0)
 "#,
     );
     for k in 1..frames - 1 {
-        wat += &format!(
-            "(func $f{k} (result i32) block $b br $b end call $f{})\n",
-            k + 1
-        );
+        wat += &format!("(func $f{k} (result i32) call $f{})\n", k + 1);
     }
-    wat += &format!(
-        "(func $f{} (result i32) block $b br $b end i32.const 3))",
-        frames - 1
-    );
+    wat += &format!("(func $f{} (result i32) i32.const 3))", frames - 1);
     waran_wat::assemble(&wat).expect("assembles")
 }
 
@@ -157,9 +150,8 @@ fn static_call_depth_bound_past_the_host_limit_is_rejected() {
 }
 
 /// A module whose export `run` heads a chain of 21 frames of 49 000 `i64`
-/// locals each, ending in a leaf with `leaf_locals`. Each function opens
-/// with `block br end` so none is inlined, and nothing recurses, so the
-/// static `regs` bound is finite: about 49 000 cells per frame.
+/// locals each, ending in a leaf with `leaf_locals`. Nothing recurses, so
+/// the static `regs` bound is finite: about 49 000 cells per frame.
 fn wide_chain(leaf_locals: u32) -> Vec<u8> {
     const WIDE: u32 = 21;
     let mut b = ModuleBuilder::new();
@@ -170,12 +162,7 @@ fn wide_chain(leaf_locals: u32) -> Vec<u8> {
     // Functions are numbered in declaration order: `run` is 0, the
     // wide frames 1..=WIDE and the leaf WIDE + 1.
     let run = b.begin_func(entry);
-    b.code()
-        .block(BlockType::Empty)
-        .br(0)
-        .end()
-        .call(1)
-        .i64_const(0);
+    b.code().call(1).i64_const(0);
     b.end_func().unwrap();
     for k in 1..=WIDE + 1 {
         b.begin_func(unit);
@@ -183,7 +170,6 @@ fn wide_chain(leaf_locals: u32) -> Vec<u8> {
         for _ in 0..locals {
             b.local(ValType::I64);
         }
-        b.code().block(BlockType::Empty).br(0).end();
         if k <= WIDE {
             b.code().call(k + 1);
         }

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use waran_wasm::analysis::Bound;
-use waran_wasm::instance::{InstancePre, Linker, MAX_CALL_DEPTH, MAX_REGS};
+use waran_wasm::instance::{InstancePre, InstantiateError, Linker, MAX_CALL_DEPTH, MAX_REGS};
 use waran_wasm::Module;
 
 use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy};
@@ -43,7 +43,7 @@ use crate::plugin::{fnv1a, AbiTable, Plugin, PluginError, SandboxPolicy};
 fn admit(module: &Module, policy: &SandboxPolicy) -> Result<(), PluginError> {
     let analysis = module
         .analysis()
-        .expect("template construction already validated the lowering");
+        .map_err(|e| PluginError::Instantiate(InstantiateError::Analysis(e)))?;
     for r in analysis.exports() {
         let func = r.export.clone().unwrap_or_default();
         if let Some(limit) = policy.max_fuel_bound {

@@ -44,7 +44,7 @@
 //! `lex → parse → check → optimize → generate`, each stage a public
 //! function ([`lexer::lex`], [`parser::parse`], [`typeck::check`],
 //! [`opt::optimize`], [`codegen::generate`]). The optimiser (one-line
-//! helper inlining) and the code generator's shapes (bottom-tested loops,
+//! helper inlining, straight-line void helper splicing) and the code generator's shapes (bottom-tested loops,
 //! conditions that branch directly) always run: there is no optimisation
 //! level, so the code that is measured is the code that is tested.
 //!

@@ -1,8 +1,9 @@
 //! The PlugC optimiser: helper inlining on the typed IR.
 //!
 //! Runs on every compile, between [`crate::typeck::check`] and
-//! [`crate::codegen::generate`]; there is no unoptimised mode. One pass:
-//! a call to a *one-line helper* — a function whose whole body is
+//! [`crate::codegen::generate`]; there is no unoptimised mode. It is the
+//! toolchain's only inliner: the VM's loader lowers every call as a call.
+//! A call to a *one-line helper* — a function whose whole body is
 //! `return <expr>;` with no call left in `<expr>` — is replaced by
 //! `<expr>` with the arguments substituted for the parameters.
 //!
@@ -20,6 +21,19 @@
 //!   expression, which runs in its original order at the original point;
 //! * nothing non-trivial is evaluated more often than before, so the
 //!   optimised program never retires more instructions.
+//!
+//! A call *statement* to a *straight-line helper* — a void function whose
+//! body holds only `var`s, assignments and expression statements, no
+//! call, and at most a final `return;` — is spliced: replaced by the
+//! helper's statements. A local or literal argument is substituted for a
+//! parameter the helper never assigns (no expression assigns a local, so
+//! it reads the same throughout); every other argument is bound to a
+//! fresh caller local first, in argument order, as the call evaluated it,
+//! and the helper's own locals become fresh caller locals. A call is
+//! spliced only if that retires no more fuel: the call pays 2 +
+//! `CALL_FUEL` + ⌈helper locals / `LOCALS_PER_FUEL`⌉, the splice one
+//! `local.set` per bound argument, and the fresh locals may not raise the
+//! caller's own activation price, so a splice that never runs is free.
 //!
 //! Each function body is rewritten once, after the bodies of the
 //! functions it calls: once `rec` is gone from `metric`'s body, `metric`
@@ -40,9 +54,11 @@
 //! deep, and a function body grows by at most one bounded inline per call
 //! in its source.
 
-use crate::ast::BinOp;
+use waran_wasm::instance::{CALL_FUEL, LOCALS_PER_FUEL};
+
+use crate::ast::{BinOp, Type};
 use crate::parser::MAX_NESTING;
-use crate::typeck::{TExpr, TExprKind, TProgram, TStmt};
+use crate::typeck::{TExpr, TExprKind, TFunc, TProgram, TStmt};
 
 /// The most expression nodes one inline may produce.
 pub const MAX_INLINED_NODES: usize = 4096;
@@ -52,15 +68,18 @@ pub const MAX_INLINED_NODES: usize = 4096;
 pub fn optimize(mut program: TProgram) -> TProgram {
     let mut helpers = Helpers {
         n_imports: program.imports.len() as u32,
-        bodies: vec![None; program.funcs.len()],
+        helpers: vec![None; program.funcs.len()],
     };
     for f in callee_first(&mut program) {
-        let body = &mut program.funcs[f].body;
-        for_each_root(body, &mut |e| inline_calls(e, &helpers));
-        helpers.bodies[f] = match body.as_slice() {
-            [TStmt::Return { value: Some(e) }] if !has_call(e) => Some(e.clone()),
-            _ => None,
-        };
+        let func = &mut program.funcs[f];
+        for_each_root(&mut func.body, &mut |e| inline_calls(e, &helpers));
+        splice_calls(
+            &mut func.body,
+            &helpers,
+            func.params.len(),
+            &mut func.locals,
+        );
+        helpers.helpers[f] = helper(func);
     }
     program
 }
@@ -102,19 +121,58 @@ fn calls(e: &TExpr, n_imports: u32, out: &mut Vec<usize>) {
     for_each_child(e, |c| calls(c, n_imports, out));
 }
 
-/// Per defined function: the returned expression, once its body is final
-/// and if it is a one-line helper.
+/// What a call to a helper can be replaced by.
+#[derive(Debug, Clone)]
+enum Helper {
+    /// A one-line helper's returned expression.
+    Expr(TExpr),
+    /// A straight-line helper, its final `return;` dropped.
+    Stmts(TFunc),
+}
+
+/// Per defined function, once its body is final: the helper it is, if any.
 struct Helpers {
     n_imports: u32,
-    bodies: Vec<Option<TExpr>>,
+    helpers: Vec<Option<Helper>>,
 }
 
 impl Helpers {
-    /// The expression a call to Wasm function `index` can be replaced by.
-    fn body(&self, index: u32) -> Option<&TExpr> {
+    /// The helper Wasm function `index` is.
+    fn get(&self, index: u32) -> Option<&Helper> {
         let defined = index.checked_sub(self.n_imports)?;
-        self.bodies[defined as usize].as_ref()
+        self.helpers[defined as usize].as_ref()
     }
+}
+
+/// `func` as a helper: one-line, or void and straight-line within the
+/// inline bounds.
+fn helper(func: &TFunc) -> Option<Helper> {
+    let body = match func.body.as_slice() {
+        [TStmt::Return { value: Some(e) }] => {
+            return (!has_call(e)).then(|| Helper::Expr(e.clone()))
+        }
+        _ if func.ret.is_some() => return None,
+        [rest @ .., TStmt::Return { value: None }] => rest,
+        all => all,
+    };
+    let mut nodes = 0;
+    for stmt in body {
+        let (TStmt::SetLocal { value: e, .. }
+        | TStmt::SetGlobal { value: e, .. }
+        | TStmt::Expr { expr: e, .. }) = stmt
+        else {
+            return None;
+        };
+        let shape = shape(e, None);
+        nodes += shape.nodes;
+        if has_call(e) || shape.height > MAX_NESTING || nodes > MAX_INLINED_NODES {
+            return None;
+        }
+    }
+    Some(Helper::Stmts(TFunc {
+        body: body.to_vec(),
+        ..func.clone()
+    }))
 }
 
 /// Visit every expression root of a statement list, nested bodies included.
@@ -239,7 +297,7 @@ fn inline_calls(e: &mut TExpr, helpers: &Helpers) {
     let TExprKind::Call { index, args } = &e.kind else {
         return;
     };
-    let Some(body) = helpers.body(*index) else {
+    let Some(Helper::Expr(body)) = helpers.get(*index) else {
         return;
     };
     let inlinable = args
@@ -260,15 +318,97 @@ fn inline_calls(e: &mut TExpr, helpers: &Helpers) {
     *e = inlined;
 }
 
-/// Replace each parameter read in a helper's expression by its argument.
-fn substitute(e: &mut TExpr, args: &[TExpr]) {
-    if let TExprKind::LocalGet(p) = e.kind {
-        // A one-line helper declares no `var`, so every local is a
-        // parameter.
-        *e = args[p as usize].clone();
+/// Replace each local read in a helper's expression by what that local
+/// reads as at the call: `with` holds one expression per helper local.
+fn substitute(e: &mut TExpr, with: &[TExpr]) {
+    if let TExprKind::LocalGet(l) = e.kind {
+        *e = with[l as usize].clone();
         return;
     }
-    for_each_child_mut(e, |c| substitute(c, args));
+    for_each_child_mut(e, |c| substitute(c, with));
+}
+
+/// Splice every call statement to a straight-line helper in `body`, a
+/// statement list of a function with `n_params` parameters and `locals`.
+fn splice_calls(body: &mut Vec<TStmt>, helpers: &Helpers, n_params: usize, locals: &mut Vec<Type>) {
+    for mut stmt in std::mem::take(body) {
+        match &mut stmt {
+            TStmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                splice_calls(then_body, helpers, n_params, locals);
+                splice_calls(else_body, helpers, n_params, locals);
+            }
+            TStmt::While { body: inner, .. } => splice_calls(inner, helpers, n_params, locals),
+            TStmt::Expr { expr, .. } => {
+                if let TExprKind::Call { index, args } = &expr.kind {
+                    if let Some(Helper::Stmts(h)) = helpers.get(*index) {
+                        if splice(h, args, n_params, locals, body) {
+                            continue;
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+        body.push(stmt);
+    }
+}
+
+/// Append the statements a call of `h` with `args` splices to to `out`,
+/// taking fresh caller locals, and return true; or change nothing and
+/// return false where the splice could retire more fuel than the call.
+fn splice(
+    h: &TFunc,
+    args: &[TExpr],
+    n_params: usize,
+    locals: &mut Vec<Type>,
+    out: &mut Vec<TStmt>,
+) -> bool {
+    let assigns =
+        |p| (h.body.iter()).any(|s| matches!(s, TStmt::SetLocal { idx, .. } if *idx == p));
+    let kept: Vec<bool> = (0..args.len())
+        .map(|p| is_trivial(&args[p]) && !assigns(p as u32))
+        .collect();
+    let bound = kept.iter().filter(|&&k| !k).count();
+    let price = |n: usize| (n as u32).div_ceil(LOCALS_PER_FUEL);
+    let fresh = locals.len() + bound + h.locals.len();
+    if bound as u32 > 2 + CALL_FUEL + price(h.locals.len()) || price(fresh) > price(locals.len()) {
+        return false;
+    }
+    // What each helper local reads as at the call.
+    let mut with = Vec::with_capacity(h.params.len() + h.locals.len());
+    for (i, &ty) in h.params.iter().chain(&h.locals).enumerate() {
+        let arg = args.get(i);
+        if let Some(a) = arg.filter(|_| kept[i]) {
+            with.push(a.clone());
+            continue;
+        }
+        let idx = (n_params + locals.len()) as u32;
+        locals.push(ty);
+        out.extend(arg.map(|a| TStmt::SetLocal {
+            idx,
+            value: a.clone(),
+        }));
+        with.push(TExpr {
+            ty: Some(ty),
+            kind: TExprKind::LocalGet(idx),
+        });
+    }
+    let mut body = h.body.clone();
+    for_each_root(&mut body, &mut |e| substitute(e, &with));
+    for stmt in &mut body {
+        // Only a fresh local is ever assigned.
+        if let TStmt::SetLocal { idx, .. } = stmt {
+            if let TExprKind::LocalGet(to) = with[*idx as usize].kind {
+                *idx = to;
+            }
+        }
+    }
+    out.extend(body);
+    true
 }
 
 #[cfg(test)]
@@ -393,14 +533,73 @@ mod tests {
     }
 
     #[test]
-    fn multi_statement_and_void_helpers_stay_calls() {
+    fn multi_statement_value_helpers_and_branching_void_helpers_stay_calls() {
         assert!(calls_left(
             "fn two(x: i32) -> i32 { var y: i32 = x + 1; return y; }
              fn caller(a: i32) -> i32 { return two(a); }"
         ));
         assert!(calls_left(
-            "fn nothing() { return; }
-             fn caller(a: i32) -> i32 { nothing(); return a; }"
+            "fn maybe(x: i32) { if (x > 0) { store_i32(0, x); } }
+             fn caller(a: i32) -> i32 { maybe(a); return a; }"
         ));
+    }
+
+    #[test]
+    fn straight_line_void_helpers_are_spliced_callee_first() {
+        // `put` splices into `both`, which is then straight-line itself.
+        let src = "fn nothing() { return; }
+                   fn put(at: i32, v: i32) { store_i32(at & 1020, v); }
+                   fn both(x: i32) { put(x, 9); put(x, x); }
+                   fn slot(x: i32, v: i32) { var s: i32 = x & 1020; store_i32(s, v); }
+                   fn caller(a: i32) -> i32 {
+                       var k: i32 = a; nothing(); both(k); slot(k, k + 1); return k;
+                   }";
+        assert!(!calls_left(src));
+    }
+
+    /// `bump` writes its own parameter: the argument is bound to a fresh
+    /// local, and the caller's `k` keeps its value.
+    #[test]
+    fn a_helper_that_assigns_its_parameter_leaves_the_argument_local_alone() {
+        use waran_wasm::instance::{Instance, Linker};
+        use waran_wasm::interp::Value;
+        let src = "fn bump(x: i32) { x = x + 1; store_i32(0, x); }
+                   export fn caller(a: i32) -> i32 {
+                       var k: i32 = a; bump(k); return k * 1000 + load_i32(0);
+                   }";
+        assert!(!calls_left(src));
+        let caller = optimize(checked(src)).funcs.remove(1);
+        assert_eq!(caller.locals.len(), 2, "one fresh local for `x`");
+        let module = waran_wasm::load_module(&crate::compile(src).unwrap()).unwrap();
+        let mut inst = Instance::new(module.into(), &Linker::<()>::new(), ()).unwrap();
+        let got = inst.invoke("caller", &[Value::I32(7)]);
+        assert_eq!(got, Ok(Some(Value::I32(7008))));
+    }
+
+    #[test]
+    fn a_splice_that_could_cost_more_than_the_call_stays_a_call() {
+        // Nine arguments to bind cost more than the call they replace;
+        // literal and local arguments bind nothing.
+        let wide =
+            "fn wide(a: i32, b: i32, c: i32, d: i32, e: i32, f: i32, g: i32, h: i32, i: i32) {
+                        store_i32(0, a + b + c + d + e + f + g + h + i);
+                    }\n";
+        let call =
+            |args: &str| format!("{wide}fn caller(x: i32) -> i32 {{ wide({args}); return x; }}");
+        assert!(calls_left(&call(&["x + 1"; 9].join(", "))));
+        assert!(!calls_left(&call("x, 1, 2, 3, x, 5, 6, 7, x")));
+        // The fresh locals may not raise the caller's activation price:
+        // a caller with eight locals has no room left for one more.
+        let src = format!(
+            "fn put(at: i32, v: i32) {{ store_i32(at & 1020, v); }}
+             fn caller(x: i32) -> i32 {{
+                 var a: i32 = x; var b: i32 = a; var c: i32 = b; var d: i32 = c;
+                 var e: i32 = d; var f: i32 = e; var g: i32 = f; var h: i32 = g;
+                 put(h, {}); return h;
+             }}",
+            "x + 1"
+        );
+        assert!(calls_left(&src));
+        assert!(!calls_left(&src.replace("x + 1", "h")));
     }
 }

@@ -6,6 +6,7 @@
 //! completes — never retire more instructions. The pipeline stages are
 //! public, so the unoptimised side needs no compiler switch.
 
+use waran_plugc::typeck::{TExpr, TExprKind, TStmt};
 use waran_plugc::{codegen, lexer, opt, parser, typeck};
 use waran_wasm::instance::{Instance, Linker};
 use waran_wasm::interp::Value;
@@ -37,14 +38,48 @@ fn run(module: Module, a: i32, b: i32) -> Outcome {
     }
 }
 
-/// Returns (unoptimised fuel, optimised fuel) when the program completed.
-fn check_seed(seed: u64, a: i32, b: i32) -> Option<(u64, u64)> {
+/// Calls in statement position in `body`, nested bodies included: the
+/// generated programs make them only to void helpers.
+fn statement_calls(body: &[TStmt]) -> usize {
+    body.iter()
+        .map(|s| match s {
+            TStmt::If {
+                then_body,
+                else_body,
+                ..
+            } => statement_calls(then_body) + statement_calls(else_body),
+            TStmt::While { body, .. } => statement_calls(body),
+            TStmt::Expr {
+                expr:
+                    TExpr {
+                        kind: TExprKind::Call { .. },
+                        ..
+                    },
+                ..
+            } => 1,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// The outcome of one seed: the fuel both sides retired when the program
+/// completed, and how many statement calls the optimiser spliced.
+struct Checked {
+    fuel: Option<(u64, u64)>,
+    spliced: usize,
+}
+
+fn check_seed(seed: u64, a: i32, b: i32) -> Checked {
     let src = gen::gen_program(seed);
     let program = parser::parse(&lexer::lex(&src).unwrap()).unwrap();
     let typed = typeck::check(&program)
         .unwrap_or_else(|e| panic!("seed {seed}: generated program rejected: {e}\n{src}"));
+    let main = |p: &typeck::TProgram| statement_calls(&p.funcs[p.funcs.len() - 1].body);
     let plain = run(codegen::generate(&typed).unwrap(), a, b);
-    let optimised = run(codegen::generate(&opt::optimize(typed)).unwrap(), a, b);
+    let calls = main(&typed);
+    let typed = opt::optimize(typed);
+    let spliced = calls - main(&typed);
+    let optimised = run(codegen::generate(&typed).unwrap(), a, b);
     let ctx = format!("seed {seed}, args ({a}, {b})\n{src}");
     assert_ne!(
         plain.result,
@@ -53,23 +88,25 @@ fn check_seed(seed: u64, a: i32, b: i32) -> Option<(u64, u64)> {
     );
     assert_eq!(plain.result, optimised.result, "result diverged: {ctx}");
     assert!(plain.memory == optimised.memory, "memory diverged: {ctx}");
-    plain.result.ok()?;
+    let fuel = plain.result.is_ok().then_some((plain.fuel, optimised.fuel));
     assert!(
-        optimised.fuel <= plain.fuel,
+        fuel.is_none() || optimised.fuel <= plain.fuel,
         "optimised program retired more ({} > {}): {ctx}",
         optimised.fuel,
         plain.fuel
     );
-    Some((plain.fuel, optimised.fuel))
+    Checked { fuel, spliced }
 }
 
 #[test]
 fn optimised_equals_unoptimised_on_corpus() {
-    let (mut completed, mut cheaper, mut trapped) = (0, 0, 0);
+    let (mut completed, mut cheaper, mut trapped, mut spliced) = (0, 0, 0, 0);
     for seed in 0..300u64 {
         let a = (seed as i32).wrapping_mul(-0x61c8_8647);
         let b = (seed as i32).wrapping_mul(0x0101_0101) ^ 0x55;
-        match check_seed(seed, a, b) {
+        let checked = check_seed(seed, a, b);
+        spliced += checked.spliced;
+        match checked.fuel {
             Some((plain, optimised)) => {
                 completed += 1;
                 cheaper += (optimised < plain) as u32;
@@ -78,10 +115,11 @@ fn optimised_equals_unoptimised_on_corpus() {
         }
     }
     // The comparison must not be vacuous: the corpus has to complete,
-    // trap, and actually reach the inliner.
+    // trap, and actually reach both inliners.
     assert!(completed >= 100, "only {completed} programs completed");
     assert!(trapped >= 20, "only {trapped} programs trapped");
     assert!(cheaper >= 30, "inlining fired on only {cheaper} programs");
+    assert!(spliced >= 200, "only {spliced} void-helper calls spliced");
 }
 
 #[test]
@@ -113,6 +151,21 @@ fn check_bounded(name: &str, src: &str, args: &[(i32, i32)]) {
         assert_eq!(plain.result, optimised.result, "{name} ({a}, {b})");
         assert!(optimised.fuel <= plain.fuel, "{name} ({a}, {b})");
     }
+}
+
+#[test]
+fn a_splice_that_never_runs_costs_nothing() {
+    // `main` declares eight locals: a fresh one for `put`'s bound argument
+    // would raise its activation price on every call, while the splice
+    // sits in a branch these arguments never take.
+    let src = "fn put(at: i32, v: i32) { store_i32(at & 1020, v); }
+               export fn main(a: i32, b: i32) -> i32 {
+                   var c: i32 = a; var d: i32 = b; var e: i32 = c; var f: i32 = d;
+                   var g: i32 = e; var h: i32 = f; var i: i32 = g; var j: i32 = h;
+                   if (a == 12345) { put(j, b + 1); }
+                   return j;
+               }";
+    check_bounded("never-run splice", src, &[(0, 0), (1, 2)]);
 }
 
 #[test]

@@ -581,7 +581,7 @@ fn validate_with_shape(
     if rf.locals_init != cf.locals_init {
         return Err(mismatch(func, 0, "locals_init disagree across tiers"));
     }
-    if rf.n_locals != cf.n_locals || cf.n_locals < cf.argc + cf.locals_init.len() as u32 {
+    if rf.n_locals != cf.n_locals() {
         return Err(mismatch(func, 0, "n_locals inconsistent with signature"));
     }
     if rf.branches.len() != cf.branches.len() {
@@ -1559,17 +1559,15 @@ fn compute_report(
         weights[bi] = w;
     }
 
-    // Parameters and inlined callees' slots hold unknown words on entry;
-    // only the declared locals are zeroed.
-    let mut entry_state: Vec<Option<i32>> = vec![None; cf.n_locals as usize];
-    for (s, v) in entry_state[cf.argc as usize..]
-        .iter_mut()
-        .zip(&cf.locals_init)
-    {
-        if let Value::I32(k) = v {
-            *s = Some(*k);
-        }
-    }
+    // Parameters hold unknown words on entry; the declared locals are
+    // zeroed.
+    let entry_state: Vec<Option<i32>> = (0..cf.argc)
+        .map(|_| None)
+        .chain(cf.locals_init.iter().map(|v| match v {
+            Value::I32(k) => Some(*k),
+            _ => None,
+        }))
+        .collect();
     let consts = local_const_flow(&entry_state, &events, &succs);
 
     let ctx = FuelCtx {
@@ -2137,14 +2135,9 @@ mod tests {
 
     #[test]
     fn call_graph_propagates_bounds() {
-        // The callee needs control flow, or the compiler inlines it and
-        // there is (correctly) no call edge to propagate across.
         let m = module(
             r#"(module
                  (func $leaf (result i32)
-                   block $b
-                     br $b
-                   end
                    i32.const 7)
                  (func (export "top") (result i32)
                    call $leaf))"#,

@@ -31,9 +31,10 @@
 //!   identical to per-instruction metering with that price on every
 //!   complete execution; see the notes on `Meter` below for the
 //!   granularity change on mid-block traps.
-//! * **Leaf inlining** — a straight-line callee is lowered in place, its
-//!   locals remapped into fresh caller slots, with exact fuel parity: the
-//!   inline site pays the callee's activation price.
+//! * **One function at a time** — every `call` lowers to a call: a
+//!   body's slots are its parameters and its declared locals, and nothing
+//!   of another function is lowered into it. Inlining is the guest
+//!   compiler's job (PlugC's `opt` pass splices its straight-line helpers).
 //! * **Branch-table interning** — `br_table` targets live in the
 //!   per-function [`CompiledFunc::branches`] side array (indexed `u32`),
 //!   not behind a per-instruction `Box<[u32]>`.
@@ -53,7 +54,7 @@ use crate::instr::{Instr, OpRow};
 use crate::interp::Value;
 use crate::module::Module;
 use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
-use crate::types::{FuncType, GlobalType, Mutability, ValType};
+use crate::types::{GlobalType, Mutability, ValType};
 use crate::validate::{ValidateError, ValidateErrorKind};
 
 /// A resolved branch destination: absolute op PC plus the unwind
@@ -205,15 +206,16 @@ pub struct CompiledFunc {
     pub locals_init: Box<[Value]>,
     /// Parameter count.
     pub argc: u32,
-    /// Local slots: the parameters, the declared locals, then the slots
-    /// of inlined callees, which each inline site writes before it reads
-    /// them (see `try_inline`), so frame entry leaves them alone.
-    pub n_locals: u32,
     /// Result count (0 or 1 in the MVP).
     pub ret_arity: u32,
 }
 
 impl CompiledFunc {
+    /// Local slots: the parameters, then the declared locals.
+    pub fn n_locals(&self) -> u32 {
+        self.argc + self.locals_init.len() as u32
+    }
+
     /// Operand-stack height each branch target starts at — the branch's
     /// `height` plus the values it carries — indexed by op pc; `u32::MAX`
     /// where no branch lands. Function-level targets point at the shared
@@ -283,9 +285,9 @@ struct FnCompiler<'m> {
     vals: Vec<Option<ValType>>,
     /// The function's result.
     results: Option<ValType>,
-    /// The locals the walked body sees: its parameters and its declared
-    /// locals (an inlined callee's while its body is walked).
-    frame: (&'m [ValType], &'m [ValType]),
+    /// The body's parameters and its declared locals.
+    params: &'m [ValType],
+    locals: &'m [ValType],
     /// Whether the code walked executes; dead code is type-checked and not
     /// emitted.
     reachable: bool,
@@ -296,13 +298,6 @@ struct FnCompiler<'m> {
     /// Branch indices targeting the function level, patched to the final
     /// return trampoline.
     fn_level: Vec<u32>,
-    /// Added to every local index while lowering an inlined callee body
-    /// (the callee's locals live in fresh caller slots).
-    local_offset: u32,
-    /// Next free local slot for inlined callees.
-    next_local: u32,
-    /// Callee indices currently being inlined (recursion/depth guard).
-    inline_stack: Vec<u32>,
 }
 
 /// Type-check one function body (index into `Module::funcs`) and lower it
@@ -325,15 +320,13 @@ pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, Val
         ctrls: Vec::new(),
         vals: Vec::new(),
         results,
-        frame: (&ty.params, &body.locals),
+        params: &ty.params,
+        locals: &body.locals,
         reachable: true,
         open: false,
         meter_pc: 0,
         block_cost: 0,
         fn_level: Vec::new(),
-        local_offset: 0,
-        next_local: (ty.params.len() + body.locals.len()) as u32,
-        inline_stack: Vec::new(),
     };
     c.push_ctrl(CtrlKind::Func, results);
     // The entry block carries the activation price. A leading `loop`
@@ -364,40 +357,9 @@ pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, Val
         branches: c.branches.into_boxed_slice(),
         locals_init: body.locals.iter().map(|t| Value::zero(*t)).collect(),
         argc: ty.params.len() as u32,
-        n_locals: c.next_local,
         ret_arity: results.is_some() as u32,
     })
 }
-
-/// True for instructions an inlined callee body may contain: straight-line
-/// data flow only — no control flow. Nested direct calls are allowed; they
-/// are lowered recursively (inlined again where possible, emitted as real
-/// calls otherwise), bounded by [`INLINE_MAX_DEPTH`].
-fn is_straight_line(instr: &Instr) -> bool {
-    !matches!(
-        instr,
-        Instr::Block { .. }
-            | Instr::Loop { .. }
-            | Instr::If { .. }
-            | Instr::Else { .. }
-            | Instr::End
-            | Instr::Br { .. }
-            | Instr::BrIf { .. }
-            | Instr::BrTable { .. }
-            | Instr::Return
-            | Instr::CallIndirect { .. }
-            | Instr::Unreachable
-    )
-}
-
-/// Inline a callee only when its body instructions plus its declared
-/// locals, which take caller slots the inline site may zero, number at
-/// most this.
-const INLINE_MAX_INSTRS: usize = 64;
-
-/// Maximum nesting of inlined callee bodies (a callee's own calls may
-/// inline one more level; deeper or recursive chains become real calls).
-const INLINE_MAX_DEPTH: usize = 2;
 
 impl<'m> FnCompiler<'m> {
     fn err(&self, kind: ValidateErrorKind) -> ValidateError {
@@ -503,11 +465,10 @@ impl<'m> FnCompiler<'m> {
     }
 
     fn local_ty(&self, idx: u32) -> Result<ValType, ValidateError> {
-        let (params, locals) = self.frame;
         let i = idx as usize;
-        params
+        self.params
             .get(i)
-            .or_else(|| locals.get(i.checked_sub(params.len())?))
+            .or_else(|| self.locals.get(i.checked_sub(self.params.len())?))
             .copied()
             .ok_or_else(|| self.err(ValidateErrorKind::BadLocalIndex(idx)))
     }
@@ -766,11 +727,7 @@ impl<'m> FnCompiler<'m> {
                 self.pop_params(&ty.params)?;
                 if self.reachable {
                     match func.checked_sub(self.n_imports) {
-                        Some(local) => {
-                            if !self.try_inline(local, ty) {
-                                self.simple(Op::CallWasm(local));
-                            }
-                        }
+                        Some(local) => self.simple(Op::CallWasm(local)),
                         None => {
                             let ret = match ty.results.first() {
                                 None => 0,
@@ -827,15 +784,15 @@ impl<'m> FnCompiler<'m> {
             }
             Instr::LocalGet(i) => {
                 let t = self.local_ty(*i)?;
-                self.op(&[], Some(t), Op::LocalGet(self.local_offset + *i))?;
+                self.op(&[], Some(t), Op::LocalGet(*i))?;
             }
             Instr::LocalSet(i) => {
                 let t = self.local_ty(*i)?;
-                self.op(&[t], None, Op::LocalSet(self.local_offset + *i))?;
+                self.op(&[t], None, Op::LocalSet(*i))?;
             }
             Instr::LocalTee(i) => {
                 let t = self.local_ty(*i)?;
-                self.op(&[t], Some(t), Op::LocalTee(self.local_offset + *i))?;
+                self.op(&[t], Some(t), Op::LocalTee(*i))?;
             }
             Instr::GlobalGet(i) => {
                 let g = self.global_ty(*i)?;
@@ -888,136 +845,6 @@ impl<'m> FnCompiler<'m> {
             Instr::F64Const(v) => self.op(&[], Some(F64), Op::F64Const(*v))?,
         }
         Ok(())
-    }
-
-    /// Inline a straight-line leaf callee (no control flow, no calls) into
-    /// the current block, its arguments already popped by the caller's
-    /// check. The callee's params and locals get fresh caller slots; its
-    /// body is lowered in place with the local indices remapped, so the
-    /// register lowering fuses straight across the call boundary.
-    ///
-    /// The callee is type-checked as it is lowered here, in a frame of its
-    /// own, before its own walk has checked it (it may come later in the
-    /// module). A callee that fails the check is not inlined: its code is
-    /// taken back and the call stays a real call, so the error is reported
-    /// by the callee's own walk, in function-index order.
-    ///
-    /// Fuel parity with a per-instruction walk is exact: the `call`
-    /// charges 1 plus the callee's activation price, every body
-    /// instruction charges 1 through the normal lowering, and the callee's
-    /// exit (explicit `return` or fallthrough `end` — exactly one
-    /// executes) charges 1. An inlined call takes no frame: it counts
-    /// toward neither the call-depth limit nor the arena cap, and its
-    /// locals grow the caller's frame instead, which the caller's `regs`
-    /// bound covers. Each time it runs, the site zeroes those of them the
-    /// body reads before writing, as a frame entry would; the caller's own
-    /// entry leaves them alone.
-    fn try_inline(&mut self, callee: u32, ty: &'m FuncType) -> bool {
-        if self.inline_stack.len() >= INLINE_MAX_DEPTH || self.inline_stack.contains(&callee) {
-            return false;
-        }
-        let body = &self.module.funcs[callee as usize];
-        let code = &body.code;
-        if code.len() + body.locals.len() > INLINE_MAX_INSTRS {
-            return false;
-        }
-        let Some((Instr::End, rest)) = code.split_last() else {
-            return false;
-        };
-        // A trailing explicit `return` is equivalent to fallthrough, and
-        // dead `unreachable` padding behind it never executes (PlugC emits
-        // `return; unreachable; end` for typed bodies).
-        let mut trimmed = rest;
-        while let Some((Instr::Unreachable, r)) = trimmed.split_last() {
-            trimmed = r;
-        }
-        let rest = if trimmed.len() < rest.len() {
-            match trimmed.split_last() {
-                Some((Instr::Return, r)) => r,
-                _ => return false,
-            }
-        } else {
-            match rest.split_last() {
-                Some((Instr::Return, r)) => r,
-                _ => rest,
-            }
-        };
-        if !rest.iter().all(is_straight_line) {
-            return false;
-        }
-        // The declared locals the body reads before it writes: zeroed on
-        // every run of the site, as frame entry never touches these slots.
-        // The body is straight-line, so one pass in order finds those
-        // reads exactly.
-        let argc = ty.params.len() as u32;
-        let mut settled = vec![false; body.locals.len()];
-        let mut zeroed = Vec::new();
-        for instr in rest {
-            let (Instr::LocalGet(l) | Instr::LocalSet(l) | Instr::LocalTee(l)) = *instr else {
-                continue;
-            };
-            let Some(d) = l.checked_sub(argc) else {
-                continue;
-            };
-            let Some(seen) = settled.get_mut(d as usize) else {
-                // Past the callee's frame: its own walk reports it.
-                return false;
-            };
-            if !std::mem::replace(seen, true) && matches!(instr, Instr::LocalGet(_)) {
-                zeroed.push(d);
-            }
-        }
-
-        // The block the call sits in, and where to take the inline back
-        // to if the body fails its check.
-        self.leader();
-        let (ops, block_cost, next_local) = (self.ops.len(), self.block_cost, self.next_local);
-
-        // Fresh slots for the callee frame: params then declared locals.
-        // Drain the arguments into the param slots and zero the locals
-        // found above: unmetered glue, paid by the activation price, as a
-        // per-instruction walk's frame setup is.
-        let base = self.next_local;
-        self.next_local += argc + body.locals.len() as u32;
-        for i in (0..argc).rev() {
-            self.emit(Op::LocalSet(base + i));
-        }
-        for d in zeroed {
-            self.emit(match Value::zero(body.locals[d as usize]) {
-                Value::I32(k) => Op::I32Const(k),
-                Value::I64(k) => Op::I64Const(k),
-                Value::F32(k) => Op::F32Const(k),
-                Value::F64(k) => Op::F64Const(k),
-            });
-            self.emit(Op::LocalSet(base + argc + d));
-        }
-
-        // The body, checked in a frame of its own that ends in its result,
-        // with locals remapped into the fresh slots. Nested direct calls
-        // lower recursively under the depth guard.
-        let (offset, frame, height) = (self.local_offset, self.frame, self.vals.len());
-        self.local_offset = base;
-        self.frame = (&ty.params, &body.locals);
-        self.inline_stack.push(callee);
-        self.push_ctrl(CtrlKind::Block, ty.results.first().copied());
-        let checked = rest
-            .iter()
-            .try_for_each(|instr| self.lower(instr))
-            .and_then(|()| self.check_frame_end());
-        self.inline_stack.pop();
-        self.ctrls.pop();
-        self.vals.truncate(height);
-        (self.local_offset, self.frame) = (offset, frame);
-        if checked.is_err() {
-            (self.block_cost, self.next_local) = (block_cost, next_local);
-            self.ops.truncate(ops);
-            return false;
-        }
-
-        // The call instruction itself, the activation it stands for and
-        // the callee's terminator (return or function-level end).
-        self.count(2 + call_price(body.locals.len()));
-        true
     }
 
     /// `else`: the then arm's value is checked, and its fallthrough jumps

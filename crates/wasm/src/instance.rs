@@ -169,8 +169,7 @@ pub const PAGE_FUEL: u64 = PAGE_SIZE as u64 / BULK_BYTES_PER_FUEL as u64;
 /// What every function activation pays on entry, on top of its
 /// instructions: setting up a frame costs more than an `i32.add`. Together
 /// with [`LOCALS_PER_FUEL`] it is folded into the function's entry `Meter`
-/// at load time (and charged at the site of an inlined call), so it costs
-/// nothing at run time.
+/// at load time, so it costs nothing at run time.
 pub const CALL_FUEL: u32 = 6;
 
 /// Declared locals zeroed per unit of fuel on entry: an activation pays
@@ -902,8 +901,7 @@ impl Vm {
                     // Arguments are already in place at `abs..abs+argc`
                     // (register-window overlap); declared locals still
                     // need their zero values, whatever the caller's
-                    // operand stack left in those cells. Inlined callees'
-                    // slots are zeroed at their inline sites instead.
+                    // operand stack left in those cells.
                     let locals = abs + callee.argc as usize;
                     regs[locals..locals + callee.locals_init.len()].fill(0);
                     frames.push(RFrame {

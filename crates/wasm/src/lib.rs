@@ -21,7 +21,7 @@
 //! * [`analysis`] — the one load-time pass behind that executor, run once
 //!   per module by [`load_module`]: each body is type-checked and lowered
 //!   in one walk to a 1:1 flat stack IR (side-table branches, block
-//!   metering, inlining), which is lowered again into
+//!   metering; every call stays a call), which is lowered again into
 //!   three-address code over a per-frame virtual register file — the one
 //!   pass that fuses operands, write-backs, compare-and-branch and address
 //!   chains — and the register form is proven equivalent to the flat IR,

@@ -2,10 +2,9 @@
 //! executor runs.
 //!
 //! A per-function abstract-interpretation pass walks the already-lowered
-//! [`CompiledFunc`] (so side-table branches, basic-block fuel metering
-//! and leaf-call inlining all carry forward for free) and assigns every
-//! operand-stack slot a *virtual register* in a flat, frame-indexed
-//! register file:
+//! [`CompiledFunc`] (so side-table branches and basic-block fuel metering
+//! carry forward for free) and assigns every operand-stack slot a
+//! *virtual register* in a flat, frame-indexed register file:
 //!
 //! * registers `0 .. n_locals` are the wasm locals (local `i` *is*
 //!   register `i`),
@@ -332,8 +331,7 @@ pub struct RegFunc {
     pub locals_init: Box<[Value]>,
     pub argc: u32,
     pub ret_arity: u32,
-    /// Locals (params, declared, then inlined callees' slots, which their
-    /// inline sites write before reading): registers `0..n_locals`.
+    /// Locals (params, then declared): registers `0..n_locals`.
     pub n_locals: u32,
     /// Total registers the frame needs (`n_locals` + max stack height).
     pub frame_size: u32,
@@ -384,7 +382,7 @@ struct Lowerer<'m> {
 /// Lower `module`'s local function `local_idx` from its flat IR `cf` to
 /// register form. Called only by the proof that checks the result.
 pub fn lower_func(module: &Module, local_idx: u32, cf: &CompiledFunc) -> RegFunc {
-    let n_locals = cf.n_locals;
+    let n_locals = cf.n_locals();
 
     let entry_height = cf
         .entry_heights(local_idx)
@@ -1495,7 +1493,7 @@ impl Lowerer<'_> {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::types::{BlockType, ValType};
+    use crate::types::ValType;
 
     #[test]
     fn rop_enum_stays_small() {
@@ -1536,53 +1534,6 @@ mod tests {
         );
         assert_eq!(rf.n_locals, 1);
         assert!(rf.frame_size >= 2);
-    }
-
-    #[test]
-    fn inline_site_zeroes_the_callee_locals_and_entry_leaves_them() {
-        let mut b = ModuleBuilder::new();
-        let sig = b.func_type(&[ValType::I32], &[ValType::I32]);
-        // Leaf: (param i32) (local i32 i64); writes l2, returns l1 + p0.
-        b.begin_func(sig);
-        b.local(ValType::I32);
-        b.local(ValType::I64);
-        b.code()
-            .i64_const(5)
-            .local_set(2)
-            .local_get(1)
-            .local_get(0)
-            .i32_add();
-        b.end_func().unwrap();
-        // Caller: inlines the leaf under an `if`.
-        b.begin_func(sig);
-        b.code()
-            .local_get(0)
-            .if_(BlockType::Value(ValType::I32))
-            .local_get(0)
-            .call(0)
-            .else_()
-            .i32_const(0)
-            .end();
-        b.end_func().unwrap();
-        let m = b.finish().expect("valid");
-        let rf = &m.code().unwrap()[1];
-        assert!(
-            !rf.ops.iter().any(|op| matches!(op, ROp::CallWasm { .. })),
-            "the leaf is inlined: {:?}",
-            rf.ops
-        );
-        // Frame entry zeroes no declared local of the caller's own; the
-        // leaf's param and locals sit in registers 1..4. The site zeroes
-        // l1 (register 2), which the leaf reads first, each time it runs,
-        // and not l2, which the leaf writes first.
-        assert!(rf.locals_init.is_empty());
-        assert_eq!(rf.n_locals, 4);
-        assert!(
-            rf.ops.contains(&ROp::ConstI32 { dst: 2, k: 0 }),
-            "{:?}",
-            rf.ops
-        );
-        assert_eq!(*rf.consts, [Value::I64(5)]);
     }
 
     #[test]

@@ -119,19 +119,10 @@ fn frame_bound_is_tight_on_call_chain() {
     let wasm = waran_wat::assemble(
         r#"(module
              (func $h (result i32)
-               block $b
-                 br $b
-               end
                i32.const 3)
              (func $g (result i32)
-               block $b
-                 br $b
-               end
                call $h)
              (func (export "main") (result i32)
-               block $b
-                 br $b
-               end
                call $g))"#,
     )
     .expect("assembles");

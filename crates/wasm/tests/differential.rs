@@ -304,13 +304,12 @@ export fn main(n: i32, base: i32) -> i32 {
 
 #[test]
 fn differential_leaf_calls() {
-    // Straight-line leaf helpers are inlined by the VM's compiler; fuel
-    // parity must survive that (call = 1, each body instruction = 1, the
-    // return/end terminator = 1 — identical to the reference walker
-    // running the call for real). `mix` keeps an `if` so it stays a real
-    // call, covering the inlined-and-not path in one program. PlugC's own
-    // optimiser removes one-line helpers (`weight`) before the VM sees
-    // them; `probe` has two statements, so it must reach the VM as a call.
+    // Calls to helpers with and without control flow: fuel parity with
+    // the reference walker across each real call (call = 1 plus the
+    // activation price, each body instruction = 1, the return/end
+    // terminator = 1). PlugC's own optimiser removes one-line helpers
+    // (`weight`) before the VM sees them; `probe` returns a value after
+    // two statements, so it reaches the VM as a call, and so does `mix`.
     let src = r#"
 fn weight(x: i32, y: i32) -> i32 {
     return (x * 3) + (y ^ 5);
@@ -792,11 +791,11 @@ const HOST_WAT: &str = r#"(module
   (export "fail" (func $fail))
   (export "wrong" (func $wrong))
 
-  ;; Straight-line helper: the compiler may inline it into its caller.
+  ;; Straight-line helper: a host call from a nested frame.
   (func $leaf (param i32) (result i32)
     local.get 0 call $add3 i32.const 1 i32.add)
 
-  ;; Control flow keeps these real calls: host calls from a nested frame.
+  ;; Host calls from a nested frame under control flow.
   (func $inner (param i32 i32) (result i32)
     local.get 0
     if (result i32)
@@ -1171,102 +1170,6 @@ fn differential_callee_locals_start_at_zero() {
         }
     }
     assert!(cases >= 10, "{cases} cases");
-}
-
-/// `$leaf` is straight-line, so its call sites are inlined: it reports
-/// what its declared locals read, then leaves all-ones in them. `loop`
-/// runs one inline site `n` times in one activation; `twice` has two
-/// sites. Every run is a fresh activation and must read zeros.
-const INLINE_LOCALS_WAT: &str = r#"(module
-  (func $leaf (param $x i32) (result i64)
-    (local $l i64) (local $i i32) (local $f f32) (local $d f64)
-    local.get $l
-    local.get $d i64.reinterpret_f64 i64.or
-    local.get $f i32.reinterpret_f32 i64.extend_i32_u i64.or
-    local.get $i i64.extend_i32_u i64.or
-    i64.const -1 local.set $l
-    local.get $x local.set $i
-    i32.const -1 f32.reinterpret_i32 local.set $f
-    i64.const -1 f64.reinterpret_i64 local.set $d)
-  (func (export "loop") (param $n i32) (result i64) (local $acc i64)
-    loop $again
-      local.get $n call $leaf local.get $acc i64.or local.set $acc
-      local.get $n i32.const 1 i32.sub local.tee $n
-      br_if $again
-    end
-    local.get $acc)
-  (func (export "twice") (param $n i32) (result i64)
-    local.get $n call $leaf
-    local.get $n call $leaf
-    i64.or))"#;
-
-#[test]
-fn differential_inlined_leaf_locals_start_at_zero_on_every_run() {
-    let mut sides = wat_pair(INLINE_LOCALS_WAT, &Linker::<()>::new(), || ());
-    let module = sides.0.module().clone();
-    for name in ["loop", "twice"] {
-        assert!(
-            !lowered_with(&module, name, "call $f"),
-            "`{name}` calls the leaf: the test no longer inlines it"
-        );
-    }
-    let mut cases = 0u32;
-    for n in [1, 2, 3, 7, -1] {
-        for name in ["loop", "twice"] {
-            if name == "loop" && n < 0 {
-                continue;
-            }
-            let out = call_pair(&mut sides, name, &[Value::I32(n)]);
-            assert_eq!(out, Ok(Some((ValType::I64, 0))), "{name}({n})");
-            cases += 1;
-        }
-    }
-    assert!(cases >= 9, "{cases} cases");
-}
-
-/// `$leaf` declares `locals` i64 locals and is straight-line; `g` calls
-/// it under an `if` that `g(0)` does not take, and `spin` calls `g(0)`
-/// `n` times.
-fn wide_leaf_wat(locals: usize) -> String {
-    format!(
-        r#"(module
-  (func $leaf (param i32) (result i32) (local{}) local.get 0)
-  (func (export "g") (param $x i32) (result i32)
-    local.get $x
-    if (result i32) local.get $x call $leaf else i32.const 7 end)
-  (func (export "spin") (param $n i32) (result i32) (local $acc i32)
-    loop $again
-      i32.const 0 call 1 local.get $acc i32.add local.set $acc
-      local.get $n i32.const 1 i32.sub local.tee $n
-      br_if $again
-    end
-    local.get $acc))"#,
-        " i64".repeat(locals)
-    )
-}
-
-#[test]
-fn differential_wide_leaf_is_called_and_a_narrow_one_inlined() {
-    // A leaf is inlined only while its instructions (`local.get`, `end`)
-    // plus its declared locals, which the site zeroes, fit the inline
-    // budget of 64: 62 locals do, 63 and 49 000 do not.
-    for (locals, inlined) in [(0, true), (62, true), (63, false), (49_000, false)] {
-        let mut sides = wat_pair(&wide_leaf_wat(locals), &Linker::<()>::new(), || ());
-        let module = sides.0.module().clone();
-        assert_eq!(
-            !lowered_with(&module, "g", "call $f"),
-            inlined,
-            "{locals} locals"
-        );
-        for (name, arg, want) in [("g", 0, 7), ("g", 5, 5), ("spin", 100, 700)] {
-            let out = call_pair(&mut sides, name, &[Value::I32(arg)]);
-            assert_eq!(
-                out,
-                Ok(Some((ValType::I32, want))),
-                "{locals}: {name}({arg})"
-            );
-        }
-    }
 }
 
 /// One module per value type: every way a value moves without an
@@ -1688,8 +1591,8 @@ fn every_flat_op_of_the_corpus_is_lowered() {
 // PlugC reaches the VM only through the shapes it emits. The modules of
 // `util/wasm_gen.rs` are written in Wasm directly and valid by
 // construction: typed blocks, `br_table`, dead code, `select`, all four
-// value types, globals, `memory.grow`, `call_indirect` and leaves on both
-// sides of the inline threshold. Each one is held to the whole load path
+// value types, globals, `memory.grow`, `call_indirect` and straight-line
+// leaves, each called as a call. Each one is held to the whole load path
 // and to the contract above; a mutant of each must be refused by kind,
 // at its place.
 
@@ -1747,7 +1650,7 @@ fn generated_agree(
 fn differential_generated_wasm() {
     const FUEL: u64 = 2_000_000;
     let (mut completed, mut trapped, mut bounded) = (0u32, 0u32, 0u32);
-    let (mut leaves_called, mut leaves_inlined) = (0u32, 0u32);
+    let mut leaves_called = 0u32;
     for seed in 0..GENERATED {
         let generated = wasm_gen::gen_module(seed);
         let wasm = waran_wasm::encode::encode_module(&generated.module);
@@ -1765,22 +1668,12 @@ fn differential_generated_wasm() {
             .func(0)
             .clone();
 
-        // A called leaf either stays a call or is inlined at every site.
+        // Straight-line leaves reached by a call the lowering kept (a
+        // call in dead code emits nothing).
         let listing = disassemble_reg(&module);
-        for f in (0..generated.leaves.len() as u32).filter(|&f| generated.leaves[f as usize]) {
-            let call = Instr::Call { func: f };
-            if generated
-                .module
-                .funcs
-                .iter()
-                .any(|b| b.code.contains(&call))
-            {
-                match listing.contains(&format!("call $f{f} ")) {
-                    true => leaves_called += 1,
-                    false => leaves_inlined += 1,
-                }
-            }
-        }
+        leaves_called += (0..generated.leaves.len())
+            .filter(|&f| generated.leaves[f] && listing.contains(&format!("call $f{f} ")))
+            .count() as u32;
 
         let args = main_args(seed);
         let ctx = format!("seed {seed}, args {args:?}");
@@ -1807,10 +1700,7 @@ fn differential_generated_wasm() {
         completed >= 250 && trapped >= 60 && bounded >= 250,
         "{completed} completed, {trapped} trapped, {bounded} finite bounds checked"
     );
-    assert!(
-        leaves_called >= 150 && leaves_inlined >= 300,
-        "leaves: {leaves_called} called, {leaves_inlined} inlined"
-    );
+    assert!(leaves_called >= 600, "only {leaves_called} leaves called");
 }
 
 /// One type-breaking mutation per generated module: `load_module` refuses
@@ -1881,10 +1771,9 @@ fn generated_wasm_mutants_are_refused_by_kind() {
 
 /// A body that fails its type check is reported as itself — its own
 /// function, instruction and kind, the lowest function index first —
-/// even where an earlier function's lowering inlines it, and a valid
-/// forward call to a straight-line leaf is still inlined.
+/// even where an earlier function calls it.
 #[test]
-fn type_errors_are_attributed_across_inlining() {
+fn type_errors_are_attributed_to_their_own_function() {
     use waran_wasm::validate::ValidateErrorKind as K;
     const LEAF: &str = "(func $leaf (param i32) (result i32)";
     let refused = |src: &str| match load_module(&waran_wat::assemble(src).unwrap()) {
@@ -1915,29 +1804,7 @@ fn type_errors_are_attributed_across_inlining() {
         )),
         (Some(0), Some(3), i32_into_i64)
     );
-    // A valid forward call to a leaf is lowered in place: no call remains.
-    let wasm = waran_wat::assemble(&format!(
-        r#"(module
-             (func (export "main") (param i32) (result i32) local.get 0 call $leaf)
-             {LEAF} local.get 0 i32.const 3 i32.mul))"#
-    ))
-    .unwrap();
-    assert_eq!(disassemble_reg(&load_module(&wasm).unwrap()), INLINED_LEAF);
 }
-
-/// `disassemble_reg` of the valid module in
-/// `type_errors_are_attributed_across_inlining`.
-const INLINED_LEAF: &str = "\
-func $f0 (args 1 -> 1, locals r0..r2, frame 4):
-     0  meter cost=19
-     1  r1 = r0
-     2  r2 = i32.Mul r1 3
-     3  return r2
-func $f1 (args 1 -> 1, locals r0..r1, frame 3):
-     0  meter cost=10
-     1  r1 = i32.Mul r0 3
-     2  return r1
-";
 
 // ---------------------------------------------------------------------
 // Randomized corpus (proptest)

@@ -877,12 +877,10 @@ fn float_math_pipeline() {
 
 #[test]
 fn register_arena_cap_enforced() {
-    // `f` calls a leaf that `block br end` keeps from being inlined, so the
-    // leaf's frame grows the arena past `f`'s own: the call fills exactly
-    // the static bound.
+    // `f` calls a leaf, whose frame grows the arena past `f`'s own: the
+    // call fills exactly the static bound.
     let src = r#"(module
       (func $leaf (param i32) (result i32)
-        block $b br $b end
         local.get 0)
       (func (export "f") (param i32) (result i32)
         local.get 0
@@ -952,8 +950,7 @@ fn regs_bound(module: &Module, name: &str) -> u64 {
 }
 
 /// `run` calls down a chain of 21 frames of 49 000 `i64` locals each,
-/// ending in a leaf with `leaf_locals`. Each function opens with
-/// `block br end` so none is inlined, and nothing recurses, so the static
+/// ending in a leaf with `leaf_locals`. Nothing recurses, so the static
 /// `regs` bound is finite and a leaf local adds exactly one cell to it.
 fn wide_chain(leaf_locals: u32) -> Module {
     const WIDE: u32 = 21;
@@ -962,7 +959,7 @@ fn wide_chain(leaf_locals: u32) -> Module {
     // Functions are numbered in declaration order: `run` is 0, the wide
     // frames 1..=WIDE and the leaf WIDE + 1.
     let run = b.begin_func(unit);
-    b.code().block(BlockType::Empty).br(0).end().call(1);
+    b.code().call(1);
     b.end_func().unwrap();
     for k in 1..=WIDE + 1 {
         b.begin_func(unit);
@@ -970,7 +967,6 @@ fn wide_chain(leaf_locals: u32) -> Module {
         for _ in 0..locals {
             b.local(ValType::I64);
         }
-        b.code().block(BlockType::Empty).br(0).end();
         if k <= WIDE {
             b.code().call(k + 1);
         }
@@ -980,30 +976,21 @@ fn wide_chain(leaf_locals: u32) -> Module {
     b.finish().unwrap()
 }
 
-/// Declared locals of the widest leaf the lowering still inlines: its
-/// locals plus its one `end` fill the 64-slot inline budget.
-const WIDE_LEAF_LOCALS: usize = 63;
-
-/// `f` declares `own_locals` `i64` locals and inlines a
-/// [`WIDE_LEAF_LOCALS`]-local leaf at enough sites that its frame alone
-/// comes within 25 000 cells of [`MAX_REGS`]: each inline site takes fresh
-/// caller slots, and a frame may declare at most 50 000 locals of its
-/// own, each one more cell.
+/// `f` declares `own_locals` `i64` locals and pushes `MAX_REGS - 25 000`
+/// constants before it returns, so its frame alone — locals plus operand
+/// stack — comes within 25 000 cells of [`MAX_REGS`]: a frame may declare
+/// at most 50 000 locals of its own, each one more cell.
 fn wide_entry(own_locals: u32) -> Module {
     let mut b = ModuleBuilder::new();
     let sig = b.func_type(&[], &[]);
-    let leaf = b.begin_func(sig);
-    for _ in 0..WIDE_LEAF_LOCALS {
-        b.local(ValType::I64);
-    }
-    b.end_func().unwrap();
     let f = b.begin_func(sig);
     for _ in 0..own_locals {
         b.local(ValType::I64);
     }
-    for _ in 0..(MAX_REGS - 25_000) / WIDE_LEAF_LOCALS {
-        b.code().call(leaf);
+    for _ in 0..MAX_REGS - 25_000 {
+        b.code().i32_const(0);
     }
+    b.code().return_();
     b.end_func().unwrap();
     b.export_func("f", f);
     b.finish().unwrap()

@@ -28,22 +28,34 @@ impl Rng {
     }
 }
 
-const VARS: [&str; 4] = ["v0", "v1", "v2", "v3"];
+const VARS: [&str; 5] = ["v0", "v1", "v2", "v3", "v4"];
 const BINOPS: [&str; 18] = [
     "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">=", "&&",
     "||",
 ];
 
-/// One-line helpers every program can call: a pure one, one whose
-/// parameter is read twice, one that loads and one that can trap. Whether
-/// a call site is inlined by PlugC depends on its arguments, so both the
-/// inlined and the real-call path are in the corpus.
+/// Helpers every program can call. One-line ones: a pure one, one whose
+/// parameter is read twice, one that loads and one that can trap.
+/// Straight-line void ones, called as statements: one with a `var` and a
+/// store, one that assigns its own parameter, and one with more
+/// parameters than a call's price covers in bound arguments. Whether a
+/// call site is inlined by PlugC depends on its arguments and on the
+/// caller's free locals, so both the inlined and the real-call path are
+/// in the corpus.
 const HELPERS: &str = "\
 fn mix(x: i32, y: i32) -> i32 { return ((x * 3) + (y ^ 5)); }
 fn sq(x: i32) -> i32 { return (x * x); }
 fn peek(x: i32) -> i32 { return load_i32((x & 1020)); }
 fn quot(x: i32, y: i32) -> i32 { return (x / y); }
+fn put(x: i32, y: i32) { var at: i32 = (x & 1020); store_i32(at, (y ^ at)); }
+fn bump(x: i32, y: i32) { x = (x + y); store_i32((x & 1020), x); }
+fn wide(p0: i32, p1: i32, p2: i32, p3: i32, p4: i32, p5: i32, p6: i32, p7: i32, p8: i32) {
+    store_i32(((p0 ^ p8) & 1020), (((p1 + p2) * (p3 - p4)) ^ ((p5 | p6) + p7)));
+}
 ";
+
+/// The straight-line void helpers of [`HELPERS`], by name and arity.
+pub const VOID_HELPERS: [(&str, usize); 3] = [("put", 2), ("bump", 2), ("wide", 9)];
 
 /// A fully parenthesized i32 expression over the mutable variables.
 /// Division and remainder are reachable, so traps are part of the corpus;
@@ -86,8 +98,8 @@ fn gen_expr(rng: &mut Rng, depth: u32) -> String {
     }
 }
 
-/// Statements: assignments, stores, if/else, bounded while loops with
-/// `break` and `continue`. Loop counters (`c<depth>`) are reset before each
+/// Statements: assignments, stores, void helper calls, if/else, bounded
+/// while loops with `break` and `continue`. Loop counters (`c<depth>`) are reset before each
 /// loop and only incremented by the loop itself — at the end of the body
 /// and right before each `continue` — so every generated program
 /// terminates.
@@ -136,20 +148,33 @@ fn gen_stmts(rng: &mut Rng, depth: u32, loop_depth: usize, out: &mut String, ind
                     ));
                 }
             }
+            7 => {
+                // Arguments of depth 0 are a variable or a literal.
+                let (name, arity) = VOID_HELPERS[rng.below(VOID_HELPERS.len() as u64) as usize];
+                let args: Vec<String> = (0..arity)
+                    .map(|_| {
+                        let depth = rng.below(2) as u32;
+                        gen_expr(rng, depth)
+                    })
+                    .collect();
+                out.push_str(&format!("{pad}{name}({});\n", args.join(", ")));
+            }
             _ => {}
         }
     }
 }
 
-/// One complete PlugC program per seed: `main(a, b)` over four mutable
+/// One complete PlugC program per seed: `main(a, b)` over five mutable
 /// variables and four loop counters, ending in a value that depends on
-/// everything so no assignment is dead.
+/// everything so no assignment is dead. Its nine locals leave seven free
+/// before its activation price rises, room for spliced helpers' locals.
 pub fn gen_program(seed: u64) -> String {
     let mut rng = Rng::new(seed);
     let mut body = String::new();
     gen_stmts(&mut rng, 3, 0, &mut body, 4);
     let k2 = rng.below(1 << 14);
     let k3 = rng.below(1 << 14);
+    let k4 = rng.below(1 << 14);
     format!(
         "{HELPERS}\
          export fn main(a: i32, b: i32) -> i32 {{\n\
@@ -157,12 +182,13 @@ pub fn gen_program(seed: u64) -> String {
          \x20   var v1: i32 = b;\n\
          \x20   var v2: i32 = {k2};\n\
          \x20   var v3: i32 = {k3};\n\
+         \x20   var v4: i32 = {k4};\n\
          \x20   var c0: i32 = 0;\n\
          \x20   var c1: i32 = 0;\n\
          \x20   var c2: i32 = 0;\n\
          \x20   var c3: i32 = 0;\n\
          {body}\
-         \x20   return ((((v0 ^ v1) + v2) ^ v3) + ((c0 + c1) + (c2 + c3)));\n\
+         \x20   return (((((v0 ^ v1) + v2) ^ v3) - v4) + ((c0 + c1) + (c2 + c3)));\n\
          }}\n"
     )
 }

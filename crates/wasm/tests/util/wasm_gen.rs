@@ -20,9 +20,9 @@
 //!   immutable globals, loads and stores at every width, `memory.grow`,
 //!   `memory.fill` and `memory.copy`;
 //! * calls: direct calls, `call_indirect` through the table, and
-//!   straight-line leaves sized on both sides of the lowering's 64-unit
-//!   inline threshold (body instructions plus declared locals), some
-//!   calling a later leaf, some ending in an explicit `return`.
+//!   straight-line leaves of 40 to 80 units (body instructions plus
+//!   declared locals), some calling a later leaf, some ending in an
+//!   explicit `return`.
 //!
 //! Every program terminates: a call goes only to a higher function index
 //! (directly or through the table), and a loop's only back edge is its
@@ -709,9 +709,9 @@ pub fn gen_module(seed: u64) -> Generated {
             loops: 0,
         };
         if plan.leaf {
-            // Straight-line statements up to a size around the inline
-            // threshold of 64 units (instructions, the final `end`
-            // included, plus declared locals).
+            // Straight-line statements up to 40 to 80 units
+            // (instructions, the final `end` included, plus declared
+            // locals).
             let units = 40 + body.rng.below(40) as usize;
             while body.len + declared + 8 < units {
                 body.stmt(0);
@@ -766,7 +766,7 @@ fn block(ty: BlockType) -> Instr {
 /// the insertion point is reachable or not) at a random instruction
 /// boundary of a random function — or, for a straight-line snippet aimed
 /// at a leaf, unwrapped at the leaf's first instruction, so the leaf
-/// stays inlinable and every call site must walk a body that fails. The
+/// stays straight-line and fails at its first instruction. The
 /// memory and table classes take the module's memory (and data) or table
 /// (and elements) away and use it first thing in `main`.
 pub fn mutate(g: &Generated, class: usize, rng: &mut Rng) -> Mutant {

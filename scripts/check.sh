@@ -73,7 +73,7 @@ plugc 12
 abi 7
 ric 2
 core 7
-host 6
+host 5
 ransim 0
 EOF
 
@@ -97,6 +97,12 @@ calls=$(find crates src tests examples -name '*.rs' ! -path crates/wasm/src/anal
 if [ -n "$calls" ]; then
     echo "$calls" >&2
     echo "lowering tripwire: only crates/wasm/src/analysis.rs may call compile_func( or lower_func(" >&2
+    exit 1
+fi
+# The loader lowers every call as a call: inlining is the guest
+# compiler's job (PlugC's optimiser), and the loader's inliner stays gone.
+if grep -rnwE 'try_inline|INLINE_MAX_INSTRS|INLINE_MAX_DEPTH|inline_stack' crates/wasm/src; then
+    echo "lowering tripwire: crates/wasm/src names try_inline, INLINE_MAX_INSTRS, INLINE_MAX_DEPTH or inline_stack; the loader lowers every call as a call" >&2
     exit 1
 fi
 # Each body is type-checked by the walk that lowers it: the second walk
