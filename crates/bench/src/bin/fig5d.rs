@@ -11,6 +11,20 @@
 //! in batches of calls because a native call is too short to time alone:
 //! its p50 and the Wasm/native p50 factor.
 //!
+//! Two more tables time the other plugin crossings the paper names, with
+//! the same instrument:
+//!
+//! * **A3** (§4.B, the wire format as a plugin choice): an E2 indication's
+//!   encode+decode round trip through `TlvCodec`, `PbCodec` and
+//!   `JsonCodec` at 1, 10 and 100 KPI reports — p50, p99 and wire bytes.
+//! * **§3.B** (the interface-mismatch adapter): the power-widen adapter
+//!   on a 4-record vendor-A stream, Wasm through its `PluginHost` slot
+//!   (p50, p99) against the native `InterfaceAdapter::adapt_stream` (p50).
+//!
+//! Every result is checked after the clock stops: the run fails if a
+//! scheduler over-allocates, a decoded indication differs from its input
+//! or the Wasm adapter's output differs from the native adapter's.
+//!
 //! Run with: `cargo run -p waran-bench --release --bin fig5d`
 //!
 //! `fig5d --fuel` prints, instead of timings, the fuel each configuration
@@ -18,7 +32,10 @@
 //! `ExecStats::instrs` counts) — exact and host-independent, so it is
 //! committed as `crates/bench/fig5d_fuel.golden` and diffed by
 //! `scripts/check.sh`: a plugin or PlugC change that makes the guest do
-//! more work shows as a hunk naming policy and UE count.
+//! more work shows as a hunk naming policy and UE count. The timed
+//! tables' exact twins follow: `codec=<name> reports=<n> bytes=<len>` per
+//! A3 row (a codec change that moves a wire byte shows by name) and
+//! `adapter records=4 instrs_per_call=<x>`.
 
 use std::time::Instant;
 
@@ -26,19 +43,30 @@ use waran_abi::sched::{SchedRequest, SchedResponse, UeInfo};
 use waran_bench::{banner, f1, table, write_csv};
 use waran_core::plugins;
 use waran_host::plugin::{Plugin, SandboxPolicy};
-use waran_host::ExecTimeStats;
+use waran_host::{ExecTimeStats, PluginHost};
 use waran_ransim::sched::{MaxThroughput, ProportionalFair, RoundRobin, SliceScheduler};
+use waran_ric::adapter::{install_widen_plugin, InterfaceAdapter};
+use waran_ric::comm::{CommCodec, JsonCodec, PbCodec, TlvCodec};
+use waran_ric::e2::{Indication, KpiReport};
 use waran_wasm::instance::Linker;
 
 const SLOT_US: f64 = 1000.0;
 const UE_COUNTS: [usize; 7] = [1, 10, 20, 50, 100, 200, 500];
 const ITERATIONS: u64 = 20_000;
 const WARMUP: u64 = 1_000;
-/// Native calls timed per sample; divides `WARMUP` and `ITERATIONS`.
-const NATIVE_BATCH: u64 = 100;
+/// Calls timed per sample on every row but the Wasm scheduler's; divides
+/// `WARMUP` and `ITERATIONS`.
+const BATCH: u64 = 100;
 /// Calls averaged by `--fuel`: a multiple of every UE count, so RR's
 /// rotation completes whole turns.
 const FUEL_CALLS: u64 = 1_000;
+/// A3's indication sizes, in KPI reports.
+const A3_REPORTS: [usize; 3] = [1, 10, 100];
+/// The three native codecs A3 compares.
+const CODECS: [&dyn CommCodec; 3] = [&TlvCodec, &PbCodec, &JsonCodec];
+/// The §3.B example's vendor-A wire: 4 records of `power:8, antenna:4`,
+/// each padded to 2 bytes — `(30, 0)`, `(128, 3)`, `(200, 7)`, `(255, 15)`.
+const ADAPTER_STREAM: [u8; 8] = [0x1e, 0x00, 0x80, 0x30, 0xc8, 0x70, 0xff, 0xf0];
 
 fn make_request(slot: u64, n_ues: usize) -> SchedRequest {
     SchedRequest {
@@ -59,6 +87,23 @@ fn make_request(slot: u64, n_ues: usize) -> SchedRequest {
     }
 }
 
+/// An E2 indication carrying `n` KPI reports: A3's message.
+fn indication(n: usize) -> Indication {
+    Indication {
+        slot: 123_456,
+        reports: (0..n)
+            .map(|i| KpiReport {
+                ue_id: 70 + i as u32,
+                slice_id: (i % 3) as u32,
+                cqi: 1 + (i % 15) as u8,
+                mcs: (i % 29) as u8,
+                buffer_bytes: 1000 * i as u32,
+                tput_bps: 1e6 * (i as f64 + 0.5),
+            })
+            .collect(),
+    }
+}
+
 /// Fresh instance per configuration, under the default policy: fuel
 /// metering on (production setting) with a budget no row comes near.
 fn instantiate(wasm: &[u8]) -> Plugin<()> {
@@ -66,38 +111,50 @@ fn instantiate(wasm: &[u8]) -> Plugin<()> {
         .expect("stock plugin instantiates")
 }
 
-/// Times of `call` over one configuration's requests, warm-up excluded:
-/// one sample per `batch` consecutive calls, their mean. The Wasm rows
-/// time each call (`batch` 1), as the paper does; a native scheduler call
-/// at a few UEs takes under 100 ns, close to the cost of the clock reads
-/// themselves, so the native rows are timed [`NATIVE_BATCH`] calls to a
-/// sample.
-/// Responses are checked after the clock stops; `Err` carries the fault
-/// that ended the run.
-fn measure<E: std::fmt::Display>(
-    n_ues: usize,
+/// Times of `call` over `WARMUP + ITERATIONS` calls on `input(i)`,
+/// warm-up excluded: one sample per `batch` consecutive calls, their mean.
+/// The Wasm scheduler rows time each call (`batch` 1), as the paper does;
+/// a native scheduler call at a few UEs takes under 100 ns, close to the
+/// cost of the clock reads themselves, so every other row is timed
+/// [`BATCH`] calls to a sample. Inputs are built before the clock starts
+/// and each result goes to `check` with its input after it stops; `Err`
+/// carries the fault that ended the run.
+fn measure<I, O, E: std::fmt::Display>(
     batch: u64,
-    mut call: impl FnMut(&SchedRequest) -> Result<SchedResponse, E>,
+    input: impl Fn(u64) -> I,
+    mut call: impl FnMut(&I) -> Result<O, E>,
+    mut check: impl FnMut(&I, O),
 ) -> Result<ExecTimeStats, String> {
     let mut acc = ExecTimeStats::new();
-    let mut resps = Vec::with_capacity(batch as usize);
+    let mut outs = Vec::with_capacity(batch as usize);
     for first in (0..(WARMUP + ITERATIONS)).step_by(batch as usize) {
-        let reqs: Vec<_> = (first..first + batch)
-            .map(|slot| make_request(slot, n_ues))
-            .collect();
-        resps.clear();
+        let inputs: Vec<I> = (first..first + batch).map(&input).collect();
+        outs.clear();
         let start = Instant::now();
-        resps.extend(reqs.iter().map(&mut call));
+        outs.extend(inputs.iter().map(&mut call));
         let elapsed = start.elapsed();
-        for (slot, resp) in (first..).zip(resps.drain(..)) {
-            let resp = resp.map_err(|e| format!("slot {slot}: {e}"))?;
-            assert!(resp.total_prbs() <= 52);
+        for ((i, input), out) in (first..).zip(&inputs).zip(outs.drain(..)) {
+            check(input, out.map_err(|e| format!("call {i}: {e}"))?);
         }
         if first >= WARMUP {
             acc.record(elapsed / batch as u32);
         }
     }
     Ok(acc)
+}
+
+/// `measure` over one Fig. 5d configuration's requests.
+fn measure_sched<E: std::fmt::Display>(
+    n_ues: usize,
+    batch: u64,
+    call: impl FnMut(&SchedRequest) -> Result<SchedResponse, E>,
+) -> Result<ExecTimeStats, String> {
+    measure(
+        batch,
+        |slot| make_request(slot, n_ues),
+        call,
+        |_, resp| assert!(resp.total_prbs() <= 52),
+    )
 }
 
 /// First UE count on the axis whose p99 reaches `pct` % of the slot.
@@ -127,6 +184,88 @@ fn print_fuel(policies: &[(&str, &[u8])]) {
             println!("{name} ues={n_ues} instrs_per_call={per_call:.1}");
         }
     }
+    println!("# A3: wire bytes of one E2 indication per codec");
+    for n in A3_REPORTS {
+        let ind = indication(n);
+        for codec in CODECS {
+            let bytes = codec.encode_indication(&ind).len();
+            println!("codec={} reports={n} bytes={bytes}", codec.name());
+        }
+    }
+    println!(
+        "# §3.B: retired instructions and call prices per adapter call (entry: adapt), mean of {FUEL_CALLS} calls"
+    );
+    let plugin = install_widen_plugin(&PluginHost::new()).expect("adapter plugin installs");
+    for _ in 0..FUEL_CALLS {
+        plugin
+            .call("adapt", &ADAPTER_STREAM)
+            .expect("adapter adapts");
+    }
+    let instrs = plugin
+        .with_plugin(|p| Ok(p.instance().stats().instrs))
+        .expect("adapter slot is live");
+    let per_call = instrs as f64 / FUEL_CALLS as f64;
+    println!(
+        "adapter records={} instrs_per_call={per_call:.1}",
+        ADAPTER_STREAM.len() / 2
+    );
+}
+
+/// Ablation A3 rows: each codec's round trip at each indication size.
+fn a3_rows() -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for n in A3_REPORTS {
+        let ind = indication(n);
+        for codec in CODECS {
+            let times = measure(
+                BATCH,
+                |_| ind.clone(),
+                |ind| codec.decode_indication(&codec.encode_indication(ind)),
+                |ind, back| assert_eq!(&back, ind, "{} changed the indication", codec.name()),
+            )
+            .expect("stock codec decodes its own encoding");
+            rows.push(vec![
+                codec.name().to_string(),
+                n.to_string(),
+                format!("{:.3}", times.p50_us()),
+                format!("{:.3}", times.p99_us()),
+                codec.encode_indication(&ind).len().to_string(),
+            ]);
+        }
+    }
+    rows
+}
+
+/// The §3.B row: the Wasm adapter through its plugin-host slot and the
+/// native adapter on the same stream; every Wasm output must equal the
+/// native one.
+fn adapter_row() -> Vec<String> {
+    let native = InterfaceAdapter::power_example();
+    let expected = native
+        .adapt_stream(&ADAPTER_STREAM)
+        .expect("native adapter adapts");
+    let plugin = install_widen_plugin(&PluginHost::new()).expect("adapter plugin installs");
+    let wasm = measure(
+        BATCH,
+        |_| ADAPTER_STREAM,
+        |s| plugin.call("adapt", s),
+        |_, out| assert_eq!(out, expected, "Wasm adapter disagrees with the native one"),
+    )
+    .expect("adapter plugin adapts the example stream");
+    let native_p50 = measure(
+        BATCH,
+        |_| ADAPTER_STREAM,
+        |s| native.adapt_stream(s),
+        |_, out| assert_eq!(out, expected),
+    )
+    .expect("native adapter adapts the example stream")
+    .p50_us();
+    vec![
+        (ADAPTER_STREAM.len() / 2).to_string(),
+        format!("{:.3}", wasm.p50_us()),
+        format!("{:.3}", wasm.p99_us()),
+        format!("{native_p50:.3}"),
+    ]
 }
 
 /// The native ransim scheduler of each figure policy.
@@ -165,9 +304,9 @@ fn main() {
             // Measured exactly as the paper: host-side encode, sandbox
             // call, host-side decode.
             let mut plugin = instantiate(wasm);
-            let wasm_times = measure(n_ues, 1, |req| plugin.call_sched(req));
+            let wasm_times = measure_sched(n_ues, 1, |req| plugin.call_sched(req));
             let mut sched = native(name);
-            let native_p50 = measure(n_ues, NATIVE_BATCH, |req| sched.schedule(req))
+            let native_p50 = measure_sched(n_ues, BATCH, |req| sched.schedule(req))
                 .expect("native scheduler schedules the figure's request")
                 .p50_us();
             // A configuration that faults is over budget by definition:
@@ -234,4 +373,18 @@ fn main() {
         "note: absolute numbers differ from the paper's testbed (interpreter vs \
          Extism-on-NUC); the claim under test is p99 ≪ slot duration and growth with UE count."
     );
+
+    println!(
+        "\nA3 — E2 indication encode+decode round trip per codec (§4.B), {BATCH} round trips to a sample:\n"
+    );
+    let header = ["codec", "reports", "p50[µs]", "p99[µs]", "wire bytes"];
+    let rows = a3_rows();
+    table(&header, &rows);
+    write_csv("fig5d_a3.csv", &header, &rows);
+
+    println!("\n§3.B — power-widen adapter on a vendor-A stream, {BATCH} calls to a sample:\n");
+    let header = ["records", "Wasm p50[µs]", "Wasm p99[µs]", "native p50[µs]"];
+    let rows = vec![adapter_row()];
+    table(&header, &rows);
+    write_csv("fig5d_adapter.csv", &header, &rows);
 }

@@ -32,8 +32,8 @@ pub mod scenario;
 pub mod wasm_sched;
 
 pub use mobility::{
-    sort_departures, sort_handovers, A3Config, CellLayout, CellMobility, HandoverMsg,
-    InterruptionStats, MobilityAttachment, MobilityReport,
+    sort_departures, A3Config, CellLayout, CellMobility, HandoverMsg, InterruptionStats,
+    MobilityAttachment, MobilityReport,
 };
 pub use multicell::{
     CellGovernance, CellReport, CellSpec, FleetBackground, MultiCellReport, MultiCellScenario,

@@ -184,11 +184,6 @@ impl HandoverMsg {
     }
 }
 
-/// Sort handover messages into admission order.
-pub fn sort_handovers(msgs: &mut [HandoverMsg]) {
-    msgs.sort_by_key(HandoverMsg::admission_key);
-}
-
 /// A UE in flight between cells: the message key plus everything the
 /// destination needs to admit it.
 pub struct Departure {
@@ -500,12 +495,26 @@ mod tests {
             ue_id: ue,
             forced: false,
         };
-        let mut a = vec![mk(20, 2, 9), mk(20, 0, 5), mk(40, 1, 3), mk(20, 0, 2)];
-        let mut b = a.clone();
-        b.reverse();
-        sort_handovers(&mut a);
-        sort_handovers(&mut b);
-        assert_eq!(a, b);
+        let admitted = |msgs: &[HandoverMsg]| {
+            let mut deps: Vec<Departure> = msgs
+                .iter()
+                .map(|&msg| Departure {
+                    msg,
+                    slice: "s".into(),
+                    ue: UeState::new(
+                        msg.ue_id,
+                        Box::new(waran_ransim::channel::StaticChannel::new(12)),
+                        Box::new(waran_ransim::traffic::FullBuffer),
+                    ),
+                })
+                .collect();
+            sort_departures(&mut deps);
+            deps.iter().map(|d| d.msg).collect::<Vec<_>>()
+        };
+        let mut msgs = vec![mk(20, 2, 9), mk(20, 0, 5), mk(40, 1, 3), mk(20, 0, 2)];
+        let a = admitted(&msgs);
+        msgs.reverse();
+        assert_eq!(a, admitted(&msgs));
         assert_eq!(a[0], mk(20, 0, 2));
         assert_eq!(a[3], mk(40, 1, 3));
     }

@@ -39,11 +39,13 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use waran_host::plugin::SandboxPolicy;
 use waran_host::{fnv1a, ExecTimeStats, SlotState, StrikeCounters};
+use waran_ransim::massive::{splitmix64, SPLITMIX64_GAMMA};
 use waran_ric::bus::{RicBus, ServiceReport};
 
 use crate::mobility::{
@@ -62,19 +64,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Scenario>();
 };
-
-/// Lock a deployment-internal mutex, recovering from poisoning.
-///
-/// A worker that panics mid-cell poisons that cell's lock; with plain
-/// `.expect("poisoned")` every later toucher — the exchange leader, the
-/// report fold, the *other* cells' workers joining through shared state —
-/// aborts too, turning one cell's fault into a deployment-wide crash.
-/// Panicked cells are instead marked `faulted` (see [`run_cell_window`])
-/// and skipped, so recovering the guard here is safe: the data behind a
-/// poisoned cell lock is only ever read for final reporting.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Declarative description of one cell in a deployment.
 #[derive(Clone)]
@@ -278,7 +267,7 @@ impl MultiCellScenarioBuilder {
         let bus = self.ric.map(|attachment| {
             let mut bus = attachment.build_bus();
             for cell in &cells {
-                let mut cell = lock_recover(cell);
+                let mut cell = cell.lock();
                 cell.driver = Some(attachment.driver(cell.cell_id, &mut bus));
             }
             bus
@@ -405,14 +394,12 @@ fn build_threads(specs: &[CellSpec]) -> usize {
     std::thread::available_parallelism().map_or(1, |cores| wanted.min(cores.get()))
 }
 
-/// SplitMix64 over (deployment seed, cell id): decorrelates per-cell RNG
-/// streams while staying a pure function of the build inputs, so the
-/// schedule of worker threads can never perturb a cell's seed.
+/// SplitMix64 over (deployment seed, cell id) — output `cell_id` of the
+/// stream seeded `base`: decorrelates per-cell RNG streams while staying
+/// a pure function of the build inputs, so the schedule of worker threads
+/// can never perturb a cell's seed.
 fn derive_seed(base: u64, cell_id: u32) -> u64 {
-    let mut z = base.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(u64::from(cell_id) + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(base.wrapping_add(SPLITMIX64_GAMMA.wrapping_mul(u64::from(cell_id))))
 }
 
 /// One scheduled fleet-wide plugin push: at simulated slot `slot`, swap
@@ -473,6 +460,15 @@ struct Exchange {
 
 /// A built multi-cell deployment, runnable on any number of workers.
 pub struct MultiCellScenario {
+    /// One lock per cell, recovered rather than refused after a panic
+    /// under it (the `parking_lot` contract). A worker that panics
+    /// mid-cell would otherwise poison that cell's lock, and every later
+    /// toucher — the exchange leader, the report fold, the other cells'
+    /// workers joining through shared state — would abort too, turning
+    /// one cell's fault into a deployment-wide crash. Panicked cells are
+    /// instead marked `faulted` (see [`run_cell_window`]) and skipped, so
+    /// recovering the guard is safe: the data behind a faulted cell is
+    /// only ever read for final reporting.
     cells: Vec<Mutex<CellRuntime>>,
     /// Present until [`MultiCellScenario::run`] starts the service.
     bus: Option<RicBus>,
@@ -497,9 +493,9 @@ impl MultiCellScenario {
         let runtime = self
             .cells
             .iter()
-            .find(|c| lock_recover(c).name == cell)
+            .find(|c| c.lock().name == cell)
             .ok_or_else(|| ScenarioError::Invalid(format!("no cell `{cell}`")))?;
-        lock_recover(runtime).scenario.swap_plugin(slice, kind)
+        runtime.lock().scenario.swap_plugin(slice, kind)
     }
 
     /// Run every cell to completion on `workers` threads (0 and 1 both
@@ -542,7 +538,7 @@ impl MultiCellScenario {
                 ..RicPlaneReport::default()
             };
             for cell in &self.cells {
-                let cell = lock_recover(cell);
+                let cell = cell.lock();
                 if let Some(driver) = &cell.driver {
                     plane.indications_sent += driver.indications_sent;
                     plane.action_batches_received += driver.action_batches_received;
@@ -588,7 +584,7 @@ impl MultiCellScenario {
         }
 
         let mobility = self.mobility_cfg.map(|cfg| {
-            let slot_seconds = lock_recover(&self.cells[0]).scenario.gnb.slot_seconds();
+            let slot_seconds = self.cells[0].lock().scenario.gnb.slot_seconds();
             let mut report = MobilityReport {
                 exchange_period_slots: cfg.exchange_period_slots,
                 dropped_departures: exchange.dropped,
@@ -596,7 +592,7 @@ impl MultiCellScenario {
                 ..MobilityReport::default()
             };
             for cell in &self.cells {
-                let cell = lock_recover(cell);
+                let cell = cell.lock();
                 if let Some(m) = &cell.mobility {
                     report.cross_cell_handovers += m.counters.admissions;
                     report.a3_departures += m.counters.a3_departures;
@@ -641,12 +637,12 @@ impl MultiCellScenario {
                     let Some(cell) = cells.get(idx) else {
                         break;
                     };
-                    run_cell_window(&mut lock_recover(cell), window, &mut chunk_shard);
+                    run_cell_window(&mut cell.lock(), window, &mut chunk_shard);
                 }
                 if barrier.wait().is_leader() {
                     // Serial section: every other worker is parked at
                     // the second barrier.
-                    let all_done = lockstep_exchange(cells, &mut lock_recover(&exchange));
+                    let all_done = lockstep_exchange(cells, &mut exchange.lock());
                     cursor.store(0, Ordering::Relaxed);
                     done.store(all_done, Ordering::Relaxed);
                 }
@@ -664,10 +660,7 @@ impl MultiCellScenario {
             );
             shards
         });
-        let exchange = exchange
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        (shards, exchange)
+        (shards, exchange.into_inner())
     }
 
     /// The serial finish pass, in declaration order so the RIC counters
@@ -680,7 +673,7 @@ impl MultiCellScenario {
         let mut exec = ExecTimeStats::new();
         let mut reports = Vec::with_capacity(self.cells.len());
         for cell in &self.cells {
-            let mut guard = lock_recover(cell);
+            let mut guard = cell.lock();
             let cell = &mut *guard;
             if !cell.faulted {
                 if let Some(driver) = cell.driver.as_mut() {
@@ -802,7 +795,7 @@ fn lockstep_exchange(cells: &[Mutex<CellRuntime>], exchange: &mut Exchange) -> b
             reject_at_source(cells, dep.msg.src_cell);
             continue;
         };
-        let mut cell = lock_recover(dst);
+        let mut cell = dst.lock();
         let depart_slot = dep.msg.slot;
         let admit_slot = cell.scenario.gnb.slot();
         let CellRuntime {
@@ -827,7 +820,7 @@ fn lockstep_exchange(cells: &[Mutex<CellRuntime>], exchange: &mut Exchange) -> b
     let mut fresh = Vec::new();
     let mut all_done = true;
     for cell in cells {
-        let mut cell = lock_recover(cell);
+        let mut cell = cell.lock();
         if cell.faulted || cell.scenario.remaining_slots() == 0 {
             continue;
         }
@@ -850,7 +843,7 @@ fn lockstep_exchange(cells: &[Mutex<CellRuntime>], exchange: &mut Exchange) -> b
 /// to a panic).
 fn reject_at_source(cells: &[Mutex<CellRuntime>], src_cell: u32) {
     if let Some(src) = cells.get(src_cell as usize) {
-        if let Some(mob) = lock_recover(src).mobility.as_mut() {
+        if let Some(mob) = src.lock().mobility.as_mut() {
             mob.counters.rejected_admissions += 1;
         }
     }
@@ -1229,7 +1222,7 @@ mod tests {
 
         let mut exchange = Exchange::default();
         {
-            let mut cell = lock_recover(&d.cells[0]);
+            let mut cell = d.cells[0].lock();
             let ids: Vec<u32> = cell
                 .scenario
                 .gnb
@@ -1255,14 +1248,15 @@ mod tests {
                 });
             }
         }
-        lock_recover(&d.cells[1]).faulted = true;
+        d.cells[1].lock().faulted = true;
 
         lockstep_exchange(&d.cells, &mut exchange);
 
         assert_eq!(exchange.dropped, 2, "both unserviceable departures dropped");
         assert!(exchange.records.is_empty(), "nothing was admitted");
         assert_eq!(
-            lock_recover(&d.cells[0])
+            d.cells[0]
+                .lock()
                 .mobility
                 .as_ref()
                 .unwrap()
@@ -1439,7 +1433,8 @@ mod tests {
                 .build()
                 .unwrap();
             if sabotage {
-                lock_recover(&d.cells[1])
+                d.cells[1]
+                    .lock()
                     .scenario
                     .gnb
                     .swap_scheduler(0, Box::new(PanicsAfter(50)));
@@ -1452,7 +1447,7 @@ mod tests {
             if sabotage {
                 // The finish pass left the faulted cell alone: its
                 // outstanding reply was never consumed.
-                let cell = lock_recover(&d.cells[1]);
+                let cell = d.cells[1].lock();
                 let driver = cell.driver.as_ref().unwrap();
                 assert_eq!(driver.indications_sent, 2, "boundaries at 20 and 40");
                 assert_eq!(driver.action_batches_received, 1);

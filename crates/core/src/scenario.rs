@@ -24,7 +24,8 @@ use waran_ransim::channel::{
 };
 use waran_ransim::gnb::{Gnb, GnbConfig, SliceConfig};
 use waran_ransim::massive::{
-    BackgroundSliceSnapshot, BackgroundSliceSpec, MassiveConfig, CELL_RADIUS_M,
+    background_offset, splitmix64, unit_f64, BackgroundSliceSnapshot, BackgroundSliceSpec,
+    MassiveConfig,
 };
 use waran_ransim::sched::{MaxThroughput, ProportionalFair, RoundRobin, SliceScheduler};
 use waran_ransim::traffic::{Cbr, FullBuffer, PoissonPackets, TrafficSource};
@@ -130,10 +131,9 @@ impl ChannelSpec {
                 // walk — all pure functions of (scenario seed, UE index).
                 let sx = splitmix64(ctx.ue_seed);
                 let sy = splitmix64(sx);
-                let unit = |z: u64| (z >> 11) as f64 / (1u64 << 53) as f64;
                 let start = [
-                    ctx.cell_pos[0] + (unit(sx) * 2.0 - 1.0) * MOBILE_START_SPREAD_M,
-                    ctx.cell_pos[1] + (unit(sy) * 2.0 - 1.0) * MOBILE_START_SPREAD_M,
+                    ctx.cell_pos[0] + (unit_f64(sx) * 2.0 - 1.0) * MOBILE_START_SPREAD_M,
+                    ctx.cell_pos[1] + (unit_f64(sy) * 2.0 - 1.0) * MOBILE_START_SPREAD_M,
                 ];
                 let step_m = speed_mps.max(0.0) * ctx.slot_seconds;
                 Box::new(MobileChannel::new(
@@ -146,15 +146,6 @@ impl ChannelSpec {
             }
         }
     }
-}
-
-/// SplitMix64 step: the seed-derivation mixer used wherever the scenario
-/// layer needs decorrelated deterministic sub-seeds.
-pub(crate) fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Traffic specification for one UE.
@@ -493,17 +484,8 @@ impl ScenarioBuilder {
                     let slice_id = slice_ids[&spec.name];
                     let ues = ue_ids.entry(spec.name.clone()).or_default();
                     for i in 0..bg.ues {
-                        let h = splitmix64(
-                            self.seed
-                                ^ splitmix64(
-                                    ((u64::from(slice_id) + 1) << 32) ^ (u64::from(i) + 1),
-                                ),
-                        );
-                        let hx = splitmix64(h);
-                        let hy = splitmix64(hx);
-                        let unit = |z: u64| (z >> 11) as f64 / (1u64 << 53) as f64;
-                        let x = (unit(hx) * 2.0 - 1.0) * CELL_RADIUS_M;
-                        let y = (unit(hy) * 2.0 - 1.0) * CELL_RADIUS_M;
+                        let [x, y] =
+                            background_offset(self.seed, u64::from(slice_id), u64::from(i));
                         let rate_bps = bg.per_ue_kbps * 1000.0;
                         let traffic: Box<dyn TrafficSource> = if bg.burst_bytes > 0.0 {
                             Box::new(PoissonPackets::new(

@@ -22,7 +22,9 @@
 //!   snapshot, because the new bytes hash to a different template.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::Mutex;
 
 use waran_wasm::analysis::Bound;
 use waran_wasm::instance::{InstancePre, InstantiateError, Linker, MAX_CALL_DEPTH, MAX_REGS};
@@ -307,6 +309,10 @@ pub struct TemplateCacheStats {
 /// collision can never alias two plugins. Builds run outside the lock.
 pub struct TemplateCache<T> {
     linker: Linker<T>,
+    /// Recovered, not refused, after a panic under it (as every host
+    /// lock is): builds run outside the lock, so at worst a counter or an
+    /// eviction is stale, and one panic cannot fail every later install
+    /// in the process.
     state: Mutex<CacheState<T>>,
 }
 
@@ -325,10 +331,6 @@ impl<T> TemplateCache<T> {
         }
     }
 
-    fn state(&self) -> MutexGuard<'_, CacheState<T>> {
-        self.state.lock().expect("template cache poisoned")
-    }
-
     /// Return the cached template for `(bytes, policy)`, building it on
     /// the first request.
     pub fn get_or_build(
@@ -338,7 +340,7 @@ impl<T> TemplateCache<T> {
     ) -> Result<PluginPre<T>, PluginError> {
         let key = fnv1a(bytes);
         let shared = {
-            let mut state = self.state();
+            let mut state = self.state.lock();
             if let Some(pre) = state.hit(key, bytes, policy) {
                 state.hits += 1;
                 return Ok(pre);
@@ -360,7 +362,7 @@ impl<T> TemplateCache<T> {
             }
         };
         let pre = PluginPre::new(module, &self.linker, policy)?.with_content_hash(key);
-        let mut state = self.state();
+        let mut state = self.state.lock();
         // A racing install may have added it between unlock and relock.
         if let Some(raced) = state.hit(key, &bytes, policy) {
             return Ok(raced);
@@ -380,7 +382,7 @@ impl<T> TemplateCache<T> {
 
     /// Number of distinct templates cached.
     pub fn len(&self) -> usize {
-        self.state().len()
+        self.state.lock().len()
     }
 
     /// True when nothing is cached.
@@ -390,7 +392,7 @@ impl<T> TemplateCache<T> {
 
     /// Hit/miss/eviction counters and what the cache currently pins.
     pub fn stats(&self) -> TemplateCacheStats {
-        let state = self.state();
+        let state = self.state.lock();
         TemplateCacheStats {
             hits: state.hits,
             misses: state.misses,

@@ -217,16 +217,37 @@ pub struct MassivePlane {
     slices: Vec<BgSlice>,
 }
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// SplitMix64's increment: `splitmix64(s + k·SPLITMIX64_GAMMA)` is output
+/// `k`, counting from 0, of the SplitMix64 stream seeded `s`.
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step: the workspace's one seed-derivation mixer, used
+/// wherever a layer needs decorrelated deterministic sub-seeds (per cell,
+/// per UE, per background row) as a pure function of its inputs.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// Map a hash to a uniform f64 in [0, 1).
-fn unit_f64(h: u64) -> f64 {
+/// Map a hash to a uniform f64 in [0, 1): its top 53 bits.
+pub fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Where background UE `i` of the population keyed `slice_key` stands,
+/// as an offset from its cell site, uniform within ±[`CELL_RADIUS_M`] on
+/// each axis: a pure function of `(seed, slice_key, i)`. The per-UE
+/// ground truth and [`MassivePlane::new`] place their rows with it.
+pub fn background_offset(seed: u64, slice_key: u64, i: u64) -> [f64; 2] {
+    let h = splitmix64(seed ^ splitmix64(((slice_key + 1) << 32) ^ (i + 1)));
+    let hx = splitmix64(h);
+    let hy = splitmix64(hx);
+    [
+        (unit_f64(hx) * 2.0 - 1.0) * CELL_RADIUS_M,
+        (unit_f64(hy) * 2.0 - 1.0) * CELL_RADIUS_M,
+    ]
 }
 
 /// The row after `i` in a cursor walk over `len` rows, wrapping to 0. A
@@ -283,12 +304,9 @@ impl MassivePlane {
                 absorbed: 0,
             };
             for i in 0..n {
-                let h =
-                    splitmix64(config.seed ^ splitmix64(((si as u64 + 1) << 32) ^ (i as u64 + 1)));
-                let hx = splitmix64(h);
-                let hy = splitmix64(hx);
-                let x = config.cell_pos[0] + (unit_f64(hx) * 2.0 - 1.0) * CELL_RADIUS_M;
-                let y = config.cell_pos[1] + (unit_f64(hy) * 2.0 - 1.0) * CELL_RADIUS_M;
+                let [ox, oy] = background_offset(config.seed, si as u64, i as u64);
+                let x = config.cell_pos[0] + ox;
+                let y = config.cell_pos[1] + oy;
                 let dx = x - config.cell_pos[0];
                 let dy = y - config.cell_pos[1];
                 let snr = path_loss_snr_db((dx * dx + dy * dy).sqrt());

@@ -491,12 +491,23 @@ mod tests {
 
     #[test]
     fn wire_sizes_differ_as_expected() {
-        // Sanity for ablation A3: binary codecs beat JSON on size.
-        let ind = sample();
-        let tlv = TlvCodec.encode_indication(&ind).len();
-        let pb = PbCodec.encode_indication(&ind).len();
-        let json = JsonCodec.encode_indication(&ind).len();
-        assert!(pb < json, "pb {pb} json {json}");
-        assert!(tlv < json, "tlv {tlv} json {json}");
+        // Sanity for ablation A3: protobuf-wire is the smallest encoding at
+        // every batch size. TLV against JSON flips with the batch (TLV is
+        // larger from 10 A3-shaped reports up), so it is not asserted here;
+        // `fig5d --fuel` pins each codec's exact bytes.
+        let reports = sample().reports;
+        for n in [1, 2, 10, 100] {
+            let ind = Indication {
+                slot: 31337,
+                reports: reports.iter().copied().cycle().take(n).collect(),
+            };
+            let tlv = TlvCodec.encode_indication(&ind).len();
+            let pb = PbCodec.encode_indication(&ind).len();
+            let json = JsonCodec.encode_indication(&ind).len();
+            assert!(
+                pb < tlv && pb < json,
+                "{n} reports: pb {pb} tlv {tlv} json {json}"
+            );
+        }
     }
 }

@@ -48,7 +48,8 @@ done
 
 # Panic-site ceilings (ROADMAP 3(d)): non-test `.unwrap()`, `.expect(`,
 # `panic!(` and `unreachable!(` per crate's src, as scripts/loc.sh counts
-# them. A count may fall; the change that lowers one lowers its line here.
+# them (code only: comment and doc lines are skipped). A count may fall;
+# the change that lowers one lowers its line here.
 while read -r crate ceiling; do
     dir=crates/$crate/src
     if [ ! -d "$dir" ]; then
@@ -67,13 +68,13 @@ while read -r crate ceiling; do
         exit 1
     fi
 done <<'EOF'
-wasm 22
-wat 7
+wasm 15
+wat 5
 plugc 12
 abi 7
 ric 2
-core 7
-host 5
+core 3
+host 1
 ransim 0
 EOF
 

@@ -8,7 +8,10 @@
 #                                  `#[cfg(test)]`), non-test panic sites
 #                                  (matches of `.unwrap()`, `.expect(`,
 #                                  `panic!(` and `unreachable!(` in those
-#                                  same lines), and the sum of the lines
+#                                  same lines, skipping comment and doc
+#                                  lines: those whose first non-blank
+#                                  characters are `//`), and the sum of
+#                                  the lines
 #
 # "First-party" is crates/ src/ tests/ examples/ — not vendor/, not target/.
 set -euo pipefail
@@ -19,9 +22,11 @@ non_test() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
-# Panic sites in the same lines.
+# Panic sites in the same lines, code only: a `//` comment or `//!`/`///`
+# doc line (doctests included) is skipped.
 panic_sites() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
          { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "") }
          END { print n + 0 }' "$1"
 }
