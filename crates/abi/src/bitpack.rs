@@ -24,6 +24,14 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            buf: Vec::with_capacity(bytes),
+            bit_pos: 0,
+        }
+    }
+
     /// Number of whole bits written so far.
     pub fn bit_len(&self) -> usize {
         if self.bit_pos == 0 {
@@ -160,36 +168,79 @@ impl RecordSpec {
         self.fields.iter().map(|f| r.read(f.bits)).collect()
     }
 
-    /// Re-pack a record from this layout into `target`, field by field.
+    /// The field mapping from this layout into `target`, resolved once.
     ///
     /// This is the §3.B adapter: fields are matched by name; a value that
     /// does not fit the narrower target width saturates (the adapter's
     /// documented policy — dropping control actions would be worse than
     /// clamping power). Widening left-pads with zeros, i.e. preserves the
     /// value exactly.
+    pub fn adaptation(&self, target: &RecordSpec) -> Result<Adaptation, CodecError> {
+        let to = target
+            .fields
+            .iter()
+            .map(|tf| {
+                let idx = self
+                    .fields
+                    .iter()
+                    .position(|f| f.name == tf.name)
+                    .ok_or_else(|| {
+                        CodecError::Malformed(format!("field `{}` missing in source", tf.name))
+                    })?;
+                let max = if tf.bits >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << tf.bits) - 1
+                };
+                Ok((idx, tf.bits, max))
+            })
+            .collect::<Result<_, CodecError>>()?;
+        Ok(Adaptation {
+            from: self.fields.iter().map(|f| f.bits).collect(),
+            to,
+        })
+    }
+
+    /// Re-pack one record from this layout into `target`, field by field
+    /// (see [`RecordSpec::adaptation`]).
     pub fn adapt_to(&self, target: &RecordSpec, bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let values = self.decode(bytes)?;
-        let mut out = Vec::with_capacity(target.fields.len());
-        for tf in &target.fields {
-            let idx = self
-                .fields
-                .iter()
-                .position(|f| f.name == tf.name)
-                .ok_or_else(|| {
-                    CodecError::Malformed(format!("field `{}` missing in source", tf.name))
-                })?;
-            let mut v = values[idx];
-            let max = if tf.bits >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << tf.bits) - 1
-            };
-            if v > max {
-                v = max; // saturate on narrowing
-            }
-            out.push(v);
+        let mut w = BitWriter::new();
+        self.adaptation(target)?
+            .adapt_into(bytes, &mut Vec::new(), &mut w)?;
+        Ok(w.finish())
+    }
+}
+
+/// A field mapping between two [`RecordSpec`]s, resolved by
+/// [`RecordSpec::adaptation`], so re-packing a record looks nothing up.
+#[derive(Debug, Clone)]
+pub struct Adaptation {
+    /// Source field widths, in wire order.
+    from: Vec<u32>,
+    /// Per target field, in wire order: the source field's index, the
+    /// target width and the largest value it holds.
+    to: Vec<(usize, u32, u64)>,
+}
+
+impl Adaptation {
+    /// Re-pack one record and append it to `w`, zero-padded to a byte
+    /// boundary. `values` is scratch the caller may reuse across records.
+    pub fn adapt_into(
+        &self,
+        record: &[u8],
+        values: &mut Vec<u64>,
+        w: &mut BitWriter,
+    ) -> Result<(), CodecError> {
+        let mut r = BitReader::new(record);
+        values.clear();
+        for &bits in &self.from {
+            values.push(r.read(bits)?);
         }
-        target.encode(&out)
+        for &(idx, bits, max) in &self.to {
+            w.write(values[idx].min(max), bits)?;
+        }
+        w.align();
+        Ok(())
     }
 }
 

@@ -5,7 +5,7 @@
 //! hash, then runs the load-time analyzer — translation
 //! validation of the register lowering plus worst-case resource bounds —
 //! and prints one report line per function. A failed validation (a
-//! lowering that cannot be proven equivalent to the flat IR) exits
+//! lowering whose blocks disagree with the flat IR's) exits
 //! nonzero: such a module must never reach a host.
 //!
 //! Usage:
@@ -34,7 +34,7 @@ fn print_report(name: &str, wasm: &[u8], reg: bool) -> Result<(), String> {
         .analysis()
         .map_err(|e| format!("{name}: translation validation FAILED: {e}"))?;
     println!(
-        "{name}: {} bytes fnv1a={:016x}, {} functions, lowering proven equivalent",
+        "{name}: {} bytes fnv1a={:016x}, {} functions, lowering checked",
         wasm.len(),
         fnv1a(wasm),
         analysis.funcs.len()

@@ -8,7 +8,7 @@
 //! ([`POWER_WIDEN_PLUGC`] / [`install_widen_plugin`]) hosted in a governed
 //! plugin-host slot, to show the full sandboxed path.
 
-use waran_abi::bitpack::RecordSpec;
+use waran_abi::bitpack::{Adaptation, BitWriter, RecordSpec};
 use waran_abi::CodecError;
 use waran_host::{PluginError, PluginHost, SlotHandle, TemplateCache};
 
@@ -18,12 +18,19 @@ pub struct InterfaceAdapter {
     pub from: RecordSpec,
     /// Target layout (what the peer expects).
     pub to: RecordSpec,
+    /// The field mapping, resolved once — or why the layouts do not map.
+    adaptation: Result<Adaptation, CodecError>,
 }
 
 impl InterfaceAdapter {
-    /// Adapter from `from` to `to`.
+    /// Adapter from `from` to `to` ([`RecordSpec::adaptation`]'s policy).
     pub fn new(from: RecordSpec, to: RecordSpec) -> Self {
-        InterfaceAdapter { from, to }
+        let adaptation = from.adaptation(&to);
+        InterfaceAdapter {
+            from,
+            to,
+            adaptation,
+        }
     }
 
     /// The paper's example pair: 8-bit power + 4-bit antenna (vendor A) and
@@ -40,7 +47,8 @@ impl InterfaceAdapter {
         self.from.adapt_to(&self.to, record)
     }
 
-    /// Adapt a stream of fixed-size records.
+    /// Adapt a stream of fixed-size records into one output sized up
+    /// front.
     pub fn adapt_stream(&self, records: &[u8]) -> Result<Vec<u8>, CodecError> {
         let in_len = self.from.bit_len().div_ceil(8);
         if in_len == 0 || !records.len().is_multiple_of(in_len) {
@@ -49,11 +57,14 @@ impl InterfaceAdapter {
                 records.len()
             )));
         }
-        let mut out = Vec::new();
+        let out_len = self.to.bit_len().div_ceil(8);
+        let mut w = BitWriter::with_capacity(records.len() / in_len * out_len);
+        let mut values = Vec::with_capacity(self.from.fields.len());
         for rec in records.chunks_exact(in_len) {
-            out.extend_from_slice(&self.adapt(rec)?);
+            let adaptation = self.adaptation.as_ref().map_err(Clone::clone)?;
+            adaptation.adapt_into(rec, &mut values, &mut w)?;
         }
-        Ok(out)
+        Ok(w.finish())
     }
 }
 

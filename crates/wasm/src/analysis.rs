@@ -1,30 +1,34 @@
 //! Load-time lowering and proof: every body is type-checked and compiled
 //! to the flat IR in one walk, lowered to the register form the executor
-//! runs, and the register form is proven faithful to the flat IR
-//! (translation validation), plus worst-case resource bounds for
+//! runs, and the register form is checked block by block against the
+//! flat IR (translation validation), plus worst-case resource bounds for
 //! admission control.
 //!
 //! One pass, run once per module by [`crate::load_module`] (its report is
 //! [`Module::analysis`]), does all of it and returns the register code
 //! with its report; the flat IR never leaves the pass. Every instance
 //! runs the code this pass returned, so no instance can exist without a
-//! passed proof. It produces one [`FuncReport`] per module-local function:
+//! passed check. It produces one [`FuncReport`] per module-local function:
 //!
 //! * **Translation validation** — the flat IR is the metering/trapping
 //!   reference: one op per source instruction, nothing fused, and no
 //!   dead op (the flat compiler is the one place liveness is decided).
 //!   The register form is an optimized lowering of it, and every
-//!   superinstruction is formed on that side of the proof. This pass
-//!   reconstructs the flat CFG — blocks, entry heights, edges, calls —
-//!   and checks the register form block by block against it: every flat
-//!   op mapped, identical `Meter` placement and costs,
-//!   identical memory/call/trap-op populations per block — counted on
-//!   both sides over the shared operator payload types — and a
-//!   consistent branch side table. The walk predicts no decision of the
-//!   lowering it checks: the lowering folds values, never control flow,
-//!   so there is no liveness for the two sides to agree on. Any future
-//!   lowering bug is rejected *before it executes* instead of surfacing
-//!   as a sampled differential-test failure.
+//!   superinstruction is formed on that side of the check. One walk over
+//!   the flat ops and one over the register ops each cut the body into
+//!   `Meter`-headed blocks (the shared `Return` trampoline ends one too)
+//!   and record, per block, its `Meter` cost, its memory/call/trap-op
+//!   populations — counted on both sides over the shared operator
+//!   payload types — its ordered calls, its ordered branch edges and
+//!   whether it falls through. The check demands a total `pc_map`,
+//!   register `Meter`s that are the images of the flat ones, equal
+//!   records and a consistent branch side table. The walks predict no
+//!   decision of the lowering: it folds values, never control flow. So a
+//!   lowering that moves fuel, drops or adds a memory, call or trap op,
+//!   runs an op outside a metered block or changes where a block's
+//!   control goes is rejected before it executes. Values are *not*
+//!   checked: a wrong operand, or a compare-and-branch whose sense is
+//!   flipped, passes, and only the differential tests catch it.
 //! * **Static resource bounds** — an abstract interpretation over the
 //!   flat CFG computes per-function worst-case fuel (exact for
 //!   loop-free and constant-trip-count code, save that a bulk memory op
@@ -41,15 +45,9 @@
 //! reject any plugin with a data-dependent loop at install time, which
 //! is the enforcement half of the governance-tiers roadmap item.
 //!
-//! Analyzer cost, measured in a hot loop on a 2-vCPU VM: 21.5 µs for
-//! slotbench's churn template (247 ops in `schedule`, 18 blocks, 12
-//! locals) — `build_shape` 5.1, `validate_with_shape` 1.8, `block_events`
-//! 2.2, the local-constant dataflow 3.2 and the loop-bound pass
-//! (`region_cost` + `trip_bound`) 5.0 µs — and 43–52 µs for the stock
-//! RR/PF/MT schedulers. The loop-bound pass works on dense block indices:
-//! block sets are masks with sorted member lists, a loop body drops only
-//! the edges into its own header, and one Tarjan serves the block graph
-//! and the call graph.
+//! The loop-bound pass works on dense block indices: block sets are masks
+//! with sorted member lists, a loop body drops only the edges into its own
+//! header, and one Tarjan serves the block graph and the call graph.
 
 use std::sync::Arc;
 
@@ -198,261 +196,20 @@ impl std::fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 // ---------------------------------------------------------------------------
-// Flat-CFG reconstruction
+// The two walks: one over the flat ops, one over the register ops
 // ---------------------------------------------------------------------------
 
-/// A call site inside a block.
+/// A call site; the lowering must preserve each block's exact ordered
+/// sequence of these (calls are never fused or folded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Call {
     /// Direct call to a module-local function.
     Wasm(u32),
-    /// Imported host function.
-    Host(u32),
+    /// Imported host function, with its argument count and result code.
+    Host(u32, u16, u8),
     /// Indirect call through the table, by type index.
     Indirect(u32),
 }
-
-/// One reconstructed flat basic block: the ops between two `Meter`
-/// leaders, with the control edges and call sites found in them.
-#[derive(Debug)]
-struct Block {
-    /// Leading `Meter` pc.
-    start: usize,
-    /// One past the last op (the next leader).
-    end: usize,
-    /// `Meter` cost (source instructions, plus the activation price in
-    /// the entry block).
-    cost: u32,
-    /// Operand-stack height at block entry.
-    entry_h: u32,
-    /// Branch side-table indices this block's ops may take.
-    edges: Vec<u32>,
-    /// Control can fall through into the next leader.
-    falls: bool,
-    /// Call sites in op order.
-    calls: Vec<Call>,
-}
-
-/// Everything one linear pass over a flat function recovers: blocks,
-/// entry heights and edges.
-struct Shape {
-    blocks: Vec<Block>,
-    /// Per flat pc: block index, `u32::MAX` when the pc leads no block.
-    pc2block: Vec<u32>,
-    /// The shared function-level `Return` trampoline pc, when present.
-    exit_pc: Option<usize>,
-    /// Per-block successor lists (`usize::MAX` = function exit).
-    succs: Vec<Vec<usize>>,
-}
-
-pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> AnalysisError {
-    AnalysisError::TranslationMismatch {
-        func,
-        pc: pc as u32,
-        what: what.into(),
-    }
-}
-
-/// The linear walk that reconstructs blocks. It replays no decision of
-/// the lowering: the flat IR has no dead op, so every op belongs to a
-/// block and every block counts. `height` is the operand-stack height.
-/// `alive` is "the previous op falls through", which tells a join from a
-/// branch-only entry.
-struct ShapeBuilder {
-    func: u32,
-    height: u32,
-    alive: bool,
-    pc2block: Vec<u32>,
-    blocks: Vec<Block>,
-    cur: Option<usize>,
-    exit_pc: Option<usize>,
-}
-
-impl ShapeBuilder {
-    fn err(&self, pc: usize, what: impl Into<String>) -> AnalysisError {
-        mismatch(self.func, pc, what)
-    }
-
-    fn pop(&mut self, pc: usize) -> Result<(), AnalysisError> {
-        self.height = self
-            .height
-            .checked_sub(1)
-            .ok_or_else(|| self.err(pc, "operand stack underflow in analysis walk"))?;
-        Ok(())
-    }
-
-    fn edge(&mut self, b: usize, br: u32) {
-        self.blocks[b].edges.push(br);
-    }
-
-    fn call(&mut self, b: usize, c: Call) {
-        self.blocks[b].calls.push(c);
-    }
-
-    /// Apply an op's arity.
-    fn effect(&mut self, module: &Module, pc: usize, op: Op) -> Result<(), AnalysisError> {
-        let (pops, pushes) = op.stack_effect(module);
-        self.height = self
-            .height
-            .checked_sub(pops)
-            .ok_or_else(|| self.err(pc, "operand stack underflow in analysis walk"))?
-            + pushes;
-        Ok(())
-    }
-}
-
-fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, AnalysisError> {
-    let n = cf.ops.len();
-    let eh = cf.entry_heights(func)?;
-
-    let mut w = ShapeBuilder {
-        func,
-        height: 0,
-        alive: true,
-        pc2block: vec![u32::MAX; n],
-        blocks: Vec::new(),
-        cur: None,
-        exit_pc: None,
-    };
-
-    if n == 0 || !matches!(cf.ops[0], Op::Meter { .. }) {
-        return Err(mismatch(func, 0, "function does not start with a Meter"));
-    }
-
-    for (pc, &eh_pc) in eh.iter().enumerate() {
-        let op = cf.ops[pc];
-        let arriving = w.alive;
-        if eh_pc != u32::MAX {
-            if !w.alive {
-                w.height = eh_pc;
-                w.alive = true;
-            } else if w.height != eh_pc {
-                return Err(w.err(pc, "fall-through height disagrees with branch target"));
-            }
-        }
-        if !w.alive {
-            return Err(w.err(pc, "flat op is unreachable"));
-        }
-        let is_trampoline = eh_pc != u32::MAX && matches!(op, Op::Return);
-        if matches!(op, Op::Meter { .. }) || is_trampoline {
-            if let Some(c) = w.cur {
-                w.blocks[c].end = pc;
-                w.blocks[c].falls = arriving;
-            }
-            w.cur = None;
-        }
-        if eh_pc != u32::MAX && !matches!(op, Op::Meter { .. } | Op::Return) {
-            return Err(w.err(pc, "branch target is neither a Meter nor a Return"));
-        }
-        if let Op::Meter { cost } = op {
-            let idx = w.blocks.len();
-            w.pc2block[pc] = idx as u32;
-            w.blocks.push(Block {
-                start: pc,
-                end: n,
-                cost,
-                entry_h: w.height,
-                edges: Vec::new(),
-                falls: false,
-                calls: Vec::new(),
-            });
-            w.cur = Some(idx);
-            continue;
-        }
-        if is_trampoline {
-            w.exit_pc = Some(pc);
-            w.alive = false;
-            continue;
-        }
-        let Some(cur) = w.cur else {
-            return Err(w.err(pc, "op outside any metered block"));
-        };
-
-        // A `Meter` opened a block above and never gets here.
-        match op {
-            Op::Unreachable => w.alive = false,
-            Op::Br(b) => {
-                w.edge(cur, b);
-                w.alive = false;
-            }
-            Op::BrIf(b) | Op::BrIfZ(b) => {
-                w.pop(pc)?;
-                w.edge(cur, b);
-            }
-            Op::BrTable { start, n: nt } => {
-                w.pop(pc)?;
-                for i in start..=start + nt {
-                    w.edge(cur, i);
-                }
-                w.alive = false;
-            }
-            Op::Return => w.alive = false,
-            Op::CallWasm(f) => {
-                w.call(cur, Call::Wasm(f));
-                w.effect(module, pc, op)?;
-            }
-            Op::CallHost { f, .. } => {
-                w.call(cur, Call::Host(f));
-                w.effect(module, pc, op)?;
-            }
-            Op::CallIndirect(ty) => {
-                w.call(cur, Call::Indirect(ty));
-                w.effect(module, pc, op)?;
-            }
-            other => w.effect(module, pc, other)?,
-        }
-    }
-    if let Some(c) = w.cur {
-        w.blocks[c].end = n;
-        if w.alive {
-            return Err(w.err(n.saturating_sub(1), "control falls off the function end"));
-        }
-    }
-
-    // Resolve edges to successor block indices (usize::MAX = exit).
-    let exit_pc = w.exit_pc;
-    let mut succs: Vec<Vec<usize>> = Vec::with_capacity(w.blocks.len());
-    for (bi, b) in w.blocks.iter().enumerate() {
-        let mut out = Vec::new();
-        for &br in &b.edges {
-            let bt = cf
-                .branches
-                .get(br as usize)
-                .ok_or_else(|| mismatch(func, b.start, "branch index out of range"))?;
-            let tpc = bt.pc as usize;
-            if Some(tpc) == exit_pc {
-                out.push(usize::MAX);
-            } else {
-                let tb = w.pc2block[tpc];
-                if tb == u32::MAX {
-                    return Err(mismatch(func, tpc, "branch target leads no block"));
-                }
-                out.push(tb as usize);
-            }
-        }
-        if b.falls {
-            let next = bi + 1;
-            if next < w.blocks.len() && w.blocks[next].start == b.end {
-                out.push(next);
-            } else {
-                // Falling into the Return trampoline is a function exit.
-                out.push(usize::MAX);
-            }
-        }
-        succs.push(out);
-    }
-
-    Ok(Shape {
-        blocks: w.blocks,
-        pc2block: w.pc2block,
-        exit_pc,
-        succs,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Translation validation
-// ---------------------------------------------------------------------------
 
 /// Per-block population counts of the op classes that lower 1:1 (loads,
 /// stores, memory ops, traps, i64/float/trapping binops, globals).
@@ -476,20 +233,30 @@ struct ClassCounts {
     gset: u32,
 }
 
-/// A call site descriptor; the lowering must preserve the exact ordered
-/// sequence of these per block (calls are never fused or folded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CallDesc {
-    Wasm(u32),
-    Host(u32, u16, u8),
-    Indirect(u32),
+/// What each walk records of one `Meter`-headed block, on its own side;
+/// the proof compares the two records field by field.
+#[derive(Debug, Default)]
+struct Facts {
+    /// Leading `Meter` pc.
+    start: usize,
+    /// `Meter` cost (source instructions, plus the activation price in
+    /// the entry block).
+    cost: u32,
+    counts: ClassCounts,
+    /// Call sites in op order.
+    calls: Vec<Call>,
+    /// Branch side-table indices the block's ops may take, in op order
+    /// (a `br_table` contributes `start..=start + n`).
+    edges: Vec<u32>,
+    /// Control can fall through into the next leader.
+    falls: bool,
 }
 
-fn flat_counts(cf: &CompiledFunc, lo: usize, hi: usize) -> (ClassCounts, Vec<CallDesc>) {
-    let mut c = ClassCounts::default();
-    let mut calls = Vec::new();
-    for op in &cf.ops[lo..hi] {
-        match *op {
+impl Facts {
+    /// Record a flat op's class, call and branch edges.
+    fn tally_flat(&mut self, op: Op) {
+        let c = &mut self.counts;
+        match op {
             Op::Load { .. } => c.load += 1,
             Op::Store { .. } => c.store += 1,
             Op::MemorySize => c.msize += 1,
@@ -502,20 +269,20 @@ fn flat_counts(cf: &CompiledFunc, lo: usize, hi: usize) -> (ClassCounts, Vec<Cal
             Op::I64Bin(_) => c.i64bin += 1,
             Op::Bin(_) => c.bin += 1,
             Op::Un(_) => c.un += 1,
-            Op::CallWasm(f) => calls.push(CallDesc::Wasm(f)),
-            Op::CallHost { f, argc, ret } => calls.push(CallDesc::Host(f, argc, ret)),
-            Op::CallIndirect(ty) => calls.push(CallDesc::Indirect(ty)),
+            Op::CallWasm(f) => self.calls.push(Call::Wasm(f)),
+            Op::CallHost { f, argc, ret } => self.calls.push(Call::Host(f, argc, ret)),
+            Op::CallIndirect(ty) => self.calls.push(Call::Indirect(ty)),
+            Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => self.edges.push(b),
+            Op::BrTable { start, n } => self.edges.extend(start..=start + n),
             _ => {}
         }
     }
-    (c, calls)
-}
 
-fn reg_counts(rf: &RegFunc, lo: usize, hi: usize) -> (ClassCounts, Vec<CallDesc>) {
-    let mut c = ClassCounts::default();
-    let mut calls = Vec::new();
-    for op in &rf.ops[lo..hi] {
-        match *op {
+    /// Record a register op's class, call and branch edges, over the same
+    /// payload types as [`Facts::tally_flat`].
+    fn tally_reg(&mut self, op: ROp) {
+        let c = &mut self.counts;
+        match op {
             ROp::Load { .. } | ROp::LoadAt { .. } | ROp::LoadRR { .. } | ROp::LoadBis { .. } => {
                 c.load += 1
             }
@@ -534,52 +301,320 @@ fn reg_counts(rf: &RegFunc, lo: usize, hi: usize) -> (ClassCounts, Vec<CallDesc>
             ROp::I64Bin { .. } => c.i64bin += 1,
             ROp::Bin { .. } => c.bin += 1,
             ROp::Un { .. } => c.un += 1,
-            ROp::CallWasm { f, .. } => calls.push(CallDesc::Wasm(f)),
-            ROp::CallHost { f, argc, ret, .. } => calls.push(CallDesc::Host(f, argc, ret)),
-            ROp::CallIndirect { ty, .. } => calls.push(CallDesc::Indirect(ty)),
-            _ => {}
-        }
-    }
-    (c, calls)
-}
-
-/// Branch indices some emitted register op actually jumps through.
-fn referenced_branches(rf: &RegFunc) -> Vec<u32> {
-    let mut out = Vec::new();
-    for op in rf.ops.iter() {
-        match *op {
+            ROp::CallWasm { f, .. } => self.calls.push(Call::Wasm(f)),
+            ROp::CallHost { f, argc, ret, .. } => self.calls.push(Call::Host(f, argc, ret)),
+            ROp::CallIndirect { ty, .. } => self.calls.push(Call::Indirect(ty)),
             ROp::Br(b)
             | ROp::BrIf { br: b, .. }
             | ROp::BrIfZ { br: b, .. }
             | ROp::BrIfCmp { br: b, .. }
-            | ROp::BrIfCmpC { br: b, .. } => out.push(b),
-            ROp::BrTable { start, n, .. } => out.extend(start..=start + n),
+            | ROp::BrIfCmpC { br: b, .. } => self.edges.push(b),
+            ROp::BrTable { start, n, .. } => self.edges.extend(start..=start + n),
             _ => {}
         }
     }
-    out
+}
+
+/// A direct call's callee and the frame-relative register its window
+/// starts at, which the `regs` bound reads.
+type Window = (u32, u32);
+
+/// One reconstructed flat basic block: the ops between two leaders.
+#[derive(Debug)]
+struct Block {
+    facts: Facts,
+    /// One past the last op (the next leader).
+    end: usize,
+    /// Local writes and conditional exits, in op order.
+    events: Vec<Ev>,
+}
+
+/// Everything the one walk over a flat function recovers: its blocks and
+/// the block graph.
+struct Shape {
+    blocks: Vec<Block>,
+    /// The shared function-level `Return` trampoline pc, when present.
+    exit_pc: Option<usize>,
+    /// Per-block successors, function exits left out.
+    succs: Vec<Vec<usize>>,
+    /// Per-block predecessors.
+    preds: Vec<Vec<usize>>,
+    /// Per branch-table index: target block, `usize::MAX` for the exit.
+    branch_block: Vec<usize>,
+}
+
+pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> AnalysisError {
+    AnalysisError::TranslationMismatch {
+        func,
+        pc: pc as u32,
+        what: what.into(),
+    }
+}
+
+/// The walk over a flat function. It replays no decision of the
+/// lowering: the flat IR has no dead op, so every op belongs to a block
+/// and every block counts. It carries a symbolic operand stack, whose
+/// length is the height, for the loop-bound pass's events; `alive` is
+/// "the previous op falls through", which tells a join from a
+/// branch-only entry.
+fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, AnalysisError> {
+    use SymV::{Cmp, K, L};
+    let n = cf.ops.len();
+    let eh = cf.entry_heights(func)?;
+    if n == 0 || !matches!(cf.ops[0], Op::Meter { .. }) {
+        return Err(mismatch(func, 0, "function does not start with a Meter"));
+    }
+    let err = |pc: usize, what: &str| mismatch(func, pc, what);
+    let pop = |syms: &mut Vec<SymV>, pc: usize| {
+        syms.pop()
+            .ok_or_else(|| err(pc, "operand stack underflow in analysis walk"))
+    };
+
+    let mut blocks: Vec<Block> = Vec::new();
+    // Per flat pc: block index, `u32::MAX` when the pc leads no block.
+    let mut pc2block = vec![u32::MAX; n];
+    let mut open = false;
+    let mut exit_pc = None;
+    let mut syms: Vec<SymV> = Vec::new();
+    let mut alive = true;
+    for (pc, (&op, &eh_pc)) in cf.ops.iter().zip(&eh).enumerate() {
+        let arriving = alive;
+        if eh_pc != u32::MAX {
+            if !alive {
+                syms.clear();
+                syms.resize(eh_pc as usize, SymV::Other);
+                alive = true;
+            } else if syms.len() != eh_pc as usize {
+                return Err(err(pc, "fall-through height disagrees with branch target"));
+            }
+        }
+        if !alive {
+            return Err(err(pc, "flat op is unreachable"));
+        }
+        let is_trampoline = eh_pc != u32::MAX && matches!(op, Op::Return);
+        if matches!(op, Op::Meter { .. }) || is_trampoline {
+            if let Some(b) = blocks.last_mut().filter(|_| open) {
+                b.end = pc;
+                b.facts.falls = arriving;
+            }
+            open = false;
+        }
+        if eh_pc != u32::MAX && !matches!(op, Op::Meter { .. } | Op::Return) {
+            return Err(err(pc, "branch target is neither a Meter nor a Return"));
+        }
+        if let Op::Meter { cost } = op {
+            pc2block[pc] = blocks.len() as u32;
+            open = true;
+            blocks.push(Block {
+                facts: Facts {
+                    start: pc,
+                    cost,
+                    ..Facts::default()
+                },
+                end: n,
+                events: Vec::new(),
+            });
+            // Each block's events start from unknown stack cells.
+            syms.fill(SymV::Other);
+            continue;
+        }
+        if is_trampoline {
+            exit_pc = Some(pc);
+            alive = false;
+            continue;
+        }
+        let Some(b) = blocks.last_mut().filter(|_| open) else {
+            return Err(err(pc, "op outside any metered block"));
+        };
+        b.facts.tally_flat(op);
+        match op {
+            Op::I32Const(k) => syms.push(K(k)),
+            Op::LocalGet(l) => syms.push(L(l)),
+            Op::LocalTee(l) => {
+                let s = pop(&mut syms, pc)?;
+                set_local(&mut b.events, &mut syms, l, w_of(s));
+                syms.push(L(l));
+            }
+            Op::LocalSet(l) => {
+                let s = pop(&mut syms, pc)?;
+                set_local(&mut b.events, &mut syms, l, w_of(s));
+            }
+            Op::I32Bin(o) => {
+                let sb = pop(&mut syms, pc)?;
+                let sa = pop(&mut syms, pc)?;
+                syms.push(bin_sym(o, sa, sb));
+            }
+            Op::Un(UnOp::I32Eqz) => {
+                let s = pop(&mut syms, pc)?;
+                syms.push(match s {
+                    K(x) => K((x == 0) as i32),
+                    L(l) => Cmp(I32Op::Eq, l, 0),
+                    SymV::AddS(l, c) => Cmp(I32Op::Eq, l, c.wrapping_neg()),
+                    Cmp(o, l, k) => match o.negate() {
+                        Some(n) => Cmp(n, l, k),
+                        None => SymV::Other,
+                    },
+                    SymV::Other => SymV::Other,
+                });
+            }
+            Op::BrIf(br) | Op::BrIfZ(br) => {
+                let s = pop(&mut syms, pc)?;
+                let pred = sym_pred(s, matches!(op, Op::BrIfZ(_)));
+                b.events.push(Ev::Cond { br, pred });
+            }
+            other => {
+                let (pops, pushes) = other.stack_effect(module);
+                for _ in 0..pops {
+                    pop(&mut syms, pc)?;
+                }
+                syms.resize(syms.len() + pushes as usize, SymV::Other);
+            }
+        }
+        alive &= !matches!(
+            op,
+            Op::Unreachable | Op::Br(_) | Op::BrTable { .. } | Op::Return
+        );
+    }
+    if open && alive {
+        return Err(err(n - 1, "control falls off the function end"));
+    }
+
+    // The block graph. A trampoline leads no block, so `branch_block`
+    // reads `usize::MAX` for it.
+    let nb = blocks.len();
+    let branch_block: Vec<usize> = cf
+        .branches
+        .iter()
+        .map(|bt| match pc2block[bt.pc as usize] {
+            u32::MAX => usize::MAX,
+            b => b as usize,
+        })
+        .collect();
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
+    for (bi, b) in blocks.iter().enumerate() {
+        for &br in &b.facts.edges {
+            let (Some(bt), Some(&t)) =
+                (cf.branches.get(br as usize), branch_block.get(br as usize))
+            else {
+                return Err(err(b.facts.start, "branch index out of range"));
+            };
+            if t != usize::MAX {
+                succs[bi].push(t);
+                preds[t].push(bi);
+            } else if Some(bt.pc as usize) != exit_pc {
+                return Err(err(bt.pc as usize, "branch target leads no block"));
+            }
+        }
+        // A fall into the trampoline is a function exit, not an edge.
+        if b.facts.falls
+            && blocks
+                .get(bi + 1)
+                .is_some_and(|next| next.facts.start == b.end)
+        {
+            succs[bi].push(bi + 1);
+            preds[bi + 1].push(bi);
+        }
+    }
+
+    Ok(Shape {
+        blocks,
+        exit_pc,
+        succs,
+        preds,
+        branch_block,
+    })
+}
+
+/// The walk over a register function: one [`Facts`] per `Meter`-headed
+/// block, ended like the flat walk's by the next `Meter` or by the
+/// trampoline (the register image of `shape`'s), plus each direct call's
+/// callee and frame base in op order, which the `regs` bound reads. An
+/// op before the first `Meter`, or between a terminator and the next
+/// leader, is rejected: the executor would run it unmetered, or never.
+fn reg_walk(
+    func: u32,
+    rf: &RegFunc,
+    shape: &Shape,
+) -> Result<(Vec<Facts>, Vec<Window>), AnalysisError> {
+    let trampoline = match shape.exit_pc {
+        Some(pc) => {
+            let q = rf.pc_map[pc] as usize;
+            if !matches!(rf.ops.get(q), Some(ROp::Return { .. })) {
+                return Err(mismatch(func, pc, "exit branch misses the trampoline"));
+            }
+            Some(q)
+        }
+        None => None,
+    };
+    // Register-side faults anchor at the matching flat block's leader.
+    let anchor = |i: usize| shape.blocks.get(i).map_or(0, |b| b.facts.start);
+    let mut blocks: Vec<Facts> = Vec::new();
+    let mut windows = Vec::new();
+    let mut open = false;
+    let mut alive = true;
+    for (q, &op) in rf.ops.iter().enumerate() {
+        if matches!(op, ROp::Meter { .. }) || Some(q) == trampoline {
+            if let Some(b) = blocks.last_mut().filter(|_| open) {
+                b.falls = alive;
+            }
+            open = false;
+        }
+        if let ROp::Meter { cost } = op {
+            blocks.push(Facts {
+                start: q,
+                cost,
+                ..Facts::default()
+            });
+            open = true;
+            alive = true;
+            continue;
+        }
+        if Some(q) == trampoline {
+            alive = false;
+            continue;
+        }
+        let Some(b) = blocks.last_mut().filter(|_| open && alive) else {
+            let what = if open {
+                "register op follows a terminator"
+            } else {
+                "register op outside any metered block"
+            };
+            return Err(mismatch(func, anchor(blocks.len().saturating_sub(1)), what));
+        };
+        b.tally_reg(op);
+        match op {
+            ROp::CallWasm { f, base } => windows.push((f, base)),
+            ROp::Unreachable | ROp::Br(_) | ROp::BrTable { .. } | ROp::Return { .. } => {
+                alive = false
+            }
+            _ => {}
+        }
+    }
+    if let Some(b) = blocks.last_mut().filter(|_| open) {
+        b.falls = alive;
+    }
+    Ok((blocks, windows))
 }
 
 /// Check that `rf` is a faithful lowering of `cf`, block by block, using
-/// the reconstructed `shape`. See the module docs for the argument; the
-/// short version: every flat op is lowered, so `pc_map` is total and
-/// `Meter` placement/cost, per-block op-class populations, ordered
-/// call sequences, and the branch side table are all directly comparable.
+/// the reconstructed `shape`, and return the register walk's call windows.
+/// See the module docs for the argument; the short version: every flat op
+/// is lowered, so `pc_map` is total, and each block's `Meter` placement
+/// and cost, op-class populations, ordered calls, ordered branch edges
+/// and fall-through, and the branch side table are directly comparable.
 fn validate_with_shape(
     func: u32,
     cf: &CompiledFunc,
     rf: &RegFunc,
     shape: &Shape,
-) -> Result<(), AnalysisError> {
+) -> Result<Vec<Window>, AnalysisError> {
     // Structural frame agreement.
     if rf.pc_map.len() != cf.ops.len() {
         return Err(mismatch(func, 0, "pc_map length != flat op count"));
     }
     if rf.argc != cf.argc || rf.ret_arity != cf.ret_arity {
         return Err(mismatch(func, 0, "argc/ret_arity disagree across tiers"));
-    }
-    if rf.locals_init != cf.locals_init {
-        return Err(mismatch(func, 0, "locals_init disagree across tiers"));
     }
     if rf.n_locals != cf.n_locals() {
         return Err(mismatch(func, 0, "n_locals inconsistent with signature"));
@@ -594,66 +629,52 @@ fn validate_with_shape(
         return Err(mismatch(func, pc, "flat op was not lowered"));
     }
 
-    // Meter placement: every flat block header maps to a register Meter
-    // with identical cost, in the same order.
-    let mut meters: Vec<usize> = Vec::with_capacity(shape.blocks.len()); // reg pc per block
-    for b in &shape.blocks {
-        let q = rf.pc_map[b.start] as usize;
-        if q >= rf.ops.len() || meters.last().is_some_and(|&p| q <= p) {
-            return Err(mismatch(func, b.start, "block header maps out of order"));
-        }
-        match rf.ops[q] {
-            ROp::Meter { cost } => {
-                if cost != b.cost {
-                    return Err(mismatch(func, b.start, "Meter cost diverges across tiers"));
-                }
-            }
-            _ => {
-                return Err(mismatch(
-                    func,
-                    b.start,
-                    "block header maps to a non-Meter op",
-                ))
-            }
-        }
-        meters.push(q);
+    // Block by block: the register Meters are the images of the flat
+    // ones, in the same order, and each pair of records agrees. A branch
+    // edge names a side-table index, so equal edges with the table check
+    // below mean equal control flow.
+    let (reg, windows) = reg_walk(func, rf, shape)?;
+    if reg.len() != shape.blocks.len() {
+        return Err(mismatch(func, 0, "Meter counts disagree across tiers"));
     }
-    let reg_meters = rf
-        .ops
-        .iter()
-        .filter(|o| matches!(o, ROp::Meter { .. }))
-        .count();
-    if reg_meters != meters.len() {
-        return Err(mismatch(func, 0, "register form has extra Meter headers"));
-    }
-
-    // Per-block op populations and ordered call sequences.
-    for (i, (b, &q)) in shape.blocks.iter().zip(&meters).enumerate() {
-        let q_end = meters.get(i + 1).copied().unwrap_or(rf.ops.len());
-        let (fc, fcalls) = flat_counts(cf, b.start, b.end);
-        let (rc, rcalls) = reg_counts(rf, q, q_end);
-        // `un` may only shrink (constant-folded conversions, absorbed
-        // `i32.eqz`); everything else must match exactly.
-        let exact_ok = (ClassCounts { un: 0, ..fc }) == (ClassCounts { un: 0, ..rc });
-        if !exact_ok || rc.un > fc.un {
+    for (b, r) in shape.blocks.iter().zip(&reg) {
+        let (f, at) = (&b.facts, b.facts.start);
+        if r.start != rf.pc_map[at] as usize {
             return Err(mismatch(
                 func,
-                b.start,
+                at,
+                "block header maps to another register op",
+            ));
+        }
+        if r.cost != f.cost {
+            return Err(mismatch(func, at, "Meter cost diverges across tiers"));
+        }
+        // `un` may only shrink (constant-folded conversions, absorbed
+        // `i32.eqz`); everything else must match exactly.
+        let (fc, rc) = (f.counts, r.counts);
+        if (ClassCounts { un: 0, ..fc }) != (ClassCounts { un: 0, ..rc }) || rc.un > fc.un {
+            return Err(mismatch(
+                func,
+                at,
                 format!("block op populations diverge (flat {fc:?} vs reg {rc:?})"),
             ));
         }
-        if fcalls != rcalls {
-            return Err(mismatch(
-                func,
-                b.start,
-                "call sequences diverge across tiers",
-            ));
+        if r.calls != f.calls {
+            return Err(mismatch(func, at, "call sequences diverge across tiers"));
+        }
+        if r.edges != f.edges {
+            return Err(mismatch(func, at, "branch sequences diverge across tiers"));
+        }
+        if r.falls != f.falls {
+            return Err(mismatch(func, at, "fall-through diverges across tiers"));
         }
     }
 
     // Branch side table: every entry must target the register image of
-    // its flat target, and carried-value moves must respect the flat
-    // height/arity (trap conditions at branch time depend on both).
+    // its flat target (a block's `Meter`, checked above, or the
+    // trampoline, checked by the walk), and carried-value moves must
+    // respect the flat height/arity (trap conditions at branch time
+    // depend on both).
     for (i, (bt, rb)) in cf.branches.iter().zip(rf.branches.iter()).enumerate() {
         let tpc = bt.pc as usize;
         if rb.pc != rf.pc_map[tpc] {
@@ -676,53 +697,7 @@ fn validate_with_shape(
             }
         }
     }
-    for b in referenced_branches(rf) {
-        let (Some(bt), Some(rb)) = (cf.branches.get(b as usize), rf.branches.get(b as usize))
-        else {
-            return Err(mismatch(func, 0, "register op references missing branch"));
-        };
-        let target = rf
-            .ops
-            .get(rb.pc as usize)
-            .ok_or_else(|| mismatch(func, bt.pc as usize, "branch target outside body"))?;
-        match cf.ops[bt.pc as usize] {
-            Op::Meter { cost } => match *target {
-                ROp::Meter { cost: rc } => {
-                    if rc != cost {
-                        return Err(mismatch(
-                            func,
-                            bt.pc as usize,
-                            "branch target Meter diverges",
-                        ));
-                    }
-                }
-                _ => {
-                    return Err(mismatch(
-                        func,
-                        bt.pc as usize,
-                        "branch target is not a Meter",
-                    ))
-                }
-            },
-            Op::Return => {
-                if !matches!(target, ROp::Return { .. }) {
-                    return Err(mismatch(
-                        func,
-                        bt.pc as usize,
-                        "exit branch misses the trampoline",
-                    ));
-                }
-            }
-            _ => {
-                return Err(mismatch(
-                    func,
-                    bt.pc as usize,
-                    "flat branch target malformed",
-                ))
-            }
-        }
-    }
-    Ok(())
+    Ok(windows)
 }
 
 // ---------------------------------------------------------------------------
@@ -838,8 +813,10 @@ fn w_of(s: SymV) -> W {
     }
 }
 
-/// Once `locals[l]` is overwritten, any symbol mentioning it is stale.
-fn demote_local(syms: &mut [SymV], l: u32) {
+/// Record a write of `w` to `locals[l]`; any symbol mentioning the local
+/// is stale from here on.
+fn set_local(events: &mut Vec<Ev>, syms: &mut [SymV], l: u32, w: W) {
+    events.push(Ev::Set(l, w));
     for s in syms.iter_mut() {
         let stale = matches!(*s,
             SymV::L(x) | SymV::AddS(x, _) | SymV::Cmp(_, x, _) if x == l);
@@ -847,68 +824,6 @@ fn demote_local(syms: &mut [SymV], l: u32) {
             *s = SymV::Other;
         }
     }
-}
-
-/// Walk one block's ops symbolically, producing its event list.
-fn block_events(module: &Module, cf: &CompiledFunc, b: &Block) -> Vec<Ev> {
-    use SymV::{Cmp, K, L};
-    let mut syms = vec![SymV::Other; b.entry_h as usize];
-    let mut evs: Vec<Ev> = Vec::new();
-    let pop = |syms: &mut Vec<SymV>| syms.pop().unwrap_or(SymV::Other);
-    for &op in &cf.ops[b.start + 1..b.end] {
-        let set = |evs: &mut Vec<Ev>, syms: &mut Vec<SymV>, l: u32, w: W| {
-            evs.push(Ev::Set(l, w));
-            demote_local(syms, l);
-        };
-        match op {
-            Op::I32Const(k) => syms.push(K(k)),
-            Op::LocalGet(l) => syms.push(L(l)),
-            Op::LocalTee(l) => {
-                let s = *syms.last().unwrap_or(&SymV::Other);
-                set(&mut evs, &mut syms, l, w_of(s));
-                if let Some(top) = syms.last_mut() {
-                    *top = L(l);
-                }
-            }
-            Op::LocalSet(l) => {
-                let s = pop(&mut syms);
-                set(&mut evs, &mut syms, l, w_of(s));
-            }
-            Op::I32Bin(o) => {
-                let sb = pop(&mut syms);
-                let sa = pop(&mut syms);
-                syms.push(bin_sym(o, sa, sb));
-            }
-            Op::Un(UnOp::I32Eqz) => {
-                let s = pop(&mut syms);
-                syms.push(match s {
-                    K(x) => K((x == 0) as i32),
-                    L(l) => Cmp(I32Op::Eq, l, 0),
-                    SymV::AddS(l, c) => Cmp(I32Op::Eq, l, c.wrapping_neg()),
-                    Cmp(o, l, k) => match o.negate() {
-                        Some(n) => Cmp(n, l, k),
-                        None => SymV::Other,
-                    },
-                    SymV::Other => SymV::Other,
-                });
-            }
-            op @ (Op::BrIf(br) | Op::BrIfZ(br)) => {
-                let s = pop(&mut syms);
-                let pred = sym_pred(s, matches!(op, Op::BrIfZ(_)));
-                evs.push(Ev::Cond { br, pred });
-            }
-            other => {
-                let (pops, pushes) = other.stack_effect(module);
-                for _ in 0..pops {
-                    pop(&mut syms);
-                }
-                for _ in 0..pushes {
-                    syms.push(SymV::Other);
-                }
-            }
-        }
-    }
-    evs
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,16 +916,8 @@ impl BlockSet {
 struct FuelCtx<'a> {
     /// Per-block worst-case weight (cost + byte charges + callee fuel).
     weights: &'a [Bound],
-    /// Successor blocks (function exits filtered out).
-    succs: &'a [Vec<usize>],
-    /// Raw successors including `usize::MAX` exit markers.
-    full_succs: &'a [Vec<usize>],
-    /// Predecessor blocks.
-    preds: &'a [Vec<usize>],
-    /// Per-block event lists.
-    events: &'a [Vec<Ev>],
-    /// Per branch-table index: target block, or `usize::MAX` for exit.
-    branch_block: &'a [usize],
+    /// The blocks, their events and the block graph.
+    shape: &'a Shape,
     /// Local-constant dataflow result.
     consts: &'a LocalConsts,
     /// Local-constant state on function entry.
@@ -1020,7 +927,7 @@ struct FuelCtx<'a> {
 impl FuelCtx<'_> {
     /// `u`'s successors inside `set`.
     fn adj<'s>(&'s self, set: &'s [bool], u: usize) -> impl Iterator<Item = usize> + 's {
-        self.succs[u].iter().copied().filter(move |&v| set[v])
+        self.shape.succs[u].iter().copied().filter(move |&v| set[v])
     }
 
     /// True when `node` lies on a cycle within `set`: it can reach itself
@@ -1068,12 +975,8 @@ impl LocalConsts {
 /// Forward local-constant dataflow over the block graph (meet =
 /// equal-or-bottom; conditional refinement intentionally ignored, so
 /// every fact is a true must-constant).
-fn local_const_flow(
-    entry_state: &[Option<i32>],
-    events: &[Vec<Ev>],
-    succs: &[Vec<usize>],
-) -> LocalConsts {
-    let (nb, nl) = (events.len(), entry_state.len());
+fn local_const_flow(entry_state: &[Option<i32>], shape: &Shape) -> LocalConsts {
+    let (nb, nl) = (shape.blocks.len(), entry_state.len());
     let row = |b: usize| b * nl..(b + 1) * nl;
     let mut ins: Vec<Option<i32>> = vec![None; nb * nl];
     let mut has_in = vec![false; nb];
@@ -1091,7 +994,7 @@ fn local_const_flow(
     while let Some(b) = work.pop_front() {
         // Only a block whose IN row is set is ever queued.
         st.copy_from_slice(&ins[row(b)]);
-        for ev in &events[b] {
+        for ev in &shape.blocks[b].events {
             if let Ev::Set(l, w) = *ev {
                 st[l as usize] = match w {
                     W::Konst(k) => Some(k),
@@ -1106,7 +1009,7 @@ fn local_const_flow(
         }
         consts.reached[b] = true;
         consts.out[row(b)].copy_from_slice(&st);
-        for &v in &succs[b] {
+        for &v in &shape.succs[b] {
             let cur = &mut ins[row(v)];
             let changed = if has_in[v] {
                 let mut ch = false;
@@ -1188,12 +1091,14 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
         // The exit test must be the block's first conditional — every
         // pass through the block then evaluates it before anything can
         // divert control.
-        let Some(&Ev::Cond { br, pred: Some(p) }) =
-            ctx.events[b].iter().find(|e| matches!(e, Ev::Cond { .. }))
+        let Some(&Ev::Cond { br, pred: Some(p) }) = ctx.shape.blocks[b]
+            .events
+            .iter()
+            .find(|e| matches!(e, Ev::Cond { .. }))
         else {
             continue;
         };
-        let t = ctx.branch_block[br as usize];
+        let t = ctx.shape.branch_block[br as usize];
         let stay = if t == usize::MAX || !comp.mask[t] {
             // Taken edge leaves the loop: staying means the negation.
             let Some(nop) = p.op.negate() else { continue };
@@ -1201,9 +1106,7 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
         } else if t == header {
             // Back edge: staying means the predicate — but only if the
             // taken edge is the block's sole way of remaining in the loop.
-            let mut in_comp = ctx.full_succs[b]
-                .iter()
-                .filter(|&&s| s != usize::MAX && comp.mask[s]);
+            let mut in_comp = ctx.shape.succs[b].iter().filter(|&&s| comp.mask[s]);
             if in_comp.next() != Some(&header) || in_comp.next().is_some() {
                 continue;
             }
@@ -1230,7 +1133,7 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
         let mut incs: Vec<(usize, i32)> = Vec::new();
         let mut polluted = false;
         for &bb in &comp.list {
-            for ev in &ctx.events[bb] {
+            for ev in &ctx.shape.blocks[bb].events {
                 match *ev {
                     Ev::Set(x, W::AddL(src, c)) if x == l && src == l && c != 0 => {
                         incs.push((bb, c))
@@ -1257,7 +1160,7 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
                 }
             }
         };
-        for &pp in &ctx.preds[header] {
+        for &pp in &ctx.shape.preds[header] {
             if comp.mask[pp] {
                 continue;
             }
@@ -1425,7 +1328,7 @@ fn region_cost(
         } else {
             // The one member entered from the rest of the region.
             let mut hs = comp.iter().copied().filter(|&c| {
-                ctx.preds[c]
+                ctx.shape.preds[c]
                     .iter()
                     .any(|&p| nodes.mask[p] && !comp_set.mask[p])
             });
@@ -1479,13 +1382,15 @@ fn region_cost(
 // Whole-module analysis
 // ---------------------------------------------------------------------------
 
-/// Compute the report for one function whose callees are all resolved.
+/// Compute the report for one function whose callees are all resolved;
+/// `windows` are the register walk's direct-call windows.
 fn compute_report(
     module: &Module,
     func: u32,
     cf: &CompiledFunc,
     rf: &RegFunc,
     shape: &Shape,
+    windows: &[Window],
     reports: &[Option<FuncReport>],
 ) -> FuncReport {
     // `lower_and_prove` reports SCCs callees first, and a function in a
@@ -1496,52 +1401,22 @@ fn compute_report(
             .expect("callees resolved before callers")
     };
 
-    // Block graph + per-block facts. Every block is reachable from the
-    // entry (the flat IR has no dead op), so bounds run over all of them.
-    let nb = shape.blocks.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for (b, raw) in shape.succs.iter().enumerate() {
-        for &v in raw {
-            if v != usize::MAX {
-                succs[b].push(v);
-                preds[v].push(b);
-            }
-        }
-    }
-    let branch_block: Vec<usize> = cf
-        .branches
-        .iter()
-        .map(|bt| {
-            let tpc = bt.pc as usize;
-            if Some(tpc) == shape.exit_pc {
-                usize::MAX
-            } else {
-                shape.pc2block[tpc] as usize
-            }
-        })
-        .collect();
-    let events: Vec<Vec<Ev>> = shape
-        .blocks
-        .iter()
-        .map(|b| block_events(module, cf, b))
-        .collect();
-
-    // A bulk op pays only once its range is in bounds, and a grow only
-    // for pages the cap lets it add: at most the whole memory either may
-    // reach, the declared maximum or else the spec's.
+    // Per-block weights. Every block is reachable from the entry (the
+    // flat IR has no dead op), so bounds run over all of them. A bulk op
+    // pays only once its range is in bounds, and a grow only for pages
+    // the cap lets it add: at most the whole memory either may reach,
+    // the declared maximum or else the spec's.
     let max_pages = u64::from(module.memory.and_then(|m| m.max).unwrap_or(MAX_PAGES));
     let bulk_worst = max_pages * PAGE_FUEL;
-    let mut weights = vec![Bound::Finite(0); nb];
+    let mut weights = Vec::with_capacity(shape.blocks.len());
     let mut callee_frames = Bound::Finite(0);
+    let mut regs = Bound::Finite(rf.frame_size as u64);
     let mut unbounded_loops = false;
-    for (bi, b) in shape.blocks.iter().enumerate() {
-        let bulk = cf.ops[b.start..b.end]
-            .iter()
-            .filter(|op| matches!(op, Op::MemoryCopy | Op::MemoryFill | Op::MemoryGrow))
-            .count() as u64;
-        let mut w = Bound::Finite(b.cost as u64 + bulk * bulk_worst);
-        for &call in &b.calls {
+    for b in &shape.blocks {
+        let c = &b.facts.counts;
+        let bulk = u64::from(c.mcopy + c.mfill + c.mgrow);
+        let mut w = Bound::Finite(b.facts.cost as u64 + bulk * bulk_worst);
+        for &call in &b.facts.calls {
             match call {
                 Call::Wasm(g) => {
                     let r = callee(g);
@@ -1549,14 +1424,18 @@ fn compute_report(
                     callee_frames = callee_frames.max(r.frames);
                     unbounded_loops |= r.unbounded_loops;
                 }
-                Call::Host(_) => {}
+                Call::Host(..) => {}
                 Call::Indirect(_) => {
                     w = Bound::Unbounded;
                     callee_frames = Bound::Unbounded;
+                    regs = Bound::Unbounded;
                 }
             }
         }
-        weights[bi] = w;
+        weights.push(w);
+    }
+    for &(g, base) in windows {
+        regs = regs.max(Bound::Finite(base as u64).add(callee(g).regs));
     }
 
     // Parameters hold unknown words on entry; the declared locals are
@@ -1568,31 +1447,16 @@ fn compute_report(
             _ => None,
         }))
         .collect();
-    let consts = local_const_flow(&entry_state, &events, &succs);
+    let consts = local_const_flow(&entry_state, shape);
 
     let ctx = FuelCtx {
         weights: &weights,
-        succs: &succs,
-        full_succs: &shape.succs,
-        preds: &preds,
-        events: &events,
-        branch_block: &branch_block,
+        shape,
         consts: &consts,
         entry_state: &entry_state,
     };
-    let nodes = BlockSet::from_mask(vec![true; nb]);
+    let nodes = BlockSet::from_mask(vec![true; shape.blocks.len()]);
     let fuel = region_cost(&ctx, &nodes, 0, false, &mut unbounded_loops);
-
-    let mut regs = Bound::Finite(rf.frame_size as u64);
-    for op in rf.ops.iter() {
-        match *op {
-            ROp::CallWasm { f: g, base } => {
-                regs = regs.max(Bound::Finite(base as u64).add(callee(g).regs));
-            }
-            ROp::CallIndirect { .. } => regs = Bound::Unbounded,
-            _ => {}
-        }
-    }
 
     FuncReport {
         func,
@@ -1639,21 +1503,21 @@ fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisEr
     for (f, cf) in (0..).zip(&flat) {
         let mut rf = lower_func(module, f, cf);
         let shape = build_shape(module, f, cf)?;
-        validate_with_shape(f, cf, &rf, &shape)?;
+        let windows = validate_with_shape(f, cf, &rf, &shape)?;
         // Only the proof reads the pc map; the bounds below need the flat IR.
         rf.pc_map = Box::default();
         code.push(rf);
-        shapes.push(shape);
+        shapes.push((shape, windows));
     }
 
     // Call graph over local functions; recursion (any cycle) makes every
     // member's bounds unbounded.
     let callees: Vec<Vec<usize>> = shapes
         .iter()
-        .map(|s| {
+        .map(|(s, _)| {
             s.blocks
                 .iter()
-                .flat_map(|b| &b.calls)
+                .flat_map(|b| &b.facts.calls)
                 .filter_map(|&c| match c {
                     Call::Wasm(g) => Some(g as usize),
                     _ => None,
@@ -1679,8 +1543,10 @@ fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisEr
             }
         } else {
             let f = comp[0];
-            let (cf, rf, shape) = (&flat[f], &code[f], &shapes[f]);
-            reports[f] = Some(compute_report(module, f as u32, cf, rf, shape, &reports));
+            let (cf, rf, (shape, windows)) = (&flat[f], &code[f], &shapes[f]);
+            reports[f] = Some(compute_report(
+                module, f as u32, cf, rf, shape, windows, &reports,
+            ));
         }
     }
 
@@ -2194,7 +2060,7 @@ mod tests {
         rf: &RegFunc,
     ) -> Result<(), AnalysisError> {
         let shape = build_shape(module, func, cf)?;
-        validate_with_shape(func, cf, rf, &shape)
+        validate_with_shape(func, cf, rf, &shape).map(|_| ())
     }
 
     #[test]
@@ -2262,6 +2128,101 @@ mod tests {
             validate_lowering(&m, 0, &cf, &rf),
             Err(mismatch(0, pc, "flat op was not lowered"))
         );
+    }
+
+    /// Put `op` at register pc `at` (or, with `None`, delete the op
+    /// there), shifting `pc_map` and the branch pcs past it so that only
+    /// the edit itself differs from the lowering.
+    fn splice(rf: &mut RegFunc, at: usize, op: Option<ROp>) {
+        let mut ops = rf.ops.to_vec();
+        let shift = |q: &mut u32| match op {
+            Some(_) if *q as usize >= at => *q += 1,
+            None if *q as usize > at => *q -= 1,
+            _ => {}
+        };
+        rf.pc_map.iter_mut().for_each(shift);
+        rf.branches.iter_mut().for_each(|b| shift(&mut b.pc));
+        match op {
+            Some(op) => ops.insert(at, op),
+            None => {
+                ops.remove(at);
+            }
+        }
+        rf.ops = ops.into_boxed_slice();
+    }
+
+    fn reg_pc(rf: &RegFunc, what: impl Fn(&ROp) -> bool) -> usize {
+        rf.ops.iter().position(what).expect("op present")
+    }
+
+    /// Why the proof refuses function 0's lowering `rf`.
+    fn refusal(m: &Module, cf: &CompiledFunc, rf: &RegFunc) -> String {
+        match validate_lowering(m, 0, cf, rf) {
+            Err(AnalysisError::TranslationMismatch { what, .. }) => what,
+            Ok(()) => panic!("the proof accepts the mutant"),
+        }
+    }
+
+    #[test]
+    fn op_before_entry_meter_is_rejected() {
+        let m = loop_module();
+        let (cf, mut rf) = flat_and_reg(&m);
+        let store = rf.ops[reg_pc(&rf, |o| {
+            matches!(o, ROp::StoreAt { .. } | ROp::Store { .. })
+        })];
+        splice(&mut rf, 0, Some(store));
+        assert_eq!(
+            refusal(&m, &cf, &rf),
+            "register op outside any metered block"
+        );
+    }
+
+    #[test]
+    fn swapped_branch_index_is_rejected() {
+        // The loop exit's compare-and-branch takes the back edge instead.
+        let m = loop_module();
+        let (cf, mut rf) = flat_and_reg(&m);
+        let at = reg_pc(&rf, |o| matches!(o, ROp::BrIfCmp { br: 0, .. }));
+        let mut ops = rf.ops.to_vec();
+        if let ROp::BrIfCmp { br, .. } = &mut ops[at] {
+            *br = 1;
+        }
+        rf.ops = ops.into_boxed_slice();
+        assert_eq!(
+            refusal(&m, &cf, &rf),
+            "branch sequences diverge across tiers"
+        );
+    }
+
+    #[test]
+    fn dropped_back_edge_is_rejected() {
+        let m = loop_module();
+        let (cf, mut rf) = flat_and_reg(&m);
+        let at = reg_pc(&rf, |o| matches!(o, ROp::Br(1)));
+        splice(&mut rf, at, None);
+        assert_eq!(
+            refusal(&m, &cf, &rf),
+            "branch sequences diverge across tiers"
+        );
+    }
+
+    #[test]
+    fn dropped_return_is_rejected() {
+        // Without its first `return`, `f(1)` falls through into the next
+        // block: it pays that block's Meter and answers 9, not 7.
+        let m = module(
+            r#"(module (func (export "f") (param i32) (result i32)
+                 local.get 0
+                 if
+                   i32.const 7
+                   return
+                 end
+                 i32.const 9))"#,
+        );
+        let (cf, mut rf) = flat_and_reg(&m);
+        let at = reg_pc(&rf, |o| matches!(o, ROp::Return { .. }));
+        splice(&mut rf, at, None);
+        assert_eq!(refusal(&m, &cf, &rf), "fall-through diverges across tiers");
     }
 
     #[test]

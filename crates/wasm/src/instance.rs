@@ -902,8 +902,7 @@ impl Vm {
                     // (register-window overlap); declared locals still
                     // need their zero values, whatever the caller's
                     // operand stack left in those cells.
-                    let locals = abs + callee.argc as usize;
-                    regs[locals..locals + callee.locals_init.len()].fill(0);
+                    regs[abs + callee.argc as usize..abs + callee.n_locals as usize].fill(0);
                     frames.push(RFrame {
                         func: f,
                         pc: 0,

@@ -24,9 +24,10 @@
 //!   metering; every call stays a call), which is lowered again into
 //!   three-address code over a per-frame virtual register file — the one
 //!   pass that fuses operands, write-backs, compare-and-branch and address
-//!   chains — and the register form is proven equivalent to the flat IR,
-//!   with worst-case resource bounds. The flat IR lives only inside that
-//!   pass; every instance runs the register code it proved. The crate's
+//!   chains — and the register form is checked block by block against
+//!   the flat IR (fuel, memory/call/trap ops and control flow, not
+//!   values), with worst-case resource bounds. The flat IR lives only
+//!   inside that pass; every instance runs the register code it checked. The crate's
 //!   tests hold the executor to an oracle that walks the decoded
 //!   instructions over its own memory (`tests/util/oracle.rs`),
 //! * [`disasm`] — the register-code listing the `analyze` tool prints.
@@ -94,7 +95,7 @@ pub use types::ValType;
 /// ill-typed module is rejected before it can be instantiated. After the
 /// decoder, the module-level checks run, then one walk per body
 /// type-checks it as it lowers it, in function-index order; the first
-/// body that fails is the error. The returned module holds its proven
+/// body that fails is the error. The returned module holds its checked
 /// register code ([`Module::analysis`] has the proof's verdict; a failed
 /// proof leaves it no instance).
 pub fn load_module(bytes: &[u8]) -> Result<Module, LoadError> {

@@ -325,13 +325,10 @@ pub struct RegFunc {
     pub branches: Box<[RBranch]>,
     /// Pool for non-i32 constants referenced by [`ROp::Const`].
     pub consts: Box<[Value]>,
-    /// Zero values for the function's own declared (non-parameter)
-    /// locals: registers `argc..argc + locals_init.len()`, which frame
-    /// entry zeroes.
-    pub locals_init: Box<[Value]>,
     pub argc: u32,
     pub ret_arity: u32,
-    /// Locals (params, then declared): registers `0..n_locals`.
+    /// Locals (params, then declared): registers `0..n_locals`. Frame
+    /// entry zeroes the declared ones, registers `argc..n_locals`.
     pub n_locals: u32,
     /// Total registers the frame needs (`n_locals` + max stack height).
     pub frame_size: u32,
@@ -426,7 +423,6 @@ pub fn lower_func(module: &Module, local_idx: u32, cf: &CompiledFunc) -> RegFunc
         ops: lw.rops.into_boxed_slice(),
         branches: rbranches.into_boxed_slice(),
         consts: lw.consts.into_boxed_slice(),
-        locals_init: cf.locals_init.clone(),
         argc: cf.argc,
         ret_arity: cf.ret_arity,
         n_locals,

@@ -112,6 +112,13 @@ if grep -rnwE 'FuncValidator|CtrlFrame' crates/wasm/src; then
     echo "lowering tripwire: crates/wasm/src names FuncValidator or CtrlFrame; a body is type-checked by the walk in compile.rs that lowers it" >&2
     exit 1
 fi
+# The lowering check reads each IR once: one walk over the flat ops and
+# one over the register ops, whose per-block records it compares. The
+# per-block re-walks it replaced stay gone from crates/wasm/src.
+if grep -rnwE 'flat_counts|reg_counts|referenced_branches|block_events' crates/wasm/src; then
+    echo "lowering tripwire: crates/wasm/src names flat_counts, reg_counts, referenced_branches or block_events; the check walks each IR once (build_shape, reg_walk)" >&2
+    exit 1
+fi
 pub_mods=$(grep -c '^pub mod' crates/wasm/src/lib.rs || true)
 if [ "$pub_mods" -gt 11 ]; then
     echo "lowering tripwire: crates/wasm/src/lib.rs declares $pub_mods pub mods, above 11; keep the IR modules private" >&2
