@@ -12,8 +12,8 @@
 //!
 //! The scenarios, each a different use of the one engine:
 //!
-//! * `ric` — 8 cells attached to the near-RT RIC in deterministic
-//!   delivery mode (one window, E2 boundary protocol).
+//! * `ric` — 8 cells attached to the near-RT RIC (one window, E2
+//!   boundary protocol).
 //! * `mobility` — 32-cell grid, UEs handing over all run long on A3
 //!   events and RIC-forced steering (exchange windows).
 //! * `governance` — 32 cells taking two hostile fleet-wide pushes
@@ -29,7 +29,6 @@ use waran_core::{
     PopulationModel, RicAttachment, SchedKind, SliceSpec, TrafficSpec,
 };
 use waran_host::plugin::SandboxPolicy;
-use waran_ric::bus::DeliveryMode;
 use waran_ric::comm::TlvCodec;
 use waran_ric::ric::{NearRtRic, SliceSlaAssurance, TrafficSteering};
 
@@ -73,9 +72,7 @@ fn ric(workers: usize) -> MultiCellReport {
             ric
         }),
     )
-    .report_period_slots(100)
-    .bus_capacity(64)
-    .mode(DeliveryMode::Deterministic);
+    .report_period_slots(100);
     run(b.ric(attachment), workers)
 }
 
@@ -133,9 +130,7 @@ fn mobility(workers: usize) -> MultiCellReport {
             ric
         }),
     )
-    .report_period_slots(2 * EXCHANGE_PERIOD_SLOTS)
-    .bus_capacity(8)
-    .mode(DeliveryMode::Deterministic);
+    .report_period_slots(2 * EXCHANGE_PERIOD_SLOTS);
     let deployment = fleet(
         [
             ChannelSpec::Mobile { speed_mps: 50.0 },

@@ -27,14 +27,13 @@
 //!   [`Report::digest`] is the check.
 //! * Per-worker slot-chunk timings land in per-worker shards merged
 //!   after the join, so the hot loop never touches a shared accumulator.
-//! * A deployment can attach the whole fleet to one near-RT RIC service
-//!   thread ([`MultiCellScenarioBuilder::ric`]): every cell's E2 driver
-//!   publishes onto a bounded bus and applies mailboxed actions at report
-//!   boundaries. In deterministic delivery mode the per-cell digests stay
-//!   bit-identical across worker counts *with the RIC in the loop*; in
-//!   lossy mode a stalled RIC sheds load visibly
-//!   ([`RicPlaneReport::service`] drop counters) instead of growing node
-//!   memory.
+//! * A deployment can attach the whole fleet to the near-RT RIC plane
+//!   ([`MultiCellScenarioBuilder::ric`]): at each report boundary a
+//!   cell's E2 driver applies its mailboxed actions and publishes an
+//!   indication, which its own per-cell RIC state serves in the same
+//!   worker. The per-cell digests stay bit-identical across worker counts
+//!   *with the RIC in the loop*, and an xApp that panics faults only the
+//!   cell whose indication it was serving.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -155,8 +154,9 @@ impl MultiCellScenarioBuilder {
         self
     }
 
-    /// Attach the deployment to the RIC plane: one service thread hosts
-    /// every cell's RIC state; cells publish over a bounded bus.
+    /// Attach the deployment to the RIC plane: every cell gets its own
+    /// RIC state, served in the worker that publishes the cell's
+    /// indications.
     pub fn ric(mut self, attachment: RicAttachment) -> Self {
         self.ric = Some(attachment);
         self
@@ -852,8 +852,8 @@ fn reject_at_source(cells: &[Mutex<CellRuntime>], src_cell: u32) {
 /// Aggregate view of the RIC plane after a run.
 #[derive(Debug, Clone, Default)]
 pub struct RicPlaneReport {
-    /// What the service thread saw (queue accounting, per-cell drops,
-    /// xApp activity).
+    /// What the service saw (indications served, decode errors, xApp
+    /// activity).
     pub service: ServiceReport,
     /// Indications published across all cells.
     pub indications_sent: u64,

@@ -1,26 +1,22 @@
 //! Closing the loop: gNB ↔ near-RT RIC.
 //!
-//! There is one path between a cell and the RIC: the bounded
-//! [`RicBus`] plane, attached to a deployment with
+//! There is one path between a cell and the RIC: the [`RicBus`] plane,
+//! attached to a deployment with
 //! [`MultiCellScenarioBuilder::ric`](crate::MultiCellScenarioBuilder::ric)
-//! (a single gNB is a one-cell deployment). Each cell's (crate-private)
-//! `CellE2Driver` publishes an indication at each report boundary
-//! and applies the mailboxed action batches at the *next* boundary, in
-//! `(answers_slot, arrival)` order. In [`DeliveryMode::Deterministic`] it
-//! rendezvouses on the reply to its previous indication first, which pins
-//! per-cell results regardless of how many workers drive the deployment;
-//! in [`DeliveryMode::Lossy`] it never waits and the bus sheds load by
-//! dropping its oldest frames.
+//! (a single gNB is a one-cell deployment). At each report boundary a
+//! cell's (crate-private) `CellE2Driver` collects its mailbox, applies
+//! the action batches in `(answers_slot, arrival)` order, then publishes
+//! this period's indication. Publishing serves the indication in the
+//! cell's own worker and queues the reply, so a reply answers the
+//! previous boundary's indication and lands at the next one, and
+//! per-cell results are the same for any number of workers.
 //!
 //! Everything on the wire is a `CommCodec` — so two deployments can
 //! disagree on the encoding and still interoperate via an adapter plugin.
 
-use std::time::Duration;
-
 use waran_ric::bus::{ActionBatch, CellPort, DeliveryMode, RicBus};
 use waran_ric::comm::CommCodec;
 use waran_ric::e2::{ControlAction, Indication, KpiReport};
-use waran_ric::link::RecvOutcome;
 use waran_ric::ric::NearRtRic;
 
 use waran_ransim::channel::MarkovFadingChannel;
@@ -92,27 +88,21 @@ pub type CodecFactory = Box<dyn Fn() -> Box<dyn CommCodec> + Send + Sync>;
 /// Builds a cell's RIC state (xApps included), keyed by cell id.
 pub type RicFactory = Box<dyn Fn(u32) -> NearRtRic + Send + Sync>;
 
-/// Configuration for attaching a deployment to the RIC plane. Each value
-/// is set through its builder method, which clamps it to a usable range.
+/// Configuration for attaching a deployment to the RIC plane. The
+/// reporting period is set through its builder method, which clamps it to
+/// a usable range.
 pub struct RicAttachment {
     /// Reporting period, slots (reports land at period *ends*).
     pub(crate) report_period_slots: u64,
-    /// Bound on in-flight indications on the shared bus.
-    pub(crate) bus_capacity: usize,
-    /// Delivery discipline (deterministic rendezvous vs lossy drop-oldest).
-    pub(crate) mode: DeliveryMode,
     codec_factory: CodecFactory,
     ric_factory: RicFactory,
 }
 
 impl RicAttachment {
-    /// Attachment with deployment defaults: deterministic delivery,
-    /// 100-slot reporting, a 64-frame bus.
+    /// Attachment with 100-slot reporting.
     pub fn new(codec_factory: CodecFactory, ric_factory: RicFactory) -> Self {
         RicAttachment {
             report_period_slots: 100,
-            bus_capacity: 64,
-            mode: DeliveryMode::Deterministic,
             codec_factory,
             ric_factory,
         }
@@ -124,21 +114,22 @@ impl RicAttachment {
         self
     }
 
-    /// Set the bus capacity, frames.
-    pub fn bus_capacity(mut self, capacity: usize) -> Self {
-        self.bus_capacity = capacity.max(1);
+    /// Sets nothing: indications are served as they are published, so
+    /// nothing is in flight to bound. Kept only for slotbench's call
+    /// sites.
+    pub fn bus_capacity(self, _capacity: usize) -> Self {
         self
     }
 
-    /// Set the delivery discipline.
-    pub fn mode(mut self, mode: DeliveryMode) -> Self {
-        self.mode = mode;
+    /// Sets nothing: [`DeliveryMode`] has one variant. Kept only for
+    /// slotbench's call sites.
+    pub fn mode(self, _mode: DeliveryMode) -> Self {
         self
     }
 
-    /// The bus this attachment describes (cells still unregistered).
+    /// The plane this attachment describes (cells still unregistered).
     pub(crate) fn build_bus(&self) -> RicBus {
-        RicBus::new(self.bus_capacity, self.mode)
+        RicBus::new(0, DeliveryMode::Deterministic)
     }
 
     /// Register `cell_id` on `bus` and return its driver.
@@ -147,10 +138,8 @@ impl RicAttachment {
         CellE2Driver {
             port,
             codec: (self.codec_factory)(),
-            mode: self.mode,
             report_period_slots: self.report_period_slots,
             attached: true,
-            awaiting_reply: false,
             indications_sent: 0,
             action_batches_received: 0,
             applied_slice_targets: 0,
@@ -161,21 +150,13 @@ impl RicAttachment {
     }
 }
 
-/// How long a deterministic cell waits on a rendezvous before concluding
-/// the RIC is gone. Generous: a healthy service answers in microseconds;
-/// only a wedged (not merely slow) RIC hits this, and the cell then
-/// detaches rather than stalling the RAN forever.
-const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Cell-side driver for the async RIC plane (see module docs).
+/// Cell-side driver for the RIC plane (see module docs).
 pub(crate) struct CellE2Driver {
     port: CellPort,
     codec: Box<dyn CommCodec>,
-    mode: DeliveryMode,
     /// Reporting period, slots.
     pub(crate) report_period_slots: u64,
     attached: bool,
-    awaiting_reply: bool,
     /// Indications published.
     pub(crate) indications_sent: u64,
     /// Action batches received (including empty ones).
@@ -204,10 +185,9 @@ impl CellE2Driver {
         slot > 0 && slot.is_multiple_of(self.report_period_slots)
     }
 
-    /// Run the boundary protocol at the scenario's current slot:
-    /// rendezvous/collect pending action batches, apply them in
-    /// `(answers_slot, arrival)` order, then sample and publish this
-    /// period's indication.
+    /// Run the boundary protocol at the scenario's current slot: collect
+    /// the mailbox, apply its action batches in `(answers_slot, arrival)`
+    /// order, then sample and publish this period's indication.
     ///
     /// With `mobility` attached, `ControlAction::Handover` becomes a
     /// *cross-cell* command queued for the next exchange boundary; the
@@ -217,51 +197,23 @@ impl CellE2Driver {
         if !self.attached {
             return;
         }
-        let batches = match self.mode {
-            DeliveryMode::Deterministic => {
-                let mut batches = Vec::new();
-                if self.awaiting_reply {
-                    self.awaiting_reply = false;
-                    match self.port.await_reply(REPLY_TIMEOUT) {
-                        RecvOutcome::Msg(batch) => batches.push(batch),
-                        RecvOutcome::Empty | RecvOutcome::Disconnected => self.attached = false,
-                    }
-                }
-                batches
-            }
-            DeliveryMode::Lossy => self.port.collect(),
-        };
-        self.apply_batches(scenario, mobility, batches);
-        if !self.attached {
-            return;
-        }
+        self.apply_batches(scenario, mobility, self.port.collect());
         let slot = scenario.gnb.slot();
         let reports = sample_kpis(scenario);
         let frame = self.codec.encode_indication(&Indication { slot, reports });
         if self.port.publish(slot, frame) {
             self.indications_sent += 1;
-            self.awaiting_reply = self.mode == DeliveryMode::Deterministic;
         } else {
             self.attached = false;
         }
     }
 
-    /// Settle at end of run: consume the outstanding reply (if any) and
-    /// whatever else reached the mailbox, so counters are reproducible in
-    /// deterministic mode and nothing is left queued against the service.
+    /// Settle at end of run: apply the reply to the last indication, so
+    /// every indication is answered and nothing is left in the mailbox.
     pub fn finish(&mut self, scenario: &mut Scenario, mobility: Option<&mut CellMobility>) {
-        if !self.attached {
-            return;
+        if self.attached {
+            self.apply_batches(scenario, mobility, self.port.collect());
         }
-        let mut batches = Vec::new();
-        if self.mode == DeliveryMode::Deterministic && self.awaiting_reply {
-            self.awaiting_reply = false;
-            if let RecvOutcome::Msg(batch) = self.port.await_reply(REPLY_TIMEOUT) {
-                batches.push(batch);
-            }
-        }
-        batches.extend(self.port.collect());
-        self.apply_batches(scenario, mobility, batches);
     }
 
     fn apply_batches(

@@ -15,7 +15,6 @@ use waran_core::{
     RicAttachment, SchedKind, SliceSpec, TrafficSpec,
 };
 use waran_host::{fnv1a, GovernanceClass};
-use waran_ric::bus::DeliveryMode;
 use waran_ric::comm::TlvCodec;
 use waran_ric::e2::{ControlAction, Indication, KpiReport};
 use waran_ric::ric::{NearRtRic, TrafficSteering, XApp, XAppCtx};
@@ -64,8 +63,6 @@ fn hostile_attachment() -> RicAttachment {
         }),
     )
     .report_period_slots(20)
-    .bus_capacity(8)
-    .mode(DeliveryMode::Deterministic)
 }
 
 fn run_hostile(workers: usize) -> MultiCellReport {
@@ -284,8 +281,6 @@ fn wasm_xapp_attachment() -> RicAttachment {
         }),
     )
     .report_period_slots(20)
-    .bus_capacity(8)
-    .mode(DeliveryMode::Deterministic)
 }
 
 #[test]

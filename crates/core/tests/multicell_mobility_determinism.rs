@@ -9,7 +9,6 @@ use waran_core::{
     CellSpec, ChannelSpec, MobilityAttachment, MultiCellReport, MultiCellScenarioBuilder,
     RicAttachment, SchedKind, SliceSpec, TrafficSpec,
 };
-use waran_ric::bus::DeliveryMode;
 use waran_ric::comm::TlvCodec;
 use waran_ric::ric::{NearRtRic, TrafficSteering};
 
@@ -77,8 +76,6 @@ fn attachment() -> RicAttachment {
         }),
     )
     .report_period_slots(20)
-    .bus_capacity(8)
-    .mode(DeliveryMode::Deterministic)
 }
 
 fn run_mobile(workers: usize) -> MultiCellReport {

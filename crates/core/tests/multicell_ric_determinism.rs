@@ -1,29 +1,27 @@
 //! Worker-count independence of the multi-cell deployment **with the RIC
-//! in the loop**. The async plane (bounded bus, one service thread,
-//! per-cell mailboxes) must behave exactly like a pure function of each
-//! cell's own indication stream: per-cell digests stay bit-identical
+//! in the loop**. The plane (per-cell RIC state served in the publishing
+//! worker, per-cell mailboxes) must behave exactly like a pure function of
+//! each cell's own indication stream: per-cell digests stay bit-identical
 //! across 1/2/4/8 workers, and the applied control actions prove the RIC
-//! actually steered the run rather than being idle.
-
-use std::time::Duration;
+//! actually steered the run rather than being idle. An xApp that panics
+//! faults its own cell only.
 
 use waran_core::{
     CellSpec, ChannelSpec, MultiCellReport, MultiCellScenarioBuilder, RicAttachment, SchedKind,
     SliceSpec, TrafficSpec,
 };
-use waran_ric::bus::DeliveryMode;
 use waran_ric::comm::TlvCodec;
 use waran_ric::e2::{ControlAction, Indication};
 use waran_ric::ric::{NearRtRic, SliceSlaAssurance, TrafficSteering, XApp, XAppCtx};
 
-/// Five cells, each with fading channels (per-cell RNG), a cell-edge UE
-/// the steering xApp will rescue, and a gold slice whose SLA the
+/// `cells` cells, each with fading channels (per-cell RNG), a cell-edge
+/// UE the steering xApp will rescue, and a gold slice whose SLA the
 /// assurance xApp enforces.
-fn deployment(seconds: f64) -> MultiCellScenarioBuilder {
+fn deployment(cells: usize, seconds: f64) -> MultiCellScenarioBuilder {
     let mut b = MultiCellScenarioBuilder::new()
         .seconds(seconds)
         .base_seed(77);
-    for i in 0..5 {
+    for i in 0..cells {
         b = b.cell(
             CellSpec::new(&format!("cell{i}"))
                 .slice(
@@ -48,24 +46,27 @@ fn deployment(seconds: f64) -> MultiCellScenarioBuilder {
     b
 }
 
-fn attachment() -> RicAttachment {
+/// Steering and SLA assurance in every cell; with `panicky_cell`, that
+/// cell's RIC also hosts [`PanicOnThird`].
+fn attachment(panicky_cell: Option<u32>) -> RicAttachment {
     RicAttachment::new(
         Box::new(|| Box::new(TlvCodec)),
-        Box::new(|_cell| {
+        Box::new(move |cell| {
             let mut ric = NearRtRic::new();
             ric.add_xapp(Box::new(TrafficSteering::new(5, 2, 1)));
             ric.add_xapp(Box::new(SliceSlaAssurance::new(&[(0, 12e6)])));
+            if panicky_cell == Some(cell) {
+                ric.add_xapp(Box::new(PanicOnThird(0)));
+            }
             ric
         }),
     )
     .report_period_slots(100)
-    .bus_capacity(8)
-    .mode(DeliveryMode::Deterministic)
 }
 
 fn run_attached(workers: usize) -> MultiCellReport {
-    deployment(0.5)
-        .ric(attachment())
+    deployment(5, 0.5)
+        .ric(attachment(None))
         .build()
         .expect("deployment builds")
         .run(workers)
@@ -106,8 +107,9 @@ fn attached_digests_are_worker_count_independent() {
         }
     }
 
-    // The plane's own counters are deterministic too (reply-per-indication
-    // rendezvous: nothing raced, nothing was dropped).
+    // The plane's own counters are deterministic too (a reply to every
+    // indication, served in its own cell: nothing raced, nothing was
+    // dropped).
     for report in [&one, &two, &four, &eight] {
         let ric = report.ric.as_ref().expect("attached run reports the plane");
         assert_eq!(
@@ -140,7 +142,7 @@ fn attached_digests_are_worker_count_independent() {
 fn ric_actions_change_the_run() {
     // The attached run must differ from the detached run: the handovers
     // and slice-target boosts are real state changes, not bookkeeping.
-    let detached = deployment(0.5).build().unwrap().run(2);
+    let detached = deployment(5, 0.5).build().unwrap().run(2);
     let attached = run_attached(2);
     assert!(detached.ric.is_none());
     assert_ne!(
@@ -150,61 +152,61 @@ fn ric_actions_change_the_run() {
     );
 }
 
-/// A slow RIC: an xApp that sleeps 100 ms through every indication.
-struct Stall;
+#[test]
+fn ingress_counts_every_indication_served() {
+    // `enqueued` is every indication published, nothing is shed, and
+    // `max_depth` is a measured peak of indications in service at once:
+    // each worker serves at most one at a time.
+    for workers in [1, 2] {
+        let report = run_attached(workers);
+        let ric = report.ric.as_ref().expect("attached run reports the plane");
+        let ingress = ric.service.ingress;
+        assert!(ric.indications_sent > 0);
+        assert_eq!(ingress.enqueued, ric.indications_sent, "{workers} workers");
+        assert_eq!(ingress.dropped, 0, "{workers} workers");
+        assert!(
+            (1..=workers as u64).contains(&ingress.max_depth),
+            "{workers} workers, depth {}",
+            ingress.max_depth
+        );
+    }
+}
 
-impl XApp for Stall {
+/// An xApp with a bug: it panics on its 3rd indication.
+struct PanicOnThird(u32);
+
+impl XApp for PanicOnThird {
     fn name(&self) -> &str {
-        "stall"
+        "panic-on-third"
     }
 
     fn on_indication(&mut self, _: &mut XAppCtx<'_>, _: &Indication) -> Vec<ControlAction> {
-        std::thread::sleep(Duration::from_millis(100));
+        self.0 += 1;
+        assert!(self.0 < 3, "xApp bug on indication {}", self.0);
         Vec::new()
     }
 }
 
 #[test]
-fn lossy_attachment_keeps_cells_running_under_a_stalled_ric() {
-    // A wedged service (an xApp that sleeps) with a tiny bus: cells must
-    // finish at full speed, the queue stays bounded, and the overflow is
-    // visible as per-cell drop counters.
-    // 29 boundaries per cell × 5 cells = 145 indications, against a
-    // service that absorbs at most ~10/s: overflow is certain whatever
-    // the host machine's speed.
-    let stalled = RicAttachment::new(
-        Box::new(|| Box::new(TlvCodec)),
-        Box::new(|_cell| {
-            let mut ric = NearRtRic::new();
-            ric.add_xapp(Box::new(Stall));
-            ric
-        }),
-    );
-    let report = deployment(0.3)
-        .ric(
-            stalled
-                .mode(DeliveryMode::Lossy)
-                .report_period_slots(10)
-                .bus_capacity(2),
-        )
-        .build()
-        .unwrap()
-        .run(4);
-    let ric = report.ric.as_ref().expect("plane report present");
+fn panicking_xapp_faults_only_its_own_cell() {
+    // The panic unwinds through the cell that published the indication:
+    // the engine's panic boundary faults cell 1, the plane stays up, and
+    // cells 0 and 2 run exactly as without the buggy xApp.
+    let run = |panicky_cell| {
+        deployment(3, 0.5)
+            .ric(attachment(panicky_cell))
+            .build()
+            .expect("deployment builds")
+            .run(2)
+    };
+    let clean = run(None);
+    let faulty = run(Some(1));
+    assert_eq!(clean.faulted_cells(), 0);
+    assert!(faulty.cells[1].faulted);
+    assert_eq!(faulty.faulted_cells(), 1);
+    let ric = faulty.ric.as_ref().expect("attached run reports the plane");
     assert_eq!(ric.detached_cells, 0);
-    assert!(ric.indications_sent > 0);
-    assert!(
-        ric.service.ingress.max_depth <= 2,
-        "bounded bus, got depth {}",
-        ric.service.ingress.max_depth
-    );
-    assert!(
-        ric.service.ingress.dropped > 0,
-        "a stalled RIC must shed load"
-    );
-    assert_eq!(
-        ric.service.drops_by_cell.values().sum::<u64>(),
-        ric.service.ingress.dropped,
-        "every drop is attributed to a cell"
-    );
+    let (clean, faulty) = (clean.cell_digests(), faulty.cell_digests());
+    assert_eq!((clean[0], clean[2]), (faulty[0], faulty[2]));
+    assert_ne!(clean[1], faulty[1]);
 }

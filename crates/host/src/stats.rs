@@ -169,12 +169,11 @@ impl ExecTimeStats {
     }
 }
 
-/// Depth/drop accounting for one bounded queue (the RIC plane's
-/// indication bus and per-cell action mailboxes): how many items were
-/// accepted, how many a full queue displaced, and the deepest the queue
-/// ever got. Mergeable like every other accumulator here, so the
-/// multi-cell engine can fold per-cell mailbox gauges into one deployment
-/// view the same way it merges per-worker [`ExecTimeStats`] shards.
+/// Depth/drop accounting for one stage of work (the RIC plane's
+/// `ServiceReport::ingress`): how many items were accepted, how many were
+/// displaced or refused, and the most ever in the stage at once.
+/// Mergeable like every other accumulator here: counters add, the peak
+/// takes the maximum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueDepthStats {
     /// Items accepted into the queue.

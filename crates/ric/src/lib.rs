@@ -8,12 +8,10 @@
 //! * [`comm`] — communication plugins: the [`comm::CommCodec`] wire choice
 //!   (TLV / protobuf-wire / JSON, or an arbitrary Wasm plugin via
 //!   [`comm::WasmCommPlugin`]).
-//! * [`link`] — the in-process "wire": a bounded MPSC queue with
-//!   drop-oldest or blocking sends and depth/drop accounting.
 //! * [`bus`] — the RIC plane, and the only path between a cell and the
-//!   RIC: a bounded MPSC bus into one service thread hosting per-cell
-//!   RIC state, with per-cell action mailboxes and explicit backpressure
-//!   (a single gNB is a one-cell deployment on the same bus).
+//!   RIC: a registry of per-cell RIC state, served in the thread that
+//!   publishes each indication, with a per-cell action mailbox (a single
+//!   gNB is a one-cell deployment on the same plane).
 //! * [`ric`] — the near-RT RIC host: KPI store, xApp lifecycle (native or
 //!   Wasm), inter-xApp messaging host functions, and two reference xApps
 //!   (traffic steering, slice SLA assurance).
@@ -27,13 +25,19 @@ pub mod adapter;
 pub mod bus;
 pub mod comm;
 pub mod e2;
-pub mod link;
 pub mod ric;
 
-pub use bus::{ActionBatch, BusFrame, CellPort, DeliveryMode, RicBus, RicService, ServiceReport};
+/// The mailbox read's outcome under its former path, kept so
+/// `waran_ric::link::RecvOutcome` imports still resolve.
+pub mod link {
+    pub use crate::bus::RecvOutcome;
+}
+
+pub use bus::{
+    ActionBatch, CellPort, DeliveryMode, RecvOutcome, RicBus, RicService, ServiceReport,
+};
 pub use comm::{CommCodec, JsonCodec, PbCodec, TlvCodec, WasmCommPlugin};
 pub use e2::{ControlAction, Indication, KpiReport};
-pub use link::{RecvOutcome, SendOutcome};
 pub use ric::{NearRtRic, SliceSlaAssurance, TrafficSteering, XApp, XAppCtx};
 
 use waran_host::{PluginError, PluginHost, SandboxPolicy, SlotHandle, TemplateCache};

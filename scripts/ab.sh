@@ -3,6 +3,8 @@
 # alternating order, N pairs, and per workload x end-to-end metric one
 # markdown row — median [min, max] per side, Δ median, pairs won (ties
 # count for neither), parent IQR / median — ready to paste into CHANGES.md.
+# Beneath each such row a `runs` row lists each side's values in pair
+# order, so the host's fast and slow clusters show.
 #
 #   scripts/ab.sh <parent-slotbench> <change-slotbench> \
 #       [--pairs N] [--seconds S] [--seed N] [--layers] [workload...]
@@ -26,7 +28,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 bench="$root/BENCHMARK.json"
 
 usage() {
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
 }
 
@@ -122,15 +124,17 @@ awk -v metrics="$metrics" -v pairs="$pairs" "$num_fn"'
             for (k = 1; k <= n_m; k++) {
                 split(m[k], nb, " ")
                 name = nb[1]; sign = (nb[2] == "higher") ? 1 : -1
-                won = 0
+                won = 0; p_runs = ""; c_runs = ""
                 for (i = 1; i <= pairs; i++) {
                     p[i] = val[w, name, "parent", i]; c[i] = val[w, name, "change", i]
                     if ((c[i] - p[i]) * sign > 0) won++
+                    p_runs = p_runs sprintf(" %.4g", p[i]); c_runs = c_runs sprintf(" %.4g", c[i])
                 }
                 p_med = quantile(p, pairs, 0.5); c_med = quantile(c, pairs, 0.5)
                 iqr = quantile(p, pairs, 0.75) - quantile(p, pairs, 0.25)
                 printf "| %s (%d pairs) | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] ", w, pairs, name, p_med, p[1], p[pairs], c_med, c[1], c[pairs]
                 printf "| %+.1f %% | %d/%d | %.1f %% |\n", 100 * (c_med - p_med) / p_med, won, pairs, 100 * iqr / p_med
+                printf "| | %s runs |%s |%s | | | |\n", name, p_runs, c_runs
             }
         }
         exit bad

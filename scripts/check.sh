@@ -46,6 +46,21 @@ for dir in crates/core/src crates/ric/src; do
     fi
 done
 
+# The RIC plane is served in the cell that publishes: each indication is
+# decoded, run through that cell's RIC state and answered inside
+# `CellPort::publish`. The service thread, its blocking queue, the lossy
+# mode and the reply timeout stay gone from the RIC and the engine.
+if [ -e crates/ric/src/link.rs ]; then
+    echo "RIC-plane tripwire: crates/ric/src/link.rs exists; indications are served inline by CellPort::publish" >&2
+    exit 1
+fi
+for dir in crates/ric/src crates/core/src; do
+    if grep -rnE 'thread::spawn|Condvar|send_wait|recv_timeout|Lossy|REPLY_TIMEOUT' "$dir"; then
+        echo "RIC-plane tripwire: $dir names thread::spawn, Condvar, send_wait, recv_timeout, Lossy or REPLY_TIMEOUT; the plane has no thread, queue or timeout" >&2
+        exit 1
+    fi
+done
+
 # Panic-site ceilings (ROADMAP 3(d)): non-test `.unwrap()`, `.expect(`,
 # `panic!(` and `unreachable!(` per crate's src, as scripts/loc.sh counts
 # them (code only: comment and doc lines are skipped). A count may fall;
@@ -72,7 +87,7 @@ wasm 15
 wat 5
 plugc 12
 abi 7
-ric 2
+ric 0
 core 3
 host 1
 ransim 0
