@@ -172,8 +172,6 @@ impl ExecTimeStats {
 /// Depth/drop accounting for one stage of work (the RIC plane's
 /// `ServiceReport::ingress`): how many items were accepted, how many were
 /// displaced or refused, and the most ever in the stage at once.
-/// Mergeable like every other accumulator here: counters add, the peak
-/// takes the maximum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueDepthStats {
     /// Items accepted into the queue.
@@ -182,21 +180,6 @@ pub struct QueueDepthStats {
     pub dropped: u64,
     /// High-water mark of the queue depth.
     pub max_depth: u64,
-}
-
-impl QueueDepthStats {
-    /// Empty gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold another queue's gauges into this one: counters add, the
-    /// high-water mark takes the maximum.
-    pub fn merge(&mut self, other: &QueueDepthStats) {
-        self.enqueued += other.enqueued;
-        self.dropped += other.dropped;
-        self.max_depth = self.max_depth.max(other.max_depth);
-    }
 }
 
 #[cfg(test)]
@@ -214,31 +197,6 @@ mod tests {
             next = hi.wrapping_add(1);
         }
         assert_eq!(next, 0, "the last bucket ends at u64::MAX");
-    }
-
-    #[test]
-    fn queue_depth_stats_merge() {
-        let mut a = QueueDepthStats {
-            enqueued: 10,
-            dropped: 2,
-            max_depth: 7,
-        };
-        let b = QueueDepthStats {
-            enqueued: 5,
-            dropped: 0,
-            max_depth: 12,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            QueueDepthStats {
-                enqueued: 15,
-                dropped: 2,
-                max_depth: 12,
-            }
-        );
-        a.merge(&QueueDepthStats::new());
-        assert_eq!(a.enqueued, 15);
     }
 
     #[test]

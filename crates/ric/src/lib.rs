@@ -27,12 +27,6 @@ pub mod comm;
 pub mod e2;
 pub mod ric;
 
-/// The mailbox read's outcome under its former path, kept so
-/// `waran_ric::link::RecvOutcome` imports still resolve.
-pub mod link {
-    pub use crate::bus::RecvOutcome;
-}
-
 pub use bus::{
     ActionBatch, CellPort, DeliveryMode, RecvOutcome, RicBus, RicService, ServiceReport,
 };

@@ -56,7 +56,7 @@ use crate::instance::PAGE_FUEL;
 use crate::interp::Value;
 use crate::module::{ExportKind, Module};
 use crate::ops::{I32Op, UnOp};
-use crate::regalloc::{lower_func, ROp, RegFunc};
+use crate::regalloc::{lower_func, RForm, RegFunc};
 use crate::types::MAX_PAGES;
 use crate::validate::ValidateError;
 
@@ -280,36 +280,37 @@ impl Facts {
 
     /// Record a register op's class, call and branch edges, over the same
     /// payload types as [`Facts::tally_flat`].
-    fn tally_reg(&mut self, op: ROp) {
+    fn tally_reg(&mut self, op: RForm) {
         let c = &mut self.counts;
         match op {
-            ROp::Load { .. } | ROp::LoadAt { .. } | ROp::LoadRR { .. } | ROp::LoadBis { .. } => {
-                c.load += 1
-            }
-            ROp::Store { .. }
-            | ROp::StoreAt { .. }
-            | ROp::StoreRR { .. }
-            | ROp::StoreBis { .. }
-            | ROp::StoreCAt { .. } => c.store += 1,
-            ROp::MemorySize { .. } => c.msize += 1,
-            ROp::MemoryGrow { .. } => c.mgrow += 1,
-            ROp::MemoryCopy { .. } => c.mcopy += 1,
-            ROp::MemoryFill { .. } => c.mfill += 1,
-            ROp::Unreachable => c.unreach += 1,
-            ROp::GlobalGet { .. } => c.gget += 1,
-            ROp::GlobalSet { .. } => c.gset += 1,
-            ROp::I64Bin { .. } => c.i64bin += 1,
-            ROp::Bin { .. } => c.bin += 1,
-            ROp::Un { .. } => c.un += 1,
-            ROp::CallWasm { f, .. } => self.calls.push(Call::Wasm(f)),
-            ROp::CallHost { f, argc, ret, .. } => self.calls.push(Call::Host(f, argc, ret)),
-            ROp::CallIndirect { ty, .. } => self.calls.push(Call::Indirect(ty)),
-            ROp::Br(b)
-            | ROp::BrIf { br: b, .. }
-            | ROp::BrIfZ { br: b, .. }
-            | ROp::BrIfCmp { br: b, .. }
-            | ROp::BrIfCmpC { br: b, .. } => self.edges.push(b),
-            ROp::BrTable { start, n, .. } => self.edges.extend(start..=start + n),
+            RForm::Load { .. }
+            | RForm::LoadAt { .. }
+            | RForm::LoadRR { .. }
+            | RForm::LoadBis { .. } => c.load += 1,
+            RForm::Store { .. }
+            | RForm::StoreAt { .. }
+            | RForm::StoreRR { .. }
+            | RForm::StoreBis { .. }
+            | RForm::StoreCAt { .. } => c.store += 1,
+            RForm::MemorySize { .. } => c.msize += 1,
+            RForm::MemoryGrow { .. } => c.mgrow += 1,
+            RForm::MemoryCopy { .. } => c.mcopy += 1,
+            RForm::MemoryFill { .. } => c.mfill += 1,
+            RForm::Unreachable => c.unreach += 1,
+            RForm::GlobalGet { .. } => c.gget += 1,
+            RForm::GlobalSet { .. } => c.gset += 1,
+            RForm::I64Bin { .. } => c.i64bin += 1,
+            RForm::Bin { .. } => c.bin += 1,
+            RForm::Un { .. } => c.un += 1,
+            RForm::CallWasm { f, .. } => self.calls.push(Call::Wasm(f)),
+            RForm::CallHost { f, argc, ret, .. } => self.calls.push(Call::Host(f, argc, ret)),
+            RForm::CallIndirect { ty, .. } => self.calls.push(Call::Indirect(ty)),
+            RForm::Br { br: b }
+            | RForm::BrIf { br: b, .. }
+            | RForm::BrIfZ { br: b, .. }
+            | RForm::BrIfCmp { br: b, .. }
+            | RForm::BrIfCmpC { br: b, .. } => self.edges.push(b),
+            RForm::BrTable { start, n, .. } => self.edges.extend(start..=start + n),
             _ => {}
         }
     }
@@ -540,7 +541,10 @@ fn reg_walk(
     let trampoline = match shape.exit_pc {
         Some(pc) => {
             let q = rf.pc_map[pc] as usize;
-            if !matches!(rf.ops.get(q), Some(ROp::Return { .. })) {
+            if !matches!(
+                rf.ops.get(q).map(|op| op.view()),
+                Some(RForm::Return { .. })
+            ) {
                 return Err(mismatch(func, pc, "exit branch misses the trampoline"));
             }
             Some(q)
@@ -553,14 +557,14 @@ fn reg_walk(
     let mut windows = Vec::new();
     let mut open = false;
     let mut alive = true;
-    for (q, &op) in rf.ops.iter().enumerate() {
-        if matches!(op, ROp::Meter { .. }) || Some(q) == trampoline {
+    for (q, op) in rf.ops.iter().map(|op| op.view()).enumerate() {
+        if matches!(op, RForm::Meter { .. }) || Some(q) == trampoline {
             if let Some(b) = blocks.last_mut().filter(|_| open) {
                 b.falls = alive;
             }
             open = false;
         }
-        if let ROp::Meter { cost } = op {
+        if let RForm::Meter { cost } = op {
             blocks.push(Facts {
                 start: q,
                 cost,
@@ -584,10 +588,11 @@ fn reg_walk(
         };
         b.tally_reg(op);
         match op {
-            ROp::CallWasm { f, base } => windows.push((f, base)),
-            ROp::Unreachable | ROp::Br(_) | ROp::BrTable { .. } | ROp::Return { .. } => {
-                alive = false
-            }
+            RForm::CallWasm { f, base } => windows.push((f, base)),
+            RForm::Unreachable
+            | RForm::Br { .. }
+            | RForm::BrTable { .. }
+            | RForm::Return { .. } => alive = false,
             _ => {}
         }
     }
@@ -1575,6 +1580,7 @@ fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regalloc::ROp;
 
     fn module(src: &str) -> Module {
         let bytes = waran_wat::assemble(src).expect("wat assembles");
@@ -2089,12 +2095,12 @@ mod tests {
             .iter()
             .position(|o| {
                 matches!(
-                    o,
-                    ROp::Store { .. }
-                        | ROp::StoreAt { .. }
-                        | ROp::StoreRR { .. }
-                        | ROp::StoreBis { .. }
-                        | ROp::StoreCAt { .. }
+                    o.view(),
+                    RForm::Store { .. }
+                        | RForm::StoreAt { .. }
+                        | RForm::StoreRR { .. }
+                        | RForm::StoreBis { .. }
+                        | RForm::StoreCAt { .. }
                 )
             })
             .expect("has a store");
@@ -2151,8 +2157,11 @@ mod tests {
         rf.ops = ops.into_boxed_slice();
     }
 
-    fn reg_pc(rf: &RegFunc, what: impl Fn(&ROp) -> bool) -> usize {
-        rf.ops.iter().position(what).expect("op present")
+    fn reg_pc(rf: &RegFunc, what: impl Fn(&RForm) -> bool) -> usize {
+        rf.ops
+            .iter()
+            .position(|o| what(&o.view()))
+            .expect("op present")
     }
 
     /// Why the proof refuses function 0's lowering `rf`.
@@ -2168,7 +2177,7 @@ mod tests {
         let m = loop_module();
         let (cf, mut rf) = flat_and_reg(&m);
         let store = rf.ops[reg_pc(&rf, |o| {
-            matches!(o, ROp::StoreAt { .. } | ROp::Store { .. })
+            matches!(o, RForm::StoreAt { .. } | RForm::Store { .. })
         })];
         splice(&mut rf, 0, Some(store));
         assert_eq!(
@@ -2182,11 +2191,13 @@ mod tests {
         // The loop exit's compare-and-branch takes the back edge instead.
         let m = loop_module();
         let (cf, mut rf) = flat_and_reg(&m);
-        let at = reg_pc(&rf, |o| matches!(o, ROp::BrIfCmp { br: 0, .. }));
+        let at = reg_pc(&rf, |o| matches!(o, RForm::BrIfCmp { br: 0, .. }));
         let mut ops = rf.ops.to_vec();
-        if let ROp::BrIfCmp { br, .. } = &mut ops[at] {
+        let mut form = ops[at].view();
+        if let RForm::BrIfCmp { br, .. } = &mut form {
             *br = 1;
         }
+        ops[at] = ROp::new(form);
         rf.ops = ops.into_boxed_slice();
         assert_eq!(
             refusal(&m, &cf, &rf),
@@ -2198,7 +2209,7 @@ mod tests {
     fn dropped_back_edge_is_rejected() {
         let m = loop_module();
         let (cf, mut rf) = flat_and_reg(&m);
-        let at = reg_pc(&rf, |o| matches!(o, ROp::Br(1)));
+        let at = reg_pc(&rf, |o| matches!(o, RForm::Br { br: 1 }));
         splice(&mut rf, at, None);
         assert_eq!(
             refusal(&m, &cf, &rf),
@@ -2220,7 +2231,7 @@ mod tests {
                  i32.const 9))"#,
         );
         let (cf, mut rf) = flat_and_reg(&m);
-        let at = reg_pc(&rf, |o| matches!(o, ROp::Return { .. }));
+        let at = reg_pc(&rf, |o| matches!(o, RForm::Return { .. }));
         splice(&mut rf, at, None);
         assert_eq!(refusal(&m, &cf, &rf), "fall-through diverges across tiers");
     }

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::module::Module;
-use crate::regalloc::{RBranch, ROp, RegFunc};
+use crate::regalloc::{RBranch, RForm, RegFunc};
 
 /// Render the register code every function of `module` runs, as the
 /// proof checked it ([`Module::analysis`]), as a stable, line-oriented
@@ -34,7 +34,7 @@ pub fn disassemble_reg(module: &Module) -> String {
             rf.frame_size
         );
         for (pc, op) in rf.ops.iter().enumerate() {
-            let _ = writeln!(out, "  {pc:>4}  {}", render_rop(op, rf));
+            let _ = writeln!(out, "  {pc:>4}  {}", render_rop(op.view(), rf));
         }
     }
     out
@@ -50,56 +50,56 @@ fn render_rbranch(rb: &RBranch) -> String {
 }
 
 /// Render one register-form op. One line, stable format.
-fn render_rop(op: &ROp, rf: &RegFunc) -> String {
+fn render_rop(op: RForm, rf: &RegFunc) -> String {
     let br = |bi: u32| render_rbranch(&rf.branches[bi as usize]);
-    match *op {
-        ROp::Meter { cost } => format!("meter cost={cost}"),
-        ROp::Unreachable => "unreachable".into(),
-        ROp::Br(b) => format!("br {}", br(b)),
-        ROp::BrIf { cond, br: b } => format!("br_if r{cond} {}", br(b)),
-        ROp::BrIfZ { cond, br: b } => format!("br_ifz r{cond} {}", br(b)),
-        ROp::BrIfCmp { op, a, b, br: bi } => {
+    match op {
+        RForm::Meter { cost } => format!("meter cost={cost}"),
+        RForm::Unreachable => "unreachable".into(),
+        RForm::Br { br: b } => format!("br {}", br(b)),
+        RForm::BrIf { cond, br: b } => format!("br_if r{cond} {}", br(b)),
+        RForm::BrIfZ { cond, br: b } => format!("br_ifz r{cond} {}", br(b)),
+        RForm::BrIfCmp { op, a, b, br: bi } => {
             format!("br_if (i32.{op:?} r{a} r{b}) {}", br(bi))
         }
-        ROp::BrIfCmpC { op, a, k, br: bi } => {
+        RForm::BrIfCmpC { op, a, k, br: bi } => {
             format!("br_if (i32.{op:?} r{a} {k}) {}", br(bi))
         }
-        ROp::BrTable { sel, start, n } => {
+        RForm::BrTable { sel, start, n } => {
             let arms: Vec<String> = (start..=start + n).map(br).collect();
             format!("br_table r{sel} [{}]", arms.join(", "))
         }
-        ROp::Return { src } => format!("return r{src}"),
-        ROp::CallWasm { f, base } => format!("call $f{f} window=r{base}"),
-        ROp::CallHost { f, base, argc, ret } => {
+        RForm::Return { src } => format!("return r{src}"),
+        RForm::CallWasm { f, base } => format!("call $f{f} window=r{base}"),
+        RForm::CallHost { f, base, argc, ret } => {
             format!("call_host {f} window=r{base} argc={argc} ret={ret}")
         }
-        ROp::CallIndirect { ty, base } => {
+        RForm::CallIndirect { ty, base } => {
             format!("call_indirect (type {ty}) window=r{base}")
         }
-        ROp::Copy { dst, src } => format!("r{dst} = r{src}"),
-        ROp::ConstI32 { dst, k } => format!("r{dst} = i32.const {k}"),
-        ROp::Const { dst, idx } => {
+        RForm::Copy { dst, src } => format!("r{dst} = r{src}"),
+        RForm::ConstI32 { dst, k } => format!("r{dst} = i32.const {k}"),
+        RForm::Const { dst, idx } => {
             format!("r{dst} = const[{idx}] ; {:?}", rf.consts[idx as usize])
         }
-        ROp::Select { dst, cond, b } => {
+        RForm::Select { dst, cond, b } => {
             format!("r{dst} = select r{cond} ? r{dst} : r{b}")
         }
-        ROp::GlobalGet { dst, g } => format!("r{dst} = global.get {g}"),
-        ROp::GlobalSet { g, src } => format!("global.set {g} = r{src}"),
-        ROp::MemorySize { dst } => format!("r{dst} = memory.size"),
-        ROp::MemoryGrow { dst, delta } => format!("r{dst} = memory.grow r{delta}"),
-        ROp::MemoryCopy { dst, src, len } => {
+        RForm::GlobalGet { dst, g } => format!("r{dst} = global.get {g}"),
+        RForm::GlobalSet { g, src } => format!("global.set {g} = r{src}"),
+        RForm::MemorySize { dst } => format!("r{dst} = memory.size"),
+        RForm::MemoryGrow { dst, delta } => format!("r{dst} = memory.grow r{delta}"),
+        RForm::MemoryCopy { dst, src, len } => {
             format!("memory.copy r{dst} r{src} r{len}")
         }
-        ROp::MemoryFill { dst, val, len } => {
+        RForm::MemoryFill { dst, val, len } => {
             format!("memory.fill r{dst} r{val} r{len}")
         }
-        ROp::I32Bin { op, dst, a, b } => format!("r{dst} = i32.{op:?} r{a} r{b}"),
-        ROp::I32BinC { op, dst, a, k } => format!("r{dst} = i32.{op:?} r{a} {k}"),
-        ROp::I64Bin { op, dst, a, b } => format!("r{dst} = {op:?} r{a} r{b}"),
-        ROp::Bin { op, dst, a, b } => format!("r{dst} = {op:?} r{a} r{b}"),
-        ROp::Un { op, dst, a } => format!("r{dst} = {op:?} r{a}"),
-        ROp::Load {
+        RForm::I32Bin { op, dst, a, b } => format!("r{dst} = i32.{op:?} r{a} r{b}"),
+        RForm::I32BinC { op, dst, a, k } => format!("r{dst} = i32.{op:?} r{a} {k}"),
+        RForm::I64Bin { op, dst, a, b } => format!("r{dst} = {op:?} r{a} r{b}"),
+        RForm::Bin { op, dst, a, b } => format!("r{dst} = {op:?} r{a} r{b}"),
+        RForm::Un { op, dst, a } => format!("r{dst} = {op:?} r{a}"),
+        RForm::Load {
             kind,
             dst,
             addr,
@@ -107,7 +107,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("r{dst} = load.{kind:?} [r{addr}+{off}]")
         }
-        ROp::Store {
+        RForm::Store {
             kind,
             addr,
             val,
@@ -115,7 +115,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("store.{kind:?} [r{addr}+{off}] = r{val}")
         }
-        ROp::LoadAt {
+        RForm::LoadAt {
             kind,
             dst,
             a,
@@ -124,7 +124,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("r{dst} = load.{kind:?} [r{a}{k:+}+{off}]")
         }
-        ROp::LoadRR {
+        RForm::LoadRR {
             kind,
             dst,
             a,
@@ -133,7 +133,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("r{dst} = load.{kind:?} [r{a}+r{b}+{off}]")
         }
-        ROp::StoreAt {
+        RForm::StoreAt {
             kind,
             a,
             k,
@@ -142,7 +142,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("store.{kind:?} [r{a}{k:+}+{off}] = r{val}")
         }
-        ROp::StoreRR {
+        RForm::StoreRR {
             kind,
             a,
             b,
@@ -151,7 +151,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("store.{kind:?} [r{a}+r{b}+{off}] = r{val}")
         }
-        ROp::LoadBis {
+        RForm::LoadBis {
             kind,
             dst,
             a,
@@ -162,7 +162,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("r{dst} = load.{kind:?} [r{a}+(r{b}<<{sh}){k:+}+{off}]")
         }
-        ROp::StoreBis {
+        RForm::StoreBis {
             kind,
             a,
             b,
@@ -173,7 +173,7 @@ fn render_rop(op: &ROp, rf: &RegFunc) -> String {
         } => {
             format!("store.{kind:?} [r{a}+(r{b}<<{sh}){k:+}+{off}] = r{val}")
         }
-        ROp::StoreCAt { kind, a, k, v, off } => {
+        RForm::StoreCAt { kind, a, k, v, off } => {
             format!("store.{kind:?} [r{a}{k:+}+{off}] = const {v:#x}")
         }
     }

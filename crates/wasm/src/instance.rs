@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::interp::{Memory, Table, Value};
 use crate::module::{ConstExpr, ExportKind, ImportKind, Module};
-use crate::ops::{LoadKind, StoreKind};
-use crate::regalloc::{ROp, RegFunc};
+use crate::ops::{BinOp, I32Op, LoadKind, StoreKind, UnOp};
+use crate::regalloc::{with_families, ROp, RegFunc};
 use crate::trap::Trap;
 use crate::types::{FuncType, Limits, Mutability, ValType, MAX_PAGES, PAGE_SIZE};
 
@@ -919,231 +919,208 @@ impl Vm {
             loop {
                 let op = ops[pc];
                 pc += 1;
-                match op {
-                    ROp::Meter { cost } => {
-                        if self.fuel < cost as u64 {
-                            // A per-instruction meter would retire exactly
-                            // the remaining fuel before trapping.
-                            self.stats.instrs += self.fuel;
-                            self.fuel = 0;
-                            return Err(Trap::OutOfFuel);
+                // One arm per tag, so each op costs one indirect jump: the
+                // fixed ops, then a generated arm per row of each
+                // flattened family (`regalloc::with_families!`) that calls
+                // its row's `eval` (a memory cell: `mem_load`/`mem_store`
+                // with the cell's first row) on a constant operator.
+                macro_rules! dispatch {
+                    (
+                        LoadCells { $( $lc:ident [$($_lk:ident)+] )+ }
+                        StoreCells { $( $sc:ident [$($_sk:ident)+] )+ }
+                        I32Bin(I32Op) { $($i32:ident)+ }
+                        I64Bin(I64Op) { $($_i64:ident)+ }
+                        Bin(BinOp) { $($bin:ident)+ }
+                        Un(UnOp) { $($un:ident)+ }
+                        Load(LoadKind) { $($_load:ident)+ }
+                        Store(StoreKind) { $($_store:ident)+ }
+                    ) => { paste::paste! { match op {
+                        ROp::Meter { cost } => {
+                            if self.fuel < cost as u64 {
+                                // A per-instruction meter would retire
+                                // exactly the remaining fuel before
+                                // trapping.
+                                self.stats.instrs += self.fuel;
+                                self.fuel = 0;
+                                return Err(Trap::OutOfFuel);
+                            }
+                            self.fuel -= cost as u64;
+                            self.stats.instrs += cost as u64;
                         }
-                        self.fuel -= cost as u64;
-                        self.stats.instrs += cost as u64;
-                    }
-                    ROp::Unreachable => return Err(Trap::Unreachable),
-                    ROp::Br(b) => pc = rbranch_to!(b),
-                    ROp::BrIf { cond, br } => {
-                        if r32!(cond) != 0 {
-                            pc = rbranch_to!(br);
+                        ROp::Unreachable => return Err(Trap::Unreachable),
+                        ROp::Br { br } => pc = rbranch_to!(br),
+                        ROp::BrIf { cond, br } => {
+                            if r32!(cond) != 0 {
+                                pc = rbranch_to!(br);
+                            }
                         }
-                    }
-                    ROp::BrIfZ { cond, br } => {
-                        if r32!(cond) == 0 {
-                            pc = rbranch_to!(br);
+                        ROp::BrIfZ { cond, br } => {
+                            if r32!(cond) == 0 {
+                                pc = rbranch_to!(br);
+                            }
                         }
-                    }
-                    ROp::BrIfCmp { op, a, b, br } => {
-                        if op.eval(r32!(a), r32!(b)) != 0 {
-                            pc = rbranch_to!(br);
+                        ROp::BrTable { sel, start, n } => {
+                            let s = (r32!(sel) as u32).min(n);
+                            pc = rbranch_to!(start + s);
                         }
-                    }
-                    ROp::BrIfCmpC { op, a, k, br } => {
-                        if op.eval(r32!(a), k) != 0 {
-                            pc = rbranch_to!(br);
+                        ROp::Return { src } => {
+                            if rf.ret_arity == 1 {
+                                regs[base] = regs[base + src as usize];
+                            }
+                            frames.pop();
+                            if frames.is_empty() {
+                                return Ok(());
+                            }
+                            continue 'frames;
                         }
-                    }
-                    ROp::BrTable { sel, start, n } => {
-                        let s = (r32!(sel) as u32).min(n);
-                        pc = rbranch_to!(start + s);
-                    }
-                    ROp::Return { src } => {
-                        if rf.ret_arity == 1 {
-                            regs[base] = regs[base + src as usize];
+                        ROp::CallWasm { f, base: wbase } => enter!(f, base + wbase as usize),
+                        // Arity and result type come from the import's own
+                        // signature, not from the op.
+                        ROp::CallHost { f, base: wbase, .. } => {
+                            self.call_host_reg(host_funcs, data, f, regs, base + wbase as usize)?
                         }
-                        frames.pop();
-                        if frames.is_empty() {
-                            return Ok(());
+                        ROp::CallIndirect { ty, base: wbase } => {
+                            let abs = base + wbase as usize;
+                            let expected = &module.types[ty as usize];
+                            let argc = expected.params.len();
+                            let idx = regs[abs + argc] as u32;
+                            let func = self.table.get(idx)?;
+                            let actual =
+                                module.func_type(func).ok_or(Trap::UninitializedElement)?;
+                            if actual != expected {
+                                return Err(Trap::IndirectCallTypeMismatch);
+                            }
+                            if func < n_imports {
+                                self.call_host_reg(host_funcs, data, func, regs, abs)?;
+                            } else {
+                                enter!(func - n_imports, abs);
+                            }
                         }
-                        continue 'frames;
-                    }
-                    ROp::CallWasm { f, base: wbase } => enter!(f, base + wbase as usize),
-                    // Arity and result type come from the import's own
-                    // signature, not from the op.
-                    ROp::CallHost { f, base: wbase, .. } => {
-                        self.call_host_reg(host_funcs, data, f, regs, base + wbase as usize)?
-                    }
-                    ROp::CallIndirect { ty, base: wbase } => {
-                        let abs = base + wbase as usize;
-                        let expected = &module.types[ty as usize];
-                        let argc = expected.params.len();
-                        let idx = regs[abs + argc] as u32;
-                        let func = self.table.get(idx)?;
-                        let actual = module.func_type(func).ok_or(Trap::UninitializedElement)?;
-                        if actual != expected {
-                            return Err(Trap::IndirectCallTypeMismatch);
+                        ROp::Copy { dst, src } => reg!(dst) = reg!(src),
+                        ROp::ConstI32 { dst, k } => w32!(dst, k),
+                        ROp::Const { dst, idx } => reg!(dst) = consts[idx as usize].to_bits(),
+                        ROp::Select { dst, cond, b } => {
+                            // `dst` already holds the true-arm value.
+                            if r32!(cond) == 0 {
+                                reg!(dst) = reg!(b);
+                            }
                         }
-                        if func < n_imports {
-                            self.call_host_reg(host_funcs, data, func, regs, abs)?;
-                        } else {
-                            enter!(func - n_imports, abs);
+                        ROp::GlobalGet { dst, g } => {
+                            reg!(dst) = self.globals[g as usize].to_bits()
                         }
-                    }
-                    ROp::Copy { dst, src } => reg!(dst) = reg!(src),
-                    ROp::ConstI32 { dst, k } => w32!(dst, k),
-                    ROp::Const { dst, idx } => reg!(dst) = consts[idx as usize].to_bits(),
-                    ROp::Select { dst, cond, b } => {
-                        // `dst` already holds the true-arm value.
-                        if r32!(cond) == 0 {
-                            reg!(dst) = reg!(b);
+                        ROp::GlobalSet { g, src } => {
+                            let global = &mut self.globals[g as usize];
+                            *global = Value::from_bits(global.ty(), reg!(src));
                         }
-                    }
-                    ROp::GlobalGet { dst, g } => reg!(dst) = self.globals[g as usize].to_bits(),
-                    ROp::GlobalSet { g, src } => {
-                        let global = &mut self.globals[g as usize];
-                        *global = Value::from_bits(global.ty(), reg!(src));
-                    }
-                    ROp::MemorySize { dst } => w32!(dst, self.memory.size_pages()),
-                    // A grow the cap allows zeroes `delta` pages, so it
-                    // pays for their bytes like a bulk op, before a page
-                    // is added; one the cap refuses pays only its unit.
-                    ROp::MemoryGrow { dst, delta } => {
-                        let delta = r32!(delta) as u32;
-                        let pages = self.memory.size_pages();
-                        let result = if u64::from(pages) + u64::from(delta)
-                            <= u64::from(self.memory.max_pages())
-                        {
-                            self.pay(u64::from(delta) * PAGE_FUEL)?;
-                            self.memory.grow(delta).map_or(-1, |p| p as i32)
-                        } else {
-                            -1
-                        };
-                        w32!(dst, result);
-                    }
-                    ROp::MemoryCopy { dst, src, len } => {
-                        let (dst, src, len) =
-                            (r32!(dst) as u32, r32!(src) as u32, r32!(len) as u32);
-                        self.memory.check(src, 0, len)?;
-                        self.memory.check(dst, 0, len)?;
-                        self.pay_bytes(len)?;
-                        self.memory.copy(dst, src, len)?;
-                    }
-                    ROp::MemoryFill { dst, val, len } => {
-                        let (dst, len) = (r32!(dst) as u32, r32!(len) as u32);
-                        self.memory.check(dst, 0, len)?;
-                        self.pay_bytes(len)?;
-                        self.memory.fill(dst, r32!(val) as u8, len)?;
-                    }
-                    ROp::I32Bin { op, dst, a, b } => w32!(dst, op.eval(r32!(a), r32!(b))),
-                    ROp::I32BinC { op, dst, a, k } => w32!(dst, op.eval(r32!(a), k)),
-                    ROp::I64Bin { op, dst, a, b } => {
-                        reg!(dst) = op.eval(reg!(a) as i64, reg!(b) as i64).to_bits();
-                    }
-                    ROp::Bin { op, dst, a, b } => {
-                        let ty = op.operand_ty();
-                        let (a, b) = (Value::from_bits(ty, reg!(a)), Value::from_bits(ty, reg!(b)));
-                        reg!(dst) = op.eval(a, b)?.to_bits();
-                    }
-                    ROp::Un { op, dst, a } => {
-                        let a = Value::from_bits(op.operand_ty(), reg!(a));
-                        reg!(dst) = op.eval(a)?.to_bits();
-                    }
-                    ROp::Load {
-                        kind,
-                        dst,
-                        addr,
-                        off,
-                    } => {
-                        let a = r32!(addr) as u32;
-                        reg!(dst) = self.mem_load(kind, a, off)?;
-                    }
-                    ROp::Store {
-                        kind,
-                        addr,
-                        val,
-                        off,
-                    } => {
-                        let v = reg!(val);
-                        let a = r32!(addr) as u32;
-                        self.mem_store(kind, a, off, v)?;
-                    }
-                    ROp::LoadAt {
-                        kind,
-                        dst,
-                        a,
-                        k,
-                        off,
-                    } => {
-                        let a = r32!(a).wrapping_add(k) as u32;
-                        reg!(dst) = self.mem_load(kind, a, off)?;
-                    }
-                    ROp::LoadRR {
-                        kind,
-                        dst,
-                        a,
-                        b,
-                        off,
-                    } => {
-                        let a = r32!(a).wrapping_add(r32!(b)) as u32;
-                        reg!(dst) = self.mem_load(kind, a, off)?;
-                    }
-                    ROp::StoreAt {
-                        kind,
-                        a,
-                        k,
-                        val,
-                        off,
-                    } => {
-                        let v = reg!(val);
-                        let a = r32!(a).wrapping_add(k) as u32;
-                        self.mem_store(kind, a, off, v)?;
-                    }
-                    ROp::StoreRR {
-                        kind,
-                        a,
-                        b,
-                        val,
-                        off,
-                    } => {
-                        let v = reg!(val);
-                        let a = r32!(a).wrapping_add(r32!(b)) as u32;
-                        self.mem_store(kind, a, off, v)?;
-                    }
-                    ROp::LoadBis {
-                        kind,
-                        dst,
-                        a,
-                        b,
-                        sh,
-                        k,
-                        off,
-                    } => {
-                        let a = r32!(a)
-                            .wrapping_add(r32!(b).wrapping_shl(sh as u32))
-                            .wrapping_add(k as i32) as u32;
-                        reg!(dst) = self.mem_load(kind, a, off)?;
-                    }
-                    ROp::StoreBis {
-                        kind,
-                        a,
-                        b,
-                        sh,
-                        k,
-                        val,
-                        off,
-                    } => {
-                        let v = reg!(val);
-                        let a = r32!(a)
-                            .wrapping_add(r32!(b).wrapping_shl(sh as u32))
-                            .wrapping_add(k as i32) as u32;
-                        self.mem_store(kind, a, off, v)?;
-                    }
-                    // `v` is already the raw cell (i32 value or f32 bits).
-                    ROp::StoreCAt { kind, a, k, v, off } => {
-                        let a = r32!(a).wrapping_add(k) as u32;
-                        self.mem_store(kind, a, off, v as u64)?;
-                    }
+                        ROp::MemorySize { dst } => w32!(dst, self.memory.size_pages()),
+                        // A grow the cap allows zeroes `delta` pages, so it
+                        // pays for their bytes like a bulk op, before a
+                        // page is added; one the cap refuses pays only its
+                        // unit.
+                        ROp::MemoryGrow { dst, delta } => {
+                            let delta = r32!(delta) as u32;
+                            let pages = self.memory.size_pages();
+                            let result = if u64::from(pages) + u64::from(delta)
+                                <= u64::from(self.memory.max_pages())
+                            {
+                                self.pay(u64::from(delta) * PAGE_FUEL)?;
+                                self.memory.grow(delta).map_or(-1, |p| p as i32)
+                            } else {
+                                -1
+                            };
+                            w32!(dst, result);
+                        }
+                        ROp::MemoryCopy { dst, src, len } => {
+                            let (dst, src, len) =
+                                (r32!(dst) as u32, r32!(src) as u32, r32!(len) as u32);
+                            self.memory.check(src, 0, len)?;
+                            self.memory.check(dst, 0, len)?;
+                            self.pay_bytes(len)?;
+                            self.memory.copy(dst, src, len)?;
+                        }
+                        ROp::MemoryFill { dst, val, len } => {
+                            let (dst, len) = (r32!(dst) as u32, r32!(len) as u32);
+                            self.memory.check(dst, 0, len)?;
+                            self.pay_bytes(len)?;
+                            self.memory.fill(dst, r32!(val) as u8, len)?;
+                        }
+                        ROp::I64Bin { op, dst, a, b } => {
+                            reg!(dst) = op.eval(reg!(a) as i64, reg!(b) as i64).to_bits();
+                        }
+                        $( ROp::[<BrIfCmp $i32>] { a, b, br } => {
+                            if I32Op::$i32.eval(r32!(a), r32!(b)) != 0 {
+                                pc = rbranch_to!(br);
+                            }
+                        } )+
+                        $( ROp::[<BrIfCmpC $i32>] { a, k, br } => {
+                            if I32Op::$i32.eval(r32!(a), k) != 0 {
+                                pc = rbranch_to!(br);
+                            }
+                        } )+
+                        $( ROp::[<I32Bin $i32>] { dst, a, b } => {
+                            w32!(dst, I32Op::$i32.eval(r32!(a), r32!(b)))
+                        } )+
+                        $( ROp::[<I32BinC $i32>] { dst, a, k } => {
+                            w32!(dst, I32Op::$i32.eval(r32!(a), k))
+                        } )+
+                        $( ROp::[<Bin $bin>] { dst, a, b } => {
+                            let ty = BinOp::$bin.operand_ty();
+                            let (a, b) = (Value::from_bits(ty, reg!(a)), Value::from_bits(ty, reg!(b)));
+                            reg!(dst) = BinOp::$bin.eval(a, b)?.to_bits();
+                        } )+
+                        $( ROp::[<Un $un>] { dst, a } => {
+                            let a = Value::from_bits(UnOp::$un.operand_ty(), reg!(a));
+                            reg!(dst) = UnOp::$un.eval(a)?.to_bits();
+                        } )+
+                        $( ROp::[<Load $lc>] { dst, addr, off, .. } => {
+                            let a = r32!(addr) as u32;
+                            reg!(dst) = self.mem_load(LoadKind::$lc, a, off)?;
+                        } )+
+                        $( ROp::[<LoadAt $lc>] { dst, a, k, off, .. } => {
+                            let a = r32!(a).wrapping_add(k) as u32;
+                            reg!(dst) = self.mem_load(LoadKind::$lc, a, off)?;
+                        } )+
+                        $( ROp::[<LoadRR $lc>] { dst, a, b, off, .. } => {
+                            let a = r32!(a).wrapping_add(r32!(b)) as u32;
+                            reg!(dst) = self.mem_load(LoadKind::$lc, a, off)?;
+                        } )+
+                        $( ROp::[<LoadBis $lc>] { dst, a, b, sh, k, off, .. } => {
+                            let a = r32!(a)
+                                .wrapping_add(r32!(b).wrapping_shl(sh as u32))
+                                .wrapping_add(k as i32) as u32;
+                            reg!(dst) = self.mem_load(LoadKind::$lc, a, off)?;
+                        } )+
+                        $( ROp::[<Store $sc>] { addr, val, off, .. } => {
+                            let v = reg!(val);
+                            let a = r32!(addr) as u32;
+                            self.mem_store(StoreKind::$sc, a, off, v)?;
+                        } )+
+                        $( ROp::[<StoreAt $sc>] { a, k, val, off, .. } => {
+                            let v = reg!(val);
+                            let a = r32!(a).wrapping_add(k) as u32;
+                            self.mem_store(StoreKind::$sc, a, off, v)?;
+                        } )+
+                        $( ROp::[<StoreRR $sc>] { a, b, val, off, .. } => {
+                            let v = reg!(val);
+                            let a = r32!(a).wrapping_add(r32!(b)) as u32;
+                            self.mem_store(StoreKind::$sc, a, off, v)?;
+                        } )+
+                        $( ROp::[<StoreBis $sc>] { a, b, sh, k, val, off, .. } => {
+                            let v = reg!(val);
+                            let a = r32!(a)
+                                .wrapping_add(r32!(b).wrapping_shl(sh as u32))
+                                .wrapping_add(k as i32) as u32;
+                            self.mem_store(StoreKind::$sc, a, off, v)?;
+                        } )+
+                        // `v` is already the raw cell (i32 value or f32
+                        // bits).
+                        $( ROp::[<StoreCAt $sc>] { a, k, v, off, .. } => {
+                            let a = r32!(a).wrapping_add(k) as u32;
+                            self.mem_store(StoreKind::$sc, a, off, v as u64)?;
+                        } )+
+                    } } };
                 }
+                with_families!(dispatch);
             }
         }
     }

@@ -72,6 +72,7 @@ impl Value {
 
     /// Extract an i32; panics on type confusion (validated code cannot
     /// trigger this).
+    #[inline]
     pub fn as_i32(self) -> i32 {
         match self {
             Value::I32(v) => v,
@@ -80,6 +81,7 @@ impl Value {
     }
 
     /// Extract an i64.
+    #[inline]
     pub fn as_i64(self) -> i64 {
         match self {
             Value::I64(v) => v,
@@ -88,6 +90,7 @@ impl Value {
     }
 
     /// Extract an f32.
+    #[inline]
     pub fn as_f32(self) -> f32 {
         match self {
             Value::F32(v) => v,
@@ -96,6 +99,7 @@ impl Value {
     }
 
     /// Extract an f64.
+    #[inline]
     pub fn as_f64(self) -> f64 {
         match self {
             Value::F64(v) => v,

@@ -15,10 +15,12 @@
 //! [`Instr`] carries the payloads decoded, the flat
 //! [`Op`](crate::compile::Op) moves them over unchanged, the register
 //! lowering ([`crate::regalloc`]) copies them into the
-//! [`ROp`](crate::regalloc::ROp) that executes, and the analyzer
-//! ([`crate::analysis`]) counts both sides on the same types. Their
-//! `eval`s live here too, so a new operator is one table row, one `eval`
-//! arm and one arm in the test oracle.
+//! [`RForm`](crate::regalloc::RForm) it builds, and the analyzer
+//! ([`crate::analysis`]) counts both sides on the same types. The
+//! [`ROp`](crate::regalloc::ROp) that executes carries a hot family's
+//! operator in its tag, generated from this table's rows. Their `eval`s
+//! live here too, so a new operator is one table row, one `eval` arm and
+//! one arm in the test oracle.
 
 use crate::builder::CodeEmitter;
 use crate::instance::{
@@ -126,6 +128,21 @@ macro_rules! operand_ty {
 /// The operator table. A group per payload declares its enum; a row is
 /// `Variant opcode [sub-opcode] name [operands] -> [result] [width],`.
 macro_rules! ops {
+    // `$d` is a `$` token, so the macro below can have metavariables of
+    // its own.
+    (@rows ($d:tt) $($groups:tt)+) => {
+        /// `with_op_rows!(m extra…)` is `m! { extra… Ctor(Enum) { Variant… }… }`:
+        /// the table's payload groups in table order, each with its rows'
+        /// variants, handed to a macro that generates code per row (the
+        /// register tags of [`ROp`](crate::regalloc::ROp) and the
+        /// executor's arms) without a second list of operators.
+        macro_rules! with_op_rows {
+            ($d m:ident $d($d extra:tt)*) => {
+                $d m! { $d($d extra)* $($groups)+ }
+            };
+        }
+        pub(crate) use with_op_rows;
+    };
     ($(
         $(#[$meta:meta])*
         $ctor:ident($enum:ident) {
@@ -188,6 +205,8 @@ macro_rules! ops {
         impl CodeEmitter {
             $($(emitter!($name, $ctor($enum::$v), $($width)?);)+)+
         }
+
+        ops!(@rows ($) $($ctor($enum) { $($v)+ })+);
     };
 }
 

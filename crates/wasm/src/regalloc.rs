@@ -19,13 +19,13 @@
 //!
 //! This is the pipeline's only fusion pass — the flat IR it reads is one
 //! op per source instruction, its operators already classified into the
-//! [`crate::ops`] payloads, which [`ROp`] carries on unchanged (each
+//! [`crate::ops`] payloads, which [`RForm`] carries on unchanged (each
 //! `lower_op` arm matches the payload; nothing is re-classified). Local
 //! and constant operands come from the lazy cells; a pure producer
 //! followed by `local.set` is retargeted at the local (write-back);
 //! constant i32 arithmetic folds; `i32.eqz` negates a just-emitted
 //! compare or flips the branch it feeds; compare-and-branch fuses over
-//! register operands ([`ROp::BrIfCmp`]/[`ROp::BrIfCmpC`]); address chains
+//! register operands ([`RForm::BrIfCmp`]/[`RForm::BrIfCmpC`]); address chains
 //! fold into the memory access. All of it sits under the
 //! translation-validation proof of [`crate::analysis`].
 //!
@@ -47,261 +47,326 @@
 //! Calls pass arguments by *register-window overlap*: the callee's frame
 //! base is placed exactly where the caller materialized the arguments, so
 //! a wasm→wasm call copies nothing.
+//!
+//! The pass builds [`RForm`]s and turns them into the [`ROp`]s that
+//! execute in one step, [`ROp::new`], when the function is done; an
+//! `ROp` moves a hot family's operator into its tag (see
+//! [`with_families!`]), and [`ROp::view`] gives the form back to the
+//! proof, the listing and the analysis.
 
 use crate::compile::{CompiledFunc, Op};
 use crate::interp::Value;
 use crate::module::Module;
 use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
 
-/// One register-form operation. All register operands (`dst`/`a`/`b`/…)
-/// index the current frame's register window (`frame.base + reg`);
-/// branch-carrying ops index [`RegFunc::branches`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ROp {
-    /// Basic-block header: identical fuel semantics to [`Op::Meter`].
-    Meter {
-        cost: u32,
-    },
-    Unreachable,
-    Br(u32),
-    /// Branch when `regs[cond] != 0`.
-    BrIf {
-        cond: u32,
-        br: u32,
-    },
-    /// Branch when `regs[cond] == 0`.
-    BrIfZ {
-        cond: u32,
-        br: u32,
-    },
-    /// Branch when `op(regs[a], regs[b])` holds (fused compare+br_if over
-    /// arbitrary registers, locals included).
-    BrIfCmp {
-        op: I32Op,
-        a: u32,
-        b: u32,
-        br: u32,
-    },
-    /// Branch when `op(regs[a], k)` holds.
-    BrIfCmpC {
-        op: I32Op,
-        a: u32,
-        k: i32,
-        br: u32,
-    },
-    /// Take `branches[start + min(regs[sel], n)]`.
-    BrTable {
-        sel: u32,
-        start: u32,
-        n: u32,
-    },
-    /// Move `regs[src]` to register 0 of the frame (when `ret_arity == 1`)
-    /// and pop the frame.
-    Return {
-        src: u32,
-    },
-    /// Call local function `f`; its frame starts at register `base`, where
-    /// the arguments are already materialized (register-window overlap —
-    /// nothing is copied).
-    CallWasm {
-        f: u32,
-        base: u32,
-    },
-    /// Call imported host function `f`; `argc` args start at `base` and
-    /// the result (decoded from `ret` as in [`Op::CallHost`]) lands at
-    /// `base`.
-    CallHost {
-        f: u32,
-        base: u32,
-        argc: u16,
-        ret: u8,
-    },
-    /// Indirect call through the table; the selector sits at
-    /// `base + argc(ty)`, the args at `base`.
-    CallIndirect {
-        ty: u32,
-        base: u32,
-    },
-    Copy {
-        dst: u32,
-        src: u32,
-    },
-    ConstI32 {
-        dst: u32,
-        k: i32,
-    },
-    /// Load a non-i32 constant from [`RegFunc::consts`].
-    Const {
-        dst: u32,
-        idx: u32,
-    },
-    /// `dst` already holds the true-arm value; replace it with `regs[b]`
-    /// when `regs[cond] == 0`.
-    Select {
-        dst: u32,
-        cond: u32,
-        b: u32,
-    },
-    GlobalGet {
-        dst: u32,
-        g: u32,
-    },
-    GlobalSet {
-        g: u32,
-        src: u32,
-    },
-    MemorySize {
-        dst: u32,
-    },
-    MemoryGrow {
-        dst: u32,
-        delta: u32,
-    },
-    MemoryCopy {
-        dst: u32,
-        src: u32,
-        len: u32,
-    },
-    MemoryFill {
-        dst: u32,
-        val: u32,
-        len: u32,
-    },
-    /// `regs[dst] = op(regs[a], regs[b])` — the hot i32 path.
-    I32Bin {
-        op: I32Op,
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    /// `regs[dst] = op(regs[a], k)`.
-    I32BinC {
-        op: I32Op,
-        dst: u32,
-        a: u32,
-        k: i32,
-    },
-    /// `regs[dst] = op(regs[a], regs[b])` on i64 operands.
-    I64Bin {
-        op: I64Op,
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    /// Trapping/float binop.
-    Bin {
-        op: BinOp,
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    /// Unop/conversion.
-    Un {
-        op: UnOp,
-        dst: u32,
-        a: u32,
-    },
-    /// `regs[dst] = load(regs[addr] + off)`.
-    Load {
-        kind: LoadKind,
-        dst: u32,
-        addr: u32,
-        off: u32,
-    },
-    /// `store(regs[addr] + off, regs[val])`.
-    Store {
-        kind: StoreKind,
-        addr: u32,
-        val: u32,
-        off: u32,
-    },
-    /// `regs[dst] = load((regs[a] +wrap k) + off)` — an address-compute
-    /// `i32.add const` folded into the access. The i32 add wraps exactly
-    /// like the standalone op did, then the static offset extends to u64,
-    /// so bounds/trap behaviour is bit-identical to the two-op sequence.
-    LoadAt {
-        kind: LoadKind,
-        dst: u32,
-        a: u16,
-        k: i32,
-        off: u32,
-    },
-    /// `regs[dst] = load((regs[a] +wrap regs[b]) + off)` — the
-    /// register-register address form (`base + scaled index`).
-    LoadRR {
-        kind: LoadKind,
-        dst: u32,
-        a: u16,
-        b: u16,
-        off: u32,
-    },
-    /// `store((regs[a] +wrap k) + off, regs[val])`.
-    StoreAt {
-        kind: StoreKind,
-        a: u16,
-        k: i32,
-        val: u16,
-        off: u32,
-    },
-    /// `store((regs[a] +wrap regs[b]) + off, regs[val])`.
-    StoreRR {
-        kind: StoreKind,
-        a: u16,
-        b: u16,
-        val: u16,
-        off: u32,
-    },
-    /// `regs[dst] = load((regs[a] +wrap (regs[b] <<wrap sh) +wrap k) + off)`
-    /// — a whole base-index-scale-displacement address chain (up to three
-    /// adds/shifts/muls) folded into the access. Every removed op was a
-    /// non-trapping wrapping i32 op, so folding preserves trap order, and
-    /// wrapping add/shift are associative so the sum is bit-identical.
-    LoadBis {
-        kind: LoadKind,
-        dst: u16,
-        a: u16,
-        b: u16,
-        sh: u8,
-        k: i16,
-        off: u32,
-    },
-    /// `store((regs[a] +wrap (regs[b] <<wrap sh) +wrap k) + off, regs[val])`.
-    StoreBis {
-        kind: StoreKind,
-        a: u16,
-        b: u16,
-        sh: u8,
-        k: i16,
-        val: u16,
-        off: u32,
-    },
-    /// `store((regs[a] +wrap k) + off, v)` — a constant store value folded
-    /// in as raw bits (i32 value or f32 bit pattern, per `kind`), so the
-    /// constant never needs a register at all.
-    StoreCAt {
-        kind: StoreKind,
-        a: u16,
-        k: i32,
-        v: u32,
-        off: u32,
-    },
+/// The operator families whose rows each get their own [`ROp`] tag, and
+/// how the memory rows share theirs: `with_families!(m extra…)` is
+/// `m! { extra… LoadCells {…} StoreCells {…} Ctor(Enum) { Variant… }… }`,
+/// the groups coming from the operator table (`ops::with_op_rows!`). The
+/// executor's arms and the tags are generated from the same expansion.
+///
+/// A load or store tag stands for a *cell*: the rows whose register-cell
+/// behaviour is identical, named after the first of them in table order
+/// (`i32.load`, `f32.load` and `i64.load32_u` all move the four bytes
+/// zero-extended). The row stays in the op's `kind` for [`ROp::view`].
+/// Each cell lists its rows, and the rows of a family are matched
+/// exhaustively, so a new row without a cell does not compile.
+macro_rules! with_families {
+    ($m:ident $($extra:tt)*) => {
+        crate::ops::with_op_rows! { $m $($extra)*
+            LoadCells {
+                I32 [I32 F32 I64U32]
+                I64 [I64 F64]
+                I32S8 [I32S8]
+                I32U8 [I32U8 I64U8]
+                I32S16 [I32S16]
+                I32U16 [I32U16 I64U16]
+                I64S8 [I64S8]
+                I64S16 [I64S16]
+                I64S32 [I64S32]
+            }
+            StoreCells {
+                I32 [I32 F32 I64Lo32]
+                I64 [I64 F64]
+                I32Lo8 [I32Lo8 I64Lo8]
+                I32Lo16 [I32Lo16 I64Lo16]
+            }
+        }
+    };
+}
+pub(crate) use with_families;
+
+/// Declares [`RForm`] (each fixed op, then the form of each flattened
+/// family with its operator payload) and [`ROp`] (each fixed op, then one
+/// tag per row of each family: `I32BinAdd`, `BrIfCmpCLtS`, `BinF32Add`,
+/// `UnI32Clz`, `LoadAtI32`, `StoreCAtI32Lo8`, …), with the one
+/// constructor and the one view between them.
+macro_rules! register_ops {
+    (
+        fixed {
+            $( $(#[$doc:meta])* $fv:ident $({ $($ff:ident: $ft:ty),* })?, )+
+        }
+        LoadCells { $( $lc:ident [$($lk:ident)+] )+ }
+        StoreCells { $( $sc:ident [$($sk:ident)+] )+ }
+        I32Bin(I32Op) { $($i32:ident)+ }
+        I64Bin(I64Op) { $($_i64:ident)+ }
+        Bin(BinOp) { $($bin:ident)+ }
+        Un(UnOp) { $($un:ident)+ }
+        Load(LoadKind) { $($_load:ident)+ }
+        Store(StoreKind) { $($_store:ident)+ }
+    ) => { paste::paste! {
+        /// One register-form operation as the lowering builds it and the
+        /// proof, the listing and the analysis read it: a form, and for
+        /// the flattened families the operator payload. All register
+        /// operands (`dst`/`a`/`b`/…) index the current frame's register
+        /// window (`frame.base + reg`); branch-carrying ops index
+        /// [`RegFunc::branches`]. What executes is its [`ROp`].
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum RForm {
+            $( $(#[$doc])* $fv $({ $($ff: $ft),* })?, )+
+            /// Branch when `op(regs[a], regs[b])` holds (fused
+            /// compare+br_if over arbitrary registers, locals included).
+            BrIfCmp { op: I32Op, a: u32, b: u32, br: u32 },
+            /// Branch when `op(regs[a], k)` holds.
+            BrIfCmpC { op: I32Op, a: u32, k: i32, br: u32 },
+            /// `regs[dst] = op(regs[a], regs[b])` — the hot i32 path.
+            I32Bin { op: I32Op, dst: u32, a: u32, b: u32 },
+            /// `regs[dst] = op(regs[a], k)`.
+            I32BinC { op: I32Op, dst: u32, a: u32, k: i32 },
+            /// Trapping/float binop.
+            Bin { op: BinOp, dst: u32, a: u32, b: u32 },
+            /// Unop/conversion.
+            Un { op: UnOp, dst: u32, a: u32 },
+            /// `regs[dst] = load(regs[addr] + off)`.
+            Load { kind: LoadKind, dst: u32, addr: u32, off: u32 },
+            /// `store(regs[addr] + off, regs[val])`.
+            Store { kind: StoreKind, addr: u32, val: u32, off: u32 },
+            /// `regs[dst] = load((regs[a] +wrap k) + off)` — an
+            /// address-compute `i32.add const` folded into the access. The
+            /// i32 add wraps exactly like the standalone op did, then the
+            /// static offset extends to u64, so bounds/trap behaviour is
+            /// bit-identical to the two-op sequence.
+            LoadAt { kind: LoadKind, dst: u32, a: u16, k: i32, off: u32 },
+            /// `regs[dst] = load((regs[a] +wrap regs[b]) + off)` — the
+            /// register-register address form (`base + scaled index`).
+            LoadRR { kind: LoadKind, dst: u32, a: u16, b: u16, off: u32 },
+            /// `store((regs[a] +wrap k) + off, regs[val])`.
+            StoreAt { kind: StoreKind, a: u16, k: i32, val: u16, off: u32 },
+            /// `store((regs[a] +wrap regs[b]) + off, regs[val])`.
+            StoreRR { kind: StoreKind, a: u16, b: u16, val: u16, off: u32 },
+            /// `regs[dst] = load((regs[a] +wrap (regs[b] <<wrap sh) +wrap k) + off)`
+            /// — a whole base-index-scale-displacement address chain (up
+            /// to three adds/shifts/muls) folded into the access. Every
+            /// removed op was a non-trapping wrapping i32 op, so folding
+            /// preserves trap order, and wrapping add/shift are
+            /// associative so the sum is bit-identical.
+            LoadBis { kind: LoadKind, dst: u16, a: u16, b: u16, sh: u8, k: i16, off: u32 },
+            /// `store((regs[a] +wrap (regs[b] <<wrap sh) +wrap k) + off, regs[val])`.
+            StoreBis { kind: StoreKind, a: u16, b: u16, sh: u8, k: i16, val: u16, off: u32 },
+            /// `store((regs[a] +wrap k) + off, v)` — a constant store
+            /// value folded in as raw bits (i32 value or f32 bit pattern,
+            /// per `kind`), so the constant never needs a register at all.
+            StoreCAt { kind: StoreKind, a: u16, k: i32, v: u32, off: u32 },
+        }
+
+        /// One executable register op: an [`RForm`] with the operator of
+        /// a flattened family moved into the tag, so the executor reaches
+        /// each op's code with one indirect jump. Built only by
+        /// [`ROp::new`] and read as a form only through [`ROp::view`]; the
+        /// fields are the form's, less the operator (a load or store tag
+        /// keeps its row in `kind`).
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum ROp {
+            $( $(#[$doc])* $fv $({ $($ff: $ft),* })?, )+
+            $( [<BrIfCmp $i32>] { a: u32, b: u32, br: u32 }, )+
+            $( [<BrIfCmpC $i32>] { a: u32, k: i32, br: u32 }, )+
+            $( [<I32Bin $i32>] { dst: u32, a: u32, b: u32 }, )+
+            $( [<I32BinC $i32>] { dst: u32, a: u32, k: i32 }, )+
+            $( [<Bin $bin>] { dst: u32, a: u32, b: u32 }, )+
+            $( [<Un $un>] { dst: u32, a: u32 }, )+
+            $( [<Load $lc>] { kind: LoadKind, dst: u32, addr: u32, off: u32 }, )+
+            $( [<LoadAt $lc>] { kind: LoadKind, dst: u32, a: u16, k: i32, off: u32 }, )+
+            $( [<LoadRR $lc>] { kind: LoadKind, dst: u32, a: u16, b: u16, off: u32 }, )+
+            $( [<LoadBis $lc>] {
+                kind: LoadKind, dst: u16, a: u16, b: u16, sh: u8, k: i16, off: u32,
+            }, )+
+            $( [<Store $sc>] { kind: StoreKind, addr: u32, val: u32, off: u32 }, )+
+            $( [<StoreAt $sc>] { kind: StoreKind, a: u16, k: i32, val: u16, off: u32 }, )+
+            $( [<StoreRR $sc>] { kind: StoreKind, a: u16, b: u16, val: u16, off: u32 }, )+
+            $( [<StoreBis $sc>] {
+                kind: StoreKind, a: u16, b: u16, sh: u8, k: i16, val: u16, off: u32,
+            }, )+
+            $( [<StoreCAt $sc>] { kind: StoreKind, a: u16, k: i32, v: u32, off: u32 }, )+
+        }
+
+        impl ROp {
+            /// The tag that runs `form`.
+            pub fn new(form: RForm) -> ROp {
+                match form {
+                    $( RForm::$fv $({ $($ff),* })? => ROp::$fv $({ $($ff),* })?, )+
+                    RForm::BrIfCmp { op, a, b, br } => match op {
+                        $( I32Op::$i32 => ROp::[<BrIfCmp $i32>] { a, b, br }, )+
+                    },
+                    RForm::BrIfCmpC { op, a, k, br } => match op {
+                        $( I32Op::$i32 => ROp::[<BrIfCmpC $i32>] { a, k, br }, )+
+                    },
+                    RForm::I32Bin { op, dst, a, b } => match op {
+                        $( I32Op::$i32 => ROp::[<I32Bin $i32>] { dst, a, b }, )+
+                    },
+                    RForm::I32BinC { op, dst, a, k } => match op {
+                        $( I32Op::$i32 => ROp::[<I32BinC $i32>] { dst, a, k }, )+
+                    },
+                    RForm::Bin { op, dst, a, b } => match op {
+                        $( BinOp::$bin => ROp::[<Bin $bin>] { dst, a, b }, )+
+                    },
+                    RForm::Un { op, dst, a } => match op {
+                        $( UnOp::$un => ROp::[<Un $un>] { dst, a }, )+
+                    },
+                    RForm::Load { kind, dst, addr, off } => match kind {
+                        $( $(LoadKind::$lk)|+ => ROp::[<Load $lc>] { kind, dst, addr, off }, )+
+                    },
+                    RForm::LoadAt { kind, dst, a, k, off } => match kind {
+                        $( $(LoadKind::$lk)|+ => ROp::[<LoadAt $lc>] { kind, dst, a, k, off }, )+
+                    },
+                    RForm::LoadRR { kind, dst, a, b, off } => match kind {
+                        $( $(LoadKind::$lk)|+ => ROp::[<LoadRR $lc>] { kind, dst, a, b, off }, )+
+                    },
+                    RForm::LoadBis { kind, dst, a, b, sh, k, off } => match kind {
+                        $( $(LoadKind::$lk)|+ => ROp::[<LoadBis $lc>] {
+                            kind, dst, a, b, sh, k, off,
+                        }, )+
+                    },
+                    RForm::Store { kind, addr, val, off } => match kind {
+                        $( $(StoreKind::$sk)|+ => ROp::[<Store $sc>] { kind, addr, val, off }, )+
+                    },
+                    RForm::StoreAt { kind, a, k, val, off } => match kind {
+                        $( $(StoreKind::$sk)|+ => ROp::[<StoreAt $sc>] { kind, a, k, val, off }, )+
+                    },
+                    RForm::StoreRR { kind, a, b, val, off } => match kind {
+                        $( $(StoreKind::$sk)|+ => ROp::[<StoreRR $sc>] { kind, a, b, val, off }, )+
+                    },
+                    RForm::StoreBis { kind, a, b, sh, k, val, off } => match kind {
+                        $( $(StoreKind::$sk)|+ => ROp::[<StoreBis $sc>] {
+                            kind, a, b, sh, k, val, off,
+                        }, )+
+                    },
+                    RForm::StoreCAt { kind, a, k, v, off } => match kind {
+                        $( $(StoreKind::$sk)|+ => ROp::[<StoreCAt $sc>] { kind, a, k, v, off }, )+
+                    },
+                }
+            }
+
+            /// The form and operator payload this tag runs: what the proof
+            /// checks, the listing prints and the analysis counts.
+            pub fn view(self) -> RForm {
+                match self {
+                    $( ROp::$fv $({ $($ff),* })? => RForm::$fv $({ $($ff),* })?, )+
+                    $( ROp::[<BrIfCmp $i32>] { a, b, br } => {
+                        RForm::BrIfCmp { op: I32Op::$i32, a, b, br }
+                    } )+
+                    $( ROp::[<BrIfCmpC $i32>] { a, k, br } => {
+                        RForm::BrIfCmpC { op: I32Op::$i32, a, k, br }
+                    } )+
+                    $( ROp::[<I32Bin $i32>] { dst, a, b } => {
+                        RForm::I32Bin { op: I32Op::$i32, dst, a, b }
+                    } )+
+                    $( ROp::[<I32BinC $i32>] { dst, a, k } => {
+                        RForm::I32BinC { op: I32Op::$i32, dst, a, k }
+                    } )+
+                    $( ROp::[<Bin $bin>] { dst, a, b } => RForm::Bin { op: BinOp::$bin, dst, a, b }, )+
+                    $( ROp::[<Un $un>] { dst, a } => RForm::Un { op: UnOp::$un, dst, a }, )+
+                    $( ROp::[<Load $lc>] { kind, dst, addr, off } => {
+                        RForm::Load { kind, dst, addr, off }
+                    } )+
+                    $( ROp::[<LoadAt $lc>] { kind, dst, a, k, off } => {
+                        RForm::LoadAt { kind, dst, a, k, off }
+                    } )+
+                    $( ROp::[<LoadRR $lc>] { kind, dst, a, b, off } => {
+                        RForm::LoadRR { kind, dst, a, b, off }
+                    } )+
+                    $( ROp::[<LoadBis $lc>] { kind, dst, a, b, sh, k, off } => {
+                        RForm::LoadBis { kind, dst, a, b, sh, k, off }
+                    } )+
+                    $( ROp::[<Store $sc>] { kind, addr, val, off } => {
+                        RForm::Store { kind, addr, val, off }
+                    } )+
+                    $( ROp::[<StoreAt $sc>] { kind, a, k, val, off } => {
+                        RForm::StoreAt { kind, a, k, val, off }
+                    } )+
+                    $( ROp::[<StoreRR $sc>] { kind, a, b, val, off } => {
+                        RForm::StoreRR { kind, a, b, val, off }
+                    } )+
+                    $( ROp::[<StoreBis $sc>] { kind, a, b, sh, k, val, off } => {
+                        RForm::StoreBis { kind, a, b, sh, k, val, off }
+                    } )+
+                    $( ROp::[<StoreCAt $sc>] { kind, a, k, v, off } => {
+                        RForm::StoreCAt { kind, a, k, v, off }
+                    } )+
+                }
+            }
+        }
+    } };
 }
 
-impl ROp {
+with_families! {
+    register_ops fixed {
+        /// Basic-block header: identical fuel semantics to [`Op::Meter`].
+        Meter { cost: u32 },
+        Unreachable,
+        Br { br: u32 },
+        /// Branch when `regs[cond] != 0`.
+        BrIf { cond: u32, br: u32 },
+        /// Branch when `regs[cond] == 0`.
+        BrIfZ { cond: u32, br: u32 },
+        /// Take `branches[start + min(regs[sel], n)]`.
+        BrTable { sel: u32, start: u32, n: u32 },
+        /// Move `regs[src]` to register 0 of the frame (when
+        /// `ret_arity == 1`) and pop the frame.
+        Return { src: u32 },
+        /// Call local function `f`; its frame starts at register `base`,
+        /// where the arguments are already materialized (register-window
+        /// overlap — nothing is copied).
+        CallWasm { f: u32, base: u32 },
+        /// Call imported host function `f`; `argc` args start at `base`
+        /// and the result (decoded from `ret` as in [`Op::CallHost`])
+        /// lands at `base`.
+        CallHost { f: u32, base: u32, argc: u16, ret: u8 },
+        /// Indirect call through the table; the selector sits at
+        /// `base + argc(ty)`, the args at `base`.
+        CallIndirect { ty: u32, base: u32 },
+        Copy { dst: u32, src: u32 },
+        ConstI32 { dst: u32, k: i32 },
+        /// Load a non-i32 constant from [`RegFunc::consts`].
+        Const { dst: u32, idx: u32 },
+        /// `dst` already holds the true-arm value; replace it with
+        /// `regs[b]` when `regs[cond] == 0`.
+        Select { dst: u32, cond: u32, b: u32 },
+        GlobalGet { dst: u32, g: u32 },
+        GlobalSet { g: u32, src: u32 },
+        MemorySize { dst: u32 },
+        MemoryGrow { dst: u32, delta: u32 },
+        MemoryCopy { dst: u32, src: u32, len: u32 },
+        MemoryFill { dst: u32, val: u32, len: u32 },
+        /// `regs[dst] = op(regs[a], regs[b])` on i64 operands.
+        I64Bin { op: I64Op, dst: u32, a: u32, b: u32 },
+    }
+}
+
+impl RForm {
     /// Registers-only result slot of a *pure* op — the set the lowering
     /// pass may retarget when fusing a `local.set`/`local.tee` write-back.
     fn dst_mut(&mut self) -> Option<&mut u32> {
         match self {
-            ROp::I32Bin { dst, .. }
-            | ROp::I32BinC { dst, .. }
-            | ROp::I64Bin { dst, .. }
-            | ROp::Bin { dst, .. }
-            | ROp::Un { dst, .. }
-            | ROp::Load { dst, .. }
-            | ROp::LoadAt { dst, .. }
-            | ROp::LoadRR { dst, .. }
-            | ROp::GlobalGet { dst, .. }
-            | ROp::MemorySize { dst } => Some(dst),
+            RForm::I32Bin { dst, .. }
+            | RForm::I32BinC { dst, .. }
+            | RForm::I64Bin { dst, .. }
+            | RForm::Bin { dst, .. }
+            | RForm::Un { dst, .. }
+            | RForm::Load { dst, .. }
+            | RForm::LoadAt { dst, .. }
+            | RForm::LoadRR { dst, .. }
+            | RForm::GlobalGet { dst, .. }
+            | RForm::MemorySize { dst } => Some(dst),
             _ => None,
         }
     }
@@ -323,7 +388,7 @@ pub struct RBranch {
 pub struct RegFunc {
     pub ops: Box<[ROp]>,
     pub branches: Box<[RBranch]>,
-    /// Pool for non-i32 constants referenced by [`ROp::Const`].
+    /// Pool for non-i32 constants referenced by [`RForm::Const`].
     pub consts: Box<[Value]>,
     pub argc: u32,
     pub ret_arity: u32,
@@ -354,7 +419,7 @@ struct Lowerer<'m> {
     module: &'m Module,
     cf: &'m CompiledFunc,
     n_locals: u32,
-    rops: Vec<ROp>,
+    rops: Vec<RForm>,
     rbranches: Vec<RBranch>,
     consts: Vec<Value>,
     stack: Vec<Abs>,
@@ -420,7 +485,7 @@ pub fn lower_func(module: &Module, local_idx: u32, cf: &CompiledFunc) -> RegFunc
     }
 
     RegFunc {
-        ops: lw.rops.into_boxed_slice(),
+        ops: lw.rops.into_iter().map(ROp::new).collect(),
         branches: rbranches.into_boxed_slice(),
         consts: lw.consts.into_boxed_slice(),
         argc: cf.argc,
@@ -446,7 +511,7 @@ impl Lowerer<'_> {
         self.max_h = self.max_h.max(self.stack.len() as u32);
     }
 
-    fn emit(&mut self, op: ROp) {
+    fn emit(&mut self, op: RForm) {
         self.last_pure = None;
         self.pendings.clear();
         self.rops.push(op);
@@ -464,10 +529,10 @@ impl Lowerer<'_> {
     /// When `op` extends an address computation, build the composed
     /// pending entry it would create (chaining through entries its
     /// operands resolve to). `at` is the rop index `op` will occupy.
-    fn addr_candidate(&self, op: &ROp, dst: u32, at: usize) -> Option<Pending> {
+    fn addr_candidate(&self, op: &RForm, dst: u32, at: usize) -> Option<Pending> {
         let single = |expr| Pending::single(at, dst, expr);
         match *op {
-            ROp::I32BinC {
+            RForm::I32BinC {
                 op: I32Op::Add,
                 dst: d,
                 a,
@@ -488,7 +553,7 @@ impl Lowerer<'_> {
                     None => Some(single(expr)),
                 }
             }
-            ROp::I32BinC {
+            RForm::I32BinC {
                 op: I32Op::Mul,
                 dst: d,
                 a,
@@ -506,7 +571,7 @@ impl Lowerer<'_> {
                     None => Some(single(AddrExpr::leaf(a).shl(sh)?)),
                 }
             }
-            ROp::I32BinC {
+            RForm::I32BinC {
                 op: I32Op::Shl,
                 dst: d,
                 a,
@@ -522,7 +587,7 @@ impl Lowerer<'_> {
                     None => Some(single(AddrExpr::leaf(a).shl(sh)?)),
                 }
             }
-            ROp::I32Bin {
+            RForm::I32Bin {
                 op: I32Op::Add,
                 dst: d,
                 a,
@@ -547,7 +612,7 @@ impl Lowerer<'_> {
         }
     }
 
-    fn emit_pure(&mut self, op: ROp, dst: u32) {
+    fn emit_pure(&mut self, op: RForm, dst: u32) {
         let at = self.rops.len();
         // Compose a new address-chain candidate *before* the kill pass, so
         // entries this op consumes transfer their emitted ops into it.
@@ -581,10 +646,10 @@ impl Lowerer<'_> {
 
     fn emit_const_to(&mut self, dst: u32, v: Value) {
         match v {
-            Value::I32(k) => self.emit(ROp::ConstI32 { dst, k }),
+            Value::I32(k) => self.emit(RForm::ConstI32 { dst, k }),
             v => {
                 let idx = self.const_idx(v);
-                self.emit(ROp::Const { dst, idx });
+                self.emit(RForm::Const { dst, idx });
             }
         }
     }
@@ -595,7 +660,7 @@ impl Lowerer<'_> {
             Abs::Slot => {}
             Abs::Local(l) => {
                 let dst = self.slot(i);
-                self.emit(ROp::Copy { dst, src: l });
+                self.emit(RForm::Copy { dst, src: l });
                 self.stack[i] = Abs::Slot;
             }
             Abs::Const(v) => {
@@ -694,7 +759,7 @@ impl Lowerer<'_> {
 
     /// The flat i32 binop over the two top cells: folds constant
     /// operands, canonicalizes a constant to the `k` side of
-    /// [`ROp::I32BinC`] (swapping when commutative) and leaves the result
+    /// [`RForm::I32BinC`] (swapping when commutative) and leaves the result
     /// in a fresh stack slot — `local.set` retargets it from there
     /// ([`Lowerer::try_writeback`]).
     fn i32bin(&mut self, op: I32Op) {
@@ -708,14 +773,14 @@ impl Lowerer<'_> {
         let dst = self.slot(ia);
         let rop = if let Some(k) = kb {
             let a = self.operand_reg(ia);
-            ROp::I32BinC { op, dst, a, k }
+            RForm::I32BinC { op, dst, a, k }
         } else if let (Some(k), true) = (ka, op.commutative()) {
             let a = self.operand_reg(ib);
-            ROp::I32BinC { op, dst, a, k }
+            RForm::I32BinC { op, dst, a, k }
         } else {
             let a = self.operand_reg(ia);
             let b = self.operand_reg(ib);
-            ROp::I32Bin { op, dst, a, b }
+            RForm::I32Bin { op, dst, a, b }
         };
         self.stack.truncate(ia);
         self.push(Abs::Slot);
@@ -724,7 +789,7 @@ impl Lowerer<'_> {
 
     /// A binop with no constant or fused form: both operands in
     /// registers, the result in the lower operand's stack slot.
-    fn bin(&mut self, mk: impl FnOnce(u32, u32, u32) -> ROp) {
+    fn bin(&mut self, mk: impl FnOnce(u32, u32, u32) -> RForm) {
         let h = self.h();
         let a = self.operand_reg(h - 2);
         let b = self.operand_reg(h - 1);
@@ -741,7 +806,7 @@ impl Lowerer<'_> {
         let Some(i) = self.top_producer() else {
             return false;
         };
-        let (ROp::I32Bin { op, .. } | ROp::I32BinC { op, .. }) = &mut self.rops[i] else {
+        let (RForm::I32Bin { op, .. } | RForm::I32BinC { op, .. }) = &mut self.rops[i] else {
             return false;
         };
         op.negate().map(|n| *op = n).is_some()
@@ -757,13 +822,13 @@ impl Lowerer<'_> {
             // producer fuses directly; the zero-branch needs the
             // comparison's total-order dual.
             let fused = match self.rops[i] {
-                ROp::I32Bin { op, a, b, .. } => {
+                RForm::I32Bin { op, a, b, .. } => {
                     let fop = if negate { op.negate() } else { Some(op) };
-                    fop.map(|op| ROp::BrIfCmp { op, a, b, br })
+                    fop.map(|op| RForm::BrIfCmp { op, a, b, br })
                 }
-                ROp::I32BinC { op, a, k, .. } => {
+                RForm::I32BinC { op, a, k, .. } => {
                     let fop = if negate { op.negate() } else { Some(op) };
-                    fop.map(|op| ROp::BrIfCmpC { op, a, k, br })
+                    fop.map(|op| RForm::BrIfCmpC { op, a, k, br })
                 }
                 _ => None,
             };
@@ -781,9 +846,9 @@ impl Lowerer<'_> {
         self.materialize_all();
         self.fill_branch(br);
         self.emit(if negate {
-            ROp::BrIfZ { cond, br }
+            RForm::BrIfZ { cond, br }
         } else {
-            ROp::BrIf { cond, br }
+            RForm::BrIf { cond, br }
         });
     }
 
@@ -791,7 +856,7 @@ impl Lowerer<'_> {
     /// callee window, pop them, push the (single) result slot. Both counts
     /// come from the one arity table, [`Op::stack_effect`] — read off the
     /// signature, so lowering a caller never compiles its callees.
-    fn call_window(&mut self, call: Op, mk: impl FnOnce(u32) -> ROp) {
+    fn call_window(&mut self, call: Op, mk: impl FnOnce(u32) -> RForm) {
         let (pops, pushes) = call.stack_effect(self.module);
         let lo = self.stack.len() - pops as usize;
         for i in lo..self.stack.len() {
@@ -878,7 +943,7 @@ impl Lowerer<'_> {
         };
         let Some(i) = self.top_producer() else { return };
         let d = self.slot(h - 1);
-        if let ROp::I32BinC {
+        if let RForm::I32BinC {
             op: I32Op::And,
             a,
             k,
@@ -901,20 +966,20 @@ impl Lowerer<'_> {
     /// `regs[dst] = regs[a] + (regs[b] << sh) + k` via plain ops (cold
     /// fallback when a packed field doesn't fit).
     fn reemit_chain(&mut self, dst: u32, a: u16, b: u16, sh: u8, k: i16) {
-        self.emit(ROp::I32BinC {
+        self.emit(RForm::I32BinC {
             op: I32Op::Shl,
             dst,
             a: b as u32,
             k: sh as i32,
         });
-        self.emit(ROp::I32Bin {
+        self.emit(RForm::I32Bin {
             op: I32Op::Add,
             dst,
             a: a as u32,
             b: dst,
         });
         if k != 0 {
-            self.emit(ROp::I32BinC {
+            self.emit(RForm::I32BinC {
                 op: I32Op::Add,
                 dst,
                 a: dst,
@@ -930,14 +995,14 @@ impl Lowerer<'_> {
         let fused = self.take_addr(top, u32::MAX, false);
         let dst = self.slot(top);
         let rop = match fused {
-            Some(AddrForm::At { a, k }) => ROp::LoadAt {
+            Some(AddrForm::At { a, k }) => RForm::LoadAt {
                 kind,
                 dst,
                 a,
                 k,
                 off,
             },
-            Some(AddrForm::Rr { a, b }) => ROp::LoadRR {
+            Some(AddrForm::Rr { a, b }) => RForm::LoadRR {
                 kind,
                 dst,
                 a,
@@ -949,7 +1014,7 @@ impl Lowerer<'_> {
                 // write-back-retargetable, so it goes through the impure
                 // emit (a taken chain's cell is a `Slot` already).
                 Ok(dst) => {
-                    return self.emit(ROp::LoadBis {
+                    return self.emit(RForm::LoadBis {
                         kind,
                         dst,
                         a,
@@ -961,7 +1026,7 @@ impl Lowerer<'_> {
                 }
                 Err(_) => {
                     self.reemit_chain(dst, a, b, sh, k);
-                    ROp::Load {
+                    RForm::Load {
                         kind,
                         dst,
                         addr: dst,
@@ -969,7 +1034,7 @@ impl Lowerer<'_> {
                     }
                 }
             },
-            None => ROp::Load {
+            None => RForm::Load {
                 kind,
                 dst,
                 addr: self.operand_reg(top),
@@ -1000,13 +1065,13 @@ impl Lowerer<'_> {
         if let Some(v) = cbits {
             if let Some(AddrForm::At { a, k }) = self.take_addr(h - 2, u32::MAX, true) {
                 self.stack.truncate(h - 2);
-                self.emit(ROp::StoreCAt { kind, a, k, v, off });
+                self.emit(RForm::StoreCAt { kind, a, k, v, off });
                 return;
             }
             let addr = self.operand_reg(h - 2);
             if let Ok(a) = u16::try_from(addr) {
                 self.stack.truncate(h - 2);
-                self.emit(ROp::StoreCAt {
+                self.emit(RForm::StoreCAt {
                     kind,
                     a,
                     k: 0,
@@ -1029,21 +1094,21 @@ impl Lowerer<'_> {
         let val = self.operand_reg(h - 1);
         let fits = val <= u16::MAX as u32;
         let rop = match fused {
-            Some(AddrForm::At { a, k }) if fits => ROp::StoreAt {
+            Some(AddrForm::At { a, k }) if fits => RForm::StoreAt {
                 kind,
                 a,
                 k,
                 val: val as u16,
                 off,
             },
-            Some(AddrForm::Rr { a, b }) if fits => ROp::StoreRR {
+            Some(AddrForm::Rr { a, b }) if fits => RForm::StoreRR {
                 kind,
                 a,
                 b,
                 val: val as u16,
                 off,
             },
-            Some(AddrForm::Bis { a, b, sh, k }) if fits => ROp::StoreBis {
+            Some(AddrForm::Bis { a, b, sh, k }) if fits => RForm::StoreBis {
                 kind,
                 a,
                 b,
@@ -1056,13 +1121,13 @@ impl Lowerer<'_> {
             // address chain and fall back to the plain store.
             Some(AddrForm::At { a, k }) => {
                 let addr = self.slot(h - 2);
-                self.emit(ROp::I32BinC {
+                self.emit(RForm::I32BinC {
                     op: I32Op::Add,
                     dst: addr,
                     a: a as u32,
                     k,
                 });
-                ROp::Store {
+                RForm::Store {
                     kind,
                     addr,
                     val,
@@ -1071,13 +1136,13 @@ impl Lowerer<'_> {
             }
             Some(AddrForm::Rr { a, b }) => {
                 let addr = self.slot(h - 2);
-                self.emit(ROp::I32Bin {
+                self.emit(RForm::I32Bin {
                     op: I32Op::Add,
                     dst: addr,
                     a: a as u32,
                     b: b as u32,
                 });
-                ROp::Store {
+                RForm::Store {
                     kind,
                     addr,
                     val,
@@ -1087,7 +1152,7 @@ impl Lowerer<'_> {
             Some(AddrForm::Bis { a, b, sh, k }) => {
                 let addr = self.slot(h - 2);
                 self.reemit_chain(addr, a, b, sh, k);
-                ROp::Store {
+                RForm::Store {
                     kind,
                     addr,
                     val,
@@ -1096,7 +1161,7 @@ impl Lowerer<'_> {
             }
             None => {
                 let addr = self.operand_reg(h - 2);
-                ROp::Store {
+                RForm::Store {
                     kind,
                     addr,
                     val,
@@ -1255,17 +1320,17 @@ impl Pending {
 /// Register operands read by a pure op — a closed set (everything routed
 /// through `emit_pure`); `None` means "unknown, assume it reads anything".
 /// `u32::MAX` pads unused positions (no frame register reaches it).
-fn pure_reads(op: &ROp) -> Option<[u32; 2]> {
+fn pure_reads(op: &RForm) -> Option<[u32; 2]> {
     const NO: u32 = u32::MAX;
     Some(match *op {
-        ROp::I32Bin { a, b, .. } => [a, b],
-        ROp::I64Bin { a, b, .. } => [a, b],
-        ROp::Bin { a, b, .. } => [a, b],
-        ROp::LoadRR { a, b, .. } => [a as u32, b as u32],
-        ROp::I32BinC { a, .. } | ROp::Un { a, .. } => [a, NO],
-        ROp::Load { addr, .. } => [addr, NO],
-        ROp::LoadAt { a, .. } => [a as u32, NO],
-        ROp::GlobalGet { .. } | ROp::MemorySize { .. } => [NO, NO],
+        RForm::I32Bin { a, b, .. } => [a, b],
+        RForm::I64Bin { a, b, .. } => [a, b],
+        RForm::Bin { a, b, .. } => [a, b],
+        RForm::LoadRR { a, b, .. } => [a as u32, b as u32],
+        RForm::I32BinC { a, .. } | RForm::Un { a, .. } => [a, NO],
+        RForm::Load { addr, .. } => [addr, NO],
+        RForm::LoadAt { a, .. } => [a as u32, NO],
+        RForm::GlobalGet { .. } | RForm::MemorySize { .. } => [NO, NO],
         _ => return None,
     })
 }
@@ -1306,15 +1371,15 @@ impl Lowerer<'_> {
         self.pc_map[pc] = self.rops.len() as u32;
 
         match op {
-            Op::Meter { cost } => self.emit(ROp::Meter { cost }),
+            Op::Meter { cost } => self.emit(RForm::Meter { cost }),
             Op::Unreachable => {
-                self.emit(ROp::Unreachable);
+                self.emit(RForm::Unreachable);
                 self.reachable = false;
             }
             Op::Br(b) => {
                 self.materialize_all();
                 self.fill_branch(b);
-                self.emit(ROp::Br(b));
+                self.emit(RForm::Br { br: b });
                 self.reachable = false;
             }
             // `x; i32.eqz; br_if` is `x; br_ifz`: the eqz (below) emitted
@@ -1328,7 +1393,7 @@ impl Lowerer<'_> {
                 for i in 0..=n {
                     self.fill_branch(start + i);
                 }
-                self.emit(ROp::BrTable { sel, start, n });
+                self.emit(RForm::BrTable { sel, start, n });
                 self.reachable = false;
             }
             Op::Return => {
@@ -1337,15 +1402,15 @@ impl Lowerer<'_> {
                 } else {
                     0
                 };
-                self.emit(ROp::Return { src });
+                self.emit(RForm::Return { src });
                 self.reachable = false;
             }
-            Op::CallWasm(f) => self.call_window(op, |base| ROp::CallWasm { f, base }),
+            Op::CallWasm(f) => self.call_window(op, |base| RForm::CallWasm { f, base }),
             Op::CallHost { f, argc, ret } => {
-                self.call_window(op, |base| ROp::CallHost { f, base, argc, ret })
+                self.call_window(op, |base| RForm::CallHost { f, base, argc, ret })
             }
             // The selector rides on top of the arguments, inside the window.
-            Op::CallIndirect(ty) => self.call_window(op, |base| ROp::CallIndirect { ty, base }),
+            Op::CallIndirect(ty) => self.call_window(op, |base| RForm::CallIndirect { ty, base }),
             Op::Drop => {
                 self.stack.pop();
             }
@@ -1357,7 +1422,7 @@ impl Lowerer<'_> {
                 let cond = self.operand_reg(ic);
                 let dst = self.slot(ia);
                 self.stack.truncate(ib);
-                self.emit(ROp::Select { dst, cond, b });
+                self.emit(RForm::Select { dst, cond, b });
             }
             Op::LocalGet(l) => self.push(Abs::Local(l)),
             Op::LocalSet(l) => {
@@ -1369,7 +1434,7 @@ impl Lowerer<'_> {
                     Abs::Local(src) => {
                         self.stack.pop();
                         self.invalidate_local(l);
-                        self.emit(ROp::Copy { dst: l, src });
+                        self.emit(RForm::Copy { dst: l, src });
                     }
                     Abs::Const(v) => {
                         self.stack.pop();
@@ -1383,7 +1448,7 @@ impl Lowerer<'_> {
                             let src = self.slot(top);
                             self.stack.pop();
                             self.invalidate_local(l);
-                            self.emit(ROp::Copy { dst: l, src });
+                            self.emit(RForm::Copy { dst: l, src });
                         }
                     }
                 }
@@ -1394,7 +1459,7 @@ impl Lowerer<'_> {
                     Abs::Local(src) if src == l => {}
                     Abs::Local(src) => {
                         self.invalidate_local(l);
-                        self.emit(ROp::Copy { dst: l, src });
+                        self.emit(RForm::Copy { dst: l, src });
                     }
                     Abs::Const(v) => {
                         self.invalidate_local(l);
@@ -1406,7 +1471,7 @@ impl Lowerer<'_> {
                         } else {
                             let src = self.slot(top);
                             self.invalidate_local(l);
-                            self.emit(ROp::Copy { dst: l, src });
+                            self.emit(RForm::Copy { dst: l, src });
                         }
                     }
                 }
@@ -1414,25 +1479,25 @@ impl Lowerer<'_> {
             Op::GlobalGet(g) => {
                 let dst = self.slot(self.h());
                 self.push(Abs::Slot);
-                self.emit_pure(ROp::GlobalGet { dst, g }, dst);
+                self.emit_pure(RForm::GlobalGet { dst, g }, dst);
             }
             Op::GlobalSet(g) => {
                 let src = self.operand_reg(self.h() - 1);
                 self.stack.pop();
-                self.emit(ROp::GlobalSet { g, src });
+                self.emit(RForm::GlobalSet { g, src });
             }
             Op::I32Bin(op) => self.i32bin(op),
             Op::MemorySize => {
                 let dst = self.slot(self.h());
                 self.push(Abs::Slot);
-                self.emit_pure(ROp::MemorySize { dst }, dst);
+                self.emit_pure(RForm::MemorySize { dst }, dst);
             }
             Op::MemoryGrow => {
                 let top = self.h() - 1;
                 let delta = self.operand_reg(top);
                 let dst = self.slot(top);
                 self.stack[top] = Abs::Slot;
-                self.emit(ROp::MemoryGrow { dst, delta });
+                self.emit(RForm::MemoryGrow { dst, delta });
             }
             Op::MemoryCopy => {
                 let h = self.h();
@@ -1440,7 +1505,7 @@ impl Lowerer<'_> {
                 let src = self.operand_reg(h - 2);
                 let dst = self.operand_reg(h - 3);
                 self.stack.truncate(h - 3);
-                self.emit(ROp::MemoryCopy { dst, src, len });
+                self.emit(RForm::MemoryCopy { dst, src, len });
             }
             Op::MemoryFill => {
                 let h = self.h();
@@ -1448,7 +1513,7 @@ impl Lowerer<'_> {
                 let val = self.operand_reg(h - 2);
                 let dst = self.operand_reg(h - 3);
                 self.stack.truncate(h - 3);
-                self.emit(ROp::MemoryFill { dst, val, len });
+                self.emit(RForm::MemoryFill { dst, val, len });
             }
             Op::I32Const(k) => self.push(Abs::Const(Value::I32(k))),
             Op::I64Const(k) => self.push(Abs::Const(Value::I64(k))),
@@ -1473,12 +1538,12 @@ impl Lowerer<'_> {
                         let a = self.operand_reg(top);
                         let dst = self.slot(top);
                         self.stack[top] = Abs::Slot;
-                        self.emit_pure(ROp::Un { op, dst, a }, dst);
+                        self.emit_pure(RForm::Un { op, dst, a }, dst);
                     }
                 }
             }
-            Op::I64Bin(op) => self.bin(|dst, a, b| ROp::I64Bin { op, dst, a, b }),
-            Op::Bin(op) => self.bin(|dst, a, b| ROp::Bin { op, dst, a, b }),
+            Op::I64Bin(op) => self.bin(|dst, a, b| RForm::I64Bin { op, dst, a, b }),
+            Op::Bin(op) => self.bin(|dst, a, b| RForm::Bin { op, dst, a, b }),
             Op::Load { kind, off } => self.lower_load(kind, off),
             Op::Store { kind, off } => self.lower_store(kind, off),
         }
@@ -1489,6 +1554,7 @@ impl Lowerer<'_> {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
+    use crate::instr::Instr;
     use crate::types::ValType;
 
     #[test]
@@ -1498,6 +1564,85 @@ mod tests {
             "ROp grew to {} bytes",
             std::mem::size_of::<ROp>()
         );
+    }
+
+    /// Every form each row of the operator table lowers to, with
+    /// distinct operands in every field.
+    fn forms_of(instr: Instr) -> Vec<RForm> {
+        let (dst, a, b, k, br, off) = (3, 5, 7, -9, 11, 13);
+        let (a16, b16, v16) = (5, 7, 17);
+        match instr {
+            Instr::I32Bin(op) => vec![
+                RForm::I32Bin { op, dst, a, b },
+                RForm::I32BinC { op, dst, a, k },
+                RForm::BrIfCmp { op, a, b, br },
+                RForm::BrIfCmpC { op, a, k, br },
+            ],
+            Instr::I64Bin(op) => vec![RForm::I64Bin { op, dst, a, b }],
+            Instr::Bin(op) => vec![RForm::Bin { op, dst, a, b }],
+            Instr::Un(op) => vec![RForm::Un { op, dst, a }],
+            #[rustfmt::skip]
+            Instr::Load(kind, _) => vec![
+                RForm::Load { kind, dst, addr: a, off },
+                RForm::LoadAt { kind, dst, a: a16, k, off },
+                RForm::LoadRR { kind, dst, a: a16, b: b16, off },
+                RForm::LoadBis { kind, dst: 3, a: a16, b: b16, sh: 2, k: -9, off },
+            ],
+            #[rustfmt::skip]
+            Instr::Store(kind, _) => vec![
+                RForm::Store { kind, addr: a, val: b, off },
+                RForm::StoreAt { kind, a: a16, k, val: v16, off },
+                RForm::StoreRR { kind, a: a16, b: b16, val: v16, off },
+                RForm::StoreBis { kind, a: a16, b: b16, sh: 2, k: -9, val: v16, off },
+                RForm::StoreCAt { kind, a: a16, k, v: 0x8765_4321, off },
+            ],
+            other => panic!("{other:?} is not a table row"),
+        }
+    }
+
+    #[test]
+    fn every_row_of_every_form_has_a_tag_that_views_back() {
+        use std::collections::HashMap;
+        use std::mem::{discriminant, Discriminant};
+        // Tag → the (form, row) pairs it runs. A memory tag is a cell of
+        // rows with one register-cell behaviour; every other tag of a
+        // flattened family runs exactly one pair.
+        let mut tags: HashMap<Discriminant<ROp>, Vec<(usize, &str)>> = HashMap::new();
+        for row in crate::ops::OP_TABLE {
+            let instr = crate::ops::decode(row.opcode, row.sub)
+                .unwrap_or_else(|| panic!("{}: the row does not decode", row.name));
+            for (form, rform) in forms_of(instr).into_iter().enumerate() {
+                let op = ROp::new(rform);
+                assert_eq!(
+                    op.view(),
+                    rform,
+                    "{}: form {form} does not view back",
+                    row.name
+                );
+                // `I64Bin` keeps its operator in the payload.
+                if !matches!(rform, RForm::I64Bin { .. }) {
+                    tags.entry(discriminant(&op))
+                        .or_default()
+                        .push((form, row.name));
+                }
+            }
+        }
+        let width = |name: &str| {
+            let row = crate::ops::OP_TABLE.iter().find(|r| r.name == name);
+            row.and_then(|r| r.width)
+        };
+        for pairs in tags.values() {
+            let (form, first) = pairs[0];
+            for &(f, name) in &pairs[1..] {
+                assert!(
+                    width(name).is_some() && (f, width(name)) == (form, width(first)),
+                    "{name} (form {f}) shares the tag of {first} (form {form})"
+                );
+            }
+        }
+        // 21 i32 rows in four forms, 34 `Bin` and 60 `Un` rows, then 9
+        // load cells in four forms and 4 store cells in five.
+        assert_eq!(tags.len(), 21 * 4 + 34 + 60 + 9 * 4 + 4 * 5);
     }
 
     #[test]
@@ -1520,12 +1665,12 @@ mod tests {
         // const materialization.
         #[rustfmt::skip]
         assert_eq!(
-            *rf.ops,
+            rf.ops.iter().map(|op| op.view()).collect::<Vec<_>>(),
             [
-                ROp::Meter { cost: 12 },
-                ROp::I32BinC { op: I32Op::Mul, dst: 1, a: 0, k: 2 },
-                ROp::I32BinC { op: I32Op::Add, dst: 1, a: 1, k: 1 },
-                ROp::Return { src: 1 },
+                RForm::Meter { cost: 12 },
+                RForm::I32BinC { op: I32Op::Mul, dst: 1, a: 0, k: 2 },
+                RForm::I32BinC { op: I32Op::Add, dst: 1, a: 1, k: 1 },
+                RForm::Return { src: 1 },
             ]
         );
         assert_eq!(rf.n_locals, 1);
@@ -1549,14 +1694,17 @@ mod tests {
         let rf = &m.code().unwrap()[0];
         // The add must write local 0 directly — no Copy in the body.
         assert!(
-            !rf.ops.iter().any(|op| matches!(op, ROp::Copy { .. })),
+            !rf.ops
+                .iter()
+                .any(|op| matches!(op.view(), RForm::Copy { .. })),
             "ops: {:?}",
             rf.ops
         );
         assert!(
-            rf.ops
-                .iter()
-                .any(|op| matches!(op, ROp::I32Bin { dst: 0, .. } | ROp::I32BinC { dst: 0, .. })),
+            rf.ops.iter().any(|op| matches!(
+                op.view(),
+                RForm::I32Bin { dst: 0, .. } | RForm::I32BinC { dst: 0, .. }
+            )),
             "ops: {:?}",
             rf.ops
         );
@@ -1580,12 +1728,13 @@ mod tests {
     }
 
     /// Function 0 of a WAT module, lowered, minus block headers.
-    fn lower_wat(src: &str) -> Vec<ROp> {
+    fn lower_wat(src: &str) -> Vec<RForm> {
         let wasm = waran_wat::assemble(src).expect("assembles");
         let m = crate::load_module(&wasm).expect("valid");
         let rf = &m.code().unwrap()[0];
-        let code = rf.ops.iter().filter(|op| !matches!(op, ROp::Meter { .. }));
-        code.copied().collect()
+        let code = rf.ops.iter().map(|op| op.view());
+        code.filter(|op| !matches!(op, RForm::Meter { .. }))
+            .collect()
     }
 
     // The flat IR is unfused, so every pattern below is fused here or
@@ -1613,10 +1762,10 @@ mod tests {
             matches!(
                 ops[..],
                 [
-                    ROp::BrIfCmp { op: I32Op::GeS, a: 0, b: 1, .. },
-                    ROp::I32BinC { op: I32Op::Add, dst: 0, a: 0, k: 1 },
-                    ROp::Br(_),
-                    ROp::Return { src: 0 },
+                    RForm::BrIfCmp { op: I32Op::GeS, a: 0, b: 1, .. },
+                    RForm::I32BinC { op: I32Op::Add, dst: 0, a: 0, k: 1 },
+                    RForm::Br { .. },
+                    RForm::Return { src: 0 },
                 ]
             ),
             "ops: {ops:?}"
@@ -1636,8 +1785,8 @@ mod tests {
         assert_eq!(
             ops,
             [
-                ROp::I32Bin { op: I32Op::GeS, dst: 0, a: 0, b: 1 },
-                ROp::Return { src: 0 },
+                RForm::I32Bin { op: I32Op::GeS, dst: 0, a: 0, b: 1 },
+                RForm::Return { src: 0 },
             ]
         );
     }
@@ -1653,7 +1802,7 @@ mod tests {
         assert!(
             matches!(
                 ops[..],
-                [ROp::BrIfZ { cond: 0, .. }, ROp::Return { src: 0 }]
+                [RForm::BrIfZ { cond: 0, .. }, RForm::Return { src: 0 }]
             ),
             "ops: {ops:?}"
         );
@@ -1670,9 +1819,9 @@ mod tests {
             matches!(
                 ops[..],
                 [
-                    ROp::BrIfCmpC { op: I32Op::And, a: 0, k: 1, .. },
-                    ROp::ConstI32 { dst: 0, k: 7 },
-                    ROp::Return { src: 0 },
+                    RForm::BrIfCmpC { op: I32Op::And, a: 0, k: 1, .. },
+                    RForm::ConstI32 { dst: 0, k: 7 },
+                    RForm::Return { src: 0 },
                 ]
             ),
             "ops: {ops:?}"
@@ -1693,9 +1842,9 @@ mod tests {
         assert_eq!(
             ops,
             [
-                ROp::ConstI32 { dst: 1, k: 5 },
-                ROp::Load { kind: LoadKind::I32, dst: 1, addr: 0, off: 8 },
-                ROp::Return { src: 1 },
+                RForm::ConstI32 { dst: 1, k: 5 },
+                RForm::Load { kind: LoadKind::I32, dst: 1, addr: 0, off: 8 },
+                RForm::Return { src: 1 },
             ]
         );
     }
@@ -1715,11 +1864,11 @@ mod tests {
         assert_eq!(
             ops,
             [
-                ROp::I32Bin { op: I32Op::Add, dst: 3, a: 0, b: 1 },
-                ROp::Copy { dst: 2, src: 0 },
-                ROp::Copy { dst: 0, src: 3 },
-                ROp::I32Bin { op: I32Op::Sub, dst: 2, a: 2, b: 0 },
-                ROp::Return { src: 2 },
+                RForm::I32Bin { op: I32Op::Add, dst: 3, a: 0, b: 1 },
+                RForm::Copy { dst: 2, src: 0 },
+                RForm::Copy { dst: 0, src: 3 },
+                RForm::I32Bin { op: I32Op::Sub, dst: 2, a: 2, b: 0 },
+                RForm::Return { src: 2 },
             ]
         );
         let module = crate::load_module(&waran_wat::assemble(src).expect("assembles"));

@@ -718,6 +718,233 @@ fn differential_every_plain_opcode() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Every register tag
+// ---------------------------------------------------------------------
+// The executor runs each (register form, operator) pair of the i32
+// binops, compare-and-branches, `Bin`/`Un` rows and loads and stores
+// under a tag of its own. Each row is lowered here once per register form
+// its family has — both operands in registers, a constant operand, a
+// fused compare-and-branch, each folded address shape and a constant
+// store value — and run on both sides over edge operands: the result
+// bits, the trap and the fuel must agree. The listing shows that the
+// intended form was emitted, so no tag goes unrun. The one form the
+// lowering never emits, a constant-value store of 8 bytes (it folds i32
+// and f32 constants only), has its tag but no case.
+
+/// A register form, as the body that makes the lowering emit it.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// Every operand a parameter register.
+    Plain,
+    /// i32 binop with a constant right operand.
+    Const(i32),
+    /// i32 binop feeding `br_if`, over two registers.
+    BrIfCmp,
+    /// i32 binop with a constant feeding `br_if`.
+    BrIfCmpC(i32),
+    /// Address `a + k`.
+    At,
+    /// Address `a + b`.
+    Rr,
+    /// Address `a + (b << 2) + k`.
+    Bis,
+    /// Address `a + k`, constant stored value.
+    ConstValue,
+}
+
+/// The displacement every folded address carries: an address below 4
+/// wraps past 2³² and traps out of bounds.
+const DISP: i32 = -4;
+
+/// The forms a row's family lowers to.
+fn forms_of(op: &Instr) -> Vec<Form> {
+    use Form::*;
+    match op {
+        Instr::I32Bin(_) => [-1, 5, 33]
+            .into_iter()
+            .flat_map(|k| [Const(k), BrIfCmpC(k)])
+            .chain([Plain, BrIfCmp])
+            .collect(),
+        Instr::Bin(_) | Instr::Un(_) => vec![Plain],
+        Instr::Load(..) => vec![Plain, At, Rr, Bis],
+        Instr::Store(..) => vec![Plain, At, Rr, Bis, ConstValue],
+        _ => vec![],
+    }
+}
+
+/// `main` lowering `op` (a table row, static offset 4 on a memory access)
+/// to `form`: its parameters, and the listing text the form shows. `None`
+/// when the row has no such form (a constant-value store of an i64).
+fn form_module(op: &Instr, row: &OpRow, form: Form) -> Option<(Module, Vec<ValType>, String)> {
+    use ValType::I32;
+    let name = match op {
+        Instr::I32Bin(o) => format!("i32.{o:?}"),
+        Instr::Bin(o) => format!("{o:?}"),
+        Instr::Un(o) => format!("{o:?}"),
+        Instr::Load(kind, _) => format!("load.{kind:?}"),
+        Instr::Store(kind, _) => format!("store.{kind:?}"),
+        _ => return None,
+    };
+    let store = row.result.is_none();
+    // A store's value comes after its address operands.
+    let (params, needle): (Vec<ValType>, String) = match form {
+        Form::Plain if store => (row.params.to_vec(), format!("{name} [r0+4] = r1")),
+        Form::Plain if row.width.is_some() => (row.params.to_vec(), format!("= {name} [r0+4]")),
+        Form::Plain if row.params.len() == 1 => (row.params.to_vec(), format!("= {name} r0")),
+        Form::Plain => (row.params.to_vec(), format!("= {name} r0 r1")),
+        Form::Const(k) => (vec![I32], format!("= {name} r0 {k}")),
+        Form::BrIfCmp => (vec![I32, I32], format!("br_if ({name} r0 r1)")),
+        Form::BrIfCmpC(k) => (vec![I32], format!("br_if ({name} r0 {k})")),
+        Form::At if store => (row.params.to_vec(), format!("{name} [r0{DISP}+4] = r1")),
+        Form::At => (vec![I32], format!("= {name} [r0{DISP}+4]")),
+        Form::Rr if store => (
+            vec![I32, I32, row.params[1]],
+            format!("{name} [r0+r1+4] = r2"),
+        ),
+        Form::Rr => (vec![I32, I32], format!("= {name} [r0+r1+4]")),
+        Form::Bis if store => (
+            vec![I32, I32, row.params[1]],
+            format!("{name} [r0+(r1<<2){DISP}+4] = r2"),
+        ),
+        Form::Bis => (vec![I32, I32], format!("= {name} [r0+(r1<<2){DISP}+4]")),
+        Form::ConstValue if matches!(row.params[1], I32 | ValType::F32) => {
+            (vec![I32], format!("{name} [r0{DISP}+4] = const"))
+        }
+        Form::ConstValue => return None,
+    };
+    let mut mb = ModuleBuilder::new();
+    mb.memory(1, Some(1));
+    let sig = mb.func_type(&params, row.result.as_slice());
+    let f = mb.begin_func(sig);
+    let c = mb.code();
+    match form {
+        Form::Plain => {
+            for i in 0..params.len() as u32 {
+                c.local_get(i);
+            }
+            c.raw(op.clone());
+        }
+        Form::Const(k) => {
+            c.local_get(0).i32_const(k).raw(op.clone());
+        }
+        Form::BrIfCmp | Form::BrIfCmpC(_) => {
+            c.block(BlockType::Empty).local_get(0);
+            match form {
+                Form::BrIfCmpC(k) => c.i32_const(k),
+                _ => c.local_get(1),
+            };
+            // Answers 9 when the branch is taken, 7 when not.
+            c.raw(op.clone())
+                .br_if(0)
+                .i32_const(7)
+                .raw(Instr::Return)
+                .end()
+                .i32_const(9);
+        }
+        Form::At | Form::ConstValue => {
+            c.local_get(0).i32_const(DISP).i32_add();
+        }
+        Form::Rr => {
+            c.local_get(0).local_get(1).i32_add();
+        }
+        Form::Bis => {
+            c.local_get(0)
+                .local_get(1)
+                .i32_const(2)
+                .i32_shl()
+                .i32_add()
+                .i32_const(DISP)
+                .i32_add();
+        }
+    }
+    if matches!(form, Form::At | Form::Rr | Form::Bis | Form::ConstValue) {
+        let value = params.len() as u32 - 1;
+        match form {
+            Form::ConstValue if row.params[1] == I32 => {
+                c.i32_const(0x1234_5687);
+            }
+            Form::ConstValue => {
+                c.f32_const(-2.5);
+            }
+            _ if store => {
+                c.local_get(value);
+            }
+            _ => {}
+        }
+        c.raw(op.clone());
+    }
+    mb.end_func().ok()?;
+    mb.export_func("main", f);
+    let module = load_module(&mb.finish_bytes().ok()?).expect("the case validates");
+    Some((module, params, needle))
+}
+
+#[test]
+fn differential_every_register_tag() {
+    let (mut cases, mut completed, mut trapped) = (0u32, 0u32, 0u32);
+    for &row in OP_TABLE {
+        let mut bytes = vec![row.opcode];
+        bytes.extend(row.sub.map(|sub| sub as u8));
+        if row.width.is_some() {
+            bytes.extend([0x00, 0x04]);
+        }
+        let op = decode_opcode(&bytes).expect("a table row decodes");
+        for form in forms_of(&op) {
+            let Some((module, params, needle)) = form_module(&op, row, form) else {
+                continue;
+            };
+            assert!(
+                lowered_with(&module, "main", &needle),
+                "{} as {form:?}: no `{needle}` in\n{}",
+                row.name,
+                disassemble_reg(&module)
+            );
+            cases += 1;
+            let (mut inst, mut oracle) = patterned(module, &op);
+            // Every combination of the first two operands' edge values;
+            // a store's value operand, when third, cycles through its own.
+            let lists: Vec<Vec<Value>> = params.iter().map(|&ty| edge_operands(ty)).collect();
+            let seconds = lists.get(1).map_or(1, Vec::len);
+            for (i, &a) in lists[0].iter().enumerate() {
+                for j in 0..seconds {
+                    let mut args = vec![a];
+                    args.extend(lists.get(1).map(|l| l[j]));
+                    args.extend(lists.get(2).map(|l| l[(i * seconds + j) % l.len()]));
+                    let ctx = format!("{} as {form:?} {args:?}", row.name);
+                    inst.set_fuel(1_000);
+                    oracle.set_fuel(1_000);
+                    let ours = inst.invoke("main", &args).map(|v| v.map(bits));
+                    let theirs = oracle.invoke("main", &args).map(|v| v.map(bits));
+                    assert_eq!(theirs, ours, "result diverged ({ctx})");
+                    // The oracle stops at the trapping op, the body's last
+                    // before `end`; block metering has charged the `end`.
+                    let unpaid = u64::from(ours.is_err());
+                    assert_eq!(
+                        oracle.fuel_consumed().map(|f| f + unpaid),
+                        inst.fuel_consumed(),
+                        "fuel diverged ({ctx})"
+                    );
+                    assert!(inst.bytes() == oracle.memory, "memory diverged ({ctx})");
+                    match ours {
+                        Ok(_) => completed += 1,
+                        Err(_) => trapped += 1,
+                    }
+                }
+            }
+        }
+    }
+    // Four forms of 21 i32 rows (three constants each for the constant
+    // ones), 34 `Bin` and 60 `Un` rows, four forms of 14 loads, four of 9
+    // stores and the constant-value form of the 4 with an i32 or f32
+    // value.
+    assert_eq!(cases, 21 * 8 + 34 + 60 + 14 * 4 + 9 * 4 + 4);
+    assert!(
+        completed > 10_000 && trapped > 1_000,
+        "{completed} completed, {trapped} trapped"
+    );
+}
+
 #[test]
 fn differential_memory_grow_pays_per_page() {
     // `main(delta)` is `local.get 0; memory.grow` on one page of at most

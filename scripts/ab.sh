@@ -2,7 +2,10 @@
 # A/B two frozen slotbench binaries the way choosing-metrics §8 asks:
 # alternating order, N pairs, and per workload x end-to-end metric one
 # markdown row — median [min, max] per side, Δ median, pairs won (ties
-# count for neither), parent IQR / median — ready to paste into CHANGES.md.
+# count for neither), parent IQR / median and a verdict — ready to paste
+# into CHANGES.md. The verdict is choosing-metrics §8's rule: `gain` when
+# the change wins at least 9/10 of the pairs and |Δ median| exceeds the
+# parent's IQR, `loss` when the parent does, `unresolved` otherwise.
 # Beneath each such row a `runs` row lists each side's values in pair
 # order, so the host's fast and slow clusters show.
 #
@@ -28,7 +31,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 bench="$root/BENCHMARK.json"
 
 usage() {
-    sed -n '2,25p' "$0" >&2
+    sed -n '2,28p' "$0" >&2
     exit 2
 }
 
@@ -91,8 +94,8 @@ num_fn='
         return substr(rest, 1, RLENGTH) + 0
     }'
 
-echo "| workload | metric | parent: median [min, max] | change: median [min, max] | Δ median | pairs won | parent IQR / median |"
-echo "|---|---|---|---|---|---|---|"
+echo "| workload | metric | parent: median [min, max] | change: median [min, max] | Δ median | pairs won | parent IQR / median | verdict |"
+echo "|---|---|---|---|---|---|---|---|"
 status=0
 awk -v metrics="$metrics" -v pairs="$pairs" "$num_fn"'
     # Quantile q of v[1..n] (sorted in place), linear interpolation.
@@ -124,17 +127,22 @@ awk -v metrics="$metrics" -v pairs="$pairs" "$num_fn"'
             for (k = 1; k <= n_m; k++) {
                 split(m[k], nb, " ")
                 name = nb[1]; sign = (nb[2] == "higher") ? 1 : -1
-                won = 0; p_runs = ""; c_runs = ""
+                won = 0; lost = 0; p_runs = ""; c_runs = ""
                 for (i = 1; i <= pairs; i++) {
                     p[i] = val[w, name, "parent", i]; c[i] = val[w, name, "change", i]
                     if ((c[i] - p[i]) * sign > 0) won++
+                    if ((c[i] - p[i]) * sign < 0) lost++
                     p_runs = p_runs sprintf(" %.4g", p[i]); c_runs = c_runs sprintf(" %.4g", c[i])
                 }
                 p_med = quantile(p, pairs, 0.5); c_med = quantile(c, pairs, 0.5)
                 iqr = quantile(p, pairs, 0.75) - quantile(p, pairs, 0.25)
+                moved = (c_med - p_med) * (c_med - p_med) > iqr * iqr
+                verdict = "unresolved"
+                if (moved && 10 * won >= 9 * pairs) verdict = "gain"
+                if (moved && 10 * lost >= 9 * pairs) verdict = "loss"
                 printf "| %s (%d pairs) | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] ", w, pairs, name, p_med, p[1], p[pairs], c_med, c[1], c[pairs]
-                printf "| %+.1f %% | %d/%d | %.1f %% |\n", 100 * (c_med - p_med) / p_med, won, pairs, 100 * iqr / p_med
-                printf "| | %s runs |%s |%s | | | |\n", name, p_runs, c_runs
+                printf "| %+.1f %% | %d/%d | %.1f %% | %s |\n", 100 * (c_med - p_med) / p_med, won, pairs, 100 * iqr / p_med, verdict
+                printf "| | %s runs |%s |%s | | | | |\n", name, p_runs, c_runs
             }
         }
         exit bad

@@ -5,10 +5,10 @@
 use std::time::Duration;
 
 use wa_ran::host::SlotState;
+use wa_ran::ric::bus::RecvOutcome;
 use wa_ran::ric::bus::{DeliveryMode, RicBus};
 use wa_ran::ric::comm::{CommCodec, JsonCodec, PbCodec, TlvCodec, WasmCommPlugin};
 use wa_ran::ric::e2::{ControlAction, Indication, KpiReport};
-use wa_ran::ric::link::RecvOutcome;
 use wa_ran::ric::ric::{NearRtRic, TrafficSteering};
 
 fn kpi(ue: u32, slice: u32, cqi: u8, tput: f64) -> KpiReport {
@@ -193,8 +193,8 @@ fn trapping_comm_plugin_is_quarantined_and_the_bus_keeps_answering() {
     assert_eq!(struck_host.state("struck"), Some(SlotState::Quarantined));
 
     // On the bus, cell 0's service codec is the quarantined one and cell
-    // 1's is a fresh copy that traps inside the service thread on every
-    // reply. Both cells get an answer to every indication.
+    // 1's is a fresh copy that traps inside `CellPort::publish`, which
+    // serves each indication, on every reply. Both cells get an answer to every indication.
     let fresh = codec("fresh");
     let fresh_host = fresh.plugins().clone();
     let mut bus = RicBus::new(4, DeliveryMode::Deterministic);
@@ -219,7 +219,8 @@ fn trapping_comm_plugin_is_quarantined_and_the_bus_keeps_answering() {
             assert_eq!(node.decode_actions(&batch.frame), Ok((Vec::new(), 0)));
         }
     }
-    // Joins the service thread: a panic there would fail the test here.
+    // Folds every cell's service state into the report. Serving runs
+    // inside `publish`, so a panic there would have failed the loop above.
     let report = service.stop();
     assert_eq!(report.reply_frames_sent, 2 * INDICATIONS);
     // The quarantined codec refuses to decode (a decode error per frame)
