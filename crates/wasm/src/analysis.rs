@@ -53,11 +53,10 @@ use std::sync::Arc;
 
 use crate::compile::{compile_func, CompiledFunc, Op};
 use crate::instance::PAGE_FUEL;
-use crate::interp::Value;
 use crate::module::{ExportKind, Module};
 use crate::ops::{I32Op, UnOp};
 use crate::regalloc::{lower_func, RForm, RegFunc};
-use crate::types::MAX_PAGES;
+use crate::types::{ValType, MAX_PAGES};
 use crate::validate::ValidateError;
 
 /// A worst-case resource bound: exactly known, or not statically
@@ -621,7 +620,7 @@ fn validate_with_shape(
     if rf.argc != cf.argc || rf.ret_arity != cf.ret_arity {
         return Err(mismatch(func, 0, "argc/ret_arity disagree across tiers"));
     }
-    if rf.n_locals != cf.n_locals() {
+    if rf.n_locals != cf.n_locals {
         return Err(mismatch(func, 0, "n_locals inconsistent with signature"));
     }
     if rf.branches.len() != cf.branches.len() {
@@ -1392,7 +1391,6 @@ fn region_cost(
 fn compute_report(
     module: &Module,
     func: u32,
-    cf: &CompiledFunc,
     rf: &RegFunc,
     shape: &Shape,
     windows: &[Window],
@@ -1445,10 +1443,10 @@ fn compute_report(
 
     // Parameters hold unknown words on entry; the declared locals are
     // zeroed.
-    let entry_state: Vec<Option<i32>> = (0..cf.argc)
+    let entry_state: Vec<Option<i32>> = (0..rf.argc)
         .map(|_| None)
-        .chain(cf.locals_init.iter().map(|v| match v {
-            Value::I32(k) => Some(*k),
+        .chain(module.funcs[func as usize].locals.iter().map(|t| match t {
+            ValType::I32 => Some(0),
             _ => None,
         }))
         .collect();
@@ -1505,11 +1503,12 @@ fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisEr
     let n_imp = module.num_imported_funcs();
     let mut code = Vec::with_capacity(nf);
     let mut shapes = Vec::with_capacity(nf);
-    for (f, cf) in (0..).zip(&flat) {
-        let mut rf = lower_func(module, f, cf);
-        let shape = build_shape(module, f, cf)?;
-        let windows = validate_with_shape(f, cf, &rf, &shape)?;
-        // Only the proof reads the pc map; the bounds below need the flat IR.
+    for (f, cf) in (0..).zip(flat) {
+        let mut rf = lower_func(module, f, &cf);
+        let shape = build_shape(module, f, &cf)?;
+        let windows = validate_with_shape(f, &cf, &rf, &shape)?;
+        // Only the proof reads the pc map and the flat IR; the bounds
+        // below read the shapes.
         rf.pc_map = Box::default();
         code.push(rf);
         shapes.push((shape, windows));
@@ -1548,9 +1547,9 @@ fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisEr
             }
         } else {
             let f = comp[0];
-            let (cf, rf, (shape, windows)) = (&flat[f], &code[f], &shapes[f]);
+            let (rf, (shape, windows)) = (&code[f], &shapes[f]);
             reports[f] = Some(compute_report(
-                module, f as u32, cf, rf, shape, windows, &reports,
+                module, f as u32, rf, shape, windows, &reports,
             ));
         }
     }

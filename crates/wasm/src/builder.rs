@@ -19,7 +19,7 @@
 //! assert!(waran_wasm::load_module(&bytes).is_ok());
 //! ```
 
-use crate::instr::{fixup_block_targets, FixupError, Instr};
+use crate::instr::Instr;
 use crate::module::*;
 use crate::types::{BlockType, FuncType, GlobalType, Limits, Mutability, ValType};
 
@@ -29,8 +29,6 @@ pub enum BuildError {
     /// `end_func` called with no function in progress, or `finish` with one
     /// still open.
     FunctionState,
-    /// Structured control instructions do not nest properly.
-    Fixup(FixupError),
     /// Imports must be declared before any function is defined (the binary
     /// format numbers imported functions first).
     ImportAfterFunc,
@@ -40,7 +38,6 @@ impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::FunctionState => write!(f, "mismatched begin_func/end_func"),
-            BuildError::Fixup(e) => write!(f, "bad block structure: {e}"),
             BuildError::ImportAfterFunc => {
                 write!(f, "imports must be declared before defining functions")
             }
@@ -139,12 +136,12 @@ impl ModuleBuilder {
             .code
     }
 
-    /// Finish the current function: appends the function-level `End`,
-    /// resolves block targets and adds the body to the module.
+    /// Finish the current function: appends the function-level `End` and
+    /// adds the body to the module. Nesting is checked when the module is
+    /// loaded (or first used), with the rest of the type check.
     pub fn end_func(&mut self) -> Result<(), BuildError> {
         let mut cur = self.current.take().ok_or(BuildError::FunctionState)?;
         cur.code.instrs.push(Instr::End);
-        fixup_block_targets(&mut cur.code.instrs).map_err(BuildError::Fixup)?;
         self.module.funcs.push(FuncBody {
             type_idx: cur.type_idx,
             locals: cur.locals,
@@ -259,10 +256,7 @@ impl CodeEmitter {
 
     /// Begin a block.
     pub fn block(&mut self, ty: BlockType) -> &mut Self {
-        self.instrs.push(Instr::Block {
-            ty,
-            end_pc: u32::MAX,
-        });
+        self.instrs.push(Instr::Block { ty });
         self
     }
 
@@ -274,17 +268,13 @@ impl CodeEmitter {
 
     /// Begin an if.
     pub fn if_(&mut self, ty: BlockType) -> &mut Self {
-        self.instrs.push(Instr::If {
-            ty,
-            else_pc: u32::MAX,
-            end_pc: u32::MAX,
-        });
+        self.instrs.push(Instr::If { ty });
         self
     }
 
     /// Else arm.
     pub fn else_(&mut self) -> &mut Self {
-        self.instrs.push(Instr::Else { end_pc: u32::MAX });
+        self.instrs.push(Instr::Else);
         self
     }
 
@@ -474,11 +464,23 @@ mod tests {
 
     #[test]
     fn unbalanced_blocks_rejected() {
+        use crate::validate::{ValidateError, ValidateErrorKind};
         let mut mb = ModuleBuilder::new();
         let sig = mb.func_type(&[], &[]);
         mb.begin_func(sig);
         mb.code().block(BlockType::Empty); // never closed
-        assert!(matches!(mb.end_func(), Err(BuildError::Fixup(_))));
+        mb.end_func().unwrap();
+        // The builder records the body as written; loading refuses it
+        // where the body ends with the function's frame still open.
+        let err = crate::load_module(&mb.finish_bytes().unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            crate::LoadError::Validate(ValidateError {
+                func: Some(0),
+                pc: Some(2),
+                kind: ValidateErrorKind::ControlUnderflow,
+            })
+        );
     }
 
     #[test]

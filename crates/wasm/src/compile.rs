@@ -44,14 +44,16 @@
 //! same frames the lowering resolves branches on, over dead code too
 //! (which it checks and does not emit). A body that breaks the type
 //! system is a [`ValidateError`] at its function, instruction and kind;
-//! no input makes the walk panic. The module-level checks
+//! no input makes the walk panic. It is the one check of block structure
+//! too: the decoder and the builder record `block`, `loop`, `if`, `else`
+//! and `end` as written, and the walk matches each `else` and `end` to
+//! its frame, refusing one that closes nothing. The module-level checks
 //! ([`crate::validate::validate`]) come first: the walk trusts the type,
 //! function and table declarations they hold.
 
 use crate::analysis::{mismatch, AnalysisError};
 use crate::instance::call_price;
 use crate::instr::{Instr, OpRow};
-use crate::interp::Value;
 use crate::module::Module;
 use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
 use crate::types::{GlobalType, Mutability, ValType};
@@ -201,21 +203,15 @@ pub struct CompiledFunc {
     pub ops: Box<[Op]>,
     /// Interned branch targets (including all `br_table` entries).
     pub branches: Box<[BranchTarget]>,
-    /// Zero values for the function's own declared (non-parameter)
-    /// locals, which frame entry zeroes.
-    pub locals_init: Box<[Value]>,
     /// Parameter count.
     pub argc: u32,
+    /// Local slots: the parameters, then the declared locals.
+    pub n_locals: u32,
     /// Result count (0 or 1 in the MVP).
     pub ret_arity: u32,
 }
 
 impl CompiledFunc {
-    /// Local slots: the parameters, then the declared locals.
-    pub fn n_locals(&self) -> u32 {
-        self.argc + self.locals_init.len() as u32
-    }
-
     /// Operand-stack height each branch target starts at — the branch's
     /// `height` plus the values it carries — indexed by op pc; `u32::MAX`
     /// where no branch lands. Function-level targets point at the shared
@@ -337,8 +333,8 @@ pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, Val
         c.lower(instr)?;
     }
     if !c.ctrls.is_empty() {
-        // The final `End` pops the function frame; the decoder's block
-        // fixup refuses a body where it does not.
+        // The body ended with a frame still open: a block left unclosed,
+        // or no function-level `End`.
         c.pc = body.code.len();
         return Err(c.err(ValidateErrorKind::ControlUnderflow));
     }
@@ -355,8 +351,8 @@ pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, Val
     Ok(CompiledFunc {
         ops: c.ops.into_boxed_slice(),
         branches: c.branches.into_boxed_slice(),
-        locals_init: body.locals.iter().map(|t| Value::zero(*t)).collect(),
         argc: ty.params.len() as u32,
+        n_locals: (ty.params.len() + body.locals.len()) as u32,
         ret_arity: results.is_some() as u32,
     })
 }
@@ -620,7 +616,7 @@ impl<'m> FnCompiler<'m> {
                     self.count(1);
                 }
             }
-            Instr::Block { ty, .. } => {
+            Instr::Block { ty } => {
                 if self.reachable {
                     self.count(1);
                 }
@@ -639,7 +635,7 @@ impl<'m> FnCompiler<'m> {
                 }
                 self.push_ctrl(CtrlKind::Loop { header }, ty.result());
             }
-            Instr::If { ty, .. } => {
+            Instr::If { ty } => {
                 // The false edge is a branch to the else arm (or the end).
                 self.pop_expect(I32)?;
                 let mut else_br = None;
@@ -652,7 +648,7 @@ impl<'m> FnCompiler<'m> {
                 }
                 self.push_ctrl(CtrlKind::If { else_br }, ty.result());
             }
-            Instr::Else { .. } => self.lower_else()?,
+            Instr::Else => self.lower_else()?,
             Instr::End => self.lower_end()?,
             Instr::Br { depth } => {
                 if let Some(t) = self.label_types(*depth)? {
@@ -847,9 +843,16 @@ impl<'m> FnCompiler<'m> {
         Ok(())
     }
 
-    /// `else`: the then arm's value is checked, and its fallthrough jumps
-    /// over the else arm.
+    /// `else`: it closes the then arm of an un-elsed `if`, whose value is
+    /// checked, and the then arm's fallthrough jumps over the else arm.
     fn lower_else(&mut self) -> Result<(), ValidateError> {
+        let Some(&Ctrl {
+            kind: CtrlKind::If { else_br },
+            ..
+        }) = self.ctrls.last()
+        else {
+            return Err(self.err(ValidateErrorKind::ElseWithoutIf));
+        };
         self.check_frame_end()?;
         let fi = self.ctrls.len() - 1;
         // The Else instruction is charged on the then-fallthrough path
@@ -864,17 +867,16 @@ impl<'m> FnCompiler<'m> {
         }
         let f = &mut self.ctrls[fi];
         f.unreachable = false;
-        match std::mem::replace(&mut f.kind, CtrlKind::Block) {
-            CtrlKind::If {
-                else_br: Some(else_br),
-            } => {
+        f.kind = CtrlKind::Block;
+        match else_br {
+            Some(else_br) => {
                 // An emitted If is always reachable at entry.
                 self.reachable = true;
                 let lp = self.leader();
                 self.branches[else_br as usize].pc = lp;
             }
             // The whole if/else sits in dead code.
-            _ => self.reachable = false,
+            None => self.reachable = false,
         }
         Ok(())
     }
@@ -1085,6 +1087,85 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 11);
+    }
+
+    /// The walk is the one nesting check: each way a body's `else` and
+    /// `end` can fail to nest, live or in dead code, is refused by
+    /// `load_module` at its function and instruction.
+    #[test]
+    fn nesting_faults_are_refused_at_their_pc() {
+        use crate::types::BlockType::Empty;
+        use crate::validate::ValidateErrorKind::{ControlUnderflow, ElseWithoutIf};
+        use Instr::{Else, End, Nop, Unreachable};
+        let (block, loop_, if_) = (
+            Instr::Block { ty: Empty },
+            Instr::Loop { ty: Empty },
+            Instr::If { ty: Empty },
+        );
+        let one = Instr::I32Const(1);
+        // (fault, whole body of function 1, failing pc, kind)
+        let cases = [
+            ("dangling else", vec![Else, End], 0, ElseWithoutIf),
+            (
+                "else in a block",
+                vec![block.clone(), Else, End, End],
+                1,
+                ElseWithoutIf,
+            ),
+            (
+                "else in a loop",
+                vec![loop_, Else, End, End],
+                1,
+                ElseWithoutIf,
+            ),
+            (
+                "dead else in a block",
+                vec![Unreachable, block.clone(), Else, End, End],
+                2,
+                ElseWithoutIf,
+            ),
+            (
+                "duplicate else",
+                vec![one.clone(), if_.clone(), Else, Else, End, End],
+                3,
+                ElseWithoutIf,
+            ),
+            (
+                "dead duplicate else",
+                vec![Unreachable, one, if_, Else, Else, End, End],
+                4,
+                ElseWithoutIf,
+            ),
+            ("dangling end", vec![End, End], 1, ControlUnderflow),
+            (
+                "code after the final end",
+                vec![End, Nop],
+                1,
+                ControlUnderflow,
+            ),
+            ("unclosed block", vec![block, End], 2, ControlUnderflow),
+            ("missing final end", vec![Nop], 1, ControlUnderflow),
+            ("empty body", vec![], 0, ControlUnderflow),
+        ];
+        for (fault, code, pc, kind) in cases {
+            let mut b = ModuleBuilder::new();
+            let sig = b.func_type(&[], &[]);
+            for _ in 0..2 {
+                b.begin_func(sig);
+                b.end_func().unwrap();
+            }
+            let mut m = b.finish().unwrap();
+            m.funcs[1].code = code;
+            assert_eq!(
+                crate::load_module(&crate::encode::encode_module(&m)),
+                Err(crate::LoadError::Validate(ValidateError {
+                    func: Some(1),
+                    pc: Some(pc),
+                    kind,
+                })),
+                "{fault}"
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Produces a [`Module`]; structural errors (bad magic, truncated sections,
 //! unknown opcodes, malformed LEB128) are reported as [`DecodeError`] with a
-//! byte offset. Type errors are left to [`crate::validate`].
+//! byte offset. Type errors, block nesting included, are left to the
+//! checks [`crate::load_module`] runs: bodies are recorded as written.
 
-use crate::instr::{fixup_block_targets, FixupError, Instr, MemArg};
+use crate::instr::{Instr, MemArg};
 use crate::leb128;
 pub use crate::leb128::LebError;
 use crate::module::*;
@@ -59,8 +60,6 @@ pub enum DecodeErrorKind {
     UnsupportedImport,
     /// Constant expression is not a single `t.const` followed by `end`.
     BadConstExpr,
-    /// Structured control instructions do not nest properly.
-    Fixup(FixupError),
     /// Invalid UTF-8 in a name.
     BadUtf8,
     /// Passive or multi-table segments (unsupported).
@@ -517,7 +516,6 @@ fn decode_code_section(
         if r.pos != body_end {
             return Err(r.err(DecodeErrorKind::SectionSize));
         }
-        fixup_block_targets(&mut code).map_err(|e| r.err(DecodeErrorKind::Fixup(e)))?;
 
         module.funcs.push(FuncBody {
             type_idx,
@@ -534,17 +532,10 @@ fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, DecodeError> {
     let instr = match op {
         0x00 => Instr::Unreachable,
         0x01 => Instr::Nop,
-        0x02 => Instr::Block {
-            ty: r.blocktype()?,
-            end_pc: u32::MAX,
-        },
+        0x02 => Instr::Block { ty: r.blocktype()? },
         0x03 => Instr::Loop { ty: r.blocktype()? },
-        0x04 => Instr::If {
-            ty: r.blocktype()?,
-            else_pc: u32::MAX,
-            end_pc: u32::MAX,
-        },
-        0x05 => Instr::Else { end_pc: u32::MAX },
+        0x04 => Instr::If { ty: r.blocktype()? },
+        0x05 => Instr::Else,
         0x0b => Instr::End,
         0x0c => Instr::Br { depth: r.u32()? },
         0x0d => Instr::BrIf { depth: r.u32()? },

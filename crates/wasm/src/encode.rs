@@ -264,7 +264,7 @@ fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
             out.push(0x04);
             encode_blocktype(out, *ty);
         }
-        Else { .. } => out.push(0x05),
+        Else => out.push(0x05),
         End => out.push(0x0b),
         Br { depth } => {
             out.push(0x0c);
@@ -422,7 +422,6 @@ mod tests {
             code: vec![
                 Instr::Block {
                     ty: BlockType::Value(ValType::I64),
-                    end_pc: 3,
                 },
                 Instr::I64Const(-5),
                 Instr::Br { depth: 0 },

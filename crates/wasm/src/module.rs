@@ -112,8 +112,9 @@ pub struct FuncBody {
     pub type_idx: u32,
     /// Declared locals (excluding parameters), already expanded.
     pub locals: Vec<ValType>,
-    /// Flat instruction sequence terminated by `End`, with block targets
-    /// resolved (see [`crate::instr::fixup_block_targets`]).
+    /// Flat instruction sequence, as the binary spells it: a well-formed
+    /// body ends with the function-level `End`, which the type-checking
+    /// walk checks along with the rest of the nesting.
     pub code: Vec<Instr>,
 }
 

@@ -444,7 +444,7 @@ struct Lowerer<'m> {
 /// Lower `module`'s local function `local_idx` from its flat IR `cf` to
 /// register form. Called only by the proof that checks the result.
 pub fn lower_func(module: &Module, local_idx: u32, cf: &CompiledFunc) -> RegFunc {
-    let n_locals = cf.n_locals();
+    let n_locals = cf.n_locals;
 
     let entry_height = cf
         .entry_heights(local_idx)

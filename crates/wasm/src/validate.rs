@@ -56,9 +56,13 @@ pub enum ValidateErrorKind {
     },
     /// Values left on the stack at the end of a block.
     StackHeightMismatch { expected: usize, found: usize },
-    /// `else`/`end` with no matching frame (should be caught by fixup, but
-    /// revalidated for defense in depth).
+    /// Block structure that does not close: an `end` or any instruction
+    /// after the function's final `end`, or a body that ends with a frame
+    /// still open (reported at `pc = body.len()`).
     ControlUnderflow,
+    /// An `else` that does not close an un-elsed `if`: one in a `block`,
+    /// a `loop` or the function frame, or an `if`'s second `else`.
+    ElseWithoutIf,
     /// Function results do not allow more than one value (MVP).
     MultiValue,
     /// Limits with min > max, or memory limits over the 4 GiB ceiling.

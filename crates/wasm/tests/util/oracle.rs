@@ -5,7 +5,9 @@
 //! source (`compile`, then `regalloc`) over the crate's runtime memory and
 //! table types. The oracle walks the source instructions one at a time
 //! over a plain `Vec<u8>` with its own bounds arithmetic, and keeps its own
-//! table, globals, segment initialisation and float helpers. It shares
+//! table, globals, segment initialisation, float helpers and block table
+//! (where each `block`, `if` and `else` ends, matched from the body it
+//! walks). It shares
 //! with the executor it judges only the decoder's `Module`/`Instr` (with
 //! the operator enums `Instr` carries, never their `eval`s), `Value`,
 //! `Trap`, the types and `MAX_CALL_DEPTH`, so a bounds or arithmetic bug in
@@ -43,6 +45,9 @@ use waran_wasm::Trap;
 /// A module instantiated under the oracle.
 pub struct Oracle<T> {
     module: Arc<Module>,
+    /// Per body, per pc: where the `block`, `if` or `else` there jumps
+    /// when it is skipped ([`block_table`]).
+    skips: Vec<Vec<u32>>,
     /// Host functions in import order, as the linker resolved them.
     host: Vec<(FuncType, HostFn<T>)>,
     /// Embedder state handed to host functions.
@@ -93,6 +98,7 @@ impl<T> Oracle<T> {
         let mut oracle = Oracle {
             table: vec![None; module.table.map_or(0, |t| t.min as usize)],
             globals: module.globals.iter().map(|g| constant(g.init)).collect(),
+            skips: module.funcs.iter().map(|f| block_table(&f.code)).collect(),
             module: module.clone(),
             host,
             data,
@@ -374,14 +380,16 @@ impl<T> Oracle<T> {
             *instrs += 1;
 
             let frame = frames.last_mut().expect("at least one frame");
-            let instr = &module.funcs[frame.func as usize].code[frame.pc];
+            let code = &module.funcs[frame.func as usize].code;
+            let skip = &self.skips[frame.func as usize];
+            let instr = &code[frame.pc];
             frame.pc += 1;
 
             match instr {
                 Instr::Unreachable => return Err(Trap::Unreachable),
                 Instr::Nop => {}
-                Instr::Block { ty, end_pc } => frame.labels.push(Label {
-                    target: *end_pc,
+                Instr::Block { ty } => frame.labels.push(Label {
+                    target: skip[frame.pc - 1],
                     stack_base: stack.len(),
                     arity: ty.arity(),
                     pop_self: false,
@@ -392,29 +400,29 @@ impl<T> Oracle<T> {
                     arity: 0,
                     pop_self: true,
                 }),
-                Instr::If {
-                    ty,
-                    else_pc,
-                    end_pc,
-                } => {
+                Instr::If { ty } => {
+                    // The `if` skips to its `else`, if it has one, and that
+                    // to the shared `end`.
                     let cond = pop!().as_i32();
+                    let skip_to = skip[frame.pc - 1] as usize;
+                    let has_else = matches!(code[skip_to], Instr::Else);
                     frame.labels.push(Label {
-                        target: *end_pc,
+                        target: if has_else {
+                            skip[skip_to]
+                        } else {
+                            skip_to as u32
+                        },
                         stack_base: stack.len(),
                         arity: ty.arity(),
                         pop_self: false,
                     });
                     if cond == 0 {
-                        frame.pc = if else_pc == end_pc {
-                            *end_pc as usize
-                        } else {
-                            *else_pc as usize + 1
-                        };
+                        frame.pc = skip_to + has_else as usize;
                     }
                 }
                 // The then-arm fell through: jump to the `End`, which pops
                 // the label.
-                Instr::Else { end_pc } => frame.pc = *end_pc as usize,
+                Instr::Else => frame.pc = skip[frame.pc - 1] as usize,
                 Instr::End => {
                     if frame.labels.pop().is_none() && ret(module, &mut frames, &mut stack) {
                         break 'outer;
@@ -879,6 +887,34 @@ struct Label {
     /// A loop's label is popped by the branch itself: its header pushes it
     /// again.
     pop_self: bool,
+}
+
+/// Where each structured instruction of a body jumps when it is skipped,
+/// matched by the oracle itself from the instructions: a `block`'s and an
+/// `else`'s `end`, and an `if`'s `else` or, without one, its `end`.
+/// Other pcs hold `u32::MAX`. The body is well-nested: only a loaded
+/// module reaches the oracle.
+fn block_table(code: &[Instr]) -> Vec<u32> {
+    let mut skip = vec![u32::MAX; code.len()];
+    let mut open = Vec::new();
+    for (pc, instr) in code.iter().enumerate() {
+        match instr {
+            Instr::Block { .. } | Instr::Loop { .. } | Instr::If { .. } => open.push(pc),
+            Instr::Else => {
+                let opener = open.pop().expect("an `else` closes an open `if`");
+                skip[opener] = pc as u32;
+                open.push(pc);
+            }
+            // The function-level `end` closes no block.
+            Instr::End => {
+                if let Some(opener) = open.pop() {
+                    skip[opener] = pc as u32;
+                }
+            }
+            _ => {}
+        }
+    }
+    skip
 }
 
 /// Move the top `arity` values down to `base` and drop everything between.

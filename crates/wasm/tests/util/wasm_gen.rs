@@ -29,9 +29,9 @@
 //! counter test — no branch targets a loop label otherwise, and only the
 //! loop itself writes its counter local.
 //!
-//! [`mutate`] breaks one generated module in one of [`CLASSES`] ways, each
-//! with the function, instruction and [`ValidateErrorKind`] the type check
-//! must report.
+//! [`mutate`] breaks one generated module in one of [`CLASSES`] ways —
+//! its types or its block nesting — each with the function, instruction
+//! and [`ValidateErrorKind`] the type check must report.
 
 use waran_wasm::builder::{CodeEmitter, ModuleBuilder};
 use waran_wasm::encode::encode_module;
@@ -737,7 +737,7 @@ pub fn gen_module(seed: u64) -> Generated {
 }
 
 /// The number of mutation classes [`mutate`] knows.
-pub const CLASSES: usize = 14;
+pub const CLASSES: usize = 17;
 
 /// A generated module broken in one place, and what loading it must
 /// report.
@@ -758,7 +758,7 @@ fn op(name: &str) -> Instr {
 }
 
 fn block(ty: BlockType) -> Instr {
-    Instr::Block { ty, end_pc: 0 }
+    Instr::Block { ty }
 }
 
 /// Break `g` with mutation `class` (below [`CLASSES`]). The broken code is
@@ -768,7 +768,9 @@ fn block(ty: BlockType) -> Instr {
 /// at a leaf, unwrapped at the leaf's first instruction, so the leaf
 /// stays straight-line and fails at its first instruction. The
 /// memory and table classes take the module's memory (and data) or table
-/// (and elements) away and use it first thing in `main`.
+/// (and elements) away and use it first thing in `main`. The stray-`end`
+/// class appends its `end` after the function's final one, the one place
+/// an extra `end` closes nothing whatever the body holds.
 pub fn mutate(g: &Generated, class: usize, rng: &mut Rng) -> Mutant {
     use ValidateErrorKind as K;
     let mut module = g.module.clone();
@@ -887,8 +889,6 @@ pub fn mutate(g: &Generated, class: usize, rng: &mut Rng) -> Mutant {
                 Instr::I32Const(0),
                 Instr::If {
                     ty: BlockType::Value(I32),
-                    else_pc: 0,
-                    end_pc: 0,
                 },
                 Instr::I32Const(1),
                 Instr::End,
@@ -922,10 +922,37 @@ pub fn mutate(g: &Generated, class: usize, rng: &mut Rng) -> Mutant {
                 true,
             )
         }
+        14 => (
+            "else inside a block",
+            vec![block(BlockType::Empty), Instr::Else, Instr::End],
+            1,
+            K::ElseWithoutIf,
+            false,
+        ),
+        15 => (
+            "duplicate else",
+            vec![
+                Instr::I32Const(0),
+                Instr::If {
+                    ty: BlockType::Empty,
+                },
+                Instr::Else,
+                Instr::Else,
+                Instr::End,
+            ],
+            3,
+            K::ElseWithoutIf,
+            false,
+        ),
+        16 => ("stray end", vec![Instr::End], 0, K::ControlUnderflow, false),
         _ => panic!("mutation class {class} of {CLASSES}"),
     };
     let code = &mut module.funcs[func].code;
-    let (pc, at) = if class_at_start(&kind) || (plain && g.leaves[func]) {
+    let (pc, at) = if kind == K::ControlUnderflow {
+        let pc = code.len();
+        code.extend(snippet);
+        (pc, at)
+    } else if class_at_start(&kind) || (plain && g.leaves[func]) {
         code.splice(0..0, snippet);
         (0, at)
     } else {

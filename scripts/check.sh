@@ -83,7 +83,7 @@ while read -r crate ceiling; do
         exit 1
     fi
 done <<'EOF'
-wasm 15
+wasm 14
 wat 5
 plugc 12
 abi 7
@@ -125,6 +125,14 @@ fi
 # and its control stack stay gone from crates/wasm/src.
 if grep -rnwE 'FuncValidator|CtrlFrame' crates/wasm/src; then
     echo "lowering tripwire: crates/wasm/src names FuncValidator or CtrlFrame; a body is type-checked by the walk in compile.rs that lowers it" >&2
+    exit 1
+fi
+# Block nesting is checked once, by the walk that type-checks: the
+# decoder and the builder record `block`/`loop`/`if`/`else`/`end` as
+# written, so the fixup pass and the pcs it pre-resolved into `Instr`
+# stay gone from the crates that decode, assemble or emit bodies.
+if grep -rnwE 'fixup_block_targets|FixupError|end_pc|else_pc' crates/wasm/src crates/wat/src crates/plugc/src; then
+    echo "nesting tripwire: crates/{wasm,wat,plugc}/src names fixup_block_targets, FixupError, end_pc or else_pc; the walk in compile.rs is the one nesting check" >&2
     exit 1
 fi
 # The lowering check reads each IR once: one walk over the flat ops and
