@@ -5,7 +5,7 @@
 //! hash, then runs the load-time analyzer — translation
 //! validation of the register lowering plus worst-case resource bounds —
 //! and prints one report line per function. A failed validation (a
-//! lowering whose blocks disagree with the flat IR's) exits
+//! lowering whose blocks disagree with the reference the walk recorded) exits
 //! nonzero: such a module must never reach a host.
 //!
 //! Usage:

@@ -1,23 +1,23 @@
-//! Load-time lowering and proof: every body is type-checked and compiled
-//! to the flat IR in one walk, lowered to the register form the executor
-//! runs, and the register form is checked block by block against the
-//! flat IR (translation validation), plus worst-case resource bounds for
-//! admission control.
+//! Load-time lowering and proof: one walk per body type-checks it and
+//! hands each op at once to the register lowering the executor runs and
+//! to this module's recorder; the register form is then checked block by
+//! block against what the recorder kept (translation validation), and
+//! worst-case resource bounds are computed for admission control.
 //!
 //! One pass, run once per module by [`crate::load_module`] (its report is
 //! [`Module::analysis`]), does all of it and returns the register code
-//! with its report; the flat IR never leaves the pass. Every instance
-//! runs the code this pass returned, so no instance can exist without a
-//! passed check. It produces one [`FuncReport`] per module-local function:
+//! with its report; no op of a body is stored. Every instance runs the
+//! code this pass returned, so no instance can exist without a passed
+//! check. It produces one [`FuncReport`] per module-local function:
 //!
-//! * **Translation validation** — the flat IR is the metering/trapping
-//!   reference: one op per source instruction, nothing fused, and no
-//!   dead op (the flat compiler is the one place liveness is decided).
-//!   The register form is an optimized lowering of it, and every
-//!   superinstruction is formed on that side of the check. One walk over
-//!   the flat ops and one over the register ops each cut the body into
-//!   `Meter`-headed blocks (the shared `Return` trampoline ends one too)
-//!   and record, per block, its `Meter` cost, its memory/call/trap-op
+//! * **Translation validation** — the walk's op stream is the
+//!   metering/trapping reference: one op per source instruction, nothing
+//!   fused, and no dead op (the walk is the one place liveness is
+//!   decided). The register form is an optimized lowering of it, and
+//!   every superinstruction is formed on that side of the check. The
+//!   recorder, fed the stream, and one walk over the register ops each
+//!   cut the body into `Meter`-headed blocks (the shared `Return`
+//!   trampoline ends one too) and record, per block, its `Meter` cost, its memory/call/trap-op
 //!   populations — counted on both sides over the shared operator
 //!   payload types — its ordered calls, its ordered branch edges and
 //!   whether it falls through. The check demands a total `pc_map`,
@@ -30,7 +30,7 @@
 //!   checked: a wrong operand, or a compare-and-branch whose sense is
 //!   flipped, passes, and only the differential tests catch it.
 //! * **Static resource bounds** — an abstract interpretation over the
-//!   flat CFG computes per-function worst-case fuel (exact for
+//!   recorded block graph computes per-function worst-case fuel (exact for
 //!   loop-free and constant-trip-count code, save that a bulk memory op
 //!   or a `memory.grow` counts the byte charge of the whole memory it may
 //!   reach;
@@ -51,11 +51,11 @@
 
 use std::sync::Arc;
 
-use crate::compile::{compile_func, CompiledFunc, Op};
+use crate::compile::{compile_func, BranchTarget, Entry, Op, OpSink};
 use crate::instance::PAGE_FUEL;
 use crate::module::{ExportKind, Module};
 use crate::ops::{I32Op, UnOp};
-use crate::regalloc::{lower_func, RForm, RegFunc};
+use crate::regalloc::{Lowerer, RForm, RegFunc};
 use crate::types::{ValType, MAX_PAGES};
 use crate::validate::ValidateError;
 
@@ -142,7 +142,7 @@ pub struct FuncReport {
 }
 
 /// Whole-module analysis: per-function reports plus the proof that the
-/// register lowering of every function matches the flat IR.
+/// register lowering of every function matches the walk's reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModuleAnalysis {
     /// One report per module-local function, index-aligned with
@@ -163,12 +163,12 @@ impl ModuleAnalysis {
 }
 
 /// Load-time analysis failure. Translation mismatches mean the register
-/// lowering is *not* a faithful image of the flat IR — and the register
+/// lowering is *not* a faithful image of the walk's op stream — and the register
 /// form is what runs, so instantiation refuses the module outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalysisError {
-    /// The register form of `func` diverges from the flat IR at flat
-    /// op `pc`.
+    /// The register form of `func` diverges from the walk's stream at
+    /// flat op `pc`.
     TranslationMismatch {
         /// Module-local function index.
         func: u32,
@@ -195,7 +195,7 @@ impl std::fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 // ---------------------------------------------------------------------------
-// The two walks: one over the flat ops, one over the register ops
+// The two records: the recorder's of the walk, and the register walk's
 // ---------------------------------------------------------------------------
 
 /// A call site; the lowering must preserve each block's exact ordered
@@ -319,18 +319,17 @@ impl Facts {
 /// starts at, which the `regs` bound reads.
 type Window = (u32, u32);
 
-/// One reconstructed flat basic block: the ops between two leaders.
+/// One recorded basic block: the ops between two leaders.
 #[derive(Debug)]
 struct Block {
     facts: Facts,
-    /// One past the last op (the next leader).
-    end: usize,
     /// Local writes and conditional exits, in op order.
     events: Vec<Ev>,
 }
 
-/// Everything the one walk over a flat function recovers: its blocks and
-/// the block graph.
+/// The proof's reference for one function, recorded from the walk's
+/// stream: its blocks, the block graph, the branch side table and the op
+/// count. The bounds read it too.
 struct Shape {
     blocks: Vec<Block>,
     /// The shared function-level `Return` trampoline pc, when present.
@@ -341,6 +340,10 @@ struct Shape {
     preds: Vec<Vec<usize>>,
     /// Per branch-table index: target block, `usize::MAX` for the exit.
     branch_block: Vec<usize>,
+    /// The walk's branch side table, every target resolved.
+    branches: Box<[BranchTarget]>,
+    /// Ops the walk handed on, `Meter`s and the trampoline included.
+    n_ops: usize,
 }
 
 pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> AnalysisError {
@@ -351,101 +354,82 @@ pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> Analysi
     }
 }
 
-/// The walk over a flat function. It replays no decision of the
-/// lowering: the flat IR has no dead op, so every op belongs to a block
-/// and every block counts. It carries a symbolic operand stack, whose
-/// length is the height, for the loop-bound pass's events; `alive` is
-/// "the previous op falls through", which tells a join from a
-/// branch-only entry.
-fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, AnalysisError> {
-    use SymV::{Cmp, K, L};
-    let n = cf.ops.len();
-    let eh = cf.entry_heights(func)?;
-    if n == 0 || !matches!(cf.ops[0], Op::Meter { .. }) {
-        return Err(mismatch(func, 0, "function does not start with a Meter"));
-    }
-    let err = |pc: usize, what: &str| mismatch(func, pc, what);
-    let pop = |syms: &mut Vec<SymV>, pc: usize| {
-        syms.pop()
-            .ok_or_else(|| err(pc, "operand stack underflow in analysis walk"))
-    };
+/// The proof's recorder: the consumer of the walk's stream that builds
+/// the [`Shape`] the register lowering is checked against. It decides
+/// nothing of the lowering's: the walk hands on no dead op, so every op
+/// belongs to a block and every block counts. It carries a symbolic
+/// operand stack, from the pops and pushes the walk gives, for the
+/// loop-bound pass's events.
+#[derive(Default)]
+struct Recorder {
+    blocks: Vec<Block>,
+    syms: Vec<SymV>,
+    exit_pc: Option<usize>,
+    n_ops: usize,
+}
 
-    let mut blocks: Vec<Block> = Vec::new();
-    // Per flat pc: block index, `u32::MAX` when the pc leads no block.
-    let mut pc2block = vec![u32::MAX; n];
-    let mut open = false;
-    let mut exit_pc = None;
-    let mut syms: Vec<SymV> = Vec::new();
-    let mut alive = true;
-    for (pc, (&op, &eh_pc)) in cf.ops.iter().zip(&eh).enumerate() {
-        let arriving = alive;
-        if eh_pc != u32::MAX {
-            if !alive {
-                syms.clear();
-                syms.resize(eh_pc as usize, SymV::Other);
-                alive = true;
-            } else if syms.len() != eh_pc as usize {
-                return Err(err(pc, "fall-through height disagrees with branch target"));
+impl OpSink for Recorder {
+    fn open(&mut self, pc: u32, entry: Entry) {
+        self.n_ops += 1;
+        if let Some(b) = self.blocks.last_mut() {
+            b.facts.falls = !matches!(entry, Entry::Branch { .. });
+        }
+        // Each block's events start from unknown stack cells.
+        match entry {
+            Entry::Branch { height } => {
+                self.syms.clear();
+                self.syms.resize(height as usize, SymV::Other);
             }
+            Entry::Fall | Entry::Join => self.syms.fill(SymV::Other),
         }
-        if !alive {
-            return Err(err(pc, "flat op is unreachable"));
+        self.blocks.push(Block {
+            facts: Facts {
+                start: pc as usize,
+                ..Facts::default()
+            },
+            events: Vec::new(),
+        });
+    }
+
+    fn seal(&mut self, cost: u32) {
+        if let Some(b) = self.blocks.last_mut() {
+            b.facts.cost = cost;
         }
-        let is_trampoline = eh_pc != u32::MAX && matches!(op, Op::Return);
-        if matches!(op, Op::Meter { .. }) || is_trampoline {
-            if let Some(b) = blocks.last_mut().filter(|_| open) {
-                b.end = pc;
-                b.facts.falls = arriving;
-            }
-            open = false;
-        }
-        if eh_pc != u32::MAX && !matches!(op, Op::Meter { .. } | Op::Return) {
-            return Err(err(pc, "branch target is neither a Meter nor a Return"));
-        }
-        if let Op::Meter { cost } = op {
-            pc2block[pc] = blocks.len() as u32;
-            open = true;
-            blocks.push(Block {
-                facts: Facts {
-                    start: pc,
-                    cost,
-                    ..Facts::default()
-                },
-                end: n,
-                events: Vec::new(),
-            });
-            // Each block's events start from unknown stack cells.
-            syms.fill(SymV::Other);
-            continue;
-        }
-        if is_trampoline {
-            exit_pc = Some(pc);
-            alive = false;
-            continue;
-        }
-        let Some(b) = blocks.last_mut().filter(|_| open) else {
-            return Err(err(pc, "op outside any metered block"));
+    }
+
+    fn exit(&mut self, pc: u32, _height: u32) {
+        self.n_ops += 1;
+        self.exit_pc = Some(pc as usize);
+    }
+
+    fn op(&mut self, op: Op, pops: u32, pushes: u32, _: &[BranchTarget]) {
+        use SymV::{Cmp, K, L};
+        self.n_ops += 1;
+        let (syms, Some(b)) = (&mut self.syms, self.blocks.last_mut()) else {
+            return;
         };
+        // The walk type-checked every pop.
+        let pop = |syms: &mut Vec<SymV>| syms.pop().unwrap_or(SymV::Other);
         b.facts.tally_flat(op);
         match op {
             Op::I32Const(k) => syms.push(K(k)),
             Op::LocalGet(l) => syms.push(L(l)),
             Op::LocalTee(l) => {
-                let s = pop(&mut syms, pc)?;
-                set_local(&mut b.events, &mut syms, l, w_of(s));
+                let s = pop(syms);
+                set_local(&mut b.events, syms, l, w_of(s));
                 syms.push(L(l));
             }
             Op::LocalSet(l) => {
-                let s = pop(&mut syms, pc)?;
-                set_local(&mut b.events, &mut syms, l, w_of(s));
+                let s = pop(syms);
+                set_local(&mut b.events, syms, l, w_of(s));
             }
             Op::I32Bin(o) => {
-                let sb = pop(&mut syms, pc)?;
-                let sa = pop(&mut syms, pc)?;
+                let sb = pop(syms);
+                let sa = pop(syms);
                 syms.push(bin_sym(o, sa, sb));
             }
             Op::Un(UnOp::I32Eqz) => {
-                let s = pop(&mut syms, pc)?;
+                let s = pop(syms);
                 syms.push(match s {
                     K(x) => K((x == 0) as i32),
                     L(l) => Cmp(I32Op::Eq, l, 0),
@@ -458,76 +442,59 @@ fn build_shape(module: &Module, func: u32, cf: &CompiledFunc) -> Result<Shape, A
                 });
             }
             Op::BrIf(br) | Op::BrIfZ(br) => {
-                let s = pop(&mut syms, pc)?;
-                let pred = sym_pred(s, matches!(op, Op::BrIfZ(_)));
+                let pred = sym_pred(pop(syms), matches!(op, Op::BrIfZ(_)));
                 b.events.push(Ev::Cond { br, pred });
             }
-            other => {
-                let (pops, pushes) = other.stack_effect(module);
+            _ => {
                 for _ in 0..pops {
-                    pop(&mut syms, pc)?;
+                    pop(syms);
                 }
                 syms.resize(syms.len() + pushes as usize, SymV::Other);
             }
         }
-        alive &= !matches!(
-            op,
-            Op::Unreachable | Op::Br(_) | Op::BrTable { .. } | Op::Return
-        );
     }
-    if open && alive {
-        return Err(err(n - 1, "control falls off the function end"));
-    }
+}
 
-    // The block graph. A trampoline leads no block, so `branch_block`
-    // reads `usize::MAX` for it.
-    let nb = blocks.len();
-    let branch_block: Vec<usize> = cf
-        .branches
-        .iter()
-        .map(|bt| match pc2block[bt.pc as usize] {
-            u32::MAX => usize::MAX,
-            b => b as usize,
-        })
-        .collect();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for (bi, b) in blocks.iter().enumerate() {
-        for &br in &b.facts.edges {
-            let (Some(bt), Some(&t)) =
-                (cf.branches.get(br as usize), branch_block.get(br as usize))
-            else {
-                return Err(err(b.facts.start, "branch index out of range"));
-            };
-            if t != usize::MAX {
+impl Recorder {
+    /// The reference, once the walk has resolved the side table: the
+    /// block graph joins each branch edge to the block its target leads
+    /// (none for the trampoline) and each fall-through to the next block.
+    fn finish(self, branches: Box<[BranchTarget]>) -> Shape {
+        let blocks = self.blocks;
+        let nb = blocks.len();
+        let branch_block: Vec<usize> = branches
+            .iter()
+            .map(|bt| {
+                let pc = bt.pc as usize;
+                blocks
+                    .binary_search_by_key(&pc, |b| b.facts.start)
+                    .unwrap_or(usize::MAX)
+            })
+            .collect();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
+        for (bi, b) in blocks.iter().enumerate() {
+            let falls = b.facts.falls.then_some(bi + 1);
+            let targets = b.facts.edges.iter().map(|&br| branch_block[br as usize]);
+            for t in targets.chain(falls).filter(|&t| t != usize::MAX) {
                 succs[bi].push(t);
                 preds[t].push(bi);
-            } else if Some(bt.pc as usize) != exit_pc {
-                return Err(err(bt.pc as usize, "branch target leads no block"));
             }
         }
-        // A fall into the trampoline is a function exit, not an edge.
-        if b.facts.falls
-            && blocks
-                .get(bi + 1)
-                .is_some_and(|next| next.facts.start == b.end)
-        {
-            succs[bi].push(bi + 1);
-            preds[bi + 1].push(bi);
+        Shape {
+            blocks,
+            exit_pc: self.exit_pc,
+            succs,
+            preds,
+            branch_block,
+            branches,
+            n_ops: self.n_ops,
         }
     }
-
-    Ok(Shape {
-        blocks,
-        exit_pc,
-        succs,
-        preds,
-        branch_block,
-    })
 }
 
 /// The walk over a register function: one [`Facts`] per `Meter`-headed
-/// block, ended like the flat walk's by the next `Meter` or by the
+/// block, ended like the recorder's by the next `Meter` or by the
 /// trampoline (the register image of `shape`'s), plus each direct call's
 /// callee and frame base in op order, which the `regs` bound reads. An
 /// op before the first `Meter`, or between a terminator and the next
@@ -601,33 +568,36 @@ fn reg_walk(
     Ok((blocks, windows))
 }
 
-/// Check that `rf` is a faithful lowering of `cf`, block by block, using
-/// the reconstructed `shape`, and return the register walk's call windows.
-/// See the module docs for the argument; the short version: every flat op
-/// is lowered, so `pc_map` is total, and each block's `Meter` placement
-/// and cost, op-class populations, ordered calls, ordered branch edges
-/// and fall-through, and the branch side table are directly comparable.
+/// Check that `rf` is a faithful lowering of the stream `shape` recorded,
+/// block by block, and return the register walk's call windows. See the
+/// module docs for the argument; the short version: every op is lowered,
+/// so `pc_map` is total, and each block's `Meter` placement and cost,
+/// op-class populations, ordered calls, ordered branch edges and
+/// fall-through, and the branch side table are directly comparable.
 fn validate_with_shape(
+    module: &Module,
     func: u32,
-    cf: &CompiledFunc,
     rf: &RegFunc,
     shape: &Shape,
 ) -> Result<Vec<Window>, AnalysisError> {
-    // Structural frame agreement.
-    if rf.pc_map.len() != cf.ops.len() {
+    // Structural frame agreement, against the signature.
+    let body = &module.funcs[func as usize];
+    let ty = &module.types[body.type_idx as usize];
+    let argc = ty.params.len() as u32;
+    if rf.pc_map.len() != shape.n_ops {
         return Err(mismatch(func, 0, "pc_map length != flat op count"));
     }
-    if rf.argc != cf.argc || rf.ret_arity != cf.ret_arity {
+    if rf.argc != argc || rf.ret_arity != ty.results.len() as u32 {
         return Err(mismatch(func, 0, "argc/ret_arity disagree across tiers"));
     }
-    if rf.n_locals != cf.n_locals {
+    if rf.n_locals != argc + body.locals.len() as u32 {
         return Err(mismatch(func, 0, "n_locals inconsistent with signature"));
     }
-    if rf.branches.len() != cf.branches.len() {
+    if rf.branches.len() != shape.branches.len() {
         return Err(mismatch(func, 0, "branch table lengths disagree"));
     }
 
-    // Totality: the flat IR has no dead op, so a lowering that left one
+    // Totality: the walk hands on no dead op, so a lowering that left one
     // unmapped dropped code.
     if let Some(pc) = rf.pc_map.iter().position(|&q| q == u32::MAX) {
         return Err(mismatch(func, pc, "flat op was not lowered"));
@@ -679,7 +649,7 @@ fn validate_with_shape(
     // trampoline, checked by the walk), and carried-value moves must
     // respect the flat height/arity (trap conditions at branch time
     // depend on both).
-    for (i, (bt, rb)) in cf.branches.iter().zip(rf.branches.iter()).enumerate() {
+    for (i, (bt, rb)) in shape.branches.iter().zip(rf.branches.iter()).enumerate() {
         let tpc = bt.pc as usize;
         if rb.pc != rf.pc_map[tpc] {
             return Err(mismatch(func, tpc, format!("branch {i} retargeted")));
@@ -1405,7 +1375,7 @@ fn compute_report(
     };
 
     // Per-block weights. Every block is reachable from the entry (the
-    // flat IR has no dead op), so bounds run over all of them. A bulk op
+    // walk hands on no dead op), so bounds run over all of them. A bulk op
     // pays only once its range is in bounds, and a grow only for pages
     // the cap lets it add: at most the whole memory either may reach,
     // the declared maximum or else the spec's.
@@ -1481,34 +1451,42 @@ pub(crate) struct Lowered {
     pub(crate) report: ModuleAnalysis,
 }
 
-/// Type-check and lower every module-local function to the flat IR, in
-/// function-index order, then lower each to register form, prove each
-/// lowering faithful to its flat IR and compute worst-case resource
+/// Walk every module-local function once, in function-index order: the
+/// walk type-checks the body and hands each op at once to the register
+/// lowering and to the proof's recorder. Then prove each lowering
+/// faithful to its recorded reference and compute worst-case resource
 /// bounds. A body that fails its type check is the outer error, the first
 /// by function index; a lowering that fails its proof is the inner one.
-/// The flat IR exists only inside this pass; the code it returns is the
-/// code the proof checked, minus the `pc_map` only the proof reads. The
-/// module-level checks ([`crate::validate::validate`]) must have passed.
+/// No op is stored; the code returned is the code the proof checked,
+/// minus the `pc_map` only the proof reads. The module-level checks
+/// ([`crate::validate::validate`]) must have passed.
 pub(crate) fn lower_and_prove(
     module: &Module,
 ) -> Result<Result<Lowered, AnalysisError>, ValidateError> {
-    let flat = (0..module.funcs.len() as u32)
-        .map(|f| compile_func(module, f))
+    let walked = (0..module.funcs.len() as u32)
+        .map(|f| walk(module, f))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(prove(module, flat))
+    Ok(prove(module, walked))
 }
 
-fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisError> {
+/// One walk of local function `f`: its register lowering and the
+/// reference the proof checks it against.
+fn walk(module: &Module, f: u32) -> Result<(RegFunc, Shape), ValidateError> {
+    let mut sink = (Lowerer::new(module, f), Recorder::default());
+    let branches = compile_func(module, f, &mut sink)?;
+    let (lowerer, recorder) = sink;
+    Ok((lowerer.finish(&branches), recorder.finish(branches)))
+}
+
+fn prove(module: &Module, walked: Vec<(RegFunc, Shape)>) -> Result<Lowered, AnalysisError> {
     let nf = module.funcs.len();
     let n_imp = module.num_imported_funcs();
     let mut code = Vec::with_capacity(nf);
     let mut shapes = Vec::with_capacity(nf);
-    for (f, cf) in (0..).zip(flat) {
-        let mut rf = lower_func(module, f, &cf);
-        let shape = build_shape(module, f, &cf)?;
-        let windows = validate_with_shape(f, &cf, &rf, &shape)?;
-        // Only the proof reads the pc map and the flat IR; the bounds
-        // below read the shapes.
+    for (f, (mut rf, shape)) in (0..).zip(walked) {
+        let windows = validate_with_shape(module, f, &rf, &shape)?;
+        // Only the proof reads the pc map; the bounds below read the
+        // shapes.
         rf.pc_map = Box::default();
         code.push(rf);
         shapes.push((shape, windows));
@@ -1579,6 +1557,7 @@ fn prove(module: &Module, flat: Vec<CompiledFunc>) -> Result<Lowered, AnalysisEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::tests::Event;
     use crate::regalloc::ROp;
 
     fn module(src: &str) -> Module {
@@ -2049,29 +2028,29 @@ mod tests {
         )
     }
 
-    /// Function 0's flat IR and a fresh lowering of it, for a test to
-    /// corrupt before [`validate_lowering`].
-    fn flat_and_reg(m: &Module) -> (CompiledFunc, RegFunc) {
-        let cf = compile_func(m, 0).expect("well-typed");
-        let rf = lower_func(m, 0, &cf);
-        (cf, rf)
+    /// Function 0 walked once: the reference the recorder kept, a fresh
+    /// lowering for a test to corrupt before [`validate_lowering`], and
+    /// the stream both were fed.
+    fn walked(m: &Module) -> (Shape, RegFunc, Vec<Event>) {
+        let mut sink = ((Lowerer::new(m, 0), Recorder::default()), Vec::new());
+        let branches = compile_func(m, 0, &mut sink).expect("well-typed");
+        let ((lowerer, recorder), events) = sink;
+        (
+            recorder.finish(branches.clone()),
+            lowerer.finish(&branches),
+            events,
+        )
     }
 
-    /// Validate one function's register lowering against its flat IR.
-    fn validate_lowering(
-        module: &Module,
-        func: u32,
-        cf: &CompiledFunc,
-        rf: &RegFunc,
-    ) -> Result<(), AnalysisError> {
-        let shape = build_shape(module, func, cf)?;
-        validate_with_shape(func, cf, rf, &shape).map(|_| ())
+    /// Validate function 0's register lowering against its reference.
+    fn validate_lowering(m: &Module, shape: &Shape, rf: &RegFunc) -> Result<(), AnalysisError> {
+        validate_with_shape(m, 0, rf, shape).map(|_| ())
     }
 
     #[test]
     fn corrupted_meter_cost_is_rejected() {
         let m = loop_module();
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, _) = walked(&m);
         let mut ops = rf.ops.to_vec();
         let meter = ops
             .iter_mut()
@@ -2082,13 +2061,13 @@ mod tests {
             .expect("has a Meter");
         *meter += 1;
         rf.ops = ops.into_boxed_slice();
-        assert!(validate_lowering(&m, 0, &cf, &rf).is_err());
+        assert!(validate_lowering(&m, &shape, &rf).is_err());
     }
 
     #[test]
     fn dropped_store_is_rejected() {
         let m = loop_module();
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, _) = walked(&m);
         let mut ops = rf.ops.to_vec();
         let at = ops
             .iter()
@@ -2105,32 +2084,34 @@ mod tests {
             .expect("has a store");
         ops.remove(at);
         rf.ops = ops.into_boxed_slice();
-        assert!(validate_lowering(&m, 0, &cf, &rf).is_err());
+        assert!(validate_lowering(&m, &shape, &rf).is_err());
     }
 
     #[test]
     fn retargeted_branch_is_rejected() {
         let m = loop_module();
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, _) = walked(&m);
         let mut branches = rf.branches.to_vec();
         branches[0].pc += 1;
         rf.branches = branches.into_boxed_slice();
-        assert!(validate_lowering(&m, 0, &cf, &rf).is_err());
+        assert!(validate_lowering(&m, &shape, &rf).is_err());
     }
 
     #[test]
     fn unmapped_flat_op_is_rejected() {
         let m = loop_module();
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, events) = walked(&m);
         // Mid-block, so no Meter or branch-target check can fire first.
-        let pc = cf
-            .ops
+        let pc = events
             .iter()
-            .position(|o| matches!(o, Op::Store { .. }))
+            .find_map(|e| match e {
+                Event::Op(pc, Op::Store { .. }) => Some(*pc as usize),
+                _ => None,
+            })
             .expect("has a store");
         rf.pc_map[pc] = u32::MAX;
         assert_eq!(
-            validate_lowering(&m, 0, &cf, &rf),
+            validate_lowering(&m, &shape, &rf),
             Err(mismatch(0, pc, "flat op was not lowered"))
         );
     }
@@ -2164,8 +2145,8 @@ mod tests {
     }
 
     /// Why the proof refuses function 0's lowering `rf`.
-    fn refusal(m: &Module, cf: &CompiledFunc, rf: &RegFunc) -> String {
-        match validate_lowering(m, 0, cf, rf) {
+    fn refusal(m: &Module, shape: &Shape, rf: &RegFunc) -> String {
+        match validate_lowering(m, shape, rf) {
             Err(AnalysisError::TranslationMismatch { what, .. }) => what,
             Ok(()) => panic!("the proof accepts the mutant"),
         }
@@ -2174,13 +2155,13 @@ mod tests {
     #[test]
     fn op_before_entry_meter_is_rejected() {
         let m = loop_module();
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, _) = walked(&m);
         let store = rf.ops[reg_pc(&rf, |o| {
             matches!(o, RForm::StoreAt { .. } | RForm::Store { .. })
         })];
         splice(&mut rf, 0, Some(store));
         assert_eq!(
-            refusal(&m, &cf, &rf),
+            refusal(&m, &shape, &rf),
             "register op outside any metered block"
         );
     }
@@ -2189,7 +2170,7 @@ mod tests {
     fn swapped_branch_index_is_rejected() {
         // The loop exit's compare-and-branch takes the back edge instead.
         let m = loop_module();
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, _) = walked(&m);
         let at = reg_pc(&rf, |o| matches!(o, RForm::BrIfCmp { br: 0, .. }));
         let mut ops = rf.ops.to_vec();
         let mut form = ops[at].view();
@@ -2199,7 +2180,7 @@ mod tests {
         ops[at] = ROp::new(form);
         rf.ops = ops.into_boxed_slice();
         assert_eq!(
-            refusal(&m, &cf, &rf),
+            refusal(&m, &shape, &rf),
             "branch sequences diverge across tiers"
         );
     }
@@ -2207,11 +2188,11 @@ mod tests {
     #[test]
     fn dropped_back_edge_is_rejected() {
         let m = loop_module();
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, _) = walked(&m);
         let at = reg_pc(&rf, |o| matches!(o, RForm::Br { br: 1 }));
         splice(&mut rf, at, None);
         assert_eq!(
-            refusal(&m, &cf, &rf),
+            refusal(&m, &shape, &rf),
             "branch sequences diverge across tiers"
         );
     }
@@ -2229,17 +2210,20 @@ mod tests {
                  end
                  i32.const 9))"#,
         );
-        let (cf, mut rf) = flat_and_reg(&m);
+        let (shape, mut rf, _) = walked(&m);
         let at = reg_pc(&rf, |o| matches!(o, RForm::Return { .. }));
         splice(&mut rf, at, None);
-        assert_eq!(refusal(&m, &cf, &rf), "fall-through diverges across tiers");
+        assert_eq!(
+            refusal(&m, &shape, &rf),
+            "fall-through diverges across tiers"
+        );
     }
 
     #[test]
     fn pristine_lowering_validates() {
         let m = loop_module();
-        let (cf, rf) = flat_and_reg(&m);
-        assert_eq!(validate_lowering(&m, 0, &cf, &rf), Ok(()));
+        let (shape, rf, _) = walked(&m);
+        assert_eq!(validate_lowering(&m, &shape, &rf), Ok(()));
         assert!(m.analysis().is_ok());
     }
 }

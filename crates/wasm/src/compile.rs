@@ -1,48 +1,54 @@
-//! Type-checking and lowering of function bodies into a flat IR, in one
-//! walk per body.
+//! Type-checking of function bodies, in one walk per body that hands each
+//! op it produces straight on.
 //!
 //! The decoded [`Instr`] tree stays the source of truth for `encode` and
 //! for the test oracle (a per-instruction walker, `tests/util/oracle.rs`);
-//! this pass consumes it and produces a [`CompiledFunc`]. Nothing executes
-//! that form directly: inside the one load-time pass
-//! ([`crate::analysis`]) it is lowered once more into the register form
-//! the production executor runs ([`crate::regalloc`]), analysed for
-//! resource bounds and used as the left-hand side of translation
-//! validation, and then dropped.
-//! The IR stays 1:1 with the source stack machine — one op per
+//! this walk is the one reader of a body at load time, and it stores no op.
+//! Each [`Op`] goes at once to an [`OpSink`]: inside the one load-time pass
+//! ([`crate::analysis`]) that is the register lowering the production
+//! executor runs ([`crate::regalloc`]) and the proof's recorder, which
+//! keeps the per-block reference the lowering is checked against and the
+//! resource bounds read.
+//! The op stream stays 1:1 with the source stack machine — one op per
 //! instruction, no operand fusion: every superinstruction is formed by
 //! the register lowering, under the translation-validation proof. Plain
 //! numeric and memory operators arrive already classified, as the
-//! [`crate::ops`] payloads the decoder put in the `Instr`; lowering moves
+//! [`crate::ops`] payloads the decoder put in the `Instr`; the walk moves
 //! each payload into its op unchanged, and the register form executes it,
 //! so no stage re-derives what an operator is. The decisions that shape
 //! execution *structure* are made here:
 //!
 //! * **Side-table branches** — every `br`/`br_if`/`br_table`/`else` and
-//!   block `end` is resolved at compile time into an absolute op PC plus a
-//!   precomputed unwind descriptor ([`BranchTarget`]: frame-relative stack
-//!   height + result arity). The runtime label stack disappears entirely.
-//! * **Basic-block metering** — fuel is charged once per basic block by a
-//!   leading [`Op::Meter`] whose `cost` is the number of *source*
-//!   instructions in the block, computed here (a bulk memory op's byte
-//!   charge is the executor's, at the op). A function's entry block also
-//!   carries its activation price, [`call_price`]: the entry block is never
-//!   a branch target, so the price is paid once per call. Fuel totals are
-//!   identical to per-instruction metering with that price on every
-//!   complete execution; see the notes on `Meter` below for the
-//!   granularity change on mid-block traps.
+//!   block `end` is resolved into an absolute op pc plus a precomputed
+//!   unwind descriptor ([`BranchTarget`]: frame-relative stack height +
+//!   result arity). The runtime label stack disappears entirely.
+//! * **Basic-block metering** — fuel is charged once per basic block by
+//!   the `Meter` that leads it ([`OpSink::open`]), whose cost
+//!   ([`OpSink::seal`]) is the number of *source* instructions in the
+//!   block (a bulk memory op's byte charge is the executor's, at the op).
+//!   A function's entry block also carries its activation price,
+//!   [`call_price`]: the entry block is never a branch target, so the
+//!   price is paid once per call. Fuel totals are identical to
+//!   per-instruction metering with that price on every complete
+//!   execution; mid-block traps are the one granularity change.
 //! * **One function at a time** — every `call` lowers to a call: a
 //!   body's slots are its parameters and its declared locals, and nothing
 //!   of another function is lowered into it. Inlining is the guest
 //!   compiler's job (PlugC's `opt` pass splices its straight-line helpers).
 //! * **Branch-table interning** — `br_table` targets live in the
-//!   per-function [`CompiledFunc::branches`] side array (indexed `u32`),
+//!   per-function side table [`compile_func`] returns (indexed `u32`),
 //!   not behind a per-instruction `Box<[u32]>`.
+//!
+//! Each leader comes with how it is entered ([`Entry`]): by fall-through
+//! only, as a join of fall-through and branches, or by branches only at
+//! the height the walk knows. A loop header is opened before the walk has
+//! seen its back edges, so every reachable header is a join. Each op
+//! comes with its pops and pushes, so no consumer keeps an arity table.
 //!
 //! The walk is also the type check: the spec appendix's stack-polymorphic
 //! algorithm — operand types over a control-frame stack — runs on the
-//! same frames the lowering resolves branches on, over dead code too
-//! (which it checks and does not emit). A body that breaks the type
+//! same frames the walk resolves branches on, over dead code too (which
+//! it checks and hands on nothing of). A body that breaks the type
 //! system is a [`ValidateError`] at its function, instruction and kind;
 //! no input makes the walk panic. It is the one check of block structure
 //! too: the decoder and the builder record `block`, `loop`, `if`, `else`
@@ -51,7 +57,6 @@
 //! ([`crate::validate::validate`]) come first: the walk trusts the type,
 //! function and table declarations they hold.
 
-use crate::analysis::{mismatch, AnalysisError};
 use crate::instance::call_price;
 use crate::instr::{Instr, OpRow};
 use crate::module::Module;
@@ -59,14 +64,14 @@ use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
 use crate::types::{GlobalType, Mutability, ValType};
 use crate::validate::{ValidateError, ValidateErrorKind};
 
-/// A resolved branch destination: absolute op PC plus the unwind
+/// A resolved branch destination: absolute op pc plus the unwind
 /// descriptor. Taking the branch moves the top `arity` values down to
 /// frame-relative `height`, truncates the stack there, and jumps to `pc`
 /// (always the `Meter` leading the target basic block, except for
 /// function-level targets which point at a `Return`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchTarget {
-    /// Destination op index.
+    /// Destination op index; `u32::MAX` until the walk reaches it.
     pub pc: u32,
     /// Operand-stack height (relative to the frame base) the target block
     /// starts at, *excluding* the carried values.
@@ -75,18 +80,13 @@ pub struct BranchTarget {
     pub arity: u8,
 }
 
-/// One flat-IR operation: a source instruction with its control flow
-/// resolved. Branch-carrying ops index [`CompiledFunc::branches`]; plain
-/// numeric and memory operators are carried as the [`crate::ops`]
-/// payloads the register form executes.
+/// One op of the walk's stream: a source instruction with its control
+/// flow resolved. Branch-carrying ops index the function's branch side
+/// table; plain numeric and memory operators are carried as the
+/// [`crate::ops`] payloads the register form executes. A block's leading
+/// `Meter` is not an op but the [`OpSink::open`] event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
-    /// Basic-block header: charge `cost` fuel (the number of source
-    /// instructions in the block, plus the activation price in a
-    /// function's entry block).
-    Meter {
-        cost: u32,
-    },
     Unreachable,
     Br(u32),
     /// Branch when top-of-stack != 0.
@@ -151,87 +151,55 @@ pub enum Op {
     F64Const(f64),
 }
 
-impl Op {
-    /// Operand-stack effect (pops, pushes) — the one arity table the
-    /// analyzer's mirror walk and the register lowering replay over the
-    /// ops the type-checked walk emitted. The match is intentionally
-    /// exhaustive: a new variant fails to compile here instead of silently
-    /// skipping either.
-    pub(crate) fn stack_effect(self, module: &Module) -> (u32, u32) {
-        match self {
-            Op::Meter { .. } | Op::Br(_) | Op::Return | Op::Unreachable => (0, 0),
-            Op::BrIf(_)
-            | Op::BrIfZ(_)
-            | Op::BrTable { .. }
-            | Op::Drop
-            | Op::LocalSet(_)
-            | Op::GlobalSet(_) => (1, 0),
-            Op::CallWasm(f) => {
-                // Look the signature up by type: the callee's body may
-                // not be compiled yet.
-                let ft = module
-                    .func_type(module.num_imported_funcs() + f)
-                    .expect("validated call target");
-                (ft.params.len() as u32, ft.results.len() as u32)
-            }
-            Op::CallHost { argc, ret, .. } => (argc as u32, (ret != 0) as u32),
-            Op::CallIndirect(ty) => {
-                let ft = &module.types[ty as usize];
-                (ft.params.len() as u32 + 1, ft.results.len() as u32)
-            }
-            Op::Select => (3, 1),
-            Op::LocalGet(_)
-            | Op::GlobalGet(_)
-            | Op::MemorySize
-            | Op::I32Const(_)
-            | Op::I64Const(_)
-            | Op::F32Const(_)
-            | Op::F64Const(_) => (0, 1),
-            Op::LocalTee(_) | Op::MemoryGrow | Op::Un(_) | Op::Load { .. } => (1, 1),
-            Op::I32Bin(_) | Op::I64Bin(_) | Op::Bin(_) => (2, 1),
-            Op::Store { .. } => (2, 0),
-            Op::MemoryCopy | Op::MemoryFill => (3, 0),
-        }
+/// How control reaches a block leader.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry {
+    /// Only by falling through from the op before it.
+    Fall,
+    /// By fall-through and by branches: a loop header, or a block's end
+    /// that a branch targets.
+    Join,
+    /// Only by branches, with `height` operands on the stack (the carried
+    /// values included).
+    Branch { height: u32 },
+}
+
+/// A consumer of the walk's stream. Every reachable op arrives once, in
+/// flat-pc order (a `Meter`, each op and the trampoline take one pc
+/// each); nothing of dead code arrives.
+pub trait OpSink {
+    /// A block's `Meter` at `pc` opens a block entered as `entry`; its
+    /// cost follows in [`OpSink::seal`].
+    fn open(&mut self, pc: u32, entry: Entry);
+    /// The next op of the open block: it pops `pops` operands and pushes
+    /// `pushes`. `branches` is the side table so far; an entry's `pc` may
+    /// still be unresolved, its height and arity are final.
+    fn op(&mut self, op: Op, pops: u32, pushes: u32, branches: &[BranchTarget]);
+    /// The open block is closed, and its `Meter` costs `cost`.
+    fn seal(&mut self, cost: u32);
+    /// The shared function-level `Return` at `pc`, entered by branches
+    /// only, at `height` (the result arity).
+    fn exit(&mut self, pc: u32, height: u32);
+}
+
+/// Both consumers, in turn: the load-time pass hands the stream to the
+/// register lowering and to the proof's recorder at once.
+impl<A: OpSink, B: OpSink> OpSink for (A, B) {
+    fn open(&mut self, pc: u32, entry: Entry) {
+        self.0.open(pc, entry);
+        self.1.open(pc, entry);
     }
-}
-
-/// A function body lowered to the flat IR, ready for register lowering
-/// and analysis.
-#[derive(Debug, Clone)]
-pub struct CompiledFunc {
-    /// Flat op sequence.
-    pub ops: Box<[Op]>,
-    /// Interned branch targets (including all `br_table` entries).
-    pub branches: Box<[BranchTarget]>,
-    /// Parameter count.
-    pub argc: u32,
-    /// Local slots: the parameters, then the declared locals.
-    pub n_locals: u32,
-    /// Result count (0 or 1 in the MVP).
-    pub ret_arity: u32,
-}
-
-impl CompiledFunc {
-    /// Operand-stack height each branch target starts at — the branch's
-    /// `height` plus the values it carries — indexed by op pc; `u32::MAX`
-    /// where no branch lands. Function-level targets point at the shared
-    /// `Return` trampoline and recover `ret_arity` the same way. A side
-    /// table that leaves the body or disagrees with itself about a
-    /// target's height is reported, not trusted.
-    pub(crate) fn entry_heights(&self, func: u32) -> Result<Vec<u32>, AnalysisError> {
-        let mut eh = vec![u32::MAX; self.ops.len()];
-        for bt in self.branches.iter() {
-            let pc = bt.pc as usize;
-            let h = bt.height + bt.arity as u32;
-            match eh.get_mut(pc) {
-                None => return Err(mismatch(func, pc, "branch target out of range")),
-                Some(e) if *e != u32::MAX && *e != h => {
-                    return Err(mismatch(func, pc, "inconsistent branch-target heights"))
-                }
-                Some(e) => *e = h,
-            }
-        }
-        Ok(eh)
+    fn op(&mut self, op: Op, pops: u32, pushes: u32, branches: &[BranchTarget]) {
+        self.0.op(op, pops, pushes, branches);
+        self.1.op(op, pops, pushes, branches);
+    }
+    fn seal(&mut self, cost: u32) {
+        self.0.seal(cost);
+        self.1.seal(cost);
+    }
+    fn exit(&mut self, pc: u32, height: u32) {
+        self.0.exit(pc, height);
+        self.1.exit(pc, height);
     }
 }
 
@@ -265,19 +233,22 @@ struct Ctrl {
     unreachable: bool,
 }
 
-struct FnCompiler<'m> {
+struct FnCompiler<'m, S> {
     module: &'m Module,
     n_imports: u32,
     /// Module-wide index of the function walked, for errors.
     func_idx: u32,
     /// Index of the source instruction walked, for errors.
     pc: usize,
-    ops: Vec<Op>,
+    /// Where each op goes.
+    sink: &'m mut S,
+    /// Flat ops (and `Meter`s) handed on so far: the next one's pc.
+    n_ops: u32,
     branches: Vec<BranchTarget>,
     ctrls: Vec<Ctrl>,
     /// The operand stack's types, frame-relative; `None` is a value
     /// popped from an unreachable stack. Its height is exact for the code
-    /// the lowering emits.
+    /// the walk hands on.
     vals: Vec<Option<ValType>>,
     /// The function's result.
     results: Option<ValType>,
@@ -285,24 +256,28 @@ struct FnCompiler<'m> {
     params: &'m [ValType],
     locals: &'m [ValType],
     /// Whether the code walked executes; dead code is type-checked and not
-    /// emitted.
+    /// handed on.
     reachable: bool,
     /// Whether a metered block is currently open.
     open: bool,
-    meter_pc: usize,
     block_cost: u32,
     /// Branch indices targeting the function level, patched to the final
     /// return trampoline.
     fn_level: Vec<u32>,
 }
 
-/// Type-check one function body (index into `Module::funcs`) and lower it
-/// to the flat IR, in one walk. A body that breaks the type system is the
+/// Type-check one function body (index into `Module::funcs`) and hand each
+/// op it executes to `sink`, in one walk. Returns the branch side table,
+/// every target resolved. A body that breaks the type system is the
 /// [`ValidateError`] naming its function, instruction and kind. Called
-/// only by the proof, which lowers the result to register form, checks
-/// the two against each other and then drops this one. The module-level
-/// checks ([`crate::validate::validate`]) must have passed.
-pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, ValidateError> {
+/// only by the load-time pass, whose sink lowers the ops to register form
+/// and records the reference its proof checks that form against. The
+/// module-level checks ([`crate::validate::validate`]) must have passed.
+pub fn compile_func<S: OpSink>(
+    module: &Module,
+    local_idx: u32,
+    sink: &mut S,
+) -> Result<Box<[BranchTarget]>, ValidateError> {
     let body = &module.funcs[local_idx as usize];
     let ty = &module.types[body.type_idx as usize];
     let results = ty.results.first().copied();
@@ -311,7 +286,8 @@ pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, Val
         n_imports: module.num_imported_funcs(),
         func_idx: module.num_imported_funcs() + local_idx,
         pc: 0,
-        ops: Vec::with_capacity(body.code.len() + 8),
+        sink,
+        n_ops: 0,
         branches: Vec::new(),
         ctrls: Vec::new(),
         vals: Vec::new(),
@@ -320,7 +296,6 @@ pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, Val
         locals: &body.locals,
         reachable: true,
         open: false,
-        meter_pc: 0,
         block_cost: 0,
         fn_level: Vec::new(),
     };
@@ -342,22 +317,16 @@ pub fn compile_func(module: &Module, local_idx: u32) -> Result<CompiledFunc, Val
     // trampoline (unmetered: the branch already paid for itself, matching
     // a per-instruction walk, which never executes an End on this path).
     if !c.fn_level.is_empty() {
-        let tramp = c.ops.len() as u32;
-        c.ops.push(Op::Return);
+        let tramp = c.n_ops;
+        c.sink.exit(tramp, results.is_some() as u32);
         for bi in &c.fn_level {
             c.branches[*bi as usize].pc = tramp;
         }
     }
-    Ok(CompiledFunc {
-        ops: c.ops.into_boxed_slice(),
-        branches: c.branches.into_boxed_slice(),
-        argc: ty.params.len() as u32,
-        n_locals: (ty.params.len() + body.locals.len()) as u32,
-        ret_arity: results.is_some() as u32,
-    })
+    Ok(c.branches.into_boxed_slice())
 }
 
-impl<'m> FnCompiler<'m> {
+impl<S: OpSink> FnCompiler<'_, S> {
     fn err(&self, kind: ValidateErrorKind) -> ValidateError {
         ValidateError {
             func: Some(self.func_idx),
@@ -488,7 +457,7 @@ impl<'m> FnCompiler<'m> {
         if let Some(ty) = result {
             self.push(ty);
         }
-        self.simple(op);
+        self.simple(op, params.len() as u32, result.is_some() as u32);
         Ok(())
     }
 
@@ -505,51 +474,53 @@ impl<'m> FnCompiler<'m> {
         self.op(row.params, row.result, op)
     }
 
-    // -- the lowering ----------------------------------------------------
+    // -- the stream ------------------------------------------------------
 
-    /// Finalize the open block's `Meter` cost.
+    /// Close the open block: its `Meter` cost is final.
     fn seal(&mut self) {
         if self.open {
-            if let Op::Meter { cost } = &mut self.ops[self.meter_pc] {
-                *cost = self.block_cost;
-            }
+            self.sink.seal(self.block_cost);
             self.open = false;
         }
     }
 
-    /// The current block leader's PC, opening a fresh block when none is.
-    fn leader(&mut self) -> u32 {
-        if !self.open {
-            self.meter_pc = self.ops.len();
-            self.ops.push(Op::Meter { cost: 0 });
-            self.block_cost = 0;
-            self.open = true;
-        }
-        self.meter_pc as u32
+    /// Open a fresh block, entered as `entry`, at the next pc.
+    fn open_block(&mut self, entry: Entry) -> u32 {
+        let pc = self.n_ops;
+        self.n_ops += 1;
+        self.block_cost = 0;
+        self.open = true;
+        self.sink.open(pc, entry);
+        pc
     }
 
-    /// Charge `n` source instructions to the current block.
+    /// Charge `n` source instructions to the current block, opening one
+    /// (reached by fall-through) when none is.
     fn count(&mut self, n: u32) {
-        self.leader();
+        if !self.open {
+            self.open_block(Entry::Fall);
+        }
         self.block_cost += n;
     }
 
-    fn emit(&mut self, op: Op) {
-        self.leader();
-        self.ops.push(op);
+    /// Hand on `op`, which pops `pops` operands and pushes `pushes`.
+    fn emit(&mut self, op: Op, pops: u32, pushes: u32) {
+        self.n_ops += 1;
+        self.sink.op(op, pops, pushes, &self.branches);
     }
 
-    /// A plain op, where the code executes: count it and emit it.
-    fn simple(&mut self, op: Op) {
+    /// A plain op, where the code executes: count it and hand it on.
+    fn simple(&mut self, op: Op, pops: u32, pushes: u32) {
         if self.reachable {
             self.count(1);
-            self.emit(op);
+            self.emit(op, pops, pushes);
         }
     }
 
-    /// End the reachable code: `op` is the block's last op.
-    fn terminate(&mut self, op: Op) {
-        self.emit(op);
+    /// End the reachable code: `op`, which pops `pops`, is the block's
+    /// last op.
+    fn terminate(&mut self, op: Op, pops: u32) {
+        self.emit(op, pops, 0);
         self.seal();
         self.reachable = false;
     }
@@ -607,7 +578,7 @@ impl<'m> FnCompiler<'m> {
             Instr::Unreachable => {
                 if self.reachable {
                     self.count(1);
-                    self.terminate(Op::Unreachable);
+                    self.terminate(Op::Unreachable, 0);
                 }
                 self.set_unreachable();
             }
@@ -630,7 +601,7 @@ impl<'m> FnCompiler<'m> {
                 let mut header = u32::MAX;
                 if self.reachable {
                     self.seal();
-                    header = self.leader();
+                    header = self.open_block(Entry::Join);
                     self.count(1);
                 }
                 self.push_ctrl(CtrlKind::Loop { header }, ty.result());
@@ -642,7 +613,7 @@ impl<'m> FnCompiler<'m> {
                 if self.reachable {
                     self.count(1);
                     let br = self.new_branch(self.vals.len() as u32, 0);
-                    self.emit(Op::BrIfZ(br));
+                    self.emit(Op::BrIfZ(br), 1, 0);
                     self.seal();
                     else_br = Some(br);
                 }
@@ -660,10 +631,10 @@ impl<'m> FnCompiler<'m> {
                         // Branch to the function label: a return (same fuel
                         // as a per-instruction walk, which never runs the
                         // final End).
-                        self.terminate(Op::Return);
+                        self.terminate(Op::Return, 0);
                     } else {
                         let b = self.branch_index(*depth);
-                        self.terminate(Op::Br(b));
+                        self.terminate(Op::Br(b), 0);
                     }
                 }
                 self.set_unreachable();
@@ -677,7 +648,7 @@ impl<'m> FnCompiler<'m> {
                 if self.reachable {
                     self.count(1);
                     let br = self.branch_index(*depth);
-                    self.emit(Op::BrIf(br));
+                    self.emit(Op::BrIf(br), 1, 0);
                     self.seal();
                 }
             }
@@ -699,10 +670,8 @@ impl<'m> FnCompiler<'m> {
                         self.branch_index(*d);
                     }
                     self.branch_index(*default);
-                    self.terminate(Op::BrTable {
-                        start,
-                        n: targets.len() as u32,
-                    });
+                    let n = targets.len() as u32;
+                    self.terminate(Op::BrTable { start, n }, 1);
                 }
                 self.set_unreachable();
             }
@@ -712,7 +681,7 @@ impl<'m> FnCompiler<'m> {
                 }
                 if self.reachable {
                     self.count(1);
-                    self.terminate(Op::Return);
+                    self.terminate(Op::Return, 0);
                 }
                 self.set_unreachable();
             }
@@ -721,9 +690,10 @@ impl<'m> FnCompiler<'m> {
                     .func_type(*func)
                     .ok_or_else(|| self.err(ValidateErrorKind::BadFuncIndex(*func)))?;
                 self.pop_params(&ty.params)?;
+                let (pops, pushes) = (ty.params.len() as u32, ty.results.len() as u32);
                 if self.reachable {
                     match func.checked_sub(self.n_imports) {
-                        Some(local) => self.simple(Op::CallWasm(local)),
+                        Some(local) => self.simple(Op::CallWasm(local), pops, pushes),
                         None => {
                             let ret = match ty.results.first() {
                                 None => 0,
@@ -732,11 +702,13 @@ impl<'m> FnCompiler<'m> {
                                 Some(ValType::F32) => 3,
                                 Some(ValType::F64) => 4,
                             };
-                            self.simple(Op::CallHost {
+                            let argc = ty.params.len() as u16;
+                            let op = Op::CallHost {
                                 f: *func,
-                                argc: ty.params.len() as u16,
+                                argc,
                                 ret,
-                            });
+                            };
+                            self.simple(op, pops, pushes);
                         }
                     }
                 }
@@ -754,14 +726,15 @@ impl<'m> FnCompiler<'m> {
                     .ok_or_else(|| self.err(ValidateErrorKind::BadTypeIndex(*type_idx)))?;
                 self.pop_expect(I32)?;
                 self.pop_params(&ty.params)?;
-                self.simple(Op::CallIndirect(*type_idx));
+                let (pops, pushes) = (ty.params.len() as u32 + 1, ty.results.len() as u32);
+                self.simple(Op::CallIndirect(*type_idx), pops, pushes);
                 if let Some(&r) = ty.results.first() {
                     self.push(r);
                 }
             }
             Instr::Drop => {
                 self.pop_any()?;
-                self.simple(Op::Drop);
+                self.simple(Op::Drop, 1, 0);
             }
             Instr::Select => {
                 self.pop_expect(I32)?;
@@ -776,7 +749,7 @@ impl<'m> FnCompiler<'m> {
                     }
                     _ => self.vals.push(a.or(b)),
                 }
-                self.simple(Op::Select);
+                self.simple(Op::Select, 3, 1);
             }
             Instr::LocalGet(i) => {
                 let t = self.local_ty(*i)?;
@@ -862,7 +835,7 @@ impl<'m> FnCompiler<'m> {
             self.count(1);
             let (h, a) = (self.ctrls[fi].height, self.ctrls[fi].ty.is_some() as u8);
             let b = self.new_branch(h, a);
-            self.terminate(Op::Br(b));
+            self.terminate(Op::Br(b), 0);
             self.ctrls[fi].fixups.push(b);
         }
         let f = &mut self.ctrls[fi];
@@ -870,9 +843,11 @@ impl<'m> FnCompiler<'m> {
         f.kind = CtrlKind::Block;
         match else_br {
             Some(else_br) => {
-                // An emitted If is always reachable at entry.
+                // An emitted If is always reachable at entry; its else arm
+                // only by the false edge.
                 self.reachable = true;
-                let lp = self.leader();
+                let height = self.vals.len() as u32;
+                let lp = self.open_block(Entry::Branch { height });
                 self.branches[else_br as usize].pc = lp;
             }
             // The whole if/else sits in dead code.
@@ -896,7 +871,7 @@ impl<'m> FnCompiler<'m> {
             // fallthrough, then returns.
             if self.reachable {
                 self.count(1);
-                self.terminate(Op::Return);
+                self.terminate(Op::Return, 0);
             }
             self.reachable = false;
             return Ok(());
@@ -927,7 +902,14 @@ impl<'m> FnCompiler<'m> {
                     // exactly the paths on which a per-instruction walk
                     // executes this End.
                     self.seal();
-                    let lp = self.leader();
+                    let entry = match (self.reachable, fixups.is_empty()) {
+                        (true, true) => Entry::Fall,
+                        (true, false) => Entry::Join,
+                        (false, _) => Entry::Branch {
+                            height: self.vals.len() as u32,
+                        },
+                    };
+                    let lp = self.open_block(entry);
                     self.count(1);
                     for bi in fixups {
                         self.branches[bi as usize].pc = lp;
@@ -943,13 +925,43 @@ impl<'m> FnCompiler<'m> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
     use crate::types::ValType;
+    use Event::{Exit, Open, Seal};
 
-    fn compile_first(m: &Module) -> CompiledFunc {
-        compile_func(m, 0).expect("well-typed")
+    /// One event of the walk's stream, as a test reads it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) enum Event {
+        Open(u32, Entry),
+        Op(u32, Op),
+        Seal(u32),
+        Exit(u32),
+    }
+
+    impl OpSink for Vec<Event> {
+        fn open(&mut self, pc: u32, entry: Entry) {
+            self.push(Open(pc, entry));
+        }
+        fn op(&mut self, op: Op, _: u32, _: u32, _: &[BranchTarget]) {
+            // Every event but a seal takes one pc.
+            let pc = self.iter().filter(|e| !matches!(e, Seal(_))).count();
+            self.push(Event::Op(pc as u32, op));
+        }
+        fn seal(&mut self, cost: u32) {
+            self.push(Seal(cost));
+        }
+        fn exit(&mut self, pc: u32, _: u32) {
+            self.push(Exit(pc));
+        }
+    }
+
+    /// Function 0's stream and its branch side table.
+    fn walk_first(m: &Module) -> (Vec<Event>, Box<[BranchTarget]>) {
+        let mut events = Vec::new();
+        let branches = compile_func(m, 0, &mut events).expect("well-typed");
+        (events, branches)
     }
 
     #[test]
@@ -960,19 +972,20 @@ mod tests {
         b.code().local_get(0).i32_const(2).i32_mul();
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
-        let cf = compile_first(&m);
+        let (events, _) = walk_first(&m);
         // One Meter charging all four source instructions (the three
         // below plus the function-level End) and the activation's
         // `CALL_FUEL`, then one op per instruction.
         // Fusing them is the register lowering's job (`regalloc::tests`).
         assert_eq!(
-            *cf.ops,
+            events,
             [
-                Op::Meter { cost: 10 },
-                Op::LocalGet(0),
-                Op::I32Const(2),
-                Op::I32Bin(I32Op::Mul),
-                Op::Return,
+                Open(0, Entry::Fall),
+                Event::Op(1, Op::LocalGet(0)),
+                Event::Op(2, Op::I32Const(2)),
+                Event::Op(3, Op::I32Bin(I32Op::Mul)),
+                Event::Op(4, Op::Return),
+                Seal(10),
             ]
         );
     }
@@ -1002,37 +1015,41 @@ mod tests {
             .local_get(0);
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
-        let cf = compile_first(&m);
-        // The loop header is a block of its own: `loop` plus the five
-        // condition instructions, spelled one op each and ended by the
-        // exit branch. (That they run as ONE compare-and-branch is pinned
-        // on the register form, in `regalloc::tests`.)
-        let header = cf
-            .ops
+        let (events, branches) = walk_first(&m);
+        // The loop header is a block of its own, opened as a join: `loop`
+        // plus the five condition instructions, spelled one op each and
+        // ended by the exit branch. (That they run as ONE
+        // compare-and-branch is pinned on the register form, in
+        // `regalloc::tests`.)
+        let at = events
             .iter()
-            .position(|op| matches!(op, Op::Meter { cost: 6, .. }))
-            .expect("loop header meter");
+            .position(|e| matches!(e, Open(_, Entry::Join)))
+            .expect("loop header");
+        let Open(header, _) = events[at] else {
+            unreachable!()
+        };
         assert!(
             matches!(
-                cf.ops[header + 1..header + 6],
+                events[at + 1..at + 7],
                 [
-                    Op::LocalGet(0),
-                    Op::LocalGet(1),
-                    Op::I32Bin(I32Op::LtS),
-                    Op::Un(UnOp::I32Eqz),
-                    Op::BrIf(_)
+                    Event::Op(_, Op::LocalGet(0)),
+                    Event::Op(_, Op::LocalGet(1)),
+                    Event::Op(_, Op::I32Bin(I32Op::LtS)),
+                    Event::Op(_, Op::Un(UnOp::I32Eqz)),
+                    Event::Op(_, Op::BrIf(_)),
+                    Seal(6),
                 ]
             ),
-            "ops: {:?}",
-            cf.ops
+            "events: {events:?}"
         );
-        // No label-stack ops exist; the back edge targets that Meter.
-        let back = cf
-            .branches
+        // No label-stack ops exist; the back edge targets that Meter, and
+        // the exit lands on the outer block's end, a branch-only leader.
+        let back = branches
             .iter()
-            .find(|bt| bt.pc as usize == header)
+            .find(|bt| bt.pc == header)
             .expect("loop back edge lands on its header meter");
         assert_eq!(back.arity, 0);
+        assert!(events.contains(&Open(branches[0].pc, Entry::Branch { height: 0 })));
     }
 
     #[test]
@@ -1050,19 +1067,18 @@ mod tests {
             .i32_const(7);
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
-        let cf = compile_first(&m);
-        let (start, n) = cf
-            .ops
+        let (events, branches) = walk_first(&m);
+        let (start, n) = events
             .iter()
-            .find_map(|op| match op {
-                Op::BrTable { start, n } => Some((*start, *n)),
+            .find_map(|e| match e {
+                Event::Op(_, Op::BrTable { start, n }) => Some((*start, *n)),
                 _ => None,
             })
             .expect("br_table lowered");
         assert_eq!(n, 2);
         // Two targets + the default all resolved in the side table.
         for i in 0..=n {
-            assert_ne!(cf.branches[(start + i) as usize].pc, u32::MAX);
+            assert_ne!(branches[(start + i) as usize].pc, u32::MAX);
         }
     }
 
@@ -1077,16 +1093,29 @@ mod tests {
         b.code().i32_const(1).i32_const(2).i32_add().drop();
         b.end_func().unwrap();
         let m = b.finish().expect("valid");
-        let cf = compile_first(&m);
-        let total: u32 = cf
-            .ops
+        let (events, _) = walk_first(&m);
+        let total: u32 = events
             .iter()
-            .map(|op| match op {
-                Op::Meter { cost, .. } => *cost,
+            .map(|e| match e {
+                Seal(cost) => *cost,
                 _ => 0,
             })
             .sum();
         assert_eq!(total, 11);
+    }
+
+    #[test]
+    fn conditional_exit_lands_on_the_trampoline() {
+        // `br_if` to the function label lands on the shared `Return`,
+        // entered by branch only, after every block.
+        let mut b = ModuleBuilder::new();
+        let sig = b.func_type(&[ValType::I32], &[ValType::I32]);
+        b.begin_func(sig);
+        b.code().local_get(0).local_get(0).br_if(0);
+        b.end_func().unwrap();
+        let m = b.finish().expect("valid");
+        let (events, branches) = walk_first(&m);
+        assert_eq!(events.last(), Some(&Exit(branches[0].pc)));
     }
 
     /// The walk is the one nesting check: each way a body's `else` and

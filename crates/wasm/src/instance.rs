@@ -118,7 +118,7 @@ pub enum InstantiateError {
     /// The start function trapped.
     StartTrap(Trap),
     /// Load-time static analysis rejected the module: the register
-    /// lowering failed translation validation against the flat IR.
+    /// lowering failed translation validation against the walk's reference.
     Analysis(crate::analysis::AnalysisError),
 }
 
@@ -815,7 +815,7 @@ impl Vm {
     }
 
     /// The register-tier hot loop: dispatch [`ROp`]s until the entry frame
-    /// returns. Semantics follow the flat IR the ops were lowered from —
+    /// returns. Semantics follow the op stream they were lowered from —
     /// results, traps and fuel totals match a per-instruction walk of the
     /// source, with fuel checked once per basic block — but all operands
     /// are frame-relative register indices; there is no value stack and no

@@ -19,15 +19,16 @@
 //!   the one executor: traps ([`Trap`]) and fuel metering, the only
 //!   budget that stops a call (it reads no clock),
 //! * [`analysis`] — the one load-time pass behind that executor, run once
-//!   per module by [`load_module`]: each body is type-checked and lowered
-//!   in one walk to a 1:1 flat stack IR (side-table branches, block
-//!   metering; every call stays a call), which is lowered again into
-//!   three-address code over a per-frame virtual register file — the one
-//!   pass that fuses operands, write-backs, compare-and-branch and address
-//!   chains — and the register form is checked block by block against
-//!   the flat IR (fuel, memory/call/trap ops and control flow, not
-//!   values), with worst-case resource bounds. The flat IR lives only
-//!   inside that pass; every instance runs the register code it checked. The crate's
+//!   per module by [`load_module`]: one walk per body type-checks it and
+//!   hands each op of a 1:1 flat stack stream (side-table branches, block
+//!   metering; every call stays a call) at once to two consumers — the
+//!   lowering into three-address code over a per-frame virtual register
+//!   file, the one pass that fuses operands, write-backs,
+//!   compare-and-branch and address chains, and the proof's recorder —
+//!   and the register form is checked block by block against what the
+//!   recorder kept (fuel, memory/call/trap ops and control flow, not
+//!   values), with worst-case resource bounds. No op is stored; every
+//!   instance runs the register code the pass checked. The crate's
 //!   tests hold the executor to an oracle that walks the decoded
 //!   instructions over its own memory (`tests/util/oracle.rs`),
 //! * [`disasm`] — the register-code listing the `analyze` tool prints.

@@ -294,8 +294,7 @@ impl Module {
 // here is plain owned data; the only interior mutability is the
 // `OnceLock` inside the module's one [`Memo`], which is thread-safe by
 // construction. Workers only ever read the proven `RegFunc`s while
-// executing; the flat IR lives only inside the proof and is never
-// stored. These assertions make the property load-bearing: a field that
+// executing; no op of the walk that lowered them is stored. These assertions make the property load-bearing: a field that
 // breaks `Send`/`Sync` breaks the build, not the engine.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

@@ -12,7 +12,7 @@
 //! ([`Instr::named`]) and the operand types the register executor re-tags
 //! its untyped cells with.
 //!
-//! [`Instr`] carries the payloads decoded, the flat
+//! [`Instr`] carries the payloads decoded, the walk's
 //! [`Op`](crate::compile::Op) moves them over unchanged, the register
 //! lowering ([`crate::regalloc`]) copies them into the
 //! [`RForm`](crate::regalloc::RForm) it builds, and the analyzer

@@ -1,9 +1,11 @@
-//! Register-form lowering of the flat IR: what [`crate::Instance`]'s one
-//! executor runs.
+//! Register-form lowering of the walk's op stream: what
+//! [`crate::Instance`]'s one executor runs.
 //!
-//! A per-function abstract-interpretation pass walks the already-lowered
-//! [`CompiledFunc`] (so side-table branches and basic-block fuel metering
-//! carry forward for free) and assigns every operand-stack slot a
+//! The [`Lowerer`] is one of the two consumers of `compile.rs`'s walk
+//! (an [`OpSink`]; the proof's recorder is the other): it lowers each op
+//! as the walk hands it on, so side-table branches and basic-block fuel
+//! metering carry forward for free and no op is stored or read twice. It
+//! is an abstract interpretation that assigns every operand-stack slot a
 //! *virtual register* in a flat, frame-indexed register file:
 //!
 //! * registers `0 .. n_locals` are the wasm locals (local `i` *is*
@@ -17,29 +19,36 @@
 //! `Abs::Local` and lazy constant `Abs::Const` — so `local.get`,
 //! `const` and most copies are *deleted* rather than merely cheapened.
 //!
-//! This is the pipeline's only fusion pass — the flat IR it reads is one
+//! This is the pipeline's only fusion pass — the stream it reads is one
 //! op per source instruction, its operators already classified into the
 //! [`crate::ops`] payloads, which [`RForm`] carries on unchanged (each
 //! `lower_op` arm matches the payload; nothing is re-classified). Local
 //! and constant operands come from the lazy cells; a pure producer
 //! followed by `local.set` is retargeted at the local (write-back);
 //! constant i32 arithmetic folds; `i32.eqz` negates a just-emitted
-//! compare or flips the branch it feeds; compare-and-branch fuses over
+//! compare or flips the branch it feeds (it is held back one op to see
+//! which); compare-and-branch fuses over
 //! register operands ([`RForm::BrIfCmp`]/[`RForm::BrIfCmpC`]); address chains
 //! fold into the memory access. All of it sits under the
 //! translation-validation proof of [`crate::analysis`].
 //!
 //! Folding stops at *values*: a constant `br_if`/`br_table`/`select`
 //! condition materializes like any other operand and takes the generic
-//! op. Liveness is decided once, by the flat compiler (it emits no dead
-//! op), so every flat op is lowered, [`RegFunc::pc_map`] is total (the
-//! proof checks it, then empties it) and the proof has no control
-//! decision of this pass to predict; if constant control ever matters it
-//! folds there, before the proof, not here.
+//! op. Liveness is decided once, by the walk (it hands on no dead op), so
+//! every op is lowered, [`RegFunc::pc_map`] is total (the proof checks
+//! it, then empties it) and the proof has no control decision of this
+//! pass to predict; if constant control ever matters it folds there,
+//! before the proof, not here.
 //!
-//! Fuel accounting is unchanged: every flat [`Op::Meter`] lowers to an
+//! Each leader comes with how it is entered ([`Entry`]): a join flushes
+//! the lazy cells into their registers first, a branch-only entry starts
+//! from a materialized stack of the height the walk gives. A loop header
+//! is always a join: the walk opens it before it has seen any back edge.
+//!
+//! Fuel accounting is unchanged: every leader lowers to an
 //! [`ROp::Meter`] with the *same* `cost` (source-instruction count of the
-//! basic block, plus the activation price in a function's entry block), so
+//! basic block, plus the activation price in a function's entry block,
+//! patched in when the walk seals the block), so
 //! fuel totals and `OutOfFuel` points stay bit-identical with a
 //! per-instruction walk's. The only stack the executor bounds is the one
 //! it allocates: each function's `frame_size` cells of the register arena.
@@ -54,7 +63,7 @@
 //! [`with_families!`]), and [`ROp::view`] gives the form back to the
 //! proof, the listing and the analysis.
 
-use crate::compile::{CompiledFunc, Op};
+use crate::compile::{BranchTarget, Entry, Op, OpSink};
 use crate::interp::Value;
 use crate::module::Module;
 use crate::ops::{BinOp, I32Op, I64Op, LoadKind, StoreKind, UnOp};
@@ -310,7 +319,8 @@ macro_rules! register_ops {
 
 with_families! {
     register_ops fixed {
-        /// Basic-block header: identical fuel semantics to [`Op::Meter`].
+        /// Basic-block header: charge `cost` fuel (the block's source
+        /// instructions, plus the activation price in the entry block).
         Meter { cost: u32 },
         Unreachable,
         Br { br: u32 },
@@ -375,7 +385,7 @@ impl RForm {
 /// A branch descriptor for the register tier: jump to `pc` after moving
 /// the `n` carried values from registers `src..src+n` down to
 /// `dst..dst+n` (`n == 0` when source and destination windows coincide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RBranch {
     pub pc: u32,
     pub src: u32,
@@ -397,7 +407,8 @@ pub struct RegFunc {
     pub n_locals: u32,
     /// Total registers the frame needs (`n_locals` + max stack height).
     pub frame_size: u32,
-    /// Flat-pc → register-pc map, one entry per flat op: exact at block
+    /// Flat-pc → register-pc map, one entry per op of the walk's stream
+    /// (`Meter`s and the trampoline included): exact at block
     /// leaders (all a branch can target), a hint inside a block (a later
     /// address-chain fusion may pull ops out from under it). Read only by
     /// translation validation, which empties it once the proof passes.
@@ -415,9 +426,10 @@ enum Abs {
     Const(Value),
 }
 
-struct Lowerer<'m> {
-    module: &'m Module,
-    cf: &'m CompiledFunc,
+/// The register lowering of one function, fed op by op by the walk.
+pub(crate) struct Lowerer {
+    argc: u32,
+    ret_arity: u32,
     n_locals: u32,
     rops: Vec<RForm>,
     rbranches: Vec<RBranch>,
@@ -427,10 +439,12 @@ struct Lowerer<'m> {
     max_h: u32,
     /// flat pc -> register-form pc.
     pc_map: Vec<u32>,
-    /// Whether the previous flat op falls through into the current one.
-    /// Decides only how a branch target is entered: flush the abstract
-    /// stack at a join, or rebuild it from the recorded entry height.
-    reachable: bool,
+    /// Register pc of the open block's `Meter`, whose cost the seal
+    /// patches.
+    meter: usize,
+    /// An `i32.eqz` held back one op: a conditional branch next takes it
+    /// by flipping its sense, anything else has it lowered first.
+    eqz: bool,
     /// `(rop index, dst register)` of the last emitted op when it is pure
     /// and retargetable — fuel for write-back and compare-branch fusion.
     last_pure: Option<(usize, u32)>,
@@ -441,62 +455,51 @@ struct Lowerer<'m> {
     pendings: Vec<Pending>,
 }
 
-/// Lower `module`'s local function `local_idx` from its flat IR `cf` to
-/// register form. Called only by the proof that checks the result.
-pub fn lower_func(module: &Module, local_idx: u32, cf: &CompiledFunc) -> RegFunc {
-    let n_locals = cf.n_locals;
-
-    let entry_height = cf
-        .entry_heights(local_idx)
-        .expect("compiled from a validated body: the branch side table is consistent");
-
-    let mut lw = Lowerer {
-        module,
-        cf,
-        n_locals,
-        rops: Vec::with_capacity(cf.ops.len()),
-        rbranches: cf
-            .branches
-            .iter()
-            .map(|bt| RBranch {
-                pc: bt.pc,
-                src: 0,
-                dst: 0,
-                n: 0,
-            })
-            .collect(),
-        consts: Vec::new(),
-        stack: Vec::new(),
-        max_h: 0,
-        pc_map: vec![0; cf.ops.len()],
-        reachable: true,
-        last_pure: None,
-        pendings: Vec::with_capacity(PENDING_CAP),
-    };
-
-    for pc in 0..cf.ops.len() {
-        lw.lower_op(pc, cf.ops[pc], &entry_height);
+impl Lowerer {
+    /// A lowering of `module`'s local function `local_idx`, empty until
+    /// the walk feeds it.
+    pub(crate) fn new(module: &Module, local_idx: u32) -> Lowerer {
+        let body = &module.funcs[local_idx as usize];
+        let ty = &module.types[body.type_idx as usize];
+        let argc = ty.params.len() as u32;
+        Lowerer {
+            argc,
+            ret_arity: ty.results.len() as u32,
+            n_locals: argc + body.locals.len() as u32,
+            rops: Vec::with_capacity(body.code.len() + 8),
+            rbranches: Vec::new(),
+            consts: Vec::new(),
+            stack: Vec::new(),
+            max_h: 0,
+            pc_map: Vec::with_capacity(body.code.len() + 8),
+            meter: 0,
+            eqz: false,
+            last_pure: None,
+            pendings: Vec::with_capacity(PENDING_CAP),
+        }
     }
 
-    // Retarget the side table from flat pcs to register-form pcs.
-    let mut rbranches = lw.rbranches;
-    for rb in &mut rbranches {
-        rb.pc = lw.pc_map[rb.pc as usize];
-    }
-
-    RegFunc {
-        ops: lw.rops.into_iter().map(ROp::new).collect(),
-        branches: rbranches.into_boxed_slice(),
-        consts: lw.consts.into_boxed_slice(),
-        argc: cf.argc,
-        ret_arity: cf.ret_arity,
-        n_locals,
-        frame_size: n_locals + lw.max_h,
-        pc_map: lw.pc_map.into_boxed_slice(),
+    /// The register function, its side table retargeted from the walk's
+    /// resolved flat pcs to register pcs.
+    pub(crate) fn finish(self, branches: &[BranchTarget]) -> RegFunc {
+        let mut rbranches = self.rbranches;
+        for (rb, bt) in rbranches.iter_mut().zip(branches) {
+            rb.pc = self.pc_map[bt.pc as usize];
+        }
+        RegFunc {
+            ops: self.rops.into_iter().map(ROp::new).collect(),
+            branches: rbranches.into_boxed_slice(),
+            consts: self.consts.into_boxed_slice(),
+            argc: self.argc,
+            ret_arity: self.ret_arity,
+            n_locals: self.n_locals,
+            frame_size: self.n_locals + self.max_h,
+            pc_map: self.pc_map.into_boxed_slice(),
+        }
     }
 }
 
-impl Lowerer<'_> {
+impl Lowerer {
     fn h(&self) -> usize {
         self.stack.len()
     }
@@ -710,14 +713,17 @@ impl Lowerer<'_> {
     }
 
     /// Compute the move descriptor for branch record `b` from the current
-    /// (fully materialized) stack height.
-    fn fill_branch(&mut self, b: u32) {
-        let bt = self.cf.branches[b as usize];
+    /// (fully materialized) stack height; its pc is set by `finish`.
+    fn fill_branch(&mut self, b: u32, branches: &[BranchTarget]) {
+        let (b, bt) = (b as usize, branches[b as usize]);
         let arity = bt.arity as u32;
         let src = self.n_locals + self.stack.len() as u32 - arity;
         let dst = self.n_locals + bt.height;
-        self.rbranches[b as usize] = RBranch {
-            pc: bt.pc,
+        if self.rbranches.len() <= b {
+            self.rbranches.resize(b + 1, RBranch::default());
+        }
+        self.rbranches[b] = RBranch {
+            pc: 0,
             src,
             dst,
             n: if src == dst { 0 } else { arity },
@@ -815,7 +821,7 @@ impl Lowerer<'_> {
     /// Conditional branch on the abstract top of stack. `negate` = branch
     /// on zero. Fuses an immediately preceding i32 compare/binop into
     /// `BrIfCmp`/`BrIfCmpC`.
-    fn cond_branch(&mut self, br: u32, negate: bool) {
+    fn cond_branch(&mut self, br: u32, negate: bool, branches: &[BranchTarget]) {
         let top = self.stack.len() - 1;
         if let Some(i) = self.top_producer() {
             // `BrIfCmp` branches when the fused op is non-zero, so any
@@ -836,7 +842,7 @@ impl Lowerer<'_> {
                 self.rops.pop();
                 self.stack.pop();
                 self.materialize_all();
-                self.fill_branch(br);
+                self.fill_branch(br, branches);
                 self.emit(rop);
                 return;
             }
@@ -844,7 +850,7 @@ impl Lowerer<'_> {
         let cond = self.operand_reg(top);
         self.stack.pop();
         self.materialize_all();
-        self.fill_branch(br);
+        self.fill_branch(br, branches);
         self.emit(if negate {
             RForm::BrIfZ { cond, br }
         } else {
@@ -854,10 +860,8 @@ impl Lowerer<'_> {
 
     /// Common call shape: materialize the cells the call pops as the
     /// callee window, pop them, push the (single) result slot. Both counts
-    /// come from the one arity table, [`Op::stack_effect`] — read off the
-    /// signature, so lowering a caller never compiles its callees.
-    fn call_window(&mut self, call: Op, mk: impl FnOnce(u32) -> RForm) {
-        let (pops, pushes) = call.stack_effect(self.module);
+    /// come from the walk, which read them off the signature.
+    fn call_window(&mut self, pops: u32, pushes: u32, mk: impl FnOnce(u32) -> RForm) {
         let lo = self.stack.len() - pops as usize;
         for i in lo..self.stack.len() {
             self.materialize(i);
@@ -1335,82 +1339,122 @@ fn pure_reads(op: &RForm) -> Option<[u32; 2]> {
     })
 }
 
-impl Lowerer<'_> {
-    /// Whether flat op `pc` is a conditional branch fed directly by an
-    /// `i32.eqz` — the pair lowers as one branch of the opposite sense
-    /// (branch targets are never conditional branches, so nothing can
-    /// arrive between the two).
-    fn follows_eqz(&self, pc: usize) -> bool {
-        let ops = &self.cf.ops;
-        matches!(ops.get(pc), Some(Op::BrIf(_) | Op::BrIfZ(_)))
-            && matches!(ops[pc - 1], Op::Un(UnOp::I32Eqz))
+impl Lowerer {
+    /// Lower a held-back `i32.eqz` that no branch took: it negates the
+    /// compare just emitted, or is a plain unop.
+    fn lower_eqz(&mut self) {
+        if !self.negate_top_compare() {
+            self.un(UnOp::I32Eqz);
+        }
     }
 
-    fn lower_op(&mut self, pc: usize, op: Op, eh: &[u32]) {
-        if !self.reachable {
-            // Not fallen into, hence a branch target (the flat IR has no
-            // dead op): a fully materialized stack of the recorded height.
-            let e = eh[pc];
-            assert_ne!(e, u32::MAX, "flat op {pc} is unreachable");
-            self.stack.clear();
-            self.stack.resize(e as usize, Abs::Slot);
-            self.max_h = self.max_h.max(e);
-            self.reachable = true;
-            self.last_pure = None;
-            self.pendings.clear();
-        } else if eh[pc] != u32::MAX {
-            // Join point reachable by both fall-through and branch: flush
-            // so the abstract state matches what branch arrivals leave in
-            // the registers (a branch arrival did not run the fall-through
-            // ops, so nothing emitted above may be fused past this line).
-            self.materialize_all();
-            self.last_pure = None;
-            self.pendings.clear();
-            debug_assert_eq!(self.stack.len() as u32, eh[pc]);
+    /// A unop on the top cell. A constant operand folds when the
+    /// conversion can't trap on this value (a trapping conversion must
+    /// stay at runtime, in trap order); fuel is unchanged — the block
+    /// meter counts source instructions.
+    fn un(&mut self, op: UnOp) {
+        let top = self.h() - 1;
+        let folded = match self.stack[top] {
+            Abs::Const(v) => op.eval(v).ok(),
+            _ => None,
+        };
+        match folded {
+            Some(v) => self.stack[top] = Abs::Const(v),
+            None => {
+                let a = self.operand_reg(top);
+                let dst = self.slot(top);
+                self.stack[top] = Abs::Slot;
+                self.emit_pure(RForm::Un { op, dst, a }, dst);
+            }
         }
-        self.pc_map[pc] = self.rops.len() as u32;
+    }
+
+    /// Start a stretch of code the op before did not fall into: a fully
+    /// materialized stack of the height the walk gives. (The `Meter` or
+    /// `Return` emitted next clears the fusion candidates.)
+    fn enter_by_branch(&mut self, height: u32) {
+        self.stack.clear();
+        self.stack.resize(height as usize, Abs::Slot);
+        self.max_h = self.max_h.max(height);
+    }
+}
+
+impl OpSink for Lowerer {
+    fn open(&mut self, _pc: u32, entry: Entry) {
+        if std::mem::take(&mut self.eqz) {
+            self.lower_eqz();
+        }
+        match entry {
+            Entry::Fall => {}
+            // Reachable by both fall-through and branch: flush so the
+            // abstract state matches what branch arrivals leave in the
+            // registers (a branch arrival did not run the fall-through
+            // ops, so nothing emitted above may be fused past this line).
+            // The flush runs on the fall-through path, before the Meter.
+            Entry::Join => self.materialize_all(),
+            Entry::Branch { height } => self.enter_by_branch(height),
+        }
+        self.meter = self.rops.len();
+        self.pc_map.push(self.meter as u32);
+        self.emit(RForm::Meter { cost: 0 });
+    }
+
+    fn seal(&mut self, cost: u32) {
+        // Address-chain fusion removes ops only after the Meter, so its
+        // index still holds.
+        self.rops[self.meter] = RForm::Meter { cost };
+    }
+
+    fn exit(&mut self, _pc: u32, height: u32) {
+        self.enter_by_branch(height);
+        self.pc_map.push(self.rops.len() as u32);
+        let src = if self.ret_arity == 1 { self.slot(0) } else { 0 };
+        self.emit(RForm::Return { src });
+    }
+
+    fn op(&mut self, op: Op, pops: u32, pushes: u32, branches: &[BranchTarget]) {
+        // `x; i32.eqz; br_if` is `x; br_ifz`: the eqz emitted nothing and
+        // the branch flips its sense instead.
+        let eqz = std::mem::take(&mut self.eqz);
+        if eqz && !matches!(op, Op::BrIf(_) | Op::BrIfZ(_)) {
+            self.lower_eqz();
+        }
+        self.pc_map.push(self.rops.len() as u32);
 
         match op {
-            Op::Meter { cost } => self.emit(RForm::Meter { cost }),
-            Op::Unreachable => {
-                self.emit(RForm::Unreachable);
-                self.reachable = false;
-            }
+            Op::Unreachable => self.emit(RForm::Unreachable),
             Op::Br(b) => {
                 self.materialize_all();
-                self.fill_branch(b);
+                self.fill_branch(b, branches);
                 self.emit(RForm::Br { br: b });
-                self.reachable = false;
             }
-            // `x; i32.eqz; br_if` is `x; br_ifz`: the eqz (below) emitted
-            // nothing and the branch flips its sense instead.
-            Op::BrIf(b) => self.cond_branch(b, self.follows_eqz(pc)),
-            Op::BrIfZ(b) => self.cond_branch(b, !self.follows_eqz(pc)),
+            Op::BrIf(b) => self.cond_branch(b, eqz, branches),
+            Op::BrIfZ(b) => self.cond_branch(b, !eqz, branches),
             Op::BrTable { start, n } => {
                 let sel = self.operand_reg(self.h() - 1);
                 self.stack.pop();
                 self.materialize_all();
                 for i in 0..=n {
-                    self.fill_branch(start + i);
+                    self.fill_branch(start + i, branches);
                 }
                 self.emit(RForm::BrTable { sel, start, n });
-                self.reachable = false;
             }
             Op::Return => {
-                let src = if self.cf.ret_arity == 1 {
+                let src = if self.ret_arity == 1 {
                     self.operand_reg(self.h() - 1)
                 } else {
                     0
                 };
                 self.emit(RForm::Return { src });
-                self.reachable = false;
             }
-            Op::CallWasm(f) => self.call_window(op, |base| RForm::CallWasm { f, base }),
+            Op::CallWasm(f) => self.call_window(pops, pushes, |base| RForm::CallWasm { f, base }),
             Op::CallHost { f, argc, ret } => {
-                self.call_window(op, |base| RForm::CallHost { f, base, argc, ret })
+                self.call_window(pops, pushes, |base| RForm::CallHost { f, base, argc, ret })
             }
             // The selector rides on top of the arguments, inside the window.
-            Op::CallIndirect(ty) => self.call_window(op, |base| RForm::CallIndirect { ty, base }),
+            Op::CallIndirect(ty) => {
+                self.call_window(pops, pushes, |base| RForm::CallIndirect { ty, base })
+            }
             Op::Drop => {
                 self.stack.pop();
             }
@@ -1519,29 +1563,9 @@ impl Lowerer<'_> {
             Op::I64Const(k) => self.push(Abs::Const(Value::I64(k))),
             Op::F32Const(k) => self.push(Abs::Const(Value::F32(k))),
             Op::F64Const(k) => self.push(Abs::Const(Value::F64(k))),
-            // Absorbed by the branch it feeds (above) or by the compare it
-            // negates; every other `i32.eqz` is a plain unop (below).
-            Op::Un(UnOp::I32Eqz) if self.follows_eqz(pc + 1) || self.negate_top_compare() => {}
-            Op::Un(op) => {
-                let top = self.h() - 1;
-                // Fold a constant operand when the conversion can't
-                // trap on this value (a trapping conversion must stay
-                // at runtime, in trap order); fuel is unchanged — the
-                // block meter counts source instructions.
-                let folded = match self.stack[top] {
-                    Abs::Const(v) => op.eval(v).ok(),
-                    _ => None,
-                };
-                match folded {
-                    Some(v) => self.stack[top] = Abs::Const(v),
-                    None => {
-                        let a = self.operand_reg(top);
-                        let dst = self.slot(top);
-                        self.stack[top] = Abs::Slot;
-                        self.emit_pure(RForm::Un { op, dst, a }, dst);
-                    }
-                }
-            }
+            // Held back for the op after it (above).
+            Op::Un(UnOp::I32Eqz) => self.eqz = true,
+            Op::Un(op) => self.un(op),
             Op::I64Bin(op) => self.bin(|dst, a, b| RForm::I64Bin { op, dst, a, b }),
             Op::Bin(op) => self.bin(|dst, a, b| RForm::Bin { op, dst, a, b }),
             Op::Load { kind, off } => self.lower_load(kind, off),
@@ -1737,8 +1761,8 @@ mod tests {
             .collect()
     }
 
-    // The flat IR is unfused, so every pattern below is fused here or
-    // nowhere.
+    // The walk's op stream is unfused, so every pattern below is fused
+    // here or nowhere.
 
     #[test]
     fn while_loop_header_is_one_compare_and_branch() {
@@ -1825,6 +1849,30 @@ mod tests {
                 ]
             ),
             "ops: {ops:?}"
+        );
+    }
+
+    #[test]
+    fn loop_header_flushes_lazy_operands() {
+        // The walk opens a loop header before it knows of any back edge,
+        // so every header is a join: the local and the constant below it
+        // are materialized first, though no branch ever returns here.
+        let ops = lower_wat(
+            r#"(module (func (param i32 i32) (result i32)
+                 local.get 0  i32.const 5
+                 loop (result i32)  local.get 1  end
+                 i32.add  i32.add))"#,
+        );
+        #[rustfmt::skip]
+        assert_eq!(
+            ops,
+            [
+                RForm::Copy { dst: 2, src: 0 },
+                RForm::ConstI32 { dst: 3, k: 5 },
+                RForm::I32Bin { op: I32Op::Add, dst: 3, a: 3, b: 1 },
+                RForm::I32Bin { op: I32Op::Add, dst: 2, a: 2, b: 3 },
+                RForm::Return { src: 2 },
+            ]
         );
     }
 

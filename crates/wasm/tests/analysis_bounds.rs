@@ -5,7 +5,8 @@
 //!
 //! * **Translation validation passes** — `Module::analysis()` succeeds on
 //!   100% of the corpus, i.e. the register lowering of every generated
-//!   function proves equivalent to its flat IR. Combined with the
+//!   function passes its block-by-block check against the reference the
+//!   walk recorded. Combined with the
 //!   deliberately-corrupted-lowering negatives (unit tests in
 //!   `analysis.rs`), this is the deterministic replacement for sampled
 //!   cross-tier parity.

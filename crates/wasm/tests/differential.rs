@@ -1618,6 +1618,8 @@ fn constant_control_cases() -> Vec<(String, String, Result<i32, Trap>)> {
         ("i32.const 0", 22),
         ("i32.const 0  i32.eqz", 11),
         ("i32.const -1  i32.const 1  i32.add", 22),
+        // A computed `i32.eqz` the branch takes by flipping its sense.
+        ("local.get 0  i32.const 3  i32.sub  i32.eqz", 11),
     ] {
         case(
             &format!("if on `{cond}`"),
@@ -1630,6 +1632,44 @@ fn constant_control_cases() -> Vec<(String, String, Result<i32, Trap>)> {
             Ok(want),
         );
     }
+    // An `i32.eqz` as the last op before a block's end, which a branch
+    // also reaches: no branch takes it, so it is lowered before the join.
+    for (value, want) in [
+        ("local.get 0  i32.const 3  i32.lt_s  i32.eqz", 1),
+        ("local.get 0  i32.eqz", 0),
+    ] {
+        case(
+            &format!("`{value}` before a join"),
+            format!(
+                "block (result i32)
+                   i32.const 9  local.get 0  i32.const 3  i32.ne  br_if 0
+                   drop  {value}
+                 end"
+            ),
+            Ok(want),
+        );
+    }
+    // A loop no branch returns to, entered with a local and a constant on
+    // the operand stack: its header is a join, so both are materialized
+    // before it (the listing is pinned in `regalloc`'s unit tests).
+    case(
+        "loop without a back edge over lazy operands",
+        "local.get 0  i32.const 5  loop (result i32)  local.get 1  end  i32.add  i32.add".into(),
+        Ok(12),
+    );
+    // ...and one a back edge returns to, over the local it increments:
+    // the value below the loop is `$i` as it was on entry.
+    case(
+        "loop with a back edge over its own lazy local",
+        "local.get $i
+         loop
+           local.get $i  i32.const 1  i32.add  local.set $i
+           local.get $i  i32.const 3  i32.lt_s  br_if 0
+         end
+         local.get $i  i32.sub"
+            .into(),
+        Ok(-3),
+    );
     case(
         "if on a constant, trapping arm taken",
         "i32.const 1  if  unreachable  end  i32.const 5".into(),

@@ -6,6 +6,8 @@
 # into CHANGES.md. The verdict is choosing-metrics §8's rule: `gain` when
 # the change wins at least 9/10 of the pairs and |Δ median| exceeds the
 # parent's IQR, `loss` when the parent does, `unresolved` otherwise.
+# The rule assumes at least 10 pairs: with fewer the verdict reads
+# `unresolved (<10 pairs)`, never `gain` or `loss`.
 # Beneath each such row a `runs` row lists each side's values in pair
 # order, so the host's fast and slow clusters show.
 #
@@ -31,7 +33,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 bench="$root/BENCHMARK.json"
 
 usage() {
-    sed -n '2,28p' "$0" >&2
+    sed -n '2,30p' "$0" >&2
     exit 2
 }
 
@@ -140,6 +142,7 @@ awk -v metrics="$metrics" -v pairs="$pairs" "$num_fn"'
                 verdict = "unresolved"
                 if (moved && 10 * won >= 9 * pairs) verdict = "gain"
                 if (moved && 10 * lost >= 9 * pairs) verdict = "loss"
+                if (pairs < 10) verdict = "unresolved (<10 pairs)"
                 printf "| %s (%d pairs) | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] ", w, pairs, name, p_med, p[1], p[pairs], c_med, c[1], c[pairs]
                 printf "| %+.1f %% | %d/%d | %.1f %% | %s |\n", 100 * (c_med - p_med) / p_med, won, pairs, 100 * iqr / p_med, verdict
                 printf "| | %s runs |%s |%s | | | | |\n", name, p_runs, c_runs

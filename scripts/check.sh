@@ -83,7 +83,7 @@ while read -r crate ceiling; do
         exit 1
     fi
 done <<'EOF'
-wasm 14
+wasm 12
 wat 5
 plugc 12
 abi 7
@@ -93,11 +93,12 @@ host 1
 ransim 0
 EOF
 
-# One pass lowers and proves: the flat IR lives only inside the proof, so
+# One pass lowers and proves: the walk that type-checks a body hands each
+# op at once to the register lowering and to the proof's recorder, so
 # every instance runs the code the proof checked. Outside
 # crates/wasm/src/analysis.rs no non-test line (the scripts/loc.sh cut)
-# calls `compile_func(` or `lower_func(`, and waran-wasm keeps its IR
-# modules private: at most 11 `pub mod`s in its lib.rs.
+# calls the walk, `compile_func(`, and waran-wasm keeps its IR modules
+# private: at most 11 `pub mod`s in its lib.rs.
 for file in crates/wasm/src/analysis.rs crates/wasm/src/lib.rs; do
     if [ ! -f "$file" ]; then
         echo "lowering tripwire: missing $file" >&2
@@ -107,12 +108,12 @@ done
 calls=$(find crates src tests examples -name '*.rs' ! -path crates/wasm/src/analysis.rs -print0 |
     xargs -0 awk 'FNR == 1 { live = 1 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
-        live && /(compile_func|lower_func)\(/ && !/fn (compile_func|lower_func)\(/ {
+        live && /compile_func(::<[^>]*>)?\(/ && !/fn compile_func[<(]/ {
             print FILENAME ":" FNR ": " $0
         }')
 if [ -n "$calls" ]; then
     echo "$calls" >&2
-    echo "lowering tripwire: only crates/wasm/src/analysis.rs may call compile_func( or lower_func(" >&2
+    echo "lowering tripwire: only crates/wasm/src/analysis.rs may call compile_func(" >&2
     exit 1
 fi
 # The loader lowers every call as a call: inlining is the guest
@@ -135,11 +136,19 @@ if grep -rnwE 'fixup_block_targets|FixupError|end_pc|else_pc' crates/wasm/src cr
     echo "nesting tripwire: crates/{wasm,wat,plugc}/src names fixup_block_targets, FixupError, end_pc or else_pc; the walk in compile.rs is the one nesting check" >&2
     exit 1
 fi
-# The lowering check reads each IR once: one walk over the flat ops and
-# one over the register ops, whose per-block records it compares. The
+# The lowering check reads each body once and each register function
+# once: the walk feeds the recorder, and one walk over the register ops
+# records their side; the check compares the per-block records. The
 # per-block re-walks it replaced stay gone from crates/wasm/src.
 if grep -rnwE 'flat_counts|reg_counts|referenced_branches|block_events' crates/wasm/src; then
-    echo "lowering tripwire: crates/wasm/src names flat_counts, reg_counts, referenced_branches or block_events; the check walks each IR once (build_shape, reg_walk)" >&2
+    echo "lowering tripwire: crates/wasm/src names flat_counts, reg_counts, referenced_branches or block_events; the check walks each IR once (the recorder, reg_walk)" >&2
+    exit 1
+fi
+# No op of a body is stored: the walk hands each on to the lowering and
+# the recorder at once. The stored flat function, its side-table height
+# scan, the arity table and the two replays over it stay gone.
+if grep -rnwE 'CompiledFunc|entry_heights|stack_effect|build_shape|follows_eqz|lower_func' crates/wasm/src; then
+    echo "lowering tripwire: crates/wasm/src names CompiledFunc, entry_heights, stack_effect, build_shape, follows_eqz or lower_func; one walk per body feeds the lowering and the recorder" >&2
     exit 1
 fi
 pub_mods=$(grep -c '^pub mod' crates/wasm/src/lib.rs || true)
@@ -219,8 +228,10 @@ cargo fmt --check
 # A doc link to a deleted or private item fails here, by name.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Static analysis: translation validation (register lowering proven
-# equivalent to the flat IR) plus resource-bound reports over every
+# Static analysis: translation validation (each register lowering checked
+# block by block against the reference the walk recorded: fuel,
+# memory/call/trap ops and control flow, not values) plus resource-bound
+# reports over every
 # builtin example/fig5 plugin. Nonzero exit = a lowering failed its proof.
 # The report and the register code each plugin executes must equal the
 # committed golden file: a lowering change that adds an op, moves a bound
