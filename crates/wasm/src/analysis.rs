@@ -2,7 +2,8 @@
 //! hands each op at once to the register lowering the executor runs and
 //! to this module's recorder; the register form is then checked block by
 //! block against what the recorder kept (translation validation), and
-//! worst-case resource bounds are computed for admission control.
+//! worst-case resource bounds are computed from the register form for
+//! admission control.
 //!
 //! One pass, run once per module by [`crate::load_module`] (its report is
 //! [`Module::analysis`]), does all of it and returns the register code
@@ -29,8 +30,10 @@
 //!   control goes is rejected before it executes. Values are *not*
 //!   checked: a wrong operand, or a compare-and-branch whose sense is
 //!   flipped, passes, and only the differential tests catch it.
-//! * **Static resource bounds** — an abstract interpretation over the
-//!   recorded block graph computes per-function worst-case fuel (exact for
+//! * **Static resource bounds** — once the check has passed, an abstract
+//!   interpretation over the register code's block graph, its loop
+//!   events read off the fused register ops the executor runs, computes
+//!   per-function worst-case fuel (exact for
 //!   loop-free and constant-trip-count code, save that a bulk memory op
 //!   or a `memory.grow` counts the byte charge of the whole memory it may
 //!   reach;
@@ -54,7 +57,7 @@ use std::sync::Arc;
 use crate::compile::{compile_func, BranchTarget, Entry, Op, OpSink};
 use crate::instance::PAGE_FUEL;
 use crate::module::{ExportKind, Module};
-use crate::ops::{I32Op, UnOp};
+use crate::ops::I32Op;
 use crate::regalloc::{Lowerer, RForm, RegFunc};
 use crate::types::{ValType, MAX_PAGES};
 use crate::validate::ValidateError;
@@ -319,31 +322,26 @@ impl Facts {
 /// starts at, which the `regs` bound reads.
 type Window = (u32, u32);
 
-/// One recorded basic block: the ops between two leaders.
-#[derive(Debug)]
+/// One register block: its record, and its local writes and conditional
+/// exits in op order, which the loop bounds read.
 struct Block {
     facts: Facts,
-    /// Local writes and conditional exits, in op order.
     events: Vec<Ev>,
 }
 
-/// The proof's reference for one function, recorded from the walk's
-/// stream: its blocks, the block graph, the branch side table and the op
-/// count. The bounds read it too.
-struct Shape {
+/// The register code of one function as the bounds read it, once the
+/// proof has passed: its blocks, their block graph and its direct-call
+/// windows.
+struct Cfg {
     blocks: Vec<Block>,
-    /// The shared function-level `Return` trampoline pc, when present.
-    exit_pc: Option<usize>,
     /// Per-block successors, function exits left out.
     succs: Vec<Vec<usize>>,
     /// Per-block predecessors.
     preds: Vec<Vec<usize>>,
     /// Per branch-table index: target block, `usize::MAX` for the exit.
     branch_block: Vec<usize>,
-    /// The walk's branch side table, every target resolved.
-    branches: Box<[BranchTarget]>,
-    /// Ops the walk handed on, `Meter`s and the trampoline included.
-    n_ops: usize,
+    /// Each direct call's window, in op order.
+    windows: Vec<Window>,
 }
 
 pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> AnalysisError {
@@ -354,17 +352,20 @@ pub(crate) fn mismatch(func: u32, pc: usize, what: impl Into<String>) -> Analysi
     }
 }
 
-/// The proof's recorder: the consumer of the walk's stream that builds
-/// the [`Shape`] the register lowering is checked against. It decides
-/// nothing of the lowering's: the walk hands on no dead op, so every op
-/// belongs to a block and every block counts. It carries a symbolic
-/// operand stack, from the pops and pushes the walk gives, for the
-/// loop-bound pass's events.
+/// The proof's recorder: the consumer of the walk's stream that records
+/// the reference the register lowering is checked against, one
+/// function's blocks, branch side table and op count. It decides nothing
+/// of the lowering's: the walk hands on no dead op, so every op belongs
+/// to a block and every block counts.
 #[derive(Default)]
 struct Recorder {
-    blocks: Vec<Block>,
-    syms: Vec<SymV>,
+    blocks: Vec<Facts>,
+    /// The shared function-level `Return` trampoline pc, when present.
     exit_pc: Option<usize>,
+    /// The walk's branch side table, every target resolved: set once the
+    /// walk has returned it.
+    branches: Box<[BranchTarget]>,
+    /// Ops the walk handed on, `Meter`s and the trampoline included.
     n_ops: usize,
 }
 
@@ -372,28 +373,17 @@ impl OpSink for Recorder {
     fn open(&mut self, pc: u32, entry: Entry) {
         self.n_ops += 1;
         if let Some(b) = self.blocks.last_mut() {
-            b.facts.falls = !matches!(entry, Entry::Branch { .. });
+            b.falls = !matches!(entry, Entry::Branch { .. });
         }
-        // Each block's events start from unknown stack cells.
-        match entry {
-            Entry::Branch { height } => {
-                self.syms.clear();
-                self.syms.resize(height as usize, SymV::Other);
-            }
-            Entry::Fall | Entry::Join => self.syms.fill(SymV::Other),
-        }
-        self.blocks.push(Block {
-            facts: Facts {
-                start: pc as usize,
-                ..Facts::default()
-            },
-            events: Vec::new(),
+        self.blocks.push(Facts {
+            start: pc as usize,
+            ..Facts::default()
         });
     }
 
     fn seal(&mut self, cost: u32) {
         if let Some(b) = self.blocks.last_mut() {
-            b.facts.cost = cost;
+            b.cost = cost;
         }
     }
 
@@ -402,108 +392,26 @@ impl OpSink for Recorder {
         self.exit_pc = Some(pc as usize);
     }
 
-    fn op(&mut self, op: Op, pops: u32, pushes: u32, _: &[BranchTarget]) {
-        use SymV::{Cmp, K, L};
+    fn op(&mut self, op: Op, _: u32, _: u32, _: &[BranchTarget]) {
         self.n_ops += 1;
-        let (syms, Some(b)) = (&mut self.syms, self.blocks.last_mut()) else {
-            return;
-        };
-        // The walk type-checked every pop.
-        let pop = |syms: &mut Vec<SymV>| syms.pop().unwrap_or(SymV::Other);
-        b.facts.tally_flat(op);
-        match op {
-            Op::I32Const(k) => syms.push(K(k)),
-            Op::LocalGet(l) => syms.push(L(l)),
-            Op::LocalTee(l) => {
-                let s = pop(syms);
-                set_local(&mut b.events, syms, l, w_of(s));
-                syms.push(L(l));
-            }
-            Op::LocalSet(l) => {
-                let s = pop(syms);
-                set_local(&mut b.events, syms, l, w_of(s));
-            }
-            Op::I32Bin(o) => {
-                let sb = pop(syms);
-                let sa = pop(syms);
-                syms.push(bin_sym(o, sa, sb));
-            }
-            Op::Un(UnOp::I32Eqz) => {
-                let s = pop(syms);
-                syms.push(match s {
-                    K(x) => K((x == 0) as i32),
-                    L(l) => Cmp(I32Op::Eq, l, 0),
-                    SymV::AddS(l, c) => Cmp(I32Op::Eq, l, c.wrapping_neg()),
-                    Cmp(o, l, k) => match o.negate() {
-                        Some(n) => Cmp(n, l, k),
-                        None => SymV::Other,
-                    },
-                    SymV::Other => SymV::Other,
-                });
-            }
-            Op::BrIf(br) | Op::BrIfZ(br) => {
-                let pred = sym_pred(pop(syms), matches!(op, Op::BrIfZ(_)));
-                b.events.push(Ev::Cond { br, pred });
-            }
-            _ => {
-                for _ in 0..pops {
-                    pop(syms);
-                }
-                syms.resize(syms.len() + pushes as usize, SymV::Other);
-            }
+        if let Some(b) = self.blocks.last_mut() {
+            b.tally_flat(op);
         }
     }
 }
 
-impl Recorder {
-    /// The reference, once the walk has resolved the side table: the
-    /// block graph joins each branch edge to the block its target leads
-    /// (none for the trampoline) and each fall-through to the next block.
-    fn finish(self, branches: Box<[BranchTarget]>) -> Shape {
-        let blocks = self.blocks;
-        let nb = blocks.len();
-        let branch_block: Vec<usize> = branches
-            .iter()
-            .map(|bt| {
-                let pc = bt.pc as usize;
-                blocks
-                    .binary_search_by_key(&pc, |b| b.facts.start)
-                    .unwrap_or(usize::MAX)
-            })
-            .collect();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        for (bi, b) in blocks.iter().enumerate() {
-            let falls = b.facts.falls.then_some(bi + 1);
-            let targets = b.facts.edges.iter().map(|&br| branch_block[br as usize]);
-            for t in targets.chain(falls).filter(|&t| t != usize::MAX) {
-                succs[bi].push(t);
-                preds[t].push(bi);
-            }
-        }
-        Shape {
-            blocks,
-            exit_pc: self.exit_pc,
-            succs,
-            preds,
-            branch_block,
-            branches,
-            n_ops: self.n_ops,
-        }
-    }
-}
-
-/// The walk over a register function: one [`Facts`] per `Meter`-headed
+/// The walk over a register function: one [`Block`] per `Meter`-headed
 /// block, ended like the recorder's by the next `Meter` or by the
-/// trampoline (the register image of `shape`'s), plus each direct call's
-/// callee and frame base in op order, which the `regs` bound reads. An
-/// op before the first `Meter`, or between a terminator and the next
+/// trampoline (the register image of `shape`'s), its [`Facts`] and its
+/// loop events taken in the same pass, plus each direct call's callee
+/// and frame base in op order, which the `regs` bound reads. An op
+/// before the first `Meter`, or between a terminator and the next
 /// leader, is rejected: the executor would run it unmetered, or never.
 fn reg_walk(
     func: u32,
     rf: &RegFunc,
-    shape: &Shape,
-) -> Result<(Vec<Facts>, Vec<Window>), AnalysisError> {
+    shape: &Recorder,
+) -> Result<(Vec<Block>, Vec<Window>), AnalysisError> {
     let trampoline = match shape.exit_pc {
         Some(pc) => {
             let q = rf.pc_map[pc] as usize;
@@ -518,24 +426,29 @@ fn reg_walk(
         None => None,
     };
     // Register-side faults anchor at the matching flat block's leader.
-    let anchor = |i: usize| shape.blocks.get(i).map_or(0, |b| b.facts.start);
-    let mut blocks: Vec<Facts> = Vec::new();
+    let anchor = |i: usize| shape.blocks.get(i).map_or(0, |b| b.start);
+    let mut blocks: Vec<Block> = Vec::new();
     let mut windows = Vec::new();
+    let mut held = vec![W::Opaque; rf.frame_size as usize];
     let mut open = false;
     let mut alive = true;
     for (q, op) in rf.ops.iter().map(|op| op.view()).enumerate() {
         if matches!(op, RForm::Meter { .. }) || Some(q) == trampoline {
             if let Some(b) = blocks.last_mut().filter(|_| open) {
-                b.falls = alive;
+                b.facts.falls = alive;
             }
             open = false;
         }
         if let RForm::Meter { cost } = op {
-            blocks.push(Facts {
-                start: q,
-                cost,
-                ..Facts::default()
+            blocks.push(Block {
+                facts: Facts {
+                    start: q,
+                    cost,
+                    ..Facts::default()
+                },
+                events: Vec::new(),
             });
+            held.fill(W::Opaque);
             open = true;
             alive = true;
             continue;
@@ -552,7 +465,8 @@ fn reg_walk(
             };
             return Err(mismatch(func, anchor(blocks.len().saturating_sub(1)), what));
         };
-        b.tally_reg(op);
+        b.facts.tally_reg(op);
+        b.record(op, rf.n_locals, &mut held);
         match op {
             RForm::CallWasm { f, base } => windows.push((f, base)),
             RForm::Unreachable
@@ -563,13 +477,109 @@ fn reg_walk(
         }
     }
     if let Some(b) = blocks.last_mut().filter(|_| open) {
-        b.falls = alive;
+        b.facts.falls = alive;
     }
     Ok((blocks, windows))
 }
 
+impl Block {
+    /// Record `op`'s loop events: a conditional branch is an [`Ev::Cond`]
+    /// with its [`Pred`] read off the fused form, a write to a local
+    /// register an [`Ev::Set`]. `held` is what each stack register written
+    /// since the block's `Meter` holds: a constant gives a constant-left
+    /// compare its `Pred`, `local ± k` gives one to a branch on the sum. A
+    /// write voids what `held` knew of the registers it writes, and of any
+    /// value read off the local it overwrites.
+    fn record(&mut self, op: RForm, n_locals: u32, held: &mut [W]) {
+        let value = |r: u32| match r < n_locals {
+            true => W::CopyL(r),
+            false => held.get(r as usize).copied().unwrap_or(W::Opaque),
+        };
+        let test = match op {
+            RForm::BrIf { cond, br } => Some((br, I32Op::Ne, value(cond), W::Konst(0))),
+            RForm::BrIfZ { cond, br } => Some((br, I32Op::Eq, value(cond), W::Konst(0))),
+            RForm::BrIfCmp { op, a, b, br } => Some((br, op, value(a), value(b))),
+            RForm::BrIfCmpC { op, a, k, br } => Some((br, op, value(a), W::Konst(k))),
+            _ => None,
+        };
+        if let Some((br, op, a, b)) = test {
+            let pred = taken_iff(op, a, b);
+            self.events.push(Ev::Cond { br, pred });
+        }
+        let w = match op {
+            RForm::ConstI32 { k, .. } => W::Konst(k),
+            RForm::Copy { src, .. } => value(src),
+            RForm::I32BinC { op, a, k, .. } => match op {
+                I32Op::Add => value(a).plus(k),
+                I32Op::Sub => value(a).plus(k.wrapping_neg()),
+                _ => W::Opaque,
+            },
+            _ => W::Opaque,
+        };
+        let regs = op.writes();
+        match regs.len() {
+            0 => {}
+            1 if regs.start < n_locals => {
+                let l = regs.start;
+                for h in held.iter_mut() {
+                    if matches!(*h, W::CopyL(x) | W::AddL(x, _) if x == l) {
+                        *h = W::Opaque;
+                    }
+                }
+                self.events.push(Ev::Set(l, w));
+            }
+            1 => {
+                if let Some(h) = held.get_mut(regs.start as usize) {
+                    *h = w;
+                }
+            }
+            // A call: its window and every register above it.
+            _ => held
+                .iter_mut()
+                .skip(regs.start as usize)
+                .for_each(|h| *h = W::Opaque),
+        }
+    }
+}
+
+impl Cfg {
+    /// The block graph over the register walk's blocks: each branch edge
+    /// joins the block whose `Meter` its register target is (none for the
+    /// trampoline), each fall-through the next block.
+    fn new(blocks: Vec<Block>, windows: Vec<Window>, rf: &RegFunc) -> Cfg {
+        let nb = blocks.len();
+        let branch_block: Vec<usize> = rf
+            .branches
+            .iter()
+            .map(|rb| {
+                blocks
+                    .binary_search_by_key(&(rb.pc as usize), |b| b.facts.start)
+                    .unwrap_or(usize::MAX)
+            })
+            .collect();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
+        for (bi, b) in blocks.iter().enumerate() {
+            let falls = b.facts.falls.then_some(bi + 1);
+            let targets = b.facts.edges.iter().map(|&br| branch_block[br as usize]);
+            for t in targets.chain(falls).filter(|&t| t != usize::MAX) {
+                succs[bi].push(t);
+                preds[t].push(bi);
+            }
+        }
+        Cfg {
+            blocks,
+            succs,
+            preds,
+            branch_block,
+            windows,
+        }
+    }
+}
+
 /// Check that `rf` is a faithful lowering of the stream `shape` recorded,
-/// block by block, and return the register walk's call windows. See the
+/// block by block, and return the register code's [`Cfg`], which the
+/// bounds read once the check has passed. See the
 /// module docs for the argument; the short version: every op is lowered,
 /// so `pc_map` is total, and each block's `Meter` placement and cost,
 /// op-class populations, ordered calls, ordered branch edges and
@@ -578,8 +588,8 @@ fn validate_with_shape(
     module: &Module,
     func: u32,
     rf: &RegFunc,
-    shape: &Shape,
-) -> Result<Vec<Window>, AnalysisError> {
+    shape: &Recorder,
+) -> Result<Cfg, AnalysisError> {
     // Structural frame agreement, against the signature.
     let body = &module.funcs[func as usize];
     let ty = &module.types[body.type_idx as usize];
@@ -611,8 +621,8 @@ fn validate_with_shape(
     if reg.len() != shape.blocks.len() {
         return Err(mismatch(func, 0, "Meter counts disagree across tiers"));
     }
-    for (b, r) in shape.blocks.iter().zip(&reg) {
-        let (f, at) = (&b.facts, b.facts.start);
+    for (f, r) in shape.blocks.iter().zip(&reg) {
+        let (r, at) = (&r.facts, f.start);
         if r.start != rf.pc_map[at] as usize {
             return Err(mismatch(
                 func,
@@ -671,7 +681,7 @@ fn validate_with_shape(
             }
         }
     }
-    Ok(windows)
+    Ok(Cfg::new(reg, windows, rf))
 }
 
 // ---------------------------------------------------------------------------
@@ -704,16 +714,16 @@ enum Ev {
     Cond { br: u32, pred: Option<Pred> },
 }
 
-/// Symbolic value of one operand-stack cell during the per-block event
-/// walk: a constant, a local's current value, local-plus-constant, or a
-/// comparison of a local against a constant.
-#[derive(Debug, Clone, Copy)]
-enum SymV {
-    K(i32),
-    L(u32),
-    AddS(u32, i32),
-    Cmp(I32Op, u32, i32),
-    Other,
+impl W {
+    /// What `self + k` is (wrapping), as far as loop analysis cares.
+    fn plus(self, k: i32) -> W {
+        match self {
+            W::Konst(x) => W::Konst(x.wrapping_add(k)),
+            W::AddL(l, c) => W::AddL(l, c.wrapping_add(k)),
+            W::CopyL(l) => W::AddL(l, k),
+            W::Opaque => W::Opaque,
+        }
+    }
 }
 
 /// `a op b` ⟺ `b reflect(op) a`.
@@ -731,72 +741,24 @@ fn reflect(op: I32Op) -> I32Op {
     }
 }
 
-fn bin_sym(op: I32Op, a: SymV, b: SymV) -> SymV {
-    use SymV::*;
-    if let (K(x), K(y)) = (a, b) {
-        return K(op.eval(x, y));
-    }
-    match op {
-        I32Op::Add => match (a, b) {
-            (L(l), K(k)) | (K(k), L(l)) => AddS(l, k),
-            (AddS(l, c), K(k)) | (K(k), AddS(l, c)) => AddS(l, c.wrapping_add(k)),
-            _ => Other,
-        },
-        I32Op::Sub => match (a, b) {
-            (L(l), K(k)) => AddS(l, k.wrapping_neg()),
-            (AddS(l, c), K(k)) => AddS(l, c.wrapping_sub(k)),
-            _ => Other,
-        },
+/// The predicate of a branch taken iff `op(a, b)` is nonzero: a compare
+/// of a local against a constant, or of wrapping `local + c` under
+/// `eq`/`ne`, or a sum of a local and a constant, each either way round.
+fn taken_iff(op: I32Op, a: W, b: W) -> Option<Pred> {
+    match (op, a, b) {
+        // `k op x` ⟺ `x reflect(op) k`, and `k - x` is nonzero iff `x - k` is.
+        (_, W::Konst(_), W::CopyL(_) | W::AddL(..)) => taken_iff(reflect(op), b, a),
+        (I32Op::Add, x, W::Konst(k)) => taken_iff(I32Op::Ne, x.plus(k), W::Konst(0)),
+        (I32Op::Sub, x, W::Konst(k)) => taken_iff(I32Op::Ne, x.plus(k.wrapping_neg()), W::Konst(0)),
         // Exactly the comparisons have a logical negation.
-        op if op.negate().is_some() => match (a, b) {
-            (L(l), K(k)) => Cmp(op, l, k),
-            (K(k), L(l)) => Cmp(reflect(op), l, k),
-            _ => Other,
-        },
-        _ => Other,
-    }
-}
-
-fn sym_pred(s: SymV, negate: bool) -> Option<Pred> {
-    match s {
-        SymV::Cmp(op, l, k) => {
-            let op = if negate { op.negate()? } else { op };
-            Some(Pred { op, l, k })
-        }
-        // `x != 0` / wrapping `x + c != 0 ⟺ x != -c`.
-        SymV::L(l) => Some(Pred {
-            op: if negate { I32Op::Eq } else { I32Op::Ne },
+        _ if op.negate().is_none() => None,
+        (_, W::CopyL(l), W::Konst(k)) => Some(Pred { op, l, k }),
+        (I32Op::Eq | I32Op::Ne, W::AddL(l, c), W::Konst(k)) => Some(Pred {
+            op,
             l,
-            k: 0,
-        }),
-        SymV::AddS(l, c) => Some(Pred {
-            op: if negate { I32Op::Eq } else { I32Op::Ne },
-            l,
-            k: c.wrapping_neg(),
+            k: k.wrapping_sub(c),
         }),
         _ => None,
-    }
-}
-
-fn w_of(s: SymV) -> W {
-    match s {
-        SymV::K(k) => W::Konst(k),
-        SymV::AddS(l, c) => W::AddL(l, c),
-        SymV::L(l) => W::CopyL(l),
-        _ => W::Opaque,
-    }
-}
-
-/// Record a write of `w` to `locals[l]`; any symbol mentioning the local
-/// is stale from here on.
-fn set_local(events: &mut Vec<Ev>, syms: &mut [SymV], l: u32, w: W) {
-    events.push(Ev::Set(l, w));
-    for s in syms.iter_mut() {
-        let stale = matches!(*s,
-            SymV::L(x) | SymV::AddS(x, _) | SymV::Cmp(_, x, _) if x == l);
-        if stale {
-            *s = SymV::Other;
-        }
     }
 }
 
@@ -891,7 +853,7 @@ struct FuelCtx<'a> {
     /// Per-block worst-case weight (cost + byte charges + callee fuel).
     weights: &'a [Bound],
     /// The blocks, their events and the block graph.
-    shape: &'a Shape,
+    cfg: &'a Cfg,
     /// Local-constant dataflow result.
     consts: &'a LocalConsts,
     /// Local-constant state on function entry.
@@ -901,7 +863,7 @@ struct FuelCtx<'a> {
 impl FuelCtx<'_> {
     /// `u`'s successors inside `set`.
     fn adj<'s>(&'s self, set: &'s [bool], u: usize) -> impl Iterator<Item = usize> + 's {
-        self.shape.succs[u].iter().copied().filter(move |&v| set[v])
+        self.cfg.succs[u].iter().copied().filter(move |&v| set[v])
     }
 
     /// True when `node` lies on a cycle within `set`: it can reach itself
@@ -949,8 +911,8 @@ impl LocalConsts {
 /// Forward local-constant dataflow over the block graph (meet =
 /// equal-or-bottom; conditional refinement intentionally ignored, so
 /// every fact is a true must-constant).
-fn local_const_flow(entry_state: &[Option<i32>], shape: &Shape) -> LocalConsts {
-    let (nb, nl) = (shape.blocks.len(), entry_state.len());
+fn local_const_flow(entry_state: &[Option<i32>], cfg: &Cfg) -> LocalConsts {
+    let (nb, nl) = (cfg.blocks.len(), entry_state.len());
     let row = |b: usize| b * nl..(b + 1) * nl;
     let mut ins: Vec<Option<i32>> = vec![None; nb * nl];
     let mut has_in = vec![false; nb];
@@ -959,8 +921,8 @@ fn local_const_flow(entry_state: &[Option<i32>], shape: &Shape) -> LocalConsts {
         reached: vec![false; nb],
         out: vec![None; nb * nl],
     };
-    // Block 0 exists: a shape is only built for a body that starts with
-    // a `Meter`.
+    // Block 0 exists: the proof passes only a body that starts with a
+    // `Meter`.
     ins[row(0)].copy_from_slice(entry_state);
     has_in[0] = true;
     let mut st: Vec<Option<i32>> = vec![None; nl];
@@ -968,7 +930,7 @@ fn local_const_flow(entry_state: &[Option<i32>], shape: &Shape) -> LocalConsts {
     while let Some(b) = work.pop_front() {
         // Only a block whose IN row is set is ever queued.
         st.copy_from_slice(&ins[row(b)]);
-        for ev in &shape.blocks[b].events {
+        for ev in &cfg.blocks[b].events {
             if let Ev::Set(l, w) = *ev {
                 st[l as usize] = match w {
                     W::Konst(k) => Some(k),
@@ -983,7 +945,7 @@ fn local_const_flow(entry_state: &[Option<i32>], shape: &Shape) -> LocalConsts {
         }
         consts.reached[b] = true;
         consts.out[row(b)].copy_from_slice(&st);
-        for &v in &shape.succs[b] {
+        for &v in &cfg.succs[b] {
             let cur = &mut ins[row(v)];
             let changed = if has_in[v] {
                 let mut ch = false;
@@ -1065,14 +1027,14 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
         // The exit test must be the block's first conditional — every
         // pass through the block then evaluates it before anything can
         // divert control.
-        let Some(&Ev::Cond { br, pred: Some(p) }) = ctx.shape.blocks[b]
+        let Some(&Ev::Cond { br, pred: Some(p) }) = ctx.cfg.blocks[b]
             .events
             .iter()
             .find(|e| matches!(e, Ev::Cond { .. }))
         else {
             continue;
         };
-        let t = ctx.shape.branch_block[br as usize];
+        let t = ctx.cfg.branch_block[br as usize];
         let stay = if t == usize::MAX || !comp.mask[t] {
             // Taken edge leaves the loop: staying means the negation.
             let Some(nop) = p.op.negate() else { continue };
@@ -1080,7 +1042,7 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
         } else if t == header {
             // Back edge: staying means the predicate — but only if the
             // taken edge is the block's sole way of remaining in the loop.
-            let mut in_comp = ctx.shape.succs[b].iter().filter(|&&s| comp.mask[s]);
+            let mut in_comp = ctx.cfg.succs[b].iter().filter(|&&s| comp.mask[s]);
             if in_comp.next() != Some(&header) || in_comp.next().is_some() {
                 continue;
             }
@@ -1107,7 +1069,7 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
         let mut incs: Vec<(usize, i32)> = Vec::new();
         let mut polluted = false;
         for &bb in &comp.list {
-            for ev in &ctx.shape.blocks[bb].events {
+            for ev in &ctx.cfg.blocks[bb].events {
                 match *ev {
                     Ev::Set(x, W::AddL(src, c)) if x == l && src == l && c != 0 => {
                         incs.push((bb, c))
@@ -1134,7 +1096,7 @@ fn trip_bound(ctx: &FuelCtx<'_>, comp: &BlockSet, header: usize) -> Bound {
                 }
             }
         };
-        for &pp in &ctx.shape.preds[header] {
+        for &pp in &ctx.cfg.preds[header] {
             if comp.mask[pp] {
                 continue;
             }
@@ -1302,7 +1264,7 @@ fn region_cost(
         } else {
             // The one member entered from the rest of the region.
             let mut hs = comp.iter().copied().filter(|&c| {
-                ctx.shape.preds[c]
+                ctx.cfg.preds[c]
                     .iter()
                     .any(|&p| nodes.mask[p] && !comp_set.mask[p])
             });
@@ -1356,23 +1318,18 @@ fn region_cost(
 // Whole-module analysis
 // ---------------------------------------------------------------------------
 
-/// Compute the report for one function whose callees are all resolved;
-/// `windows` are the register walk's direct-call windows.
+/// Compute the report for one function whose callees are all resolved,
+/// from its register code's [`Cfg`].
 fn compute_report(
     module: &Module,
     func: u32,
     rf: &RegFunc,
-    shape: &Shape,
-    windows: &[Window],
-    reports: &[Option<FuncReport>],
+    cfg: &Cfg,
+    reports: &[FuncReport],
 ) -> FuncReport {
-    // `lower_and_prove` reports SCCs callees first, and a function in a
-    // cyclic SCC never gets here, so every callee already has its report.
-    let callee = |g: u32| -> &FuncReport {
-        reports[g as usize]
-            .as_ref()
-            .expect("callees resolved before callers")
-    };
+    // `prove` reports SCCs callees first, and a function in a cyclic SCC
+    // never gets here, so every callee already has its final report.
+    let callee = |g: u32| &reports[g as usize];
 
     // Per-block weights. Every block is reachable from the entry (the
     // walk hands on no dead op), so bounds run over all of them. A bulk op
@@ -1381,11 +1338,11 @@ fn compute_report(
     // the declared maximum or else the spec's.
     let max_pages = u64::from(module.memory.and_then(|m| m.max).unwrap_or(MAX_PAGES));
     let bulk_worst = max_pages * PAGE_FUEL;
-    let mut weights = Vec::with_capacity(shape.blocks.len());
+    let mut weights = Vec::with_capacity(cfg.blocks.len());
     let mut callee_frames = Bound::Finite(0);
     let mut regs = Bound::Finite(rf.frame_size as u64);
     let mut unbounded_loops = false;
-    for b in &shape.blocks {
+    for b in &cfg.blocks {
         let c = &b.facts.counts;
         let bulk = u64::from(c.mcopy + c.mfill + c.mgrow);
         let mut w = Bound::Finite(b.facts.cost as u64 + bulk * bulk_worst);
@@ -1407,7 +1364,7 @@ fn compute_report(
         }
         weights.push(w);
     }
-    for &(g, base) in windows {
+    for &(g, base) in &cfg.windows {
         regs = regs.max(Bound::Finite(base as u64).add(callee(g).regs));
     }
 
@@ -1420,15 +1377,15 @@ fn compute_report(
             _ => None,
         }))
         .collect();
-    let consts = local_const_flow(&entry_state, shape);
+    let consts = local_const_flow(&entry_state, cfg);
 
     let ctx = FuelCtx {
         weights: &weights,
-        shape,
+        cfg,
         consts: &consts,
         entry_state: &entry_state,
     };
-    let nodes = BlockSet::from_mask(vec![true; shape.blocks.len()]);
+    let nodes = BlockSet::from_mask(vec![true; cfg.blocks.len()]);
     let fuel = region_cost(&ctx, &nodes, 0, false, &mut unbounded_loops);
 
     FuncReport {
@@ -1471,73 +1428,58 @@ pub(crate) fn lower_and_prove(
 
 /// One walk of local function `f`: its register lowering and the
 /// reference the proof checks it against.
-fn walk(module: &Module, f: u32) -> Result<(RegFunc, Shape), ValidateError> {
+fn walk(module: &Module, f: u32) -> Result<(RegFunc, Recorder), ValidateError> {
     let mut sink = (Lowerer::new(module, f), Recorder::default());
     let branches = compile_func(module, f, &mut sink)?;
-    let (lowerer, recorder) = sink;
-    Ok((lowerer.finish(&branches), recorder.finish(branches)))
+    let (lowerer, mut recorder) = sink;
+    let rf = lowerer.finish(&branches);
+    recorder.branches = branches;
+    Ok((rf, recorder))
 }
 
-fn prove(module: &Module, walked: Vec<(RegFunc, Shape)>) -> Result<Lowered, AnalysisError> {
+fn prove(module: &Module, walked: Vec<(RegFunc, Recorder)>) -> Result<Lowered, AnalysisError> {
     let nf = module.funcs.len();
     let n_imp = module.num_imported_funcs();
     let mut code = Vec::with_capacity(nf);
-    let mut shapes = Vec::with_capacity(nf);
+    let mut cfgs = Vec::with_capacity(nf);
     for (f, (mut rf, shape)) in (0..).zip(walked) {
-        let windows = validate_with_shape(module, f, &rf, &shape)?;
-        // Only the proof reads the pc map; the bounds below read the
-        // shapes.
+        cfgs.push(validate_with_shape(module, f, &rf, &shape)?);
+        // Only the proof reads the pc map and the reference; the bounds
+        // below read the register code's graphs.
         rf.pc_map = Box::default();
         code.push(rf);
-        shapes.push((shape, windows));
     }
 
     // Call graph over local functions; recursion (any cycle) makes every
-    // member's bounds unbounded.
-    let callees: Vec<Vec<usize>> = shapes
+    // member's bounds unbounded. Each direct call has one window.
+    let callees: Vec<Vec<usize>> = cfgs
         .iter()
-        .map(|(s, _)| {
-            s.blocks
-                .iter()
-                .flat_map(|b| &b.facts.calls)
-                .filter_map(|&c| match c {
-                    Call::Wasm(g) => Some(g as usize),
-                    _ => None,
-                })
-                .collect()
-        })
+        .map(|cfg| cfg.windows.iter().map(|&(g, _)| g as usize).collect())
         .collect();
     let all: Vec<usize> = (0..nf).collect();
-    let mut reports: Vec<Option<FuncReport>> = vec![None; nf];
+    // Every report starts unbounded, where a cycle's members stay.
+    let mut funcs: Vec<FuncReport> = (0..nf as u32)
+        .map(|func| FuncReport {
+            func,
+            export: None,
+            fuel: Bound::Unbounded,
+            frames: Bound::Unbounded,
+            regs: Bound::Unbounded,
+            unbounded_loops: false,
+            recursive: false,
+        })
+        .collect();
     for comp in sccs(nf, &all, |f| callees[f].iter().copied()) {
         let cyclic = comp.len() > 1 || callees[comp[0]].contains(&comp[0]);
         if cyclic {
             for &f in &comp {
-                reports[f] = Some(FuncReport {
-                    func: f as u32,
-                    export: None,
-                    fuel: Bound::Unbounded,
-                    frames: Bound::Unbounded,
-                    regs: Bound::Unbounded,
-                    unbounded_loops: false,
-                    recursive: true,
-                });
+                funcs[f].recursive = true;
             }
         } else {
             let f = comp[0];
-            let (rf, (shape, windows)) = (&code[f], &shapes[f]);
-            reports[f] = Some(compute_report(
-                module, f as u32, rf, shape, windows, &reports,
-            ));
+            funcs[f] = compute_report(module, f as u32, &code[f], &cfgs[f], &funcs);
         }
     }
-
-    // Every function lies in exactly one SCC, and each SCC filled its
-    // members' slots above.
-    let mut funcs: Vec<FuncReport> = reports
-        .into_iter()
-        .map(|r| r.expect("every function analyzed"))
-        .collect();
     for e in &module.exports {
         if let ExportKind::Func(g) = e.kind {
             if g >= n_imp {
@@ -1849,6 +1791,99 @@ mod tests {
          end
          local.get $acc))"#;
 
+    /// `$i` counts up from 0 by one. `test` is the loop's leading exit
+    /// test: it leaves the block `$exit` or falls into the body, which
+    /// runs `extra` before the step.
+    fn exits_on(test: &str, extra: &str) -> String {
+        format!(
+            r#"(module (memory 1)
+                 (func $zero (param i32) (result i32) i32.const 0)
+                 (func (export "run") (result i32)
+                 (local $i i32) (local $acc i32)
+                 block $exit
+                   loop $top
+                     {test}
+                     local.get $acc
+                     i32.const 1
+                     i32.add
+                     local.set $acc
+                     {extra}
+                     local.get $i
+                     i32.const 1
+                     i32.add
+                     local.set $i
+                     br $top
+                   end
+                 end
+                 local.get $acc))"#
+        )
+    }
+
+    /// `$i` counts up from 0 by one while `cond` holds; the `if` on it is
+    /// the loop's exit test (its false edge leaves).
+    fn while_if(cond: &str) -> String {
+        format!(
+            r#"(module (func (export "run") (result i32)
+                 (local $i i32) (local $acc i32)
+                 loop $top
+                   {cond}
+                   if
+                     local.get $acc
+                     i32.const 1
+                     i32.add
+                     local.set $acc
+                     local.get $i
+                     i32.const 1
+                     i32.add
+                     local.set $i
+                     br $top
+                   end
+                 end
+                 local.get $acc))"#
+        )
+    }
+
+    /// The counter steps inside its own exit test: `local.tee` feeds the
+    /// compare.
+    const TEED_COUNTER: &str = r#"(module (func (export "run") (result i32)
+         (local $i i32) (local $acc i32)
+         block $exit
+           loop $top
+             local.get $acc
+             i32.const 1
+             i32.add
+             local.set $acc
+             local.get $i
+             i32.const 1
+             i32.add
+             local.tee $i
+             i32.const 10
+             i32.ge_s
+             br_if $exit
+             br $top
+           end
+         end
+         local.get $acc))"#;
+
+    /// A do-while: the back edge is taken while `$i - 10` is nonzero.
+    const DO_WHILE_SUM: &str = r#"(module (func (export "run") (result i32)
+         (local $i i32) (local $acc i32)
+         loop $top
+           local.get $acc
+           i32.const 1
+           i32.add
+           local.set $acc
+           local.get $i
+           i32.const 1
+           i32.add
+           local.set $i
+           local.get $i
+           i32.const -10
+           i32.add
+           br_if $top
+         end
+         local.get $acc))"#;
+
     /// The trip count comes from a parameter.
     const DATA_DEPENDENT: &str = r#"(module (func (export "run") (param $n i32) (result i32)
          (local $i i32) (local $acc i32)
@@ -1874,7 +1909,11 @@ mod tests {
     /// Exact `fuel` and `unbounded_loops` per loop shape, pinned from the
     /// analysis before its loop-bound pass moved to dense block arrays,
     /// plus each activation's price: 7 here (`CALL_FUEL` and one unit for
-    /// two or three locals).
+    /// two or three locals). The rows from "constant-left exit test" on
+    /// are the shapes where events read off the fused register forms
+    /// differ from a symbolic stack over the source; each is pinned from
+    /// the source-side analysis, save the self-copy, which the lowering
+    /// drops and which no longer hides the counter.
     #[test]
     fn loop_bounds_are_pinned_per_shape() {
         use Bound::{Finite, Unbounded};
@@ -1959,6 +1998,76 @@ mod tests {
                 false,
             ),
             ("data-dependent", DATA_DEPENDENT.into(), Unbounded, true),
+            // The constant on the left of the compare.
+            (
+                "constant-left exit test",
+                exits_on("i32.const 10 local.get $i i32.gt_s i32.eqz br_if $exit", ""),
+                Finite(191),
+                false,
+            ),
+            (
+                "br_if on i - k",
+                exits_on("local.get $i i32.const 10 i32.sub i32.eqz br_if $exit", ""),
+                Finite(191),
+                false,
+            ),
+            (
+                "br_if on eqz of i + k",
+                exits_on("local.get $i i32.const -10 i32.add i32.eqz br_if $exit", ""),
+                Finite(191),
+                false,
+            ),
+            (
+                "br_if on i + k, taken to stay",
+                DO_WHILE_SUM.into(),
+                Finite(166),
+                false,
+            ),
+            (
+                "if on i - k",
+                while_if("local.get $i i32.const 10 i32.sub"),
+                Finite(179),
+                false,
+            ),
+            (
+                "if on eqz of i - k",
+                while_if("local.get $i i32.const 10 i32.sub i32.eqz"),
+                Finite(41),
+                false,
+            ),
+            (
+                "counter teed into its test",
+                TEED_COUNTER.into(),
+                Finite(167),
+                false,
+            ),
+            (
+                "self-copy in the body",
+                exits_on(
+                    "local.get $i i32.const 10 i32.ge_s br_if $exit",
+                    "local.get $i local.set $i",
+                ),
+                Finite(203),
+                false,
+            ),
+            (
+                "counter also loaded",
+                exits_on(
+                    "local.get $i i32.const 10 i32.ge_s br_if $exit",
+                    "i32.const 0 i32.load local.set $i",
+                ),
+                Unbounded,
+                true,
+            ),
+            (
+                "counter also set from a call",
+                exits_on(
+                    "local.get $i i32.const 10 i32.ge_s br_if $exit",
+                    "local.get $i i32.const 1 i32.add call $zero local.set $i",
+                ),
+                Unbounded,
+                true,
+            ),
         ];
         for (name, src, fuel, unbounded_loops) in cases {
             let r = report(&module(&src), "run");
@@ -2031,19 +2140,17 @@ mod tests {
     /// Function 0 walked once: the reference the recorder kept, a fresh
     /// lowering for a test to corrupt before [`validate_lowering`], and
     /// the stream both were fed.
-    fn walked(m: &Module) -> (Shape, RegFunc, Vec<Event>) {
+    fn walked(m: &Module) -> (Recorder, RegFunc, Vec<Event>) {
         let mut sink = ((Lowerer::new(m, 0), Recorder::default()), Vec::new());
         let branches = compile_func(m, 0, &mut sink).expect("well-typed");
-        let ((lowerer, recorder), events) = sink;
-        (
-            recorder.finish(branches.clone()),
-            lowerer.finish(&branches),
-            events,
-        )
+        let ((lowerer, mut recorder), events) = sink;
+        let rf = lowerer.finish(&branches);
+        recorder.branches = branches;
+        (recorder, rf, events)
     }
 
     /// Validate function 0's register lowering against its reference.
-    fn validate_lowering(m: &Module, shape: &Shape, rf: &RegFunc) -> Result<(), AnalysisError> {
+    fn validate_lowering(m: &Module, shape: &Recorder, rf: &RegFunc) -> Result<(), AnalysisError> {
         validate_with_shape(m, 0, rf, shape).map(|_| ())
     }
 
@@ -2145,7 +2252,7 @@ mod tests {
     }
 
     /// Why the proof refuses function 0's lowering `rf`.
-    fn refusal(m: &Module, shape: &Shape, rf: &RegFunc) -> String {
+    fn refusal(m: &Module, shape: &Recorder, rf: &RegFunc) -> String {
         match validate_lowering(m, shape, rf) {
             Err(AnalysisError::TranslationMismatch { what, .. }) => what,
             Ok(()) => panic!("the proof accepts the mutant"),

@@ -27,7 +27,8 @@
 //!   compare-and-branch and address chains, and the proof's recorder —
 //!   and the register form is checked block by block against what the
 //!   recorder kept (fuel, memory/call/trap ops and control flow, not
-//!   values), with worst-case resource bounds. No op is stored; every
+//!   values); the worst-case resource bounds are then read off the
+//!   register code itself, loop tests and local writes included. No op is stored; every
 //!   instance runs the register code the pass checked. The crate's
 //!   tests hold the executor to an oracle that walks the decoded
 //!   instructions over its own memory (`tests/util/oracle.rs`),

@@ -380,6 +380,54 @@ impl RForm {
             _ => None,
         }
     }
+
+    /// The registers of its own frame the op writes: its one result
+    /// register, or, for a call, every register from its window's base up
+    /// (the callee's frame). `Return`'s move into register 0 ends the
+    /// frame, so no op of it reads that write. No wildcard arm: a new form
+    /// must say what it writes, for the loop bounds read every write to a
+    /// local from here.
+    pub(crate) fn writes(&self) -> std::ops::Range<u32> {
+        let dst = match *self {
+            RForm::Copy { dst, .. }
+            | RForm::ConstI32 { dst, .. }
+            | RForm::Const { dst, .. }
+            | RForm::Select { dst, .. }
+            | RForm::GlobalGet { dst, .. }
+            | RForm::MemorySize { dst }
+            | RForm::MemoryGrow { dst, .. }
+            | RForm::I64Bin { dst, .. }
+            | RForm::I32Bin { dst, .. }
+            | RForm::I32BinC { dst, .. }
+            | RForm::Bin { dst, .. }
+            | RForm::Un { dst, .. }
+            | RForm::Load { dst, .. }
+            | RForm::LoadAt { dst, .. }
+            | RForm::LoadRR { dst, .. } => dst,
+            RForm::LoadBis { dst, .. } => u32::from(dst),
+            RForm::CallWasm { base, .. }
+            | RForm::CallHost { base, .. }
+            | RForm::CallIndirect { base, .. } => return base..u32::MAX,
+            RForm::Meter { .. }
+            | RForm::Unreachable
+            | RForm::Br { .. }
+            | RForm::BrIf { .. }
+            | RForm::BrIfZ { .. }
+            | RForm::BrTable { .. }
+            | RForm::BrIfCmp { .. }
+            | RForm::BrIfCmpC { .. }
+            | RForm::Return { .. }
+            | RForm::GlobalSet { .. }
+            | RForm::MemoryCopy { .. }
+            | RForm::MemoryFill { .. }
+            | RForm::Store { .. }
+            | RForm::StoreAt { .. }
+            | RForm::StoreRR { .. }
+            | RForm::StoreBis { .. }
+            | RForm::StoreCAt { .. } => return 0..0,
+        };
+        dst..dst + 1
+    }
 }
 
 /// A branch descriptor for the register tier: jump to `pc` after moving

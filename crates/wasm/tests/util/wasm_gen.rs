@@ -13,7 +13,9 @@
 //!   value, `br_table` over empty and value-carrying labels, branches out
 //!   of several levels (the function label included), dead code after
 //!   `br`, `return` and `unreachable` (stack-polymorphic operators
-//!   included), counter-bounded loops;
+//!   included), counter-bounded loops (some entered over a local's
+//!   value still on the stack, which the loop then changes), branch
+//!   conditions that end in `i32.eqz`;
 //! * values and state: all four value types, every plain operator of
 //!   `instr::OP_TABLE` (its row gives the operand and result types and
 //!   the `CodeEmitter` method that emits it), `select`, mutable and
@@ -235,6 +237,16 @@ impl Body<'_> {
         self.konst(ty)
     }
 
+    /// A branch condition: one time in three the `i32.eqz` of one, which
+    /// the lowering fuses into the `br_if` or `if` that takes it by
+    /// flipping the branch's sense.
+    fn cond(&mut self, depth: u32) {
+        self.expr(I32, depth);
+        if self.rng.below(3) == 0 {
+            self.emit(|c| c.i32_eqz());
+        }
+    }
+
     /// A plain operator from `rows`, trapping ones drawn one time in six.
     fn row(&mut self, rows: &[&'static OpRow]) -> &'static OpRow {
         loop {
@@ -308,7 +320,7 @@ impl Body<'_> {
                 self.open(|c| c.block(BlockType::Value(ty)), Some(ty), false);
                 self.expr(ty, d);
                 if self.rng.below(2) == 0 {
-                    self.expr(I32, d);
+                    self.cond(d);
                     self.emit(|c| c.br_if(0));
                     self.emit(|c| c.drop());
                     self.expr(ty, d);
@@ -316,7 +328,7 @@ impl Body<'_> {
                 self.close();
             }
             10 => {
-                self.expr(I32, d);
+                self.cond(d);
                 self.open(|c| c.if_(BlockType::Value(ty)), Some(ty), false);
                 self.expr(ty, d);
                 self.emit(|c| c.else_());
@@ -338,9 +350,22 @@ impl Body<'_> {
             }
             12 => self.br_table(ty, d),
             13 => {
-                self.open(|c| c.loop_(BlockType::Value(ty)), Some(ty), true);
-                self.expr(ty, d);
-                self.close();
+                let held = (ty == I32 && self.loops < MAX_LOOPS && self.rng.below(2) == 0)
+                    .then(|| self.local(I32, true))
+                    .flatten();
+                match held {
+                    // A local's value held across a loop that bumps the
+                    // local and branches back: the header must flush it.
+                    Some(l) => {
+                        self.emit(|c| c.local_get(l));
+                        self.counted_loop(depth, Some(l));
+                    }
+                    None => {
+                        self.open(|c| c.loop_(BlockType::Value(ty)), Some(ty), true);
+                        self.expr(ty, d);
+                        self.close();
+                    }
+                }
             }
             14 => self.call(Some(ty), d, true),
             _ => {
@@ -546,7 +571,7 @@ impl Body<'_> {
                 });
             }
             7 if depth > 0 => {
-                self.expr(I32, 2);
+                self.cond(2);
                 self.open(|c| c.if_(BlockType::Empty), None, false);
                 self.stmts(depth - 1);
                 if self.rng.below(2) == 0 {
@@ -565,7 +590,7 @@ impl Body<'_> {
                 if let Some(ty) = ty {
                     self.expr(ty, 1);
                 }
-                self.expr(I32, 2);
+                self.cond(2);
                 self.emit(|c| c.br_if(d));
                 if ty.is_some() {
                     self.emit(|c| c.drop());
@@ -573,10 +598,10 @@ impl Body<'_> {
                 self.stmts(depth - 1);
                 self.close();
             }
-            9 if depth > 0 && self.loops < MAX_LOOPS => self.counted_loop(depth),
+            9 if depth > 0 && self.loops < MAX_LOOPS => self.counted_loop(depth, None),
             10 => {
                 // A conditional early return with dead code behind it.
-                self.expr(I32, 2);
+                self.cond(2);
                 self.open(|c| c.if_(BlockType::Empty), None, false);
                 if let Some(ty) = self.plans[self.func].result {
                     self.expr(ty, 1);
@@ -607,8 +632,9 @@ impl Body<'_> {
     }
 
     /// `for (c = 0; c < n; c++) { body }` as `block { loop { body; c++;
-    /// br_if (c < n) } }`: the body may break out, never continue.
-    fn counted_loop(&mut self, depth: u32) {
+    /// br_if (c < n) } }`: the body may break out, never continue. With
+    /// `bump`, the body ends by adding one to that i32 local.
+    fn counted_loop(&mut self, depth: u32, bump: Option<u32>) {
         let c = self.counters[self.loops];
         self.loops += 1;
         let n = 1 + self.rng.below(4) as i32;
@@ -617,6 +643,12 @@ impl Body<'_> {
         self.open(|e| e.block(BlockType::Empty), None, false);
         self.open(|e| e.loop_(BlockType::Empty), None, true);
         self.stmts(depth - 1);
+        if let Some(l) = bump {
+            self.emit(|e| e.local_get(l));
+            self.emit(|e| e.i32_const(1));
+            self.emit(|e| e.i32_add());
+            self.emit(|e| e.local_set(l));
+        }
         self.emit(|e| e.local_get(c));
         self.emit(|e| e.i32_const(1));
         self.emit(|e| e.i32_add());

@@ -83,7 +83,7 @@ while read -r crate ceiling; do
         exit 1
     fi
 done <<'EOF'
-wasm 12
+wasm 10
 wat 5
 plugc 12
 abi 7
@@ -149,6 +149,13 @@ fi
 # scan, the arity table and the two replays over it stay gone.
 if grep -rnwE 'CompiledFunc|entry_heights|stack_effect|build_shape|follows_eqz|lower_func' crates/wasm/src; then
     echo "lowering tripwire: crates/wasm/src names CompiledFunc, entry_heights, stack_effect, build_shape, follows_eqz or lower_func; one walk per body feeds the lowering and the recorder" >&2
+    exit 1
+fi
+# The bounds read the code that runs: the walk over the register ops takes
+# each block's loop events off its fused forms, so the recorder keeps no
+# symbolic operand stack and the value model it ran stays gone.
+if grep -rnwE 'SymV|bin_sym|sym_pred|w_of' crates/wasm/src; then
+    echo "lowering tripwire: crates/wasm/src names SymV, bin_sym, sym_pred or w_of; the loop bounds read their events off the register ops (reg_walk)" >&2
     exit 1
 fi
 pub_mods=$(grep -c '^pub mod' crates/wasm/src/lib.rs || true)
