@@ -1283,6 +1283,8 @@ mod tests {
         assert_eq!(seq.total_slots, par.total_slots);
         assert_eq!(seq.total_sched_calls, par.total_sched_calls);
         assert_eq!(seq.exec.count(), par.exec.count());
+        assert_eq!(seq.exec.samples(), par.exec.samples());
+        assert!(par.exec.samples() > 0);
         assert!(par.total_sched_calls > 0);
     }
 

@@ -114,9 +114,11 @@ pub struct SlotHealth {
     /// Lifetime faults broken down by kind (trap / fuel / other); their
     /// [`StrikeCounters::total`] survives swaps.
     pub strikes: StrikeCounters,
-    /// Calls, ok or faulted, that took longer than the policy's watchdog
-    /// ([`SandboxPolicy::deadline`]). Counted only: a slow call is not a
-    /// fault, and wall time enters no strike and no digest.
+    /// Timed calls, ok or faulted, that took longer than the policy's
+    /// watchdog ([`SandboxPolicy::deadline`]). Only one call in every 16
+    /// of a plugin is timed, so the watchdog sees only those. Counted
+    /// only: a slow call is not a fault, and wall time enters no strike
+    /// and no digest.
     ///
     /// [`SandboxPolicy::deadline`]: crate::plugin::SandboxPolicy::deadline
     pub overruns: u64,
@@ -206,18 +208,20 @@ fn run_guarded<T, R>(
     let policy = slot.plugin.policy();
     let seq_before = slot.plugin.call_seq();
     let result = f(&mut slot.plugin);
-    // Record the call duration on both arms — trapping and fuel-exhausted
-    // calls are precisely the slow ones, and dropping them would deflate
-    // the reported tail latency. The sequence check keeps closures that
-    // failed before reaching a plugin call from re-recording a stale
-    // duration.
+    // Count every call on both arms, and record its duration when it was
+    // timed: the sample rule does not look at the outcome, so trapping
+    // calls are sampled like any other. The sequence check keeps closures
+    // that failed before reaching a plugin call out of the count.
     let called = slot.plugin.call_seq() != seq_before;
     if called {
-        if let Some(d) = slot.plugin.last_call_duration() {
-            slot.stats.record(d);
-            if policy.deadline.is_some_and(|watchdog| d > watchdog) {
-                slot.health.overruns += 1;
+        match slot.plugin.last_call_duration() {
+            Some(d) => {
+                slot.stats.record(d);
+                if policy.deadline.is_some_and(|watchdog| d > watchdog) {
+                    slot.health.overruns += 1;
+                }
             }
+            None => slot.stats.record_untimed(),
         }
     }
     match result {

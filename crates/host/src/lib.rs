@@ -19,10 +19,12 @@
 //!   loaded plugin code (it owns each module; [`plugin::Plugin::new`]
 //!   caches nothing).
 //! * [`host::PluginHost`] — the named registry: atomic [`host::PluginHost::install`]
-//!   (hot swap), per-slot health and quarantine, per-slot execution-time
-//!   statistics.
+//!   (hot swap), per-slot health and quarantine, always-on per-slot
+//!   execution-time statistics: exact count, sampled times (every call is
+//!   counted, one in every 16 calls of a plugin is timed).
 //! * [`stats`] — the measurement instrument behind the Fig. 5d
-//!   reproduction: [`ExecTimeStats`], a mergeable histogram of call times.
+//!   reproduction: [`ExecTimeStats`], an exact count beside a mergeable
+//!   histogram of the timed calls.
 //!
 //! ```
 //! use waran_host::plugin::{Plugin, SandboxPolicy};

@@ -59,9 +59,10 @@ pub struct SandboxPolicy {
     /// call. Every call is metered, so a guest that never returns runs out
     /// of fuel instead of hanging its caller.
     pub fuel_per_call: u64,
-    /// Watchdog on a call's wall time (`None` = none). A host slot call
-    /// that takes longer is counted in [`crate::SlotHealth::overruns`] and
-    /// still returns its result: the host's speed never decides a fault.
+    /// Watchdog on a call's wall time (`None` = none). A timed host slot
+    /// call (one in every 16 calls of a plugin is timed) that takes longer
+    /// is counted in [`crate::SlotHealth::overruns`] and still returns its
+    /// result: the host's speed never decides a fault.
     pub deadline: Option<Duration>,
     /// Admission gate: require every exported function's *static*
     /// worst-case fuel bound to be finite and at most this value
@@ -106,6 +107,27 @@ const SLOT_FUEL: u64 = SLOT.as_nanos() as u64 / NS_PER_FUEL;
 
 /// Upper bound on the byte length a plugin may return through the ABI.
 const MAX_RESPONSE_BYTES: u32 = 1 << 20;
+
+/// A plugin's calls are timed one in this many (a power of two): see
+/// [`is_sampled`].
+const SAMPLE_EVERY: u64 = 16;
+
+/// Whether a plugin's call number `seq` (the first is 1) is timed.
+///
+/// Calls go in blocks of [`SAMPLE_EVERY`], and one call per block is
+/// timed, at a position a Weyl sequence (multiples of 2^64 / golden
+/// ratio) moves from block to block. A fixed stride would alias: when a
+/// workload's call cost repeats with a period that divides the stride, it
+/// times one phase every time (on slotbench's `fleet_massive`, the 16th of
+/// every 16 calls read a p50 two-thirds above that of all calls). The
+/// first block times its last call, so a plugin's cold first call never
+/// weighs on a short-lived plugin's samples.
+fn is_sampled(seq: u64) -> bool {
+    let n = seq.wrapping_sub(1);
+    let (block, pos) = (n / SAMPLE_EVERY, n % SAMPLE_EVERY);
+    let weyl = block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SAMPLE_EVERY.ilog2());
+    pos == SAMPLE_EVERY - 1 - weyl
+}
 
 impl SandboxPolicy {
     /// The `realtime` governance class: one 1 ms slot of fuel at
@@ -296,9 +318,9 @@ fn bad_entry(name: &str) -> PluginError {
 pub struct Plugin<T> {
     instance: Instance<T>,
     policy: SandboxPolicy,
-    /// Wall-clock time of the most recent call (incl. ABI copies), stamped
-    /// on success *and* on fault — trapping calls are precisely the slow
-    /// ones, and fault accounting must see their cost.
+    /// Wall-clock time of the most recent call (incl. ABI copies) when it
+    /// was a timed one, `None` otherwise. Faulting calls are timed by the
+    /// same rule; their cost is recorded exactly in fuel and strikes.
     last_call: Option<Duration>,
     /// Calls attempted over this plugin's lifetime (both arms). Lets the
     /// host tell "the closure ran a plugin call" from "it failed before
@@ -354,7 +376,9 @@ impl<T> Plugin<T> {
     }
 
     /// Wall-clock duration of the most recent [`Self::call`] or
-    /// [`Self::call_sched`], whether it succeeded or faulted.
+    /// [`Self::call_sched`], whether it succeeded or faulted, when that
+    /// call was timed: one in every 16 calls of the plugin is, the first
+    /// never. `None` after an untimed call.
     pub fn last_call_duration(&self) -> Option<Duration> {
         self.last_call
     }
@@ -399,11 +423,11 @@ impl<T> Plugin<T> {
     /// pointer 0. `entry` must be exported as `(i32, i32) -> i64`; anything
     /// else is a [`PluginError::Abi`] before any guest code runs.
     ///
-    /// Fuel is re-armed per call when the policy meters it. The call's wall
-    /// time — both copies and the guest entry — is available via
-    /// [`Self::last_call_duration`] and is stamped on faults too: a call
-    /// that burns its whole fuel before trapping must not vanish from the
-    /// latency record.
+    /// Fuel is re-armed per call when the policy meters it. One call in
+    /// every 16 is timed — both copies and the guest entry — and its wall
+    /// time is available via [`Self::last_call_duration`]. A faulting call
+    /// is timed by the same rule, not always: its cost is already recorded
+    /// exactly, in the fuel it burnt and the strike it took.
     pub fn call(&mut self, entry: &str, input: &[u8]) -> Result<Vec<u8>, PluginError> {
         self.timed(|p| {
             let func = entry_index(p.instance.module(), entry).ok_or_else(|| bad_entry(entry))?;
@@ -412,14 +436,15 @@ impl<T> Plugin<T> {
         })
     }
 
-    /// Run one ABI call under the bookkeeping every call shares: one clock
-    /// read at its start times the call, success or fault. Nothing reads
-    /// that time to decide the call.
+    /// Run one ABI call under the bookkeeping every call shares: the call
+    /// is numbered, and the ones [`is_sampled`] picks are timed, success
+    /// or fault. Untimed calls read no clock. Nothing reads the time to
+    /// decide the call.
     fn timed<R>(&mut self, abi_call: impl FnOnce(&mut Self) -> R) -> R {
-        let start = Instant::now();
         self.call_seq = self.call_seq.wrapping_add(1);
+        let start = is_sampled(self.call_seq).then(Instant::now);
         let result = abi_call(self);
-        self.last_call = Some(start.elapsed());
+        self.last_call = start.map(|start| start.elapsed());
         result
     }
 
@@ -536,5 +561,38 @@ impl<T> std::fmt::Debug for Plugin<T> {
             .field("memory_bytes", &self.memory_bytes())
             .field("policy", &self.policy)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_call_per_block_is_sampled_at_every_phase_alike() {
+        const BLOCKS: u64 = 16_384;
+        let sampled: Vec<u64> = (1..=BLOCKS * SAMPLE_EVERY)
+            .filter(|&seq| is_sampled(seq))
+            .collect();
+        assert_eq!(sampled.len() as u64, BLOCKS);
+        assert_eq!(
+            sampled[0], SAMPLE_EVERY,
+            "the first block times its last call"
+        );
+        for (block, seq) in sampled.iter().enumerate() {
+            assert_eq!((seq - 1) / SAMPLE_EVERY, block as u64);
+        }
+        // A call cost that repeats with period `p` is sampled at each of
+        // its phases alike, within 1/16 of the even share.
+        for p in 2..=32 {
+            for phase in 0..p {
+                let hits = sampled.iter().filter(|&&seq| seq % p == phase).count();
+                let even = BLOCKS as f64 / p as f64;
+                assert!(
+                    (hits as f64 - even).abs() <= even / 16.0,
+                    "period {p}, phase {phase}: {hits} samples, {even:.1} expected"
+                );
+            }
+        }
     }
 }

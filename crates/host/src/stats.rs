@@ -2,9 +2,10 @@
 //!
 //! The paper measures plugin running speed with Boost Accumulators and
 //! reports 50th/99th-percentile execution times (Fig. 5d). This module is
-//! the equivalent instrument, and the only one: [`ExecTimeStats`], a
-//! log-linear histogram of nanosecond durations beside an exact count,
-//! sum, minimum and maximum. The always-on per-plugin stats in the host,
+//! the equivalent instrument, and the only one: [`ExecTimeStats`], an
+//! exact count of executions beside a log-linear histogram, sum, minimum
+//! and maximum of the ones that were timed. The host's per-plugin stats
+//! (exact count, sampled times: one in 16 calls of a plugin is timed),
 //! the multi-cell engine's per-worker shards and the figure harnesses all
 //! record into it.
 //!
@@ -41,11 +42,15 @@ fn bucket_range(bucket: usize) -> (u64, u64) {
     (lo, lo + ((1 << shift) - 1))
 }
 
-/// Per-plugin execution-time tracker: count, mean, min/max and p50/p99.
-/// Durations are kept in whole nanoseconds and reported in microseconds.
+/// Per-plugin execution-time tracker: an exact count of executions, and
+/// the mean, min/max and p50/p99 of the timed ones among them. Durations
+/// are kept in whole nanoseconds and reported in microseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecTimeStats {
+    /// Executions, timed or not.
     count: u64,
+    /// Timed executions: the population of the histogram, sum and extremes.
+    samples: u64,
     sum_ns: u128,
     min_ns: u64,
     max_ns: u64,
@@ -59,6 +64,7 @@ impl Default for ExecTimeStats {
     fn default() -> Self {
         ExecTimeStats {
             count: 0,
+            samples: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
@@ -73,7 +79,13 @@ impl ExecTimeStats {
         Self::default()
     }
 
-    /// Record one execution. A duration past `u64::MAX` ns counts as that.
+    /// Record one execution that was not timed: counted, not sampled.
+    pub fn record_untimed(&mut self) {
+        self.count += 1;
+    }
+
+    /// Record one timed execution. A duration past `u64::MAX` ns counts as
+    /// that.
     pub fn record(&mut self, d: Duration) {
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         let bucket = bucket_of(ns);
@@ -82,56 +94,63 @@ impl ExecTimeStats {
         }
         self.buckets[bucket] += 1;
         self.count += 1;
+        self.samples += 1;
         self.sum_ns += u128::from(ns);
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Executions recorded.
+    /// Executions recorded, timed or not.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Mean, µs (0 when empty).
+    /// Timed executions: the samples every duration statistic reads.
+    pub fn samples(&self) -> u64 {
+        self.samples
+    }
+
+    /// Mean of the samples, µs (0 when there are none).
     pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
+        if self.samples == 0 {
             0.0
         } else {
-            self.sum_ns as f64 / self.count as f64 / 1e3
+            self.sum_ns as f64 / self.samples as f64 / 1e3
         }
     }
 
-    /// Minimum, µs (0 when empty).
+    /// Minimum sample, µs (0 when there are none).
     pub fn min_us(&self) -> f64 {
-        if self.count == 0 {
+        if self.samples == 0 {
             0.0
         } else {
             self.min_ns as f64 / 1e3
         }
     }
 
-    /// Maximum, µs (0 when empty).
+    /// Maximum sample, µs (0 when there are none).
     pub fn max_us(&self) -> f64 {
         self.max_ns as f64 / 1e3
     }
 
-    /// Median, µs.
+    /// Median sample, µs.
     pub fn p50_us(&self) -> f64 {
         self.quantile_us(0.5)
     }
 
-    /// 99th percentile, µs.
+    /// 99th-percentile sample, µs.
     pub fn p99_us(&self) -> f64 {
         self.quantile_us(0.99)
     }
 
-    /// The `q`-quantile in µs, 0 when empty: the sample of nearest rank
-    /// `round((count - 1) * q)`, located to its bucket and interpolated
-    /// inside it by its position among the bucket's samples. The estimate
+    /// The `q`-quantile of the samples in µs, 0 when there are none: the
+    /// sample of nearest rank `round((samples - 1) * q)`, located to its
+    /// bucket and interpolated inside it by its position among the
+    /// bucket's samples. The estimate
     /// lies in the same bucket as that sample, so it is off by less than
     /// 1/16 of it; the first and last rank are the exact extremes.
     pub fn quantile_us(&self, q: f64) -> f64 {
-        let last = self.count.saturating_sub(1);
+        let last = self.samples.saturating_sub(1);
         let rank = (last as f64 * q.clamp(0.0, 1.0)).round() as u64;
         let mut seen = 0;
         for (bucket, &n) in self.buckets.iter().enumerate() {
@@ -154,7 +173,8 @@ impl ExecTimeStats {
     }
 
     /// Fold another tracker into this one. Exact: the result equals a
-    /// tracker that recorded both sides' samples itself, in any order.
+    /// tracker that recorded both sides' executions itself, timed and
+    /// untimed, in any order.
     pub fn merge(&mut self, other: &ExecTimeStats) {
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
@@ -163,6 +183,7 @@ impl ExecTimeStats {
             *mine += theirs;
         }
         self.count += other.count;
+        self.samples += other.samples;
         self.sum_ns += other.sum_ns;
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
@@ -222,6 +243,19 @@ mod tests {
         assert_eq!(s.max_us(), u64::MAX as f64 / 1e3);
         assert_eq!(s.quantile_us(1.0), s.max_us());
         assert_eq!(s.min_us(), 1.0);
+    }
+
+    #[test]
+    fn untimed_executions_are_counted_not_sampled() {
+        let mut s = ExecTimeStats::new();
+        for _ in 0..15 {
+            s.record_untimed();
+        }
+        assert_eq!((s.count(), s.samples()), (15, 0));
+        assert_eq!((s.p50_us(), s.mean_us(), s.min_us()), (0.0, 0.0, 0.0));
+        s.record(Duration::from_micros(4));
+        assert_eq!((s.count(), s.samples()), (16, 1));
+        assert_eq!((s.p50_us(), s.mean_us(), s.min_us()), (4.0, 4.0, 4.0));
     }
 
     #[test]

@@ -65,12 +65,95 @@ export fn schedule(req: i32, len: i32) -> i64 {
 }
 "#;
 
+/// Echoes its input back.
+const ECHO: &str = r#"export fn run(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }"#;
+
 #[test]
 fn byte_abi_echo() {
-    let mut p = plugin(r#"export fn run(ptr: i32, len: i32) -> i64 { return pack(ptr, len); }"#);
+    let mut p = plugin(ECHO);
     assert_eq!(p.call("run", b"abc123").unwrap(), b"abc123");
     assert_eq!(p.call("run", &[]).unwrap(), b"");
-    assert!(p.last_call_duration().is_some());
+    // One call in 16 is timed, and not before the 16th.
+    assert_eq!((p.call_seq(), p.last_call_duration()), (2, None));
+}
+
+#[test]
+fn one_call_in_sixteen_is_timed_and_the_first_never() {
+    let host: PluginHost<()> = PluginHost::new();
+    host.install("echo", plugin(ECHO));
+    let timed = |host: &PluginHost<()>| host.with_plugin("echo", |p| Ok(p.last_call_duration()));
+    host.call("echo", "run", b"x").unwrap();
+    assert_eq!(timed(&host), Ok(None), "the first call is never a sample");
+    for _ in 1..15 {
+        host.call("echo", "run", b"x").unwrap();
+        assert_eq!(timed(&host), Ok(None));
+    }
+    let stats = host.stats("echo").unwrap();
+    assert_eq!((stats.count(), stats.samples()), (15, 0));
+    assert_eq!(stats.p50_us(), 0.0);
+
+    host.call("echo", "run", b"x").unwrap();
+    assert!(timed(&host).unwrap().is_some(), "the 16th call is timed");
+    let stats = host.stats("echo").unwrap();
+    assert_eq!((stats.count(), stats.samples()), (16, 1));
+    assert!(stats.p50_us() > 0.0);
+
+    host.call("echo", "run", b"x").unwrap();
+    assert_eq!(timed(&host), Ok(None), "a timed call leaves no stale time");
+    // One sample in each block of 16 calls, up to call 64.
+    for _ in 18..=64 {
+        host.call("echo", "run", b"x").unwrap();
+    }
+    let stats = host.stats("echo").unwrap();
+    assert_eq!((stats.count(), stats.samples()), (64, 4));
+}
+
+#[test]
+fn every_call_is_counted_faults_included() {
+    // Alternate a served call (empty input) and a trap (a byte of input
+    // sends the load out of bounds): the count is exact over both arms,
+    // and faulting calls are sampled by the same rule as the rest.
+    const TRAP_ON_INPUT: &str = r#"
+        export fn run(ptr: i32, len: i32) -> i64 {
+            if (len > 0) { return pack(ptr, load_u8(ptr + 100000000 * len)); }
+            return pack(ptr, 0);
+        }
+    "#;
+    let policy = SandboxPolicy {
+        quarantine_after: 0,
+        ..SandboxPolicy::default()
+    };
+    let host: PluginHost<()> = PluginHost::new();
+    host.install(
+        "p",
+        Plugin::new(&compile(TRAP_ON_INPUT), &Linker::new(), (), policy).unwrap(),
+    );
+    for call in 1..=40 {
+        let input: &[u8] = if call % 2 == 0 { b"x" } else { &[] };
+        assert_eq!(host.call("p", "run", input).is_ok(), input.is_empty());
+    }
+    let stats = host.stats("p").unwrap();
+    let health = host.health("p").unwrap();
+    assert_eq!(stats.count(), 40);
+    assert_eq!((health.calls_ok, health.strikes.trap), (20, 20));
+    // One sample per block of 16 calls, traps included: calls 16 (a
+    // trap) and 23 (served).
+    assert_eq!(stats.samples(), 2);
+}
+
+#[test]
+fn a_swapped_in_plugin_is_not_timed_on_its_first_call() {
+    // Each new plugin numbers its own calls: a slot whose plugins serve
+    // ten calls each is counted in full and never timed.
+    let host: PluginHost<()> = PluginHost::new();
+    for _ in 0..5 {
+        host.install("echo", plugin(ECHO));
+        for _ in 0..10 {
+            host.call("echo", "run", b"x").unwrap();
+        }
+    }
+    let stats = host.stats("echo").unwrap();
+    assert_eq!((stats.count(), stats.samples()), (50, 0));
 }
 
 #[test]
@@ -164,19 +247,22 @@ fn stall_then_run(stall: Duration, policy: SandboxPolicy) -> Plugin<Duration> {
 
 #[test]
 fn a_host_stall_past_the_watchdog_is_counted_not_faulted() {
-    // A `realtime` call whose host function stalls 3 ms — three times its
-    // one-slot watchdog — and then runs guest code returns its result: wall
-    // time takes no strike, it only counts an overrun.
+    // `realtime` calls whose host function stalls 3 ms — three times their
+    // one-slot watchdog — and then run guest code return their results:
+    // wall time takes no strike, it only counts an overrun. Of 16 calls
+    // one is timed, so the watchdog sees one.
     let host: PluginHost<Duration> = PluginHost::new();
     host.install(
         "p",
         stall_then_run(Duration::from_millis(3), SandboxPolicy::realtime()),
     );
-    assert_eq!(host.call("p", "run", &[1]), Ok(Vec::new()));
+    for _ in 0..16 {
+        assert_eq!(host.call("p", "run", &[1]), Ok(Vec::new()));
+    }
     let health = host.health("p").unwrap();
     assert_eq!(health.overruns, 1);
     assert_eq!(health.strikes.total(), 0);
-    assert_eq!(health.calls_ok, 1);
+    assert_eq!(health.calls_ok, 16);
 }
 
 /// A counted loop of 4 MiB `memory.fill`s over the whole 64-page memory.

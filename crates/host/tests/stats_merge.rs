@@ -1,6 +1,7 @@
 //! Laws of the one latency instrument, against a sort of the samples:
-//! merging trackers is exact in any split and order, and a quantile is
-//! off by less than one bucket. This is what lets the multi-cell engine
+//! merging trackers is exact in any split and order, for the exact count
+//! and the timed samples alike, and a quantile is off by less than one
+//! bucket. This is what lets the multi-cell engine
 //! keep per-worker and per-slot stats lock-free and merge after the join.
 
 use std::time::Duration;
@@ -26,7 +27,11 @@ fn duration_ns() -> impl Strategy<Value = u64> {
 proptest! {
     #[test]
     fn merge_in_any_split_and_order_equals_one_tracker(
-        samples in proptest::collection::vec((0usize..8, duration_ns()), 0..200),
+        // `None` is a call that was counted but not timed.
+        samples in proptest::collection::vec(
+            (0usize..8, proptest::option::of(duration_ns())),
+            0..200,
+        ),
         trackers in 1usize..=8,
         order in proptest::collection::vec(any::<u64>(), 8),
         cut in 0usize..=8,
@@ -34,10 +39,18 @@ proptest! {
         let mut single = ExecTimeStats::new();
         let mut parts = vec![ExecTimeStats::new(); trackers];
         for &(part, ns) in &samples {
-            let d = Duration::from_nanos(ns);
-            single.record(d);
-            parts[part % trackers].record(d);
+            match ns.map(Duration::from_nanos) {
+                Some(d) => {
+                    single.record(d);
+                    parts[part % trackers].record(d);
+                }
+                None => {
+                    single.record_untimed();
+                    parts[part % trackers].record_untimed();
+                }
+            }
         }
+        let timed = samples.iter().filter(|(_, ns)| ns.is_some()).count();
 
         // Fold the parts in a drawn order, as two groups merged last:
         // commutativity and associativity in one go.
@@ -56,6 +69,8 @@ proptest! {
 
         prop_assert_eq!(&merged, &single);
         prop_assert_eq!(merged.count(), samples.len() as u64);
+        prop_assert_eq!(merged.samples(), timed as u64);
+        prop_assert_eq!(merged.samples(), single.samples());
         prop_assert_eq!(merged.min_us(), single.min_us());
         prop_assert_eq!(merged.max_us(), single.max_us());
         prop_assert_eq!(merged.mean_us(), single.mean_us());

@@ -75,9 +75,8 @@ fn main() {
     };
     let resp = plugin.call_sched(&req).expect("schedules");
     println!(
-        "direct call: plugin allocated PRBs to UEs {:?} in {:?}",
+        "direct call: plugin allocated PRBs to UEs {:?}",
         resp.allocs.iter().map(|a| a.ue_id).collect::<Vec<_>>(),
-        plugin.last_call_duration().expect("measured"),
     );
 
     // ------------------------------------------------------------------
@@ -104,9 +103,10 @@ fn main() {
     );
     let stats = scenario.plugin_stats("mvno-1").expect("stats");
     println!(
-        "plugin exec time: p50 {:.1} µs, p99 {:.1} µs over {} calls (slot budget: 1000 µs)",
+        "plugin exec time: p50 {:.1} µs, p99 {:.1} µs over {} timed of {} calls (slot budget: 1000 µs)",
         stats.p50_us(),
         stats.p99_us(),
+        stats.samples(),
         stats.count(),
     );
 }

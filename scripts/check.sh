@@ -32,6 +32,29 @@ for file in crates/wasm/src/instance.rs crates/wasm/src/interp.rs; do
     fi
 done
 
+# The host reads the clock in one place, off the per-call path: exactly
+# one non-test, non-comment `Instant::now` in crates/host/src, inside
+# `Plugin::timed` and behind its `is_sampled(` test, so only the sampled
+# calls (one in 16) are timed and every other call reads no clock.
+if [ ! -f crates/host/src/plugin.rs ]; then
+    echo "clock tripwire: missing crates/host/src/plugin.rs" >&2
+    exit 1
+fi
+clocks=$(find crates/host/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { live = 1; timed = 0; sampled = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        /^[[:space:]]*\/\// { next }
+        /(^|[^[:alnum:]_])fn [[:alnum:]_]+[<(]/ { timed = /fn timed[<(]/; sampled = 0 }
+        timed && /is_sampled\(/ { sampled = 1 }
+        live && /(Instant|SystemTime)::now/ {
+            print FILENAME ":" FNR ": " (timed && sampled ? "sampled" : "UNSAMPLED") ": " $0
+        }')
+if [ "$(grep -c . <<<"$clocks")" -ne 1 ] || ! grep -q ': sampled: ' <<<"$clocks"; then
+    echo "${clocks:-(no clock read found)}" >&2
+    echo "clock tripwire: crates/host/src must read the clock exactly once, in Plugin::timed behind the is_sampled( test; the lines above are every clock read found" >&2
+    exit 1
+fi
+
 # Production code hosts Wasm one way: bytes through a TemplateCache into a
 # PluginHost slot. A bare `Plugin::new` there would skip admission,
 # strikes, rollback, swap and the content hash.
